@@ -22,103 +22,47 @@
 //! job's assertion that chaos costs capacity and latency, never
 //! answers.
 
-use pim_bench::chaos::{report_json, run_campaign, ChaosCampaignConfig, ChaosPhase};
+use pim_bench::campaign::Cli;
+use pim_bench::chaos::{report_json, run_campaign, ChaosCampaignConfig};
 use pim_bench::json;
-use pim_host::ExecutionBackend;
+use pim_runtime::ClusterServeStats;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimchaos [--seed N] [--elements N] [--requests N] [--tenants N] \
-         [--deadline-slack N] [--interval N] [--stacks N] [--stall-milli N] \
-         [--backend sequential|threads:N] [--expect-clean]"
-    );
-    std::process::exit(2);
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("pimchaos: {msg}");
-    usage();
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| bad(format!("{flag} requires a value")))
-}
-
-fn parse_pos(v: &str, what: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => bad(format!("bad {what} '{v}'")),
-    }
-}
-
-fn parse_backend(text: &str) -> ExecutionBackend {
-    if text == "sequential" {
-        return ExecutionBackend::Sequential;
-    }
-    if let Some(n) = text.strip_prefix("threads:") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => return ExecutionBackend::Threads(n),
-            _ => bad(format!("bad worker count '{n}'")),
-        }
-    }
-    bad(format!("unknown backend '{text}' (expected sequential or threads:N)"))
-}
+const USAGE: &str = "pimchaos [--seed N] [--elements N] [--requests N] [--tenants N] \
+    [--deadline-slack N] [--interval N] [--stacks N] [--stall-milli N] \
+    [--backend sequential|threads:N] [--expect-clean]";
 
 fn main() {
+    let mut cli = Cli::new("pimchaos", USAGE);
     let mut cfg = ChaosCampaignConfig::default();
     let mut expect_clean = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
+        if cli.parse_shape_flag(&arg, &mut cfg.trace) {
+            continue;
+        }
         match arg.as_str() {
-            "--seed" => {
-                let v = next_value(&mut args, "--seed");
-                cfg.seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed '{v}'")));
-            }
-            "--elements" => {
-                cfg.elements = parse_pos(&next_value(&mut args, "--elements"), "element count");
-            }
-            "--requests" => {
-                cfg.requests = parse_pos(&next_value(&mut args, "--requests"), "request count");
-            }
-            "--tenants" => {
-                cfg.tenants = parse_pos(&next_value(&mut args, "--tenants"), "tenant count") as u32;
-            }
-            "--deadline-slack" => {
-                cfg.deadline_slack =
-                    parse_pos(&next_value(&mut args, "--deadline-slack"), "deadline slack") as u64;
-            }
-            "--interval" => {
-                cfg.interval = parse_pos(&next_value(&mut args, "--interval"), "interval") as u64;
-            }
-            "--stacks" => {
-                cfg.stacks = parse_pos(&next_value(&mut args, "--stacks"), "stack count");
-            }
-            "--stall-milli" => {
-                cfg.stall_milli =
-                    parse_pos(&next_value(&mut args, "--stall-milli"), "stall factor") as u64;
-            }
-            "--backend" => cfg.backend = parse_backend(&next_value(&mut args, "--backend")),
+            "--interval" => cfg.interval = cli.parse_pos(&arg, "interval"),
+            "--stacks" => cfg.stacks = cli.parse_pos(&arg, "stack count"),
+            "--stall-milli" => cfg.stall_milli = cli.parse_pos(&arg, "stall factor"),
+            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
-            "--help" | "-h" => usage(),
-            other => bad(format!("unknown argument '{other}'")),
+            "--help" | "-h" => cli.usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
 
-    let report = run_campaign(&cfg).unwrap_or_else(|e| {
-        eprintln!("pimchaos: campaign failed: {e}");
-        std::process::exit(1);
-    });
+    let report = cli.or_exit(run_campaign(&cfg));
     println!("{}", json::to_string(&report_json(&cfg, &report)));
 
-    let total = |f: fn(&ChaosPhase) -> u64| report.phases.iter().map(f).sum::<u64>();
-    let served = total(|p| p.completed + p.host_fallbacks);
-    let missed = total(|p| p.deadline_missed);
+    let total =
+        |f: fn(&ClusterServeStats) -> u64| report.phases.iter().map(|p| f(&p.stats)).sum::<u64>();
+    let served = total(|s| s.serve.completed + s.serve.host_fallbacks);
+    let missed = total(|s| s.serve.deadline_missed);
     let arc = [
         ("wrong answers", report.wrong_answers == 0),
         ("outage bit-identity gate", report.gemv_bit_identical_outage),
-        ("mid-run crash", total(|p| p.crashes) >= 1),
-        ("verified rejoin", total(|p| p.rejoins) >= 1),
-        ("straggler hedge", total(|p| p.hedges) >= 1),
+        ("mid-run crash", total(|s| s.crashes) >= 1),
+        ("verified rejoin", total(|s| s.rejoins) >= 1),
+        ("straggler hedge", total(|s| s.hedges) >= 1),
     ];
     if expect_clean {
         let failed: Vec<&str> = arc.iter().filter(|(_, ok)| !ok).map(|&(what, _)| what).collect();
@@ -131,8 +75,8 @@ fn main() {
         "campaign done: {} phases, {served} served / {missed} missed, {} hedges, \
          {} rejoins, {} wrong answers{}",
         report.phases.len(),
-        total(|p| p.hedges),
-        total(|p| p.rejoins),
+        total(|s| s.hedges),
+        total(|s| s.rejoins),
         report.wrong_answers,
         if expect_clean { " (clean gate passed)" } else { "" }
     );

@@ -19,126 +19,47 @@
 //! cluster-smoke job's assertion that scale-out changes capacity, never
 //! answers.
 
+use pim_bench::campaign::Cli;
 use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
 use pim_bench::json;
-use pim_host::ExecutionBackend;
+use pim_runtime::ServeStats;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimcluster [--seed N] [--elements N] [--requests N] [--tenants N] \
-         [--deadline-slack N] [--interval N] [--stacks S1,S2,...] [--rates R1,R2,...] \
-         [--backend sequential|threads:N] [--expect-clean]"
-    );
-    std::process::exit(2);
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("pimcluster: {msg}");
-    usage();
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| bad(format!("{flag} requires a value")))
-}
-
-fn parse_pos(v: &str, what: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => bad(format!("bad {what} '{v}'")),
-    }
-}
-
-fn parse_backend(text: &str) -> ExecutionBackend {
-    if text == "sequential" {
-        return ExecutionBackend::Sequential;
-    }
-    if let Some(n) = text.strip_prefix("threads:") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => return ExecutionBackend::Threads(n),
-            _ => bad(format!("bad worker count '{n}'")),
-        }
-    }
-    bad(format!("unknown backend '{text}' (expected sequential or threads:N)"))
-}
-
-fn parse_stacks(text: &str) -> Vec<usize> {
-    let stacks: Vec<usize> = text
-        .split(',')
-        .map(|v| match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => bad(format!("bad stack count '{v}' (expected a positive integer)")),
-        })
-        .collect();
-    if stacks.is_empty() {
-        bad("empty stack-count list".to_string());
-    }
-    stacks
-}
-
-fn parse_rates(text: &str) -> Vec<f64> {
-    let rates: Vec<f64> = text
-        .split(',')
-        .map(|r| match r.trim().parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => bad(format!("bad rate '{r}' (expected a number in [0, 1])")),
-        })
-        .collect();
-    if rates.is_empty() {
-        bad("empty rate list".to_string());
-    }
-    rates
-}
+const USAGE: &str = "pimcluster [--seed N] [--elements N] [--requests N] [--tenants N] \
+    [--deadline-slack N] [--interval N] [--stacks S1,S2,...] [--rates R1,R2,...] \
+    [--backend sequential|threads:N] [--expect-clean]";
 
 fn main() {
+    let mut cli = Cli::new("pimcluster", USAGE);
     let mut cfg = ClusterCampaignConfig::default();
     let mut expect_clean = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
+        if cli.parse_shape_flag(&arg, &mut cfg.trace) {
+            continue;
+        }
         match arg.as_str() {
-            "--seed" => {
-                let v = next_value(&mut args, "--seed");
-                cfg.seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed '{v}'")));
-            }
-            "--elements" => {
-                cfg.elements = parse_pos(&next_value(&mut args, "--elements"), "element count");
-            }
-            "--requests" => {
-                cfg.requests = parse_pos(&next_value(&mut args, "--requests"), "request count");
-            }
-            "--tenants" => {
-                cfg.tenants = parse_pos(&next_value(&mut args, "--tenants"), "tenant count") as u32;
-            }
-            "--deadline-slack" => {
-                cfg.deadline_slack =
-                    parse_pos(&next_value(&mut args, "--deadline-slack"), "deadline slack") as u64;
-            }
-            "--interval" => {
-                cfg.interval = parse_pos(&next_value(&mut args, "--interval"), "interval") as u64;
-            }
-            "--stacks" => cfg.stack_counts = parse_stacks(&next_value(&mut args, "--stacks")),
-            "--rates" => cfg.fault_rates = parse_rates(&next_value(&mut args, "--rates")),
-            "--backend" => cfg.backend = parse_backend(&next_value(&mut args, "--backend")),
+            "--interval" => cfg.interval = cli.parse_pos(&arg, "interval"),
+            "--stacks" => cfg.stack_counts = cli.parse_pos_list(&arg, "stack count"),
+            "--rates" => cfg.fault_rates = cli.parse_rates(&arg),
+            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
-            "--help" | "-h" => usage(),
-            other => bad(format!("unknown argument '{other}'")),
+            "--help" | "-h" => cli.usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
 
-    let points = run_campaign(&cfg).unwrap_or_else(|e| {
-        eprintln!("pimcluster: campaign failed: {e}");
-        std::process::exit(1);
-    });
+    let points = cli.or_exit(run_campaign(&cfg));
     println!("{}", json::to_string(&report_json(&cfg, &points)));
 
-    let wrong: u64 = points.iter().map(|p| p.wrong_answers).sum();
+    let wrong: u64 = points.iter().map(|p| p.audit.wrong_answers).sum();
     let gates_ok = points.iter().all(|p| p.gemv_bit_identical && p.gemv_bit_identical_failover);
     if expect_clean && (wrong > 0 || !gates_ok) {
         eprintln!("FAIL: {wrong} wrong answers, bit-identity gates ok = {gates_ok}");
         std::process::exit(1);
     }
-    let served: u64 = points.iter().map(|p| p.completed + p.host_fallbacks).sum();
-    let shed: u64 = points.iter().map(|p| p.shed_queue_full + p.shed_overloaded).sum();
-    let missed: u64 = points.iter().map(|p| p.deadline_missed).sum();
+    let total = |f: fn(&ServeStats) -> u64| points.iter().map(|p| f(&p.stats.serve)).sum::<u64>();
+    let served = total(|s| s.completed + s.host_fallbacks);
+    let shed = total(|s| s.shed_queue_full + s.shed_overloaded);
+    let missed = total(|s| s.deadline_missed);
     eprintln!(
         "campaign done: {} points, {served} served / {shed} shed / {missed} missed, \
          {wrong} wrong answers{}",

@@ -15,83 +15,30 @@
 //! `--expect-clean` exits non-zero if any point has wrong answers — the
 //! CI smoke job's assertion that the recovery ladder fully recovers.
 
+use pim_bench::campaign::Cli;
 use pim_bench::faults::{report_json, run_campaign, CampaignConfig};
 use pim_bench::json;
-use pim_host::ExecutionBackend;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimfault [--seed N] [--elements N] [--rates R1,R2,...] \
-         [--backend sequential|threads:N] [--expect-clean]"
-    );
-    std::process::exit(2);
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("pimfault: {msg}");
-    usage();
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| bad(format!("{flag} requires a value")))
-}
-
-fn parse_backend(text: &str) -> ExecutionBackend {
-    if text == "sequential" {
-        return ExecutionBackend::Sequential;
-    }
-    if let Some(n) = text.strip_prefix("threads:") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => return ExecutionBackend::Threads(n),
-            _ => bad(format!("bad worker count '{n}'")),
-        }
-    }
-    bad(format!("unknown backend '{text}' (expected sequential or threads:N)"))
-}
-
-fn parse_rates(text: &str) -> Vec<f64> {
-    let rates: Vec<f64> = text
-        .split(',')
-        .map(|r| match r.trim().parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => bad(format!("bad rate '{r}' (expected a number in [0, 1])")),
-        })
-        .collect();
-    if rates.is_empty() {
-        bad("empty rate list".to_string());
-    }
-    rates
-}
+const USAGE: &str = "pimfault [--seed N] [--elements N] [--rates R1,R2,...] \
+    [--backend sequential|threads:N] [--expect-clean]";
 
 fn main() {
+    let mut cli = Cli::new("pimfault", USAGE);
     let mut cfg = CampaignConfig::default();
     let mut expect_clean = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--seed" => {
-                let v = next_value(&mut args, "--seed");
-                cfg.seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed '{v}'")));
-            }
-            "--elements" => {
-                let v = next_value(&mut args, "--elements");
-                cfg.elements = match v.parse::<usize>() {
-                    Ok(n) if n > 0 => n,
-                    _ => bad(format!("bad element count '{v}'")),
-                };
-            }
-            "--rates" => cfg.rates = parse_rates(&next_value(&mut args, "--rates")),
-            "--backend" => cfg.backend = parse_backend(&next_value(&mut args, "--backend")),
+            "--seed" => cfg.seed = cli.parse_seed(),
+            "--elements" => cfg.elements = cli.parse_pos(&arg, "element count"),
+            "--rates" => cfg.rates = cli.parse_rates(&arg),
+            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
-            "--help" | "-h" => usage(),
-            other => bad(format!("unknown argument '{other}'")),
+            "--help" | "-h" => cli.usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
 
-    let points = run_campaign(&cfg).unwrap_or_else(|e| {
-        eprintln!("pimfault: campaign failed: {e}");
-        std::process::exit(1);
-    });
+    let points = cli.or_exit(run_campaign(&cfg));
     println!("{}", json::to_string(&report_json(&cfg, &points)));
 
     let wrong: u64 = points.iter().map(|p| p.wrong_answers).sum();

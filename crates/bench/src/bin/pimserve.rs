@@ -23,118 +23,40 @@
 //! zero observer effect: the JSON report is byte-identical with or without
 //! the flag.
 
+use pim_bench::campaign::Cli;
 use pim_bench::json;
 use pim_bench::serve::{report_json, run_campaign_recorded, ServeCampaignConfig};
-use pim_host::ExecutionBackend;
 use pim_obs::{openmetrics, Recorder};
+use pim_runtime::ServeStats;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimserve [--seed N] [--elements N] [--requests N] [--tenants N] \
-         [--deadline-slack N] [--intervals I1,I2,...] [--rates R1,R2,...] \
-         [--backend sequential|threads:N] [--expect-clean] [--metrics PATH]"
-    );
-    std::process::exit(2);
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("pimserve: {msg}");
-    usage();
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| bad(format!("{flag} requires a value")))
-}
-
-fn parse_pos(v: &str, what: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => bad(format!("bad {what} '{v}'")),
-    }
-}
-
-fn parse_backend(text: &str) -> ExecutionBackend {
-    if text == "sequential" {
-        return ExecutionBackend::Sequential;
-    }
-    if let Some(n) = text.strip_prefix("threads:") {
-        match n.parse::<usize>() {
-            Ok(n) if n > 0 => return ExecutionBackend::Threads(n),
-            _ => bad(format!("bad worker count '{n}'")),
-        }
-    }
-    bad(format!("unknown backend '{text}' (expected sequential or threads:N)"))
-}
-
-fn parse_intervals(text: &str) -> Vec<u64> {
-    let intervals: Vec<u64> = text
-        .split(',')
-        .map(|v| match v.trim().parse::<u64>() {
-            Ok(n) if n > 0 => n,
-            _ => bad(format!("bad interval '{v}' (expected a positive cycle count)")),
-        })
-        .collect();
-    if intervals.is_empty() {
-        bad("empty interval list".to_string());
-    }
-    intervals
-}
-
-fn parse_rates(text: &str) -> Vec<f64> {
-    let rates: Vec<f64> = text
-        .split(',')
-        .map(|r| match r.trim().parse::<f64>() {
-            Ok(v) if (0.0..=1.0).contains(&v) => v,
-            _ => bad(format!("bad rate '{r}' (expected a number in [0, 1])")),
-        })
-        .collect();
-    if rates.is_empty() {
-        bad("empty rate list".to_string());
-    }
-    rates
-}
+const USAGE: &str = "pimserve [--seed N] [--elements N] [--requests N] [--tenants N] \
+    [--deadline-slack N] [--intervals I1,I2,...] [--rates R1,R2,...] \
+    [--backend sequential|threads:N] [--expect-clean] [--metrics PATH]";
 
 fn main() {
+    let mut cli = Cli::new("pimserve", USAGE);
     let mut cfg = ServeCampaignConfig::default();
     let mut expect_clean = false;
     let mut metrics_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
+        if cli.parse_shape_flag(&arg, &mut cfg.trace) {
+            continue;
+        }
         match arg.as_str() {
-            "--seed" => {
-                let v = next_value(&mut args, "--seed");
-                cfg.seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed '{v}'")));
-            }
-            "--elements" => {
-                cfg.elements = parse_pos(&next_value(&mut args, "--elements"), "element count");
-            }
-            "--requests" => {
-                cfg.requests = parse_pos(&next_value(&mut args, "--requests"), "request count");
-            }
-            "--tenants" => {
-                cfg.tenants = parse_pos(&next_value(&mut args, "--tenants"), "tenant count") as u32;
-            }
-            "--deadline-slack" => {
-                cfg.deadline_slack =
-                    parse_pos(&next_value(&mut args, "--deadline-slack"), "deadline slack") as u64;
-            }
-            "--intervals" => cfg.intervals = parse_intervals(&next_value(&mut args, "--intervals")),
-            "--rates" => cfg.fault_rates = parse_rates(&next_value(&mut args, "--rates")),
-            "--backend" => cfg.backend = parse_backend(&next_value(&mut args, "--backend")),
+            "--intervals" => cfg.intervals = cli.parse_pos_list(&arg, "interval"),
+            "--rates" => cfg.fault_rates = cli.parse_rates(&arg),
+            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
-            "--metrics" => metrics_path = Some(next_value(&mut args, "--metrics")),
-            "--help" | "-h" => usage(),
-            other => bad(format!("unknown argument '{other}'")),
+            "--metrics" => metrics_path = Some(cli.next_value(&arg)),
+            "--help" | "-h" => cli.usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
 
     // A counting recorder keeps the metrics registry without retaining the
     // event stream (campaigns emit millions of events).
     let recorder = metrics_path.as_ref().map(|_| Recorder::counting());
-    let points = run_campaign_recorded(&cfg, recorder.as_ref()).unwrap_or_else(|e| {
-        eprintln!("pimserve: campaign failed: {e}");
-        std::process::exit(1);
-    });
+    let points = cli.or_exit(run_campaign_recorded(&cfg, recorder.as_ref()));
     println!("{}", json::to_string(&report_json(&cfg, &points)));
 
     if let (Some(path), Some(r)) = (&metrics_path, &recorder) {
@@ -150,14 +72,15 @@ fn main() {
         eprintln!("metrics written to {path} ({} bytes)", exposition.len());
     }
 
-    let wrong: u64 = points.iter().map(|p| p.wrong_answers).sum();
+    let wrong: u64 = points.iter().map(|p| p.audit.wrong_answers).sum();
     if expect_clean && wrong > 0 {
         eprintln!("FAIL: {wrong} wrong answers reached callers");
         std::process::exit(1);
     }
-    let served: u64 = points.iter().map(|p| p.completed + p.host_fallbacks).sum();
-    let shed: u64 = points.iter().map(|p| p.shed_queue_full + p.shed_overloaded).sum();
-    let missed: u64 = points.iter().map(|p| p.deadline_missed).sum();
+    let total = |f: fn(&ServeStats) -> u64| points.iter().map(|p| f(&p.stats)).sum::<u64>();
+    let served = total(|s| s.completed + s.host_fallbacks);
+    let shed = total(|s| s.shed_queue_full + s.shed_overloaded);
+    let missed = total(|s| s.deadline_missed);
     eprintln!(
         "campaign done: {} points, {served} served / {shed} shed / {missed} missed, \
          {wrong} wrong answers{}",

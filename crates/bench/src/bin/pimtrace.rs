@@ -25,38 +25,18 @@
 //! line); `diff` compares two artifact files and reports the first
 //! difference.
 
+use pim_bench::campaign::{Cli, TraceShape};
 use pim_bench::json::{self, Json};
 use pim_bench::serve::ServeCampaignConfig;
 use pim_bench::trace::{assert_backend_identity, run_traced};
 use pim_host::ExecutionBackend;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimtrace run [--seed N] [--elements N] [--requests N] [--tenants N]\n\
-         \x20                [--deadline-slack N] [--interval N] [--rate R]\n\
-         \x20                [--backend sequential|threads:N] --out DIR\n\
-         \x20      pimtrace selftest [--seed N] [--elements N] [--requests N] [--interval N] [--rate R]\n\
-         \x20      pimtrace filter --trace PATH [--name SUBSTR] [--cat SUBSTR]\n\
-         \x20      pimtrace diff A B"
-    );
-    std::process::exit(2);
-}
-
-fn bad(msg: String) -> ! {
-    eprintln!("pimtrace: {msg}");
-    usage();
-}
-
-fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
-    args.next().unwrap_or_else(|| bad(format!("{flag} requires a value")))
-}
-
-fn parse_pos(v: &str, what: &str) -> usize {
-    match v.parse::<usize>() {
-        Ok(n) if n > 0 => n,
-        _ => bad(format!("bad {what} '{v}'")),
-    }
-}
+const USAGE: &str = "pimtrace run [--seed N] [--elements N] [--requests N] [--tenants N]\n\
+    \x20                [--deadline-slack N] [--interval N] [--rate R]\n\
+    \x20                [--backend sequential|threads:N] --out DIR\n\
+    \x20      pimtrace selftest [--seed N] [--elements N] [--requests N] [--interval N] [--rate R]\n\
+    \x20      pimtrace filter --trace PATH [--name SUBSTR] [--cat SUBSTR]\n\
+    \x20      pimtrace diff A B";
 
 /// The point parameters shared by `run` and `selftest`.
 struct PointArgs {
@@ -66,55 +46,28 @@ struct PointArgs {
     out: Option<String>,
 }
 
-fn parse_point_args(args: &mut impl Iterator<Item = String>) -> PointArgs {
+fn parse_point_args(cli: &mut Cli) -> PointArgs {
+    let d = ServeCampaignConfig::default();
     let mut cfg = ServeCampaignConfig {
-        elements: 512,
-        requests: 8,
+        trace: TraceShape { elements: 512, requests: 8, ..d.trace },
         intervals: vec![],
         fault_rates: vec![],
-        ..ServeCampaignConfig::default()
+        ..d
     };
     let mut interval = 5_000u64;
     let mut rate = 0.0f64;
     let mut out = None;
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
+        if cli.parse_shape_flag(&arg, &mut cfg.trace) {
+            continue;
+        }
         match arg.as_str() {
-            "--seed" => {
-                let v = next_value(args, "--seed");
-                cfg.seed = v.parse().unwrap_or_else(|_| bad(format!("bad seed '{v}'")));
-            }
-            "--elements" => cfg.elements = parse_pos(&next_value(args, "--elements"), "elements"),
-            "--requests" => cfg.requests = parse_pos(&next_value(args, "--requests"), "requests"),
-            "--tenants" => {
-                cfg.tenants = parse_pos(&next_value(args, "--tenants"), "tenants") as u32;
-            }
-            "--deadline-slack" => {
-                cfg.deadline_slack =
-                    parse_pos(&next_value(args, "--deadline-slack"), "deadline slack") as u64;
-            }
-            "--interval" => {
-                interval = parse_pos(&next_value(args, "--interval"), "interval") as u64;
-            }
-            "--rate" => {
-                let v = next_value(args, "--rate");
-                rate = match v.parse::<f64>() {
-                    Ok(r) if (0.0..=1.0).contains(&r) => r,
-                    _ => bad(format!("bad rate '{v}' (expected a number in [0, 1])")),
-                };
-            }
-            "--backend" => {
-                let v = next_value(args, "--backend");
-                cfg.backend = if v == "sequential" {
-                    ExecutionBackend::Sequential
-                } else if let Some(n) = v.strip_prefix("threads:") {
-                    ExecutionBackend::Threads(parse_pos(n, "worker count"))
-                } else {
-                    bad(format!("unknown backend '{v}'"))
-                };
-            }
-            "--out" => out = Some(next_value(args, "--out")),
-            "--help" | "-h" => usage(),
-            other => bad(format!("unknown argument '{other}'")),
+            "--interval" => interval = cli.parse_pos(&arg, "interval"),
+            "--rate" => rate = cli.parse_rate(&arg),
+            "--backend" => cfg.backend = cli.parse_backend(&arg),
+            "--out" => out = Some(cli.next_value(&arg)),
+            "--help" | "-h" => cli.usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
     PointArgs { cfg, interval, rate, out }
@@ -129,9 +82,9 @@ fn write_artifact(dir: &std::path::Path, name: &str, content: &str) {
     println!("wrote {} ({} bytes)", path.display(), content.len());
 }
 
-fn cmd_run(args: &mut impl Iterator<Item = String>) {
-    let p = parse_point_args(args);
-    let Some(out) = p.out else { bad("run requires --out DIR".to_string()) };
+fn cmd_run(cli: &mut Cli) {
+    let p = parse_point_args(cli);
+    let Some(out) = p.out else { cli.bad("run requires --out DIR".to_string()) };
     let dir = std::path::Path::new(&out);
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("pimtrace: cannot create {out}: {e}");
@@ -151,8 +104,8 @@ fn cmd_run(args: &mut impl Iterator<Item = String>) {
     );
 }
 
-fn cmd_selftest(args: &mut impl Iterator<Item = String>) {
-    let p = parse_point_args(args);
+fn cmd_selftest(cli: &mut Cli) {
+    let p = parse_point_args(cli);
     let art = assert_backend_identity(
         &p.cfg,
         p.interval,
@@ -201,19 +154,19 @@ fn load_trace_events(path: &str) -> Vec<Json> {
     }
 }
 
-fn cmd_filter(args: &mut impl Iterator<Item = String>) {
+fn cmd_filter(cli: &mut Cli) {
     let mut path = None;
     let mut name = None;
     let mut cat = None;
-    while let Some(arg) = args.next() {
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--trace" => path = Some(next_value(args, "--trace")),
-            "--name" => name = Some(next_value(args, "--name")),
-            "--cat" => cat = Some(next_value(args, "--cat")),
-            other => bad(format!("unknown argument '{other}'")),
+            "--trace" => path = Some(cli.next_value(&arg)),
+            "--name" => name = Some(cli.next_value(&arg)),
+            "--cat" => cat = Some(cli.next_value(&arg)),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
-    let Some(path) = path else { bad("filter requires --trace PATH".to_string()) };
+    let Some(path) = path else { cli.bad("filter requires --trace PATH".to_string()) };
     let events = load_trace_events(&path);
     let total = events.len();
     let mut matched = 0usize;
@@ -268,17 +221,17 @@ fn cmd_diff(a: &str, b: &str) {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("run") => cmd_run(&mut args),
-        Some("selftest") => cmd_selftest(&mut args),
-        Some("filter") => cmd_filter(&mut args),
+    let mut cli = Cli::new("pimtrace", USAGE);
+    match cli.next_arg().as_deref() {
+        Some("run") => cmd_run(&mut cli),
+        Some("selftest") => cmd_selftest(&mut cli),
+        Some("filter") => cmd_filter(&mut cli),
         Some("diff") => {
-            let a = next_value(&mut args, "diff");
-            let b = next_value(&mut args, "diff");
+            let a = cli.next_value("diff");
+            let b = cli.next_value("diff");
             cmd_diff(&a, &b);
         }
-        Some("--help") | Some("-h") | None => usage(),
-        Some(other) => bad(format!("unknown subcommand '{other}'")),
+        Some("--help") | Some("-h") | None => cli.usage(),
+        Some(other) => cli.bad(format!("unknown subcommand '{other}'")),
     }
 }

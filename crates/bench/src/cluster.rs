@@ -21,32 +21,21 @@
 //! across `Sequential`/`Threads(n)` — the same contract as
 //! [`crate::serve`].
 
+use crate::campaign::{build_trace, counters, gemv_gate, oracles, report, Audit, TraceShape};
 use crate::faults::fault_mix;
 use crate::json::{obj, Json};
-use crate::serve::{build_trace, ServeCampaignConfig};
 use pim_faults::FaultPlan;
-use pim_fp16::F16;
 use pim_host::ExecutionBackend;
-use pim_obs::Quantiles;
 use pim_runtime::{
-    ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, PimError,
-    RejectReason, ServeConfig, ServeOp,
+    ClusterContext, ClusterServeConfig, ClusterServeStats, ClusterServer, PimError, ServeConfig,
 };
 
 /// Campaign shape: the sweep grid and the trace parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterCampaignConfig {
-    /// Master seed; arrivals, operands, and fault decisions derive from it.
-    pub seed: u64,
-    /// Elements per request.
-    pub elements: usize,
-    /// Requests per sweep point.
-    pub requests: usize,
-    /// Tenants the trace round-robins over (placement spreads them over
-    /// the member stacks).
-    pub tenants: u32,
-    /// Deadline slack granted to each request, in cycles past arrival.
-    pub deadline_slack: u64,
+    /// The per-point request trace; placement spreads its tenants over
+    /// the member stacks.
+    pub trace: TraceShape,
     /// Mean inter-arrival cycles of the (overload-grade) trace.
     pub interval: u64,
     /// Stack counts to sweep.
@@ -60,11 +49,13 @@ pub struct ClusterCampaignConfig {
 impl Default for ClusterCampaignConfig {
     fn default() -> ClusterCampaignConfig {
         ClusterCampaignConfig {
-            seed: 0xC105,
-            elements: 1024,
-            requests: 32,
-            tenants: 4,
-            deadline_slack: 40_000,
+            trace: TraceShape {
+                seed: 0xC105,
+                elements: 1024,
+                requests: 32,
+                tenants: 4,
+                deadline_slack: 40_000,
+            },
             // Far past one stack's sustainable arrival rate: the scaling
             // headroom has to come from added stacks.
             interval: 150,
@@ -82,33 +73,15 @@ pub struct ClusterPoint {
     pub stacks: usize,
     /// Base fault rate injected into stack 0.
     pub rate: f64,
-    /// Requests submitted.
-    pub submitted: u64,
-    /// Requests completed on PIM within their deadline.
-    pub completed: u64,
-    /// Requests shed with `QueueFull`.
-    pub shed_queue_full: u64,
-    /// Requests shed with `Overloaded`.
-    pub shed_overloaded: u64,
-    /// Requests that missed their deadline.
-    pub deadline_missed: u64,
-    /// Requests computed host-side by a member's degradation policy.
-    pub host_fallbacks: u64,
-    /// Requests served by a replica because an earlier chain member's
-    /// stack breaker was open.
-    pub failovers: u64,
-    /// Stack-level breaker trips.
-    pub stack_trips: u64,
-    /// Median arrival-to-finish latency of served requests, in cycles.
-    pub p50_cycles: u64,
-    /// 99th-percentile latency of served requests, in cycles.
-    pub p99_cycles: u64,
+    /// The cluster scheduler's counters for the point's trace.
+    pub stats: ClusterServeStats,
+    /// Served results audited against the exact FP16 oracle, with the
+    /// latency percentiles of the served requests.
+    pub audit: Audit,
     /// Cluster sim cycle at which the trace drained.
     pub end_cycle: u64,
     /// Served (correct-result) elements per second of simulated time.
     pub goodput_eps: f64,
-    /// Served results whose data does not match the exact FP16 oracle.
-    pub wrong_answers: u64,
     /// Row-parallel GEMV over a clean cluster matched the single-stack
     /// reference bit-for-bit.
     pub gemv_bit_identical: bool,
@@ -130,30 +103,13 @@ pub fn run_point(
 ) -> Result<ClusterPoint, PimError> {
     // The trace is salted by the rate only: every stack count sees the
     // same arrivals, so the goodput column is a true scaling curve.
-    let point_salt = ((rate * 1e9) as u64).rotate_left(32);
-    let adapter = ServeCampaignConfig {
-        seed: cfg.seed,
-        elements: cfg.elements,
-        requests: cfg.requests,
-        tenants: cfg.tenants,
-        deadline_slack: cfg.deadline_slack,
-        intervals: vec![cfg.interval],
-        fault_rates: vec![rate],
-        backend: cfg.backend,
-    };
-    let trace = build_trace(&adapter, cfg.interval, point_salt);
-    let oracles: Vec<Vec<f32>> = trace
-        .iter()
-        .map(|r| {
-            let ServeOp::Add { x, y } = &r.op else { unreachable!("trace is ADD-only") };
-            x.iter().zip(y).map(|(&a, &b)| (F16::from_f32(a) + F16::from_f32(b)).to_f32()).collect()
-        })
-        .collect();
+    let trace = build_trace(&cfg.trace, cfg.interval, ((rate * 1e9) as u64).rotate_left(32));
+    let oracles = oracles(&trace);
 
     let mut cluster = ClusterContext::new(stacks)?;
     cluster.set_backend(cfg.backend);
     if rate > 0.0 {
-        cluster.stack_mut(0).inject_faults(&fault_mix(cfg.seed, rate));
+        cluster.stack_mut(0).inject_faults(&fault_mix(cfg.trace.seed, rate));
     }
     let ccfg = ClusterServeConfig {
         serve: ServeConfig { breaker_threshold: 2, ..ServeConfig::default() },
@@ -162,81 +118,29 @@ pub fn run_point(
     let mut server = ClusterServer::new(cluster.stacks_mut(), ccfg)?;
     let report = server.run(trace)?;
 
-    let mut wrong = 0u64;
-    let mut served_elements = 0u64;
-    for (o, oracle) in report.outcomes.iter().zip(&oracles) {
-        if let Some(result) = &o.result {
-            served_elements += result.len() as u64;
-            wrong += result
-                .iter()
-                .zip(oracle)
-                .filter(|(got, want)| got.to_bits() != want.to_bits())
-                .count() as u64;
+    let audit = Audit::of(&report.outcomes, &oracles, report.served_latencies());
+    // The row-parallel bit-identity gates, each on a fresh cluster: clean,
+    // then with stack 0 hard-failed (sharding over the survivors).
+    let gate = |fail_stack0: bool| -> Result<bool, PimError> {
+        let mut cluster = ClusterContext::new(stacks)?;
+        cluster.set_backend(cfg.backend);
+        if fail_stack0 && stacks > 1 {
+            let mut plan = FaultPlan::quiet(cfg.trace.seed);
+            plan.chan_fail_rate = 1.0;
+            cluster.stack_mut(0).inject_faults(&plan);
         }
-        assert!(matches!(
-            o.disposition,
-            Disposition::Completed
-                | Disposition::Shed(RejectReason::QueueFull | RejectReason::Overloaded)
-                | Disposition::DeadlineMissed
-                | Disposition::FellBackToHost
-        ));
-    }
-
-    let lat = Quantiles::from_samples(report.served_latencies());
-    let seconds = cluster.stack(0).sys.cycles_to_seconds(report.end_cycle);
+        Ok(gemv_gate(cfg.trace.seed, cfg.backend, &mut cluster)?.0)
+    };
     Ok(ClusterPoint {
         stacks,
         rate,
-        submitted: report.stats.serve.submitted,
-        completed: report.stats.serve.completed,
-        shed_queue_full: report.stats.serve.shed_queue_full,
-        shed_overloaded: report.stats.serve.shed_overloaded,
-        deadline_missed: report.stats.serve.deadline_missed,
-        host_fallbacks: report.stats.serve.host_fallbacks,
-        failovers: report.stats.failovers,
-        stack_trips: report.stats.stack_trips,
-        p50_cycles: lat.percentile(50),
-        p99_cycles: lat.percentile(99),
+        audit,
         end_cycle: report.end_cycle,
-        goodput_eps: if seconds > 0.0 { served_elements as f64 / seconds } else { 0.0 },
-        wrong_answers: wrong,
-        gemv_bit_identical: gemv_gate(cfg, stacks, false)?,
-        gemv_bit_identical_failover: gemv_gate(cfg, stacks, true)?,
+        goodput_eps: audit.goodput_eps(cluster.stack(0).sys.cycles_to_seconds(report.end_cycle)),
+        stats: report.stats,
+        gemv_bit_identical: gate(false)?,
+        gemv_bit_identical_failover: gate(true)?,
     })
-}
-
-/// The row-parallel bit-identity gate: shard a seeded GEMV over a fresh
-/// cluster (optionally with stack 0 hard-failed) and compare every
-/// result bit against the single-stack [`PimBlas::gemv`] reference.
-fn gemv_gate(
-    cfg: &ClusterCampaignConfig,
-    stacks: usize,
-    fail_stack0: bool,
-) -> Result<bool, PimError> {
-    let (n, k) = (192usize, 96usize);
-    let val = |i: usize, salt: u64| {
-        ((cfg.seed ^ salt).wrapping_mul(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52)
-            as f32
-            * 0.25
-            - 512.0
-    };
-    let w: Vec<f32> = (0..n * k).map(|i| val(i, 0x11)).collect();
-    let x: Vec<f32> = (0..k).map(|i| val(i, 0x22)).collect();
-
-    let mut reference_ctx = PimContext::small_system();
-    reference_ctx.set_backend(cfg.backend);
-    let (reference, _) = PimBlas::gemv(&mut reference_ctx, &w, n, k, &x)?;
-
-    let mut cluster = ClusterContext::new(stacks)?;
-    cluster.set_backend(cfg.backend);
-    if fail_stack0 && stacks > 1 {
-        let mut plan = FaultPlan::quiet(cfg.seed);
-        plan.chan_fail_rate = 1.0;
-        cluster.stack_mut(0).inject_faults(&plan);
-    }
-    let (got, _) = cluster.gemv_row_parallel(&w, n, k, &x)?;
-    Ok(got.len() == reference.len()
-        && got.iter().zip(&reference).all(|(a, b)| a.to_bits() == b.to_bits()))
 }
 
 /// Runs the full (stack-count × fault-rate) grid.
@@ -258,36 +162,32 @@ pub fn run_campaign(cfg: &ClusterCampaignConfig) -> Result<Vec<ClusterPoint>, Pi
 /// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &ClusterCampaignConfig, points: &[ClusterPoint]) -> Json {
     let point_json = |p: &ClusterPoint| {
-        obj([
-            ("stacks", Json::Num(p.stacks as f64)),
+        obj(counters([
+            ("stacks", p.stacks as u64),
+            ("submitted", p.stats.serve.submitted),
+            ("completed", p.stats.serve.completed),
+            ("shed_queue_full", p.stats.serve.shed_queue_full),
+            ("shed_overloaded", p.stats.serve.shed_overloaded),
+            ("deadline_missed", p.stats.serve.deadline_missed),
+            ("host_fallbacks", p.stats.serve.host_fallbacks),
+            ("failovers", p.stats.failovers),
+            ("stack_trips", p.stats.stack_trips),
+            ("end_cycle", p.end_cycle),
+        ])
+        .chain(p.audit.members())
+        .chain([
             ("rate", Json::Num(p.rate)),
-            ("submitted", Json::Num(p.submitted as f64)),
-            ("completed", Json::Num(p.completed as f64)),
-            ("shed_queue_full", Json::Num(p.shed_queue_full as f64)),
-            ("shed_overloaded", Json::Num(p.shed_overloaded as f64)),
-            ("deadline_missed", Json::Num(p.deadline_missed as f64)),
-            ("host_fallbacks", Json::Num(p.host_fallbacks as f64)),
-            ("failovers", Json::Num(p.failovers as f64)),
-            ("stack_trips", Json::Num(p.stack_trips as f64)),
-            ("p50_cycles", Json::Num(p.p50_cycles as f64)),
-            ("p99_cycles", Json::Num(p.p99_cycles as f64)),
-            ("end_cycle", Json::Num(p.end_cycle as f64)),
             ("goodput_eps", Json::Num(p.goodput_eps)),
-            ("wrong_answers", Json::Num(p.wrong_answers as f64)),
             ("gemv_bit_identical", Json::Bool(p.gemv_bit_identical)),
             ("gemv_bit_identical_failover", Json::Bool(p.gemv_bit_identical_failover)),
-        ])
+        ]))
     };
-    obj([
-        ("schema", Json::Str("pim-bench/cluster-campaign-v1".to_string())),
-        ("seed", Json::Num(cfg.seed as f64)),
-        ("elements", Json::Num(cfg.elements as f64)),
-        ("requests", Json::Num(cfg.requests as f64)),
-        ("tenants", Json::Num(cfg.tenants as f64)),
-        ("deadline_slack", Json::Num(cfg.deadline_slack as f64)),
-        ("interval", Json::Num(cfg.interval as f64)),
-        ("points", Json::Arr(points.iter().map(point_json).collect())),
-    ])
+    report(
+        "cluster-campaign-v1",
+        cfg.trace.header().chain(counters([("interval", cfg.interval)])),
+        "points",
+        points.iter().map(point_json).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -296,20 +196,20 @@ mod tests {
     use crate::json;
 
     fn small() -> ClusterCampaignConfig {
+        let d = ClusterCampaignConfig::default();
         ClusterCampaignConfig {
-            elements: 512,
-            requests: 8,
+            trace: TraceShape { elements: 512, requests: 8, ..d.trace },
             stack_counts: vec![1, 2],
             fault_rates: vec![0.0],
-            ..ClusterCampaignConfig::default()
+            ..d
         }
     }
 
     #[test]
     fn point_serves_and_stays_exact() {
         let p = run_point(&small(), 2, 0.0).unwrap();
-        assert_eq!(p.submitted, 8);
-        assert_eq!(p.wrong_answers, 0, "{p:?}");
+        assert_eq!(p.stats.serve.submitted, 8);
+        assert_eq!(p.audit.wrong_answers, 0, "{p:?}");
         assert!(p.gemv_bit_identical);
         assert!(p.gemv_bit_identical_failover);
         assert!(p.goodput_eps > 0.0);
@@ -320,30 +220,16 @@ mod tests {
         let cfg = ClusterCampaignConfig { fault_rates: vec![0.0, 1e-3], ..small() };
         let points = run_campaign(&cfg).unwrap();
         assert_eq!(points.len(), 4);
-        assert!(points.iter().all(|p| p.wrong_answers == 0), "{points:?}");
+        assert!(points.iter().all(|p| p.audit.wrong_answers == 0), "{points:?}");
         assert!(points.iter().all(|p| p.gemv_bit_identical && p.gemv_bit_identical_failover));
     }
 
     #[test]
-    fn report_round_trips_through_json() {
-        let cfg = small();
-        let points = run_campaign(&cfg).unwrap();
-        let doc = report_json(&cfg, &points);
-        let text = json::to_string(&doc);
-        let back = json::parse(&text).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("pim-bench/cluster-campaign-v1"));
-        assert_eq!(back.get("points").unwrap().as_arr().unwrap().len(), 2);
-    }
-
-    #[test]
     fn report_is_byte_identical_across_backends() {
-        let mk = |backend| {
+        crate::campaign::assert_backend_invariant(|backend| {
             let cfg = ClusterCampaignConfig { backend, ..small() };
             let points = run_campaign(&cfg).unwrap();
             json::to_string(&report_json(&cfg, &points))
-        };
-        let seq = mk(ExecutionBackend::Sequential);
-        assert_eq!(seq, mk(ExecutionBackend::Threads(2)));
-        assert_eq!(seq, mk(ExecutionBackend::Threads(4)));
+        });
     }
 }

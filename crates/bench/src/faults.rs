@@ -12,11 +12,11 @@
 //! threaded execution backends. The report deliberately omits the backend
 //! so that equality can be asserted on the serialized bytes.
 
+use crate::campaign::{add_oracle, counters, report, wrong_elements};
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
-use pim_fp16::F16;
 use pim_host::ExecutionBackend;
-use pim_runtime::{resilient_add, PimContext, PimError, ResilienceConfig};
+use pim_runtime::{resilient_add, PimContext, PimError, ResilienceConfig, ResilienceReport};
 
 /// Campaign shape: the sweep and the workload size.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,34 +42,17 @@ impl Default for CampaignConfig {
     }
 }
 
-/// One sweep point: the recovery ladder's counters at a base rate.
+/// One sweep point: what the recovery ladder did at a base rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignPoint {
     /// The base fault rate of this point.
     pub rate: f64,
-    /// Scrub passes over resident operands.
-    pub scrubs: u64,
-    /// Single-bit errors corrected by the scrub path.
-    pub corrected: u64,
-    /// Uncorrectable errors detected by the scrub path.
-    pub detected: u64,
-    /// Blocks re-stored from the golden copy.
-    pub restored: u64,
-    /// Kernel launches (1 on a clean point).
-    pub launches: u64,
-    /// Launches retried after a wrong result.
-    pub retries: u64,
-    /// Channels quarantined.
-    pub quarantined: u64,
-    /// Result blocks computed host-side.
-    pub fallback_blocks: u64,
+    /// The ladder's own account: scrubs, corrections, retries,
+    /// quarantines, host fallbacks, cycles and commands.
+    pub report: ResilienceReport,
     /// Elements wrong in the final output, checked independently against
     /// the exact FP16 sum. Zero means the ladder fully recovered.
     pub wrong_answers: u64,
-    /// Simulated cycles across all launches.
-    pub cycles: u64,
-    /// DRAM commands across all launches.
-    pub commands: u64,
 }
 
 /// The sweep's fault mixture at base rate `r`: transient cell flips
@@ -116,28 +99,8 @@ pub fn run_point(cfg: &CampaignConfig, rate: f64) -> Result<CampaignPoint, PimEr
         ctx.inject_faults(&fault_mix(cfg.seed, rate));
     }
     let (x, y) = operands(cfg.seed, cfg.elements);
-    let (z, rep) = resilient_add(&mut ctx, &x, &y, &ResilienceConfig::default())?;
-    let wrong = z
-        .iter()
-        .zip(x.iter().zip(&y))
-        .filter(|(&got, (&a, &b))| {
-            got.to_bits() != (F16::from_f32(a) + F16::from_f32(b)).to_f32().to_bits()
-        })
-        .count() as u64;
-    Ok(CampaignPoint {
-        rate,
-        scrubs: rep.scrubs,
-        corrected: rep.ecc_corrected,
-        detected: rep.ecc_detected,
-        restored: rep.blocks_restored,
-        launches: rep.launches,
-        retries: rep.retries,
-        quarantined: rep.quarantined.len() as u64,
-        fallback_blocks: rep.host_fallback_blocks,
-        wrong_answers: wrong,
-        cycles: rep.kernel.cycles,
-        commands: rep.kernel.commands,
-    })
+    let (z, report) = resilient_add(&mut ctx, &x, &y, &ResilienceConfig::default())?;
+    Ok(CampaignPoint { rate, wrong_answers: wrong_elements(&z, &add_oracle(&x, &y)), report })
 }
 
 /// Runs the full sweep.
@@ -153,33 +116,33 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<Vec<CampaignPoint>, PimError
 /// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &CampaignConfig, points: &[CampaignPoint]) -> Json {
     let point_json = |p: &CampaignPoint| {
-        obj([
-            ("rate", Json::Num(p.rate)),
-            ("scrubs", Json::Num(p.scrubs as f64)),
-            ("corrected", Json::Num(p.corrected as f64)),
-            ("detected", Json::Num(p.detected as f64)),
-            ("restored", Json::Num(p.restored as f64)),
-            ("launches", Json::Num(p.launches as f64)),
-            ("retries", Json::Num(p.retries as f64)),
-            ("quarantined", Json::Num(p.quarantined as f64)),
-            ("fallback_blocks", Json::Num(p.fallback_blocks as f64)),
-            ("wrong_answers", Json::Num(p.wrong_answers as f64)),
-            ("cycles", Json::Num(p.cycles as f64)),
-            ("commands", Json::Num(p.commands as f64)),
+        let r = &p.report;
+        obj(counters([
+            ("scrubs", r.scrubs),
+            ("corrected", r.ecc_corrected),
+            ("detected", r.ecc_detected),
+            ("restored", r.blocks_restored),
+            ("launches", r.launches),
+            ("retries", r.retries),
+            ("quarantined", r.quarantined.len() as u64),
+            ("fallback_blocks", r.host_fallback_blocks),
+            ("wrong_answers", p.wrong_answers),
+            ("cycles", r.kernel.cycles),
+            ("commands", r.kernel.commands),
         ])
+        .chain([("rate", Json::Num(p.rate))]))
     };
-    obj([
-        ("schema", Json::Str("pim-bench/fault-campaign-v1".to_string())),
-        ("seed", Json::Num(cfg.seed as f64)),
-        ("elements", Json::Num(cfg.elements as f64)),
-        ("points", Json::Arr(points.iter().map(point_json).collect())),
-    ])
+    report(
+        "fault-campaign-v1",
+        counters([("seed", cfg.seed), ("elements", cfg.elements as u64)]),
+        "points",
+        points.iter().map(point_json).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn small() -> CampaignConfig {
         CampaignConfig { elements: 1024, rates: vec![0.0, 1e-3], ..CampaignConfig::default() }
@@ -189,10 +152,12 @@ mod tests {
     fn zero_rate_point_is_clean() {
         let cfg = small();
         let p = run_point(&cfg, 0.0).unwrap();
-        assert_eq!(p.launches, 1);
-        assert_eq!(p.corrected + p.detected + p.retries + p.quarantined, 0);
+        let r = &p.report;
+        assert_eq!(r.launches, 1);
+        assert_eq!(r.ecc_corrected + r.ecc_detected + r.retries, 0);
+        assert!(r.quarantined.is_empty());
         assert_eq!(p.wrong_answers, 0);
-        assert!(p.cycles > 0);
+        assert!(r.kernel.cycles > 0);
     }
 
     #[test]
@@ -201,16 +166,5 @@ mod tests {
         for p in run_campaign(&cfg).unwrap() {
             assert_eq!(p.wrong_answers, 0, "ladder must fully recover: {p:?}");
         }
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let cfg = small();
-        let points = run_campaign(&cfg).unwrap();
-        let doc = report_json(&cfg, &points);
-        let text = json::to_string(&doc);
-        let back = json::parse(&text).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("pim-bench/fault-campaign-v1"));
-        assert_eq!(back.get("points").unwrap().as_arr().unwrap().len(), 2);
     }
 }

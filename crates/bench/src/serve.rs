@@ -14,28 +14,17 @@
 //! execution backends; the report deliberately omits the backend so that
 //! equality can be asserted on the serialized bytes.
 
+use crate::campaign::{build_trace, counters, oracles, report, Audit, TraceShape};
 use crate::faults::fault_mix;
 use crate::json::{obj, Json};
-use pim_fp16::F16;
 use pim_host::ExecutionBackend;
-use pim_obs::Quantiles;
-use pim_runtime::{
-    Disposition, PimContext, PimError, RejectReason, ServeConfig, ServeOp, ServeRequest, Server,
-};
+use pim_runtime::{PimContext, PimError, ServeConfig, ServeReport, ServeStats, Server};
 
 /// Campaign shape: the sweep grid and the trace parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeCampaignConfig {
-    /// Master seed; arrivals, operands, and fault decisions derive from it.
-    pub seed: u64,
-    /// Elements per request.
-    pub elements: usize,
-    /// Requests per sweep point.
-    pub requests: usize,
-    /// Tenants the trace round-robins over.
-    pub tenants: u32,
-    /// Deadline slack granted to each request, in cycles past its arrival.
-    pub deadline_slack: u64,
+    /// The per-point request trace (seed, size, tenants, deadline slack).
+    pub trace: TraceShape,
     /// Mean inter-arrival cycles to sweep (small = overload).
     pub intervals: Vec<u64>,
     /// Base fault rates to sweep (see [`crate::faults::fault_mix`]).
@@ -47,11 +36,13 @@ pub struct ServeCampaignConfig {
 impl Default for ServeCampaignConfig {
     fn default() -> ServeCampaignConfig {
         ServeCampaignConfig {
-            seed: 0x5E17E,
-            elements: 1024,
-            requests: 32,
-            tenants: 2,
-            deadline_slack: 4_000,
+            trace: TraceShape {
+                seed: 0x5E17E,
+                elements: 1024,
+                requests: 32,
+                tenants: 2,
+                deadline_slack: 4_000,
+            },
             // 150 cycles ≈ 4× the sustainable arrival rate (overload);
             // 2 000 is near saturation; 40 000 is comfortably idle.
             intervals: vec![150, 2_000, 40_000],
@@ -61,91 +52,57 @@ impl Default for ServeCampaignConfig {
     }
 }
 
-/// One sweep point: the serving layer's counters at (interval, rate).
+/// One sweep point: what the serving layer did at (interval, rate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServePoint {
     /// Mean inter-arrival cycles of this point.
     pub interval: u64,
     /// Base fault rate of this point.
     pub rate: f64,
-    /// Requests submitted.
-    pub submitted: u64,
-    /// Requests completed on PIM within their deadline.
-    pub completed: u64,
-    /// Requests shed with `QueueFull`.
-    pub shed_queue_full: u64,
-    /// Requests shed with `Overloaded`.
-    pub shed_overloaded: u64,
-    /// Requests that missed their deadline.
-    pub deadline_missed: u64,
-    /// Requests computed host-side by the degradation policy.
-    pub host_fallbacks: u64,
-    /// Kernel launches cancelled by the watchdog.
-    pub watchdog_cancels: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Re-layouts over a reduced channel-group set.
-    pub relayouts: u64,
-    /// Median arrival-to-finish latency of served requests, in cycles.
-    pub p50_cycles: u64,
-    /// 99th-percentile latency of served requests, in cycles.
-    pub p99_cycles: u64,
+    /// The server's counters for the point's trace.
+    pub stats: ServeStats,
+    /// Served results audited against the exact FP16 oracle, with the
+    /// latency percentiles of the served requests.
+    pub audit: Audit,
     /// Sim cycle at which the trace drained.
     pub end_cycle: u64,
     /// Served (correct-result) elements per second of simulated time.
     pub goodput_eps: f64,
-    /// Served results whose data does not match the exact FP16 oracle.
-    /// Zero means every result that reached a caller was right.
-    pub wrong_answers: u64,
-}
-
-/// SplitMix64 — the campaign's only source of variation.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Deterministic operands for request `id` at sweep point `point_salt`.
-fn operands(seed: u64, point_salt: u64, id: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
-    let val = |i: u64, salt: u64| {
-        (mix(seed ^ point_salt.rotate_left(17) ^ id.rotate_left(32) ^ i ^ salt) % 509) as f32
-            * 0.125
-            - 31.75
-    };
-    let x = (0..n as u64).map(|i| val(i, 0)).collect();
-    let y = (0..n as u64).map(|i| val(i, 0x5A5A)).collect();
-    (x, y)
-}
-
-/// Builds the seeded open-loop trace for one sweep point. Public so the
-/// traced-artifact runner ([`crate::trace`]) replays the exact same
-/// request stream the campaign would.
-pub fn build_trace(cfg: &ServeCampaignConfig, interval: u64, point_salt: u64) -> Vec<ServeRequest> {
-    let mut arrival = 0u64;
-    (0..cfg.requests as u64)
-        .map(|id| {
-            // Jittered gaps with mean ≈ interval: uniform in
-            // [interval/2, 3*interval/2).
-            let gap = interval / 2 + mix(cfg.seed ^ point_salt ^ id) % interval.max(1);
-            arrival += gap;
-            let (x, y) = operands(cfg.seed, point_salt, id, cfg.elements);
-            ServeRequest {
-                tenant: (id % cfg.tenants.max(1) as u64) as u32,
-                arrival,
-                deadline: arrival + cfg.deadline_slack,
-                groups: None,
-                budget: None,
-                op: ServeOp::Add { x, y },
-            }
-        })
-        .collect()
 }
 
 /// The per-point salt mixed into every seeded decision of a sweep point.
 pub fn point_salt(interval: u64, rate: f64) -> u64 {
     interval ^ ((rate * 1e9) as u64).rotate_left(32)
+}
+
+/// Serves one sweep point's trace on a fresh one-stack (16-channel)
+/// system, optionally recorded; returns the server's report, the
+/// per-request oracles, and the context the run left behind. Shared with
+/// the traced-artifact runner ([`crate::trace`]) so it replays the exact
+/// request stream the campaign would.
+///
+/// # Errors
+///
+/// Propagates [`PimError`] from the serving layer.
+pub fn serve_point(
+    cfg: &ServeCampaignConfig,
+    interval: u64,
+    rate: f64,
+    recorder: Option<&pim_obs::Recorder>,
+) -> Result<(ServeReport, Vec<Vec<f32>>, PimContext), PimError> {
+    let mut ctx = PimContext::small_system();
+    ctx.set_backend(cfg.backend);
+    if rate > 0.0 {
+        ctx.inject_faults(&fault_mix(cfg.trace.seed, rate));
+    }
+    if let Some(r) = recorder {
+        ctx.enable_profiling(r.clone());
+    }
+    let trace = build_trace(&cfg.trace, interval, point_salt(interval, rate));
+    let oracles = oracles(&trace);
+    let serve_cfg = ServeConfig { breaker_threshold: 2, ..ServeConfig::default() };
+    let report = Server::new(&mut ctx, serve_cfg).run(trace)?;
+    Ok((report, oracles, ctx))
 }
 
 /// Runs one sweep point on a fresh one-stack (16-channel) system.
@@ -177,71 +134,15 @@ pub fn run_point_recorded(
     rate: f64,
     recorder: Option<&pim_obs::Recorder>,
 ) -> Result<ServePoint, PimError> {
-    let mut ctx = PimContext::small_system();
-    ctx.set_backend(cfg.backend);
-    if rate > 0.0 {
-        ctx.inject_faults(&fault_mix(cfg.seed, rate));
-    }
-    if let Some(r) = recorder {
-        ctx.enable_profiling(r.clone());
-    }
-    let point_salt = point_salt(interval, rate);
-    let trace = build_trace(cfg, interval, point_salt);
-
-    // Keep the oracle per request so served results can be audited after
-    // the run (the server consumes the trace).
-    let oracles: Vec<Vec<f32>> = trace
-        .iter()
-        .map(|r| {
-            let ServeOp::Add { x, y } = &r.op else { unreachable!("trace is ADD-only") };
-            x.iter().zip(y).map(|(&a, &b)| (F16::from_f32(a) + F16::from_f32(b)).to_f32()).collect()
-        })
-        .collect();
-
-    let serve_cfg = ServeConfig { breaker_threshold: 2, ..ServeConfig::default() };
-    let mut server = Server::new(&mut ctx, serve_cfg);
-    let report = server.run(trace)?;
-
-    let mut wrong = 0u64;
-    let mut served_elements = 0u64;
-    for (o, oracle) in report.outcomes.iter().zip(&oracles) {
-        if let Some(result) = &o.result {
-            served_elements += result.len() as u64;
-            wrong += result
-                .iter()
-                .zip(oracle)
-                .filter(|(got, want)| got.to_bits() != want.to_bits())
-                .count() as u64;
-        }
-        // A non-result disposition must be one of the typed endings.
-        assert!(matches!(
-            o.disposition,
-            Disposition::Completed
-                | Disposition::Shed(RejectReason::QueueFull | RejectReason::Overloaded)
-                | Disposition::DeadlineMissed
-                | Disposition::FellBackToHost
-        ));
-    }
-
-    let lat = Quantiles::from_samples(report.served_latencies());
-    let seconds = ctx.sys.cycles_to_seconds(report.end_cycle);
+    let (report, oracles, ctx) = serve_point(cfg, interval, rate, recorder)?;
+    let audit = Audit::of(&report.outcomes, &oracles, report.served_latencies());
     Ok(ServePoint {
         interval,
         rate,
-        submitted: report.stats.submitted,
-        completed: report.stats.completed,
-        shed_queue_full: report.stats.shed_queue_full,
-        shed_overloaded: report.stats.shed_overloaded,
-        deadline_missed: report.stats.deadline_missed,
-        host_fallbacks: report.stats.host_fallbacks,
-        watchdog_cancels: report.stats.watchdog_cancels,
-        breaker_trips: report.stats.breaker_trips,
-        relayouts: report.stats.relayouts,
-        p50_cycles: lat.percentile(50),
-        p99_cycles: lat.percentile(99),
+        stats: report.stats,
+        audit,
         end_cycle: report.end_cycle,
-        goodput_eps: if seconds > 0.0 { served_elements as f64 / seconds } else { 0.0 },
-        wrong_answers: wrong,
+        goodput_eps: audit.goodput_eps(ctx.sys.cycles_to_seconds(report.end_cycle)),
     })
 }
 
@@ -277,34 +178,28 @@ pub fn run_campaign_recorded(
 /// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &ServeCampaignConfig, points: &[ServePoint]) -> Json {
     let point_json = |p: &ServePoint| {
-        obj([
-            ("interval", Json::Num(p.interval as f64)),
-            ("rate", Json::Num(p.rate)),
-            ("submitted", Json::Num(p.submitted as f64)),
-            ("completed", Json::Num(p.completed as f64)),
-            ("shed_queue_full", Json::Num(p.shed_queue_full as f64)),
-            ("shed_overloaded", Json::Num(p.shed_overloaded as f64)),
-            ("deadline_missed", Json::Num(p.deadline_missed as f64)),
-            ("host_fallbacks", Json::Num(p.host_fallbacks as f64)),
-            ("watchdog_cancels", Json::Num(p.watchdog_cancels as f64)),
-            ("breaker_trips", Json::Num(p.breaker_trips as f64)),
-            ("relayouts", Json::Num(p.relayouts as f64)),
-            ("p50_cycles", Json::Num(p.p50_cycles as f64)),
-            ("p99_cycles", Json::Num(p.p99_cycles as f64)),
-            ("end_cycle", Json::Num(p.end_cycle as f64)),
-            ("goodput_eps", Json::Num(p.goodput_eps)),
-            ("wrong_answers", Json::Num(p.wrong_answers as f64)),
+        obj(counters([
+            ("interval", p.interval),
+            ("submitted", p.stats.submitted),
+            ("completed", p.stats.completed),
+            ("shed_queue_full", p.stats.shed_queue_full),
+            ("shed_overloaded", p.stats.shed_overloaded),
+            ("deadline_missed", p.stats.deadline_missed),
+            ("host_fallbacks", p.stats.host_fallbacks),
+            ("watchdog_cancels", p.stats.watchdog_cancels),
+            ("breaker_trips", p.stats.breaker_trips),
+            ("relayouts", p.stats.relayouts),
+            ("end_cycle", p.end_cycle),
         ])
+        .chain(p.audit.members())
+        .chain([("rate", Json::Num(p.rate)), ("goodput_eps", Json::Num(p.goodput_eps))]))
     };
-    obj([
-        ("schema", Json::Str("pim-bench/serve-campaign-v1".to_string())),
-        ("seed", Json::Num(cfg.seed as f64)),
-        ("elements", Json::Num(cfg.elements as f64)),
-        ("requests", Json::Num(cfg.requests as f64)),
-        ("tenants", Json::Num(cfg.tenants as f64)),
-        ("deadline_slack", Json::Num(cfg.deadline_slack as f64)),
-        ("points", Json::Arr(points.iter().map(point_json).collect())),
-    ])
+    report(
+        "serve-campaign-v1",
+        cfg.trace.header(),
+        "points",
+        points.iter().map(point_json).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -313,24 +208,27 @@ mod tests {
     use crate::json;
 
     fn small() -> ServeCampaignConfig {
+        let d = ServeCampaignConfig::default();
         ServeCampaignConfig {
-            elements: 512,
-            requests: 8,
+            trace: TraceShape { elements: 512, requests: 8, ..d.trace },
             intervals: vec![5_000],
             fault_rates: vec![0.0],
-            ..ServeCampaignConfig::default()
+            ..d
         }
+    }
+
+    fn with_trace(requests: usize, deadline_slack: u64) -> ServeCampaignConfig {
+        let s = small();
+        ServeCampaignConfig { trace: TraceShape { requests, deadline_slack, ..s.trace }, ..s }
     }
 
     #[test]
     fn clean_low_rate_point_serves_everything() {
-        let cfg =
-            ServeCampaignConfig { intervals: vec![200_000], deadline_slack: 2_000_000, ..small() };
-        let p = run_point(&cfg, 200_000, 0.0).unwrap();
-        assert_eq!(p.submitted, 8);
-        assert_eq!(p.completed, 8, "{p:?}");
-        assert_eq!(p.wrong_answers, 0);
-        assert!(p.p50_cycles > 0 && p.p99_cycles >= p.p50_cycles);
+        let p = run_point(&with_trace(8, 2_000_000), 200_000, 0.0).unwrap();
+        assert_eq!(p.stats.submitted, 8);
+        assert_eq!(p.stats.completed, 8, "{p:?}");
+        assert_eq!(p.audit.wrong_answers, 0);
+        assert!(p.audit.p50_cycles > 0 && p.audit.p99_cycles >= p.audit.p50_cycles);
         assert!(p.goodput_eps > 0.0);
     }
 
@@ -339,14 +237,31 @@ mod tests {
         // Arrivals far faster than service, with little deadline slack:
         // some requests must shed or miss, and every result that does come
         // back must be exact.
-        let cfg = ServeCampaignConfig { requests: 16, deadline_slack: 2_000, ..small() };
-        let p = run_point(&cfg, 200, 0.0).unwrap();
-        assert_eq!(p.submitted, 16);
+        let p = run_point(&with_trace(16, 2_000), 200, 0.0).unwrap();
+        assert_eq!(p.stats.submitted, 16);
         assert!(
-            p.shed_queue_full + p.shed_overloaded + p.deadline_missed > 0,
+            p.stats.shed_queue_full + p.stats.shed_overloaded + p.stats.deadline_missed > 0,
             "expected overload effects: {p:?}"
         );
-        assert_eq!(p.wrong_answers, 0);
+        assert_eq!(p.audit.wrong_answers, 0);
+    }
+
+    #[test]
+    fn end_of_time_interval_resolves_every_request() {
+        // Regression (CLI-reachable: `pimserve --intervals 18446744073709551615`):
+        // unchecked arrival/deadline/cooldown adds wrapped in release and
+        // aborted under overflow checks. Saturated, the run drains with
+        // every request in a typed disposition.
+        let p = run_point(&small(), u64::MAX, 0.0).unwrap();
+        let s = &p.stats;
+        assert_eq!(s.submitted, 8);
+        let resolved = s.completed
+            + s.host_fallbacks
+            + s.deadline_missed
+            + s.shed_queue_full
+            + s.shed_overloaded;
+        assert_eq!(resolved, 8, "{p:?}");
+        assert_eq!(p.audit.wrong_answers, 0);
     }
 
     #[test]
@@ -358,29 +273,15 @@ mod tests {
         };
         let points = run_campaign(&cfg).unwrap();
         assert_eq!(points.len(), 4);
-        assert!(points.iter().all(|p| p.wrong_answers == 0), "{points:?}");
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let cfg = small();
-        let points = run_campaign(&cfg).unwrap();
-        let doc = report_json(&cfg, &points);
-        let text = json::to_string(&doc);
-        let back = json::parse(&text).unwrap();
-        assert_eq!(back.get("schema").unwrap().as_str(), Some("pim-bench/serve-campaign-v1"));
-        assert_eq!(back.get("points").unwrap().as_arr().unwrap().len(), 1);
+        assert!(points.iter().all(|p| p.audit.wrong_answers == 0), "{points:?}");
     }
 
     #[test]
     fn report_is_byte_identical_across_backends() {
-        let mk = |backend| {
+        crate::campaign::assert_backend_invariant(|backend| {
             let cfg = ServeCampaignConfig { backend, fault_rates: vec![0.0, 1e-3], ..small() };
             let points = run_campaign(&cfg).unwrap();
             json::to_string(&report_json(&cfg, &points))
-        };
-        let seq = mk(ExecutionBackend::Sequential);
-        assert_eq!(seq, mk(ExecutionBackend::Threads(2)));
-        assert_eq!(seq, mk(ExecutionBackend::Threads(4)));
+        });
     }
 }

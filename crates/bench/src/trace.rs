@@ -2,7 +2,7 @@
 //! binary's engine.
 //!
 //! Re-runs one serve-campaign sweep point (the exact request stream
-//! [`crate::serve::build_trace`] produces) with a [`Recorder`] attached to
+//! [`crate::serve::serve_point`] serves) with a [`Recorder`] attached to
 //! every simulation layer, then folds the recording into the full artifact
 //! set:
 //!
@@ -22,12 +22,11 @@
 //! traced run reports the same [`ServePoint`]-level counters as the
 //! untraced campaign.
 
-use crate::faults::fault_mix;
 use crate::report::format_table;
-use crate::serve::{build_trace, point_salt, ServeCampaignConfig};
+use crate::serve::{serve_point, ServeCampaignConfig};
 use pim_host::ExecutionBackend;
 use pim_obs::{chrome::chrome_trace_json, openmetrics, Attribution, Recorder};
-use pim_runtime::{PimContext, PimError, ServeConfig, ServeReport, Server};
+use pim_runtime::{PimError, ServeReport};
 
 /// The complete artifact set of one traced sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -61,19 +60,9 @@ pub fn run_traced_report(
     interval: u64,
     rate: f64,
 ) -> Result<(ServeReport, Recorder, u16), PimError> {
-    let mut ctx = PimContext::small_system();
-    ctx.set_backend(cfg.backend);
-    if rate > 0.0 {
-        ctx.inject_faults(&fault_mix(cfg.seed, rate));
-    }
     let recorder = Recorder::vec();
-    ctx.enable_profiling(recorder.clone());
-    let trace = build_trace(cfg, interval, point_salt(interval, rate));
-    let serve_cfg = ServeConfig { breaker_threshold: 2, ..ServeConfig::default() };
-    let mut server = Server::new(&mut ctx, serve_cfg);
-    let report = server.run(trace)?;
-    let channels = ctx.sys.channel_count() as u16;
-    Ok((report, recorder, channels))
+    let (report, _, ctx) = serve_point(cfg, interval, rate, Some(&recorder))?;
+    Ok((report, recorder, ctx.sys.channel_count() as u16))
 }
 
 /// Runs one sweep point with full tracing and exports every artifact.
@@ -182,14 +171,15 @@ pub fn assert_backend_identity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::TraceShape;
 
     fn small() -> ServeCampaignConfig {
+        let d = ServeCampaignConfig::default();
         ServeCampaignConfig {
-            elements: 512,
-            requests: 6,
+            trace: TraceShape { elements: 512, requests: 6, ..d.trace },
             intervals: vec![5_000],
             fault_rates: vec![0.0],
-            ..ServeCampaignConfig::default()
+            ..d
         }
     }
 

@@ -9,12 +9,10 @@
 
 use crate::context::PimContext;
 use crate::executor::Executor;
-use crate::kernels::{
-    gemv_batches, gemv_microkernel, stream_batches, stream_columns, stream_microkernel, StreamOp,
-    COLS_PER_ROW, GROUP,
-};
+use crate::kernels::{gemv_batches, gemv_microkernel, StreamOp, COLS_PER_ROW, GROUP};
 use crate::layout::{self, BlockMap, BLOCK_ELEMS};
-use pim_core::{LaneVec, PimVariant};
+use crate::stream::{StreamJob, StreamOperands};
+use pim_core::LaneVec;
 use pim_dram::Cycle;
 use pim_fp16::F16;
 use pim_obs::{names, Recorder, Scope};
@@ -355,26 +353,8 @@ impl PimBlas {
         y: Option<&[f32]>,
         srf: Option<LaneVec>,
     ) -> Result<(Vec<f32>, KernelReport), PimError> {
-        if x.is_empty() {
-            return Err(PimError::Empty);
-        }
-        if let Some(y) = y {
-            if y.len() != x.len() {
-                return Err(PimError::SizeMismatch {
-                    detail: format!("x has {} elements, y has {}", x.len(), y.len()),
-                });
-            }
-        }
-        let n = x.len();
-        let cfg = ctx.sys.pim_config().clone();
-        let map = BlockMap::full(&ctx.sys);
-        let nblocks = BlockMap::blocks_for(n);
-        let slots = map.slots_for(nblocks).max(1);
-        let rows = (slots as u32).div_ceil(GROUP);
-        let base_row = ctx
-            .mm
-            .alloc_rows_lockstep(rows)
-            .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
+        let operands = StreamOperands::new(ctx, op, x, y)?;
+        let channels: Vec<usize> = (0..ctx.sys.channel_count()).collect();
         let op_name = match op {
             StreamOp::Add => "add",
             StreamOp::Mul => "mul",
@@ -382,52 +362,20 @@ impl PimBlas {
             StreamOp::Bn => "bn",
             StreamOp::Axpy => "axpy",
         };
+        // Place operands (Fig. 15(b) interleaving), run, gather z.
+        let job = StreamJob::place(ctx, &operands, &channels)?;
         let rec = begin_op(ctx, op_name);
-
-        // Place operands (Fig. 15(b) interleaving).
-        let (x_col, y_col, z_col) = stream_columns(op, &cfg);
-        let two_bank = cfg.variant == PimVariant::TwoBankAccess;
-        // On the 1-bank variant a two-operand op must have been assigned a
-        // second column by `stream_columns`; a miss is a kernel-table bug.
-        let y_plain_col = match (y, two_bank, y_col) {
-            (Some(_), false, None) => {
-                return Err(PimError::Internal {
-                    detail: format!("stream op {op_name} has no second-operand column"),
-                })
-            }
-            (Some(_), false, Some(c)) => Some(c),
-            _ => None,
-        };
-        let xb = layout::f32_to_blocks(x);
-        let yb = y.map(layout::f32_to_blocks);
-        for b in 0..nblocks {
-            let (ch, u, slot) = map.locate(b);
-            let row = base_row + slot as u32 / GROUP;
-            let coff = slot as u32 % GROUP;
-            layout::store_block(&mut ctx.sys, ch, u, row, x_col + coff, &xb[b]);
-            if let Some(ref yb) = yb {
-                match y_plain_col {
-                    Some(yc) => {
-                        layout::store_block(&mut ctx.sys, ch, u, row, yc + coff, &yb[b]);
-                    }
-                    None => layout::store_block_odd(&mut ctx.sys, ch, u, row, x_col + coff, &yb[b]),
-                }
-            }
-        }
-
-        // Run.
-        let program = stream_microkernel(op, rows, &cfg);
-        let batches = stream_batches(op, rows, base_row, &cfg);
         let start = ctx.sys.max_now();
         let triggers_before = ctx.sys.total_pim_triggers();
-        let channels = ctx.sys.channel_count();
-        let r = Executor::try_run(ctx, channels, &program, srf.as_ref(), false, &batches)?;
-
-        // Gather z.
-        let z = layout::gather_vector(&ctx.sys, &map, n, |b| {
-            let (_, _, slot) = map.locate(b);
-            (base_row + slot as u32 / GROUP, z_col + slot as u32 % GROUP)
-        });
+        let r = Executor::try_run(
+            ctx,
+            channels.len(),
+            &job.program,
+            srf.as_ref(),
+            false,
+            &job.batches,
+        )?;
+        let z = job.gather(ctx);
 
         let cycles = r.end_cycle - start;
         let report = KernelReport {
@@ -436,7 +384,7 @@ impl PimBlas {
             commands: r.commands,
             fences: r.fences,
             pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
-            elements: n,
+            elements: x.len(),
         };
         end_op(&rec, ctx, op_name);
         Ok((z, report))

@@ -180,13 +180,7 @@ impl ClusterServeReport {
     /// Arrival-to-finish latency of every request that produced a result,
     /// in submission order (mirrors `ServeReport::served_latencies`).
     pub fn served_latencies(&self) -> Vec<Cycle> {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                matches!(o.disposition, Disposition::Completed | Disposition::FellBackToHost)
-            })
-            .map(|o| o.finished.saturating_sub(o.arrival))
-            .collect()
+        crate::serve::served_latencies(&self.outcomes)
     }
 }
 
@@ -334,7 +328,7 @@ impl<'a> ClusterServer<'a> {
         self.rejoin_salt += 1;
         self.servers[s].advance_to(epoch_now);
         self.servers[s].reset_arena();
-        let relayout_done = self.servers[s].now() + self.cfg.rejoin_relayout_cycles;
+        let relayout_done = self.servers[s].now().saturating_add(self.cfg.rejoin_relayout_cycles);
         self.servers[s].advance_to(relayout_done);
         let n = self.cfg.probe_elements.max(1);
         let x: Vec<f32> =

@@ -21,7 +21,7 @@ use crate::context::PimContext;
 use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
 use pim_core::{conf, LaneVec};
-use pim_dram::{BankAddr, Command, CommandSink, DataBlock};
+use pim_dram::{BankAddr, Command, CommandSink, Cycle, DataBlock};
 use pim_host::{Batch, ExecutionMode, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
 
@@ -138,12 +138,9 @@ impl Executor {
         clear_grf_b: bool,
         data_batches: &[Batch],
     ) -> Result<KernelResult, PimError> {
-        if ctx.strict {
-            Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
-                .map_err(|report| PimError::InvalidKernel { report })?;
-        }
-        let batches = Self::full_kernel(program, srf, clear_grf_b, data_batches);
-        let per_channel: Vec<Vec<Batch>> = (0..channels).map(|_| batches.clone()).collect();
+        let selected: Vec<usize> = (0..channels).collect();
+        let per_channel =
+            Self::subset_kernel(ctx, &selected, program, srf, clear_grf_b, data_batches)?;
         let fp_before = ctx.sys.fastpath_stats();
         if let Some(r) = &ctx.recorder {
             r.begin(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
@@ -154,6 +151,50 @@ impl Executor {
         }
         Self::emit_fastpath_delta(ctx, fp_before);
         Ok(result)
+    }
+
+    /// The one place a kernel is cloned onto a channel subset: strict-mode
+    /// verification, then the full choreography for every channel in
+    /// `channels` and an empty batch list — the channel sits the launch
+    /// out — for the rest of the system.
+    fn subset_kernel(
+        ctx: &PimContext,
+        channels: &[usize],
+        program: &[Instruction],
+        srf: Option<&LaneVec>,
+        clear_grf_b: bool,
+        data_batches: &[Batch],
+    ) -> Result<Vec<Vec<Batch>>, PimError> {
+        if ctx.strict {
+            Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
+                .map_err(|report| PimError::InvalidKernel { report })?;
+        }
+        let full = Self::full_kernel(program, srf, clear_grf_b, data_batches);
+        Ok((0..ctx.sys.channel_count())
+            .map(|ch| if channels.contains(&ch) { full.clone() } else { Vec::new() })
+            .collect())
+    }
+
+    /// Launches the kernel on exactly `channels` under an optional
+    /// watchdog cycle limit, untraced: the recovery ladders (resilience
+    /// retries, serving attempts) bracket their launches with their own
+    /// request-scoped events. Returns the merged result and the
+    /// per-channel cancellation flags of
+    /// [`KernelEngine::run_system_bounded`].
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::InvalidKernel`] in strict mode, as for
+    /// [`Executor::try_run`].
+    pub(crate) fn launch_on(
+        ctx: &mut PimContext,
+        channels: &[usize],
+        program: &[Instruction],
+        data_batches: &[Batch],
+        limit: Option<Cycle>,
+    ) -> Result<(KernelResult, Vec<bool>), PimError> {
+        let per_channel = Self::subset_kernel(ctx, channels, program, None, false, data_batches)?;
+        Ok(KernelEngine::run_system_bounded(&mut ctx.sys, &per_channel, ctx.mode, limit))
     }
 
     /// Folds the launch-memoization counters a launch advanced into the

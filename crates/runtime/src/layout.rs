@@ -6,7 +6,8 @@
 //! so a vector is distributed round-robin across (channel, unit) at
 //! 16-element (32-byte block) granularity. [`BlockMap`] is the single
 //! source of that placement arithmetic, shared by the kernel builders and
-//! the loaders.
+//! the loaders; [`Placement`] re-targets it onto an explicit channel list
+//! (the survivors of a quarantine, a tenant's channel groups).
 
 use pim_core::LaneVec;
 use pim_dram::BankAddr;
@@ -61,6 +62,42 @@ impl BlockMap {
     }
 }
 
+/// A [`BlockMap`] over an explicit channel list: block `b` lands on
+/// `channels[b % h]` with the unit and slot [`BlockMap::locate`] gives for
+/// `h = channels.len()` channels. Over `0..channel_count` it *is*
+/// [`BlockMap::full`]; over a subset it is the lock-step re-layout the
+/// resilience ladder and the serving layer use after losing channels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Placement<'a> {
+    map: BlockMap,
+    channels: &'a [usize],
+}
+
+impl<'a> Placement<'a> {
+    /// Placement over `channels` (physical channel indices, in layout
+    /// order) with `units` units per channel. `channels` must be
+    /// non-empty before anything is located.
+    pub fn over(channels: &'a [usize], units: usize) -> Placement<'a> {
+        Placement { map: BlockMap { channels: channels.len(), units }, channels }
+    }
+
+    /// The channels laid out over, in layout order.
+    pub fn channels(&self) -> &'a [usize] {
+        self.channels
+    }
+
+    /// Placement of block `b`: `(physical channel, unit, slot)`.
+    pub fn locate(&self, b: usize) -> (usize, usize, usize) {
+        let (i, unit, slot) = self.map.locate(b);
+        (self.channels[i], unit, slot)
+    }
+
+    /// Number of slots needed in every unit to hold `nblocks` blocks.
+    pub fn slots_for(&self, nblocks: usize) -> usize {
+        self.map.slots_for(nblocks)
+    }
+}
+
 /// Converts `len` f32 elements into 16-lane blocks, zero-padding the tail
 /// ("we can concatenate dummy values to the end of the vectors",
 /// Section VIII).
@@ -106,6 +143,13 @@ pub fn store_block_odd(
 /// Reads one block back from the even bank of (`ch`, `unit`).
 pub fn load_block(sys: &PimSystem, ch: usize, unit: usize, row: u32, col: u32) -> LaneVec {
     let bank = BankAddr::from_flat_index(2 * unit);
+    LaneVec::from_block(&sys.channel(ch).sink().dram().bank(bank).peek_block(row, col))
+}
+
+/// Reads one block back from the **odd** bank of (`ch`, `unit`) — the 2BA
+/// variant's second-operand home.
+pub fn load_block_odd(sys: &PimSystem, ch: usize, unit: usize, row: u32, col: u32) -> LaneVec {
+    let bank = BankAddr::from_flat_index(2 * unit + 1);
     LaneVec::from_block(&sys.channel(ch).sink().dram().bank(bank).peek_block(row, col))
 }
 
@@ -165,6 +209,17 @@ mod tests {
         assert_eq!(m.locate(8), (0, 0, 1));
         assert_eq!(m.slots_for(9), 2);
         assert_eq!(m.lanes_per_command(), 128);
+    }
+
+    #[test]
+    fn placement_indirects_through_the_channel_list() {
+        let survivors = [1usize, 4, 6];
+        let p = Placement::over(&survivors, 2);
+        assert_eq!(p.locate(0), (1, 0, 0));
+        assert_eq!(p.locate(2), (6, 0, 0));
+        assert_eq!(p.locate(3), (1, 1, 0));
+        assert_eq!(p.locate(6), (1, 0, 1));
+        assert_eq!(p.slots_for(7), 2);
     }
 
     #[test]

@@ -51,6 +51,7 @@ mod preprocessor;
 pub mod resilience;
 pub mod script;
 pub mod serve;
+mod stream;
 pub mod vmem;
 
 pub use blas::{KernelReport, PimBlas, PimError};

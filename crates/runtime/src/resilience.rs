@@ -35,15 +35,13 @@
 
 use crate::blas::{KernelReport, PimError};
 use crate::context::PimContext;
-use crate::executor::Executor;
-use crate::kernels::{stream_batches, stream_columns, stream_microkernel, StreamOp, GROUP};
-use crate::layout::{self, BLOCK_ELEMS};
-use crate::preprocessor::Preprocessor;
-use pim_core::{LaneVec, PimVariant};
+use crate::kernels::StreamOp;
+use crate::layout::BLOCK_ELEMS;
+use crate::stream::{bad_blocks, Cell, StreamJob, StreamOperands};
+use pim_core::LaneVec;
 use pim_dram::ecc::{self, EccWord};
-use pim_dram::BankAddr;
 use pim_fp16::F16;
-use pim_host::{Batch, BypassPolicy, KernelEngine, Llc};
+use pim_host::{BypassPolicy, Llc};
 use pim_obs::{names, Event, Scope};
 
 /// Knobs of the recovery ladder.
@@ -130,99 +128,43 @@ impl ResilienceReport {
     }
 }
 
-/// Round-robin placement over an explicit healthy-channel list: block `b`
-/// lands on channel `healthy[b % h]`, unit `(b / h) % units`, slot
-/// `b / (h × units)` — the same shape as [`crate::layout::BlockMap`], but
-/// re-targetable after a quarantine.
-struct Placement<'a> {
-    healthy: &'a [usize],
-    units: usize,
-}
-
-impl Placement<'_> {
-    fn locate(&self, b: usize) -> (usize, usize, usize) {
-        let h = self.healthy.len();
-        (self.healthy[b % h], (b / h) % self.units, b / (h * self.units))
+/// Emits one recovery-ladder instant at the system's current cycle (no-op
+/// without a recorder).
+fn emit(ctx: &PimContext, name: &'static str, (key, value): (&'static str, u64)) {
+    if let Some(r) = &ctx.recorder {
+        let at = ctx.sys.max_now();
+        r.emit(Event::instant(at, name, names::CAT_REQUEST, Scope::GLOBAL).with_arg(key, value));
     }
-
-    fn slot_pos(&self, b: usize, base_row: u32) -> (u32, u32) {
-        let (_, _, slot) = self.locate(b);
-        (base_row + slot as u32 / GROUP, slot as u32 % GROUP)
-    }
-}
-
-/// Reads one block from the odd bank of (`ch`, `unit`) — the 2BA
-/// variant's second-operand home.
-fn load_block_odd(ctx: &PimContext, ch: usize, unit: usize, row: u32, col: u32) -> LaneVec {
-    let bank = BankAddr::from_flat_index(2 * unit + 1);
-    LaneVec::from_block(&ctx.sys.channel(ch).sink().dram().bank(bank).peek_block(row, col))
 }
 
 /// Scrubs one resident operand block: reads it back, decodes it against
 /// the golden SECDED check bytes, repairs correctable damage in place, and
 /// re-stores the golden copy when the damage is uncorrectable.
-#[allow(clippy::too_many_arguments)]
 fn scrub_block(
     ctx: &mut PimContext,
-    ch: usize,
-    unit: usize,
-    row: u32,
-    col: u32,
-    odd_bank: bool,
+    cell: Cell,
     golden: &LaneVec,
     check: &[u8; 4],
     rep: &mut ResilienceReport,
 ) {
-    let raw = if odd_bank {
-        load_block_odd(ctx, ch, unit, row, col)
-    } else {
-        layout::load_block(&ctx.sys, ch, unit, row, col)
-    }
-    .to_block();
+    let raw = cell.load(ctx).to_block();
     let words: [EccWord; 4] = std::array::from_fn(|i| {
         let mut bytes = [0u8; 8];
         bytes.copy_from_slice(&raw[i * 8..i * 8 + 8]);
         EccWord { data: u64::from_le_bytes(bytes), check: check[i] }
     });
-    let store = |ctx: &mut PimContext, v: &LaneVec| {
-        if odd_bank {
-            layout::store_block_odd(&mut ctx.sys, ch, unit, row, col, v);
-        } else {
-            layout::store_block(&mut ctx.sys, ch, unit, row, col, v);
-        }
-    };
     match ecc::decode_block(&words) {
         Some((_, false)) => {}
         Some((fixed, true)) => {
             rep.ecc_corrected += 1;
-            store(ctx, &LaneVec::from_block(&fixed));
+            cell.store(ctx, &LaneVec::from_block(&fixed));
         }
         None => {
             rep.ecc_detected += 1;
             rep.blocks_restored += 1;
-            store(ctx, golden);
+            cell.store(ctx, golden);
         }
     }
-}
-
-/// Runs the kernel choreography on exactly the `healthy` channels;
-/// quarantined channels receive an empty batch list and sit the launch
-/// out.
-fn launch(
-    ctx: &mut PimContext,
-    healthy: &[usize],
-    program: &[pim_core::isa::Instruction],
-    data_batches: &[Batch],
-) -> Result<pim_host::KernelResult, PimError> {
-    if ctx.strict {
-        Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
-            .map_err(|report| PimError::InvalidKernel { report })?;
-    }
-    let full = Executor::full_kernel(program, None, false, data_batches);
-    let per_channel: Vec<Vec<Batch>> = (0..ctx.sys.channel_count())
-        .map(|ch| if healthy.contains(&ch) { full.clone() } else { Vec::new() })
-        .collect();
-    Ok(KernelEngine::run_system(&mut ctx.sys, &per_channel, ctx.mode))
 }
 
 /// `z = x + y` with the full recovery ladder (see module docs). Returns
@@ -241,41 +183,18 @@ pub fn resilient_add(
     y: &[f32],
     cfg: &ResilienceConfig,
 ) -> Result<(Vec<f32>, ResilienceReport), PimError> {
-    if x.is_empty() {
-        return Err(PimError::Empty);
-    }
-    if y.len() != x.len() {
-        return Err(PimError::SizeMismatch {
-            detail: format!("x has {} elements, y has {}", x.len(), y.len()),
-        });
-    }
+    let operands = StreamOperands::new(ctx, StreamOp::Add, x, Some(y))?;
     let n = x.len();
-    let pim_cfg = ctx.sys.pim_config().clone();
-    let units = pim_cfg.units_per_pch;
-    let two_bank = pim_cfg.variant == PimVariant::TwoBankAccess;
-    let (x_col, y_col, z_col) = stream_columns(StreamOp::Add, &pim_cfg);
-    // On the 1-bank variant ADD must have a second-operand column; a miss
-    // is a kernel-table bug, surfaced as a typed error rather than a panic.
-    let y_plain_col = match (two_bank, y_col) {
-        (true, _) => None,
-        (false, Some(c)) => Some(c),
-        (false, None) => {
-            return Err(PimError::Internal {
-                detail: "stream ADD has no second-operand column".into(),
-            })
-        }
-    };
-
-    let xb = layout::f32_to_blocks(x);
-    let yb = layout::f32_to_blocks(y);
-    let nblocks = xb.len();
+    let nblocks = operands.blocks();
     // The golden SECDED shadow: check bytes over the intended operand
     // data, held host-side (modelling the on-die ECC engine's parity).
-    let shadow = |blocks: &[LaneVec]| -> Vec<[u8; 4]> {
-        blocks.iter().map(|v| ecc::encode_block(&v.to_block()).map(|w| w.check)).collect()
-    };
-    let x_check = shadow(&xb);
-    let y_check = shadow(&yb);
+    let shadow = |v: &LaneVec| ecc::encode_block(&v.to_block()).map(|w| w.check);
+    let checks: Vec<([u8; 4], [u8; 4])> = (0..nblocks)
+        .map(|b| {
+            let (xg, yg) = operands.golden(b);
+            (shadow(xg), yg.map_or([0; 4], shadow))
+        })
+        .collect();
     // The verification oracle: device ADD is exact FP16, so the host's
     // FP16 sum is bit-identical on a fault-free run. It stands in for the
     // application-level integrity check a production runtime would use.
@@ -285,48 +204,27 @@ pub fn resilient_add(
     let mut rep = ResilienceReport::default();
     let mut healthy: Vec<usize> = (0..ctx.sys.channel_count()).collect();
     let mut out = vec![0.0f32; n];
-    let mut bad_blocks: Vec<usize> = (0..nblocks).collect();
+    let mut bad: Vec<usize> = (0..nblocks).collect();
 
     'ladder: while !healthy.is_empty() && rep.quarantined.len() <= cfg.max_quarantine {
-        let place = Placement { healthy: &healthy, units };
-        let slots = nblocks.div_ceil(healthy.len() * units).max(1);
-        let rows = (slots as u32).div_ceil(GROUP);
-        let base_row = ctx
-            .mm
-            .alloc_rows_lockstep(rows)
-            .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
-
         // Lock-step (re-)layout of both operands over the healthy set.
-        for b in 0..nblocks {
-            let (ch, u, _) = place.locate(b);
-            let (row, coff) = place.slot_pos(b, base_row);
-            layout::store_block(&mut ctx.sys, ch, u, row, x_col + coff, &xb[b]);
-            match y_plain_col {
-                None => layout::store_block_odd(&mut ctx.sys, ch, u, row, x_col + coff, &yb[b]),
-                Some(yc) => layout::store_block(&mut ctx.sys, ch, u, row, yc + coff, &yb[b]),
-            }
-        }
-
-        let program = stream_microkernel(StreamOp::Add, rows, &pim_cfg);
-        let batches = stream_batches(StreamOp::Add, rows, base_row, &pim_cfg);
+        let job = StreamJob::place(ctx, &operands, &healthy)?;
 
         let mut attempt = 0u32;
         loop {
             // Scrub-on-read over the operand path before every launch.
             rep.scrubs += 1;
-            for b in 0..nblocks {
-                let (ch, u, _) = place.locate(b);
-                let (row, coff) = place.slot_pos(b, base_row);
-                scrub_block(ctx, ch, u, row, x_col + coff, false, &xb[b], &x_check[b], &mut rep);
-                let (yc, odd) = match y_plain_col {
-                    None => (x_col + coff, true),
-                    Some(c) => (c + coff, false),
-                };
-                scrub_block(ctx, ch, u, row, yc, odd, &yb[b], &y_check[b], &mut rep);
+            for (b, (x_check, y_check)) in checks.iter().enumerate() {
+                let (x_cell, y_cell) = job.operand_cells(b);
+                let (xg, yg) = operands.golden(b);
+                scrub_block(ctx, x_cell, xg, x_check, &mut rep);
+                if let Some(yg) = yg {
+                    scrub_block(ctx, y_cell, yg, y_check, &mut rep);
+                }
             }
 
             let start = ctx.sys.max_now();
-            let r = launch(ctx, &healthy, &program, &batches)?;
+            let (r, _) = job.launch(ctx, None)?;
             rep.launches += 1;
             let cycles = r.end_cycle.saturating_sub(start);
             rep.kernel.absorb(&KernelReport {
@@ -339,29 +237,10 @@ pub fn resilient_add(
             });
 
             // Gather and verify.
-            bad_blocks.clear();
-            for b in 0..nblocks {
-                let (ch, u, _) = place.locate(b);
-                let (row, coff) = place.slot_pos(b, base_row);
-                let v = layout::load_block(&ctx.sys, ch, u, row, z_col + coff);
-                let mut block_ok = true;
-                for l in 0..BLOCK_ELEMS {
-                    let i = b * BLOCK_ELEMS + l;
-                    if i >= n {
-                        break;
-                    }
-                    let got = v[l].to_f32();
-                    out[i] = got;
-                    if got.to_bits() != expected[i].to_bits() {
-                        block_ok = false;
-                    }
-                }
-                if !block_ok {
-                    bad_blocks.push(b);
-                }
-            }
+            out = job.gather(ctx);
+            bad = bad_blocks(&out, &expected);
             ctx.sys.barrier();
-            if bad_blocks.is_empty() {
+            if bad.is_empty() {
                 rep.publish(ctx);
                 return Ok((out, rep));
             }
@@ -369,17 +248,7 @@ pub fn resilient_add(
             if attempt < cfg.max_retries {
                 attempt += 1;
                 rep.retries += 1;
-                if let Some(r) = &ctx.recorder {
-                    r.emit(
-                        Event::instant(
-                            ctx.sys.max_now(),
-                            names::RES_RETRY_EVENT,
-                            names::CAT_REQUEST,
-                            Scope::GLOBAL,
-                        )
-                        .with_arg("attempt", attempt as u64),
-                    );
-                }
+                emit(ctx, names::RES_RETRY_EVENT, ("attempt", attempt as u64));
                 // Bounded exponential backoff before the retry: the host
                 // idles, every channel's clock advances.
                 let pause = cfg.backoff_cycles << (attempt - 1).min(8);
@@ -392,23 +261,12 @@ pub fn resilient_add(
 
             // Retry budget exhausted: quarantine every channel that still
             // produced a wrong block, then re-layout over the survivors.
-            let mut suspects: Vec<usize> = bad_blocks.iter().map(|&b| place.locate(b).0).collect();
+            let mut suspects: Vec<usize> = bad.iter().map(|&b| job.channel_of(b)).collect();
             suspects.sort_unstable();
             suspects.dedup();
             healthy.retain(|ch| !suspects.contains(ch));
-            if let Some(r) = &ctx.recorder {
-                let now = ctx.sys.max_now();
-                for &ch in &suspects {
-                    r.emit(
-                        Event::instant(
-                            now,
-                            names::RES_QUARANTINE_EVENT,
-                            names::CAT_REQUEST,
-                            Scope::GLOBAL,
-                        )
-                        .with_arg("channel", ch as u64),
-                    );
-                }
+            for &ch in &suspects {
+                emit(ctx, names::RES_QUARANTINE_EVENT, ("channel", ch as u64));
             }
             rep.quarantined.extend(suspects);
             continue 'ladder;
@@ -425,23 +283,13 @@ pub fn resilient_add(
     } else {
         FallbackReason::QuarantineBudgetExceeded
     });
-    if let Some(r) = &ctx.recorder {
-        r.emit(
-            Event::instant(
-                ctx.sys.max_now(),
-                names::RES_FALLBACK_EVENT,
-                names::CAT_REQUEST,
-                Scope::GLOBAL,
-            )
-            .with_arg("blocks", bad_blocks.len() as u64),
-        );
-    }
+    emit(ctx, names::RES_FALLBACK_EVENT, ("blocks", bad.len() as u64));
     if cfg.host_fallback {
         let region_bytes = (nblocks as u64) * 2 * 32;
         let policy = BypassPolicy::new(1 << 40, region_bytes)
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
         let mut llc = Llc::new(1 << 20, 64, 16);
-        for &b in &bad_blocks {
+        for &b in &bad {
             for operand in 0..2u64 {
                 let addr = (1u64 << 40) + (operand * nblocks as u64 + b as u64) * 32;
                 if !policy.bypasses(addr) {
@@ -458,7 +306,7 @@ pub fn resilient_add(
             rep.host_fallback_blocks += 1;
         }
     } else {
-        rep.wrong_answers = bad_blocks
+        rep.wrong_answers = bad
             .iter()
             .map(|&b| {
                 (0..BLOCK_ELEMS)

@@ -62,15 +62,11 @@
 
 use crate::blas::PimError;
 use crate::context::PimContext;
-use crate::executor::Executor;
-use crate::kernels::{stream_batches, stream_columns, stream_microkernel, StreamOp, GROUP};
-use crate::layout::{self, BLOCK_ELEMS};
-use crate::preprocessor::Preprocessor;
-use pim_core::PimVariant;
+use crate::kernels::StreamOp;
+use crate::stream::{bad_blocks, StreamJob, StreamOperands};
 use pim_dram::Cycle;
 use pim_fp16::F16;
-use pim_host::{Batch, KernelEngine, KernelResult};
-use pim_obs::{names, Event, Histogram, Scope, TraceCtx, TraceId};
+use pim_obs::{names, Event, Histogram, Recorder, Scope, TraceCtx, TraceId};
 use std::collections::{BTreeMap, VecDeque};
 
 /// SplitMix64 finalizer for seeded tie-breaks (the shared mixing core,
@@ -338,12 +334,12 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Adds `other`'s counters into `self` (how the cluster scheduler
-    /// folds per-stack stats into cluster totals). Destructures `other`
-    /// exhaustively, so adding a counter to [`ServeStats`] without
-    /// updating the merge is a compile error — a counter can never be
-    /// silently dropped from cluster totals.
-    pub fn merge(&mut self, other: &ServeStats) {
+    /// The one table of counters, each with its `srv.*` metric name. The
+    /// exhaustive destructure makes adding a counter to [`ServeStats`]
+    /// without listing it here a compile error — so it can never be
+    /// silently dropped from cluster totals ([`ServeStats::merge`]), run
+    /// deltas or the published metrics.
+    fn counters(&mut self) -> [(&mut u64, &'static str); 12] {
         let ServeStats {
             submitted,
             admitted,
@@ -357,19 +353,39 @@ impl ServeStats {
             breaker_closes,
             relayouts,
             host_fallbacks,
-        } = *other;
-        self.submitted += submitted;
-        self.admitted += admitted;
-        self.shed_queue_full += shed_queue_full;
-        self.shed_overloaded += shed_overloaded;
-        self.completed += completed;
-        self.deadline_missed += deadline_missed;
-        self.watchdog_cancels += watchdog_cancels;
-        self.breaker_trips += breaker_trips;
-        self.breaker_half_opens += breaker_half_opens;
-        self.breaker_closes += breaker_closes;
-        self.relayouts += relayouts;
-        self.host_fallbacks += host_fallbacks;
+        } = self;
+        [
+            (submitted, names::SRV_SUBMITTED),
+            (admitted, names::SRV_ADMITTED),
+            (shed_queue_full, names::SRV_SHED_QUEUE_FULL),
+            (shed_overloaded, names::SRV_SHED_OVERLOADED),
+            (completed, names::SRV_COMPLETED),
+            (deadline_missed, names::SRV_DEADLINE_MISSED),
+            (watchdog_cancels, names::SRV_WATCHDOG_CANCELS),
+            (breaker_trips, names::SRV_BREAKER_TRIPS),
+            (breaker_half_opens, names::SRV_BREAKER_HALF_OPENS),
+            (breaker_closes, names::SRV_BREAKER_CLOSES),
+            (relayouts, names::SRV_RELAYOUTS),
+            (host_fallbacks, names::SRV_HOST_FALLBACKS),
+        ]
+    }
+
+    /// Adds `other`'s counters into `self` (how the cluster scheduler
+    /// folds per-stack stats into cluster totals).
+    pub fn merge(&mut self, other: &ServeStats) {
+        let mut other = *other;
+        for ((a, _), (b, _)) in self.counters().into_iter().zip(other.counters()) {
+            *a += *b;
+        }
+    }
+
+    /// The counters accumulated since `before` was snapshotted.
+    fn since(mut self, before: &ServeStats) -> ServeStats {
+        let mut before = *before;
+        for ((a, _), (b, _)) in self.counters().into_iter().zip(before.counters()) {
+            *a -= *b;
+        }
+        self
     }
 }
 
@@ -417,14 +433,17 @@ impl ServeReport {
     /// Arrival-to-finish latencies (cycles) of requests that produced a
     /// result (`Completed` and `FellBackToHost`), in submission order.
     pub fn served_latencies(&self) -> Vec<Cycle> {
-        self.outcomes
-            .iter()
-            .filter(|o| {
-                matches!(o.disposition, Disposition::Completed | Disposition::FellBackToHost)
-            })
-            .map(|o| o.finished.saturating_sub(o.arrival))
-            .collect()
+        served_latencies(&self.outcomes)
     }
+}
+
+/// The latencies behind both reports' `served_latencies()`.
+pub(crate) fn served_latencies(outcomes: &[RequestOutcome]) -> Vec<Cycle> {
+    outcomes
+        .iter()
+        .filter(|o| matches!(o.disposition, Disposition::Completed | Disposition::FellBackToHost))
+        .map(|o| o.finished.saturating_sub(o.arrival))
+        .collect()
 }
 
 /// Per-domain breaker state.
@@ -488,7 +507,7 @@ impl Breaker {
         let reopen = matches!(self.state, BreakerState::HalfOpen);
         if reopen || self.failures >= threshold {
             let tripped = !matches!(self.state, BreakerState::Open { .. });
-            self.state = BreakerState::Open { until: now + cooldown };
+            self.state = BreakerState::Open { until: now.saturating_add(cooldown) };
             if tripped {
                 return BreakerEvent::Tripped;
             }
@@ -702,18 +721,7 @@ impl<'a> Server<'a> {
                 match self.admission(req.tenant, est) {
                     Ok(()) => {
                         self.stats.admitted += 1;
-                        if let Some(r) = &self.ctx.recorder {
-                            r.emit(
-                                Event::instant(
-                                    now,
-                                    names::REQ_ADMIT,
-                                    names::CAT_REQUEST,
-                                    Scope::GLOBAL,
-                                )
-                                .with_arg("id", id as u64)
-                                .with_trace(trace),
-                            );
-                        }
+                        emit(&self.ctx.recorder, now, names::REQ_ADMIT, ("id", id as u64), trace);
                         self.queues.entry(req.tenant).or_default().push_back(Queued {
                             id,
                             req,
@@ -725,29 +733,14 @@ impl<'a> Server<'a> {
                             RejectReason::QueueFull => self.stats.shed_queue_full += 1,
                             RejectReason::Overloaded => self.stats.shed_overloaded += 1,
                         }
-                        let disposition = Disposition::Shed(reason);
-                        if let Some(r) = &self.ctx.recorder {
-                            r.emit(
-                                Event::instant(
-                                    now,
-                                    names::REQ_DONE,
-                                    names::CAT_REQUEST,
-                                    Scope::GLOBAL,
-                                )
-                                .with_arg("disposition", disposition.code())
-                                .with_trace(trace),
-                            );
-                        }
-                        outcomes[id] = Some(RequestOutcome {
+                        outcomes[id] = Some(unstarted(
+                            &self.ctx.recorder,
                             id,
-                            tenant: req.tenant,
-                            arrival: req.arrival,
-                            started: None,
-                            finished: now,
-                            disposition,
-                            result: None,
-                            trace: trace.trace,
-                        });
+                            &req,
+                            now,
+                            Disposition::Shed(reason),
+                            trace,
+                        ));
                     }
                 }
             }
@@ -762,24 +755,15 @@ impl<'a> Server<'a> {
                     }
                     self.stats.deadline_missed += 1;
                     let trace = TraceCtx::root(seed, q.id as u64, q.req.tenant);
-                    if let Some(r) = &self.ctx.recorder {
-                        r.emit(
-                            Event::instant(now, names::REQ_DONE, names::CAT_REQUEST, Scope::GLOBAL)
-                                .with_arg("disposition", Disposition::DeadlineMissed.code())
-                                .with_trace(trace),
-                        );
-                    }
                     purged.push((q.req.tenant, now.saturating_sub(q.req.arrival)));
-                    outcomes[q.id] = Some(RequestOutcome {
-                        id: q.id,
-                        tenant: q.req.tenant,
-                        arrival: q.req.arrival,
-                        started: None,
-                        finished: now,
-                        disposition: Disposition::DeadlineMissed,
-                        result: None,
-                        trace: trace.trace,
-                    });
+                    outcomes[q.id] = Some(unstarted(
+                        &self.ctx.recorder,
+                        q.id,
+                        &q.req,
+                        now,
+                        Disposition::DeadlineMissed,
+                        trace,
+                    ));
                     false
                 });
             }
@@ -823,9 +807,7 @@ impl<'a> Server<'a> {
                     // channel's clock advances.
                     Some((_, r)) => {
                         let t = r.arrival;
-                        for i in 0..self.ctx.sys.channel_count() {
-                            self.ctx.sys.channel_mut(i).advance_to(t);
-                        }
+                        self.advance_to(t);
                     }
                     None => break,
                 },
@@ -833,18 +815,18 @@ impl<'a> Server<'a> {
         }
 
         let end_cycle = self.ctx.sys.barrier();
-        self.publish(&stats_before);
+        let mut stats = self.stats.since(&stats_before);
+        if let Some(r) = &self.ctx.recorder {
+            for (count, name) in stats.counters() {
+                r.add(name, *count);
+            }
+        }
         let outcomes = outcomes
             .into_iter()
             .enumerate()
             .map(|(id, o)| o.unwrap_or_else(|| panic!("request {id} never resolved")))
             .collect();
-        Ok(ServeReport {
-            outcomes,
-            stats: delta(&self.stats, &stats_before),
-            end_cycle,
-            slo: std::mem::take(&mut self.slo),
-        })
+        Ok(ServeReport { outcomes, stats, end_cycle, slo: std::mem::take(&mut self.slo) })
     }
 
     /// Executes one admitted request, wrapping the degradation ladder in a
@@ -854,29 +836,18 @@ impl<'a> Server<'a> {
     /// controller-level event joins back to this request and tenant.
     fn execute(&mut self, q: Queued) -> Result<RequestOutcome, PimError> {
         let trace = TraceCtx::root(self.cfg.seed, q.id as u64, q.req.tenant);
+        let now = self.ctx.sys.max_now();
+        emit(&self.ctx.recorder, now, names::REQ_DISPATCH, ("id", q.id as u64), trace);
         if let Some(r) = &self.ctx.recorder {
-            r.emit(
-                Event::instant(
-                    self.ctx.sys.max_now(),
-                    names::REQ_DISPATCH,
-                    names::CAT_REQUEST,
-                    Scope::GLOBAL,
-                )
-                .with_arg("id", q.id as u64)
-                .with_trace(trace),
-            );
             r.set_trace(Some(trace));
         }
         let result = self.execute_inner(q, trace);
         if let Some(r) = &self.ctx.recorder {
             r.set_trace(None);
-            if let Ok(o) = &result {
-                r.emit(
-                    Event::instant(o.finished, names::REQ_DONE, names::CAT_REQUEST, Scope::GLOBAL)
-                        .with_arg("disposition", o.disposition.code())
-                        .with_trace(trace),
-                );
-            }
+        }
+        if let Ok(o) = &result {
+            let done = ("disposition", o.disposition.code());
+            emit(&self.ctx.recorder, o.finished, names::REQ_DONE, done, trace);
         }
         result
     }
@@ -944,10 +915,8 @@ impl<'a> Server<'a> {
             return Ok(outcome(Disposition::DeadlineMissed, Some(started), now, None));
         }
         self.stats.host_fallbacks += 1;
-        let finished = now + est_host;
-        for i in 0..self.ctx.sys.channel_count() {
-            self.ctx.sys.channel_mut(i).advance_to(finished);
-        }
+        let finished = now.saturating_add(est_host);
+        self.advance_to(finished);
         Ok(if finished > req.deadline {
             self.stats.deadline_missed += 1;
             outcome(Disposition::DeadlineMissed, Some(started), finished, None)
@@ -968,29 +937,13 @@ impl<'a> Server<'a> {
         trace: TraceCtx,
     ) -> Result<PimAttempt, PimError> {
         let (x, y) = req.op.operands();
-        let op = req.op.stream_op();
         let n = x.len();
         if n == 0 || y.len() != n {
             // Malformed requests never reach the device; the host oracle
             // path reports them (empty result) rather than panicking.
             return Ok(PimAttempt::Exhausted);
         }
-        let pim_cfg = self.ctx.sys.pim_config().clone();
-        let units = pim_cfg.units_per_pch;
-        let two_bank = pim_cfg.variant == PimVariant::TwoBankAccess;
-        let (x_col, y_col, z_col) = stream_columns(op, &pim_cfg);
-        let y_plain_col = match (two_bank, y_col) {
-            (true, _) => None,
-            (false, Some(c)) => Some(c),
-            (false, None) => {
-                return Err(PimError::Internal {
-                    detail: "two-operand stream kernel without a second operand column".into(),
-                })
-            }
-        };
-        let xb = layout::f32_to_blocks(x);
-        let yb = layout::f32_to_blocks(y);
-        let nblocks = xb.len();
+        let operands = StreamOperands::new(self.ctx, req.op.stream_op(), x, Some(y))?;
 
         let mut avail: Vec<usize> = candidates.to_vec();
         for attempt in 0..self.cfg.max_attempts {
@@ -1014,38 +967,11 @@ impl<'a> Server<'a> {
                 // instead of dividing by zero in the layout below.
                 return Ok(PimAttempt::Exhausted);
             }
-            let h = channels.len();
-            let locate = |b: usize| (channels[b % h], (b / h) % units, b / (h * units));
-            let slot_pos = |b: usize, base: u32| {
-                let slot = (b / (h * units)) as u32;
-                (base + slot / GROUP, slot % GROUP)
-            };
             self.ctx.reset_memory();
-            let slots = nblocks.div_ceil(h * units).max(1);
-            let rows = (slots as u32).div_ceil(GROUP);
-            let base_row = self
-                .ctx
-                .mm
-                .alloc_rows_lockstep(rows)
-                .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
-            for b in 0..nblocks {
-                let (ch, u, _) = locate(b);
-                let (row, coff) = slot_pos(b, base_row);
-                layout::store_block(&mut self.ctx.sys, ch, u, row, x_col + coff, &xb[b]);
-                match y_plain_col {
-                    Some(yc) => {
-                        layout::store_block(&mut self.ctx.sys, ch, u, row, yc + coff, &yb[b])
-                    }
-                    None => {
-                        layout::store_block_odd(&mut self.ctx.sys, ch, u, row, x_col + coff, &yb[b])
-                    }
-                }
-            }
+            let job = StreamJob::place(self.ctx, &operands, &channels)?;
 
             // Bounded launch: the watchdog limit never extends past the
             // deadline.
-            let program = stream_microkernel(op, rows, &pim_cfg);
-            let data = stream_batches(op, rows, base_row, &pim_cfg);
             let budget = req.budget.unwrap_or(self.cfg.watchdog_budget);
             let deadline_capped = req.deadline <= now.saturating_add(budget);
             let limit = req.deadline.min(now.saturating_add(budget));
@@ -1053,43 +979,18 @@ impl<'a> Server<'a> {
             // Each PIM attempt runs under a child span so retries after a
             // re-layout are distinguishable in the trace.
             let attempt_ctx = trace.child(attempt as u64 + 1);
+            let launch = ("attempt", attempt as u64 + 1);
+            emit(&self.ctx.recorder, start, names::REQ_LAUNCH, launch, attempt_ctx);
             if let Some(r) = &self.ctx.recorder {
-                r.emit(
-                    Event::instant(start, names::REQ_LAUNCH, names::CAT_REQUEST, Scope::GLOBAL)
-                        .with_arg("attempt", attempt as u64 + 1)
-                        .with_trace(attempt_ctx),
-                );
                 r.set_trace(Some(attempt_ctx));
             }
-            let (result, cancelled) =
-                self.launch_bounded(&channels, &program, &data, Some(limit))?;
+            let (result, cancelled) = job.launch(self.ctx, Some(limit))?;
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(trace));
             }
 
-            let fail = |server: &mut Server, groups: &[usize]| {
-                let at = server.ctx.sys.max_now();
-                let (threshold, cooldown) =
-                    (server.cfg.breaker_threshold, server.cfg.breaker_cooldown);
-                for &g in groups {
-                    if server.breakers[g].failure(at, threshold, cooldown) == BreakerEvent::Tripped
-                    {
-                        server.stats.breaker_trips += 1;
-                    }
-                }
-            };
-
-            let timed_out: Vec<usize> = {
-                let mut gs: Vec<usize> = cancelled
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c)
-                    .map(|(ch, _)| self.group_of(ch))
-                    .collect();
-                gs.sort_unstable();
-                gs.dedup();
-                gs
-            };
+            let timed_out =
+                self.groups_of(cancelled.iter().enumerate().filter(|(_, &c)| c).map(|(ch, _)| ch));
             if !timed_out.is_empty() {
                 self.stats.watchdog_cancels += 1;
                 // A deadline-capped cancel means the request ran out of
@@ -1099,31 +1000,15 @@ impl<'a> Server<'a> {
                 if deadline_capped {
                     return Ok(PimAttempt::Exhausted);
                 }
-                fail(self, &timed_out);
+                self.charge_failure(&timed_out);
                 avail.retain(|g| !timed_out.contains(g));
                 continue;
             }
 
             // Gather and verify against the oracle.
-            let mut out = vec![0.0f32; n];
-            let mut bad_groups: Vec<usize> = Vec::new();
-            for b in 0..nblocks {
-                let (ch, u, _) = locate(b);
-                let (row, coff) = slot_pos(b, base_row);
-                let v = layout::load_block(&self.ctx.sys, ch, u, row, z_col + coff);
-                for l in 0..BLOCK_ELEMS {
-                    let i = b * BLOCK_ELEMS + l;
-                    if i >= n {
-                        break;
-                    }
-                    out[i] = v[l].to_f32();
-                    if out[i].to_bits() != oracle[i].to_bits() {
-                        bad_groups.push(self.group_of(ch));
-                    }
-                }
-            }
-            bad_groups.sort_unstable();
-            bad_groups.dedup();
+            let out = job.gather(self.ctx);
+            let bad_groups =
+                self.groups_of(bad_blocks(&out, oracle).into_iter().map(|b| job.channel_of(b)));
             let finished = self.ctx.sys.barrier();
             if bad_groups.is_empty() {
                 for &g in &avail {
@@ -1140,30 +1025,31 @@ impl<'a> Server<'a> {
                 self.observe_cost(result.end_cycle.saturating_sub(start), n);
                 return Ok(PimAttempt::Done { finished, result: out });
             }
-            fail(self, &bad_groups);
+            self.charge_failure(&bad_groups);
             avail.retain(|g| !bad_groups.contains(g));
         }
         Ok(PimAttempt::Exhausted)
     }
 
-    /// Runs the kernel choreography on exactly `channels` under the
-    /// watchdog limit; other channels sit the launch out.
-    fn launch_bounded(
-        &mut self,
-        channels: &[usize],
-        program: &[pim_core::isa::Instruction],
-        data_batches: &[Batch],
-        limit: Option<Cycle>,
-    ) -> Result<(KernelResult, Vec<bool>), PimError> {
-        if self.ctx.strict {
-            Preprocessor::verify_kernel(self.ctx.sys.pim_config(), program)
-                .map_err(|report| PimError::InvalidKernel { report })?;
+    /// The breaker groups of `channels`, ascending and deduplicated.
+    fn groups_of(&self, channels: impl Iterator<Item = usize>) -> Vec<usize> {
+        let mut groups: Vec<usize> = channels.map(|ch| self.group_of(ch)).collect();
+        groups.sort_unstable();
+        groups.dedup();
+        groups
+    }
+
+    /// Charges one failure to each of `groups`' breakers at the current
+    /// cycle.
+    fn charge_failure(&mut self, groups: &[usize]) {
+        let at = self.ctx.sys.max_now();
+        for &g in groups {
+            let event =
+                self.breakers[g].failure(at, self.cfg.breaker_threshold, self.cfg.breaker_cooldown);
+            if event == BreakerEvent::Tripped {
+                self.stats.breaker_trips += 1;
+            }
         }
-        let full = Executor::full_kernel(program, None, false, data_batches);
-        let per_channel: Vec<Vec<Batch>> = (0..self.ctx.sys.channel_count())
-            .map(|ch| if channels.contains(&ch) { full.clone() } else { Vec::new() })
-            .collect();
-        Ok(KernelEngine::run_system_bounded(&mut self.ctx.sys, &per_channel, self.ctx.mode, limit))
     }
 
     /// Records one request's SLO observations: queue wait always, service
@@ -1186,24 +1072,6 @@ impl<'a> Server<'a> {
             r.observe(names::SRV_DEADLINE_SLACK, names::LATENCY_BUCKETS, slack);
         }
     }
-
-    /// Publishes this run's counter deltas to the context recorder.
-    fn publish(&self, before: &ServeStats) {
-        let Some(r) = &self.ctx.recorder else { return };
-        let d = delta(&self.stats, before);
-        r.add(names::SRV_SUBMITTED, d.submitted);
-        r.add(names::SRV_ADMITTED, d.admitted);
-        r.add(names::SRV_SHED_QUEUE_FULL, d.shed_queue_full);
-        r.add(names::SRV_SHED_OVERLOADED, d.shed_overloaded);
-        r.add(names::SRV_COMPLETED, d.completed);
-        r.add(names::SRV_DEADLINE_MISSED, d.deadline_missed);
-        r.add(names::SRV_WATCHDOG_CANCELS, d.watchdog_cancels);
-        r.add(names::SRV_BREAKER_TRIPS, d.breaker_trips);
-        r.add(names::SRV_BREAKER_HALF_OPENS, d.breaker_half_opens);
-        r.add(names::SRV_BREAKER_CLOSES, d.breaker_closes);
-        r.add(names::SRV_RELAYOUTS, d.relayouts);
-        r.add(names::SRV_HOST_FALLBACKS, d.host_fallbacks);
-    }
 }
 
 /// What one trip through the PIM ladder produced.
@@ -1212,20 +1080,44 @@ enum PimAttempt {
     Exhausted,
 }
 
-fn delta(now: &ServeStats, before: &ServeStats) -> ServeStats {
-    ServeStats {
-        submitted: now.submitted - before.submitted,
-        admitted: now.admitted - before.admitted,
-        shed_queue_full: now.shed_queue_full - before.shed_queue_full,
-        shed_overloaded: now.shed_overloaded - before.shed_overloaded,
-        completed: now.completed - before.completed,
-        deadline_missed: now.deadline_missed - before.deadline_missed,
-        watchdog_cancels: now.watchdog_cancels - before.watchdog_cancels,
-        breaker_trips: now.breaker_trips - before.breaker_trips,
-        breaker_half_opens: now.breaker_half_opens - before.breaker_half_opens,
-        breaker_closes: now.breaker_closes - before.breaker_closes,
-        relayouts: now.relayouts - before.relayouts,
-        host_fallbacks: now.host_fallbacks - before.host_fallbacks,
+/// Emits one request-lifecycle instant stamped with `trace` (no-op without
+/// a recorder).
+fn emit(
+    recorder: &Option<Recorder>,
+    at: Cycle,
+    name: &'static str,
+    (key, value): (&'static str, u64),
+    trace: TraceCtx,
+) {
+    if let Some(r) = recorder {
+        r.emit(
+            Event::instant(at, name, names::CAT_REQUEST, Scope::GLOBAL)
+                .with_arg(key, value)
+                .with_trace(trace),
+        );
+    }
+}
+
+/// Resolves a request that never started (shed at admission, or expired in
+/// queue) at `now`, emitting its `req.done`.
+fn unstarted(
+    recorder: &Option<Recorder>,
+    id: usize,
+    req: &ServeRequest,
+    now: Cycle,
+    disposition: Disposition,
+    trace: TraceCtx,
+) -> RequestOutcome {
+    emit(recorder, now, names::REQ_DONE, ("disposition", disposition.code()), trace);
+    RequestOutcome {
+        id,
+        tenant: req.tenant,
+        arrival: req.arrival,
+        started: None,
+        finished: now,
+        disposition,
+        result: None,
+        trace: trace.trace,
     }
 }
 
@@ -1396,6 +1288,16 @@ mod tests {
         assert_eq!(b.admit(999), (true, BreakerEvent::None));
         // A success while already closed is not a close event.
         assert_eq!(b.success(), BreakerEvent::None);
+    }
+
+    #[test]
+    fn breaker_cooldown_saturates_at_the_end_of_time() {
+        // Regression: `now + cooldown` overflowed for clocks near u64::MAX
+        // (reachable from `pimserve --intervals 18446744073709551615`).
+        let mut b = Breaker::new();
+        assert_eq!(b.failure(u64::MAX - 1, 1, 500_000), BreakerEvent::Tripped);
+        assert_eq!(b.admit(u64::MAX - 1), (false, BreakerEvent::None));
+        assert_eq!(b.admit(u64::MAX), (true, BreakerEvent::HalfOpened));
     }
 
     #[test]

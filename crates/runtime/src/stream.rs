@@ -1,0 +1,211 @@
+//! The stream-kernel job: the one owner of the interleaved x/y/z operand
+//! layout (Fig. 15(b)), shared by [`crate::PimBlas`]'s element-wise entry
+//! points, the resilience ladder and the serving layer.
+//!
+//! A job is *mechanism only*: place the operands lock-step over a channel
+//! list, build the microkernel and its data batches, launch on exactly
+//! those channels, gather the result, and name the blocks that disagree
+//! with an oracle. What to do about a bad block — scrub and retry,
+//! quarantine a channel, trip a breaker, degrade to the host — is the
+//! caller's policy and deliberately does not live here.
+
+use crate::blas::PimError;
+use crate::context::PimContext;
+use crate::executor::Executor;
+use crate::kernels::{stream_batches, stream_columns, stream_microkernel, StreamOp, GROUP};
+use crate::layout::{self, Placement, BLOCK_ELEMS};
+use pim_core::isa::Instruction;
+use pim_core::{LaneVec, PimVariant};
+use pim_dram::Cycle;
+use pim_host::{Batch, KernelResult};
+
+/// The home of one resident 32-byte block. `odd` selects the unit's odd
+/// bank — where the 2BA variant keeps the second operand.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    ch: usize,
+    unit: usize,
+    row: u32,
+    col: u32,
+    odd: bool,
+}
+
+impl Cell {
+    pub(crate) fn load(&self, ctx: &PimContext) -> LaneVec {
+        let load = if self.odd { layout::load_block_odd } else { layout::load_block };
+        load(&ctx.sys, self.ch, self.unit, self.row, self.col)
+    }
+
+    pub(crate) fn store(&self, ctx: &mut PimContext, v: &LaneVec) {
+        let store = if self.odd { layout::store_block_odd } else { layout::store_block };
+        store(&mut ctx.sys, self.ch, self.unit, self.row, self.col, v);
+    }
+}
+
+/// A stream op's operands, validated and blocked once; re-layouts after a
+/// lost channel reuse them.
+#[derive(Debug)]
+pub(crate) struct StreamOperands {
+    op: StreamOp,
+    len: usize,
+    x: Vec<LaneVec>,
+    y: Option<Vec<LaneVec>>,
+    x_col: u32,
+    /// Column base of the second operand in the even bank; `None` on 2BA,
+    /// where it sits in the odd bank at the x columns.
+    y_plain_col: Option<u32>,
+    z_col: u32,
+}
+
+impl StreamOperands {
+    /// # Errors
+    ///
+    /// [`PimError::Empty`] / [`PimError::SizeMismatch`] for bad lengths;
+    /// [`PimError::Internal`] if a two-operand op has no second-operand
+    /// column on the 1-bank variant (a kernel-table bug).
+    pub(crate) fn new(
+        ctx: &PimContext,
+        op: StreamOp,
+        x: &[f32],
+        y: Option<&[f32]>,
+    ) -> Result<StreamOperands, PimError> {
+        if x.is_empty() {
+            return Err(PimError::Empty);
+        }
+        if let Some(y) = y.filter(|y| y.len() != x.len()) {
+            return Err(PimError::SizeMismatch {
+                detail: format!("x has {} elements, y has {}", x.len(), y.len()),
+            });
+        }
+        let cfg = ctx.sys.pim_config();
+        let (x_col, y_col, z_col) = stream_columns(op, cfg);
+        let two_bank = cfg.variant == PimVariant::TwoBankAccess;
+        if y.is_some() && !two_bank && y_col.is_none() {
+            return Err(PimError::Internal {
+                detail: format!("stream op {op:?} has no second-operand column"),
+            });
+        }
+        Ok(StreamOperands {
+            op,
+            len: x.len(),
+            x: layout::f32_to_blocks(x),
+            y: y.map(layout::f32_to_blocks),
+            x_col,
+            y_plain_col: y_col.filter(|_| !two_bank),
+            z_col,
+        })
+    }
+
+    pub(crate) fn blocks(&self) -> usize {
+        self.x.len()
+    }
+
+    /// The intended contents of block `b`: x, and y for two-input ops.
+    pub(crate) fn golden(&self, b: usize) -> (&LaneVec, Option<&LaneVec>) {
+        (&self.x[b], self.y.as_ref().map(|y| &y[b]))
+    }
+}
+
+/// Operands placed over a channel list, with the kernel that consumes them.
+#[derive(Debug)]
+pub(crate) struct StreamJob<'a> {
+    ops: &'a StreamOperands,
+    place: Placement<'a>,
+    base_row: u32,
+    pub(crate) program: Vec<Instruction>,
+    pub(crate) batches: Vec<Batch>,
+}
+
+impl<'a> StreamJob<'a> {
+    /// Allocates lock-step rows, stores the operands round-robin over
+    /// `channels` (non-empty) and builds the kernel.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::OutOfMemory`] if the reserved region cannot hold them.
+    pub(crate) fn place(
+        ctx: &mut PimContext,
+        ops: &'a StreamOperands,
+        channels: &'a [usize],
+    ) -> Result<StreamJob<'a>, PimError> {
+        let cfg = ctx.sys.pim_config().clone();
+        let place = Placement::over(channels, cfg.units_per_pch);
+        let rows = (place.slots_for(ops.blocks()).max(1) as u32).div_ceil(GROUP);
+        let base_row = ctx
+            .mm
+            .alloc_rows_lockstep(rows)
+            .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
+        let job = StreamJob {
+            ops,
+            place,
+            base_row,
+            program: stream_microkernel(ops.op, rows, &cfg),
+            batches: stream_batches(ops.op, rows, base_row, &cfg),
+        };
+        for b in 0..ops.blocks() {
+            let (x_cell, y_cell) = job.operand_cells(b);
+            let (x, y) = ops.golden(b);
+            x_cell.store(ctx, x);
+            if let Some(y) = y {
+                y_cell.store(ctx, y);
+            }
+        }
+        Ok(job)
+    }
+
+    /// Block `b`'s cell at column base `col` of the even (or odd) bank.
+    fn cell(&self, b: usize, col: u32, odd: bool) -> Cell {
+        let (ch, unit, slot) = self.place.locate(b);
+        let slot = slot as u32;
+        Cell { ch, unit, row: self.base_row + slot / GROUP, col: col + slot % GROUP, odd }
+    }
+
+    /// Where block `b` of x and of y live (the y cell is meaningful only
+    /// for two-input ops).
+    pub(crate) fn operand_cells(&self, b: usize) -> (Cell, Cell) {
+        let y = match self.ops.y_plain_col {
+            Some(col) => self.cell(b, col, false),
+            None => self.cell(b, self.ops.x_col, true),
+        };
+        (self.cell(b, self.ops.x_col, false), y)
+    }
+
+    /// The physical channel block `b` was placed on.
+    pub(crate) fn channel_of(&self, b: usize) -> usize {
+        self.place.locate(b).0
+    }
+
+    /// Launches on exactly the job's channels (see [`Executor::launch_on`]).
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::InvalidKernel`] in strict mode.
+    pub(crate) fn launch(
+        &self,
+        ctx: &mut PimContext,
+        limit: Option<Cycle>,
+    ) -> Result<(KernelResult, Vec<bool>), PimError> {
+        Executor::launch_on(ctx, self.place.channels(), &self.program, &self.batches, limit)
+    }
+
+    /// Reads the result vector back from the z columns.
+    pub(crate) fn gather(&self, ctx: &PimContext) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.ops.blocks() * BLOCK_ELEMS);
+        for b in 0..self.ops.blocks() {
+            let v = self.cell(b, self.ops.z_col, false).load(ctx);
+            out.extend((0..BLOCK_ELEMS).map(|l| v[l].to_f32()));
+        }
+        out.truncate(self.ops.len);
+        out
+    }
+}
+
+/// Blocks of `got` that differ from `expected` in any bit, ascending.
+pub(crate) fn bad_blocks(got: &[f32], expected: &[f32]) -> Vec<usize> {
+    got.chunks(BLOCK_ELEMS)
+        .zip(expected.chunks(BLOCK_ELEMS))
+        .enumerate()
+        .filter(|(_, (g, e))| g.iter().zip(*e).any(|(a, b)| a.to_bits() != b.to_bits()))
+        .map(|(b, _)| b)
+        .collect()
+}

@@ -122,3 +122,71 @@ proptest! {
         prop_assert!(big.cycles >= small.cycles);
     }
 }
+
+/// Cross-path differential: the three callers of the shared stream job —
+/// `PimBlas::{add,mul}`, `resilient_add` and a single-request
+/// `Server::run` — return identical result bits on a fault-free system,
+/// at the block- and slot-boundary lengths and a few seeded ones. Over the
+/// channel list `0..N` the shared placement is the `BlockMap::full`
+/// formula block for block — the property that lets them share one layout.
+#[test]
+fn stream_callers_agree_bit_for_bit() {
+    use pim_runtime::layout::Placement;
+    use pim_runtime::{
+        resilient_add, ResilienceConfig, ServeConfig, ServeOp, ServeRequest, Server,
+    };
+
+    let probe = PimContext::small_system();
+    let (channels, units) = (probe.sys.channel_count(), probe.sys.pim_config().units_per_pch);
+    let per_slot = channels * units * 16;
+    let mut lengths = vec![1, 15, 16, 17, per_slot - 1, per_slot, per_slot + 1];
+    let mut state = 0x5EEDu64;
+    for _ in 0..3 {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        lengths.push(1 + (state >> 33) as usize % 6000);
+    }
+
+    let all: Vec<usize> = (0..channels).collect();
+    let shared = Placement::over(&all, units);
+    for b in 0..lengths.iter().max().unwrap().div_ceil(16) {
+        let old = (b % channels, (b / channels) % units, b / (channels * units));
+        assert_eq!(shared.locate(b), old, "block {b}");
+    }
+
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    for &n in &lengths {
+        let x: Vec<f32> = (0..n).map(|i| ((i * 7 + 3) % 41) as f32 * 0.25 - 5.0).collect();
+        let y: Vec<f32> = (0..n).map(|i| ((i * 11 + 1) % 29) as f32 * 0.5 - 7.0).collect();
+        for mul in [false, true] {
+            let mut blas_ctx = PimContext::small_system();
+            let (direct, op) = if mul {
+                (PimBlas::mul(&mut blas_ctx, &x, &y), ServeOp::Mul { x: x.clone(), y: y.clone() })
+            } else {
+                (PimBlas::add(&mut blas_ctx, &x, &y), ServeOp::Add { x: x.clone(), y: y.clone() })
+            };
+            let (direct, _) = direct.unwrap();
+
+            let mut ctx = PimContext::small_system();
+            let req = ServeRequest {
+                tenant: 0,
+                arrival: 0,
+                deadline: 50_000_000,
+                groups: None,
+                budget: None,
+                op,
+            };
+            let report = Server::new(&mut ctx, ServeConfig::default()).run(vec![req]).unwrap();
+            let served = report.outcomes[0].result.as_deref().expect("request completes");
+            assert_eq!(report.stats.completed, 1, "n={n} mul={mul}");
+            assert_eq!(bits(served), bits(&direct), "Server vs PimBlas, n={n} mul={mul}");
+
+            if !mul {
+                let cfg = ResilienceConfig::default();
+                let (resilient, rep) =
+                    resilient_add(&mut PimContext::small_system(), &x, &y, &cfg).unwrap();
+                assert_eq!(rep.launches, 1, "n={n}");
+                assert_eq!(bits(&resilient), bits(&direct), "resilient_add vs PimBlas, n={n}");
+            }
+        }
+    }
+}

@@ -5,49 +5,13 @@
 //! re-replication probe, stragglers trigger hedged dispatch, and every
 //! chaos-era report stays byte-identical across execution backends.
 
+mod common;
+
+use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv};
 use pim_faults::ClusterFaultPlan;
-use pim_fp16::F16;
-use pim_host::ExecutionBackend;
 use pim_runtime::{
-    ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, ServeOp,
-    ServeRequest, StackHealth,
+    ClusterContext, ClusterServeConfig, ClusterServer, Disposition, ServeRequest, StackHealth,
 };
-
-fn gemv_inputs(n: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
-    let w: Vec<f32> = (0..n * k).map(|i| ((i * 13 + 5) % 37) as f32 * 0.125 - 2.0).collect();
-    let x: Vec<f32> = (0..k).map(|i| ((i * 7 + 1) % 23) as f32 * 0.25 - 2.5).collect();
-    (w, x)
-}
-
-fn single_stack_gemv(n: usize, k: usize, w: &[f32], x: &[f32]) -> Vec<f32> {
-    let mut ctx = PimContext::small_system();
-    PimBlas::gemv(&mut ctx, w, n, k, x).unwrap().0
-}
-
-fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
-    }
-}
-
-fn add_req(tenant: u32, arrival: u64, deadline: u64, n: usize) -> ServeRequest {
-    let x: Vec<f32> = (0..n).map(|i| ((i * 7 + 3) % 41) as f32 * 0.25 - 5.0).collect();
-    let y: Vec<f32> = (0..n).map(|i| ((i * 11 + 1) % 29) as f32 * 0.5 - 7.0).collect();
-    ServeRequest {
-        tenant,
-        arrival,
-        deadline,
-        groups: None,
-        budget: None,
-        op: ServeOp::Add { x, y },
-    }
-}
-
-fn add_oracle(req: &ServeRequest) -> Vec<f32> {
-    let ServeOp::Add { x, y } = &req.op else { unreachable!() };
-    x.iter().zip(y).map(|(&a, &b)| (F16::from_f32(a) + F16::from_f32(b)).to_f32()).collect()
-}
 
 #[test]
 fn sharding_routes_around_crashed_and_partitioned_stacks() {
@@ -207,7 +171,7 @@ fn chaos_serving_is_byte_identical_across_backends() {
             .partition(3, 20_000, 90_000)
             .latency_spike(2, 0, 100_000, 2500)
     };
-    let run = |backend| {
+    let seq = common::assert_backend_invariant(|backend| {
         let mut cluster = ClusterContext::new(4).unwrap();
         cluster.set_backend(backend);
         let cfg = ClusterServeConfig { chaos: Some(plan()), ..ClusterServeConfig::default() };
@@ -215,10 +179,7 @@ fn chaos_serving_is_byte_identical_across_backends() {
         let reqs: Vec<ServeRequest> =
             (0..12).map(|i| add_req(i % 4, i as u64 * 1_500, 500_000_000, 512)).collect();
         server.run(reqs).unwrap()
-    };
-    let seq = run(ExecutionBackend::Sequential);
-    assert_eq!(seq, run(ExecutionBackend::Threads(2)));
-    assert_eq!(seq, run(ExecutionBackend::Threads(4)));
+    });
     assert_eq!(seq.outcomes.len(), 12);
     assert!(seq.stats.crashes >= 1, "{:?}", seq.stats);
 }

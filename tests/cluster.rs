@@ -5,33 +5,18 @@
 //! costs nothing over the plain path, and the cluster scheduler routes
 //! around a tripped stack.
 
+mod common;
+
+use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv};
+use pim_bench::campaign::TraceShape;
 use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
 use pim_bench::json;
 use pim_faults::FaultPlan;
-use pim_fp16::F16;
 use pim_host::{ClusterTopology, ExecutionBackend};
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext,
-    ServeConfig, ServeOp, ServeRequest,
+    ServeConfig, ServeRequest,
 };
-
-fn gemv_inputs(n: usize, k: usize) -> (Vec<f32>, Vec<f32>) {
-    let w: Vec<f32> = (0..n * k).map(|i| ((i * 13 + 5) % 37) as f32 * 0.125 - 2.0).collect();
-    let x: Vec<f32> = (0..k).map(|i| ((i * 7 + 1) % 23) as f32 * 0.25 - 2.5).collect();
-    (w, x)
-}
-
-fn single_stack_gemv(n: usize, k: usize, w: &[f32], x: &[f32]) -> Vec<f32> {
-    let mut ctx = PimContext::small_system();
-    PimBlas::gemv(&mut ctx, w, n, k, x).unwrap().0
-}
-
-fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
-    assert_eq!(got.len(), want.len(), "{what}: length");
-    for (i, (a, b)) in got.iter().zip(want).enumerate() {
-        assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
-    }
-}
 
 #[test]
 fn row_parallel_gemv_bit_identical_across_stacks_and_workers() {
@@ -165,24 +150,6 @@ fn degenerate_topologies_are_refused() {
     let mut stacks = vec![PimContext::small_system()];
     let bad = ClusterServeConfig { replication: 0, ..ClusterServeConfig::default() };
     assert!(ClusterServer::new(&mut stacks, bad).is_err());
-}
-
-fn add_req(tenant: u32, arrival: u64, deadline: u64, n: usize) -> ServeRequest {
-    let x: Vec<f32> = (0..n).map(|i| ((i * 7 + 3) % 41) as f32 * 0.25 - 5.0).collect();
-    let y: Vec<f32> = (0..n).map(|i| ((i * 11 + 1) % 29) as f32 * 0.5 - 7.0).collect();
-    ServeRequest {
-        tenant,
-        arrival,
-        deadline,
-        groups: None,
-        budget: None,
-        op: ServeOp::Add { x, y },
-    }
-}
-
-fn add_oracle(req: &ServeRequest) -> Vec<f32> {
-    let ServeOp::Add { x, y } = &req.op else { unreachable!() };
-    x.iter().zip(y).map(|(&a, &b)| (F16::from_f32(a) + F16::from_f32(b)).to_f32()).collect()
 }
 
 #[test]
@@ -380,16 +347,16 @@ fn all_replicas_open_forces_the_home_stack() {
 
 #[test]
 fn cluster_campaign_reports_are_backend_invariant_and_scale() {
+    let d = ClusterCampaignConfig::default();
     let cfg = ClusterCampaignConfig {
-        elements: 512,
-        requests: 12,
+        trace: TraceShape { elements: 512, requests: 12, ..d.trace },
         stack_counts: vec![1, 2],
         fault_rates: vec![0.0],
-        ..ClusterCampaignConfig::default()
+        ..d
     };
     let points = run_campaign(&cfg).unwrap();
     assert_eq!(points.len(), 2);
-    assert!(points.iter().all(|p| p.wrong_answers == 0));
+    assert!(points.iter().all(|p| p.audit.wrong_answers == 0));
     assert!(points.iter().all(|p| p.gemv_bit_identical && p.gemv_bit_identical_failover));
     assert!(
         points[1].goodput_eps > points[0].goodput_eps,

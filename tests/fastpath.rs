@@ -209,13 +209,14 @@ fn serve_report_byte_identical_with_fastpath_on_and_off() {
 /// CI diffs), via the same exporter the `pimserve` binary uses.
 #[test]
 fn serve_campaign_artifact_byte_identical() {
+    use pim_bench::campaign::TraceShape;
     use pim_bench::serve::{run_campaign, ServeCampaignConfig};
+    let d = ServeCampaignConfig::default();
     let cfg = ServeCampaignConfig {
-        elements: 512,
-        requests: 6,
+        trace: TraceShape { elements: 512, requests: 6, ..d.trace },
         intervals: vec![5_000],
         fault_rates: vec![0.0],
-        ..ServeCampaignConfig::default()
+        ..d
     };
     let points = run_campaign(&cfg).expect("campaign");
     let a = json::to_string(&report_json(&cfg, &points));

@@ -3,11 +3,12 @@
 //! addresses, and the determinism contract of seeded fault campaigns
 //! across execution backends.
 
+mod common;
+
 use pim_bench::faults::{report_json, run_campaign, CampaignConfig};
 use pim_bench::json;
 use pim_dram::ecc::{self, EccWord};
 use pim_dram::{Bank, DataBlock};
-use pim_host::ExecutionBackend;
 use proptest::prelude::*;
 
 /// Stores `data` at (`row`, `col`) of a fresh bank, applies `flips` to
@@ -109,17 +110,11 @@ fn seeded_campaign_is_backend_invariant() {
         rates: vec![0.0, 1e-3, 1e-2],
         ..CampaignConfig::default()
     };
-    let reports: Vec<String> =
-        [ExecutionBackend::Sequential, ExecutionBackend::Threads(2), ExecutionBackend::Threads(4)]
-            .into_iter()
-            .map(|backend| {
-                let cfg = CampaignConfig { backend, ..base.clone() };
-                let points = run_campaign(&cfg).expect("campaign runs");
-                json::to_string(&report_json(&cfg, &points))
-            })
-            .collect();
-    assert_eq!(reports[0], reports[1], "Sequential vs Threads(2)");
-    assert_eq!(reports[0], reports[2], "Sequential vs Threads(4)");
+    common::assert_backend_invariant(|backend| {
+        let cfg = CampaignConfig { backend, ..base.clone() };
+        let points = run_campaign(&cfg).expect("campaign runs");
+        json::to_string(&report_json(&cfg, &points))
+    });
 }
 
 /// The zero-fault path is observer-free: a campaign at rate 0 reports
@@ -133,6 +128,8 @@ fn zero_rate_point_matches_uninstrumented_run() {
     let a = run_campaign(&cfg).expect("campaign runs");
     let b = run_campaign(&cfg).expect("campaign runs");
     assert_eq!(a, b, "zero-fault campaigns are reproducible");
-    assert_eq!(a[0].corrected + a[0].detected + a[0].retries + a[0].quarantined, 0);
+    let r = &a[0].report;
+    assert_eq!(r.ecc_corrected + r.ecc_detected + r.retries, 0);
+    assert!(r.quarantined.is_empty());
     assert_eq!(a[0].wrong_answers, 0);
 }

@@ -5,6 +5,7 @@
 //! cycle-attribution decomposition built from the traced stream must
 //! conserve simulated cycles exactly.
 
+use pim_bench::campaign::TraceShape;
 use pim_bench::serve::ServeCampaignConfig;
 use pim_bench::trace::{run_traced, run_traced_report};
 use pim_faults::FaultPlan;
@@ -13,13 +14,12 @@ use pim_obs::{names, Attribution, Event, Recorder, TraceCtx, TraceId};
 use pim_runtime::{resilient_add, PimContext, ResilienceConfig};
 
 fn small(backend: ExecutionBackend) -> ServeCampaignConfig {
+    let d = ServeCampaignConfig::default();
     ServeCampaignConfig {
-        elements: 512,
-        requests: 6,
+        trace: TraceShape { elements: 512, requests: 6, ..d.trace },
         intervals: vec![],
         fault_rates: vec![],
         backend,
-        ..ServeCampaignConfig::default()
     }
 }
 
