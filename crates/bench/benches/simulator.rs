@@ -130,10 +130,7 @@ fn bench_pim(c: &mut Criterion) {
                     },
                     Instruction::Jump { target: 0, count: 100_000 },
                 ];
-                let mut block = [0u8; 32];
-                for (i, ins) in prog.iter().enumerate() {
-                    block[i * 4..i * 4 + 4].copy_from_slice(&ins.encode().to_le_bytes());
-                }
+                let block = pim_core::conf::crf_blocks(&prog)[0];
                 for cmd in [
                     Command::Act { bank, row: pim_core::conf::CRF_ROW },
                     Command::Wr { bank, col: 0, data: block },

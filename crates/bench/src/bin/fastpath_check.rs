@@ -7,7 +7,10 @@
 //!
 //! The corpus is Table VI's four GEMV shapes (driven through
 //! [`pim_runtime::GemvPlan`], which exercises the full AB-mode
-//! choreography) plus the synthetic 64-channel engine workload. For every
+//! choreography), the first of them again under a seeded
+//! [`ExecutionMode::Fenced`] shuffle (sequential and two workers — the one
+//! issue order the engine, the predictor and data replay share), plus the
+//! synthetic 64-channel engine workload. For every
 //! corpus item and every backend (sequential plus each `--workers` count,
 //! default 1/2/4):
 //!
@@ -62,11 +65,13 @@ fn run_gemv(
     backend: ExecutionBackend,
     n: usize,
     k: usize,
+    mode: ExecutionMode,
     fastpath: bool,
     crosscheck: bool,
 ) -> (Vec<(Vec<f32>, u64, u64, u64)>, u64) {
     let w = bench_weights(n, k);
     let mut ctx = PimContext::paper_system();
+    ctx.set_mode(mode);
     ctx.set_backend(backend);
     ctx.sys.set_fastpath_enabled(fastpath);
     let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).expect("corpus shape fits");
@@ -83,15 +88,21 @@ fn run_gemv(
     (out, ctx.sys.fastpath_stats().hits)
 }
 
-fn check_gemv(gate: &mut Gate, backends: &[ExecutionBackend], n: usize, k: usize, name: &str) {
-    let (reference, ref_hits) = run_gemv(ExecutionBackend::Sequential, n, k, false, false);
+fn check_gemv(
+    gate: &mut Gate,
+    backends: &[ExecutionBackend],
+    (n, k): (usize, usize),
+    mode: ExecutionMode,
+    name: &str,
+) {
+    let (reference, ref_hits) = run_gemv(ExecutionBackend::Sequential, n, k, mode, false, false);
     if ref_hits != 0 {
         gate.fail(format!("{name}: disabled fast path still hit the cache"));
     }
     for &b in backends {
         // The fast-path run also cross-checks the analytic predictor on
         // every pass of every launch.
-        let (fast, hits) = run_gemv(b, n, k, true, true);
+        let (fast, hits) = run_gemv(b, n, k, mode, true, true);
         if fast != reference {
             for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
                 if f != r {
@@ -198,11 +209,23 @@ fn main() {
     // the shapes down (same choreography, fewer passes) so the gate runs
     // in seconds on a debug build.
     let scale = if smoke { 8 } else { 1 };
-    for wl in gemv_workloads() {
+    let in_order = ExecutionMode::Fenced { reorder_seed: None };
+    let workloads = gemv_workloads();
+    for wl in &workloads {
         let (n, k) = ((wl.n / scale).max(1), (wl.k / scale).max(1));
         eprintln!("checking {} ({n}x{k}) ...", wl.name);
-        check_gemv(&mut gate, &backends, n, k, wl.name);
+        check_gemv(&mut gate, &backends, (n, k), in_order, wl.name);
     }
+
+    // The seeded commutative-batch shuffle: cold engine, warm replay and
+    // the predictor must all issue in the same order.
+    let wl = &workloads[0];
+    let (n, k) = ((wl.n / scale).max(1), (wl.k / scale).max(1));
+    let name = format!("{} seeded", wl.name);
+    eprintln!("checking {name} ({n}x{k}) ...");
+    let seeded = ExecutionMode::Fenced { reorder_seed: Some(0xF16) };
+    let two = [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)];
+    check_gemv(&mut gate, &two, (n, k), seeded, &name);
 
     let batches = if smoke { 200 } else { 4_000 };
     eprintln!("checking synthetic64 ({batches} batches/channel) ...");

@@ -34,8 +34,10 @@
 
 use crate::config::PimConfig;
 use crate::isa::Instruction;
-use crate::unit::{BankPort, PimUnit, SequencerState, Trigger, TriggerKind};
+use crate::regfile::{crf_block, crf_block_base, crf_block_words};
+use crate::unit::{BankPort, PimUnit, SequencerState, TriggerKind, UnitStats};
 use crate::vector::LaneVec;
+use crate::walker::{ModeWalker, PendingTransition, Step};
 use pim_dram::{
     BankAddr, Command, CommandSink, Cycle, DataBlock, IssueError, IssueOutcome, PseudoChannel,
     TimingParams,
@@ -59,9 +61,11 @@ pub const SBMR_ROW: u32 = 0x1FFE;
 pub const ABMR_ROW: u32 = 0x1FFF;
 
 /// The operating mode of a PIM-HBM channel (Fig. 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PimMode {
-    /// Standard DRAM operation; each command targets one bank.
+    /// Standard DRAM operation; each command targets one bank. The
+    /// power-on mode.
+    #[default]
     SingleBank,
     /// All banks respond to every command in lock-step; no PIM execution.
     AllBank,
@@ -136,6 +140,19 @@ pub struct PimChannelStats {
     pub conf_reads: u64,
 }
 
+pim_dram::counter_table!(PimChannelStats {
+    mode_transitions,
+    ab_acts,
+    ab_pres,
+    ab_reads,
+    ab_writes,
+    pim_triggers,
+    bank_operand_reads,
+    bank_result_writes,
+    conf_writes,
+    conf_reads,
+});
+
 /// Lock-step timing state of the virtual "all-bank bank": in AB modes every
 /// bank carries identical state, so one set of horizons suffices. Columns
 /// pace at tCCD_L ("each bank can operate at every tCCD_L in AB mode",
@@ -146,14 +163,6 @@ struct AbTiming {
     next_act: Cycle,
     next_col: Cycle,
     next_pre: Cycle,
-}
-
-/// A pending mode-transition: an ACT to ABMR/SBMR has been seen and awaits
-/// its PRE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PendingTransition {
-    ToAllBank(BankAddr),
-    ToSingleBank,
 }
 
 /// A PIM-HBM pseudo channel (see module docs).
@@ -331,16 +340,13 @@ impl PimChannel {
         };
         match row {
             CRF_ROW => {
-                let base = (col as usize % 4) * 8;
+                let (base, words) = (crf_block_base(col), crf_block_words(data));
                 for &t in &targets {
-                    for i in 0..8 {
-                        let b = i * 4;
-                        let w =
-                            u32::from_le_bytes([data[b], data[b + 1], data[b + 2], data[b + 3]]);
+                    for (i, w) in words.into_iter().enumerate() {
                         self.units[t].crf_mut().write_word(base + i, w);
                     }
                 }
-                8 * targets.len() as u64
+                (words.len() * targets.len()) as u64
             }
             SRF_ROW => {
                 for &t in &targets {
@@ -377,13 +383,8 @@ impl PimChannel {
                 d
             }
             CRF_ROW => {
-                let base = (col as usize % 4) * 8;
-                let mut d = [0u8; 32];
-                for i in 0..8 {
-                    let w = self.units[unit_idx].crf().read_word(base + i).to_le_bytes();
-                    d[i * 4..i * 4 + 4].copy_from_slice(&w);
-                }
-                d
+                let crf = self.units[unit_idx].crf();
+                crf_block(std::array::from_fn(|i| crf.read_word(crf_block_base(col) + i)))
             }
             SRF_ROW => {
                 let mut lanes = [pim_fp16::F16::ZERO; 16];
@@ -426,52 +427,84 @@ impl PimChannel {
         fault
     }
 
-    /// Delivers a column-command trigger to every PIM unit in lock-step.
+    /// Delivers a column-command trigger to every PIM unit on the issue
+    /// path, and accounts for it.
     fn dispatch_triggers(&mut self, kind: TriggerKind, row: u32, col: u32) {
         // A hard-failed channel's units never execute: triggers arrive but
         // nothing runs and no results are written, so resident outputs stay
         // stale — the wrong-answer signature the runtime quarantines on.
-        if self.faults.as_ref().is_some_and(|f| f.hard_failed()) {
+        if self.hard_failed() {
             return;
         }
+        let (reads, writes) = self.run_trigger(kind, row, col, &mut InstrSource::Live);
+        let n = self.units.len() as u64;
+        self.stats.pim_triggers += n;
+        self.stats.bank_operand_reads += reads;
+        self.stats.bank_result_writes += writes;
+        if let Some(r) = &self.recorder {
+            r.add(names::DEV_PIM_TRIGGERS, n);
+            // Each trigger occupies a unit's pipeline for one column slot
+            // (tCCD_L — "each bank can operate at every tCCD_L in AB mode").
+            r.add(names::DEV_UNIT_BUSY_CYCLES, n * self.inner.timing().t_ccd_l);
+        }
+    }
+
+    /// One column-command trigger on every unit in lock-step — the single
+    /// datapath loop under the full simulation and both replay tiers. Each
+    /// unit's instruction comes from `source`; the bank blocks it reads
+    /// are fetched at (`row`, `col`) — the open row on the issue path, so
+    /// the backdoor peek is what the row buffer would return, cell faults
+    /// included — and a bank result is written back the same way. Returns
+    /// the operand-read and result-write counts, which the issue path adds
+    /// to its statistics and a replay drops (its recorded delta has them).
+    fn run_trigger(
+        &mut self,
+        kind: TriggerKind,
+        row: u32,
+        col: u32,
+        source: &mut InstrSource<'_>,
+    ) -> (u64, u64) {
+        let (mut reads, mut writes) = (0, 0);
         for u in 0..self.units.len() {
-            let even = BankAddr::from_flat_index(2 * u);
-            let odd = BankAddr::from_flat_index(2 * u + 1);
-            let even_data = LaneVec::from_block(&self.inner.bank(even).read_block(col));
-            let odd_data = LaneVec::from_block(&self.inner.bank(odd).read_block(col));
-            let trig = Trigger { kind, row, col, even_data, odd_data };
-            let out = self.units[u].execute(&trig);
+            let unit = &mut self.units[u];
+            let instr = match source {
+                InstrSource::Play(tape, next) => {
+                    *next += 1;
+                    tape.resolved[*next - 1]
+                }
+                InstrSource::Live => unit.sequence(),
+                InstrSource::Record(tape) => {
+                    let instr = unit.sequence();
+                    tape.resolved.push(instr);
+                    instr
+                }
+            };
+            let Some(instr) = instr else { continue };
             // Cross-check the static verifier's contract: any instruction
             // the unit actually executes must be legal on this variant. A
             // failure here means a program bypassed `pim-verify` (or the
             // verifier has a soundness hole) — debug builds stop at the
             // first dynamic violation.
             #[cfg(debug_assertions)]
-            if let Some(i) = out.executed {
-                if let Err(e) = self.config.instruction_legal(&i) {
-                    panic!("unit {u} executed an illegal instruction `{i}`: {e}");
-                }
+            if let Err(e) = self.config.instruction_legal(&instr) {
+                panic!("unit {u} executed an illegal instruction `{instr}`: {e}");
             }
-            self.stats.pim_triggers += 1;
-            if out.bank_read.is_some() {
-                self.stats.bank_operand_reads += 1;
+            let bank_at =
+                |port| BankAddr::from_flat_index(2 * u + usize::from(port == BankPort::Odd));
+            let inner = &self.inner;
+            let fx = unit.dataflow(instr, kind, col, |port| {
+                LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col))
+            });
+            if matches!(source, InstrSource::Live) {
+                unit.retire(&fx);
             }
-            if let Some((port, v)) = out.bank_write {
-                let addr = match port {
-                    BankPort::Even => even,
-                    BankPort::Odd => odd,
-                };
-                self.inner.bank_mut(addr).write_block(col, &v.to_block());
-                self.stats.bank_result_writes += 1;
+            reads += u64::from(fx.bank_read.is_some());
+            if let Some((port, v)) = fx.bank_write {
+                self.inner.bank_mut(bank_at(port)).poke_block(row, col, &v.to_block());
+                writes += 1;
             }
         }
-        if let Some(r) = &self.recorder {
-            let n = self.units.len() as u64;
-            r.add(names::DEV_PIM_TRIGGERS, n);
-            // Each trigger occupies a unit's pipeline for one column slot
-            // (tCCD_L — "each bank can operate at every tCCD_L in AB mode").
-            r.add(names::DEV_UNIT_BUSY_CYCLES, n * self.inner.timing().t_ccd_l);
-        }
+        (reads, writes)
     }
 
     /// Issues a command while in an all-bank mode.
@@ -725,26 +758,9 @@ impl PimChannel {
     /// Adds a recorded launch's accounting delta into this channel's
     /// counters without simulating the commands that produced it.
     pub fn apply_accounting(&mut self, delta: &LaunchAccounting) {
-        let s = &mut self.stats;
-        let d = &delta.stats;
-        s.mode_transitions += d.mode_transitions;
-        s.ab_acts += d.ab_acts;
-        s.ab_pres += d.ab_pres;
-        s.ab_reads += d.ab_reads;
-        s.ab_writes += d.ab_writes;
-        s.pim_triggers += d.pim_triggers;
-        s.bank_operand_reads += d.bank_operand_reads;
-        s.bank_result_writes += d.bank_result_writes;
-        s.conf_writes += d.conf_writes;
-        s.conf_reads += d.conf_reads;
+        self.stats.merge(&delta.stats);
         for (u, du) in self.units.iter_mut().zip(&delta.units) {
-            let mut stats = *u.stats();
-            stats.instructions += du.instructions;
-            stats.flops += du.flops;
-            stats.bank_reads += du.bank_reads;
-            stats.bank_writes += du.bank_writes;
-            stats.wdata_on_read += du.wdata_on_read;
-            u.set_stats(stats);
+            u.stats_mut().merge(du);
         }
         self.inner.merge_stats(&delta.dram);
         for (i, b) in BankAddr::all().enumerate() {
@@ -769,14 +785,9 @@ impl PimChannel {
     where
         I: IntoIterator<Item = &'a Command>,
     {
-        let mut tape = DataTape {
-            resolved: Vec::new(),
-            units: self.units.len(),
-            triggers: 0,
-            end_seq: Vec::new(),
-        };
-        let mut cursor = ReplayCursor::Record(&mut tape);
-        self.replay_data_walk(cmds, &mut cursor);
+        let mut tape =
+            DataTape { resolved: Vec::new(), units: self.units.len(), end_seq: Vec::new() };
+        self.replay_data_walk(cmds, &mut InstrSource::Record(&mut tape));
         tape.end_seq = self.units.iter().map(|u| u.sequencer_state()).collect();
         tape
     }
@@ -786,225 +797,86 @@ impl PimChannel {
     /// identical entry state. The per-trigger instruction resolution was
     /// recorded by the taping pass (control flow in this ISA never depends
     /// on register data, so it recurs exactly), leaving only the FP16
-    /// dataflow to execute — and only the bank ports each instruction
-    /// actually references get fetched. Sequencer state is restored from
-    /// the recorded end snapshot, so the channel ends bit-identical to the
-    /// taping pass.
+    /// dataflow to execute. Sequencer state is restored from the recorded
+    /// end snapshot, so the channel ends bit-identical to the taping pass.
     pub fn replay_data_taped<'a, I>(&mut self, cmds: I, tape: &DataTape)
     where
         I: IntoIterator<Item = &'a Command>,
     {
         assert_eq!(tape.units, self.units.len(), "tape compiled for a different channel shape");
-        let mut cursor = ReplayCursor::Play(tape, 0);
-        self.replay_data_walk(cmds, &mut cursor);
-        if let ReplayCursor::Play(_, pos) = cursor {
-            debug_assert_eq!(pos, tape.triggers, "tape/stream trigger count diverged");
+        let mut source = InstrSource::Play(tape, 0);
+        self.replay_data_walk(cmds, &mut source);
+        if let InstrSource::Play(_, next) = source {
+            debug_assert_eq!(next, tape.resolved.len(), "tape/stream trigger count diverged");
         }
         for (u, s) in self.units.iter_mut().zip(tape.end_seq.iter()) {
             u.set_sequencer_state(s);
         }
     }
 
-    /// The shared mode-machine walk behind both replay entry points.
-    fn replay_data_walk<'a, I>(&mut self, cmds: I, cursor: &mut ReplayCursor<'_>)
+    /// The walk behind both replay entry points: step the mode machine
+    /// ([`ModeWalker`]), then apply the step's effect to storage.
+    fn replay_data_walk<'a, I>(&mut self, cmds: I, source: &mut InstrSource<'_>)
     where
         I: IntoIterator<Item = &'a Command>,
     {
         debug_assert!(self.faults.is_none(), "replay_data on a faulted channel");
         debug_assert_eq!(self.mode, PimMode::SingleBank);
-        // The recording pass advances unit stats through `execute`, and the
-        // taped pass may bump `wdata_on_read` through operand reads; the
-        // recorded delta already covers them, so save and restore around
-        // the walk.
-        let saved: Vec<crate::unit::UnitStats> = self.units.iter().map(|u| *u.stats()).collect();
-        let mut mode = PimMode::SingleBank;
-        let mut pending: Option<PendingTransition> = None;
-        let mut ab_open: Option<u32> = None;
-        let mut sb_open = [None::<u32>; pim_dram::BANKS_PER_PCH];
+        let mut walker = ModeWalker::new();
         for cmd in cmds {
-            match mode {
-                PimMode::SingleBank => match cmd {
-                    Command::Act { bank, row } => {
-                        sb_open[bank.flat_index()] = Some(*row);
-                        pending = (*row == ABMR_ROW).then_some(PendingTransition::ToAllBank(*bank));
-                    }
-                    Command::Pre { bank } => {
-                        sb_open[bank.flat_index()] = None;
-                        if pending == Some(PendingTransition::ToAllBank(*bank)) {
-                            pending = None;
-                            mode = PimMode::AllBank;
-                            ab_open = None;
-                        }
-                    }
-                    Command::PreAll => sb_open = [None; pim_dram::BANKS_PER_PCH],
-                    Command::Rd { .. } => pending = None,
-                    Command::Wr { bank, col, data } => {
-                        if let Some(row) = sb_open[bank.flat_index()] {
-                            // The issue path stores the block *and* decodes
-                            // the register write for conf rows.
-                            self.inner.bank_mut(*bank).poke_block(row, *col, data);
-                            if Self::is_conf_row(row) {
-                                let unit = self.unit_of(*bank);
-                                self.conf_write_regs(row, *col, data, Some(unit));
-                            }
-                        }
-                        pending = None;
-                    }
-                    Command::Ref => {}
-                },
-                PimMode::AllBank | PimMode::AllBankPim => match cmd {
-                    Command::Act { row, .. } => {
-                        ab_open = Some(*row);
-                        pending = (*row == SBMR_ROW).then_some(PendingTransition::ToSingleBank);
-                    }
-                    Command::Pre { .. } | Command::PreAll => {
-                        ab_open = None;
-                        if pending == Some(PendingTransition::ToSingleBank) {
-                            pending = None;
-                            mode = PimMode::SingleBank;
-                            sb_open = [None; pim_dram::BANKS_PER_PCH];
-                        }
-                    }
-                    Command::Rd { col, .. } => {
-                        if let Some(row) = ab_open {
-                            if !Self::is_conf_row(row) && mode == PimMode::AllBankPim {
-                                self.dispatch_replay(TriggerKind::Read, row, *col, cursor);
-                            }
-                        }
-                    }
-                    Command::Wr { col, data, .. } => {
-                        let Some(row) = ab_open else { continue };
-                        if row == PIM_OP_MODE_ROW {
-                            let enable = data[0] & 1 == 1;
-                            match (mode, enable) {
-                                (PimMode::AllBank, true) => {
-                                    mode = PimMode::AllBankPim;
-                                    // Recording a tape is only legal for
-                                    // programs whose trigger schedule is
-                                    // statically derivable; the fast path
-                                    // proves this before calling us.
-                                    #[cfg(debug_assertions)]
-                                    if matches!(cursor, ReplayCursor::Record(_)) {
-                                        for u in &self.units {
-                                            debug_assert!(
-                                                crate::schedule::StaticSchedule::of_crf(
-                                                    u.crf(),
-                                                    crate::schedule::DEFAULT_SCHEDULE_BUDGET,
-                                                )
-                                                .is_ok(),
-                                                "taping an unprovable CRF program"
-                                            );
-                                        }
-                                    }
-                                    for u in &mut self.units {
-                                        u.reset_sequencer();
-                                    }
-                                }
-                                (PimMode::AllBankPim, false) => mode = PimMode::AllBank,
-                                _ => {}
-                            }
-                        } else if Self::is_conf_row(row) {
-                            self.conf_write_regs(row, *col, data, None);
-                        } else {
-                            match mode {
-                                PimMode::AllBank => {
-                                    for b in BankAddr::all() {
-                                        self.inner.bank_mut(b).poke_block(row, *col, data);
-                                    }
-                                }
-                                PimMode::AllBankPim => {
-                                    let wdata = LaneVec::from_block(data);
-                                    self.dispatch_replay(
-                                        TriggerKind::Write(wdata),
-                                        row,
-                                        *col,
-                                        cursor,
-                                    );
-                                }
-                                PimMode::SingleBank => unreachable!(),
-                            }
-                        }
-                    }
-                    Command::Ref => {}
-                },
-            }
-        }
-        debug_assert_eq!(mode, PimMode::SingleBank, "replayed stream must exit AB mode");
-        for (u, s) in self.units.iter_mut().zip(saved) {
-            u.set_stats(s);
-        }
-    }
-
-    /// One AB-PIM trigger on the replay path. Recording: the full
-    /// [`PimChannel::dispatch_triggers`] data semantics — operands come
-    /// from backdoor peeks (no open row needed), result writes go through
-    /// pokes, no stats or recorder — while logging each unit's resolved
-    /// instruction onto the tape. Playing: the instruction comes off the
-    /// tape, only the bank ports it references are fetched, and
-    /// [`PimUnit::execute_data_only`] runs the dataflow.
-    fn dispatch_replay(
-        &mut self,
-        kind: TriggerKind,
-        row: u32,
-        col: u32,
-        cursor: &mut ReplayCursor<'_>,
-    ) {
-        match cursor {
-            ReplayCursor::Record(tape) => {
-                tape.triggers += 1;
-                for u in 0..self.units.len() {
-                    let even = BankAddr::from_flat_index(2 * u);
-                    let odd = BankAddr::from_flat_index(2 * u + 1);
-                    let even_data =
-                        LaneVec::from_block(&self.inner.bank(even).peek_block(row, col));
-                    let odd_data = LaneVec::from_block(&self.inner.bank(odd).peek_block(row, col));
-                    let trig = Trigger { kind, row, col, even_data, odd_data };
-                    let out = self.units[u].execute(&trig);
-                    #[cfg(debug_assertions)]
-                    if let Some(i) = out.executed {
-                        if let Err(e) = self.config.instruction_legal(&i) {
-                            panic!("unit {u} executed an illegal instruction `{i}`: {e}");
-                        }
-                    }
-                    tape.resolved.push(out.executed);
-                    if let Some((port, v)) = out.bank_write {
-                        let addr = match port {
-                            BankPort::Even => even,
-                            BankPort::Odd => odd,
-                        };
-                        self.inner.bank_mut(addr).poke_block(row, col, &v.to_block());
+            let step = walker.step(cmd);
+            match *cmd {
+                Command::Rd { col, .. } => {
+                    if let Step::Trigger { row } = step {
+                        self.run_trigger(TriggerKind::Read, row, col, source);
                     }
                 }
-            }
-            ReplayCursor::Play(tape, pos) => {
-                let base = *pos * tape.units;
-                *pos += 1;
-                for u in 0..self.units.len() {
-                    let Some(instr) = tape.resolved[base + u] else { continue };
-                    let (need_even, need_odd) = instr_bank_reads(&instr);
-                    let even = BankAddr::from_flat_index(2 * u);
-                    let odd = BankAddr::from_flat_index(2 * u + 1);
-                    let even_data = if need_even {
-                        LaneVec::from_block(&self.inner.bank(even).peek_block(row, col))
-                    } else {
-                        LaneVec::zero()
-                    };
-                    let odd_data = if need_odd {
-                        LaneVec::from_block(&self.inner.bank(odd).peek_block(row, col))
-                    } else {
-                        LaneVec::zero()
-                    };
-                    let trig = Trigger { kind, row, col, even_data, odd_data };
-                    if let Some((port, v)) = self.units[u].execute_data_only(instr, &trig) {
-                        let addr = match port {
-                            BankPort::Even => even,
-                            BankPort::Odd => odd,
-                        };
-                        self.inner.bank_mut(addr).poke_block(row, col, &v.to_block());
+                Command::Wr { bank, col, ref data } => match step {
+                    Step::SbWrite { row } => self.inner.bank_mut(bank).poke_block(row, col, data),
+                    Step::ConfWrite { row, unit } => {
+                        // The single-bank issue path stores the block *and*
+                        // decodes the register write.
+                        if unit.is_some() {
+                            self.inner.bank_mut(bank).poke_block(row, col, data);
+                        }
+                        self.conf_write_regs(row, col, data, unit);
                     }
-                }
+                    Step::PimOpMode { enable: true, toggled: true } => {
+                        // Recording a tape is only legal for programs whose
+                        // trigger schedule is statically derivable; the fast
+                        // path proves this before calling us.
+                        #[cfg(debug_assertions)]
+                        if matches!(source, InstrSource::Record(_)) {
+                            for u in &self.units {
+                                debug_assert!(
+                                    crate::schedule::StaticSchedule::of_crf(
+                                        u.crf(),
+                                        crate::schedule::DEFAULT_SCHEDULE_BUDGET,
+                                    )
+                                    .is_ok(),
+                                    "taping an unprovable CRF program"
+                                );
+                            }
+                        }
+                        for u in &mut self.units {
+                            u.reset_sequencer();
+                        }
+                    }
+                    Step::AbWrite { row } => {
+                        for b in BankAddr::all() {
+                            self.inner.bank_mut(b).poke_block(row, col, data);
+                        }
+                    }
+                    Step::Trigger { row } => {
+                        let wdata = LaneVec::from_block(data);
+                        self.run_trigger(TriggerKind::Write(wdata), row, col, source);
+                    }
+                    Step::PimOpMode { .. } | Step::UnresolvedWrite | Step::RowManagement => {}
+                },
+                _ => {}
             }
         }
+        debug_assert_eq!(walker.mode(), PimMode::SingleBank, "replayed stream must exit AB mode");
     }
 }
 
@@ -1021,45 +893,19 @@ pub struct DataTape {
     /// means the unit was halted and the trigger had no effect on it.
     resolved: Vec<Option<Instruction>>,
     units: usize,
-    triggers: usize,
     /// Per-unit sequencer state at the end of the recorded stream.
     end_seq: Vec<SequencerState>,
 }
 
-/// Position in a replayed stream: recording onto a tape or playing one.
-enum ReplayCursor<'a> {
+/// Where a trigger's per-unit instructions come from.
+enum InstrSource<'a> {
+    /// The units' live sequencers, on the issue path: unit statistics
+    /// advance.
+    Live,
+    /// The live sequencers, logging every resolved instruction onto a tape.
     Record(&'a mut DataTape),
+    /// A compiled tape and the index of its next unplayed instruction.
     Play(&'a DataTape, usize),
-}
-
-/// Which bank ports an instruction reads as source operands (including a
-/// MAC's accumulator read of its destination). Mirrors the operand reads
-/// of the matching [`PimUnit::execute`] arm.
-fn instr_bank_reads(instr: &Instruction) -> (bool, bool) {
-    use crate::isa::{Operand, OperandKind};
-    let mut even = false;
-    let mut odd = false;
-    let mut scan = |op: &Operand| match op.kind {
-        OperandKind::EvenBank => even = true,
-        OperandKind::OddBank => odd = true,
-        _ => {}
-    };
-    match instr {
-        Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => {}
-        Instruction::Mov { src, .. } | Instruction::Fill { src, .. } => scan(src),
-        Instruction::Add { src0, src1, .. }
-        | Instruction::Mul { src0, src1, .. }
-        | Instruction::Mad { src0, src1, .. } => {
-            scan(src0);
-            scan(src1);
-        }
-        Instruction::Mac { dst, src0, src1, .. } => {
-            scan(src0);
-            scan(src1);
-            scan(dst);
-        }
-    }
-    (even, odd)
 }
 
 /// Snapshot of the monotone counters a launch advances on one channel; see
@@ -1069,7 +915,7 @@ fn instr_bank_reads(instr: &Instruction) -> (bool, bool) {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LaunchAccounting {
     stats: PimChannelStats,
-    units: Vec<crate::unit::UnitStats>,
+    units: Vec<UnitStats>,
     dram: pim_dram::ChannelStats,
     bank_open_cycles: Vec<u64>,
 }
@@ -1078,40 +924,10 @@ impl LaunchAccounting {
     /// The field-wise difference `self - start` (both snapshots of the same
     /// channel, `start` taken earlier).
     pub fn delta_since(&self, start: &LaunchAccounting) -> LaunchAccounting {
-        let s = &self.stats;
-        let t = &start.stats;
         LaunchAccounting {
-            stats: PimChannelStats {
-                mode_transitions: s.mode_transitions - t.mode_transitions,
-                ab_acts: s.ab_acts - t.ab_acts,
-                ab_pres: s.ab_pres - t.ab_pres,
-                ab_reads: s.ab_reads - t.ab_reads,
-                ab_writes: s.ab_writes - t.ab_writes,
-                pim_triggers: s.pim_triggers - t.pim_triggers,
-                bank_operand_reads: s.bank_operand_reads - t.bank_operand_reads,
-                bank_result_writes: s.bank_result_writes - t.bank_result_writes,
-                conf_writes: s.conf_writes - t.conf_writes,
-                conf_reads: s.conf_reads - t.conf_reads,
-            },
-            units: self
-                .units
-                .iter()
-                .zip(&start.units)
-                .map(|(a, b)| crate::unit::UnitStats {
-                    instructions: a.instructions - b.instructions,
-                    flops: a.flops - b.flops,
-                    bank_reads: a.bank_reads - b.bank_reads,
-                    bank_writes: a.bank_writes - b.bank_writes,
-                    wdata_on_read: a.wdata_on_read - b.wdata_on_read,
-                })
-                .collect(),
-            dram: pim_dram::ChannelStats {
-                acts: self.dram.acts - start.dram.acts,
-                reads: self.dram.reads - start.dram.reads,
-                writes: self.dram.writes - start.dram.writes,
-                pres: self.dram.pres - start.dram.pres,
-                refreshes: self.dram.refreshes - start.dram.refreshes,
-            },
+            stats: self.stats.since(&start.stats),
+            units: self.units.iter().zip(&start.units).map(|(a, b)| a.since(b)).collect(),
+            dram: self.dram.since(&start.dram),
             bank_open_cycles: self
                 .bank_open_cycles
                 .iter()
@@ -1330,10 +1146,7 @@ mod tests {
             },
             Instruction::Exit,
         ];
-        let mut crf_block = [0u8; 32];
-        for (i, ins) in prog.iter().enumerate() {
-            crf_block[i * 4..i * 4 + 4].copy_from_slice(&ins.encode().to_le_bytes());
-        }
+        let crf_block = crate::conf::crf_blocks(&prog)[0];
         let now = run(
             &mut ch,
             &[
@@ -1435,10 +1248,7 @@ mod tests {
             },
             Instruction::Exit,
         ];
-        let mut crf_block = [0u8; 32];
-        for (i, ins) in prog.iter().enumerate() {
-            crf_block[i * 4..i * 4 + 4].copy_from_slice(&ins.encode().to_le_bytes());
-        }
+        let crf_block = crate::conf::crf_blocks(&prog)[0];
         let now = run(
             &mut ch,
             &[

@@ -25,6 +25,9 @@
 //!   `PIM_CONF` rows; registers are memory-mapped). It implements
 //!   [`pim_dram::CommandSink`], so the unmodified [`pim_dram::MemoryController`]
 //!   drives it — the paper's drop-in-replacement property.
+//! * [`ModeWalker`] — the same mode machine with timing, stats and faults
+//!   removed, for consumers that must know what a *recorded* command
+//!   stream does without issuing it (launch replay, the launch key).
 //! * [`PimConfig`] / [`PimVariant`] — Table IV/V specification constants
 //!   plus the design-space-exploration variants of Fig. 14 (2× resources,
 //!   2-bank access, simultaneous RD+WR).
@@ -56,6 +59,7 @@ mod regfile;
 pub mod schedule;
 mod unit;
 mod vector;
+mod walker;
 
 pub mod conf {
     //! The reserved `PIM_CONF` memory map and mode-transition command
@@ -64,6 +68,7 @@ pub mod conf {
         enter_ab_sequence, exit_ab_sequence, set_pim_op_mode_sequence, ABMR_ROW, CRF_ROW, GRF_ROW,
         PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW, SRF_ROW,
     };
+    pub use crate::regfile::{crf_block_base, crf_block_words, crf_blocks};
 }
 
 pub use config::{PimConfig, PimVariant};
@@ -71,3 +76,4 @@ pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMod
 pub use regfile::{Crf, Grf, Srf};
 pub use unit::{BankPort, PimUnit, Trigger, TriggerKind};
 pub use vector::LaneVec;
+pub use walker::{ModeWalker, Step};

@@ -2,6 +2,7 @@
 
 use crate::isa::Instruction;
 use crate::vector::LaneVec;
+use pim_dram::DataBlock;
 use pim_fp16::F16;
 
 /// Number of CRF (instruction) entries: 32 × 32-bit (Table IV).
@@ -10,6 +11,52 @@ pub const CRF_ENTRIES: usize = 32;
 pub const GRF_ENTRIES_PER_FILE: usize = 8;
 /// Number of 16-bit scalars per SRF file (SRF_M and SRF_A each).
 pub const SRF_ENTRIES_PER_FILE: usize = 8;
+
+/// CRF words carried by one 32-byte block of the memory-mapped `CRF` row.
+pub const CRF_WORDS_PER_BLOCK: usize = 8;
+
+/// The first CRF entry a block written at column `col` of the `CRF` row
+/// covers: four blocks map the 32 entries, higher columns alias them.
+pub fn crf_block_base(col: u32) -> usize {
+    (col as usize % (CRF_ENTRIES / CRF_WORDS_PER_BLOCK)) * CRF_WORDS_PER_BLOCK
+}
+
+/// Packs eight instruction words into one `CRF`-row block, little-endian.
+pub fn crf_block(words: [u32; CRF_WORDS_PER_BLOCK]) -> DataBlock {
+    let mut block: DataBlock = [0u8; 32];
+    for (bytes, w) in block.chunks_exact_mut(4).zip(words) {
+        bytes.copy_from_slice(&w.to_le_bytes());
+    }
+    block
+}
+
+/// The eight instruction words of one `CRF`-row block.
+pub fn crf_block_words(block: &DataBlock) -> [u32; CRF_WORDS_PER_BLOCK] {
+    std::array::from_fn(|i| {
+        u32::from_le_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]])
+    })
+}
+
+/// The blocks that load `program` through the `CRF` row, block `c` at
+/// column `c`. The last block is padded with EXIT so stale words from a
+/// previous kernel cannot run past the program's end.
+///
+/// # Panics
+///
+/// Panics if the program exceeds the 32-entry CRF.
+pub fn crf_blocks(program: &[Instruction]) -> Vec<DataBlock> {
+    assert!(program.len() <= CRF_ENTRIES, "microkernel exceeds the 32-entry CRF");
+    program
+        .chunks(CRF_WORDS_PER_BLOCK)
+        .map(|chunk| {
+            let mut words = [Instruction::Exit.encode(); CRF_WORDS_PER_BLOCK];
+            for (w, instr) in words.iter_mut().zip(chunk) {
+                *w = instr.encode();
+            }
+            crf_block(words)
+        })
+        .collect()
+}
 
 /// The command register file: a 32-entry instruction buffer holding the PIM
 /// microkernel. "PIM instructions are stored in the CRF serving as an

@@ -65,6 +65,21 @@ pub struct ExecOutcome {
     pub halted: bool,
 }
 
+/// What the dataflow of one instruction touched ([`PimUnit::dataflow`]):
+/// the write-back the device must perform, and the counts the full
+/// simulation adds to its statistics and a data replay drops.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Dataflow {
+    /// A block the instruction wrote back to a bank at (row, col), if any.
+    pub(crate) bank_write: Option<(BankPort, LaneVec)>,
+    /// The bank port a source operand consumed, if any.
+    pub(crate) bank_read: Option<BankPort>,
+    /// FP operations performed.
+    pub(crate) flops: u64,
+    /// WDATA operands requested on a RD trigger (zeros were supplied).
+    pub(crate) wdata_on_read: u64,
+}
+
 /// Per-unit execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitStats {
@@ -81,6 +96,8 @@ pub struct UnitStats {
     /// zeros).
     pub wdata_on_read: u64,
 }
+
+pim_dram::counter_table!(UnitStats { instructions, flops, bank_reads, bank_writes, wdata_on_read });
 
 /// Snapshot of a unit's instruction-sequencing state (everything that
 /// determines which instruction the next trigger resolves to, independent
@@ -206,11 +223,10 @@ impl PimUnit {
         &self.stats
     }
 
-    /// Overwrites the statistics counters. Used by the launch-replay path,
-    /// which re-executes instructions for their data effects only and then
-    /// restores the counters recorded by the original full simulation.
-    pub(crate) fn set_stats(&mut self, stats: UnitStats) {
-        self.stats = stats;
+    /// Mutable statistics: the launch-replay path adds a recorded launch's
+    /// delta here instead of re-counting.
+    pub(crate) fn stats_mut(&mut self) -> &mut UnitStats {
+        &mut self.stats
     }
 
     /// Captures the sequencer state (see [`SequencerState`]).
@@ -299,37 +315,6 @@ impl PimUnit {
         }
     }
 
-    fn read_operand(
-        &mut self,
-        op: Operand,
-        aam: bool,
-        trig: &Trigger,
-        bank_read: &mut Option<BankPort>,
-    ) -> LaneVec {
-        let idx = Self::src_index(op, aam, trig.col);
-        match op.kind {
-            OperandKind::GrfA => self.grf_a.read(idx),
-            OperandKind::GrfB => self.grf_b.read(idx),
-            OperandKind::EvenBank => {
-                *bank_read = Some(BankPort::Even);
-                trig.even_data
-            }
-            OperandKind::OddBank => {
-                *bank_read = Some(BankPort::Odd);
-                trig.odd_data
-            }
-            OperandKind::SrfM => self.srf_m.read_broadcast(idx),
-            OperandKind::SrfA => self.srf_a.read_broadcast(idx),
-            OperandKind::Wdata => match trig.kind {
-                TriggerKind::Write(d) => d,
-                TriggerKind::Read => {
-                    self.stats.wdata_on_read += 1;
-                    LaneVec::zero()
-                }
-            },
-        }
-    }
-
     /// Writes `value` to `dst`; returns a bank write-back if the destination
     /// is a bank.
     fn write_operand(
@@ -370,161 +355,139 @@ impl PimUnit {
         }
     }
 
-    /// Executes one trigger: resolves control flow, runs one instruction,
-    /// advances the PPC.
+    /// The sequencer half of a trigger: resolves zero-cycle control flow,
+    /// fetches, and advances the PPC past the instruction this trigger
+    /// executes. Returns that instruction — one repeat of a multi-cycle NOP
+    /// reads as `NOP 1` — or `None` once the unit has halted. No register
+    /// data is read: which instruction the n-th trigger resolves to is a
+    /// function of the CRF image alone.
+    pub(crate) fn sequence(&mut self) -> Option<Instruction> {
+        let instr = if self.nop_remaining > 0 {
+            // A multi-cycle NOP absorbs this trigger without a fetch; the
+            // PPC moves on when the last repeat is consumed.
+            self.nop_remaining -= 1;
+            Instruction::Nop { cycles: 1 }
+        } else {
+            self.resolve_control();
+            if self.halted {
+                return None;
+            }
+            let instr = self.crf.fetch(self.ppc);
+            if let Instruction::Nop { cycles } = instr {
+                self.nop_remaining = cycles.saturating_sub(1);
+            }
+            instr
+        };
+        if self.nop_remaining == 0 {
+            self.ppc += 1;
+            if self.ppc >= CRF_ENTRIES {
+                self.halted = true;
+            }
+        }
+        Some(instr)
+    }
+
+    /// The dataflow half of a trigger: the register and bank effects of one
+    /// already-resolved instruction, with no sequencer advance and no
+    /// stats. `bank` supplies the block at a bank port, and is asked only
+    /// for ports the instruction reads.
+    ///
+    /// Running it on an instruction resolved by an *earlier* execution of
+    /// the same launch (the tape replay) is legal because control flow in
+    /// this ISA is data-independent: the full trigger schedule of a CRF
+    /// image derives statically ([`crate::schedule::StaticSchedule`]), and
+    /// the fast path only records launches whose armed images prove
+    /// (`pim-verify`'s PV301 flags the rest ahead of time).
+    pub(crate) fn dataflow(
+        &mut self,
+        instr: Instruction,
+        kind: TriggerKind,
+        col: u32,
+        mut bank: impl FnMut(BankPort) -> LaneVec,
+    ) -> Dataflow {
+        let this = &*self;
+        let (mut bank_read, mut wdata_on_read) = (None, 0);
+        let mut read = |op: Operand, aam: bool| {
+            let idx = Self::src_index(op, aam, col);
+            match op.kind {
+                OperandKind::GrfA => this.grf_a.read(idx),
+                OperandKind::GrfB => this.grf_b.read(idx),
+                OperandKind::EvenBank => {
+                    bank_read = Some(BankPort::Even);
+                    bank(BankPort::Even)
+                }
+                OperandKind::OddBank => {
+                    bank_read = Some(BankPort::Odd);
+                    bank(BankPort::Odd)
+                }
+                OperandKind::SrfM => this.srf_m.read_broadcast(idx),
+                OperandKind::SrfA => this.srf_a.read_broadcast(idx),
+                OperandKind::Wdata => match kind {
+                    TriggerKind::Write(d) => d,
+                    TriggerKind::Read => {
+                        wdata_on_read += 1;
+                        LaneVec::zero()
+                    }
+                },
+            }
+        };
+        let (dst, aam, value, flops) = match instr {
+            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => {
+                return Dataflow::default()
+            }
+            Instruction::Mov { dst, src, relu, aam } => {
+                let v = read(src, aam);
+                (dst, aam, if relu { v.relu() } else { v }, 0)
+            }
+            Instruction::Fill { dst, src, aam } => (dst, aam, read(src, aam), 0),
+            Instruction::Add { dst, src0, src1, aam } => {
+                (dst, aam, read(src0, aam).add(read(src1, aam)), 16)
+            }
+            Instruction::Mul { dst, src0, src1, aam } => {
+                (dst, aam, read(src0, aam).mul(read(src1, aam)), 16)
+            }
+            Instruction::Mac { dst, src0, src1, aam } => {
+                let (a, b) = (read(src0, aam), read(src1, aam));
+                (dst, aam, a.mac(b, read(dst, aam)), 32)
+            }
+            Instruction::Mad { dst, src0, src1, aam } => {
+                // SRC2 shares SRC1's index, in SRF_A (Section III-C).
+                let c = this.srf_a.read_broadcast(Self::src_index(src1, aam, col));
+                (dst, aam, read(src0, aam).mac(read(src1, aam), c), 32)
+            }
+        };
+        let bank_write = self.write_operand(dst, aam, col, value);
+        Dataflow { bank_write, bank_read, flops, wdata_on_read }
+    }
+
+    /// Counts one executed trigger into the unit's statistics.
+    pub(crate) fn retire(&mut self, fx: &Dataflow) {
+        self.stats.instructions += 1;
+        self.stats.flops += fx.flops;
+        self.stats.bank_reads += u64::from(fx.bank_read.is_some());
+        self.stats.bank_writes += u64::from(fx.bank_write.is_some());
+        self.stats.wdata_on_read += fx.wdata_on_read;
+    }
+
+    /// Executes one trigger: sequencer step, dataflow of the resolved
+    /// instruction, statistics.
     ///
     /// This is "a DRAM column command triggers the execution of a PIM
     /// instruction" (Section III-A), at the heart of the architecture.
     pub fn execute(&mut self, trig: &Trigger) -> ExecOutcome {
-        // A multi-cycle NOP absorbs this trigger without a fetch.
-        if self.nop_remaining > 0 {
-            self.nop_remaining -= 1;
-            self.stats.instructions += 1;
-            if self.nop_remaining == 0 {
-                self.ppc += 1;
-            }
-            return ExecOutcome {
-                executed: Some(Instruction::Nop { cycles: 1 }),
-                bank_write: None,
-                bank_read: None,
-                halted: self.halted,
-            };
-        }
-
-        self.resolve_control();
-        if self.halted {
+        let Some(instr) = self.sequence() else {
             return ExecOutcome { executed: None, bank_write: None, bank_read: None, halted: true };
-        }
-
-        let instr = self.crf.fetch(self.ppc);
-        let mut bank_read = None;
-        let mut bank_write = None;
-        match instr {
-            Instruction::Nop { cycles } => {
-                if cycles > 1 {
-                    self.nop_remaining = cycles - 1;
-                    // ppc advances when the last repeat is consumed.
-                } else {
-                    self.ppc += 1;
-                }
-            }
-            Instruction::Jump { .. } | Instruction::Exit => {
-                unreachable!("control flow resolved before fetch")
-            }
-            Instruction::Mov { dst, src, relu, aam } => {
-                let mut v = self.read_operand(src, aam, trig, &mut bank_read);
-                if relu {
-                    v = v.relu();
-                }
-                bank_write = self.write_operand(dst, aam, trig.col, v);
-                self.ppc += 1;
-            }
-            Instruction::Fill { dst, src, aam } => {
-                let v = self.read_operand(src, aam, trig, &mut bank_read);
-                bank_write = self.write_operand(dst, aam, trig.col, v);
-                self.ppc += 1;
-            }
-            Instruction::Add { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                bank_write = self.write_operand(dst, aam, trig.col, a.add(b));
-                self.stats.flops += 16;
-                self.ppc += 1;
-            }
-            Instruction::Mul { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                bank_write = self.write_operand(dst, aam, trig.col, a.mul(b));
-                self.stats.flops += 16;
-                self.ppc += 1;
-            }
-            Instruction::Mac { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                let acc = self.read_operand(dst, aam, trig, &mut bank_read);
-                bank_write = self.write_operand(dst, aam, trig.col, a.mac(b, acc));
-                self.stats.flops += 32;
-                self.ppc += 1;
-            }
-            Instruction::Mad { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                // SRC2 shares SRC1's index, in SRF_A (Section III-C).
-                let c_idx = Self::src_index(src1, aam, trig.col);
-                let c = self.srf_a.read_broadcast(c_idx);
-                bank_write = self.write_operand(dst, aam, trig.col, a.mac(b, c));
-                self.stats.flops += 32;
-                self.ppc += 1;
-            }
-        }
-        if self.ppc >= CRF_ENTRIES {
-            self.halted = true;
-        }
-        self.stats.instructions += 1;
-        if bank_read.is_some() {
-            self.stats.bank_reads += 1;
-        }
-        if bank_write.is_some() {
-            self.stats.bank_writes += 1;
-        }
-        ExecOutcome { executed: Some(instr), bank_write, bank_read, halted: self.halted }
-    }
-
-    /// The data effects of an already-resolved instruction: exactly the
-    /// register/bank dataflow of the matching [`PimUnit::execute`] arm,
-    /// with no sequencer advance and no stats. This is the tape-replay
-    /// executor — the instruction stream was resolved by a recorded full
-    /// execution of the same launch, which is legal because control flow
-    /// in this ISA is data-independent: the full trigger schedule of a
-    /// CRF image derives statically ([`crate::schedule::StaticSchedule`]),
-    /// and the fast path only records launches whose armed images prove
-    /// (`pim-verify`'s PV301 flags the rest ahead of time), so only the
-    /// FP16 dataflow remains to run.
-    /// Callers restore the recorded [`SequencerState`] and stats snapshots
-    /// afterwards; the data-replay equivalence is pinned by the fast-path
-    /// exactness tests and the `fastpath_check` CI gate.
-    pub(crate) fn execute_data_only(
-        &mut self,
-        instr: Instruction,
-        trig: &Trigger,
-    ) -> Option<(BankPort, LaneVec)> {
-        let mut bank_read = None;
-        match instr {
-            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => None,
-            Instruction::Mov { dst, src, relu, aam } => {
-                let mut v = self.read_operand(src, aam, trig, &mut bank_read);
-                if relu {
-                    v = v.relu();
-                }
-                self.write_operand(dst, aam, trig.col, v)
-            }
-            Instruction::Fill { dst, src, aam } => {
-                let v = self.read_operand(src, aam, trig, &mut bank_read);
-                self.write_operand(dst, aam, trig.col, v)
-            }
-            Instruction::Add { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                self.write_operand(dst, aam, trig.col, a.add(b))
-            }
-            Instruction::Mul { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                self.write_operand(dst, aam, trig.col, a.mul(b))
-            }
-            Instruction::Mac { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                let acc = self.read_operand(dst, aam, trig, &mut bank_read);
-                self.write_operand(dst, aam, trig.col, a.mac(b, acc))
-            }
-            Instruction::Mad { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, trig, &mut bank_read);
-                let b = self.read_operand(src1, aam, trig, &mut bank_read);
-                let c_idx = Self::src_index(src1, aam, trig.col);
-                let c = self.srf_a.read_broadcast(c_idx);
-                self.write_operand(dst, aam, trig.col, a.mac(b, c))
-            }
+        };
+        let fx = self.dataflow(instr, trig.kind, trig.col, |port| match port {
+            BankPort::Even => trig.even_data,
+            BankPort::Odd => trig.odd_data,
+        });
+        self.retire(&fx);
+        ExecOutcome {
+            executed: Some(instr),
+            bank_write: fx.bank_write,
+            bank_read: fx.bank_read,
+            halted: self.halted,
         }
     }
 }

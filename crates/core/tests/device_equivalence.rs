@@ -83,3 +83,370 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 }
+
+// ---------------------------------------------------------------------
+// Launch streams: the mode-machine walker tracks the device command by
+// command, and both data-replay tiers end where the full simulation ends.
+// ---------------------------------------------------------------------
+
+use pim_core::isa::{Instruction, Operand};
+use pim_core::{conf, DataTape, ModeWalker, PimMode, Step};
+use pim_dram::{Command, CommandSink, DataBlock};
+
+/// Microkernels the generated streams load: AAM and fixed indexing, bank
+/// write-back, WDATA (a stats-only anomaly on RD triggers), MAD's SRF_A
+/// addend, JUMP loops (nested), multi-cycle NOPs, and one program that
+/// spans two CRF blocks.
+fn program_pool() -> Vec<Vec<Instruction>> {
+    let mac = |aam| Instruction::Mac {
+        dst: Operand::grf_b(0),
+        src0: Operand::even_bank(),
+        src1: Operand::srf_m(1),
+        aam,
+    };
+    let fill_srf = Instruction::Fill { dst: Operand::srf_m(0), src: Operand::wdata(), aam: false };
+    let store = Instruction::Mov {
+        dst: Operand::odd_bank(),
+        src: Operand::grf_b(0),
+        relu: true,
+        aam: true,
+    };
+    let add = Instruction::Add {
+        dst: Operand::grf_a(2),
+        src0: Operand::grf_b(1),
+        src1: Operand::odd_bank(),
+        aam: false,
+    };
+    let mut long = vec![mac(true); 9];
+    long.push(store);
+    vec![
+        vec![mac(true), Instruction::Jump { target: 0, count: 5 }, store, Instruction::Exit],
+        vec![
+            fill_srf,
+            mac(true),
+            Instruction::Jump { target: 1, count: 3 },
+            Instruction::Jump { target: 0, count: 2 },
+            Instruction::Nop { cycles: 3 },
+            store,
+        ],
+        vec![
+            Instruction::Nop { cycles: 2 },
+            Instruction::Mad {
+                dst: Operand::grf_a(0),
+                src0: Operand::even_bank(),
+                src1: Operand::srf_m(3),
+                aam: true,
+            },
+            add,
+            Instruction::Mul {
+                dst: Operand::grf_b(3),
+                src0: Operand::grf_a(2),
+                src1: Operand::wdata(),
+                aam: false,
+            },
+            Instruction::Mov {
+                dst: Operand::even_bank(),
+                src: Operand::grf_a(0),
+                relu: false,
+                aam: true,
+            },
+            Instruction::Jump { target: 1, count: 4 },
+        ],
+        long,
+    ]
+}
+
+#[test]
+fn program_pool_is_legal_on_the_paper_device() {
+    for (p, prog) in program_pool().iter().enumerate() {
+        for i in prog {
+            PimConfig::paper()
+                .instruction_legal(i)
+                .unwrap_or_else(|e| panic!("pool[{p}] {i}: {e}"));
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Col {
+    Rd(u32),
+    Wr(u32, u8),
+}
+
+/// One choreography fragment. Every fragment leaves all rows closed, and
+/// [`build`] adapts it to the mode it lands in, so any sequence is legal.
+#[derive(Debug, Clone)]
+enum Frag {
+    /// ACT / columns / PRE on a data row: plain traffic in SB, broadcast
+    /// writes in AB, RD and WR triggers in AB-PIM.
+    Data {
+        bank: u8,
+        row: u32,
+        cols: Vec<Col>,
+    },
+    /// Loads pool program `prog`: one unit in SB, broadcast in AB.
+    Crf {
+        bank: u8,
+        prog: usize,
+    },
+    Srf {
+        bank: u8,
+        seed: u8,
+    },
+    Grf {
+        bank: u8,
+        col: u32,
+        seed: u8,
+    },
+    EnterAb {
+        bank: u8,
+    },
+    /// ACT ABMR, a column command, PRE: in SB the column disarms the entry.
+    DisarmedEnter {
+        bank: u8,
+        write: bool,
+    },
+    /// ACT SBMR, optionally a column command, PRE: all-bank columns do not
+    /// disarm the exit.
+    ExitAb {
+        column: bool,
+    },
+    /// The `PIM_OP_MODE` sequence: ignored in SB, redundant when repeated.
+    PimOpMode(bool),
+    /// The executor's choreography up to the data phase — enter AB, load a
+    /// program, `PIM_OP_MODE = 1`, run these fragments — left in AB-PIM
+    /// for whatever follows.
+    Launch(Vec<Frag>),
+}
+
+fn payload(seed: u8) -> DataBlock {
+    std::array::from_fn(|i| seed.wrapping_mul(31).wrapping_add(i as u8 * 7))
+}
+
+fn data() -> impl Strategy<Value = Frag> {
+    let col = prop_oneof![
+        (0u32..32).prop_map(Col::Rd),
+        (0u32..32, any::<u8>()).prop_map(|(c, v)| Col::Wr(c, v)),
+    ];
+    (0u8..16, 0u32..4, proptest::collection::vec(col, 1..12))
+        .prop_map(|(bank, row, cols)| Frag::Data { bank, row, cols })
+}
+
+fn frags() -> impl Strategy<Value = Vec<Frag>> {
+    let bank = || 0u8..16;
+    proptest::collection::vec(
+        prop_oneof![
+            data(),
+            (bank(), 0usize..4, proptest::collection::vec(data(), 1..4)).prop_map(
+                |(bank, prog, mut body)| {
+                    body.splice(
+                        0..0,
+                        [Frag::EnterAb { bank }, Frag::Crf { bank, prog }, Frag::PimOpMode(true)],
+                    );
+                    Frag::Launch(body)
+                }
+            ),
+            (bank(), 0usize..4).prop_map(|(bank, prog)| Frag::Crf { bank, prog }),
+            (bank(), any::<u8>()).prop_map(|(bank, seed)| Frag::Srf { bank, seed }),
+            (bank(), 0u32..16, any::<u8>()).prop_map(|(bank, col, seed)| Frag::Grf {
+                bank,
+                col,
+                seed
+            }),
+            bank().prop_map(|bank| Frag::EnterAb { bank }),
+            (bank(), any::<bool>()).prop_map(|(bank, write)| Frag::DisarmedEnter { bank, write }),
+            any::<bool>().prop_map(|column| Frag::ExitAb { column }),
+            any::<bool>().prop_map(Frag::PimOpMode),
+        ],
+        1..40,
+    )
+}
+
+/// Lowers fragments to a complete launch stream (it ends in SB mode).
+fn build(frags: &[Frag]) -> Vec<Command> {
+    let mut ab = false;
+    let mut out = Vec::new();
+    lower(frags, &mut ab, &mut out);
+    lower(&[Frag::ExitAb { column: false }], &mut ab, &mut out);
+    out
+}
+
+fn lower(frags: &[Frag], ab: &mut bool, out: &mut Vec<Command>) {
+    let pool = program_pool();
+    for f in frags {
+        let on = |bank: &u8| BankAddr::from_flat_index(*bank as usize);
+        match f {
+            Frag::Data { bank, row, cols } => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: *row });
+                out.extend(cols.iter().map(|c| match *c {
+                    Col::Rd(col) => Command::Rd { bank, col },
+                    Col::Wr(col, v) => Command::Wr { bank, col, data: payload(v) },
+                }));
+                out.push(Command::Pre { bank });
+            }
+            Frag::Crf { bank, prog } => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: conf::CRF_ROW });
+                for (c, data) in conf::crf_blocks(&pool[*prog]).into_iter().enumerate() {
+                    out.push(Command::Wr { bank, col: c as u32, data });
+                }
+                out.push(Command::Pre { bank });
+            }
+            Frag::Srf { bank, seed } => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: conf::SRF_ROW });
+                out.push(Command::Wr { bank, col: 0, data: payload(*seed) });
+                out.push(Command::Pre { bank });
+            }
+            Frag::Grf { bank, col, seed } => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: conf::GRF_ROW });
+                out.push(Command::Wr { bank, col: *col, data: payload(*seed) });
+                out.push(Command::Pre { bank });
+            }
+            Frag::EnterAb { bank } if !*ab => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: conf::ABMR_ROW });
+                out.push(Command::Pre { bank });
+                *ab = true;
+            }
+            Frag::DisarmedEnter { bank, write } if !*ab => {
+                let bank = on(bank);
+                out.push(Command::Act { bank, row: conf::ABMR_ROW });
+                out.push(if *write {
+                    Command::Wr { bank, col: 1, data: payload(9) }
+                } else {
+                    Command::Rd { bank, col: 1 }
+                });
+                out.push(Command::Pre { bank });
+            }
+            Frag::ExitAb { column } if *ab => {
+                let bank = BankAddr::new(0, 0);
+                out.push(Command::Act { bank, row: conf::SBMR_ROW });
+                if *column {
+                    out.push(Command::Rd { bank, col: 0 });
+                }
+                out.push(Command::Pre { bank });
+                *ab = false;
+            }
+            Frag::PimOpMode(enable) => out.extend(conf::set_pim_op_mode_sequence(*enable)),
+            Frag::Launch(body) => lower(body, ab, out),
+            Frag::EnterAb { .. } | Frag::DisarmedEnter { .. } | Frag::ExitAb { .. } => {}
+        }
+    }
+}
+
+fn fresh_channel() -> PimChannel {
+    PimChannel::new(TimingParams::hbm2(), PimConfig::paper())
+}
+
+/// Everything a launch's data path can change: bank bytes (the data rows
+/// the fragments use plus the `PIM_CONF` rows single-bank register writes
+/// also store to), register files, and the sequencer's visible state.
+#[derive(Debug, PartialEq)]
+struct DataState {
+    banks: Vec<DataBlock>,
+    units: Vec<UnitState>,
+}
+
+#[derive(Debug, PartialEq)]
+struct UnitState {
+    grf: Vec<DataBlock>,
+    srf: Vec<u16>,
+    crf: Vec<u32>,
+    ppc: usize,
+    halted: bool,
+}
+
+fn data_state(ch: &PimChannel) -> DataState {
+    let rows = (0..4).chain(conf::PIM_CONF_FIRST_ROW..=conf::ABMR_ROW);
+    let banks = BankAddr::all()
+        .flat_map(|b| rows.clone().map(move |r| (b, r)))
+        .flat_map(|(b, r)| (0..32).map(move |c| (b, r, c)))
+        .map(|(b, r, c)| ch.dram().bank(b).peek_block(r, c))
+        .collect();
+    let units = (0..ch.unit_count())
+        .map(|u| {
+            let u = ch.unit(u);
+            let grf = (0..8).flat_map(|i| [u.grf_a().read(i), u.grf_b().read(i)]);
+            let srf = (0..8).flat_map(|i| [u.srf_m().read(i), u.srf_a().read(i)]);
+            UnitState {
+                grf: grf.map(|v| v.to_block()).collect(),
+                srf: srf.map(|s| s.to_bits()).collect(),
+                crf: (0..32).map(|i| u.crf().read_word(i)).collect(),
+                ppc: u.ppc(),
+                halted: u.is_halted(),
+            }
+        })
+        .collect();
+    DataState { banks, units }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// After every command the walker's mode and every bank's resolved
+    /// open row equal the device's, and its classification accounts for
+    /// exactly the register writes and triggers the device counted.
+    #[test]
+    fn walker_tracks_the_device_command_by_command(frags in frags()) {
+        let mut ch = fresh_channel();
+        let mut walker = ModeWalker::new();
+        let (mut now, mut conf_writes, mut triggers) = (0, 0u64, 0u64);
+        for cmd in build(&frags) {
+            let at = ch.earliest_issue(&cmd, now);
+            ch.issue(&cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
+            now = at;
+            match walker.step(&cmd) {
+                Step::ConfWrite { .. } | Step::PimOpMode { .. } => conf_writes += 1,
+                Step::Trigger { .. } => triggers += 1,
+                Step::UnresolvedWrite => prop_assert!(false, "{} did not resolve", cmd),
+                Step::RowManagement | Step::SbWrite { .. } | Step::AbWrite { .. } => {}
+            }
+            prop_assert_eq!(walker.mode(), ch.mode(), "after {}", cmd);
+            for bank in BankAddr::all() {
+                prop_assert_eq!(walker.open_row(bank), ch.open_row(bank), "{} after {}", bank, cmd);
+            }
+        }
+        prop_assert_eq!(walker.mode(), PimMode::SingleBank);
+        prop_assert_eq!(ch.stats().conf_writes, conf_writes);
+        prop_assert_eq!(ch.stats().pim_triggers, triggers * ch.unit_count() as u64);
+    }
+
+    /// A fresh channel driven by the recording replay, and a third driven
+    /// by the taped replay of that tape, end with the data state of the
+    /// fully simulated one — and with untouched counters.
+    #[test]
+    fn both_replay_tiers_end_where_the_simulation_ends(frags in frags()) {
+        let cmds = build(&frags);
+        let mut full = fresh_channel();
+        let mut now = 0;
+        for cmd in &cmds {
+            let at = full.earliest_issue(cmd, now);
+            full.issue(cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
+            now = at;
+        }
+        let want = data_state(&full);
+
+        let mut recording = fresh_channel();
+        let tape: DataTape = recording.replay_data_recording(&cmds);
+        prop_assert_eq!(&data_state(&recording), &want, "recording replay");
+
+        let mut taped = fresh_channel();
+        taped.replay_data_taped(&cmds, &tape);
+        prop_assert_eq!(&data_state(&taped), &want, "taped replay");
+
+        let idle = fresh_channel();
+        for (name, ch) in [("recording", &recording), ("taped", &taped)] {
+            prop_assert_eq!(ch.stats(), idle.stats(), "{} replay moved device stats", name);
+            for u in 0..ch.unit_count() {
+                prop_assert_eq!(
+                    ch.unit(u).stats(),
+                    idle.unit(u).stats(),
+                    "{} replay moved unit {} stats", name, u
+                );
+            }
+        }
+    }
+}

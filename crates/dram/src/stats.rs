@@ -2,6 +2,30 @@
 
 use crate::timing::Cycle;
 
+/// Implements `merge` (field-wise add) and `since` (field-wise subtract)
+/// for a struct of `u64` counters from the one list of its fields. Both
+/// destructure the struct exhaustively, so adding a counter without
+/// listing it here is a compile error — it can never be silently dropped
+/// from a merged total or a launch delta.
+#[macro_export]
+macro_rules! counter_table {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $ty {
+            /// Adds another counter set into this one.
+            pub fn merge(&mut self, other: &$ty) {
+                let $ty { $($field),+ } = other;
+                $(self.$field += *$field;)+
+            }
+
+            /// The counters accumulated since `start` was snapshotted.
+            pub fn since(&self, start: &$ty) -> $ty {
+                let $ty { $($field),+ } = start;
+                $ty { $($field: self.$field - *$field),+ }
+            }
+        }
+    };
+}
+
 /// Per-pseudo-channel command counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChannelStats {
@@ -27,16 +51,9 @@ impl ChannelStats {
     pub fn data_bytes(&self) -> u64 {
         self.column_commands() * crate::DATA_BLOCK_BYTES as u64
     }
-
-    /// Adds another counter set into this one.
-    pub fn merge(&mut self, other: &ChannelStats) {
-        self.acts += other.acts;
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.pres += other.pres;
-        self.refreshes += other.refreshes;
-    }
 }
+
+counter_table!(ChannelStats { acts, reads, writes, pres, refreshes });
 
 /// Memory-controller level statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -21,7 +21,7 @@
 use crate::config::HostConfig;
 use crate::system::PimSystem;
 use pim_core::PimChannel;
-use pim_dram::{Command, CommandSink, Cycle, MemoryController};
+use pim_dram::{Command, CommandSink, Cycle, MemoryController, TimingParams};
 use pim_obs::{names, Event, Recorder, Scope};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -74,6 +74,31 @@ impl Batch {
         self
     }
 
+    /// Whether the watchdog may skip this batch once the cycle limit has
+    /// passed: data batches (commutative or fenced) are cancellation
+    /// checkpoints, setup/teardown batches always issue.
+    pub(crate) fn cancellable(&self) -> bool {
+        self.commutative || self.fence_after
+    }
+
+    /// The order in which this batch — number `index` of its channel's
+    /// list — issues under `mode`: program order, except that a seeded
+    /// [`ExecutionMode::Fenced`] shuffles commutative batches with a
+    /// permutation derived from the seed and the batch index. The engine,
+    /// the predictor and data replay all issue in this order.
+    pub(crate) fn issue_order(&self, index: usize, mode: ExecutionMode) -> Cow<'_, [Command]> {
+        match mode {
+            ExecutionMode::Fenced { reorder_seed: Some(seed) }
+                if self.commutative && self.commands.len() > 1 =>
+            {
+                let mut shuffled = self.commands.clone();
+                shuffled.shuffle(&mut SmallRng::seed_from_u64(seed ^ index as u64));
+                Cow::Owned(shuffled)
+            }
+            _ => Cow::Borrowed(&self.commands),
+        }
+    }
+
     /// The span name: the label if set, else `batch<index>`.
     fn span_name(&self, index: usize) -> Cow<'static, str> {
         match self.label {
@@ -106,6 +131,22 @@ pub enum ExecutionMode {
         /// Shuffle seed.
         seed: u64,
     },
+}
+
+impl ExecutionMode {
+    /// Cycles the fence after `batch` holds the channel past the batch's
+    /// last command — draining in-flight data (read latency + burst) and
+    /// synchronizing the thread group — or `None` if no fence follows it
+    /// under this mode.
+    pub(crate) fn fence_stall(
+        self,
+        batch: &Batch,
+        host: &HostConfig,
+        t: &TimingParams,
+    ) -> Option<Cycle> {
+        (matches!(self, ExecutionMode::Fenced { .. }) && batch.fence_after)
+            .then(|| t.t_cl + t.t_bl + host.fence_sync_overhead_cycles)
+    }
 }
 
 /// The outcome of a bounded (watchdog-limited) kernel run on one channel:
@@ -259,46 +300,16 @@ impl KernelEngine {
                     r.end(last, "unfenced_stream", names::CAT_BATCH, scope);
                 }
             }
-            ExecutionMode::Ordered => {
+            ExecutionMode::Ordered | ExecutionMode::Fenced { .. } => {
                 for (bi, b) in batches.iter().enumerate() {
-                    if (b.commutative || b.fence_after) && over(ctrl.now()) {
-                        cancelled = true;
-                        continue;
-                    }
-                    commands += b.commands.len() as u64;
-                    if let Some(r) = &rec {
-                        r.begin(ctrl.now(), b.span_name(bi), names::CAT_BATCH, scope);
-                        r.add(names::ENGINE_BATCHES, 1);
-                        r.observe(
-                            names::ENGINE_BATCH_LEN,
-                            names::BATCH_LEN_BUCKETS,
-                            b.commands.len() as u64,
-                        );
-                    }
-                    let last = ctrl.issue_raw(&b.commands);
-                    if let Some(r) = &rec {
-                        r.end(last, b.span_name(bi), names::CAT_BATCH, scope);
-                    }
-                }
-            }
-            ExecutionMode::Fenced { reorder_seed } => {
-                for (bi, b) in batches.iter().enumerate() {
-                    if (b.commutative || b.fence_after) && over(ctrl.now()) {
+                    if b.cancellable() && over(ctrl.now()) {
                         // The watchdog's cancellation point: data batches
                         // (and their fences) stop issuing; the teardown
                         // choreography still runs.
                         cancelled = true;
                         continue;
                     }
-                    let cmds: Vec<Command> = match reorder_seed {
-                        Some(seed) if b.commutative && b.commands.len() > 1 => {
-                            let mut rng = SmallRng::seed_from_u64(seed ^ bi as u64);
-                            let mut v = b.commands.clone();
-                            v.shuffle(&mut rng);
-                            v
-                        }
-                        _ => b.commands.clone(),
-                    };
+                    let cmds = b.issue_order(bi, mode);
                     commands += cmds.len() as u64;
                     if let Some(r) = &rec {
                         r.begin(ctrl.now(), b.span_name(bi), names::CAT_BATCH, scope);
@@ -313,19 +324,17 @@ impl KernelEngine {
                     if let Some(r) = &rec {
                         r.end(last, b.span_name(bi), names::CAT_BATCH, scope);
                     }
-                    if b.fence_after {
-                        // Fence: drain in-flight data (read latency +
-                        // burst) and synchronize the thread group.
-                        let drain = last + t.t_cl + t.t_bl + host.fence_sync_overhead_cycles;
+                    if let Some(stall) = mode.fence_stall(b, host, &t) {
+                        let drain = last + stall;
                         ctrl.advance_to(drain);
                         fences += 1;
                         if let Some(r) = &rec {
                             r.emit(
                                 Event::instant(drain, "fence", names::CAT_BATCH, scope)
-                                    .with_arg("stall_cycles", drain - last),
+                                    .with_arg("stall_cycles", stall),
                             );
                             r.add(names::ENGINE_FENCES, 1);
-                            r.add(names::ENGINE_FENCE_STALL_CYCLES, drain - last);
+                            r.add(names::ENGINE_FENCE_STALL_CYCLES, stall);
                         }
                     }
                 }
@@ -400,7 +409,7 @@ impl KernelEngine {
                     } else {
                         let (result, cancelled) =
                             Self::run_system_cold(sys, per_channel, mode, limit);
-                        cache.record(sys, per_channel, prep, &result, &cancelled);
+                        cache.record(sys, prep, &result, &cancelled);
                         (result, cancelled)
                     }
                 }
@@ -499,6 +508,32 @@ mod tests {
         let a = run(&mut sys, 0);
         let b = run(&mut sys, 1);
         assert_eq!(a.end_cycle, b.end_cycle, "same seed, same schedule");
+    }
+
+    /// The one owner of the issue order: only a seeded `Fenced` mode
+    /// reorders, only commutative batches, by a permutation that depends
+    /// on the seed and the batch index and nothing else.
+    #[test]
+    fn seeded_issue_order_permutes_commutative_batches_only() {
+        let batches = simple_batches();
+        let data = &batches[1];
+        let seeded = ExecutionMode::Fenced { reorder_seed: Some(42) };
+        let cols = |cmds: &[Command]| -> Vec<u32> {
+            cmds.iter().map(|c| if let Command::Rd { col, .. } = c { *col } else { 99 }).collect()
+        };
+        let program = cols(&data.commands);
+        for mode in [ExecutionMode::Fenced { reorder_seed: None }, ExecutionMode::Ordered] {
+            assert_eq!(cols(&data.issue_order(1, mode)), program, "{mode:?}");
+        }
+        let shuffled = cols(&data.issue_order(1, seeded));
+        assert_ne!(shuffled, program, "seed 42 leaves batch 1 in program order");
+        assert_eq!(shuffled, cols(&data.issue_order(1, seeded)), "same seed, same index");
+        assert_ne!(shuffled, cols(&data.issue_order(2, seeded)), "the index salts the seed");
+        let mut sorted = shuffled;
+        sorted.sort_unstable();
+        assert_eq!(sorted, program, "a permutation");
+        let ordered = Batch::fenced_ordered(data.commands.clone());
+        assert_eq!(cols(&ordered.issue_order(1, seeded)), program, "non-commutative");
     }
 
     #[test]

@@ -17,7 +17,13 @@
 //! full unit machinery once while compiling a per-channel
 //! [`pim_core::DataTape`] ([`pim_core::PimChannel::replay_data_recording`]),
 //! and every replay after that dispatches just the recorded FP16 dataflow
-//! ([`pim_core::PimChannel::replay_data_taped`]).
+//! ([`pim_core::PimChannel::replay_data_taped`]). Both tiers, and the full
+//! simulation, run one interpreter: the tiers differ only in where a
+//! trigger's instruction comes from.
+//!
+//! Nothing here tracks device modes: the key pass and the data replay both
+//! step [`pim_core::ModeWalker`], and the order a batch issues in is asked
+//! of `Batch::issue_order`, as the engine and the predictor do.
 //!
 //! # Exactness contract
 //!
@@ -40,7 +46,8 @@
 //! * The execution mode is `Fenced` or `Ordered`. `UnfencedReordered`
 //!   exists to demonstrate miscompiled kernels; memoizing a demonstration
 //!   of nondeterminism would be missing its point.
-//! * Every `WR` resolves to a statically known open row, so the key can
+//! * Every `WR` resolves to a statically known open row (the walker's
+//!   [`Step`] is never `UnresolvedWrite`), so the key can
 //!   distinguish configuration payloads (CRF programs, SRF scalars —
 //!   hashed) from data payloads (the input vector — deliberately *not*
 //!   hashed, so a new input hits the cache).
@@ -61,14 +68,11 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use pim_core::conf::{ABMR_ROW, CRF_ROW, PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW};
+use pim_core::conf::{crf_block_base, crf_block_words, CRF_ROW};
 use pim_core::isa::Instruction;
 use pim_core::schedule::{StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
-use pim_core::LaunchAccounting;
-use pim_dram::{ChannelTimingState, Command, Cycle, BANKS_PER_PCH};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use pim_core::{LaunchAccounting, ModeWalker, Step};
+use pim_dram::{ChannelTimingState, Command, Cycle};
 
 use crate::engine::{Batch, ExecutionMode, KernelResult};
 use crate::system::PimSystem;
@@ -105,6 +109,9 @@ pub struct FastpathStats {
 /// snapshots (kept so a cold run can be recorded without re-walking).
 pub(crate) struct PreparedLaunch {
     key: u64,
+    /// Whether every CRF image the launch arms proved statically (decided
+    /// in the key pass; see [`LaunchCache::launch_key`]).
+    provable: bool,
     /// The earliest channel clock at entry; offsets and `end_rel` are
     /// relative to it so the entry is position-independent in time.
     base: Cycle,
@@ -203,13 +210,13 @@ impl LaunchCache {
             }
             start_accts.push(ctrl.sink().launch_accounting(now));
         }
-        let Some(key) = launch_key(sys, per_channel, mode) else {
+        let Some((key, provable)) = self.launch_key(sys, per_channel, mode) else {
             self.stats.uncacheable += 1;
             return None;
         };
         let base = (0..sys.channel_count()).map(|i| sys.channel(i).now()).min().unwrap_or(0);
         let offsets = (0..sys.channel_count()).map(|i| sys.channel(i).now() - base).collect();
-        Some(PreparedLaunch { key, base, offsets, starts, start_accts })
+        Some(PreparedLaunch { key, provable, base, offsets, starts, start_accts })
     }
 
     /// Attempts to replay a prepared launch. On a hit the system ends in
@@ -249,12 +256,13 @@ impl LaunchCache {
             sink.apply_accounting(&entry.accts[i]);
             sink.apply_timing_state(end_abs, &entry.ends[i]);
             if live {
-                let ordered = issue_order(batches, mode);
+                // Data replay applies writes in the cold path's issue order.
+                let ordered: Vec<_> =
+                    batches.iter().enumerate().map(|(bi, b)| b.issue_order(bi, mode)).collect();
+                let cmds = ordered.iter().flat_map(|b| b.iter());
                 match &entry.tapes[i] {
-                    Some(tape) => sink.replay_data_taped(ordered.iter().copied(), tape),
-                    None => {
-                        entry.tapes[i] = Some(sink.replay_data_recording(ordered));
-                    }
+                    Some(tape) => sink.replay_data_taped(cmds, tape),
+                    None => entry.tapes[i] = Some(sink.replay_data_recording(cmds)),
                 }
             }
             ctrl.advance_to(end_abs);
@@ -282,19 +290,79 @@ impl LaunchCache {
             .or_insert_with(|| StaticSchedule::derive(image, DEFAULT_SCHEDULE_BUDGET).is_ok())
     }
 
-    /// `true` iff every CRF image armed (PIM_OP_MODE enabled) anywhere in
-    /// the launch proves statically. Walks the same mode machine as
-    /// [`launch_key`], so every row resolves whenever `prepare` accepted
-    /// the launch.
-    fn all_programs_provable(&mut self, per_channel: &[Vec<Batch>]) -> bool {
+    /// The one walk of a launch's command stream, in program order: hashes
+    /// the launch shape into the cache key and decides whether the launch
+    /// may be taped.
+    ///
+    /// The key covers execution mode, timing/device configuration, channel
+    /// topology, batch structure, every command, and *configuration*
+    /// payloads — writes the [`ModeWalker`] resolves to `PIM_CONF` rows.
+    /// Data payloads are deliberately left out so launches that differ
+    /// only in their input vector share a key.
+    ///
+    /// The verdict is `true` iff every CRF image in force at a
+    /// `PIM_OP_MODE` *enable* write proves statically
+    /// ([`LaunchCache::prove_image`]). The image is tracked per channel
+    /// from the launch's all-bank CRF loads, EXIT-filled at entry.
+    ///
+    /// Returns `None` when a write's target row cannot be resolved or the
+    /// mode is uncacheable.
+    fn launch_key(
+        &mut self,
+        sys: &PimSystem,
+        per_channel: &[Vec<Batch>],
+        mode: ExecutionMode,
+    ) -> Option<(u64, bool)> {
+        let mut k = KeyHasher::new();
+        match mode {
+            ExecutionMode::Fenced { reorder_seed: None } => k.word(1),
+            ExecutionMode::Fenced { reorder_seed: Some(s) } => {
+                k.word(2);
+                k.word(s);
+            }
+            ExecutionMode::Ordered => k.word(3),
+            ExecutionMode::UnfencedReordered { .. } => return None,
+        }
+        k.bytes(format!("{:?}", sys.timing()).as_bytes());
+        k.bytes(format!("{:?}", sys.pim_config()).as_bytes());
+        k.word(sys.host.fence_sync_overhead_cycles);
+        k.word(sys.channel_count() as u64);
+        k.word(per_channel.len() as u64);
+        let mut provable = true;
         for batches in per_channel {
-            for image in armed_crf_images(batches) {
-                if !self.prove_image(&image) {
-                    return false;
+            k.word(batches.len() as u64);
+            let mut walker = ModeWalker::new();
+            let mut image = [Instruction::Exit.encode(); 32];
+            for b in batches {
+                k.word(u64::from(b.commutative) | u64::from(b.fence_after) << 1);
+                match b.label {
+                    Some(l) => k.bytes(l.as_bytes()),
+                    None => k.word(u64::MAX),
+                }
+                k.word(b.commands.len() as u64);
+                for cmd in &b.commands {
+                    k.command(cmd);
+                    let step = walker.step(cmd);
+                    let Command::Wr { col, data, .. } = cmd else { continue };
+                    match step {
+                        Step::UnresolvedWrite => return None,
+                        Step::ConfWrite { row, unit } => {
+                            k.bytes(data);
+                            if (row, unit) == (CRF_ROW, None) {
+                                let (base, words) = (crf_block_base(*col), crf_block_words(data));
+                                image[base..base + words.len()].copy_from_slice(&words);
+                            }
+                        }
+                        Step::PimOpMode { enable, .. } => {
+                            k.bytes(data);
+                            provable &= !enable || self.prove_image(&image);
+                        }
+                        _ => {}
+                    }
                 }
             }
         }
-        true
+        Some((k.h, provable))
     }
 
     /// Records a just-finished cold run under its prepared key. Cancelled
@@ -306,7 +374,6 @@ impl LaunchCache {
     pub(crate) fn record(
         &mut self,
         sys: &PimSystem,
-        per_channel: &[Vec<Batch>],
         prep: PreparedLaunch,
         result: &KernelResult,
         cancelled: &[bool],
@@ -314,7 +381,7 @@ impl LaunchCache {
         if cancelled.iter().any(|&c| c) {
             return;
         }
-        if !self.all_programs_provable(per_channel) {
+        if !prep.provable {
             self.stats.unproven += 1;
             return;
         }
@@ -355,95 +422,6 @@ impl LaunchCache {
     }
 }
 
-/// Flattens a channel's batches into the exact order the cold path issues
-/// them under `mode` — including the deterministic commutative-batch
-/// shuffle — so data replay applies writes in the same sequence.
-fn issue_order(batches: &[Batch], mode: ExecutionMode) -> Vec<&Command> {
-    let seed = match mode {
-        ExecutionMode::Fenced { reorder_seed } => reorder_seed,
-        _ => None,
-    };
-    let mut out = Vec::new();
-    for (bi, b) in batches.iter().enumerate() {
-        match seed {
-            Some(s) if b.commutative && b.commands.len() > 1 => {
-                // Shuffling references permutes indices exactly as the
-                // cold path's shuffle of owned commands does.
-                let mut refs: Vec<&Command> = b.commands.iter().collect();
-                let mut rng = SmallRng::seed_from_u64(s ^ bi as u64);
-                refs.shuffle(&mut rng);
-                out.extend(refs);
-            }
-            _ => out.extend(b.commands.iter()),
-        }
-    }
-    out
-}
-
-/// Collects the 32-word CRF image in force at each PIM_OP_MODE *enable*
-/// write in a channel's batch sequence. Mirrors the [`launch_key`] mode
-/// machine: CRF columns land in an EXIT-padded image (8 little-endian
-/// words per 32-byte block at `(col % 4) * 8`), and a write of an odd
-/// first byte to `PIM_OP_MODE_ROW` in all-bank mode arms that image.
-fn armed_crf_images(batches: &[Batch]) -> Vec<[u32; 32]> {
-    let mut images = Vec::new();
-    let mut image = [Instruction::Exit.encode(); 32];
-    let mut km = KeyMode::Sb;
-    let mut pending: Option<KeyPending> = None;
-    let mut ab_open: Option<u32> = None;
-    let mut sb_open = [None::<u32>; BANKS_PER_PCH];
-    for b in batches {
-        for cmd in &b.commands {
-            match km {
-                KeyMode::Sb => match cmd {
-                    Command::Act { bank, row } => {
-                        sb_open[bank.flat_index()] = Some(*row);
-                        pending = (*row == ABMR_ROW).then_some(KeyPending::ToAb(bank.flat_index()));
-                    }
-                    Command::Pre { bank } => {
-                        sb_open[bank.flat_index()] = None;
-                        if pending == Some(KeyPending::ToAb(bank.flat_index())) {
-                            pending = None;
-                            km = KeyMode::Ab;
-                            ab_open = None;
-                        }
-                    }
-                    Command::PreAll => sb_open = [None; BANKS_PER_PCH],
-                    Command::Rd { .. } | Command::Wr { .. } => pending = None,
-                    Command::Ref => {}
-                },
-                KeyMode::Ab => match cmd {
-                    Command::Act { bank: _, row } => {
-                        ab_open = Some(*row);
-                        pending = (*row == SBMR_ROW).then_some(KeyPending::ToSb);
-                    }
-                    Command::Pre { .. } | Command::PreAll => {
-                        ab_open = None;
-                        if pending == Some(KeyPending::ToSb) {
-                            pending = None;
-                            km = KeyMode::Sb;
-                            sb_open = [None; BANKS_PER_PCH];
-                        }
-                    }
-                    Command::Wr { bank: _, col, data } => match ab_open {
-                        Some(CRF_ROW) => {
-                            let base = (*col as usize % 4) * 8;
-                            for (i, chunk) in data.chunks_exact(4).enumerate() {
-                                image[base + i] =
-                                    u32::from_le_bytes(chunk.try_into().expect("chunks_exact(4)"));
-                            }
-                        }
-                        Some(PIM_OP_MODE_ROW) if data[0] & 1 == 1 => images.push(image),
-                        _ => {}
-                    },
-                    Command::Rd { .. } | Command::Ref => {}
-                },
-            }
-        }
-    }
-    images
-}
-
 /// A minimal word mixer (multiply-rotate, FxHash-style). The key only
 /// needs to separate distinct launch shapes — hits are *verified* against
 /// the stored entry fingerprints, so a collision costs a miss, never a
@@ -469,146 +447,22 @@ impl KeyHasher {
             self.word(u64::from_le_bytes(w));
         }
     }
-}
 
-/// Tracks the PIM mode machine just far enough to resolve every write's
-/// target row statically (mirrors the data-replay walker in `pim_core`).
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum KeyMode {
-    Sb,
-    Ab,
-}
-
-#[derive(PartialEq, Eq, Clone, Copy)]
-enum KeyPending {
-    ToAb(usize),
-    ToSb,
-}
-
-/// Hashes the launch shape: execution mode, timing/device configuration,
-/// channel topology, batch structure, command stream, and configuration
-/// payloads (payloads written to `PIM_CONF` rows). Data payloads — writes
-/// to ordinary rows — are deliberately excluded so launches that differ
-/// only in their input vector share a key. Returns `None` when a write's
-/// target row cannot be resolved statically or the mode is uncacheable.
-fn launch_key(sys: &PimSystem, per_channel: &[Vec<Batch>], mode: ExecutionMode) -> Option<u64> {
-    let mut k = KeyHasher::new();
-    match mode {
-        ExecutionMode::Fenced { reorder_seed: None } => k.word(1),
-        ExecutionMode::Fenced { reorder_seed: Some(s) } => {
-            k.word(2);
-            k.word(s);
-        }
-        ExecutionMode::Ordered => k.word(3),
-        ExecutionMode::UnfencedReordered { .. } => return None,
-    }
-    k.bytes(format!("{:?}", sys.timing()).as_bytes());
-    k.bytes(format!("{:?}", sys.pim_config()).as_bytes());
-    k.word(sys.host.fence_sync_overhead_cycles);
-    k.word(sys.channel_count() as u64);
-    k.word(per_channel.len() as u64);
-    for batches in per_channel {
-        k.word(batches.len() as u64);
-        let mut km = KeyMode::Sb;
-        let mut pending: Option<KeyPending> = None;
-        let mut ab_open: Option<u32> = None;
-        let mut sb_open = [None::<u32>; BANKS_PER_PCH];
-        for b in batches {
-            k.word(u64::from(b.commutative) | u64::from(b.fence_after) << 1);
-            match b.label {
-                Some(l) => k.bytes(l.as_bytes()),
-                None => k.word(u64::MAX),
-            }
-            k.word(b.commands.len() as u64);
-            for cmd in &b.commands {
-                match km {
-                    KeyMode::Sb => match cmd {
-                        Command::Act { bank, row } => {
-                            k.word(1);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*row));
-                            sb_open[bank.flat_index()] = Some(*row);
-                            pending =
-                                (*row == ABMR_ROW).then_some(KeyPending::ToAb(bank.flat_index()));
-                        }
-                        Command::Pre { bank } => {
-                            k.word(2);
-                            k.word(bank.flat_index() as u64);
-                            sb_open[bank.flat_index()] = None;
-                            if pending == Some(KeyPending::ToAb(bank.flat_index())) {
-                                pending = None;
-                                km = KeyMode::Ab;
-                                ab_open = None;
-                            }
-                        }
-                        Command::PreAll => {
-                            k.word(3);
-                            sb_open = [None; BANKS_PER_PCH];
-                        }
-                        Command::Rd { bank, col } => {
-                            k.word(4);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*col));
-                            pending = None;
-                        }
-                        Command::Wr { bank, col, data } => {
-                            k.word(5);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*col));
-                            let row = sb_open[bank.flat_index()]?;
-                            if row >= PIM_CONF_FIRST_ROW {
-                                k.bytes(data);
-                            }
-                            pending = None;
-                        }
-                        Command::Ref => k.word(6),
-                    },
-                    KeyMode::Ab => match cmd {
-                        Command::Act { bank, row } => {
-                            k.word(1);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*row));
-                            ab_open = Some(*row);
-                            pending = (*row == SBMR_ROW).then_some(KeyPending::ToSb);
-                        }
-                        Command::Pre { bank } => {
-                            k.word(2);
-                            k.word(bank.flat_index() as u64);
-                            ab_open = None;
-                            if pending == Some(KeyPending::ToSb) {
-                                pending = None;
-                                km = KeyMode::Sb;
-                                sb_open = [None; BANKS_PER_PCH];
-                            }
-                        }
-                        Command::PreAll => {
-                            k.word(3);
-                            ab_open = None;
-                            if pending == Some(KeyPending::ToSb) {
-                                pending = None;
-                                km = KeyMode::Sb;
-                                sb_open = [None; BANKS_PER_PCH];
-                            }
-                        }
-                        Command::Rd { bank, col } => {
-                            k.word(4);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*col));
-                        }
-                        Command::Wr { bank, col, data } => {
-                            k.word(5);
-                            k.word(bank.flat_index() as u64);
-                            k.word(u64::from(*col));
-                            let row = ab_open?;
-                            if row >= PIM_CONF_FIRST_ROW {
-                                k.bytes(data);
-                            }
-                        }
-                        Command::Ref => k.word(6),
-                    },
-                }
-            }
+    /// A command's class, bank and row or column — never its payload.
+    fn command(&mut self, cmd: &Command) {
+        match *cmd {
+            Command::Act { bank, row } => self.words([1, bank.flat_index() as u64, row.into()]),
+            Command::Pre { bank } => self.words([2, bank.flat_index() as u64]),
+            Command::PreAll => self.word(3),
+            Command::Rd { bank, col } => self.words([4, bank.flat_index() as u64, col.into()]),
+            Command::Wr { bank, col, .. } => self.words([5, bank.flat_index() as u64, col.into()]),
+            Command::Ref => self.word(6),
         }
     }
-    Some(k.h)
+
+    fn words<const N: usize>(&mut self, ws: [u64; N]) {
+        for w in ws {
+            self.word(w);
+        }
+    }
 }

@@ -44,9 +44,6 @@ use crate::engine::{Batch, ExecutionMode};
 use crate::system::PimSystem;
 use pim_core::conf::{ABMR_ROW, SBMR_ROW};
 use pim_dram::{BankAddr, ChannelTimingState, Command, CommandSink, Cycle, TimingParams};
-use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// What a launch will do to the system clock, predicted analytically.
 ///
@@ -337,9 +334,9 @@ impl ChannelClock {
     }
 }
 
-/// Folds one channel's batch list over its analytic clock, mirroring the
-/// engine's issue loop (cancellation checkpoints, deterministic shuffle,
-/// fence drains) cycle for cycle.
+/// Folds one channel's batch list over its analytic clock: the engine's
+/// issue loop (same checkpoints, issue order and fence stalls, all asked of
+/// [`Batch`] and [`ExecutionMode`]) with the clock in place of the device.
 fn predict_channel(
     host: &HostConfig,
     clock: &mut ChannelClock,
@@ -352,43 +349,16 @@ fn predict_channel(
     let mut fences = 0u64;
     let mut cancelled = false;
     for (bi, b) in batches.iter().enumerate() {
-        if (b.commutative || b.fence_after) && over(clock.now) {
+        if b.cancellable() && over(clock.now) {
             cancelled = true;
             continue;
         }
-        let shuffle = match mode {
-            ExecutionMode::Fenced { reorder_seed: Some(seed) }
-                if b.commutative && b.commands.len() > 1 =>
-            {
-                // The same seed-derived permutation the engine applies:
-                // `shuffle` consumes the RNG identically for any element
-                // type, so shuffling indices reproduces it.
-                let mut rng = SmallRng::seed_from_u64(seed ^ bi as u64);
-                let mut idx: Vec<usize> = (0..b.commands.len()).collect();
-                idx.shuffle(&mut rng);
-                Some(idx)
-            }
-            _ => None,
-        };
         commands += b.commands.len() as u64;
-        let mut last = clock.now;
-        match &shuffle {
-            Some(idx) => {
-                for &i in idx {
-                    clock.issue(&b.commands[i]);
-                    last = clock.now;
-                }
-            }
-            None => {
-                for c in &b.commands {
-                    clock.issue(c);
-                    last = clock.now;
-                }
-            }
+        for c in b.issue_order(bi, mode).iter() {
+            clock.issue(c);
         }
-        if matches!(mode, ExecutionMode::Fenced { .. }) && b.fence_after {
-            let drain = last + clock.t.t_cl + clock.t.t_bl + host.fence_sync_overhead_cycles;
-            clock.now = clock.now.max(drain);
+        if let Some(stall) = mode.fence_stall(b, host, &clock.t) {
+            clock.now += stall;
             fences += 1;
         }
     }

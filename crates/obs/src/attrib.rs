@@ -104,9 +104,11 @@ impl Attribution {
         self.buckets.iter().filter(|(k, _)| k.channel == channel).map(|(_, &v)| v).sum()
     }
 
-    /// Total cycles across all buckets (= `channels × end_cycle`).
-    pub fn total(&self) -> u64 {
-        self.buckets.values().sum()
+    /// Total cycles across all buckets (= `channels × end_cycle`). Wider
+    /// than a cycle count: sixteen channels at an end cycle near
+    /// `u64::MAX` do not fit one.
+    pub fn total(&self) -> u128 {
+        self.buckets.values().map(|&v| u128::from(v)).sum()
     }
 
     /// Re-verifies the conservation invariant: every channel's buckets sum
@@ -123,7 +125,7 @@ impl Attribution {
             }
         }
         let grand = self.total();
-        let expect = self.channels as u64 * self.end_cycle;
+        let expect = u128::from(self.channels) * u128::from(self.end_cycle);
         if grand != expect {
             return Err(format!("grand total {grand} != channels × end_cycle {expect}"));
         }
@@ -132,10 +134,10 @@ impl Attribution {
 
     /// Aggregates across channels into (phase, class, tenant) → cycles,
     /// in deterministic order.
-    pub fn by_phase_class(&self) -> BTreeMap<(String, String, Option<u32>), u64> {
-        let mut out: BTreeMap<(String, String, Option<u32>), u64> = BTreeMap::new();
-        for (k, v) in &self.buckets {
-            *out.entry((k.phase.clone(), k.class.clone(), k.tenant)).or_insert(0) += v;
+    pub fn by_phase_class(&self) -> BTreeMap<(String, String, Option<u32>), u128> {
+        let mut out: BTreeMap<(String, String, Option<u32>), u128> = BTreeMap::new();
+        for (k, &v) in &self.buckets {
+            *out.entry((k.phase.clone(), k.class.clone(), k.tenant)).or_insert(0) += u128::from(v);
         }
         out
     }
@@ -277,6 +279,20 @@ mod tests {
         // Channel 1 never appears in the stream: wholly idle.
         assert_eq!(buckets[&key(1, IDLE, IDLE, None)], 40);
         assert_eq!(a.total(), 80);
+    }
+
+    /// Sixteen channels ending at `u64::MAX`: the grand total and
+    /// `channels × end_cycle` both exceed a `u64`, which used to wrap both
+    /// sides of the check in release (vacuously "exact") and abort the
+    /// sum in debug.
+    #[test]
+    fn conservation_holds_at_the_end_of_time() {
+        let events = vec![Event::instant(7, "ACT", names::CAT_COMMAND, Scope::channel(3))];
+        let a = Attribution::from_events(&events, 16, u64::MAX).expect("fold");
+        a.check_conservation().expect("conservation");
+        assert_eq!(a.total(), 16 * u128::from(u64::MAX));
+        let idle = &a.by_phase_class()[&(IDLE.to_string(), IDLE.to_string(), None)];
+        assert_eq!(*idle, a.total() - 7, "cross-channel sums are wide too");
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::context::PimContext;
 use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
 use pim_core::{conf, LaneVec};
-use pim_dram::{BankAddr, Command, CommandSink, Cycle, DataBlock};
+use pim_dram::{BankAddr, Command, CommandSink, Cycle};
 use pim_host::{Batch, ExecutionMode, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
 
@@ -33,20 +33,10 @@ impl Executor {
     /// Builds the CRF-programming batches: one 32-byte write covers 8
     /// instructions.
     fn crf_batches(program: &[Instruction]) -> Vec<Batch> {
-        assert!(program.len() <= 32, "microkernel exceeds the CRF");
         let bank = BankAddr::new(0, 0);
         let mut cmds = vec![Command::Act { bank, row: conf::CRF_ROW }];
-        for (chunk_idx, chunk) in program.chunks(8).enumerate() {
-            let mut data: DataBlock = [0u8; 32];
-            for (i, instr) in chunk.iter().enumerate() {
-                data[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
-            }
-            // Pad the rest of the block with EXIT so stale CRF words from a
-            // previous kernel cannot run past the program's end.
-            for i in chunk.len()..8 {
-                data[i * 4..i * 4 + 4].copy_from_slice(&Instruction::Exit.encode().to_le_bytes());
-            }
-            cmds.push(Command::Wr { bank, col: chunk_idx as u32, data });
+        for (col, data) in conf::crf_blocks(program).into_iter().enumerate() {
+            cmds.push(Command::Wr { bank, col: col as u32, data });
         }
         cmds.push(Command::Pre { bank });
         vec![Batch::setup(cmds).with_label("crf")]

@@ -175,17 +175,8 @@ impl ScriptSession {
                         .map_err(|e| ScriptError { line: line + e.line, message: e.message })?;
                     let bank = BankAddr::new(0, 0);
                     let mut cmds = vec![Command::Act { bank, row: conf::CRF_ROW }];
-                    for (ci, chunk) in program.chunks(8).enumerate() {
-                        let mut block = [0u8; 32];
-                        for (k, ins) in chunk.iter().enumerate() {
-                            block[k * 4..k * 4 + 4].copy_from_slice(&ins.encode().to_le_bytes());
-                        }
-                        for k in chunk.len()..8 {
-                            block[k * 4..k * 4 + 4].copy_from_slice(
-                                &pim_core::isa::Instruction::Exit.encode().to_le_bytes(),
-                            );
-                        }
-                        cmds.push(Command::Wr { bank, col: ci as u32, data: block });
+                    for (ci, data) in conf::crf_blocks(&program).into_iter().enumerate() {
+                        cmds.push(Command::Wr { bank, col: ci as u32, data });
                     }
                     cmds.push(Command::Pre { bank });
                     self.issue_all(&cmds, line)?;

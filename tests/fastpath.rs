@@ -65,6 +65,41 @@ fn warm_replay_matches_cold_simulation_exactly() {
     assert!(stats.hits >= 5, "expected steady-state replay, got {stats:?}");
 }
 
+/// `start + (end − start) == end` over every counter a launch advances —
+/// device, per-unit, DRAM and bank residency — on whole-struct equality:
+/// a counter that `delta_since` captures but `apply_accounting` forgets
+/// (or the reverse) would be lost on every warm launch.
+#[test]
+fn accounting_delta_round_trips_through_apply() {
+    let w = bench_weights(N, K);
+    let boot = || {
+        let mut ctx = PimContext::paper_system();
+        ctx.sys.set_fastpath_enabled(false);
+        let mut plan = GemvPlan::prepare(&mut ctx, &w, N, K).expect("shape fits");
+        let _ = transcript(&mut ctx, &mut plan, 1);
+        (ctx, plan)
+    };
+    let snapshot = |ctx: &PimContext, ch: usize| {
+        let ctrl = ctx.sys.channel(ch);
+        ctrl.sink().launch_accounting(ctrl.now())
+    };
+
+    // `end`: one more real launch on top of `start`.
+    let (mut ctx, mut plan) = boot();
+    let start: Vec<_> = (0..ctx.sys.channel_count()).map(|ch| snapshot(&ctx, ch)).collect();
+    let _ = transcript(&mut ctx, &mut plan, 1);
+    // `start + delta` on an identically booted system that never ran it.
+    let (mut twin, _) = boot();
+    for (ch, start) in start.iter().enumerate() {
+        assert_eq!(&snapshot(&twin, ch), start, "twin boot diverged on channel {ch}");
+        let end = snapshot(&ctx, ch);
+        let delta = end.delta_since(start);
+        assert_ne!(&delta, &end.delta_since(&end), "launch moved nothing on channel {ch}");
+        twin.sys.channel_mut(ch).sink_mut().apply_accounting(&delta);
+        assert_eq!(snapshot(&twin, ch), end, "channel {ch}");
+    }
+}
+
 /// The warm transcript is identical across Sequential and Threads(1/2/4):
 /// the cache records sequential-equivalent timing, so replay cannot
 /// depend on the worker count.

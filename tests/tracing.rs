@@ -118,7 +118,7 @@ fn attribution_conserves_cycles_on_traced_serve_runs() {
         let events = recorder.events().expect("events");
         let a = Attribution::from_events(&events, channels, report.end_cycle).expect("attribution");
         a.check_conservation().expect("conservation");
-        assert_eq!(a.total(), channels as u64 * report.end_cycle);
+        assert_eq!(a.total(), u128::from(channels) * u128::from(report.end_cycle));
         for ch in 0..channels {
             assert_eq!(a.channel_total(ch), report.end_cycle, "channel {ch} leaked cycles");
         }
