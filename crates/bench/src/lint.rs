@@ -3,7 +3,6 @@
 //! command choreography the runtime ships.
 
 use pim_core::{PimConfig, PimVariant};
-use pim_dram::{BankAddr, Command};
 use pim_runtime::kernels::{
     gemv_batches, gemv_microkernel, sls_batches, sls_microkernel, stream_batches,
     stream_microkernel, StreamOp,
@@ -95,17 +94,6 @@ pub fn builtin_kernel_reports() -> Vec<(String, Report)> {
     out
 }
 
-/// The memory-mapped GRF readback command tail ([`Executor::read_grf_a`] /
-/// `read_grf_b` at the command level): ACT the GRF row, read 8 columns,
-/// PRE.
-fn grf_readback(col_base: u32) -> Vec<Command> {
-    let bank = BankAddr::new(0, 0);
-    let mut cmds = vec![Command::Act { bank, row: pim_core::conf::GRF_ROW }];
-    cmds.extend((0..8).map(|i| Command::Rd { bank, col: col_base + i }));
-    cmds.push(Command::Pre { bank });
-    cmds
-}
-
 /// Runs the protocol linter and the fence-race detector over the full
 /// executor choreography of each built-in kernel family (including the
 /// post-kernel GRF readback where the BLAS layer performs one). Returns
@@ -135,7 +123,7 @@ pub fn builtin_stream_reports() -> Vec<(String, Report, Report)> {
     let batches = Executor::full_kernel(&prog, None, true, &data);
     let mut events = events_from_batches(&batches);
     let n = events.len();
-    for (i, c) in grf_readback(8).into_iter().enumerate() {
+    for (i, c) in Executor::grf_readback_commands(0, 8).into_iter().enumerate() {
         events.push(pim_verify::StreamEvent::cmd(n + i, c));
     }
     out.push((
@@ -150,7 +138,7 @@ pub fn builtin_stream_reports() -> Vec<(String, Report, Report)> {
     let batches = Executor::full_kernel(&prog, None, false, &data);
     let mut events = events_from_batches(&batches);
     let n = events.len();
-    for (i, c) in grf_readback(0).into_iter().enumerate() {
+    for (i, c) in Executor::grf_readback_commands(0, 0).into_iter().enumerate() {
         events.push(pim_verify::StreamEvent::cmd(n + i, c));
     }
     out.push((

@@ -13,11 +13,11 @@
 
 use pim_core::{PimChannel, PimConfig};
 use pim_dram::{
-    AddressMapping, BankAddr, Command, ControllerConfig, Cycle, MemoryController, SchedulingPolicy,
+    AddressMapping, Command, ControllerConfig, Cycle, MemoryController, SchedulingPolicy,
     TimingParams,
 };
 use pim_host::{llc, ExecutionMode, HostConfig, KernelEngine};
-use pim_runtime::{gemv_microkernel, stream_microkernel, Executor, StreamOp};
+use pim_runtime::{gemv_microkernel, stream_microkernel, Executor, GemvGeometry, StreamOp};
 use std::collections::HashMap;
 
 /// The measured / modelled cost of one kernel invocation.
@@ -81,11 +81,6 @@ impl CostModel {
         self.host.stacks * 16
     }
 
-    /// Output lanes one lock-step pass covers.
-    pub fn lanes_per_pass(&self) -> usize {
-        self.channels() * self.pim.units_per_pch * 16
-    }
-
     fn fresh_channel(&self) -> MemoryController<PimChannel> {
         let cfg = ControllerConfig {
             timing: self.timing.clone(),
@@ -105,19 +100,17 @@ impl CostModel {
         if let Some(c) = self.cache.get(&key) {
             return *c;
         }
-        let passes = n.div_ceil(self.lanes_per_pass());
-        let kpad = k.div_ceil(8) * 8;
-        let groups = (kpad / 8) as u32;
-        let program = gemv_microkernel(groups, &self.pim);
+        let g = GemvGeometry::new(n, k, self.channels(), self.pim.units_per_pch);
+        let program = gemv_microkernel(g.groups(), &self.pim);
         let x = vec![0.0f32; 0]; // operand values are irrelevant to timing
-        let data = pim_runtime::kernels::gemv_batches(kpad, 0, &x, &self.pim);
+        let data = pim_runtime::kernels::gemv_batches(g.kpad, 0, &x, &self.pim);
         let batches = Executor::full_kernel(&program, None, true, &data);
 
         let mut ctrl = self.fresh_channel();
         let mut end = 0;
         let mut commands = 0;
         let mut fences = 0;
-        for _ in 0..passes {
+        for _ in 0..g.passes {
             let r = KernelEngine::run_on_channel(&self.host, &mut ctrl, &batches, self.mode);
             commands += r.commands;
             fences += r.fences;
@@ -137,15 +130,9 @@ impl CostModel {
     }
 
     fn issue_readback(&self, ctrl: &mut MemoryController<PimChannel>) -> Cycle {
-        let mut cmds = Vec::new();
-        for u in 0..self.pim.units_per_pch {
-            let bank = BankAddr::from_flat_index(2 * u);
-            cmds.push(Command::Act { bank, row: pim_core::conf::GRF_ROW });
-            for c in 8..16 {
-                cmds.push(Command::Rd { bank, col: c });
-            }
-            cmds.push(Command::Pre { bank });
-        }
+        let cmds: Vec<Command> = (0..self.pim.units_per_pch)
+            .flat_map(|u| Executor::grf_readback_commands(u, 8))
+            .collect();
         ctrl.issue_raw(&cmds)
     }
 

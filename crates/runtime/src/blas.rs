@@ -9,29 +9,48 @@
 
 use crate::context::PimContext;
 use crate::executor::Executor;
-use crate::kernels::{gemv_batches, gemv_microkernel, StreamOp, COLS_PER_ROW, GROUP};
-use crate::layout::{self, BlockMap, BLOCK_ELEMS};
+use crate::kernels::{StreamOp, COLS_PER_ROW};
+use crate::layout::{self, BlockMap};
+use crate::plan::{check_input, check_weights, GemvPlan};
 use crate::stream::{StreamJob, StreamOperands};
 use pim_core::LaneVec;
 use pim_dram::Cycle;
 use pim_fp16::F16;
-use pim_obs::{names, Recorder, Scope};
+use pim_host::KernelResult;
+use pim_obs::{names, Scope};
 use std::fmt;
 
-/// Opens an op-level span named `name` if profiling is enabled; the caller
-/// closes it with [`end_op`]. Op spans live in the global scope and enclose
-/// every batch/command event the call produces.
-pub(crate) fn begin_op(ctx: &PimContext, name: &'static str) -> Option<Recorder> {
-    let r = ctx.recorder.clone()?;
-    r.begin(ctx.sys.max_now(), name, names::CAT_OP, Scope::GLOBAL);
-    Some(r)
-}
-
-/// Closes a span opened by [`begin_op`] at the system's current cycle.
-pub(crate) fn end_op(rec: &Option<Recorder>, ctx: &PimContext, name: &'static str) {
-    if let Some(r) = rec {
+/// The one op bracket: runs `body` inside an op-level span named `name`
+/// (global scope, enclosing every batch/command event the call produces;
+/// skipped without a recorder) and accounts it — the cycles and PIM
+/// triggers the system advanced by, plus the commands and fences of the
+/// launches `body` returns merged — into the call's [`KernelReport`].
+pub(crate) fn traced_op<T>(
+    ctx: &mut PimContext,
+    name: &'static str,
+    elements: usize,
+    body: impl FnOnce(&mut PimContext) -> Result<(T, KernelResult), PimError>,
+) -> Result<(T, KernelReport), PimError> {
+    let rec = ctx.recorder.clone();
+    if let Some(r) = &rec {
+        r.begin(ctx.sys.max_now(), name, names::CAT_OP, Scope::GLOBAL);
+    }
+    let start = ctx.sys.max_now();
+    let triggers_before = ctx.sys.total_pim_triggers();
+    let (out, launched) = body(ctx)?;
+    let cycles = ctx.sys.max_now() - start;
+    let report = KernelReport {
+        cycles,
+        seconds: ctx.sys.cycles_to_seconds(cycles),
+        commands: launched.commands,
+        fences: launched.fences,
+        pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
+        elements,
+    };
+    if let Some(r) = &rec {
         r.end(ctx.sys.max_now(), name, names::CAT_OP, Scope::GLOBAL);
     }
+    Ok((out, report))
 }
 
 /// Errors surfaced by the PIM-BLAS API.
@@ -287,7 +306,6 @@ impl PimBlas {
             .mm
             .alloc_rows_lockstep(dram_rows)
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
-        let rec = begin_op(ctx, "sls");
 
         // Table placement: each (channel, unit) stores its 16-dim slice of
         // every embedding row; embedding row e lives at DRAM
@@ -315,35 +333,25 @@ impl PimBlas {
 
         let program = sls_microkernel(indices.len() as u32, ctx.sys.pim_config());
         let data = sls_batches(indices, base_row);
-        let start = ctx.sys.max_now();
-        let triggers_before = ctx.sys.total_pim_triggers();
-        let channels = ctx.sys.channel_count();
-        let r = Executor::try_run(ctx, channels, &program, None, false, &data)?;
+        traced_op(ctx, "sls", dim, |ctx| {
+            let channels = ctx.sys.channel_count();
+            let r = Executor::try_run(ctx, channels, &program, None, false, &data)?;
 
-        // Gather the per-slice sums from GRF_A[0].
-        let mut out = vec![0.0f32; dim];
-        for d in 0..dim_blocks {
-            let (ch, u, _) = map.locate(d);
-            let grf = Executor::try_read_grf_a(ctx, ch, u)?;
-            for (l, lane) in grf[0].lanes().iter().enumerate() {
-                let dd = d * 16 + l;
-                if dd < dim {
-                    out[dd] = lane.to_f32();
+            // Gather the per-slice sums from GRF_A[0].
+            let mut out = vec![0.0f32; dim];
+            for d in 0..dim_blocks {
+                let (ch, u, _) = map.locate(d);
+                let grf = Executor::try_read_grf_a(ctx, ch, u)?;
+                for (l, lane) in grf[0].lanes().iter().enumerate() {
+                    let dd = d * 16 + l;
+                    if dd < dim {
+                        out[dd] = lane.to_f32();
+                    }
                 }
             }
-        }
-        ctx.sys.barrier();
-        let cycles = ctx.sys.max_now() - start;
-        let report = KernelReport {
-            cycles,
-            seconds: ctx.sys.cycles_to_seconds(cycles),
-            commands: r.commands,
-            fences: r.fences,
-            pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
-            elements: dim,
-        };
-        end_op(&rec, ctx, "sls");
-        Ok((out, report))
+            ctx.sys.barrier();
+            Ok((out, r))
+        })
     }
 
     fn stream_binary(
@@ -364,39 +372,28 @@ impl PimBlas {
         };
         // Place operands (Fig. 15(b) interleaving), run, gather z.
         let job = StreamJob::place(ctx, &operands, &channels)?;
-        let rec = begin_op(ctx, op_name);
-        let start = ctx.sys.max_now();
-        let triggers_before = ctx.sys.total_pim_triggers();
-        let r = Executor::try_run(
-            ctx,
-            channels.len(),
-            &job.program,
-            srf.as_ref(),
-            false,
-            &job.batches,
-        )?;
-        let z = job.gather(ctx);
-
-        let cycles = r.end_cycle - start;
-        let report = KernelReport {
-            cycles,
-            seconds: ctx.sys.cycles_to_seconds(cycles),
-            commands: r.commands,
-            fences: r.fences,
-            pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
-            elements: x.len(),
-        };
-        end_op(&rec, ctx, op_name);
-        Ok((z, report))
+        traced_op(ctx, op_name, x.len(), |ctx| {
+            let r = Executor::try_run(
+                ctx,
+                channels.len(),
+                &job.program,
+                srf.as_ref(),
+                false,
+                &job.batches,
+            )?;
+            Ok((job.gather(ctx), r))
+        })
     }
 
     /// `out = W · x` — the level-2 BLAS kernel at the heart of the paper's
     /// evaluation. `w` is row-major `n × k`.
     ///
-    /// Outputs are distributed 16 per unit (one per SIMD lane); inputs
-    /// stream through the write datapath; partial sums accumulate in 8
-    /// GRF_B registers per unit and are reduced on the host after a
-    /// memory-mapped readback (see [`crate::kernels`]).
+    /// This is the one-shot form of a [`GemvPlan`]: `prepare` (place the
+    /// weights, build the choreography) and a single `launch`. Outputs are
+    /// distributed 16 per unit (one per SIMD lane); inputs stream through
+    /// the write datapath; partial sums accumulate in 8 GRF_B registers
+    /// per unit and are reduced on the host after a memory-mapped readback
+    /// (see [`crate::kernels`]).
     ///
     /// # Errors
     ///
@@ -410,107 +407,10 @@ impl PimBlas {
         k: usize,
         x: &[f32],
     ) -> Result<(Vec<f32>, KernelReport), PimError> {
-        if n == 0 || k == 0 {
-            return Err(PimError::Empty);
-        }
-        if w.len() != n * k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("w has {} elements, expected n*k = {}", w.len(), n * k),
-            });
-        }
-        if x.len() != k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("x has {} elements, expected k = {k}", x.len()),
-            });
-        }
-        let cfg = ctx.sys.pim_config().clone();
-        let map = BlockMap::full(&ctx.sys);
-        let lanes_per_pass = map.lanes_per_command();
-        let passes = n.div_ceil(lanes_per_pass);
-        let kpad = k.div_ceil(GROUP as usize) * GROUP as usize;
-        let rows_per_pass = (kpad as u32).div_ceil(COLS_PER_ROW);
-        let base_row = ctx
-            .mm
-            .alloc_rows_lockstep(rows_per_pass * passes as u32)
-            .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
-        let rec = begin_op(ctx, "gemv");
-
-        // Weight placement: lane l of (pass, ch, unit) owns output row
-        // out_base + l; input j sits at (row j/32, col j%32).
-        for p in 0..passes {
-            let prow = base_row + p as u32 * rows_per_pass;
-            for ch in 0..map.channels {
-                for u in 0..map.units {
-                    let out_base = p * lanes_per_pass + (ch * map.units + u) * BLOCK_ELEMS;
-                    if out_base >= n {
-                        continue;
-                    }
-                    for j in 0..k {
-                        let mut lanes = [F16::ZERO; 16];
-                        for (l, lane) in lanes.iter_mut().enumerate() {
-                            let o = out_base + l;
-                            if o < n {
-                                *lane = F16::from_f32(w[o * k + j]);
-                            }
-                        }
-                        layout::store_block(
-                            &mut ctx.sys,
-                            ch,
-                            u,
-                            prow + j as u32 / COLS_PER_ROW,
-                            j as u32 % COLS_PER_ROW,
-                            &LaneVec::from_lanes(lanes),
-                        );
-                    }
-                }
-            }
-        }
-
-        let groups = (kpad / GROUP as usize) as u32;
-        let program = gemv_microkernel(groups, &cfg);
-        let start = ctx.sys.max_now();
-        let triggers_before = ctx.sys.total_pim_triggers();
-        let mut out = vec![0.0f32; n];
-        let mut commands = 0;
-        let mut fences = 0;
-        for p in 0..passes {
-            let prow = base_row + p as u32 * rows_per_pass;
-            let batches = gemv_batches(kpad, prow, x, &cfg);
-            let channels = ctx.sys.channel_count();
-            let r = Executor::try_run(ctx, channels, &program, None, true, &batches)?;
-            commands += r.commands;
-            fences += r.fences;
-            // Host-side reduction of the 8 partial accumulators per unit.
-            for ch in 0..map.channels {
-                for u in 0..map.units {
-                    let out_base = p * lanes_per_pass + (ch * map.units + u) * BLOCK_ELEMS;
-                    if out_base >= n {
-                        continue;
-                    }
-                    let grfb = Executor::try_read_grf_b(ctx, ch, u)?;
-                    for l in 0..BLOCK_ELEMS {
-                        let o = out_base + l;
-                        if o < n {
-                            out[o] = grfb.iter().map(|v| v[l].to_f32()).sum();
-                        }
-                    }
-                }
-            }
-            ctx.sys.barrier();
-        }
-
-        let end = ctx.sys.max_now();
-        let cycles = end - start;
-        let report = KernelReport {
-            cycles,
-            seconds: ctx.sys.cycles_to_seconds(cycles),
-            commands,
-            fences,
-            pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
-            elements: n,
-        };
-        end_op(&rec, ctx, "gemv");
-        Ok((out, report))
+        // Nothing is placed for an input the launch would refuse.
+        check_weights(w.len(), n, k)?;
+        check_input(x.len(), k)?;
+        GemvPlan::prepare(ctx, w, n, k)?.launch_as(ctx, x, "gemv", false)
     }
 
     /// One LSTM cell step on PIM: the two gate GEMVs run on the device;
@@ -534,27 +434,11 @@ impl PimBlas {
         h_prev: &[f32],
         c_prev: &[f32],
     ) -> Result<(Vec<f32>, Vec<f32>, KernelReport), PimError> {
-        let h = h_prev.len();
-        if c_prev.len() != h || bias.len() != 4 * h {
-            return Err(PimError::SizeMismatch {
-                detail: format!("hidden size {h}: bias/c_prev shapes disagree"),
-            });
-        }
+        let h = check_lstm_state(bias, h_prev, c_prev)?;
         let (gx, mut report) = Self::gemv(ctx, w_x, 4 * h, x.len(), x)?;
         let (gh, r2) = Self::gemv(ctx, w_h, 4 * h, h, h_prev)?;
         report.absorb(&r2);
-        // Host-side gate math in f32 (sigmoid/tanh are not PIM ops).
-        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
-        let mut h_next = vec![0.0f32; h];
-        let mut c_next = vec![0.0f32; h];
-        for j in 0..h {
-            let i_g = sigmoid(gx[j] + gh[j] + bias[j]);
-            let f_g = sigmoid(gx[h + j] + gh[h + j] + bias[h + j]);
-            let g_g = (gx[2 * h + j] + gh[2 * h + j] + bias[2 * h + j]).tanh();
-            let o_g = sigmoid(gx[3 * h + j] + gh[3 * h + j] + bias[3 * h + j]);
-            c_next[j] = f_g * c_prev[j] + i_g * g_g;
-            h_next[j] = o_g * c_next[j].tanh();
-        }
+        let (h_next, c_next) = lstm_gates(&gx, &gh, bias, c_prev);
         report.elements = h;
         Ok((h_next, c_next, report))
     }
@@ -571,6 +455,45 @@ impl PimBlas {
             })
             .collect()
     }
+}
+
+/// The LSTM state shapes every cell front end requires: `c_prev` matches
+/// `h_prev`, `bias` covers the four gates. Returns the hidden size.
+pub(crate) fn check_lstm_state(
+    bias: &[f32],
+    h_prev: &[f32],
+    c_prev: &[f32],
+) -> Result<usize, PimError> {
+    let h = h_prev.len();
+    if c_prev.len() != h || bias.len() != 4 * h {
+        return Err(PimError::SizeMismatch {
+            detail: format!("hidden size {h}: bias/c_prev shapes disagree"),
+        });
+    }
+    Ok(h)
+}
+
+/// Host-side LSTM gate math in f32 (sigmoid/tanh are not PIM ops) over the
+/// two gate GEMVs' pre-activations, gate order `[i, f, g, o]`; returns
+/// `(h_next, c_next)`. Shared by the single-stack and the row-parallel
+/// cell, which is what keeps them bit-identical.
+pub(crate) fn lstm_gates(
+    gx: &[f32],
+    gh: &[f32],
+    bias: &[f32],
+    c_prev: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let h = c_prev.len();
+    let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+    let pre = |gate: usize, j: usize| gx[gate * h + j] + gh[gate * h + j] + bias[gate * h + j];
+    let mut h_next = vec![0.0f32; h];
+    let mut c_next = vec![0.0f32; h];
+    for j in 0..h {
+        let (i_g, f_g, o_g) = (sigmoid(pre(0, j)), sigmoid(pre(1, j)), sigmoid(pre(3, j)));
+        c_next[j] = f_g * c_prev[j] + i_g * pre(2, j).tanh();
+        h_next[j] = o_g * c_next[j].tanh();
+    }
+    (h_next, c_next)
 }
 
 #[cfg(test)]

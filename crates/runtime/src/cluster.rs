@@ -34,9 +34,10 @@
 //! time is `max` over stacks, not the sum, and goodput scales with stack
 //! count.
 
-use crate::blas::{KernelReport, PimBlas, PimError};
+use crate::blas::{check_lstm_state, lstm_gates, KernelReport, PimBlas, PimError};
 use crate::context::PimContext;
 use crate::layout::shard_range;
+use crate::plan::{check_input, check_weights};
 use pim_dram::Cycle;
 use pim_faults::ClusterFaultPlan;
 use pim_host::{ClusterTopology, ExecutionBackend, LinkHealth};
@@ -228,9 +229,7 @@ impl ClusterContext {
 
     fn advance_all_to(&mut self, target: Cycle) {
         for s in &mut self.stacks {
-            for i in 0..s.sys.channel_count() {
-                s.sys.channel_mut(i).advance_to(target);
-            }
+            s.advance_to(target);
         }
     }
 
@@ -318,19 +317,8 @@ impl ClusterContext {
         x: &[f32],
         partition: Partition,
     ) -> Result<(Vec<f32>, ClusterReport), PimError> {
-        if n == 0 || k == 0 {
-            return Err(PimError::Empty);
-        }
-        if w.len() != n * k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("w has {} elements, expected n*k = {}", w.len(), n * k),
-            });
-        }
-        if x.len() != k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("x has {} elements, expected k = {k}", x.len()),
-            });
-        }
+        check_weights(w.len(), n, k)?;
+        check_input(x.len(), k)?;
         let healthy = self.available_stacks();
         if healthy.is_empty() {
             return Err(PimError::Internal { detail: "no available stacks in cluster".into() });
@@ -387,19 +375,9 @@ impl ClusterContext {
                 None => kernel = Some(report),
             }
             // A straggler stack computes the same bits, just slower: its
-            // shard's elapsed time is scaled by the active stall factor
-            // (timing-only, so determinism and bit-identity survive).
-            if stall_milli > 1000 {
-                let ctx = &mut self.stacks[stack];
-                let elapsed = ctx.sys.max_now().saturating_sub(start);
-                let extra = elapsed.saturating_mul(stall_milli - 1000) / 1000;
-                if extra > 0 {
-                    let target = ctx.sys.max_now() + extra;
-                    for i in 0..ctx.sys.channel_count() {
-                        ctx.sys.channel_mut(i).advance_to(target);
-                    }
-                }
-            }
+            // shard's elapsed time is re-charged at the active stall factor.
+            let ctx = &mut self.stacks[stack];
+            charge_straggler(ctx, ctx.sys.max_now().saturating_sub(start), stall_milli);
         }
         debug_assert_eq!(out.len(), n);
         let payload = match partition {
@@ -441,12 +419,7 @@ impl ClusterContext {
         h_prev: &[f32],
         c_prev: &[f32],
     ) -> Result<(Vec<f32>, Vec<f32>, ClusterReport), PimError> {
-        let h = h_prev.len();
-        if c_prev.len() != h || bias.len() != 4 * h {
-            return Err(PimError::SizeMismatch {
-                detail: format!("hidden size {h}: bias/c_prev shapes disagree"),
-            });
-        }
+        let h = check_lstm_state(bias, h_prev, c_prev)?;
         let (gx, mut report) = self.gemv_row_parallel(w_x, 4 * h, x.len(), x)?;
         let (gh, r2) = self.gemv_row_parallel(w_h, 4 * h, h, h_prev)?;
         report.cycles += r2.cycles;
@@ -455,21 +428,23 @@ impl ClusterContext {
         report.link_bytes += r2.link_bytes;
         report.link_cycles += r2.link_cycles;
         report.kernel.absorb(&r2.kernel);
-        // Host-side gate math in f32, identical to the single-stack cell.
-        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
-        let mut h_next = vec![0.0f32; h];
-        let mut c_next = vec![0.0f32; h];
-        for j in 0..h {
-            let i_g = sigmoid(gx[j] + gh[j] + bias[j]);
-            let f_g = sigmoid(gx[h + j] + gh[h + j] + bias[h + j]);
-            let g_g = (gx[2 * h + j] + gh[2 * h + j] + bias[2 * h + j]).tanh();
-            let o_g = sigmoid(gx[3 * h + j] + gh[3 * h + j] + bias[3 * h + j]);
-            c_next[j] = f_g * c_prev[j] + i_g * g_g;
-            h_next[j] = o_g * c_next[j].tanh();
-        }
+        let (h_next, c_next) = lstm_gates(&gx, &gh, bias, c_prev);
         report.kernel.elements = h;
         Ok((h_next, c_next, report))
     }
+}
+
+/// The straggler charge: re-charges the `busy` cycles a stack just spent
+/// at its stall factor by advancing every channel of the stack a further
+/// `busy·(stall_milli − 1000)/1000` cycles, and returns that extra (0 at
+/// the nominal 1000). Timing-only — a straggler computes the same bits,
+/// so determinism and bit-identity survive.
+pub(crate) fn charge_straggler(ctx: &mut PimContext, busy: Cycle, stall_milli: u64) -> Cycle {
+    let extra = busy.saturating_mul(stall_milli.saturating_sub(1000)) / 1000;
+    if extra > 0 {
+        ctx.advance_to(ctx.sys.max_now() + extra);
+    }
+    extra
 }
 
 /// Which GEMV dimension a sharded call partitions.

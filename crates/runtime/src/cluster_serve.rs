@@ -47,10 +47,11 @@
 //! `docs/CLUSTER.md`.
 
 use crate::blas::PimError;
+use crate::cluster::charge_straggler;
 use crate::context::PimContext;
 use crate::serve::{
-    mix, Breaker, BreakerEvent, Disposition, RequestOutcome, ServeConfig, ServeOp, ServeRequest,
-    ServeStats, Server,
+    mix, resolve_outcomes, Breaker, BreakerEvent, Disposition, RequestOutcome, ServeConfig,
+    ServeOp, ServeRequest, ServeStats, Server,
 };
 use pim_dram::Cycle;
 use pim_faults::ClusterFaultPlan;
@@ -459,15 +460,7 @@ impl<'a> ClusterServer<'a> {
                 // cluster's clock (and every chaos window) forward.
                 let stall_milli =
                     self.cfg.chaos.as_ref().map_or(1000, |p| p.stack_stall_milli(s, epoch_now));
-                let extra = if stall_milli > 1000 {
-                    busy.saturating_mul(stall_milli - 1000) / 1000
-                } else {
-                    0
-                };
-                if extra > 0 {
-                    let target = self.servers[s].now() + extra;
-                    self.servers[s].advance_to(target);
-                }
+                let extra = charge_straggler(self.servers[s].ctx, busy, stall_milli);
                 // Latency is only observable when the stack actually
                 // serviced something; an all-expired bucket keeps the
                 // previous observation (see `straggling`).
@@ -578,20 +571,7 @@ impl<'a> ClusterServer<'a> {
             r.add(names::CHAOS_REJOIN_PROBES, stats.rejoin_probes);
             r.add(names::CHAOS_REJOIN_FAILURES, stats.rejoin_failures);
         }
-        let mut resolved = Vec::with_capacity(total);
-        for (gid, o) in outcomes.into_iter().enumerate() {
-            match o {
-                Some(o) => resolved.push(o),
-                // A routing bug, not a load condition: surface it as the
-                // typed internal error instead of panicking mid-campaign
-                // (docs/PANIC_AUDIT.md).
-                None => {
-                    return Err(PimError::Internal {
-                        detail: format!("cluster request {gid} never resolved to an outcome"),
-                    });
-                }
-            }
-        }
+        let resolved = resolve_outcomes(outcomes)?;
         Ok(ClusterServeReport { outcomes: resolved, stats, end_cycle })
     }
 }

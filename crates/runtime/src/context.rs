@@ -3,6 +3,7 @@
 
 use crate::driver::{MemoryManager, PimDriver};
 use pim_core::PimConfig;
+use pim_dram::Cycle;
 use pim_host::{ExecutionBackend, ExecutionMode, HostConfig, PimSystem};
 use pim_obs::Recorder;
 
@@ -131,6 +132,15 @@ impl PimContext {
     /// built before fault support existed.
     pub fn inject_faults(&mut self, plan: &pim_faults::FaultPlan) {
         self.sys.install_faults(plan);
+    }
+
+    /// Advances every channel's clock to `t` without issuing commands
+    /// (no-op for channels already past it): idle time, and the modelled
+    /// penalties the recovery and cluster layers charge.
+    pub fn advance_to(&mut self, t: Cycle) {
+        for i in 0..self.sys.channel_count() {
+            self.sys.channel_mut(i).advance_to(t);
+        }
     }
 
     /// Frees all PIM memory (arena reset between benchmarks). Also drops

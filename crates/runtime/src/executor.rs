@@ -130,23 +130,13 @@ impl Executor {
     ) -> Result<KernelResult, PimError> {
         let selected: Vec<usize> = (0..channels).collect();
         let per_channel =
-            Self::subset_kernel(ctx, &selected, program, srf, clear_grf_b, data_batches)?;
-        let fp_before = ctx.sys.fastpath_stats();
-        if let Some(r) = &ctx.recorder {
-            r.begin(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
-        }
-        let result = KernelEngine::run_system(&mut ctx.sys, &per_channel, ctx.mode);
-        if let Some(r) = &ctx.recorder {
-            r.end(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
-        }
-        Self::emit_fastpath_delta(ctx, fp_before);
-        Ok(result)
+            Self::subset_kernel(ctx, &selected, program, srf, clear_grf_b, data_batches);
+        Ok(Self::launch(ctx, program, &per_channel, None, true, None)?.0)
     }
 
-    /// The one place a kernel is cloned onto a channel subset: strict-mode
-    /// verification, then the full choreography for every channel in
-    /// `channels` and an empty batch list — the channel sits the launch
-    /// out — for the rest of the system.
+    /// The one place a kernel is cloned onto a channel subset: the full
+    /// choreography for every channel in `channels` and an empty batch
+    /// list — the channel sits the launch out — for the rest of the system.
     fn subset_kernel(
         ctx: &PimContext,
         channels: &[usize],
@@ -154,15 +144,11 @@ impl Executor {
         srf: Option<&LaneVec>,
         clear_grf_b: bool,
         data_batches: &[Batch],
-    ) -> Result<Vec<Vec<Batch>>, PimError> {
-        if ctx.strict {
-            Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
-                .map_err(|report| PimError::InvalidKernel { report })?;
-        }
+    ) -> Vec<Vec<Batch>> {
         let full = Self::full_kernel(program, srf, clear_grf_b, data_batches);
-        Ok((0..ctx.sys.channel_count())
+        (0..ctx.sys.channel_count())
             .map(|ch| if channels.contains(&ch) { full.clone() } else { Vec::new() })
-            .collect())
+            .collect()
     }
 
     /// Launches the kernel on exactly `channels` under an optional
@@ -183,22 +169,56 @@ impl Executor {
         data_batches: &[Batch],
         limit: Option<Cycle>,
     ) -> Result<(KernelResult, Vec<bool>), PimError> {
-        let per_channel = Self::subset_kernel(ctx, channels, program, None, false, data_batches)?;
-        Ok(KernelEngine::run_system_bounded(&mut ctx.sys, &per_channel, ctx.mode, limit))
+        let per_channel = Self::subset_kernel(ctx, channels, program, None, false, data_batches);
+        Self::launch(ctx, program, &per_channel, limit, false, None)
     }
 
-    /// Folds the launch-memoization counters a launch advanced into the
-    /// context's recorder (no-op without one). Channel-attached recorders
-    /// force the cold path, so under full tracing this mostly reports
-    /// `fastpath.uncacheable` — which is itself the fact worth recording.
-    pub(crate) fn emit_fastpath_delta(ctx: &PimContext, before: pim_host::FastpathStats) {
-        let Some(r) = &ctx.recorder else { return };
-        let after = ctx.sys.fastpath_stats();
-        r.add(names::FASTPATH_HITS, after.hits - before.hits);
-        r.add(names::FASTPATH_MISSES, after.misses - before.misses);
-        r.add(names::FASTPATH_INSERTIONS, after.insertions - before.insertions);
-        r.add(names::FASTPATH_UNCACHEABLE, after.uncacheable - before.uncacheable);
-        r.add(names::FASTPATH_UNPROVEN, after.unproven - before.unproven);
+    /// The one launch bracket, over prebuilt per-channel lists that arm
+    /// `program`: strict-mode verification, then the engine under `limit`.
+    /// `traced` wraps the run in the `"kernel"` span and folds the
+    /// launch-memoization counters it advanced into the recorder; `live`
+    /// is the one-shot replay liveness hint of a prepared plan
+    /// ([`pim_host::PimSystem::set_replay_live_hint`]), armed only once
+    /// the launch is certain to run.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::InvalidKernel`] in strict mode, as for
+    /// [`Executor::try_run`].
+    pub(crate) fn launch(
+        ctx: &mut PimContext,
+        program: &[Instruction],
+        per_channel: &[Vec<Batch>],
+        limit: Option<Cycle>,
+        traced: bool,
+        live: Option<&[bool]>,
+    ) -> Result<(KernelResult, Vec<bool>), PimError> {
+        if ctx.strict {
+            Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
+                .map_err(|report| PimError::InvalidKernel { report })?;
+        }
+        if let Some(live) = live {
+            ctx.sys.set_replay_live_hint(live.to_vec());
+        }
+        let rec = ctx.recorder.clone().filter(|_| traced);
+        let fp_before = ctx.sys.fastpath_stats();
+        if let Some(r) = &rec {
+            r.begin(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
+        }
+        let out = KernelEngine::run_system_bounded(&mut ctx.sys, per_channel, ctx.mode, limit);
+        if let Some(r) = &rec {
+            r.end(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
+            // Channel-attached recorders force the cold path, so under full
+            // tracing this mostly reports `fastpath.uncacheable` — which is
+            // itself the fact worth recording.
+            let fp = ctx.sys.fastpath_stats();
+            r.add(names::FASTPATH_HITS, fp.hits - fp_before.hits);
+            r.add(names::FASTPATH_MISSES, fp.misses - fp_before.misses);
+            r.add(names::FASTPATH_INSERTIONS, fp.insertions - fp_before.insertions);
+            r.add(names::FASTPATH_UNCACHEABLE, fp.uncacheable - fp_before.uncacheable);
+            r.add(names::FASTPATH_UNPROVEN, fp.unproven - fp_before.unproven);
+        }
+        Ok(out)
     }
 
     /// Reads GRF_A[0..8] of (`ch`, `unit`) back through the memory-mapped
@@ -252,23 +272,29 @@ impl Executor {
         Self::read_grf(ctx, ch, unit, 8)
     }
 
+    /// The memory-mapped GRF read-back of one unit, as commands: ACT the
+    /// GRF row of the unit's even bank, read the eight columns from
+    /// `col_base` (0 = GRF_A, 8 = GRF_B), PRE. The timed read-back, the
+    /// cost model and the choreography linter all issue exactly this list.
+    pub fn grf_readback_commands(unit: usize, col_base: u32) -> Vec<Command> {
+        let bank = BankAddr::from_flat_index(2 * unit);
+        let mut cmds = vec![Command::Act { bank, row: conf::GRF_ROW }];
+        cmds.extend((0..8).map(|i| Command::Rd { bank, col: col_base + i }));
+        cmds.push(Command::Pre { bank });
+        cmds
+    }
+
     fn read_grf(
         ctx: &mut PimContext,
         ch: usize,
         unit: usize,
         col_base: u32,
     ) -> Result<[LaneVec; 8], PimError> {
-        let bank = BankAddr::from_flat_index(2 * unit);
-        let mut cmds = vec![Command::Act { bank, row: conf::GRF_ROW }];
-        for i in 0..8u32 {
-            cmds.push(Command::Rd { bank, col: col_base + i });
-        }
-        cmds.push(Command::Pre { bank });
         let ctrl = ctx.sys.channel_mut(ch);
         let mut out = [LaneVec::zero(); 8];
         let mut now = ctrl.now();
         let mut next_reg = 0;
-        for cmd in &cmds {
+        for cmd in &Self::grf_readback_commands(unit, col_base) {
             let at = ctrl.sink().earliest_issue(cmd, now);
             let outcome = ctrl.sink_mut().issue(cmd, at).map_err(|e| PimError::Internal {
                 detail: format!("GRF readback on channel {ch} unit {unit}: {cmd}: {e}"),

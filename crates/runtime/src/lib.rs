@@ -66,7 +66,7 @@ pub use graph::{run_graph, GraphNode, GraphResult, NodeRecord};
 pub use kernels::{gemv_microkernel, stream_microkernel, StreamOp};
 pub use layout::BlockMap;
 pub use pim_host::ExecutionBackend;
-pub use plan::GemvPlan;
+pub use plan::{GemvGeometry, GemvPlan};
 pub use preprocessor::{ExecutionTarget, Preprocessor};
 pub use resilience::{resilient_add, FallbackReason, ResilienceConfig, ResilienceReport};
 pub use script::{ScriptError, ScriptSession};

@@ -1,14 +1,18 @@
-//! Prepared launches: the serving-path API over the launch-memoization
-//! fast path.
+//! The GEMV job: one owner for the paper's headline kernel, and the
+//! serving-path API over the launch-memoization fast path.
 //!
-//! [`crate::PimBlas::gemv`] re-places weights and re-generates the command
-//! choreography on every call — correct, but wasteful for the workload the
-//! paper actually serves (Section V: the runtime "caches the generated
-//! code to reuse later"), where one weight matrix is multiplied by a
-//! stream of input vectors. A [`GemvPlan`] splits the call: `prepare`
-//! places the weights and builds the full per-channel command lists
-//! *once*; `launch` patches the input vector's bytes into the prebuilt
-//! write commands in place and runs the engine.
+//! A [`GemvPlan`] *is* the GEMV. `prepare` validates the shape, derives
+//! the [`GemvGeometry`], places the weights and builds the full
+//! per-channel command lists *once*; `launch` patches the input vector's
+//! bytes into the prebuilt write commands in place, runs the engine,
+//! reduces the eight GRF_B partial sums per lane on the host and
+//! assembles the [`KernelReport`]. [`crate::PimBlas::gemv`] is the
+//! one-shot form — `prepare` and a single `launch` — and every other GEMV
+//! front end (`gemv_bias`, `lstm_cell`, the cluster's sharded GEMV, the
+//! cost model's geometry) is a caller of this module. That is the
+//! workload the paper serves (Section V: the runtime "caches the
+//! generated code to reuse later"): one weight matrix multiplied by a
+//! stream of input vectors.
 //!
 //! Because the input scalars ride in writes to ordinary data rows, every
 //! `launch` of a plan shares one launch key (see `pim_host::fastpath`),
@@ -16,20 +20,102 @@
 //! recorded timing analytically instead of simulating — running only the
 //! FP16 data path, and skipping even that on channels whose outputs the
 //! plan knows are dead (`set_replay_live_hint`). Results and reports stay
-//! bit-identical to [`crate::PimBlas::gemv`]'s cold path.
+//! bit-identical to the cold path.
 
-use crate::blas::{begin_op, end_op, KernelReport, PimError};
+use crate::blas::{traced_op, KernelReport, PimError};
 use crate::context::PimContext;
 use crate::executor::Executor;
 use crate::kernels::{gemv_batches, gemv_microkernel, COLS_PER_ROW, GROUP};
-use crate::layout::{self, BlockMap, BLOCK_ELEMS};
-use crate::preprocessor::Preprocessor;
+use crate::layout::{self, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
 use pim_core::{LaneVec, PimVariant};
 use pim_dram::{Command, DataBlock};
 use pim_fp16::F16;
-use pim_host::{Batch, KernelEngine};
-use pim_obs::{names, Scope};
+use pim_host::{Batch, KernelResult};
+
+/// The GEMV weight-shape rule, stated once: non-empty, `w` is `n × k`.
+pub(crate) fn check_weights(w_len: usize, n: usize, k: usize) -> Result<(), PimError> {
+    if n == 0 || k == 0 {
+        return Err(PimError::Empty);
+    }
+    if w_len != n * k {
+        return Err(PimError::SizeMismatch {
+            detail: format!("w has {w_len} elements, expected n*k = {}", n * k),
+        });
+    }
+    Ok(())
+}
+
+/// The GEMV input-shape rule, stated once: `x` has `k` elements.
+pub(crate) fn check_input(x_len: usize, k: usize) -> Result<(), PimError> {
+    if x_len != k {
+        return Err(PimError::SizeMismatch {
+            detail: format!("x has {x_len} elements, expected k = {k}"),
+        });
+    }
+    Ok(())
+}
+
+/// Where an `n × k` GEMV lands on a `channels × units` system: outputs are
+/// distributed 16 per unit (one per SIMD lane), `lanes_per_pass` per
+/// lock-step pass; the reduction dimension is padded to whole 8-input
+/// groups, 32 inputs per DRAM row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GemvGeometry {
+    /// Output rows.
+    pub n: usize,
+    /// Input length (the reduction dimension).
+    pub k: usize,
+    /// PIM units per channel.
+    pub units: usize,
+    /// Output lanes one pass covers (`channels × units × 16`).
+    pub lanes_per_pass: usize,
+    /// Lock-step passes over the system.
+    pub passes: usize,
+    /// `k` padded to a whole number of 8-input groups.
+    pub kpad: usize,
+    /// Weight rows each pass occupies in every unit's even bank.
+    pub rows_per_pass: u32,
+}
+
+impl GemvGeometry {
+    /// The geometry of an `n × k` GEMV over `channels × units` PIM units.
+    pub fn new(n: usize, k: usize, channels: usize, units: usize) -> GemvGeometry {
+        let lanes_per_pass = channels * units * BLOCK_ELEMS;
+        let kpad = k.div_ceil(GROUP as usize) * GROUP as usize;
+        GemvGeometry {
+            n,
+            k,
+            units,
+            lanes_per_pass,
+            passes: n.div_ceil(lanes_per_pass),
+            kpad,
+            rows_per_pass: (kpad as u32).div_ceil(COLS_PER_ROW),
+        }
+    }
+
+    /// 8-input groups the microkernel loops over.
+    pub fn groups(&self) -> u32 {
+        (self.kpad / GROUP as usize) as u32
+    }
+
+    /// The first output row (`ch`, `unit`) owns in pass `p` — lane `l`
+    /// owns `out_base + l` — or `None` when the unit is past the last row.
+    pub fn out_base(&self, p: usize, ch: usize, unit: usize) -> Option<usize> {
+        let base = p * self.lanes_per_pass + (ch * self.units + unit) * BLOCK_ELEMS;
+        (base < self.n).then_some(base)
+    }
+
+    /// The `(channel, unit, out_base)` of every unit that owns outputs in
+    /// pass `p`, channel-major (`out_base` grows with the unit index, so
+    /// the owners are a prefix).
+    fn owners(self, p: usize) -> impl Iterator<Item = (usize, usize, usize)> {
+        (0..self.lanes_per_pass / BLOCK_ELEMS).map_while(move |i| {
+            let (ch, unit) = (i / self.units, i % self.units);
+            self.out_base(p, ch, unit).map(|base| (ch, unit, base))
+        })
+    }
+}
 
 /// Where one input scalar group lands in the prebuilt command lists.
 #[derive(Debug, Clone, Copy)]
@@ -49,11 +135,7 @@ struct XSlot {
 /// [`GemvPlan::launch`].
 #[derive(Debug)]
 pub struct GemvPlan {
-    n: usize,
-    k: usize,
-    passes: usize,
-    lanes_per_pass: usize,
-    units: usize,
+    geometry: GemvGeometry,
     srw: bool,
     program: Vec<Instruction>,
     /// `[pass][channel][batch]` — the exact lists the engine runs; every
@@ -72,76 +154,58 @@ impl GemvPlan {
     ///
     /// # Errors
     ///
-    /// As [`crate::PimBlas::gemv`]: empty or mismatched shapes, or PIM
-    /// memory exhaustion.
+    /// [`PimError::SizeMismatch`] if `w.len() != n*k`; [`PimError::Empty`]
+    /// for zero dimensions; [`PimError::OutOfMemory`] if the weights do
+    /// not fit.
     pub fn prepare(
         ctx: &mut PimContext,
         w: &[f32],
         n: usize,
         k: usize,
     ) -> Result<GemvPlan, PimError> {
-        if n == 0 || k == 0 {
-            return Err(PimError::Empty);
-        }
-        if w.len() != n * k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("w has {} elements, expected n*k = {}", w.len(), n * k),
-            });
-        }
+        check_weights(w.len(), n, k)?;
         let cfg = ctx.sys.pim_config().clone();
         let srw = cfg.variant == PimVariant::SimultaneousReadWrite;
-        let map = BlockMap::full(&ctx.sys);
-        let lanes_per_pass = map.lanes_per_command();
-        let passes = n.div_ceil(lanes_per_pass);
-        let kpad = k.div_ceil(GROUP as usize) * GROUP as usize;
-        let rows_per_pass = (kpad as u32).div_ceil(COLS_PER_ROW);
+        let channels = ctx.sys.channel_count();
+        let g = GemvGeometry::new(n, k, channels, cfg.units_per_pch);
         let base_row = ctx
             .mm
-            .alloc_rows_lockstep(rows_per_pass * passes as u32)
+            .alloc_rows_lockstep(g.rows_per_pass * g.passes as u32)
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
 
-        // Weight placement — identical to `PimBlas::gemv`: lane l of
-        // (pass, ch, unit) owns output row out_base + l; input j sits at
-        // (row j/32, col j%32).
-        for p in 0..passes {
-            let prow = base_row + p as u32 * rows_per_pass;
-            for ch in 0..map.channels {
-                for u in 0..map.units {
-                    let out_base = p * lanes_per_pass + (ch * map.units + u) * BLOCK_ELEMS;
-                    if out_base >= n {
-                        continue;
-                    }
-                    for j in 0..k {
-                        let mut lanes = [F16::ZERO; 16];
-                        for (l, lane) in lanes.iter_mut().enumerate() {
-                            let o = out_base + l;
-                            if o < n {
-                                *lane = F16::from_f32(w[o * k + j]);
-                            }
+        // Weight placement: lane l of (pass, ch, unit) owns output row
+        // out_base + l; input j sits at (row j/32, col j%32).
+        for p in 0..g.passes {
+            let prow = base_row + p as u32 * g.rows_per_pass;
+            for (ch, u, out_base) in g.owners(p) {
+                for j in 0..k {
+                    let mut lanes = [F16::ZERO; 16];
+                    for (l, lane) in lanes.iter_mut().enumerate() {
+                        let o = out_base + l;
+                        if o < n {
+                            *lane = F16::from_f32(w[o * k + j]);
                         }
-                        layout::store_block(
-                            &mut ctx.sys,
-                            ch,
-                            u,
-                            prow + j as u32 / COLS_PER_ROW,
-                            j as u32 % COLS_PER_ROW,
-                            &LaneVec::from_lanes(lanes),
-                        );
                     }
+                    layout::store_block(
+                        &mut ctx.sys,
+                        ch,
+                        u,
+                        prow + j as u32 / COLS_PER_ROW,
+                        j as u32 % COLS_PER_ROW,
+                        &LaneVec::from_lanes(lanes),
+                    );
                 }
             }
         }
 
-        let groups = (kpad / GROUP as usize) as u32;
-        let program = gemv_microkernel(groups, &cfg);
-        let channels = ctx.sys.channel_count();
+        let program = gemv_microkernel(g.groups(), &cfg);
         let zeros = vec![0.0f32; k];
-        let mut per_pass = Vec::with_capacity(passes);
+        let mut per_pass = Vec::with_capacity(g.passes);
         let mut x_slots = Vec::new();
-        let mut live = Vec::with_capacity(passes);
-        for p in 0..passes {
-            let prow = base_row + p as u32 * rows_per_pass;
-            let data = gemv_batches(kpad, prow, &zeros, &cfg);
+        let mut live = Vec::with_capacity(g.passes);
+        for p in 0..g.passes {
+            let prow = base_row + p as u32 * g.rows_per_pass;
+            let data = gemv_batches(g.kpad, prow, &zeros, &cfg);
             let full = Executor::full_kernel(&program, None, true, &data);
             if p == 0 {
                 // The choreography prefix (enter-AB, CRF, GRF clear,
@@ -160,34 +224,19 @@ impl GemvPlan {
                 }
             }
             per_pass.push(vec![full; channels]);
-            live.push(
-                (0..channels)
-                    .map(|ch| p * lanes_per_pass + ch * map.units * BLOCK_ELEMS < n)
-                    .collect(),
-            );
+            live.push((0..channels).map(|ch| g.out_base(p, ch, 0).is_some()).collect());
         }
-        Ok(GemvPlan {
-            n,
-            k,
-            passes,
-            lanes_per_pass,
-            units: map.units,
-            srw,
-            program,
-            per_pass,
-            x_slots,
-            live,
-        })
+        Ok(GemvPlan { geometry: g, srw, program, per_pass, x_slots, live })
     }
 
     /// Output length (`n`).
     pub fn output_len(&self) -> usize {
-        self.n
+        self.geometry.n
     }
 
     /// Input length (`k`).
     pub fn input_len(&self) -> usize {
-        self.k
+        self.geometry.k
     }
 
     /// Writes `x` into every prebuilt input-write command, across all
@@ -217,9 +266,9 @@ impl GemvPlan {
     }
 
     /// Runs the prepared GEMV for one input vector. Numerics, cycle
-    /// counts, and reports are bit-identical to [`crate::PimBlas::gemv`]
-    /// over the same weights — only the host-side wall clock differs
-    /// (steady-state launches replay from the launch-memoization cache).
+    /// counts, and reports are those of the cold path on every launch —
+    /// only the host-side wall clock differs (steady-state launches
+    /// replay from the launch-memoization cache).
     ///
     /// # Errors
     ///
@@ -230,7 +279,7 @@ impl GemvPlan {
         ctx: &mut PimContext,
         x: &[f32],
     ) -> Result<(Vec<f32>, KernelReport), PimError> {
-        self.launch_inner(ctx, x, false)
+        self.launch_as(ctx, x, "gemv_plan", false)
     }
 
     /// [`GemvPlan::launch`] with the analytic predictor cross-checked
@@ -245,93 +294,58 @@ impl GemvPlan {
         ctx: &mut PimContext,
         x: &[f32],
     ) -> Result<(Vec<f32>, KernelReport), PimError> {
-        self.launch_inner(ctx, x, true)
+        self.launch_as(ctx, x, "gemv_plan", true)
     }
 
-    fn launch_inner(
+    /// The launch under the op span `op`: `"gemv_plan"` for a prepared
+    /// plan's launches, `"gemv"` for the one-shot [`crate::PimBlas::gemv`].
+    pub(crate) fn launch_as(
         &mut self,
         ctx: &mut PimContext,
         x: &[f32],
+        op: &'static str,
         crosscheck: bool,
     ) -> Result<(Vec<f32>, KernelReport), PimError> {
-        if x.len() != self.k {
-            return Err(PimError::SizeMismatch {
-                detail: format!("x has {} elements, expected k = {}", x.len(), self.k),
-            });
-        }
-        if ctx.strict {
-            Preprocessor::verify_kernel(ctx.sys.pim_config(), &self.program)
-                .map_err(|report| PimError::InvalidKernel { report })?;
-        }
+        let g = self.geometry;
+        check_input(x.len(), g.k)?;
         self.patch_x(x);
-        let rec = begin_op(ctx, "gemv_plan");
-        let start = ctx.sys.max_now();
-        let triggers_before = ctx.sys.total_pim_triggers();
-        let mut out = vec![0.0f32; self.n];
-        let mut commands = 0;
-        let mut fences = 0;
-        for p in 0..self.passes {
-            let fp_before = ctx.sys.fastpath_stats();
-            let predicted = if crosscheck {
-                Some(pim_host::predict_launch(&ctx.sys, &self.per_pass[p], ctx.mode, None))
-            } else {
-                None
-            };
-            ctx.sys.set_replay_live_hint(self.live[p].clone());
-            if let Some(r) = &ctx.recorder {
-                r.begin(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
-            }
-            let r = KernelEngine::run_system(&mut ctx.sys, &self.per_pass[p], ctx.mode);
-            if let Some(predicted) = predicted {
-                let p_ok = predicted.as_ref().is_some_and(|pr| {
-                    pr.end_cycle == r.end_cycle
-                        && pr.commands == r.commands
-                        && pr.fences == r.fences
-                });
-                if !p_ok {
-                    return Err(PimError::Internal {
-                        detail: format!(
-                            "analytic predictor diverged on pass {p}: \
-                             predicted {predicted:?}, simulated {r:?}"
-                        ),
+        traced_op(ctx, op, g.n, |ctx| {
+            let mut out = vec![0.0f32; g.n];
+            let mut launched = KernelResult::ZERO;
+            for p in 0..g.passes {
+                let lists = &self.per_pass[p];
+                let predicted =
+                    crosscheck.then(|| pim_host::predict_launch(&ctx.sys, lists, ctx.mode, None));
+                let live = Some(self.live[p].as_slice());
+                let (r, _) = Executor::launch(ctx, &self.program, lists, None, true, live)?;
+                if let Some(predicted) = predicted {
+                    let agrees = predicted.as_ref().is_some_and(|pr| {
+                        pr.end_cycle == r.end_cycle
+                            && pr.commands == r.commands
+                            && pr.fences == r.fences
                     });
-                }
-            }
-            if let Some(rr) = &ctx.recorder {
-                rr.end(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
-            }
-            Executor::emit_fastpath_delta(ctx, fp_before);
-            commands += r.commands;
-            fences += r.fences;
-            for ch in 0..self.live[p].len() {
-                for u in 0..self.units {
-                    let out_base = p * self.lanes_per_pass + (ch * self.units + u) * BLOCK_ELEMS;
-                    if out_base >= self.n {
-                        continue;
+                    if !agrees {
+                        return Err(PimError::Internal {
+                            detail: format!(
+                                "analytic predictor diverged on pass {p}: \
+                                 predicted {predicted:?}, simulated {r:?}"
+                            ),
+                        });
                     }
+                }
+                launched = KernelResult::merged([launched, r]);
+                // Host-side reduction of the 8 partial accumulators per
+                // lane, in f32, register order.
+                for (ch, u, out_base) in g.owners(p) {
                     let grfb = Executor::try_read_grf_b(ctx, ch, u)?;
-                    for l in 0..BLOCK_ELEMS {
-                        let o = out_base + l;
-                        if o < self.n {
-                            out[o] = grfb.iter().map(|v| v[l].to_f32()).sum();
-                        }
+                    for (l, o) in out[out_base..].iter_mut().take(BLOCK_ELEMS).enumerate() {
+                        *o = grfb.iter().map(|v| v[l].to_f32()).sum();
                     }
                 }
+                ctx.sys.barrier();
             }
-            ctx.sys.barrier();
-        }
-        let end = ctx.sys.max_now();
-        let cycles = end - start;
-        let report = KernelReport {
-            cycles,
-            seconds: ctx.sys.cycles_to_seconds(cycles),
-            commands,
-            fences,
-            pim_triggers: ctx.sys.total_pim_triggers() - triggers_before,
-            elements: self.n,
-        };
-        end_op(&rec, ctx, "gemv_plan");
-        Ok((out, report))
+            Ok((out, launched))
+        })
     }
 }
 
@@ -346,20 +360,6 @@ mod tests {
 
     fn input(k: usize, salt: usize) -> Vec<f32> {
         (0..k).map(|i| (((i * 3 + salt) % 17) as f32 - 8.0) / 16.0).collect()
-    }
-
-    #[test]
-    fn plan_matches_blas_numerics() {
-        let (n, k) = (64, 96);
-        let w = weights(n, k);
-        let x = input(k, 0);
-        let mut ref_ctx = PimContext::small_system();
-        let (y_blas, _) = PimBlas::gemv(&mut ref_ctx, &w, n, k, &x).unwrap();
-        let mut ctx = PimContext::small_system();
-        let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).unwrap();
-        let (y_plan, r) = plan.launch(&mut ctx, &x).unwrap();
-        assert_eq!(y_plan, y_blas);
-        assert!(r.cycles > 0);
     }
 
     #[test]

@@ -253,9 +253,7 @@ pub fn resilient_add(
                 // idles, every channel's clock advances.
                 let pause = cfg.backoff_cycles << (attempt - 1).min(8);
                 let now = ctx.sys.barrier();
-                for i in 0..ctx.sys.channel_count() {
-                    ctx.sys.channel_mut(i).advance_to(now + pause);
-                }
+                ctx.advance_to(now + pause);
                 continue;
             }
 

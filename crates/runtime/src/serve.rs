@@ -108,12 +108,6 @@ pub struct ServeConfig {
     pub initial_cycles_per_element: u64,
     /// Seed for deterministic tie-breaks (equal arrivals, equal deadlines).
     pub seed: u64,
-    /// Whether kernel launches may take the launch-memoization fast path
-    /// (`docs/FASTPATH.md`). On by default; replay is bit-identical to
-    /// cold simulation, so a [`ServeReport`] is byte-identical either way
-    /// — the flag exists for A/B measurement and for callers that want
-    /// every launch fully simulated.
-    pub fastpath: bool,
 }
 
 impl Default for ServeConfig {
@@ -129,7 +123,6 @@ impl Default for ServeConfig {
             host_cycles_per_element: 16,
             initial_cycles_per_element: 64,
             seed: 0x5E17,
-            fastpath: true,
         }
     }
 }
@@ -446,6 +439,24 @@ pub(crate) fn served_latencies(outcomes: &[RequestOutcome]) -> Vec<Cycle> {
         .collect()
 }
 
+/// The gather at the end of both servers' `run`: every submitted request
+/// must have resolved to an outcome. A hole is a scheduling bug, not a
+/// load condition, so it surfaces as the typed internal error naming the
+/// request instead of panicking mid-campaign (`docs/PANIC_AUDIT.md`).
+pub(crate) fn resolve_outcomes(
+    outcomes: Vec<Option<RequestOutcome>>,
+) -> Result<Vec<RequestOutcome>, PimError> {
+    outcomes
+        .into_iter()
+        .enumerate()
+        .map(|(id, o)| {
+            o.ok_or_else(|| PimError::Internal {
+                detail: format!("request {id} never resolved to an outcome"),
+            })
+        })
+        .collect()
+}
+
 /// Per-domain breaker state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BreakerState {
@@ -541,7 +552,7 @@ struct Queued {
 /// carried across [`Server::run`] calls.
 #[derive(Debug)]
 pub struct Server<'a> {
-    ctx: &'a mut PimContext,
+    pub(crate) ctx: &'a mut PimContext,
     cfg: ServeConfig,
     breakers: Vec<Breaker>,
     queues: BTreeMap<u32, VecDeque<Queued>>,
@@ -564,7 +575,6 @@ impl<'a> Server<'a> {
             cfg.validate_geometry(ctx.sys.channel_count()).is_ok(),
             "clamped group geometry must validate"
         );
-        ctx.sys.set_fastpath_enabled(cfg.fastpath);
         let groups = ctx.sys.channel_count().div_ceil(cfg.channels_per_group);
         let cpe_milli = cfg.initial_cycles_per_element.max(1) * 1000;
         Server {
@@ -598,9 +608,7 @@ impl<'a> Server<'a> {
     /// modelled chaos penalties — straggler stall, crash downtime,
     /// rejoin re-replication — by advancing a member stack this way.
     pub fn advance_to(&mut self, t: Cycle) {
-        for i in 0..self.ctx.sys.channel_count() {
-            self.ctx.sys.channel_mut(i).advance_to(t);
-        }
+        self.ctx.advance_to(t);
     }
 
     /// Drops the stack's arena — every tenant's laid-out weights and all
@@ -821,11 +829,7 @@ impl<'a> Server<'a> {
                 r.add(name, *count);
             }
         }
-        let outcomes = outcomes
-            .into_iter()
-            .enumerate()
-            .map(|(id, o)| o.unwrap_or_else(|| panic!("request {id} never resolved")))
-            .collect();
+        let outcomes = resolve_outcomes(outcomes)?;
         Ok(ServeReport { outcomes, stats, end_cycle, slo: std::mem::take(&mut self.slo) })
     }
 
@@ -1137,6 +1141,22 @@ mod tests {
             budget: None,
             op: ServeOp::Add { x, y },
         }
+    }
+
+    #[test]
+    fn unresolved_request_is_a_typed_error_naming_the_id() {
+        let mut ctx = PimContext::small_system();
+        let report = Server::new(&mut ctx, ServeConfig::default())
+            .run(vec![add_req(0, 0, 10_000_000, 64), add_req(1, 0, 10_000_000, 64)])
+            .unwrap();
+        let mut gathered: Vec<Option<RequestOutcome>> =
+            report.outcomes.iter().cloned().map(Some).collect();
+        assert_eq!(resolve_outcomes(gathered.clone()).unwrap(), report.outcomes);
+        gathered[1] = None;
+        let Err(PimError::Internal { detail }) = resolve_outcomes(gathered) else {
+            panic!("a hole in the gather must be PimError::Internal");
+        };
+        assert!(detail.contains("request 1 never resolved"), "{detail}");
     }
 
     #[test]

@@ -190,3 +190,89 @@ fn stream_callers_agree_bit_for_bit() {
         }
     }
 }
+
+/// Cross-path differential, the GEMV twin of
+/// [`stream_callers_agree_bit_for_bit`]: the one-shot `PimBlas::gemv`, a
+/// `GemvPlan`'s cold launch, the same plan's third and fourth launches
+/// (replayed from the launch cache: first recording the data tape, then
+/// playing it) and `gemv_row_parallel` on a one-stack cluster all return
+/// the bits of an independent lane-exact model of the device, and the
+/// one-shot call and the plan's cold launch report identical costs.
+#[test]
+fn gemv_callers_agree_bit_for_bit() {
+    use pim_runtime::{ClusterContext, GemvPlan};
+
+    // Input j MACs into partial-sum register j % 8 with the two-rounding
+    // FP16 MAC, ascending j over the zero-padded k; the host then adds the
+    // eight registers in f32, register order.
+    fn oracle(w: &[f32], n: usize, k: usize, x: &[f32]) -> Vec<f32> {
+        let mut out = Vec::with_capacity(n);
+        for o in 0..n {
+            let mut acc = [F16::ZERO; 8];
+            for j in 0..k.div_ceil(8) * 8 {
+                let (wj, xj) = if j < k { (w[o * k + j], x[j]) } else { (0.0, 0.0) };
+                let [r] = F16::mac_lanes(&[F16::from_f32(wj)], &[F16::from_f32(xj)], &[acc[j % 8]]);
+                acc[j % 8] = r;
+            }
+            out.push(acc.iter().map(|r| r.to_f32()).sum::<f32>());
+        }
+        out
+    }
+
+    let probe = PimContext::small_system();
+    let per_pass = probe.sys.channel_count() * probe.sys.pim_config().units_per_pch * 16;
+    // Lane, group and unit boundaries; `plan_matches_blas_numerics`'s
+    // 64 × 96; one two-pass shape; three seeded ones.
+    let mut shapes =
+        vec![(1, 1), (15, 7), (16, 8), (17, 9), (130, 260), (64, 96), (per_pass + 64, 16)];
+    let mut state = 0x5EEDu64;
+    let mut next = move |bound: usize| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        1 + (state >> 33) as usize % bound
+    };
+    for _ in 0..3 {
+        shapes.push((next(300), next(300)));
+    }
+
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+    for (n, k) in shapes {
+        let w: Vec<f32> = (0..n * k).map(|i| ((i * 7 + n) % 41) as f32 / 32.0 - 0.625).collect();
+        let x: Vec<f32> = (0..k).map(|i| ((i * 3 + k) % 17) as f32 / 16.0 - 0.5).collect();
+        let other: Vec<f32> = x.iter().map(|v| 0.25 - v).collect();
+        let want = bits(&oracle(&w, n, k, &x));
+        let passes = n.div_ceil(per_pass) as u64;
+
+        let (direct, direct_report) =
+            PimBlas::gemv(&mut PimContext::small_system(), &w, n, k, &x).unwrap();
+        assert_eq!(bits(&direct), want, "PimBlas::gemv vs oracle, {n}x{k}");
+
+        let mut ctx = PimContext::small_system();
+        let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).unwrap();
+        let (cold, cold_report) = plan.launch(&mut ctx, &x).unwrap();
+        assert_eq!(bits(&cold), want, "cold launch vs oracle, {n}x{k}");
+        assert_eq!(cold_report, direct_report, "cold launch vs PimBlas::gemv report, {n}x{k}");
+        assert_eq!(cold_report.elements, n);
+        // The second launch starts from the recurring post-readback state
+        // and is the one the cache records.
+        let (second, _) = plan.launch(&mut ctx, &other).unwrap();
+        assert_eq!(bits(&second), bits(&oracle(&w, n, k, &other)), "second launch, {n}x{k}");
+        for replay in ["recording", "taped"] {
+            let hits_before = ctx.sys.fastpath_stats().hits;
+            let (warm, warm_report) = plan.launch(&mut ctx, &x).unwrap();
+            assert_eq!(
+                ctx.sys.fastpath_stats().hits - hits_before,
+                passes,
+                "{replay} replay must hit on every pass, {n}x{k}"
+            );
+            assert_eq!(bits(&warm), want, "{replay} replay vs oracle, {n}x{k}");
+            assert_eq!(warm_report.commands, cold_report.commands, "{replay} replay, {n}x{k}");
+            assert_eq!(warm_report.fences, cold_report.fences, "{replay} replay, {n}x{k}");
+            assert_eq!(warm_report.pim_triggers, cold_report.pim_triggers, "{replay}, {n}x{k}");
+        }
+
+        let mut cluster = ClusterContext::new(1).unwrap();
+        let (sharded, cluster_report) = cluster.gemv_row_parallel(&w, n, k, &x).unwrap();
+        assert_eq!(bits(&sharded), want, "gemv_row_parallel vs oracle, {n}x{k}");
+        assert_eq!(cluster_report.kernel, direct_report, "one-stack cluster report, {n}x{k}");
+    }
+}

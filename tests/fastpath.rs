@@ -230,9 +230,11 @@ fn serve_report_byte_identical_with_fastpath_on_and_off() {
 
     let run = |fastpath: bool| {
         let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { fastpath, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        server.run(requests()).expect("serve run")
+        ctx.sys.set_fastpath_enabled(fastpath);
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        let report = server.run(requests()).expect("serve run");
+        assert_eq!(ctx.sys.fastpath_enabled(), fastpath, "the server re-armed the fast path");
+        report
     };
 
     let on = run(true);
