@@ -28,6 +28,14 @@ fn bench_fp16(c: &mut Criterion) {
         let z = LaneVec::splat(acc);
         bench.iter(|| std::hint::black_box(x).mac(y, z))
     });
+    g.bench_function("lane_vec_add", |bench| {
+        let (x, y) = (LaneVec::splat(a), LaneVec::splat(acc));
+        bench.iter(|| std::hint::black_box(x).add(y))
+    });
+    g.bench_function("lane_vec_mul", |bench| {
+        let (x, y) = (LaneVec::splat(a), LaneVec::splat(b));
+        bench.iter(|| std::hint::black_box(x).mul(y))
+    });
     // The pure bit-level implementation, for comparison with the f32 path.
     g.bench_function("softfloat_mul_bits", |bench| {
         let (x, y) = (a.to_bits(), b.to_bits());

@@ -334,34 +334,34 @@ impl PimChannel {
         unit_idx: Option<usize>,
     ) -> u64 {
         let word = LaneVec::from_block(data);
-        let targets: Vec<usize> = match unit_idx {
-            Some(u) => vec![u],
-            None => (0..self.units.len()).collect(),
+        let targets = match unit_idx {
+            Some(u) => &mut self.units[u..=u],
+            None => &mut self.units[..],
         };
         match row {
             CRF_ROW => {
                 let (base, words) = (crf_block_base(col), crf_block_words(data));
-                for &t in &targets {
+                for unit in targets.iter_mut() {
                     for (i, w) in words.into_iter().enumerate() {
-                        self.units[t].crf_mut().write_word(base + i, w);
+                        unit.crf_mut().write_word(base + i, w);
                     }
                 }
                 (words.len() * targets.len()) as u64
             }
             SRF_ROW => {
-                for &t in &targets {
-                    self.units[t].srf_m_mut().load_from_lanes(&word, 0);
-                    self.units[t].srf_a_mut().load_from_lanes(&word, 8);
+                for unit in targets {
+                    unit.srf_m_mut().load_from_lanes(&word, 0);
+                    unit.srf_a_mut().load_from_lanes(&word, 8);
                 }
                 0
             }
             GRF_ROW => {
                 let c = (col as usize) % 16;
-                for &t in &targets {
+                for unit in targets {
                     if c < 8 {
-                        self.units[t].grf_a_mut().write(c, word);
+                        unit.grf_a_mut().write(c, word);
                     } else {
-                        self.units[t].grf_b_mut().write(c - 8, word);
+                        unit.grf_b_mut().write(c - 8, word);
                     }
                 }
                 0
@@ -492,9 +492,13 @@ impl PimChannel {
             let bank_at =
                 |port| BankAddr::from_flat_index(2 * u + usize::from(port == BankPort::Odd));
             let inner = &self.inner;
-            let fx = unit.dataflow(instr, kind, col, |port| {
-                LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col))
-            });
+            let fx = unit.dataflow(
+                instr,
+                kind,
+                col,
+                #[inline(always)]
+                |port| LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col)),
+            );
             if matches!(source, InstrSource::Live) {
                 unit.retire(&fx);
             }
@@ -509,7 +513,6 @@ impl PimChannel {
 
     /// Issues a command while in an all-bank mode.
     fn issue_ab(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let t = self.inner.timing().clone();
         let earliest = self.earliest_ab(cmd, cycle);
         if cycle < earliest {
             return Err(IssueError::TooEarly { earliest });
@@ -519,11 +522,12 @@ impl PimChannel {
                 if self.ab.open_row.is_some() {
                     return Err(IssueError::BankAlreadyOpen);
                 }
-                self.inner.all_bank_activate(*row, cycle);
+                let t = self.inner.timing();
                 self.ab.open_row = Some(*row);
                 self.ab.next_col = cycle + t.t_rcd;
                 self.ab.next_pre = cycle + t.t_ras;
                 self.ab.next_act = cycle + t.t_rc;
+                self.inner.all_bank_activate(*row, cycle);
                 self.stats.ab_acts += 1;
                 // An ACT to the SBMR row arms the exit transition.
                 if *row == SBMR_ROW {
@@ -538,9 +542,9 @@ impl PimChannel {
                 if self.ab.open_row.is_none() {
                     return Err(IssueError::BankNotOpen);
                 }
-                self.inner.all_bank_precharge(cycle);
                 self.ab.open_row = None;
-                self.ab.next_act = self.ab.next_act.max(cycle + t.t_rp);
+                self.ab.next_act = self.ab.next_act.max(cycle + self.inner.timing().t_rp);
+                self.inner.all_bank_precharge(cycle);
                 self.stats.ab_pres += 1;
                 if self.pending == Some(PendingTransition::ToSingleBank) {
                     self.pending = None;
@@ -554,16 +558,14 @@ impl PimChannel {
             }
             Command::Rd { col, .. } => {
                 let row = self.ab.open_row.ok_or(IssueError::BankNotOpen)?;
+                let t = self.inner.timing();
+                let data_at = Some(cycle + t.t_cl + t.t_bl);
                 self.ab.next_col = cycle + t.t_ccd_l;
                 self.ab.next_pre = self.ab.next_pre.max(cycle + t.t_rtp);
                 self.stats.ab_reads += 1;
                 if Self::is_conf_row(row) {
                     let data = self.conf_read(row, *col, 0);
-                    return Ok(IssueOutcome {
-                        issued_at: cycle,
-                        data: Some(data),
-                        data_at: Some(cycle + t.t_cl + t.t_bl),
-                    });
+                    return Ok(IssueOutcome { issued_at: cycle, data: Some(data), data_at });
                 }
                 let fault = self.roll_column_fault();
                 match self.mode {
@@ -577,11 +579,7 @@ impl PimChannel {
                         if let ColumnFault::CorruptBit(bit) = fault {
                             pim_faults::flip_bit(&mut data, bit);
                         }
-                        Ok(IssueOutcome {
-                            issued_at: cycle,
-                            data: Some(data),
-                            data_at: Some(cycle + t.t_cl + t.t_bl),
-                        })
+                        Ok(IssueOutcome { issued_at: cycle, data: Some(data), data_at })
                     }
                     PimMode::AllBankPim => {
                         // The RD triggers PIM execution; no data crosses the
@@ -598,10 +596,11 @@ impl PimChannel {
             }
             Command::Wr { col, data, .. } => {
                 let row = self.ab.open_row.ok_or(IssueError::BankNotOpen)?;
+                let t = self.inner.timing();
+                let data_at = Some(cycle + t.t_wl + t.t_bl);
                 self.ab.next_col = cycle + t.t_ccd_l;
                 self.ab.next_pre = self.ab.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
                 self.stats.ab_writes += 1;
-                let data_at = Some(cycle + t.t_wl + t.t_bl);
                 if Self::is_conf_row(row) {
                     self.conf_write(row, *col, data, None);
                     return Ok(IssueOutcome { issued_at: cycle, data: None, data_at });
@@ -640,7 +639,7 @@ impl PimChannel {
                 if self.ab.open_row.is_some() {
                     return Err(IssueError::BanksOpenOnRefresh);
                 }
-                self.ab.next_act = self.ab.next_act.max(cycle + t.t_rfc);
+                self.ab.next_act = self.ab.next_act.max(cycle + self.inner.timing().t_rfc);
                 Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
             }
         }
@@ -1284,6 +1283,97 @@ mod tests {
             .map(|e| e.name.as_ref())
             .collect();
         assert_eq!(modes, ["SB->AB", "AB->AB-PIM", "AB-PIM->AB", "AB->SB"]);
+    }
+
+    /// One way a CRF entry can change.
+    #[derive(Debug, Clone)]
+    enum CrfWrite {
+        Word { unit: usize, index: usize, word: u32 },
+        Program { unit: usize, words: Vec<u32> },
+        SbConf { bank: usize, col: u32, words: Vec<u32> },
+        AbConf { col: u32, words: Vec<u32> },
+    }
+
+    fn any_crf_write() -> impl proptest::prelude::Strategy<Value = CrfWrite> {
+        use proptest::prelude::*;
+        let block = || proptest::collection::vec(any::<u32>(), 8);
+        prop_oneof![
+            (0usize..8, 0usize..32, any::<u32>()).prop_map(|(unit, index, word)| CrfWrite::Word {
+                unit,
+                index,
+                word
+            }),
+            (0usize..8, proptest::collection::vec(any::<u32>(), 0..33))
+                .prop_map(|(unit, words)| CrfWrite::Program { unit, words }),
+            (0usize..16, 0u32..32, block()).prop_map(|(bank, col, words)| CrfWrite::SbConf {
+                bank,
+                col,
+                words
+            }),
+            (0u32..32, block()).prop_map(|(col, words)| CrfWrite::AbConf { col, words }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Whatever writes a CRF word — `write_word`, `load_program`, a
+        /// single-bank or an all-bank write to the `CRF` row, in any order
+        /// and with arbitrary (mostly undecodable) words — every entry's
+        /// predecoded instruction is the decode of the word it holds, and
+        /// the words are the ones a plain model of the four paths predicts.
+        #[test]
+        fn crf_entries_stay_predecoded_under_every_write_path(
+            writes in proptest::collection::vec(any_crf_write(), 1..24),
+        ) {
+            let mut ch = fresh();
+            let mut model = [[Instruction::Exit.encode(); 32]; 8];
+            let mut now = 0;
+            for w in writes {
+                let conf = |bank, col, words: &[u32]| {
+                    let data = crf_block(std::array::from_fn(|i| words[i]));
+                    [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data }, Command::Pre { bank }]
+                };
+                match w {
+                    CrfWrite::Word { unit, index, word } => {
+                        ch.units[unit].crf_mut().write_word(index, word);
+                        model[unit][index] = word;
+                    }
+                    CrfWrite::Program { unit, words } => {
+                        let program: Vec<Instruction> =
+                            words.iter().filter_map(|&w| Instruction::decode(w).ok()).collect();
+                        ch.units[unit].crf_mut().load_program(&program);
+                        for (i, m) in model[unit].iter_mut().enumerate() {
+                            *m = program.get(i).unwrap_or(&Instruction::Exit).encode();
+                        }
+                    }
+                    CrfWrite::SbConf { bank, col, words } => {
+                        let bank = BankAddr::from_flat_index(bank);
+                        now = run(&mut ch, &conf(bank, col, &words), now);
+                        let base = crf_block_base(col);
+                        model[bank.flat_index() / 2][base..base + 8].copy_from_slice(&words);
+                    }
+                    CrfWrite::AbConf { col, words } => {
+                        now = run(&mut ch, &enter_ab_sequence(), now);
+                        now = run(&mut ch, &conf(BankAddr::new(0, 0), col, &words), now);
+                        now = run(&mut ch, &exit_ab_sequence(), now);
+                        let base = crf_block_base(col);
+                        for m in &mut model {
+                            m[base..base + 8].copy_from_slice(&words);
+                        }
+                    }
+                }
+                for (u, m) in model.iter().enumerate() {
+                    let crf = ch.unit(u).crf();
+                    for (i, &word) in m.iter().enumerate() {
+                        proptest::prop_assert_eq!(crf.read_word(i), word, "unit {} entry {}", u, i);
+                        proptest::prop_assert_eq!(
+                            crf.decoded(i),
+                            Instruction::decode(word).ok(),
+                            "unit {} entry {} word {:#010X}", u, i, word
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

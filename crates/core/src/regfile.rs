@@ -61,9 +61,15 @@ pub fn crf_blocks(program: &[Instruction]) -> Vec<DataBlock> {
 /// The command register file: a 32-entry instruction buffer holding the PIM
 /// microkernel. "PIM instructions are stored in the CRF serving as an
 /// instruction buffer" (Section III-A).
+///
+/// A word is decoded once, when it is written: every entry keeps its
+/// decoded instruction beside the raw word (`None` when the word does not
+/// decode), so the sequencer only ever reads.
 #[derive(Debug, Clone)]
 pub struct Crf {
     words: [u32; CRF_ENTRIES],
+    /// `Instruction::decode(words[i]).ok()`, kept in step by [`Crf::write_word`].
+    decoded: [Option<Instruction>; CRF_ENTRIES],
 }
 
 impl Default for Crf {
@@ -76,10 +82,14 @@ impl Crf {
     /// A CRF initialized with EXIT in every slot, so an unprogrammed unit
     /// halts on its first trigger instead of executing garbage.
     pub fn new() -> Crf {
-        Crf { words: [Instruction::Exit.encode(); CRF_ENTRIES] }
+        Crf {
+            words: [Instruction::Exit.encode(); CRF_ENTRIES],
+            decoded: [Some(Instruction::Exit); CRF_ENTRIES],
+        }
     }
 
-    /// Writes the raw instruction word at `index`.
+    /// Writes the raw instruction word at `index` — the one place a CRF
+    /// entry changes, and so the one place it is decoded.
     ///
     /// # Panics
     ///
@@ -87,6 +97,7 @@ impl Crf {
     pub fn write_word(&mut self, index: usize, word: u32) {
         assert!(index < CRF_ENTRIES, "CRF index {index} out of range");
         self.words[index] = word;
+        self.decoded[index] = Instruction::decode(word).ok();
     }
 
     /// Reads the raw instruction word at `index`.
@@ -102,24 +113,36 @@ impl Crf {
     /// Panics if the program exceeds 32 instructions.
     pub fn load_program(&mut self, program: &[Instruction]) {
         assert!(program.len() <= CRF_ENTRIES, "microkernel exceeds the 32-entry CRF");
-        for (i, instr) in program.iter().enumerate() {
-            self.words[i] = instr.encode();
-        }
-        for w in self.words.iter_mut().skip(program.len()) {
-            *w = Instruction::Exit.encode();
+        for i in 0..CRF_ENTRIES {
+            self.write_word(i, program.get(i).unwrap_or(&Instruction::Exit).encode());
         }
     }
 
-    /// Decodes the instruction at `index`.
+    /// The instruction the word at `index` decoded to when it was written;
+    /// `None` if it does not decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= 32`.
+    #[inline]
+    pub fn decoded(&self, index: usize) -> Option<Instruction> {
+        self.decoded[index]
+    }
+
+    /// The instruction at `index`.
     ///
     /// # Panics
     ///
     /// Panics if the stored word does not decode — the executor validates
     /// programs before loading them, so this indicates a programming bug,
-    /// which the paper's deterministic model surfaces immediately.
+    /// which the paper's deterministic model surfaces immediately. (The
+    /// sequencer does not call this: a unit that reaches such an entry
+    /// halts.)
     pub fn fetch(&self, index: usize) -> Instruction {
-        Instruction::decode(self.read_word(index))
-            .unwrap_or_else(|e| panic!("CRF[{index}] holds an undecodable word: {e}"))
+        self.decoded(index).unwrap_or_else(|| {
+            let e = Instruction::decode(self.words[index]).expect_err("predecoded as undecodable");
+            panic!("CRF[{index}] holds an undecodable word: {e}")
+        })
     }
 }
 
@@ -245,6 +268,25 @@ mod tests {
         crf.write_word(7, w);
         assert_eq!(crf.read_word(7), w);
         assert!(crf.fetch(7).aam());
+    }
+
+    #[test]
+    fn undecodable_word_predecodes_to_none() {
+        let mut crf = Crf::new();
+        crf.write_word(3, 0xF000_0000);
+        assert_eq!(crf.decoded(3), None);
+        assert_eq!(crf.decoded(2), Some(Instruction::Exit));
+        // Overwriting it decodes again.
+        crf.write_word(3, Instruction::Nop { cycles: 2 }.encode());
+        assert_eq!(crf.decoded(3), Some(Instruction::Nop { cycles: 2 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "CRF[3] holds an undecodable word")]
+    fn fetch_of_an_undecodable_word_panics() {
+        let mut crf = Crf::new();
+        crf.write_word(3, 0xF000_0000);
+        crf.fetch(3);
     }
 
     #[test]

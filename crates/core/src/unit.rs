@@ -218,6 +218,14 @@ impl PimUnit {
         self.halted
     }
 
+    /// The CRF entry, and the word in it, that halted this unit because the
+    /// word decodes to no instruction. `None` for a running unit and for
+    /// one stopped by EXIT, an out-of-range JUMP or the end of the CRF.
+    pub fn undecodable_halt(&self) -> Option<(usize, u32)> {
+        (self.halted && self.ppc < CRF_ENTRIES && self.crf.decoded(self.ppc).is_none())
+            .then(|| (self.ppc, self.crf.read_word(self.ppc)))
+    }
+
     /// Execution statistics.
     pub fn stats(&self) -> &UnitStats {
         &self.stats
@@ -259,14 +267,13 @@ impl PimUnit {
     }
 
     /// Resolves zero-cycle control flow: follows JUMPs (without consuming
-    /// a trigger) and stops at the next executable instruction; EXIT halts.
-    fn resolve_control(&mut self) {
-        loop {
-            if self.halted {
-                return;
-            }
-            match self.crf.fetch(self.ppc) {
-                Instruction::Jump { target, count } => {
+    /// a trigger) and returns the next executable instruction, leaving the
+    /// PPC on it; `None` once the unit has halted. EXIT halts, and so does
+    /// an entry that did not decode when it was written.
+    fn resolve_control(&mut self) -> Option<Instruction> {
+        while !self.halted {
+            match self.crf.decoded(self.ppc) {
+                Some(Instruction::Jump { target, count }) => {
                     // The JUMP encoding carries more target bits than the
                     // CRF has entries, so a raw CRF image can name an
                     // out-of-range target. The static verifier rejects such
@@ -277,13 +284,11 @@ impl PimUnit {
                         "JUMP target {target} outside the {CRF_ENTRIES}-entry CRF \
                          reached the sequencer (rejected statically by pim-verify)"
                     );
+                    // Otherwise the body executes `count` times: take the
+                    // backward jump `count - 1` times, then fall through.
                     if (target as usize) >= CRF_ENTRIES {
                         self.halted = true;
-                        return;
-                    }
-                    // The body executes `count` times: take the backward
-                    // jump `count - 1` times, then fall through.
-                    if self.jump_taken[self.ppc] + 1 < count {
+                    } else if self.jump_taken[self.ppc] + 1 < count {
                         self.jump_taken[self.ppc] += 1;
                         self.ppc = target as usize;
                     } else {
@@ -291,16 +296,17 @@ impl PimUnit {
                         self.ppc += 1;
                     }
                 }
-                Instruction::Exit => {
-                    self.halted = true;
-                }
-                _ => return,
+                // A raw CRF image can hold a word no instruction encodes
+                // (PV011 statically, `ScheduleError::Undecodable` in the
+                // schedule model): the unit stops, like on EXIT.
+                Some(Instruction::Exit) | None => self.halted = true,
+                Some(instr) => return Some(instr),
             }
             if self.ppc >= CRF_ENTRIES {
                 self.halted = true;
-                return;
             }
         }
+        None
     }
 
     fn aam_idx(col: u32) -> usize {
@@ -315,8 +321,46 @@ impl PimUnit {
         }
     }
 
+    /// Reads source operand `op`, asking `bank` only for a bank port and
+    /// noting in `fx` what the energy model counts. Inlined so that one
+    /// trigger is one straight-line body with its vectors in registers.
+    #[inline(always)]
+    fn read_operand(
+        &self,
+        op: Operand,
+        aam: bool,
+        kind: TriggerKind,
+        col: u32,
+        bank: &mut impl FnMut(BankPort) -> LaneVec,
+        fx: &mut Dataflow,
+    ) -> LaneVec {
+        let idx = Self::src_index(op, aam, col);
+        match op.kind {
+            OperandKind::GrfA => self.grf_a.read(idx),
+            OperandKind::GrfB => self.grf_b.read(idx),
+            OperandKind::EvenBank => {
+                fx.bank_read = Some(BankPort::Even);
+                bank(BankPort::Even)
+            }
+            OperandKind::OddBank => {
+                fx.bank_read = Some(BankPort::Odd);
+                bank(BankPort::Odd)
+            }
+            OperandKind::SrfM => self.srf_m.read_broadcast(idx),
+            OperandKind::SrfA => self.srf_a.read_broadcast(idx),
+            OperandKind::Wdata => match kind {
+                TriggerKind::Write(d) => d,
+                TriggerKind::Read => {
+                    fx.wdata_on_read += 1;
+                    LaneVec::zero()
+                }
+            },
+        }
+    }
+
     /// Writes `value` to `dst`; returns a bank write-back if the destination
     /// is a bank.
+    #[inline(always)]
     fn write_operand(
         &mut self,
         dst: Operand,
@@ -355,12 +399,14 @@ impl PimUnit {
         }
     }
 
-    /// The sequencer half of a trigger: resolves zero-cycle control flow,
-    /// fetches, and advances the PPC past the instruction this trigger
-    /// executes. Returns that instruction — one repeat of a multi-cycle NOP
-    /// reads as `NOP 1` — or `None` once the unit has halted. No register
-    /// data is read: which instruction the n-th trigger resolves to is a
-    /// function of the CRF image alone.
+    /// The sequencer half of a trigger: resolves zero-cycle control flow
+    /// and advances the PPC past the instruction this trigger executes.
+    /// Returns that instruction — one repeat of a multi-cycle NOP reads as
+    /// `NOP 1` — or `None` once the unit has halted. Nothing is decoded
+    /// ([`Crf`] did that when the word was written) and no register data is
+    /// read: which instruction the n-th trigger resolves to is a function
+    /// of the CRF image alone.
+    #[inline]
     pub(crate) fn sequence(&mut self) -> Option<Instruction> {
         let instr = if self.nop_remaining > 0 {
             // A multi-cycle NOP absorbs this trigger without a fetch; the
@@ -368,11 +414,7 @@ impl PimUnit {
             self.nop_remaining -= 1;
             Instruction::Nop { cycles: 1 }
         } else {
-            self.resolve_control();
-            if self.halted {
-                return None;
-            }
-            let instr = self.crf.fetch(self.ppc);
+            let instr = self.resolve_control()?;
             if let Instruction::Nop { cycles } = instr {
                 self.nop_remaining = cycles.saturating_sub(1);
             }
@@ -398,6 +440,7 @@ impl PimUnit {
     /// image derives statically ([`crate::schedule::StaticSchedule`]), and
     /// the fast path only records launches whose armed images prove
     /// (`pim-verify`'s PV301 flags the rest ahead of time).
+    #[inline]
     pub(crate) fn dataflow(
         &mut self,
         instr: Instruction,
@@ -405,59 +448,46 @@ impl PimUnit {
         col: u32,
         mut bank: impl FnMut(BankPort) -> LaneVec,
     ) -> Dataflow {
-        let this = &*self;
-        let (mut bank_read, mut wdata_on_read) = (None, 0);
-        let mut read = |op: Operand, aam: bool| {
-            let idx = Self::src_index(op, aam, col);
-            match op.kind {
-                OperandKind::GrfA => this.grf_a.read(idx),
-                OperandKind::GrfB => this.grf_b.read(idx),
-                OperandKind::EvenBank => {
-                    bank_read = Some(BankPort::Even);
-                    bank(BankPort::Even)
-                }
-                OperandKind::OddBank => {
-                    bank_read = Some(BankPort::Odd);
-                    bank(BankPort::Odd)
-                }
-                OperandKind::SrfM => this.srf_m.read_broadcast(idx),
-                OperandKind::SrfA => this.srf_a.read_broadcast(idx),
-                OperandKind::Wdata => match kind {
-                    TriggerKind::Write(d) => d,
-                    TriggerKind::Read => {
-                        wdata_on_read += 1;
-                        LaneVec::zero()
-                    }
-                },
-            }
-        };
-        let (dst, aam, value, flops) = match instr {
-            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => {
-                return Dataflow::default()
-            }
+        let mut fx = Dataflow::default();
+        let (dst, aam, value) = match instr {
+            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => return fx,
             Instruction::Mov { dst, src, relu, aam } => {
-                let v = read(src, aam);
-                (dst, aam, if relu { v.relu() } else { v }, 0)
+                let v = self.read_operand(src, aam, kind, col, &mut bank, &mut fx);
+                (dst, aam, if relu { v.relu() } else { v })
             }
-            Instruction::Fill { dst, src, aam } => (dst, aam, read(src, aam), 0),
+            Instruction::Fill { dst, src, aam } => {
+                (dst, aam, self.read_operand(src, aam, kind, col, &mut bank, &mut fx))
+            }
             Instruction::Add { dst, src0, src1, aam } => {
-                (dst, aam, read(src0, aam).add(read(src1, aam)), 16)
+                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
+                fx.flops = 16;
+                (dst, aam, a.add(b))
             }
             Instruction::Mul { dst, src0, src1, aam } => {
-                (dst, aam, read(src0, aam).mul(read(src1, aam)), 16)
+                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
+                fx.flops = 16;
+                (dst, aam, a.mul(b))
             }
             Instruction::Mac { dst, src0, src1, aam } => {
-                let (a, b) = (read(src0, aam), read(src1, aam));
-                (dst, aam, a.mac(b, read(dst, aam)), 32)
+                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
+                let acc = self.read_operand(dst, aam, kind, col, &mut bank, &mut fx);
+                fx.flops = 32;
+                (dst, aam, a.mac(b, acc))
             }
             Instruction::Mad { dst, src0, src1, aam } => {
                 // SRC2 shares SRC1's index, in SRF_A (Section III-C).
-                let c = this.srf_a.read_broadcast(Self::src_index(src1, aam, col));
-                (dst, aam, read(src0, aam).mac(read(src1, aam), c), 32)
+                let c = self.srf_a.read_broadcast(Self::src_index(src1, aam, col));
+                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
+                fx.flops = 32;
+                (dst, aam, a.mac(b, c))
             }
         };
-        let bank_write = self.write_operand(dst, aam, col, value);
-        Dataflow { bank_write, bank_read, flops, wdata_on_read }
+        fx.bank_write = self.write_operand(dst, aam, col, value);
+        fx
     }
 
     /// Counts one executed trigger into the unit's statistics.
@@ -729,11 +759,43 @@ mod tests {
         u.reset_sequencer();
         u.execute(&rd_trigger(0, [1.0; 16], [0.0; 16]));
         assert!(u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16])).halted);
+        assert_eq!(u.undecodable_halt(), None, "EXIT is a decodable halt");
         u.reset_sequencer();
         assert!(!u.is_halted());
         let out = u.execute(&rd_trigger(0, [2.0; 16], [0.0; 16]));
         assert!(!out.halted);
         assert_eq!(u.grf_a().read(0).to_f32(), [2.0; 16]);
+    }
+
+    #[test]
+    fn undecodable_entry_halts_the_unit() {
+        // Reserved operand kind 7 in every field: decodes to nothing.
+        let garbage = 0x7BFF_7BFF;
+        assert!(Instruction::decode(garbage).is_err());
+        let mov = Instruction::Mov {
+            dst: Operand::grf_a(0),
+            src: Operand::even_bank(),
+            relu: false,
+            aam: false,
+        };
+        let mut u = PimUnit::new();
+        u.crf_mut().load_program(&[mov, Instruction::Jump { target: 3, count: 1 }, mov]);
+        u.crf_mut().write_word(2, garbage);
+        u.reset_sequencer();
+        // The MOV runs; the JUMP falls through onto the garbage word, which
+        // stops the unit without consuming the instruction after it.
+        assert_eq!(u.execute(&rd_trigger(0, [1.0; 16], [0.0; 16])).executed, Some(mov));
+        let out = u.execute(&rd_trigger(0, [2.0; 16], [0.0; 16]));
+        assert_eq!((out.executed, out.halted), (None, true));
+        assert_eq!(u.undecodable_halt(), Some((2, garbage)));
+        assert_eq!(u.grf_a().read(0).to_f32(), [1.0; 16]);
+        assert_eq!(u.stats().instructions, 1);
+        // ... and agrees with the static model of the same image.
+        let schedule = crate::schedule::StaticSchedule::of_crf(u.crf(), 1 << 20);
+        assert!(matches!(
+            schedule,
+            Err(crate::schedule::ScheduleError::Undecodable { index: 2, word }) if word == garbage
+        ));
     }
 
     #[test]

@@ -77,13 +77,13 @@ impl LaneVec {
     /// sites read like the microkernel they implement.
     #[allow(clippy::should_implement_trait)]
     pub fn add(self, rhs: LaneVec) -> LaneVec {
-        self.zip(rhs, |a, b| a + b)
+        LaneVec(F16::add_lanes(&self.0, &rhs.0))
     }
 
     /// Lane-wise multiplication (one pass through the FP multipliers).
     #[allow(clippy::should_implement_trait)]
     pub fn mul(self, rhs: LaneVec) -> LaneVec {
-        self.zip(rhs, |a, b| a * b)
+        LaneVec(F16::mul_lanes(&self.0, &rhs.0))
     }
 
     /// Lane-wise multiply-accumulate: `acc + self*rhs` with the hardware's
@@ -117,14 +117,6 @@ impl LaneVec {
             *l = F16::from_f32(*v);
         }
         LaneVec(lanes)
-    }
-
-    fn zip(self, rhs: LaneVec, f: impl Fn(F16, F16) -> F16) -> LaneVec {
-        let mut out = [F16::ZERO; LANES];
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = f(self.0[i], rhs.0[i]);
-        }
-        LaneVec(out)
     }
 }
 
@@ -203,6 +195,27 @@ mod tests {
         assert_eq!(v[3].to_f32(), 0.0);
         assert_eq!(v[7].to_bits(), 0);
         assert_eq!(v[0].to_f32(), 1.0);
+    }
+
+    #[test]
+    fn lane_ops_equal_the_scalar_operators_bit_for_bit() {
+        // Every FP16 value through `relu`, and against its bitwise
+        // complement-ish partner through `add` / `mul` (the exhaustive
+        // special × value sweep lives with `F16::add_lanes`).
+        for base in (0u32..0x1_0000).step_by(LANES) {
+            let a = LaneVec::from_lanes(std::array::from_fn(|i| {
+                F16::from_bits((base as usize + i) as u16)
+            }));
+            let b = LaneVec::from_lanes(std::array::from_fn(|i| {
+                F16::from_bits(((base as usize + i) as u16).wrapping_mul(0x9E37).rotate_left(3))
+            }));
+            let (relu, sum, prod) = (a.relu(), a.add(b), a.mul(b));
+            for i in 0..LANES {
+                assert_eq!(relu[i].to_bits(), a[i].relu().to_bits(), "relu {:?}", a[i]);
+                assert_eq!(sum[i].to_bits(), (a[i] + b[i]).to_bits(), "{:?} + {:?}", a[i], b[i]);
+                assert_eq!(prod[i].to_bits(), (a[i] * b[i]).to_bits(), "{:?} * {:?}", a[i], b[i]);
+            }
+        }
     }
 
     #[test]

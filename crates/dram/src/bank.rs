@@ -10,37 +10,6 @@
 use crate::command::{DataBlock, DATA_BLOCK_BYTES};
 use crate::timing::Cycle;
 use pim_faults::CellFaults;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiplicative hasher for the row map. Row numbers are small dense
-/// integers; SipHash (the `HashMap` default) costs more than the 32-byte
-/// block copy it guards on the row-access hot path, and its per-process
-/// random seed is wasted on keys an adversary never controls. A fixed
-/// multiply by a 64-bit odd constant spreads the low bits across the table
-/// and keeps the map's behaviour deterministic across runs.
-#[derive(Default)]
-struct RowHasher(u64);
-
-impl Hasher for RowHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (FNV-1a); the row map only ever hashes u32 keys
-        // via `write_u32`, but the trait requires full coverage.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u32(&mut self, key: u32) {
-        self.0 = u64::from(key).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type RowMap = HashMap<u32, Box<[u8]>, BuildHasherDefault<RowHasher>>;
 
 /// Bytes per DRAM row (page) per bank, per pseudo channel: 1 KiB for HBM2.
 pub const ROW_BYTES: usize = 1024;
@@ -62,8 +31,11 @@ pub enum BankState {
 /// One DRAM bank: an array of rows with an open-row (row buffer) state
 /// machine and the per-bank timing horizon.
 ///
-/// Rows are materialized lazily; untouched rows read as zero bytes, which
-/// stands in for an initialized device.
+/// Rows are materialized lazily and indexed directly by row number: the
+/// index grows to the highest row written, a row's 1 KiB is allocated by
+/// its first write, and an operand fetch is two loads with no hashing.
+/// Untouched rows read as zero bytes, which stands in for an initialized
+/// device.
 ///
 /// # Example
 ///
@@ -75,7 +47,9 @@ pub enum BankState {
 #[derive(Debug, Clone)]
 pub struct Bank {
     state: BankState,
-    rows: RowMap,
+    /// `rows[r]` is row `r`'s storage once written; rows past the end and
+    /// `None` entries are untouched.
+    rows: Vec<Option<Box<[u8; ROW_BYTES]>>>,
     /// Earliest cycle an ACT may issue (tRC after previous ACT, tRP after
     /// precharge completes).
     pub(crate) next_act: Cycle,
@@ -105,7 +79,7 @@ impl Bank {
     pub fn new() -> Bank {
         Bank {
             state: BankState::Closed,
-            rows: RowMap::default(),
+            rows: Vec::new(),
             next_act: 0,
             next_col: 0,
             next_pre: 0,
@@ -169,6 +143,40 @@ impl Bank {
         self.next_pre = self.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
     }
 
+    /// The block at (`row`, `col`) as the array returns it: zero for an
+    /// untouched row, cell faults applied.
+    #[inline]
+    fn load(&self, row: u32, col: u32) -> DataBlock {
+        let mut block = [0u8; DATA_BLOCK_BYTES];
+        if let Some(Some(data)) = self.rows.get(row as usize) {
+            let off = col as usize * DATA_BLOCK_BYTES;
+            block.copy_from_slice(&data[off..off + DATA_BLOCK_BYTES]);
+        }
+        if let Some(f) = &self.faults {
+            f.corrupt_read(row, col, &mut block);
+        }
+        block
+    }
+
+    /// Stores `data` at (`row`, `col`), write faults applied, materializing
+    /// the row on its first write.
+    #[inline]
+    fn store(&mut self, row: u32, col: u32, data: &DataBlock) {
+        // Bounds the index: it grows to `row + 1` entries.
+        assert!(row < ROWS_PER_BANK, "row {row} out of range");
+        let mut data = *data;
+        if let Some(f) = &mut self.faults {
+            f.corrupt_write(row, col, &mut data);
+        }
+        let row = row as usize;
+        if row >= self.rows.len() {
+            self.rows.resize_with(row + 1, || None);
+        }
+        let storage = self.rows[row].get_or_insert_with(|| Box::new([0u8; ROW_BYTES]));
+        let off = col as usize * DATA_BLOCK_BYTES;
+        storage[off..off + DATA_BLOCK_BYTES].copy_from_slice(&data);
+    }
+
     /// Reads the 32-byte block at `col` of the **open** row.
     ///
     /// # Panics
@@ -178,15 +186,7 @@ impl Bank {
     pub fn read_block(&self, col: u32) -> DataBlock {
         let row = self.open_row().expect("read with no open row");
         assert!(col < COLS_PER_ROW, "column {col} out of range");
-        let mut block = [0u8; DATA_BLOCK_BYTES];
-        if let Some(data) = self.rows.get(&row) {
-            let off = col as usize * DATA_BLOCK_BYTES;
-            block.copy_from_slice(&data[off..off + DATA_BLOCK_BYTES]);
-        }
-        if let Some(f) = &self.faults {
-            f.corrupt_read(row, col, &mut block);
-        }
-        block
+        self.load(row, col)
     }
 
     /// Writes the 32-byte block at `col` of the **open** row.
@@ -197,50 +197,38 @@ impl Bank {
     pub fn write_block(&mut self, col: u32, data: &DataBlock) {
         let row = self.open_row().expect("write with no open row");
         assert!(col < COLS_PER_ROW, "column {col} out of range");
-        let mut data = *data;
-        if let Some(f) = &mut self.faults {
-            f.corrupt_write(row, col, &mut data);
-        }
-        let storage =
-            self.rows.entry(row).or_insert_with(|| vec![0u8; ROW_BYTES].into_boxed_slice());
-        let off = col as usize * DATA_BLOCK_BYTES;
-        storage[off..off + DATA_BLOCK_BYTES].copy_from_slice(&data);
+        self.store(row, col, data);
     }
 
     /// Direct backdoor read used by test assertions and by the functional
     /// loader of the software stack (modelling DMA initialization): reads a
     /// block without touching row-buffer or timing state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn peek_block(&self, row: u32, col: u32) -> DataBlock {
         assert!(row < ROWS_PER_BANK && col < COLS_PER_ROW);
-        let mut block = [0u8; DATA_BLOCK_BYTES];
-        if let Some(data) = self.rows.get(&row) {
-            let off = col as usize * DATA_BLOCK_BYTES;
-            block.copy_from_slice(&data[off..off + DATA_BLOCK_BYTES]);
-        }
-        if let Some(f) = &self.faults {
-            f.corrupt_read(row, col, &mut block);
-        }
-        block
+        self.load(row, col)
     }
 
     /// Direct backdoor write (see [`Bank::peek_block`]). Like the in-band
     /// path, it is subject to transient write faults: DMA traffic crosses
     /// the same array.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` or `col` is out of range.
+    #[inline]
     pub fn poke_block(&mut self, row: u32, col: u32, data: &DataBlock) {
         assert!(row < ROWS_PER_BANK && col < COLS_PER_ROW);
-        let mut data = *data;
-        if let Some(f) = &mut self.faults {
-            f.corrupt_write(row, col, &mut data);
-        }
-        let storage =
-            self.rows.entry(row).or_insert_with(|| vec![0u8; ROW_BYTES].into_boxed_slice());
-        let off = col as usize * DATA_BLOCK_BYTES;
-        storage[off..off + DATA_BLOCK_BYTES].copy_from_slice(&data);
+        self.store(row, col, data);
     }
 
     /// Number of rows that have been materialized (written at least once).
     pub fn touched_rows(&self) -> usize {
-        self.rows.len()
+        self.rows.iter().flatten().count()
     }
 
     /// Adds completed open-interval cycles to the residency accumulator
@@ -351,6 +339,120 @@ mod tests {
         bank.do_activate(1, 400, &t);
         bank.do_precharge(450, &t);
         assert_eq!(bank.open_cycles(500), 110);
+    }
+
+    /// One access to a bank's storage, through the backdoor or in band.
+    #[derive(Debug, Clone)]
+    enum Access {
+        Poke {
+            row: u32,
+            col: u32,
+            fill: u8,
+        },
+        Peek {
+            row: u32,
+            col: u32,
+        },
+        /// ACT `row`, write `fill` at `col`, read it back, PRE.
+        WriteBlock {
+            row: u32,
+            col: u32,
+            fill: u8,
+        },
+        /// ACT `row`, read `col`, PRE.
+        ReadBlock {
+            row: u32,
+            col: u32,
+        },
+    }
+
+    fn any_access() -> impl proptest::prelude::Strategy<Value = Access> {
+        use proptest::prelude::*;
+        // The ends of the bank, the reserved PIM_CONF rows at its top, and
+        // rows in between; few enough that sequences revisit them.
+        let row = || {
+            prop_oneof![
+                Just(0u32),
+                Just(ROWS_PER_BANK - 1),
+                0x1FFAu32..0x2000,
+                0u32..4,
+                (0u32..ROWS_PER_BANK).prop_map(|r| r / 1000 * 1000),
+            ]
+        };
+        let col = || 0u32..COLS_PER_ROW;
+        prop_oneof![
+            (row(), col(), any::<u8>()).prop_map(|(row, col, fill)| Access::Poke {
+                row,
+                col,
+                fill
+            }),
+            (row(), col()).prop_map(|(row, col)| Access::Peek { row, col }),
+            (row(), col(), any::<u8>()).prop_map(|(row, col, fill)| Access::WriteBlock {
+                row,
+                col,
+                fill
+            }),
+            (row(), col()).prop_map(|(row, col)| Access::ReadBlock { row, col }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// The row storage against a `(row, col) -> block` map: every read,
+        /// in band or backdoor, returns the last block written there or
+        /// zeros, and `touched_rows` counts the distinct rows written.
+        #[test]
+        fn storage_matches_a_map_model(
+            accesses in proptest::collection::vec(any_access(), 1..64),
+        ) {
+            let t = TimingParams::hbm2();
+            let mut bank = Bank::new();
+            let mut model: std::collections::HashMap<(u32, u32), DataBlock> = Default::default();
+            let stored = |model: &std::collections::HashMap<(u32, u32), DataBlock>, row, col| {
+                model.get(&(row, col)).copied().unwrap_or([0u8; DATA_BLOCK_BYTES])
+            };
+            for (i, access) in accesses.into_iter().enumerate() {
+                let cycle = i as Cycle * 1000;
+                match access {
+                    Access::Poke { row, col, fill } => {
+                        bank.poke_block(row, col, &[fill; DATA_BLOCK_BYTES]);
+                        model.insert((row, col), [fill; DATA_BLOCK_BYTES]);
+                    }
+                    Access::Peek { row, col } => {
+                        proptest::prop_assert_eq!(bank.peek_block(row, col), stored(&model, row, col));
+                    }
+                    Access::WriteBlock { row, col, fill } => {
+                        bank.do_activate(row, cycle, &t);
+                        bank.write_block(col, &[fill; DATA_BLOCK_BYTES]);
+                        model.insert((row, col), [fill; DATA_BLOCK_BYTES]);
+                        proptest::prop_assert_eq!(bank.read_block(col), [fill; DATA_BLOCK_BYTES]);
+                        bank.do_precharge(cycle + 500, &t);
+                    }
+                    Access::ReadBlock { row, col } => {
+                        bank.do_activate(row, cycle, &t);
+                        proptest::prop_assert_eq!(bank.read_block(col), stored(&model, row, col));
+                        bank.do_precharge(cycle + 500, &t);
+                    }
+                }
+                let rows: std::collections::HashSet<u32> = model.keys().map(|k| k.0).collect();
+                proptest::prop_assert_eq!(bank.touched_rows(), rows.len());
+            }
+            // Every block of every row ever named, not only the ones read.
+            for &(row, _) in model.keys() {
+                for col in 0..COLS_PER_ROW {
+                    proptest::prop_assert_eq!(bank.peek_block(row, col), stored(&model, row, col));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row 8192 out of range")]
+    fn in_band_write_past_the_last_row_is_refused() {
+        // ACT only debug-checks the row; the store must not grow the index
+        // for a row the bank does not have.
+        let mut bank = Bank::new();
+        bank.state = BankState::Open(ROWS_PER_BANK);
+        bank.write_block(0, &[1; 32]);
     }
 
     #[test]

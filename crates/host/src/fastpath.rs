@@ -71,8 +71,8 @@ use std::collections::{HashMap, VecDeque};
 use pim_core::conf::{crf_block_base, crf_block_words, CRF_ROW};
 use pim_core::isa::Instruction;
 use pim_core::schedule::{StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
-use pim_core::{LaunchAccounting, ModeWalker, Step};
-use pim_dram::{ChannelTimingState, Command, Cycle};
+use pim_core::{LaunchAccounting, ModeWalker, PimConfig, Step};
+use pim_dram::{ChannelTimingState, Command, Cycle, TimingParams};
 
 use crate::engine::{Batch, ExecutionMode, KernelResult};
 use crate::system::PimSystem;
@@ -323,8 +323,7 @@ impl LaunchCache {
             ExecutionMode::Ordered => k.word(3),
             ExecutionMode::UnfencedReordered { .. } => return None,
         }
-        k.bytes(format!("{:?}", sys.timing()).as_bytes());
-        k.bytes(format!("{:?}", sys.pim_config()).as_bytes());
+        k.configuration(sys.timing(), sys.pim_config());
         k.word(sys.host.fence_sync_overhead_cycles);
         k.word(sys.channel_count() as u64);
         k.word(per_channel.len() as u64);
@@ -448,6 +447,57 @@ impl KeyHasher {
         }
     }
 
+    /// Every field of the timing and device configuration. The patterns
+    /// are exhaustive, so a field added to either struct fails to compile
+    /// here instead of silently dropping out of the key.
+    fn configuration(&mut self, timing: &TimingParams, config: &PimConfig) {
+        let &TimingParams {
+            bus_mhz,
+            t_rcd,
+            t_rp,
+            t_ras,
+            t_rc,
+            t_ccd_s,
+            t_ccd_l,
+            t_rrd_s,
+            t_rrd_l,
+            t_faw,
+            t_cl,
+            t_wl,
+            t_bl,
+            t_wr,
+            t_rtp,
+            t_wtr,
+            t_rtw,
+            t_refi,
+            t_rfc,
+        } = timing;
+        self.words([
+            bus_mhz, t_rcd, t_rp, t_ras, t_rc, t_ccd_s, t_ccd_l, t_rrd_s, t_rrd_l, t_faw, t_cl,
+            t_wl, t_bl, t_wr, t_rtp, t_wtr, t_rtw, t_refi, t_rfc,
+        ]);
+        let &PimConfig {
+            units_per_pch,
+            lanes,
+            grf_entries_per_file,
+            crf_entries,
+            variant,
+            unit_mhz,
+            gate_count,
+            unit_area_mm2,
+        } = config;
+        self.words([
+            units_per_pch as u64,
+            lanes as u64,
+            grf_entries_per_file as u64,
+            crf_entries as u64,
+            variant as u64,
+            unit_mhz,
+            gate_count,
+            unit_area_mm2.to_bits(),
+        ]);
+    }
+
     /// A command's class, bank and row or column — never its payload.
     fn command(&mut self, cmd: &Command) {
         match *cmd {
@@ -464,5 +514,92 @@ impl KeyHasher {
         for w in ws {
             self.word(w);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::HostConfig;
+    use pim_core::PimVariant;
+    use pim_dram::BankAddr;
+
+    /// Every timing field and every device-configuration field is in the
+    /// key, so two systems that differ in exactly one of them never share a
+    /// cache entry for the same launch.
+    #[test]
+    fn every_configuration_field_separates_launch_keys() {
+        let hash = |timing: &TimingParams, pim: &PimConfig| {
+            let mut k = KeyHasher::new();
+            k.configuration(timing, pim);
+            k.h
+        };
+        let mut keys = vec![hash(&TimingParams::hbm2(), &PimConfig::paper())];
+        let timing_fields: [fn(&mut TimingParams) -> &mut u64; 19] = [
+            |t| &mut t.bus_mhz,
+            |t| &mut t.t_rcd,
+            |t| &mut t.t_rp,
+            |t| &mut t.t_ras,
+            |t| &mut t.t_rc,
+            |t| &mut t.t_ccd_s,
+            |t| &mut t.t_ccd_l,
+            |t| &mut t.t_rrd_s,
+            |t| &mut t.t_rrd_l,
+            |t| &mut t.t_faw,
+            |t| &mut t.t_cl,
+            |t| &mut t.t_wl,
+            |t| &mut t.t_bl,
+            |t| &mut t.t_wr,
+            |t| &mut t.t_rtp,
+            |t| &mut t.t_wtr,
+            |t| &mut t.t_rtw,
+            |t| &mut t.t_refi,
+            |t| &mut t.t_rfc,
+        ];
+        for field in timing_fields {
+            let mut t = TimingParams::hbm2();
+            *field(&mut t) += 1;
+            keys.push(hash(&t, &PimConfig::paper()));
+        }
+        let config_edits: [fn(&mut PimConfig); 8] = [
+            |c| c.units_per_pch -= 1,
+            |c| c.lanes += 1,
+            |c| c.grf_entries_per_file += 1,
+            |c| c.crf_entries += 1,
+            |c| c.variant = PimVariant::TwoBankAccess,
+            |c| c.unit_mhz += 1,
+            |c| c.gate_count += 1,
+            |c| c.unit_area_mm2 += 0.001,
+        ];
+        for edit in config_edits {
+            let mut c = PimConfig::paper();
+            edit(&mut c);
+            keys.push(hash(&TimingParams::hbm2(), &c));
+        }
+        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(distinct.len(), keys.len(), "a configuration field fell out of the key");
+
+        // And through `launch_key` itself, on systems that differ in one
+        // timing field or one device field.
+        let bank = BankAddr::new(0, 0);
+        let launch = vec![vec![Batch::setup(vec![
+            Command::Act { bank, row: 3 },
+            Command::Rd { bank, col: 0 },
+            Command::Pre { bank },
+        ])]];
+        let key = |timing: TimingParams, pim: PimConfig| {
+            let sys = PimSystem::with_timing(HostConfig::paper(), pim, timing);
+            let mode = ExecutionMode::Fenced { reorder_seed: None };
+            LaunchCache::new().launch_key(&sys, &launch, mode).expect("cacheable").0
+        };
+        let base = key(TimingParams::hbm2(), PimConfig::paper());
+        assert_eq!(base, key(TimingParams::hbm2(), PimConfig::paper()), "keys repeat");
+        let mut slower = TimingParams::hbm2();
+        slower.t_ccd_l += 1;
+        assert_ne!(base, key(slower, PimConfig::paper()));
+        assert_ne!(
+            base,
+            key(TimingParams::hbm2(), PimConfig::with_variant(PimVariant::TwoBankAccess))
+        );
     }
 }

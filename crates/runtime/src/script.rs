@@ -27,7 +27,9 @@
 
 use pim_core::asm;
 use pim_core::{conf, LaneVec, PimChannel, PimConfig, PimMode};
-use pim_dram::{BankAddr, Command, CommandSink, Cycle, TimingParams, TracingSink};
+use pim_dram::{
+    BankAddr, Command, CommandSink, Cycle, TimingParams, TracingSink, COLS_PER_ROW, ROWS_PER_BANK,
+};
 use pim_fp16::F16;
 use pim_obs::Recorder;
 use std::fmt;
@@ -120,6 +122,33 @@ impl ScriptSession {
         Ok(data)
     }
 
+    /// After a column command in AB-PIM mode: a trigger that lands on a CRF
+    /// word no instruction encodes halts the unit without a trace, which in
+    /// a bring-up shell is an error worth a line number.
+    fn check_triggered_units(&self, line: usize) -> Result<(), ScriptError> {
+        let ch = self.channel.inner();
+        if ch.mode() != PimMode::AllBankPim {
+            return Ok(());
+        }
+        match (0..ch.unit_count()).find_map(|u| Some((u, ch.unit(u).undecodable_halt()?))) {
+            Some((u, (index, word))) => err(
+                line,
+                format!("unit {u} halted on CRF[{index}] = {word:#010X}, which is no instruction"),
+            ),
+            None => Ok(()),
+        }
+    }
+
+    /// Parses the `UNIT ROW COL` prefix of `poke` / `peek`, range-checked.
+    fn parse_cell(&self, toks: &[&str], line: usize) -> Result<(usize, u32, u32), ScriptError> {
+        let units = self.channel.inner().unit_count() as u32;
+        Ok((
+            parse_below(toks[0], "unit", units, line)? as usize,
+            parse_below(toks[1], "row", ROWS_PER_BANK, line)?,
+            parse_below(toks[2], "column", COLS_PER_ROW, line)?,
+        ))
+    }
+
     /// Executes a whole script; returns the printed output lines.
     ///
     /// # Errors
@@ -199,9 +228,7 @@ impl ScriptSession {
                     if rest.len() != 19 {
                         return err(line, "poke UNIT ROW COL v0..v15");
                     }
-                    let unit: usize = parse(rest[0], line)?;
-                    let row: u32 = parse(rest[1], line)?;
-                    let col: u32 = parse(rest[2], line)?;
+                    let (unit, row, col) = self.parse_cell(&rest, line)?;
                     let vals = parse_floats(&rest[3..], 16, line)?;
                     let bank = BankAddr::from_flat_index(2 * unit);
                     self.channel.inner_mut().dram_mut().bank_mut(bank).poke_block(
@@ -214,9 +241,7 @@ impl ScriptSession {
                     if rest.len() != 3 {
                         return err(line, "peek UNIT ROW COL");
                     }
-                    let unit: usize = parse(rest[0], line)?;
-                    let row: u32 = parse(rest[1], line)?;
-                    let col: u32 = parse(rest[2], line)?;
+                    let (unit, row, col) = self.parse_cell(&rest, line)?;
                     let bank = BankAddr::from_flat_index(2 * unit);
                     let v = LaneVec::from_block(
                         &self.channel.inner().dram().bank(bank).peek_block(row, col),
@@ -224,22 +249,23 @@ impl ScriptSession {
                     out.push(format!("peek u{unit} r{row} c{col}: {}", fmt_lanes(&v)));
                 }
                 "act" => {
-                    let row: u32 = parse(rest.first().copied().unwrap_or(""), line)?;
+                    let row = parse_below(first(&rest), "row", ROWS_PER_BANK, line)?;
                     self.issue_all(&[Command::Act { bank: BankAddr::new(0, 0), row }], line)?;
                 }
                 "rd" => {
-                    let col: u32 = parse(rest.first().copied().unwrap_or(""), line)?;
+                    let col = parse_below(first(&rest), "column", COLS_PER_ROW, line)?;
                     if let Some(v) =
                         self.issue_all(&[Command::Rd { bank: BankAddr::new(0, 0), col }], line)?
                     {
                         out.push(format!("rd c{col}: {}", fmt_lanes(&v)));
                     }
+                    self.check_triggered_units(line)?;
                 }
                 "wr" => {
                     if rest.len() != 17 {
                         return err(line, "wr COL v0..v15");
                     }
-                    let col: u32 = parse(rest[0], line)?;
+                    let col = parse_below(rest[0], "column", COLS_PER_ROW, line)?;
                     let vals = parse_floats(&rest[1..], 16, line)?;
                     self.issue_all(
                         &[Command::Wr {
@@ -249,6 +275,7 @@ impl ScriptSession {
                         }],
                         line,
                     )?;
+                    self.check_triggered_units(line)?;
                 }
                 "pre" => {
                     self.issue_all(&[Command::Pre { bank: BankAddr::new(0, 0) }], line)?;
@@ -260,10 +287,8 @@ impl ScriptSession {
                     if rest.len() != 2 {
                         return err(line, "dump grf_a|grf_b|srf_m|srf_a UNIT");
                     }
-                    let unit: usize = parse(rest[1], line)?;
-                    if unit >= self.channel.inner().unit_count() {
-                        return err(line, format!("unit {unit} out of range"));
-                    }
+                    let units = self.channel.inner().unit_count() as u32;
+                    let unit = parse_below(rest[1], "unit", units, line)? as usize;
                     let u = self.channel.inner().unit(unit);
                     match rest[0] {
                         "grf_a" | "grf_b" => {
@@ -342,6 +367,21 @@ fn parse<T: std::str::FromStr>(tok: &str, line: usize) -> Result<T, ScriptError>
     tok.parse().map_err(|_| ScriptError { line, message: format!("bad number `{tok}`") })
 }
 
+/// Parses `tok` as a `what` (unit, row, column) below `limit` — script
+/// operands index fixed-size hardware, and the simulator asserts on them.
+fn parse_below(tok: &str, what: &str, limit: u32, line: usize) -> Result<u32, ScriptError> {
+    let n: u32 = parse(tok, line)?;
+    if n >= limit {
+        return err(line, format!("{what} {n} out of range (0..{limit})"));
+    }
+    Ok(n)
+}
+
+/// The first operand, or an empty token that fails to parse.
+fn first<'a>(rest: &[&'a str]) -> &'a str {
+    rest.first().copied().unwrap_or("")
+}
+
 fn parse_floats(toks: &[&str], n: usize, line: usize) -> Result<[f32; 16], ScriptError> {
     if toks.len() != n {
         return err(line, format!("expected {n} values, got {}", toks.len()));
@@ -404,6 +444,68 @@ stats
         assert!(e.to_string().contains("bogus"));
         let e = ScriptSession::new().run("rd 0").unwrap_err();
         assert!(e.message.contains("closed bank") || e.message.contains("RD"), "{e}");
+    }
+
+    /// Every script under `tests/corpus/scripts/` declares its outcome in a
+    /// `# expect:` header — `ok`, or the `line N: ...` error `pimsim` must
+    /// print — and none of them may panic (CI runs the same files through
+    /// the `pimsim` binary).
+    #[test]
+    fn script_corpus_ends_as_each_file_declares() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/corpus/scripts");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            let source = std::fs::read_to_string(&path).unwrap();
+            let expect = source.lines().next().and_then(|l| l.strip_prefix("# expect: "));
+            let expect =
+                expect.unwrap_or_else(|| panic!("{}: no `# expect:` header", path.display()));
+            let got = match ScriptSession::new().run(&source) {
+                Ok(_) => "ok".to_string(),
+                Err(e) => e.to_string(),
+            };
+            assert_eq!(got, expect, "{}", path.display());
+            seen += 1;
+        }
+        assert!(seen >= 5, "script corpus shrank to {seen} files");
+    }
+
+    #[test]
+    fn out_of_range_operands_are_errors_not_panics() {
+        let v16 = "1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16";
+        for (script, want) in [
+            (format!("poke 9 0 0 {v16}"), "unit 9 out of range (0..8)"),
+            (format!("poke 0 99999 0 {v16}"), "row 99999 out of range (0..8192)"),
+            (format!("poke 0 0 32 {v16}"), "column 32 out of range (0..32)"),
+            ("peek 0 0 77".to_string(), "column 77 out of range (0..32)"),
+            ("peek 8 0 0".to_string(), "unit 8 out of range (0..8)"),
+            ("act 8192".to_string(), "row 8192 out of range (0..8192)"),
+            ("act 0\nrd 32".to_string(), "column 32 out of range (0..32)"),
+            (format!("mode ab\nact 0\nwr 99 {v16}"), "column 99 out of range (0..32)"),
+            ("dump grf_a 9".to_string(), "unit 9 out of range (0..8)"),
+        ] {
+            let e = ScriptSession::new().run(&script).unwrap_err();
+            assert_eq!(e.message, want, "{script}");
+            assert_eq!(e.line, script.lines().count(), "{script}");
+        }
+        // The last row, column and unit are all in range.
+        ScriptSession::new().run(&format!("poke 7 8191 31 {v16}\npeek 7 8191 31")).unwrap();
+    }
+
+    #[test]
+    fn trigger_on_an_undecodable_crf_word_is_reported_with_its_line() {
+        // 65504.0 is 0x7BFF: a CRF-row write of it loads 0x7BFF7BFF words
+        // (reserved operand kind 7) into unit 0, in single-bank mode.
+        let max16 = ["65504"; 16].join(" ");
+        let script = format!("act 8188\nwr 0 {max16}\npre\nmode ab\npim on\nact 0\nrd 0\n");
+        let mut s = ScriptSession::new();
+        let e = s.run(&script).unwrap_err();
+        assert_eq!(e.line, 7);
+        assert_eq!(e.message, "unit 0 halted on CRF[0] = 0x7BFF7BFF, which is no instruction");
+        // The unit stopped; nothing executed and the channel is intact.
+        assert!(s.channel().unit(0).is_halted());
+        assert_eq!(s.channel().unit(0).stats().instructions, 0);
+        assert_eq!(s.mode(), PimMode::AllBankPim);
     }
 
     #[test]

@@ -19,8 +19,10 @@ fn sources_in(sub: &str) -> Vec<(String, String)> {
     let dir = repo_tests_dir(sub);
     let mut out: Vec<(String, String)> = std::fs::read_dir(&dir)
         .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
-        .map(|entry| {
-            let path = entry.unwrap().path();
+        .map(|entry| entry.unwrap().path())
+        // `corpus/scripts/` holds the `pimsim` front-end corpus, not lint input.
+        .filter(|path| path.is_file())
+        .map(|path| {
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             let text = std::fs::read_to_string(&path).unwrap();
             (name, text)
