@@ -36,6 +36,25 @@ fn bench_fp16(c: &mut Criterion) {
         let (x, y) = (LaneVec::splat(a), LaneVec::splat(b));
         bench.iter(|| std::hint::black_box(x).mul(y))
     });
+    // One column command's MACs as the device runs them — eight units of
+    // 16 lanes — against the same 128 lanes as one structure-of-arrays
+    // call. Kept as a recorded negative result: the 16-lane SSE2 loop is
+    // already arithmetic-bound, the wide call reads no faster (see ROADMAP
+    // item 1 for the figures), so a 128-lane GRF would buy nothing.
+    let lanes: [F16; 128] = std::array::from_fn(|i| F16::from_f32(i as f32 * 0.03125 - 2.0));
+    let units: [[F16; 16]; 8] = std::array::from_fn(|u| std::array::from_fn(|l| lanes[16 * u + l]));
+    g.bench_function("mac_lanes_16x8", |bench| {
+        bench.iter(|| {
+            let x = std::hint::black_box(&units);
+            std::array::from_fn::<_, 8, _>(|u| F16::mac_lanes(&x[u], &units[u], &x[u]))
+        })
+    });
+    g.bench_function("mac_lanes_128", |bench| {
+        bench.iter(|| {
+            let x = std::hint::black_box(&lanes);
+            F16::mac_lanes(x, &lanes, x)
+        })
+    });
     // The pure bit-level implementation, for comparison with the f32 path.
     g.bench_function("softfloat_mul_bits", |bench| {
         let (x, y) = (a.to_bits(), b.to_bits());

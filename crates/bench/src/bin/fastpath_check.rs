@@ -9,13 +9,15 @@
 //! [`pim_runtime::GemvPlan`], which exercises the full AB-mode
 //! choreography), the first of them again under a seeded
 //! [`ExecutionMode::Fenced`] shuffle (sequential and two workers — the one
-//! issue order the engine, the predictor and data replay share), plus the
-//! synthetic 64-channel engine workload. For every
-//! corpus item and every backend (sequential plus each `--workers` count,
-//! default 1/2/4):
+//! issue order the engine, the predictor and data replay share), a GEMV
+//! whose last live channel is partly populated (n = 1000), a 128-element
+//! stream ADD (8 live units of 512), plus the synthetic 64-channel engine
+//! workload. For every corpus item and every backend (sequential plus each
+//! `--workers` count, default 1/2/4):
 //!
-//! * a **reference** run with the fast path disabled simulates every
-//!   launch cold;
+//! * a **reference** run under a quiet fault plan — nothing is injected,
+//!   but the engine drops the live-unit masks and the cache, so every
+//!   launch simulates every unit cold;
 //! * a **fast-path** run on an identical fresh system must produce
 //!   bit-identical outputs and exactly matching `sim_cycles` / `commands`
 //!   / `fences` on every launch — cold (recording) and warm (replaying)
@@ -32,10 +34,11 @@ use pim_bench::fastpath::{bench_input, bench_weights};
 use pim_bench::parallel::synthetic_batches;
 use pim_bench::workloads::gemv_workloads;
 use pim_core::PimConfig;
+use pim_faults::FaultPlan;
 use pim_host::{
     predict_launch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, PimSystem,
 };
-use pim_runtime::{GemvPlan, PimContext};
+use pim_runtime::{GemvPlan, PimBlas, PimContext};
 
 /// Launches per corpus item: 1 cold + 1 recording + the rest replaying.
 const LAUNCHES: usize = 4;
@@ -58,9 +61,23 @@ fn backend_name(b: ExecutionBackend) -> String {
     }
 }
 
-/// One GEMV corpus item on one backend: returns per-launch
-/// `(y, cycles, commands, fences)` tuples plus the hit count.
-#[allow(clippy::type_complexity)]
+/// What one launch returned: `(y, cycles, commands, fences)`.
+type Launch = (Vec<f32>, u64, u64, u64);
+
+/// A paper-system context for one corpus item: the fast path (cache and
+/// live-unit masks) armed, or the full-simulation reference.
+fn context(backend: ExecutionBackend, mode: ExecutionMode, fastpath: bool) -> PimContext {
+    let mut ctx = PimContext::paper_system();
+    ctx.set_mode(mode);
+    ctx.set_backend(backend);
+    if !fastpath {
+        ctx.inject_faults(&FaultPlan::quiet(0));
+    }
+    ctx
+}
+
+/// One GEMV corpus item on one backend: returns the per-launch results
+/// plus the hit count.
 fn run_gemv(
     backend: ExecutionBackend,
     n: usize,
@@ -68,12 +85,9 @@ fn run_gemv(
     mode: ExecutionMode,
     fastpath: bool,
     crosscheck: bool,
-) -> (Vec<(Vec<f32>, u64, u64, u64)>, u64) {
+) -> (Vec<Launch>, u64) {
     let w = bench_weights(n, k);
-    let mut ctx = PimContext::paper_system();
-    ctx.set_mode(mode);
-    ctx.set_backend(backend);
-    ctx.sys.set_fastpath_enabled(fastpath);
+    let mut ctx = context(backend, mode, fastpath);
     let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).expect("corpus shape fits");
     let mut out = Vec::with_capacity(LAUNCHES);
     for i in 0..LAUNCHES {
@@ -86,6 +100,54 @@ fn run_gemv(
         out.push((y, r.cycles, r.commands, r.fences));
     }
     (out, ctx.sys.fastpath_stats().hits)
+}
+
+/// Fails the gate for every launch of `fast` that is not its `reference`.
+fn compare(
+    gate: &mut Gate,
+    name: &str,
+    b: ExecutionBackend,
+    fast: &[Launch],
+    reference: &[Launch],
+) {
+    for (i, (f, r)) in fast.iter().zip(reference).enumerate() {
+        if f != r {
+            gate.fail(format!(
+                "{name} [{}] launch {i}: fast path (cycles {} cmds {} fences {}) \
+                 != cold reference (cycles {} cmds {} fences {}) or outputs differ",
+                backend_name(b),
+                f.1,
+                f.2,
+                f.3,
+                r.1,
+                r.2,
+                r.3,
+            ));
+        }
+    }
+}
+
+/// A stream ADD of `len` elements, launched [`LAUNCHES`] times on one
+/// context. Every call places fresh operand rows, so the launches differ
+/// in their addresses and none replays: this row holds the masked *cold*
+/// path of the stream job exact under every backend.
+fn check_add(gate: &mut Gate, backends: &[ExecutionBackend], len: usize) {
+    let name = format!("ADD {len}");
+    let mode = ExecutionMode::Fenced { reorder_seed: None };
+    let run = |backend, fastpath| -> Vec<Launch> {
+        let mut ctx = context(backend, mode, fastpath);
+        (0..LAUNCHES as u64)
+            .map(|i| {
+                let (x, y) = (bench_input(len, i), bench_input(len, i + 7));
+                let (z, r) = PimBlas::add(&mut ctx, &x, &y).expect("stream add");
+                (z, r.cycles, r.commands, r.fences)
+            })
+            .collect()
+    };
+    let reference = run(ExecutionBackend::Sequential, false);
+    for &b in backends {
+        compare(gate, &name, b, &run(b, true), &reference);
+    }
 }
 
 fn check_gemv(
@@ -103,23 +165,7 @@ fn check_gemv(
         // The fast-path run also cross-checks the analytic predictor on
         // every pass of every launch.
         let (fast, hits) = run_gemv(b, n, k, mode, true, true);
-        if fast != reference {
-            for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
-                if f != r {
-                    gate.fail(format!(
-                        "{name} [{}] launch {i}: fast path (cycles {} cmds {} fences {}) \
-                         != cold reference (cycles {} cmds {} fences {}) or outputs differ",
-                        backend_name(b),
-                        f.1,
-                        f.2,
-                        f.3,
-                        r.1,
-                        r.2,
-                        r.3,
-                    ));
-                }
-            }
-        }
+        compare(gate, name, b, &fast, &reference);
         if hits == 0 {
             gate.fail(format!(
                 "{name} [{}]: no cache hits over {LAUNCHES} identical launches",
@@ -226,6 +272,15 @@ fn main() {
     let seeded = ExecutionMode::Fenced { reorder_seed: Some(0xF16) };
     let two = [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)];
     check_gemv(&mut gate, &two, (n, k), seeded, &name);
+
+    // Liveness at unit granularity: 1000 rows fill 62.5 units, so channel
+    // 7 computes on 7 of its 8 units and channels 8..64 on none; the
+    // stream ADD keeps 8 units live, one on each of 8 channels.
+    let (n, k) = (1000, (workloads[0].k / scale).max(1));
+    eprintln!("checking GEMV n=1000 ({n}x{k}) ...");
+    check_gemv(&mut gate, &backends, (n, k), in_order, "GEMV n=1000");
+    eprintln!("checking ADD 128 ...");
+    check_add(&mut gate, &backends, 128);
 
     let batches = if smoke { 200 } else { 4_000 };
     eprintln!("checking synthetic64 ({batches} batches/channel) ...");

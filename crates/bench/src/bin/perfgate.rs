@@ -21,11 +21,9 @@
 //!
 //! The gate also validates the committed `BENCH_fastpath.json` (schema
 //! `pim-bench/fastpath-v1`, regenerated with `bench_fastpath --out`):
-//! every entry must be a full-scale exact measurement and the gated GEMV1
-//! entry must clear the committed warm-over-cold floor. A missing or
-//! malformed fast-path document fails the gate.
+//! every entry must be a full-scale exact measurement, GEMV1 among them.
+//! A missing or malformed fast-path document fails the gate.
 
-use pim_bench::fastpath::WARM_RATIO_FLOOR;
 use pim_bench::json::{self, obj, Json};
 use pim_bench::parallel::{calibrate, measure_run_system, synthetic_batches, RunMeasurement};
 use pim_bench::report::format_table;
@@ -97,8 +95,8 @@ fn measure() -> Measured {
 }
 
 /// Validates the committed `BENCH_fastpath.json`: schema, full scale,
-/// per-entry exactness, and the gated GEMV1 warm-over-cold floor. Returns
-/// the number of failures (each already printed).
+/// per-entry exactness, and the presence of GEMV1. Returns the number of
+/// failures (each already printed).
 fn check_fastpath_doc(path: &str) -> u64 {
     let fail = |msg: String| -> u64 {
         eprintln!("FAIL: {msg}");
@@ -127,11 +125,6 @@ fn check_fastpath_doc(path: &str) -> u64 {
     {
         failures += fail(format!("{path}: committed document must be a full-scale run"));
     }
-    let floor = doc
-        .get("warm_ratio_floor")
-        .and_then(Json::as_f64)
-        .unwrap_or(WARM_RATIO_FLOOR)
-        .max(WARM_RATIO_FLOOR);
     let entries = match doc.get("entries").and_then(Json::as_arr) {
         Some(e) if !e.is_empty() => e,
         _ => {
@@ -146,19 +139,16 @@ fn check_fastpath_doc(path: &str) -> u64 {
             Some(Json::Bool(true)) => {}
             _ => failures += fail(format!("{path}: entry '{name}' is not marked exact")),
         }
-        let ratio = e.get("warm_over_cold_ratio").and_then(Json::as_f64).unwrap_or(0.0);
-        if name == "GEMV1" {
-            saw_gemv1 = true;
-            if ratio < floor {
-                failures += fail(format!(
-                    "{path}: GEMV1 warm speedup {ratio:.1}x is below the {floor:.0}x floor"
-                ));
-            }
-        }
-        eprintln!("fastpath baseline: {name} warm speedup {ratio:.1}x (floor {floor:.0}x)");
+        saw_gemv1 |= name == "GEMV1";
+        let seconds = |key| e.get(key).and_then(Json::as_f64).unwrap_or(f64::NAN);
+        eprintln!(
+            "fastpath baseline: {name} cold {:.4} s, warm {:.6} s",
+            seconds("cold_wall_s"),
+            seconds("warm_wall_s")
+        );
     }
     if !saw_gemv1 {
-        failures += fail(format!("{path}: gated entry 'GEMV1' is missing"));
+        failures += fail(format!("{path}: entry 'GEMV1' is missing"));
     }
     failures
 }

@@ -9,17 +9,16 @@
 //! FP32 reference shape of the run.
 //!
 //! `cargo run --release -p pim-bench --bin bench_fastpath` sweeps the
-//! committed workloads and writes `BENCH_fastpath.json`; the perf gate
-//! (`perfgate`) enforces the committed warm-over-cold floor.
+//! committed workloads and writes `BENCH_fastpath.json` — absolute cold
+//! and warm seconds per entry; the perf gate (`perfgate`) holds every
+//! committed entry to `exact`. The quotient of the two times is printed
+//! but gates nothing: both sides legitimately get faster, and it falls
+//! whenever the cold side gains more.
 
 use crate::json::{obj, Json};
 use crate::parallel::{cpu_time_s, XorShift64};
 use pim_runtime::{GemvPlan, KernelReport, PimContext};
 use std::time::Instant;
-
-/// The minimum warm-over-cold launch-throughput ratio the perf gate
-/// accepts for the gated entries of `BENCH_fastpath.json`.
-pub const WARM_RATIO_FLOOR: f64 = 10.0;
 
 /// One workload's cold/warm fast-path measurement.
 #[derive(Debug, Clone)]
@@ -149,7 +148,7 @@ pub fn measure_fastpath(
     }
 }
 
-/// The committed sweep: Table VI's GEMV1 (the gated entry) plus a
+/// The committed sweep: Table VI's GEMV1 plus a
 /// model-zoo layer — AlexNet's first PIM-offloaded fully connected layer,
 /// the serving-shaped kernel the paper's stack actually replays.
 pub fn sweep(smoke: bool) -> Vec<FastpathMeasurement> {
@@ -180,7 +179,6 @@ pub fn to_json(entries: &[FastpathMeasurement], smoke: bool) -> Json {
     obj([
         ("schema", Json::Str("pim-bench/fastpath-v1".to_string())),
         ("smoke", Json::Bool(smoke)),
-        ("warm_ratio_floor", Json::Num(WARM_RATIO_FLOOR)),
         ("entries", Json::Arr(entries.iter().map(FastpathMeasurement::to_json).collect())),
     ])
 }

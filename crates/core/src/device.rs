@@ -35,7 +35,7 @@
 use crate::config::PimConfig;
 use crate::isa::Instruction;
 use crate::regfile::{crf_block, crf_block_base, crf_block_words};
-use crate::unit::{BankPort, PimUnit, SequencerState, TriggerKind, UnitStats};
+use crate::unit::{BankPort, Effects, PimUnit, SequencerState, TriggerKind, UnitStats};
 use crate::vector::LaneVec;
 use crate::walker::{ModeWalker, PendingTransition, Step};
 use pim_dram::{
@@ -153,6 +153,50 @@ pim_dram::counter_table!(PimChannelStats {
     conf_reads,
 });
 
+/// A set of one channel's PIM units, one bit per unit (`units_per_pch ≤ 8`):
+/// the units whose registers and bank results a launch's caller will read
+/// ([`PimChannel::set_live_units`]); a channel nobody told otherwise is
+/// [`UnitMask::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UnitMask(u8);
+
+impl UnitMask {
+    /// Every unit.
+    pub const ALL: UnitMask = UnitMask(u8::MAX);
+    /// No unit.
+    pub const NONE: UnitMask = UnitMask(0);
+
+    /// Whether `unit` is in the set.
+    pub fn contains(self, unit: usize) -> bool {
+        unit < 8 && self.0 >> unit & 1 == 1
+    }
+
+    /// Adds `unit` to the set.
+    ///
+    /// # Panics
+    ///
+    /// If `unit` is not below the 8 units a pseudo channel can have.
+    pub fn insert(&mut self, unit: usize) {
+        assert!(unit < 8, "unit {unit} outside a pseudo channel's 8 units");
+        self.0 |= 1 << unit;
+    }
+
+    /// Whether the set has no unit in it.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+}
+
+impl FromIterator<usize> for UnitMask {
+    fn from_iter<I: IntoIterator<Item = usize>>(units: I) -> UnitMask {
+        let mut mask = UnitMask::NONE;
+        for u in units {
+            mask.insert(u);
+        }
+        mask
+    }
+}
+
 /// Lock-step timing state of the virtual "all-bank bank": in AB modes every
 /// bank carries identical state, so one set of horizons suffices. Columns
 /// pace at tCCD_L ("each bank can operate at every tCCD_L in AB mode",
@@ -173,6 +217,9 @@ pub struct PimChannel {
     mode: PimMode,
     pending: Option<PendingTransition>,
     units: Vec<PimUnit>,
+    /// The units that execute their triggers; the rest retire them from
+    /// the instruction alone. See [`PimChannel::set_live_units`].
+    live: UnitMask,
     ab: AbTiming,
     stats: PimChannelStats,
     /// Observability hook; `None` (the default) costs one pointer test.
@@ -199,6 +246,7 @@ impl PimChannel {
             mode: PimMode::SingleBank,
             pending: None,
             units,
+            live: UnitMask::ALL,
             ab: AbTiming::default(),
             stats: PimChannelStats::default(),
             recorder: None,
@@ -217,6 +265,41 @@ impl PimChannel {
             let salt = ((channel as u64) << 8) | bank.flat_index() as u64;
             self.inner.bank_mut(bank).set_faults(CellFaults::new(plan, salt));
         }
+    }
+
+    /// Declares which units' results the caller of the launch about to run
+    /// will read; [`UnitMask::ALL`] (the default) is full simulation. Meant
+    /// to be set for one launch and reset after it — `pim-host`'s engine
+    /// does both.
+    ///
+    /// Everything a launch is *measured* by stays exact on every unit:
+    /// each unit still sequences every trigger (from its CRF or the tape),
+    /// is still checked against the device variant in debug builds, and
+    /// retires the instruction into `UnitStats` and the channel's
+    /// `bank_operand_reads` / `bank_result_writes`, because those follow
+    /// from the instruction alone ("timing/energy are data-independent").
+    /// What a unit outside the mask skips is the part nobody will observe:
+    /// it fetches no operand, runs no FP16 and writes nothing back, under
+    /// the full simulation and both data-replay tiers alike. Its registers
+    /// and bank results are therefore *not produced*, and must be
+    /// rewritten before they are read; units inside the mask end
+    /// bit-identical to an unmasked run.
+    ///
+    /// A faulted channel must stay all-live: transient cell flips key off
+    /// each bank's write counter, so a dead unit's bank traffic is part of
+    /// the fault model.
+    pub fn set_live_units(&mut self, live: UnitMask) {
+        debug_assert!(
+            self.faults.is_none() || live == UnitMask::ALL,
+            "masking units of a faulted channel changes which cells flip"
+        );
+        self.live = live;
+    }
+
+    /// The units that execute their triggers (see
+    /// [`PimChannel::set_live_units`]).
+    pub fn live_units(&self) -> UnitMask {
+        self.live
     }
 
     /// Whether this channel's PIM units are hard-failed by the installed
@@ -451,12 +534,14 @@ impl PimChannel {
 
     /// One column-command trigger on every unit in lock-step — the single
     /// datapath loop under the full simulation and both replay tiers. Each
-    /// unit's instruction comes from `source`; the bank blocks it reads
-    /// are fetched at (`row`, `col`) — the open row on the issue path, so
-    /// the backdoor peek is what the row buffer would return, cell faults
-    /// included — and a bank result is written back the same way. Returns
-    /// the operand-read and result-write counts, which the issue path adds
-    /// to its statistics and a replay drops (its recorded delta has them).
+    /// unit's instruction comes from `source`, and what the trigger counts
+    /// for comes from the instruction ([`Effects::of`]). A live unit
+    /// ([`PimChannel::set_live_units`]) then executes it: the bank blocks
+    /// it reads are fetched at (`row`, `col`) — the open row on the issue
+    /// path, so the backdoor peek is what the row buffer would return,
+    /// cell faults included — and a bank result is written back the same
+    /// way. Returns the operand-read and result-write counts for the issue
+    /// path to add to its statistics (zero on a replay).
     fn run_trigger(
         &mut self,
         kind: TriggerKind,
@@ -465,6 +550,13 @@ impl PimChannel {
         source: &mut InstrSource<'_>,
     ) -> (u64, u64) {
         let (mut reads, mut writes) = (0, 0);
+        let live = self.live;
+        // Only the issue path counts; a replay's recorded delta has it all.
+        let counted = matches!(source, InstrSource::Live);
+        // Lock-step units resolve the same instruction off one command
+        // unless their CRFs were loaded apart, so its effects are derived
+        // once per run of equal instructions, not once per unit.
+        let mut shared: Option<(Instruction, Effects)> = None;
         for u in 0..self.units.len() {
             let unit = &mut self.units[u];
             let instr = match source {
@@ -489,23 +581,34 @@ impl PimChannel {
             if let Err(e) = self.config.instruction_legal(&instr) {
                 panic!("unit {u} executed an illegal instruction `{instr}`: {e}");
             }
+            if counted {
+                let fx = match shared {
+                    Some((same, fx)) if same == instr => fx,
+                    _ => {
+                        let fx = Effects::of(&instr, &kind);
+                        shared = Some((instr, fx));
+                        fx
+                    }
+                };
+                unit.retire(&fx);
+                reads += u64::from(fx.bank_read.is_some());
+                writes += u64::from(fx.bank_write.is_some());
+            }
+            if !live.contains(u) {
+                continue;
+            }
             let bank_at =
                 |port| BankAddr::from_flat_index(2 * u + usize::from(port == BankPort::Odd));
             let inner = &self.inner;
-            let fx = unit.dataflow(
+            let bank_write = unit.dataflow(
                 instr,
                 kind,
                 col,
                 #[inline(always)]
                 |port| LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col)),
             );
-            if matches!(source, InstrSource::Live) {
-                unit.retire(&fx);
-            }
-            reads += u64::from(fx.bank_read.is_some());
-            if let Some((port, v)) = fx.bank_write {
+            if let Some((port, v)) = bank_write {
                 self.inner.bank_mut(bank_at(port)).poke_block(row, col, &v.to_block());
-                writes += 1;
             }
         }
         (reads, writes)
@@ -773,7 +876,9 @@ impl PimChannel {
     /// state are updated — nothing else. Timing horizons, stats, and the
     /// mode machine are untouched (the caller restores those from the
     /// recorded deltas), so the channel ends bit-identical to a full
-    /// simulation of the same stream.
+    /// simulation of the same stream — on the units of
+    /// [`PimChannel::set_live_units`]; the tape itself covers every unit
+    /// and is valid under any later mask.
     ///
     /// The stream must be a complete launch (it returns the device to
     /// single-bank mode) previously validated by a full cold run; the
@@ -1192,6 +1297,67 @@ mod tests {
         }
         let v = LaneVec::from_block(&got.unwrap());
         assert_eq!(v.to_f32(), [4.0; 16], "unit 3 loaded even bank 6's value 3+1");
+    }
+
+    /// Units whose CRFs were loaded apart (single-bank CRF writes) resolve
+    /// different instructions off one command, and each is counted as its
+    /// own instruction — the effects shared across lock-step units are
+    /// shared only between equal instructions — whether or not it is live.
+    #[test]
+    fn units_with_different_programs_retire_their_own_instructions() {
+        let mov = |dst, src| Instruction::Mov { dst, src, relu: false, aam: false };
+        let programs = [
+            vec![mov(Operand::grf_a(0), Operand::even_bank())],
+            vec![Instruction::Add {
+                dst: Operand::grf_a(1),
+                src0: Operand::odd_bank(),
+                src1: Operand::grf_b(0),
+                aam: false,
+            }],
+            vec![mov(Operand::even_bank(), Operand::grf_a(0))],
+            vec![Instruction::Fill { dst: Operand::grf_b(2), src: Operand::wdata(), aam: false }],
+            vec![mov(Operand::grf_a(0), Operand::even_bank())],
+        ];
+        let per_trigger: [UnitStats; 5] = [
+            UnitStats { instructions: 1, bank_reads: 1, ..UnitStats::default() },
+            UnitStats { instructions: 1, flops: 16, bank_reads: 1, ..UnitStats::default() },
+            UnitStats { instructions: 1, bank_writes: 1, ..UnitStats::default() },
+            UnitStats { instructions: 1, wdata_on_read: 1, ..UnitStats::default() },
+            UnitStats { instructions: 1, bank_reads: 1, ..UnitStats::default() },
+        ];
+        for live in [UnitMask::ALL, UnitMask::NONE, [1, 4].into_iter().collect()] {
+            let mut ch = fresh();
+            ch.set_live_units(live);
+            let mut now = 0;
+            for (u, prog) in programs.iter().enumerate() {
+                let bank = BankAddr::from_flat_index(2 * u);
+                let data = crate::conf::crf_blocks(prog)[0];
+                let load = [
+                    Command::Act { bank, row: CRF_ROW },
+                    Command::Wr { bank, col: 0, data },
+                    Command::Pre { bank },
+                ];
+                now = run(&mut ch, &load, now);
+            }
+            let b = BankAddr::new(0, 0);
+            now = run(&mut ch, &enter_ab_sequence(), now);
+            now = run(&mut ch, &set_pim_op_mode_sequence(true), now);
+            // One RD trigger: every program is one instruction, then EXIT.
+            let trigger = [
+                Command::Act { bank: b, row: 1 },
+                Command::Rd { bank: b, col: 0 },
+                Command::Pre { bank: b },
+            ];
+            run(&mut ch, &trigger, now);
+            for (u, want) in per_trigger.iter().enumerate() {
+                assert_eq!(ch.unit(u).stats(), want, "unit {u} under {live:?}");
+            }
+            for u in 5..8 {
+                assert_eq!(ch.unit(u).stats(), &UnitStats::default(), "unit {u} holds EXIT");
+            }
+            assert_eq!(ch.stats().pim_triggers, 8);
+            assert_eq!((ch.stats().bank_operand_reads, ch.stats().bank_result_writes), (3, 1));
+        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ pub mod conf {
 }
 
 pub use config::{PimConfig, PimVariant};
-pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMode};
+pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMode, UnitMask};
 pub use regfile::{Crf, Grf, Srf};
 pub use unit::{BankPort, PimUnit, Trigger, TriggerKind};
 pub use vector::LaneVec;

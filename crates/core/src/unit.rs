@@ -23,6 +23,17 @@ pub enum BankPort {
     Odd,
 }
 
+impl BankPort {
+    /// The bank port an operand of `kind` names, if it names one.
+    fn of(kind: OperandKind) -> Option<BankPort> {
+        match kind {
+            OperandKind::EvenBank => Some(BankPort::Even),
+            OperandKind::OddBank => Some(BankPort::Odd),
+            _ => None,
+        }
+    }
+}
+
 /// What kind of column command triggered execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TriggerKind {
@@ -65,19 +76,68 @@ pub struct ExecOutcome {
     pub halted: bool,
 }
 
-/// What the dataflow of one instruction touched ([`PimUnit::dataflow`]):
-/// the write-back the device must perform, and the counts the full
-/// simulation adds to its statistics and a data replay drops.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Dataflow {
-    /// A block the instruction wrote back to a bank at (row, col), if any.
-    pub(crate) bank_write: Option<(BankPort, LaneVec)>,
-    /// The bank port a source operand consumed, if any.
+/// The data-independent effects of one instruction on one trigger: what
+/// the statistics, the energy model and the device's bank ports see of it,
+/// whatever the register and bank *contents* are. Decided by
+/// [`Effects::of`] from the instruction and the trigger kind alone — the
+/// one place a trigger is counted — so a unit whose results nobody reads
+/// retires an instruction without executing it, and [`PimUnit::dataflow`]
+/// counts nothing (it shares only [`BankPort::of`], the one place an
+/// operand kind becomes a port).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Effects {
+    /// The bank port the result is written back to at (row, col), if any.
+    pub(crate) bank_write: Option<BankPort>,
+    /// The bank port a source operand consumed, if any (the last one read
+    /// when both ports are named).
     pub(crate) bank_read: Option<BankPort>,
     /// FP operations performed.
     pub(crate) flops: u64,
-    /// WDATA operands requested on a RD trigger (zeros were supplied).
+    /// WDATA operands requested on a RD trigger (zeros are supplied).
     pub(crate) wdata_on_read: u64,
+}
+
+impl Effects {
+    /// The effects of `instr` executing on a `kind` trigger. Sources count
+    /// in the order [`PimUnit::dataflow`] reads them: MAC also reads its
+    /// destination (the accumulator); MAD's third operand is always SRF_A.
+    #[inline(always)]
+    pub(crate) fn of(instr: &Instruction, kind: &TriggerKind) -> Effects {
+        let on_read = matches!(kind, TriggerKind::Read);
+        let port = |op: Operand| BankPort::of(op.kind);
+        let wdata = |op: Operand| u64::from(on_read && op.kind == OperandKind::Wdata);
+        match *instr {
+            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => {
+                Effects::default()
+            }
+            Instruction::Mov { dst, src, .. } | Instruction::Fill { dst, src, .. } => Effects {
+                bank_write: port(dst),
+                bank_read: port(src),
+                flops: 0,
+                wdata_on_read: wdata(src),
+            },
+            Instruction::Add { dst, src0, src1, .. } | Instruction::Mul { dst, src0, src1, .. } => {
+                Effects {
+                    bank_write: port(dst),
+                    bank_read: port(src1).or(port(src0)),
+                    flops: 16,
+                    wdata_on_read: wdata(src0) + wdata(src1),
+                }
+            }
+            Instruction::Mac { dst, src0, src1, .. } => Effects {
+                bank_write: port(dst),
+                bank_read: port(dst).or(port(src1)).or(port(src0)),
+                flops: 32,
+                wdata_on_read: wdata(src0) + wdata(src1) + wdata(dst),
+            },
+            Instruction::Mad { dst, src0, src1, .. } => Effects {
+                bank_write: port(dst),
+                bank_read: port(src1).or(port(src0)),
+                flops: 32,
+                wdata_on_read: wdata(src0) + wdata(src1),
+            },
+        }
+    }
 }
 
 /// Per-unit execution statistics.
@@ -321,9 +381,9 @@ impl PimUnit {
         }
     }
 
-    /// Reads source operand `op`, asking `bank` only for a bank port and
-    /// noting in `fx` what the energy model counts. Inlined so that one
-    /// trigger is one straight-line body with its vectors in registers.
+    /// Reads source operand `op`, asking `bank` only for a bank port.
+    /// Inlined so that one trigger is one straight-line body with its
+    /// vectors in registers.
     #[inline(always)]
     fn read_operand(
         &self,
@@ -332,70 +392,38 @@ impl PimUnit {
         kind: TriggerKind,
         col: u32,
         bank: &mut impl FnMut(BankPort) -> LaneVec,
-        fx: &mut Dataflow,
     ) -> LaneVec {
         let idx = Self::src_index(op, aam, col);
         match op.kind {
             OperandKind::GrfA => self.grf_a.read(idx),
             OperandKind::GrfB => self.grf_b.read(idx),
-            OperandKind::EvenBank => {
-                fx.bank_read = Some(BankPort::Even);
-                bank(BankPort::Even)
-            }
-            OperandKind::OddBank => {
-                fx.bank_read = Some(BankPort::Odd);
-                bank(BankPort::Odd)
-            }
+            OperandKind::EvenBank => bank(BankPort::Even),
+            OperandKind::OddBank => bank(BankPort::Odd),
             OperandKind::SrfM => self.srf_m.read_broadcast(idx),
             OperandKind::SrfA => self.srf_a.read_broadcast(idx),
             OperandKind::Wdata => match kind {
                 TriggerKind::Write(d) => d,
-                TriggerKind::Read => {
-                    fx.wdata_on_read += 1;
-                    LaneVec::zero()
-                }
+                TriggerKind::Read => LaneVec::zero(),
             },
         }
     }
 
-    /// Writes `value` to `dst`; returns a bank write-back if the destination
-    /// is a bank.
+    /// Writes `value` to register destination `dst`. A bank destination is
+    /// the device's to write.
     #[inline(always)]
-    fn write_operand(
-        &mut self,
-        dst: Operand,
-        aam: bool,
-        col: u32,
-        value: LaneVec,
-    ) -> Option<(BankPort, LaneVec)> {
+    fn write_register(&mut self, dst: Operand, aam: bool, col: u32, value: LaneVec) {
         let idx = Self::src_index(dst, aam, col);
         match dst.kind {
-            OperandKind::GrfA => {
-                self.grf_a.write(idx, value);
-                None
-            }
-            OperandKind::GrfB => {
-                self.grf_b.write(idx, value);
-                None
-            }
-            OperandKind::EvenBank => Some((BankPort::Even, value)),
-            OperandKind::OddBank => Some((BankPort::Odd, value)),
+            OperandKind::GrfA => self.grf_a.write(idx, value),
+            OperandKind::GrfB => self.grf_b.write(idx, value),
             // A 256-bit move into a scalar file loads 8 scalars: SRF_M from
             // the low half of the word, SRF_A from the high half — matching
             // the memory-mapped SRF write layout of the device.
-            OperandKind::SrfM => {
-                self.srf_m.load_from_lanes(&value, 0);
-                None
-            }
-            OperandKind::SrfA => {
-                self.srf_a.load_from_lanes(&value, 8);
-                None
-            }
-            OperandKind::Wdata => {
-                // The write bus is not a destination; treat as a dropped
-                // write (decodable but rejected by Instruction::validate).
-                None
-            }
+            OperandKind::SrfM => self.srf_m.load_from_lanes(&value, 0),
+            OperandKind::SrfA => self.srf_a.load_from_lanes(&value, 8),
+            // The write bus is not a destination; treat as a dropped write
+            // (decodable but rejected by Instruction::validate).
+            OperandKind::Wdata | OperandKind::EvenBank | OperandKind::OddBank => {}
         }
     }
 
@@ -429,10 +457,11 @@ impl PimUnit {
         Some(instr)
     }
 
-    /// The dataflow half of a trigger: the register and bank effects of one
+    /// The dataflow half of a trigger: the register effects of one
     /// already-resolved instruction, with no sequencer advance and no
     /// stats. `bank` supplies the block at a bank port, and is asked only
-    /// for ports the instruction reads.
+    /// for ports the instruction reads; a result bound for a bank port is
+    /// returned for the device to write back at (row, col).
     ///
     /// Running it on an instruction resolved by an *earlier* execution of
     /// the same launch (the tape replay) is legal because control flow in
@@ -447,51 +476,51 @@ impl PimUnit {
         kind: TriggerKind,
         col: u32,
         mut bank: impl FnMut(BankPort) -> LaneVec,
-    ) -> Dataflow {
-        let mut fx = Dataflow::default();
+    ) -> Option<(BankPort, LaneVec)> {
         let (dst, aam, value) = match instr {
-            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => return fx,
+            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => return None,
             Instruction::Mov { dst, src, relu, aam } => {
-                let v = self.read_operand(src, aam, kind, col, &mut bank, &mut fx);
+                let v = self.read_operand(src, aam, kind, col, &mut bank);
                 (dst, aam, if relu { v.relu() } else { v })
             }
             Instruction::Fill { dst, src, aam } => {
-                (dst, aam, self.read_operand(src, aam, kind, col, &mut bank, &mut fx))
+                (dst, aam, self.read_operand(src, aam, kind, col, &mut bank))
             }
             Instruction::Add { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
-                fx.flops = 16;
+                let a = self.read_operand(src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank);
                 (dst, aam, a.add(b))
             }
             Instruction::Mul { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
-                fx.flops = 16;
+                let a = self.read_operand(src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank);
                 (dst, aam, a.mul(b))
             }
             Instruction::Mac { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
-                let acc = self.read_operand(dst, aam, kind, col, &mut bank, &mut fx);
-                fx.flops = 32;
+                let a = self.read_operand(src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank);
+                let acc = self.read_operand(dst, aam, kind, col, &mut bank);
                 (dst, aam, a.mac(b, acc))
             }
             Instruction::Mad { dst, src0, src1, aam } => {
                 // SRC2 shares SRC1's index, in SRF_A (Section III-C).
                 let c = self.srf_a.read_broadcast(Self::src_index(src1, aam, col));
-                let a = self.read_operand(src0, aam, kind, col, &mut bank, &mut fx);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank, &mut fx);
-                fx.flops = 32;
+                let a = self.read_operand(src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(src1, aam, kind, col, &mut bank);
                 (dst, aam, a.mac(b, c))
             }
         };
-        fx.bank_write = self.write_operand(dst, aam, col, value);
-        fx
+        match BankPort::of(dst.kind) {
+            Some(port) => Some((port, value)),
+            None => {
+                self.write_register(dst, aam, col, value);
+                None
+            }
+        }
     }
 
     /// Counts one executed trigger into the unit's statistics.
-    pub(crate) fn retire(&mut self, fx: &Dataflow) {
+    pub(crate) fn retire(&mut self, fx: &Effects) {
         self.stats.instructions += 1;
         self.stats.flops += fx.flops;
         self.stats.bank_reads += u64::from(fx.bank_read.is_some());
@@ -508,14 +537,15 @@ impl PimUnit {
         let Some(instr) = self.sequence() else {
             return ExecOutcome { executed: None, bank_write: None, bank_read: None, halted: true };
         };
-        let fx = self.dataflow(instr, trig.kind, trig.col, |port| match port {
+        let fx = Effects::of(&instr, &trig.kind);
+        let bank_write = self.dataflow(instr, trig.kind, trig.col, |port| match port {
             BankPort::Even => trig.even_data,
             BankPort::Odd => trig.odd_data,
         });
         self.retire(&fx);
         ExecOutcome {
             executed: Some(instr),
-            bank_write: fx.bank_write,
+            bank_write,
             bank_read: fx.bank_read,
             halted: self.halted,
         }
@@ -742,6 +772,66 @@ mod tests {
         u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16]));
         assert_eq!(u.grf_a().read(0).to_f32(), [0.0; 16]);
         assert_eq!(u.stats().wdata_on_read, 1);
+    }
+
+    /// The counting side and the executing side of a trigger agree: for
+    /// every operand kind in every operand position, the port
+    /// [`Effects::of`] says is read is the last one the dataflow asked its
+    /// bank closure for, the port it says is written is the one the
+    /// dataflow hands back, and a register destination is written by the
+    /// dataflow itself.
+    #[test]
+    fn effects_name_exactly_what_the_dataflow_touches() {
+        use OperandKind::*;
+        let kinds = [GrfA, GrfB, EvenBank, OddBank, SrfM, SrfA, Wdata];
+        let op = |kind| Operand::new(kind, 1);
+        let mut cases = 0;
+        for (dst, a, b) in kinds
+            .iter()
+            .flat_map(|&d| kinds.iter().flat_map(move |&a| kinds.map(move |b| (d, a, b))))
+        {
+            let (dst, src0, src1, src, aam) = (op(dst), op(a), op(b), op(a), false);
+            for instr in [
+                Instruction::Mov { dst, src, relu: true, aam },
+                Instruction::Fill { dst, src, aam },
+                Instruction::Add { dst, src0, src1, aam },
+                Instruction::Mul { dst, src0, src1, aam },
+                Instruction::Mac { dst, src0, src1, aam },
+                Instruction::Mad { dst, src0, src1, aam },
+            ] {
+                for kind in [TriggerKind::Read, TriggerKind::Write(LaneVec::from_f32([2.0; 16]))] {
+                    let fx = Effects::of(&instr, &kind);
+                    let mut unit = PimUnit::new();
+                    let before = unit.clone();
+                    let mut asked = Vec::new();
+                    let wrote = unit.dataflow(instr, kind, 0, |port| {
+                        asked.push(port);
+                        LaneVec::from_f32([3.0; 16])
+                    });
+                    assert_eq!(fx.bank_read, asked.last().copied(), "{instr} {kind:?}");
+                    assert_eq!(fx.bank_write, wrote.map(|(port, _)| port), "{instr} {kind:?}");
+                    let mut reads = instr.sources();
+                    if let Instruction::Mac { dst, .. } = instr {
+                        reads.push(dst);
+                    }
+                    let wdata_reads = reads.iter().filter(|o| o.kind == Wdata).count()
+                        * usize::from(kind == TriggerKind::Read);
+                    assert_eq!(fx.wdata_on_read, wdata_reads as u64, "{instr} {kind:?}");
+                    if fx.bank_write.is_some() || dst.kind == Wdata {
+                        let regs = |u: &PimUnit| -> Vec<_> {
+                            let grf = (0..8).map(|i| (u.grf_a.read(i), u.grf_b.read(i)));
+                            grf.zip((0..8).map(|i| (u.srf_m.read(i), u.srf_a.read(i)))).collect()
+                        };
+                        assert_eq!(regs(&unit), regs(&before), "{instr}: no register may change");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 7 * 7 * 7 * 6 * 2);
+        for control in [Instruction::Nop { cycles: 3 }, Instruction::Exit] {
+            assert_eq!(Effects::of(&control, &TriggerKind::Read), Effects::default());
+        }
     }
 
     #[test]

@@ -421,12 +421,7 @@ proptest! {
     fn both_replay_tiers_end_where_the_simulation_ends(frags in frags()) {
         let cmds = build(&frags);
         let mut full = fresh_channel();
-        let mut now = 0;
-        for cmd in &cmds {
-            let at = full.earliest_issue(cmd, now);
-            full.issue(cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
-            now = at;
-        }
+        issue_all(&mut full, &cmds);
         let want = data_state(&full);
 
         let mut recording = fresh_channel();
@@ -449,4 +444,245 @@ proptest! {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Live-unit masks: a launch that declares which units it will read is, on
+// every path, the unmasked full simulation in everything measured and in
+// every live unit's registers and banks.
+// ---------------------------------------------------------------------
+
+use pim_core::UnitMask;
+use pim_faults::FaultPlan;
+use pim_host::{
+    Batch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, KernelResult, PimSystem,
+};
+
+/// All-live, all-dead, one unit, and arbitrary subsets.
+fn mask() -> impl Strategy<Value = UnitMask> {
+    prop_oneof![
+        Just(UnitMask::ALL),
+        Just(UnitMask::NONE),
+        (0usize..8).prop_map(|u| [u].into_iter().collect()),
+        any::<u8>().prop_map(|bits| (0..8).filter(|u| bits >> u & 1 == 1).collect()),
+    ]
+}
+
+/// [`data_state`] restricted to what a masked launch promises: the
+/// registers and the two banks of every unit in `live`. (Sequencer state
+/// and the CRF are in it too; they are exact on dead units as well, which
+/// the callers that can promise it check through [`sequencers`].)
+fn live_state(ch: &PimChannel, live: UnitMask) -> DataState {
+    let DataState { banks, units } = data_state(ch);
+    let per_bank = banks.len() / 16;
+    DataState {
+        banks: banks
+            .chunks(per_bank)
+            .enumerate()
+            .filter(|(b, _)| live.contains(b / 2))
+            .flat_map(|(_, blocks)| blocks.to_vec())
+            .collect(),
+        units: units
+            .into_iter()
+            .enumerate()
+            .filter(|(u, _)| live.contains(*u))
+            .map(|x| x.1)
+            .collect(),
+    }
+}
+
+fn sequencers(ch: &PimChannel) -> Vec<(usize, bool, Vec<u32>)> {
+    data_state(ch).units.into_iter().map(|u| (u.ppc, u.halted, u.crf)).collect()
+}
+
+/// Issues `cmds` back to back on the issue path; returns the last cycle.
+fn issue_all(ch: &mut PimChannel, cmds: &[Command]) -> u64 {
+    let mut now = 0;
+    for cmd in cmds {
+        let at = ch.earliest_issue(cmd, now);
+        ch.issue(cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
+        now = at;
+    }
+    now
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One channel, one mask: the masked full simulation moves every
+    /// counter, clock and sequencer exactly as the unmasked one does and
+    /// leaves the live units bit-identical; both masked replay tiers end
+    /// on the same live state; and the tape a masked recording compiled
+    /// still covers every unit.
+    #[test]
+    fn a_masked_channel_is_the_unmasked_one_wherever_it_is_observed(
+        frags in frags(),
+        live in mask(),
+    ) {
+        let cmds = build(&frags);
+        let unit_stats = |ch: &PimChannel| -> Vec<_> {
+            (0..ch.unit_count()).map(|u| *ch.unit(u).stats()).collect()
+        };
+        let mut full = fresh_channel();
+        let end = issue_all(&mut full, &cmds);
+
+        let mut cold = fresh_channel();
+        cold.set_live_units(live);
+        prop_assert_eq!(issue_all(&mut cold, &cmds), end);
+        prop_assert_eq!(cold.stats(), full.stats());
+        prop_assert_eq!(unit_stats(&cold), unit_stats(&full));
+        prop_assert_eq!(cold.launch_accounting(end), full.launch_accounting(end));
+        prop_assert_eq!(cold.launch_fingerprint(end), full.launch_fingerprint(end));
+        prop_assert_eq!(sequencers(&cold), sequencers(&full));
+        prop_assert_eq!(&live_state(&cold, live), &live_state(&full, live), "masked cold run");
+
+        let mut recording = fresh_channel();
+        recording.set_live_units(live);
+        let tape: DataTape = recording.replay_data_recording(&cmds);
+        prop_assert_eq!(&live_state(&recording, live), &live_state(&full, live), "recording");
+        prop_assert_eq!(sequencers(&recording), sequencers(&full));
+
+        let mut taped = fresh_channel();
+        taped.set_live_units(live);
+        taped.replay_data_taped(&cmds, &tape);
+        prop_assert_eq!(&live_state(&taped, live), &live_state(&full, live), "taped");
+        prop_assert_eq!(sequencers(&taped), sequencers(&full));
+
+        let mut unmasked = fresh_channel();
+        unmasked.replay_data_taped(&cmds, &tape);
+        prop_assert_eq!(&data_state(&unmasked), &data_state(&full), "a masked tape, played all-live");
+    }
+}
+
+/// A 16-channel system, fast path as given.
+fn system(backend: ExecutionBackend, fastpath: bool) -> PimSystem {
+    let mut sys =
+        PimSystem::new(HostConfig { stacks: 1, ..HostConfig::paper() }, PimConfig::paper());
+    sys.set_backend(backend);
+    sys.set_fastpath_enabled(fastpath);
+    sys
+}
+
+/// What the engine and the cache account a launch by, per channel.
+#[allow(clippy::type_complexity)]
+fn measured(
+    sys: &PimSystem,
+    channels: usize,
+) -> Vec<(u64, Option<pim_dram::ChannelTimingState>, pim_core::LaunchAccounting)> {
+    (0..channels)
+        .map(|i| {
+            let (c, now) = (sys.channel(i), sys.channel(i).now());
+            (now, c.sink().launch_fingerprint(now), c.sink().launch_accounting(now))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Through the engine: four launches of per-channel generated streams,
+    /// each declaring generated masks, under both backends — cold, then
+    /// recorded, then replayed while the tape is compiled, then replayed
+    /// from the tape. After every launch the `KernelResult`, every
+    /// channel's clock, timing state and `LaunchAccounting`, and every
+    /// live unit's registers and banks equal those of a system that never
+    /// heard of masks and never used the cache.
+    #[test]
+    fn masked_launches_equal_unmasked_simulation_on_both_backends(
+        streams in proptest::collection::vec(frags(), 1..4),
+        masks in proptest::collection::vec(mask(), 3),
+    ) {
+        let lists: Vec<Vec<Batch>> =
+            streams.iter().map(|f| vec![Batch::setup(build(f))]).collect();
+        let masks = &masks[..lists.len()];
+        let mut reference = system(ExecutionBackend::Sequential, false);
+        let mut want: Vec<(KernelResult, _, Vec<DataState>)> = Vec::new();
+        for _ in 0..4 {
+            let r = KernelEngine::run_system(&mut reference, &lists, ExecutionMode::Ordered);
+            let live = (0..lists.len())
+                .map(|i| live_state(reference.channel(i).sink(), masks[i]))
+                .collect();
+            want.push((r, measured(&reference, lists.len()), live));
+        }
+        for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
+            let mut sys = system(backend, true);
+            for (launch, (r, m, live)) in want.iter().enumerate() {
+                sys.set_live_units(masks);
+                let got = KernelEngine::run_system(&mut sys, &lists, ExecutionMode::Ordered);
+                prop_assert_eq!(&got, r, "{:?} launch {}", backend, launch);
+                prop_assert_eq!(&measured(&sys, lists.len()), m, "{:?} launch {}", backend, launch);
+                for (i, want) in live.iter().enumerate() {
+                    let ch = sys.channel(i).sink();
+                    prop_assert_eq!(ch.live_units(), UnitMask::ALL, "mask outlived its launch");
+                    prop_assert_eq!(
+                        &live_state(ch, masks[i]), want,
+                        "{:?} launch {} channel {}", backend, launch, i
+                    );
+                }
+            }
+            let stats = sys.fastpath_stats();
+            prop_assert_eq!((stats.hits, stats.uncacheable), (2, 0), "{:?}: {:?}", backend, stats);
+        }
+    }
+}
+
+/// On a faulted system the declared masks are dropped: transient cell
+/// flips key off each bank's write counter, so a unit that skipped its
+/// write-backs would move every later flip in its banks. The masked run
+/// equals the unmasked faulted run on *every* unit, and an identical
+/// follow-up write to every bank lands identically in both — the write
+/// counters agree.
+#[test]
+fn a_fault_plan_makes_the_engine_ignore_the_masks() {
+    let data = |row, cols: std::ops::Range<u32>| Frag::Data {
+        bank: 0,
+        row,
+        cols: cols.map(|c| if c % 5 == 4 { Col::Wr(c, c as u8) } else { Col::Rd(c) }).collect(),
+    };
+    let body = vec![
+        Frag::EnterAb { bank: 0 },
+        Frag::Crf { bank: 0, prog: 2 },
+        Frag::PimOpMode(true),
+        data(0, 0..12),
+        data(1, 4..20),
+    ];
+    let lists = vec![vec![Batch::setup(build(&[Frag::Launch(body)]))]; 2];
+    let plan = FaultPlan {
+        cell_flip_rate: 0.3,
+        stuck_cell_rate: 0.05,
+        cmd_corrupt_rate: 0.1,
+        ..FaultPlan::quiet(0xFA17)
+    };
+    let run = |masks: Option<&[UnitMask]>| {
+        let mut sys = system(ExecutionBackend::Sequential, true);
+        sys.install_faults(&plan);
+        if let Some(masks) = masks {
+            sys.set_live_units(masks);
+        }
+        let r = KernelEngine::run_system(&mut sys, &lists, ExecutionMode::Ordered);
+        let after_launch: Vec<DataState> =
+            (0..2).map(|i| data_state(sys.channel(i).sink())).collect();
+        for i in 0..2 {
+            for bank in BankAddr::all() {
+                let dram = sys.channel_mut(i).sink_mut().dram_mut();
+                for col in 0..8 {
+                    dram.bank_mut(bank).poke_block(2, col, &payload(col as u8));
+                }
+            }
+        }
+        let after_writes: Vec<DataState> =
+            (0..2).map(|i| data_state(sys.channel(i).sink())).collect();
+        (r, measured(&sys, 2), after_launch, after_writes)
+    };
+    let unmasked = run(None);
+    assert_ne!(
+        unmasked.2,
+        {
+            let mut clean = system(ExecutionBackend::Sequential, false);
+            KernelEngine::run_system(&mut clean, &lists, ExecutionMode::Ordered);
+            (0..2).map(|i| data_state(clean.channel(i).sink())).collect::<Vec<_>>()
+        },
+        "the plan must actually corrupt something"
+    );
+    assert_eq!(run(Some(&[UnitMask::NONE, [3].into_iter().collect()])), unmasked);
 }

@@ -391,20 +391,23 @@ impl KernelEngine {
         limit: Option<Cycle>,
     ) -> (KernelResult, Vec<bool>) {
         assert!(per_channel.len() <= sys.channel_count(), "more batch lists than channels");
-        // The launch-memoization fast path (see [`crate::fastpath`]):
-        // replay a recorded launch when its key and entry fingerprints
-        // match; otherwise run cold and record. Either way the observable
-        // outcome is bit-identical to always running cold.
-        let live_hint = sys.take_replay_live_hint();
+        // The one bracket every launch runs in. Live-unit masks declared
+        // for this launch ([`PimSystem::set_live_units`]) sit on the
+        // channels for its duration, whichever path runs it. Then the
+        // launch-memoization fast path (see [`crate::fastpath`]): replay a
+        // recorded launch when its key and entry fingerprints match;
+        // otherwise run cold and record. A hit and a miss are
+        // bit-identical to each other in everything the contract of
+        // `set_live_units` calls exact, and to an unmasked cold run on
+        // every live unit's registers and banks.
+        sys.arm_live_units();
         let mut cache = sys.take_fastpath();
         let out = match &mut cache {
             None => Self::run_system_cold(sys, per_channel, mode, limit),
             Some(cache) => match cache.prepare(sys, per_channel, mode) {
                 None => Self::run_system_cold(sys, per_channel, mode, limit),
                 Some(prep) => {
-                    if let Some(hit) =
-                        cache.try_replay(sys, per_channel, &prep, mode, limit, live_hint.as_deref())
-                    {
+                    if let Some(hit) = cache.try_replay(sys, per_channel, &prep, mode, limit) {
                         hit
                     } else {
                         let (result, cancelled) =
@@ -416,6 +419,7 @@ impl KernelEngine {
             },
         };
         sys.restore_fastpath(cache);
+        sys.disarm_live_units();
         out
     }
 

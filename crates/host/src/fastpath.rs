@@ -10,8 +10,8 @@
 //! cycle-level simulation and records, per channel, the end-of-launch
 //! timing state and accounting delta; every later launch with the same key
 //! and the same entry fingerprint *replays* those deltas analytically and
-//! runs only the data path — or skips even that on channels whose output
-//! the caller declared dead ([`crate::PimSystem::set_replay_live_hint`]).
+//! runs only the data path — and, as the cold run does, only on the units
+//! the caller will read ([`crate::PimSystem::set_live_units`]).
 //!
 //! The data path itself is two-tier: the first replay of an entry runs the
 //! full unit machinery once while compiling a per-channel
@@ -29,7 +29,7 @@
 //!
 //! A replayed launch is **bit-identical** to the cold run it memoizes:
 //! same `sim_cycles`, same command/fence counts, same device and DRAM
-//! stats, same bank bytes and register files on live channels, and the
+//! stats, same bank bytes and register files on live units, and the
 //! same follow-on behaviour (the restored timing state is the cold run's,
 //! so the *next* launch issues at identical cycles). The CI corpus gate
 //! (`fastpath_check`) re-proves this over the Table VI shapes at 1/2/4
@@ -144,8 +144,8 @@ struct LaunchEntry {
     /// Per-channel compiled data tapes (see [`pim_core::DataTape`]),
     /// filled lazily: the first replay of a channel runs the full unit
     /// machinery and records the tape, later replays execute only the
-    /// resolved FP16 dataflow. A channel skipped by the live hint stays
-    /// untaped until a replay actually needs it.
+    /// resolved FP16 dataflow. A channel with no live unit stays untaped
+    /// until a replay actually needs it.
     tapes: Vec<Option<pim_core::DataTape>>,
 }
 
@@ -220,8 +220,8 @@ impl LaunchCache {
     }
 
     /// Attempts to replay a prepared launch. On a hit the system ends in
-    /// the recorded cold-run state (timing, stats, and — on live channels
-    /// — data) and the cold run's merged result is returned.
+    /// the recorded cold-run state (timing, stats, and — on the channels'
+    /// live units — data) and the cold run's merged result is returned.
     pub(crate) fn try_replay(
         &mut self,
         sys: &mut PimSystem,
@@ -229,7 +229,6 @@ impl LaunchCache {
         prep: &PreparedLaunch,
         mode: ExecutionMode,
         limit: Option<Cycle>,
-        live_hint: Option<&[bool]>,
     ) -> Option<(KernelResult, Vec<bool>)> {
         let hit = match self.entries.get(&prep.key) {
             Some(e) => {
@@ -250,12 +249,13 @@ impl LaunchCache {
         let entry = self.entries.get_mut(&prep.key).expect("checked above");
         let end_abs = prep.base + entry.end_rel;
         for (i, batches) in per_channel.iter().enumerate() {
-            let live = live_hint.is_none_or(|h| h.get(i).copied().unwrap_or(true));
             let ctrl = sys.channel_mut(i);
             let sink = ctrl.sink_mut();
             sink.apply_accounting(&entry.accts[i]);
             sink.apply_timing_state(end_abs, &entry.ends[i]);
-            if live {
+            // A channel with no live unit has no data to replay; otherwise
+            // the walk itself skips the dead units, as the cold run does.
+            if !sink.live_units().is_empty() {
                 // Data replay applies writes in the cold path's issue order.
                 let ordered: Vec<_> =
                     batches.iter().enumerate().map(|(bi, b)| b.issue_order(bi, mode)).collect();

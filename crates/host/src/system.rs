@@ -3,7 +3,7 @@
 use crate::config::HostConfig;
 use crate::fastpath::{FastpathStats, LaunchCache};
 use crate::parallel::ExecutionBackend;
-use pim_core::{PimChannel, PimConfig};
+use pim_core::{PimChannel, PimConfig, UnitMask};
 use pim_dram::{
     AddressMapping, ControllerConfig, Cycle, MemoryController, SchedulingPolicy, TimingParams,
 };
@@ -35,9 +35,9 @@ pub struct PimSystem {
     /// [`PimSystem::set_fastpath_enabled`] from re-arming the cache on a
     /// faulted system.
     faults_installed: bool,
-    /// One-shot liveness hint for the next launch; see
-    /// [`PimSystem::set_replay_live_hint`].
-    replay_live_hint: Option<Vec<bool>>,
+    /// The next launch's live-unit masks, one per channel (empty: none
+    /// declared); see [`PimSystem::set_live_units`].
+    live_units: Vec<UnitMask>,
 }
 
 impl PimSystem {
@@ -76,7 +76,7 @@ impl PimSystem {
             fastpath: LaunchCache::new(),
             fastpath_enabled: true,
             faults_installed: false,
-            replay_live_hint: None,
+            live_units: Vec::new(),
         }
     }
 
@@ -205,13 +205,48 @@ impl PimSystem {
         self.fastpath.clear();
     }
 
-    /// Declares, for the **next** launch only, which channels' outputs
-    /// the caller will read (`live[i] == false` ⇒ channel `i`'s data is
-    /// dead). A replayed launch skips the data walk on dead channels —
-    /// their timing, stats, and clocks still advance exactly. Cold runs
-    /// ignore the hint. Consumed by the next `run_system` call.
-    pub fn set_replay_live_hint(&mut self, live: Vec<bool>) {
-        self.replay_live_hint = Some(live);
+    /// Declares, for the **next** launch only, which units' results the
+    /// caller will read: `live[i]` is channel `i`'s mask, channels past the
+    /// slice stay all-live, and a launch nobody declared anything for is
+    /// all-live on every channel. The engine puts the masks on the channels
+    /// for exactly that launch — cold or replayed, under every backend —
+    /// and takes them off again.
+    ///
+    /// The contract, on every path: clocks, timing state, the
+    /// [`crate::KernelResult`], channel and unit statistics, launch
+    /// accounting, energy and the sequencers are exact on **every** unit;
+    /// the registers and banks of units in the mask are bit-identical to
+    /// an unmasked full simulation; a unit outside its mask fetches no
+    /// operand, runs no FP16 and writes nothing back, so its registers and
+    /// bank results are *not produced* and must be rewritten before they
+    /// are read (see [`PimChannel::set_live_units`]).
+    ///
+    /// Ignored once a fault plan is installed: transient cell flips key
+    /// off each bank's write counter, so on a faulted system a dead unit's
+    /// bank traffic is observable — the same condition that makes fault
+    /// campaigns simulate every cycle.
+    pub fn set_live_units(&mut self, live: &[UnitMask]) {
+        self.live_units.clear();
+        self.live_units.extend_from_slice(live);
+    }
+
+    /// Moves the declared masks onto the channels for the launch about to
+    /// run (none declared, or a faulted system: the channels stay
+    /// all-live).
+    pub(crate) fn arm_live_units(&mut self) {
+        if !self.faults_installed {
+            for (c, &live) in self.channels.iter_mut().zip(&self.live_units) {
+                c.sink_mut().set_live_units(live);
+            }
+        }
+        self.live_units.clear();
+    }
+
+    /// Returns every channel to all-live after a launch.
+    pub(crate) fn disarm_live_units(&mut self) {
+        for c in &mut self.channels {
+            c.sink_mut().set_live_units(UnitMask::ALL);
+        }
     }
 
     /// Takes the cache out for a launch (`None` when disarmed), so the
@@ -225,11 +260,6 @@ impl PimSystem {
         if let Some(c) = cache {
             self.fastpath = c;
         }
-    }
-
-    /// Consumes the one-shot liveness hint.
-    pub(crate) fn take_replay_live_hint(&mut self) -> Option<Vec<bool>> {
-        self.replay_live_hint.take()
     }
 }
 

@@ -373,14 +373,7 @@ impl PimBlas {
         // Place operands (Fig. 15(b) interleaving), run, gather z.
         let job = StreamJob::place(ctx, &operands, &channels)?;
         traced_op(ctx, op_name, x.len(), |ctx| {
-            let r = Executor::try_run(
-                ctx,
-                channels.len(),
-                &job.program,
-                srf.as_ref(),
-                false,
-                &job.batches,
-            )?;
+            let (r, _) = job.launch(ctx, srf.as_ref(), None, true)?;
             Ok((job.gather(ctx), r))
         })
     }

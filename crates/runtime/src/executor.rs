@@ -20,7 +20,7 @@ use crate::blas::PimError;
 use crate::context::PimContext;
 use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
-use pim_core::{conf, LaneVec};
+use pim_core::{conf, LaneVec, UnitMask};
 use pim_dram::{BankAddr, Command, CommandSink, Cycle};
 use pim_host::{Batch, ExecutionMode, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
@@ -137,7 +137,7 @@ impl Executor {
     /// The one place a kernel is cloned onto a channel subset: the full
     /// choreography for every channel in `channels` and an empty batch
     /// list — the channel sits the launch out — for the rest of the system.
-    fn subset_kernel(
+    pub(crate) fn subset_kernel(
         ctx: &PimContext,
         channels: &[usize],
         program: &[Instruction],
@@ -151,35 +151,16 @@ impl Executor {
             .collect()
     }
 
-    /// Launches the kernel on exactly `channels` under an optional
-    /// watchdog cycle limit, untraced: the recovery ladders (resilience
-    /// retries, serving attempts) bracket their launches with their own
-    /// request-scoped events. Returns the merged result and the
-    /// per-channel cancellation flags of
-    /// [`KernelEngine::run_system_bounded`].
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::InvalidKernel`] in strict mode, as for
-    /// [`Executor::try_run`].
-    pub(crate) fn launch_on(
-        ctx: &mut PimContext,
-        channels: &[usize],
-        program: &[Instruction],
-        data_batches: &[Batch],
-        limit: Option<Cycle>,
-    ) -> Result<(KernelResult, Vec<bool>), PimError> {
-        let per_channel = Self::subset_kernel(ctx, channels, program, None, false, data_batches);
-        Self::launch(ctx, program, &per_channel, limit, false, None)
-    }
-
     /// The one launch bracket, over prebuilt per-channel lists that arm
     /// `program`: strict-mode verification, then the engine under `limit`.
     /// `traced` wraps the run in the `"kernel"` span and folds the
-    /// launch-memoization counters it advanced into the recorder; `live`
-    /// is the one-shot replay liveness hint of a prepared plan
-    /// ([`pim_host::PimSystem::set_replay_live_hint`]), armed only once
-    /// the launch is certain to run.
+    /// launch-memoization counters it advanced into the recorder (the
+    /// recovery ladders launch untraced and bracket their attempts with
+    /// their own request-scoped events). `live` is the job's per-channel
+    /// mask of the units whose results it will read back
+    /// ([`pim_host::PimSystem::set_live_units`] states what that buys and
+    /// what stays exact); it is declared only once the launch is certain
+    /// to run, and `None` launches all-live.
     ///
     /// # Errors
     ///
@@ -191,14 +172,14 @@ impl Executor {
         per_channel: &[Vec<Batch>],
         limit: Option<Cycle>,
         traced: bool,
-        live: Option<&[bool]>,
+        live: Option<&[UnitMask]>,
     ) -> Result<(KernelResult, Vec<bool>), PimError> {
         if ctx.strict {
             Preprocessor::verify_kernel(ctx.sys.pim_config(), program)
                 .map_err(|report| PimError::InvalidKernel { report })?;
         }
         if let Some(live) = live {
-            ctx.sys.set_replay_live_hint(live.to_vec());
+            ctx.sys.set_live_units(live);
         }
         let rec = ctx.recorder.clone().filter(|_| traced);
         let fp_before = ctx.sys.fastpath_stats();

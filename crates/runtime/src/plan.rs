@@ -17,10 +17,13 @@
 //! Because the input scalars ride in writes to ordinary data rows, every
 //! `launch` of a plan shares one launch key (see `pim_host::fastpath`),
 //! and from the first steady-state repeat onward the engine replays the
-//! recorded timing analytically instead of simulating — running only the
-//! FP16 data path, and skipping even that on channels whose outputs the
-//! plan knows are dead (`set_replay_live_hint`). Results and reports stay
-//! bit-identical to the cold path.
+//! recorded timing analytically instead of simulating and runs only the
+//! FP16 data path. On both paths that data path runs only where the
+//! reduce will look: each pass declares the units that own output rows
+//! (`pim_host::PimSystem::set_live_units`), and the rest — 448 of 512 for
+//! Table VI GEMV1 — retire their triggers from the instruction alone.
+//! Outputs, cycle counts, reports, statistics and energy are those of the
+//! full simulation on every launch.
 
 use crate::blas::{traced_op, KernelReport, PimError};
 use crate::context::PimContext;
@@ -28,7 +31,7 @@ use crate::executor::Executor;
 use crate::kernels::{gemv_batches, gemv_microkernel, COLS_PER_ROW, GROUP};
 use crate::layout::{self, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
-use pim_core::{LaneVec, PimVariant};
+use pim_core::{LaneVec, PimVariant, UnitMask};
 use pim_dram::{Command, DataBlock};
 use pim_fp16::F16;
 use pim_host::{Batch, KernelResult};
@@ -143,8 +146,8 @@ pub struct GemvPlan {
     per_pass: Vec<Vec<Vec<Batch>>>,
     /// Input-write positions, identical across passes and channels.
     x_slots: Vec<XSlot>,
-    /// Per pass: which channels produce outputs the host will read.
-    live: Vec<Vec<bool>>,
+    /// `[pass][channel]` — the units whose GRF_B the reduce reads back.
+    live: Vec<Vec<UnitMask>>,
 }
 
 impl GemvPlan {
@@ -224,7 +227,11 @@ impl GemvPlan {
                 }
             }
             per_pass.push(vec![full; channels]);
-            live.push((0..channels).map(|ch| g.out_base(p, ch, 0).is_some()).collect());
+            live.push(
+                (0..channels)
+                    .map(|ch| (0..g.units).filter(|&u| g.out_base(p, ch, u).is_some()).collect())
+                    .collect(),
+            );
         }
         Ok(GemvPlan { geometry: g, srw, program, per_pass, x_slots, live })
     }
@@ -337,6 +344,7 @@ impl GemvPlan {
                 // Host-side reduction of the 8 partial accumulators per
                 // lane, in f32, register order.
                 for (ch, u, out_base) in g.owners(p) {
+                    debug_assert!(self.live[p][ch].contains(u), "reduce reads a dead unit");
                     let grfb = Executor::try_read_grf_b(ctx, ch, u)?;
                     for (l, o) in out[out_base..].iter_mut().take(BLOCK_ELEMS).enumerate() {
                         *o = grfb.iter().map(|v| v[l].to_f32()).sum();
@@ -383,6 +391,29 @@ mod tests {
         assert_eq!(r1.commands, r3.commands);
         assert_eq!(r1.fences, r3.fences);
         assert_eq!(y1, PimBlas::reference_gemv(&w, n, k, &x1));
+    }
+
+    /// Each pass declares live exactly the units whose GRF_B the reduce
+    /// reads back — a partly populated last channel (n = 1000) and a short
+    /// last pass included.
+    #[test]
+    fn a_pass_masks_exactly_the_units_its_reduce_reads() {
+        let per_pass = 64 * 8 * BLOCK_ELEMS;
+        for n in [1, 16, 100, 1000, 1024, per_pass + 16] {
+            let mut ctx = PimContext::paper_system();
+            let plan = GemvPlan::prepare(&mut ctx, &weights(n, 8), n, 8).unwrap();
+            let g = plan.geometry;
+            assert_eq!(plan.live.len(), g.passes);
+            for p in 0..g.passes {
+                let read: Vec<(usize, usize)> = g.owners(p).map(|(ch, u, _)| (ch, u)).collect();
+                let live: Vec<(usize, usize)> = (0..64)
+                    .flat_map(|ch| (0..8).map(move |u| (ch, u)))
+                    .filter(|&(ch, u)| plan.live[p][ch].contains(u))
+                    .collect();
+                assert_eq!(live, read, "n = {n}, pass {p}");
+                assert_eq!(read.len(), (n - p * per_pass).min(per_pass).div_ceil(BLOCK_ELEMS));
+            }
+        }
     }
 
     #[test]

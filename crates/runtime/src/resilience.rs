@@ -224,7 +224,7 @@ pub fn resilient_add(
             }
 
             let start = ctx.sys.max_now();
-            let (r, _) = job.launch(ctx, None)?;
+            let (r, _) = job.launch(ctx, None, None, false)?;
             rep.launches += 1;
             let cycles = r.end_cycle.saturating_sub(start);
             rep.kernel.absorb(&KernelReport {

@@ -988,7 +988,7 @@ impl<'a> Server<'a> {
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(attempt_ctx));
             }
-            let (result, cancelled) = job.launch(self.ctx, Some(limit))?;
+            let (result, cancelled) = job.launch(self.ctx, None, Some(limit), false)?;
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(trace));
             }

@@ -15,7 +15,7 @@ use crate::executor::Executor;
 use crate::kernels::{stream_batches, stream_columns, stream_microkernel, StreamOp, GROUP};
 use crate::layout::{self, Placement, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
-use pim_core::{LaneVec, PimVariant};
+use pim_core::{LaneVec, PimVariant, UnitMask};
 use pim_dram::Cycle;
 use pim_host::{Batch, KernelResult};
 
@@ -112,8 +112,11 @@ pub(crate) struct StreamJob<'a> {
     ops: &'a StreamOperands,
     place: Placement<'a>,
     base_row: u32,
-    pub(crate) program: Vec<Instruction>,
-    pub(crate) batches: Vec<Batch>,
+    /// Per system channel: the units that hold a real block — the ones
+    /// [`StreamJob::gather`] reads.
+    live: Vec<UnitMask>,
+    program: Vec<Instruction>,
+    batches: Vec<Batch>,
 }
 
 impl<'a> StreamJob<'a> {
@@ -135,10 +138,17 @@ impl<'a> StreamJob<'a> {
             .mm
             .alloc_rows_lockstep(rows)
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
+        // Blocks past the first `channels × units` land on units already in.
+        let mut live = vec![UnitMask::NONE; ctx.sys.channel_count()];
+        for b in 0..ops.blocks().min(channels.len() * cfg.units_per_pch) {
+            let (ch, unit, _) = place.locate(b);
+            live[ch].insert(unit);
+        }
         let job = StreamJob {
             ops,
             place,
             base_row,
+            live,
             program: stream_microkernel(ops.op, rows, &cfg),
             batches: stream_batches(ops.op, rows, base_row, &cfg),
         };
@@ -175,7 +185,9 @@ impl<'a> StreamJob<'a> {
         self.place.locate(b).0
     }
 
-    /// Launches on exactly the job's channels (see [`Executor::launch_on`]).
+    /// Launches on exactly the job's channels under an optional watchdog
+    /// cycle limit, computing only on the units that hold a real block
+    /// (see [`Executor::launch`]). `srf` preloads the scalar registers.
     ///
     /// # Errors
     ///
@@ -183,16 +195,28 @@ impl<'a> StreamJob<'a> {
     pub(crate) fn launch(
         &self,
         ctx: &mut PimContext,
+        srf: Option<&LaneVec>,
         limit: Option<Cycle>,
+        traced: bool,
     ) -> Result<(KernelResult, Vec<bool>), PimError> {
-        Executor::launch_on(ctx, self.place.channels(), &self.program, &self.batches, limit)
+        let per_channel = Executor::subset_kernel(
+            ctx,
+            self.place.channels(),
+            &self.program,
+            srf,
+            false,
+            &self.batches,
+        );
+        Executor::launch(ctx, &self.program, &per_channel, limit, traced, Some(&self.live))
     }
 
     /// Reads the result vector back from the z columns.
     pub(crate) fn gather(&self, ctx: &PimContext) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.ops.blocks() * BLOCK_ELEMS);
         for b in 0..self.ops.blocks() {
-            let v = self.cell(b, self.ops.z_col, false).load(ctx);
+            let cell = self.cell(b, self.ops.z_col, false);
+            debug_assert!(self.live[cell.ch].contains(cell.unit), "gather reads a dead unit");
+            let v = cell.load(ctx);
             out.extend((0..BLOCK_ELEMS).map(|l| v[l].to_f32()));
         }
         out.truncate(self.ops.len);
@@ -208,4 +232,37 @@ pub(crate) fn bad_blocks(got: &[f32], expected: &[f32]) -> Vec<usize> {
         .filter(|(_, (g, e))| g.iter().zip(*e).any(|(a, b)| a.to_bits() != b.to_bits()))
         .map(|(b, _)| b)
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A job declares live exactly the units `gather` reads: the ones that
+    /// hold a real block, over the whole system and over a channel subset.
+    #[test]
+    fn a_job_masks_exactly_the_units_its_gather_reads() {
+        let all: Vec<usize> = (0..64).collect();
+        let survivors = [3usize, 17, 40];
+        for len in [1, 16, 17, 128, 4096, 8192, 8193] {
+            for channels in [&all[..], &survivors[..]] {
+                let mut ctx = PimContext::paper_system();
+                let x = vec![1.0f32; len];
+                let ops = StreamOperands::new(&ctx, StreamOp::Add, &x, Some(&x)).unwrap();
+                let job = StreamJob::place(&mut ctx, &ops, channels).unwrap();
+                let mut read: Vec<(usize, usize)> = (0..ops.blocks())
+                    .map(|b| job.cell(b, ops.z_col, false))
+                    .map(|cell| (cell.ch, cell.unit))
+                    .collect();
+                read.sort_unstable();
+                read.dedup();
+                let live: Vec<(usize, usize)> = (0..64)
+                    .flat_map(|ch| (0..8).map(move |u| (ch, u)))
+                    .filter(|&(ch, u)| job.live[ch].contains(u))
+                    .collect();
+                assert_eq!(live, read, "len {len} over {} channels", channels.len());
+                assert_eq!(read.len(), len.div_ceil(BLOCK_ELEMS).min(channels.len() * 8));
+            }
+        }
+    }
 }

@@ -276,3 +276,56 @@ fn gemv_callers_agree_bit_for_bit() {
         assert_eq!(cluster_report.kernel, direct_report, "one-stack cluster report, {n}x{k}");
     }
 }
+
+/// Live-unit masks are invisible in what a call returns. Every GEMV pass
+/// and every stream job declares the units it will read back and the rest
+/// skip their datapath; a context under a quiet fault plan — which injects
+/// nothing, but makes the engine drop every mask and simulate each unit in
+/// full, fast path off — must return the same bits and the same
+/// `KernelReport`, at the shapes where the live set changes form: one
+/// lane, one unit, a partly populated last channel (n = 1000), exactly one
+/// channel group, and a short second pass; one block, one block per unit
+/// of the 64-channel system (8192 elements), and one more.
+#[test]
+fn masked_launches_return_what_full_simulation_returns() {
+    use pim_faults::FaultPlan;
+    use pim_runtime::GemvPlan;
+
+    let unmasked = || {
+        let mut ctx = PimContext::paper_system();
+        ctx.inject_faults(&FaultPlan::quiet(0));
+        ctx
+    };
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+
+    let k = 24;
+    let x: Vec<f32> = (0..k).map(|i| ((i * 3 + 5) % 17) as f32 / 16.0 - 0.5).collect();
+    for n in [1, 16, 100, 1000, 1024, 8192 + 16] {
+        let w: Vec<f32> = (0..n * k).map(|i| ((i * 7 + n) % 41) as f32 / 32.0 - 0.625).collect();
+        let (want, want_report) = PimBlas::gemv(&mut unmasked(), &w, n, k, &x).unwrap();
+        let mut ctx = PimContext::paper_system();
+        let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).unwrap();
+        // Cold, recorded, replayed while taping, replayed from the tape.
+        for launch in 0..4 {
+            let (got, report) = plan.launch(&mut ctx, &x).unwrap();
+            assert_eq!(bits(&got), bits(&want), "gemv n={n} launch {launch}");
+            if launch == 0 {
+                assert_eq!(report, want_report, "gemv n={n}");
+            }
+        }
+        assert!(ctx.sys.fastpath_stats().hits >= 2, "gemv n={n}: {:?}", ctx.sys.fastpath_stats());
+    }
+
+    for len in [1, 16, 17, 128, 4096, 8192, 8193] {
+        let a: Vec<f32> = (0..len).map(|i| ((i * 7 + 3) % 41) as f32 * 0.25 - 5.0).collect();
+        let b: Vec<f32> = (0..len).map(|i| ((i * 11 + 1) % 29) as f32 * 0.5 - 7.0).collect();
+        let (want, want_report) = PimBlas::add(&mut unmasked(), &a, &b).unwrap();
+        let (got, report) = PimBlas::add(&mut PimContext::paper_system(), &a, &b).unwrap();
+        assert_eq!(bits(&got), bits(&want), "add len={len}");
+        assert_eq!(report, want_report, "add len={len}");
+        let (want, want_report) = PimBlas::axpy(&mut unmasked(), 0.75, &a, &b).unwrap();
+        let (got, report) = PimBlas::axpy(&mut PimContext::paper_system(), 0.75, &a, &b).unwrap();
+        assert_eq!(bits(&got), bits(&want), "axpy len={len}");
+        assert_eq!(report, want_report, "axpy len={len}");
+    }
+}

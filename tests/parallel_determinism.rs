@@ -65,6 +65,39 @@ fn gemv_is_bit_identical_under_every_worker_count() {
     }
 }
 
+/// The masked row: a GEMV declares live only the units that own output
+/// rows — n = 1000 fills 62.5 of the 512, so channel 7 computes on seven of
+/// its eight units and channels 8..64 on none. Outputs, the report and
+/// every channel's controller, device, DRAM and per-unit statistics are
+/// those of the sequential run under every worker count, and those of a
+/// run whose masks a quiet fault plan made the engine drop.
+#[test]
+fn masked_gemv_is_bit_identical_under_every_worker_count() {
+    let (n, k) = (1000, 64);
+    let (w, x) = gemv_inputs(n, k);
+    let run = |backend: ExecutionBackend, unmasked: bool| {
+        let mut ctx = PimContext::paper_system();
+        ctx.set_backend(backend);
+        if unmasked {
+            ctx.inject_faults(&pim_faults::FaultPlan::quiet(0));
+        }
+        let (y, report) = PimBlas::gemv(&mut ctx, &w, n, k, &x).expect("gemv");
+        let state: Vec<String> = (0..ctx.sys.channel_count())
+            .map(|i| {
+                let (ctrl, dev) = (ctx.sys.channel(i), ctx.sys.channel(i).sink());
+                let units: Vec<_> = (0..dev.unit_count()).map(|u| *dev.unit(u).stats()).collect();
+                format!("{:?}|{:?}|{:?}|{units:?}", ctrl.stats(), dev.stats(), dev.dram().stats())
+            })
+            .collect();
+        (y.iter().map(|v| v.to_bits()).collect::<Vec<u32>>(), report, state)
+    };
+    let seq = run(ExecutionBackend::Sequential, false);
+    assert_eq!(seq, run(ExecutionBackend::Sequential, true), "a mask moved something measured");
+    for workers in WORKER_COUNTS {
+        assert_eq!(run(ExecutionBackend::Threads(workers), false), seq, "{workers} workers");
+    }
+}
+
 /// Runs the seeded synthetic workload under `backend`; returns the kernel
 /// result plus every channel's controller, DRAM, and device statistics.
 fn synthetic_run(
