@@ -11,6 +11,7 @@ use pim_dram::{
     TimingParams,
 };
 use pim_fp16::F16;
+use pim_runtime::{PimBlas, PimContext};
 
 fn bench_fp16(c: &mut Criterion) {
     let mut g = c.benchmark_group("fp16");
@@ -192,5 +193,34 @@ fn bench_pim(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fp16, bench_dram, bench_pim);
+/// A cold Table VI GEMV1 — one `PimBlas::gemv` on a fresh paper system —
+/// with the launch-memoization fast path on (one channel per entry class
+/// is simulated, the other 63 are served from its recording) and off
+/// (every channel simulated). The off side is what `fastpath_check` and
+/// the exactness tests compare against; the pair is the cost of that
+/// reference over the default.
+fn bench_engine(c: &mut Criterion) {
+    let mut g = c.benchmark_group("engine");
+    let wl = pim_bench::workloads::gemv_workloads()[0];
+    let w = pim_bench::fastpath::bench_weights(wl.n, wl.k);
+    let x = pim_bench::fastpath::bench_input(wl.k, 1);
+    g.sample_size(10);
+    g.throughput(Throughput::Elements(1));
+    for (id, fastpath) in [("gemv1_cold/fastpath_on", true), ("gemv1_cold/fastpath_off", false)] {
+        g.bench_function(id, |bench| {
+            bench.iter_batched(
+                || {
+                    let mut ctx = PimContext::paper_system();
+                    ctx.sys.set_fastpath_enabled(fastpath);
+                    ctx
+                },
+                |mut ctx| PimBlas::gemv(&mut ctx, &w, wl.n, wl.k, &x).expect("GEMV1"),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_fp16, bench_dram, bench_pim, bench_engine);
 criterion_main!(benches);

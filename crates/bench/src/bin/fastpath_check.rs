@@ -10,10 +10,13 @@
 //! choreography), the first of them again under a seeded
 //! [`ExecutionMode::Fenced`] shuffle (sequential and two workers — the one
 //! issue order the engine, the predictor and data replay share), a GEMV
-//! whose last live channel is partly populated (n = 1000), a 128-element
-//! stream ADD (8 live units of 512), plus the synthetic 64-channel engine
-//! workload. For every corpus item and every backend (sequential plus each
-//! `--workers` count, default 1/2/4):
+//! whose last live channel is partly populated (n = 1000), the same GEMV
+//! entered with one channel's clock skewed (a class of its own), a
+//! 128-element stream ADD (8 live units of 512), stream ADDs served on a
+//! 12-channel subset under a watchdog limit, plus the synthetic 64-channel
+//! engine workload (64 distinct lists: no two channels share a class). For
+//! every corpus item and every backend (sequential plus each `--workers`
+//! count, default 1/2/4):
 //!
 //! * a **reference** run under a quiet fault plan — nothing is injected,
 //!   but the engine drops the live-unit masks and the cache, so every
@@ -21,7 +24,9 @@
 //! * a **fast-path** run on an identical fresh system must produce
 //!   bit-identical outputs and exactly matching `sim_cycles` / `commands`
 //!   / `fences` on every launch — cold (recording) and warm (replaying)
-//!   alike — and must actually hit the cache in steady state;
+//!   alike — and must actually hit the cache in steady state; a GEMV row's
+//!   cold launch must simulate one channel per entry class (one, or two
+//!   with the skew) and serve the rest from its recording;
 //! * the **analytic predictor** is cross-checked pass-by-pass inside the
 //!   fast-path run ([`pim_runtime::GemvPlan::launch_crosschecked`]) and
 //!   against the engine on the synthetic workload;
@@ -38,7 +43,7 @@ use pim_faults::FaultPlan;
 use pim_host::{
     predict_launch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, PimSystem,
 };
-use pim_runtime::{GemvPlan, PimBlas, PimContext};
+use pim_runtime::{GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
 
 /// Launches per corpus item: 1 cold + 1 recording + the rest replaying.
 const LAUNCHES: usize = 4;
@@ -76,30 +81,46 @@ fn context(backend: ExecutionBackend, mode: ExecutionMode, fastpath: bool) -> Pi
     ctx
 }
 
-/// One GEMV corpus item on one backend: returns the per-launch results
-/// plus the hit count.
-fn run_gemv(
-    backend: ExecutionBackend,
+/// One GEMV corpus row: a (single-pass) shape, the mode it runs under, and
+/// optionally one channel whose clock is advanced before the first launch.
+struct GemvRow<'a> {
+    name: &'a str,
     n: usize,
     k: usize,
     mode: ExecutionMode,
+    skew: Option<(usize, u64)>,
+}
+
+/// One GEMV corpus item on one backend: returns the per-launch results,
+/// the hit count, and the channels the cold launch simulated and replayed.
+fn run_gemv(
+    backend: ExecutionBackend,
+    row: &GemvRow,
     fastpath: bool,
     crosscheck: bool,
-) -> (Vec<Launch>, u64) {
-    let w = bench_weights(n, k);
-    let mut ctx = context(backend, mode, fastpath);
-    let mut plan = GemvPlan::prepare(&mut ctx, &w, n, k).expect("corpus shape fits");
+) -> (Vec<Launch>, u64, (u64, u64)) {
+    let w = bench_weights(row.n, row.k);
+    let mut ctx = context(backend, row.mode, fastpath);
+    if let Some((ch, cycles)) = row.skew {
+        ctx.sys.channel_mut(ch).advance_to(cycles);
+    }
+    let mut plan = GemvPlan::prepare(&mut ctx, &w, row.n, row.k).expect("corpus shape fits");
     let mut out = Vec::with_capacity(LAUNCHES);
+    let mut cold = (0, 0);
     for i in 0..LAUNCHES {
-        let x = bench_input(k, i as u64 % 2);
+        let x = bench_input(row.k, i as u64 % 2);
         let (y, r) = if crosscheck {
             plan.launch_crosschecked(&mut ctx, &x).expect("crosschecked launch")
         } else {
             plan.launch(&mut ctx, &x).expect("launch")
         };
         out.push((y, r.cycles, r.commands, r.fences));
+        if i == 0 {
+            let channels = ctx.sys.fastpath_channels();
+            cold = (channels.simulated, channels.replayed);
+        }
     }
-    (out, ctx.sys.fastpath_stats().hits)
+    (out, ctx.sys.fastpath_stats().hits, cold)
 }
 
 /// Fails the gate for every launch of `fast` that is not its `reference`.
@@ -150,27 +171,73 @@ fn check_add(gate: &mut Gate, backends: &[ExecutionBackend], len: usize) {
     }
 }
 
-fn check_gemv(
-    gate: &mut Gate,
-    backends: &[ExecutionBackend],
-    (n, k): (usize, usize),
-    mode: ExecutionMode,
-    name: &str,
-) {
-    let (reference, ref_hits) = run_gemv(ExecutionBackend::Sequential, n, k, mode, false, false);
-    if ref_hits != 0 {
-        gate.fail(format!("{name}: disabled fast path still hit the cache"));
+fn check_gemv(gate: &mut Gate, backends: &[ExecutionBackend], row: &GemvRow) {
+    let name = row.name;
+    eprintln!("checking {name} ({}x{}) ...", row.n, row.k);
+    let (reference, ref_hits, ref_cold) = run_gemv(ExecutionBackend::Sequential, row, false, false);
+    if ref_hits != 0 || ref_cold != (64, 0) {
+        gate.fail(format!("{name}: the reference replayed (cold launch {ref_cold:?})"));
     }
+    // A fresh system enters in one class — two when a channel is skewed —
+    // and the cold launch simulates one channel of each.
+    let classes = 1 + u64::from(row.skew.is_some());
     for &b in backends {
         // The fast-path run also cross-checks the analytic predictor on
         // every pass of every launch.
-        let (fast, hits) = run_gemv(b, n, k, mode, true, true);
+        let (fast, hits, cold) = run_gemv(b, row, true, true);
         compare(gate, name, b, &fast, &reference);
         if hits == 0 {
             gate.fail(format!(
                 "{name} [{}]: no cache hits over {LAUNCHES} identical launches",
                 backend_name(b)
             ));
+        }
+        if cold != (classes, 64 - classes) {
+            gate.fail(format!(
+                "{name} [{}]: cold launch simulated/replayed {cold:?} channels, \
+                 expected ({classes}, {})",
+                backend_name(b),
+                64 - classes
+            ));
+        }
+    }
+}
+
+/// Stream ADDs on a channel subset: a `Server` request pinned to three of
+/// the sixteen channel groups launches on their 12 channels — every other
+/// channel runs `&[]` — under the serving watchdog's cycle limit. Serving
+/// resets the arena (and the cache) per request, so every launch is a
+/// classed miss; the whole report must equal the reference's.
+fn check_subset_add(gate: &mut Gate, backends: &[ExecutionBackend]) {
+    eprintln!("checking ADD 1024 on 12 channels ...");
+    let mode = ExecutionMode::Fenced { reorder_seed: None };
+    let run = |backend, fastpath| {
+        let mut ctx = context(backend, mode, fastpath);
+        let requests = (0..LAUNCHES as u64)
+            .map(|i| ServeRequest {
+                tenant: 0,
+                arrival: i * 100_000,
+                deadline: i * 100_000 + 400_000,
+                groups: Some(vec![1, 6, 11]),
+                budget: None,
+                op: ServeOp::Add { x: bench_input(1024, i), y: bench_input(1024, i + 7) },
+            })
+            .collect();
+        let report = Server::new(&mut ctx, ServeConfig::default()).run(requests);
+        (report.expect("serve run"), ctx.sys.fastpath_channels())
+    };
+    let (reference, _) = run(ExecutionBackend::Sequential, false);
+    if reference.stats.completed != LAUNCHES as u64 {
+        gate.fail(format!("ADD subset: reference completed {:?}", reference.stats));
+    }
+    for &b in backends {
+        let (report, channels) = run(b, true);
+        if report != reference {
+            gate.fail(format!("ADD subset [{}]: report differs from reference", backend_name(b)));
+        }
+        // The 12 participants and the 52 bystanders: two classes a launch.
+        if (channels.simulated, channels.replayed) != (2 * LAUNCHES as u64, 62 * LAUNCHES as u64) {
+            gate.fail(format!("ADD subset [{}]: {channels:?}", backend_name(b)));
         }
     }
 }
@@ -259,8 +326,11 @@ fn main() {
     let workloads = gemv_workloads();
     for wl in &workloads {
         let (n, k) = ((wl.n / scale).max(1), (wl.k / scale).max(1));
-        eprintln!("checking {} ({n}x{k}) ...", wl.name);
-        check_gemv(&mut gate, &backends, (n, k), in_order, wl.name);
+        check_gemv(
+            &mut gate,
+            &backends,
+            &GemvRow { name: wl.name, n, k, mode: in_order, skew: None },
+        );
     }
 
     // The seeded commutative-batch shuffle: cold engine, warm replay and
@@ -268,19 +338,23 @@ fn main() {
     let wl = &workloads[0];
     let (n, k) = ((wl.n / scale).max(1), (wl.k / scale).max(1));
     let name = format!("{} seeded", wl.name);
-    eprintln!("checking {name} ({n}x{k}) ...");
     let seeded = ExecutionMode::Fenced { reorder_seed: Some(0xF16) };
     let two = [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)];
-    check_gemv(&mut gate, &two, (n, k), seeded, &name);
+    check_gemv(&mut gate, &two, &GemvRow { name: &name, n, k, mode: seeded, skew: None });
 
     // Liveness at unit granularity: 1000 rows fill 62.5 units, so channel
     // 7 computes on 7 of its 8 units and channels 8..64 on none; the
     // stream ADD keeps 8 units live, one on each of 8 channels.
     let (n, k) = (1000, (workloads[0].k / scale).max(1));
-    eprintln!("checking GEMV n=1000 ({n}x{k}) ...");
-    check_gemv(&mut gate, &backends, (n, k), in_order, "GEMV n=1000");
+    let row = GemvRow { name: "GEMV n=1000", n, k, mode: in_order, skew: None };
+    check_gemv(&mut gate, &backends, &row);
+    // Entry skew: live channel 5 enters 700 cycles late, so it cannot
+    // share the other 63 channels' simulation.
+    let row = GemvRow { name: "GEMV n=1000 skewed", skew: Some((5, 700)), ..row };
+    check_gemv(&mut gate, &backends, &row);
     eprintln!("checking ADD 128 ...");
     check_add(&mut gate, &backends, 128);
+    check_subset_add(&mut gate, &backends);
 
     let batches = if smoke { 200 } else { 4_000 };
     eprintln!("checking synthetic64 ({batches} batches/channel) ...");

@@ -273,10 +273,10 @@ impl PimChannel {
     /// does both.
     ///
     /// Everything a launch is *measured* by stays exact on every unit:
-    /// each unit still sequences every trigger (from its CRF or the tape),
-    /// is still checked against the device variant in debug builds, and
-    /// retires the instruction into `UnitStats` and the channel's
-    /// `bank_operand_reads` / `bank_result_writes`, because those follow
+    /// each unit still sequences every trigger the channel is handed (from
+    /// its CRF or the tape), is still checked against the device variant in
+    /// debug builds, and retires the instruction into `UnitStats` and the
+    /// channel's `bank_operand_reads` / `bank_result_writes`, because those follow
     /// from the instruction alone ("timing/energy are data-independent").
     /// What a unit outside the mask skips is the part nobody will observe:
     /// it fetches no operand, runs no FP16 and writes nothing back, under
@@ -284,6 +284,15 @@ impl PimChannel {
     /// and bank results are therefore *not produced*, and must be
     /// rewritten before they are read; units inside the mask end
     /// bit-identical to an unmasked run.
+    ///
+    /// The device keeps that promise command by command; what it cannot
+    /// promise is that it is handed the commands. `pim-host`'s fast path
+    /// serves a channel whose mask is **empty** from a recording without
+    /// walking its stream (counters and timing state are applied as
+    /// deltas), so such a channel's sequencers, CRF, SRF and GRF are
+    /// unspecified after the launch — a cold run's or untouched — until
+    /// the next launch arms it. `pim_host::PimSystem::set_live_units`
+    /// states the system-level contract.
     ///
     /// A faulted channel must stay all-live: transient cell flips key off
     /// each bank's write counter, so a dead unit's bank traffic is part of

@@ -93,10 +93,12 @@ use pim_core::isa::{Instruction, Operand};
 use pim_core::{conf, DataTape, ModeWalker, PimMode, Step};
 use pim_dram::{Command, CommandSink, DataBlock};
 
-/// Microkernels the generated streams load: AAM and fixed indexing, bank
-/// write-back, WDATA (a stats-only anomaly on RD triggers), MAD's SRF_A
-/// addend, JUMP loops (nested), multi-cycle NOPs, and one program that
-/// spans two CRF blocks.
+/// Microkernels the generated streams load (entries 0–3): AAM and fixed
+/// indexing, bank write-back, WDATA (a stats-only anomaly on RD triggers),
+/// MAD's SRF_A addend, JUMP loops (nested), multi-cycle NOPs, and one
+/// program that spans two CRF blocks. Entry 4 is the one no generator
+/// draws: nested 65 535-count JUMPs, whose trigger schedule does not derive
+/// within the budget (the PV301 shape the fast path refuses to record).
 fn program_pool() -> Vec<Vec<Instruction>> {
     let mac = |aam| Instruction::Mac {
         dst: Operand::grf_b(0),
@@ -153,6 +155,12 @@ fn program_pool() -> Vec<Vec<Instruction>> {
             Instruction::Jump { target: 1, count: 4 },
         ],
         long,
+        vec![
+            Instruction::Nop { cycles: 1 },
+            Instruction::Jump { target: 0, count: 65_535 },
+            Instruction::Jump { target: 0, count: 65_535 },
+            Instruction::Exit,
+        ],
     ]
 }
 
@@ -455,7 +463,7 @@ proptest! {
 use pim_core::UnitMask;
 use pim_faults::FaultPlan;
 use pim_host::{
-    Batch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, KernelResult, PimSystem,
+    Batch, ExecutionBackend, ExecutionMode, FastpathStats, HostConfig, KernelEngine, PimSystem,
 };
 
 /// All-live, all-dead, one unit, and arbitrary subsets.
@@ -554,16 +562,22 @@ proptest! {
     }
 }
 
-/// A 16-channel system, fast path as given.
-fn system(backend: ExecutionBackend, fastpath: bool) -> PimSystem {
-    let mut sys =
-        PimSystem::new(HostConfig { stacks: 1, ..HostConfig::paper() }, PimConfig::paper());
+/// A `16 × stacks`-channel system, fast path as given.
+fn system_of(stacks: usize, backend: ExecutionBackend, fastpath: bool) -> PimSystem {
+    let mut sys = PimSystem::new(HostConfig { stacks, ..HostConfig::paper() }, PimConfig::paper());
     sys.set_backend(backend);
     sys.set_fastpath_enabled(fastpath);
     sys
 }
 
-/// What the engine and the cache account a launch by, per channel.
+/// A 16-channel system, fast path as given.
+fn system(backend: ExecutionBackend, fastpath: bool) -> PimSystem {
+    system_of(1, backend, fastpath)
+}
+
+/// What the engine and the cache account a launch by, per channel: the
+/// clock, the timing fingerprint, and the `LaunchAccounting` — channel,
+/// unit and DRAM statistics and bank residency.
 #[allow(clippy::type_complexity)]
 fn measured(
     sys: &PimSystem,
@@ -577,16 +591,84 @@ fn measured(
         .collect()
 }
 
+/// One launch sequence, three ways. `lists[i]` runs on channel `i` of a
+/// `16 × stacks`-channel system `launches` times under `mode` and `limit`,
+/// every launch declaring `masks`, after `skew` has had its way with the
+/// fresh system. The reference never hears of masks and never uses the
+/// cache: every channel and every unit simulated. A fast-path system under
+/// each backend must equal it after every launch in the `KernelResult` and
+/// the cancelled flags, in every channel's [`measured`] state, and in every
+/// live unit's registers and banks. Returns what was counted — the
+/// system's `FastpathStats` (anything `skew` launched included) and the
+/// channels simulated and replayed by each launch — which must not depend
+/// on the backend either.
+fn launches_equal_the_reference(
+    stacks: usize,
+    skew: &dyn Fn(&mut PimSystem),
+    lists: &[&[Batch]],
+    masks: &[UnitMask],
+    (mode, limit): (ExecutionMode, Option<u64>),
+    launches: usize,
+) -> Result<(FastpathStats, Vec<(u64, u64)>), TestCaseError> {
+    let n = 16 * stacks;
+    let mask = |i: usize| masks.get(i).copied().unwrap_or(UnitMask::ALL);
+    let mut reference = system_of(stacks, ExecutionBackend::Sequential, false);
+    skew(&mut reference);
+    let mut want = Vec::new();
+    for _ in 0..launches {
+        let r = KernelEngine::run_system_bounded(&mut reference, lists, mode, limit);
+        let live: Vec<DataState> =
+            (0..n).map(|i| live_state(reference.channel(i).sink(), mask(i))).collect();
+        want.push((r, measured(&reference, n), live));
+    }
+    let mut counted = None;
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
+        let mut sys = system_of(stacks, backend, true);
+        skew(&mut sys);
+        let mut per_launch = Vec::new();
+        for (launch, (r, m, live)) in want.iter().enumerate() {
+            let channels = sys.fastpath_channels();
+            sys.set_live_units(masks);
+            let got = KernelEngine::run_system_bounded(&mut sys, lists, mode, limit);
+            prop_assert_eq!(&got, r, "{:?} launch {}", backend, launch);
+            prop_assert_eq!(&measured(&sys, n), m, "{:?} launch {}", backend, launch);
+            for (i, want) in live.iter().enumerate() {
+                let ch = sys.channel(i).sink();
+                prop_assert_eq!(ch.live_units(), UnitMask::ALL, "mask outlived its launch");
+                prop_assert_eq!(
+                    &live_state(ch, mask(i)),
+                    want,
+                    "{:?} launch {} channel {}",
+                    backend,
+                    launch,
+                    i
+                );
+            }
+            let after = sys.fastpath_channels();
+            per_launch
+                .push((after.simulated - channels.simulated, after.replayed - channels.replayed));
+        }
+        let counts = (sys.fastpath_stats(), per_launch);
+        if let Some(first) = &counted {
+            prop_assert_eq!(&counts, first, "{:?} counted differently", backend);
+        } else {
+            counted = Some(counts);
+        }
+    }
+    Ok(counted.expect("two backends ran"))
+}
+
+const IN_ORDER: (ExecutionMode, Option<u64>) = (ExecutionMode::Ordered, None);
+const FENCED: ExecutionMode = ExecutionMode::Fenced { reorder_seed: None };
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Through the engine: four launches of per-channel generated streams,
     /// each declaring generated masks, under both backends — cold, then
     /// recorded, then replayed while the tape is compiled, then replayed
-    /// from the tape. After every launch the `KernelResult`, every
-    /// channel's clock, timing state and `LaunchAccounting`, and every
-    /// live unit's registers and banks equal those of a system that never
-    /// heard of masks and never used the cache.
+    /// from the tape — equal a system that never heard of masks and never
+    /// used the cache.
     #[test]
     fn masked_launches_equal_unmasked_simulation_on_both_backends(
         streams in proptest::collection::vec(frags(), 1..4),
@@ -594,36 +676,238 @@ proptest! {
     ) {
         let lists: Vec<Vec<Batch>> =
             streams.iter().map(|f| vec![Batch::setup(build(f))]).collect();
-        let masks = &masks[..lists.len()];
-        let mut reference = system(ExecutionBackend::Sequential, false);
-        let mut want: Vec<(KernelResult, _, Vec<DataState>)> = Vec::new();
-        for _ in 0..4 {
-            let r = KernelEngine::run_system(&mut reference, &lists, ExecutionMode::Ordered);
-            let live = (0..lists.len())
-                .map(|i| live_state(reference.channel(i).sink(), masks[i]))
-                .collect();
-            want.push((r, measured(&reference, lists.len()), live));
-        }
-        for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
-            let mut sys = system(backend, true);
-            for (launch, (r, m, live)) in want.iter().enumerate() {
-                sys.set_live_units(masks);
-                let got = KernelEngine::run_system(&mut sys, &lists, ExecutionMode::Ordered);
-                prop_assert_eq!(&got, r, "{:?} launch {}", backend, launch);
-                prop_assert_eq!(&measured(&sys, lists.len()), m, "{:?} launch {}", backend, launch);
-                for (i, want) in live.iter().enumerate() {
-                    let ch = sys.channel(i).sink();
-                    prop_assert_eq!(ch.live_units(), UnitMask::ALL, "mask outlived its launch");
-                    prop_assert_eq!(
-                        &live_state(ch, masks[i]), want,
-                        "{:?} launch {} channel {}", backend, launch, i
-                    );
-                }
+        let lists: Vec<&[Batch]> = lists.iter().map(Vec::as_slice).collect();
+        let (stats, _) = launches_equal_the_reference(
+            1, &|_| {}, &lists, &masks[..lists.len()], IN_ORDER, 4,
+        )?;
+        prop_assert_eq!((stats.hits, stats.uncacheable), (2, 0), "{:?}", stats);
+    }
+
+    /// Lock-step: one generated stream handed to every channel of a 16- or
+    /// 64-channel system as the *same* list, every channel under its own
+    /// generated mask. The four launches are exact, hit as often as ever —
+    /// and the two that miss simulate one channel each: equal key, equal
+    /// entry state and equal clock make all the channels one class.
+    #[test]
+    fn lock_step_channels_simulate_once_and_equal_the_reference(
+        stream in frags(),
+        masks in proptest::collection::vec(mask(), 64),
+        four_stacks in any::<bool>(),
+    ) {
+        let n = if four_stacks { 64 } else { 16 };
+        let list = [Batch::setup(build(&stream))];
+        let (stats, channels) = launches_equal_the_reference(
+            n / 16, &|_| {}, &vec![&list[..]; n], &masks[..n], IN_ORDER, 4,
+        )?;
+        prop_assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 2, 2), "{:?}", stats);
+        let n = n as u64;
+        prop_assert_eq!(channels, vec![(1, n - 1), (1, n - 1), (0, n), (0, n)]);
+    }
+}
+
+/// A lock-step kernel with cancellable data batches: a per-unit CRF load
+/// in SB, then the executor's choreography — enter AB, broadcast pool
+/// program `prog`, an SRF scalar, `PIM_OP_MODE`, three rows of RD and WR
+/// triggers (each row a fenced batch) — and back to SB.
+fn lock_step_kernel(prog: usize, unit_prog: usize, srf_seed: u8, wr_seed: u8) -> Vec<Batch> {
+    let data = |row, cols: std::ops::Range<u32>| Frag::Data {
+        bank: 0,
+        row,
+        cols: cols
+            .map(
+                |c| if c % 5 == 4 { Col::Wr(c, wr_seed.wrapping_add(c as u8)) } else { Col::Rd(c) },
+            )
+            .collect(),
+    };
+    let frags = [
+        Frag::Crf { bank: 3, prog: unit_prog },
+        Frag::EnterAb { bank: 0 },
+        Frag::Crf { bank: 0, prog },
+        Frag::Srf { bank: 0, seed: srf_seed },
+        Frag::PimOpMode(true),
+        data(0, 0..12),
+        data(1, 4..20),
+        data(2, 0..8),
+        Frag::PimOpMode(false),
+        Frag::ExitAb { column: false },
+    ];
+    let mut ab = false;
+    frags
+        .iter()
+        .map(|f| {
+            let mut cmds = Vec::new();
+            lower(std::slice::from_ref(f), &mut ab, &mut cmds);
+            match f {
+                Frag::Data { .. } => Batch::fenced_ordered(cmds),
+                _ => Batch::setup(cmds),
             }
-            let stats = sys.fastpath_stats();
-            prop_assert_eq!((stats.hits, stats.uncacheable), (2, 0), "{:?}: {:?}", backend, stats);
+        })
+        .collect()
+}
+
+/// Masks that differ channel to channel: all-live, all-dead, single units.
+fn mixed_masks(n: usize) -> Vec<UnitMask> {
+    (0..n)
+        .map(|i| match i % 4 {
+            0 => UnitMask::ALL,
+            1 => UnitMask::NONE,
+            _ => [i % 8].into_iter().collect(),
+        })
+        .collect()
+}
+
+fn exact(
+    r: Result<(FastpathStats, Vec<(u64, u64)>), TestCaseError>,
+) -> (FastpathStats, Vec<(u64, u64)>) {
+    r.unwrap_or_else(|e| panic!("{e:?}"))
+}
+
+/// Classes are exactly as coarse as the class rule says: a channel whose
+/// clock or timing state differs at entry is simulated on its own, and so
+/// is one whose list differs in anything the key hashes — while lists that
+/// differ only in data payloads, in separate allocations, still share.
+#[test]
+fn a_class_is_equal_key_equal_entry_state_and_equal_clock() {
+    let kernel = lock_step_kernel(0, 1, 7, 1);
+    let lists = vec![&kernel[..]; 16];
+    let masks = mixed_masks(16);
+    let run = |skew: &dyn Fn(&mut PimSystem), lists: &[&[Batch]]| {
+        exact(launches_equal_the_reference(1, skew, lists, &masks, (FENCED, None), 4))
+    };
+
+    // Undisturbed: one class; the cold and the recording launch simulate
+    // one channel each, and `commands` / `fences` are 16 channels' worth
+    // (the reference comparison inside `run`).
+    let (stats, channels) = run(&|_| {}, &lists);
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 2, 2));
+    assert_eq!(channels, [(1, 15), (1, 15), (0, 16), (0, 16)]);
+
+    // A clock skew: `advance_to` moves channel 5's clock and nothing else
+    // (a fresh channel's horizons are all in the past either way), so only
+    // the offset tells it apart. It then closes launch 1 a thousand cycles
+    // after the others, whose horizons have all lapsed by that barrier
+    // while its own have not: launch 2 finds the clocks equal and the
+    // fingerprints apart.
+    let (_, channels) = run(&|sys| sys.channel_mut(5).advance_to(1000), &lists);
+    assert_eq!(channels, [(2, 14), (2, 14), (0, 16), (0, 16)]);
+
+    // A timing skew: a launch on channel 3 alone ends in the barrier, so
+    // every clock is equal and only the fingerprint tells channel 3 apart
+    // (its banks are still inside tRP). It stays apart: its history never
+    // becomes the others'.
+    let solo = [&[][..], &[], &[], &kernel];
+    let prior = |sys: &mut PimSystem| {
+        KernelEngine::run_system(sys, &solo, FENCED);
+    };
+    let (_, channels) = run(&prior, &lists);
+    assert_eq!(channels[0], (2, 14));
+
+    // Structure is what the key hashes, not the allocation and not the
+    // data: a second copy of the kernel with other WR-trigger payloads
+    // classes with the first ...
+    let other_data = lock_step_kernel(0, 1, 7, 99);
+    let mut mixed = lists.clone();
+    mixed[2] = &other_data;
+    mixed[9] = &other_data;
+    let (_, channels) = run(&|_| {}, &mixed);
+    assert_eq!(channels[0], (1, 15));
+    // ... while a differing configuration payload — an SRF scalar, one
+    // unit's CRF words — is a different kernel, however equal its shape.
+    let other_srf = lock_step_kernel(0, 1, 8, 1);
+    let other_unit_crf = lock_step_kernel(0, 0, 7, 1);
+    mixed[2] = &other_srf;
+    mixed[9] = &other_unit_crf;
+    let (_, channels) = run(&|_| {}, &mixed);
+    assert_eq!(channels[0], (3, 13));
+
+    // A subset launch: the channels sitting it out run `&[]`, a class of
+    // their own that must not be handed the kernel's accounting.
+    let subset: Vec<&[Batch]> =
+        (0..16).map(|i| if [1, 4, 9].contains(&i) { &kernel[..] } else { &[] }).collect();
+    let (stats, channels) = run(&|_| {}, &subset);
+    assert_eq!(stats.hits, 2);
+    assert_eq!(channels[0], (2, 14));
+}
+
+/// The three fall-backs: a representative the watchdog cancels, or a CRF
+/// image that does not prove, and every channel is simulated — the flags
+/// and the state those of the reference — and nothing is inserted. A limit
+/// the launch provably beats is no fall-back at all.
+#[test]
+fn an_unrecordable_launch_simulates_every_channel() {
+    let kernel = lock_step_kernel(0, 1, 7, 1);
+    let lists = vec![&kernel[..]; 16];
+    let masks = mixed_masks(16);
+    let full = {
+        let mut sys = system(ExecutionBackend::Sequential, false);
+        KernelEngine::run_system(&mut sys, &lists, FENCED).end_cycle
+    };
+    // Every data batch, the later ones, none (cancellation is part of the
+    // `run_system_bounded` result the helper compares).
+    for (limit, cancels) in [(1, true), (full / 2, true), (2 * full, false)] {
+        let launches = if cancels { 2 } else { 1 };
+        let (stats, channels) = exact(launches_equal_the_reference(
+            1,
+            &|_| {},
+            &lists,
+            &masks,
+            (FENCED, Some(limit)),
+            launches,
+        ));
+        if cancels {
+            assert_eq!((stats.misses, stats.insertions, stats.hits), (2, 0, 0), "limit {limit}");
+            assert_eq!(channels, [(16, 0), (16, 0)], "limit {limit}");
+        } else {
+            assert_eq!((stats.misses, stats.insertions), (1, 1), "limit {limit}");
+            assert_eq!(channels, [(1, 15)], "limit {limit}");
         }
     }
+
+    let unprovable = lock_step_kernel(4, 1, 7, 1);
+    let (stats, channels) = exact(launches_equal_the_reference(
+        1,
+        &|_| {},
+        &vec![&unprovable[..]; 16],
+        &masks,
+        (FENCED, None),
+        2,
+    ));
+    assert_eq!((stats.unproven, stats.insertions, stats.hits), (2, 0, 0));
+    assert_eq!(channels, [(16, 0), (16, 0)]);
+}
+
+/// The sequencer half of the live-unit contract: exact on every unit of a
+/// channel that has a live unit — simulated, or served from the class's
+/// recording with its own data walk — and *unspecified* on an all-dead
+/// channel, which a recording serves without walking its stream: its CRF,
+/// registers and sequencers stay as they were while everything the launch
+/// is measured by is exact.
+#[test]
+fn an_all_dead_channel_is_measured_exactly_and_its_units_are_left_alone() {
+    let kernel = lock_step_kernel(2, 1, 7, 1);
+    let lists = vec![&kernel[..]; 3];
+    let masks = [UnitMask::ALL, UnitMask::NONE, [2].into_iter().collect()];
+    let mut reference = system(ExecutionBackend::Sequential, false);
+    let mut sys = system(ExecutionBackend::Sequential, true);
+    // Cold (channel 1 a dead follower), recording, and a hit.
+    for launch in 0..3 {
+        let want = KernelEngine::run_system(&mut reference, &lists, FENCED);
+        sys.set_live_units(&masks);
+        assert_eq!(KernelEngine::run_system(&mut sys, &lists, FENCED), want, "launch {launch}");
+        assert_eq!(measured(&sys, 3), measured(&reference, 3), "launch {launch}");
+        for i in [0, 2] {
+            let (got, want) = (sys.channel(i).sink(), reference.channel(i).sink());
+            assert_eq!(sequencers(got), sequencers(want), "launch {launch} channel {i}");
+            assert_eq!(live_state(got, masks[i]), live_state(want, masks[i]));
+        }
+        assert_eq!(
+            data_state(sys.channel(1).sink()),
+            data_state(&fresh_channel()),
+            "launch {launch}: the all-dead channel's units and banks were touched"
+        );
+        assert_ne!(sequencers(sys.channel(1).sink()), sequencers(reference.channel(1).sink()));
+    }
+    assert_eq!(sys.fastpath_stats().hits, 1);
 }
 
 /// On a faulted system the declared masks are dropped: transient cell

@@ -17,8 +17,17 @@
 //!   manufacturer confirms that the order of DRAM commands can be preserved
 //!   only in PIM mode at negligible hardware and performance costs"; no
 //!   reordering, no fences.
+//!
+//! A system-wide launch ([`KernelEngine::run_system_bounded`]) is one
+//! bracket around two things: the cold per-channel runner (sequential or
+//! threaded, which knows nothing but "run this list on this channel") and
+//! the launch-memoization fast path ([`crate::fastpath`]), which decides
+//! which channels the runner is handed — all of them, none of them on a
+//! hit, or on a miss one per class of channels that enter the launch with
+//! equal command structure, timing state and clock.
 
 use crate::config::HostConfig;
+use crate::fastpath::{LaunchCache, PreparedLaunch};
 use crate::system::PimSystem;
 use pim_core::PimChannel;
 use pim_dram::{Command, CommandSink, Cycle, MemoryController, TimingParams};
@@ -349,6 +358,12 @@ impl KernelEngine {
     /// Runs per-channel batch lists across the system concurrently (each
     /// channel advances its own clock); returns the wall-clock result.
     ///
+    /// A list is anything that views as `[Batch]`: one `Vec<Batch>` per
+    /// channel, or — the lock-step case, one kernel on every channel — the
+    /// same `&[Batch]` handed to each of them, which the fast path then
+    /// walks once and simulates once per channel class (see
+    /// [`crate::fastpath`]).
+    ///
     /// Which host threads step the channels is decided by the system's
     /// [`crate::ExecutionBackend`] ([`PimSystem::set_backend`]): the
     /// sequential reference loop, or the scoped worker pool. Both produce
@@ -363,9 +378,9 @@ impl KernelEngine {
     /// Panics if `per_channel.len()` exceeds the channel count, or if a
     /// command is illegal for a device's state (a kernel bug; under the
     /// threaded backend the worker's panic is re-raised on the caller).
-    pub fn run_system(
+    pub fn run_system<L: AsRef<[Batch]>>(
         sys: &mut PimSystem,
-        per_channel: &[Vec<Batch>],
+        per_channel: &[L],
         mode: ExecutionMode,
     ) -> KernelResult {
         Self::run_system_bounded(sys, per_channel, mode, None).0
@@ -384,57 +399,102 @@ impl KernelEngine {
     /// # Panics
     ///
     /// As for [`KernelEngine::run_system`].
-    pub fn run_system_bounded(
+    pub fn run_system_bounded<L: AsRef<[Batch]>>(
         sys: &mut PimSystem,
-        per_channel: &[Vec<Batch>],
+        per_channel: &[L],
         mode: ExecutionMode,
         limit: Option<Cycle>,
     ) -> (KernelResult, Vec<bool>) {
-        assert!(per_channel.len() <= sys.channel_count(), "more batch lists than channels");
+        let lists: Vec<&[Batch]> = per_channel.iter().map(AsRef::as_ref).collect();
+        Self::run_lists(sys, &lists, mode, limit)
+    }
+
+    /// [`KernelEngine::run_system_bounded`] over plain views of the lists.
+    fn run_lists(
+        sys: &mut PimSystem,
+        lists: &[&[Batch]],
+        mode: ExecutionMode,
+        limit: Option<Cycle>,
+    ) -> (KernelResult, Vec<bool>) {
+        assert!(lists.len() <= sys.channel_count(), "more batch lists than channels");
         // The one bracket every launch runs in. Live-unit masks declared
         // for this launch ([`PimSystem::set_live_units`]) sit on the
         // channels for its duration, whichever path runs it. Then the
         // launch-memoization fast path (see [`crate::fastpath`]): replay a
         // recorded launch when its key and entry fingerprints match;
-        // otherwise run cold and record. A hit and a miss are
+        // otherwise simulate and record. A hit and a miss are
         // bit-identical to each other in everything the contract of
         // `set_live_units` calls exact, and to an unmasked cold run on
         // every live unit's registers and banks.
         sys.arm_live_units();
         let mut cache = sys.take_fastpath();
-        let out = match &mut cache {
-            None => Self::run_system_cold(sys, per_channel, mode, limit),
-            Some(cache) => match cache.prepare(sys, per_channel, mode) {
-                None => Self::run_system_cold(sys, per_channel, mode, limit),
-                Some(prep) => {
-                    if let Some(hit) = cache.try_replay(sys, per_channel, &prep, mode, limit) {
-                        hit
-                    } else {
-                        let (result, cancelled) =
-                            Self::run_system_cold(sys, per_channel, mode, limit);
-                        cache.record(sys, prep, &result, &cancelled);
-                        (result, cancelled)
-                    }
-                }
-            },
+        let prep = cache.as_mut().and_then(|c| c.prepare(sys, lists, mode));
+        let (out, replayed) = match (&mut cache, prep) {
+            (Some(cache), Some(prep)) => {
+                Self::run_system_memoized(sys, cache, &prep, lists, mode, limit)
+            }
+            _ => {
+                let ran = Self::run_channels(sys, lists, mode, limit);
+                (Self::close(sys, ran), 0)
+            }
         };
         sys.restore_fastpath(cache);
+        sys.count_channels(lists.len() - replayed, replayed);
         sys.disarm_live_units();
         out
     }
 
-    /// The full cycle-level launch: what [`KernelEngine::run_system_bounded`]
-    /// runs on a fast-path miss (and what the fast path memoizes).
-    fn run_system_cold(
+    /// A cacheable launch: a hit replays every channel. A miss simulates
+    /// the first channel of each class — the rest are handed `&[]`, so the
+    /// cold runner needs to know nothing about classes — records, and
+    /// serves the followers through the replay a hit uses. When the run
+    /// cannot be recorded (a representative was cancelled or ended
+    /// non-quiescent, or the launch arms an unprovable CRF image) the
+    /// followers, whose clocks and state no one has touched yet, are
+    /// simulated as well. Returns the launch's outcome and how many
+    /// channels replay served.
+    fn run_system_memoized(
         sys: &mut PimSystem,
-        per_channel: &[Vec<Batch>],
+        cache: &mut LaunchCache,
+        prep: &PreparedLaunch,
+        lists: &[&[Batch]],
         mode: ExecutionMode,
         limit: Option<Cycle>,
-    ) -> (KernelResult, Vec<bool>) {
+    ) -> ((KernelResult, Vec<bool>), usize) {
+        if let Some(hit) = cache.try_replay(sys, lists, prep, mode, limit) {
+            return (hit, lists.len());
+        }
+        let only = |representatives: bool| -> Vec<&[Batch]> {
+            (0..lists.len())
+                .map(|i| if prep.simulates(i) == representatives { lists[i] } else { &[] })
+                .collect()
+        };
+        let mut ran = Self::run_channels(sys, &only(true), mode, limit);
+        if cache.record(sys, prep, &ran) {
+            return (cache.replay_followers(sys, lists, prep, mode), prep.followers());
+        }
+        if prep.followers() > 0 {
+            let rest = Self::run_channels(sys, &only(false), mode, limit);
+            for (i, r) in rest.into_iter().enumerate().filter(|(i, _)| !prep.simulates(*i)) {
+                ran[i] = r;
+            }
+        }
+        (Self::close(sys, ran), 0)
+    }
+
+    /// The full cycle-level simulation of every list on its channel, under
+    /// the system's backend: per-channel results in channel-index order,
+    /// each channel left at its own end clock.
+    fn run_channels(
+        sys: &mut PimSystem,
+        lists: &[&[Batch]],
+        mode: ExecutionMode,
+        limit: Option<Cycle>,
+    ) -> Vec<BoundedResult> {
         match sys.backend() {
             crate::ExecutionBackend::Sequential => {
                 let host = sys.host.clone();
-                let bounded: Vec<BoundedResult> = per_channel
+                lists
                     .iter()
                     .enumerate()
                     .map(|(i, batches)| {
@@ -446,15 +506,20 @@ impl KernelEngine {
                             limit,
                         )
                     })
-                    .collect();
-                let cancelled = bounded.iter().map(|b| b.cancelled).collect();
-                let merged = KernelResult::merged(bounded.into_iter().map(|b| b.result));
-                (KernelResult { end_cycle: sys.barrier(), ..merged }, cancelled)
+                    .collect()
             }
             crate::ExecutionBackend::Threads(n) => {
-                crate::parallel::run_system_threads(sys, per_channel, mode, n, limit)
+                crate::parallel::run_system_threads(sys, lists, mode, n, limit)
             }
         }
+    }
+
+    /// Closes a simulated launch: the global barrier, and the per-channel
+    /// results folded into the system-level one.
+    fn close(sys: &mut PimSystem, ran: Vec<BoundedResult>) -> (KernelResult, Vec<bool>) {
+        let cancelled = ran.iter().map(|b| b.cancelled).collect();
+        let merged = KernelResult::merged(ran.into_iter().map(|b| b.result));
+        (KernelResult { end_cycle: sys.barrier(), ..merged }, cancelled)
     }
 }
 
@@ -657,9 +722,10 @@ mod tests {
         for backend in [crate::ExecutionBackend::Sequential, crate::ExecutionBackend::Threads(2)] {
             let mut sys = system();
             sys.set_backend(backend);
+            let none: &[Vec<Batch>] = &[];
             let r = KernelEngine::run_system(
                 &mut sys,
-                &[],
+                none,
                 ExecutionMode::Fenced { reorder_seed: None },
             );
             assert_eq!(r, KernelResult::ZERO, "{backend:?}");

@@ -25,6 +25,21 @@
 //! step [`pim_core::ModeWalker`], and the order a batch issues in is asked
 //! of `Batch::issue_order`, as the engine and the predictor do.
 //!
+//! # Channel classes
+//!
+//! The paper's execution model is SPMD in lock-step: every pseudo channel
+//! runs the same microkernel off the same column-command stream. The proof
+//! above — end timing state, accounting delta and trigger schedule are
+//! functions of *(entry fingerprint, command structure)* — therefore holds
+//! across the channels of **one** launch as well as across launches. The
+//! key pass yields a key per channel; channels whose key, entry
+//! fingerprint and clock offset are all equal form a **class**, and an
+//! entry stores its end states, accounting deltas and data tapes per class.
+//! On a miss the engine simulates the first channel of each class and
+//! serves the rest through the function a hit uses (`LaunchCache::replay`):
+//! a follower receives exactly what a later launch on the same channel
+//! receives on a hit. See `docs/FASTPATH.md`, "Channel classes".
+//!
 //! # Exactness contract
 //!
 //! A replayed launch is **bit-identical** to the cold run it memoizes:
@@ -74,7 +89,7 @@ use pim_core::schedule::{StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
 use pim_core::{LaunchAccounting, ModeWalker, PimConfig, Step};
 use pim_dram::{ChannelTimingState, Command, Cycle, TimingParams};
 
-use crate::engine::{Batch, ExecutionMode, KernelResult};
+use crate::engine::{Batch, BoundedResult, ExecutionMode, KernelResult};
 use crate::system::PimSystem;
 
 /// Maximum number of distinct launch keys the cache retains (FIFO
@@ -104,9 +119,26 @@ pub struct FastpathStats {
     pub unproven: u64,
 }
 
+/// How many channels launches handed to the cycle-level simulation and
+/// how many they served from a recording instead, summed over every launch
+/// of the system (fast path armed or not); read them through
+/// [`crate::PimSystem::fastpath_channels`]. Every launch adds its list
+/// count to exactly one of the two per channel: a hit replays all of them,
+/// a recorded miss simulates one channel per class and replays the rest,
+/// anything else simulates all of them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FastpathChannels {
+    /// Channels run through the cold per-channel engine.
+    pub simulated: u64,
+    /// Channels served by replay: every channel of a hit, the followers
+    /// of a recorded miss.
+    pub replayed: u64,
+}
+
 /// Everything `prepare` learned about a launch before consulting the
-/// cache: the key, the entry fingerprints, and the entry accounting
-/// snapshots (kept so a cold run can be recorded without re-walking).
+/// cache: the key, the channel classes with their entry fingerprints, and
+/// the representatives' entry accounting snapshots (kept so a cold run can
+/// be recorded without re-walking).
 pub(crate) struct PreparedLaunch {
     key: u64,
     /// Whether every CRF image the launch arms proved statically (decided
@@ -118,34 +150,58 @@ pub(crate) struct PreparedLaunch {
     /// `now - base` for **every** channel (idle channels' clocks feed the
     /// closing barrier, so they are part of the fingerprint).
     offsets: Vec<Cycle>,
-    /// Entry timing fingerprints for the participating channels.
+    /// The class of every participating channel: channels are classmates
+    /// when their per-channel key, entry fingerprint and clock offset are
+    /// all equal. A launch that cannot be recorded (`!provable`) has one
+    /// class per channel, since nothing could serve a follower.
+    class_of: Vec<usize>,
+    /// Per class: its first channel — the representative a miss simulates.
+    reps: Vec<usize>,
+    /// Per class: the entry timing fingerprint its members share.
     starts: Vec<ChannelTimingState>,
-    /// Entry accounting snapshots for the participating channels.
+    /// Per class: the representative's entry accounting snapshot.
     start_accts: Vec<LaunchAccounting>,
 }
 
+impl PreparedLaunch {
+    /// Whether a miss simulates channel `i` — it is the first of its class
+    /// — rather than serving it from the representative's recording.
+    pub(crate) fn simulates(&self, i: usize) -> bool {
+        self.reps[self.class_of[i]] == i
+    }
+
+    /// Channels a recorded miss serves by replay.
+    pub(crate) fn followers(&self) -> usize {
+        self.class_of.len() - self.reps.len()
+    }
+}
+
 /// One memoized launch: entry fingerprints to validate a hit, end state
-/// and accounting deltas to replay it.
+/// and accounting deltas to replay it — stored once per channel class.
 #[derive(Debug, Clone)]
 struct LaunchEntry {
     offsets: Vec<Cycle>,
+    /// The class of every participating channel (see
+    /// [`PreparedLaunch::class_of`]).
+    class_of: Vec<usize>,
+    /// Entry timing fingerprint per class.
     starts: Vec<ChannelTimingState>,
     /// Barrier (end) cycle relative to the entry `base`.
     end_rel: Cycle,
-    /// End timing state per participating channel, relative to the
-    /// barrier cycle.
+    /// End timing state per class, relative to the barrier cycle.
     ends: Vec<ChannelTimingState>,
-    /// Accounting delta per participating channel.
+    /// Accounting delta per class.
     accts: Vec<LaunchAccounting>,
     /// Merged command count (the cold run's `KernelResult::commands`).
     commands: u64,
     /// Merged fence count (the cold run's `KernelResult::fences`).
     fences: u64,
-    /// Per-channel compiled data tapes (see [`pim_core::DataTape`]),
-    /// filled lazily: the first replay of a channel runs the full unit
-    /// machinery and records the tape, later replays execute only the
-    /// resolved FP16 dataflow. A channel with no live unit stays untaped
-    /// until a replay actually needs it.
+    /// Per-class compiled data tapes (see [`pim_core::DataTape`]), filled
+    /// lazily: the first replay of a class member with a live unit runs
+    /// the full unit machinery and records the tape, later replays — of
+    /// any member; the tape is a function of the CRF image and trigger
+    /// sequence the class shares — execute only the resolved FP16
+    /// dataflow. A class with no live unit anywhere stays untaped.
     tapes: Vec<Option<pim_core::DataTape>>,
 }
 
@@ -155,6 +211,7 @@ pub(crate) struct LaunchCache {
     entries: HashMap<u64, LaunchEntry>,
     order: VecDeque<u64>,
     stats: FastpathStats,
+    channels: FastpathChannels,
     /// Memoized control-flow proofs, keyed by CRF-image hash: `true` if
     /// the image's trigger schedule derives statically
     /// ([`StaticSchedule::derive`]). Image content fully determines the
@@ -171,6 +228,16 @@ impl LaunchCache {
         self.stats
     }
 
+    pub(crate) fn channels(&self) -> FastpathChannels {
+        self.channels
+    }
+
+    /// Accounts one finished launch's channels (see [`FastpathChannels`]).
+    pub(crate) fn count_channels(&mut self, simulated: usize, replayed: usize) {
+        self.channels.simulated += simulated as u64;
+        self.channels.replayed += replayed as u64;
+    }
+
     /// Drops every entry (counters survive — they describe the session,
     /// not the current contents).
     pub(crate) fn clear(&mut self) {
@@ -178,12 +245,13 @@ impl LaunchCache {
         self.order.clear();
     }
 
-    /// Classifies the launch and, if cacheable, computes its key and entry
-    /// snapshots. `None` means "run cold and do not record".
+    /// Classifies the launch and, if cacheable, computes its key, channel
+    /// classes and entry snapshots. `None` means "run cold and do not
+    /// record".
     pub(crate) fn prepare(
         &mut self,
         sys: &PimSystem,
-        per_channel: &[Vec<Batch>],
+        per_channel: &[&[Batch]],
         mode: ExecutionMode,
     ) -> Option<PreparedLaunch> {
         let len = per_channel.len();
@@ -196,27 +264,45 @@ impl LaunchCache {
             self.stats.uncacheable += 1;
             return None;
         }
-        let mut starts = Vec::with_capacity(len);
-        let mut start_accts = Vec::with_capacity(len);
+        let mut fingerprints = Vec::with_capacity(len);
         for i in 0..len {
             let ctrl = sys.channel(i);
-            let now = ctrl.now();
-            match ctrl.sink().launch_fingerprint(now) {
-                Some(st) => starts.push(st),
+            match ctrl.sink().launch_fingerprint(ctrl.now()) {
+                Some(st) => fingerprints.push(st),
                 None => {
                     self.stats.uncacheable += 1;
                     return None;
                 }
             }
-            start_accts.push(ctrl.sink().launch_accounting(now));
         }
-        let Some((key, provable)) = self.launch_key(sys, per_channel, mode) else {
+        let Some((key, provable, channel_keys)) = self.launch_key(sys, per_channel, mode) else {
             self.stats.uncacheable += 1;
             return None;
         };
         let base = (0..sys.channel_count()).map(|i| sys.channel(i).now()).min().unwrap_or(0);
-        let offsets = (0..sys.channel_count()).map(|i| sys.channel(i).now() - base).collect();
-        Some(PreparedLaunch { key, provable, base, offsets, starts, start_accts })
+        let offsets: Vec<Cycle> =
+            (0..sys.channel_count()).map(|i| sys.channel(i).now() - base).collect();
+        let (mut class_of, mut reps) = (Vec::with_capacity(len), Vec::<usize>::new());
+        let (mut starts, mut start_accts) = (Vec::new(), Vec::new());
+        for (i, st) in fingerprints.into_iter().enumerate() {
+            // The class rule: the existing hit condition — equal key,
+            // equal verified entry state — applied across channels.
+            let class = (0..reps.len()).find(|&c| {
+                let r = reps[c];
+                provable
+                    && channel_keys[r] == channel_keys[i]
+                    && offsets[r] == offsets[i]
+                    && starts[c] == st
+            });
+            class_of.push(class.unwrap_or_else(|| {
+                let ctrl = sys.channel(i);
+                reps.push(i);
+                starts.push(st);
+                start_accts.push(ctrl.sink().launch_accounting(ctrl.now()));
+                reps.len() - 1
+            }));
+        }
+        Some(PreparedLaunch { key, provable, base, offsets, class_of, reps, starts, start_accts })
     }
 
     /// Attempts to replay a prepared launch. On a hit the system ends in
@@ -225,34 +311,67 @@ impl LaunchCache {
     pub(crate) fn try_replay(
         &mut self,
         sys: &mut PimSystem,
-        per_channel: &[Vec<Batch>],
+        per_channel: &[&[Batch]],
         prep: &PreparedLaunch,
         mode: ExecutionMode,
         limit: Option<Cycle>,
     ) -> Option<(KernelResult, Vec<bool>)> {
-        let hit = match self.entries.get(&prep.key) {
-            Some(e) => {
-                e.offsets == prep.offsets
-                    && e.starts == prep.starts
-                    // Replay is only cancellation-equivalent when the limit
-                    // provably never fires: every clock the cold run would
-                    // check stays at or below the barrier cycle.
-                    && limit.is_none_or(|l| prep.base + e.end_rel < l)
-            }
-            None => false,
-        };
+        let hit = self.entries.get(&prep.key).is_some_and(|e| {
+            // Equal class maps with equal per-class fingerprints are equal
+            // per-channel fingerprints.
+            e.offsets == prep.offsets
+                && e.class_of == prep.class_of
+                && e.starts == prep.starts
+                // Replay is only cancellation-equivalent when the limit
+                // provably never fires: every clock the cold run would
+                // check stays at or below the barrier cycle.
+                && limit.is_none_or(|l| prep.base + e.end_rel < l)
+        });
         if !hit {
             self.stats.misses += 1;
             return None;
         }
         self.stats.hits += 1;
-        let entry = self.entries.get_mut(&prep.key).expect("checked above");
+        Some(self.replay(sys, per_channel, prep, mode, false))
+    }
+
+    /// Serves the channels a recorded miss did not simulate — every
+    /// channel but the first of its class — from the entry
+    /// [`LaunchCache::record`] just inserted, and closes the launch.
+    pub(crate) fn replay_followers(
+        &mut self,
+        sys: &mut PimSystem,
+        per_channel: &[&[Batch]],
+        prep: &PreparedLaunch,
+        mode: ExecutionMode,
+    ) -> (KernelResult, Vec<bool>) {
+        self.replay(sys, per_channel, prep, mode, true)
+    }
+
+    /// The one replay: hands every channel (or, `followers_only`, every
+    /// channel the miss did not simulate) its class's accounting delta and
+    /// end timing state re-anchored at the end clock, runs the data walk
+    /// over the channel's *own* command payloads on its live units, and
+    /// closes the launch with the barrier the cold run ends in.
+    fn replay(
+        &mut self,
+        sys: &mut PimSystem,
+        per_channel: &[&[Batch]],
+        prep: &PreparedLaunch,
+        mode: ExecutionMode,
+        followers_only: bool,
+    ) -> (KernelResult, Vec<bool>) {
+        let entry = self.entries.get_mut(&prep.key).expect("replay of an entry not in the cache");
         let end_abs = prep.base + entry.end_rel;
         for (i, batches) in per_channel.iter().enumerate() {
+            if followers_only && prep.simulates(i) {
+                continue;
+            }
+            let class = entry.class_of[i];
             let ctrl = sys.channel_mut(i);
             let sink = ctrl.sink_mut();
-            sink.apply_accounting(&entry.accts[i]);
-            sink.apply_timing_state(end_abs, &entry.ends[i]);
+            sink.apply_accounting(&entry.accts[class]);
+            sink.apply_timing_state(end_abs, &entry.ends[class]);
             // A channel with no live unit has no data to replay; otherwise
             // the walk itself skips the dead units, as the cold run does.
             if !sink.live_units().is_empty() {
@@ -260,9 +379,9 @@ impl LaunchCache {
                 let ordered: Vec<_> =
                     batches.iter().enumerate().map(|(bi, b)| b.issue_order(bi, mode)).collect();
                 let cmds = ordered.iter().flat_map(|b| b.iter());
-                match &entry.tapes[i] {
+                match &entry.tapes[class] {
                     Some(tape) => sink.replay_data_taped(cmds, tape),
-                    None => entry.tapes[i] = Some(sink.replay_data_recording(cmds)),
+                    None => entry.tapes[class] = Some(sink.replay_data_recording(cmds)),
                 }
             }
             ctrl.advance_to(end_abs);
@@ -273,7 +392,6 @@ impl LaunchCache {
             KernelResult { end_cycle: end, commands: entry.commands, fences: entry.fences },
             vec![false; per_channel.len()],
         )
-            .into()
     }
 
     /// Proves (and memoizes) that a CRF image's trigger schedule derives
@@ -290,29 +408,24 @@ impl LaunchCache {
             .or_insert_with(|| StaticSchedule::derive(image, DEFAULT_SCHEDULE_BUDGET).is_ok())
     }
 
-    /// The one walk of a launch's command stream, in program order: hashes
-    /// the launch shape into the cache key and decides whether the launch
-    /// may be taped.
+    /// The key pass: the launch key, whether the launch may be taped, and
+    /// the per-channel keys the class rule compares.
     ///
-    /// The key covers execution mode, timing/device configuration, channel
-    /// topology, batch structure, every command, and *configuration*
-    /// payloads — writes the [`ModeWalker`] resolves to `PIM_CONF` rows.
-    /// Data payloads are deliberately left out so launches that differ
-    /// only in their input vector share a key.
-    ///
-    /// The verdict is `true` iff every CRF image in force at a
-    /// `PIM_OP_MODE` *enable* write proves statically
-    /// ([`LaunchCache::prove_image`]). The image is tracked per channel
-    /// from the launch's all-bank CRF loads, EXIT-filled at entry.
+    /// A channel's key is [`LaunchCache::list_key`] of its list. A list is
+    /// walked once per distinct allocation: a channel handed the same
+    /// slice (pointer and length) as one already walked in this launch —
+    /// every channel of a lock-step kernel — reuses its key and verdict.
+    /// The launch key folds execution mode, timing/device configuration
+    /// and channel topology with the per-channel keys, in channel order.
     ///
     /// Returns `None` when a write's target row cannot be resolved or the
     /// mode is uncacheable.
     fn launch_key(
         &mut self,
         sys: &PimSystem,
-        per_channel: &[Vec<Batch>],
+        per_channel: &[&[Batch]],
         mode: ExecutionMode,
-    ) -> Option<(u64, bool)> {
+    ) -> Option<(u64, bool, Vec<u64>)> {
         let mut k = KeyHasher::new();
         match mode {
             ExecutionMode::Fenced { reorder_seed: None } => k.word(1),
@@ -328,44 +441,85 @@ impl LaunchCache {
         k.word(sys.channel_count() as u64);
         k.word(per_channel.len() as u64);
         let mut provable = true;
-        for batches in per_channel {
-            k.word(batches.len() as u64);
-            let mut walker = ModeWalker::new();
-            let mut image = [Instruction::Exit.encode(); 32];
-            for b in batches {
-                k.word(u64::from(b.commutative) | u64::from(b.fence_after) << 1);
-                match b.label {
-                    Some(l) => k.bytes(l.as_bytes()),
-                    None => k.word(u64::MAX),
+        let mut channel_keys = Vec::with_capacity(per_channel.len());
+        let mut walked: Vec<(&[Batch], u64, bool)> = Vec::new();
+        for &batches in per_channel {
+            // Slice pointers compare by address *and* length.
+            let (key, proved) = match walked.iter().find(|w| std::ptr::eq(w.0, batches)) {
+                Some(&(_, key, proved)) => (key, proved),
+                None => {
+                    let (key, proved) = self.list_key(batches)?;
+                    walked.push((batches, key, proved));
+                    (key, proved)
                 }
-                k.word(b.commands.len() as u64);
-                for cmd in &b.commands {
-                    k.command(cmd);
-                    let step = walker.step(cmd);
-                    let Command::Wr { col, data, .. } = cmd else { continue };
-                    match step {
-                        Step::UnresolvedWrite => return None,
-                        Step::ConfWrite { row, unit } => {
-                            k.bytes(data);
-                            if (row, unit) == (CRF_ROW, None) {
-                                let (base, words) = (crf_block_base(*col), crf_block_words(data));
-                                image[base..base + words.len()].copy_from_slice(&words);
-                            }
+            };
+            k.word(key);
+            provable &= proved;
+            channel_keys.push(key);
+        }
+        Some((k.h, provable, channel_keys))
+    }
+
+    /// The one walk of a channel's command stream, in program order:
+    /// hashes its shape into the channel's key and decides whether it may
+    /// be taped.
+    ///
+    /// The key covers batch structure (flags, labels, lengths), every
+    /// command's class, bank and row or column, and *configuration*
+    /// payloads — writes the [`ModeWalker`] resolves to `PIM_CONF` rows.
+    /// Data payloads are deliberately left out so lists that differ only
+    /// in their input vector share a key — across launches and across the
+    /// channels of one launch.
+    ///
+    /// The verdict is `true` iff every CRF image in force at a
+    /// `PIM_OP_MODE` *enable* write proves statically
+    /// ([`LaunchCache::prove_image`]). The image is tracked from the
+    /// list's all-bank CRF loads, EXIT-filled at entry.
+    ///
+    /// Returns `None` when a write's target row cannot be resolved.
+    fn list_key(&mut self, batches: &[Batch]) -> Option<(u64, bool)> {
+        let mut k = KeyHasher::new();
+        let mut provable = true;
+        k.word(batches.len() as u64);
+        let mut walker = ModeWalker::new();
+        let mut image = [Instruction::Exit.encode(); 32];
+        for b in batches {
+            k.word(u64::from(b.commutative) | u64::from(b.fence_after) << 1);
+            match b.label {
+                Some(l) => k.bytes(l.as_bytes()),
+                None => k.word(u64::MAX),
+            }
+            k.word(b.commands.len() as u64);
+            for cmd in &b.commands {
+                k.command(cmd);
+                let step = walker.step(cmd);
+                let Command::Wr { col, data, .. } = cmd else { continue };
+                match step {
+                    Step::UnresolvedWrite => return None,
+                    Step::ConfWrite { row, unit } => {
+                        k.bytes(data);
+                        if (row, unit) == (CRF_ROW, None) {
+                            let (base, words) = (crf_block_base(*col), crf_block_words(data));
+                            image[base..base + words.len()].copy_from_slice(&words);
                         }
-                        Step::PimOpMode { enable, .. } => {
-                            k.bytes(data);
-                            provable &= !enable || self.prove_image(&image);
-                        }
-                        _ => {}
                     }
+                    Step::PimOpMode { enable, .. } => {
+                        k.bytes(data);
+                        provable &= !enable || self.prove_image(&image);
+                    }
+                    _ => {}
                 }
             }
         }
         Some((k.h, provable))
     }
 
-    /// Records a just-finished cold run under its prepared key. Cancelled
-    /// or non-quiescent-at-exit runs are not recorded, and neither are
+    /// Records a just-finished cold run of the class representatives under
+    /// its prepared key; `ran` holds the per-channel results, before the
+    /// closing barrier (the followers still sit at their entry clocks).
+    /// Returns whether an entry went in — then, and only then, the
+    /// followers may be served from it. Cancelled or
+    /// non-quiescent-at-exit runs are not recorded, and neither are
     /// launches arming a CRF program whose control flow cannot be proven
     /// data-independent — those must keep running the full simulation
     /// (the `DataTape` a replay would compile assumes a fixed trigger
@@ -373,41 +527,50 @@ impl LaunchCache {
     pub(crate) fn record(
         &mut self,
         sys: &PimSystem,
-        prep: PreparedLaunch,
-        result: &KernelResult,
-        cancelled: &[bool],
-    ) {
-        if cancelled.iter().any(|&c| c) {
-            return;
+        prep: &PreparedLaunch,
+        ran: &[BoundedResult],
+    ) -> bool {
+        if ran.iter().any(|r| r.cancelled) {
+            return false;
         }
         if !prep.provable {
             self.stats.unproven += 1;
-            return;
+            return false;
         }
-        let end = result.end_cycle;
-        let len = prep.starts.len();
-        let mut ends = Vec::with_capacity(len);
-        let mut accts = Vec::with_capacity(len);
-        for (i, start_acct) in prep.start_accts.iter().enumerate() {
-            let ctrl = sys.channel(i);
-            debug_assert_eq!(ctrl.now(), end, "record runs after the closing barrier");
-            match ctrl.sink().launch_fingerprint(end) {
+        // The barrier the launch closes on: no follower's clock is ahead
+        // of its representative's.
+        let end = sys.max_now();
+        let classes = prep.reps.len();
+        let mut members = vec![0u64; classes];
+        for &c in &prep.class_of {
+            members[c] += 1;
+        }
+        let mut ends = Vec::with_capacity(classes);
+        let mut accts = Vec::with_capacity(classes);
+        let (mut commands, mut fences) = (0, 0);
+        for (c, (&rep, start_acct)) in prep.reps.iter().zip(&prep.start_accts).enumerate() {
+            let sink = sys.channel(rep).sink();
+            match sink.launch_fingerprint(end) {
                 Some(st) => ends.push(st),
                 // The kernel left the channel non-quiescent (open banks,
                 // AB mode): not a launch shape we can replay.
-                None => return,
+                None => return false,
             }
-            accts.push(ctrl.sink().launch_accounting(end).delta_since(start_acct));
+            accts.push(sink.launch_accounting(end).delta_since(start_acct));
+            // Every member issues what its representative issued.
+            commands += ran[rep].result.commands * members[c];
+            fences += ran[rep].result.fences * members[c];
         }
         let entry = LaunchEntry {
-            offsets: prep.offsets,
-            starts: prep.starts,
+            offsets: prep.offsets.clone(),
+            class_of: prep.class_of.clone(),
+            starts: prep.starts.clone(),
             end_rel: end - prep.base,
             ends,
             accts,
-            commands: result.commands,
-            fences: result.fences,
-            tapes: vec![None; len],
+            commands,
+            fences,
+            tapes: vec![None; classes],
         };
         if self.entries.insert(prep.key, entry).is_none() {
             self.order.push_back(prep.key);
@@ -418,6 +581,7 @@ impl LaunchCache {
             }
         }
         self.stats.insertions += 1;
+        true
     }
 }
 
@@ -582,15 +746,15 @@ mod tests {
         // And through `launch_key` itself, on systems that differ in one
         // timing field or one device field.
         let bank = BankAddr::new(0, 0);
-        let launch = vec![vec![Batch::setup(vec![
+        let launch = [Batch::setup(vec![
             Command::Act { bank, row: 3 },
             Command::Rd { bank, col: 0 },
             Command::Pre { bank },
-        ])]];
+        ])];
         let key = |timing: TimingParams, pim: PimConfig| {
             let sys = PimSystem::with_timing(HostConfig::paper(), pim, timing);
             let mode = ExecutionMode::Fenced { reorder_seed: None };
-            LaunchCache::new().launch_key(&sys, &launch, mode).expect("cacheable").0
+            LaunchCache::new().launch_key(&sys, &[&launch], mode).expect("cacheable").0
         };
         let base = key(TimingParams::hbm2(), PimConfig::paper());
         assert_eq!(base, key(TimingParams::hbm2(), PimConfig::paper()), "keys repeat");

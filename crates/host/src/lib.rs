@@ -39,7 +39,7 @@ pub use bypass::{BypassPolicy, RegionError};
 pub use cluster::{ClusterTopology, LinkHealth, TopologyError};
 pub use config::HostConfig;
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
-pub use fastpath::FastpathStats;
+pub use fastpath::{FastpathChannels, FastpathStats};
 pub use llc::Llc;
 pub use parallel::ExecutionBackend;
 pub use predictor::{predict_launch, LaunchPrediction};

@@ -8,9 +8,9 @@
 //! meet at barriers; nothing about one channel's simulation reads another's
 //! state. The backend exploits exactly that: it partitions the per-channel
 //! batch lists into contiguous chunks, runs each chunk on its own
-//! `std::thread` worker, and folds the per-channel results back together
-//! **in stable channel-index order**, so the output is byte-identical to
-//! the sequential loop.
+//! `std::thread` worker, and hands the per-channel results back **in
+//! stable channel-index order** for the engine to fold and close with the
+//! barrier, so the output is byte-identical to the sequential loop.
 //!
 //! # Determinism
 //!
@@ -21,10 +21,11 @@
 //!    of controllers ([`slice::chunks_mut`]); each channel's simulation is
 //!    a pure function of its own state plus the (shared, read-only) host
 //!    config and batch list.
-//! 2. **Stable merge order.** Workers return per-channel [`KernelResult`]s
-//!    in chunk order; chunks are contiguous, so concatenation reproduces
-//!    channel-index order, and the reduction ([`KernelResult::merged`]) is
-//!    the exact same code the sequential loop runs.
+//! 2. **Stable merge order.** Workers return per-channel results in chunk
+//!    order; chunks are contiguous, so concatenation reproduces
+//!    channel-index order, and the reduction
+//!    ([`crate::KernelResult::merged`]) and the closing barrier are the
+//!    engine's — the exact same code that closes the sequential loop.
 //! 3. **Per-channel event buffers.** An attached [`Recorder`] is swapped
 //!    for a private per-channel buffer before the workers start and merged
 //!    back ([`Recorder::merge_from`]) in channel-index order at the
@@ -39,7 +40,7 @@
 //! smuggle `&mut` controllers across an API boundary for no measured gain.
 
 use crate::config::HostConfig;
-use crate::engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
+use crate::engine::{Batch, BoundedResult, ExecutionMode, KernelEngine};
 use crate::system::PimSystem;
 use pim_core::PimChannel;
 use pim_dram::{Cycle, MemoryController};
@@ -152,15 +153,17 @@ fn merge_and_restore(sys: &mut PimSystem, swapped: Vec<SwappedRecorders>) {
 
 /// Runs `per_channel` batch lists across `workers` scoped threads under an
 /// optional watchdog cycle limit; the caller (`run_system_bounded`) has
-/// already validated the list count. Returns the merged result plus the
-/// per-channel cancelled flags in channel-index order.
+/// already validated the list count. Returns the per-channel results in
+/// channel-index order, each channel left at its own end clock — the
+/// caller folds them and closes the launch with the barrier, exactly as it
+/// does for the sequential loop.
 pub(crate) fn run_system_threads(
     sys: &mut PimSystem,
-    per_channel: &[Vec<Batch>],
+    per_channel: &[&[Batch]],
     mode: ExecutionMode,
     workers: usize,
     limit: Option<Cycle>,
-) -> (KernelResult, Vec<bool>) {
+) -> Vec<BoundedResult> {
     let n = per_channel.len();
     let host: HostConfig = sys.host.clone();
     let swapped = detach_recorders(sys, n);
@@ -203,10 +206,7 @@ pub(crate) fn run_system_threads(
     if let Some(e) = panic_payload {
         std::panic::resume_unwind(e);
     }
-
-    let cancelled = results.iter().map(|b| b.cancelled).collect();
-    let merged = KernelResult::merged(results.into_iter().map(|b| b.result));
-    (KernelResult { end_cycle: sys.barrier(), ..merged }, cancelled)
+    results
 }
 
 #[cfg(test)]

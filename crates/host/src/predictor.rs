@@ -377,9 +377,9 @@ fn predict_channel(
 ///   regime flattens batches through the request path's shuffle, which has
 ///   no closed form worth maintaining), or
 /// * `per_channel` names more channels than the system has.
-pub fn predict_launch(
+pub fn predict_launch<L: AsRef<[Batch]>>(
     sys: &PimSystem,
-    per_channel: &[Vec<Batch>],
+    per_channel: &[L],
     mode: ExecutionMode,
     limit: Option<Cycle>,
 ) -> Option<LaunchPrediction> {
@@ -404,7 +404,7 @@ pub fn predict_launch(
         let now = ctrl.now();
         let st = ctrl.sink().launch_fingerprint(now)?;
         let mut clock = ChannelClock::from_state(now, &st, ctrl.sink().timing().clone());
-        let (c, f, x) = predict_channel(&host, &mut clock, batches, mode, limit);
+        let (c, f, x) = predict_channel(&host, &mut clock, batches.as_ref(), mode, limit);
         commands += c;
         fences += f;
         cancelled.push(x);

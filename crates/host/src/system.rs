@@ -1,7 +1,7 @@
 //! The full evaluation platform: host + 4 PIM-HBM stacks (Section VI).
 
 use crate::config::HostConfig;
-use crate::fastpath::{FastpathStats, LaunchCache};
+use crate::fastpath::{FastpathChannels, FastpathStats, LaunchCache};
 use crate::parallel::ExecutionBackend;
 use pim_core::{PimChannel, PimConfig, UnitMask};
 use pim_dram::{
@@ -198,6 +198,14 @@ impl PimSystem {
         self.fastpath.stats()
     }
 
+    /// Channels simulated and channels served by replay, summed over every
+    /// launch so far — the per-channel view [`PimSystem::fastpath_stats`]
+    /// (which counts launches) cannot give: a cold lock-step launch is one
+    /// miss and one insertion, and simulates one channel per class.
+    pub fn fastpath_channels(&self) -> FastpathChannels {
+        self.fastpath.channels()
+    }
+
     /// Drops every memoized launch (counters survive). Call on any host
     /// action that changes behaviour without changing the launch key —
     /// the runtime invalidates on strict-mode toggles and memory resets.
@@ -212,14 +220,25 @@ impl PimSystem {
     /// for exactly that launch — cold or replayed, under every backend —
     /// and takes them off again.
     ///
-    /// The contract, on every path: clocks, timing state, the
-    /// [`crate::KernelResult`], channel and unit statistics, launch
-    /// accounting, energy and the sequencers are exact on **every** unit;
-    /// the registers and banks of units in the mask are bit-identical to
-    /// an unmasked full simulation; a unit outside its mask fetches no
-    /// operand, runs no FP16 and writes nothing back, so its registers and
-    /// bank results are *not produced* and must be rewritten before they
-    /// are read (see [`PimChannel::set_live_units`]).
+    /// The contract, on every path (docs/FASTPATH.md, "Live units"):
+    ///
+    /// * exact on **every channel**: clocks, timing state, the
+    ///   [`crate::KernelResult`], channel and unit statistics, launch
+    ///   accounting and energy;
+    /// * the registers and banks of units in the mask are bit-identical to
+    ///   an unmasked full simulation; a unit outside its mask fetches no
+    ///   operand, runs no FP16 and writes nothing back, so its registers
+    ///   and bank results are *not produced* and must be rewritten before
+    ///   they are read (see [`PimChannel::set_live_units`]);
+    /// * the sequencers and the CRF are exact on every unit **of a channel
+    ///   that has a live unit**. A channel whose mask is empty may be
+    ///   served from a recording without walking its command stream at all
+    ///   (a fast-path hit, or a class follower of a miss — see
+    ///   [`crate::fastpath`]), so its sequencers, CRF, SRF and GRF are
+    ///   **unspecified** — those of a cold run or untouched — until the
+    ///   next launch arms it. Every runtime kernel reloads the CRF and
+    ///   resets the sequencers at `PIM_OP_MODE`, so nothing launched
+    ///   through the runtime can observe the difference.
     ///
     /// Ignored once a fault plan is installed: transient cell flips key
     /// off each bank's write counter, so on a faulted system a dead unit's
@@ -260,6 +279,11 @@ impl PimSystem {
         if let Some(c) = cache {
             self.fastpath = c;
         }
+    }
+
+    /// Accounts a finished launch's channels, fast path armed or not.
+    pub(crate) fn count_channels(&mut self, simulated: usize, replayed: usize) {
+        self.fastpath.count_channels(simulated, replayed);
     }
 }
 

@@ -188,6 +188,14 @@ pub const FASTPATH_UNCACHEABLE: &str = "fastpath.uncacheable";
 /// trigger schedule failed the static data-independence proof (the
 /// `pim-verify` PV301 condition; see `docs/FASTPATH.md`).
 pub const FASTPATH_UNPROVEN: &str = "fastpath.unproven";
+/// Counter: channels launches ran through the cycle-level simulation —
+/// every channel of a launch that was not served from the cache, one per
+/// channel class of a recorded miss (see `docs/FASTPATH.md`, "Channel
+/// classes").
+pub const FASTPATH_CHANNELS_SIMULATED: &str = "fastpath.channels_simulated";
+/// Counter: channels launches served by replay instead of simulating
+/// them — every channel of a hit, the followers of a recorded miss.
+pub const FASTPATH_CHANNELS_REPLAYED: &str = "fastpath.channels_replayed";
 
 /// Bucket upper bounds for queue-depth style histograms.
 pub const QUEUE_DEPTH_BUCKETS: &[u64] = &[0, 1, 2, 4, 8, 16, 32, 64];

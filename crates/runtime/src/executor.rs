@@ -15,6 +15,12 @@
 //! Result readback (e.g. GEMV partial sums) happens afterwards in
 //! single-bank mode through the memory-mapped GRF row of each unit's even
 //! bank.
+//!
+//! The choreography is built **once** per launch and every participating
+//! channel is handed a view of it ([`Executor::subset_kernel`]): the
+//! paper's channels run one kernel in lock-step, and a shared list is what
+//! lets the engine walk it once and simulate it once per class of channels
+//! in equal state (`pim_host::fastpath`).
 
 use crate::blas::PimError;
 use crate::context::PimContext;
@@ -129,32 +135,32 @@ impl Executor {
         data_batches: &[Batch],
     ) -> Result<KernelResult, PimError> {
         let selected: Vec<usize> = (0..channels).collect();
-        let per_channel =
-            Self::subset_kernel(ctx, &selected, program, srf, clear_grf_b, data_batches);
+        let full = Self::full_kernel(program, srf, clear_grf_b, data_batches);
+        let per_channel = Self::subset_kernel(ctx, &selected, &full);
         Ok(Self::launch(ctx, program, &per_channel, None, true, None)?.0)
     }
 
-    /// The one place a kernel is cloned onto a channel subset: the full
-    /// choreography for every channel in `channels` and an empty batch
-    /// list — the channel sits the launch out — for the rest of the system.
-    pub(crate) fn subset_kernel(
+    /// The one place a kernel is put on a channel subset: a view of the one
+    /// choreography `full` for every channel in `channels` and an empty
+    /// batch list — the channel sits the launch out — for the rest of the
+    /// system. Lock-step execution is one command list (§III-A, §V);
+    /// handing every channel the same slice is how the engine gets to see
+    /// that (`pim_host::fastpath`, "Channel classes").
+    pub(crate) fn subset_kernel<'a>(
         ctx: &PimContext,
         channels: &[usize],
-        program: &[Instruction],
-        srf: Option<&LaneVec>,
-        clear_grf_b: bool,
-        data_batches: &[Batch],
-    ) -> Vec<Vec<Batch>> {
-        let full = Self::full_kernel(program, srf, clear_grf_b, data_batches);
+        full: &'a [Batch],
+    ) -> Vec<&'a [Batch]> {
         (0..ctx.sys.channel_count())
-            .map(|ch| if channels.contains(&ch) { full.clone() } else { Vec::new() })
+            .map(|ch| if channels.contains(&ch) { full } else { &[] })
             .collect()
     }
 
     /// The one launch bracket, over prebuilt per-channel lists that arm
     /// `program`: strict-mode verification, then the engine under `limit`.
     /// `traced` wraps the run in the `"kernel"` span and folds the
-    /// launch-memoization counters it advanced into the recorder (the
+    /// launch-memoization counters it advanced — launches by outcome,
+    /// channels by simulated or replayed — into the recorder (the
     /// recovery ladders launch untraced and bracket their attempts with
     /// their own request-scoped events). `live` is the job's per-channel
     /// mask of the units whose results it will read back
@@ -169,7 +175,7 @@ impl Executor {
     pub(crate) fn launch(
         ctx: &mut PimContext,
         program: &[Instruction],
-        per_channel: &[Vec<Batch>],
+        per_channel: &[&[Batch]],
         limit: Option<Cycle>,
         traced: bool,
         live: Option<&[UnitMask]>,
@@ -182,7 +188,7 @@ impl Executor {
             ctx.sys.set_live_units(live);
         }
         let rec = ctx.recorder.clone().filter(|_| traced);
-        let fp_before = ctx.sys.fastpath_stats();
+        let (fp_before, ch_before) = (ctx.sys.fastpath_stats(), ctx.sys.fastpath_channels());
         if let Some(r) = &rec {
             r.begin(ctx.sys.max_now(), "kernel", names::CAT_KERNEL, Scope::GLOBAL);
         }
@@ -198,6 +204,9 @@ impl Executor {
             r.add(names::FASTPATH_INSERTIONS, fp.insertions - fp_before.insertions);
             r.add(names::FASTPATH_UNCACHEABLE, fp.uncacheable - fp_before.uncacheable);
             r.add(names::FASTPATH_UNPROVEN, fp.unproven - fp_before.unproven);
+            let ch = ctx.sys.fastpath_channels();
+            r.add(names::FASTPATH_CHANNELS_SIMULATED, ch.simulated - ch_before.simulated);
+            r.add(names::FASTPATH_CHANNELS_REPLAYED, ch.replayed - ch_before.replayed);
         }
         Ok(out)
     }

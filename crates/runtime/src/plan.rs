@@ -2,9 +2,11 @@
 //! serving-path API over the launch-memoization fast path.
 //!
 //! A [`GemvPlan`] *is* the GEMV. `prepare` validates the shape, derives
-//! the [`GemvGeometry`], places the weights and builds the full
-//! per-channel command lists *once*; `launch` patches the input vector's
-//! bytes into the prebuilt write commands in place, runs the engine,
+//! the [`GemvGeometry`], places the weights and builds the full command
+//! list of every pass *once* — one list per pass, which every channel runs
+//! in lock-step (Section III-A); `launch` patches the input vector's bytes
+//! into the prebuilt write commands in place, hands each channel a view of
+//! the pass's list, runs the engine,
 //! reduces the eight GRF_B partial sums per lane on the host and
 //! assembles the [`KernelReport`]. [`crate::PimBlas::gemv`] is the
 //! one-shot form — `prepare` and a single `launch` — and every other GEMV
@@ -18,7 +20,10 @@
 //! `launch` of a plan shares one launch key (see `pim_host::fastpath`),
 //! and from the first steady-state repeat onward the engine replays the
 //! recorded timing analytically instead of simulating and runs only the
-//! FP16 data path. On both paths that data path runs only where the
+//! FP16 data path. Because every channel is handed the *same* list, even
+//! the first launch simulates one channel per class of equal entry state —
+//! one of 64 on a fresh system — and serves the rest from its recording.
+//! On both paths the data path runs only where the
 //! reduce will look: each pass declares the units that own output rows
 //! (`pim_host::PimSystem::set_live_units`), and the rest — 448 of 512 for
 //! Table VI GEMV1 — retire their triggers from the instruction alone.
@@ -123,7 +128,7 @@ impl GemvGeometry {
 /// Where one input scalar group lands in the prebuilt command lists.
 #[derive(Debug, Clone, Copy)]
 struct XSlot {
-    /// Batch index into a channel's full (choreography-wrapped) list.
+    /// Batch index into a pass's full (choreography-wrapped) list.
     batch: usize,
     /// Command index within that batch.
     cmd: usize,
@@ -141,10 +146,11 @@ pub struct GemvPlan {
     geometry: GemvGeometry,
     srw: bool,
     program: Vec<Instruction>,
-    /// `[pass][channel][batch]` — the exact lists the engine runs; every
-    /// channel's list is structurally identical (lock-step execution).
-    per_pass: Vec<Vec<Vec<Batch>>>,
-    /// Input-write positions, identical across passes and channels.
+    /// `[pass][batch]` — the exact list every channel runs in that pass
+    /// (lock-step execution: the weights differ per channel, the commands
+    /// do not).
+    per_pass: Vec<Vec<Batch>>,
+    /// Input-write positions, identical across passes.
     x_slots: Vec<XSlot>,
     /// `[pass][channel]` — the units whose GRF_B the reduce reads back.
     live: Vec<Vec<UnitMask>>,
@@ -177,25 +183,31 @@ impl GemvPlan {
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
 
         // Weight placement: lane l of (pass, ch, unit) owns output row
-        // out_base + l; input j sits at (row j/32, col j%32).
+        // out_base + l; input j sits at (row j/32, col j%32). Each owned
+        // row of `w` is converted in one contiguous sweep into the unit's
+        // k blocks, which are then stored.
+        let mut blocks = vec![[F16::ZERO; BLOCK_ELEMS]; k];
         for p in 0..g.passes {
             let prow = base_row + p as u32 * g.rows_per_pass;
             for (ch, u, out_base) in g.owners(p) {
-                for j in 0..k {
-                    let mut lanes = [F16::ZERO; 16];
-                    for (l, lane) in lanes.iter_mut().enumerate() {
-                        let o = out_base + l;
-                        if o < n {
-                            *lane = F16::from_f32(w[o * k + j]);
-                        }
+                let rows = w[out_base * k..].chunks(k).take(BLOCK_ELEMS);
+                if rows.len() < BLOCK_ELEMS {
+                    // Lanes past the last output row carry zeros.
+                    blocks.fill([F16::ZERO; BLOCK_ELEMS]);
+                }
+                for (l, row) in rows.enumerate() {
+                    for (block, &v) in blocks.iter_mut().zip(row) {
+                        block[l] = F16::from_f32(v);
                     }
+                }
+                for (j, block) in blocks.iter().enumerate() {
                     layout::store_block(
                         &mut ctx.sys,
                         ch,
                         u,
                         prow + j as u32 / COLS_PER_ROW,
                         j as u32 % COLS_PER_ROW,
-                        &LaneVec::from_lanes(lanes),
+                        &LaneVec::from_lanes(*block),
                     );
                 }
             }
@@ -226,7 +238,7 @@ impl GemvPlan {
                     }
                 }
             }
-            per_pass.push(vec![full; channels]);
+            per_pass.push(full);
             live.push(
                 (0..channels)
                     .map(|ch| (0..g.units).filter(|&u| g.out_base(p, ch, u).is_some()).collect())
@@ -246,8 +258,7 @@ impl GemvPlan {
         self.geometry.k
     }
 
-    /// Writes `x` into every prebuilt input-write command, across all
-    /// passes and channels.
+    /// Writes `x` into every prebuilt input-write command of every pass.
     fn patch_x(&mut self, x: &[f32]) {
         for si in 0..self.x_slots.len() {
             let XSlot { batch, cmd, j0 } = self.x_slots[si];
@@ -262,12 +273,10 @@ impl GemvPlan {
                 LaneVec::from_lanes(lanes).to_block()
             };
             for pass in &mut self.per_pass {
-                for ch_batches in pass.iter_mut() {
-                    let Command::Wr { data, .. } = &mut ch_batches[batch].commands[cmd] else {
-                        unreachable!("x slot no longer points at a WR");
-                    };
-                    *data = block;
-                }
+                let Command::Wr { data, .. } = &mut pass[batch].commands[cmd] else {
+                    unreachable!("x slot no longer points at a WR");
+                };
+                *data = block;
             }
         }
     }
@@ -320,11 +329,12 @@ impl GemvPlan {
             let mut out = vec![0.0f32; g.n];
             let mut launched = KernelResult::ZERO;
             for p in 0..g.passes {
-                let lists = &self.per_pass[p];
+                // One list, every channel: the engine sees lock-step.
+                let lists = vec![self.per_pass[p].as_slice(); self.live[p].len()];
                 let predicted =
-                    crosscheck.then(|| pim_host::predict_launch(&ctx.sys, lists, ctx.mode, None));
+                    crosscheck.then(|| pim_host::predict_launch(&ctx.sys, &lists, ctx.mode, None));
                 let live = Some(self.live[p].as_slice());
-                let (r, _) = Executor::launch(ctx, &self.program, lists, None, true, live)?;
+                let (r, _) = Executor::launch(ctx, &self.program, &lists, None, true, live)?;
                 if let Some(predicted) = predicted {
                     let agrees = predicted.as_ref().is_some_and(|pr| {
                         pr.end_cycle == r.end_cycle

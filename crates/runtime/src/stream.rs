@@ -199,14 +199,8 @@ impl<'a> StreamJob<'a> {
         limit: Option<Cycle>,
         traced: bool,
     ) -> Result<(KernelResult, Vec<bool>), PimError> {
-        let per_channel = Executor::subset_kernel(
-            ctx,
-            self.place.channels(),
-            &self.program,
-            srf,
-            false,
-            &self.batches,
-        );
+        let full = Executor::full_kernel(&self.program, srf, false, &self.batches);
+        let per_channel = Executor::subset_kernel(ctx, self.place.channels(), &full);
         Executor::launch(ctx, &self.program, &per_channel, limit, traced, Some(&self.live))
     }
 

@@ -6,11 +6,14 @@
 
 use pim_bench::fastpath::{bench_input, bench_weights};
 use pim_bench::json;
+use pim_bench::parallel::synthetic_batches;
 use pim_bench::serve::report_json;
 use pim_faults::FaultPlan;
-use pim_host::{ExecutionBackend, ExecutionMode};
-use pim_obs::Recorder;
-use pim_runtime::{GemvPlan, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
+use pim_host::{
+    ExecutionBackend, ExecutionMode, FastpathChannels, FastpathStats, KernelEngine, PimSystem,
+};
+use pim_obs::{names, Recorder};
+use pim_runtime::{GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
 
 const N: usize = 48;
 const K: usize = 64;
@@ -317,4 +320,201 @@ fn unprovable_program_is_never_recorded() {
     let stats = ctx.sys.fastpath_stats();
     assert!(stats.insertions >= 1, "provable program was not recorded: {stats:?}");
     assert!(stats.hits >= 1, "provable program did not replay: {stats:?}");
+}
+
+// ---------------------------------------------------------------------
+// Channel classes (docs/FASTPATH.md): a lock-step launch is one list on
+// every channel, and channels that enter it in the same state share one
+// timing simulation. Reference: the same launches with the fast path off.
+// ---------------------------------------------------------------------
+
+const BACKENDS: [ExecutionBackend; 2] =
+    [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)];
+
+/// Everything a launch is measured by, per channel: the clock, the timing
+/// fingerprint and the `LaunchAccounting` (channel, unit and DRAM
+/// statistics, bank residency).
+fn measured(sys: &PimSystem) -> Vec<impl PartialEq + std::fmt::Debug> {
+    (0..sys.channel_count())
+        .map(|i| {
+            let (c, now) = (sys.channel(i), sys.channel(i).now());
+            (now, c.sink().launch_fingerprint(now), c.sink().launch_accounting(now))
+        })
+        .collect()
+}
+
+/// GRF_B of the first `units` units, channel-major — where a single-pass
+/// GEMV of `16 × units` rows leaves its partial sums.
+fn partial_sums(sys: &PimSystem, units: usize) -> Vec<[u8; 32]> {
+    let per_channel = sys.pim_config().units_per_pch;
+    (0..units)
+        .flat_map(|g| (0..8).map(move |r| (g, r)))
+        .map(|(g, r)| {
+            sys.channel(g / per_channel).sink().unit(g % per_channel).grf_b().read(r).to_block()
+        })
+        .collect()
+}
+
+fn channels_since(sys: &PimSystem, before: FastpathChannels) -> (u64, u64) {
+    let now = sys.fastpath_channels();
+    (now.simulated - before.simulated, now.replayed - before.replayed)
+}
+
+/// Lock-step GEMV (n = 1000: the last live channel partly populated, the
+/// rest of the system all-dead) and stream ADDs, over 64 and over 16
+/// channels, under both backends: after every launch the outputs, the
+/// report and every channel's measured state equal the reference, the live
+/// units hold the reference's partial sums, the plan hits as often as it
+/// ever did — and the cold launch simulated one channel.
+#[test]
+fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
+    let (n, k) = (1000, K);
+    let w = bench_weights(n, k);
+    for fresh in [PimContext::paper_system, PimContext::small_system] {
+        let mut reference = fresh();
+        reference.sys.set_fastpath_enabled(false);
+        let mut ref_plan = GemvPlan::prepare(&mut reference, &w, n, k).expect("shape fits");
+        let mut fast: Vec<(PimContext, GemvPlan)> = BACKENDS
+            .iter()
+            .map(|&backend| {
+                let mut ctx = fresh();
+                ctx.set_backend(backend);
+                let plan = GemvPlan::prepare(&mut ctx, &w, n, k).expect("shape fits");
+                (ctx, plan)
+            })
+            .collect();
+        let channels = reference.sys.channel_count() as u64;
+        for launch in 0..4 {
+            let x = bench_input(k, launch);
+            let (y, report) = ref_plan.launch(&mut reference, &x).expect("reference launch");
+            for (ctx, plan) in &mut fast {
+                let at = format!("{channels} channels, {:?}, launch {launch}", ctx.backend());
+                let before = ctx.sys.fastpath_channels();
+                let (got, r) = plan.launch(ctx, &x).expect("launch");
+                assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits(&y), "{at}");
+                assert_eq!(r, report, "{at}");
+                assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
+                let units = n.div_ceil(16);
+                assert_eq!(partial_sums(&ctx.sys, units), partial_sums(&reference.sys, units));
+                if launch == 0 {
+                    assert_eq!(channels_since(&ctx.sys, before), (1, channels - 1), "{at}");
+                }
+            }
+        }
+        for len in [128, 4096] {
+            let (a, b) = (bench_input(len, 1), bench_input(len, 8));
+            let (z, report) = PimBlas::add(&mut reference, &a, &b).expect("reference add");
+            for (ctx, _) in &mut fast {
+                let at = format!("{channels} channels, {:?}, ADD {len}", ctx.backend());
+                let (got, r) = PimBlas::add(ctx, &a, &b).expect("add");
+                assert_eq!(bits(&got), bits(&z), "{at}");
+                assert_eq!(r, report, "{at}");
+                assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
+            }
+        }
+        for (ctx, _) in &fast {
+            let stats = ctx.sys.fastpath_stats();
+            assert_eq!((stats.hits, stats.uncacheable), (2, 0), "{:?}: {stats:?}", ctx.backend());
+            let total = ctx.sys.fastpath_channels();
+            assert_eq!(
+                total.simulated + total.replayed,
+                6 * channels,
+                "every list is counted once"
+            );
+            assert!(total.simulated < 16, "{:?}: {total:?}", ctx.backend());
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|f| f.to_bits()).collect()
+}
+
+/// The headline: a cold `PimBlas::gemv` of Table VI GEMV1 on the paper
+/// system is one miss and one insertion, as ever — and simulates exactly
+/// one of its 64 channels, under both backends. The recorder a context
+/// carries reads the same figures.
+#[test]
+fn a_cold_gemv1_simulates_one_channel_and_replays_63() {
+    let (n, k) = (1024, 4096);
+    let w = bench_weights(n, k);
+    let x = bench_input(k, 1);
+    let mut outputs = Vec::new();
+    for backend in BACKENDS {
+        let mut ctx = PimContext::paper_system();
+        ctx.set_backend(backend);
+        // The runtime's recorder only: one on the channels would make the
+        // launch uncacheable.
+        let recorder = Recorder::vec();
+        ctx.recorder = Some(recorder.clone());
+        let (y, report) = PimBlas::gemv(&mut ctx, &w, n, k, &x).expect("GEMV1");
+        assert_eq!(
+            ctx.sys.fastpath_stats(),
+            FastpathStats { misses: 1, insertions: 1, ..FastpathStats::default() },
+            "{backend:?}"
+        );
+        assert_eq!(
+            ctx.sys.fastpath_channels(),
+            FastpathChannels { simulated: 1, replayed: 63 },
+            "{backend:?}"
+        );
+        let counters = recorder.metrics().registry;
+        assert_eq!(counters.counter(names::FASTPATH_CHANNELS_SIMULATED), 1);
+        assert_eq!(counters.counter(names::FASTPATH_CHANNELS_REPLAYED), 63);
+        assert_eq!(counters.counter(names::FASTPATH_MISSES), 1);
+        outputs.push((bits(&y), report));
+    }
+    assert_eq!(outputs[0], outputs[1], "backends disagree");
+}
+
+/// Nothing classes where nothing may be memoized: with the fast path
+/// disabled, a fault plan installed or a recorder on the channels, every
+/// launch simulates every channel, as it always has.
+#[test]
+fn uncached_systems_simulate_every_channel() {
+    let w = bench_weights(N, K);
+    type Setup = fn(&mut PimContext);
+    let setups: [(&str, Setup); 3] = [
+        ("fast path disabled", |ctx| ctx.sys.set_fastpath_enabled(false)),
+        ("fault plan installed", |ctx| ctx.inject_faults(&FaultPlan::quiet(3))),
+        ("channel recorder attached", |ctx| ctx.enable_profiling(Recorder::counting())),
+    ];
+    for (what, setup) in setups {
+        let mut ctx = PimContext::paper_system();
+        setup(&mut ctx);
+        let mut plan = GemvPlan::prepare(&mut ctx, &w, N, K).expect("shape fits");
+        let _ = transcript(&mut ctx, &mut plan, 3);
+        assert_eq!(
+            ctx.sys.fastpath_channels(),
+            FastpathChannels { simulated: 3 * 64, replayed: 0 },
+            "{what}"
+        );
+        let stats = ctx.sys.fastpath_stats();
+        assert_eq!((stats.hits, stats.insertions), (0, 0), "{what}: {stats:?}");
+    }
+}
+
+/// 64 distinct lists are 64 classes: every channel is simulated until the
+/// launch as a whole replays, and the results are the reference's.
+#[test]
+fn distinct_lists_simulate_every_channel() {
+    let lists = synthetic_batches(64, 12, 0x5EED);
+    let mode = ExecutionMode::Fenced { reorder_seed: None };
+    let mut reference = PimContext::paper_system().sys;
+    reference.set_fastpath_enabled(false);
+    let want: Vec<_> = (0..4)
+        .map(|_| (KernelEngine::run_system(&mut reference, &lists, mode), measured(&reference)))
+        .collect();
+    for backend in BACKENDS {
+        let mut sys = PimContext::paper_system().sys;
+        sys.set_backend(backend);
+        let mut per_launch = Vec::new();
+        for (launch, (r, m)) in want.iter().enumerate() {
+            let before = sys.fastpath_channels();
+            assert_eq!(&KernelEngine::run_system(&mut sys, &lists, mode), r, "launch {launch}");
+            assert_eq!(&measured(&sys), m, "{backend:?} launch {launch}");
+            per_launch.push(channels_since(&sys, before));
+        }
+        assert_eq!(per_launch, [(64, 0), (64, 0), (0, 64), (0, 64)], "{backend:?}");
+    }
 }
