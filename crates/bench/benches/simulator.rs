@@ -202,8 +202,8 @@ fn bench_pim(c: &mut Criterion) {
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     let wl = pim_bench::workloads::gemv_workloads()[0];
-    let w = pim_bench::fastpath::bench_weights(wl.n, wl.k);
-    let x = pim_bench::fastpath::bench_input(wl.k, 1);
+    let w = pim_bench::workloads::bench_weights(wl.n, wl.k);
+    let x = pim_bench::workloads::bench_input(wl.k, 1);
     g.sample_size(10);
     g.throughput(Throughput::Elements(1));
     for (id, fastpath) in [("gemv1_cold/fastpath_on", true), ("gemv1_cold/fastpath_off", false)] {

@@ -35,9 +35,7 @@
 //! Any divergence prints the offending workload/backend/launch and the
 //! gate exits non-zero.
 
-use pim_bench::fastpath::{bench_input, bench_weights};
-use pim_bench::parallel::synthetic_batches;
-use pim_bench::workloads::gemv_workloads;
+use pim_bench::workloads::{bench_input, bench_weights, gemv_workloads, synthetic_batches};
 use pim_core::PimConfig;
 use pim_faults::FaultPlan;
 use pim_host::{

@@ -67,7 +67,7 @@ fn main() {
                     shape = Some((wl.n, wl.k));
                 } else if let Some((n, k)) = w.split_once('x') {
                     match (n.parse(), k.parse()) {
-                        (Ok(n), Ok(k)) => {
+                        (Ok(n), Ok(k)) if n > 0 && k > 0 => {
                             name = w.to_string();
                             shape = Some((n, k));
                         }

@@ -1,9 +1,10 @@
-//! A minimal JSON reader/writer for the benchmark result files.
+//! A minimal JSON reader/writer for the campaign reports.
 //!
-//! The workspace builds fully offline (no serde); the benchmark and
-//! perf-gate binaries exchange small, flat documents (`BENCH_parallel.json`,
-//! `BENCH_baseline.json`), so a compact recursive-descent parser over the
-//! full JSON grammar is all that is needed. Numbers parse as `f64` —
+//! The workspace builds fully offline (no serde); the campaign binaries
+//! write small documents (`BENCH_{fault,serve,cluster,chaos}.json`) that
+//! `tests/campaign_golden.rs` reads back, and `pimtrace` parses the Chrome
+//! traces it filters and diffs, so a compact recursive-descent parser over
+//! the full JSON grammar is all that is needed. Numbers parse as `f64` —
 //! cycle counts in these files stay well under 2^53, where `f64` is exact.
 
 use std::collections::BTreeMap;

@@ -14,12 +14,10 @@ pub mod campaign;
 pub mod chaos;
 pub mod cluster;
 pub mod experiments;
-pub mod fastpath;
 pub mod faults;
 pub mod json;
 pub mod lint;
 pub mod micro;
-pub mod parallel;
 pub mod profile;
 pub mod report;
 pub mod serve;

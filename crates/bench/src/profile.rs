@@ -9,6 +9,8 @@
 
 use crate::report::format_table;
 use pim_obs::{names, MetricsSnapshot, Recorder};
+use pim_runtime::kernels::COLS_PER_ROW;
+use pim_runtime::layout::BLOCK_ELEMS;
 use pim_runtime::{KernelReport, PimBlas, PimContext, PimError};
 
 /// A profiled GEMV run: the result vector, the kernel report, and the
@@ -36,10 +38,20 @@ pub struct ProfiledGemv {
 ///
 /// # Errors
 ///
-/// Propagates [`PimError`] from [`PimBlas::gemv`] (empty or over-sized
-/// operands).
+/// [`PimError::OutOfMemory`] if the weights cannot fit the arena (a shape
+/// whose `n * k` overflows never can), before any operand is built;
+/// otherwise propagates [`PimError`] from [`PimBlas::gemv`].
 pub fn profile_gemv(n: usize, k: usize) -> Result<ProfiledGemv, PimError> {
     let mut ctx = PimContext::small_system();
+    // `n` and `k` come straight from the command line and `w` is 4·n·k
+    // bytes: refuse a shape the arena cannot hold before allocating for it.
+    // What passes has `n * k` bounded by the arena's element count.
+    let (needed, available) = (gemv_weight_rows(&ctx, n, k), ctx.mm.min_available());
+    if needed > available as usize {
+        return Err(PimError::OutOfMemory {
+            detail: format!("{n}x{k} weights need {needed} rows per unit, {available} available"),
+        });
+    }
     let recorder = Recorder::vec();
     ctx.enable_profiling(recorder.clone());
     let w: Vec<f32> = (0..n * k).map(|i| ((i * 7 % 41) as f32 - 20.0) / 32.0).collect();
@@ -49,6 +61,14 @@ pub fn profile_gemv(n: usize, k: usize) -> Result<ProfiledGemv, PimError> {
     let channels = ctx.sys.channel_count() as u16;
     let end_cycle = ctx.sys.barrier();
     Ok(ProfiledGemv { y, report, recorder, channels, end_cycle })
+}
+
+/// Rows an `n × k` GEMV's weights occupy in every unit of `ctx`: 16 output
+/// rows per unit and pass, 32 inputs per DRAM row
+/// ([`pim_runtime::GemvGeometry`], in arithmetic that cannot wrap).
+fn gemv_weight_rows(ctx: &PimContext, n: usize, k: usize) -> usize {
+    let lanes_per_pass = ctx.sys.channel_count() * ctx.sys.pim_config().units_per_pch * BLOCK_ELEMS;
+    n.div_ceil(lanes_per_pass).saturating_mul(k.div_ceil(COLS_PER_ROW as usize))
 }
 
 /// Renders the profile table for one metrics snapshot.
@@ -152,5 +172,23 @@ mod tests {
         assert!(table.contains("cycles/fence"), "{table}");
         // The deterministic run matches its own kernel report.
         assert_eq!(m.counter(names::DEV_PIM_TRIGGERS), run.report.pim_triggers);
+    }
+
+    /// `pimprof 1x99999999999` and `4294967296x4294967296` (whose product
+    /// overflows) used to abort in the allocator building `w`; both are
+    /// typed errors now, and the row count they are refused on is the one
+    /// `GemvPlan::prepare` allocates.
+    #[test]
+    fn unplaceable_shapes_are_refused_before_allocating() {
+        for (n, k) in [(1, 99_999_999_999), (1 << 32, 1 << 32), (usize::MAX, usize::MAX)] {
+            let refused = profile_gemv(n, k);
+            assert!(matches!(refused, Err(PimError::OutOfMemory { .. })), "{n}x{k}: {refused:?}");
+        }
+        let ctx = PimContext::small_system();
+        let (channels, units) = (ctx.sys.channel_count(), ctx.sys.pim_config().units_per_pch);
+        for (n, k) in [(1, 1), (32, 64), (2049, 33), (5000, 4100)] {
+            let g = pim_runtime::GemvGeometry::new(n, k, channels, units);
+            assert_eq!(gemv_weight_rows(&ctx, n, k), g.passes * g.rows_per_pass as usize);
+        }
     }
 }

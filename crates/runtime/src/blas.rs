@@ -277,12 +277,11 @@ impl PimBlas {
         if rows == 0 || dim == 0 || indices.is_empty() {
             return Err(PimError::Empty);
         }
-        if table.len() != rows * dim {
+        if rows.checked_mul(dim) != Some(table.len()) {
             return Err(PimError::SizeMismatch {
                 detail: format!(
-                    "table has {} elements, expected rows*dim = {}",
-                    table.len(),
-                    rows * dim
+                    "table has {} elements, expected rows*dim = {rows}*{dim}",
+                    table.len()
                 ),
             });
         }
@@ -666,6 +665,17 @@ mod tests {
         assert!(matches!(PimBlas::sls(&mut ctx, &[], 0, 0, &[]), Err(PimError::Empty)));
     }
 
+    /// `rows * dim` wraps to 0 in a release build and used to pass for an
+    /// empty table; a debug build aborted on the multiply.
+    #[test]
+    fn sls_refuses_a_shape_whose_product_overflows() {
+        let mut ctx = small_ctx();
+        assert!(matches!(
+            PimBlas::sls(&mut ctx, &[], 1 << 63, 2, &[0]),
+            Err(PimError::SizeMismatch { .. })
+        ));
+    }
+
     #[test]
     fn lstm_cell_runs_and_is_finite() {
         let mut ctx = small_ctx();
@@ -699,5 +709,16 @@ mod tests {
         ));
         let err = PimError::Empty;
         assert!(!err.to_string().is_empty());
+    }
+
+    /// `n * k` wraps to 0 in a release build and used to pass both shape
+    /// checks for an empty `w`, then index out of range while placing it.
+    #[test]
+    fn gemv_refuses_a_shape_whose_product_overflows() {
+        let mut ctx = small_ctx();
+        assert!(matches!(
+            PimBlas::gemv(&mut ctx, &[], 1 << 63, 2, &[0.0, 0.0]),
+            Err(PimError::SizeMismatch { .. })
+        ));
     }
 }

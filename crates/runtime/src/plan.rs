@@ -46,9 +46,9 @@ pub(crate) fn check_weights(w_len: usize, n: usize, k: usize) -> Result<(), PimE
     if n == 0 || k == 0 {
         return Err(PimError::Empty);
     }
-    if w_len != n * k {
+    if n.checked_mul(k) != Some(w_len) {
         return Err(PimError::SizeMismatch {
-            detail: format!("w has {w_len} elements, expected n*k = {}", n * k),
+            detail: format!("w has {w_len} elements, expected n*k = {n}*{k}"),
         });
     }
     Ok(())
@@ -378,6 +378,14 @@ mod tests {
 
     fn input(k: usize, salt: usize) -> Vec<f32> {
         (0..k).map(|i| (((i * 3 + salt) % 17) as f32 - 8.0) / 16.0).collect()
+    }
+
+    #[test]
+    fn prepare_refuses_a_shape_whose_product_overflows() {
+        let mut ctx = PimContext::small_system();
+        let refused = GemvPlan::prepare(&mut ctx, &[], 1 << 63, 2);
+        assert!(matches!(refused, Err(PimError::SizeMismatch { .. })), "{refused:?}");
+        assert_eq!(ctx.mm.min_available(), PimContext::small_system().mm.min_available());
     }
 
     #[test]

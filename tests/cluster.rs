@@ -14,7 +14,7 @@ use pim_bench::json;
 use pim_faults::FaultPlan;
 use pim_host::{ClusterTopology, ExecutionBackend};
 use pim_runtime::{
-    ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext,
+    ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, PimError,
     ServeConfig, ServeRequest,
 };
 
@@ -150,6 +150,17 @@ fn degenerate_topologies_are_refused() {
     let mut stacks = vec![PimContext::small_system()];
     let bad = ClusterServeConfig { replication: 0, ..ClusterServeConfig::default() };
     assert!(ClusterServer::new(&mut stacks, bad).is_err());
+}
+
+/// Both shardings go through the one GEMV shape rule: a shape whose `n * k`
+/// overflows is a `SizeMismatch` before any shard is cut.
+#[test]
+fn sharded_gemv_refuses_a_shape_whose_product_overflows() {
+    let mut cluster = ClusterContext::new(2).unwrap();
+    let row = cluster.gemv_row_parallel(&[], 1 << 63, 2, &[0.0, 0.0]);
+    assert!(matches!(row, Err(PimError::SizeMismatch { .. })), "{row:?}");
+    let tensor = cluster.gemv_tensor_parallel(&[], 1 << 63, 2, &[0.0, 0.0]);
+    assert!(matches!(tensor, Err(PimError::SizeMismatch { .. })), "{tensor:?}");
 }
 
 #[test]

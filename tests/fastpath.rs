@@ -4,10 +4,9 @@
 //! cold, and serving artifacts are byte-identical with the fast path on or
 //! off.
 
-use pim_bench::fastpath::{bench_input, bench_weights};
 use pim_bench::json;
-use pim_bench::parallel::synthetic_batches;
 use pim_bench::serve::report_json;
+use pim_bench::workloads::{bench_input, bench_weights, synthetic_batches};
 use pim_faults::FaultPlan;
 use pim_host::{
     ExecutionBackend, ExecutionMode, FastpathChannels, FastpathStats, KernelEngine, PimSystem,

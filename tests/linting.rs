@@ -127,6 +127,73 @@ fn docs_diagnostic_index_covers_every_code() {
     }
 }
 
+/// The identifiers that follow each occurrence of `prefix` in `text`
+/// (`[A-Za-z0-9_]+`; an occurrence followed by anything else is skipped).
+fn names_after<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a str> {
+    text.match_indices(prefix).filter_map(move |(at, _)| {
+        let rest = &text[at + prefix.len()..];
+        let end = rest.find(|c: char| !c.is_ascii_alphanumeric() && c != '_').unwrap_or(rest.len());
+        (end > 0).then(|| &rest[..end])
+    })
+}
+
+/// What CI and the prose say exists, exists, and every committed
+/// `BENCH_*.json` has a test that reads it: each binary named by
+/// `--bin X`, `./bin/X` or `target/release/X` in the workflow, README.md,
+/// `docs/*.md` and the verify skill is `crates/bench/src/bin/X.rs`; each
+/// `BENCH_*.json` they name is at the repo root; and each one at the root
+/// is `include_str!`-ed under `tests/`. A committed number no test reads
+/// is how README.md came to quote a file 13× out of date.
+#[test]
+fn named_binaries_and_bench_files_exist_and_are_enforced() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let read = |p: &std::path::Path| {
+        std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
+    };
+    let files_in = |dir: &str, ext: &str| -> Vec<PathBuf> {
+        let dir = root.join(dir);
+        std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+            .map(|entry| entry.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == ext))
+            .collect()
+    };
+
+    let mut prose = vec![
+        root.join(".github/workflows/ci.yml"),
+        root.join("README.md"),
+        root.join(".claude/skills/verify/SKILL.md"),
+    ];
+    prose.extend(files_in("docs", "md"));
+    for path in &prose {
+        // `pimbench` is built into `benchmark/target`, not from `src/bin`.
+        let text = read(path).replace("benchmark/target/release/", "");
+        for prefix in ["--bin ", "./bin/", "target/release/"] {
+            for bin in names_after(&text, prefix) {
+                let src = root.join(format!("crates/bench/src/bin/{bin}.rs"));
+                assert!(src.is_file(), "{} names `{prefix}{bin}`: no such binary", path.display());
+            }
+        }
+        for stem in names_after(&text, "BENCH_") {
+            let file = format!("BENCH_{stem}.json");
+            if text.contains(&file) {
+                assert!(root.join(&file).is_file(), "{} names {file}", path.display());
+            }
+        }
+    }
+
+    let tests: String = files_in("tests", "rs").iter().map(|p| read(p)).collect();
+    for path in files_in(".", "json") {
+        let name = path.file_name().unwrap().to_string_lossy();
+        if name.starts_with("BENCH_") {
+            assert!(
+                tests.contains(&format!("include_str!(\"../{name}\")")),
+                "{name} is committed but no test under tests/ reads it"
+            );
+        }
+    }
+}
+
 /// The shipped example kernel sources assemble and verify clean.
 #[test]
 fn example_kernel_sources_lint_clean() {

@@ -8,10 +8,11 @@
 //! merges happen in channel-index order, matching the sequential
 //! channel-major loop), and these tests pin it against regressions.
 
-use pim_bench::parallel::synthetic_batches;
+use pim_bench::workloads::synthetic_batches;
 use pim_core::PimConfig;
 use pim_host::{
-    Batch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, KernelResult, PimSystem,
+    predict_launch, Batch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, KernelResult,
+    PimSystem,
 };
 use pim_obs::Recorder;
 use pim_runtime::{PimBlas, PimContext};
@@ -127,6 +128,28 @@ fn random_workload_leaves_identical_per_channel_state() {
         for (i, (a, b)) in state.iter().zip(&state_seq).enumerate() {
             assert_eq!(a, b, "{workers} workers: channel {i} state diverged");
         }
+    }
+}
+
+/// The exact gate on the simulated numbers: the seeded 64-channel smoke
+/// workload, fully simulated (fast path off), ends at this cycle having
+/// issued this many commands under either backend, and the closed-form
+/// predictor says the same before the run. A change that moves these moved
+/// the DRAM timing model or the engine's issue order, and re-pins on
+/// purpose.
+#[test]
+fn synthetic64_simulated_numbers_are_pinned() {
+    let per_channel = synthetic_batches(64, 400, 0x5EED);
+    let pinned = KernelResult { end_cycle: 20595, commands: 256_000, fences: 0 };
+    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
+        let mut sys = PimSystem::new(HostConfig::paper(), PimConfig::paper());
+        sys.set_backend(backend);
+        sys.set_fastpath_enabled(false);
+        let p = predict_launch(&sys, &per_channel, ExecutionMode::Ordered, None)
+            .expect("a fresh system is in the predictor's domain");
+        let r = KernelEngine::run_system(&mut sys, &per_channel, ExecutionMode::Ordered);
+        assert_eq!(r, pinned, "{backend:?}");
+        assert_eq!((p.end_cycle, p.commands, p.fences), (r.end_cycle, r.commands, r.fences));
     }
 }
 

@@ -119,8 +119,9 @@ fn seeded_campaign_is_backend_invariant() {
 
 /// The zero-fault path is observer-free: a campaign at rate 0 reports
 /// exactly the cycles and commands of a system with no fault plan
-/// installed at all (the perfgate exact-match guarantee, asserted at the
-/// campaign level).
+/// installed at all (the exact-match guarantee
+/// `parallel_determinism.rs::synthetic64_simulated_numbers_are_pinned`
+/// makes for the engine, asserted at the campaign level).
 #[test]
 fn zero_rate_point_matches_uninstrumented_run() {
     let cfg =
