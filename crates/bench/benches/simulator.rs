@@ -5,13 +5,14 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 use pim_core::isa::{Instruction, Operand};
-use pim_core::{LaneVec, PimChannel, PimConfig, PimUnit, Trigger, TriggerKind};
+use pim_core::{LaneVec, PimChannel, PimConfig, PimUnit, Trigger, TriggerKind, UnitMask};
 use pim_dram::{
     BankAddr, Command, CommandSink, ControllerConfig, MemoryController, Request, SchedulingPolicy,
     TimingParams,
 };
 use pim_fp16::F16;
-use pim_runtime::{PimBlas, PimContext};
+use pim_host::{ExecutionMode, HostConfig, KernelEngine};
+use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext};
 
 fn bench_fp16(c: &mut Criterion) {
     let mut g = c.benchmark_group("fp16");
@@ -222,5 +223,47 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_fp16, bench_dram, bench_pim, bench_engine);
+/// The cost model's unit of work — one `run_on_channel` of the command list
+/// that prices Table VI GEMV1, on a fresh channel — with every unit
+/// computing (`live`) and with none (`dead`, what `pim_models::CostModel`
+/// arms since it reads no data), and what is left of the dead side per
+/// unit: the same list (it depends on `k` alone) on a 1-unit and an 8-unit
+/// channel. The difference over seven units and the list's triggers is a
+/// dead unit's cost per trigger (ROADMAP item 1(a3) has the figures).
+fn bench_cost_shape(c: &mut Criterion) {
+    let host = HostConfig::paper();
+    let wl = pim_bench::workloads::gemv_workloads()[0];
+    for (group, id, units, live) in [
+        ("engine", "cost_shape_gemv1/live", 8, UnitMask::ALL),
+        ("engine", "cost_shape_gemv1/dead", 8, UnitMask::NONE),
+        ("device", "dead_units/1", 1, UnitMask::NONE),
+        ("device", "dead_units/8", 8, UnitMask::NONE),
+    ] {
+        let pim = PimConfig { units_per_pch: units, ..PimConfig::paper() };
+        let geometry = GemvGeometry::new(wl.n, wl.k, 64, units);
+        let data = pim_runtime::kernels::gemv_batches(geometry.kpad, 0, &[], &pim);
+        let program = gemv_microkernel(geometry.groups(), &pim);
+        let list = Executor::full_kernel(&program, None, true, &data);
+        let mut g = c.benchmark_group(group);
+        g.throughput(Throughput::Elements(list.iter().map(|b| b.commands.len() as u64).sum()));
+        g.bench_function(id, |bench| {
+            bench.iter_batched(
+                || {
+                    let mut ch = PimChannel::new(TimingParams::hbm2(), pim.clone());
+                    ch.set_live_units(live);
+                    let cfg = ControllerConfig { refresh_enabled: false, ..Default::default() };
+                    MemoryController::with_sink(cfg, ch)
+                },
+                |mut ctrl| {
+                    let mode = ExecutionMode::Fenced { reorder_seed: None };
+                    KernelEngine::run_on_channel(&host, &mut ctrl, &list, mode)
+                },
+                BatchSize::LargeInput,
+            )
+        });
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_fp16, bench_dram, bench_pim, bench_engine, bench_cost_shape);
 criterion_main!(benches);

@@ -41,7 +41,7 @@ pub fn gemv_micro(cost: &mut CostModel, w: &GemvWorkload, batch: usize) -> Micro
         batch,
         hbm_s: hbm.seconds,
         pim_s: pim.seconds * batch as f64,
-        llc_miss: llc::batched_miss_rate(w.weight_bytes(), cost.host.llc_bytes, batch),
+        llc_miss: llc::batched_miss_rate(w.weight_bytes(), cost.host().llc_bytes, batch),
     }
 }
 

@@ -220,6 +220,12 @@ pub struct PimChannel {
     /// The units that execute their triggers; the rest retire them from
     /// the instruction alone. See [`PimChannel::set_live_units`].
     live: UnitMask,
+    /// Whether every unit holds the same CRF image and the same sequencer
+    /// state, so that one unit's sequencer step is every unit's. Checked
+    /// when the sequencers are reset together
+    /// ([`PimChannel::reset_sequencers`]); an all-bank CRF write and a
+    /// trigger keep it, and whatever reaches into one unit drops it.
+    lockstep: bool,
     ab: AbTiming,
     stats: PimChannelStats,
     /// Observability hook; `None` (the default) costs one pointer test.
@@ -247,6 +253,7 @@ impl PimChannel {
             pending: None,
             units,
             live: UnitMask::ALL,
+            lockstep: false,
             ab: AbTiming::default(),
             stats: PimChannelStats::default(),
             recorder: None,
@@ -391,9 +398,7 @@ impl PimChannel {
                 (PimMode::AllBank, true) => {
                     self.mode = PimMode::AllBankPim;
                     self.stats.mode_transitions += 1;
-                    for u in &mut self.units {
-                        u.reset_sequencer();
-                    }
+                    self.reset_sequencers();
                 }
                 (PimMode::AllBankPim, false) => {
                     self.mode = PimMode::AllBank;
@@ -433,6 +438,7 @@ impl PimChannel {
         match row {
             CRF_ROW => {
                 let (base, words) = (crf_block_base(col), crf_block_words(data));
+                self.lockstep &= unit_idx.is_none();
                 for unit in targets.iter_mut() {
                     for (i, w) in words.into_iter().enumerate() {
                         unit.crf_mut().write_word(base + i, w);
@@ -512,11 +518,20 @@ impl PimChannel {
             }
         }
         if fault == ColumnFault::Glitch {
-            for u in &mut self.units {
-                u.reset_sequencer();
-            }
+            self.reset_sequencers();
         }
         fault
+    }
+
+    /// Restarts every unit's microkernel at CRF entry 0 — what writing 1 to
+    /// `PIM_OP_MODE` does on purpose and a mode-machine glitch by accident
+    /// — and, the sequencers now being equal, checks whether the CRF
+    /// images are too.
+    fn reset_sequencers(&mut self) {
+        for u in &mut self.units {
+            u.reset_sequencer();
+        }
+        self.lockstep = self.units.windows(2).all(|pair| pair[0].crf() == pair[1].crf());
     }
 
     /// Delivers a column-command trigger to every PIM unit on the issue
@@ -551,6 +566,11 @@ impl PimChannel {
     /// cell faults included — and a bank result is written back the same
     /// way. Returns the operand-read and result-write counts for the issue
     /// path to add to its statistics (zero on a replay).
+    ///
+    /// While the units are in lock-step (`self.lockstep`) the sequencers
+    /// run once: unit 0 resolves the trigger and the others
+    /// [`PimUnit::follow`] it, so a unit outside the mask costs its
+    /// counters and no more.
     fn run_trigger(
         &mut self,
         kind: TriggerKind,
@@ -559,27 +579,35 @@ impl PimChannel {
         source: &mut InstrSource<'_>,
     ) -> (u64, u64) {
         let (mut reads, mut writes) = (0, 0);
-        let live = self.live;
+        let (live, lockstep) = (self.live, self.lockstep);
         // Only the issue path counts; a replay's recorded delta has it all.
         let counted = matches!(source, InstrSource::Live);
-        // Lock-step units resolve the same instruction off one command
-        // unless their CRFs were loaded apart, so its effects are derived
-        // once per run of equal instructions, not once per unit.
-        let mut shared: Option<(Instruction, Effects)> = None;
+        // The instruction a unit resolved, what retiring it counts for and
+        // the loop counters resolving it moved — unit 0's for every unit
+        // once it has `led`.
+        let (mut instr, mut retired, mut jumped) = (None, UnitStats::default(), 0);
+        let mut led = false;
         for u in 0..self.units.len() {
-            let unit = &mut self.units[u];
-            let instr = match source {
+            let (before, rest) = self.units.split_at_mut(u);
+            let unit = &mut rest[0];
+            match source {
                 InstrSource::Play(tape, next) => {
                     *next += 1;
-                    tape.resolved[*next - 1]
+                    instr = tape.resolved[*next - 1];
                 }
-                InstrSource::Live => unit.sequence(),
-                InstrSource::Record(tape) => {
-                    let instr = unit.sequence();
-                    tape.resolved.push(instr);
-                    instr
+                _ if led => unit.follow(&before[0], jumped),
+                _ => {
+                    jumped = 0;
+                    instr = unit.lead(&mut jumped);
+                    if let (true, Some(instr)) = (counted, instr) {
+                        retired = Effects::of(&instr, &kind).retired();
+                    }
+                    led = lockstep;
                 }
-            };
+            }
+            if let InstrSource::Record(tape) = source {
+                tape.resolved.push(instr);
+            }
             let Some(instr) = instr else { continue };
             // Cross-check the static verifier's contract: any instruction
             // the unit actually executes must be legal on this variant. A
@@ -591,17 +619,9 @@ impl PimChannel {
                 panic!("unit {u} executed an illegal instruction `{instr}`: {e}");
             }
             if counted {
-                let fx = match shared {
-                    Some((same, fx)) if same == instr => fx,
-                    _ => {
-                        let fx = Effects::of(&instr, &kind);
-                        shared = Some((instr, fx));
-                        fx
-                    }
-                };
-                unit.retire(&fx);
-                reads += u64::from(fx.bank_read.is_some());
-                writes += u64::from(fx.bank_write.is_some());
+                unit.retire(&retired);
+                reads += retired.bank_reads;
+                writes += retired.bank_writes;
             }
             if !live.contains(u) {
                 continue;
@@ -925,6 +945,7 @@ impl PimChannel {
         for (u, s) in self.units.iter_mut().zip(tape.end_seq.iter()) {
             u.set_sequencer_state(s);
         }
+        self.lockstep = false;
     }
 
     /// The walk behind both replay entry points: step the mode machine
@@ -971,9 +992,7 @@ impl PimChannel {
                                 );
                             }
                         }
-                        for u in &mut self.units {
-                            u.reset_sequencer();
-                        }
+                        self.reset_sequencers();
                     }
                     Step::AbWrite { row } => {
                         for b in BankAddr::all() {
@@ -1547,6 +1566,218 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// One CRF entry of a generated program, before it knows its index.
+    type Slot = (u8, u8, u8);
+
+    /// The word `slot` puts at CRF entry `index`: a data instruction of
+    /// every counted kind, a multi-cycle NOP, a backward (or self) JUMP —
+    /// nested and overlapping loops, all of which terminate — EXIT, or a
+    /// word nothing decodes.
+    fn slot_word(index: usize, (kind, a, b): Slot) -> u32 {
+        let mov = |dst, src, relu| Instruction::Mov { dst, src, relu, aam: false };
+        let (ga, gb) = (Operand::grf_a(a % 8), Operand::grf_b(b % 8));
+        let (src0, src1) = (Operand::even_bank(), Operand::srf_m(b % 8));
+        let instr = match kind % 16 {
+            0 => mov(ga, Operand::even_bank(), false),
+            1 => mov(Operand::odd_bank(), gb, false),
+            2 => mov(gb, Operand::odd_bank(), true),
+            3 => Instruction::Add { dst: ga, src0: Operand::odd_bank(), src1: gb, aam: false },
+            4 => Instruction::Mul { dst: ga, src0: ga, src1: gb, aam: a & 8 != 0 },
+            5 => Instruction::Mac { dst: gb, src0, src1, aam: true },
+            6 => Instruction::Mad { dst: ga, src0, src1, aam: false },
+            7 => Instruction::Fill { dst: gb, src: Operand::wdata(), aam: false },
+            8 | 9 => Instruction::Nop { cycles: 1 + u32::from(a % 5) },
+            10..=13 => Instruction::Jump {
+                target: (usize::from(a) % (index + 1)) as u8,
+                count: u32::from(b % 5),
+            },
+            14 => Instruction::Exit,
+            _ => return 0x7BFF_7BFF,
+        };
+        instr.encode()
+    }
+
+    fn any_slot(kinds: std::ops::Range<u8>) -> impl proptest::prelude::Strategy<Value = Slot> {
+        use proptest::prelude::*;
+        (kinds, any::<u8>(), any::<u8>())
+    }
+
+    /// One event of a generated AB-PIM session.
+    #[derive(Debug, Clone)]
+    enum Poke {
+        /// A column command on the open data row: RD, or WR of `fill` bytes.
+        Trigger { col: u32, write: Option<u8> },
+        /// An all-bank write to the `CRF` row in the middle of the launch.
+        AbCrf { col: u32, slots: Vec<Slot> },
+        /// The register side of a single-bank `CRF` write to one unit,
+        /// landing while the launch is running.
+        UnitCrf { unit: usize, col: u32, slots: Vec<Slot> },
+        /// What `ColumnFault::Glitch` does to the sequencers.
+        Glitch,
+        /// Leave for single-bank mode, load one unit's CRF the way
+        /// software does, and enter AB-PIM again.
+        Relaunch { unit: usize, col: u32, slots: Vec<Slot> },
+    }
+
+    fn any_poke() -> impl proptest::prelude::Strategy<Value = Poke> {
+        use proptest::prelude::*;
+        let block = || proptest::collection::vec(any_slot(0..16), 8);
+        let trigger = || {
+            (0u32..32, any::<bool>(), any::<u8>())
+                .prop_map(|(col, wr, fill)| Poke::Trigger { col, write: wr.then_some(fill) })
+        };
+        prop_oneof![
+            trigger(),
+            trigger(),
+            trigger(),
+            trigger(),
+            trigger(),
+            trigger(),
+            (0u32..4, block()).prop_map(|(col, slots)| Poke::AbCrf { col, slots }),
+            (0usize..8, 0u32..4, block()).prop_map(|(unit, col, slots)| Poke::UnitCrf {
+                unit,
+                col,
+                slots
+            }),
+            Just(Poke::Glitch),
+            (0usize..8, 0u32..4, block()).prop_map(|(unit, col, slots)| Poke::Relaunch {
+                unit,
+                col,
+                slots
+            }),
+        ]
+    }
+
+    fn any_live_mask() -> impl proptest::prelude::Strategy<Value = UnitMask> {
+        use proptest::prelude::*;
+        prop_oneof![Just(0u8), (0u32..8).prop_map(|u| 1 << u), any::<u8>()]
+            .prop_map(|bits| (0..8).filter(|u| bits >> u & 1 == 1).collect())
+    }
+
+    proptest::proptest! {
+        /// However the units come to sequence a trigger — each from its
+        /// own CRF, or following unit 0 while the channel has checked them
+        /// to be in lock-step — and whether or not they then execute it,
+        /// after every command every unit's sequencer state and statistics
+        /// and the channel's bank-port counts are what stepping each unit
+        /// on its own gives: `sequence`, `Effects::of`, `retire`. CRF
+        /// images change under it by every route (all-bank and per-unit
+        /// writes, inside a launch and between two), the sequencers are
+        /// glitched, and programs halt on EXIT, on an undecodable word and
+        /// by running off the end of the CRF.
+        #[test]
+        fn sequencing_is_exact_dead_or_alive_in_lock_step_or_out_of_it(
+            program in proptest::prelude::prop_oneof![
+                proptest::collection::vec(any_slot(0..16), 1..33),
+                // All 32 entries and nothing that halts: off the end.
+                proptest::collection::vec(any_slot(0..14), 32),
+            ],
+            live in any_live_mask(),
+            pokes in proptest::collection::vec(any_poke(), 1..48),
+        ) {
+            let b = BankAddr::new(0, 0);
+            let conf = |bank, col, words: [u32; 8]| {
+                let data = crf_block(words);
+                [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data }, Command::Pre { bank }]
+            };
+            let block_at = |col: u32, slots: &[Slot]| -> [u32; 8] {
+                std::array::from_fn(|i| slot_word(crf_block_base(col) + i, slots[i]))
+            };
+            let mut ch = fresh();
+            ch.set_live_units(live);
+            let mut model: Vec<PimUnit> = (0..8).map(|_| PimUnit::new()).collect();
+            let (mut reads, mut writes) = (0, 0);
+
+            // Load the program all-bank, enter AB-PIM, open a data row.
+            let mut words = [Instruction::Exit.encode(); 32];
+            for (i, &slot) in program.iter().enumerate() {
+                words[i] = slot_word(i, slot);
+                if let Ok(instr) = Instruction::decode(words[i]) {
+                    proptest::prop_assert!(ch.config().instruction_legal(&instr).is_ok() || instr.is_control(), "{}", instr);
+                }
+            }
+            let mut now = run(&mut ch, &enter_ab_sequence(), 0);
+            for col in 0..4 {
+                let block = std::array::from_fn(|i| words[8 * col + i]);
+                now = run(&mut ch, &conf(b, col as u32, block), now);
+            }
+            for unit in &mut model {
+                for (i, &w) in words.iter().enumerate() {
+                    unit.crf_mut().write_word(i, w);
+                }
+            }
+            now = run(&mut ch, &set_pim_op_mode_sequence(true), now);
+            now = run(&mut ch, &[Command::Act { bank: b, row: 1 }], now);
+
+            for poke in pokes {
+                match poke {
+                    Poke::Trigger { col, write } => {
+                        let (cmd, kind) = match write {
+                            None => (Command::Rd { bank: b, col }, TriggerKind::Read),
+                            Some(fill) => (
+                                Command::Wr { bank: b, col, data: [fill; 32] },
+                                TriggerKind::Write(LaneVec::from_block(&[fill; 32])),
+                            ),
+                        };
+                        now = run(&mut ch, &[cmd], now);
+                        for unit in &mut model {
+                            if let Some(instr) = unit.sequence() {
+                                let fx = Effects::of(&instr, &kind);
+                                unit.retire(&fx.retired());
+                                reads += u64::from(fx.bank_read.is_some());
+                                writes += u64::from(fx.bank_write.is_some());
+                            }
+                        }
+                    }
+                    Poke::AbCrf { col, slots } => {
+                        let block = block_at(col, &slots);
+                        now = run(&mut ch, &[Command::Pre { bank: b }], now);
+                        now = run(&mut ch, &conf(b, col, block), now);
+                        now = run(&mut ch, &[Command::Act { bank: b, row: 1 }], now);
+                        for unit in &mut model {
+                            for (i, w) in block.into_iter().enumerate() {
+                                unit.crf_mut().write_word(crf_block_base(col) + i, w);
+                            }
+                        }
+                    }
+                    Poke::UnitCrf { unit, col, slots } => {
+                        let block = block_at(col, &slots);
+                        ch.conf_write_regs(CRF_ROW, col, &crf_block(block), Some(unit));
+                        for (i, w) in block.into_iter().enumerate() {
+                            model[unit].crf_mut().write_word(crf_block_base(col) + i, w);
+                        }
+                    }
+                    Poke::Glitch => {
+                        ch.reset_sequencers();
+                        model.iter_mut().for_each(PimUnit::reset_sequencer);
+                    }
+                    Poke::Relaunch { unit, col, slots } => {
+                        let block = block_at(col, &slots);
+                        now = run(&mut ch, &[Command::Pre { bank: b }], now);
+                        now = run(&mut ch, &set_pim_op_mode_sequence(false), now);
+                        now = run(&mut ch, &exit_ab_sequence(), now);
+                        now = run(&mut ch, &conf(BankAddr::from_flat_index(2 * unit), col, block), now);
+                        now = run(&mut ch, &enter_ab_sequence(), now);
+                        now = run(&mut ch, &set_pim_op_mode_sequence(true), now);
+                        now = run(&mut ch, &[Command::Act { bank: b, row: 1 }], now);
+                        for (i, w) in block.into_iter().enumerate() {
+                            model[unit].crf_mut().write_word(crf_block_base(col) + i, w);
+                        }
+                        model.iter_mut().for_each(PimUnit::reset_sequencer);
+                    }
+                }
+                for (u, want) in model.iter().enumerate() {
+                    let got = ch.unit(u);
+                    proptest::prop_assert_eq!(got.sequencer_state(), want.sequencer_state(), "unit {}", u);
+                    proptest::prop_assert_eq!(got.stats(), want.stats(), "unit {}", u);
+                    proptest::prop_assert_eq!(got.undecodable_halt(), want.undecodable_halt(), "unit {}", u);
+                }
+                let stats = ch.stats();
+                proptest::prop_assert_eq!((stats.bank_operand_reads, stats.bank_result_writes), (reads, writes));
             }
         }
     }

@@ -78,6 +78,16 @@ impl Default for Crf {
     }
 }
 
+/// Two CRFs are equal when they hold the same image: the decoded entries
+/// are a function of the words.
+impl PartialEq for Crf {
+    fn eq(&self, other: &Crf) -> bool {
+        self.words == other.words
+    }
+}
+
+impl Eq for Crf {}
+
 impl Crf {
     /// A CRF initialized with EXIT in every slot, so an unprogrammed unit
     /// halts on its first trigger instead of executing garbage.

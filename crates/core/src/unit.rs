@@ -138,6 +138,17 @@ impl Effects {
             },
         }
     }
+
+    /// One trigger with these effects, as [`UnitStats`] counts it.
+    pub(crate) fn retired(&self) -> UnitStats {
+        UnitStats {
+            instructions: 1,
+            flops: self.flops,
+            bank_reads: u64::from(self.bank_read.is_some()),
+            bank_writes: u64::from(self.bank_write.is_some()),
+            wdata_on_read: self.wdata_on_read,
+        }
+    }
 }
 
 /// Per-unit execution statistics.
@@ -329,8 +340,9 @@ impl PimUnit {
     /// Resolves zero-cycle control flow: follows JUMPs (without consuming
     /// a trigger) and returns the next executable instruction, leaving the
     /// PPC on it; `None` once the unit has halted. EXIT halts, and so does
-    /// an entry that did not decode when it was written.
-    fn resolve_control(&mut self) -> Option<Instruction> {
+    /// an entry that did not decode when it was written. Every JUMP entry
+    /// whose counter moves sets its bit in `jumped`.
+    fn resolve_control(&mut self, jumped: &mut u32) -> Option<Instruction> {
         while !self.halted {
             match self.crf.decoded(self.ppc) {
                 Some(Instruction::Jump { target, count }) => {
@@ -348,12 +360,15 @@ impl PimUnit {
                     // backward jump `count - 1` times, then fall through.
                     if (target as usize) >= CRF_ENTRIES {
                         self.halted = true;
-                    } else if self.jump_taken[self.ppc] + 1 < count {
-                        self.jump_taken[self.ppc] += 1;
-                        self.ppc = target as usize;
                     } else {
-                        self.jump_taken[self.ppc] = 0;
-                        self.ppc += 1;
+                        *jumped |= 1 << self.ppc;
+                        if self.jump_taken[self.ppc] + 1 < count {
+                            self.jump_taken[self.ppc] += 1;
+                            self.ppc = target as usize;
+                        } else {
+                            self.jump_taken[self.ppc] = 0;
+                            self.ppc += 1;
+                        }
                     }
                 }
                 // A raw CRF image can hold a word no instruction encodes
@@ -436,13 +451,22 @@ impl PimUnit {
     /// of the CRF image alone.
     #[inline]
     pub(crate) fn sequence(&mut self) -> Option<Instruction> {
+        self.lead(&mut 0)
+    }
+
+    /// [`PimUnit::sequence`], also setting in `jumped` the bit of every
+    /// JUMP entry whose loop counter it moved — with the PPC, the NOP
+    /// count and the halt flag, everything a sequencer step can change, so
+    /// a unit in lock-step can [`PimUnit::follow`] it.
+    #[inline]
+    pub(crate) fn lead(&mut self, jumped: &mut u32) -> Option<Instruction> {
         let instr = if self.nop_remaining > 0 {
             // A multi-cycle NOP absorbs this trigger without a fetch; the
             // PPC moves on when the last repeat is consumed.
             self.nop_remaining -= 1;
             Instruction::Nop { cycles: 1 }
         } else {
-            let instr = self.resolve_control()?;
+            let instr = self.resolve_control(jumped)?;
             if let Instruction::Nop { cycles } = instr {
                 self.nop_remaining = cycles.saturating_sub(1);
             }
@@ -455,6 +479,26 @@ impl PimUnit {
             }
         }
         Some(instr)
+    }
+
+    /// The sequencer half of a trigger for a unit in lock-step with
+    /// `leader`: one that held the same CRF image and the same sequencer
+    /// state when `leader` took this trigger through [`PimUnit::lead`],
+    /// which moved the loop counters in `jumped`. The step is a function
+    /// of exactly that, so this unit's own [`PimUnit::sequence`] would
+    /// resolve the same instruction and end in the same state; it adopts
+    /// the state instead of recomputing it.
+    #[inline]
+    pub(crate) fn follow(&mut self, leader: &PimUnit, mut jumped: u32) {
+        debug_assert!(self.crf == leader.crf, "following a unit with another CRF image");
+        self.ppc = leader.ppc;
+        self.nop_remaining = leader.nop_remaining;
+        self.halted = leader.halted;
+        while jumped != 0 {
+            let entry = jumped.trailing_zeros() as usize;
+            self.jump_taken[entry] = leader.jump_taken[entry];
+            jumped &= jumped - 1;
+        }
     }
 
     /// The dataflow half of a trigger: the register effects of one
@@ -519,13 +563,10 @@ impl PimUnit {
         }
     }
 
-    /// Counts one executed trigger into the unit's statistics.
-    pub(crate) fn retire(&mut self, fx: &Effects) {
-        self.stats.instructions += 1;
-        self.stats.flops += fx.flops;
-        self.stats.bank_reads += u64::from(fx.bank_read.is_some());
-        self.stats.bank_writes += u64::from(fx.bank_write.is_some());
-        self.stats.wdata_on_read += fx.wdata_on_read;
+    /// Counts one executed trigger ([`Effects::retired`]) into the unit's
+    /// statistics.
+    pub(crate) fn retire(&mut self, retired: &UnitStats) {
+        self.stats.merge(retired);
     }
 
     /// Executes one trigger: sequencer step, dataflow of the resolved
@@ -542,7 +583,7 @@ impl PimUnit {
             BankPort::Even => trig.even_data,
             BankPort::Odd => trig.odd_data,
         });
-        self.retire(&fx);
+        self.retire(&fx.retired());
         ExecOutcome {
             executed: Some(instr),
             bank_write,

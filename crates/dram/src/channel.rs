@@ -229,20 +229,20 @@ impl PseudoChannel {
     /// Panics if any bank already has an open row — lock-step state must be
     /// uniform.
     pub fn all_bank_activate(&mut self, row: u32, cycle: Cycle) {
-        let t = self.timing.clone();
+        let t = &self.timing;
         for b in &mut self.banks {
             assert!(b.open_row().is_none(), "all-bank ACT with an open row");
-            b.do_activate(row, cycle, &t);
+            b.do_activate(row, cycle, t);
         }
         self.stats.acts += crate::BANKS_PER_PCH as u64;
     }
 
     /// All-bank precharge: functionally closes every bank.
     pub fn all_bank_precharge(&mut self, cycle: Cycle) {
-        let t = self.timing.clone();
+        let t = &self.timing;
         for b in &mut self.banks {
             if b.open_row().is_some() {
-                b.do_precharge(cycle, &t);
+                b.do_precharge(cycle, t);
             }
         }
         self.stats.pres += 1;
@@ -420,14 +420,14 @@ impl CommandSink for PseudoChannel {
         if cycle < earliest {
             return Err(IssueError::TooEarly { earliest });
         }
-        let t = self.timing.clone();
+        let t = &self.timing;
         match cmd {
             Command::Act { bank, row } => {
                 let b = &mut self.banks[bank.flat_index()];
                 if b.open_row().is_some() {
                     return Err(IssueError::BankAlreadyOpen);
                 }
-                b.do_activate(*row, cycle, &t);
+                b.do_activate(*row, cycle, t);
                 self.bg_next_act[bank.bg as usize] =
                     self.bg_next_act[bank.bg as usize].max(cycle + t.t_rrd_l);
                 self.ch_next_act = self.ch_next_act.max(cycle + t.t_rrd_s);
@@ -441,7 +441,7 @@ impl CommandSink for PseudoChannel {
                     return Err(IssueError::BankNotOpen);
                 }
                 let data = b.read_block(*col);
-                self.banks[bank.flat_index()].note_read(cycle, &t);
+                self.banks[bank.flat_index()].note_read(cycle, t);
                 self.bg_next_col[bank.bg as usize] =
                     self.bg_next_col[bank.bg as usize].max(cycle + t.t_ccd_l);
                 self.ch_next_col = self.ch_next_col.max(cycle + t.t_ccd_s);
@@ -457,7 +457,7 @@ impl CommandSink for PseudoChannel {
                     return Err(IssueError::BankNotOpen);
                 }
                 b.write_block(*col, data);
-                b.note_write(cycle, &t);
+                b.note_write(cycle, t);
                 self.bg_next_col[bank.bg as usize] =
                     self.bg_next_col[bank.bg as usize].max(cycle + t.t_ccd_l);
                 self.ch_next_col = self.ch_next_col.max(cycle + t.t_ccd_s);
@@ -472,14 +472,14 @@ impl CommandSink for PseudoChannel {
                 if b.open_row().is_none() {
                     return Err(IssueError::BankNotOpen);
                 }
-                b.do_precharge(cycle, &t);
+                b.do_precharge(cycle, t);
                 self.stats.pres += 1;
                 Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
             }
             Command::PreAll => {
                 for b in &mut self.banks {
                     if b.open_row().is_some() {
-                        b.do_precharge(cycle, &t);
+                        b.do_precharge(cycle, t);
                     }
                 }
                 self.stats.pres += 1;

@@ -118,7 +118,7 @@ impl Batch {
 }
 
 /// The ordering regime under which a kernel executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
     /// Standard FR-FCFS controller + per-batch fences. If
     /// `reorder_seed` is `Some`, commutative batches are deterministically

@@ -5,13 +5,22 @@
 //! `pim-runtime`'s builders and issues it against a real simulated
 //! [`pim_core::PimChannel`]. Lock-step execution means one channel's cycle
 //! count *is* the system wall time, so a single-channel run per shape is
-//! exact and cheap; results are memoized per shape.
+//! exact and cheap; results are memoized per shape and ordering regime.
+//!
+//! What is measured is *timing*: a cost is cycles, commands and fences, and
+//! none of them depends on a register or a bank ("timing/energy are
+//! data-independent"). So the channel runs with no unit live
+//! ([`pim_core::PimChannel::set_live_units`] with `UnitMask::NONE`): the
+//! controller and the device still take every command, every unit still
+//! sequences and retires every trigger, and no unit fetches an operand or
+//! runs FP16 over it — the data is not produced, and nobody reads it.
+//! `tests/timing_only.rs` holds every cost equal to a full simulation.
 //!
 //! **Host (HBM-baseline) costs** use the documented streaming-efficiency /
 //! LLC / compute models of [`pim_host`] — the substitution for the paper's
 //! real GPU libraries (see DESIGN.md).
 
-use pim_core::{PimChannel, PimConfig};
+use pim_core::{PimChannel, PimConfig, UnitMask};
 use pim_dram::{
     AddressMapping, Command, ControllerConfig, Cycle, MemoryController, SchedulingPolicy,
     TimingParams,
@@ -48,15 +57,15 @@ enum ShapeKey {
 /// Memoizing cost model bound to one system configuration.
 #[derive(Debug)]
 pub struct CostModel {
-    /// Host configuration (baseline efficiencies, launch overhead).
-    pub host: HostConfig,
-    /// PIM device configuration (variant, fence window).
-    pub pim: PimConfig,
-    /// DRAM timing.
-    pub timing: TimingParams,
-    /// Ordering regime for PIM kernels.
+    // The configuration is fixed at construction: a memoized cost is a
+    // function of it, so nothing may change it afterwards.
+    host: HostConfig,
+    pim: PimConfig,
+    timing: TimingParams,
+    /// Ordering regime for PIM kernels. May be changed at any time: costs
+    /// are memoized per mode.
     pub mode: ExecutionMode,
-    cache: HashMap<ShapeKey, KernelCost>,
+    cache: HashMap<(ExecutionMode, ShapeKey), KernelCost>,
 }
 
 impl CostModel {
@@ -76,6 +85,21 @@ impl CostModel {
         }
     }
 
+    /// Host configuration (baseline efficiencies, launch overhead).
+    pub fn host(&self) -> &HostConfig {
+        &self.host
+    }
+
+    /// PIM device configuration (variant, fence window).
+    pub fn pim(&self) -> &PimConfig {
+        &self.pim
+    }
+
+    /// DRAM timing.
+    pub fn timing(&self) -> &TimingParams {
+        &self.timing
+    }
+
     /// Total pseudo channels in the system.
     pub fn channels(&self) -> usize {
         self.host.stacks * 16
@@ -90,13 +114,17 @@ impl CostModel {
             page_policy: pim_dram::PagePolicy::Open,
             refresh_enabled: false,
         };
-        MemoryController::with_sink(cfg, PimChannel::new(self.timing.clone(), self.pim.clone()))
+        let mut channel = PimChannel::new(self.timing.clone(), self.pim.clone());
+        // A cost is cycles, commands and fences: nobody reads a register or
+        // a bank of this channel, and it is dropped with the shape.
+        channel.set_live_units(UnitMask::NONE);
+        MemoryController::with_sink(cfg, channel)
     }
 
     /// Measures the PIM GEMV time for an `n × k` matrix (batch 1) by
     /// issuing the real command choreography on one channel.
     pub fn pim_gemv(&mut self, n: usize, k: usize) -> KernelCost {
-        let key = ShapeKey::Gemv { n, k };
+        let key = (self.mode, ShapeKey::Gemv { n, k });
         if let Some(c) = self.cache.get(&key) {
             return *c;
         }
@@ -145,7 +173,7 @@ impl CostModel {
             StreamOp::Bn => 3,
             StreamOp::Axpy => 4,
         };
-        let key = ShapeKey::Stream { op: opk, elements };
+        let key = (self.mode, ShapeKey::Stream { op: opk, elements });
         if let Some(c) = self.cache.get(&key) {
             return *c;
         }
@@ -285,6 +313,20 @@ mod tests {
         let a = m.pim_gemv(2048, 2048);
         let b = m.pim_gemv(2048, 2048);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn changing_the_mode_reprices_a_memoized_shape() {
+        let mut m = CostModel::paper();
+        let fenced = (m.pim_gemv(1024, 1024), m.pim_stream(StreamOp::Add, 1 << 20));
+        m.mode = ExecutionMode::Ordered;
+        let ordered = (m.pim_gemv(1024, 1024), m.pim_stream(StreamOp::Add, 1 << 20));
+        assert!(fenced.0.fences > 0 && fenced.1.fences > 0);
+        assert_eq!((ordered.0.fences, ordered.1.fences), (0, 0), "priced under the old mode");
+        assert!(ordered.0.cycles < fenced.0.cycles && ordered.1.cycles < fenced.1.cycles);
+        // ... and going back finds the first answer again.
+        m.mode = ExecutionMode::Fenced { reorder_seed: None };
+        assert_eq!((m.pim_gemv(1024, 1024), m.pim_stream(StreamOp::Add, 1 << 20)), fenced);
     }
 
     #[test]

@@ -121,7 +121,7 @@ impl ModelRunner {
         let pim_available = system == SystemKind::PimHbm;
         let mut layers = Vec::new();
         let mut trace = PowerTrace::new();
-        let host_cfg = cost.host.clone();
+        let host_cfg = cost.host().clone();
 
         let record = |layers: &mut Vec<LayerTime>,
                       trace: &mut PowerTrace,
