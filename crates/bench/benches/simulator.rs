@@ -12,6 +12,7 @@ use pim_dram::{
 };
 use pim_fp16::F16;
 use pim_host::{ExecutionMode, HostConfig, KernelEngine};
+use pim_models::CostModel;
 use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext};
 
 fn bench_fp16(c: &mut Criterion) {
@@ -223,34 +224,43 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// The cost model's unit of work — one `run_on_channel` of the command list
-/// that prices Table VI GEMV1, on a fresh channel — with every unit
-/// computing (`live`) and with none (`dead`, what `pim_models::CostModel`
-/// arms since it reads no data), and what is left of the dead side per
-/// unit: the same list (it depends on `k` alone) on a 1-unit and an 8-unit
+/// What a design sweep pays per point: one Table VI GEMV1 priced by a fresh
+/// `pim_models::CostModel` — building the command lists with the runtime's
+/// builders (most of it) and folding them over the closed-form
+/// `pim_host::ChannelPredictor`. No device is constructed; ROADMAP item 8
+/// has the figures.
+fn bench_cost_shape(c: &mut Criterion) {
+    let wl = pim_bench::workloads::gemv_workloads()[0];
+    let mut g = c.benchmark_group("models");
+    g.throughput(Throughput::Elements(1));
+    g.bench_function("cost_shape_gemv1", |bench| {
+        bench.iter(|| CostModel::paper().pim_gemv(wl.n, wl.k))
+    });
+    g.finish();
+}
+
+/// A trigger on a channel with no unit live — the all-dead class
+/// representative of a `GemvPlan` or `StreamJob` launch, most of a
+/// `cluster_chaos` request (128 elements leave 7 of 8 units dead): GEMV1's
+/// command list (it depends on `k` alone) on a 1-unit and an 8-unit
 /// channel. The difference over seven units and the list's triggers is a
 /// dead unit's cost per trigger (ROADMAP item 1(a3) has the figures).
-fn bench_cost_shape(c: &mut Criterion) {
+fn bench_dead_units(c: &mut Criterion) {
     let host = HostConfig::paper();
     let wl = pim_bench::workloads::gemv_workloads()[0];
-    for (group, id, units, live) in [
-        ("engine", "cost_shape_gemv1/live", 8, UnitMask::ALL),
-        ("engine", "cost_shape_gemv1/dead", 8, UnitMask::NONE),
-        ("device", "dead_units/1", 1, UnitMask::NONE),
-        ("device", "dead_units/8", 8, UnitMask::NONE),
-    ] {
+    let mut g = c.benchmark_group("device");
+    for units in [1, 8] {
         let pim = PimConfig { units_per_pch: units, ..PimConfig::paper() };
         let geometry = GemvGeometry::new(wl.n, wl.k, 64, units);
         let data = pim_runtime::kernels::gemv_batches(geometry.kpad, 0, &[], &pim);
         let program = gemv_microkernel(geometry.groups(), &pim);
         let list = Executor::full_kernel(&program, None, true, &data);
-        let mut g = c.benchmark_group(group);
         g.throughput(Throughput::Elements(list.iter().map(|b| b.commands.len() as u64).sum()));
-        g.bench_function(id, |bench| {
+        g.bench_function(&format!("dead_units/{units}"), |bench| {
             bench.iter_batched(
                 || {
                     let mut ch = PimChannel::new(TimingParams::hbm2(), pim.clone());
-                    ch.set_live_units(live);
+                    ch.set_live_units(UnitMask::NONE);
                     let cfg = ControllerConfig { refresh_enabled: false, ..Default::default() };
                     MemoryController::with_sink(cfg, ch)
                 },
@@ -261,9 +271,17 @@ fn bench_cost_shape(c: &mut Criterion) {
                 BatchSize::LargeInput,
             )
         });
-        g.finish();
     }
+    g.finish();
 }
 
-criterion_group!(benches, bench_fp16, bench_dram, bench_pim, bench_engine, bench_cost_shape);
+criterion_group!(
+    benches,
+    bench_fp16,
+    bench_dram,
+    bench_pim,
+    bench_engine,
+    bench_cost_shape,
+    bench_dead_units
+);
 criterion_main!(benches);

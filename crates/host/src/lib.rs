@@ -42,7 +42,7 @@ pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult
 pub use fastpath::{FastpathChannels, FastpathStats};
 pub use llc::Llc;
 pub use parallel::ExecutionBackend;
-pub use predictor::{predict_launch, LaunchPrediction};
+pub use predictor::{predict_launch, ChannelPredictor, LaunchPrediction};
 pub use system::PimSystem;
 pub use threads::{
     coalesced_requests, ThreadGroup, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES,

@@ -1,42 +1,43 @@
 //! Kernel cost models for the application runner.
 //!
-//! **PIM costs are measured, not modelled**: for each distinct kernel shape
-//! the cost model generates the actual command choreography with
-//! `pim-runtime`'s builders and issues it against a real simulated
-//! [`pim_core::PimChannel`]. Lock-step execution means one channel's cycle
-//! count *is* the system wall time, so a single-channel run per shape is
-//! exact and cheap; results are memoized per shape and ordering regime.
+//! **PIM costs are the real choreography, timed in closed form.** For each
+//! distinct kernel shape the cost model generates the actual command lists
+//! with `pim-runtime`'s builders — the ones `GemvPlan` and the stream job
+//! launch — and folds them over a [`pim_host::ChannelPredictor`]: the
+//! engine's issue loop over the DRAM and PIM-mode timing constraints, with
+//! no banks, no registers and no FP16 behind it. A cost is cycles, commands
+//! and fences, and none of them depends on a register or a bank
+//! ("timing/energy are data-independent"), so no device is constructed
+//! here at all. Lock-step execution means one channel's cycle count *is*
+//! the system wall time, so one channel per shape is exact and cheap;
+//! results are memoized per shape and ordering regime.
 //!
-//! What is measured is *timing*: a cost is cycles, commands and fences, and
-//! none of them depends on a register or a bank ("timing/energy are
-//! data-independent"). So the channel runs with no unit live
-//! ([`pim_core::PimChannel::set_live_units`] with `UnitMask::NONE`): the
-//! controller and the device still take every command, every unit still
-//! sequences and retires every trigger, and no unit fetches an operand or
-//! runs FP16 over it — the data is not produced, and nobody reads it.
-//! `tests/timing_only.rs` holds every cost equal to a full simulation.
+//! The closed form is not trusted, it is held: `tests/timing_only.rs`
+//! assembles a full, unmasked simulation of the same lists on a real
+//! controller and [`pim_core::PimChannel`] and asserts every cost equal to
+//! it — every Fig. 10 shape, and a grid over DRAM generations, unit
+//! counts, fence costs, ordering regimes and device variants — and pins
+//! the Fig. 10 numbers themselves.
 //!
 //! **Host (HBM-baseline) costs** use the documented streaming-efficiency /
 //! LLC / compute models of [`pim_host`] — the substitution for the paper's
 //! real GPU libraries (see DESIGN.md).
 
-use pim_core::{PimChannel, PimConfig, UnitMask};
-use pim_dram::{
-    AddressMapping, Command, ControllerConfig, Cycle, MemoryController, SchedulingPolicy,
-    TimingParams,
-};
-use pim_host::{llc, ExecutionMode, HostConfig, KernelEngine};
+use pim_core::PimConfig;
+use pim_dram::{Cycle, TimingParams, PCH_PER_STACK};
+use pim_host::{llc, Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelResult};
 use pim_runtime::{gemv_microkernel, stream_microkernel, Executor, GemvGeometry, StreamOp};
 use std::collections::HashMap;
 
-/// The measured / modelled cost of one kernel invocation.
+/// The timed / modelled cost of one kernel invocation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelCost {
     /// Wall-clock seconds.
     pub seconds: f64,
     /// Bus cycles (PIM kernels only; 0 for analytic host costs).
     pub cycles: Cycle,
-    /// DRAM commands issued per channel (PIM kernels only).
+    /// DRAM commands of the kernel per channel (PIM kernels only). A GEMV's
+    /// partial-sum read-back is in `cycles` but not in here.
     pub commands: u64,
     /// Fences per channel (PIM kernels only).
     pub fences: u64,
@@ -102,27 +103,30 @@ impl CostModel {
 
     /// Total pseudo channels in the system.
     pub fn channels(&self) -> usize {
-        self.host.stacks * 16
+        self.host.stacks * PCH_PER_STACK
     }
 
-    fn fresh_channel(&self) -> MemoryController<PimChannel> {
-        let cfg = ControllerConfig {
-            timing: self.timing.clone(),
-            mapping: AddressMapping::new(16),
-            pch_id: 0,
-            policy: SchedulingPolicy::FrFcfs,
-            page_policy: pim_dram::PagePolicy::Open,
-            refresh_enabled: false,
-        };
-        let mut channel = PimChannel::new(self.timing.clone(), self.pim.clone());
-        // A cost is cycles, commands and fences: nobody reads a register or
-        // a bank of this channel, and it is dropped with the shape.
-        channel.set_live_units(UnitMask::NONE);
-        MemoryController::with_sink(cfg, channel)
+    /// Folds `batches` over `clock` under the model's ordering regime.
+    fn time(&self, clock: &mut ChannelPredictor, batches: &[Batch]) -> KernelResult {
+        match clock.run(&self.host, batches, self.mode, None) {
+            Some(ran) => ran.result,
+            None => panic!("{:?} has no price: it is the miscompiled-kernel demo", self.mode),
+        }
     }
 
-    /// Measures the PIM GEMV time for an `n × k` matrix (batch 1) by
-    /// issuing the real command choreography on one channel.
+    fn cost(&self, cycles: Cycle, commands: u64, fences: u64) -> KernelCost {
+        KernelCost { seconds: self.timing.cycles_to_seconds(cycles), cycles, commands, fences }
+    }
+
+    /// The PIM GEMV time for an `n × k` matrix (batch 1): the real command
+    /// choreography of one channel, pass by pass, each pass followed by the
+    /// read-back of every unit's partial sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`CostModel::mode`] is [`ExecutionMode::UnfencedReordered`]:
+    /// the Fig. 5 demonstration of a miscompiled kernel is not a regime
+    /// anything is priced under.
     pub fn pim_gemv(&mut self, n: usize, k: usize) -> KernelCost {
         let key = (self.mode, ShapeKey::Gemv { n, k });
         if let Some(c) = self.cache.get(&key) {
@@ -130,41 +134,36 @@ impl CostModel {
         }
         let g = GemvGeometry::new(n, k, self.channels(), self.pim.units_per_pch);
         let program = gemv_microkernel(g.groups(), &self.pim);
-        let x = vec![0.0f32; 0]; // operand values are irrelevant to timing
-        let data = pim_runtime::kernels::gemv_batches(g.kpad, 0, &x, &self.pim);
+        // Operand values are irrelevant to timing.
+        let data = pim_runtime::kernels::gemv_batches(g.kpad, 0, &[], &self.pim);
         let batches = Executor::full_kernel(&program, None, true, &data);
+        // Partial-sum readback: per channel, 8 units × (ACT + 8 RD + PRE)
+        // on the memory-mapped GRF row, in single-bank mode, unfenced.
+        let readback = [Batch::setup(
+            (0..self.pim.units_per_pch)
+                .flat_map(|u| Executor::grf_readback_commands(u, 8))
+                .collect(),
+        )];
 
-        let mut ctrl = self.fresh_channel();
-        let mut end = 0;
+        let mut clock = ChannelPredictor::power_on(&self.timing);
         let mut commands = 0;
         let mut fences = 0;
         for _ in 0..g.passes {
-            let r = KernelEngine::run_on_channel(&self.host, &mut ctrl, &batches, self.mode);
+            let r = self.time(&mut clock, &batches);
             commands += r.commands;
             fences += r.fences;
-            // Partial-sum readback: per channel, 8 units × (ACT + 8 RD +
-            // PRE) on the memory-mapped GRF row, in single-bank mode.
-            end = self.issue_readback(&mut ctrl);
-            debug_assert!(end >= r.end_cycle);
+            self.time(&mut clock, &readback);
         }
-        let cost = KernelCost {
-            seconds: self.timing.cycles_to_seconds(end),
-            cycles: end,
-            commands,
-            fences,
-        };
+        let cost = self.cost(clock.now(), commands, fences);
         self.cache.insert(key, cost);
         cost
     }
 
-    fn issue_readback(&self, ctrl: &mut MemoryController<PimChannel>) -> Cycle {
-        let cmds: Vec<Command> = (0..self.pim.units_per_pch)
-            .flat_map(|u| Executor::grf_readback_commands(u, 8))
-            .collect();
-        ctrl.issue_raw(&cmds)
-    }
-
-    /// Measures the PIM time of a streaming op over `elements`.
+    /// The PIM time of a streaming op over `elements`.
+    ///
+    /// # Panics
+    ///
+    /// As for [`CostModel::pim_gemv`].
     pub fn pim_stream(&mut self, op: StreamOp, elements: usize) -> KernelCost {
         let opk = match op {
             StreamOp::Add => 0u8,
@@ -183,14 +182,8 @@ impl CostModel {
         let program = stream_microkernel(op, rows, &self.pim);
         let data = pim_runtime::kernels::stream_batches(op, rows, 0, &self.pim);
         let batches = Executor::full_kernel(&program, None, false, &data);
-        let mut ctrl = self.fresh_channel();
-        let r = KernelEngine::run_on_channel(&self.host, &mut ctrl, &batches, self.mode);
-        let cost = KernelCost {
-            seconds: self.timing.cycles_to_seconds(r.end_cycle),
-            cycles: r.end_cycle,
-            commands: r.commands,
-            fences: r.fences,
-        };
+        let r = self.time(&mut ChannelPredictor::power_on(&self.timing), &batches);
+        let cost = self.cost(r.end_cycle, r.commands, r.fences);
         self.cache.insert(key, cost);
         cost
     }
@@ -327,6 +320,14 @@ mod tests {
         // ... and going back finds the first answer again.
         m.mode = ExecutionMode::Fenced { reorder_seed: None };
         assert_eq!((m.pim_gemv(1024, 1024), m.pim_stream(StreamOp::Add, 1 << 20)), fenced);
+    }
+
+    #[test]
+    #[should_panic(expected = "UnfencedReordered")]
+    fn unfenced_reordered_has_no_price() {
+        let mut m = CostModel::paper();
+        m.mode = ExecutionMode::UnfencedReordered { seed: 1 };
+        m.pim_stream(StreamOp::Add, 1 << 20);
     }
 
     #[test]
