@@ -11,7 +11,7 @@
 //! the sick member.
 //!
 //! Each point also runs the row-parallel GEMV bit-identity gate: the
-//! sharded result must match the single-stack [`PimBlas::gemv`] bits
+//! sharded result must match the single-stack [`pim_runtime::PimBlas::gemv`] bits
 //! exactly, both on a clean cluster and with stack 0 hard-failed (the
 //! failover path shards over the surviving stacks). See `docs/CLUSTER.md`
 //! for why row-parallel sharding makes that exactness possible.

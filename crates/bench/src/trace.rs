@@ -19,7 +19,7 @@
 //! Every artifact is deterministic in the config and byte-identical across
 //! execution backends ([`assert_backend_identity`] proves it at runtime);
 //! the recorder has zero observer effect on simulated cycle counts, so the
-//! traced run reports the same [`ServePoint`]-level counters as the
+//! traced run reports the same [`crate::serve::ServePoint`]-level counters as the
 //! untraced campaign.
 
 use crate::report::format_table;

@@ -11,7 +11,7 @@
 //! products so large that unrolling them is intractable).
 //!
 //! [`StaticSchedule::derive`] walks the image with the *exact* sequencer
-//! semantics of [`super::unit`]'s `resolve_control`/`execute` pair and
+//! semantics of [`crate::PimUnit`]'s `resolve_control`/`execute` pair and
 //! either produces the complete resolved trigger schedule — the proof
 //! object — or a typed [`ScheduleError`] saying why the program is not
 //! statically provable. Consumers:
@@ -112,7 +112,7 @@ pub struct StaticSchedule {
 }
 
 impl StaticSchedule {
-    /// Statically resolves `words` (a CRF image, at most [`CRF_ENTRIES`]
+    /// Statically resolves `words` (a CRF image, at most `CRF_ENTRIES`
     /// words; missing trailing words read as EXIT, matching
     /// `Crf::load_program` padding) into the complete trigger schedule.
     ///
@@ -230,8 +230,8 @@ impl StaticSchedule {
     }
 
     /// The resolved instruction of every trigger, in order (multi-cycle
-    /// NOPs repeat once per consumed trigger). Prefer [`steps`]
-    /// (Self::steps) when loop bodies repeat many times.
+    /// NOPs repeat once per consumed trigger). Prefer [`steps`](Self::steps)
+    /// when loop bodies repeat many times.
     pub fn triggers(&self) -> impl Iterator<Item = Instruction> + '_ {
         self.steps.iter().flat_map(|s| std::iter::repeat_n(s.instr, s.triggers as usize))
     }

@@ -11,7 +11,9 @@
 //!
 //! # Organization (paper Fig. 2)
 //!
-//! * A [`HbmStack`] ("device" / "cube") exposes 16 pseudo channels.
+//! * A stack ("device" / "cube") exposes [`PCH_PER_STACK`] = 16 pseudo
+//!   channels; `pim_host::PimSystem` owns one [`MemoryController`] per
+//!   pseudo channel, so this crate has no stack type of its own.
 //! * A [`PseudoChannel`] contains 4 bank groups of 4 [`Bank`]s each
 //!   (16 banks), a 64-bit data bus running at 2.4 Gbps/pin, and delivers one
 //!   32-byte data block per column command (4 bursts of 64 bits).
@@ -54,12 +56,10 @@
 mod bank;
 mod channel;
 mod command;
-pub mod config_file;
 mod controller;
 pub mod ecc;
 mod mapping;
 mod request;
-mod stack;
 mod stats;
 mod timing;
 mod trace;
@@ -70,7 +70,6 @@ pub use command::{BankAddr, Command, DataBlock, DATA_BLOCK_BYTES};
 pub use controller::{ControllerConfig, MemoryController, PagePolicy, SchedulingPolicy};
 pub use mapping::{AddressMapping, DecodedAddr};
 pub use request::{CompletedRequest, Request, RequestKind};
-pub use stack::{merge_runs, HbmStack};
 pub use stats::{ChannelStats, ControllerStats};
 pub use timing::{Cycle, TimingParams};
 pub use trace::{TraceEntry, TracingSink};

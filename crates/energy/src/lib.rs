@@ -24,13 +24,11 @@
 #![warn(missing_docs)]
 
 pub mod components;
-pub mod kernel_energy;
 pub mod mac;
 pub mod system;
 pub mod trace;
 
 pub use components::{EnergyParams, MemoryEnergyBreakdown, PowerComponent};
-pub use kernel_energy::{KernelActivity, KernelEnergy};
 pub use mac::{table1, MacUnitModel};
 pub use system::{HostPowerState, SystemPowerModel};
 pub use trace::{PowerPhase, PowerTrace};

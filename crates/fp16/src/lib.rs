@@ -1,5 +1,5 @@
-//! From-scratch IEEE-754 binary16 (`F16`) and bfloat16 (`Bf16`) softfloat
-//! arithmetic for the PIM-HBM datapath.
+//! From-scratch IEEE-754 binary16 ([`F16`]) softfloat arithmetic for the
+//! PIM-HBM datapath.
 //!
 //! The PIM execution unit of the paper ("Hardware Architecture and Software
 //! Stack for PIM Based on Commercial DRAM Technology", ISCA 2021) computes on
@@ -11,20 +11,19 @@
 //!
 //! # Correct rounding strategy
 //!
-//! Bit-level conversions between `f32` and the 16-bit formats are implemented
-//! from scratch (see [`F16::from_f32`] and [`Bf16::from_f32`]); they perform
-//! round-to-nearest-even including subnormal handling. Individual arithmetic
-//! operations (`+`, `-`, `*`, `/`) are computed by converting the exactly
-//! representable operands to `f32`, performing one correctly rounded `f32`
-//! operation, and rounding the result back to 16 bits.
+//! Bit-level conversions between `f32` and binary16 are implemented from
+//! scratch (see [`F16::from_f32`]); they perform round-to-nearest-even
+//! including subnormal handling. Individual arithmetic operations (`+`, `-`,
+//! `*`, `/`) are computed by converting the exactly representable operands
+//! to `f32`, performing one correctly rounded `f32` operation, and rounding
+//! the result back to 16 bits.
 //!
 //! This two-step scheme is *exactly* correctly rounded, not an approximation:
 //! by the classical double-rounding theorem (Figueroa, 1995), rounding a
 //! correctly rounded result from precision `q` to precision `p` equals direct
 //! rounding whenever `q >= 2p + 2`. For binary16, `p = 11` and `f32` has
-//! `q = 24 >= 2*11 + 2 = 24`; for bfloat16, `p = 8` and `24 >= 18`. Both
-//! formats therefore get bit-exact IEEE-754 results for every single
-//! operation.
+//! `q = 24 >= 2*11 + 2 = 24`, so every single operation gets the bit-exact
+//! IEEE-754 result.
 //!
 //! # MAC semantics of the PIM FPU
 //!
@@ -50,13 +49,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod bf16;
 mod f16;
 pub mod intmac;
 mod slice;
 pub mod softfloat;
 
-pub use bf16::Bf16;
 pub use f16::F16;
 pub use slice::{f16_slice_to_f32, f32_slice_to_f16, max_abs_error, max_ulp_error};
 

@@ -6,12 +6,9 @@
 //! regions uncacheable in fact reduces interference and contention at
 //! caches and thus improves the performance."
 //!
-//! [`BypassPolicy`] classifies accesses; [`pollution_experiment`] measures
-//! the paper's claim with the functional LLC model: streaming a large PIM
-//! operand region through the cache evicts the host's hot working set,
-//! while bypassing it preserves the hot set's hit rate.
-
-use crate::llc::Llc;
+//! [`BypassPolicy`] classifies accesses by address range; the resilient
+//! host-fallback path (`pim_runtime::resilience`) uses it to issue a
+//! quarantined channel's operands around the cache.
 
 /// Why a requested PIM region cannot back a [`BypassPolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,76 +73,6 @@ impl BypassPolicy {
     }
 }
 
-/// The outcome of the pollution experiment: the hot working set's miss
-/// rate with and without bypassing the PIM stream.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PollutionResult {
-    /// Hot-set miss rate when PIM traffic bypasses the LLC.
-    pub hot_miss_with_bypass: f64,
-    /// Hot-set miss rate when PIM traffic is cached (no bypass).
-    pub hot_miss_without_bypass: f64,
-}
-
-/// Runs the interference experiment: a hot working set (`hot_bytes`,
-/// cache-resident) interleaved with a PIM operand stream
-/// (`stream_bytes`, far larger than the cache), with and without the
-/// bypass policy. Returns the hot set's steady-state miss rates.
-///
-/// # Panics
-///
-/// Panics if `hot_bytes` does not fit in the cache (the experiment's
-/// premise).
-pub fn pollution_experiment(
-    llc_bytes: usize,
-    llc_line: usize,
-    llc_ways: usize,
-    hot_bytes: u64,
-    stream_bytes: u64,
-) -> PollutionResult {
-    assert!(hot_bytes <= llc_bytes as u64 / 2, "hot set must be cache-resident");
-    let stream_base = 1u64 << 40;
-    let policy = BypassPolicy::new(stream_base, stream_bytes)
-        .expect("experiment stream region is non-empty and fits the address space");
-    let line = llc_line as u64;
-
-    let run = |bypass: bool| -> f64 {
-        let mut cache = Llc::new(llc_bytes, llc_line, llc_ways);
-        // Warm the hot set.
-        for a in (0..hot_bytes).step_by(llc_line) {
-            cache.access(a);
-        }
-        cache.reset_counters();
-        // Interleave: per hot-set sweep, a slice of the PIM stream passes
-        // through (or around) the cache.
-        let mut stream_pos = 0u64;
-        let mut hot_hits = 0u64;
-        let mut hot_total = 0u64;
-        for _round in 0..8 {
-            for a in (0..hot_bytes).step_by(llc_line) {
-                hot_total += 1;
-                if cache.access(a) {
-                    hot_hits += 1;
-                }
-                // Eight stream lines per hot line (a memory-bound PIM
-                // operand stream moves far more data than the host's own
-                // working set sees).
-                for _ in 0..8 {
-                    let sa = stream_base + (stream_pos % stream_bytes);
-                    stream_pos += line;
-                    if !policy.bypasses(sa) || !bypass {
-                        cache.access(sa);
-                    }
-                    // With bypass, the access goes straight to DRAM and
-                    // never perturbs the cache.
-                }
-            }
-        }
-        1.0 - hot_hits as f64 / hot_total as f64
-    };
-
-    PollutionResult { hot_miss_with_bypass: run(true), hot_miss_without_bypass: run(false) }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,29 +84,6 @@ mod tests {
         assert!(p.bypasses(0x1000));
         assert!(p.bypasses(0x1FFF));
         assert!(!p.bypasses(0x2000));
-    }
-
-    #[test]
-    fn bypassing_pim_streams_protects_the_hot_set() {
-        // The paper's claim, measured: with bypass the hot set stays
-        // resident (near-zero misses); without, the stream thrashes it.
-        let r = pollution_experiment(1 << 20, 64, 16, 1 << 18, 64 << 20);
-        assert!(
-            r.hot_miss_with_bypass < 0.01,
-            "hot set should stay resident: {}",
-            r.hot_miss_with_bypass
-        );
-        assert!(
-            r.hot_miss_without_bypass > 0.5,
-            "cached streaming should thrash: {}",
-            r.hot_miss_without_bypass
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "cache-resident")]
-    fn oversized_hot_set_rejected() {
-        pollution_experiment(1 << 20, 64, 16, 1 << 20, 1 << 24);
     }
 
     #[test]

@@ -1,5 +1,15 @@
 //! Host processor configuration and time models.
 
+/// Threads per lock-step thread group (Section V-B, Fig. 8: 16). Each
+/// group owns one pseudo channel, so the paper's 64-channel system runs
+/// 64 groups × 16 = 1,024 threads.
+pub const THREADS_PER_GROUP: usize = 16;
+/// Bytes one thread accesses per step (Fig. 8: the ISA's 16-byte maximum).
+pub const THREAD_ACCESS_BYTES: usize = 16;
+/// Bytes one group accesses per step: 256 = one GRF-register-sized region,
+/// which the memory system sees as eight 32-byte column commands.
+pub const GROUP_ACCESS_BYTES: usize = THREADS_PER_GROUP * THREAD_ACCESS_BYTES;
+
 /// Configuration of the host processor and its memory system.
 ///
 /// The structural numbers come from Section VI of the paper; the

@@ -9,7 +9,11 @@
 //!    memory kernels — thread groups of 16 threads issue 16-byte accesses,
 //!    256 bytes per group per step, one thread group per pseudo channel,
 //!    with barriers enforcing order every GRF's-worth of commands
-//!    (Fig. 8 programming model; Section IV-C fencing).
+//!    (Fig. 8 programming model; Section IV-C fencing). The engine models
+//!    what a group emits — one [`Batch`] stream per channel, eight column
+//!    commands per 256-byte step, a fence per barrier — not the threads;
+//!    the group arithmetic survives as [`THREADS_PER_GROUP`] ×
+//!    [`THREAD_ACCESS_BYTES`] = [`GROUP_ACCESS_BYTES`].
 //! 2. **Cache filtering** ([`Llc`], [`llc::batched_miss_rate`]): batching
 //!    turns the memory-bound GEMV into the compute-bound GEMM by raising
 //!    LLC hit rates (Fig. 10's B1/B2/B4 sweep).
@@ -33,17 +37,13 @@ pub mod llc;
 pub mod parallel;
 pub mod predictor;
 mod system;
-mod threads;
 
 pub use bypass::{BypassPolicy, RegionError};
 pub use cluster::{ClusterTopology, LinkHealth, TopologyError};
-pub use config::HostConfig;
+pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
 pub use fastpath::{FastpathChannels, FastpathStats};
 pub use llc::Llc;
 pub use parallel::ExecutionBackend;
 pub use predictor::{predict_launch, ChannelPredictor, LaunchPrediction};
 pub use system::PimSystem;
-pub use threads::{
-    coalesced_requests, ThreadGroup, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES,
-};

@@ -43,10 +43,14 @@ pub struct PimSystem {
 impl PimSystem {
     /// Builds the system: `host.stacks × 16` PIM channels.
     ///
-    /// Refresh is disabled in the controllers by default: PIM kernels are
-    /// short relative to tREFI and the executor brackets them between
-    /// refresh windows; determinism of the reported cycle counts is part of
-    /// the architecture's contract.
+    /// Refresh is **waived**: the controllers are built with
+    /// `refresh_enabled: false`, and the raw command path every kernel runs
+    /// on never schedules a REF even when the flag is set (only the request
+    /// path does). Nothing brackets kernels between refresh windows — Table
+    /// VI GEMV1 is 44 574 cycles, 9.5 × HBM2's `t_refi` of 4 680 — so every
+    /// simulated PIM time omits at least `t_rfc / t_refi` = 312 / 4 680 =
+    /// 6.7 %, before the PRE + ACT an all-bank REF needs around it. The
+    /// waiver is a named row in EXPERIMENTS.md ("Named waivers").
     pub fn new(host: HostConfig, pim: PimConfig) -> PimSystem {
         PimSystem::with_timing(host, pim, TimingParams::hbm2())
     }

@@ -62,7 +62,8 @@ use pim_obs::{names, Recorder};
 pub struct ClusterServeConfig {
     /// Per-stack serving configuration. Each member stack gets a copy
     /// with its seed salted by the stack index, so per-stack tie-breaks
-    /// stay decorrelated but deterministic.
+    /// stay decorrelated but deterministic; the salt is the identity at
+    /// stack 0, so a one-stack cluster is a [`Server`] with this seed.
     pub serve: ServeConfig,
     /// Length of each request's replica chain (home stack plus
     /// `replication - 1` fallbacks). Clamped to the stack count.
@@ -168,8 +169,8 @@ pub struct ClusterServeStats {
 /// What one cluster serving run produced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterServeReport {
-    /// One outcome per submitted request, in submission order, with
-    /// [`RequestOutcome::id`] re-written to the submission index.
+    /// One outcome per submitted request, in submission order;
+    /// [`RequestOutcome::id`] is the submission index on every stack.
     pub outcomes: Vec<RequestOutcome>,
     /// Counter totals.
     pub stats: ClusterServeStats,
@@ -229,7 +230,7 @@ impl<'a> ClusterServer<'a> {
             .enumerate()
             .map(|(i, ctx)| {
                 let mut serve = cfg.serve.clone();
-                serve.seed ^= 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64 + 1);
+                serve.seed ^= 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i as u64);
                 Server::new(ctx, serve)
             })
             .collect();
@@ -435,22 +436,21 @@ impl<'a> ClusterServer<'a> {
                 if bucket.is_empty() {
                     continue;
                 }
-                let (gids, reqs): (Vec<usize>, Vec<ServeRequest>) = bucket.into_iter().unzip();
-                let req_copies: Vec<ServeRequest> = reqs.clone();
-                let report = self.servers[s].run(reqs)?;
+                // The stack sees trace-wide submission ids, so outcome ids,
+                // trace ids and tie-breaks never repeat across epochs.
+                let report = self.servers[s].run_submitted(bucket.clone())?;
                 let mut busy = 0u64;
                 let mut started = 0u64;
-                for ((j, mut o), req) in report.outcomes.into_iter().enumerate().zip(req_copies) {
+                for (o, (gid, req)) in report.outcomes.into_iter().zip(bucket) {
                     charges.push((s, o.disposition));
                     if let Some(st) = o.started {
                         started += 1;
                         busy += o.finished.saturating_sub(st);
                     }
                     if o.started.is_none() && o.disposition == Disposition::DeadlineMissed {
-                        hedgeable.push((s, gids[j], req));
+                        hedgeable.push((s, gid, req));
                     }
-                    o.id = gids[j];
-                    outcomes[gids[j]] = Some(o);
+                    outcomes[gid] = Some(o);
                 }
                 // A straggler phase stretches the stack's *service* time:
                 // the busy cycles it spent on started requests are
@@ -514,13 +514,12 @@ impl<'a> ClusterServer<'a> {
                 }
                 let Some(replica) = replica else { continue };
                 stats.hedges += 1;
-                let report = self.servers[replica].run(vec![req])?;
+                let report = self.servers[replica].run_submitted(vec![(gid, req)])?;
                 stats.serve.merge(&report.stats);
-                let Some(mut o) = report.outcomes.into_iter().next() else { continue };
+                let Some(o) = report.outcomes.into_iter().next() else { continue };
                 charges.push((replica, o.disposition));
                 if o.result.is_some() {
                     stats.hedge_wins += 1;
-                    o.id = gid;
                     outcomes[gid] = Some(o);
                 }
             }

@@ -16,8 +16,11 @@
 //!   (ADD, MUL, ReLU, BN, GEMV, LSTM), each of which runs functionally on
 //!   the simulated device and returns both the numerical result and a
 //!   cycle-accurate [`KernelReport`].
-//! * **Custom ops** ([`ops`]) — the six TensorFlow-style PIM custom
-//!   operations the paper implements (ADD, MUL, Relu, LSTM, GEMV, BN).
+//! * **Custom ops** ([`ops`]) — the vocabulary of the six
+//!   TensorFlow-style PIM custom operations the paper implements (ADD, MUL,
+//!   Relu, LSTM, GEMV, BN) plus the host-only kinds; a custom op is a call
+//!   to its [`PimBlas`] entry point, and the native path is the
+//!   [`Preprocessor`] deciding per op (driven by `pim_models::ModelRunner`).
 //!
 //! # Example
 //!
@@ -40,9 +43,7 @@ pub mod cluster;
 pub mod cluster_serve;
 mod context;
 mod driver;
-pub mod energy_bridge;
 mod executor;
-pub mod graph;
 pub mod kernels;
 pub mod layout;
 pub mod ops;
@@ -52,7 +53,6 @@ pub mod resilience;
 pub mod script;
 pub mod serve;
 mod stream;
-pub mod vmem;
 
 pub use blas::{KernelReport, PimBlas, PimError};
 pub use cluster::{ClusterContext, ClusterReport, ClusterStats};
@@ -62,7 +62,6 @@ pub use cluster_serve::{
 pub use context::PimContext;
 pub use driver::{AllocError, MemoryManager, PimDriver, RowRegion};
 pub use executor::Executor;
-pub use graph::{run_graph, GraphNode, GraphResult, NodeRecord};
 pub use kernels::{gemv_microkernel, stream_microkernel, StreamOp};
 pub use layout::BlockMap;
 pub use pim_host::ExecutionBackend;

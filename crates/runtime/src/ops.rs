@@ -2,13 +2,9 @@
 //! also be called directly by TF 'PIM custom ops' [...] We currently
 //! support six custom TF operations (ADD, MUL, Relu, LSTM, GEMV, and BN)."
 //!
-//! [`PimOp`] is the framework-facing descriptor (shape + kind); executing
-//! one dispatches straight into [`crate::PimBlas`] — the "PIM-direct
-//! execution path" of Fig. 6's yellow arrow. The [`OpKind`] vocabulary is
-//! also what the [`crate::Preprocessor`] reasons over for the native path.
-
-use crate::blas::{KernelReport, PimBlas, PimError};
-use crate::context::PimContext;
+//! [`OpKind`] is the vocabulary the [`crate::Preprocessor`] reasons over on
+//! the native path; the PIM-supported kinds each have a [`crate::PimBlas`]
+//! entry point, which is what a custom op calls (Fig. 6's yellow arrow).
 
 /// The operation kinds the stack understands — the six PIM custom ops plus
 /// the host-only kinds the preprocessor must classify.
@@ -65,89 +61,6 @@ impl OpKind {
     }
 }
 
-/// A framework-level PIM custom op, carrying its operands by value.
-#[derive(Debug, Clone)]
-pub enum PimOp {
-    /// `z = x + y`.
-    Add {
-        /// Left operand.
-        x: Vec<f32>,
-        /// Right operand.
-        y: Vec<f32>,
-    },
-    /// `z = x * y`.
-    Mul {
-        /// Left operand.
-        x: Vec<f32>,
-        /// Right operand.
-        y: Vec<f32>,
-    },
-    /// `z = relu(x)`.
-    Relu {
-        /// Input.
-        x: Vec<f32>,
-    },
-    /// `z = scale*x + shift`.
-    Bn {
-        /// Input.
-        x: Vec<f32>,
-        /// Folded scale.
-        scale: f32,
-        /// Folded shift.
-        shift: f32,
-    },
-    /// `out = W·x`.
-    Gemv {
-        /// Row-major `n × k` weights.
-        w: Vec<f32>,
-        /// Output dimension.
-        n: usize,
-        /// Input dimension.
-        k: usize,
-        /// Input vector.
-        x: Vec<f32>,
-    },
-}
-
-impl PimOp {
-    /// The op's kind.
-    pub fn kind(&self) -> OpKind {
-        match self {
-            PimOp::Add { .. } => OpKind::Add,
-            PimOp::Mul { .. } => OpKind::Mul,
-            PimOp::Relu { .. } => OpKind::Relu,
-            PimOp::Bn { .. } => OpKind::Bn,
-            PimOp::Gemv { .. } => OpKind::Gemv,
-        }
-    }
-
-    /// Total operand footprint in bytes (FP16 storage).
-    pub fn footprint_bytes(&self) -> u64 {
-        let elems = match self {
-            PimOp::Add { x, y } | PimOp::Mul { x, y } => x.len() + y.len(),
-            PimOp::Relu { x } => x.len(),
-            PimOp::Bn { x, .. } => x.len(),
-            PimOp::Gemv { w, x, .. } => w.len() + x.len(),
-        };
-        elems as u64 * 2
-    }
-
-    /// Executes the op through PIM-BLAS — the PIM-direct execution path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PimError`] from the BLAS layer.
-    pub fn execute(&self, ctx: &mut PimContext) -> Result<(Vec<f32>, KernelReport), PimError> {
-        match self {
-            PimOp::Add { x, y } => PimBlas::add(ctx, x, y),
-            PimOp::Mul { x, y } => PimBlas::mul(ctx, x, y),
-            PimOp::Relu { x } => PimBlas::relu(ctx, x),
-            PimOp::Bn { x, scale, shift } => PimBlas::bn(ctx, x, *scale, *shift),
-            PimOp::Gemv { w, n, k, x } => PimBlas::gemv(ctx, w, *n, *k, x),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,23 +72,5 @@ mod tests {
         assert!(OpKind::Gemv.batch_raises_reuse());
         assert!(!OpKind::Add.batch_raises_reuse());
         assert!(OpKind::Conv2d.flops_per_byte() > OpKind::Gemv.flops_per_byte());
-    }
-
-    #[test]
-    fn custom_op_dispatch() {
-        let mut ctx = PimContext::small_system();
-        let op = PimOp::Add { x: vec![1.0; 32], y: vec![2.0; 32] };
-        assert_eq!(op.kind(), OpKind::Add);
-        assert_eq!(op.footprint_bytes(), 128);
-        let (z, _) = op.execute(&mut ctx).unwrap();
-        assert!(z.iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
-    fn gemv_op_dispatch() {
-        let mut ctx = PimContext::small_system();
-        let op = PimOp::Gemv { w: vec![1.0; 16 * 8], n: 16, k: 8, x: vec![1.0; 8] };
-        let (out, _) = op.execute(&mut ctx).unwrap();
-        assert!(out.iter().all(|&v| (v - 8.0).abs() < 1e-3));
     }
 }

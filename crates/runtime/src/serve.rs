@@ -542,6 +542,10 @@ impl Breaker {
 /// A request sitting in a tenant queue.
 #[derive(Debug)]
 struct Queued {
+    /// Position in this run's outcome vector.
+    slot: usize,
+    /// Submission id: names the request in its outcome, events, trace id
+    /// and tie-breaks.
     id: usize,
     req: ServeRequest,
     est_cycles: u64,
@@ -706,22 +710,36 @@ impl<'a> Server<'a> {
     /// than the reserved region, strict-mode kernel rejection); load and
     /// injected faults never do.
     pub fn run(&mut self, requests: Vec<ServeRequest>) -> Result<ServeReport, PimError> {
+        self.run_submitted(requests.into_iter().enumerate().collect())
+    }
+
+    /// [`Server::run`] over `(submission id, request)` pairs: the id names
+    /// the request in its outcome, its events and its [`TraceId`] and feeds
+    /// the seeded tie-breaks, so a caller handing over a slice of a longer
+    /// trace (the cluster, one epoch at a time) passes the trace-wide ids
+    /// and no two requests of the trace share an identity on this stack.
+    /// Ids must be distinct; outcomes come back in the order given.
+    pub(crate) fn run_submitted(
+        &mut self,
+        requests: Vec<(usize, ServeRequest)>,
+    ) -> Result<ServeReport, PimError> {
         let stats_before = self.stats;
         let mut outcomes: Vec<Option<RequestOutcome>> = Vec::new();
         outcomes.resize_with(requests.len(), || None);
 
         // Arrival order with seeded tie-breaks: a deterministic total order
         // even when two tenants' requests land on the same cycle.
-        let mut arrivals: Vec<(usize, ServeRequest)> = requests.into_iter().enumerate().collect();
-        arrivals.sort_by_key(|(id, r)| (r.arrival, mix(self.cfg.seed ^ *id as u64), *id));
-        let mut pending: VecDeque<(usize, ServeRequest)> = arrivals.into();
+        let mut arrivals: Vec<(usize, usize, ServeRequest)> =
+            requests.into_iter().enumerate().map(|(slot, (id, r))| (slot, id, r)).collect();
+        arrivals.sort_by_key(|(_, id, r)| (r.arrival, mix(self.cfg.seed ^ *id as u64), *id));
+        let mut pending: VecDeque<(usize, usize, ServeRequest)> = arrivals.into();
 
         loop {
             let now = self.ctx.sys.max_now();
 
             // 1. Admit everything that has arrived by `now`.
-            while pending.front().is_some_and(|(_, r)| r.arrival <= now) {
-                let (id, req) = pending.pop_front().unwrap_or_else(|| unreachable!());
+            while pending.front().is_some_and(|(_, _, r)| r.arrival <= now) {
+                let (slot, id, req) = pending.pop_front().unwrap_or_else(|| unreachable!());
                 self.stats.submitted += 1;
                 let n = req.op.operands().0.len();
                 let est = self.est_service_cycles(n);
@@ -731,6 +749,7 @@ impl<'a> Server<'a> {
                         self.stats.admitted += 1;
                         emit(&self.ctx.recorder, now, names::REQ_ADMIT, ("id", id as u64), trace);
                         self.queues.entry(req.tenant).or_default().push_back(Queued {
+                            slot,
                             id,
                             req,
                             est_cycles: est,
@@ -741,7 +760,7 @@ impl<'a> Server<'a> {
                             RejectReason::QueueFull => self.stats.shed_queue_full += 1,
                             RejectReason::Overloaded => self.stats.shed_overloaded += 1,
                         }
-                        outcomes[id] = Some(unstarted(
+                        outcomes[slot] = Some(unstarted(
                             &self.ctx.recorder,
                             id,
                             &req,
@@ -764,7 +783,7 @@ impl<'a> Server<'a> {
                     self.stats.deadline_missed += 1;
                     let trace = TraceCtx::root(seed, q.id as u64, q.req.tenant);
                     purged.push((q.req.tenant, now.saturating_sub(q.req.arrival)));
-                    outcomes[q.id] = Some(unstarted(
+                    outcomes[q.slot] = Some(unstarted(
                         &self.ctx.recorder,
                         q.id,
                         &q.req,
@@ -795,6 +814,7 @@ impl<'a> Server<'a> {
                         .get_mut(&tenant)
                         .and_then(VecDeque::pop_front)
                         .unwrap_or_else(|| unreachable!("head vanished"));
+                    let slot = queued.slot;
                     let deadline = queued.req.deadline;
                     let arrival = queued.req.arrival;
                     let outcome = self.execute(queued)?;
@@ -807,13 +827,12 @@ impl<'a> Server<'a> {
                         };
                         self.note_slo(tenant, wait, Some(service), slack);
                     }
-                    let id = outcome.id;
-                    outcomes[id] = Some(outcome);
+                    outcomes[slot] = Some(outcome);
                 }
                 None => match pending.front() {
                     // Idle until the next arrival: the host sleeps, every
                     // channel's clock advances.
-                    Some((_, r)) => {
+                    Some((_, _, r)) => {
                         let t = r.arrival;
                         self.advance_to(t);
                     }

@@ -427,7 +427,7 @@ impl ModeTracker {
 }
 
 /// Lints a command stream against the mode-transition protocol.
-/// Fence markers are ignored by this pass (see [`crate::fence`]).
+/// Fence markers are ignored by this pass (see [`crate::check_fences`]).
 pub fn lint_stream(events: &[StreamEvent]) -> Report {
     let mut report = Report::new();
     let mut tracker = ModeTracker::new();

@@ -8,14 +8,15 @@
 mod common;
 
 use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv};
-use pim_bench::campaign::TraceShape;
+use pim_bench::campaign::{build_trace, TraceShape};
 use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
+use pim_bench::faults::fault_mix;
 use pim_bench::json;
 use pim_faults::FaultPlan;
 use pim_host::{ClusterTopology, ExecutionBackend};
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, PimError,
-    ServeConfig, ServeRequest,
+    ServeConfig, ServeRequest, Server,
 };
 
 #[test]
@@ -181,6 +182,72 @@ fn cluster_serving_is_deterministic_across_backends() {
     for (i, o) in seq.outcomes.iter().enumerate() {
         assert_eq!(o.id, i);
     }
+}
+
+/// A one-stack cluster *is* the plain server: same outcomes (trace ids
+/// included), same serving counters, same final clock — on a steady, an
+/// overloaded and a faulty trace. The stack salt is the identity at stack 0
+/// and each epoch's sub-trace keeps its trace-wide submission ids, so
+/// cutting the trace into epochs changes no tie-break.
+#[test]
+fn one_stack_cluster_equals_the_plain_server() {
+    let serve = ServeConfig { breaker_threshold: 2, ..ServeConfig::default() };
+    let shape = |requests, deadline_slack| TraceShape {
+        seed: 1,
+        elements: 512,
+        requests,
+        tenants: 4,
+        deadline_slack,
+    };
+    for (what, shape, interval, fault_rate) in [
+        ("steady", shape(48, 40_000), 2_000, 0.0),
+        ("overload", shape(32, 4_000), 150, 0.0),
+        ("faulty", shape(24, 40_000), 20_000, 1e-3),
+    ] {
+        let trace = build_trace(&shape, interval, 0);
+        let inject = |ctx: &mut PimContext| {
+            if fault_rate > 0.0 {
+                ctx.inject_faults(&fault_mix(shape.seed, fault_rate));
+            }
+        };
+
+        let mut ctx = PimContext::small_system();
+        inject(&mut ctx);
+        let plain = Server::new(&mut ctx, serve.clone()).run(trace.clone()).unwrap();
+
+        let mut cluster = ClusterContext::new(1).unwrap();
+        inject(cluster.stack_mut(0));
+        let cfg = ClusterServeConfig { serve: serve.clone(), ..ClusterServeConfig::default() };
+        assert!(trace.len() >= 3 * cfg.epoch_requests, "{what}: the trace must span epochs");
+        let n1 = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap().run(trace).unwrap();
+
+        // Each trace is the regime its name says, or the identity is vacuous.
+        let in_regime = match what {
+            "overload" => plain.stats.deadline_missed > 0,
+            "faulty" => plain.stats.relayouts > 0,
+            _ => plain.stats.completed == plain.stats.submitted,
+        };
+        assert!(in_regime, "{what}: {:?}", plain.stats);
+        assert_eq!(n1.outcomes, plain.outcomes, "{what}: outcomes");
+        assert_eq!(n1.stats.serve, plain.stats, "{what}: serving counters");
+        assert_eq!(n1.end_cycle, plain.end_cycle, "{what}: final clock");
+    }
+}
+
+/// A request keeps one identity across the cluster: no two outcomes of a
+/// multi-epoch run share a trace id, whichever stack and epoch served them.
+#[test]
+fn trace_ids_are_distinct_across_stacks_and_epochs() {
+    let mut cluster = ClusterContext::new(4).unwrap();
+    let cfg = ClusterServeConfig::default();
+    let requests = 3 * cfg.epoch_requests + 1;
+    let trace: Vec<ServeRequest> =
+        (0..requests).map(|i| add_req(i as u32 % 4, i as u64 * 900, 80_000_000, 128)).collect();
+    let report = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap().run(trace).unwrap();
+    let mut ids: Vec<_> = report.outcomes.iter().map(|o| o.trace).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), requests, "trace ids collide");
 }
 
 #[test]

@@ -1,10 +1,9 @@
 //! Full-stack integration tests: application-level ops through the entire
-//! software stack (custom op → PIM-BLAS → executor → kernel engine →
+//! software stack (PIM-BLAS → executor → kernel engine →
 //! memory controller → PIM device → banks) with functional verification
 //! against f32 references.
 
 use pim_fp16::F16;
-use pim_runtime::ops::PimOp;
 use pim_runtime::{PimBlas, PimContext};
 
 #[test]
@@ -15,22 +14,22 @@ fn custom_ops_compute_correct_results() {
     let x: Vec<f32> = (0..n).map(|i| ((i % 37) as f32 - 18.0) * 0.25).collect();
     let y: Vec<f32> = (0..n).map(|i| ((i % 23) as f32 - 11.0) * 0.5).collect();
 
-    let (z, _) = PimOp::Add { x: x.clone(), y: y.clone() }.execute(&mut ctx).unwrap();
+    let (z, _) = PimBlas::add(&mut ctx, &x, &y).unwrap();
     for i in 0..n {
         assert_eq!(z[i], x[i] + y[i], "add element {i}");
     }
 
-    let (z, _) = PimOp::Mul { x: x.clone(), y: y.clone() }.execute(&mut ctx).unwrap();
+    let (z, _) = PimBlas::mul(&mut ctx, &x, &y).unwrap();
     for i in 0..n {
         assert_eq!(z[i], x[i] * y[i], "mul element {i}");
     }
 
-    let (z, _) = PimOp::Relu { x: x.clone() }.execute(&mut ctx).unwrap();
+    let (z, _) = PimBlas::relu(&mut ctx, &x).unwrap();
     for i in 0..n {
         assert_eq!(z[i], x[i].max(0.0), "relu element {i}");
     }
 
-    let (z, _) = PimOp::Bn { x: x.clone(), scale: 2.0, shift: -1.0 }.execute(&mut ctx).unwrap();
+    let (z, _) = PimBlas::bn(&mut ctx, &x, 2.0, -1.0).unwrap();
     for i in 0..n {
         let want = F16::from_f32(x[i]).mac(F16::from_f32(2.0), F16::from_f32(-1.0)).to_f32();
         assert_eq!(z[i], want, "bn element {i}");

@@ -127,12 +127,17 @@ fn docs_diagnostic_index_covers_every_code() {
     }
 }
 
+/// `[A-Za-z0-9_]`: what the textual lints below take an identifier to be.
+fn is_ident(c: char) -> bool {
+    c.is_ascii_alphanumeric() || c == '_'
+}
+
 /// The identifiers that follow each occurrence of `prefix` in `text`
 /// (`[A-Za-z0-9_]+`; an occurrence followed by anything else is skipped).
 fn names_after<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a str> {
     text.match_indices(prefix).filter_map(move |(at, _)| {
         let rest = &text[at + prefix.len()..];
-        let end = rest.find(|c: char| !c.is_ascii_alphanumeric() && c != '_').unwrap_or(rest.len());
+        let end = rest.find(|c| !is_ident(c)).unwrap_or(rest.len());
         (end > 0).then(|| &rest[..end])
     })
 }
@@ -192,6 +197,90 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
             );
         }
     }
+}
+
+/// Every `.rs` file under `dir`, recursively, skipping build directories.
+fn rust_sources(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                rust_sources(&path, out);
+            }
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = std::fs::read_to_string(&path).unwrap();
+            out.push((path, text));
+        }
+    }
+}
+
+/// `true` if `name` occurs in `text` as a whole identifier (or, for a
+/// needle ending in `::`, as a path prefix).
+fn mentions(text: &str, name: &str) -> bool {
+    text.match_indices(name).any(|(at, _)| {
+        !text[..at].ends_with(is_ident)
+            && (name.ends_with(':') || !text[at + name.len()..].starts_with(is_ident))
+    })
+}
+
+/// No module without a caller: for every `crates/<c>/src/<m>.rs` of a
+/// workspace crate (the vendored `proptest` / `criterion` / `rand` shims
+/// aside) some `.rs` file under `crates/`, `tests/`, `examples/` or
+/// `benchmark/` other than `<m>.rs` itself and the crate's `lib.rs` —
+/// which only declares and re-exports — names one of the module's
+/// top-level `pub` items or the path `<m>::`. A module only its own unit
+/// tests reach is on no path a test, binary, example or `pimbench`
+/// workload runs; eight of them had accumulated before this rule existed.
+#[test]
+fn every_module_has_a_caller_outside_itself() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut sources = Vec::new();
+    for dir in ["crates", "tests", "examples", "benchmark"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+
+    let crates = root.join("crates");
+    let mut modules = 0;
+    let mut islands = Vec::new();
+    for (path, text) in &sources {
+        // `crates/<c>/src/<m>.rs` exactly: binaries and benches are callers, not modules.
+        let Ok(rel) = path.strip_prefix(&crates) else { continue };
+        let parts: Vec<_> = rel.iter().map(|p| p.to_string_lossy()).collect();
+        let [krate, src, file] = &parts[..] else { continue };
+        let stem = file.trim_end_matches(".rs");
+        let vendored = matches!(krate.as_ref(), "proptest" | "criterion" | "rand");
+        if src != "src" || stem == "lib" || vendored {
+            continue;
+        }
+        modules += 1;
+        let mut needles = vec![format!("{stem}::")];
+        for line in text.lines() {
+            // Top-level items only: `pub` in column 0.
+            let Some(item) = line.strip_prefix("pub ") else { continue };
+            let mut words = item.split(|c| !is_ident(c));
+            let is_item = words.any(|w| {
+                matches!(w, "fn" | "struct" | "enum" | "trait" | "const" | "static" | "type")
+            });
+            // `pub const fn f` names `f`, not `fn`.
+            if let (true, Some(name)) = (is_item, words.find(|w| !w.is_empty() && *w != "fn")) {
+                needles.push(name.to_string());
+            }
+        }
+        let lib = path.with_file_name("lib.rs");
+        let called = sources
+            .iter()
+            .filter(|(other, _)| other != path && *other != lib)
+            .any(|(_, other)| needles.iter().any(|n| mentions(other, n)));
+        if !called {
+            islands.push(format!("crates/{krate}/src/{file}"));
+        }
+    }
+    assert!(modules >= 80, "walked only {modules} modules: did the crate layout move?");
+    assert!(
+        islands.is_empty(),
+        "no .rs file outside the module and its crate's lib.rs names `<module>::` or any of its \
+         top-level pub items — wire each to a caller or delete it: {islands:?}"
+    );
 }
 
 /// The shipped example kernel sources assemble and verify clean.
