@@ -13,7 +13,7 @@ use pim_dram::{
 use pim_fp16::F16;
 use pim_host::{ExecutionMode, HostConfig, KernelEngine};
 use pim_models::CostModel;
-use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext};
+use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext, StreamOp};
 
 fn bench_fp16(c: &mut Criterion) {
     let mut g = c.benchmark_group("fp16");
@@ -224,17 +224,23 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// What a design sweep pays per point: one Table VI GEMV1 priced by a fresh
-/// `pim_models::CostModel` — building the command lists with the runtime's
-/// builders (most of it) and folding them over the closed-form
-/// `pim_host::ChannelPredictor`. No device is constructed; ROADMAP item 8
-/// has the figures.
+/// What a design sweep pays per point: one shape priced by a fresh
+/// `pim_models::CostModel` — stating the kernel's loop nest with the
+/// runtime's builders and folding it over the closed-form
+/// `pim_host::ChannelPredictor`, which steps the prologue, the first two or
+/// three rows and the epilogue and multiplies the rest out. No device and no
+/// command list is constructed, so the price barely grows with the shape:
+/// Table VI GEMV1 and GEMV4 (4× the commands) and a 64 M-element ADD (1024
+/// rows).
 fn bench_cost_shape(c: &mut Criterion) {
-    let wl = pim_bench::workloads::gemv_workloads()[0];
+    let gemvs = pim_bench::workloads::gemv_workloads();
     let mut g = c.benchmark_group("models");
     g.throughput(Throughput::Elements(1));
-    g.bench_function("cost_shape_gemv1", |bench| {
-        bench.iter(|| CostModel::paper().pim_gemv(wl.n, wl.k))
+    for (id, wl) in [("cost_shape_gemv1", gemvs[0]), ("cost_shape_gemv4", gemvs[3])] {
+        g.bench_function(id, |bench| bench.iter(|| CostModel::paper().pim_gemv(wl.n, wl.k)));
+    }
+    g.bench_function("cost_shape_add64m", |bench| {
+        bench.iter(|| CostModel::paper().pim_stream(StreamOp::Add, 64 << 20))
     });
     g.finish();
 }

@@ -30,6 +30,10 @@
 //! * the **analytic predictor** is cross-checked pass-by-pass inside the
 //!   fast-path run ([`pim_runtime::GemvPlan::launch_crosschecked`]) and
 //!   against the engine on the synthetic workload;
+//! * the **periodic fold** the cost model prices with
+//!   ([`ChannelPredictor::fold`] over the pass's [`pim_host::Kernel`]) must
+//!   equal both the predictor over the materialised list and the simulated
+//!   launch, and says how few commands it had to step;
 //! * all backends must agree byte-for-byte with the sequential reference.
 //!
 //! Any divergence prints the offending workload/backend/launch and the
@@ -39,9 +43,14 @@ use pim_bench::workloads::{bench_input, bench_weights, gemv_workloads, synthetic
 use pim_core::PimConfig;
 use pim_faults::FaultPlan;
 use pim_host::{
-    predict_launch, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine, PimSystem,
+    predict_launch, ChannelPredictor, ExecutionBackend, ExecutionMode, HostConfig, KernelEngine,
+    PimSystem,
 };
-use pim_runtime::{GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
+use pim_runtime::kernels::gemv_kernel;
+use pim_runtime::{
+    gemv_microkernel, Executor, GemvGeometry, GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp,
+    ServeRequest, Server,
+};
 
 /// Launches per corpus item: 1 cold + 1 recording + the rest replaying.
 const LAUNCHES: usize = 4;
@@ -169,9 +178,47 @@ fn check_add(gate: &mut Gate, backends: &[ExecutionBackend], len: usize) {
     }
 }
 
+/// The row's pass as the cost model prices it — its loop nest folded over
+/// one power-on clock — against the predictor over the materialised list
+/// and the simulated launch, all 64 channels in lock-step.
+fn check_fold(gate: &mut Gate, row: &GemvRow) {
+    let mut sys = PimSystem::new(HostConfig::paper(), PimConfig::paper());
+    let cfg = sys.pim_config().clone();
+    let g = GemvGeometry::new(row.n, row.k, sys.channel_count(), cfg.units_per_pch);
+    let program = gemv_microkernel(g.groups(), &cfg);
+    let kernel = Executor::kernel(&program, None, true, gemv_kernel(g.kpad, 0, &cfg));
+    let list = kernel.clone().materialise();
+    let lists = vec![list.as_slice(); sys.channel_count()];
+
+    let mut clock = ChannelPredictor::power_on(sys.timing());
+    let folded = clock.fold(&sys.host, &kernel, row.mode, None).expect("a priced mode");
+    let predicted = predict_launch(&sys, &lists, row.mode, None).expect("a fresh system");
+    let simulated = KernelEngine::run_system(&mut sys, &lists, row.mode);
+
+    let per_channel = folded.ran.result;
+    let channels = lists.len() as u64;
+    let folded_launch =
+        (per_channel.end_cycle, channels * per_channel.commands, channels * per_channel.fences);
+    let name = row.name;
+    if folded_launch != (predicted.end_cycle, predicted.commands, predicted.fences)
+        || folded_launch != (simulated.end_cycle, simulated.commands, simulated.fences)
+    {
+        gate.fail(format!(
+            "{name}: fold {folded_launch:?} != predicted {predicted:?} or simulated {simulated:?}"
+        ));
+    }
+    eprintln!(
+        "  {name}: fold stepped {} of {} commands a channel",
+        folded.stepped, per_channel.commands
+    );
+}
+
 fn check_gemv(gate: &mut Gate, backends: &[ExecutionBackend], row: &GemvRow) {
     let name = row.name;
     eprintln!("checking {name} ({}x{}) ...", row.n, row.k);
+    if row.skew.is_none() {
+        check_fold(gate, row);
+    }
     let (reference, ref_hits, ref_cold) = run_gemv(ExecutionBackend::Sequential, row, false, false);
     if ref_hits != 0 || ref_cold != (64, 0) {
         gate.fail(format!("{name}: the reference replayed (cold launch {ref_cold:?})"));

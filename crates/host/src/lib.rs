@@ -33,6 +33,7 @@ pub mod cluster;
 mod config;
 mod engine;
 pub mod fastpath;
+mod kernel;
 pub mod llc;
 pub mod parallel;
 pub mod predictor;
@@ -43,7 +44,8 @@ pub use cluster::{ClusterTopology, LinkHealth, TopologyError};
 pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
 pub use fastpath::{FastpathChannels, FastpathStats};
+pub use kernel::{Kernel, Loop};
 pub use llc::Llc;
 pub use parallel::ExecutionBackend;
-pub use predictor::{predict_launch, ChannelPredictor, LaunchPrediction};
+pub use predictor::{predict_launch, ChannelPredictor, Folded, LaunchPrediction};
 pub use system::PimSystem;

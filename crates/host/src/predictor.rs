@@ -48,11 +48,13 @@
 //!
 //! [`predict_launch`] cross-checks and pre-prices launches on a live
 //! [`PimSystem`]. `pim_models::CostModel`, which only ever asks "how
-//! long?", folds each kernel shape's real command lists over a
-//! [`ChannelPredictor`] directly: it constructs no device.
+//! long?", prices each kernel shape's [`Kernel`] with
+//! [`ChannelPredictor::fold`] directly: it constructs no device and unrolls
+//! no command list.
 
 use crate::config::HostConfig;
 use crate::engine::{Batch, BoundedResult, ExecutionMode, KernelResult};
+use crate::kernel::Kernel;
 use crate::system::PimSystem;
 use pim_core::conf::{ABMR_ROW, SBMR_ROW};
 use pim_dram::{BankAddr, ChannelTimingState, Command, CommandSink, Cycle, TimingParams};
@@ -80,13 +82,37 @@ enum Pending {
     ToSingleBank,
 }
 
+/// What [`ChannelPredictor::fold`] did: the accounting [`ChannelPredictor::run`]
+/// would give for the materialised kernel, and how much of it was stepped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Folded {
+    /// The accounting of the whole kernel.
+    pub ran: BoundedResult,
+    /// Commands stepped through the issue formulas one by one; the other
+    /// `ran.result.commands - stepped` were accounted as repetitions.
+    pub stepped: u64,
+}
+
 /// The all-bank clock triple (mirrors the device's `AbTiming`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AbClock {
     open: bool,
     next_act: Cycle,
     next_col: Cycle,
     next_pre: Cycle,
+}
+
+/// A clock's state relative to its `now`, canonical by the
+/// [`ChannelTimingState`] rule (a horizon at or before `now` is 0, a tFAW
+/// entry aged past tFAW is absent): two clocks in equal phase time every
+/// future command stream identically, each from its own `now`.
+#[derive(Debug, PartialEq, Eq)]
+struct Phase {
+    sb: ChannelTimingState,
+    bank_open: [bool; pim_dram::BANKS_PER_PCH],
+    ab_mode: bool,
+    pending: Option<Pending>,
+    ab: AbClock,
 }
 
 /// One channel's closed-form clock: every horizon the issue formulas
@@ -191,6 +217,20 @@ impl<'t> ChannelPredictor<'t> {
         mode: ExecutionMode,
         limit: Option<Cycle>,
     ) -> Option<BoundedResult> {
+        self.run_from(host, batches, 0, mode, limit)
+    }
+
+    /// [`ChannelPredictor::run`] over `batches` as numbers `first..` of their
+    /// channel's list (a seeded shuffle is keyed by that number).
+    #[inline]
+    fn run_from(
+        &mut self,
+        host: &HostConfig,
+        batches: &[Batch],
+        first: usize,
+        mode: ExecutionMode,
+        limit: Option<Cycle>,
+    ) -> Option<BoundedResult> {
         if matches!(mode, ExecutionMode::UnfencedReordered { .. }) {
             return None;
         }
@@ -208,7 +248,7 @@ impl<'t> ChannelPredictor<'t> {
                 continue;
             }
             commands += b.commands.len() as u64;
-            for c in b.issue_order(bi, mode).iter() {
+            for c in b.issue_order(first + bi, mode).iter() {
                 self.issue(t, c);
             }
             if let Some(stall) = mode.fence_stall(b, host, t) {
@@ -220,6 +260,133 @@ impl<'t> ChannelPredictor<'t> {
             result: KernelResult { end_cycle: self.now, commands, fences },
             cancelled,
         })
+    }
+
+    /// Prices `kernel` as [`ChannelPredictor::run`] prices
+    /// `kernel.materialise()` — same accounting, a clock left in a state
+    /// that times everything after it the same — without unrolling it.
+    ///
+    /// Prologue, epilogue and the first trips of every loop step through the
+    /// same issue formulas as `run`. At each trip boundary the clock's phase
+    /// — its state relative to `now`, past horizons collapsed — is compared
+    /// with the boundary before: when the two are **equal**, every remaining
+    /// trip repeats the last one shifted by the cycles it took, because the
+    /// formulas are max-plus in absolute time and read neither column nor row
+    /// (a [`crate::Loop`] cannot reach the mode registers) — so the trips
+    /// left are accounted by multiplication and the clock is shifted past
+    /// them. Where that argument does not hold the loop is stepped to the
+    /// end: under a `limit` (cancellation reads absolute time), under a
+    /// seeded [`ExecutionMode::Fenced`] over a commutative batch (the shuffle
+    /// differs per trip), and for as long as no two consecutive boundaries
+    /// are equal.
+    pub fn fold(
+        &mut self,
+        host: &HostConfig,
+        kernel: &Kernel,
+        mode: ExecutionMode,
+        limit: Option<Cycle>,
+    ) -> Option<Folded> {
+        let mut total = self.run_from(host, &kernel.prologue, 0, mode, limit)?;
+        let mut index = kernel.prologue.len();
+        // Commands accounted by multiplication instead of being stepped.
+        let mut multiplied = 0;
+        let account = |total: &mut BoundedResult, ran: BoundedResult, times: u64| {
+            total.result.commands += times * ran.result.commands;
+            total.result.fences += times * ran.result.fences;
+            total.cancelled |= ran.cancelled;
+        };
+        let seeded = matches!(mode, ExecutionMode::Fenced { reorder_seed: Some(_) });
+        for l in &kernel.body {
+            let period = l.period();
+            let shuffled = seeded && period.iter().any(|b| b.commutative && b.commands.len() > 1);
+            let periodic = limit.is_none() && !shuffled;
+            let mut boundary: Option<(Phase, Cycle)> = None;
+            let mut left = u64::from(l.trips());
+            while left > 0 {
+                let ran = self.run_from(host, period, index, mode, limit)?;
+                account(&mut total, ran, 1);
+                index += period.len();
+                left -= 1;
+                if !periodic || left == 0 {
+                    continue;
+                }
+                let phase = self.phase();
+                if let Some((_, at)) = boundary.as_ref().filter(|(last, _)| *last == phase) {
+                    self.shift(left * (self.now - at));
+                    account(&mut total, ran, left);
+                    multiplied += left * ran.result.commands;
+                    index += left as usize * period.len();
+                    break;
+                }
+                boundary = Some((phase, self.now));
+            }
+        }
+        let ran = self.run_from(host, &kernel.epilogue, index, mode, limit)?;
+        account(&mut total, ran, 1);
+        total.result.end_cycle = self.now;
+        Some(Folded { ran: total, stepped: total.result.commands - multiplied })
+    }
+
+    /// The clock's state relative to `now`.
+    fn phase(&self) -> Phase {
+        let rel = |c: Cycle| c.saturating_sub(self.now);
+        let mut faw_ages = [0; 4];
+        let mut faw_count = 0;
+        for i in 0..self.faw_count {
+            let act = self.faw_acts[(self.faw_head + 4 - self.faw_count + i) % 4];
+            if self.now - act < self.t.t_faw {
+                faw_ages[faw_count] = self.now - act;
+                faw_count += 1;
+            }
+        }
+        Phase {
+            sb: ChannelTimingState {
+                bank_next_act: self.bank_next_act.map(rel),
+                bank_next_col: self.bank_next_col.map(rel),
+                bank_next_pre: self.bank_next_pre.map(rel),
+                bg_next_col: self.bg_next_col.map(rel),
+                bg_next_act: self.bg_next_act.map(rel),
+                ch_next_col: rel(self.ch_next_col),
+                ch_next_act: rel(self.ch_next_act),
+                ch_next_rd: rel(self.ch_next_rd),
+                ch_next_wr: rel(self.ch_next_wr),
+                faw_ages,
+                faw_count: faw_count as u8,
+            },
+            bank_open: self.bank_open,
+            ab_mode: self.ab_mode,
+            pending: self.pending,
+            ab: AbClock {
+                open: self.ab.open,
+                next_act: rel(self.ab.next_act),
+                next_col: rel(self.ab.next_col),
+                next_pre: rel(self.ab.next_pre),
+            },
+        }
+    }
+
+    /// Moves the clock `by` cycles later in the same [`Phase`].
+    fn shift(&mut self, by: Cycle) {
+        let ab = &mut self.ab;
+        let scalars = [
+            &mut self.now,
+            &mut self.ch_next_col,
+            &mut self.ch_next_act,
+            &mut self.ch_next_rd,
+            &mut self.ch_next_wr,
+            &mut ab.next_act,
+            &mut ab.next_col,
+            &mut ab.next_pre,
+        ];
+        let arrays = (self.bank_next_act.iter_mut())
+            .chain(&mut self.bank_next_col)
+            .chain(&mut self.bank_next_pre)
+            .chain(&mut self.bg_next_col)
+            .chain(&mut self.bg_next_act)
+            .chain(&mut self.faw_acts);
+        for horizon in arrays.chain(scalars) {
+            *horizon += by;
+        }
     }
 
     fn faw_record(&mut self, cycle: Cycle) {

@@ -1,21 +1,23 @@
 //! Kernel cost models for the application runner.
 //!
 //! **PIM costs are the real choreography, timed in closed form.** For each
-//! distinct kernel shape the cost model generates the actual command lists
-//! with `pim-runtime`'s builders — the ones `GemvPlan` and the stream job
-//! launch — and folds them over a [`pim_host::ChannelPredictor`]: the
-//! engine's issue loop over the DRAM and PIM-mode timing constraints, with
-//! no banks, no registers and no FP16 behind it. A cost is cycles, commands
-//! and fences, and none of them depends on a register or a bank
-//! ("timing/energy are data-independent"), so no device is constructed
-//! here at all. Lock-step execution means one channel's cycle count *is*
-//! the system wall time, so one channel per shape is exact and cheap;
-//! results are memoized per shape and ordering regime.
+//! distinct kernel shape the cost model takes the [`pim_host::Kernel`] —
+//! the loop nest `pim-runtime`'s builders state and `GemvPlan` and the
+//! stream job materialise and launch — and folds it over a
+//! [`pim_host::ChannelPredictor`]: the engine's issue loop over the DRAM
+//! and PIM-mode timing constraints, with no banks, no registers and no FP16
+//! behind it, and with the trips of a loop that repeat exactly accounted by
+//! multiplication. A cost is cycles, commands and fences, and none of them
+//! depends on a register or a bank ("timing/energy are data-independent"),
+//! so neither a device nor a command list is constructed here. Lock-step
+//! execution means one channel's cycle count *is* the system wall time, so
+//! one channel per shape is exact and cheap; results are memoized per shape
+//! and ordering regime.
 //!
 //! The closed form is not trusted, it is held: `tests/timing_only.rs`
-//! assembles a full, unmasked simulation of the same lists on a real
-//! controller and [`pim_core::PimChannel`] and asserts every cost equal to
-//! it — every Fig. 10 shape, and a grid over DRAM generations, unit
+//! assembles a full, unmasked simulation of the materialised lists on a
+//! real controller and [`pim_core::PimChannel`] and asserts every cost equal
+//! to it — every Fig. 10 shape, and a grid over DRAM generations, unit
 //! counts, fence costs, ordering regimes and device variants — and pins
 //! the Fig. 10 numbers themselves.
 //!
@@ -25,7 +27,8 @@
 
 use pim_core::PimConfig;
 use pim_dram::{Cycle, TimingParams, PCH_PER_STACK};
-use pim_host::{llc, Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelResult};
+use pim_host::{llc, Batch, ChannelPredictor, ExecutionMode, HostConfig, Kernel, KernelResult};
+use pim_runtime::kernels::{gemv_kernel, stream_kernel, stream_rows};
 use pim_runtime::{gemv_microkernel, stream_microkernel, Executor, GemvGeometry, StreamOp};
 use std::collections::HashMap;
 
@@ -52,7 +55,7 @@ impl KernelCost {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum ShapeKey {
     Gemv { n: usize, k: usize },
-    Stream { op: u8, elements: usize },
+    Stream { op: StreamOp, elements: usize },
 }
 
 /// Memoizing cost model bound to one system configuration.
@@ -106,10 +109,10 @@ impl CostModel {
         self.host.stacks * PCH_PER_STACK
     }
 
-    /// Folds `batches` over `clock` under the model's ordering regime.
-    fn time(&self, clock: &mut ChannelPredictor, batches: &[Batch]) -> KernelResult {
-        match clock.run(&self.host, batches, self.mode, None) {
-            Some(ran) => ran.result,
+    /// Folds `kernel` over `clock` under the model's ordering regime.
+    fn time(&self, clock: &mut ChannelPredictor, kernel: &Kernel) -> KernelResult {
+        match clock.fold(&self.host, kernel, self.mode, None) {
+            Some(folded) => folded.ran.result,
             None => panic!("{:?} has no price: it is the miscompiled-kernel demo", self.mode),
         }
     }
@@ -134,22 +137,21 @@ impl CostModel {
         }
         let g = GemvGeometry::new(n, k, self.channels(), self.pim.units_per_pch);
         let program = gemv_microkernel(g.groups(), &self.pim);
-        // Operand values are irrelevant to timing.
-        let data = pim_runtime::kernels::gemv_batches(g.kpad, 0, &[], &self.pim);
-        let batches = Executor::full_kernel(&program, None, true, &data);
+        let kernel = Executor::kernel(&program, None, true, gemv_kernel(g.kpad, 0, &self.pim));
         // Partial-sum readback: per channel, 8 units × (ACT + 8 RD + PRE)
         // on the memory-mapped GRF row, in single-bank mode, unfenced.
-        let readback = [Batch::setup(
+        let readback = Batch::setup(
             (0..self.pim.units_per_pch)
                 .flat_map(|u| Executor::grf_readback_commands(u, 8))
                 .collect(),
-        )];
+        );
+        let readback = Kernel { prologue: vec![readback], ..Kernel::default() };
 
         let mut clock = ChannelPredictor::power_on(&self.timing);
         let mut commands = 0;
         let mut fences = 0;
         for _ in 0..g.passes {
-            let r = self.time(&mut clock, &batches);
+            let r = self.time(&mut clock, &kernel);
             commands += r.commands;
             fences += r.fences;
             self.time(&mut clock, &readback);
@@ -165,24 +167,14 @@ impl CostModel {
     ///
     /// As for [`CostModel::pim_gemv`].
     pub fn pim_stream(&mut self, op: StreamOp, elements: usize) -> KernelCost {
-        let opk = match op {
-            StreamOp::Add => 0u8,
-            StreamOp::Mul => 1,
-            StreamOp::Relu => 2,
-            StreamOp::Bn => 3,
-            StreamOp::Axpy => 4,
-        };
-        let key = (self.mode, ShapeKey::Stream { op: opk, elements });
+        let key = (self.mode, ShapeKey::Stream { op, elements });
         if let Some(c) = self.cache.get(&key) {
             return *c;
         }
-        let nblocks = elements.div_ceil(16);
-        let slots = nblocks.div_ceil(self.channels() * self.pim.units_per_pch).max(1);
-        let rows = (slots as u32).div_ceil(8);
+        let rows = stream_rows(elements, self.channels(), self.pim.units_per_pch);
         let program = stream_microkernel(op, rows, &self.pim);
-        let data = pim_runtime::kernels::stream_batches(op, rows, 0, &self.pim);
-        let batches = Executor::full_kernel(&program, None, false, &data);
-        let r = self.time(&mut ChannelPredictor::power_on(&self.timing), &batches);
+        let kernel = Executor::kernel(&program, None, false, stream_kernel(op, rows, 0, &self.pim));
+        let r = self.time(&mut ChannelPredictor::power_on(&self.timing), &kernel);
         let cost = self.cost(r.end_cycle, r.commands, r.fences);
         self.cache.insert(key, cost);
         cost

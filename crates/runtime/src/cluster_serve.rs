@@ -327,6 +327,10 @@ impl<'a> ClusterServer<'a> {
     ) -> Result<(), PimError> {
         stats.rejoin_probes += 1;
         let salt = mix(self.cfg.serve.seed ^ ((s as u64) << 32) ^ self.rejoin_salt);
+        // Submission ids name a request in its events and its `TraceId`;
+        // trace requests count up from 0, probes down from the top, so a
+        // probe shares an identity with no request on its stack.
+        let probe_id = usize::MAX - self.rejoin_salt as usize;
         self.rejoin_salt += 1;
         self.servers[s].advance_to(epoch_now);
         self.servers[s].reset_arena();
@@ -351,7 +355,7 @@ impl<'a> ClusterServer<'a> {
         };
         // The probe's serve stats are deliberately not merged into the
         // cluster totals: it is recovery traffic, not trace traffic.
-        let report = self.servers[s].run(vec![probe])?;
+        let report = self.servers[s].run_submitted(vec![(probe_id, probe)])?;
         let verified = report.outcomes.first().is_some_and(|o| {
             o.disposition == Disposition::Completed && o.result.as_deref() == Some(&oracle[..])
         });

@@ -28,7 +28,7 @@ use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
 use pim_core::{conf, LaneVec, UnitMask};
 use pim_dram::{BankAddr, Command, CommandSink, Cycle};
-use pim_host::{Batch, ExecutionMode, KernelEngine, KernelResult};
+use pim_host::{Batch, ExecutionMode, Kernel, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
 
 /// The PIM executor: stateless command-choreography builder + runner.
@@ -72,29 +72,39 @@ impl Executor {
         Batch::setup(cmds).with_label("clear_grf_b")
     }
 
-    /// Assembles the full kernel choreography around `data_batches` (which
-    /// are identical per channel — lock-step execution over per-channel
-    /// data).
+    /// Wraps the data phase `data` (identical per channel — lock-step
+    /// execution over per-channel data) in the full kernel choreography.
+    pub fn kernel(
+        program: &[Instruction],
+        srf: Option<&LaneVec>,
+        clear_grf_b: bool,
+        data: Kernel,
+    ) -> Kernel {
+        // Sized for the whole materialised list when `data` is a plain one
+        // (every stream launch): `materialise` then grows nothing.
+        let mut prologue = Vec::with_capacity(7 + data.prologue.len() + data.epilogue.len());
+        prologue.push(Batch::setup(conf::enter_ab_sequence()).with_label("enter_ab"));
+        prologue.extend(Self::crf_batches(program));
+        prologue.extend(srf.map(Self::srf_batch));
+        prologue.extend(clear_grf_b.then(Self::clear_grf_b_batch));
+        prologue.push(Batch::setup(conf::set_pim_op_mode_sequence(true)).with_label("pim_on"));
+        prologue.extend(data.prologue);
+        let mut epilogue = data.epilogue;
+        epilogue.push(Batch::setup(conf::set_pim_op_mode_sequence(false)).with_label("pim_off"));
+        epilogue.push(Batch::setup(conf::exit_ab_sequence()).with_label("exit_ab"));
+        Kernel { prologue, body: data.body, epilogue }
+    }
+
+    /// [`Executor::kernel`] around the plain list `data_batches`,
+    /// materialised.
     pub fn full_kernel(
         program: &[Instruction],
         srf: Option<&LaneVec>,
         clear_grf_b: bool,
         data_batches: &[Batch],
     ) -> Vec<Batch> {
-        let mut batches = Vec::new();
-        batches.push(Batch::setup(conf::enter_ab_sequence()).with_label("enter_ab"));
-        batches.extend(Self::crf_batches(program));
-        if let Some(v) = srf {
-            batches.push(Self::srf_batch(v));
-        }
-        if clear_grf_b {
-            batches.push(Self::clear_grf_b_batch());
-        }
-        batches.push(Batch::setup(conf::set_pim_op_mode_sequence(true)).with_label("pim_on"));
-        batches.extend_from_slice(data_batches);
-        batches.push(Batch::setup(conf::set_pim_op_mode_sequence(false)).with_label("pim_off"));
-        batches.push(Batch::setup(conf::exit_ab_sequence()).with_label("exit_ab"));
-        batches
+        let data = Kernel { prologue: data_batches.to_vec(), ..Kernel::default() };
+        Self::kernel(program, srf, clear_grf_b, data).materialise()
     }
 
     /// Runs the same kernel choreography on the first `channels` channels

@@ -34,11 +34,12 @@
 //! then execute the operation with a subsequent DRAM column RD command"
 //! (Section VII-D).
 
+use crate::layout::BlockMap;
 use pim_core::isa::{Instruction, Operand};
 use pim_core::{LaneVec, PimConfig, PimVariant};
-use pim_dram::{BankAddr, Command};
+use pim_dram::{BankAddr, Command, DataBlock};
 use pim_fp16::F16;
-use pim_host::Batch;
+use pim_host::{Batch, Kernel, Loop};
 
 /// Columns per DRAM row (1 KiB row / 32 B blocks).
 pub const COLS_PER_ROW: u32 = 32;
@@ -46,7 +47,7 @@ pub const COLS_PER_ROW: u32 = 32;
 pub const GROUP: u32 = 8;
 
 /// The element-wise streaming operations PIM-BLAS offers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamOp {
     /// `z = x + y` (residual connections).
     Add,
@@ -187,50 +188,43 @@ pub fn stream_columns(op: StreamOp, config: &PimConfig) -> (u32, Option<u32>, u3
     }
 }
 
-/// Builds the per-channel data-phase command stream for a stream op over
-/// `rows` row-groups (one group of 8 blocks per row). Identical for every
-/// channel — lock-step execution.
-pub fn stream_batches(op: StreamOp, rows: u32, base_row: u32, config: &PimConfig) -> Vec<Batch> {
+/// Rows a stream op over `elements` occupies in every unit's bank when
+/// laid out over `channels × units` units: [`GROUP`] block slots a row.
+pub fn stream_rows(elements: usize, channels: usize, units: usize) -> u32 {
+    let slots = BlockMap { channels, units }.slots_for(BlockMap::blocks_for(elements));
+    (slots.max(1) as u32).div_ceil(GROUP)
+}
+
+/// One DRAM row's visit, `trips` rows running: ACT `row`, `data`, PRE.
+fn row_loop(data: impl Iterator<Item = Batch>, row: u32, trips: u32) -> Loop {
     let bank = BankAddr::new(0, 0); // BA/BG ignored in AB mode
+    let open = Batch::setup(vec![Command::Act { bank, row }]);
+    let close = Batch::setup(vec![Command::Pre { bank }]);
+    Loop::new(std::iter::once(open).chain(data).chain(std::iter::once(close)).collect(), trips, 1)
+}
+
+/// The data phase of a stream op over `rows` row-groups (one group of 8
+/// blocks per row) as a loop over rows: per row, one 8-RD stage per
+/// operand column base. Identical for every channel — lock-step execution.
+pub fn stream_kernel(op: StreamOp, rows: u32, base_row: u32, config: &PimConfig) -> Kernel {
+    let bank = BankAddr::new(0, 0);
     let (x_col, y_col, z_col) = stream_columns(op, config);
+    let stages: Vec<u32> = [Some(x_col), y_col, Some(z_col)].into_iter().flatten().collect();
     // The 2× variant's doubled GRF lets two 8-command groups share one
     // fence (Section VII-D); we merge fence windows accordingly.
-    let merge = config.fence_window() as u32 / GROUP;
-    let mut batches = Vec::new();
-    let mut pending: Vec<Command> = Vec::new();
-    let mut pending_groups = 0u32;
-    let flush = |batches: &mut Vec<Batch>, pending: &mut Vec<Command>, pending_groups: &mut u32| {
-        if !pending.is_empty() {
-            batches.push(Batch::commutative(std::mem::take(pending)));
-            *pending_groups = 0;
-        }
-    };
-    for r in 0..rows {
-        let row = base_row + r;
-        flush(&mut batches, &mut pending, &mut pending_groups);
-        batches.push(Batch::setup(vec![Command::Act { bank, row }]));
-        let stage = |cols_base: u32,
-                     batches: &mut Vec<Batch>,
-                     pending: &mut Vec<Command>,
-                     pending_groups: &mut u32| {
-            for c in 0..GROUP {
-                pending.push(Command::Rd { bank, col: cols_base + c });
-            }
-            *pending_groups += 1;
-            if *pending_groups >= merge {
-                batches.push(Batch::commutative(std::mem::take(pending)));
-                *pending_groups = 0;
-            }
-        };
-        stage(x_col, &mut batches, &mut pending, &mut pending_groups);
-        if let Some(y) = y_col {
-            stage(y, &mut batches, &mut pending, &mut pending_groups);
-        }
-        stage(z_col, &mut batches, &mut pending, &mut pending_groups);
-        flush(&mut batches, &mut pending, &mut pending_groups);
-        batches.push(Batch::setup(vec![Command::Pre { bank }]));
-    }
-    batches
+    let merge = (config.fence_window() / GROUP as usize).max(1);
+    let data = stages.chunks(merge).map(|window| {
+        let mut rds = Vec::with_capacity(window.len() * GROUP as usize);
+        let cols = window.iter().flat_map(|&base| base..base + GROUP);
+        rds.extend(cols.map(|col| Command::Rd { bank, col }));
+        Batch::commutative(rds)
+    });
+    Kernel { body: vec![row_loop(data, base_row, rows)], ..Kernel::default() }
+}
+
+/// [`stream_kernel`], materialised.
+pub fn stream_batches(op: StreamOp, rows: u32, base_row: u32, config: &PimConfig) -> Vec<Batch> {
+    stream_kernel(op, rows, base_row, config).materialise()
 }
 
 /// Builds the GEMV microkernel for `groups` 8-input groups.
@@ -287,79 +281,78 @@ pub fn gemv_microkernel(groups: u32, config: &PimConfig) -> Vec<Instruction> {
     prog
 }
 
-/// Builds the GEMV data-phase command stream for one pass over `k` inputs
-/// (padded to a multiple of 8), starting at `base_row`, with the x-vector
-/// `x` (length ≥ k).
-pub fn gemv_batches(k: usize, base_row: u32, x: &[f32], config: &PimConfig) -> Vec<Batch> {
-    let bank = BankAddr::new(0, 0);
-    let groups = (k as u32).div_ceil(GROUP);
-    let srw = config.variant == PimVariant::SimultaneousReadWrite;
-    // The 2× variant's doubled GRF doubles the out-of-order tolerance
-    // window, so two 9-command groups share one fence (Section VII-D).
-    let merge = (config.fence_window() as u32 / GROUP).max(1);
-    let mut pending: Vec<Command> = Vec::new();
-    let mut pending_groups = 0u32;
-    let mut batches = Vec::new();
-    let mut open_row: Option<u32> = None;
-    let flush = |batches: &mut Vec<Batch>, pending: &mut Vec<Command>, pg: &mut u32| {
-        if !pending.is_empty() {
-            batches.push(Batch::fenced_ordered(std::mem::take(pending)));
-            *pg = 0;
-        }
-    };
-    for g in 0..groups {
-        let j0 = g * GROUP;
-        let row = base_row + j0 / COLS_PER_ROW;
-        let col0 = j0 % COLS_PER_ROW;
-        if open_row != Some(row) {
-            flush(&mut batches, &mut pending, &mut pending_groups);
-            if open_row.is_some() {
-                batches.push(Batch::setup(vec![Command::Pre { bank }]));
-            }
-            batches.push(Batch::setup(vec![Command::Act { bank, row }]));
-            open_row = Some(row);
-        }
-        if srw {
-            // 8 WRs: column addresses select the weight blocks; WDATA
-            // carries the input scalar broadcast to all lanes.
-            let cmds: Vec<Command> = (0..GROUP)
-                .map(|c| {
-                    let j = (j0 + c) as usize;
-                    let xv = if j < k { x.get(j).copied().unwrap_or(0.0) } else { 0.0 };
-                    Command::Wr {
-                        bank,
-                        col: col0 + c,
-                        data: LaneVec::splat(F16::from_f32(xv)).to_block(),
-                    }
-                })
-                .collect();
-            batches.push(Batch::commutative(cmds));
-        } else {
-            // One WR streams 8 x-scalars into SRF_M (lanes 0–7), then 8
-            // MAC triggers read the weight columns. The WR and its MACs
-            // share one fence window ("a barrier for every 8 DRAM
-            // commands"): the WR leads the group in program order, and the
-            // fence at the group boundary bounds controller reordering.
-            let mut lanes = [F16::ZERO; 16];
-            for (c, lane) in lanes.iter_mut().enumerate().take(GROUP as usize) {
-                let j = j0 as usize + c;
-                *lane = F16::from_f32(if j < k { x.get(j).copied().unwrap_or(0.0) } else { 0.0 });
-            }
-            pending.push(Command::Wr {
-                bank,
-                col: col0,
-                data: LaneVec::from_lanes(lanes).to_block(),
-            });
-            pending.extend((0..GROUP).map(|c| Command::Rd { bank, col: col0 + c }));
-            pending_groups += 1;
-            if pending_groups >= merge {
-                flush(&mut batches, &mut pending, &mut pending_groups);
-            }
-        }
+/// The payload of the input write that carries `x[j0..]`: eight scalars
+/// packed into lanes 0–7 (they land in SRF_M), or under the
+/// simultaneous-RD/WR variant the single `x[j0]` broadcast to every lane.
+/// Inputs past the end of `x` are zero.
+pub fn gemv_x_block(x: &[f32], j0: usize, srw: bool) -> DataBlock {
+    let at = |j: usize| F16::from_f32(x.get(j).copied().unwrap_or(0.0));
+    if srw {
+        return LaneVec::splat(at(j0)).to_block();
     }
-    flush(&mut batches, &mut pending, &mut pending_groups);
-    if open_row.is_some() {
-        batches.push(Batch::setup(vec![Command::Pre { bank }]));
+    let mut lanes = [F16::ZERO; 16];
+    for (c, lane) in lanes.iter_mut().enumerate().take(GROUP as usize) {
+        *lane = at(j0 + c);
+    }
+    LaneVec::from_lanes(lanes).to_block()
+}
+
+/// The data batches of one GEMV weight row holding `groups` 8-input groups,
+/// input writes zeroed.
+fn gemv_row(groups: u32, config: &PimConfig) -> Vec<Batch> {
+    let bank = BankAddr::new(0, 0);
+    let wr = |col| Command::Wr { bank, col, data: [0; 32] };
+    if config.variant == PimVariant::SimultaneousReadWrite {
+        // 8 WRs a group: column addresses select the weight blocks; WDATA
+        // carries the input scalar broadcast to all lanes.
+        let group = |g| Batch::commutative((g * GROUP..(g + 1) * GROUP).map(wr).collect());
+        return (0..groups).map(group).collect();
+    }
+    // One WR streams 8 x-scalars into SRF_M (lanes 0–7), then 8 MAC
+    // triggers read the weight columns. The WR and its MACs share one fence
+    // window ("a barrier for every 8 DRAM commands"): the WR leads the group
+    // in program order, and the fence at the group boundary bounds
+    // controller reordering. The 2× variant's doubled GRF doubles the
+    // out-of-order tolerance window, so two 9-command groups share one fence
+    // (Section VII-D).
+    let merge = (config.fence_window() as u32 / GROUP).max(1);
+    let group = |g: u32| {
+        let rds = (g * GROUP..(g + 1) * GROUP).map(|col| Command::Rd { bank, col });
+        std::iter::once(wr(g * GROUP)).chain(rds)
+    };
+    (0..groups)
+        .step_by(merge as usize)
+        .map(|g0| Batch::fenced_ordered((g0..(g0 + merge).min(groups)).flat_map(group).collect()))
+        .collect()
+}
+
+/// The GEMV data phase for one pass over `k` inputs (padded to a multiple
+/// of 8) from `base_row`, as a loop over full weight rows and a last
+/// partial one. Every input write carries zeros: the choreography does not
+/// depend on `x` ([`gemv_x_block`] is what a launch writes into them).
+pub fn gemv_kernel(k: usize, base_row: u32, config: &PimConfig) -> Kernel {
+    let per_row = COLS_PER_ROW / GROUP;
+    let groups = (k as u32).div_ceil(GROUP);
+    let (full, rest) = (groups / per_row, groups % per_row);
+    let mut body = vec![row_loop(gemv_row(per_row, config).into_iter(), base_row, full)];
+    if rest > 0 {
+        body.push(row_loop(gemv_row(rest, config).into_iter(), base_row + full, 1));
+    }
+    Kernel { body, ..Kernel::default() }
+}
+
+/// [`gemv_kernel`], materialised, with the x-vector `x` (inputs from `k` on
+/// are zero) in the input writes.
+pub fn gemv_batches(k: usize, base_row: u32, x: &[f32], config: &PimConfig) -> Vec<Batch> {
+    let srw = config.variant == PimVariant::SimultaneousReadWrite;
+    let x = &x[..x.len().min(k)];
+    let mut batches = gemv_kernel(k, base_row, config).materialise();
+    let writes = batches.iter_mut().flat_map(|b| &mut b.commands).filter_map(|c| match c {
+        Command::Wr { data, .. } => Some(data),
+        _ => None,
+    });
+    for (i, data) in writes.enumerate() {
+        *data = gemv_x_block(x, if srw { i } else { i * GROUP as usize }, srw);
     }
     batches
 }

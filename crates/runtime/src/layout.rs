@@ -91,11 +91,6 @@ impl<'a> Placement<'a> {
         let (i, unit, slot) = self.map.locate(b);
         (self.channels[i], unit, slot)
     }
-
-    /// Number of slots needed in every unit to hold `nblocks` blocks.
-    pub fn slots_for(&self, nblocks: usize) -> usize {
-        self.map.slots_for(nblocks)
-    }
 }
 
 /// Converts `len` f32 elements into 16-lane blocks, zero-padding the tail
@@ -219,7 +214,6 @@ mod tests {
         assert_eq!(p.locate(2), (6, 0, 0));
         assert_eq!(p.locate(3), (1, 1, 0));
         assert_eq!(p.locate(6), (1, 0, 1));
-        assert_eq!(p.slots_for(7), 2);
     }
 
     #[test]

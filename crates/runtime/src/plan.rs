@@ -33,11 +33,11 @@
 use crate::blas::{traced_op, KernelReport, PimError};
 use crate::context::PimContext;
 use crate::executor::Executor;
-use crate::kernels::{gemv_batches, gemv_microkernel, COLS_PER_ROW, GROUP};
+use crate::kernels::{gemv_kernel, gemv_microkernel, gemv_x_block, COLS_PER_ROW, GROUP};
 use crate::layout::{self, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
 use pim_core::{LaneVec, PimVariant, UnitMask};
-use pim_dram::{Command, DataBlock};
+use pim_dram::Command;
 use pim_fp16::F16;
 use pim_host::{Batch, KernelResult};
 
@@ -214,27 +214,24 @@ impl GemvPlan {
         }
 
         let program = gemv_microkernel(g.groups(), &cfg);
-        let zeros = vec![0.0f32; k];
         let mut per_pass = Vec::with_capacity(g.passes);
         let mut x_slots = Vec::new();
         let mut live = Vec::with_capacity(g.passes);
         for p in 0..g.passes {
             let prow = base_row + p as u32 * g.rows_per_pass;
-            let data = gemv_batches(g.kpad, prow, &zeros, &cfg);
-            let full = Executor::full_kernel(&program, None, true, &data);
+            let kernel = Executor::kernel(&program, None, true, gemv_kernel(g.kpad, prow, &cfg));
+            let prefix = kernel.prologue.len();
+            let full = kernel.materialise();
             if p == 0 {
-                // The choreography prefix (enter-AB, CRF, GRF clear,
-                // PIM-on) precedes the data batches; the input writes are
-                // the only WRs inside them.
-                let prefix = full.len() - 2 - data.len();
-                let mut wr_count = 0usize;
-                for (bi, b) in data.iter().enumerate() {
-                    for (ci, cmd) in b.commands.iter().enumerate() {
-                        if matches!(cmd, Command::Wr { .. }) {
-                            let j0 = if srw { wr_count } else { wr_count * GROUP as usize };
-                            x_slots.push(XSlot { batch: prefix + bi, cmd: ci, j0 });
-                            wr_count += 1;
-                        }
+                // Between the choreography prefix (enter-AB, CRF, GRF
+                // clear, PIM-on) and its two closing batches, the input
+                // writes are the only WRs.
+                for (bi, b) in full.iter().enumerate().take(full.len() - 2).skip(prefix) {
+                    let writes = (b.commands.iter().enumerate())
+                        .filter(|(_, c)| matches!(c, Command::Wr { .. }));
+                    for (ci, _) in writes {
+                        let j0 = x_slots.len() * if srw { 1 } else { GROUP as usize };
+                        x_slots.push(XSlot { batch: bi, cmd: ci, j0 });
                     }
                 }
             }
@@ -262,16 +259,7 @@ impl GemvPlan {
     fn patch_x(&mut self, x: &[f32]) {
         for si in 0..self.x_slots.len() {
             let XSlot { batch, cmd, j0 } = self.x_slots[si];
-            let block: DataBlock = if self.srw {
-                let xv = x.get(j0).copied().unwrap_or(0.0);
-                LaneVec::splat(F16::from_f32(xv)).to_block()
-            } else {
-                let mut lanes = [F16::ZERO; 16];
-                for (c, lane) in lanes.iter_mut().enumerate().take(GROUP as usize) {
-                    *lane = F16::from_f32(x.get(j0 + c).copied().unwrap_or(0.0));
-                }
-                LaneVec::from_lanes(lanes).to_block()
-            };
+            let block = gemv_x_block(x, j0, self.srw);
             for pass in &mut self.per_pass {
                 let Command::Wr { data, .. } = &mut pass[batch].commands[cmd] else {
                     unreachable!("x slot no longer points at a WR");

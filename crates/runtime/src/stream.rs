@@ -12,7 +12,9 @@
 use crate::blas::PimError;
 use crate::context::PimContext;
 use crate::executor::Executor;
-use crate::kernels::{stream_batches, stream_columns, stream_microkernel, StreamOp, GROUP};
+use crate::kernels::{
+    stream_batches, stream_columns, stream_microkernel, stream_rows, StreamOp, GROUP,
+};
 use crate::layout::{self, Placement, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
 use pim_core::{LaneVec, PimVariant, UnitMask};
@@ -133,7 +135,7 @@ impl<'a> StreamJob<'a> {
     ) -> Result<StreamJob<'a>, PimError> {
         let cfg = ctx.sys.pim_config().clone();
         let place = Placement::over(channels, cfg.units_per_pch);
-        let rows = (place.slots_for(ops.blocks()).max(1) as u32).div_ceil(GROUP);
+        let rows = stream_rows(ops.len, channels.len(), cfg.units_per_pch);
         let base_row = ctx
             .mm
             .alloc_rows_lockstep(rows)

@@ -12,8 +12,9 @@ use pim_bench::campaign::{build_trace, TraceShape};
 use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
 use pim_bench::faults::fault_mix;
 use pim_bench::json;
-use pim_faults::FaultPlan;
+use pim_faults::{ClusterFaultPlan, FaultPlan};
 use pim_host::{ClusterTopology, ExecutionBackend};
+use pim_obs::{names, Recorder, TraceId};
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, PimError,
     ServeConfig, ServeRequest, Server,
@@ -248,6 +249,43 @@ fn trace_ids_are_distinct_across_stacks_and_epochs() {
     ids.sort_unstable();
     ids.dedup();
     assert_eq!(ids.len(), requests, "trace ids collide");
+}
+
+/// The rejoin probe is recovery traffic with an identity of its own: it
+/// runs on the recovered stack just ahead of that stack's first request of
+/// the run (submission id 0), and its events must not carry that request's
+/// — or any request's — trace id.
+#[test]
+fn rejoin_probe_shares_a_trace_id_with_no_request() {
+    let mut cluster = ClusterContext::new(2).unwrap();
+    let recorder = Recorder::vec();
+    cluster.enable_profiling(recorder.clone());
+    let cfg = ClusterServeConfig {
+        replication: 2,
+        chaos: Some(ClusterFaultPlan::quiet(17).crash(1, 0, 200_000)),
+        ..ClusterServeConfig::default()
+    };
+    let mut server = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap();
+    // Every request is tenant 1's, whose home is the stack that crashes:
+    // the first run sees the outage, the second the verified rejoin.
+    let run = |from: u64| (0..4).map(|i| add_req(1, from + i * 2_000, 500_000_000, 512)).collect();
+    let outage = server.run(run(0)).unwrap();
+    let healed = server.run(run(300_000)).unwrap();
+    assert_eq!((healed.stats.rejoin_probes, healed.stats.rejoins), (1, 1), "{:?}", healed.stats);
+    assert_eq!(healed.stats.routed, vec![0, 4], "request 0 must follow the probe onto stack 1");
+
+    let requests: Vec<TraceId> =
+        outage.outcomes.iter().chain(&healed.outcomes).map(|o| o.trace).collect();
+    let admitted: Vec<TraceId> = recorder
+        .events()
+        .expect("vec sink retains events")
+        .iter()
+        .filter(|e| e.name == names::REQ_ADMIT)
+        .map(|e| e.trace.expect("request events are trace-stamped").trace)
+        .collect();
+    assert_eq!(admitted.len(), requests.len() + 1, "one admission a request, plus the probe's");
+    let foreign = admitted.iter().filter(|t| !requests.contains(t)).count();
+    assert_eq!(foreign, 1, "the probe was admitted under a request's trace id");
 }
 
 #[test]
