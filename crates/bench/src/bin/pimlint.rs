@@ -32,18 +32,14 @@
 //! 1 diagnostics found, an expectation unmet, or programs inequivalent,
 //! 2 usage or I/O error.
 
+use pim_bench::cli::Cli;
 use pim_bench::lint;
 use pim_core::{PimConfig, PimVariant};
 use pim_verify::EquivVerdict;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimlint [--builtin] [--variant base|2x|2bank|srw] \
-         [--deny-warnings] [--json] [--encode FILE] [FILES...]\n\
-         \x20      pimlint [--variant ...] --equiv A.pim B.pim"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "pimlint [--builtin] [--variant base|2x|2bank|srw] \
+    [--deny-warnings] [--json] [--encode FILE] [FILES...]\n\
+    \x20      pimlint [--variant ...] --equiv A.pim B.pim";
 
 fn read(path: &str) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -71,34 +67,31 @@ fn main() {
     let mut equiv: Option<(String, String)> = None;
     let mut variant = PimVariant::Base;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut cli = Cli::new("pimlint", USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--help" | "-h" => usage(),
+            "--help" | "-h" => cli.usage(),
             "--builtin" => builtin = true,
             "--deny-warnings" => deny_warnings = true,
             "--json" => json = true,
-            "--encode" => encode = Some(args.next().unwrap_or_else(|| usage())),
-            "--equiv" => {
-                let a = args.next().unwrap_or_else(|| usage());
-                let b = args.next().unwrap_or_else(|| usage());
-                equiv = Some((a, b));
-            }
+            "--encode" => encode = Some(cli.next_value(&arg)),
+            "--equiv" => equiv = Some((cli.next_value(&arg), cli.next_value(&arg))),
             "--variant" => {
-                variant = match args.next().as_deref() {
-                    Some("base") => PimVariant::Base,
-                    Some("2x") => PimVariant::DoubleResources,
-                    Some("2bank") => PimVariant::TwoBankAccess,
-                    Some("srw") => PimVariant::SimultaneousReadWrite,
-                    _ => usage(),
+                let name = cli.next_value(&arg);
+                variant = match name.as_str() {
+                    "base" => PimVariant::Base,
+                    "2x" => PimVariant::DoubleResources,
+                    "2bank" => PimVariant::TwoBankAccess,
+                    "srw" => PimVariant::SimultaneousReadWrite,
+                    _ => cli.bad(format!("unknown variant '{name}'")),
                 };
             }
             f if !f.starts_with('-') => files.push(f.to_string()),
-            _ => usage(),
+            other => cli.bad(format!("unknown argument '{other}'")),
         }
     }
     if files.is_empty() && !builtin && encode.is_none() && equiv.is_none() {
-        usage();
+        cli.bad("nothing to lint".to_string());
     }
     let cfg = PimConfig::with_variant(variant);
 

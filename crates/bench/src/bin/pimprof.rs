@@ -15,18 +15,14 @@
 //! sizes stream up to 128 MB of weights through the simulator; scaled runs
 //! keep the same command mix at a fraction of the wall time).
 
+use pim_bench::cli::Cli;
 use pim_bench::profile::{profile_gemv, render_profile};
 use pim_bench::report;
 use pim_bench::trace::render_attrib;
 use pim_obs::{chrome::chrome_trace_json, csv::metrics_csv, Attribution};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: pimprof [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] [--trace PATH] [--csv PATH] \
-         [--attrib] [--folded PATH]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "pimprof [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] [--trace PATH] \
+    [--csv PATH] [--attrib] [--folded PATH]";
 
 fn main() {
     let mut name = "GEMV1".to_string();
@@ -37,27 +33,15 @@ fn main() {
     let mut attrib = false;
     let mut folded_path: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    let mut cli = Cli::new("pimprof", USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--help" | "-h" => {
-                println!(
-                    "usage: pimprof [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] [--trace PATH] \
-                     [--csv PATH] [--attrib] [--folded PATH]"
-                );
-                return;
-            }
-            "--scale" => {
-                scale = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&d| d > 0)
-                    .unwrap_or_else(|| usage());
-            }
-            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| usage())),
-            "--csv" => csv_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--help" | "-h" => cli.usage(),
+            "--scale" => scale = cli.parse_pos(&arg, "scale"),
+            "--trace" => trace_path = Some(cli.next_value(&arg)),
+            "--csv" => csv_path = Some(cli.next_value(&arg)),
             "--attrib" => attrib = true,
-            "--folded" => folded_path = Some(args.next().unwrap_or_else(|| usage())),
+            "--folded" => folded_path = Some(cli.next_value(&arg)),
             w => {
                 if let Some(wl) = pim_bench::workloads::gemv_workloads()
                     .iter()
@@ -71,10 +55,10 @@ fn main() {
                             name = w.to_string();
                             shape = Some((n, k));
                         }
-                        _ => usage(),
+                        _ => cli.bad(format!("bad shape '{w}' (expected NxK, both positive)")),
                     }
                 } else {
-                    usage()
+                    cli.bad(format!("unknown argument '{w}'"))
                 }
             }
         }

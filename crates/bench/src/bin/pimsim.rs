@@ -4,6 +4,7 @@
 //! against a fresh paper-configuration channel, and prints the output.
 //! Run `pimsim --help` for the command language, or try the built-in demo
 //! with `pimsim --demo`. See `pim_runtime::script` for the full reference.
+use pim_bench::cli::Cli;
 use pim_runtime::ScriptSession;
 use std::io::Read;
 
@@ -27,29 +28,36 @@ peek 0 0 0
 stats
 "#;
 
+const USAGE: &str = "pimsim [SCRIPT | --demo] [--profile]   (stdin if no script is named)\n\n\
+    commands: mode ab|sb, pim on|off, program..end, srf, poke, peek,\n\
+    \x20         act, rd, wr, pre, prea, dump, stats, trace, profile  (# comments)\n\n\
+    --profile attaches a recorder and prints the metrics profile after the run";
+
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = args.iter().any(|a| a == "--profile");
-    args.retain(|a| a != "--profile");
-    let arg = args.first().cloned();
-    let source = match arg.as_deref() {
-        Some("--help") | Some("-h") => {
-            println!("usage: pimsim [SCRIPT.pim | --demo] [--profile]   (stdin if omitted)\n");
-            println!("commands: mode ab|sb, pim on|off, program..end, srf, poke, peek,");
-            println!("          act, rd, wr, pre, prea, dump, stats, trace, profile  (# comments)");
-            println!(
-                "\n--profile attaches a recorder and prints the metrics profile after the run"
-            );
-            return;
+    let mut cli = Cli::new("pimsim", USAGE);
+    let mut profile = false;
+    let mut demo = false;
+    let mut path: Option<String> = None;
+    while let Some(arg) = cli.next_arg() {
+        match arg.as_str() {
+            "--help" | "-h" => cli.usage(),
+            "--profile" => profile = true,
+            "--demo" => demo = true,
+            flag if flag.starts_with('-') => cli.bad(format!("unknown argument '{flag}'")),
+            _ if path.is_some() => cli.bad(format!("more than one script: '{arg}'")),
+            _ => path = Some(arg),
         }
-        Some("--demo") => {
-            println!("{DEMO}");
-            DEMO.to_string()
-        }
-        Some(path) => std::fs::read_to_string(path).unwrap_or_else(|e| {
+    }
+    let source = match path {
+        Some(_) if demo => cli.bad("--demo takes no script".to_string()),
+        Some(path) => std::fs::read_to_string(&path).unwrap_or_else(|e| {
             eprintln!("pimsim: cannot read {path}: {e}");
             std::process::exit(1);
         }),
+        None if demo => {
+            println!("{DEMO}");
+            DEMO.to_string()
+        }
         None => {
             let mut s = String::new();
             if let Err(e) = std::io::stdin().read_to_string(&mut s) {

@@ -25,7 +25,8 @@
 //! line); `diff` compares two artifact files and reports the first
 //! difference.
 
-use pim_bench::campaign::{Cli, TraceShape};
+use pim_bench::campaign::TraceShape;
+use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
 use pim_bench::serve::ServeCampaignConfig;
 use pim_bench::trace::{assert_backend_identity, run_traced};

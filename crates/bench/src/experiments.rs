@@ -90,8 +90,8 @@ pub fn table5() -> Vec<(String, String)> {
     let t = TimingParams::hbm2();
     let t_lo = TimingParams::hbm2_2gbps();
     let c = PimConfig::paper();
-    let on_hi = t.peak_pch_allbank_bandwidth_gbs(c.units_per_pch) * 16.0;
-    let on_lo = t_lo.peak_pch_allbank_bandwidth_gbs(c.units_per_pch) * 16.0;
+    let on_hi = t.peak_pch_allbank_bandwidth_gbs(c.operand_banks_per_command()) * 16.0;
+    let on_lo = t_lo.peak_pch_allbank_bandwidth_gbs(c.operand_banks_per_command()) * 16.0;
     let off_hi = t.peak_pch_bandwidth_gbs() * 16.0;
     let off_lo = t_lo.peak_pch_bandwidth_gbs() * 16.0;
     vec![

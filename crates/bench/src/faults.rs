@@ -16,6 +16,7 @@ use crate::campaign::{add_oracle, counters, report, wrong_elements};
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
 use pim_host::ExecutionBackend;
+use pim_runtime::kernels::stream_rows;
 use pim_runtime::{resilient_add, PimContext, PimError, ResilienceConfig, ResilienceReport};
 
 /// Campaign shape: the sweep and the workload size.
@@ -90,10 +91,25 @@ fn operands(seed: u64, n: usize) -> (Vec<f32>, Vec<f32>) {
 ///
 /// # Errors
 ///
-/// Propagates [`PimError`] from the resilient runtime (only plumbing
-/// failures — fault damage itself is recovered, not reported as an error).
+/// [`PimError::OutOfMemory`], before any operand is built, if `elements`
+/// cannot fit the arena; otherwise propagates [`PimError`] from the
+/// resilient runtime (only plumbing failures — fault damage itself is
+/// recovered, not reported as an error).
 pub fn run_point(cfg: &CampaignConfig, rate: f64) -> Result<CampaignPoint, PimError> {
     let mut ctx = PimContext::small_system();
+    // `elements` comes straight from the command line and the operands,
+    // their golden blocks and the oracle are ~20 bytes an element: refuse
+    // what the arena cannot hold before allocating for it.
+    let (channels, units) = (ctx.sys.channel_count(), ctx.sys.pim_config().units_per_pch);
+    let (needed, available) = (stream_rows(cfg.elements, channels, units), ctx.mm.min_available());
+    if needed > available {
+        return Err(PimError::OutOfMemory {
+            detail: format!(
+                "{} elements need {needed} rows per unit, {available} available",
+                cfg.elements
+            ),
+        });
+    }
     ctx.set_backend(cfg.backend);
     if rate > 0.0 {
         ctx.inject_faults(&fault_mix(cfg.seed, rate));
@@ -158,6 +174,26 @@ mod tests {
         assert!(r.quarantined.is_empty());
         assert_eq!(p.wrong_answers, 0);
         assert!(r.kernel.cycles > 0);
+    }
+
+    /// `pimfault --elements 999999999 --rates 0` used to be OOM-killed
+    /// building ~20 GB of operands before `StreamJob::place` could refuse
+    /// them; one element past the arena is already a typed error.
+    #[test]
+    fn oversized_workloads_are_refused_before_allocating() {
+        for elements in [999_999_999, usize::MAX] {
+            let cfg = CampaignConfig { elements, ..small() };
+            let refused = run_point(&cfg, 0.0);
+            assert!(
+                matches!(refused, Err(PimError::OutOfMemory { .. })),
+                "{elements}: {refused:?}"
+            );
+        }
+        let ctx = PimContext::small_system();
+        let units = ctx.sys.channel_count() * ctx.sys.pim_config().units_per_pch;
+        // 8 block slots a row, 16 elements a block.
+        let fits = ctx.mm.min_available() as usize * 8 * units * 16;
+        assert!(run_point(&CampaignConfig { elements: fits + 1, ..small() }, 0.0).is_err());
     }
 
     #[test]

@@ -223,16 +223,6 @@ pub fn assemble(source: &str) -> Result<Vec<Instruction>, AsmError> {
     Ok(program)
 }
 
-/// Disassembles a program back into assembly text (the inverse of
-/// [`assemble`] up to comments and whitespace).
-pub fn disassemble(program: &[Instruction]) -> String {
-    let mut out = String::new();
-    for (i, instr) in program.iter().enumerate() {
-        out.push_str(&format!("{i:>2}: {instr}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -372,12 +362,5 @@ mod tests {
         assert_eq!(e.violation, Some(ValidateError::JumpTargetOutOfRange(40)));
         // Display carries line:col.
         assert!(e.to_string().starts_with("line 2:4: "), "{e}");
-    }
-
-    #[test]
-    fn disassemble_lists_indices() {
-        let prog = vec![Instruction::Exit];
-        let text = disassemble(&prog);
-        assert!(text.contains(" 0: EXIT"));
     }
 }

@@ -43,30 +43,6 @@ impl PimVariant {
             PimVariant::SimultaneousReadWrite => "PIM-HBM-SRW",
         }
     }
-
-    /// Relative die-size increase over the base PIM-HBM die (Section
-    /// VII-D: 2× "increases the die size by 24%"; 2BA "does not notably
-    /// increase the die size"; SRW adds a write-datapath mux of negligible
-    /// area).
-    pub fn die_area_overhead(self) -> f64 {
-        match self {
-            PimVariant::Base => 0.0,
-            PimVariant::DoubleResources => 0.24,
-            PimVariant::TwoBankAccess => 0.01,
-            PimVariant::SimultaneousReadWrite => 0.01,
-        }
-    }
-
-    /// Relative PIM-mode power increase over base (Section VII-D: 2BA
-    /// "consumes 60% more power").
-    pub fn power_overhead(self) -> f64 {
-        match self {
-            PimVariant::Base => 0.0,
-            PimVariant::DoubleResources => 0.15,
-            PimVariant::TwoBankAccess => 0.60,
-            PimVariant::SimultaneousReadWrite => 0.05,
-        }
-    }
 }
 
 impl std::fmt::Display for PimVariant {
@@ -127,11 +103,6 @@ impl PimConfig {
     /// At 300 MHz this is Table IV's 9.6 GFLOPS.
     pub fn unit_gflops(&self) -> f64 {
         self.lanes as f64 * 2.0 * self.unit_mhz as f64 / 1e3
-    }
-
-    /// Peak compute throughput of one 16-pCH device in GFLOPS.
-    pub fn device_gflops(&self) -> f64 {
-        self.unit_gflops() * self.units_per_pch as f64 * 16.0
     }
 
     /// The out-of-order tolerance window in column commands: AAM can fix up
@@ -217,7 +188,8 @@ mod tests {
     fn device_throughput_scales() {
         let c = PimConfig::paper();
         // 8 units × 16 pCH × 9.6 GFLOPS = 1.2288 TFLOPS per device.
-        assert!((c.device_gflops() - 1228.8).abs() < 1e-9);
+        let device_gflops = c.unit_gflops() * c.units_per_pch as f64 * 16.0;
+        assert!((device_gflops - 1228.8).abs() < 1e-9);
     }
 
     #[test]
@@ -256,7 +228,5 @@ mod tests {
     fn variant_labels() {
         assert_eq!(PimVariant::Base.label(), "PIM-HBM");
         assert_eq!(PimVariant::ALL.len(), 4);
-        assert!(PimVariant::TwoBankAccess.power_overhead() > 0.5);
-        assert!(PimVariant::DoubleResources.die_area_overhead() > 0.2);
     }
 }

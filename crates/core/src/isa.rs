@@ -440,17 +440,6 @@ impl Instruction {
         matches!(self, Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit)
     }
 
-    /// `true` for arithmetic instructions (ADD/MUL/MAC/MAD).
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Add { .. }
-                | Instruction::Mul { .. }
-                | Instruction::Mac { .. }
-                | Instruction::Mad { .. }
-        )
-    }
-
     /// The destination operand, for instruction classes that write one
     /// (`None` for NOP/JUMP/EXIT).
     pub fn dst(&self) -> Option<Operand> {
@@ -892,14 +881,13 @@ mod tests {
     fn instruction_classes() {
         assert!(Instruction::Exit.is_control());
         assert!(Instruction::Nop { cycles: 1 }.is_control());
-        assert!(Instruction::Add {
+        assert!(!Instruction::Add {
             dst: Operand::grf_a(0),
             src0: Operand::grf_a(1),
             src1: Operand::grf_b(0),
             aam: false
         }
-        .is_arithmetic());
-        assert!(!Instruction::Exit.is_arithmetic());
+        .is_control());
     }
 
     #[test]

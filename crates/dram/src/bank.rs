@@ -227,7 +227,8 @@ impl Bank {
     }
 
     /// Number of rows that have been materialized (written at least once).
-    pub fn touched_rows(&self) -> usize {
+    #[cfg(test)]
+    fn touched_rows(&self) -> usize {
         self.rows.iter().flatten().count()
     }
 

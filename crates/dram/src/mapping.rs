@@ -81,12 +81,6 @@ impl AddressMapping {
             * crate::bank::ROW_BYTES as u64
     }
 
-    /// Bytes that are contiguous within one pseudo channel before the
-    /// mapping hops to the next channel (256 B in the default layout).
-    pub fn pch_contiguity_bytes(&self) -> u64 {
-        256
-    }
-
     /// Decodes a physical address.
     ///
     /// # Panics

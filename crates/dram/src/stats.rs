@@ -41,18 +41,6 @@ pub struct ChannelStats {
     pub refreshes: u64,
 }
 
-impl ChannelStats {
-    /// Total column commands (reads + writes).
-    pub fn column_commands(&self) -> u64 {
-        self.reads + self.writes
-    }
-
-    /// Bytes moved across the channel data bus by column commands.
-    pub fn data_bytes(&self) -> u64 {
-        self.column_commands() * crate::DATA_BLOCK_BYTES as u64
-    }
-}
-
 counter_table!(ChannelStats { acts, reads, writes, pres, refreshes });
 
 /// Memory-controller level statistics.
@@ -97,13 +85,6 @@ impl ControllerStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn data_bytes_counts_columns() {
-        let s = ChannelStats { reads: 3, writes: 1, ..Default::default() };
-        assert_eq!(s.column_commands(), 4);
-        assert_eq!(s.data_bytes(), 128);
-    }
 
     #[test]
     fn merge_adds_fields() {

@@ -256,11 +256,6 @@ impl TimingParams {
         bytes_per_cmd * cmds_per_sec / 1e9
     }
 
-    /// Nanoseconds per bus cycle.
-    pub fn ns_per_cycle(&self) -> f64 {
-        1e3 / self.bus_mhz as f64
-    }
-
     /// Converts a cycle count to seconds.
     pub fn cycles_to_seconds(&self, cycles: Cycle) -> f64 {
         cycles as f64 / (self.bus_mhz as f64 * 1e6)
@@ -356,7 +351,6 @@ mod tests {
     #[test]
     fn cycle_time_conversions() {
         let t = TimingParams::hbm2();
-        assert!((t.ns_per_cycle() - 0.8333).abs() < 1e-3);
         assert!((t.cycles_to_seconds(1_200_000_000) - 1.0).abs() < 1e-12);
     }
 }

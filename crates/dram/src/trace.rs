@@ -83,13 +83,6 @@ impl<S: CommandSink> TracingSink<S> {
         self.trace.iter()
     }
 
-    /// `true` if no entries were evicted — the trace covers every command
-    /// the sink saw. Check this (or [`TracingSink::dropped`]) before
-    /// treating the trace as the full command history.
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
-    }
-
     /// Number of retained entries.
     pub fn len(&self) -> usize {
         self.trace.len()
@@ -216,7 +209,6 @@ mod tests {
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 2);
-        assert!(!t.is_complete());
         // The ACT was evicted; first retained entry is a RD.
         assert!(matches!(t.trace().next().unwrap().command, Command::Rd { .. }));
         let log = t.render();
@@ -228,7 +220,7 @@ mod tests {
     fn render_footer_marks_complete_traces() {
         let mut t = traced();
         t.issue(&Command::Act { bank: BankAddr::new(0, 0), row: 0 }, 0).unwrap();
-        assert!(t.is_complete());
+        assert_eq!(t.dropped(), 0);
         let log = t.render();
         assert!(log.contains("trace complete: 1 commands"));
         assert!(!log.contains("truncated"));

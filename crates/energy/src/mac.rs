@@ -14,20 +14,6 @@ pub struct MacUnitModel {
     pub rel_energy: f64,
 }
 
-impl MacUnitModel {
-    /// Absolute area in mm² given the paper's FP16 anchor: a full PIM
-    /// execution unit (16 FP16 MAC lanes + registers + control) occupies
-    /// 0.712 mm² (Table IV); the datapath's MAC share is roughly half, so
-    /// one FP16 MAC lane ≈ 0.022 mm² and the Table I ratios scale from
-    /// there. Used for the DSE area arithmetic only — relative numbers are
-    /// what the paper reports.
-    pub fn area_mm2(&self) -> f64 {
-        const FP16_LANE_MM2: f64 = 0.022;
-        const FP16_REL: f64 = 1.32;
-        FP16_LANE_MM2 * self.rel_area / FP16_REL
-    }
-}
-
 /// The complete Table I, in the paper's row order. Values are copied
 /// verbatim from the paper.
 pub fn table1() -> Vec<MacUnitModel> {
@@ -41,14 +27,13 @@ pub fn table1() -> Vec<MacUnitModel> {
     ]
 }
 
-/// Looks up a format's row.
-pub fn for_format(format: NumberFormat) -> MacUnitModel {
-    table1().into_iter().find(|m| m.format == format).expect("every format has a Table I row")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn for_format(format: NumberFormat) -> MacUnitModel {
+        table1().into_iter().find(|m| m.format == format).expect("every format has a Table I row")
+    }
 
     #[test]
     fn table1_has_all_formats_in_order() {
@@ -74,13 +59,5 @@ mod tests {
         assert!(bf16.rel_energy < fp16.rel_energy);
         // FP16/BF16 are "comparable to INT16": within ~35%.
         assert!(fp16.rel_area <= 1.35 && bf16.rel_area <= 1.35);
-    }
-
-    #[test]
-    fn absolute_area_anchor() {
-        // 16 FP16 lanes ≈ 0.35 mm², about half the 0.712 mm² unit.
-        let fp16 = for_format(NumberFormat::Fp16);
-        let lanes16 = fp16.area_mm2() * 16.0;
-        assert!((0.3..0.4).contains(&lanes16), "got {lanes16}");
     }
 }

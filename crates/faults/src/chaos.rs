@@ -21,19 +21,7 @@
 //! pure function of `(plan, site, cycle)` — there is no RNG stream and
 //! no dependence on simulation order, so a chaos campaign is
 //! byte-identical across execution backends and worker counts, like
-//! everything else in the stack. The seeded storm constructor derives
-//! its windows from site hashes of `(seed, stack)`, never from a
-//! sequential generator.
-
-use crate::{happens, site_hash};
-
-/// Domain tags for the chaos hash streams, disjoint from the device-level
-/// tags in [`crate::FaultPlan`]'s domain space.
-mod chaos_domain {
-    pub const STORM_CRASH: u64 = 0x30;
-    pub const STORM_STALL: u64 = 0x31;
-    pub const STORM_LINK: u64 = 0x32;
-}
+//! everything else in the stack.
 
 /// Nominal stall factor: service time is unchanged.
 pub const NOMINAL_MILLI: u64 = 1000;
@@ -110,9 +98,7 @@ impl LinkState {
 /// A deterministic, time-phased cluster chaos schedule.
 ///
 /// Build one with [`ClusterFaultPlan::quiet`] plus the chainable window
-/// constructors, or derive a whole storm from a seed with
-/// [`ClusterFaultPlan::seeded_storm`]. All queries are pure functions of
-/// `(plan, site, cycle)`.
+/// constructors. All queries are pure functions of `(plan, site, cycle)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterFaultPlan {
     /// Seed the plan was built from (salts rejoin probes downstream; the
@@ -197,43 +183,6 @@ impl ClusterFaultPlan {
         self.with_window(ChaosWindow { stack, from, until, kind: ChaosKind::Partition })
     }
 
-    /// Derives a storm over `stacks` members and a `[0, horizon)` cycle
-    /// span from site hashes of `(seed, stack)`: each stack independently
-    /// draws a crash window with probability `crash_rate`, a 3× stall
-    /// window with probability `stall_rate`, and a link partition with
-    /// probability `partition_rate`. Window placement is a pure function
-    /// of the seed and the stack index — no RNG stream — and stack 0 is
-    /// exempt from crashes so the cluster always keeps one member.
-    pub fn seeded_storm(
-        seed: u64,
-        stacks: usize,
-        horizon: u64,
-        crash_rate: f64,
-        stall_rate: f64,
-        partition_rate: f64,
-    ) -> ClusterFaultPlan {
-        let mut plan = ClusterFaultPlan::quiet(seed);
-        let slot = (horizon / 4).max(1);
-        for s in 0..stacks {
-            let h_crash = site_hash(seed, chaos_domain::STORM_CRASH, s as u64, 0, 0);
-            if s != 0 && happens(h_crash, crash_rate) {
-                let from = slot + h_crash % slot;
-                plan = plan.crash(s, from, from + slot);
-            }
-            let h_stall = site_hash(seed, chaos_domain::STORM_STALL, s as u64, 0, 0);
-            if happens(h_stall, stall_rate) {
-                let from = slot + h_stall % (2 * slot);
-                plan = plan.stall(s, from, from + slot, 3000);
-            }
-            let h_link = site_hash(seed, chaos_domain::STORM_LINK, s as u64, 0, 0);
-            if s != 0 && happens(h_link, partition_rate) {
-                let from = 2 * slot + h_link % slot;
-                plan = plan.partition(s, from, from + slot);
-            }
-        }
-        plan
-    }
-
     /// Whether `stack` is crashed at `cycle`.
     pub fn stack_crashed(&self, stack: usize, cycle: u64) -> bool {
         self.windows
@@ -286,11 +235,11 @@ impl ClusterFaultPlan {
         self.link_state(stack, cycle).partitioned
     }
 
-    /// Every finite window edge (both `from` and `until`), sorted and
-    /// deduplicated — the instants at which any site's health can change.
-    /// Health trackers only need to re-evaluate the plan when the clock
-    /// crosses one of these.
-    pub fn phase_boundaries(&self) -> Vec<u64> {
+    /// Test probe: every finite window edge (both `from` and `until`),
+    /// sorted and deduplicated — the instants at which any site's health
+    /// can change.
+    #[cfg(test)]
+    fn phase_boundaries(&self) -> Vec<u64> {
         let mut edges: Vec<u64> = self
             .windows
             .iter()
@@ -376,19 +325,5 @@ mod tests {
             u64::MAX,
         );
         assert_eq!(p.phase_boundaries(), vec![50, 100, 200, 300]);
-    }
-
-    #[test]
-    fn seeded_storm_is_deterministic_and_spares_stack_zero() {
-        let a = ClusterFaultPlan::seeded_storm(42, 8, 1 << 20, 0.5, 0.5, 0.5);
-        let b = ClusterFaultPlan::seeded_storm(42, 8, 1 << 20, 0.5, 0.5, 0.5);
-        assert_eq!(a, b);
-        let c = ClusterFaultPlan::seeded_storm(43, 8, 1 << 20, 0.5, 0.5, 0.5);
-        assert_ne!(a, c, "different seeds should draw different storms");
-        let heavy = ClusterFaultPlan::seeded_storm(42, 8, 1 << 20, 1.0, 0.0, 0.0);
-        for cycle in [0, 1 << 18, 1 << 19, 1 << 20] {
-            assert!(!heavy.stack_crashed(0, cycle), "stack 0 must never crash");
-        }
-        assert!(heavy.windows().len() == 7, "every other stack crashes at rate 1.0");
     }
 }

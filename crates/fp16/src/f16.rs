@@ -255,16 +255,6 @@ impl F16 {
         self.to_f32() as f64
     }
 
-    /// Converts from `f64` with a single correctly rounded step.
-    ///
-    /// Double rounding through `f64` (53 bits) down to 11 bits is safe by the
-    /// same `q >= 2p + 2` argument as the `f32` path.
-    pub fn from_f64(value: f64) -> F16 {
-        // f64 -> f32 is correctly rounded; 24 >= 2*11+2 keeps the second step
-        // exact as well.
-        F16::from_f32(value as f32)
-    }
-
     /// `true` if this value is NaN.
     #[inline]
     pub fn is_nan(self) -> bool {
@@ -279,11 +269,6 @@ impl F16 {
     /// `true` if this value is neither infinite nor NaN.
     pub fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
-    }
-
-    /// `true` if this value is subnormal (nonzero with a zero exponent field).
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & FRAC_MASK) != 0
     }
 
     /// `true` if this value is positive or negative zero.
@@ -660,7 +645,6 @@ mod tests {
         assert_eq!(F16::from_f32(-1e-30), F16::NEG_ZERO);
         // Subnormal arithmetic round-trips exactly.
         let sub = F16::from_bits(0x0123);
-        assert!(sub.is_subnormal());
         assert_eq!(F16::from_f32(sub.to_f32()).to_bits(), 0x0123);
     }
 

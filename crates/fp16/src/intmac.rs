@@ -63,11 +63,6 @@ impl IntMac {
         IntMac { operand_bits: 16, acc_bits: 48, acc: 0, saturations: 0 }
     }
 
-    /// The INT8 MAC with a 48-bit accumulator.
-    pub fn int8_acc48() -> IntMac {
-        IntMac { operand_bits: 8, acc_bits: 48, acc: 0, saturations: 0 }
-    }
-
     /// The INT8 MAC with a 32-bit accumulator (smallest/cheapest row).
     pub fn int8_acc32() -> IntMac {
         IntMac { operand_bits: 8, acc_bits: 32, acc: 0, saturations: 0 }
@@ -205,7 +200,7 @@ mod tests {
 
     #[test]
     fn operands_clamped_to_width() {
-        let mut m = IntMac::int8_acc48();
+        let mut m = IntMac::int8_acc32();
         m.mac(1000, 1); // clamps to 127
         assert_eq!(m.accumulator(), 127);
     }

@@ -55,11 +55,6 @@ pub struct LinkHealth {
 impl LinkHealth {
     /// The healthy link: nominal latency, full bandwidth.
     pub const NOMINAL: LinkHealth = LinkHealth { latency_milli: 1000, bandwidth_div: 1 };
-
-    /// Whether this link runs at nominal latency and bandwidth.
-    pub fn is_nominal(&self) -> bool {
-        self.latency_milli <= 1000 && self.bandwidth_div <= 1
-    }
 }
 
 impl Default for LinkHealth {
@@ -126,11 +121,6 @@ impl ClusterTopology {
         self.link_health[link] = health;
     }
 
-    /// Restores every link to nominal health.
-    pub fn reset_link_health(&mut self) {
-        self.link_health.clear();
-    }
-
     /// Effective hop latency of stack `link`'s link under its current
     /// health, rounded up to whole cycles.
     pub fn hop_latency_cycles(&self, link: usize) -> u64 {
@@ -162,16 +152,6 @@ impl ClusterTopology {
             return Err(TopologyError::ZeroLinkBandwidth);
         }
         Ok(())
-    }
-
-    /// Sim-cycles to move `bytes` across one inter-stack link: the fixed
-    /// hop latency plus serialisation time, rounded up to whole cycles.
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        if bytes == 0 {
-            return 0;
-        }
-        let bw = self.link_bytes_per_cycle.max(1);
-        self.link_latency_cycles + bytes.div_ceil(bw)
     }
 
     /// Sim-cycles one collective (reduce or all-gather) over the whole
@@ -289,7 +269,8 @@ mod tests {
             spiked - per_link.div_ceil(32) + per_link.div_ceil(8),
             "serialisation is set by the slowest link in the walk"
         );
-        t.reset_link_health();
+        t.set_link_health(1, LinkHealth::NOMINAL);
+        t.set_link_health(2, LinkHealth::NOMINAL);
         assert_eq!(t.collective_cycles(4096), nominal);
     }
 
@@ -314,7 +295,6 @@ mod tests {
     fn link_health_accessors_default_to_nominal_and_clamp() {
         let mut t = ClusterTopology::paper(2);
         assert_eq!(t.link_health(7), LinkHealth::NOMINAL);
-        assert!(LinkHealth::NOMINAL.is_nominal());
         t.set_link_health(1, LinkHealth { latency_milli: 0, bandwidth_div: 0 });
         // Sub-nominal factors clamp to nominal in the effective rates.
         assert_eq!(t.hop_latency_cycles(1), 120);
@@ -324,10 +304,11 @@ mod tests {
 
     #[test]
     fn transfer_rounds_up_to_whole_cycles() {
+        // One hop: the fixed link latency plus serialisation time.
         let t = ClusterTopology::paper(2);
-        assert_eq!(t.transfer_cycles(0), 0);
-        assert_eq!(t.transfer_cycles(1), 121);
-        assert_eq!(t.transfer_cycles(32), 121);
-        assert_eq!(t.transfer_cycles(33), 122);
+        assert_eq!(t.collective_cycles(0), 0);
+        assert_eq!(t.collective_cycles(1), 121);
+        assert_eq!(t.collective_cycles(32), 121);
+        assert_eq!(t.collective_cycles(33), 122);
     }
 }

@@ -508,8 +508,9 @@ impl KernelEngine {
                     })
                     .collect()
             }
-            crate::ExecutionBackend::Threads(n) => {
-                crate::parallel::run_system_threads(sys, lists, mode, n, limit)
+            threads @ crate::ExecutionBackend::Threads(_) => {
+                let workers = threads.workers_for(lists.len());
+                crate::parallel::run_system_threads(sys, lists, mode, workers, limit)
             }
         }
     }

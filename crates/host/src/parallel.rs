@@ -151,9 +151,10 @@ fn merge_and_restore(sys: &mut PimSystem, swapped: Vec<SwappedRecorders>) {
     }
 }
 
-/// Runs `per_channel` batch lists across `workers` scoped threads under an
-/// optional watchdog cycle limit; the caller (`run_system_bounded`) has
-/// already validated the list count. Returns the per-channel results in
+/// Runs `per_channel` batch lists across `workers` scoped threads
+/// ([`ExecutionBackend::workers_for`] the list count) under an optional
+/// watchdog cycle limit; the caller (`run_system_bounded`) has already
+/// validated the list count. Returns the per-channel results in
 /// channel-index order, each channel left at its own end clock — the
 /// caller folds them and closes the launch with the barrier, exactly as it
 /// does for the sequential loop.
@@ -168,8 +169,7 @@ pub(crate) fn run_system_threads(
     let host: HostConfig = sys.host.clone();
     let swapped = detach_recorders(sys, n);
 
-    let workers = workers.max(1).min(n.max(1));
-    let chunk_len = n.div_ceil(workers.max(1)).max(1);
+    let chunk_len = n.div_ceil(workers).max(1);
     let mut results: Vec<BoundedResult> = Vec::with_capacity(n);
     let mut panic_payload: Option<Box<dyn std::any::Any + Send>> = None;
     {

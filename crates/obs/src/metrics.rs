@@ -100,30 +100,6 @@ impl Histogram {
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
-
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) from the bucket counts.
-    ///
-    /// Returns the inclusive upper bound of the bucket containing the
-    /// nearest-rank sample — an upper estimate, exact when samples sit on
-    /// bucket bounds. The overflow bucket reports the tracked exact
-    /// maximum. `None` if the histogram is empty. For exact percentiles
-    /// over retained samples use [`Quantiles`].
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.count == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        // Nearest-rank: the smallest rank r (1-based) with r >= q * count.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Some(if i < self.bounds.len() { self.bounds[i] } else { self.max });
-            }
-        }
-        Some(self.max)
-    }
 }
 
 /// Exact quantiles over a retained, sorted sample set.
@@ -341,21 +317,6 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn unsorted_bounds_panic() {
         Histogram::new(&[4, 2]);
-    }
-
-    #[test]
-    fn histogram_quantile_reports_bucket_upper_bounds() {
-        let mut h = Histogram::new(&[10, 100, 1000]);
-        assert_eq!(h.quantile(0.5), None);
-        for v in [5, 5, 50, 50, 500, 500, 5000, 9000] {
-            h.record(v);
-        }
-        assert_eq!(h.quantile(0.0), Some(10)); // rank 1 → first bucket
-        assert_eq!(h.quantile(0.25), Some(10));
-        assert_eq!(h.quantile(0.5), Some(100));
-        assert_eq!(h.quantile(0.75), Some(1000));
-        // Overflow bucket reports the exact tracked maximum.
-        assert_eq!(h.quantile(1.0), Some(9000));
     }
 
     #[test]

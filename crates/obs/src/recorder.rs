@@ -2,7 +2,7 @@
 
 use crate::event::{Cycle, Event, Scope};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sink::{CountingSink, EventSink, RingSink, Sink, VecSink};
+use crate::sink::{CountingSink, EventSink, Sink, VecSink};
 use crate::trace::TraceCtx;
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -57,11 +57,6 @@ impl Recorder {
     /// Recorder keeping every event in memory.
     pub fn vec() -> Recorder {
         Recorder::new(Sink::Vec(VecSink::new()))
-    }
-
-    /// Recorder keeping the most recent `capacity` events.
-    pub fn ring(capacity: usize) -> Recorder {
-        Recorder::new(Sink::Ring(RingSink::new(capacity)))
     }
 
     /// Recorder that only counts events (used by the observer-effect test).
@@ -165,11 +160,6 @@ impl Recorder {
         self.lock().sink.offered()
     }
 
-    /// Events dropped by a bounded sink.
-    pub fn events_dropped(&self) -> u64 {
-        self.lock().sink.dropped()
-    }
-
     /// Runs `f` with mutable access to the metrics registry (bulk import).
     pub fn with_metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
         f(&mut self.lock().metrics)
@@ -213,52 +203,9 @@ impl Recorder {
     }
 }
 
-/// RAII guard emitting a span-end when dropped — convenience for
-/// instrumenting scoped regions where the end cycle is read at drop time.
-///
-/// Most simulator instrumentation calls [`Recorder::begin`]/[`Recorder::end`]
-/// directly because the end timestamp comes from the simulated clock, not
-/// from guard drop order; the guard exists for callers whose span ends
-/// coincide with lexical scope.
-pub struct SpanGuard<'a> {
-    recorder: &'a Recorder,
-    name: Cow<'static, str>,
-    cat: &'static str,
-    scope: Scope,
-    end_ts: Cycle,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Opens a span at `ts`; the end event is emitted on drop at the
-    /// timestamp set by [`SpanGuard::set_end`] (defaults to `ts`).
-    pub fn enter(
-        recorder: &'a Recorder,
-        ts: Cycle,
-        name: impl Into<Cow<'static, str>>,
-        cat: &'static str,
-        scope: Scope,
-    ) -> SpanGuard<'a> {
-        let name = name.into();
-        recorder.begin(ts, name.clone(), cat, scope);
-        SpanGuard { recorder, name, cat, scope, end_ts: ts }
-    }
-
-    /// Sets the cycle at which the span ends.
-    pub fn set_end(&mut self, ts: Cycle) {
-        self.end_ts = ts;
-    }
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        self.recorder.end(self.end_ts, self.name.clone(), self.cat, self.scope);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventKind;
 
     #[test]
     fn clones_share_state() {
@@ -270,21 +217,6 @@ mod tests {
         r2.add("x", 2);
         assert_eq!(r.events().unwrap().len(), 2);
         assert_eq!(r2.metrics().registry.counter("x"), 3);
-    }
-
-    #[test]
-    fn span_guard_emits_balanced_events() {
-        let r = Recorder::vec();
-        {
-            let mut g = SpanGuard::enter(&r, 10, "op", "op", Scope::GLOBAL);
-            g.set_end(20);
-        }
-        let events = r.events().unwrap();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, EventKind::Begin);
-        assert_eq!(events[1].kind, EventKind::End);
-        assert_eq!(events[1].ts, 20);
-        assert_eq!(crate::event::check_nesting(&events), Ok(1));
     }
 
     #[test]

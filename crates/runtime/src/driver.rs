@@ -8,33 +8,13 @@
 //!
 //! In this reproduction the reserved region is the row space
 //! `[0, PIM_CONF_FIRST_ROW)` of every bank; the [`MemoryManager`] hands out
-//! physically contiguous row regions per (channel, PIM unit) with a bump
-//! allocator (PIM workloads are kernel-scoped arenas: everything is freed
-//! together when the context resets, mirroring the driver's block
-//! allocator).
+//! physically contiguous row regions at the same offset in every
+//! (channel, PIM unit) with a bump allocator (PIM workloads are
+//! kernel-scoped arenas: everything is freed together when the context
+//! resets, mirroring the driver's block allocator).
 
 use pim_core::conf::PIM_CONF_FIRST_ROW;
 use std::fmt;
-
-/// A physically contiguous run of rows in one PIM unit's even bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowRegion {
-    /// Channel index.
-    pub channel: usize,
-    /// PIM unit index within the channel.
-    pub unit: usize,
-    /// First row.
-    pub start_row: u32,
-    /// Number of rows.
-    pub rows: u32,
-}
-
-impl RowRegion {
-    /// Rows `[start_row, start_row + rows)`.
-    pub fn row_range(&self) -> std::ops::Range<u32> {
-        self.start_row..self.start_row + self.rows
-    }
-}
 
 /// Allocation failure: the reserved PIM region of some bank is exhausted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,93 +71,55 @@ impl PimDriver {
         self.reserved_rows
     }
 
-    /// Whether an access to `row` must bypass the cache: every row in the
-    /// reserved region is uncacheable, "so that the host processor sends a
-    /// DRAM command for every memory access to the PIM memory space".
-    pub fn is_uncacheable(&self, row: u32) -> bool {
-        row < self.reserved_rows
-    }
-
-    /// Creates the memory manager over the reserved region.
+    /// Creates the memory manager over the reserved region. A driver
+    /// booted over no units (zero channels or zero units a channel) manages
+    /// no rows, so nothing can be placed.
     pub fn memory_manager(&self) -> MemoryManager {
+        let units = self.channels * self.units_per_channel;
         MemoryManager {
-            next_row: vec![0; self.channels * self.units_per_channel],
-            units_per_channel: self.units_per_channel,
-            reserved_rows: self.reserved_rows,
+            next_row: 0,
+            reserved_rows: if units == 0 { 0 } else { self.reserved_rows },
         }
     }
 }
 
-/// The PIM memory manager: a per-(channel, unit) bump allocator over the
-/// driver's reserved rows. "The PIM memory manager governs the memory
-/// allocated by the PIM device driver" (Section V-A).
+/// The PIM memory manager: a bump allocator over the driver's reserved
+/// rows. "The PIM memory manager governs the memory allocated by the PIM
+/// device driver" (Section V-A). Every region starts at the same row in
+/// every (channel, unit) — the shape every lock-step PIM kernel needs,
+/// since all banks open the same row per command — so one bump pointer
+/// serves them all.
 #[derive(Debug, Clone)]
 pub struct MemoryManager {
-    next_row: Vec<u32>,
-    units_per_channel: usize,
+    next_row: u32,
     reserved_rows: u32,
 }
 
 impl MemoryManager {
-    /// Allocates `rows` physically contiguous rows in the even bank of
-    /// (`channel`, `unit`).
+    /// Allocates `rows` physically contiguous rows at the **same row
+    /// offset** in every (channel, unit); returns the first row.
     ///
     /// # Errors
     ///
-    /// Returns [`AllocError`] if the unit's reserved region is exhausted.
-    pub fn alloc_rows(
-        &mut self,
-        channel: usize,
-        unit: usize,
-        rows: u32,
-    ) -> Result<RowRegion, AllocError> {
-        let idx = channel * self.units_per_channel + unit;
-        let next = self.next_row[idx];
-        let available = self.reserved_rows - next;
-        if rows > available {
-            return Err(AllocError { channel, unit, requested: rows, available });
-        }
-        self.next_row[idx] = next + rows;
-        Ok(RowRegion { channel, unit, start_row: next, rows })
-    }
-
-    /// Allocates the same number of rows at the **same row offset** in
-    /// every (channel, unit) — the shape every lock-step PIM kernel needs,
-    /// since all banks open the same row per command.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError`] if any unit cannot satisfy the request at a
-    /// common offset.
+    /// Returns [`AllocError`] if the reserved region cannot hold them.
     pub fn alloc_rows_lockstep(&mut self, rows: u32) -> Result<u32, AllocError> {
-        // A lock-step region must start at the same row everywhere: take
-        // the max of all bump pointers, then advance everyone past it. A
-        // manager with no units (a zero-channel or zero-unit boot) can
-        // satisfy nothing.
-        let Some(&base) = self.next_row.iter().max() else {
-            return Err(AllocError { channel: 0, unit: 0, requested: rows, available: 0 });
-        };
-        let available = self.reserved_rows.saturating_sub(base);
+        let available = self.min_available();
         if rows > available {
             return Err(AllocError { channel: 0, unit: 0, requested: rows, available });
         }
-        for p in &mut self.next_row {
-            *p = base + rows;
-        }
+        let base = self.next_row;
+        self.next_row = base + rows;
         Ok(base)
     }
 
-    /// Rows still free in the most-loaded unit.
+    /// Rows still free in every unit.
     pub fn min_available(&self) -> u32 {
-        let max_used = *self.next_row.iter().max().unwrap_or(&0);
-        self.reserved_rows - max_used
+        self.reserved_rows - self.next_row
     }
 
     /// Frees everything (arena reset between kernels/benchmarks).
     pub fn reset(&mut self) {
-        for p in &mut self.next_row {
-            *p = 0;
-        }
+        self.next_row = 0;
     }
 }
 
@@ -189,43 +131,36 @@ mod tests {
     fn boot_reserves_below_conf_rows() {
         let d = PimDriver::boot(64, 8);
         assert_eq!(d.reserved_rows(), PIM_CONF_FIRST_ROW);
-        assert!(d.is_uncacheable(0));
-        assert!(d.is_uncacheable(PIM_CONF_FIRST_ROW - 1));
-        assert!(!d.is_uncacheable(PIM_CONF_FIRST_ROW));
     }
 
     #[test]
     fn alloc_is_contiguous_and_disjoint() {
-        let d = PimDriver::boot(2, 8);
-        let mut mm = d.memory_manager();
-        let a = mm.alloc_rows(0, 0, 10).unwrap();
-        let b = mm.alloc_rows(0, 0, 5).unwrap();
-        assert_eq!(a.row_range(), 0..10);
-        assert_eq!(b.row_range(), 10..15);
-        // A different unit has its own space.
-        let c = mm.alloc_rows(1, 3, 4).unwrap();
-        assert_eq!(c.start_row, 0);
+        let mut mm = PimDriver::boot(2, 8).memory_manager();
+        let a = mm.alloc_rows_lockstep(10).unwrap();
+        let b = mm.alloc_rows_lockstep(5).unwrap();
+        assert_eq!((a, b), (0, 10));
+    }
+
+    #[test]
+    fn lockstep_alloc_aligns_offsets() {
+        let mut mm = PimDriver::boot(2, 2).memory_manager();
+        mm.alloc_rows_lockstep(7).unwrap();
+        let base = mm.alloc_rows_lockstep(3).unwrap();
+        assert_eq!(base, 7, "a region starts past everything allocated before it, in every unit");
+        assert_eq!(mm.alloc_rows_lockstep(1).unwrap(), 10);
     }
 
     #[test]
     fn exhaustion_is_reported() {
         let d = PimDriver::boot(1, 1);
         let mut mm = d.memory_manager();
-        mm.alloc_rows(0, 0, d.reserved_rows() - 1).unwrap();
-        let err = mm.alloc_rows(0, 0, 2).unwrap_err();
+        mm.alloc_rows_lockstep(d.reserved_rows() - 1).unwrap();
+        let err = mm.alloc_rows_lockstep(2).unwrap_err();
         assert_eq!(err.available, 1);
         assert!(err.to_string().contains("exhausted"));
-    }
-
-    #[test]
-    fn lockstep_alloc_aligns_offsets() {
-        let d = PimDriver::boot(2, 2);
-        let mut mm = d.memory_manager();
-        mm.alloc_rows(0, 1, 7).unwrap(); // skew one unit
-        let base = mm.alloc_rows_lockstep(3).unwrap();
-        assert_eq!(base, 7, "lock-step region starts past the most-used unit");
-        let next = mm.alloc_rows_lockstep(1).unwrap();
-        assert_eq!(next, 10);
+        // A driver booted over nothing can place nothing.
+        let err = PimDriver::boot(0, 8).memory_manager().alloc_rows_lockstep(1).unwrap_err();
+        assert_eq!(err.available, 0);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
 use pim_core::{conf, LaneVec, UnitMask};
 use pim_dram::{BankAddr, Command, CommandSink, Cycle};
-use pim_host::{Batch, ExecutionMode, Kernel, KernelEngine, KernelResult};
+use pim_host::{Batch, Kernel, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
 
 /// The PIM executor: stateless command-choreography builder + runner.
@@ -222,30 +222,8 @@ impl Executor {
     }
 
     /// Reads GRF_A[0..8] of (`ch`, `unit`) back through the memory-mapped
-    /// GRF row in single-bank mode (columns 0-7). Timed.
-    ///
-    /// # Panics
-    ///
-    /// If the device rejects a readback command (the channel was left in a
-    /// non-single-bank mode); use [`Executor::try_read_grf_a`] to handle
-    /// it as a typed error.
-    pub fn read_grf_a(ctx: &mut PimContext, ch: usize, unit: usize) -> [LaneVec; 8] {
-        Self::try_read_grf_a(ctx, ch, unit).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Reads GRF_B[0..8] of (`ch`, `unit`) back through the memory-mapped
-    /// GRF row in single-bank mode. Timed: the commands advance the
-    /// channel's clock.
-    ///
-    /// # Panics
-    ///
-    /// If the device rejects a readback command; use
-    /// [`Executor::try_read_grf_b`] to handle it as a typed error.
-    pub fn read_grf_b(ctx: &mut PimContext, ch: usize, unit: usize) -> [LaneVec; 8] {
-        Self::try_read_grf_b(ctx, ch, unit).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`Executor::read_grf_a`].
+    /// GRF row in single-bank mode (columns 0-7). Timed: the commands
+    /// advance the channel's clock.
     ///
     /// # Errors
     ///
@@ -259,7 +237,8 @@ impl Executor {
         Self::read_grf(ctx, ch, unit, 0)
     }
 
-    /// Fallible [`Executor::read_grf_b`].
+    /// Reads GRF_B[0..8] of (`ch`, `unit`) back the same way (columns
+    /// 8-15). Timed.
     ///
     /// # Errors
     ///
@@ -307,11 +286,6 @@ impl Executor {
         }
         ctrl.advance_to(now);
         Ok(out)
-    }
-
-    /// The execution-mode the paper's shipped system uses.
-    pub fn default_mode() -> ExecutionMode {
-        ExecutionMode::Fenced { reorder_seed: None }
     }
 }
 
@@ -437,7 +411,7 @@ mod tests {
             Batch::setup(vec![Command::Pre { bank }]),
         ];
         Executor::run(&mut ctx, 16, &prog, None, false, &data);
-        let grf = Executor::read_grf_b(&mut ctx, 1, 2);
+        let grf = Executor::try_read_grf_b(&mut ctx, 1, 2).unwrap();
         assert_eq!(grf[3].to_f32(), [2.0; 16]);
         assert_eq!(grf[0].to_f32(), [0.0; 16]);
     }

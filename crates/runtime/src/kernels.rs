@@ -189,10 +189,11 @@ pub fn stream_columns(op: StreamOp, config: &PimConfig) -> (u32, Option<u32>, u3
 }
 
 /// Rows a stream op over `elements` occupies in every unit's bank when
-/// laid out over `channels × units` units: [`GROUP`] block slots a row.
+/// laid out over `channels × units` units: [`GROUP`] block slots a row
+/// (saturating — a count past `u32` fits no arena either way).
 pub fn stream_rows(elements: usize, channels: usize, units: usize) -> u32 {
     let slots = BlockMap { channels, units }.slots_for(BlockMap::blocks_for(elements));
-    (slots.max(1) as u32).div_ceil(GROUP)
+    u32::try_from(slots.max(1).div_ceil(GROUP as usize)).unwrap_or(u32::MAX)
 }
 
 /// One DRAM row's visit, `trips` rows running: ACT `row`, `data`, PRE.

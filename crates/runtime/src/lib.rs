@@ -60,7 +60,7 @@ pub use cluster_serve::{
     ClusterServeConfig, ClusterServeReport, ClusterServeStats, ClusterServer, StackHealth,
 };
 pub use context::PimContext;
-pub use driver::{AllocError, MemoryManager, PimDriver, RowRegion};
+pub use driver::{AllocError, MemoryManager, PimDriver};
 pub use executor::Executor;
 pub use kernels::{gemv_microkernel, stream_microkernel, StreamOp};
 pub use layout::BlockMap;

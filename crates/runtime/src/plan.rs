@@ -245,16 +245,6 @@ impl GemvPlan {
         Ok(GemvPlan { geometry: g, srw, program, per_pass, x_slots, live })
     }
 
-    /// Output length (`n`).
-    pub fn output_len(&self) -> usize {
-        self.geometry.n
-    }
-
-    /// Input length (`k`).
-    pub fn input_len(&self) -> usize {
-        self.geometry.k
-    }
-
     /// Writes `x` into every prebuilt input-write command of every pass.
     fn patch_x(&mut self, x: &[f32]) {
         for si in 0..self.x_slots.len() {

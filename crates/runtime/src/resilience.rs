@@ -37,10 +37,9 @@ use crate::blas::{KernelReport, PimError};
 use crate::context::PimContext;
 use crate::kernels::StreamOp;
 use crate::layout::BLOCK_ELEMS;
-use crate::stream::{bad_blocks, Cell, StreamJob, StreamOperands};
+use crate::stream::{self, Attempt, Cell, StreamJob, StreamOperands};
 use pim_core::LaneVec;
 use pim_dram::ecc::{self, EccWord};
-use pim_fp16::F16;
 use pim_host::{BypassPolicy, Llc};
 use pim_obs::{names, Event, Scope};
 
@@ -198,8 +197,7 @@ pub fn resilient_add(
     // The verification oracle: device ADD is exact FP16, so the host's
     // FP16 sum is bit-identical on a fault-free run. It stands in for the
     // application-level integrity check a production runtime would use.
-    let expected: Vec<f32> =
-        x.iter().zip(y).map(|(&a, &b)| (F16::from_f32(a) + F16::from_f32(b)).to_f32()).collect();
+    let expected = stream::reference(StreamOp::Add, x, y);
 
     let mut rep = ResilienceReport::default();
     let mut healthy: Vec<usize> = (0..ctx.sys.channel_count()).collect();
@@ -224,7 +222,14 @@ pub fn resilient_add(
             }
 
             let start = ctx.sys.max_now();
-            let (r, _) = job.launch(ctx, None, None, false)?;
+            let Attempt::Ran { result: r, out: got, bad: wrong, .. } =
+                job.attempt(ctx, &expected, None)?
+            else {
+                return Err(PimError::Internal {
+                    detail: "a launch without a watchdog limit was cancelled".to_string(),
+                });
+            };
+            (out, bad) = (got, wrong);
             rep.launches += 1;
             let cycles = r.end_cycle.saturating_sub(start);
             rep.kernel.absorb(&KernelReport {
@@ -235,11 +240,6 @@ pub fn resilient_add(
                 pim_triggers: 0,
                 elements: n,
             });
-
-            // Gather and verify.
-            out = job.gather(ctx);
-            bad = bad_blocks(&out, &expected);
-            ctx.sys.barrier();
             if bad.is_empty() {
                 rep.publish(ctx);
                 return Ok((out, rep));
@@ -259,9 +259,7 @@ pub fn resilient_add(
 
             // Retry budget exhausted: quarantine every channel that still
             // produced a wrong block, then re-layout over the survivors.
-            let mut suspects: Vec<usize> = bad.iter().map(|&b| job.channel_of(b)).collect();
-            suspects.sort_unstable();
-            suspects.dedup();
+            let suspects = job.suspects(&bad);
             healthy.retain(|ch| !suspects.contains(ch));
             for &ch in &suspects {
                 emit(ctx, names::RES_QUARANTINE_EVENT, ("channel", ch as u64));

@@ -63,9 +63,8 @@
 use crate::blas::PimError;
 use crate::context::PimContext;
 use crate::kernels::StreamOp;
-use crate::stream::{bad_blocks, StreamJob, StreamOperands};
+use crate::stream::{self, Attempt, StreamJob, StreamOperands};
 use pim_dram::Cycle;
-use pim_fp16::F16;
 use pim_obs::{names, Event, Histogram, Recorder, Scope, TraceCtx, TraceId};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -203,16 +202,7 @@ impl ServeOp {
     /// re-enters cluster routing.
     pub fn host_reference(&self) -> Vec<f32> {
         let (x, y) = self.operands();
-        x.iter()
-            .zip(y)
-            .map(|(&a, &b)| {
-                let (a, b) = (F16::from_f32(a), F16::from_f32(b));
-                match self {
-                    ServeOp::Add { .. } => (a + b).to_f32(),
-                    ServeOp::Mul { .. } => (a * b).to_f32(),
-                }
-            })
-            .collect()
+        stream::reference(self.stream_op(), x, y)
     }
 }
 
@@ -592,11 +582,6 @@ impl<'a> Server<'a> {
         }
     }
 
-    /// Number of channel groups (breaker domains).
-    pub fn group_count(&self) -> usize {
-        self.breakers.len()
-    }
-
     /// The counters so far.
     pub fn stats(&self) -> &ServeStats {
         &self.stats
@@ -615,17 +600,18 @@ impl<'a> Server<'a> {
         self.ctx.advance_to(t);
     }
 
-    /// Drops the stack's arena — every tenant's laid-out weights and all
-    /// memoized launches — as a stack crash does. Subsequent requests
-    /// re-lay-out their operands from host memory.
+    /// Drops the stack's arena — every tenant's laid-out weights — as a
+    /// stack crash does. Subsequent requests re-lay-out their operands from
+    /// host memory.
     pub(crate) fn reset_arena(&mut self) {
         self.ctx.reset_memory();
     }
 
-    /// The cost model's current estimate, in observed cycles per 1000
-    /// elements. Exposed so tests and cluster-level schedulers can audit
-    /// that cancelled launches never bias admission.
-    pub fn cost_model_cpe_milli(&self) -> u64 {
+    /// Test probe: the cost model's current estimate, in observed cycles
+    /// per 1000 elements — how the tests audit that cancelled launches
+    /// never bias admission.
+    #[cfg(test)]
+    fn cost_model_cpe_milli(&self) -> u64 {
         self.cpe_milli
     }
 
@@ -1007,32 +993,30 @@ impl<'a> Server<'a> {
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(attempt_ctx));
             }
-            let (result, cancelled) = job.launch(self.ctx, None, Some(limit), false)?;
+            let ran = job.attempt(self.ctx, oracle, Some(limit))?;
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(trace));
             }
 
-            let timed_out =
-                self.groups_of(cancelled.iter().enumerate().filter(|(_, &c)| c).map(|(ch, _)| ch));
-            if !timed_out.is_empty() {
-                self.stats.watchdog_cancels += 1;
-                // A deadline-capped cancel means the request ran out of
-                // slack, not that the hardware is sick: the request
-                // degrades without charging the groups' breakers. Only a
-                // budget-capped cancel is a genuine component timeout.
-                if deadline_capped {
-                    return Ok(PimAttempt::Exhausted);
+            let (result, out, bad, finished) = match ran {
+                Attempt::TimedOut { channels } => {
+                    let timed_out = self.groups_of(channels.into_iter());
+                    self.stats.watchdog_cancels += 1;
+                    // A deadline-capped cancel means the request ran out of
+                    // slack, not that the hardware is sick: the request
+                    // degrades without charging the groups' breakers. Only a
+                    // budget-capped cancel is a genuine component timeout.
+                    if deadline_capped {
+                        return Ok(PimAttempt::Exhausted);
+                    }
+                    self.charge_failure(&timed_out);
+                    avail.retain(|g| !timed_out.contains(g));
+                    continue;
                 }
-                self.charge_failure(&timed_out);
-                avail.retain(|g| !timed_out.contains(g));
-                continue;
-            }
+                Attempt::Ran { result, out, bad, finished } => (result, out, bad, finished),
+            };
 
-            // Gather and verify against the oracle.
-            let out = job.gather(self.ctx);
-            let bad_groups =
-                self.groups_of(bad_blocks(&out, oracle).into_iter().map(|b| job.channel_of(b)));
-            let finished = self.ctx.sys.barrier();
+            let bad_groups = self.groups_of(job.suspects(&bad).into_iter());
             if bad_groups.is_empty() {
                 for &g in &avail {
                     if self.breakers[g].success() == BreakerEvent::Closed {
@@ -1040,11 +1024,10 @@ impl<'a> Server<'a> {
                     }
                 }
                 // Fold only launches that ran to completion into the cost
-                // model: this branch is unreachable unless no channel was
-                // cancelled and every result byte verified against the
+                // model: `Attempt::Ran` means no channel was cancelled, and
+                // this branch that every result byte verified against the
                 // oracle, so a watchdog-cancelled or deadline-capped launch
                 // can never bias the estimate low.
-                debug_assert!(cancelled.iter().all(|&c| !c));
                 self.observe_cost(result.end_cycle.saturating_sub(start), n);
                 return Ok(PimAttempt::Done { finished, result: out });
             }
@@ -1470,7 +1453,7 @@ mod tests {
     fn group_affinity_restricts_placement() {
         let mut ctx = PimContext::small_system();
         let mut server = Server::new(&mut ctx, ServeConfig::default());
-        assert_eq!(server.group_count(), 4, "16 channels / 4 per group");
+        assert_eq!(server.breakers.len(), 4, "16 channels / 4 per group");
         let mut req = add_req(0, 0, 50_000_000, 512);
         req.groups = Some(vec![2]);
         let report = server.run(vec![req]).unwrap();

@@ -3,11 +3,12 @@
 //! points, the resilience ladder and the serving layer.
 //!
 //! A job is *mechanism only*: place the operands lock-step over a channel
-//! list, build the microkernel and its data batches, launch on exactly
-//! those channels, gather the result, and name the blocks that disagree
-//! with an oracle. What to do about a bad block — scrub and retry,
-//! quarantine a channel, trip a breaker, degrade to the host — is the
-//! caller's policy and deliberately does not live here.
+//! list, build the microkernel and its data batches, and run one verified
+//! [`StreamJob::attempt`] — launch on exactly those channels, gather the
+//! result, name the blocks that disagree with the exact-FP16
+//! [`reference`]. What to do about a bad block or a cancelled channel —
+//! scrub and retry, quarantine a channel, trip a breaker, degrade to the
+//! host — is the caller's policy and deliberately does not live here.
 
 use crate::blas::PimError;
 use crate::context::PimContext;
@@ -19,6 +20,7 @@ use crate::layout::{self, Placement, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
 use pim_core::{LaneVec, PimVariant, UnitMask};
 use pim_dram::Cycle;
+use pim_fp16::F16;
 use pim_host::{Batch, KernelResult};
 
 /// The home of one resident 32-byte block. `odd` selects the unit's odd
@@ -108,6 +110,47 @@ impl StreamOperands {
     }
 }
 
+/// The exact FP16 result of the two-operand op `op` — what a fault-free
+/// device returns bit for bit, and so the oracle both recovery ladders
+/// verify an attempt against (and the serving layer's host fallback).
+///
+/// # Panics
+///
+/// If `op` is not [`StreamOp::Add`] or [`StreamOp::Mul`]: the scalar and
+/// one-operand ops are served by no ladder.
+pub(crate) fn reference(op: StreamOp, x: &[f32], y: &[f32]) -> Vec<f32> {
+    fn zip(x: &[f32], y: &[f32], f: impl Fn(F16, F16) -> F16) -> Vec<f32> {
+        x.iter().zip(y).map(|(&a, &b)| f(F16::from_f32(a), F16::from_f32(b)).to_f32()).collect()
+    }
+    match op {
+        StreamOp::Add => zip(x, y, |a, b| a + b),
+        StreamOp::Mul => zip(x, y, |a, b| a * b),
+        StreamOp::Relu | StreamOp::Bn | StreamOp::Axpy => {
+            unreachable!("{op:?} has no two-operand host reference")
+        }
+    }
+}
+
+/// What one verified launch of a [`StreamJob`] came to.
+#[derive(Debug)]
+pub(crate) enum Attempt {
+    /// The watchdog cancelled these channels (ascending). Nothing was
+    /// gathered and no barrier ran: the clocks are where the cancel left
+    /// them.
+    TimedOut { channels: Vec<usize> },
+    /// Every channel ran to completion.
+    Ran {
+        /// The launch's timing.
+        result: KernelResult,
+        /// The gathered result vector.
+        out: Vec<f32>,
+        /// Blocks of `out` that disagree with the oracle, ascending.
+        bad: Vec<usize>,
+        /// The barrier cycle after the gather.
+        finished: Cycle,
+    },
+}
+
 /// Operands placed over a channel list, with the kernel that consumes them.
 #[derive(Debug)]
 pub(crate) struct StreamJob<'a> {
@@ -182,9 +225,38 @@ impl<'a> StreamJob<'a> {
         (self.cell(b, self.ops.x_col, false), y)
     }
 
-    /// The physical channel block `b` was placed on.
-    pub(crate) fn channel_of(&self, b: usize) -> usize {
-        self.place.locate(b).0
+    /// The physical channels the blocks `bad` were placed on, ascending
+    /// and deduplicated.
+    pub(crate) fn suspects(&self, bad: &[usize]) -> Vec<usize> {
+        let mut channels: Vec<usize> = bad.iter().map(|&b| self.place.locate(b).0).collect();
+        channels.sort_unstable();
+        channels.dedup();
+        channels
+    }
+
+    /// One verified attempt: launch under the optional watchdog `limit`,
+    /// and — unless a channel was cancelled — gather, compare with
+    /// `expected` and barrier.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::InvalidKernel`] in strict mode.
+    pub(crate) fn attempt(
+        &self,
+        ctx: &mut PimContext,
+        expected: &[f32],
+        limit: Option<Cycle>,
+    ) -> Result<Attempt, PimError> {
+        let (result, cancelled) = self.launch(ctx, None, limit, false)?;
+        let channels: Vec<usize> =
+            cancelled.iter().enumerate().filter(|(_, &c)| c).map(|(ch, _)| ch).collect();
+        if !channels.is_empty() {
+            return Ok(Attempt::TimedOut { channels });
+        }
+        let out = self.gather(ctx);
+        let bad = bad_blocks(&out, expected);
+        let finished = ctx.sys.barrier();
+        Ok(Attempt::Ran { result, out, bad, finished })
     }
 
     /// Launches on exactly the job's channels under an optional watchdog
@@ -221,7 +293,7 @@ impl<'a> StreamJob<'a> {
 }
 
 /// Blocks of `got` that differ from `expected` in any bit, ascending.
-pub(crate) fn bad_blocks(got: &[f32], expected: &[f32]) -> Vec<usize> {
+fn bad_blocks(got: &[f32], expected: &[f32]) -> Vec<usize> {
     got.chunks(BLOCK_ELEMS)
         .zip(expected.chunks(BLOCK_ELEMS))
         .enumerate()

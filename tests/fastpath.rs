@@ -143,6 +143,31 @@ fn layout_change_misses() {
     assert!(after.misses > before.misses || after.uncacheable > before.uncacheable);
 }
 
+/// An arena reset frees the rows, not the memoized launches: the same op
+/// placed again where its predecessor was replays it — what lets a serving
+/// trace, which resets the arena before every attempt, hit at all — and
+/// every launch equals the one a cache-less context runs.
+#[test]
+fn launch_cache_outlives_an_arena_reset() {
+    let (x, y) = (bench_input(1024, 1), bench_input(1024, 2));
+    let run = |fastpath: bool| {
+        let mut ctx = PimContext::paper_system();
+        ctx.sys.set_fastpath_enabled(fastpath);
+        let launches: Vec<(Vec<u32>, u64, u64, u64)> = (0..4)
+            .map(|_| {
+                ctx.reset_memory();
+                let (z, r) = PimBlas::add(&mut ctx, &x, &y).expect("add");
+                (z.iter().map(|v| v.to_bits()).collect(), r.cycles, r.commands, r.fences)
+            })
+            .collect();
+        (launches, ctx.sys.fastpath_stats().hits)
+    };
+    let (cold, _) = run(false);
+    let (warm, hits) = run(true);
+    assert_eq!(warm, cold);
+    assert!(hits >= 1, "no launch replayed across an arena reset");
+}
+
 /// Changing the execution mode (part of the launch configuration) misses
 /// even though the program and layout are unchanged.
 #[test]

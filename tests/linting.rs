@@ -145,10 +145,12 @@ fn names_after<'a>(text: &'a str, prefix: &'a str) -> impl Iterator<Item = &'a s
 /// What CI and the prose say exists, exists, and every committed
 /// `BENCH_*.json` has a test that reads it: each binary named by
 /// `--bin X`, `./bin/X` or `target/release/X` in the workflow, README.md,
-/// `docs/*.md` and the verify skill is `crates/bench/src/bin/X.rs`; each
-/// `BENCH_*.json` they name is at the repo root; and each one at the root
-/// is `include_str!`-ed under `tests/`. A committed number no test reads
-/// is how README.md came to quote a file 13× out of date.
+/// DESIGN.md, EXPERIMENTS.md, `docs/*.md` and the verify skill is
+/// `crates/bench/src/bin/X.rs`; each word after `pimrepro ` is a registry
+/// entry (or `all` / `list`, or CI's deliberate `nosuch`) and each word
+/// after `pimcampaign ` one of the four kinds; each `BENCH_*.json` they name is at the repo root; and each
+/// one at the root is `include_str!`-ed under `tests/`. A committed number
+/// no test reads is how README.md came to quote a file 13× out of date.
 #[test]
 fn named_binaries_and_bench_files_exist_and_are_enforced() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -167,6 +169,8 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
     let mut prose = vec![
         root.join(".github/workflows/ci.yml"),
         root.join("README.md"),
+        root.join("DESIGN.md"),
+        root.join("EXPERIMENTS.md"),
         root.join(".claude/skills/verify/SKILL.md"),
     ];
     prose.extend(files_in("docs", "md"));
@@ -179,6 +183,16 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
                 assert!(src.is_file(), "{} names `{prefix}{bin}`: no such binary", path.display());
             }
         }
+        for name in names_after(&text, "pimrepro ") {
+            // `nosuch` is the name CI passes to see the usage error.
+            let known =
+                matches!(name, "all" | "list" | "nosuch") || pim_bench::repro::find(name).is_some();
+            assert!(known, "{} names `pimrepro {name}`: no such experiment", path.display());
+        }
+        for kind in names_after(&text, "pimcampaign ") {
+            let known = matches!(kind, "fault" | "serve" | "cluster" | "chaos");
+            assert!(known, "{} names `pimcampaign {kind}`: no such campaign", path.display());
+        }
         for stem in names_after(&text, "BENCH_") {
             let file = format!("BENCH_{stem}.json");
             if text.contains(&file) {
@@ -186,6 +200,8 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
             }
         }
     }
+
+    assert!(pim_bench::repro::find("nosuch").is_none());
 
     let tests: String = files_in("tests", "rs").iter().map(|p| read(p)).collect();
     for path in files_in(".", "json") {
@@ -199,7 +215,9 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
     }
 }
 
-/// Every `.rs` file under `dir`, recursively, skipping build directories.
+/// Every `.rs` file under `dir`, recursively, skipping build directories,
+/// with `//` comments (doc comments and their examples included) cut from
+/// every line: a name that only prose mentions has no caller.
 fn rust_sources(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
     for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
         let path = entry.unwrap().path();
@@ -209,9 +227,32 @@ fn rust_sources(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
             }
         } else if path.extension().is_some_and(|e| e == "rs") {
             let text = std::fs::read_to_string(&path).unwrap();
-            out.push((path, text));
+            let code: Vec<&str> =
+                text.lines().map(|l| l.find("//").map_or(l, |at| &l[..at])).collect();
+            out.push((path, code.join("\n")));
         }
     }
+}
+
+/// The repo's Rust sources the caller lints search: `crates/`, `tests/`,
+/// `examples/` and `benchmark/`.
+fn workspace_sources(root: &std::path::Path) -> Vec<(PathBuf, String)> {
+    let mut sources = Vec::new();
+    for dir in ["crates", "tests", "examples", "benchmark"] {
+        rust_sources(&root.join(dir), &mut sources);
+    }
+    sources
+}
+
+/// `crates/<c>/src/...` of a workspace crate as `(crate, path under src)`;
+/// `None` for everything else and for the vendored `proptest` /
+/// `criterion` / `rand` shims.
+fn workspace_src(root: &std::path::Path, path: &std::path::Path) -> Option<(String, String)> {
+    let rel = path.strip_prefix(root.join("crates")).ok()?;
+    let mut parts = rel.iter().map(|p| p.to_string_lossy().into_owned());
+    let (krate, src) = (parts.next()?, parts.next()?);
+    let vendored = matches!(krate.as_str(), "proptest" | "criterion" | "rand");
+    (src == "src" && !vendored).then(|| (krate, parts.collect::<Vec<_>>().join("/")))
 }
 
 /// `true` if `name` occurs in `text` as a whole identifier (or, for a
@@ -234,22 +275,15 @@ fn mentions(text: &str, name: &str) -> bool {
 #[test]
 fn every_module_has_a_caller_outside_itself() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let mut sources = Vec::new();
-    for dir in ["crates", "tests", "examples", "benchmark"] {
-        rust_sources(&root.join(dir), &mut sources);
-    }
+    let sources = workspace_sources(&root);
 
-    let crates = root.join("crates");
     let mut modules = 0;
     let mut islands = Vec::new();
     for (path, text) in &sources {
         // `crates/<c>/src/<m>.rs` exactly: binaries and benches are callers, not modules.
-        let Ok(rel) = path.strip_prefix(&crates) else { continue };
-        let parts: Vec<_> = rel.iter().map(|p| p.to_string_lossy()).collect();
-        let [krate, src, file] = &parts[..] else { continue };
+        let Some((krate, file)) = workspace_src(&root, path) else { continue };
         let stem = file.trim_end_matches(".rs");
-        let vendored = matches!(krate.as_ref(), "proptest" | "criterion" | "rand");
-        if src != "src" || stem == "lib" || vendored {
+        if file.contains('/') || stem == "lib" {
             continue;
         }
         modules += 1;
@@ -280,6 +314,63 @@ fn every_module_has_a_caller_outside_itself() {
         islands.is_empty(),
         "no .rs file outside the module and its crate's lib.rs names `<module>::` or any of its \
          top-level pub items — wire each to a caller or delete it: {islands:?}"
+    );
+}
+
+/// No `pub fn` without a caller — the module rule one level down: for
+/// every `pub fn` (or `pub const fn`) outside the `#[cfg(test)]` module of
+/// a workspace crate's source file, the name occurs, as an identifier and
+/// outside comments, in another `.rs` file under `crates/`, `tests/`,
+/// `examples/` or `benchmark/`, or in its own file's non-test code at
+/// somewhere other than a definition. A function only its own unit tests
+/// call is API nothing runs: delete it with the test, make it private or
+/// `#[cfg(test)]` if the tests are its purpose, or give it the caller it
+/// was written for. Textual, so a name shared with a called function hides
+/// an uncalled one; trait-impl methods are not `pub fn`.
+#[test]
+fn every_pub_fn_has_a_caller_outside_its_own_tests() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources = workspace_sources(&root);
+    let names: Vec<std::collections::HashSet<&str>> = sources
+        .iter()
+        .map(|(_, text)| text.split(|c| !is_ident(c)).filter(|w| !w.is_empty()).collect())
+        .collect();
+
+    let mut functions = 0;
+    let mut islands = Vec::new();
+    for (at, (path, text)) in sources.iter().enumerate() {
+        let Some((krate, file)) = workspace_src(&root, path) else { continue };
+        // The file's own code: everything before its `#[cfg(test)] mod`.
+        let lines: Vec<&str> = text.lines().collect();
+        let tests_at = (0..lines.len()).find(|&i| {
+            lines[i] == "#[cfg(test)]"
+                && lines[i + 1..]
+                    .iter()
+                    .find(|l| !l.starts_with("#["))
+                    .is_some_and(|l| l.starts_with("mod ") || l.starts_with("pub(crate) mod "))
+        });
+        let own = lines[..tests_at.unwrap_or(lines.len())].join("\n");
+        for prefix in ["pub fn ", "pub const fn "] {
+            for name in names_after(&own, prefix) {
+                functions += 1;
+                let elsewhere =
+                    names.iter().enumerate().any(|(i, set)| i != at && set.contains(name));
+                let here = own.match_indices(name).any(|(i, _)| {
+                    !own[..i].ends_with(is_ident)
+                        && !own[i + name.len()..].starts_with(is_ident)
+                        && !own[..i].ends_with("fn ")
+                });
+                if !elsewhere && !here {
+                    islands.push(format!("crates/{krate}/src/{file}: {name}"));
+                }
+            }
+        }
+    }
+    assert!(functions >= 600, "walked only {functions} pub fns: did the crate layout move?");
+    assert!(
+        islands.is_empty(),
+        "pub fns that no .rs file names outside their own file's #[cfg(test)] module — delete \
+         each with its test, make it private, or wire it to a caller: {islands:#?}"
     );
 }
 
