@@ -137,7 +137,7 @@ fn main() {
         let report = if path.ends_with(".pim") {
             lint::lint_pim_source(&cfg, &source)
         } else if path.ends_with(".trace") {
-            lint::lint_trace_source(&cfg, &source)
+            lint::lint_trace_source(&source)
         } else {
             eprintln!("pimlint: {path}: expected a .pim or .trace file");
             std::process::exit(2);

@@ -34,12 +34,12 @@ pub fn lint_pim_source(cfg: &PimConfig, source: &str) -> Report {
 
 /// Lints `.trace` command-stream text: parse, then the protocol and
 /// fence-race passes over the parsed stream.
-pub fn lint_trace_source(cfg: &PimConfig, source: &str) -> Report {
+pub fn lint_trace_source(source: &str) -> Report {
     match pim_verify::parse_trace(source) {
         Err(r) => r,
         Ok(events) => {
             let mut r = lint_stream(&events);
-            r.merge(check_fences(cfg, &events));
+            r.merge(check_fences(&events));
             r
         }
     }
@@ -108,11 +108,7 @@ pub fn builtin_stream_reports() -> Vec<(String, Report, Report)> {
         let data = stream_batches(op, 2, base_row, &cfg);
         let batches = Executor::full_kernel(&prog, None, false, &data);
         let events = events_from_batches(&batches);
-        out.push((
-            format!("{op:?} choreography"),
-            lint_stream(&events),
-            check_fences(&cfg, &events),
-        ));
+        out.push((format!("{op:?} choreography"), lint_stream(&events), check_fences(&events)));
     }
 
     // GEMV: data phase + the host-side readback of the GRF_B accumulators.
@@ -129,7 +125,7 @@ pub fn builtin_stream_reports() -> Vec<(String, Report, Report)> {
     out.push((
         "GEMV choreography + readback".to_string(),
         lint_stream(&events),
-        check_fences(&cfg, &events),
+        check_fences(&events),
     ));
 
     // SLS: gather phase + the GRF_A partial-sum readback.
@@ -144,7 +140,7 @@ pub fn builtin_stream_reports() -> Vec<(String, Report, Report)> {
     out.push((
         "SLS choreography + readback".to_string(),
         lint_stream(&events),
-        check_fences(&cfg, &events),
+        check_fences(&events),
     ));
 
     out

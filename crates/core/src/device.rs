@@ -35,7 +35,7 @@
 use crate::config::PimConfig;
 use crate::isa::Instruction;
 use crate::regfile::{crf_block, crf_block_base, crf_block_words};
-use crate::unit::{BankPort, Effects, PimUnit, SequencerState, TriggerKind, UnitStats};
+use crate::unit::{BankPort, Effects, PimUnit, Sequencer, TriggerKind, UnitStats};
 use crate::vector::LaneVec;
 use crate::walker::{ModeWalker, PendingTransition, Step};
 use pim_dram::{
@@ -597,8 +597,7 @@ impl PimChannel {
                 }
                 _ if led => unit.follow(&before[0], jumped),
                 _ => {
-                    jumped = 0;
-                    instr = unit.lead(&mut jumped);
+                    (instr, jumped) = unit.lead();
                     if let (true, Some(instr)) = (counted, instr) {
                         retired = Effects::of(&instr, &kind).retired();
                     }
@@ -921,7 +920,7 @@ impl PimChannel {
         let mut tape =
             DataTape { resolved: Vec::new(), units: self.units.len(), end_seq: Vec::new() };
         self.replay_data_walk(cmds, &mut InstrSource::Record(&mut tape));
-        tape.end_seq = self.units.iter().map(|u| u.sequencer_state()).collect();
+        tape.end_seq = self.units.iter().map(|u| u.sequencer().clone()).collect();
         tape
     }
 
@@ -943,7 +942,7 @@ impl PimChannel {
             debug_assert_eq!(next, tape.resolved.len(), "tape/stream trigger count diverged");
         }
         for (u, s) in self.units.iter_mut().zip(tape.end_seq.iter()) {
-            u.set_sequencer_state(s);
+            *u.sequencer_mut() = s.clone();
         }
         self.lockstep = false;
     }
@@ -1003,7 +1002,10 @@ impl PimChannel {
                         let wdata = LaneVec::from_block(data);
                         self.run_trigger(TriggerKind::Write(wdata), row, col, source);
                     }
-                    Step::PimOpMode { .. } | Step::UnresolvedWrite | Step::RowManagement => {}
+                    Step::PimOpMode { .. }
+                    | Step::Read { .. }
+                    | Step::Unresolved
+                    | Step::RowManagement => {}
                 },
                 _ => {}
             }
@@ -1026,7 +1028,7 @@ pub struct DataTape {
     resolved: Vec<Option<Instruction>>,
     units: usize,
     /// Per-unit sequencer state at the end of the recorded stream.
-    end_seq: Vec<SequencerState>,
+    end_seq: Vec<Sequencer>,
 }
 
 /// Where a trigger's per-unit instructions come from.
@@ -1664,7 +1666,7 @@ mod tests {
         /// to be in lock-step — and whether or not they then execute it,
         /// after every command every unit's sequencer state and statistics
         /// and the channel's bank-port counts are what stepping each unit
-        /// on its own gives: `sequence`, `Effects::of`, `retire`. CRF
+        /// on its own gives: `lead`, `Effects::of`, `retire`. CRF
         /// images change under it by every route (all-bank and per-unit
         /// writes, inside a launch and between two), the sequencers are
         /// glitched, and programs halt on EXIT, on an undecodable word and
@@ -1725,7 +1727,7 @@ mod tests {
                         };
                         now = run(&mut ch, &[cmd], now);
                         for unit in &mut model {
-                            if let Some(instr) = unit.sequence() {
+                            if let Some(instr) = unit.lead().0 {
                                 let fx = Effects::of(&instr, &kind);
                                 unit.retire(&fx.retired());
                                 reads += u64::from(fx.bank_read.is_some());
@@ -1772,12 +1774,91 @@ mod tests {
                 }
                 for (u, want) in model.iter().enumerate() {
                     let got = ch.unit(u);
-                    proptest::prop_assert_eq!(got.sequencer_state(), want.sequencer_state(), "unit {}", u);
+                    proptest::prop_assert_eq!(got.sequencer(), want.sequencer(), "unit {}", u);
                     proptest::prop_assert_eq!(got.stats(), want.stats(), "unit {}", u);
-                    proptest::prop_assert_eq!(got.undecodable_halt(), want.undecodable_halt(), "unit {}", u);
                 }
                 let stats = ch.stats();
                 proptest::prop_assert_eq!((stats.bank_operand_reads, stats.bank_result_writes), (reads, writes));
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The static schedule is the unit's, on the images the two
+        /// proptests above generate — a slot program with arbitrary CRF
+        /// writes over it: `StaticSchedule::derive(..).triggers()` is what
+        /// a `PimUnit` executes trigger by trigger (of the first 4096), and
+        /// then the unit halts on EXIT or the end of the CRF; `derive` errs
+        /// on an undecodable word or an out-of-range JUMP exactly when the
+        /// unit halts on that entry, and a schedule that derives never
+        /// leaves the unit out of fuel.
+        #[test]
+        fn the_static_schedule_is_what_the_unit_executes(
+            program in proptest::prelude::prop_oneof![
+                proptest::collection::vec(any_slot(0..16), 1..33),
+                proptest::collection::vec(any_slot(0..14), 32),
+            ],
+            writes in proptest::collection::vec(any_crf_write(), 0..3),
+        ) {
+            use crate::schedule::{ScheduleError, StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
+            use crate::unit::{Halt, Trigger};
+            const SHOWN: usize = 4096;
+            let mut image = [Instruction::Exit.encode(); 32];
+            for (i, &slot) in program.iter().enumerate() {
+                image[i] = slot_word(i, slot);
+            }
+            for w in writes {
+                let (base, words) = match w {
+                    CrfWrite::Word { index, word, .. } => (index, vec![word]),
+                    CrfWrite::Program { words, .. } => (0, words),
+                    CrfWrite::SbConf { col, words, .. } | CrfWrite::AbConf { col, words } => {
+                        (crf_block_base(col), words)
+                    }
+                };
+                image[base..base + words.len()].copy_from_slice(&words);
+            }
+            let mut unit = PimUnit::new();
+            for (i, &word) in image.iter().enumerate() {
+                unit.crf_mut().write_word(i, word);
+            }
+            let trigger = Trigger {
+                kind: TriggerKind::Read,
+                row: 0,
+                col: 0,
+                even_data: LaneVec::zero(),
+                odd_data: LaneVec::zero(),
+            };
+            let expect = match StaticSchedule::derive(&image, DEFAULT_SCHEDULE_BUDGET) {
+                Ok(s) => Ok(s.triggers().take(SHOWN).collect::<Vec<_>>()),
+                Err(ScheduleError::Undecodable { index, word }) => {
+                    Err(Halt::Undecodable { index, word })
+                }
+                Err(ScheduleError::JumpTargetOutOfRange { index, target }) => {
+                    Err(Halt::JumpTargetOutOfRange { index, target })
+                }
+                // Past the budget one trigger may fetch up to `FUEL`
+                // entries: too slow to step, and the unit need not halt.
+                Err(ScheduleError::BudgetExceeded { .. }) => return Ok(()),
+            };
+            let mut ran = Vec::new();
+            while ran.len() < SHOWN {
+                let Some(instr) = unit.execute(&trigger).executed else { break };
+                ran.push(instr);
+            }
+            let halted = (ran.len() < SHOWN).then(|| unit.sequencer().halt());
+            match expect {
+                Ok(want) => {
+                    proptest::prop_assert_eq!(&ran, &want);
+                    if let Some(halt) = halted {
+                        let clean = matches!(halt, Some(Halt::Exit | Halt::EndOfCrf));
+                        proptest::prop_assert!(clean, "halted on {:?}", halt);
+                    }
+                }
+                Err(want) => {
+                    if let Some(halt) = halted {
+                        proptest::prop_assert_eq!(halt, Some(want));
+                    }
+                }
             }
         }
     }

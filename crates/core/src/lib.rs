@@ -18,6 +18,10 @@
 //!   column-command trigger in the 5-stage pipeline of Section IV-B,
 //!   including zero-cycle JUMP, multi-cycle NOP, and address-aligned mode
 //!   (AAM, Section IV-C).
+//! * [`Sequencer`] — the unit's instruction sequencer (PPC, JUMP counters,
+//!   NOP repeats, typed [`Halt`]), stepped over a [`Crf`]. It is the only
+//!   one: the static trigger schedule ([`schedule`]) and `pim-verify`'s
+//!   fence pass step it too.
 //! * [`PimChannel`] — a pseudo channel of PIM-HBM: a plain
 //!   [`pim_dram::PseudoChannel`] plus 8 PIM units and the SB / AB / AB-PIM
 //!   mode state machine of Section III-B, driven **only** by standard DRAM
@@ -27,7 +31,8 @@
 //!   drives it — the paper's drop-in-replacement property.
 //! * [`ModeWalker`] — the same mode machine with timing, stats and faults
 //!   removed, for consumers that must know what a *recorded* command
-//!   stream does without issuing it (launch replay, the launch key).
+//!   stream does without issuing it (launch replay, the launch key, and
+//!   `pim-verify`'s protocol linter and fence pass).
 //! * [`PimConfig`] / [`PimVariant`] — Table IV/V specification constants
 //!   plus the design-space-exploration variants of Fig. 14 (2× resources,
 //!   2-bank access, simultaneous RD+WR).
@@ -74,6 +79,6 @@ pub mod conf {
 pub use config::{PimConfig, PimVariant};
 pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMode, UnitMask};
 pub use regfile::{Crf, Grf, Srf};
-pub use unit::{BankPort, PimUnit, Trigger, TriggerKind};
+pub use unit::{BankPort, Halt, PimUnit, Sequencer, Trigger, TriggerKind};
 pub use vector::LaneVec;
 pub use walker::{ModeWalker, Step};

@@ -138,22 +138,6 @@ impl Crf {
     pub fn decoded(&self, index: usize) -> Option<Instruction> {
         self.decoded[index]
     }
-
-    /// The instruction at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stored word does not decode — the executor validates
-    /// programs before loading them, so this indicates a programming bug,
-    /// which the paper's deterministic model surfaces immediately. (The
-    /// sequencer does not call this: a unit that reaches such an entry
-    /// halts.)
-    pub fn fetch(&self, index: usize) -> Instruction {
-        self.decoded(index).unwrap_or_else(|| {
-            let e = Instruction::decode(self.words[index]).expect_err("predecoded as undecodable");
-            panic!("CRF[{index}] holds an undecodable word: {e}")
-        })
-    }
 }
 
 /// One general register file (GRF_A or GRF_B): 8 × 256-bit vector registers.
@@ -244,8 +228,8 @@ mod tests {
     #[test]
     fn fresh_crf_halts() {
         let crf = Crf::new();
-        assert_eq!(crf.fetch(0), Instruction::Exit);
-        assert_eq!(crf.fetch(31), Instruction::Exit);
+        assert_eq!(crf.decoded(0), Some(Instruction::Exit));
+        assert_eq!(crf.decoded(31), Some(Instruction::Exit));
     }
 
     #[test]
@@ -253,9 +237,9 @@ mod tests {
         let mut crf = Crf::new();
         let prog = vec![Instruction::Nop { cycles: 1 }, Instruction::Jump { target: 0, count: 4 }];
         crf.load_program(&prog);
-        assert_eq!(crf.fetch(0), prog[0]);
-        assert_eq!(crf.fetch(1), prog[1]);
-        assert_eq!(crf.fetch(2), Instruction::Exit);
+        assert_eq!(crf.decoded(0), Some(prog[0]));
+        assert_eq!(crf.decoded(1), Some(prog[1]));
+        assert_eq!(crf.decoded(2), Some(Instruction::Exit));
     }
 
     #[test]
@@ -277,7 +261,7 @@ mod tests {
         .encode();
         crf.write_word(7, w);
         assert_eq!(crf.read_word(7), w);
-        assert!(crf.fetch(7).aam());
+        assert!(crf.decoded(7).is_some_and(|i| i.aam()));
     }
 
     #[test]
@@ -289,14 +273,6 @@ mod tests {
         // Overwriting it decodes again.
         crf.write_word(3, Instruction::Nop { cycles: 2 }.encode());
         assert_eq!(crf.decoded(3), Some(Instruction::Nop { cycles: 2 }));
-    }
-
-    #[test]
-    #[should_panic(expected = "CRF[3] holds an undecodable word")]
-    fn fetch_of_an_undecodable_word_panics() {
-        let mut crf = Crf::new();
-        crf.write_word(3, 0xF000_0000);
-        crf.fetch(3);
     }
 
     #[test]

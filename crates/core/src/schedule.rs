@@ -10,11 +10,12 @@
 //! reached by the sequencer, out-of-range JUMP targets, or loop-count
 //! products so large that unrolling them is intractable).
 //!
-//! [`StaticSchedule::derive`] walks the image with the *exact* sequencer
-//! semantics of [`crate::PimUnit`]'s `resolve_control`/`execute` pair and
-//! either produces the complete resolved trigger schedule — the proof
-//! object — or a typed [`ScheduleError`] saying why the program is not
-//! statically provable. Consumers:
+//! [`StaticSchedule::derive`] steps the unit's own [`Sequencer`] over the
+//! image, trigger after trigger, and either produces the complete resolved
+//! trigger schedule — the proof object — or maps the sequencer's [`Halt`]
+//! to a typed [`ScheduleError`] saying why the program is not statically
+//! provable. There is no second copy of the sequencing rules to drift from
+//! the unit's. Consumers:
 //!
 //! * `pim_host::fastpath` gates DataTape compilation on `derive`
 //!   succeeding; unprovable programs fall back to full simulation.
@@ -26,14 +27,14 @@ use std::fmt;
 
 use crate::isa::Instruction;
 use crate::regfile::{Crf, CRF_ENTRIES};
+use crate::unit::{Halt, Sequencer};
 
-/// Default work budget for [`StaticSchedule::derive`]: an upper bound on
-/// sequencer-loop iterations (JUMP resolutions *and* executed
-/// instructions) spent unrolling one program. Large enough for every
-/// practical kernel (a Table VI GEMV launch resolves in tens of
-/// thousands of iterations), small enough that adversarial nested-loop
-/// images (two 17-bit counts multiply to ~4 × 10⁹ iterations) fail fast
-/// instead of hanging the prover.
+/// Default work budget for [`StaticSchedule::derive`]: the sequencer fuel
+/// — CRF fetches, JUMP resolutions *and* executed instructions — spent
+/// unrolling one program. Large enough for every practical kernel (a
+/// Table VI GEMV launch resolves in tens of thousands of fetches), small
+/// enough that adversarial nested-loop images (two 17-bit counts multiply
+/// to ~4 × 10⁹ fetches) fail fast instead of hanging the prover.
 pub const DEFAULT_SCHEDULE_BUDGET: u64 = 4_000_000;
 
 /// Why a CRF image's control flow could not be statically resolved.
@@ -56,8 +57,8 @@ pub enum ScheduleError {
         /// The out-of-range target.
         target: u8,
     },
-    /// Unrolling exceeded the iteration budget; the schedule exists but
-    /// is too large to materialize (e.g. adversarial nested JUMP counts).
+    /// Unrolling spent the fuel budget; the schedule exists but is too
+    /// large to materialize (e.g. adversarial nested JUMP counts).
     BudgetExceeded {
         /// The budget that was exhausted.
         budget: u64,
@@ -116,97 +117,60 @@ impl StaticSchedule {
     /// words; missing trailing words read as EXIT, matching
     /// `Crf::load_program` padding) into the complete trigger schedule.
     ///
-    /// The walk mirrors the sequencer exactly: JUMPs are followed without
-    /// consuming triggers (`count - 1` taken, then fall through), EXIT or
-    /// running off the end of the CRF halts, a multi-cycle NOP consumes
-    /// `cycles` triggers with one fetch. `budget` bounds the total number
-    /// of walk iterations — JUMP resolutions included, so images whose
-    /// *schedule* is astronomically long fail even if each trigger is
-    /// cheap.
+    /// The walk is a [`Sequencer`] stepped once per trigger (a multi-cycle
+    /// NOP's repeats taken at once: one fetch, `cycles` triggers). `budget`
+    /// is its fuel for the whole walk — JUMP resolutions included, so
+    /// images whose *schedule* is astronomically long fail even if each
+    /// trigger is cheap — and no one trigger gets more than a unit's
+    /// [`Sequencer::FUEL`].
     ///
     /// # Errors
     ///
-    /// Returns a [`ScheduleError`] if the walk reaches an undecodable
-    /// word or an out-of-range JUMP target, or exhausts `budget`.
+    /// Returns a [`ScheduleError`] if the sequencer halts on an
+    /// undecodable word or an out-of-range JUMP target, or runs out of
+    /// fuel.
     pub fn derive(words: &[u32], budget: u64) -> Result<StaticSchedule, ScheduleError> {
-        let mut ppc = 0usize;
-        let mut jump_taken = [0u32; CRF_ENTRIES];
-        let mut halted = false;
-        let mut work = 0u64;
-        let mut steps: Vec<ScheduleStep> = Vec::new();
-        let mut total: u64 = 0;
-
-        let fetch = |index: usize| -> Result<Instruction, ScheduleError> {
-            match words.get(index) {
-                Some(&word) => Instruction::decode(word)
-                    .map_err(|_| ScheduleError::Undecodable { index, word }),
-                None => Ok(Instruction::Exit),
-            }
-        };
-
-        'schedule: loop {
-            // Resolve zero-cycle control flow, mirroring
-            // `SequencerState::resolve_control`.
-            let instr = loop {
-                if halted {
-                    break 'schedule;
-                }
-                work += 1;
-                if work > budget {
-                    return Err(ScheduleError::BudgetExceeded { budget });
-                }
-                if ppc >= CRF_ENTRIES {
-                    halted = true;
-                    continue;
-                }
-                match fetch(ppc)? {
-                    Instruction::Jump { target, count } => {
-                        if (target as usize) >= CRF_ENTRIES {
-                            return Err(ScheduleError::JumpTargetOutOfRange { index: ppc, target });
-                        }
-                        if jump_taken[ppc] + 1 < count {
-                            jump_taken[ppc] += 1;
-                            ppc = target as usize;
-                        } else {
-                            jump_taken[ppc] = 0;
-                            ppc += 1;
-                        }
-                    }
-                    Instruction::Exit => halted = true,
-                    other => break other,
-                }
-                if ppc >= CRF_ENTRIES {
-                    halted = true;
-                    continue;
-                }
-            };
-
-            // One fetch executes: a multi-cycle NOP consumes `cycles`
-            // triggers, everything else consumes one.
-            let triggers = match instr {
-                Instruction::Nop { cycles } => u64::from(cycles.max(1)),
-                _ => 1,
-            };
-            total += triggers;
-            match steps.last_mut() {
-                Some(last) if last.index == ppc && last.instr == instr => {
-                    last.triggers += triggers;
-                }
-                _ => steps.push(ScheduleStep { index: ppc, instr, triggers }),
-            }
-            ppc += 1;
-            if ppc >= CRF_ENTRIES {
-                halted = true;
-            }
+        let mut crf = Crf::new();
+        for (index, &word) in words.iter().take(CRF_ENTRIES).enumerate() {
+            crf.write_word(index, word);
         }
-
-        Ok(StaticSchedule { steps, total_triggers: total })
+        StaticSchedule::of_crf(&crf, budget)
     }
 
     /// [`derive`](Self::derive)s the schedule of a loaded CRF.
     pub fn of_crf(crf: &Crf, budget: u64) -> Result<StaticSchedule, ScheduleError> {
-        let words: Vec<u32> = (0..CRF_ENTRIES).map(|i| crf.read_word(i)).collect();
-        StaticSchedule::derive(&words, budget)
+        let mut seq = Sequencer::new();
+        let (mut left, mut steps, mut total) = (budget, Vec::<ScheduleStep>::new(), 0);
+        loop {
+            // No trigger gets more fuel than a unit's, so a schedule that
+            // derives is one the unit runs to its end.
+            let granted = left.min(Sequencer::FUEL);
+            let mut fuel = granted;
+            let (instr, _) = seq.step(crf, &mut fuel);
+            left -= granted - fuel;
+            let Some(instr) = instr else { break };
+            let triggers = 1 + u64::from(seq.finish_nop());
+            let index = seq.ppc() - 1;
+            total += triggers;
+            match steps.last_mut() {
+                Some(last) if last.index == index && last.instr == instr => {
+                    last.triggers += triggers;
+                }
+                _ => steps.push(ScheduleStep { index, instr, triggers }),
+            }
+        }
+        match seq.halt() {
+            Some(Halt::Undecodable { index, word }) => {
+                Err(ScheduleError::Undecodable { index, word })
+            }
+            Some(Halt::JumpTargetOutOfRange { index, target }) => {
+                Err(ScheduleError::JumpTargetOutOfRange { index, target })
+            }
+            Some(Halt::OutOfFuel) => Err(ScheduleError::BudgetExceeded { budget }),
+            Some(Halt::Exit | Halt::EndOfCrf) | None => {
+                Ok(StaticSchedule { steps, total_triggers: total })
+            }
+        }
     }
 
     /// [`derive`](Self::derive)s the schedule of an assembled program
@@ -229,11 +193,20 @@ impl StaticSchedule {
         self.total_triggers
     }
 
-    /// The resolved instruction of every trigger, in order (multi-cycle
-    /// NOPs repeat once per consumed trigger). Prefer [`steps`](Self::steps)
-    /// when loop bodies repeat many times.
+    /// The instruction of every trigger, in order, as the unit reports it:
+    /// a multi-cycle NOP as itself on the trigger that fetches it and as
+    /// `NOP 1` on each repeat. Prefer [`steps`](Self::steps) when loop
+    /// bodies repeat many times.
     pub fn triggers(&self) -> impl Iterator<Item = Instruction> + '_ {
-        self.steps.iter().flat_map(|s| std::iter::repeat_n(s.instr, s.triggers as usize))
+        self.steps.iter().flat_map(|s| {
+            (0..s.triggers).map(move |t| match s.instr {
+                // A step merges whole fetches, `cycles` (≥ 1) triggers each.
+                Instruction::Nop { cycles } if t % u64::from(cycles) != 0 => {
+                    Instruction::Nop { cycles: 1 }
+                }
+                instr => instr,
+            })
+        })
     }
 }
 
@@ -369,5 +342,34 @@ mod tests {
             }
         }
         assert_eq!(executed, sched.total_triggers());
+    }
+
+    #[test]
+    fn no_trigger_gets_more_fuel_than_a_unit() {
+        // 1100 × 1101 ≈ 1.2 × 10⁶ fetches before the first MOV: inside the
+        // budget, past one trigger's fuel. The unit halts, so the walk errs.
+        let jump = Instruction::Jump { target: 0, count: 1100 };
+        let mov = Instruction::Mov {
+            dst: Operand::grf_a(0),
+            src: Operand::wdata(),
+            relu: false,
+            aam: false,
+        };
+        let prog = [jump, jump, mov, Instruction::Exit];
+        assert_eq!(
+            StaticSchedule::of_program(&prog, DEFAULT_SCHEDULE_BUDGET),
+            Err(ScheduleError::BudgetExceeded { budget: DEFAULT_SCHEDULE_BUDGET })
+        );
+        let mut unit = crate::PimUnit::new();
+        unit.crf_mut().load_program(&prog);
+        let out = unit.execute(&crate::Trigger {
+            row: 0,
+            col: 0,
+            kind: crate::TriggerKind::Read,
+            even_data: crate::LaneVec::zero(),
+            odd_data: crate::LaneVec::zero(),
+        });
+        assert_eq!(out.executed, None);
+        assert_eq!(unit.sequencer().halt(), Some(Halt::OutOfFuel));
     }
 }

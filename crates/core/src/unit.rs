@@ -1,5 +1,7 @@
 //! The PIM execution unit (Section IV): a 16-wide SIMD FPU, register files,
-//! and the instruction-sequencing controller.
+//! and the instruction-sequencing controller ([`Sequencer`] — the one
+//! implementation of the PPC, zero-cycle JUMPs and multi-cycle NOPs, which
+//! the static schedule and `pim-verify`'s fence pass step as well).
 //!
 //! One unit is shared by two banks ("we decide to place one PIM execution
 //! unit between two banks", Section IV-A) and executes exactly one
@@ -72,7 +74,7 @@ pub struct ExecOutcome {
     /// The bank port a source operand consumed, if any — drives the energy
     /// model's per-bank access accounting.
     pub bank_read: Option<BankPort>,
-    /// `true` if the unit is halted (EXIT reached) after this trigger.
+    /// `true` if the unit's sequencer has halted after this trigger.
     pub halted: bool,
 }
 
@@ -170,17 +172,174 @@ pub struct UnitStats {
 
 pim_dram::counter_table!(UnitStats { instructions, flops, bank_reads, bank_writes, wdata_on_read });
 
-/// Snapshot of a unit's instruction-sequencing state (everything that
-/// determines which instruction the next trigger resolves to, independent
-/// of the data in the register files). Captured at the end of a recorded
-/// launch replay and restored after each tape-driven replay, so the
-/// sequencer ends bit-identical to a full execution of the same stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SequencerState {
+/// Why a [`Sequencer`] halted. A halted unit executes nothing until the
+/// next `PIM_OP_MODE` enable restarts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Halt {
+    /// It fetched EXIT.
+    Exit,
+    /// The PPC moved past the last CRF entry.
+    EndOfCrf,
+    /// It fetched a word no instruction encodes (PV011 statically).
+    Undecodable {
+        /// The CRF entry.
+        index: usize,
+        /// The raw word.
+        word: u32,
+    },
+    /// It fetched a JUMP whose target lies past the end of the CRF (the
+    /// encoding carries more target bits than the CRF has entries; PV007
+    /// statically).
+    JumpTargetOutOfRange {
+        /// The CRF entry of the JUMP.
+        index: usize,
+        /// The out-of-range target.
+        target: u8,
+    },
+    /// One trigger's zero-cycle control resolution spent its fuel: nested
+    /// JUMPs whose counts multiply past what one trigger may follow.
+    OutOfFuel,
+}
+
+/// The instruction-sequencing controller of one unit (Section III-A): the
+/// PIM program counter, a counter per JUMP entry, the repeats left of a
+/// multi-cycle NOP, and why it halted. It reads the [`Crf`] and nothing
+/// else, so which instruction the n-th trigger resolves to is a function of
+/// the CRF image alone — the unit, the static schedule
+/// ([`crate::schedule::StaticSchedule`]) and `pim-verify`'s fence pass all
+/// step one of these.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Sequencer {
+    /// PIM program counter (PPC).
     ppc: usize,
+    /// Times each JUMP entry has been taken since its counter last reset.
     jump_taken: [u32; CRF_ENTRIES],
+    /// Remaining triggers the current multi-cycle NOP will absorb.
     nop_remaining: u32,
-    halted: bool,
+    halt: Option<Halt>,
+}
+
+impl Sequencer {
+    /// The CRF entries one trigger's control resolution may fetch before
+    /// the unit halts with [`Halt::OutOfFuel`]. Real kernels fetch at most
+    /// a few per trigger; three nested 65 535-count JUMPs would fetch
+    /// 2.8 × 10¹⁴.
+    pub const FUEL: u64 = 1 << 20;
+
+    /// A sequencer at CRF entry 0 — the state writing 1 to `PIM_OP_MODE`
+    /// restarts every unit in.
+    pub fn new() -> Sequencer {
+        Sequencer::default()
+    }
+
+    /// The PIM program counter.
+    pub fn ppc(&self) -> usize {
+        self.ppc
+    }
+
+    /// Why the sequencer halted; `None` while it runs.
+    pub fn halt(&self) -> Option<Halt> {
+        self.halt
+    }
+
+    /// One trigger: resolves zero-cycle control flow (JUMPs consume no
+    /// trigger) and advances the PPC past the instruction this trigger
+    /// executes. Returns that instruction — one repeat of a multi-cycle NOP
+    /// reads as `NOP 1` — or `None` once halted, and the bit of every JUMP
+    /// entry whose counter moved: with the PPC, the NOP count and the halt,
+    /// everything a step can change, so a sequencer in lock-step adopts the
+    /// outcome instead of recomputing it. Every CRF entry fetched spends one
+    /// unit of `fuel`; a step that finds none left halts.
+    #[inline]
+    pub fn step(&mut self, crf: &Crf, fuel: &mut u64) -> (Option<Instruction>, u32) {
+        let mut jumped = 0;
+        let instr = if self.nop_remaining > 0 {
+            // A multi-cycle NOP absorbs this trigger without a fetch; the
+            // PPC moves on when the last repeat is consumed.
+            self.nop_remaining -= 1;
+            Instruction::Nop { cycles: 1 }
+        } else {
+            let Some(instr) = self.resolve(crf, fuel, &mut jumped) else { return (None, jumped) };
+            if let Instruction::Nop { cycles } = instr {
+                self.nop_remaining = cycles.saturating_sub(1);
+            }
+            instr
+        };
+        if self.nop_remaining == 0 {
+            self.advance();
+        }
+        (Some(instr), jumped)
+    }
+
+    /// Fetches until an executable instruction, leaving the PPC on it. The
+    /// body of a JUMP runs `count` times: the jump is taken `count - 1`
+    /// times, then falls through.
+    #[inline]
+    fn resolve(&mut self, crf: &Crf, fuel: &mut u64, jumped: &mut u32) -> Option<Instruction> {
+        while self.halt.is_none() {
+            if *fuel == 0 {
+                self.halt = Some(Halt::OutOfFuel);
+                break;
+            }
+            *fuel -= 1;
+            let index = self.ppc;
+            match crf.decoded(index) {
+                Some(Instruction::Jump { target, .. }) if target as usize >= CRF_ENTRIES => {
+                    self.halt = Some(Halt::JumpTargetOutOfRange { index, target });
+                }
+                Some(Instruction::Jump { target, count }) => {
+                    *jumped |= 1 << index;
+                    if self.jump_taken[index] + 1 < count {
+                        self.jump_taken[index] += 1;
+                        self.ppc = target as usize;
+                    } else {
+                        self.jump_taken[index] = 0;
+                        self.advance();
+                    }
+                }
+                Some(Instruction::Exit) => self.halt = Some(Halt::Exit),
+                Some(instr) => return Some(instr),
+                None => self.halt = Some(Halt::Undecodable { index, word: crf.read_word(index) }),
+            }
+        }
+        None
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        self.ppc += 1;
+        if self.ppc >= CRF_ENTRIES {
+            self.halt = Some(Halt::EndOfCrf);
+        }
+    }
+
+    /// Absorbs what is left of a multi-cycle NOP at once — what stepping
+    /// it trigger by trigger would do — and returns how many triggers that
+    /// was.
+    pub(crate) fn finish_nop(&mut self) -> u32 {
+        let left = std::mem::take(&mut self.nop_remaining);
+        if left > 0 {
+            self.advance();
+        }
+        left
+    }
+
+    /// The step of a sequencer in lock-step with `leader`: one that was in
+    /// the same state, over the same CRF image, when `leader` took this
+    /// trigger and moved the JUMP counters in `jumped`. The step is a
+    /// function of exactly that, so this sequencer adopts the outcome
+    /// instead of recomputing it.
+    #[inline]
+    pub(crate) fn follow(&mut self, leader: &Sequencer, mut jumped: u32) {
+        self.ppc = leader.ppc;
+        self.nop_remaining = leader.nop_remaining;
+        self.halt = leader.halt;
+        while jumped != 0 {
+            let entry = jumped.trailing_zeros() as usize;
+            self.jump_taken[entry] = leader.jump_taken[entry];
+            jumped &= jumped - 1;
+        }
+    }
 }
 
 /// One PIM execution unit: CRF + GRF_A/GRF_B + SRF_M/SRF_A + 16-wide FPU +
@@ -192,13 +351,7 @@ pub struct PimUnit {
     grf_b: Grf,
     srf_m: Srf,
     srf_a: Srf,
-    /// PIM program counter (PPC, Section III-A).
-    ppc: usize,
-    /// Times each JUMP entry has been taken since its counter last reset.
-    jump_taken: [u32; CRF_ENTRIES],
-    /// Remaining triggers the current multi-cycle NOP will absorb.
-    nop_remaining: u32,
-    halted: bool,
+    seq: Sequencer,
     stats: UnitStats,
 }
 
@@ -221,10 +374,7 @@ impl PimUnit {
             grf_b: Grf::new(),
             srf_m: Srf::new(),
             srf_a: Srf::new(),
-            ppc: 0,
-            jump_taken: [0; CRF_ENTRIES],
-            nop_remaining: 0,
-            halted: false,
+            seq: Sequencer::new(),
             stats: UnitStats::default(),
         }
     }
@@ -279,22 +429,15 @@ impl PimUnit {
         &mut self.srf_a
     }
 
-    /// Current program counter.
-    pub fn ppc(&self) -> usize {
-        self.ppc
+    /// The instruction sequencer: PPC, loop counters and why it halted.
+    pub fn sequencer(&self) -> &Sequencer {
+        &self.seq
     }
 
-    /// `true` once EXIT has been reached.
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The CRF entry, and the word in it, that halted this unit because the
-    /// word decodes to no instruction. `None` for a running unit and for
-    /// one stopped by EXIT, an out-of-range JUMP or the end of the CRF.
-    pub fn undecodable_halt(&self) -> Option<(usize, u32)> {
-        (self.halted && self.ppc < CRF_ENTRIES && self.crf.decoded(self.ppc).is_none())
-            .then(|| (self.ppc, self.crf.read_word(self.ppc)))
+    /// Mutable sequencer: the launch-replay path restores a recorded
+    /// launch's end state here.
+    pub(crate) fn sequencer_mut(&mut self) -> &mut Sequencer {
+        &mut self.seq
     }
 
     /// Execution statistics.
@@ -308,80 +451,11 @@ impl PimUnit {
         &mut self.stats
     }
 
-    /// Captures the sequencer state (see [`SequencerState`]).
-    pub(crate) fn sequencer_state(&self) -> SequencerState {
-        SequencerState {
-            ppc: self.ppc,
-            jump_taken: self.jump_taken,
-            nop_remaining: self.nop_remaining,
-            halted: self.halted,
-        }
-    }
-
-    /// Restores a sequencer snapshot taken by
-    /// [`PimUnit::sequencer_state`].
-    pub(crate) fn set_sequencer_state(&mut self, s: &SequencerState) {
-        self.ppc = s.ppc;
-        self.jump_taken = s.jump_taken;
-        self.nop_remaining = s.nop_remaining;
-        self.halted = s.halted;
-    }
-
-    /// Resets the sequencer (PPC, loop counters, halt flag) — performed by
-    /// the device when `PIM_OP_MODE` is set to 1, so every entry into
-    /// AB-PIM mode starts the microkernel from CRF entry 0.
+    /// Restarts the sequencer at CRF entry 0 — performed by the device when
+    /// `PIM_OP_MODE` is set to 1, so every entry into AB-PIM mode starts
+    /// the microkernel from the top.
     pub fn reset_sequencer(&mut self) {
-        self.ppc = 0;
-        self.jump_taken = [0; CRF_ENTRIES];
-        self.nop_remaining = 0;
-        self.halted = false;
-    }
-
-    /// Resolves zero-cycle control flow: follows JUMPs (without consuming
-    /// a trigger) and returns the next executable instruction, leaving the
-    /// PPC on it; `None` once the unit has halted. EXIT halts, and so does
-    /// an entry that did not decode when it was written. Every JUMP entry
-    /// whose counter moves sets its bit in `jumped`.
-    fn resolve_control(&mut self, jumped: &mut u32) -> Option<Instruction> {
-        while !self.halted {
-            match self.crf.decoded(self.ppc) {
-                Some(Instruction::Jump { target, count }) => {
-                    // The JUMP encoding carries more target bits than the
-                    // CRF has entries, so a raw CRF image can name an
-                    // out-of-range target. The static verifier rejects such
-                    // programs (PV007); if one reaches the sequencer anyway,
-                    // halt instead of indexing past the CRF.
-                    debug_assert!(
-                        (target as usize) < CRF_ENTRIES,
-                        "JUMP target {target} outside the {CRF_ENTRIES}-entry CRF \
-                         reached the sequencer (rejected statically by pim-verify)"
-                    );
-                    // Otherwise the body executes `count` times: take the
-                    // backward jump `count - 1` times, then fall through.
-                    if (target as usize) >= CRF_ENTRIES {
-                        self.halted = true;
-                    } else {
-                        *jumped |= 1 << self.ppc;
-                        if self.jump_taken[self.ppc] + 1 < count {
-                            self.jump_taken[self.ppc] += 1;
-                            self.ppc = target as usize;
-                        } else {
-                            self.jump_taken[self.ppc] = 0;
-                            self.ppc += 1;
-                        }
-                    }
-                }
-                // A raw CRF image can hold a word no instruction encodes
-                // (PV011 statically, `ScheduleError::Undecodable` in the
-                // schedule model): the unit stops, like on EXIT.
-                Some(Instruction::Exit) | None => self.halted = true,
-                Some(instr) => return Some(instr),
-            }
-            if self.ppc >= CRF_ENTRIES {
-                self.halted = true;
-            }
-        }
-        None
+        self.seq = Sequencer::new();
     }
 
     fn aam_idx(col: u32) -> usize {
@@ -442,63 +516,23 @@ impl PimUnit {
         }
     }
 
-    /// The sequencer half of a trigger: resolves zero-cycle control flow
-    /// and advances the PPC past the instruction this trigger executes.
-    /// Returns that instruction — one repeat of a multi-cycle NOP reads as
-    /// `NOP 1` — or `None` once the unit has halted. Nothing is decoded
-    /// ([`Crf`] did that when the word was written) and no register data is
-    /// read: which instruction the n-th trigger resolves to is a function
-    /// of the CRF image alone.
+    /// The sequencer half of a trigger: one [`Sequencer::step`] over this
+    /// unit's CRF with a trigger's [`Sequencer::FUEL`]. Nothing is decoded
+    /// ([`Crf`] did that when the word was written) and no register data
+    /// is read.
     #[inline]
-    pub(crate) fn sequence(&mut self) -> Option<Instruction> {
-        self.lead(&mut 0)
-    }
-
-    /// [`PimUnit::sequence`], also setting in `jumped` the bit of every
-    /// JUMP entry whose loop counter it moved — with the PPC, the NOP
-    /// count and the halt flag, everything a sequencer step can change, so
-    /// a unit in lock-step can [`PimUnit::follow`] it.
-    #[inline]
-    pub(crate) fn lead(&mut self, jumped: &mut u32) -> Option<Instruction> {
-        let instr = if self.nop_remaining > 0 {
-            // A multi-cycle NOP absorbs this trigger without a fetch; the
-            // PPC moves on when the last repeat is consumed.
-            self.nop_remaining -= 1;
-            Instruction::Nop { cycles: 1 }
-        } else {
-            let instr = self.resolve_control(jumped)?;
-            if let Instruction::Nop { cycles } = instr {
-                self.nop_remaining = cycles.saturating_sub(1);
-            }
-            instr
-        };
-        if self.nop_remaining == 0 {
-            self.ppc += 1;
-            if self.ppc >= CRF_ENTRIES {
-                self.halted = true;
-            }
-        }
-        Some(instr)
+    pub(crate) fn lead(&mut self) -> (Option<Instruction>, u32) {
+        let mut fuel = Sequencer::FUEL;
+        self.seq.step(&self.crf, &mut fuel)
     }
 
     /// The sequencer half of a trigger for a unit in lock-step with
-    /// `leader`: one that held the same CRF image and the same sequencer
-    /// state when `leader` took this trigger through [`PimUnit::lead`],
-    /// which moved the loop counters in `jumped`. The step is a function
-    /// of exactly that, so this unit's own [`PimUnit::sequence`] would
-    /// resolve the same instruction and end in the same state; it adopts
-    /// the state instead of recomputing it.
+    /// `leader`, which took it through [`PimUnit::lead`] and moved the loop
+    /// counters in `jumped` ([`Sequencer::follow`]).
     #[inline]
-    pub(crate) fn follow(&mut self, leader: &PimUnit, mut jumped: u32) {
+    pub(crate) fn follow(&mut self, leader: &PimUnit, jumped: u32) {
         debug_assert!(self.crf == leader.crf, "following a unit with another CRF image");
-        self.ppc = leader.ppc;
-        self.nop_remaining = leader.nop_remaining;
-        self.halted = leader.halted;
-        while jumped != 0 {
-            let entry = jumped.trailing_zeros() as usize;
-            self.jump_taken[entry] = leader.jump_taken[entry];
-            jumped &= jumped - 1;
-        }
+        self.seq.follow(&leader.seq, jumped);
     }
 
     /// The dataflow half of a trigger: the register effects of one
@@ -575,7 +609,7 @@ impl PimUnit {
     /// This is "a DRAM column command triggers the execution of a PIM
     /// instruction" (Section III-A), at the heart of the architecture.
     pub fn execute(&mut self, trig: &Trigger) -> ExecOutcome {
-        let Some(instr) = self.sequence() else {
+        let Some(instr) = self.lead().0 else {
             return ExecOutcome { executed: None, bank_write: None, bank_read: None, halted: true };
         };
         let fx = Effects::of(&instr, &trig.kind);
@@ -588,7 +622,7 @@ impl PimUnit {
             executed: Some(instr),
             bank_write,
             bank_read: fx.bank_read,
-            halted: self.halted,
+            halted: self.seq.halt.is_some(),
         }
     }
 }
@@ -890,9 +924,9 @@ mod tests {
         u.reset_sequencer();
         u.execute(&rd_trigger(0, [1.0; 16], [0.0; 16]));
         assert!(u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16])).halted);
-        assert_eq!(u.undecodable_halt(), None, "EXIT is a decodable halt");
+        assert_eq!(u.sequencer().halt(), Some(Halt::Exit));
         u.reset_sequencer();
-        assert!(!u.is_halted());
+        assert_eq!(u.sequencer().halt(), None);
         let out = u.execute(&rd_trigger(0, [2.0; 16], [0.0; 16]));
         assert!(!out.halted);
         assert_eq!(u.grf_a().read(0).to_f32(), [2.0; 16]);
@@ -918,7 +952,7 @@ mod tests {
         assert_eq!(u.execute(&rd_trigger(0, [1.0; 16], [0.0; 16])).executed, Some(mov));
         let out = u.execute(&rd_trigger(0, [2.0; 16], [0.0; 16]));
         assert_eq!((out.executed, out.halted), (None, true));
-        assert_eq!(u.undecodable_halt(), Some((2, garbage)));
+        assert_eq!(u.sequencer().halt(), Some(Halt::Undecodable { index: 2, word: garbage }));
         assert_eq!(u.grf_a().read(0).to_f32(), [1.0; 16]);
         assert_eq!(u.stats().instructions, 1);
         // ... and agrees with the static model of the same image.
@@ -950,6 +984,27 @@ mod tests {
         for _ in 0..CRF_ENTRIES {
             u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16]));
         }
-        assert!(u.is_halted());
+        assert_eq!(u.sequencer().halt(), Some(Halt::EndOfCrf));
+    }
+
+    /// The two halts a raw CRF image can force that the verifier rejects
+    /// or flags: a JUMP past the CRF (PV007), and a JUMP nest whose one
+    /// trigger would follow more entries than [`Sequencer::FUEL`] — three
+    /// nested 65 535-count self-loops, 2.8 × 10¹⁴ fetches, halt after 2²⁰.
+    #[test]
+    fn bad_jump_target_and_jump_nest_halt_typed() {
+        let mut u = PimUnit::new();
+        u.crf_mut().write_word(0, Instruction::Jump { target: 40, count: 2 }.encode());
+        u.reset_sequencer();
+        assert_eq!(u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16])).executed, None);
+        assert_eq!(u.sequencer().halt(), Some(Halt::JumpTargetOutOfRange { index: 0, target: 40 }));
+
+        let jump = Instruction::Jump { target: 0, count: 65_535 };
+        u.crf_mut().load_program(&[jump, jump, jump, Instruction::Exit]);
+        u.reset_sequencer();
+        let out = u.execute(&rd_trigger(0, [0.0; 16], [0.0; 16]));
+        assert_eq!((out.executed, out.halted), (None, true));
+        assert_eq!(u.sequencer().halt(), Some(Halt::OutOfFuel));
+        assert_eq!(u.stats().instructions, 0);
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! [`PimChannel`](crate::PimChannel) owns the protocol on the issue path,
 //! interleaved with timing, stats and fault hooks. Every consumer that
-//! needs to know what a *recorded* command stream does without issuing it
-//! — the launch-replay data walk, the launch key and its static proof —
-//! steps a [`ModeWalker`] instead of tracking modes and open rows itself.
+//! needs to know what a command stream does without issuing it — the
+//! launch-replay data walk, the launch key and its static proof, and
+//! `pim-verify`'s protocol linter and fence pass — steps a [`ModeWalker`]
+//! instead of tracking modes and open rows itself; the linter reads its
+//! diagnostics off the walker's state before and after each command.
 //! `tests/device_equivalence.rs` holds the walker to the device on
 //! generated streams, command by command.
 
@@ -23,9 +25,14 @@ pub(crate) enum PendingTransition {
 /// machine, as classified by [`ModeWalker::step`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
-    /// No storage or register effect: ACT/PRE/PREA/REF, every single-bank
-    /// read, and all-bank reads that trigger nothing.
+    /// No column access: ACT/PRE/PREA/REF.
     RowManagement,
+    /// A column read that triggers nothing — every single-bank read, and
+    /// all-bank reads outside AB-PIM or of a `PIM_CONF` row.
+    Read {
+        /// The open row it reads.
+        row: u32,
+    },
     /// Single-bank write to data row `row` of the command's bank.
     SbWrite {
         /// The bank's open row.
@@ -60,8 +67,9 @@ pub enum Step {
         /// The all-bank open row.
         row: u32,
     },
-    /// A write whose bank has no open row — illegal on the device.
-    UnresolvedWrite,
+    /// A column command whose bank has no open row — illegal on the
+    /// device.
+    Unresolved,
 }
 
 /// Tracks mode, armed transition and open rows over a command stream.
@@ -83,6 +91,12 @@ impl ModeWalker {
     /// The mode after the commands stepped so far.
     pub fn mode(&self) -> PimMode {
         self.mode
+    }
+
+    /// Whether a mode transition is armed: an ACT to `ABMR` (in
+    /// single-bank mode) or `SBMR` (in an all-bank mode) awaits its PRE.
+    pub fn armed(&self) -> bool {
+        self.pending.is_some()
     }
 
     /// The row a column command to `bank` would address.
@@ -120,11 +134,15 @@ impl ModeWalker {
             }
             Command::PreAll => self.sb_open = [None; BANKS_PER_PCH],
             // Any column command disarms a pending all-bank entry.
-            Command::Rd { .. } => self.pending = None,
+            Command::Rd { bank, .. } => {
+                self.pending = None;
+                return self.sb_open[bank.flat_index()]
+                    .map_or(Step::Unresolved, |row| Step::Read { row });
+            }
             Command::Wr { bank, .. } => {
                 self.pending = None;
                 return match self.sb_open[bank.flat_index()] {
-                    None => Step::UnresolvedWrite,
+                    None => Step::Unresolved,
                     Some(row) if row >= PIM_CONF_FIRST_ROW => {
                         Step::ConfWrite { row, unit: Some(bank.flat_index() / 2) }
                     }
@@ -152,15 +170,17 @@ impl ModeWalker {
                 }
             }
             Command::Rd { .. } => {
-                if let (PimMode::AllBankPim, Some(row)) = (self.mode, self.ab_open) {
-                    if row < PIM_CONF_FIRST_ROW {
-                        return Step::Trigger { row };
+                return match self.ab_open {
+                    None => Step::Unresolved,
+                    Some(row) if self.mode == PimMode::AllBankPim && row < PIM_CONF_FIRST_ROW => {
+                        Step::Trigger { row }
                     }
-                }
+                    Some(row) => Step::Read { row },
+                };
             }
             Command::Wr { ref data, .. } => {
                 return match self.ab_open {
-                    None => Step::UnresolvedWrite,
+                    None => Step::Unresolved,
                     Some(PIM_OP_MODE_ROW) => {
                         let enable = data[0] & 1 == 1;
                         let next = if enable { PimMode::AllBankPim } else { PimMode::AllBank };

@@ -90,7 +90,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use pim_core::isa::{Instruction, Operand};
-use pim_core::{conf, DataTape, ModeWalker, PimMode, Step};
+use pim_core::{conf, DataTape, Halt, ModeWalker, PimMode, Step};
 use pim_dram::{Command, CommandSink, DataBlock};
 
 /// Microkernels the generated streams load (entries 0–3): AAM and fixed
@@ -364,7 +364,7 @@ struct UnitState {
     srf: Vec<u16>,
     crf: Vec<u32>,
     ppc: usize,
-    halted: bool,
+    halt: Option<Halt>,
 }
 
 fn data_state(ch: &PimChannel) -> DataState {
@@ -383,8 +383,8 @@ fn data_state(ch: &PimChannel) -> DataState {
                 grf: grf.map(|v| v.to_block()).collect(),
                 srf: srf.map(|s| s.to_bits()).collect(),
                 crf: (0..32).map(|i| u.crf().read_word(i)).collect(),
-                ppc: u.ppc(),
-                halted: u.is_halted(),
+                ppc: u.sequencer().ppc(),
+                halt: u.sequencer().halt(),
             }
         })
         .collect();
@@ -396,20 +396,31 @@ proptest! {
 
     /// After every command the walker's mode and every bank's resolved
     /// open row equal the device's, and its classification accounts for
-    /// exactly the register writes and triggers the device counted.
+    /// exactly the register writes, register reads, column reads and
+    /// triggers the device counted.
     #[test]
     fn walker_tracks_the_device_command_by_command(frags in frags()) {
         let mut ch = fresh_channel();
         let mut walker = ModeWalker::new();
         let (mut now, mut conf_writes, mut triggers) = (0, 0u64, 0u64);
+        let (mut reads, mut conf_reads) = (0u64, 0u64);
         for cmd in build(&frags) {
             let at = ch.earliest_issue(&cmd, now);
             ch.issue(&cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
             now = at;
             match walker.step(&cmd) {
                 Step::ConfWrite { .. } | Step::PimOpMode { .. } => conf_writes += 1,
-                Step::Trigger { .. } => triggers += 1,
-                Step::UnresolvedWrite => prop_assert!(false, "{} did not resolve", cmd),
+                Step::Trigger { .. } => {
+                    triggers += 1;
+                    reads += u64::from(matches!(cmd, Command::Rd { .. }));
+                }
+                Step::Read { row } => {
+                    let open = cmd.bank().and_then(|bank| ch.open_row(bank));
+                    prop_assert_eq!(Some(row), open, "{}", cmd);
+                    reads += 1;
+                    conf_reads += u64::from(row >= conf::PIM_CONF_FIRST_ROW);
+                }
+                Step::Unresolved => prop_assert!(false, "{} did not resolve", cmd),
                 Step::RowManagement | Step::SbWrite { .. } | Step::AbWrite { .. } => {}
             }
             prop_assert_eq!(walker.mode(), ch.mode(), "after {}", cmd);
@@ -419,6 +430,8 @@ proptest! {
         }
         prop_assert_eq!(walker.mode(), PimMode::SingleBank);
         prop_assert_eq!(ch.stats().conf_writes, conf_writes);
+        prop_assert_eq!(ch.stats().conf_reads, conf_reads);
+        prop_assert_eq!(ch.stats().ab_reads + ch.dram().stats().reads, reads);
         prop_assert_eq!(ch.stats().pim_triggers, triggers * ch.unit_count() as u64);
     }
 
@@ -499,8 +512,8 @@ fn live_state(ch: &PimChannel, live: UnitMask) -> DataState {
     }
 }
 
-fn sequencers(ch: &PimChannel) -> Vec<(usize, bool, Vec<u32>)> {
-    data_state(ch).units.into_iter().map(|u| (u.ppc, u.halted, u.crf)).collect()
+fn sequencers(ch: &PimChannel) -> Vec<(usize, Option<Halt>, Vec<u32>)> {
+    data_state(ch).units.into_iter().map(|u| (u.ppc, u.halt, u.crf)).collect()
 }
 
 /// Issues `cmds` back to back on the issue path; returns the last cycle.

@@ -62,7 +62,7 @@
 //!   exists to demonstrate miscompiled kernels; memoizing a demonstration
 //!   of nondeterminism would be missing its point.
 //! * Every `WR` resolves to a statically known open row (the walker's
-//!   [`Step`] is never `UnresolvedWrite`), so the key can
+//!   [`Step`] is never `Unresolved`), so the key can
 //!   distinguish configuration payloads (CRF programs, SRF scalars —
 //!   hashed) from data payloads (the input vector — deliberately *not*
 //!   hashed, so a new input hits the cache).
@@ -495,7 +495,7 @@ impl LaunchCache {
                 let step = walker.step(cmd);
                 let Command::Wr { col, data, .. } = cmd else { continue };
                 match step {
-                    Step::UnresolvedWrite => return None,
+                    Step::Unresolved => return None,
                     Step::ConfWrite { row, unit } => {
                         k.bytes(data);
                         if (row, unit) == (CRF_ROW, None) {

@@ -356,7 +356,7 @@ mod tests {
         // Second kernel: first trigger runs MOV, second hits the padded
         // EXIT (not kernel A's stale second MOV).
         let unit = ctx.sys.channel(0).sink().unit(0);
-        assert!(unit.is_halted());
+        assert_eq!(unit.sequencer().halt(), Some(pim_core::Halt::Exit));
         // Kernel A executed 2 MOVs; kernel B executed 1 MOV, then its
         // second trigger hit the padded EXIT (halted triggers don't count).
         assert_eq!(unit.stats().instructions, 3);

@@ -26,7 +26,7 @@
 //! ```
 
 use pim_core::asm;
-use pim_core::{conf, LaneVec, PimChannel, PimConfig, PimMode};
+use pim_core::{conf, Halt, LaneVec, PimChannel, PimConfig, PimMode, Sequencer};
 use pim_dram::{
     BankAddr, Command, CommandSink, Cycle, TimingParams, TracingSink, COLS_PER_ROW, ROWS_PER_BANK,
 };
@@ -123,18 +123,29 @@ impl ScriptSession {
     }
 
     /// After a column command in AB-PIM mode: a trigger that lands on a CRF
-    /// word no instruction encodes halts the unit without a trace, which in
-    /// a bring-up shell is an error worth a line number.
+    /// word no instruction encodes, on a JUMP past the CRF, or on a JUMP
+    /// nest one trigger cannot resolve within its fuel halts the unit
+    /// without a trace, which in a bring-up shell is an error worth a line
+    /// number.
     fn check_triggered_units(&self, line: usize) -> Result<(), ScriptError> {
         let ch = self.channel.inner();
         if ch.mode() != PimMode::AllBankPim {
             return Ok(());
         }
-        match (0..ch.unit_count()).find_map(|u| Some((u, ch.unit(u).undecodable_halt()?))) {
-            Some((u, (index, word))) => err(
-                line,
-                format!("unit {u} halted on CRF[{index}] = {word:#010X}, which is no instruction"),
-            ),
+        let why = |halt| match halt {
+            Halt::Undecodable { index, word } => {
+                Some(format!("on CRF[{index}] = {word:#010X}, which is no instruction"))
+            }
+            Halt::JumpTargetOutOfRange { index, target } => {
+                Some(format!("on CRF[{index}]: JUMP target {target} is outside the CRF"))
+            }
+            Halt::OutOfFuel => {
+                Some(format!("resolving one trigger's JUMPs past {} CRF fetches", Sequencer::FUEL))
+            }
+            Halt::Exit | Halt::EndOfCrf => None,
+        };
+        match (0..ch.unit_count()).find_map(|u| Some((u, why(ch.unit(u).sequencer().halt()?)?))) {
+            Some((u, why)) => err(line, format!("unit {u} halted {why}")),
             None => Ok(()),
         }
     }
@@ -503,7 +514,8 @@ stats
         assert_eq!(e.line, 7);
         assert_eq!(e.message, "unit 0 halted on CRF[0] = 0x7BFF7BFF, which is no instruction");
         // The unit stopped; nothing executed and the channel is intact.
-        assert!(s.channel().unit(0).is_halted());
+        let halt = s.channel().unit(0).sequencer().halt();
+        assert_eq!(halt, Some(Halt::Undecodable { index: 0, word: 0x7BFF_7BFF }));
         assert_eq!(s.channel().unit(0).stats().instructions, 0);
         assert_eq!(s.mode(), PimMode::AllBankPim);
     }

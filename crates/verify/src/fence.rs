@@ -5,25 +5,23 @@
 //! commands" (Section VII-D) because the memory controller may reorder
 //! commands between barriers; a host read that consumes a PIM result
 //! before the producing trigger is guaranteed drained is a race. The
-//! detector replays the stream through the [`crate::ModeTracker`] and a
-//! *data-free shadow sequencer* (`pim-verify`'s `CrfSequencer`, which
-//! mirrors the unit's PPC / JUMP-counter / multi-cycle-NOP machine over
-//! the raw CRF words — control flow in this ISA is data-independent, so
-//! no data needs simulating). Each trigger's resolved instruction says
-//! exactly which cell it dirtied: a bank-port destination dirties
-//! `(port parity, row, col)`, a GRF destination dirties `(file, index)`
-//! (AAM-exact). A fence clears the dirty sets; a host read of a
-//! still-dirty location reports `PV201` (bank data, parity-matched
+//! detector steps the stream through [`pim_core::ModeWalker`] and the
+//! unit's own [`pim_core::Sequencer`] over a shadow [`pim_core::Crf`]
+//! loaded from the stream's `CRF`-row writes — control flow in this ISA is
+//! data-independent, so no data needs simulating. Each trigger's resolved
+//! instruction says exactly which cell it dirtied: a bank-port destination
+//! dirties `(port parity, row, col)`, a GRF destination dirties
+//! `(file, index)` (AAM-exact). A fence clears the dirty sets; a host read
+//! of a still-dirty location reports `PV201` (bank data, parity-matched
 //! against the read command's bank) or `PV202` (memory-mapped GRF
-//! readback). Footprint precision means reads of disjoint columns,
-//! other GRF entries, or opposite-parity banks never race.
+//! readback). Footprint precision means reads of disjoint columns, other
+//! GRF entries, or opposite-parity banks never race.
 
 use crate::diag::{PvCode, Report};
-use crate::protocol::{Effect, ModeTracker};
 use crate::stream::{StreamEvent, StreamItem};
-use crate::symex::CrfSequencer;
+use pim_core::conf::{crf_block_base, crf_block_words, CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW};
 use pim_core::isa::OperandKind;
-use pim_core::{PimConfig, PimMode};
+use pim_core::{Crf, ModeWalker, Sequencer, Step};
 use pim_dram::Command;
 use std::collections::HashSet;
 
@@ -39,18 +37,12 @@ fn grf_slot_of_col(col: u32) -> GrfSlot {
     }
 }
 
-/// Runs the fence-race pass over a stream.
-///
-/// `config` selects the variant whose semantics the shadow follows (it
-/// only affects which instructions are legal — the control path is
-/// variant-independent at this level).
-pub fn check_fences(config: &PimConfig, events: &[StreamEvent]) -> Report {
-    let _ = config;
+/// Runs the fence-race pass over a stream. The units run in lock-step on
+/// one program, so one shadow CRF and sequencer stand for all of them.
+pub fn check_fences(events: &[StreamEvent]) -> Report {
     let mut report = Report::new();
-    let mut tracker = ModeTracker::new();
-    // Protocol diagnostics are the other pass's job; discard them here.
-    let mut scratch = Report::new();
-    let mut seq = CrfSequencer::new();
+    let mut walker = ModeWalker::new();
+    let (mut crf, mut seq) = (Crf::new(), Sequencer::new());
     // Dirty bank cells, keyed (bank parity, row, col): the units run in
     // lock-step, so an EVEN_BANK write dirties that cell in every
     // even-parity bank (and only those).
@@ -65,20 +57,24 @@ pub fn check_fences(config: &PimConfig, events: &[StreamEvent]) -> Report {
             }
             StreamItem::Cmd(c) => c,
         };
-        match tracker.apply(cmd, &ev.site, &mut scratch) {
-            Effect::CrfLoad { col, data } => seq.load(col, &data),
-            Effect::ModeChange { to: PimMode::AllBankPim } => seq.reset(),
-            Effect::ModeChange { .. } => {}
-            Effect::Trigger { write_data: _, row, col } => {
-                let Some(instr) = seq.step() else { continue };
+        match (walker.step(cmd), cmd) {
+            (Step::ConfWrite { row: CRF_ROW, .. }, Command::Wr { col, data, .. }) => {
+                for (i, word) in crf_block_words(data).into_iter().enumerate() {
+                    crf.write_word(crf_block_base(*col) + i, word);
+                }
+            }
+            (Step::PimOpMode { enable: true, toggled: true }, _) => seq = Sequencer::new(),
+            (Step::Trigger { row }, Command::Rd { col, .. } | Command::Wr { col, .. }) => {
+                let mut fuel = Sequencer::FUEL;
+                let Some(instr) = seq.step(&crf, &mut fuel).0 else { continue };
                 let Some(dst) = instr.dst() else { continue };
                 let aam = instr.aam();
                 match dst.kind {
                     OperandKind::EvenBank => {
-                        dirty_bank.insert((0, row, col));
+                        dirty_bank.insert((0, row, *col));
                     }
                     OperandKind::OddBank => {
-                        dirty_bank.insert((1, row, col));
+                        dirty_bank.insert((1, row, *col));
                     }
                     OperandKind::GrfA | OperandKind::GrfB => {
                         let file = if dst.kind == OperandKind::GrfA { 0 } else { 1 };
@@ -90,12 +86,9 @@ pub fn check_fences(config: &PimConfig, events: &[StreamEvent]) -> Report {
                     OperandKind::SrfM | OperandKind::SrfA | OperandKind::Wdata => {}
                 }
             }
-            Effect::DataRead { row, col } => {
-                let parity = match cmd {
-                    Command::Rd { bank, .. } => (bank.flat_index() % 2) as u8,
-                    _ => continue,
-                };
-                if dirty_bank.contains(&(parity, row, col)) {
+            (Step::Read { row }, Command::Rd { bank, col }) if row < PIM_CONF_FIRST_ROW => {
+                let parity = (bank.flat_index() % 2) as u8;
+                if dirty_bank.contains(&(parity, row, *col)) {
                     report.error(
                         PvCode::Pv201UnfencedHostRead,
                         ev.site.clone(),
@@ -106,8 +99,8 @@ pub fn check_fences(config: &PimConfig, events: &[StreamEvent]) -> Report {
                     );
                 }
             }
-            Effect::GrfRead { col } => {
-                let (file, idx) = grf_slot_of_col(col);
+            (Step::Read { row: GRF_ROW }, Command::Rd { col, .. }) => {
+                let (file, idx) = grf_slot_of_col(*col);
                 if dirty_grf.contains(&(file, idx)) {
                     let name = if file == 0 { "GRF_A" } else { "GRF_B" };
                     report.error(
@@ -120,7 +113,7 @@ pub fn check_fences(config: &PimConfig, events: &[StreamEvent]) -> Report {
                     );
                 }
             }
-            Effect::DataWrite { .. } | Effect::None => {}
+            _ => {}
         }
     }
     report
@@ -132,19 +125,10 @@ mod tests {
     use crate::stream::{strip_fences, StreamItem};
     use pim_core::conf;
     use pim_core::isa::{Instruction, Operand};
-    use pim_dram::{BankAddr, Command, DataBlock};
+    use pim_dram::{BankAddr, Command};
 
     fn bank() -> BankAddr {
         BankAddr::new(0, 0)
-    }
-
-    fn crf_block(program: &[Instruction]) -> DataBlock {
-        let mut data: DataBlock = [0u8; 32];
-        for i in 0..8 {
-            let word = program.get(i).unwrap_or(&Instruction::Exit).encode();
-            data[i * 4..i * 4 + 4].copy_from_slice(&word.to_le_bytes());
-        }
-        data
     }
 
     /// A kernel that stores results to the even bank, followed by a host
@@ -161,7 +145,7 @@ mod tests {
         ];
         let mut cmds = conf::enter_ab_sequence();
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: crf_block(&program) });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0] });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         cmds.push(Command::Act { bank: bank(), row: 3 });
@@ -194,20 +178,20 @@ mod tests {
 
     #[test]
     fn unfenced_bank_read_is_pv201() {
-        let r = check_fences(&PimConfig::paper(), &store_then_read(false));
+        let r = check_fences(&store_then_read(false));
         assert!(r.has_code(PvCode::Pv201UnfencedHostRead), "expected PV201:\n{r}");
     }
 
     #[test]
     fn fenced_bank_read_is_clean() {
-        let r = check_fences(&PimConfig::paper(), &store_then_read(true));
+        let r = check_fences(&store_then_read(true));
         assert!(r.is_clean(), "unexpected diagnostics:\n{r}");
     }
 
     #[test]
     fn stripping_fences_reintroduces_the_race() {
         let fenced = store_then_read(true);
-        let r = check_fences(&PimConfig::paper(), &strip_fences(&fenced));
+        let r = check_fences(&strip_fences(&fenced));
         assert!(r.has_code(PvCode::Pv201UnfencedHostRead));
     }
 
@@ -220,7 +204,7 @@ mod tests {
         ];
         let mut cmds = conf::enter_ab_sequence();
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: crf_block(&program) });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0] });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         cmds.push(Command::Act { bank: bank(), row: 3 });
@@ -252,13 +236,13 @@ mod tests {
 
     #[test]
     fn unfenced_grf_readback_is_pv202() {
-        let r = check_fences(&PimConfig::paper(), &accumulate_then_readback(false));
+        let r = check_fences(&accumulate_then_readback(false));
         assert!(r.has_code(PvCode::Pv202UnfencedGrfReadback), "expected PV202:\n{r}");
     }
 
     #[test]
     fn fenced_grf_readback_is_clean() {
-        let r = check_fences(&PimConfig::paper(), &accumulate_then_readback(true));
+        let r = check_fences(&accumulate_then_readback(true));
         assert!(r.is_clean(), "unexpected diagnostics:\n{r}");
     }
 
@@ -274,7 +258,7 @@ mod tests {
                 *col = 11;
             }
         }
-        let r = check_fences(&PimConfig::paper(), &events);
+        let r = check_fences(&events);
         assert!(r.is_clean(), "unexpected diagnostics:\n{r}");
     }
 }

@@ -1,6 +1,6 @@
 //! `pim-verify` — static analysis for the PIM software stack.
 //!
-//! Three passes, all running *before* (or instead of) simulation:
+//! Four passes, all running *before* (or instead of) simulation:
 //!
 //! 1. **Kernel verifier** ([`verify_program`], [`verify_image`]): checks a
 //!    microkernel — per-instruction legality on the configured variant,
@@ -8,15 +8,17 @@
 //!    EXIT, dead code), data flow (read-before-write, dead writes, mixed
 //!    AAM addressing), and the 5-stage pipeline's bank read-after-write
 //!    hazard window (Section IV-B).
-//! 2. **Protocol linter** ([`lint_stream`], [`ModeTracker`]): replays a
-//!    standard-DRAM command stream through a mirror of the SB / AB /
-//!    AB-PIM mode machine (Section III-B, Fig. 3) and flags sequences the
-//!    device would reject, silently ignore, or execute with surprising
-//!    results.
+//! 2. **Protocol linter** ([`lint_stream`]): steps a standard-DRAM command
+//!    stream through [`pim_core::ModeWalker`] — the SB / AB / AB-PIM mode
+//!    machine (Section III-B, Fig. 3) the device is held to — and flags
+//!    sequences the device would reject, silently ignore, or execute with
+//!    surprising results, reading each off the walker's state before and
+//!    after the command.
 //! 3. **Fence-race detector** ([`check_fences`]): a happens-before pass
 //!    that finds host reads of PIM-written bank addresses or GRF entries
 //!    with no intervening fence (the Section VII-D barrier contract). It
-//!    is footprint-precise: a data-free shadow sequencer resolves exactly
+//!    is footprint-precise: the same walker, and the unit's own
+//!    [`pim_core::Sequencer`] over the stream's CRF image, resolve exactly
 //!    which `(bank parity, row, column)` cell each trigger dirtied, so
 //!    reads of disjoint columns never race.
 //! 4. **Symbolic executor** ([`symex_program`], [`check_equivalence`]):
@@ -50,7 +52,7 @@ pub use diag::{Diagnostic, PvCode, Report, Severity, Site};
 pub use fence::check_fences;
 pub use footprint::Footprint;
 pub use kernel::{code_of_violation, verify_image, verify_program};
-pub use protocol::{lint_stream, Effect, ModeTracker};
+pub use protocol::lint_stream;
 pub use stream::{
     events_from_batches, events_from_trace_entries, parse_trace, strip_fences, StreamEvent,
     StreamItem,

@@ -35,7 +35,6 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use pim_core::isa::{Instruction, Operand, OperandKind};
 use pim_core::schedule::{ScheduleError, StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
 use pim_core::{LaneVec, PimConfig};
-use pim_dram::DataBlock;
 
 use crate::diag::{PvCode, Report, Site};
 use crate::footprint::Footprint;
@@ -539,116 +538,6 @@ fn sorted2(a: ExprId, b: ExprId) -> (ExprId, ExprId) {
     }
 }
 
-/// A data-free replica of the PIM unit's sequencer (`ppc`, per-entry
-/// JUMP counters, multi-cycle-NOP absorption), driven by raw CRF words.
-/// The fence detector steps one of these per trigger to learn which
-/// instruction executed — and therefore exactly which `(parity, row,
-/// col)` cell or GRF entry the trigger dirtied — without simulating any
-/// data. Undecodable fetched words halt it (the protocol linter reports
-/// those separately).
-#[derive(Debug, Clone)]
-pub(crate) struct CrfSequencer {
-    words: [u32; 32],
-    ppc: usize,
-    jump_taken: [u32; 32],
-    nop_remaining: u32,
-    halted: bool,
-}
-
-/// Bound on zero-cycle JUMP resolutions per trigger; adversarial CRF
-/// images (self-jumps with huge counts) otherwise stall the linter for
-/// seconds. Exceeding it halts the shadow sequencer conservatively.
-const RESOLVE_FUEL: u32 = 1 << 20;
-
-impl CrfSequencer {
-    pub(crate) fn new() -> CrfSequencer {
-        CrfSequencer {
-            words: [Instruction::Exit.encode(); 32],
-            ppc: 0,
-            jump_taken: [0; 32],
-            nop_remaining: 0,
-            halted: false,
-        }
-    }
-
-    /// Applies a CRF load: 8 little-endian words at `(col % 4) * 8`,
-    /// matching the memory-mapped CRF write layout.
-    pub(crate) fn load(&mut self, col: u32, data: &DataBlock) {
-        let base = ((col % 4) * 8) as usize;
-        for (i, chunk) in data.chunks_exact(4).enumerate() {
-            let word = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-            if base + i < 32 {
-                self.words[base + i] = word;
-            }
-        }
-    }
-
-    /// Resets the sequencer (entering AB-PIM resets the PPC).
-    pub(crate) fn reset(&mut self) {
-        self.ppc = 0;
-        self.jump_taken = [0; 32];
-        self.nop_remaining = 0;
-        self.halted = false;
-    }
-
-    /// Consumes one trigger; returns the executed instruction, or
-    /// `None` if the unit is halted.
-    pub(crate) fn step(&mut self) -> Option<Instruction> {
-        if self.nop_remaining > 0 {
-            self.nop_remaining -= 1;
-            if self.nop_remaining == 0 {
-                self.ppc += 1;
-            }
-            return Some(Instruction::Nop { cycles: 1 });
-        }
-        let mut fuel = RESOLVE_FUEL;
-        let instr = loop {
-            if self.halted {
-                return None;
-            }
-            if self.ppc >= 32 || fuel == 0 {
-                self.halted = true;
-                return None;
-            }
-            fuel -= 1;
-            let Ok(instr) = Instruction::decode(self.words[self.ppc]) else {
-                self.halted = true;
-                return None;
-            };
-            match instr {
-                Instruction::Jump { target, count } => {
-                    if (target as usize) >= 32 {
-                        self.halted = true;
-                        return None;
-                    }
-                    if self.jump_taken[self.ppc] + 1 < count {
-                        self.jump_taken[self.ppc] += 1;
-                        self.ppc = target as usize;
-                    } else {
-                        self.jump_taken[self.ppc] = 0;
-                        self.ppc += 1;
-                    }
-                }
-                Instruction::Exit => self.halted = true,
-                other => break other,
-            }
-        };
-        if let Instruction::Nop { cycles } = instr {
-            if cycles > 1 {
-                self.nop_remaining = cycles - 1;
-            } else {
-                self.ppc += 1;
-            }
-        } else {
-            self.ppc += 1;
-        }
-        if self.ppc >= 32 {
-            self.halted = true;
-        }
-        Some(instr)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -791,46 +680,13 @@ mod tests {
             even_data: LaneVec::zero(),
             odd_data: LaneVec::zero(),
         });
-        assert!(drain.executed.is_none() && unit.is_halted());
+        assert_eq!(drain.executed, None);
+        assert_eq!(unit.sequencer().halt(), Some(pim_core::Halt::Exit));
 
         let eval = summary.eval(&wdata, &bank_init);
         for i in 0..8 {
             assert_eq!(eval.grf_b[i].lanes(), unit.grf_b().read(i).lanes(), "GRF_B[{i}]");
             assert_eq!(eval.grf_a[i].lanes(), unit.grf_a().read(i).lanes(), "GRF_A[{i}]");
-        }
-    }
-
-    #[test]
-    fn crf_sequencer_mirrors_the_real_unit() {
-        use pim_core::{PimUnit, Trigger, TriggerKind};
-        let prog = must_assemble(
-            "NOP 3\n\
-             FILL GRF_A[0], WDATA\n\
-             MOV ODD_BANK, GRF_A[0]\n\
-             JUMP 1, #2\n\
-             EXIT\n",
-        );
-        let mut seq = CrfSequencer::new();
-        let mut block: DataBlock = [0u8; 32];
-        for (i, instr) in prog.iter().enumerate() {
-            block[i * 4..i * 4 + 4].copy_from_slice(&instr.encode().to_le_bytes());
-        }
-        seq.load(0, &block);
-        seq.reset();
-
-        let mut unit = PimUnit::new();
-        unit.crf_mut().load_program(&prog);
-        for t in 0..16u32 {
-            let trig = Trigger {
-                kind: TriggerKind::Write(LaneVec::zero()),
-                row: 1,
-                col: t % 32,
-                even_data: LaneVec::zero(),
-                odd_data: LaneVec::zero(),
-            };
-            let real = unit.execute(&trig);
-            let shadow = seq.step();
-            assert_eq!(real.executed, shadow, "trigger {t}");
         }
     }
 }

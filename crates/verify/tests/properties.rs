@@ -229,12 +229,11 @@ proptest! {
         col in 0u32..32,
         fenced in any::<bool>(),
     ) {
-        let cfg = PimConfig::paper();
         let events = store_then_read(row, col, fenced);
-        let report = check_fences(&cfg, &events);
+        let report = check_fences(&events);
         if fenced {
             prop_assert!(report.is_clean(), "fenced:\n{report}");
-            let stripped = check_fences(&cfg, &strip_fences(&events));
+            let stripped = check_fences(&strip_fences(&events));
             prop_assert!(stripped.has_code(PvCode::Pv201UnfencedHostRead), "{stripped}");
         } else {
             prop_assert!(report.has_code(PvCode::Pv201UnfencedHostRead), "{report}");
@@ -351,10 +350,7 @@ fn store_then_read(row: u32, col: u32, fenced: bool) -> Vec<StreamEvent> {
         },
         Instruction::Exit,
     ];
-    let mut crf: DataBlock = [0u8; 32];
-    for (i, inst) in program.iter().enumerate() {
-        crf[i * 4..i * 4 + 4].copy_from_slice(&inst.encode().to_le_bytes());
-    }
+    let crf = conf::crf_blocks(&program)[0];
 
     let mut cmds = conf::enter_ab_sequence();
     cmds.push(Command::Act { bank, row: conf::CRF_ROW });

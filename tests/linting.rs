@@ -36,7 +36,7 @@ fn lint_by_extension(cfg: &PimConfig, name: &str, source: &str) -> pim_verify::R
     if name.ends_with(".pim") {
         lint::lint_pim_source(cfg, source)
     } else if name.ends_with(".trace") {
-        lint::lint_trace_source(cfg, source)
+        lint::lint_trace_source(source)
     } else {
         panic!("{name}: corpus files must be .pim or .trace");
     }
@@ -74,11 +74,10 @@ fn corpus_files_produce_their_expected_codes() {
 /// The valid trace fixtures pass both stream passes with zero diagnostics.
 #[test]
 fn trace_fixtures_lint_clean() {
-    let cfg = PimConfig::paper();
     let fixtures = sources_in("fixtures");
     assert!(fixtures.len() >= 2, "expected at least two valid fixtures");
     for (name, source) in &fixtures {
-        let report = lint::lint_trace_source(&cfg, source);
+        let report = lint::lint_trace_source(source);
         assert!(report.is_clean(), "{name}:\n{}", report.render(name));
     }
 }
@@ -104,6 +103,33 @@ fn equiv_fixtures_decide_as_documented() {
         EquivVerdict::Inequivalent(why) => assert!(why.contains("GRF_B"), "{why}"),
         _ => panic!("the srf_index pair should be inequivalent"),
     }
+}
+
+/// The linter's full output is pinned: every corpus file and every trace
+/// fixture renders, byte for byte, the committed
+/// `tests/golden/lint/<file>.txt` (empty for a clean fixture), and that
+/// directory holds one golden per input and nothing else. A change to a
+/// pass that moves a message, a site or the order of two findings fails
+/// here and must move the golden on purpose.
+#[test]
+fn every_lint_input_renders_its_golden_report() {
+    let cfg = PimConfig::paper();
+    let dir = repo_tests_dir("golden/lint");
+    let mut inputs = sources_in("corpus");
+    inputs.extend(sources_in("fixtures"));
+    for (name, source) in &inputs {
+        let path = dir.join(format!("{name}.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+        let got = lint_by_extension(&cfg, name, source).render(name);
+        assert_eq!(got, want, "{name} no longer lints to {}", path.display());
+    }
+    let goldens: std::collections::BTreeSet<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    let named = inputs.iter().map(|(name, _)| format!("{name}.txt")).collect();
+    assert_eq!(goldens, named, "tests/golden/lint/ != one `<input>.txt` per lint input");
 }
 
 /// The diagnostic index in `docs/LINTING.md` must cover every `PV###`
@@ -425,11 +451,11 @@ fn fence_detector_flags_stripped_gemv_readback() {
     }
     events.push(StreamEvent::cmd(n + 9, pim_dram::Command::Pre { bank }));
 
-    let fenced = check_fences(&cfg, &events);
+    let fenced = check_fences(&events);
     assert!(fenced.is_clean(), "fenced GEMV should be race-free:\n{}", fenced.render("gemv"));
 
     let stripped = strip_fences(&events);
-    let report = check_fences(&cfg, &stripped);
+    let report = check_fences(&stripped);
     assert!(
         report.has_code(PvCode::Pv202UnfencedGrfReadback),
         "stripped GEMV should race:\n{}",

@@ -112,7 +112,7 @@ fn claim_deterministic_lock_step() {
         u.reset_sequencer();
         let mut ppcs = Vec::new();
         for col in 0..4 {
-            ppcs.push(u.ppc());
+            ppcs.push(u.sequencer().ppc());
             u.execute(&pim_core::Trigger {
                 kind: pim_core::TriggerKind::Read,
                 row: 0,
