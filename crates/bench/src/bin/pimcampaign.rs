@@ -8,6 +8,8 @@
 //! pimcampaign chaos   [shape] [--interval N] [--stacks N] [--stall-milli N]
 //!   shape: [--seed N] [--elements N] [--requests N] [--tenants N] [--deadline-slack N]
 //!   every kind: [--backend sequential|threads:N] [--expect-clean]
+//!   bounds: --elements fits one stack's arena; --requests <= 65536 and
+//!           requests x elements <= 67108864; --stacks <= 1024
 //! ```
 //!
 //! Each kind prints its `pim-bench/<kind>-campaign-v1` JSON report on
@@ -30,8 +32,9 @@
 //! `--expect-clean` exits 1 if a wrong answer reached a caller — and, for
 //! `cluster`, if a bit-identity gate failed; for `chaos`, unless the run
 //! showed the whole arc (mid-run crash, verified rejoin, straggler hedge,
-//! outage gate). A campaign that cannot run exits 1; a malformed command
-//! line exits 2.
+//! outage gate). A campaign that cannot run exits 1 — a shape past the
+//! bounds is refused before its trace or cluster is built
+//! (`PIM memory exhausted: …`); a malformed command line exits 2.
 
 use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
@@ -44,7 +47,9 @@ const USAGE: &str = "pimcampaign fault [--seed N] [--elements N] [--rates R1,R2,
     \x20      pimcampaign cluster [SHAPE] [--interval N] [--stacks S1,S2,...] [--rates R1,R2,...]\n\
     \x20      pimcampaign chaos [SHAPE] [--interval N] [--stacks N] [--stall-milli N]\n\
     \x20      SHAPE: [--seed N] [--elements N] [--requests N] [--tenants N] [--deadline-slack N]\n\
-    \x20      every kind: [--backend sequential|threads:N] [--expect-clean]";
+    \x20      every kind: [--backend sequential|threads:N] [--expect-clean]\n\
+    \x20      bounds: --elements fits one stack's arena; --requests <= 65536 and\n\
+    \x20              requests x elements <= 67108864; --stacks <= 1024";
 
 fn clean_suffix(expect_clean: bool) -> &'static str {
     if expect_clean {

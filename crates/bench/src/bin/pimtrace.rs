@@ -9,6 +9,8 @@
 //!                   [--interval N] [--rate R]
 //! pimtrace filter   --trace PATH [--name SUBSTR] [--cat SUBSTR]
 //! pimtrace diff     A B
+//!   bounds: --elements fits one stack's arena; --requests <= 65536 and
+//!           requests x elements <= 67108864
 //! ```
 //!
 //! `run` re-runs one serve-campaign sweep point with tracing enabled and
@@ -37,7 +39,9 @@ const USAGE: &str = "pimtrace run [--seed N] [--elements N] [--requests N] [--te
     \x20                [--backend sequential|threads:N] --out DIR\n\
     \x20      pimtrace selftest [--seed N] [--elements N] [--requests N] [--interval N] [--rate R]\n\
     \x20      pimtrace filter --trace PATH [--name SUBSTR] [--cat SUBSTR]\n\
-    \x20      pimtrace diff A B";
+    \x20      pimtrace diff A B\n\
+    \x20      bounds: --elements fits one stack's arena; --requests <= 65536 and\n\
+    \x20              requests x elements <= 67108864";
 
 /// The point parameters shared by `run` and `selftest`.
 struct PointArgs {

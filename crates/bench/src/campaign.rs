@@ -14,9 +14,53 @@ use pim_fp16::F16;
 use pim_host::ExecutionBackend;
 use pim_obs::trace::mix;
 use pim_obs::Quantiles;
+use pim_runtime::kernels::stream_rows;
 use pim_runtime::{
     ClusterContext, PimBlas, PimContext, PimError, RequestOutcome, ServeOp, ServeRequest,
 };
+
+/// Most requests one campaign trace may hold.
+pub const MAX_REQUESTS: usize = 1 << 16;
+/// Most elements one campaign trace may carry over all its requests: its
+/// operands and oracles, 12 bytes an element, stay within 768 MiB.
+pub const MAX_TRACE_ELEMENTS: usize = 1 << 26;
+/// Most member stacks a cluster campaign may build (each is ~0.4 MB of
+/// simulated device state).
+pub const MAX_STACKS: usize = 1 << 10;
+
+fn refuse(detail: String) -> Result<(), PimError> {
+    Err(PimError::OutOfMemory { detail })
+}
+
+/// Refuses, before anything is allocated for them, `elements` that `ctx`'s
+/// free arena cannot hold as one stream operand set.
+///
+/// # Errors
+///
+/// [`PimError::OutOfMemory`] naming the rows needed and available.
+pub fn check_fits(ctx: &PimContext, elements: usize) -> Result<(), PimError> {
+    let (channels, units) = (ctx.sys.channel_count(), ctx.sys.pim_config().units_per_pch);
+    let (needed, available) = (stream_rows(elements, channels, units), ctx.mm.min_available());
+    if needed > available {
+        return refuse(format!(
+            "{elements} elements need {needed} rows per unit, {available} available"
+        ));
+    }
+    Ok(())
+}
+
+/// Refuses a cluster of more than [`MAX_STACKS`] members before it is
+/// built.
+///
+/// # Errors
+///
+/// [`PimError::OutOfMemory`] naming the bound.
+pub fn check_stacks(stacks: usize) -> Result<(), PimError> {
+    if stacks > MAX_STACKS {
+        return refuse(format!("{stacks} stacks exceed the campaign bound of {MAX_STACKS}"));
+    }
+    Ok(())
+}
 
 /// Shape of one seeded open-loop request trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +78,31 @@ pub struct TraceShape {
 }
 
 impl TraceShape {
+    /// Refuses, before the trace is built, a shape whose requests a fresh
+    /// stack's arena cannot hold ([`check_fits`]) or whose trace exceeds
+    /// [`MAX_REQUESTS`] requests or [`MAX_TRACE_ELEMENTS`] elements.
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::OutOfMemory`] naming the violated bound.
+    pub fn check(&self) -> Result<(), PimError> {
+        check_fits(&PimContext::small_system(), self.elements)?;
+        if self.requests > MAX_REQUESTS {
+            return refuse(format!(
+                "{} requests exceed the campaign bound of {MAX_REQUESTS}",
+                self.requests
+            ));
+        }
+        if self.requests.saturating_mul(self.elements) > MAX_TRACE_ELEMENTS {
+            return refuse(format!(
+                "{} requests of {} elements exceed the campaign bound of {MAX_TRACE_ELEMENTS} \
+                 elements a trace",
+                self.requests, self.elements
+            ));
+        }
+        Ok(())
+    }
+
     /// The shape's fields as report-header counters.
     pub fn header(&self) -> impl Iterator<Item = (&'static str, Json)> {
         counters([
@@ -235,6 +304,16 @@ mod tests {
             assert_eq!(r.deadline, r.arrival + 4_000);
         }
         assert_eq!(oracles(&trace)[0], trace[0].op.host_reference());
+    }
+
+    #[test]
+    fn trace_and_cluster_bounds_are_inclusive() {
+        let at = |elements, requests| TraceShape { elements, requests, ..shape() }.check();
+        assert!(at(MAX_TRACE_ELEMENTS / MAX_REQUESTS, MAX_REQUESTS).is_ok());
+        assert!(at(1, MAX_REQUESTS + 1).is_err());
+        assert!(at(MAX_TRACE_ELEMENTS / 4 + 1, 4).is_err());
+        assert!(check_stacks(MAX_STACKS).is_ok());
+        assert!(check_stacks(MAX_STACKS + 1).is_err());
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //! across `Sequential`/`Threads(n)` — the same contract as
 //! [`crate::cluster`].
 
-use crate::campaign::{build_trace, counters, gemv_gate, oracles, report, Audit, TraceShape};
+use crate::campaign::{
+    build_trace, check_stacks, counters, gemv_gate, oracles, report, Audit, TraceShape,
+};
 use crate::json::{obj, Json};
 use pim_faults::ClusterFaultPlan;
 use pim_host::ExecutionBackend;
@@ -57,14 +59,13 @@ pub struct ChaosCampaignConfig {
 impl Default for ChaosCampaignConfig {
     fn default() -> ChaosCampaignConfig {
         ChaosCampaignConfig {
-            // Small requests and a slack just above the cost model's
-            // initial PIM estimate (64 cycles/element): PIM is viable
-            // from the first request, so healthy members complete on PIM
-            // and only genuine chaos shows up in the dispositions. The
-            // slack is still tight enough that a stalled member's
-            // service lag expires its queued requests — the hedging
-            // trigger — without the lag outrunning the schedule's phase
-            // windows.
+            // Small requests and a slack far above their PIM price (542
+            // cycles for 128 elements on one stack): healthy members
+            // complete on PIM and only genuine chaos shows up in the
+            // dispositions. The slack is still tight enough that a stalled
+            // member's service lag expires its queued requests — the
+            // hedging trigger — without the lag outrunning the schedule's
+            // phase windows.
             trace: TraceShape {
                 seed: 0xC4A0,
                 elements: 128,
@@ -146,14 +147,19 @@ fn scale(span: u64, num: u64, den: u64) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates [`PimError`] from the cluster layers (only plumbing
-/// failures — overload, crashes, and stalls end as typed dispositions).
+/// [`PimError::OutOfMemory`], before the trace or the cluster is built,
+/// past [`crate::campaign::MAX_STACKS`] stacks or for a shape
+/// [`TraceShape::check`] refuses; otherwise propagates [`PimError`] from
+/// the cluster layers (only plumbing failures — overload, crashes, and
+/// stalls end as typed dispositions).
 pub fn run_campaign(cfg: &ChaosCampaignConfig) -> Result<ChaosCampaignReport, PimError> {
     if cfg.stacks < 2 {
         return Err(PimError::Internal {
             detail: "chaos campaign needs at least 2 stacks to fail over between".into(),
         });
     }
+    check_stacks(cfg.stacks)?;
+    cfg.trace.check()?;
     let trace = build_trace(&cfg.trace, cfg.interval, 0xC4A05);
     let oracles = oracles(&trace);
     let span = trace.last().map_or(1, |r| r.arrival.saturating_add(1));
@@ -304,6 +310,22 @@ mod tests {
         assert_eq!(report.phases[4].stats.rejoins, 1, "{report:?}");
         assert!(total(|s| s.stragglers) >= 1, "{report:?}");
         assert!(total(|s| s.hedges) >= 1, "{report:?}");
+    }
+
+    /// `pimcampaign chaos --stacks 100000` and `--elements 999999999`
+    /// used to abort in the allocator; both are typed refusals before the
+    /// trace or the cluster is built.
+    #[test]
+    fn oversized_clusters_and_traces_are_refused_before_building() {
+        let s = small();
+        let huge = ChaosCampaignConfig {
+            trace: TraceShape { elements: 999_999_999, ..s.trace.clone() },
+            ..s.clone()
+        };
+        for cfg in [ChaosCampaignConfig { stacks: 100_000, ..s }, huge] {
+            let refused = run_campaign(&cfg);
+            assert!(matches!(refused, Err(PimError::OutOfMemory { .. })), "{refused:?}");
+        }
     }
 
     #[test]

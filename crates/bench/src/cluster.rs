@@ -21,7 +21,9 @@
 //! across `Sequential`/`Threads(n)` — the same contract as
 //! [`crate::serve`].
 
-use crate::campaign::{build_trace, counters, gemv_gate, oracles, report, Audit, TraceShape};
+use crate::campaign::{
+    build_trace, check_stacks, counters, gemv_gate, oracles, report, Audit, TraceShape,
+};
 use crate::faults::fault_mix;
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
@@ -94,13 +96,18 @@ pub struct ClusterPoint {
 ///
 /// # Errors
 ///
-/// Propagates [`PimError`] from the cluster layers (only plumbing
-/// failures — overload and fault damage end as typed dispositions).
+/// [`PimError::OutOfMemory`], before the trace or the cluster is built,
+/// past [`crate::campaign::MAX_STACKS`] stacks or for a shape
+/// [`TraceShape::check`] refuses; otherwise propagates [`PimError`] from
+/// the cluster layers (only plumbing failures — overload and fault damage
+/// end as typed dispositions).
 pub fn run_point(
     cfg: &ClusterCampaignConfig,
     stacks: usize,
     rate: f64,
 ) -> Result<ClusterPoint, PimError> {
+    check_stacks(stacks)?;
+    cfg.trace.check()?;
     // The trace is salted by the rate only: every stack count sees the
     // same arrivals, so the goodput column is a true scaling curve.
     let trace = build_trace(&cfg.trace, cfg.interval, ((rate * 1e9) as u64).rotate_left(32));
@@ -213,6 +220,21 @@ mod tests {
         assert!(p.gemv_bit_identical);
         assert!(p.gemv_bit_identical_failover);
         assert!(p.goodput_eps > 0.0);
+    }
+
+    /// `pimcampaign cluster --stacks 100000` and `--elements 999999999`
+    /// used to abort in the allocator; both are typed refusals before the
+    /// trace or the cluster is built.
+    #[test]
+    fn oversized_clusters_and_traces_are_refused_before_building() {
+        let s = small();
+        let huge = ClusterCampaignConfig {
+            trace: TraceShape { elements: 999_999_999, ..s.trace.clone() },
+            ..s.clone()
+        };
+        for refused in [run_point(&s, 100_000, 0.0), run_point(&huge, 1, 0.0)] {
+            assert!(matches!(refused, Err(PimError::OutOfMemory { .. })), "{refused:?}");
+        }
     }
 
     #[test]

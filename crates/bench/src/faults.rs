@@ -12,11 +12,10 @@
 //! threaded execution backends. The report deliberately omits the backend
 //! so that equality can be asserted on the serialized bytes.
 
-use crate::campaign::{add_oracle, counters, report, wrong_elements};
+use crate::campaign::{add_oracle, check_fits, counters, report, wrong_elements};
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
 use pim_host::ExecutionBackend;
-use pim_runtime::kernels::stream_rows;
 use pim_runtime::{resilient_add, PimContext, PimError, ResilienceConfig, ResilienceReport};
 
 /// Campaign shape: the sweep and the workload size.
@@ -100,16 +99,7 @@ pub fn run_point(cfg: &CampaignConfig, rate: f64) -> Result<CampaignPoint, PimEr
     // `elements` comes straight from the command line and the operands,
     // their golden blocks and the oracle are ~20 bytes an element: refuse
     // what the arena cannot hold before allocating for it.
-    let (channels, units) = (ctx.sys.channel_count(), ctx.sys.pim_config().units_per_pch);
-    let (needed, available) = (stream_rows(cfg.elements, channels, units), ctx.mm.min_available());
-    if needed > available {
-        return Err(PimError::OutOfMemory {
-            detail: format!(
-                "{} elements need {needed} rows per unit, {available} available",
-                cfg.elements
-            ),
-        });
-    }
+    check_fits(&ctx, cfg.elements)?;
     ctx.set_backend(cfg.backend);
     if rate > 0.0 {
         ctx.inject_faults(&fault_mix(cfg.seed, rate));

@@ -83,13 +83,16 @@ pub fn point_salt(interval: u64, rate: f64) -> u64 {
 ///
 /// # Errors
 ///
-/// Propagates [`PimError`] from the serving layer.
+/// [`PimError::OutOfMemory`], before the trace is built, for a shape
+/// [`TraceShape::check`] refuses; otherwise propagates [`PimError`] from
+/// the serving layer.
 pub fn serve_point(
     cfg: &ServeCampaignConfig,
     interval: u64,
     rate: f64,
     recorder: Option<&pim_obs::Recorder>,
 ) -> Result<(ServeReport, Vec<Vec<f32>>, PimContext), PimError> {
+    cfg.trace.check()?;
     let mut ctx = PimContext::small_system();
     ctx.set_backend(cfg.backend);
     if rate > 0.0 {
@@ -234,16 +237,66 @@ mod tests {
 
     #[test]
     fn overload_point_sheds_or_misses_but_never_lies() {
-        // Arrivals far faster than service, with little deadline slack:
-        // some requests must shed or miss, and every result that does come
-        // back must be exact.
-        let p = run_point(&with_trace(16, 2_000), 200, 0.0).unwrap();
-        assert_eq!(p.stats.submitted, 16);
+        // Arrivals every ~4 cycles — faster than even the host path drains
+        // 512 elements (14 cycles) — into 8-deep queues: some requests must
+        // shed or miss, and every result that does come back must be exact.
+        let p = run_point(&with_trace(32, 2_000), 4, 0.0).unwrap();
+        assert_eq!(p.stats.submitted, 32);
         assert!(
             p.stats.shed_queue_full + p.stats.shed_overloaded + p.stats.deadline_missed > 0,
             "expected overload effects: {p:?}"
         );
         assert_eq!(p.audit.wrong_answers, 0);
+    }
+
+    /// An idle, faulty stack serving 4 096-element requests with 40 000
+    /// cycles of slack: some requests exhaust their PIM attempts, and the
+    /// host rung must deliver them — in time and exact. Regression: at a
+    /// flat 16 cycles an element, one request's host price exceeded its
+    /// slack and every fallback missed.
+    #[test]
+    fn faulty_point_falls_back_to_the_host_in_time() {
+        let s = with_trace(24, 40_000);
+        let cfg = ServeCampaignConfig {
+            trace: TraceShape { elements: 4096, tenants: 4, ..s.trace },
+            ..s
+        };
+        let (report, oracles, _) = serve_point(&cfg, 20_000, 1e-3, None).unwrap();
+        let fallbacks: Vec<_> = report
+            .outcomes
+            .iter()
+            .zip(&oracles)
+            .filter(|(o, _)| o.disposition == pim_runtime::Disposition::FellBackToHost)
+            .collect();
+        assert!(!fallbacks.is_empty(), "{:?}", report.stats);
+        for (o, oracle) in fallbacks {
+            assert_eq!(o.result.as_deref(), Some(&oracle[..]), "request {}", o.id);
+        }
+    }
+
+    /// `pimcampaign serve --elements 999999999 --requests 1` and
+    /// `--requests 999999999999` used to abort in the allocator building
+    /// the trace; both are typed refusals before it is built.
+    #[test]
+    fn oversized_traces_are_refused_before_allocating() {
+        let s = small();
+        for (elements, requests) in [
+            (999_999_999, 1),
+            (usize::MAX, 1),
+            (1024, 999_999_999_999),
+            (1024, usize::MAX),
+            (1 << 20, 1 << 10),
+        ] {
+            let cfg = ServeCampaignConfig {
+                trace: TraceShape { elements, requests, ..s.trace },
+                ..s.clone()
+            };
+            let refused = run_point(&cfg, 5_000, 0.0);
+            assert!(
+                matches!(refused, Err(PimError::OutOfMemory { .. })),
+                "{elements} x {requests}: {refused:?}"
+            );
+        }
     }
 
     #[test]

@@ -207,6 +207,19 @@ mod tests {
         assert!(art.events > 0);
     }
 
+    /// `pimtrace run --elements 999999999 --requests 1` used to abort in
+    /// the allocator building the point's trace.
+    #[test]
+    fn oversized_points_are_refused_before_tracing() {
+        let s = small();
+        let cfg = ServeCampaignConfig {
+            trace: TraceShape { elements: 999_999_999, requests: 1, ..s.trace },
+            ..s
+        };
+        let refused = run_traced(&cfg, 5_000, 0.0);
+        assert!(matches!(refused, Err(PimError::OutOfMemory { .. })), "{refused:?}");
+    }
+
     #[test]
     fn faulty_point_still_conserves_cycles() {
         // Faults push requests down the resilience ladder (retries,

@@ -14,9 +14,10 @@
 //!    commands per 256-byte step, a fence per barrier — not the threads;
 //!    the group arithmetic survives as [`THREADS_PER_GROUP`] ×
 //!    [`THREAD_ACCESS_BYTES`] = [`GROUP_ACCESS_BYTES`].
-//! 2. **Cache filtering** ([`Llc`], [`llc::batched_miss_rate`]): batching
-//!    turns the memory-bound GEMV into the compute-bound GEMM by raising
-//!    LLC hit rates (Fig. 10's B1/B2/B4 sweep).
+//! 2. **Cache filtering** ([`llc::batched_miss_rate`],
+//!    [`llc::batched_traffic_bytes`]): batching turns the memory-bound GEMV
+//!    into the compute-bound GEMM by raising LLC hit rates (Fig. 10's
+//!    B1/B2/B4 sweep).
 //! 3. **Compute throughput** ([`HostConfig::compute_time_s`]): the
 //!    compute-bound layers (convolutions, batched GEMM) run on the host's
 //!    FP16/FP32 units; PIM never slows them down (ResNet-50 in Fig. 10).
@@ -28,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bypass;
 pub mod cluster;
 mod config;
 mod engine;
@@ -39,13 +39,11 @@ pub mod parallel;
 pub mod predictor;
 mod system;
 
-pub use bypass::{BypassPolicy, RegionError};
 pub use cluster::{ClusterTopology, LinkHealth, TopologyError};
 pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
 pub use fastpath::{FastpathChannels, FastpathStats};
 pub use kernel::{Kernel, Loop};
-pub use llc::Llc;
 pub use parallel::ExecutionBackend;
 pub use predictor::{predict_launch, ChannelPredictor, Folded, LaunchPrediction};
 pub use system::PimSystem;

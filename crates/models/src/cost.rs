@@ -28,8 +28,8 @@
 use pim_core::PimConfig;
 use pim_dram::{Cycle, TimingParams, PCH_PER_STACK};
 use pim_host::{llc, Batch, ChannelPredictor, ExecutionMode, HostConfig, Kernel, KernelResult};
-use pim_runtime::kernels::{gemv_kernel, stream_kernel, stream_rows};
-use pim_runtime::{gemv_microkernel, stream_microkernel, Executor, GemvGeometry, StreamOp};
+use pim_runtime::kernels::gemv_kernel;
+use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, StreamOp};
 use std::collections::HashMap;
 
 /// The timed / modelled cost of one kernel invocation.
@@ -171,9 +171,7 @@ impl CostModel {
         if let Some(c) = self.cache.get(&key) {
             return *c;
         }
-        let rows = stream_rows(elements, self.channels(), self.pim.units_per_pch);
-        let program = stream_microkernel(op, rows, &self.pim);
-        let kernel = Executor::kernel(&program, None, false, stream_kernel(op, rows, 0, &self.pim));
+        let kernel = Executor::stream_launch(op, elements, self.channels(), &self.pim);
         let r = self.time(&mut ChannelPredictor::power_on(&self.timing), &kernel);
         let cost = self.cost(r.end_cycle, r.commands, r.fences);
         self.cache.insert(key, cost);

@@ -24,9 +24,10 @@
 
 use crate::blas::PimError;
 use crate::context::PimContext;
+use crate::kernels::{stream_kernel, stream_microkernel, stream_rows, StreamOp};
 use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
-use pim_core::{conf, LaneVec, UnitMask};
+use pim_core::{conf, LaneVec, PimConfig, UnitMask};
 use pim_dram::{BankAddr, Command, CommandSink, Cycle};
 use pim_host::{Batch, Kernel, KernelEngine, KernelResult};
 use pim_obs::{names, Scope};
@@ -93,6 +94,20 @@ impl Executor {
         epilogue.push(Batch::setup(conf::set_pim_op_mode_sequence(false)).with_label("pim_off"));
         epilogue.push(Batch::setup(conf::exit_ab_sequence()).with_label("exit_ab"));
         Kernel { prologue, body: data.body, epilogue }
+    }
+
+    /// The launch of stream op `op` over `elements` laid out on `channels`
+    /// channels, from row 0: the loop nest whose fold is the op's price, for
+    /// the cost model and for the serving layer alike.
+    pub fn stream_launch(
+        op: StreamOp,
+        elements: usize,
+        channels: usize,
+        cfg: &PimConfig,
+    ) -> Kernel {
+        let rows = stream_rows(elements, channels, cfg.units_per_pch);
+        let program = stream_microkernel(op, rows, cfg);
+        Self::kernel(&program, None, false, stream_kernel(op, rows, 0, cfg))
     }
 
     /// [`Executor::kernel`] around the plain list `data_batches`,

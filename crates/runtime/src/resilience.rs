@@ -25,8 +25,7 @@
 //!    ([`names::RES_QUARANTINED`]).
 //! 4. **Host fallback** — work that cannot be recovered on PIM (quarantine
 //!    budget exhausted, or no healthy channel left) is computed host-side
-//!    through the uncacheable-region bypass path and the LLC
-//!    ([`names::RES_HOST_FALLBACK_BLOCKS`]).
+//!    from the exact FP16 oracle ([`names::RES_HOST_FALLBACK_BLOCKS`]).
 //!
 //! Every decision is deterministic: fault outcomes are pure hashes of
 //! per-channel state (see `pim-faults`), so a seeded run produces an
@@ -40,7 +39,6 @@ use crate::layout::BLOCK_ELEMS;
 use crate::stream::{self, Attempt, Cell, StreamJob, StreamOperands};
 use pim_core::LaneVec;
 use pim_dram::ecc::{self, EccWord};
-use pim_host::{BypassPolicy, Llc};
 use pim_obs::{names, Event, Scope};
 
 /// Knobs of the recovery ladder.
@@ -271,9 +269,7 @@ pub fn resilient_add(
 
     // PIM recovery exhausted: record why the ladder gave up (the typed
     // reason callers branch on), then host fallback for the still-wrong
-    // blocks. Operands live in the driver's uncacheable PIM region, so the
-    // host reads them through the bypass path (straight to DRAM); results
-    // land in normal cacheable memory through the LLC.
+    // blocks.
     rep.fallback = Some(if healthy.is_empty() {
         FallbackReason::AllChannelsQuarantined
     } else {
@@ -281,18 +277,7 @@ pub fn resilient_add(
     });
     emit(ctx, names::RES_FALLBACK_EVENT, ("blocks", bad.len() as u64));
     if cfg.host_fallback {
-        let region_bytes = (nblocks as u64) * 2 * 32;
-        let policy = BypassPolicy::new(1 << 40, region_bytes)
-            .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
-        let mut llc = Llc::new(1 << 20, 64, 16);
         for &b in &bad {
-            for operand in 0..2u64 {
-                let addr = (1u64 << 40) + (operand * nblocks as u64 + b as u64) * 32;
-                if !policy.bypasses(addr) {
-                    llc.access(addr);
-                }
-            }
-            llc.access((b as u64) * 32); // cacheable result write
             for l in 0..BLOCK_ELEMS {
                 let i = b * BLOCK_ELEMS + l;
                 if i < n {

@@ -11,7 +11,7 @@
 //! 1. **Admission control** — bounded per-tenant FIFO queues with explicit
 //!    backpressure: a request that does not fit is shed with a typed
 //!    [`RejectReason`] (`QueueFull` when the tenant's queue is at
-//!    capacity, `Overloaded` when the estimated backlog exceeds the
+//!    capacity, `Overloaded` when the priced backlog exceeds the
 //!    configured cycle budget). Nothing in the serving path panics.
 //! 2. **Deadlines** — every request carries an absolute sim-cycle
 //!    deadline. Expired requests are dropped from the queues, and work
@@ -30,7 +30,27 @@
 //! 5. **Graceful degradation** — per request, chosen by deadline slack:
 //!    PIM over the available groups, re-layout over surviving groups after
 //!    a failure, host BLAS when no group is available or the slack no
-//!    longer covers the PIM estimate.
+//!    longer covers the PIM price.
+//!
+//! # Prices
+//!
+//! Admission, dispatch and the host path ask two prices, in bus cycles,
+//! and nothing else:
+//!
+//! * **PIM** — [`Executor::stream_launch`] over the request's channels,
+//!   folded from a powered-on channel by [`ChannelPredictor::fold`] under
+//!   the context's ordering regime: the kernel and the fold
+//!   `pim_models::CostModel::pim_stream` prices, held equal to full
+//!   simulation by the cost model's timing tests. Lock-step execution makes
+//!   one channel's clock the launch's. Memoized per (op, elements,
+//!   channels), since it depends on nothing else the server can change.
+//! * **Host** — the request's traffic streamed at the host's element-wise
+//!   efficiency ([`pim_host::HostConfig::add_stream_efficiency`], the model
+//!   behind Fig. 10's ADD rows), at least one cycle.
+//!
+//! Admission charges the cheaper of the two against
+//! [`ServeConfig::max_backlog_cycles`]; dispatch takes PIM whenever its
+//! price fits the slack; the host path advances the clock by its price.
 //!
 //! # Determinism
 //!
@@ -62,11 +82,13 @@
 
 use crate::blas::PimError;
 use crate::context::PimContext;
+use crate::executor::Executor;
 use crate::kernels::StreamOp;
 use crate::stream::{self, Attempt, StreamJob, StreamOperands};
 use pim_dram::Cycle;
+use pim_host::ChannelPredictor;
 use pim_obs::{names, Event, Histogram, Recorder, Scope, TraceCtx, TraceId};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// SplitMix64 finalizer for seeded tie-breaks (the shared mixing core,
 /// re-exported from pim-obs so trace ids and tie-breaks agree; decisions
@@ -81,9 +103,9 @@ pub struct ServeConfig {
     /// Bounded per-tenant queue depth; arrivals beyond it are shed with
     /// [`RejectReason::QueueFull`].
     pub queue_capacity: usize,
-    /// Admission budget: when the estimated backlog (queued work plus the
-    /// new request, in cycles) exceeds this, the arrival is shed with
-    /// [`RejectReason::Overloaded`].
+    /// Admission budget: when the priced backlog (queued work plus the new
+    /// request, each at the cheaper of its PIM and host price, in cycles)
+    /// exceeds this, the arrival is shed with [`RejectReason::Overloaded`].
     pub max_backlog_cycles: u64,
     /// Consecutive failures (wrong result or watchdog timeout) that trip a
     /// channel group's breaker open.
@@ -98,13 +120,6 @@ pub struct ServeConfig {
     /// PIM attempts (initial launch plus re-layouts over surviving groups)
     /// before the request degrades to the host.
     pub max_attempts: u32,
-    /// Modelled host-fallback cost in cycles per element (the degradation
-    /// path advances the simulated clock by this, keeping deadline math
-    /// meaningful).
-    pub host_cycles_per_element: u64,
-    /// Seed of the cost model's cycles-per-element estimate before any
-    /// launch has been observed.
-    pub initial_cycles_per_element: u64,
     /// Seed for deterministic tie-breaks (equal arrivals, equal deadlines).
     pub seed: u64,
 }
@@ -119,8 +134,6 @@ impl Default for ServeConfig {
             channels_per_group: 4,
             watchdog_budget: 500_000,
             max_attempts: 3,
-            host_cycles_per_element: 16,
-            initial_cycles_per_element: 64,
             seed: 0x5E17,
         }
     }
@@ -230,7 +243,7 @@ pub struct ServeRequest {
 pub enum RejectReason {
     /// The tenant's bounded queue was at capacity.
     QueueFull,
-    /// The estimated backlog exceeded [`ServeConfig::max_backlog_cycles`].
+    /// The priced backlog exceeded [`ServeConfig::max_backlog_cycles`].
     Overloaded,
 }
 
@@ -542,8 +555,8 @@ struct Queued {
 }
 
 /// The deterministic multi-tenant scheduler. Owns a mutable borrow of the
-/// context for its lifetime; all state (queues, breakers, cost model) is
-/// carried across [`Server::run`] calls.
+/// context for its lifetime; all state (queues, breakers, memoized PIM
+/// prices) is carried across [`Server::run`] calls.
 #[derive(Debug)]
 pub struct Server<'a> {
     pub(crate) ctx: &'a mut PimContext,
@@ -554,8 +567,8 @@ pub struct Server<'a> {
     /// Per-tenant SLO histograms for the run in progress (drained into
     /// [`ServeReport::slo`] at the end of each [`Server::run`]).
     slo: BTreeMap<u32, TenantSlo>,
-    /// Cost model: observed cycles per 1000 elements (EWMA, integer).
-    cpe_milli: u64,
+    /// PIM prices by (op, elements, channels) — see the module docs.
+    pim_prices: HashMap<(StreamOp, usize, usize), Cycle>,
 }
 
 impl<'a> Server<'a> {
@@ -570,7 +583,6 @@ impl<'a> Server<'a> {
             "clamped group geometry must validate"
         );
         let groups = ctx.sys.channel_count().div_ceil(cfg.channels_per_group);
-        let cpe_milli = cfg.initial_cycles_per_element.max(1) * 1000;
         Server {
             ctx,
             cfg,
@@ -578,7 +590,7 @@ impl<'a> Server<'a> {
             queues: BTreeMap::new(),
             stats: ServeStats::default(),
             slo: BTreeMap::new(),
-            cpe_milli,
+            pim_prices: HashMap::new(),
         }
     }
 
@@ -607,14 +619,6 @@ impl<'a> Server<'a> {
         self.ctx.reset_memory();
     }
 
-    /// Test probe: the cost model's current estimate, in observed cycles
-    /// per 1000 elements — how the tests audit that cancelled launches
-    /// never bias admission.
-    #[cfg(test)]
-    fn cost_model_cpe_milli(&self) -> u64 {
-        self.cpe_milli
-    }
-
     /// Channels of group `g`, clamped to the system: the last group is
     /// truncated when `channels_per_group` does not divide the channel
     /// count, and an out-of-range `g` resolves to an empty range instead
@@ -626,46 +630,36 @@ impl<'a> Server<'a> {
         lo..hi
     }
 
-    fn group_of(&self, ch: usize) -> usize {
-        ch / self.cfg.channels_per_group
+    /// The groups `req` may run on: its affinity, or every group.
+    fn affinity<'r>(&self, req: &'r ServeRequest) -> impl Iterator<Item = usize> + 'r {
+        (0..self.breakers.len()).filter(|g| req.groups.as_ref().is_none_or(|set| set.contains(g)))
     }
 
-    /// Estimated PIM cost of an `n`-element request under the cost model,
-    /// rounded up and floored at one cycle: a truncated-to-zero estimate
-    /// would let a stream of tiny requests walk past the
-    /// `max_backlog_cycles` overload check with an apparent backlog of
-    /// zero.
-    fn est_pim_cycles(&self, n: usize) -> u64 {
-        (n as u64).saturating_mul(self.cpe_milli).div_ceil(1000).max(1)
+    /// The PIM and host prices of `op` over the channels of `groups` (module
+    /// docs, "Prices"). PIM's is `Cycle::MAX` — it fits no deadline — over
+    /// no group, and under [`pim_host::ExecutionMode::UnfencedReordered`],
+    /// the miscompiled-kernel demonstration, which has no price.
+    fn prices(&mut self, op: &ServeOp, groups: &[usize]) -> (Cycle, Cycle) {
+        let (op, n) = (op.stream_op(), op.operands().0.len());
+        let channels = groups.iter().map(|&g| self.group_channels(g).len()).sum();
+        let PimContext { sys, mode, .. } = &*self.ctx;
+        let (host, timing) = (&sys.host, sys.timing());
+        let bytes = n as u64 * op.bytes_per_element();
+        let seconds =
+            host.stream_time_s(bytes, timing.peak_pch_bandwidth_gbs(), host.add_stream_efficiency);
+        let host_price = ((seconds * timing.bus_mhz as f64 * 1e6).ceil() as Cycle).max(1);
+        let pim_price = *self.pim_prices.entry((op, n, channels)).or_insert_with(|| {
+            if channels == 0 {
+                return Cycle::MAX;
+            }
+            let kernel = Executor::stream_launch(op, n, channels, sys.pim_config());
+            let folded = ChannelPredictor::power_on(timing).fold(host, &kernel, *mode, None);
+            folded.map_or(Cycle::MAX, |f| f.ran.result.end_cycle)
+        });
+        (pim_price, host_price)
     }
 
-    /// Estimated service cost for admission purposes: the cheaper of the
-    /// PIM estimate and the host-fallback cost, since the degradation
-    /// policy will pick whichever path fits. Admission must not shed a
-    /// request the host could comfortably serve just because PIM is slow.
-    fn est_service_cycles(&self, n: usize) -> u64 {
-        self.est_pim_cycles(n).min((n as u64).saturating_mul(self.cfg.host_cycles_per_element))
-    }
-
-    /// Folds an observed launch into the cost model (3/4 old, 1/4 new —
-    /// integer EWMA, deterministic).
-    ///
-    /// Only launches that ran to completion may be folded: a
-    /// watchdog-cancelled or deadline-capped launch reports the cycle it
-    /// was cut off at, not the cost of the work, and folding it would bias
-    /// `cpe_milli` low and over-admit under sustained overload. The single
-    /// call site sits on the verified-complete branch of
-    /// [`Server::run_on_pim`], where no channel was cancelled and every
-    /// result byte matched the oracle.
-    fn observe_cost(&mut self, cycles: Cycle, elements: usize) {
-        if elements == 0 {
-            return;
-        }
-        let new = cycles.saturating_mul(1000) / elements as u64;
-        self.cpe_milli = (3 * self.cpe_milli + new.max(1)) / 4;
-    }
-
-    /// Total estimated cycles of queued work.
+    /// Total priced cycles of queued work.
     fn backlog_cycles(&self) -> u64 {
         self.queues.values().flatten().map(|q| q.est_cycles).sum()
     }
@@ -727,8 +721,9 @@ impl<'a> Server<'a> {
             while pending.front().is_some_and(|(_, _, r)| r.arrival <= now) {
                 let (slot, id, req) = pending.pop_front().unwrap_or_else(|| unreachable!());
                 self.stats.submitted += 1;
-                let n = req.op.operands().0.len();
-                let est = self.est_service_cycles(n);
+                let groups: Vec<usize> = self.affinity(&req).collect();
+                let (pim, host) = self.prices(&req.op, &groups);
+                let est = pim.min(host);
                 let trace = TraceCtx::root(self.cfg.seed, id as u64, req.tenant);
                 match self.admission(req.tenant, est) {
                     Ok(()) => {
@@ -865,7 +860,6 @@ impl<'a> Server<'a> {
     fn execute_inner(&mut self, q: Queued, trace: TraceCtx) -> Result<RequestOutcome, PimError> {
         let Queued { id, req, .. } = q;
         let started = self.ctx.sys.max_now();
-        let n = req.op.operands().0.len();
         let oracle = req.op.host_reference();
 
         let outcome = |disposition, started, finished, result| RequestOutcome {
@@ -882,8 +876,8 @@ impl<'a> Server<'a> {
         // Candidate groups: the request's affinity, intersected with the
         // groups whose breakers admit work right now.
         let now = started;
-        let candidates: Vec<usize> = (0..self.breakers.len())
-            .filter(|g| req.groups.as_ref().is_none_or(|set| set.contains(g)))
+        let candidates: Vec<usize> = self
+            .affinity(&req)
             .filter(|&g| {
                 let (ok, ev) = self.breakers[g].admit(now);
                 if ev == BreakerEvent::HalfOpened {
@@ -893,14 +887,12 @@ impl<'a> Server<'a> {
             })
             .collect();
 
-        // Degradation policy by deadline slack: PIM when the estimate fits
-        // (or nothing else would), host BLAS when PIM's estimate blows the
-        // slack but the host's still fits, miss when already expired.
+        // Degradation policy by deadline slack: PIM when its price fits (or
+        // nothing else would), host BLAS when PIM's price blows the slack
+        // but the host's still fits, miss when already expired.
         let slack = req.deadline.saturating_sub(now);
-        let est_pim = self.est_pim_cycles(n);
-        let est_host = (n as u64).saturating_mul(self.cfg.host_cycles_per_element);
-        let pim_viable = !candidates.is_empty();
-        let prefer_host = !pim_viable || (est_pim > slack && est_host <= slack);
+        let (pim, host) = self.prices(&req.op, &candidates);
+        let prefer_host = candidates.is_empty() || (pim > slack && host <= slack);
 
         if !prefer_host {
             match self.run_on_pim(&req, &candidates, &oracle, trace)? {
@@ -917,14 +909,14 @@ impl<'a> Server<'a> {
             }
         }
 
-        // Host fallback: modelled cost advances the simulated clock.
+        // Host fallback: its price advances the simulated clock.
         let now = self.ctx.sys.max_now();
         if now >= req.deadline {
             self.stats.deadline_missed += 1;
             return Ok(outcome(Disposition::DeadlineMissed, Some(started), now, None));
         }
         self.stats.host_fallbacks += 1;
-        let finished = now.saturating_add(est_host);
+        let finished = now.saturating_add(host);
         self.advance_to(finished);
         Ok(if finished > req.deadline {
             self.stats.deadline_missed += 1;
@@ -984,12 +976,11 @@ impl<'a> Server<'a> {
             let budget = req.budget.unwrap_or(self.cfg.watchdog_budget);
             let deadline_capped = req.deadline <= now.saturating_add(budget);
             let limit = req.deadline.min(now.saturating_add(budget));
-            let start = now;
             // Each PIM attempt runs under a child span so retries after a
             // re-layout are distinguishable in the trace.
             let attempt_ctx = trace.child(attempt as u64 + 1);
             let launch = ("attempt", attempt as u64 + 1);
-            emit(&self.ctx.recorder, start, names::REQ_LAUNCH, launch, attempt_ctx);
+            emit(&self.ctx.recorder, now, names::REQ_LAUNCH, launch, attempt_ctx);
             if let Some(r) = &self.ctx.recorder {
                 r.set_trace(Some(attempt_ctx));
             }
@@ -998,7 +989,7 @@ impl<'a> Server<'a> {
                 r.set_trace(Some(trace));
             }
 
-            let (result, out, bad, finished) = match ran {
+            let (out, bad, finished) = match ran {
                 Attempt::TimedOut { channels } => {
                     let timed_out = self.groups_of(channels.into_iter());
                     self.stats.watchdog_cancels += 1;
@@ -1013,7 +1004,7 @@ impl<'a> Server<'a> {
                     avail.retain(|g| !timed_out.contains(g));
                     continue;
                 }
-                Attempt::Ran { result, out, bad, finished } => (result, out, bad, finished),
+                Attempt::Ran { out, bad, finished, .. } => (out, bad, finished),
             };
 
             let bad_groups = self.groups_of(job.suspects(&bad).into_iter());
@@ -1023,12 +1014,6 @@ impl<'a> Server<'a> {
                         self.stats.breaker_closes += 1;
                     }
                 }
-                // Fold only launches that ran to completion into the cost
-                // model: `Attempt::Ran` means no channel was cancelled, and
-                // this branch that every result byte verified against the
-                // oracle, so a watchdog-cancelled or deadline-capped launch
-                // can never bias the estimate low.
-                self.observe_cost(result.end_cycle.saturating_sub(start), n);
                 return Ok(PimAttempt::Done { finished, result: out });
             }
             self.charge_failure(&bad_groups);
@@ -1039,7 +1024,7 @@ impl<'a> Server<'a> {
 
     /// The breaker groups of `channels`, ascending and deduplicated.
     fn groups_of(&self, channels: impl Iterator<Item = usize>) -> Vec<usize> {
-        let mut groups: Vec<usize> = channels.map(|ch| self.group_of(ch)).collect();
+        let mut groups: Vec<usize> = channels.map(|ch| ch / self.cfg.channels_per_group).collect();
         groups.sort_unstable();
         groups.dedup();
         groups
@@ -1225,15 +1210,12 @@ mod tests {
     #[test]
     fn tight_slack_degrades_to_host() {
         let mut ctx = PimContext::small_system();
-        // Make PIM look expensive and the host cheap: any real deadline
-        // prefers the host.
-        let cfg = ServeConfig {
-            initial_cycles_per_element: 1_000_000,
-            host_cycles_per_element: 1,
-            ..ServeConfig::default()
-        };
-        let mut server = Server::new(&mut ctx, cfg);
-        let req = add_req(0, 0, 100_000, 1024);
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        // A slack between the two prices: the host's fits, PIM's does not.
+        let mut req = add_req(0, 0, 0, 1024);
+        let (pim, host) = server.prices(&req.op, &[0, 1, 2, 3]);
+        assert!(host < pim, "host {host} vs PIM {pim}");
+        req.deadline = (host + pim) / 2;
         let oracle = req.op.host_reference();
         let report = server.run(vec![req]).unwrap();
         let o = &report.outcomes[0];
@@ -1380,51 +1362,61 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_launches_never_move_the_cost_model() {
-        // Regression: watchdog-cancelled launches used to be folded into
-        // the cycles-per-element EWMA, dragging the estimate low under
-        // sustained overload. A cancel-heavy trace must leave the model
-        // exactly where it started; a completed request must still move it.
-        let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { breaker_threshold: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        let before = server.cost_model_cpe_milli();
-        let mut cancel = add_req(0, 0, 50_000_000, 4096);
-        cancel.budget = Some(1); // cancels every attempt
-        let report = server.run(vec![cancel]).unwrap();
-        assert!(report.stats.watchdog_cancels > 0, "{:?}", report.stats);
-        assert_eq!(
-            server.cost_model_cpe_milli(),
-            before,
-            "a launch that never completed fed the EWMA"
-        );
-        // Control: the same model does move once a launch runs to
-        // completion (fresh server — the cancel run tripped every group's
-        // breaker, which would otherwise route the probe to the host).
-        let mut ctx = PimContext::small_system();
-        let mut server = Server::new(&mut ctx, ServeConfig::default());
-        let report = server.run(vec![add_req(0, 0, 50_000_000, 1024)]).unwrap();
-        assert_eq!(report.stats.completed, 1);
-        assert_ne!(server.cost_model_cpe_milli(), before, "a completed launch must feed the EWMA");
-    }
-
-    #[test]
     fn tiny_requests_cannot_bypass_overload_shedding() {
-        // Regression: `n * cpe_milli / 1000` truncated to 0 for small n,
-        // so a stream of tiny requests never grew the estimated backlog
-        // and sailed past `max_backlog_cycles`.
+        // Regression: a price that truncated to 0 for small n let a stream
+        // of tiny requests walk past `max_backlog_cycles` with an apparent
+        // backlog of zero. Four elements stream in a fraction of a cycle.
         let mut ctx = PimContext::small_system();
         let cfg = ServeConfig { max_backlog_cycles: 2, ..ServeConfig::default() };
         let mut server = Server::new(&mut ctx, cfg);
-        server.cpe_milli = 100; // 4 elements -> 400 milli-cycles: truncates to 0
-        assert!(server.est_pim_cycles(4) >= 1, "estimate must round up, never to zero");
         let reqs: Vec<ServeRequest> = (0..8).map(|_| add_req(0, 0, 50_000_000, 4)).collect();
+        assert_eq!(server.prices(&reqs[0].op, &[0]).1, 1, "a price floors at one cycle");
         let report = server.run(reqs).unwrap();
         assert!(
             report.stats.shed_overloaded > 0,
             "tiny-request stream bypassed the backlog check: {:?}",
             report.stats
         );
+    }
+
+    /// The price is the launch: over every request that completes on a
+    /// fault-free stack — all channels, or a three-group affinity — the
+    /// PIM price the server dispatched on is within 1 % of the simulated
+    /// service time on average and 5 % at worst.
+    #[test]
+    fn pim_prices_match_the_simulated_launches() {
+        for affinity in [None, Some(3)] {
+            let mut ctx = PimContext::small_system();
+            let mut server = Server::new(&mut ctx, ServeConfig::default());
+            let trace: Vec<ServeRequest> = (0..20u64)
+                .map(|i| {
+                    let n = [128, 512, 4096, 20_000, 65_536][i as usize % 5];
+                    // Mostly into an idle stack; every tenth request lands
+                    // on its predecessor's cycle and queues behind it.
+                    let arrival = (i - u64::from(i % 10 == 9)) * 2_000;
+                    let mut r = add_req(i as u32 % 4, arrival, 50_000_000, n);
+                    r.groups = affinity.map(|k| (0..k).map(|g| (i as usize + g) % 4).collect());
+                    r
+                })
+                .collect();
+            let requests: Vec<(ServeOp, Vec<usize>)> =
+                trace.iter().map(|r| (r.op.clone(), server.affinity(r).collect())).collect();
+            let report = server.run(trace).unwrap();
+            assert_eq!(report.stats.completed, 20, "{affinity:?}: {:?}", report.stats);
+            let errors: Vec<f64> = report
+                .outcomes
+                .iter()
+                .zip(requests)
+                .map(|(o, (op, groups))| {
+                    let launch = o.finished - o.started.unwrap_or(o.finished);
+                    let (price, _) = server.prices(&op, &groups);
+                    price.abs_diff(launch) as f64 / launch as f64
+                })
+                .collect();
+            let mean = errors.iter().sum::<f64>() / errors.len() as f64;
+            let max = errors.iter().copied().fold(0.0, f64::max);
+            assert!(mean <= 0.01 && max <= 0.05, "{affinity:?}: mean {mean}, max {max}");
+        }
     }
 
     #[test]

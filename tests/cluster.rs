@@ -388,10 +388,11 @@ fn stack_breaker_cooldown_runs_on_the_cluster_clock() {
 #[test]
 fn stack_breaker_lifecycle_trips_half_opens_and_closes() {
     // Full stack-breaker lifecycle on healthy hardware: a tight-deadline
-    // request degrades to the host (est_pim 512*64 > 10k slack, est_host
-    // 512*16 fits) and trips the threshold-1 breaker; the next request
-    // fails over to the replica; a request after the cooldown half-opens
-    // the breaker, completes on PIM, and closes it.
+    // request degrades to the host (its 100-cycle slack is under the
+    // 542-cycle PIM price of 512 elements and over the 14-cycle host price)
+    // and trips the threshold-1 breaker; the next request fails over to the
+    // replica; a request after the cooldown half-opens the breaker,
+    // completes on PIM, and closes it.
     let mut cluster = ClusterContext::new(2).unwrap();
     let cfg = ClusterServeConfig {
         serve: ServeConfig {
@@ -405,7 +406,7 @@ fn stack_breaker_lifecycle_trips_half_opens_and_closes() {
     };
     let mut server = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap();
     let reqs = vec![
-        add_req(0, 0, 10_000, 512),           // trips stack 0 (host fallback)
+        add_req(0, 0, 100, 512),              // trips stack 0 (host fallback)
         add_req(0, 9_000, 500_000_000, 512),  // breaker open -> failover to stack 1
         add_req(0, 40_000, 500_000_000, 512), // past cooldown -> half-open probe, closes
     ];
@@ -444,8 +445,8 @@ fn all_replicas_open_forces_the_home_stack() {
     };
     let mut server = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap();
     let reqs = vec![
-        add_req(0, 0, 10_000, 512),           // tight deadline: trips stack 0
-        add_req(1, 1_000, 11_000, 512),       // tight deadline: trips stack 1
+        add_req(0, 0, 100, 512),              // tight deadline: trips stack 0
+        add_req(1, 1_000, 1_100, 512),        // tight deadline: trips stack 1
         add_req(0, 50_000, 500_000_000, 512), // both breakers open -> forced home
     ];
     let oracles: Vec<Vec<f32>> = reqs.iter().map(add_oracle).collect();
