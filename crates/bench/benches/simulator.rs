@@ -251,6 +251,10 @@ fn bench_cost_shape(c: &mut Criterion) {
 /// command list (it depends on `k` alone) on a 1-unit and an 8-unit
 /// channel. The difference over seven units and the list's triggers is a
 /// dead unit's cost per trigger (ROADMAP item 1(a3) has the figures).
+///
+/// `taped_dead_units/{1,8}` is the same list on the taped replay tier — a
+/// warm hit or a class follower — with unit 0 live: the difference is what
+/// a dead unit costs per taped trigger, which reads no tape slot at all.
 fn bench_dead_units(c: &mut Criterion) {
     let host = HostConfig::paper();
     let wl = pim_bench::workloads::gemv_workloads()[0];
@@ -262,6 +266,23 @@ fn bench_dead_units(c: &mut Criterion) {
         let program = gemv_microkernel(geometry.groups(), &pim);
         let list = Executor::full_kernel(&program, None, true, &data);
         g.throughput(Throughput::Elements(list.iter().map(|b| b.commands.len() as u64).sum()));
+        let one_live = || {
+            let mut ch = PimChannel::new(TimingParams::hbm2(), pim.clone());
+            ch.set_live_units([0].into_iter().collect());
+            ch
+        };
+        let cmds = || list.iter().flat_map(|b| &b.commands);
+        let tape = one_live().replay_data_recording(cmds());
+        g.bench_function(&format!("taped_dead_units/{units}"), |bench| {
+            bench.iter_batched(
+                one_live,
+                |mut ch| {
+                    ch.replay_data_taped(cmds(), &tape);
+                    ch
+                },
+                BatchSize::LargeInput,
+            )
+        });
         g.bench_function(&format!("dead_units/{units}"), |bench| {
             bench.iter_batched(
                 || {

@@ -280,17 +280,20 @@ impl PimChannel {
     /// does both.
     ///
     /// Everything a launch is *measured* by stays exact on every unit:
-    /// each unit still sequences every trigger the channel is handed (from
-    /// its CRF or the tape), is still checked against the device variant in
-    /// debug builds, and retires the instruction into `UnitStats` and the
+    /// each unit still sequences every trigger the channel is handed from
+    /// its CRF, is still checked against the device variant in debug
+    /// builds, and retires the instruction into `UnitStats` and the
     /// channel's `bank_operand_reads` / `bank_result_writes`, because those follow
     /// from the instruction alone ("timing/energy are data-independent").
-    /// What a unit outside the mask skips is the part nobody will observe:
-    /// it fetches no operand, runs no FP16 and writes nothing back, under
-    /// the full simulation and both data-replay tiers alike. Its registers
-    /// and bank results are therefore *not produced*, and must be
-    /// rewritten before they are read; units inside the mask end
-    /// bit-identical to an unmasked run.
+    /// The taped replay sequences nothing and visits only the live units:
+    /// every unit's instructions were checked when the tape was recorded,
+    /// and every sequencer is restored from the tape's end state. What a
+    /// unit outside the mask skips is the part nobody will observe: it
+    /// fetches no operand, runs no FP16 and writes nothing back, under the
+    /// full simulation and both data-replay tiers alike. Its registers and
+    /// bank results are therefore *not produced*, and must be rewritten
+    /// before they are read; units inside the mask end bit-identical to an
+    /// unmasked run.
     ///
     /// The device keeps that promise command by command; what it cannot
     /// promise is that it is handed the commands. `pim-host`'s fast path
@@ -437,14 +440,13 @@ impl PimChannel {
         };
         match row {
             CRF_ROW => {
-                let (base, words) = (crf_block_base(col), crf_block_words(data));
+                // One decode per word, however many units the write reaches.
+                let block = crf_block_words(data).map(|w| (w, Instruction::decode(w).ok()));
                 self.lockstep &= unit_idx.is_none();
                 for unit in targets.iter_mut() {
-                    for (i, w) in words.into_iter().enumerate() {
-                        unit.crf_mut().write_word(base + i, w);
-                    }
+                    unit.crf_mut().write_block(crf_block_base(col), &block);
                 }
-                (words.len() * targets.len()) as u64
+                (block.len() * targets.len()) as u64
             }
             SRF_ROW => {
                 for unit in targets {
@@ -558,8 +560,8 @@ impl PimChannel {
 
     /// One column-command trigger on every unit in lock-step — the single
     /// datapath loop under the full simulation and both replay tiers. Each
-    /// unit's instruction comes from `source`, and what the trigger counts
-    /// for comes from the instruction ([`Effects::of`]). A live unit
+    /// unit's instruction comes from `source`; the issue path counts it
+    /// from the instruction alone ([`Effects::of`]). A live unit
     /// ([`PimChannel::set_live_units`]) then executes it: the bank blocks
     /// it reads are fetched at (`row`, `col`) — the open row on the issue
     /// path, so the backdoor peek is what the row buffer would return,
@@ -570,7 +572,9 @@ impl PimChannel {
     /// While the units are in lock-step (`self.lockstep`) the sequencers
     /// run once: unit 0 resolves the trigger and the others
     /// [`PimUnit::follow`] it, so a unit outside the mask costs its
-    /// counters and no more.
+    /// counters and no more. A taped trigger counts and sequences nothing,
+    /// so there a dead unit costs one mask test: only the live units' tape
+    /// slots are read.
     fn run_trigger(
         &mut self,
         kind: TriggerKind,
@@ -582,19 +586,21 @@ impl PimChannel {
         let (live, lockstep) = (self.live, self.lockstep);
         // Only the issue path counts; a replay's recorded delta has it all.
         let counted = matches!(source, InstrSource::Live);
+        let taped = matches!(source, InstrSource::Play(..));
         // The instruction a unit resolved, what retiring it counts for and
         // the loop counters resolving it moved — unit 0's for every unit
         // once it has `led`.
         let (mut instr, mut retired, mut jumped) = (None, UnitStats::default(), 0);
         let mut led = false;
         for u in 0..self.units.len() {
+            // Nothing to count or sequence: a dead unit is done with a tape.
+            if taped && !live.contains(u) {
+                continue;
+            }
             let (before, rest) = self.units.split_at_mut(u);
             let unit = &mut rest[0];
             match source {
-                InstrSource::Play(tape, next) => {
-                    *next += 1;
-                    instr = tape.resolved[*next - 1];
-                }
+                InstrSource::Play(tape, next) => instr = tape.resolved[*next + u],
                 _ if led => unit.follow(&before[0], jumped),
                 _ => {
                     (instr, jumped) = unit.lead();
@@ -638,6 +644,10 @@ impl PimChannel {
             if let Some((port, v)) = bank_write {
                 self.inner.bank_mut(bank_at(port)).poke_block(row, col, &v.to_block());
             }
+        }
+        // The tape moves on by every unit's slot at once.
+        if let InstrSource::Play(_, next) = source {
+            *next += self.units.len();
         }
         (reads, writes)
     }
@@ -929,8 +939,14 @@ impl PimChannel {
     /// identical entry state. The per-trigger instruction resolution was
     /// recorded by the taping pass (control flow in this ISA never depends
     /// on register data, so it recurs exactly), leaving only the FP16
-    /// dataflow to execute. Sequencer state is restored from the recorded
-    /// end snapshot, so the channel ends bit-identical to the taping pass.
+    /// dataflow of the live units to execute. No sequencer is stepped or
+    /// reset on the way; each is restored from the recorded end snapshot,
+    /// so the channel ends bit-identical to the taping pass.
+    ///
+    /// # Panics
+    ///
+    /// If the tape was compiled for another unit count, or the stream's
+    /// triggers do not use up the tape exactly.
     pub fn replay_data_taped<'a, I>(&mut self, cmds: I, tape: &DataTape)
     where
         I: IntoIterator<Item = &'a Command>,
@@ -939,7 +955,7 @@ impl PimChannel {
         let mut source = InstrSource::Play(tape, 0);
         self.replay_data_walk(cmds, &mut source);
         if let InstrSource::Play(_, next) = source {
-            debug_assert_eq!(next, tape.resolved.len(), "tape/stream trigger count diverged");
+            assert_eq!(next, tape.resolved.len(), "tape/stream trigger count diverged");
         }
         for (u, s) in self.units.iter_mut().zip(tape.end_seq.iter()) {
             *u.sequencer_mut() = s.clone();
@@ -991,7 +1007,10 @@ impl PimChannel {
                                 );
                             }
                         }
-                        self.reset_sequencers();
+                        // A tape needs no sequencer; `replay_data_taped` restores them.
+                        if !matches!(source, InstrSource::Play(..)) {
+                            self.reset_sequencers();
+                        }
                     }
                     Step::AbWrite { row } => {
                         for b in BankAddr::all() {
@@ -1565,6 +1584,85 @@ mod tests {
                             crf.decoded(i),
                             Instruction::decode(word).ok(),
                             "unit {} entry {} word {:#010X}", u, i, word
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// A CRF word as the decoder meets it: any opcode (9–15 decode to
+    /// nothing) over random operand fields, half the time with one operand
+    /// kind forced to the reserved 7.
+    fn any_crf_word() -> impl proptest::prelude::Strategy<Value = u32> {
+        use proptest::prelude::*;
+        (0u32..16, any::<u32>(), 0usize..6).prop_map(|(opcode, fields, kind7)| {
+            let reserved = [25, 22, 19].get(kind7).map_or(0, |shift| 7 << shift);
+            opcode << 28 | fields & 0x0FFF_FFFF | reserved
+        })
+    }
+
+    proptest::proptest! {
+        /// One decode per broadcast word is exact: `CRF`-row blocks of such
+        /// words, written all-bank or through any of the 16 banks to one
+        /// unit, leave every unit's entries decoded as `Instruction::decode`
+        /// of the word they hold and equal to a per-unit `Crf::write_word`
+        /// model — on the issue path and on both replay tiers.
+        #[test]
+        fn crf_blocks_decode_once_and_exactly_on_every_path(
+            writes in proptest::collection::vec(
+                (0usize..17, 0u32..8, proptest::collection::vec(any_crf_word(), 8)),
+                1..12,
+            ),
+        ) {
+            let mut model: Vec<crate::regfile::Crf> = vec![Default::default(); 8];
+            let mut cmds = Vec::new();
+            for (bank, col, words) in writes {
+                let words: [u32; 8] = std::array::from_fn(|i| words[i]);
+                let at = match bank {
+                    16 => BankAddr::new(0, 0),
+                    b => BankAddr::from_flat_index(b),
+                };
+                let write = [
+                    Command::Act { bank: at, row: CRF_ROW },
+                    Command::Wr { bank: at, col, data: crf_block(words) },
+                    Command::Pre { bank: at },
+                ];
+                let units = match bank {
+                    16 => {
+                        cmds.extend(enter_ab_sequence());
+                        cmds.extend(write);
+                        cmds.extend(exit_ab_sequence());
+                        0..8
+                    }
+                    b => {
+                        cmds.extend(write);
+                        b / 2..b / 2 + 1
+                    }
+                };
+                for crf in &mut model[units] {
+                    for (i, &w) in words.iter().enumerate() {
+                        crf.write_word(crf_block_base(col) + i, w);
+                    }
+                }
+            }
+            let mut issued = fresh();
+            run(&mut issued, &cmds, 0);
+            let mut recording = fresh();
+            let tape = recording.replay_data_recording(&cmds);
+            let mut taped = fresh();
+            taped.replay_data_taped(&cmds, &tape);
+            for (path, ch) in [("issue", &issued), ("recording", &recording), ("taped", &taped)] {
+                for (u, want) in model.iter().enumerate() {
+                    let crf = ch.unit(u).crf();
+                    for i in 0..32 {
+                        let word = crf.read_word(i);
+                        proptest::prop_assert_eq!(word, want.read_word(i), "{} unit {} entry {}", path, u, i);
+                        proptest::prop_assert_eq!(crf.decoded(i), want.decoded(i), "{} unit {} entry {}", path, u, i);
+                        proptest::prop_assert_eq!(
+                            crf.decoded(i),
+                            Instruction::decode(word).ok(),
+                            "{} unit {} entry {} word {:#010X}", path, u, i, word
                         );
                     }
                 }

@@ -68,7 +68,7 @@ pub fn crf_blocks(program: &[Instruction]) -> Vec<DataBlock> {
 #[derive(Debug, Clone)]
 pub struct Crf {
     words: [u32; CRF_ENTRIES],
-    /// `Instruction::decode(words[i]).ok()`, kept in step by [`Crf::write_word`].
+    /// `Instruction::decode(words[i]).ok()`, kept in step by every write.
     decoded: [Option<Instruction>; CRF_ENTRIES],
 }
 
@@ -98,8 +98,7 @@ impl Crf {
         }
     }
 
-    /// Writes the raw instruction word at `index` — the one place a CRF
-    /// entry changes, and so the one place it is decoded.
+    /// Writes the raw instruction word at `index`, decoding it.
     ///
     /// # Panics
     ///
@@ -108,6 +107,17 @@ impl Crf {
         assert!(index < CRF_ENTRIES, "CRF index {index} out of range");
         self.words[index] = word;
         self.decoded[index] = Instruction::decode(word).ok();
+    }
+
+    /// Writes one `CRF`-row block from entry `base` as (word, decode) pairs,
+    /// each decode `Instruction::decode(word).ok()`: an all-bank write
+    /// decodes its block once and stores the pairs into every unit.
+    pub(crate) fn write_block(&mut self, base: usize, block: &[(u32, Option<Instruction>); 8]) {
+        for (i, &(word, decoded)) in block.iter().enumerate() {
+            debug_assert_eq!(decoded, Instruction::decode(word).ok(), "CRF word {word:#010X}");
+            self.words[base + i] = word;
+            self.decoded[base + i] = decoded;
+        }
     }
 
     /// Reads the raw instruction word at `index`.

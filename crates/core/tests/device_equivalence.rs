@@ -90,7 +90,7 @@ proptest! {
 // ---------------------------------------------------------------------
 
 use pim_core::isa::{Instruction, Operand};
-use pim_core::{conf, DataTape, Halt, ModeWalker, PimMode, Step};
+use pim_core::{conf, DataTape, Halt, ModeWalker, PimMode, Sequencer, Step};
 use pim_dram::{Command, CommandSink, DataBlock};
 
 /// Microkernels the generated streams load (entries 0–3): AAM and fixed
@@ -349,6 +349,19 @@ fn fresh_channel() -> PimChannel {
     PimChannel::new(TimingParams::hbm2(), PimConfig::paper())
 }
 
+/// A fresh channel whose data rows hold nonzero bytes, so that a unit
+/// computing where it should not leaves a mark.
+fn seeded_channel() -> PimChannel {
+    let mut ch = fresh_channel();
+    for (b, bank) in BankAddr::all().enumerate() {
+        for (row, col) in (0..4).flat_map(|row| (0..32).map(move |col| (row, col))) {
+            let seed = (b as u32 * 131 + row * 32 + col) as u8;
+            ch.dram_mut().bank_mut(bank).poke_block(row, col, &payload(seed));
+        }
+    }
+    ch
+}
+
 /// Everything a launch's data path can change: bank bytes (the data rows
 /// the fragments use plus the `PIM_CONF` rows single-bank register writes
 /// also store to), register files, and the sequencer's visible state.
@@ -512,8 +525,11 @@ fn live_state(ch: &PimChannel, live: UnitMask) -> DataState {
     }
 }
 
-fn sequencers(ch: &PimChannel) -> Vec<(usize, Option<Halt>, Vec<u32>)> {
-    data_state(ch).units.into_iter().map(|u| (u.ppc, u.halt, u.crf)).collect()
+/// Every unit's whole sequencer — loop counters and NOP repeats included —
+/// and CRF image.
+fn sequencers(ch: &PimChannel) -> Vec<(Sequencer, Vec<u32>)> {
+    let crfs = data_state(ch).units.into_iter().map(|u| u.crf);
+    crfs.enumerate().map(|(u, crf)| (ch.unit(u).sequencer().clone(), crf)).collect()
 }
 
 /// Issues `cmds` back to back on the issue path; returns the last cycle.
@@ -533,8 +549,9 @@ proptest! {
     /// One channel, one mask: the masked full simulation moves every
     /// counter, clock and sequencer exactly as the unmasked one does and
     /// leaves the live units bit-identical; both masked replay tiers end
-    /// on the same live state; and the tape a masked recording compiled
-    /// still covers every unit.
+    /// on the same live state; the taped tier leaves every dead unit alone
+    /// and every sequencer at the tape's end state; and the tape a masked
+    /// recording compiled still covers every unit.
     #[test]
     fn a_masked_channel_is_the_unmasked_one_wherever_it_is_observed(
         frags in frags(),
@@ -544,10 +561,10 @@ proptest! {
         let unit_stats = |ch: &PimChannel| -> Vec<_> {
             (0..ch.unit_count()).map(|u| *ch.unit(u).stats()).collect()
         };
-        let mut full = fresh_channel();
+        let mut full = seeded_channel();
         let end = issue_all(&mut full, &cmds);
 
-        let mut cold = fresh_channel();
+        let mut cold = seeded_channel();
         cold.set_live_units(live);
         prop_assert_eq!(issue_all(&mut cold, &cmds), end);
         prop_assert_eq!(cold.stats(), full.stats());
@@ -557,22 +574,51 @@ proptest! {
         prop_assert_eq!(sequencers(&cold), sequencers(&full));
         prop_assert_eq!(&live_state(&cold, live), &live_state(&full, live), "masked cold run");
 
-        let mut recording = fresh_channel();
+        let mut recording = seeded_channel();
         recording.set_live_units(live);
         let tape: DataTape = recording.replay_data_recording(&cmds);
         prop_assert_eq!(&live_state(&recording, live), &live_state(&full, live), "recording");
         prop_assert_eq!(sequencers(&recording), sequencers(&full));
 
-        let mut taped = fresh_channel();
+        let mut taped = seeded_channel();
         taped.set_live_units(live);
         taped.replay_data_taped(&cmds, &tape);
         prop_assert_eq!(&live_state(&taped, live), &live_state(&full, live), "taped");
         prop_assert_eq!(sequencers(&taped), sequencers(&full));
 
-        let mut unmasked = fresh_channel();
+        // Every sequencer ended above where the recording pass — the tape's
+        // end state — left it. A dead unit's registers and banks keep their
+        // entry state but for the host's own writes, which a channel where
+        // no unit computes at all receives too.
+        let dead: UnitMask = (0..8).filter(|u| !live.contains(*u)).collect();
+        let mut idle = seeded_channel();
+        idle.set_live_units(UnitMask::NONE);
+        issue_all(&mut idle, &cmds);
+        prop_assert_eq!(&live_state(&taped, dead), &live_state(&idle, dead), "taped dead units");
+
+        let mut unmasked = seeded_channel();
         unmasked.replay_data_taped(&cmds, &tape);
         prop_assert_eq!(&data_state(&unmasked), &data_state(&full), "a masked tape, played all-live");
     }
+}
+
+/// A tape played against a stream that triggers fewer times than the one
+/// it was recorded from is refused — by an `assert`, so in release builds
+/// too — rather than leaving the channel half replayed.
+#[test]
+#[should_panic(expected = "tape/stream trigger count diverged")]
+fn a_tape_that_outlasts_its_stream_is_refused() {
+    let launch = |cols| {
+        let bank = 0;
+        build(&[Frag::Launch(vec![
+            Frag::EnterAb { bank },
+            Frag::Crf { bank, prog: 0 },
+            Frag::PimOpMode(true),
+            Frag::Data { bank, row: 1, cols },
+        ])])
+    };
+    let tape = fresh_channel().replay_data_recording(&launch(vec![Col::Rd(0), Col::Rd(1)]));
+    fresh_channel().replay_data_taped(&launch(vec![Col::Rd(0)]), &tape);
 }
 
 /// A `16 × stacks`-channel system, fast path as given.

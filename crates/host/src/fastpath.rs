@@ -363,7 +363,10 @@ impl LaunchCache {
     ) -> (KernelResult, Vec<bool>) {
         let entry = self.entries.get_mut(&prep.key).expect("replay of an entry not in the cache");
         let end_abs = prep.base + entry.end_rel;
-        for (i, batches) in per_channel.iter().enumerate() {
+        // Data replay applies writes in the cold path's issue order, built
+        // once per distinct list (slices compare as in `launch_key`).
+        let mut orders: Vec<(&[Batch], Vec<_>)> = Vec::new();
+        for (i, &batches) in per_channel.iter().enumerate() {
             if followers_only && prep.simulates(i) {
                 continue;
             }
@@ -375,10 +378,16 @@ impl LaunchCache {
             // A channel with no live unit has no data to replay; otherwise
             // the walk itself skips the dead units, as the cold run does.
             if !sink.live_units().is_empty() {
-                // Data replay applies writes in the cold path's issue order.
-                let ordered: Vec<_> =
-                    batches.iter().enumerate().map(|(bi, b)| b.issue_order(bi, mode)).collect();
-                let cmds = ordered.iter().flat_map(|b| b.iter());
+                let at = match orders.iter().position(|o| std::ptr::eq(o.0, batches)) {
+                    Some(at) => at,
+                    None => {
+                        let order =
+                            batches.iter().enumerate().map(|(bi, b)| b.issue_order(bi, mode));
+                        orders.push((batches, order.collect()));
+                        orders.len() - 1
+                    }
+                };
+                let cmds = orders[at].1.iter().flat_map(|b| b.iter());
                 match &entry.tapes[class] {
                     Some(tape) => sink.replay_data_taped(cmds, tape),
                     None => entry.tapes[class] = Some(sink.replay_data_recording(cmds)),

@@ -50,8 +50,8 @@ use crate::blas::PimError;
 use crate::cluster::charge_straggler;
 use crate::context::PimContext;
 use crate::serve::{
-    mix, resolve_outcomes, Breaker, BreakerEvent, Disposition, RequestOutcome, ServeConfig,
-    ServeOp, ServeRequest, ServeStats, Server,
+    check_trace, mix, resolve_outcomes, Breaker, BreakerEvent, Disposition, RequestOutcome,
+    ServeConfig, ServeOp, ServeRequest, ServeStats, Server,
 };
 use pim_dram::Cycle;
 use pim_faults::ClusterFaultPlan;
@@ -382,7 +382,12 @@ impl<'a> ClusterServer<'a> {
     /// order; within each epoch the per-stack sub-traces run in
     /// stack-index order, so the result is deterministic for a given
     /// trace, configuration, and chaos plan.
+    ///
+    /// # Errors
+    ///
+    /// As [`Server::run`]'s, a malformed request's refusal included.
     pub fn run(&mut self, requests: Vec<ServeRequest>) -> Result<ClusterServeReport, PimError> {
+        check_trace(&requests)?;
         let n_stacks = self.servers.len();
         let chain = self.cfg.replication.min(n_stacks);
         let total = requests.len();

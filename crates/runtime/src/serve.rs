@@ -219,6 +219,23 @@ impl ServeOp {
     }
 }
 
+/// Refuses a trace holding a request that no backend could answer whole —
+/// [`PimBlas::add`](crate::PimBlas::add)'s rule: [`PimError::Empty`] for
+/// empty operands, [`PimError::SizeMismatch`] naming the submission id for
+/// operands of unequal length.
+pub(crate) fn check_trace(requests: &[ServeRequest]) -> Result<(), PimError> {
+    for (id, (x, y)) in requests.iter().map(|r| r.op.operands()).enumerate() {
+        if x.is_empty() {
+            return Err(PimError::Empty);
+        }
+        if x.len() != y.len() {
+            let detail = format!("request {id}: x has {} elements, y has {}", x.len(), y.len());
+            return Err(PimError::SizeMismatch { detail });
+        }
+    }
+    Ok(())
+}
+
 /// One request to the serving layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
@@ -686,10 +703,14 @@ impl<'a> Server<'a> {
     ///
     /// # Errors
     ///
-    /// Only plumbing failures surface as [`PimError`] (allocation larger
-    /// than the reserved region, strict-mode kernel rejection); load and
-    /// injected faults never do.
+    /// A malformed request refuses the whole trace before anything is
+    /// simulated: [`PimError::Empty`] for empty operands,
+    /// [`PimError::SizeMismatch`] for operands of unequal length. Beyond
+    /// that, only plumbing failures surface as [`PimError`] (allocation
+    /// larger than the reserved region, strict-mode kernel rejection); load
+    /// and injected faults never do.
     pub fn run(&mut self, requests: Vec<ServeRequest>) -> Result<ServeReport, PimError> {
+        check_trace(&requests)?;
         self.run_submitted(requests.into_iter().enumerate().collect())
     }
 
@@ -938,12 +959,7 @@ impl<'a> Server<'a> {
         trace: TraceCtx,
     ) -> Result<PimAttempt, PimError> {
         let (x, y) = req.op.operands();
-        let n = x.len();
-        if n == 0 || y.len() != n {
-            // Malformed requests never reach the device; the host oracle
-            // path reports them (empty result) rather than panicking.
-            return Ok(PimAttempt::Exhausted);
-        }
+        debug_assert!(!x.is_empty() && x.len() == y.len(), "`check_trace` admits no such request");
         let operands = StreamOperands::new(self.ctx, req.op.stream_op(), x, Some(y))?;
 
         let mut avail: Vec<usize> = candidates.to_vec();

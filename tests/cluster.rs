@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv};
+use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv, with_malformed};
 use pim_bench::campaign::{build_trace, TraceShape};
 use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
 use pim_bench::faults::fault_mix;
@@ -183,6 +183,34 @@ fn cluster_serving_is_deterministic_across_backends() {
     for (i, o) in seq.outcomes.iter().enumerate() {
         assert_eq!(o.id, i);
     }
+}
+
+/// Runs a two-stack cluster over [`with_malformed`]`(x, y)`; the trace must
+/// be refused before any stack simulates anything.
+fn cluster_refusal(x: Vec<f32>, y: Vec<f32>) -> PimError {
+    let trace = with_malformed(x, y);
+    let mut cluster = ClusterContext::new(2).unwrap();
+    let cfg = ClusterServeConfig::default();
+    let err = ClusterServer::new(cluster.stacks_mut(), cfg).unwrap().run(trace).unwrap_err();
+    assert_eq!(cluster.max_now(), 0, "a refused trace simulated something");
+    err
+}
+
+/// Operands of unequal length refuse a cluster trace as they refuse the
+/// plain server's, naming the request.
+#[test]
+fn cluster_server_refuses_operands_of_unequal_length() {
+    let err = cluster_refusal(vec![1.0; 32], vec![2.0; 16]);
+    assert!(
+        matches!(&err, PimError::SizeMismatch { detail } if detail.starts_with("request 1:")),
+        "{err}"
+    );
+}
+
+/// Empty operands refuse a cluster trace with `Empty`.
+#[test]
+fn cluster_server_refuses_empty_operands() {
+    assert_eq!(cluster_refusal(Vec::new(), Vec::new()), PimError::Empty);
 }
 
 /// A one-stack cluster *is* the plain server: same outcomes (trace ids

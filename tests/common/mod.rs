@@ -18,6 +18,13 @@ pub fn add_req(tenant: u32, arrival: u64, deadline: u64, n: usize) -> ServeReque
     }
 }
 
+/// A trace of one well-formed request (id 0) and one whose operands are
+/// `x` and `y` (id 1).
+pub fn with_malformed(x: Vec<f32>, y: Vec<f32>) -> Vec<ServeRequest> {
+    let bad = ServeRequest { op: ServeOp::Add { x, y }, ..add_req(1, 10, 50_000_000, 16) };
+    vec![add_req(0, 0, 50_000_000, 16), bad]
+}
+
 pub fn add_oracle(req: &ServeRequest) -> Vec<f32> {
     let ServeOp::Add { x, y } = &req.op else { unreachable!() };
     pim_bench::campaign::add_oracle(x, y)

@@ -5,12 +5,39 @@
 
 mod common;
 
-use common::{add_oracle as oracle, add_req};
+use common::{add_oracle as oracle, add_req, with_malformed};
 use pim_bench::campaign::TraceShape;
 use pim_bench::json;
 use pim_bench::serve::{report_json, run_campaign, ServeCampaignConfig};
 use pim_faults::FaultPlan;
-use pim_runtime::{Disposition, PimContext, RejectReason, ServeConfig, ServeRequest, Server};
+use pim_runtime::{
+    Disposition, PimContext, PimError, RejectReason, ServeConfig, ServeRequest, Server,
+};
+
+/// Operands of unequal length are no request to truncate: the server
+/// refuses the trace with a `SizeMismatch` naming the request, before
+/// anything is simulated.
+#[test]
+fn server_refuses_operands_of_unequal_length() {
+    let mut ctx = PimContext::small_system();
+    let trace = with_malformed(vec![1.0; 32], vec![2.0; 16]);
+    let err = Server::new(&mut ctx, ServeConfig::default()).run(trace).unwrap_err();
+    assert!(
+        matches!(&err, PimError::SizeMismatch { detail } if detail.starts_with("request 1:")),
+        "{err}"
+    );
+    assert_eq!(ctx.sys.max_now(), 0, "a refused trace simulated something");
+}
+
+/// Empty operands refuse the trace as `PimBlas::add` refuses them.
+#[test]
+fn server_refuses_empty_operands() {
+    let mut ctx = PimContext::small_system();
+    let trace = with_malformed(Vec::new(), Vec::new());
+    let err = Server::new(&mut ctx, ServeConfig::default()).run(trace).unwrap_err();
+    assert_eq!(err, PimError::Empty);
+    assert_eq!(ctx.sys.max_now(), 0, "a refused trace simulated something");
+}
 
 /// The headline acceptance property: a seeded overload campaign (arrival
 /// rate beyond sustainable throughput, nonzero fault rate) completes with
