@@ -38,7 +38,7 @@
 
 use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
-use pim_bench::{chaos, cluster, faults, serve};
+use pim_bench::{chaos, cluster, faults, outln, serve};
 use pim_obs::{openmetrics, Recorder};
 use pim_runtime::{ClusterServeStats, ServeStats};
 
@@ -76,7 +76,7 @@ fn served_shed_missed<'a>(stats: impl Iterator<Item = &'a ServeStats> + Clone) -
 }
 
 fn print_report(report: &Json) {
-    println!("{}", json::to_string(report));
+    outln!("{}", json::to_string(report));
 }
 
 fn fault(cli: &mut Cli) {

@@ -34,6 +34,7 @@
 
 use pim_bench::cli::Cli;
 use pim_bench::lint;
+use pim_bench::{out, outln};
 use pim_core::{PimConfig, PimVariant};
 use pim_verify::EquivVerdict;
 
@@ -100,16 +101,16 @@ fn main() {
         let b = assemble_file(&path_b);
         match pim_verify::check_equivalence(&cfg, &a, &b) {
             EquivVerdict::Equivalent => {
-                println!("{path_a} and {path_b} are semantically equivalent");
+                outln!("{path_a} and {path_b} are semantically equivalent");
                 std::process::exit(0);
             }
             EquivVerdict::Inequivalent(why) => {
-                println!("{path_a} and {path_b} are NOT equivalent: {why}");
+                outln!("{path_a} and {path_b} are NOT equivalent: {why}");
                 std::process::exit(1);
             }
             EquivVerdict::Unprovable(report) => {
-                print!("{}", report.render("equiv"));
-                println!("{path_a} vs {path_b}: equivalence is not provable");
+                out!("{}", report.render("equiv"));
+                outln!("{path_a} vs {path_b}: equivalence is not provable");
                 std::process::exit(1);
             }
         }
@@ -119,7 +120,7 @@ fn main() {
         match pim_core::asm::assemble(&read(&path)) {
             Ok(prog) => {
                 for i in &prog {
-                    println!("0x{:08X}  ; {i}", i.encode());
+                    outln!("0x{:08X}  ; {i}", i.encode());
                 }
                 std::process::exit(0);
             }
@@ -143,13 +144,13 @@ fn main() {
             std::process::exit(2);
         };
         if json {
-            println!("{}", report.render_json(path));
+            outln!("{}", report.render_json(path));
         }
         match lint::expected_code(&source) {
             Some(code) => {
                 if report.has_code(code) {
                     if !json {
-                        println!("{path}: produces {code} as expected");
+                        outln!("{path}: produces {code} as expected");
                     }
                 } else {
                     if !json {
@@ -161,7 +162,7 @@ fn main() {
             }
             None => {
                 if !report.is_clean() && !json {
-                    print!("{}", report.render(path));
+                    out!("{}", report.render(path));
                 }
                 if report.has_errors() || (deny_warnings && report.warning_count() > 0) {
                     failed = true;
@@ -176,9 +177,9 @@ fn main() {
             checked += 1;
             if !report.is_clean() {
                 if json {
-                    println!("{}", report.render_json(&name));
+                    outln!("{}", report.render_json(&name));
                 } else {
-                    print!("{}", report.render(&name));
+                    out!("{}", report.render(&name));
                 }
                 failed = true;
             }
@@ -187,22 +188,22 @@ fn main() {
             checked += 1;
             if !protocol.is_clean() {
                 if json {
-                    println!("{}", protocol.render_json(&name));
+                    outln!("{}", protocol.render_json(&name));
                 } else {
-                    print!("{}", protocol.render(&name));
+                    out!("{}", protocol.render(&name));
                 }
                 failed = true;
             }
             if !fences.is_clean() {
                 if json {
-                    println!("{}", fences.render_json(&name));
+                    outln!("{}", fences.render_json(&name));
                 } else {
-                    print!("{}", fences.render(&name));
+                    out!("{}", fences.render(&name));
                 }
                 failed = true;
             }
         }
-        println!(
+        outln!(
             "builtin: {checked} kernel/stream targets linted{}",
             if failed { "" } else { ", all clean" }
         );

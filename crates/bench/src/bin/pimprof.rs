@@ -19,6 +19,7 @@ use pim_bench::cli::Cli;
 use pim_bench::profile::{profile_gemv, render_profile};
 use pim_bench::report;
 use pim_bench::trace::render_attrib;
+use pim_bench::{out, outln};
 use pim_obs::{chrome::chrome_trace_json, csv::metrics_csv, Attribution};
 
 const USAGE: &str = "pimprof [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] [--trace PATH] \
@@ -70,14 +71,14 @@ fn main() {
     n = (n / scale).max(1);
     k = (k / scale).max(1);
 
-    println!("profiling {name} as {n}x{k} GEMV (scale 1/{scale}) on a one-stack system");
+    outln!("profiling {name} as {n}x{k} GEMV (scale 1/{scale}) on a one-stack system");
     let run = profile_gemv(n, k).unwrap_or_else(|e| {
         eprintln!("pimprof: {e}");
         std::process::exit(1);
     });
 
     let r = &run.report;
-    println!(
+    outln!(
         "kernel: {} cycles ({}), {} commands, {} fences, {} PIM triggers",
         r.cycles,
         report::time(r.seconds),
@@ -85,12 +86,12 @@ fn main() {
         r.fences,
         r.pim_triggers
     );
-    println!();
-    print!("{}", render_profile(&run.recorder.metrics()));
+    outln!();
+    out!("{}", render_profile(&run.recorder.metrics()));
 
     let events = run.recorder.events().unwrap_or_default();
-    println!();
-    println!("events recorded: {}", events.len());
+    outln!();
+    outln!("events recorded: {}", events.len());
 
     if attrib || folded_path.is_some() {
         let a =
@@ -103,13 +104,13 @@ fn main() {
             std::process::exit(1);
         }
         if attrib {
-            println!();
-            println!("cycle attribution ({} channels, end cycle {}):", run.channels, run.end_cycle);
-            print!("{}", render_attrib(&a));
+            outln!();
+            outln!("cycle attribution ({} channels, end cycle {}):", run.channels, run.end_cycle);
+            out!("{}", render_attrib(&a));
         }
         if let Some(path) = &folded_path {
             match std::fs::write(path, a.folded()) {
-                Ok(()) => println!("folded stacks written to {path}"),
+                Ok(()) => outln!("folded stacks written to {path}"),
                 Err(e) => {
                     eprintln!("pimprof: cannot write {path}: {e}");
                     std::process::exit(1);
@@ -121,7 +122,7 @@ fn main() {
         let json = chrome_trace_json(&events);
         match std::fs::write(&path, json) {
             Ok(()) => {
-                println!("chrome trace written to {path} (open in Perfetto or chrome://tracing)")
+                outln!("chrome trace written to {path} (open in Perfetto or chrome://tracing)")
             }
             Err(e) => {
                 eprintln!("pimprof: cannot write {path}: {e}");
@@ -131,7 +132,7 @@ fn main() {
     }
     if let Some(path) = csv_path {
         match std::fs::write(&path, metrics_csv(&run.recorder.metrics().registry)) {
-            Ok(()) => println!("metrics CSV written to {path}"),
+            Ok(()) => outln!("metrics CSV written to {path}"),
             Err(e) => {
                 eprintln!("pimprof: cannot write {path}: {e}");
                 std::process::exit(1);

@@ -5,6 +5,7 @@
 //! Run `pimsim --help` for the command language, or try the built-in demo
 //! with `pimsim --demo`. See `pim_runtime::script` for the full reference.
 use pim_bench::cli::Cli;
+use pim_bench::{out, outln};
 use pim_runtime::ScriptSession;
 use std::io::Read;
 
@@ -55,7 +56,7 @@ fn main() {
             std::process::exit(1);
         }),
         None if demo => {
-            println!("{DEMO}");
+            outln!("{DEMO}");
             DEMO.to_string()
         }
         None => {
@@ -74,12 +75,12 @@ fn main() {
     match session.run(&source) {
         Ok(output) => {
             for line in output {
-                println!("{line}");
+                outln!("{line}");
             }
-            println!("-- done at cycle {} in {} mode", session.now(), session.mode());
+            outln!("-- done at cycle {} in {} mode", session.now(), session.mode());
             if let Some(recorder) = session.recorder() {
-                println!();
-                print!("{}", pim_bench::profile::render_profile(&recorder.metrics()));
+                outln!();
+                out!("{}", pim_bench::profile::render_profile(&recorder.metrics()));
             }
         }
         Err(e) => {

@@ -30,6 +30,7 @@
 use pim_bench::campaign::TraceShape;
 use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
+use pim_bench::outln;
 use pim_bench::serve::ServeCampaignConfig;
 use pim_bench::trace::{assert_backend_identity, run_traced};
 use pim_host::ExecutionBackend;
@@ -84,7 +85,7 @@ fn write_artifact(dir: &std::path::Path, name: &str, content: &str) {
         eprintln!("pimtrace: cannot write {}: {e}", path.display());
         std::process::exit(1);
     }
-    println!("wrote {} ({} bytes)", path.display(), content.len());
+    outln!("wrote {} ({} bytes)", path.display(), content.len());
 }
 
 fn cmd_run(cli: &mut Cli) {
@@ -103,9 +104,12 @@ fn cmd_run(cli: &mut Cli) {
     write_artifact(dir, "attrib.txt", &art.attrib_table);
     write_artifact(dir, "attrib.folded", &art.folded);
     write_artifact(dir, "metrics.om", &art.openmetrics);
-    println!(
+    outln!(
         "traced point (interval {}, rate {}): {} events, end cycle {}",
-        p.interval, p.rate, art.events, art.end_cycle
+        p.interval,
+        p.rate,
+        art.events,
+        art.end_cycle
     );
 }
 
@@ -121,10 +125,11 @@ fn cmd_selftest(cli: &mut Cli) {
         eprintln!("pimtrace: selftest FAILED: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "selftest ok: {} events, end cycle {}, all artifacts byte-identical under \
          sequential / threads:2 / threads:4, cycle conservation exact",
-        art.events, art.end_cycle
+        art.events,
+        art.end_cycle
     );
 }
 
@@ -175,11 +180,6 @@ fn cmd_filter(cli: &mut Cli) {
     let events = load_trace_events(&path);
     let total = events.len();
     let mut matched = 0usize;
-    // Write through a locked handle and stop quietly on a closed pipe
-    // (`pimtrace filter ... | head` is the expected usage).
-    use std::io::Write;
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
     for e in &events {
         let ename = e.get("name").and_then(Json::as_str).unwrap_or("");
         let ecat = e.get("cat").and_then(Json::as_str).unwrap_or("");
@@ -189,9 +189,7 @@ fn cmd_filter(cli: &mut Cli) {
         if cat.as_deref().is_some_and(|c| !ecat.contains(c)) {
             continue;
         }
-        if writeln!(out, "{}", event_line(e)).is_err() {
-            return;
-        }
+        outln!("{}", event_line(e));
         matched += 1;
     }
     eprintln!("{matched} of {total} events matched");
@@ -206,18 +204,18 @@ fn cmd_diff(a: &str, b: &str) {
     };
     let (ta, tb) = (read(a), read(b));
     if ta == tb {
-        println!("identical: {a} == {b} ({} bytes)", ta.len());
+        outln!("identical: {a} == {b} ({} bytes)", ta.len());
         return;
     }
     for (i, (la, lb)) in ta.lines().zip(tb.lines()).enumerate() {
         if la != lb {
-            println!("differ at line {}:", i + 1);
-            println!("- {la}");
-            println!("+ {lb}");
+            outln!("differ at line {}:", i + 1);
+            outln!("- {la}");
+            outln!("+ {lb}");
             std::process::exit(1);
         }
     }
-    println!(
+    outln!(
         "differ in length: {a} has {} lines, {b} has {}",
         ta.lines().count(),
         tb.lines().count()

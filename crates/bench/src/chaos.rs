@@ -1,4 +1,4 @@
-//! Seeded cluster chaos campaigns — the `pimchaos` binary's engine.
+//! Seeded cluster chaos campaigns — the engine of `pimcampaign chaos`.
 //!
 //! One campaign replays a single fixed arrival trace against a cluster
 //! living through a phased fault schedule: a **baseline** phase, a

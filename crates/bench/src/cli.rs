@@ -1,10 +1,48 @@
-//! Command-line parsing shared by every `pim-bench` binary: one
+//! Command-line plumbing shared by every `pim-bench` binary: one
 //! convention for a malformed argument — `<bin>: <message>`, the usage
-//! text, exit 2 — and the flag parsers the campaigns have in common.
+//! text, exit 2 — the flag parsers the campaigns have in common, and one
+//! way to write stdout ([`write_stdout`], behind [`crate::out!`] and
+//! [`crate::outln!`]).
+
+use std::io::Write;
 
 use crate::campaign::TraceShape;
 use pim_host::ExecutionBackend;
 use pim_runtime::PimError;
+
+/// Writes `args` to stdout and flushes. A reader that went away —
+/// `pimrepro list | head -1` — ends the process quietly with status 141,
+/// what a shell reports for a program killed by SIGPIPE; `println!` would
+/// panic there instead. Any other write error exits 1 with a message.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.flush()) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("cannot write to stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::cli::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::cli::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 /// The process arguments of one binary.
 #[derive(Debug)]

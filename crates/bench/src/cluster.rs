@@ -1,5 +1,5 @@
-//! Seeded multi-stack cluster campaigns — the `pimcluster` binary's
-//! engine.
+//! Seeded multi-stack cluster campaigns: the engine of
+//! `pimcampaign cluster`.
 //!
 //! A campaign sweeps stack count against base fault rate. Every point
 //! offers the **same** seeded open-loop request trace (arrivals salted

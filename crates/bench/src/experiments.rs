@@ -1,15 +1,14 @@
 //! Every table and figure of the paper's evaluation, as callable
-//! experiments returning structured data. See DESIGN.md §4 for the index
-//! and EXPERIMENTS.md for the paper-vs-measured record.
+//! experiments returning structured data. See DESIGN.md §4 for the index;
+//! [`crate::paper`] holds what the paper reports for each.
 
-use crate::micro::{add_micro, bn_micro, gemv_micro, geo_mean, MicroResult};
+use crate::micro::{add_micro, bn_micro, gemv_micro, geo_mean, microbenchmarks, MicroResult};
 use crate::workloads;
 use pim_core::isa;
 use pim_core::{PimConfig, PimVariant};
-use pim_dram::TimingParams;
-use pim_energy::components::{paper_abpim_mode, StreamMode};
+use pim_dram::{TimingParams, BANKS_PER_PCH, PCH_PER_STACK};
+use pim_energy::components::StreamMode;
 use pim_energy::{EnergyParams, HostPowerState, MemoryEnergyBreakdown, SystemPowerModel};
-use pim_fp16::F16;
 use pim_host::{ExecutionMode, HostConfig};
 use pim_models::{models, CostModel, ModelRunner, RunReport, SystemKind};
 use pim_runtime::{PimBlas, PimContext};
@@ -26,44 +25,11 @@ pub fn table2() -> isa::CombinationCounts {
 /// Table III: a representative encoding of every instruction class with
 /// its 32-bit word, demonstrating the bit-exact format.
 pub fn table3() -> Vec<(String, u32)> {
-    use isa::{Instruction, Operand};
-    let samples = vec![
-        Instruction::Nop { cycles: 4 },
-        Instruction::Jump { target: 1, count: 8 },
-        Instruction::Exit,
-        Instruction::Mov {
-            dst: Operand::grf_a(0),
-            src: Operand::even_bank(),
-            relu: true,
-            aam: false,
-        },
-        Instruction::Fill { dst: Operand::srf_m(0), src: Operand::wdata(), aam: false },
-        Instruction::Add {
-            dst: Operand::grf_a(1),
-            src0: Operand::grf_a(1),
-            src1: Operand::even_bank(),
-            aam: true,
-        },
-        Instruction::Mul {
-            dst: Operand::grf_b(0),
-            src0: Operand::even_bank(),
-            src1: Operand::srf_m(2),
-            aam: false,
-        },
-        Instruction::Mac {
-            dst: Operand::grf_b(0),
-            src0: Operand::even_bank(),
-            src1: Operand::srf_m(0),
-            aam: true,
-        },
-        Instruction::Mad {
-            dst: Operand::grf_a(0),
-            src0: Operand::even_bank(),
-            src1: Operand::srf_m(3),
-            aam: true,
-        },
-    ];
-    samples.into_iter().map(|i| (format!("{i}"), i.encode())).collect()
+    let samples = "NOP 4\nJUMP 1, #8\nEXIT\nMOV(ReLU) GRF_A[0], EVEN_BANK\nFILL SRF_M[0], WDATA\n\
+        ADD GRF_A[1], GRF_A[1], EVEN_BANK (AAM)\nMUL GRF_B[0], EVEN_BANK, SRF_M[2]\n\
+        MAC GRF_B[0], EVEN_BANK, SRF_M[0] (AAM)\nMAD GRF_A[0], EVEN_BANK, SRF_M[3] (AAM)";
+    let program = pim_core::asm::assemble(samples).expect("the Table III samples assemble");
+    program.into_iter().map(|i| (format!("{i}"), i.encode())).collect()
 }
 
 /// Table IV: the PIM execution unit specification, with derived values.
@@ -84,21 +50,38 @@ pub fn table4() -> Vec<(String, String)> {
     ]
 }
 
+/// Table V's bandwidths of one 16-pCH device in GB/s, derived from the
+/// timing engine: `[at 1.0 GHz, at 1.2 GHz]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DeviceBandwidth {
+    /// All-bank compute bandwidth: the operating banks per tCCD_L.
+    pub on_chip_gbs: [f64; 2],
+    /// Single-bank I/O bandwidth: one bank per tCCD_S.
+    pub off_chip_gbs: [f64; 2],
+}
+
+/// Table V's bandwidth rows.
+pub fn device_bandwidth() -> DeviceBandwidth {
+    let banks = PimConfig::paper().operand_banks_per_command();
+    let pchs = PCH_PER_STACK as f64;
+    let clocks = [TimingParams::hbm2_2gbps(), TimingParams::hbm2()];
+    DeviceBandwidth {
+        on_chip_gbs: clocks.each_ref().map(|t| t.peak_pch_allbank_bandwidth_gbs(banks) * pchs),
+        off_chip_gbs: clocks.each_ref().map(|t| t.peak_pch_bandwidth_gbs() * pchs),
+    }
+}
+
 /// Table V: the PIM-HBM device specification, with bandwidths derived from
 /// the timing engine.
 pub fn table5() -> Vec<(String, String)> {
-    let t = TimingParams::hbm2();
-    let t_lo = TimingParams::hbm2_2gbps();
     let c = PimConfig::paper();
-    let on_hi = t.peak_pch_allbank_bandwidth_gbs(c.operand_banks_per_command()) * 16.0;
-    let on_lo = t_lo.peak_pch_allbank_bandwidth_gbs(c.operand_banks_per_command()) * 16.0;
-    let off_hi = t.peak_pch_bandwidth_gbs() * 16.0;
-    let off_lo = t_lo.peak_pch_bandwidth_gbs() * 16.0;
+    let DeviceBandwidth { on_chip_gbs: [on_lo, on_hi], off_chip_gbs: [off_lo, off_hi] } =
+        device_bandwidth();
     vec![
         ("Ext. Clocking Frequency".into(), "1 ~ 1.2GHz".into()),
         ("Timing Parameters".into(), "Same as HBM2".into()),
-        ("# of pCHs".into(), "16".into()),
-        ("# of banks per pCH".into(), "16".into()),
+        ("# of pCHs".into(), format!("{PCH_PER_STACK}")),
+        ("# of banks per pCH".into(), format!("{BANKS_PER_PCH}")),
         ("# of PIM exe. units per pCH".into(), format!("{}", c.units_per_pch)),
         ("On-Chip (Compute) Bandwidth".into(), format!("{on_lo:.0}GB/s ~ {on_hi:.1}GB/s")),
         ("Off-Chip (I/O) Bandwidth".into(), format!("{off_lo:.0}GB/s ~ {off_hi:.1}GB/s")),
@@ -161,23 +144,9 @@ pub fn fig10() -> Vec<Fig10Row> {
     let mut cost = CostModel::paper();
     let power = SystemPowerModel::paper();
     for batch in [1usize, 2, 4] {
-        for w in workloads::gemv_workloads() {
-            let r = gemv_micro(&mut cost, &w, batch);
-            rows.push(Fig10Row {
-                name: r.name.clone(),
-                batch,
-                relative_perf: r.speedup(),
-                llc_miss: Some(r.llc_miss),
-            });
-        }
-        for w in workloads::add_workloads() {
-            let r = add_micro(&mut cost, &w, batch);
-            rows.push(Fig10Row {
-                name: r.name.clone(),
-                batch,
-                relative_perf: r.speedup(),
-                llc_miss: Some(r.llc_miss),
-            });
+        for r in microbenchmarks(&mut cost, batch) {
+            let (relative_perf, llc_miss) = (r.speedup(), Some(r.llc_miss));
+            rows.push(Fig10Row { name: r.name, batch, relative_perf, llc_miss });
         }
         for m in models::all_models() {
             let hbm = ModelRunner::run(&mut cost, &power, &m, SystemKind::ProcHbm, batch);
@@ -193,52 +162,44 @@ pub fn fig10() -> Vec<Fig10Row> {
     rows
 }
 
-/// One bar of Fig. 11.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fig11Bar {
-    /// "HBM" or "PIM-HBM".
-    pub system: &'static str,
-    /// Per-component power in watts of one pseudo channel streaming
-    /// back-to-back column reads.
-    pub breakdown: MemoryEnergyBreakdown,
-}
-
 /// Fig. 11 plus the Section VII-C headline numbers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig11Result {
-    /// The two stacked bars.
-    pub bars: Vec<Fig11Bar>,
-    /// PIM-HBM power / HBM power (paper: 1.054).
+    /// The two stacked bars, HBM then PIM-HBM: per-component watts of one
+    /// pseudo channel streaming back-to-back column reads.
+    pub bars: [MemoryEnergyBreakdown; 2],
+    /// PIM-HBM power / HBM power.
     pub power_ratio: f64,
-    /// On-chip bandwidth ratio at those powers (4×).
+    /// On-chip bandwidth ratio at those powers.
     pub bandwidth_ratio: f64,
-    /// HBM energy/bit divided by PIM energy/bit (paper: ~3.5×).
+    /// HBM energy/bit divided by PIM energy/bit.
     pub energy_per_bit_ratio: f64,
     /// Power saving if the buffer-die I/O were gated, as a fraction of HBM
-    /// power (paper: ~10%).
+    /// power.
     pub buffer_gating_saving: f64,
 }
 
-/// Fig. 11: power breakdown of HBM vs PIM-HBM over back-to-back reads.
+/// Fig. 11: power breakdown of HBM vs PIM-HBM over back-to-back reads —
+/// single-bank reads every tCCD_S against all-bank PIM reads every tCCD_L.
 pub fn fig11() -> Fig11Result {
     let p = EnergyParams::hbm2();
-    let bus = 1200;
-    let sb = p.stream_power_w(StreamMode::SingleBank, 2, bus);
-    let ab = p.stream_power_w(paper_abpim_mode(), 4, bus);
-    let gated = p.stream_power_w(
-        StreamMode::AbPim { operating_banks: 8, units: 8, buffer_io_gated: true },
-        4,
-        bus,
-    );
+    let t = TimingParams::hbm2();
+    let c = PimConfig::paper();
+    let banks = c.operand_banks_per_command();
+    let ab_mode = |buffer_io_gated| StreamMode::AbPim {
+        operating_banks: banks,
+        units: c.units_per_pch,
+        buffer_io_gated,
+    };
+    let sb = p.stream_power_w(StreamMode::SingleBank, t.t_ccd_s, t.bus_mhz);
+    let ab = p.stream_power_w(ab_mode(false), t.t_ccd_l, t.bus_mhz);
+    let gated = p.stream_power_w(ab_mode(true), t.t_ccd_l, t.bus_mhz);
     Fig11Result {
-        bars: vec![
-            Fig11Bar { system: "HBM", breakdown: sb },
-            Fig11Bar { system: "PIM-HBM", breakdown: ab },
-        ],
+        bars: [sb, ab],
         power_ratio: ab.total() / sb.total(),
-        bandwidth_ratio: (8.0 / 4.0) / (1.0 / 2.0),
+        bandwidth_ratio: t.peak_pch_allbank_bandwidth_gbs(banks) / t.peak_pch_bandwidth_gbs(),
         energy_per_bit_ratio: p.energy_per_bit_pj(StreamMode::SingleBank)
-            / p.energy_per_bit_pj(paper_abpim_mode()),
+            / p.energy_per_bit_pj(ab_mode(false)),
         buffer_gating_saving: (ab.total() - gated.total()) / sb.total(),
     }
 }
@@ -256,14 +217,12 @@ pub struct Fig12Row {
 }
 
 impl Fig12Row {
-    /// PIM-HBM's energy-efficiency gain over PROC-HBM (the paper's quoted
-    /// numbers: GEMV 8.25×, ADD 1.4×, DS2 3.2×, GNMT 1.38×, AlexNet 1.5×).
+    /// PIM-HBM's energy-efficiency gain over PROC-HBM.
     pub fn pim_efficiency_gain(&self) -> f64 {
         self.rel_energy[0] / self.rel_energy[1]
     }
 
-    /// PIM-HBM's gain over PROC-HBM×4 (paper: DS2 2.8×, GNMT 1.1×,
-    /// AlexNet 1.3×).
+    /// PIM-HBM's energy-efficiency gain over PROC-HBM×4.
     pub fn pim_gain_over_x4(&self) -> f64 {
         self.rel_energy[2] / self.rel_energy[1]
     }
@@ -294,10 +253,7 @@ pub fn fig12() -> Vec<Fig12Row> {
                 power.memory_stream_power_w(util_hbm, 16)
                     + power.host_power_w(HostPowerState::Streaming) * power.x4_host_overhead,
             );
-            let t_hbm = r.hbm_s;
-            let t_pim = r.pim_s;
-            let t_x4 = r.hbm_s / 4.0;
-            let e = [p_hbm * t_hbm, p_pim * t_pim, p_x4 * t_x4];
+            let e = [p_hbm * r.hbm_s, p_pim * r.pim_s, p_x4 * r.hbm_s / 4.0];
             Fig12Row {
                 name: name.to_string(),
                 rel_power: [1.0, p_pim / p_hbm, p_x4 / p_hbm],
@@ -330,15 +286,15 @@ pub fn fig12() -> Vec<Fig12Row> {
 /// A sampled power time series: `(seconds, watts)` points.
 pub type PowerSeries = Vec<(f64, f64)>;
 
-/// Fig. 13: average system power of DS2 over time, on both systems.
-/// Returns `(hbm_series, pim_series)`.
-pub fn fig13(samples: usize) -> (PowerSeries, PowerSeries) {
+/// Fig. 13: average system power of DS2 over time, on both systems, at 40
+/// samples each. Returns `(hbm_series, pim_series)`.
+pub fn fig13() -> (PowerSeries, PowerSeries) {
     let mut cost = CostModel::paper();
     let power = SystemPowerModel::paper();
     let m = models::deepspeech2();
     let hbm = ModelRunner::run(&mut cost, &power, &m, SystemKind::ProcHbm, 1);
     let pim = ModelRunner::run(&mut cost, &power, &m, SystemKind::PimHbm, 1);
-    (hbm.trace.sample(&power, samples), pim.trace.sample(&power, samples))
+    (hbm.trace.sample(&power, 40), pim.trace.sample(&power, 40))
 }
 
 /// One point of Fig. 14.
@@ -360,23 +316,14 @@ pub fn fig14() -> (Vec<Fig14Row>, Vec<(&'static str, f64)>) {
     for variant in PimVariant::ALL {
         let cfg = PimConfig::with_variant(variant);
         let mut cost = CostModel::new(HostConfig::paper(), cfg, TimingParams::hbm2());
-        let mut speedups = Vec::new();
-        let push = |rows: &mut Vec<Fig14Row>, name: String, s: f64, speedups: &mut Vec<f64>| {
-            speedups.push(s);
-            rows.push(Fig14Row { variant: variant.label(), workload: name, speedup: s });
-        };
-        for w in workloads::gemv_workloads() {
-            let r = gemv_micro(&mut cost, &w, 1);
-            push(&mut rows, w.name.to_string(), r.speedup(), &mut speedups);
-        }
-        for w in workloads::add_workloads() {
-            let r = add_micro(&mut cost, &w, 1);
-            push(&mut rows, w.name.to_string(), r.speedup(), &mut speedups);
-        }
-        for w in workloads::bn_workloads() {
-            let r = bn_micro(&mut cost, &w, 1);
-            push(&mut rows, w.name.to_string(), r.speedup(), &mut speedups);
-        }
+        let mut results = microbenchmarks(&mut cost, 1);
+        results.extend(workloads::bn_workloads().iter().map(|w| bn_micro(&mut cost, w, 1)));
+        let speedups: Vec<f64> = results.iter().map(MicroResult::speedup).collect();
+        rows.extend(results.into_iter().zip(&speedups).map(|(r, &speedup)| Fig14Row {
+            variant: variant.label(),
+            workload: r.name,
+            speedup,
+        }));
         geo.push((variant.label(), geo_mean(&speedups)));
     }
     (rows, geo)
@@ -384,53 +331,23 @@ pub fn fig14() -> (Vec<Fig14Row>, Vec<(&'static str, f64)>) {
 
 /// §VII-B's no-fence experiment: the geometric-mean factor by which
 /// removing fences (an order-preserving PIM-mode controller) speeds up the
-/// PIM microbenchmarks, per batch size. Paper: 2.2× / 1.9× / 2.0×.
+/// PIM microbenchmarks, per batch size.
 pub fn nofence() -> Vec<(usize, f64)> {
     let mut fenced = CostModel::paper();
     let mut ordered = CostModel::paper();
     ordered.mode = ExecutionMode::Ordered;
     let mut out = Vec::new();
     for batch in [1usize, 2, 4] {
-        let mut gains = Vec::new();
-        for w in workloads::gemv_workloads() {
-            let f = gemv_micro(&mut fenced, &w, batch);
-            let o = gemv_micro(&mut ordered, &w, batch);
-            gains.push(f.pim_s / o.pim_s);
-        }
-        for w in workloads::add_workloads() {
-            let f = add_micro(&mut fenced, &w, batch);
-            let o = add_micro(&mut ordered, &w, batch);
-            gains.push(f.pim_s / o.pim_s);
-        }
+        let (f, o) = (microbenchmarks(&mut fenced, batch), microbenchmarks(&mut ordered, batch));
+        let gains: Vec<f64> = f.iter().zip(&o).map(|(f, o)| f.pim_s / o.pim_s).collect();
         out.push((batch, geo_mean(&gains)));
     }
     out
 }
 
-/// A tiny end-to-end functional check used by several binaries: PIM GEMV
-/// against the f32 reference.
-pub fn functional_spot_check() -> f32 {
-    let mut ctx = PimContext::small_system();
-    let n = 64;
-    let k = 64;
-    let w: Vec<f32> = (0..n * k).map(|i| ((i % 13) as f32 - 6.0) / 8.0).collect();
-    let x: Vec<f32> = (0..k).map(|i| ((i % 7) as f32 - 3.0) / 4.0).collect();
-    let (out, _) = PimBlas::gemv(&mut ctx, &w, n, k, &x).expect("gemv");
-    let reference = PimBlas::reference_gemv(&w, n, k, &x);
-    let out16: Vec<F16> = out.iter().map(|&v| F16::from_f32(v)).collect();
-    pim_fp16::max_abs_error(&out16, &reference)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table2_is_the_paper_table() {
-        let c = table2();
-        assert_eq!((c.mul, c.add, c.mac, c.mad, c.mov), (32, 40, 14, 28, 24));
-        assert_eq!(c.compute_total(), 114);
-    }
 
     #[test]
     fn table3_round_trips() {
@@ -441,40 +358,10 @@ mod tests {
     }
 
     #[test]
-    fn table5_bandwidth_band() {
-        let rows = table5();
-        let on = rows.iter().find(|(k, _)| k.starts_with("On-Chip")).unwrap();
-        assert!(on.1.contains("1228.8"), "{}", on.1);
-        let off = rows.iter().find(|(k, _)| k.starts_with("Off-Chip")).unwrap();
-        assert!(off.1.contains("307.2"), "{}", off.1);
-    }
-
-    #[test]
     fn fig5_demonstrates_the_ordering_hazard() {
         let r = fig5_aam_demo();
         assert_eq!(r.fenced_in_order_err, 0.0);
         assert_eq!(r.fenced_reordered_err, 0.0, "AAM tolerates in-window reordering");
         assert!(r.unfenced_reordered_err > 0.0, "unfenced reordering must corrupt results");
-    }
-
-    #[test]
-    fn fig11_headlines() {
-        let f = fig11();
-        assert!((1.0..1.10).contains(&f.power_ratio), "{}", f.power_ratio);
-        assert_eq!(f.bandwidth_ratio, 4.0);
-        assert!((3.0..4.0).contains(&f.energy_per_bit_ratio), "{}", f.energy_per_bit_ratio);
-        assert!((0.07..0.13).contains(&f.buffer_gating_saving), "{}", f.buffer_gating_saving);
-    }
-
-    #[test]
-    fn nofence_gains_are_about_2x() {
-        for (batch, gain) in nofence() {
-            assert!((1.6..2.4).contains(&gain), "B{batch} gain {gain}");
-        }
-    }
-
-    #[test]
-    fn functional_spot_check_is_accurate() {
-        assert!(functional_spot_check() < 0.05);
     }
 }

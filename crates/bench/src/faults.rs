@@ -1,4 +1,4 @@
-//! Seeded fault-injection campaigns — the `pimfault` binary's engine.
+//! Seeded fault-injection campaigns — the engine of `pimcampaign fault`.
 //!
 //! A campaign sweeps a base fault rate over a fixed mixture of the
 //! injector's fault classes, runs the resilient runtime at every point,
@@ -166,7 +166,7 @@ mod tests {
         assert!(r.kernel.cycles > 0);
     }
 
-    /// `pimfault --elements 999999999 --rates 0` used to be OOM-killed
+    /// `pimcampaign fault --elements 999999999 --rates 0` used to be OOM-killed
     /// building ~20 GB of operands before `StreamJob::place` could refuse
     /// them; one element past the arena is already a typed error.
     #[test]

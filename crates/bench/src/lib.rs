@@ -4,8 +4,9 @@
 //! Each experiment is a library function returning structured data
 //! ([`experiments`]); the registry ([`repro`]) names and formats them,
 //! `pimrepro <name>` prints an entry and `tests/repro_golden.rs` pins its
-//! bytes; the integration tests assert the shapes against the paper.
-//! EXPERIMENTS.md records the paper-vs-measured comparison for every entry.
+//! bytes. What the paper reports is one table ([`paper`]):
+//! `tests/reproduction.rs` holds every measured value in its band, and
+//! `pimrepro paper` prints the comparison EXPERIMENTS.md embeds.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,6 +20,7 @@ pub mod faults;
 pub mod json;
 pub mod lint;
 pub mod micro;
+pub mod paper;
 pub mod profile;
 pub mod report;
 pub mod repro;

@@ -72,7 +72,7 @@ mod tests {
 
     #[test]
     fn formatting_helpers() {
-        assert_eq!(ratio(11.2), "11.20x");
+        assert_eq!(ratio(2.5), "2.50x");
         assert_eq!(time(0.0015), "1.500 ms");
         assert_eq!(time(2.0), "2.000 s");
         assert_eq!(time(2e-6), "2.000 us");

@@ -5,20 +5,22 @@
 //! change that moves a simulated number moves a golden file in the same
 //! diff.
 //!
-//! The numbers come from [`crate::experiments`] and the model crates; an
-//! entry only formats them.
+//! The numbers come from [`crate::experiments`] and the model crates, and
+//! what the paper reports from [`crate::paper`]; an entry only formats
+//! them.
 
 use std::fmt::Write;
 
 use crate::experiments as exp;
-use crate::micro::{add_micro, bn_micro, gemv_micro, geo_mean};
+use crate::micro::{bn_micro, geo_mean, microbenchmarks, MicroResult};
+use crate::paper::{self, reported};
 use crate::report::{format_table, time};
 use crate::workloads;
 use pim_core::PimConfig;
 use pim_dram::TimingParams;
 use pim_energy::{PowerComponent, SystemPowerModel};
 use pim_fp16::intmac::dot_product_errors;
-use pim_host::{ExecutionMode, HostConfig};
+use pim_host::HostConfig;
 use pim_models::capacity::collaborative_gemv;
 use pim_models::{models, CostModel, ModelRunner, SystemKind};
 use pim_runtime::kernels::{stream_columns, StreamOp};
@@ -66,7 +68,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
     entry("hbm3_future", "collaborative host + PIM GEMV (Section VIII)", hbm3_future),
     entry("quantization", "dot-product error of FP16 / INT16 / INT8 MAC units", quantization),
     entry("models_info", "application inventory (Section VII-A)", models_info),
-    entry("summary", "one-page digest of every experiment", summary),
+    entry("paper", "every number the paper reports: paper, measured, rel_err, band", paper::render),
 ];
 
 /// The entry called `name`.
@@ -99,7 +101,7 @@ fn table1(out: &mut String) {
             ]
         })
         .collect();
-    say!(out, "{}", format_table(&["Number format", "Area", "Energy/Op."], &rows));
+    print_table(out, &["Number format", "Area", "Energy/Op."], &rows);
     say!(out, "paper= identical values (Table I is reproduced verbatim as model constants;");
     say!(out, "       the FP16-over-BFLOAT16 design rationale is asserted by unit tests).");
 }
@@ -107,51 +109,31 @@ fn table1(out: &mut String) {
 fn table2(out: &mut String) {
     let c = exp::table2();
     say!(out, "Table II: operand combinations enumerated from the ISA\n");
-    let rows = vec![
-        vec![
-            "MUL".into(),
-            "GRF, BANK".into(),
-            "GRF, BANK, SRF_M".into(),
-            "GRF".into(),
-            c.mul.to_string(),
-        ],
-        vec![
-            "ADD".into(),
-            "GRF, BANK, SRF_A".into(),
-            "GRF, BANK, SRF_A".into(),
-            "GRF".into(),
-            c.add.to_string(),
-        ],
-        vec![
-            "MAC".into(),
-            "GRF, BANK".into(),
-            "GRF, BANK, SRF_M".into(),
-            "GRF_B".into(),
-            c.mac.to_string(),
-        ],
-        vec![
-            "MAD".into(),
-            "GRF, BANK".into(),
-            "GRF, BANK, SRF_M (+SRF_A)".into(),
-            "GRF".into(),
-            c.mad.to_string(),
-        ],
-        vec![
-            "MOV(ReLU)".into(),
-            "GRF, BANK, SRF".into(),
-            "-".into(),
-            "GRF".into(),
-            c.mov.to_string(),
-        ],
-    ];
-    say!(out, "{}", format_table(&["Op. Type", "SRC0", "SRC1", "DST", "# of Combinations"], &rows));
+    let rows: Vec<Vec<String>> = [
+        ("MUL", "GRF, BANK", "GRF, BANK, SRF_M", "GRF", c.mul),
+        ("ADD", "GRF, BANK, SRF_A", "GRF, BANK, SRF_A", "GRF", c.add),
+        ("MAC", "GRF, BANK", "GRF, BANK, SRF_M", "GRF_B", c.mac),
+        ("MAD", "GRF, BANK", "GRF, BANK, SRF_M (+SRF_A)", "GRF", c.mad),
+        ("MOV(ReLU)", "GRF, BANK, SRF", "-", "GRF", c.mov),
+    ]
+    .iter()
+    .map(|(op, src0, src1, dst, n)| {
+        vec![op.to_string(), src0.to_string(), src1.to_string(), dst.to_string(), n.to_string()]
+    })
+    .collect();
+    print_table(out, &["Op. Type", "SRC0", "SRC1", "DST", "# of Combinations"], &rows);
+    let p = |op: &str| reported("Table II", op, 0);
+    let (total, mul, add, mac, mad, mov) =
+        (p("compute total"), p("MUL"), p("ADD"), p("MAC"), p("MAD"), p("MOV"));
+    let (got_total, got_mov) = (c.compute_total(), c.mov);
     say!(
         out,
-        "compute total = {} (paper: 114), data movements = {} (paper: 24)",
-        c.compute_total(),
-        c.mov
+        "compute total = {got_total} (paper: {total}), data movements = {got_mov} (paper: {mov})"
     );
-    say!(out, "paper= MUL 32, ADD 40, MAC 14, MAD 28, MOV 24 -- all reproduced exactly.");
+    say!(
+        out,
+        "paper= MUL {mul}, ADD {add}, MAC {mac}, MAD {mad}, MOV {mov} -- all reproduced exactly."
+    );
 }
 
 fn table3(out: &mut String) {
@@ -160,15 +142,20 @@ fn table3(out: &mut String) {
         .into_iter()
         .map(|(text, word)| vec![text, format!("{word:#010X}"), format!("{word:032b}")])
         .collect();
-    say!(out, "{}", format_table(&["Instruction", "Word", "Bits"], &rows));
+    print_table(out, &["Instruction", "Word", "Bits"], &rows);
     say!(out, "paper= field order matches Table III (OPCODE | DST SRC0 SRC1 SRC2 | A R | #s);");
     say!(out, "       exact bit positions are this implementation's documented concretization.");
     say!(out, "       Round-trip encode/decode is property-tested over the full field space.");
 }
 
+/// `format_table` and a blank line.
+fn print_table(out: &mut String, header: &[&str], rows: &[Vec<String>]) {
+    say!(out, "{}", format_table(header, rows));
+}
+
 fn key_value_table(out: &mut String, rows: Vec<(String, String)>) {
     let rows: Vec<Vec<String>> = rows.into_iter().map(|(k, v)| vec![k, v]).collect();
-    say!(out, "{}", format_table(&["Parameter", "Value"], &rows));
+    print_table(out, &["Parameter", "Value"], &rows);
 }
 
 fn table4(out: &mut String) {
@@ -198,7 +185,7 @@ fn table6(out: &mut String) {
             format!("{}M", a.elements >> 20),
         ]);
     }
-    say!(out, "{}", format_table(&["Name", "GEMV Dim.", "Name", "ADD Dim."], &rows));
+    print_table(out, &["Name", "GEMV Dim.", "Name", "ADD Dim."], &rows);
     say!(out, "paper= identical sizes (GEMV 1kx4k..8kx8k; ADD 2M..16M).");
 }
 
@@ -237,43 +224,50 @@ fn fig10(out: &mut String) {
             ]
         })
         .collect();
-    say!(out, "{}", format_table(&["Workload", "Batch", "Rel. perf", "LLC miss (HBM)"], &table));
+    print_table(out, &["Workload", "Batch", "Rel. perf", "LLC miss (HBM)"], &table);
+    let p = |workload: &str, batch: usize| reported("Fig. 10", workload, batch);
+    let (gemv1, gemv4, add, ds2) = (p("GEMV1", 1), p("GEMV4", 1), p("ADD", 0), p("DS2", 1));
+    let (gnmt, alexnet, resnet) = (p("GNMT", 1), p("AlexNet", 1), p("ResNet-50", 1));
+    let (gemv4_b2, ds2_b2, rnnt_b2) = (p("GEMV4", 2), p("DS2", 2), p("RNN-T", 2));
     say!(
         out,
-        "paper= B1: GEMV 1.4~11.2x, ADD ~1.6x, DS2 3.5x, GNMT 1.5x, AlexNet 1.4x, ResNet 1.0x;"
+        "paper= B1: GEMV {gemv1:.1}~{gemv4:.1}x, ADD ~{add:.1}x, DS2 {ds2:.1}x, GNMT {gnmt:.1}x, \
+         AlexNet {alexnet:.1}x, ResNet {resnet:.1}x;\n       B2: GEMV4 {gemv4_b2:.1}x, DS2 \
+         {ds2_b2:.1}x, RNN-T {rnnt_b2:.1}x; B4: HBM outperforms for GEMV."
     );
-    say!(out, "       B2: GEMV4 3.2x, DS2 1.6x, RNN-T 1.9x; B4: HBM outperforms for GEMV.");
     say!(out, "       LLC miss ~100% at B1 dropping to 70-80% at B4.");
 }
 
 fn fig11(out: &mut String) {
     say!(out, "Fig. 11: per-pCH power breakdown over back-to-back column reads\n");
     let f = exp::fig11();
-    let mut rows = Vec::new();
-    for c in PowerComponent::ALL {
-        rows.push(vec![
-            c.label().to_string(),
-            format!("{:.3} W", f.bars[0].breakdown.get(c)),
-            format!("{:.3} W", f.bars[1].breakdown.get(c)),
-        ]);
-    }
-    rows.push(vec![
-        "TOTAL".into(),
-        format!("{:.3} W", f.bars[0].breakdown.total()),
-        format!("{:.3} W", f.bars[1].breakdown.total()),
-    ]);
-    say!(out, "{}", format_table(&["Component", "HBM", "PIM-HBM"], &rows));
-    say!(out, "power ratio         = {:.3}   (paper: 1.054, '5.4% higher power')", f.power_ratio);
-    say!(out, "on-chip bandwidth   = {:.1}x   (paper: 4x)", f.bandwidth_ratio);
+    let [hbm, pim] = f.bars;
+    let watts = |v: f64| format!("{v:.3} W");
+    let mut rows: Vec<Vec<String>> = PowerComponent::ALL
+        .iter()
+        .map(|&c| vec![c.label().to_string(), watts(hbm.get(c)), watts(pim.get(c))])
+        .collect();
+    rows.push(vec!["TOTAL".into(), watts(hbm.total()), watts(pim.total())]);
+    print_table(out, &["Component", "HBM", "PIM-HBM"], &rows);
+    let p = |quantity: &str| reported("Fig. 11", quantity, 0);
+    let (power, bandwidth) = (p("power PIM-HBM / HBM"), p("on-chip bandwidth ratio"));
+    let (energy, gating) = (p("energy/bit HBM / PIM"), p("buffer I/O gating") * 100.0);
+    let higher = (power - 1.0) * 100.0;
+    let f_gating = f.buffer_gating_saving * 100.0;
     say!(
         out,
-        "energy/bit ratio    = {:.2}x   (paper: ~3.5x lower energy per bit)",
+        "power ratio         = {:.3}   (paper: {power:.3}, '{higher:.1}% higher power')",
+        f.power_ratio
+    );
+    say!(out, "on-chip bandwidth   = {:.1}x   (paper: {bandwidth:.0}x)", f.bandwidth_ratio);
+    say!(
+        out,
+        "energy/bit ratio    = {:.2}x   (paper: ~{energy:.1}x lower energy per bit)",
         f.energy_per_bit_ratio
     );
     say!(
         out,
-        "buffer-I/O gating   = {:.1}%   (paper: '~10% lower than HBM' if gated)",
-        f.buffer_gating_saving * 100.0
+        "buffer-I/O gating   = {f_gating:.1}%   (paper: '~{gating:.0}% lower than HBM' if gated)"
     );
 }
 
@@ -294,21 +288,25 @@ fn fig12(out: &mut String) {
             ]
         })
         .collect();
+    print_table(
+        out,
+        &["Workload", "P(PIM)", "P(x4)", "E(PIM)", "E(x4)", "PIM eff vs HBM", "vs x4"],
+        &table,
+    );
+    let p = |workload: &str| reported("Fig. 12", workload, 1);
+    let (gemv, add, ds2, gnmt, alexnet) = (p("GEMV"), p("ADD"), p("DS2"), p("GNMT"), p("AlexNet"));
+    let (ds2_x4, gnmt_x4, alexnet_x4) = (p("DS2 vs x4"), p("GNMT vs x4"), p("AlexNet vs x4"));
     say!(
         out,
-        "{}",
-        format_table(
-            &["Workload", "P(PIM)", "P(x4)", "E(PIM)", "E(x4)", "PIM eff vs HBM", "vs x4"],
-            &table
-        )
+        "paper= efficiency gains: GEMV {gemv}x, ADD {add}x, DS2 {ds2}x, GNMT {gnmt}x, \
+         AlexNet {alexnet}x;"
     );
-    say!(out, "paper= efficiency gains: GEMV 8.25x, ADD 1.4x, DS2 3.2x, GNMT 1.38x, AlexNet 1.5x;");
-    say!(out, "       vs PROC-HBMx4: DS2 2.8x, GNMT 1.1x, AlexNet 1.3x.");
+    say!(out, "       vs PROC-HBMx4: DS2 {ds2_x4}x, GNMT {gnmt_x4}x, AlexNet {alexnet_x4}x.");
 }
 
 fn fig13(out: &mut String) {
     say!(out, "Fig. 13: average system power of DS2 over time\n");
-    let (hbm, pim) = exp::fig13(40);
+    let (hbm, pim) = exp::fig13();
     let mut render = |name: &str, series: &[(f64, f64)]| {
         say!(out, "{name}:");
         for (t, w) in series {
@@ -331,14 +329,19 @@ fn fig14(out: &mut String) {
         .iter()
         .map(|r| vec![r.variant.to_string(), r.workload.clone(), format!("{:.2}x", r.speedup)])
         .collect();
-    say!(out, "{}", format_table(&["Variant", "Workload", "Speedup"], &table));
+    print_table(out, &["Variant", "Workload", "Speedup"], &table);
     say!(out, "geometric means:");
     let base = geo.iter().find(|(v, _)| *v == "PIM-HBM").map(|(_, g)| *g).unwrap();
     for (v, g) in &geo {
         say!(out, "  {v:<14} {g:.2}x  ({:+.0}% vs base)", (g / base - 1.0) * 100.0);
     }
-    say!(out, "\npaper= 2x: ~+40% geo-mean (+24% die); 2BA: ~+20% (esp. ADD, +60% power);");
-    say!(out, "       SRW: ~+10% (esp. GEMV +25%). See EXPERIMENTS.md for deviations.");
+    let gain = |variant: &str| (reported("Fig. 14", variant, 1) - 1.0) * 100.0;
+    let (x2, ba2, srw) = (gain("PIM-HBM-2x"), gain("PIM-HBM-2BA"), gain("PIM-HBM-SRW"));
+    say!(
+        out,
+        "\npaper= 2x: ~+{x2:.0}% geo-mean (+24% die); 2BA: ~+{ba2:.0}% (esp. ADD, +60% power);"
+    );
+    say!(out, "       SRW: ~+{srw:.0}% (esp. GEMV +25%). See EXPERIMENTS.md for deviations.");
 }
 
 /// Where the runtime places the 128-byte-aligned operand blocks of vectors
@@ -364,13 +367,10 @@ fn fig15(out: &mut String) {
             format!("c{}", z_col + coff),
         ]);
     }
-    say!(
+    print_table(
         out,
-        "{}",
-        format_table(
-            &["16-elem block", "channel", "PIM unit", "DRAM row", "a", "b", "z=a+b"],
-            &rows
-        )
+        &["16-elem block", "channel", "PIM unit", "DRAM row", "a", "b", "z=a+b"],
+        &rows,
     );
     say!(out, "paper= operands at 128-byte-aligned boundaries per channel (Fig. 15(b));");
     say!(out, "       our row interleave puts a at columns 0-7, b at 8-15, z at 16-23,");
@@ -387,7 +387,9 @@ fn nofence(out: &mut String) {
             "batch {batch}: removing fences speeds PIM microbenchmarks by {gain:.2}x (geo-mean)"
         );
     }
-    say!(out, "\npaper= 2.2x / 1.9x / 2.0x for batch 1 / 2 / 4.");
+    let p = |batch: usize| reported("§VII-B", "no-fence gain", batch);
+    let (b1, b2, b4) = (p(1), p(2), p(4));
+    say!(out, "\npaper= {b1:.1}x / {b2:.1}x / {b4:.1}x for batch 1 / 2 / 4.");
 }
 
 /// Two design choices DESIGN.md calls out: what the per-barrier fence
@@ -404,7 +406,7 @@ fn ablation(out: &mut String) {
         let r = cost.pim_gemv(8192, 8192);
         rows.push(vec![format!("{sync} cycles"), time(r.seconds), format!("{}", r.fences)]);
     }
-    say!(out, "{}", format_table(&["fence sync", "GEMV4 time", "fences"], &rows));
+    print_table(out, &["fence sync", "GEMV4 time", "fences"], &rows);
     say!(out, "The shipped system sits at 24 cycles; the no-fence controller of");
     say!(out, "Section VII-B is the 'ordered' row of the nofence binary.\n");
 
@@ -424,11 +426,7 @@ fn ablation(out: &mut String) {
             format!("{:.2}x", b / r.seconds),
         ]);
     }
-    say!(
-        out,
-        "{}",
-        format_table(&["units/pCH", "banks served", "GEMV4 time", "speedup vs 1 unit"], &rows)
-    );
+    print_table(out, &["units/pCH", "banks served", "GEMV4 time", "speedup vs 1 unit"], &rows);
     say!(out, "Fewer units shrink the per-pass lane count, multiplying passes: the");
     say!(out, "cost/bandwidth knob the paper describes, quantified.");
 }
@@ -453,13 +451,10 @@ fn batch_tradeoff(out: &mut String) {
             format!("{:.2}x", pim.speedup_over(&hbm)),
         ]);
     }
-    say!(
+    print_table(
         out,
-        "{}",
-        format_table(
-            &["batch", "HBM latency", "PIM latency", "HBM thru", "PIM thru", "PIM speedup"],
-            &rows
-        )
+        &["batch", "HBM latency", "PIM latency", "HBM thru", "PIM thru", "PIM speedup"],
+        &rows,
     );
     say!(out, "PIM's advantage is a *latency* advantage: it peaks at batch 1, where");
     say!(out, "online services live; batching buys the host throughput instead.");
@@ -469,50 +464,24 @@ fn calibration(out: &mut String) {
     let mut cost = CostModel::paper();
     say!(out, "== micro (fenced) ==");
     for b in [1usize, 2, 4] {
-        let mut speedups = vec![];
-        for w in workloads::gemv_workloads() {
-            let r = gemv_micro(&mut cost, &w, b);
+        let results = microbenchmarks(&mut cost, b);
+        for r in &results {
+            let (hbm_us, pim_us, speedup) = (r.hbm_s * 1e6, r.pim_s * 1e6, r.speedup());
+            // Streaming never reuses a byte: only the GEMV rows report a miss rate.
+            let gemv = r.name.starts_with("GEMV");
+            let miss = if gemv { format!(" miss={:.2}", r.llc_miss) } else { String::new() };
             say!(
                 out,
-                "{} B{b}: hbm={:.1}us pim={:.1}us speedup={:.2} miss={:.2}",
-                w.name,
-                r.hbm_s * 1e6,
-                r.pim_s * 1e6,
-                r.speedup(),
-                r.llc_miss
+                "{} B{b}: hbm={hbm_us:.1}us pim={pim_us:.1}us speedup={speedup:.2}{miss}",
+                r.name
             );
-            speedups.push(r.speedup());
         }
-        for w in workloads::add_workloads() {
-            let r = add_micro(&mut cost, &w, b);
-            say!(
-                out,
-                "{} B{b}: hbm={:.1}us pim={:.1}us speedup={:.2}",
-                w.name,
-                r.hbm_s * 1e6,
-                r.pim_s * 1e6,
-                r.speedup()
-            );
-            speedups.push(r.speedup());
-        }
+        let speedups: Vec<f64> = results.iter().map(MicroResult::speedup).collect();
         say!(out, "geo-mean B{b}: {:.2}", geo_mean(&speedups));
     }
     say!(out, "== no-fence ratio ==");
-    let mut ordered = CostModel::paper();
-    ordered.mode = ExecutionMode::Ordered;
-    for b in [1usize, 2, 4] {
-        let mut ratios = vec![];
-        for w in workloads::gemv_workloads() {
-            let f = gemv_micro(&mut cost, &w, b);
-            let o = gemv_micro(&mut ordered, &w, b);
-            ratios.push(f.pim_s / o.pim_s);
-        }
-        for w in workloads::add_workloads() {
-            let f = add_micro(&mut cost, &w, b);
-            let o = add_micro(&mut ordered, &w, b);
-            ratios.push(f.pim_s / o.pim_s);
-        }
-        say!(out, "B{b} no-fence gain geo-mean: {:.2}", geo_mean(&ratios));
+    for (b, gain) in exp::nofence() {
+        say!(out, "B{b} no-fence gain geo-mean: {gain:.2}");
     }
     say!(out, "== BN ==");
     for w in workloads::bn_workloads() {
@@ -568,13 +537,10 @@ fn dram_generations(out: &mut String) {
             format!("{:.0}x", t.pim_bandwidth_gain(banks)),
         ]);
     }
-    say!(
+    print_table(
         out,
-        "{}",
-        format_table(
-            &["Generation", "banks/ch", "tCCD_S/tCCD_L", "std channel BW", "PIM gain"],
-            &rows
-        )
+        &["Generation", "banks/ch", "tCCD_S/tCCD_L", "std channel BW", "PIM gain"],
+        &rows,
     );
     say!(out, "The structural gain is banks x tCCD_S/tCCD_L — half the banks whenever");
     say!(out, "tCCD_L is twice tCCD_S (Section III-B), independent of generation.");
@@ -596,13 +562,10 @@ fn hbm3_future(out: &mut String) {
             format!("{:.2}x", pim_only / combined),
         ]);
     }
-    say!(
+    print_table(
         out,
-        "{}",
-        format_table(
-            &["host GEMV quality", "best host share", "combined", "PIM alone", "gain"],
-            &rows
-        )
+        &["host GEMV quality", "best host share", "combined", "PIM alone", "gain"],
+        &rows,
     );
     say!(out, "With the paper-calibrated (unoptimized) host GEMV the best share is 0%:");
     say!(out, "PIM's pass-quantized time cannot be trimmed by a host that slow — the");
@@ -651,11 +614,7 @@ fn quantization(out: &mut String) {
             rel(e.int8_err),
         ]);
     }
-    say!(
-        out,
-        "{}",
-        format_table(&["distribution", "reference", "FP16 err", "INT16 err", "INT8 err"], &rows)
-    );
+    print_table(out, &["distribution", "reference", "FP16 err", "INT16 err", "INT8 err"], &rows);
     say!(out, "FP16 needs no calibration and degrades gracefully on skewed data —");
     say!(out, "the accuracy side of Table I's 'comparable to INT16' cost argument.");
 }
@@ -676,98 +635,14 @@ fn models_info(out: &mut String) {
             ]
         })
         .collect();
-    say!(
+    print_table(
         out,
-        "{}",
-        format_table(
-            &["Model", "layers", "weights", "FLOPs/inference", "PIM-eligible weights"],
-            &rows
-        )
+        &["Model", "layers", "weights", "FLOPs/inference", "PIM-eligible weights"],
+        &rows,
     );
     say!(out, "Note: convolution weights are not tabulated (the model tracks only");
     say!(out, "the memory-bound layers' parameters — convs never touch the PIM path),");
     say!(out, "so 'weights' is the streamed-parameter footprint, the quantity that");
     say!(out, "matters for bandwidth. The eligible fraction predicts the Fig. 10");
     say!(out, "ordering: DS2 (all LSTM) gains most, ResNet-50 (all conv) shows parity.");
-}
-
-/// The quick way to regenerate EXPERIMENTS.md's measured column.
-fn summary(out: &mut String) {
-    say!(out, "# PIM-HBM reproduction — full sweep\n");
-
-    let c = exp::table2();
-    say!(
-        out,
-        "Table II: MUL {} ADD {} MAC {} MAD {} MOV {} (compute total {})",
-        c.mul,
-        c.add,
-        c.mac,
-        c.mad,
-        c.mov,
-        c.compute_total()
-    );
-
-    let f5 = exp::fig5_aam_demo();
-    say!(
-        out,
-        "Fig 5: fenced err={}, AAM-reordered err={}, unfenced err={} (must be >0)",
-        f5.fenced_in_order_err,
-        f5.fenced_reordered_err,
-        f5.unfenced_reordered_err
-    );
-
-    say!(out, "\nFig 10 (relative perf, PIM/HBM):");
-    let rows = exp::fig10();
-    for batch in [1usize, 2, 4] {
-        let line: Vec<String> = rows
-            .iter()
-            .filter(|r| r.batch == batch)
-            .map(|r| format!("{} {:.2}x", r.name, r.relative_perf))
-            .collect();
-        say!(out, "  B{batch}: {}", line.join(" | "));
-    }
-
-    let f11 = exp::fig11();
-    say!(
-        out,
-        "\nFig 11: power ratio {:.3} at {:.0}x bandwidth; energy/bit {:.2}x; gating saves {:.0}%",
-        f11.power_ratio,
-        f11.bandwidth_ratio,
-        f11.energy_per_bit_ratio,
-        f11.buffer_gating_saving * 100.0
-    );
-
-    say!(out, "\nFig 12 (energy efficiency of PIM-HBM):");
-    for r in exp::fig12() {
-        say!(
-            out,
-            "  {:>8}: {:.2}x vs PROC-HBM, {:.2}x vs PROC-HBMx4",
-            r.name,
-            r.pim_efficiency_gain(),
-            r.pim_gain_over_x4()
-        );
-    }
-
-    let (hbm, pim) = exp::fig13(16);
-    let avg = |s: &[(f64, f64)]| s.iter().map(|(_, w)| w).sum::<f64>() / s.len() as f64;
-    say!(
-        out,
-        "\nFig 13: DS2 runs {:.1}x faster on PIM at {:.0} W vs {:.0} W average",
-        hbm.last().unwrap().0 / pim.last().unwrap().0,
-        avg(&pim),
-        avg(&hbm)
-    );
-
-    let (_, geo) = exp::fig14();
-    let base = geo.iter().find(|(v, _)| *v == "PIM-HBM").unwrap().1;
-    let deltas: Vec<String> =
-        geo.iter().map(|(v, g)| format!("{v} {:+.0}%", (g / base - 1.0) * 100.0)).collect();
-    say!(out, "\nFig 14 (geo-mean vs base): {}", deltas.join(" | "));
-
-    let gains: Vec<f64> = exp::nofence().into_iter().map(|(_, g)| g).collect();
-    say!(out, "No-fence gain: {:.2}x geo-mean across batches", geo_mean(&gains));
-
-    let err = exp::functional_spot_check();
-    say!(out, "\nFunctional spot check (GEMV vs f32 reference): max |err| = {err:.4}");
-    say!(out, "\nDone. See EXPERIMENTS.md for the paper-vs-measured record.");
 }

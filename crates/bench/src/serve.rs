@@ -1,4 +1,4 @@
-//! Seeded open-loop serving campaigns — the `pimserve` binary's engine.
+//! Seeded open-loop serving campaigns — the engine of `pimcampaign serve`.
 //!
 //! A campaign sweeps arrival rate (mean inter-arrival cycles) against base
 //! fault rate (via [`crate::faults::fault_mix`]), drives the deterministic
@@ -124,7 +124,7 @@ pub fn run_point(
 
 /// [`run_point`] with an optional recorder attached to every simulation
 /// layer — the counters and SLO histograms accumulate across points into
-/// the recorder's metrics registry (the `pimserve --metrics` export).
+/// the recorder's metrics registry (the `pimcampaign serve --metrics` export).
 /// Recording has zero observer effect: the returned [`ServePoint`] is
 /// byte-for-byte the one an unrecorded run produces.
 ///
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn end_of_time_interval_resolves_every_request() {
-        // Regression (CLI-reachable: `pimserve --intervals 18446744073709551615`):
+        // Regression (CLI-reachable: `pimcampaign serve --intervals 18446744073709551615`):
         // unchecked arrival/deadline/cooldown adds wrapped in release and
         // aborted under overflow checks. Saturated, the run drains with
         // every request in a typed disposition.

@@ -232,7 +232,8 @@ impl CostModel {
     ) -> KernelCost {
         let weight_bytes = (n * k * 2) as u64;
         let traffic = llc::batched_traffic_bytes(weight_bytes, self.host.llc_bytes, batch);
-        let t_mem = self.host.stream_time_s(traffic, 19.2 * bandwidth_scale, efficiency);
+        let per_pch_gbs = self.timing.peak_pch_bandwidth_gbs() * bandwidth_scale;
+        let t_mem = self.host.stream_time_s(traffic, per_pch_gbs, efficiency);
         // Batched GEMM approaches the compute roofline at modest
         // utilization for skinny matrices.
         let flops = 2 * n * k * batch;
@@ -243,9 +244,10 @@ impl CostModel {
     /// Host streaming element-wise op over `elements` (near-peak).
     pub fn host_stream(&self, op: StreamOp, elements: usize, bandwidth_scale: f64) -> KernelCost {
         let bytes = elements as u64 * op.bytes_per_element();
+        let per_pch_gbs = self.timing.peak_pch_bandwidth_gbs() * bandwidth_scale;
         KernelCost::analytic(self.host.stream_time_s(
             bytes,
-            19.2 * bandwidth_scale,
+            per_pch_gbs,
             self.host.add_stream_efficiency,
         ))
     }
@@ -348,6 +350,17 @@ mod tests {
         let b4 = m.host_gemv(8192, 8192, 4, 1.0);
         // 4× the work in less than 4× the time (LLC reuse).
         assert!(b4.seconds < 4.0 * b1.seconds);
+    }
+
+    #[test]
+    fn host_streams_at_the_models_timing() {
+        let t = TimingParams::hbm2_2gbps();
+        let m = CostModel::new(HostConfig::paper(), PimConfig::paper(), t.clone());
+        let n = 1 << 20;
+        let bytes = n as u64 * StreamOp::Add.bytes_per_element();
+        let h = m.host();
+        let want = h.stream_time_s(bytes, t.peak_pch_bandwidth_gbs(), h.add_stream_efficiency);
+        assert_eq!(m.host_stream(StreamOp::Add, n, 1.0).seconds, want);
     }
 
     #[test]

@@ -122,6 +122,7 @@ impl ModelRunner {
         let mut layers = Vec::new();
         let mut trace = PowerTrace::new();
         let host_cfg = cost.host().clone();
+        let pch_gbs = cost.timing().peak_pch_bandwidth_gbs();
 
         let record = |layers: &mut Vec<LayerTime>,
                       trace: &mut PowerTrace,
@@ -160,6 +161,7 @@ impl ModelRunner {
                         && *pim_eligible
                         && Preprocessor::decide(
                             &host_cfg,
+                            pch_gbs,
                             OpKind::Gemv,
                             layer.weight_bytes(),
                             batch,
@@ -199,6 +201,7 @@ impl ModelRunner {
                     let to_pim = pim_available
                         && Preprocessor::decide(
                             &host_cfg,
+                            pch_gbs,
                             OpKind::Lstm,
                             layer.weight_bytes(),
                             batch,
@@ -267,7 +270,8 @@ impl ModelRunner {
                     };
                     let bytes = (elements * batch) as u64 * op.bytes_per_element();
                     let to_pim = pim_available
-                        && Preprocessor::decide(&host_cfg, kind, bytes, 1) == ExecutionTarget::Pim;
+                        && Preprocessor::decide(&host_cfg, pch_gbs, kind, bytes, 1)
+                            == ExecutionTarget::Pim;
                     if to_pim {
                         let t =
                             cost.pim_stream(op, elements * batch).seconds + cost.launch().seconds;

@@ -17,7 +17,7 @@
 //!   single-stack [`crate::PimBlas::gemv`] performs, so the concatenated
 //!   result is **bit-identical to the single-stack reference** at every
 //!   healthy-stack count — the property the cluster determinism tests and
-//!   the `pimcluster` campaign pin.
+//!   the `pimcampaign cluster` campaign pin.
 //! * **Tensor-parallel** ([`ClusterContext::gemv_tensor_parallel`]): the
 //!   reduction dimension `k` is sharded and per-stack partials are summed
 //!   host-side in stack-index order. Deterministic and backend-invariant,

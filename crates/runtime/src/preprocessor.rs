@@ -27,14 +27,16 @@ pub struct Preprocessor;
 
 impl Preprocessor {
     /// Arithmetic intensity (FLOPs per DRAM byte) below which a kernel is
-    /// memory-bound on the paper's host: the machine balance is
-    /// `peak_flops / peak_bandwidth` ≈ 26.5 TFLOPS / 1.23 TB/s ≈ 21.6
-    /// FLOP/B; anything far below is bandwidth-limited.
-    pub fn machine_balance(host: &HostConfig) -> f64 {
-        host.peak_fp16_gflops() / host.peak_bandwidth_gbs(19.2)
+    /// memory-bound on `host` with `per_pch_gbs` of bandwidth per pseudo
+    /// channel: the machine balance `peak_flops / peak_bandwidth`, on the
+    /// paper's host and HBM2 ≈ 26.5 TFLOPS / 1.23 TB/s ≈ 21.6 FLOP/B;
+    /// anything far below is bandwidth-limited.
+    pub fn machine_balance(host: &HostConfig, per_pch_gbs: f64) -> f64 {
+        host.peak_fp16_gflops() / host.peak_bandwidth_gbs(per_pch_gbs)
     }
 
-    /// Decides where `op` with the given working set and batch should run.
+    /// Decides where `op` with the given working set and batch should run on
+    /// `host` streaming `per_pch_gbs` per pseudo channel.
     ///
     /// Level-1/2 BLAS at batch 1 (GEMV, element-wise ops, BN) have ≤ ~1
     /// FLOP/B and go to PIM when their footprint exceeds the LLC; batching
@@ -44,12 +46,13 @@ impl Preprocessor {
     /// memory-bound" (Section VII-B, batch 4).
     pub fn decide(
         host: &HostConfig,
+        per_pch_gbs: f64,
         op: OpKind,
         footprint_bytes: u64,
         batch: usize,
     ) -> ExecutionTarget {
         let intensity = op.flops_per_byte() * batch as f64;
-        let balance = Self::machine_balance(host);
+        let balance = Self::machine_balance(host, per_pch_gbs);
         let fits_in_llc = footprint_bytes <= host.llc_bytes as u64;
         // Compute-bound ops stay on the host outright.
         if !op.pim_supported() || intensity >= balance {
@@ -100,41 +103,60 @@ mod tests {
 
     const BIG: u64 = 64 << 20; // 64 MB ≫ LLC
 
+    fn hbm2_gbs() -> f64 {
+        pim_dram::TimingParams::hbm2().peak_pch_bandwidth_gbs()
+    }
+
     #[test]
     fn machine_balance_is_about_22() {
-        let b = Preprocessor::machine_balance(&HostConfig::paper());
+        let b = Preprocessor::machine_balance(&HostConfig::paper(), hbm2_gbs());
         assert!((20.0..24.0).contains(&b), "balance {b}");
     }
 
     #[test]
     fn gemv_batch1_goes_to_pim() {
         let h = HostConfig::paper();
-        assert_eq!(Preprocessor::decide(&h, OpKind::Gemv, BIG, 1), ExecutionTarget::Pim);
+        assert_eq!(
+            Preprocessor::decide(&h, hbm2_gbs(), OpKind::Gemv, BIG, 1),
+            ExecutionTarget::Pim
+        );
     }
 
     #[test]
     fn gemv_batch4_returns_to_host() {
         let h = HostConfig::paper();
-        assert_eq!(Preprocessor::decide(&h, OpKind::Gemv, BIG, 4), ExecutionTarget::Host);
+        assert_eq!(
+            Preprocessor::decide(&h, hbm2_gbs(), OpKind::Gemv, BIG, 4),
+            ExecutionTarget::Host
+        );
     }
 
     #[test]
     fn add_stays_on_pim_at_any_batch() {
         let h = HostConfig::paper();
         for b in [1, 2, 4, 16] {
-            assert_eq!(Preprocessor::decide(&h, OpKind::Add, BIG, b), ExecutionTarget::Pim);
+            assert_eq!(
+                Preprocessor::decide(&h, hbm2_gbs(), OpKind::Add, BIG, b),
+                ExecutionTarget::Pim
+            );
         }
     }
 
     #[test]
     fn conv_always_host() {
         let h = HostConfig::paper();
-        assert_eq!(Preprocessor::decide(&h, OpKind::Conv2d, BIG, 1), ExecutionTarget::Host);
+        assert_eq!(
+            Preprocessor::decide(&h, hbm2_gbs(), OpKind::Conv2d, BIG, 1),
+            ExecutionTarget::Host
+        );
     }
 
     #[test]
     fn cache_resident_stays_on_host() {
         let h = HostConfig::paper();
-        assert_eq!(Preprocessor::decide(&h, OpKind::Gemv, 1 << 20, 1), ExecutionTarget::Host);
+        assert_eq!(
+            Preprocessor::decide(&h, hbm2_gbs(), OpKind::Gemv, 1 << 20, 1),
+            ExecutionTarget::Host
+        );
     }
 }

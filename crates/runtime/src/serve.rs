@@ -1313,7 +1313,7 @@ mod tests {
     #[test]
     fn breaker_cooldown_saturates_at_the_end_of_time() {
         // Regression: `now + cooldown` overflowed for clocks near u64::MAX
-        // (reachable from `pimserve --intervals 18446744073709551615`).
+        // (reachable from `pimcampaign serve --intervals 18446744073709551615`).
         let mut b = Breaker::new();
         assert_eq!(b.failure(u64::MAX - 1, 1, 500_000), BreakerEvent::Tripped);
         assert_eq!(b.admit(u64::MAX - 1), (false, BreakerEvent::None));

@@ -96,7 +96,7 @@ fn small_valid_kernel() -> impl Strategy<Value = Vec<Instruction>> {
 /// magnitudes so products and sums stay representable.
 fn f16_of(seed: u16, salt: u32) -> pim_fp16::F16 {
     let x = (u32::from(seed).wrapping_add(salt.wrapping_mul(2_654_435_761))) % 29;
-    pim_fp16::F16::from_f32(x as f32 * 0.25 - 3.5)
+    pim_fp16::F16::from_f32((x as f32 - 14.0) * 0.25)
 }
 
 /// Concrete inputs for the canonical trigger schedule: distinct write

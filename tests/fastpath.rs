@@ -270,7 +270,7 @@ fn serve_report_byte_identical_with_fastpath_on_and_off() {
 }
 
 /// The serving-campaign JSON artifact is byte-identical too (the artifact
-/// CI diffs), via the same exporter the `pimserve` binary uses.
+/// CI diffs), via the same exporter `pimcampaign serve` uses.
 #[test]
 fn serve_campaign_artifact_byte_identical() {
     use pim_bench::campaign::TraceShape;

@@ -241,6 +241,91 @@ fn named_binaries_and_bench_files_exist_and_are_enforced() {
     }
 }
 
+/// Every file under `dir`, recursively, skipping build directories, with
+/// its text (files that are not UTF-8 are skipped).
+fn text_files(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("read {}: {e}", dir.display())) {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            if path.file_name().is_some_and(|n| n != "target") {
+                text_files(&path, out);
+            }
+        } else if let Ok(text) = std::fs::read_to_string(&path) {
+            out.push((path, text));
+        }
+    }
+}
+
+/// The prose names binaries that exist: every backticked `` `pim<name>` ``
+/// (a lowercase word, so `pim_core` is not one) under `crates/`, `tests/`
+/// and `docs/` and in README.md, DESIGN.md and EXPERIMENTS.md is a
+/// `crates/bench/src/bin/<name>.rs` or `pimbench`. The history files
+/// (CHANGES, CHANGELOG, ROADMAP) and the frozen `benchmark/` are not read.
+/// Eleven comments named binaries folded into `pimcampaign` long after the
+/// fold.
+#[test]
+fn backticked_binary_names_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for dir in ["crates", "tests", "docs"] {
+        text_files(&root.join(dir), &mut files);
+    }
+    for doc in ["README.md", "DESIGN.md", "EXPERIMENTS.md"] {
+        let path = root.join(doc);
+        files.push((path.clone(), std::fs::read_to_string(&path).unwrap()));
+    }
+    let mut unknown = Vec::new();
+    for (path, text) in &files {
+        for rest in names_after(text, "`pim") {
+            let bin = format!("pim{rest}");
+            let binary = root.join(format!("crates/bench/src/bin/{bin}.rs"));
+            if rest.bytes().all(|b| b.is_ascii_lowercase())
+                && bin != "pimbench"
+                && !binary.is_file()
+            {
+                unknown.push(format!("{}: `{bin}`", path.display()));
+            }
+        }
+    }
+    assert!(files.len() > 200, "read only {} files: did the layout move?", files.len());
+    assert!(unknown.is_empty(), "backticked names of binaries that do not exist: {unknown:#?}");
+}
+
+/// DESIGN.md names modules that exist: every `pim-<crate>::<module>` (the
+/// lowercase path segments, so `pim-core::isa::Instruction` names
+/// `isa`) is `crates/<crate>/src/<module>.rs`.
+#[test]
+fn design_module_paths_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let design = std::fs::read_to_string(root.join("DESIGN.md")).unwrap();
+    let mut checked = 0;
+    let mut missing = Vec::new();
+    for (at, _) in design.match_indices("pim-") {
+        let rest = &design[at + 4..];
+        let krate = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+        let mut modules = Vec::new();
+        let mut tail = &rest[krate.len()..];
+        while let Some(next) = tail.strip_prefix("::") {
+            let segment = &next[..next.find(|c| !is_ident(c)).unwrap_or(next.len())];
+            if !segment.starts_with(|c: char| c.is_ascii_lowercase()) {
+                break;
+            }
+            modules.push(segment);
+            tail = &next[segment.len()..];
+        }
+        if modules.is_empty() {
+            continue;
+        }
+        checked += 1;
+        let file = format!("crates/{krate}/src/{}.rs", modules.join("/"));
+        if !root.join(&file).is_file() {
+            missing.push(format!("pim-{krate}::{} ({file})", modules.join("::")));
+        }
+    }
+    assert!(checked >= 10, "checked only {checked} module paths in DESIGN.md");
+    assert!(missing.is_empty(), "DESIGN.md names modules that do not exist: {missing:#?}");
+}
+
 /// Every `.rs` file under `dir`, recursively, skipping build directories,
 /// with `//` comments (doc comments and their examples included) cut from
 /// every line: a name that only prose mentions has no caller.

@@ -4,7 +4,8 @@
 //! stdout before they were folded into `pimrepro`), and the registry, the
 //! golden directory and the experiment index in DESIGN.md §4 name the same
 //! set. A change that moves a simulated number moves a golden in the same
-//! diff; "every figure and table identical" is this test.
+//! diff; "every figure and table identical" is this test. EXPERIMENTS.md
+//! embeds `pimrepro paper`'s output, and is held to it here too.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -36,6 +37,19 @@ fn every_experiment_renders_its_golden_bytes() {
             );
         }
     }
+}
+
+/// EXPERIMENTS.md's paper-vs-measured record is `pimrepro paper`'s output,
+/// embedded verbatim as one fenced block, not cells typed by hand.
+#[test]
+fn experiments_md_embeds_the_paper_table() {
+    let doc = std::fs::read_to_string(root().join("EXPERIMENTS.md")).unwrap();
+    let mut table = String::new();
+    pim_bench::paper::render(&mut table);
+    assert!(
+        doc.contains(&format!("```text\n{table}```\n")),
+        "EXPERIMENTS.md does not embed the current `pimrepro paper` output; paste it in"
+    );
 }
 
 #[test]

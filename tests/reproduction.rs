@@ -1,172 +1,47 @@
-//! Reproduction regression tests: every headline number of the paper's
-//! evaluation, asserted as a band around the measured value. If a change
-//! anywhere in the workspace moves a result out of its band, these tests
-//! fail — the tables/figures stay reproduced by construction.
+//! The reproduction holds: every number the paper reports
+//! (`pim_bench::paper::CLAIMS`) reads inside its band, so a change anywhere
+//! in the workspace that moves a result out of its band fails here. The
+//! other tests are the structural facts behind the figures, which are not
+//! paper numbers.
+
+use std::collections::BTreeSet;
 
 use pim_bench::experiments;
-use pim_bench::micro::geo_mean;
-
-fn perf_of(rows: &[experiments::Fig10Row], name: &str, batch: usize) -> f64 {
-    rows.iter()
-        .find(|r| r.name == name && r.batch == batch)
-        .unwrap_or_else(|| panic!("row {name} B{batch}"))
-        .relative_perf
-}
+use pim_bench::paper::{Snapshot, CLAIMS};
 
 #[test]
-fn fig10_microbenchmark_bands() {
-    let rows = experiments::fig10();
-    // Paper §VII-B: "1.4~11.2× higher performance ... for the
-    // microbenchmarks", "improves the performance of GEMV by up to 11.2×",
-    // "improves the performance of ADD by only 1.6×".
-    assert!((1.2..1.7).contains(&perf_of(&rows, "GEMV1", 1)));
-    assert!((10.0..12.5).contains(&perf_of(&rows, "GEMV4", 1)));
-    for add in ["ADD1", "ADD2", "ADD3", "ADD4"] {
-        let p = perf_of(&rows, add, 1);
-        assert!((1.4..1.9).contains(&p), "{add}: {p}");
-    }
-    // B2: "PIM-HBM improves the performance of GEMV by ... 3.2× for batch
-    // ... 2".
-    assert!((2.9..3.5).contains(&perf_of(&rows, "GEMV4", 2)));
-    // B4: "the processor with HBM begins to outperform".
-    assert!(perf_of(&rows, "GEMV1", 4) < 1.0);
-    assert!(perf_of(&rows, "GEMV2", 4) < 1.0);
-    assert!(perf_of(&rows, "GEMV4", 4) < 1.15, "GEMV4 B4 near parity");
+fn every_claim_is_inside_its_band() {
+    let s = Snapshot::take();
+    let outside: Vec<String> = CLAIMS
+        .iter()
+        .filter_map(|c| {
+            let m = c.measure(&s);
+            let row = format!("{} {} B{}: {m} outside {}", c.figure, c.workload, c.batch, c.band);
+            (!c.band.contains(m)).then_some(row)
+        })
+        .collect();
+    assert!(outside.is_empty(), "claims outside their bands:\n{}", outside.join("\n"));
+
+    let keys: BTreeSet<_> = CLAIMS.iter().map(|c| (c.figure, c.workload, c.batch)).collect();
+    assert_eq!(keys.len(), CLAIMS.len(), "two claims share a (figure, workload, batch)");
 }
 
+/// Fig. 11: the AB-PIM read moves nothing over the global bus or the PHY,
+/// and its array-side power scales with the operating banks.
 #[test]
-fn fig10_llc_miss_rates() {
-    let rows = experiments::fig10();
-    // "LLC miss rates that decrease from almost ~100% to 70–80%".
-    let m1 = rows.iter().find(|r| r.name == "GEMV4" && r.batch == 1).unwrap();
-    let m4 = rows.iter().find(|r| r.name == "GEMV4" && r.batch == 4).unwrap();
-    assert!(m1.llc_miss.unwrap() > 0.95);
-    let miss4 = m4.llc_miss.unwrap();
-    assert!((0.65..0.85).contains(&miss4), "B4 miss {miss4}");
-}
-
-#[test]
-fn fig10_application_bands() {
-    let rows = experiments::fig10();
-    // "For DS2, GNMT, and AlexNet, PIM-HBM gives 3.5×, 1.5×, and 1.4×".
-    assert!((3.0..4.0).contains(&perf_of(&rows, "DS2", 1)));
-    assert!((1.3..2.1).contains(&perf_of(&rows, "GNMT", 1)));
-    assert!((1.1..1.6).contains(&perf_of(&rows, "AlexNet", 1)));
-    // "For ResNet-50, PIM-HBM gives the same performance as HBM".
-    let resnet = perf_of(&rows, "ResNet-50", 1);
-    assert!((0.97..1.03).contains(&resnet), "ResNet parity: {resnet}");
-    // "for batch size of 2, PIM-HBM still gives 1.6× ... for DS2".
-    assert!((1.4..1.9).contains(&perf_of(&rows, "DS2", 2)));
-    // At batch 4 no application regresses ("does not hurt").
-    for app in ["DS2", "RNN-T", "GNMT", "AlexNet", "ResNet-50"] {
-        let p = perf_of(&rows, app, 4);
-        assert!((0.95..1.1).contains(&p), "{app} B4: {p}");
-    }
-}
-
-#[test]
-fn fig11_power_and_energy_headlines() {
-    let f = experiments::fig11();
-    // "PIM-HBM consume only 5.4% higher power even with 4× higher
-    // (on-chip) bandwidth".
-    assert!((1.02..1.09).contains(&f.power_ratio), "power ratio {}", f.power_ratio);
-    assert_eq!(f.bandwidth_ratio, 4.0);
-    // "PIM also reduces the energy per bit transfer by 3.5×".
-    assert!((3.2..3.8).contains(&f.energy_per_bit_ratio), "e/bit {}", f.energy_per_bit_ratio);
-    // "~10% lower ... if we implemented a feature eliminating [buffer-die
-    // I/O toggling]".
-    assert!((0.08..0.12).contains(&f.buffer_gating_saving));
-    // Transport power collapses; array power scales with operating banks.
-    let hbm = &f.bars[0].breakdown;
-    let pim = &f.bars[1].breakdown;
+fn fig11_transport_power_collapses() {
+    let [hbm, pim] = experiments::fig11().bars;
     assert_eq!(pim.global_io, 0.0);
     assert_eq!(pim.io_phy, 0.0);
     assert!((pim.cell / hbm.cell - 4.0).abs() < 1e-9);
 }
 
+/// Fig. 14: the variants keep the paper's order, 2x >= 2BA >= SRW >= base.
 #[test]
-fn fig12_energy_efficiency_bands() {
-    let rows = experiments::fig12();
-    let gain = |name: &str| rows.iter().find(|r| r.name == name).unwrap().pim_efficiency_gain();
-    // "For GEMV, PIM-HBM gives 8.25× higher energy efficiency".
-    assert!((7.0..11.0).contains(&gain("GEMV")), "GEMV {}", gain("GEMV"));
-    // "ADD ... 1.4× improvement".
-    assert!((1.3..2.1).contains(&gain("ADD")), "ADD {}", gain("ADD"));
-    // "For DS2, GNMT, and AlexNet, PIM-HBM gives 3.2×, 1.38×, and 1.5×".
-    assert!((2.6..3.6).contains(&gain("DS2")), "DS2 {}", gain("DS2"));
-    assert!((1.2..1.9).contains(&gain("GNMT")), "GNMT {}", gain("GNMT"));
-    assert!((1.0..1.7).contains(&gain("AlexNet")), "AlexNet {}", gain("AlexNet"));
-    // vs PROC-HBM×4: "2.8×, 1.1×, and 1.3×".
-    let x4 = |name: &str| rows.iter().find(|r| r.name == name).unwrap().pim_gain_over_x4();
-    assert!((2.0..3.2).contains(&x4("DS2")), "DS2 x4 {}", x4("DS2"));
-    assert!((1.0..1.8).contains(&x4("GNMT")), "GNMT x4 {}", x4("GNMT"));
-    assert!((1.0..1.7).contains(&x4("AlexNet")), "AlexNet x4 {}", x4("AlexNet"));
-}
-
-#[test]
-fn fig13_pim_runs_faster_at_lower_power() {
-    let (hbm, pim) = experiments::fig13(32);
-    let end = |s: &[(f64, f64)]| s.last().unwrap().0;
-    let avg = |s: &[(f64, f64)]| s.iter().map(|(_, w)| w).sum::<f64>() / s.len() as f64;
-    assert!(end(&pim) < end(&hbm), "PIM DS2 finishes earlier");
-    // The paper's Fig. 13 shows PIM at (slightly) lower average power; our
-    // calibrated model lands at near-parity (the Fig. 12 ratios pin the
-    // PIM-phase power within a few percent of the streaming baseline), so
-    // we assert the shape as "no higher than ~5% above the baseline".
-    assert!(avg(&pim) <= avg(&hbm) * 1.05, "PIM {} vs HBM {}", avg(&pim), avg(&hbm));
-}
-
-#[test]
-fn fig14_variant_ordering_and_bands() {
-    let (rows, geo) = experiments::fig14();
+fn fig14_variant_ordering() {
+    let (_, geo) = experiments::fig14();
     let g = |v: &str| geo.iter().find(|(name, _)| *name == v).unwrap().1;
-    let base = g("PIM-HBM");
-    // 2×: the largest gain (paper ~+40%; we measure ~+26%, see
-    // EXPERIMENTS.md).
-    let dbl = g("PIM-HBM-2x") / base;
-    assert!((1.15..1.5).contains(&dbl), "2x gain {dbl}");
-    // 2BA: ~+20% in the paper, driven by ADD.
-    let tba = g("PIM-HBM-2BA") / base;
-    assert!((1.05..1.3).contains(&tba), "2BA gain {tba}");
-    let add_base =
-        rows.iter().find(|r| r.variant == "PIM-HBM" && r.workload == "ADD4").unwrap().speedup;
-    let add_tba =
-        rows.iter().find(|r| r.variant == "PIM-HBM-2BA" && r.workload == "ADD4").unwrap().speedup;
-    assert!(add_tba / add_base > 1.3, "2BA is 'useful especially for ADD'");
-    // SRW: a GEMV-side gain (paper +25% GEMV / +10% geo; our baseline GEMV
-    // is already operand-stream efficient, so the gain is smaller).
-    let srw = g("PIM-HBM-SRW") / base;
-    assert!((1.0..1.2).contains(&srw), "SRW gain {srw}");
-    let gemv_base =
-        rows.iter().find(|r| r.variant == "PIM-HBM" && r.workload == "GEMV4").unwrap().speedup;
-    let gemv_srw =
-        rows.iter().find(|r| r.variant == "PIM-HBM-SRW" && r.workload == "GEMV4").unwrap().speedup;
-    assert!(gemv_srw > gemv_base, "SRW must help GEMV");
-    // Ordering: 2x >= 2BA >= SRW >= base (the paper's Fig. 14 ordering).
     assert!(g("PIM-HBM-2x") >= g("PIM-HBM-2BA"));
     assert!(g("PIM-HBM-2BA") >= g("PIM-HBM-SRW"));
-    assert!(g("PIM-HBM-SRW") >= base);
-}
-
-#[test]
-fn nofence_band() {
-    // "2.2×, 1.9×, and 2.0× higher performance ... for microbenchmarks
-    // with batch size of 1, 2, and 4" once fences are removed.
-    let gains: Vec<f64> = experiments::nofence().into_iter().map(|(_, g)| g).collect();
-    for g in &gains {
-        assert!((1.7..2.3).contains(g), "no-fence gain {g}");
-    }
-    let overall = geo_mean(&gains);
-    assert!((1.8..2.1).contains(&overall));
-}
-
-#[test]
-fn tables_reproduced() {
-    let c = experiments::table2();
-    assert_eq!((c.mul, c.add, c.mac, c.mad, c.mov), (32, 40, 14, 28, 24));
-    let t1 = experiments::table1();
-    assert_eq!(t1.len(), 6);
-    assert_eq!(t1[3].rel_area, 1.32); // FP16 row
-    let t5 = experiments::table5();
-    assert!(t5.iter().any(|(_, v)| v.contains("1228.8")));
+    assert!(g("PIM-HBM-SRW") >= g("PIM-HBM"));
 }

@@ -101,7 +101,7 @@ proptest! {
 
 /// A seeded campaign produces a byte-identical JSON report no matter how
 /// many host worker threads drive the channels — the determinism contract
-/// `pimfault` ships with.
+/// `pimcampaign fault` ships with.
 #[test]
 fn seeded_campaign_is_backend_invariant() {
     let base = CampaignConfig {
