@@ -198,9 +198,9 @@ fn bench_pim(c: &mut Criterion) {
 /// A cold Table VI GEMV1 — one `PimBlas::gemv` on a fresh paper system —
 /// with the launch-memoization fast path on (one channel per entry class
 /// is simulated, the other 63 are served from its recording) and off
-/// (every channel simulated). The off side is what `fastpath_check` and
-/// the exactness tests compare against; the pair is the cost of that
-/// reference over the default.
+/// (every channel simulated). The off side is what the exactness tests
+/// compare against; the pair is the cost of that reference over the
+/// default.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     let wl = pim_bench::workloads::gemv_workloads()[0];

@@ -1,10 +1,11 @@
-//! `pimtrace` — traced serving runs: export, inspect, and diff the
-//! request-scoped observability artifacts.
+//! `pimtrace` — traced runs: export, inspect, and diff the request-scoped
+//! observability artifacts.
 //!
 //! ```text
 //! pimtrace run      [--seed N] [--elements N] [--requests N] [--tenants N]
 //!                   [--deadline-slack N] [--interval N] [--rate R]
 //!                   [--backend sequential|threads:N] --out DIR
+//! pimtrace gemv     [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] --out DIR
 //! pimtrace selftest [--seed N] [--elements N] [--requests N]
 //!                   [--interval N] [--rate R]
 //! pimtrace filter   --trace PATH [--name SUBSTR] [--cat SUBSTR]
@@ -18,7 +19,15 @@
 //! into `--out DIR`. All four artifacts are deterministic in the config
 //! and byte-identical across execution backends.
 //!
-//! `selftest` proves that claim at runtime: it runs the point under
+//! `gemv` profiles one Table VI GEMV (default GEMV1) on a fully
+//! instrumented one-stack system, prints the profile table (row hit rate,
+//! fence stalls, bank residency, mode transitions) and writes the same
+//! four artifacts. `--scale D` divides both matrix dimensions by `D`: the
+//! full Table VI sizes stream up to 128 MB of weights through the
+//! simulator, and scaled runs keep the same command mix at a fraction of
+//! the wall time.
+//!
+//! `selftest` proves the backend claim at runtime: it runs the point under
 //! `Sequential`, `Threads(2)`, and `Threads(4)`, asserts every artifact is
 //! byte-identical, and re-checks the cycle-conservation invariant (every
 //! channel's attribution buckets sum exactly to the end cycle).
@@ -30,14 +39,17 @@
 use pim_bench::campaign::TraceShape;
 use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
-use pim_bench::outln;
+use pim_bench::profile::{profile_gemv, render_profile};
 use pim_bench::serve::ServeCampaignConfig;
-use pim_bench::trace::{assert_backend_identity, run_traced};
+use pim_bench::trace::{assert_backend_identity, run_traced, TraceArtifacts};
+use pim_bench::workloads::gemv_workloads;
+use pim_bench::{out, outln, report};
 use pim_host::ExecutionBackend;
 
 const USAGE: &str = "pimtrace run [--seed N] [--elements N] [--requests N] [--tenants N]\n\
     \x20                [--deadline-slack N] [--interval N] [--rate R]\n\
     \x20                [--backend sequential|threads:N] --out DIR\n\
+    \x20      pimtrace gemv [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] --out DIR\n\
     \x20      pimtrace selftest [--seed N] [--elements N] [--requests N] [--interval N] [--rate R]\n\
     \x20      pimtrace filter --trace PATH [--name SUBSTR] [--cat SUBSTR]\n\
     \x20      pimtrace diff A B\n\
@@ -79,31 +91,37 @@ fn parse_point_args(cli: &mut Cli) -> PointArgs {
     PointArgs { cfg, interval, rate, out }
 }
 
-fn write_artifact(dir: &std::path::Path, name: &str, content: &str) {
-    let path = dir.join(name);
-    if let Err(e) = std::fs::write(&path, content) {
-        eprintln!("pimtrace: cannot write {}: {e}", path.display());
+/// Writes the four artifacts into `out` (created if missing), one `wrote`
+/// line each.
+fn write_artifacts(out: &str, art: &TraceArtifacts) {
+    let dir = std::path::Path::new(out);
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("pimtrace: cannot create {out}: {e}");
         std::process::exit(1);
     }
-    outln!("wrote {} ({} bytes)", path.display(), content.len());
+    for (name, content) in [
+        ("trace.json", &art.chrome),
+        ("attrib.txt", &art.attrib_table),
+        ("attrib.folded", &art.folded),
+        ("metrics.om", &art.openmetrics),
+    ] {
+        let path = dir.join(name);
+        if let Err(e) = std::fs::write(&path, content) {
+            eprintln!("pimtrace: cannot write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+        outln!("wrote {} ({} bytes)", path.display(), content.len());
+    }
 }
 
 fn cmd_run(cli: &mut Cli) {
     let p = parse_point_args(cli);
     let Some(out) = p.out else { cli.bad("run requires --out DIR".to_string()) };
-    let dir = std::path::Path::new(&out);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("pimtrace: cannot create {out}: {e}");
-        std::process::exit(1);
-    }
     let art = run_traced(&p.cfg, p.interval, p.rate).unwrap_or_else(|e| {
         eprintln!("pimtrace: traced run failed: {e}");
         std::process::exit(1);
     });
-    write_artifact(dir, "trace.json", &art.chrome);
-    write_artifact(dir, "attrib.txt", &art.attrib_table);
-    write_artifact(dir, "attrib.folded", &art.folded);
-    write_artifact(dir, "metrics.om", &art.openmetrics);
+    write_artifacts(&out, &art);
     outln!(
         "traced point (interval {}, rate {}): {} events, end cycle {}",
         p.interval,
@@ -111,6 +129,54 @@ fn cmd_run(cli: &mut Cli) {
         art.events,
         art.end_cycle
     );
+}
+
+fn cmd_gemv(cli: &mut Cli) {
+    let workloads = gemv_workloads();
+    let (mut name, mut shape) = (workloads[0].name.to_string(), (workloads[0].n, workloads[0].k));
+    let mut scale = 1usize;
+    let mut out = None;
+    while let Some(arg) = cli.next_arg() {
+        match arg.as_str() {
+            "--scale" => scale = cli.parse_pos(&arg, "scale"),
+            "--out" => out = Some(cli.next_value(&arg)),
+            "--help" | "-h" => cli.usage(),
+            w => {
+                if let Some(wl) = workloads.iter().find(|wl| wl.name.eq_ignore_ascii_case(w)) {
+                    (name, shape) = (wl.name.to_string(), (wl.n, wl.k));
+                    continue;
+                }
+                match w.split_once('x').map(|(n, k)| (n.parse(), k.parse())) {
+                    Some((Ok(n), Ok(k))) if n > 0 && k > 0 => {
+                        (name, shape) = (w.to_string(), (n, k))
+                    }
+                    Some(_) => cli.bad(format!("bad shape '{w}' (expected NxK, both positive)")),
+                    None => cli.bad(format!("unknown argument '{w}'")),
+                }
+            }
+        }
+    }
+    let Some(out) = out else { cli.bad("gemv requires --out DIR".to_string()) };
+    let (n, k) = ((shape.0 / scale).max(1), (shape.1 / scale).max(1));
+    outln!("profiling {name} as {n}x{k} GEMV (scale 1/{scale}) on a one-stack system");
+    let run = profile_gemv(n, k).unwrap_or_else(|e| {
+        eprintln!("pimtrace: {e}");
+        std::process::exit(1);
+    });
+    let r = &run.report;
+    outln!(
+        "kernel: {} cycles ({}), {} commands, {} fences, {} PIM triggers",
+        r.cycles,
+        report::time(r.seconds),
+        r.commands,
+        r.fences,
+        r.pim_triggers
+    );
+    outln!();
+    out!("{}", render_profile(&run.recorder.metrics()));
+    outln!();
+    write_artifacts(&out, &run.artifacts);
+    outln!("traced GEMV: {} events, end cycle {}", run.artifacts.events, run.artifacts.end_cycle);
 }
 
 fn cmd_selftest(cli: &mut Cli) {
@@ -227,6 +293,7 @@ fn main() {
     let mut cli = Cli::new("pimtrace", USAGE);
     match cli.next_arg().as_deref() {
         Some("run") => cmd_run(&mut cli),
+        Some("gemv") => cmd_gemv(&mut cli),
         Some("selftest") => cmd_selftest(&mut cli),
         Some("filter") => cmd_filter(&mut cli),
         Some("diff") => {

@@ -2,19 +2,21 @@
 //!
 //! The instrumented simulation layers (controller, device, engine, runtime)
 //! feed one shared [`pim_obs::Recorder`]; this module turns the resulting
-//! metrics snapshot into the plain-text profile table the `pimprof` binary
-//! and `pimsim --profile` print — row hit rates, fence stalls, bank-state
+//! metrics snapshot into the plain-text profile table `pimtrace gemv` and
+//! `pimsim --profile` print — row hit rates, fence stalls, bank-state
 //! residency, mode transitions — in the same [`crate::report::format_table`]
 //! style as the paper-reproduction tables.
 
 use crate::report::format_table;
+use crate::trace::{export, TraceArtifacts};
 use pim_obs::{names, MetricsSnapshot, Recorder};
 use pim_runtime::kernels::COLS_PER_ROW;
 use pim_runtime::layout::BLOCK_ELEMS;
 use pim_runtime::{KernelReport, PimBlas, PimContext, PimError};
 
-/// A profiled GEMV run: the result vector, the kernel report, and the
-/// recorder holding the full event stream and metrics registry.
+/// A profiled GEMV run: the result vector, the kernel report, the
+/// recorder holding the full event stream and metrics registry, and the
+/// artifacts exported from it.
 #[derive(Debug)]
 pub struct ProfiledGemv {
     /// The result vector `y = W x`.
@@ -23,15 +25,14 @@ pub struct ProfiledGemv {
     pub report: KernelReport,
     /// The recorder attached to every simulation layer for this run.
     pub recorder: Recorder,
-    /// Channels in the profiled system.
-    pub channels: u16,
-    /// Barrier-aligned cycle at which the run ended — the denominator for
-    /// exact cycle attribution ([`pim_obs::Attribution`]).
-    pub end_cycle: u64,
+    /// The recording's checked artifacts, attributed up to the
+    /// barrier-aligned cycle at which the run ended.
+    pub artifacts: TraceArtifacts,
 }
 
 /// Runs an `n × k` GEMV on a fresh one-stack system with profiling enabled
-/// and bank-residency gauges snapshotted at the end of the run.
+/// and bank-residency gauges snapshotted at the end of the run, and
+/// exports its artifacts ([`crate::trace::export`]).
 ///
 /// Inputs are deterministic ramps (no RNG), so repeated runs produce
 /// identical cycle counts and metrics.
@@ -40,7 +41,8 @@ pub struct ProfiledGemv {
 ///
 /// [`PimError::OutOfMemory`] if the weights cannot fit the arena (a shape
 /// whose `n * k` overflows never can), before any operand is built;
-/// otherwise propagates [`PimError`] from [`PimBlas::gemv`].
+/// otherwise propagates [`PimError`] from [`PimBlas::gemv`] and from the
+/// export.
 pub fn profile_gemv(n: usize, k: usize) -> Result<ProfiledGemv, PimError> {
     let mut ctx = PimContext::small_system();
     // `n` and `k` come straight from the command line and `w` is 4·n·k
@@ -60,7 +62,8 @@ pub fn profile_gemv(n: usize, k: usize) -> Result<ProfiledGemv, PimError> {
     ctx.snapshot_residency();
     let channels = ctx.sys.channel_count() as u16;
     let end_cycle = ctx.sys.barrier();
-    Ok(ProfiledGemv { y, report, recorder, channels, end_cycle })
+    let artifacts = export(&recorder, channels, end_cycle)?;
+    Ok(ProfiledGemv { y, report, recorder, artifacts })
 }
 
 /// Rows an `n × k` GEMV's weights occupy in every unit of `ctx`: 16 output
@@ -174,10 +177,10 @@ mod tests {
         assert_eq!(m.counter(names::DEV_PIM_TRIGGERS), run.report.pim_triggers);
     }
 
-    /// `pimprof 1x99999999999` and `4294967296x4294967296` (whose product
-    /// overflows) used to abort in the allocator building `w`; both are
-    /// typed errors now, and the row count they are refused on is the one
-    /// `GemvPlan::prepare` allocates.
+    /// The shapes `1x99999999999` and `4294967296x4294967296` (whose
+    /// product overflows) used to abort in the allocator building `w`; both
+    /// are typed errors (`pimtrace gemv` exits 1), and the row count they
+    /// are refused on is the one `GemvPlan::prepare` allocates.
     #[test]
     fn unplaceable_shapes_are_refused_before_allocating() {
         for (n, k) in [(1, 99_999_999_999), (1 << 32, 1 << 32), (usize::MAX, usize::MAX)] {

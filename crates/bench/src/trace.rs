@@ -1,13 +1,15 @@
-//! Traced serving runs and their exported artifacts — the `pimtrace`
-//! binary's engine.
+//! Traced runs and their exported artifacts — the `pimtrace` binary's
+//! engine.
 //!
-//! Re-runs one serve-campaign sweep point (the exact request stream
-//! [`crate::serve::serve_point`] serves) with a [`Recorder`] attached to
-//! every simulation layer, then folds the recording into the full artifact
-//! set:
+//! Two kinds of run are traced with a [`Recorder`] attached to every
+//! simulation layer: one serve-campaign sweep point (the exact request
+//! stream [`crate::serve::serve_point`] serves, [`run_traced`]) and one
+//! profiled GEMV ([`crate::profile::profile_gemv`]). Both end in
+//! [`export`], which folds the recording into the full artifact set:
 //!
 //! * **`trace.json`** — Chrome trace-event JSON with per-channel tracks
-//!   and request flow arrows (admission → dispatch → launch → done).
+//!   and, for serving, request flow arrows (admission → dispatch → launch
+//!   → done).
 //! * **`attrib.txt`** — the exact cycle-attribution table: simulated
 //!   cycles decomposed by (channel × kernel phase × command class ×
 //!   tenant), conserving `channels × end_cycle` to the cycle.
@@ -28,7 +30,7 @@ use pim_host::ExecutionBackend;
 use pim_obs::{chrome::chrome_trace_json, openmetrics, Attribution, Recorder};
 use pim_runtime::{PimError, ServeReport};
 
-/// The complete artifact set of one traced sweep point.
+/// The complete artifact set of one traced run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceArtifacts {
     /// Chrome trace-event JSON (`trace.json`).
@@ -67,22 +69,34 @@ pub fn run_traced_report(
 
 /// Runs one sweep point with full tracing and exports every artifact.
 ///
-/// The attribution's conservation invariant and the OpenMetrics
-/// exposition's well-formedness are both checked before returning; a
-/// violation is a simulator bug and surfaces as [`PimError::Internal`].
-///
 /// # Errors
 ///
-/// Propagates [`PimError`] from the serving layer; fails on a conservation
-/// or exposition-format violation.
+/// Propagates [`PimError`] from the serving layer and from [`export`].
 pub fn run_traced(
     cfg: &ServeCampaignConfig,
     interval: u64,
     rate: f64,
 ) -> Result<TraceArtifacts, PimError> {
     let (report, recorder, channels) = run_traced_report(cfg, interval, rate)?;
+    export(&recorder, channels, report.end_cycle)
+}
+
+/// Builds the four artifacts of one recording over `channels` channels
+/// that ended at `end_cycle`. The attribution's conservation invariant and
+/// the OpenMetrics exposition's well-formedness are both checked before
+/// returning; a violation is a simulator bug.
+///
+/// # Errors
+///
+/// [`PimError::Internal`] on a conservation or exposition-format
+/// violation.
+pub fn export(
+    recorder: &Recorder,
+    channels: u16,
+    end_cycle: u64,
+) -> Result<TraceArtifacts, PimError> {
     let events = recorder.events().unwrap_or_default();
-    let attribution = Attribution::from_events(&events, channels, report.end_cycle)
+    let attribution = Attribution::from_events(&events, channels, end_cycle)
         .map_err(|e| internal(format!("attribution failed: {e}")))?;
     attribution
         .check_conservation()
@@ -96,13 +110,13 @@ pub fn run_traced(
         folded: attribution.folded(),
         openmetrics: exposition,
         events: events.len(),
-        end_cycle: report.end_cycle,
+        end_cycle,
     })
 }
 
-/// Renders an [`Attribution`] as the plain-text table `pimprof --attrib`
-/// and `pimtrace run` print: one row per (phase, class, tenant) summed
-/// over channels, cycles and share-of-total, then the conservation line.
+/// Renders an [`Attribution`] as the plain-text table of `attrib.txt`: one
+/// row per (phase, class, tenant) summed over channels, cycles and
+/// share-of-total, then the conservation line.
 pub fn render_attrib(a: &Attribution) -> String {
     let total = a.total();
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -205,6 +219,47 @@ mod tests {
         )
         .expect("identity");
         assert!(art.events > 0);
+    }
+
+    /// `pimtrace gemv`'s artifacts come from the same exporter: a profiled
+    /// 32 × 64 GEMV's attribution is exact, its exposition validates, its
+    /// trace holds every recorded event and its profile table has every
+    /// row.
+    #[test]
+    fn gemv_artifacts_conserve_cycles() {
+        let run = crate::profile::profile_gemv(32, 64).expect("gemv");
+        let art = &run.artifacts;
+        let events = run.recorder.events().expect("vec sink retains events");
+        let a = Attribution::from_events(&events, 16, art.end_cycle).expect("attribution");
+        assert_eq!(a.total(), 16 * u128::from(art.end_cycle), "{}", art.attrib_table);
+        assert!(art.attrib_table.ends_with("attributed (exact)\n"), "{}", art.attrib_table);
+        assert!(art.folded.contains("channel 0;"), "{}", art.folded);
+        openmetrics::validate(&art.openmetrics).expect("valid exposition");
+        assert_eq!((art.events, art.chrome.clone()), (events.len(), chrome_trace_json(&events)));
+        let table = crate::profile::render_profile(&run.recorder.metrics());
+        let rows = [
+            "row hits",
+            "row misses",
+            "row conflicts",
+            "row hit rate",
+            "requests completed",
+            "raw PIM-path commands",
+            "reordered requests",
+            "queue depth",
+            "bank open cycles",
+            "bank closed cycles",
+            "mode transitions",
+            "CRF words loaded",
+            "PIM triggers",
+            "unit busy cycles",
+            "command batches",
+            "fences",
+            "fence stall cycles",
+        ];
+        assert_eq!(table.lines().count(), 2 + rows.len(), "{table}");
+        for (line, row) in table.lines().skip(2).zip(rows) {
+            assert!(line.starts_with(&format!("| {row:>21} |")), "{line} is not `{row}`");
+        }
     }
 
     /// `pimtrace run --elements 999999999 --requests 1` used to abort in

@@ -46,9 +46,9 @@
 //! same `sim_cycles`, same command/fence counts, same device and DRAM
 //! stats, same bank bytes and register files on live units, and the
 //! same follow-on behaviour (the restored timing state is the cold run's,
-//! so the *next* launch issues at identical cycles). The CI corpus gate
-//! (`fastpath_check`) re-proves this over the Table VI shapes at 1/2/4
-//! workers, cold and warm.
+//! so the *next* launch issues at identical cycles). `tests/fastpath.rs`
+//! re-proves this against full simulation under both backends, cold and
+//! warm (`docs/FASTPATH.md`, "Benchmarks and exactness gates").
 //!
 //! # What makes a launch cacheable
 //!

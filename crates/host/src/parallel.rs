@@ -61,14 +61,6 @@ pub enum ExecutionBackend {
 }
 
 impl ExecutionBackend {
-    /// A threaded backend sized to the host's available parallelism (1 if
-    /// it cannot be determined).
-    pub fn auto() -> ExecutionBackend {
-        ExecutionBackend::Threads(
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        )
-    }
-
     /// The worker count this backend runs `n_channels` channels with.
     pub fn workers_for(&self, n_channels: usize) -> usize {
         match *self {
@@ -225,13 +217,5 @@ mod tests {
         assert_eq!(ExecutionBackend::Threads(16).workers_for(3), 3);
         assert_eq!(ExecutionBackend::Threads(8).workers_for(0), 1);
         assert_eq!(ExecutionBackend::Sequential.workers_for(64), 1);
-    }
-
-    #[test]
-    fn auto_backend_has_at_least_one_worker() {
-        match ExecutionBackend::auto() {
-            ExecutionBackend::Threads(n) => assert!(n >= 1),
-            ExecutionBackend::Sequential => panic!("auto() must pick Threads"),
-        }
     }
 }

@@ -35,14 +35,14 @@
 //! flag as [`crate::KernelEngine::run_on_channel_bounded`] on a channel in
 //! the same state, and [`predict_launch`] — the loop over it, one clock per
 //! channel plus the closing barrier — the same as
-//! [`crate::KernelEngine::run_system_bounded`]. The `fastpath-crosscheck`
-//! CI gate enforces this over the committed corpus (see
-//! `docs/FASTPATH.md`), and `crates/models/tests/timing_only.rs` over every
-//! DRAM generation, unit count, fence cost and ordering regime the cost
-//! model is swept across. Launches it cannot predict exactly — a channel
-//! outside the canonical single-bank state, or the
-//! [`ExecutionMode::UnfencedReordered`] demo regime — are declined with
-//! `None`, never mispredicted.
+//! [`crate::KernelEngine::run_system_bounded`]. The tests hold it to that
+//! before every pass of Table VI's GEMVs and every launch of the synthetic
+//! engine corpus (see `docs/FASTPATH.md`), and
+//! `crates/models/tests/timing_only.rs` over every DRAM generation, unit
+//! count, fence cost and ordering regime the cost model is swept across.
+//! Launches it cannot predict exactly — a channel outside the canonical
+//! single-bank state, or the [`ExecutionMode::UnfencedReordered`] demo
+//! regime — are declined with `None`, never mispredicted.
 //!
 //! # Callers
 //!

@@ -1,7 +1,7 @@
 //! Canonical metric and category names used by the instrumented crates.
 //!
 //! Centralised so that producers (dram/core/host/runtime) and consumers
-//! (profile report, CSV export, tests) agree on spelling.
+//! (profile report, OpenMetrics export, tests) agree on spelling.
 
 /// Category for runtime-level operation spans (one BLAS call).
 pub const CAT_OP: &str = "op";
@@ -116,8 +116,8 @@ pub const RES_QUARANTINE_EVENT: &str = "res.quarantine";
 /// blocks PIM could not produce (arg: block count).
 pub const RES_FALLBACK_EVENT: &str = "res.host_fallback";
 
-/// Counter: inter-stack collectives executed by the cluster layer
-/// (reduce + all-gather merges of sharded partials).
+/// Counter: inter-stack collectives executed by the cluster layer (the
+/// all-gather of a row-parallel GEMV's shards).
 pub const CLUSTER_COLLECTIVES: &str = "cluster.collectives";
 /// Counter: payload bytes moved across modelled inter-stack links.
 pub const CLUSTER_LINK_BYTES: &str = "cluster.link_bytes";

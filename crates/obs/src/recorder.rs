@@ -2,7 +2,7 @@
 
 use crate::event::{Cycle, Event, Scope};
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
-use crate::sink::{CountingSink, EventSink, Sink, VecSink};
+use crate::sink::Sink;
 use crate::trace::TraceCtx;
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -35,8 +35,8 @@ pub struct Recorder {
 }
 
 impl Recorder {
-    /// Creates a recorder over an arbitrary sink.
-    pub fn new(sink: Sink) -> Recorder {
+    /// A recorder over `sink` with an empty registry.
+    fn new(sink: Sink) -> Recorder {
         Recorder {
             inner: Arc::new(Mutex::new(Inner {
                 sink,
@@ -56,17 +56,12 @@ impl Recorder {
 
     /// Recorder keeping every event in memory.
     pub fn vec() -> Recorder {
-        Recorder::new(Sink::Vec(VecSink::new()))
+        Recorder::new(Sink::Vec(Vec::new()))
     }
 
     /// Recorder that only counts events (used by the observer-effect test).
     pub fn counting() -> Recorder {
-        Recorder::new(Sink::Counting(CountingSink::new()))
-    }
-
-    /// Recorder over a custom sink implementation.
-    pub fn custom(sink: Box<dyn EventSink>) -> Recorder {
-        Recorder::new(Sink::Custom(sink))
+        Recorder::new(Sink::Counting(0))
     }
 
     /// Emits a span-begin event.
@@ -180,8 +175,8 @@ impl Recorder {
     /// [`Recorder::vec`] buffer on its worker thread, and the buffers are
     /// merged in stable channel-index order at the end-of-kernel barrier.
     /// A sequential run emits events in exactly that channel-major order,
-    /// so the merged stream (and every derived export — Chrome trace, CSV)
-    /// is identical to the sequential one.
+    /// so the merged stream (and every derived export — Chrome trace,
+    /// attribution, OpenMetrics) is identical to the sequential one.
     ///
     /// Merging a recorder into itself is a no-op. A buffer whose sink
     /// retains no events (e.g. counting) contributes only its metrics.

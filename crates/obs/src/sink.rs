@@ -1,260 +1,41 @@
 //! Event sinks: where recorded events go.
 
 use crate::event::Event;
-use std::collections::VecDeque;
-use std::fmt;
-use std::io::Write;
-use std::path::Path;
 
-/// Consumes a stream of [`Event`]s.
-///
-/// Implementations must be cheap: sinks run inline with the simulation (but
-/// only when a recorder is attached, so the un-instrumented path never pays
-/// for them). `Send` is a supertrait because recorders (and the controllers
-/// holding them) migrate across the parallel backend's worker threads.
-pub trait EventSink: fmt::Debug + Send {
-    /// Receives one event.
-    fn record(&mut self, event: &Event);
-
-    /// Number of events offered to the sink so far (including any it chose
-    /// to drop).
-    fn offered(&self) -> u64;
-}
-
-/// Keeps every event in memory.
-#[derive(Debug, Default)]
-pub struct VecSink {
-    events: Vec<Event>,
-}
-
-impl VecSink {
-    /// Creates an empty sink.
-    pub fn new() -> VecSink {
-        VecSink::default()
-    }
-
-    /// The recorded events, in arrival order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-}
-
-impl EventSink for VecSink {
-    fn record(&mut self, event: &Event) {
-        self.events.push(event.clone());
-    }
-
-    fn offered(&self) -> u64 {
-        self.events.len() as u64
-    }
-}
-
-/// Keeps the most recent `capacity` events, counting what it dropped.
+/// The sink attached to a [`crate::Recorder`]: it keeps every event or
+/// only counts them. Sinks run inline with the simulation, but only when a
+/// recorder is attached, so the un-instrumented path never pays for them.
 #[derive(Debug)]
-pub struct RingSink {
-    buf: VecDeque<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingSink {
-    /// Creates a ring holding at most `capacity` events.
-    pub fn new(capacity: usize) -> RingSink {
-        RingSink { buf: VecDeque::with_capacity(capacity.min(4096)), capacity, dropped: 0 }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &Event> {
-        self.buf.iter()
-    }
-
-    /// Events evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl EventSink for RingSink {
-    fn record(&mut self, event: &Event) {
-        if self.capacity == 0 {
-            self.dropped += 1;
-            return;
-        }
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(event.clone());
-    }
-
-    fn offered(&self) -> u64 {
-        self.buf.len() as u64 + self.dropped
-    }
-}
-
-/// Discards events, keeping only a count — used to measure the observer
-/// effect (it must be zero) and for smoke tests.
-#[derive(Debug, Default)]
-pub struct CountingSink {
-    count: u64,
-}
-
-impl CountingSink {
-    /// Creates a zeroed counting sink.
-    pub fn new() -> CountingSink {
-        CountingSink::default()
-    }
-
-    /// Events seen.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-impl EventSink for CountingSink {
-    fn record(&mut self, _event: &Event) {
-        self.count += 1;
-    }
-
-    fn offered(&self) -> u64 {
-        self.count
-    }
-}
-
-/// Streams events to a file as line-delimited text, one event per line.
-///
-/// Format: `cycle kind cat name [ch=N] [unit=N] [bank=N] [key=value]
-/// [trace=HEX span=HEX tenant=N]`.
-/// Buffered; call [`FileSink::flush`] (or drop the recorder) to ensure all
-/// lines hit the disk.
-pub struct FileSink {
-    out: std::io::BufWriter<std::fs::File>,
-    path: std::path::PathBuf,
-    written: u64,
-}
-
-impl fmt::Debug for FileSink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FileSink")
-            .field("path", &self.path)
-            .field("written", &self.written)
-            .finish()
-    }
-}
-
-impl FileSink {
-    /// Creates (truncates) `path` and streams events to it.
-    pub fn create(path: impl AsRef<Path>) -> std::io::Result<FileSink> {
-        let path = path.as_ref().to_path_buf();
-        let file = std::fs::File::create(&path)?;
-        Ok(FileSink { out: std::io::BufWriter::new(file), path, written: 0 })
-    }
-
-    /// Flushes buffered lines.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        self.out.flush()
-    }
-}
-
-impl Drop for FileSink {
-    fn drop(&mut self) {
-        let _ = self.out.flush();
-    }
-}
-
-impl EventSink for FileSink {
-    fn record(&mut self, event: &Event) {
-        let kind = match event.kind {
-            crate::event::EventKind::Begin => "B",
-            crate::event::EventKind::End => "E",
-            crate::event::EventKind::Instant => "I",
-        };
-        let mut line = format!("{} {} {} {}", event.ts, kind, event.cat, event.name);
-        if let Some(ch) = event.scope.channel {
-            line.push_str(&format!(" ch={ch}"));
-        }
-        if let Some(u) = event.scope.unit {
-            line.push_str(&format!(" unit={u}"));
-        }
-        if let Some(b) = event.scope.bank {
-            line.push_str(&format!(" bank={b}"));
-        }
-        if let Some((k, v)) = event.arg {
-            line.push_str(&format!(" {k}={v}"));
-        }
-        if let Some(ctx) = event.trace {
-            line.push_str(&format!(
-                " trace={:016x} span={:016x} tenant={}",
-                ctx.trace.0, ctx.span.0, ctx.tenant
-            ));
-        }
-        // I/O errors are swallowed: a broken trace file must not alter
-        // simulation behaviour.
-        let _ = writeln!(self.out, "{line}");
-        self.written += 1;
-    }
-
-    fn offered(&self) -> u64 {
-        self.written
-    }
-}
-
-/// The sink attached to a [`crate::Recorder`].
-///
-/// An enum rather than only a boxed trait so that common sinks can be
-/// inspected after the run (e.g. [`Sink::events`]); arbitrary
-/// implementations still fit through [`Sink::Custom`].
-#[derive(Debug)]
-pub enum Sink {
-    /// Keep everything.
-    Vec(VecSink),
-    /// Keep the last N.
-    Ring(RingSink),
-    /// Count only.
-    Counting(CountingSink),
-    /// Stream to a file.
-    File(FileSink),
-    /// Any other implementation.
-    Custom(Box<dyn EventSink>),
+pub(crate) enum Sink {
+    /// Every event, in arrival order ([`crate::Recorder::vec`]).
+    Vec(Vec<Event>),
+    /// How many events arrived ([`crate::Recorder::counting`]) — used to
+    /// measure the observer effect (it must be zero) and for smoke tests.
+    Counting(u64),
 }
 
 impl Sink {
-    /// Dispatches to the underlying sink.
-    pub fn record(&mut self, event: &Event) {
+    /// Receives one event.
+    pub(crate) fn record(&mut self, event: &Event) {
         match self {
-            Sink::Vec(s) => s.record(event),
-            Sink::Ring(s) => s.record(event),
-            Sink::Counting(s) => s.record(event),
-            Sink::File(s) => s.record(event),
-            Sink::Custom(s) => s.record(event),
+            Sink::Vec(events) => events.push(event.clone()),
+            Sink::Counting(count) => *count += 1,
         }
     }
 
     /// Events offered to the sink so far.
-    pub fn offered(&self) -> u64 {
+    pub(crate) fn offered(&self) -> u64 {
         match self {
-            Sink::Vec(s) => s.offered(),
-            Sink::Ring(s) => s.offered(),
-            Sink::Counting(s) => s.offered(),
-            Sink::File(s) => s.offered(),
-            Sink::Custom(s) => s.offered(),
+            Sink::Vec(events) => events.len() as u64,
+            Sink::Counting(count) => *count,
         }
     }
 
-    /// The retained events, if this sink retains any (`Vec` and `Ring`).
-    pub fn events(&self) -> Option<Vec<Event>> {
+    /// The retained events, if this sink retains any.
+    pub(crate) fn events(&self) -> Option<Vec<Event>> {
         match self {
-            Sink::Vec(s) => Some(s.events().to_vec()),
-            Sink::Ring(s) => Some(s.events().cloned().collect()),
-            _ => None,
-        }
-    }
-
-    /// Events dropped by a bounded sink (0 for unbounded ones).
-    pub fn dropped(&self) -> u64 {
-        match self {
-            Sink::Ring(s) => s.dropped(),
-            _ => 0,
+            Sink::Vec(events) => Some(events.clone()),
+            Sink::Counting(_) => None,
         }
     }
 }
@@ -264,45 +45,13 @@ mod tests {
     use super::*;
     use crate::event::Scope;
 
-    fn ev(ts: u64) -> Event {
-        Event::instant(ts, "x", "command", Scope::GLOBAL)
-    }
-
-    #[test]
-    fn ring_sink_keeps_newest_and_counts_drops() {
-        let mut s = RingSink::new(3);
-        for i in 0..5 {
-            s.record(&ev(i));
-        }
-        let kept: Vec<u64> = s.events().map(|e| e.ts).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-        assert_eq!(s.dropped(), 2);
-        assert_eq!(s.offered(), 5);
-    }
-
     #[test]
     fn counting_sink_counts() {
-        let mut s = CountingSink::new();
+        let mut s = Sink::Counting(0);
         for i in 0..7 {
-            s.record(&ev(i));
+            s.record(&Event::instant(i, "x", "command", Scope::GLOBAL));
         }
-        assert_eq!(s.count(), 7);
-    }
-
-    #[test]
-    fn file_sink_writes_lines() {
-        let path = std::env::temp_dir().join("pim_obs_sink_test.txt");
-        {
-            let mut s = FileSink::create(&path).unwrap();
-            s.record(&ev(1).with_arg("col", 3));
-            s.record(&Event::begin(2, "gemv", "op", Scope::unit(1, 2)));
-            s.record(&ev(3).with_trace(crate::trace::TraceCtx::root(0, 0, 5)));
-            s.flush().unwrap();
-        }
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("1 I command x col=3"), "{text}");
-        assert!(text.contains("2 B op gemv ch=1 unit=2"), "{text}");
-        assert!(text.contains("3 I command x trace=") && text.contains(" tenant=5"), "{text}");
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(s.offered(), 7);
+        assert!(s.events().is_none());
     }
 }

@@ -402,13 +402,13 @@ impl PimBlas {
         // Nothing is placed for an input the launch would refuse.
         check_weights(w.len(), n, k)?;
         check_input(x.len(), k)?;
-        GemvPlan::prepare(ctx, w, n, k)?.launch_as(ctx, x, "gemv", false)
+        GemvPlan::prepare(ctx, w, n, k)?.launch_as(ctx, x, "gemv")
     }
 
     /// One LSTM cell step on PIM: the two gate GEMVs run on the device;
     /// the gate nonlinearities and element-wise state update run on the
-    /// host (the paper accelerates the LSTM layers' GEMV work, Section
-    /// VII-A).
+    /// host in f32 — sigmoid and tanh are not PIM ops (the paper
+    /// accelerates the LSTM layers' GEMV work, Section VII-A).
     ///
     /// Weight layout: `w_x` is `4h × input`, `w_h` is `4h × h`, `bias` is
     /// `4h`, gate order `[i, f, g, o]`.
@@ -426,12 +426,25 @@ impl PimBlas {
         h_prev: &[f32],
         c_prev: &[f32],
     ) -> Result<(Vec<f32>, Vec<f32>, KernelReport), PimError> {
-        let h = check_lstm_state(bias, h_prev, c_prev)?;
+        let h = h_prev.len();
+        if c_prev.len() != h || bias.len() != 4 * h {
+            return Err(PimError::SizeMismatch {
+                detail: format!("hidden size {h}: bias/c_prev shapes disagree"),
+            });
+        }
         let (gx, mut report) = Self::gemv(ctx, w_x, 4 * h, x.len(), x)?;
         let (gh, r2) = Self::gemv(ctx, w_h, 4 * h, h, h_prev)?;
         report.absorb(&r2);
-        let (h_next, c_next) = lstm_gates(&gx, &gh, bias, c_prev);
         report.elements = h;
+        let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
+        let pre = |gate: usize, j: usize| gx[gate * h + j] + gh[gate * h + j] + bias[gate * h + j];
+        let mut h_next = vec![0.0f32; h];
+        let mut c_next = vec![0.0f32; h];
+        for j in 0..h {
+            let (i_g, f_g, o_g) = (sigmoid(pre(0, j)), sigmoid(pre(1, j)), sigmoid(pre(3, j)));
+            c_next[j] = f_g * c_prev[j] + i_g * pre(2, j).tanh();
+            h_next[j] = o_g * c_next[j].tanh();
+        }
         Ok((h_next, c_next, report))
     }
 
@@ -447,45 +460,6 @@ impl PimBlas {
             })
             .collect()
     }
-}
-
-/// The LSTM state shapes every cell front end requires: `c_prev` matches
-/// `h_prev`, `bias` covers the four gates. Returns the hidden size.
-pub(crate) fn check_lstm_state(
-    bias: &[f32],
-    h_prev: &[f32],
-    c_prev: &[f32],
-) -> Result<usize, PimError> {
-    let h = h_prev.len();
-    if c_prev.len() != h || bias.len() != 4 * h {
-        return Err(PimError::SizeMismatch {
-            detail: format!("hidden size {h}: bias/c_prev shapes disagree"),
-        });
-    }
-    Ok(h)
-}
-
-/// Host-side LSTM gate math in f32 (sigmoid/tanh are not PIM ops) over the
-/// two gate GEMVs' pre-activations, gate order `[i, f, g, o]`; returns
-/// `(h_next, c_next)`. Shared by the single-stack and the row-parallel
-/// cell, which is what keeps them bit-identical.
-pub(crate) fn lstm_gates(
-    gx: &[f32],
-    gh: &[f32],
-    bias: &[f32],
-    c_prev: &[f32],
-) -> (Vec<f32>, Vec<f32>) {
-    let h = c_prev.len();
-    let sigmoid = |v: f32| 1.0 / (1.0 + (-v).exp());
-    let pre = |gate: usize, j: usize| gx[gate * h + j] + gh[gate * h + j] + bias[gate * h + j];
-    let mut h_next = vec![0.0f32; h];
-    let mut c_next = vec![0.0f32; h];
-    for j in 0..h {
-        let (i_g, f_g, o_g) = (sigmoid(pre(0, j)), sigmoid(pre(1, j)), sigmoid(pre(3, j)));
-        c_next[j] = f_g * c_prev[j] + i_g * pre(2, j).tanh();
-        h_next[j] = o_g * c_next[j].tanh();
-    }
-    (h_next, c_next)
 }
 
 #[cfg(test)]

@@ -4,28 +4,17 @@
 //! north star is production serving, which shards model weights across
 //! many stacks. [`ClusterContext`] composes N independent single-stack
 //! [`PimContext`]s under one [`ClusterTopology`] and provides sharded
-//! GEMV/LSTM with **deterministic collectives**: partials are merged in
-//! fixed stack-index order, on the host, in the same f32 arithmetic the
-//! single-stack path uses, so results are reproducible at any worker
-//! count and backend.
+//! GEMV with **deterministic collectives**: shard results are gathered in
+//! fixed stack-index order on the host, so results are reproducible at
+//! any worker count and backend.
 //!
-//! Two partitioning schemes are offered (see `docs/CLUSTER.md`):
-//!
-//! * **Row-parallel** ([`ClusterContext::gemv_row_parallel`]): output
-//!   rows are sharded. Each output element's FP16 MAC sequence over `k`
-//!   and its host-side register-order reduce are exactly the ones the
-//!   single-stack [`crate::PimBlas::gemv`] performs, so the concatenated
-//!   result is **bit-identical to the single-stack reference** at every
-//!   healthy-stack count — the property the cluster determinism tests and
-//!   the `pimcampaign cluster` campaign pin.
-//! * **Tensor-parallel** ([`ClusterContext::gemv_tensor_parallel`]): the
-//!   reduction dimension `k` is sharded and per-stack partials are summed
-//!   host-side in stack-index order. Deterministic and backend-invariant,
-//!   but **not** bit-equal to single-stack: splitting the accumulation
-//!   changes FP16/f32 rounding. It exists for weights too tall to
-//!   replicate, and its contract is "identical across backends and
-//!   worker counts at a fixed stack count", not cross-stack-count
-//!   equality.
+//! [`ClusterContext::gemv_row_parallel`] shards output rows (see
+//! `docs/CLUSTER.md`). Each output element's FP16 MAC sequence over `k`
+//! and its host-side register-order reduce are exactly the ones the
+//! single-stack [`crate::PimBlas::gemv`] performs, so the concatenated
+//! result is **bit-identical to the single-stack reference** at every
+//! healthy-stack count — the property the cluster determinism tests and
+//! the `pimcampaign cluster` campaign pin.
 //!
 //! Host-side the member stacks are stepped serially in stack-index order
 //! (determinism); in *simulated* time they run concurrently — every
@@ -34,7 +23,7 @@
 //! time is `max` over stacks, not the sum, and goodput scales with stack
 //! count.
 
-use crate::blas::{check_lstm_state, lstm_gates, KernelReport, PimBlas, PimError};
+use crate::blas::{KernelReport, PimBlas, PimError};
 use crate::context::PimContext;
 use crate::layout::shard_range;
 use crate::plan::{check_input, check_weights};
@@ -46,7 +35,7 @@ use pim_obs::{names, Recorder};
 /// Cumulative collective-traffic counters for one cluster.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterStats {
-    /// Collectives executed (reduce + all-gather).
+    /// Collectives executed (one all-gather per multi-shard GEMV).
     pub collectives: u64,
     /// Payload bytes moved across inter-stack links.
     pub link_bytes: u64,
@@ -288,35 +277,6 @@ impl ClusterContext {
         k: usize,
         x: &[f32],
     ) -> Result<(Vec<f32>, ClusterReport), PimError> {
-        self.sharded_gemv(w, n, k, x, Partition::Rows)
-    }
-
-    /// Tensor-parallel GEMV: the reduction dimension `k` is sharded; each
-    /// stack computes a full-length partial over its `k`-slice and the
-    /// partials are reduced host-side in stack-index order (`n × 4` f32
-    /// bytes per non-root shard on the modelled link).
-    ///
-    /// Deterministic and backend-invariant at a fixed stack count, but
-    /// **not** bit-equal to the single-stack result: sharding `k` splits
-    /// the FP16 accumulation into differently-rounded pieces.
-    pub fn gemv_tensor_parallel(
-        &mut self,
-        w: &[f32],
-        n: usize,
-        k: usize,
-        x: &[f32],
-    ) -> Result<(Vec<f32>, ClusterReport), PimError> {
-        self.sharded_gemv(w, n, k, x, Partition::Reduction)
-    }
-
-    fn sharded_gemv(
-        &mut self,
-        w: &[f32],
-        n: usize,
-        k: usize,
-        x: &[f32],
-        partition: Partition,
-    ) -> Result<(Vec<f32>, ClusterReport), PimError> {
         check_weights(w.len(), n, k)?;
         check_input(x.len(), k)?;
         let healthy = self.available_stacks();
@@ -324,23 +284,14 @@ impl ClusterContext {
             return Err(PimError::Internal { detail: "no available stacks in cluster".into() });
         }
         let start = self.barrier();
-        let shard_dim = match partition {
-            Partition::Rows => n,
-            Partition::Reduction => k,
-        };
         let mut kernel: Option<KernelReport> = None;
-        let mut shards_run = 0usize;
         let mut participants: Vec<usize> = Vec::with_capacity(healthy.len());
-        let mut out = match partition {
-            Partition::Rows => Vec::with_capacity(n),
-            Partition::Reduction => vec![0.0f32; n],
-        };
+        let mut out = Vec::with_capacity(n);
         for (s, &stack) in healthy.iter().enumerate() {
-            let (lo, hi) = shard_range(shard_dim, healthy.len(), s);
+            let (lo, hi) = shard_range(n, healthy.len(), s);
             if lo == hi {
                 continue;
             }
-            shards_run += 1;
             participants.push(stack);
             let stall_milli = match &self.chaos {
                 Some(plan) => plan.stack_stall_milli(stack, start),
@@ -350,26 +301,8 @@ impl ClusterContext {
             // Mirror the serving layer: every shard starts from a clean
             // arena so placement is a pure function of the shard inputs.
             ctx.reset_memory();
-            let (shard_out, report) = match partition {
-                Partition::Rows => PimBlas::gemv(ctx, &w[lo * k..hi * k], hi - lo, k, x)?,
-                Partition::Reduction => {
-                    let cols = hi - lo;
-                    let mut wk = Vec::with_capacity(n * cols);
-                    for o in 0..n {
-                        wk.extend_from_slice(&w[o * k + lo..o * k + hi]);
-                    }
-                    PimBlas::gemv(ctx, &wk, n, cols, &x[lo..hi])?
-                }
-            };
-            match partition {
-                Partition::Rows => out.extend_from_slice(&shard_out),
-                // Fixed stack-index-order f32 reduce: deterministic.
-                Partition::Reduction => {
-                    for (acc, v) in out.iter_mut().zip(&shard_out) {
-                        *acc += v;
-                    }
-                }
-            }
+            let (shard_out, report) = PimBlas::gemv(ctx, &w[lo * k..hi * k], hi - lo, k, x)?;
+            out.extend_from_slice(&shard_out);
             match &mut kernel {
                 Some(kr) => kr.absorb(&report),
                 None => kernel = Some(report),
@@ -380,11 +313,8 @@ impl ClusterContext {
             charge_straggler(ctx, ctx.sys.max_now().saturating_sub(start), stall_milli);
         }
         debug_assert_eq!(out.len(), n);
-        let payload = match partition {
-            Partition::Rows => 4 * n as u64,
-            Partition::Reduction => 4 * n as u64 * (shards_run.saturating_sub(1)) as u64,
-        };
-        let (link_bytes, link_cycles) = if shards_run > 1 {
+        let payload = 4 * n as u64;
+        let (link_bytes, link_cycles) = if participants.len() > 1 {
             (payload, self.collective(payload, &participants))
         } else {
             (0, 0)
@@ -396,41 +326,12 @@ impl ClusterContext {
         let report = ClusterReport {
             cycles,
             seconds: self.stacks[0].sys.cycles_to_seconds(cycles),
-            shards: shards_run,
+            shards: participants.len(),
             kernel,
             link_bytes,
             link_cycles,
         };
         Ok((out, report))
-    }
-
-    /// Row-parallel LSTM cell: both GEMVs shard their `4h` output rows
-    /// over the healthy stacks ([`ClusterContext::gemv_row_parallel`]),
-    /// the gathered gate pre-activations are combined with the same
-    /// host-side f32 gate math as [`PimBlas::lstm_cell`], and the result
-    /// is therefore bit-identical to the single-stack cell.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lstm_cell_row_parallel(
-        &mut self,
-        w_x: &[f32],
-        w_h: &[f32],
-        bias: &[f32],
-        x: &[f32],
-        h_prev: &[f32],
-        c_prev: &[f32],
-    ) -> Result<(Vec<f32>, Vec<f32>, ClusterReport), PimError> {
-        let h = check_lstm_state(bias, h_prev, c_prev)?;
-        let (gx, mut report) = self.gemv_row_parallel(w_x, 4 * h, x.len(), x)?;
-        let (gh, r2) = self.gemv_row_parallel(w_h, 4 * h, h, h_prev)?;
-        report.cycles += r2.cycles;
-        report.seconds += r2.seconds;
-        report.shards = report.shards.max(r2.shards);
-        report.link_bytes += r2.link_bytes;
-        report.link_cycles += r2.link_cycles;
-        report.kernel.absorb(&r2.kernel);
-        let (h_next, c_next) = lstm_gates(&gx, &gh, bias, c_prev);
-        report.kernel.elements = h;
-        Ok((h_next, c_next, report))
     }
 }
 
@@ -445,13 +346,4 @@ pub(crate) fn charge_straggler(ctx: &mut PimContext, busy: Cycle, stall_milli: u
         ctx.advance_to(ctx.sys.max_now() + extra);
     }
     extra
-}
-
-/// Which GEMV dimension a sharded call partitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Partition {
-    /// Shard output rows (`n`): bit-identical to single-stack.
-    Rows,
-    /// Shard the reduction dimension (`k`): deterministic, not bit-equal.
-    Reduction,
 }

@@ -3,7 +3,8 @@
 //! write fails with EPIPE deterministically; `println!` would panic there
 //! (exit 101), `pim_bench::cli::write_stdout` ends the process with the
 //! status a shell reports for SIGPIPE, and says nothing. `pimrepro list`
-//! stands alone: beside any other argument it is a usage error.
+//! stands alone: beside any other argument it is a usage error, and so is
+//! a `pimtrace gemv` with a zero dimension or no `--out`.
 
 use std::process::{Command, Output, Stdio};
 
@@ -30,7 +31,7 @@ fn a_closed_stdout_ends_every_binary_quietly_and_list_stands_alone() {
         (env!("CARGO_BIN_EXE_pimlint"), &["tests/corpus/pv001_bad_destination.pim"]),
         (env!("CARGO_BIN_EXE_pimcampaign"), &["fault", "--elements", "4096", "--rates", "0"]),
         (env!("CARGO_BIN_EXE_pimsim"), &["--demo"]),
-        (env!("CARGO_BIN_EXE_pimprof"), &["64x64"]),
+        (env!("CARGO_BIN_EXE_pimtrace"), &["gemv", "64x64", "--out", "target/cli-gemv"]),
         (env!("CARGO_BIN_EXE_pimtrace"), &["diff", "Cargo.toml", "Cargo.toml"]),
     ];
     for (bin, args) in runs {
@@ -45,5 +46,17 @@ fn a_closed_stdout_ends_every_binary_quietly_and_list_stands_alone() {
         let out = Command::new(env!("CARGO_BIN_EXE_pimrepro")).args(args).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "pimrepro {args:?}");
         assert!(out.stdout.is_empty(), "pimrepro {args:?} printed before refusing");
+    }
+}
+
+#[test]
+fn pimtrace_gemv_refuses_a_zero_dimension_and_a_missing_out_dir() {
+    for args in [&["gemv", "0x5", "--out", "target/cli-gemv"][..], &["gemv"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pimtrace")).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "pimtrace {args:?} panicked:\n{stderr}");
+        assert_eq!(out.status.code(), Some(2), "pimtrace {args:?}: {stderr}");
+        assert!(stderr.contains("usage: "), "pimtrace {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "pimtrace {args:?} printed before refusing");
     }
 }

@@ -1,8 +1,7 @@
 //! End-to-end tests of the multi-stack cluster layer: row-parallel
 //! sharding is bit-identical to the single-stack reference at every
 //! stack count and worker count (including under stack failure with
-//! failover), tensor-parallel sharding is deterministic, the N=1 cluster
-//! costs nothing over the plain path, and the cluster scheduler routes
+//! failover), the N=1 cluster costs nothing over the plain path, and the cluster scheduler routes
 //! around a tripped stack.
 
 mod common;
@@ -60,57 +59,6 @@ fn row_parallel_gemv_bit_identical_under_stack_failure() {
 }
 
 #[test]
-fn lstm_cell_row_parallel_bit_identical() {
-    let (h, input) = (32usize, 48usize);
-    let w_x: Vec<f32> = (0..4 * h * input).map(|i| ((i * 3 + 1) % 19) as f32 * 0.03125).collect();
-    let w_h: Vec<f32> = (0..4 * h * h).map(|i| ((i * 5 + 2) % 17) as f32 * 0.0625 - 0.5).collect();
-    let bias: Vec<f32> = (0..4 * h).map(|i| (i % 7) as f32 * 0.125 - 0.4).collect();
-    let x: Vec<f32> = (0..input).map(|i| ((i * 11) % 13) as f32 * 0.25 - 1.5).collect();
-    let h_prev: Vec<f32> = (0..h).map(|i| (i % 5) as f32 * 0.2 - 0.4).collect();
-    let c_prev: Vec<f32> = (0..h).map(|i| (i % 3) as f32 * 0.3 - 0.3).collect();
-
-    let mut ctx = PimContext::small_system();
-    let (h_ref, c_ref, _) =
-        PimBlas::lstm_cell(&mut ctx, &w_x, &w_h, &bias, &x, &h_prev, &c_prev).unwrap();
-
-    for stacks in [2usize, 4] {
-        let mut cluster = ClusterContext::new(stacks).unwrap();
-        let (h_next, c_next, report) =
-            cluster.lstm_cell_row_parallel(&w_x, &w_h, &bias, &x, &h_prev, &c_prev).unwrap();
-        assert_bits_eq(&h_next, &h_ref, &format!("h_next at {stacks} stacks"));
-        assert_bits_eq(&c_next, &c_ref, &format!("c_next at {stacks} stacks"));
-        assert!(report.cycles > 0);
-    }
-}
-
-#[test]
-fn tensor_parallel_gemv_is_deterministic_and_close() {
-    let (n, k) = (64, 96);
-    let (w, x) = gemv_inputs(n, k);
-    let reference = single_stack_gemv(n, k, &w, &x);
-    let run = |backend| {
-        let mut cluster = ClusterContext::new(4).unwrap();
-        cluster.set_backend(backend);
-        cluster.gemv_tensor_parallel(&w, n, k, &x).unwrap().0
-    };
-    let seq = run(ExecutionBackend::Sequential);
-    // Deterministic: byte-identical across backends and repeated runs.
-    assert_bits_eq(&run(ExecutionBackend::Threads(2)), &seq, "threads:2");
-    assert_bits_eq(&run(ExecutionBackend::Threads(4)), &seq, "threads:4");
-    assert_bits_eq(&run(ExecutionBackend::Sequential), &seq, "repeat");
-    // Splitting the reduction changes rounding, so only closeness (not
-    // bit-equality) holds against the single-stack result.
-    for (i, (a, b)) in seq.iter().zip(&reference).enumerate() {
-        assert!((a - b).abs() <= 0.5 + 0.01 * b.abs(), "element {i}: {a} vs {b}");
-    }
-    // A single-stack "cluster" has nothing to split, so tensor-parallel
-    // degenerates to the exact single-stack computation.
-    let mut one = ClusterContext::new(1).unwrap();
-    let (bits, _) = one.gemv_tensor_parallel(&w, n, k, &x).unwrap();
-    assert_bits_eq(&bits, &reference, "N=1 tensor-parallel");
-}
-
-#[test]
 fn single_stack_cluster_costs_nothing() {
     let (n, k) = (100, 64);
     let (w, x) = gemv_inputs(n, k);
@@ -154,15 +102,13 @@ fn degenerate_topologies_are_refused() {
     assert!(ClusterServer::new(&mut stacks, bad).is_err());
 }
 
-/// Both shardings go through the one GEMV shape rule: a shape whose `n * k`
+/// Sharding goes through the one GEMV shape rule: a shape whose `n * k`
 /// overflows is a `SizeMismatch` before any shard is cut.
 #[test]
 fn sharded_gemv_refuses_a_shape_whose_product_overflows() {
     let mut cluster = ClusterContext::new(2).unwrap();
     let row = cluster.gemv_row_parallel(&[], 1 << 63, 2, &[0.0, 0.0]);
     assert!(matches!(row, Err(PimError::SizeMismatch { .. })), "{row:?}");
-    let tensor = cluster.gemv_tensor_parallel(&[], 1 << 63, 2, &[0.0, 0.0]);
-    assert!(matches!(tensor, Err(PimError::SizeMismatch { .. })), "{tensor:?}");
 }
 
 #[test]

@@ -2,14 +2,17 @@
 //! (`docs/FASTPATH.md`): warm replay is observationally identical to cold
 //! simulation, every invalidation edge actually misses, traced runs stay
 //! cold, and serving artifacts are byte-identical with the fast path on or
-//! off.
+//! off. The unmasked, uncached reference is a context under a quiet fault
+//! plan: it injects nothing, but the engine drops every live-unit mask and
+//! the launch cache, so every unit of every channel simulates.
 
 use pim_bench::json;
 use pim_bench::serve::report_json;
 use pim_bench::workloads::{bench_input, bench_weights, synthetic_batches};
 use pim_faults::FaultPlan;
 use pim_host::{
-    ExecutionBackend, ExecutionMode, FastpathChannels, FastpathStats, KernelEngine, PimSystem,
+    predict_launch, ExecutionBackend, ExecutionMode, FastpathChannels, FastpathStats, KernelEngine,
+    PimSystem,
 };
 use pim_obs::{names, Recorder};
 use pim_runtime::{GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
@@ -267,6 +270,39 @@ fn serve_report_byte_identical_with_fastpath_on_and_off() {
     let on = run(true);
     let off = run(false);
     assert_eq!(on, off, "ServeReport differs between fast path on and off");
+
+    // ADD 1024 pinned to channel groups 1, 6 and 11 — 12 of 64 channels
+    // launch, the other 52 run `&[]` — under the watchdog's cycle limit.
+    // The arena resets per request and the cache outlives it, so the 12
+    // participants and the 52 bystanders are two classes, one channel of
+    // each simulated once, and every other channel of the four launches
+    // replays; the whole report equals the unmasked, uncached one.
+    let pinned = |i: u64| ServeRequest {
+        tenant: 0,
+        arrival: i * 100_000,
+        deadline: i * 100_000 + 400_000,
+        groups: Some(vec![1, 6, 11]),
+        budget: None,
+        op: ServeOp::Add { x: bench_input(1024, i), y: bench_input(1024, i + 7) },
+    };
+    let serve = |setup: &dyn Fn(&mut PimContext)| {
+        let mut ctx = PimContext::paper_system();
+        setup(&mut ctx);
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        let report = server.run((0..4).map(pinned).collect()).expect("serve run");
+        (report, ctx.sys.fastpath_channels())
+    };
+    let (reference, _) = serve(&|ctx| ctx.inject_faults(&FaultPlan::quiet(0)));
+    assert_eq!(reference.stats.completed, 4, "{:?}", reference.stats);
+    for backend in BACKENDS {
+        let (report, channels) = serve(&|ctx| ctx.set_backend(backend));
+        assert_eq!(report, reference, "{backend:?}");
+        assert_eq!(
+            channels,
+            FastpathChannels { simulated: 2, replayed: 4 * 64 - 2 },
+            "{backend:?}"
+        );
+    }
 }
 
 /// The serving-campaign JSON artifact is byte-identical too (the artifact
@@ -384,68 +420,98 @@ fn channels_since(sys: &PimSystem, before: FastpathChannels) -> (u64, u64) {
     (now.simulated - before.simulated, now.replayed - before.replayed)
 }
 
-/// Lock-step GEMV (n = 1000: the last live channel partly populated, the
-/// rest of the system all-dead) and stream ADDs, over 64 and over 16
-/// channels, under both backends: after every launch the outputs, the
-/// report and every channel's measured state equal the reference, the live
-/// units hold the reference's partial sums, the plan hits as often as it
-/// ever did — and the cold launch simulated one channel.
+/// Lock-step GEMV and stream ADDs, over 64 and over 16 channels, under both
+/// backends. After every launch the outputs, the report and every channel's
+/// measured state equal a fast-path-off reference, the live units hold the
+/// reference's partial sums, and the reference itself returns what the
+/// unmasked, uncached system returns — outputs, report and partial sums
+/// under a quiet fault plan, which makes the engine drop every mask and the
+/// cache. The cold launch simulates one channel per entry class, and the
+/// plan hits as often as it ever did. GEMV rows: n = 1000 (the last live
+/// channel partly populated, the rest of the system all-dead); the same
+/// with channel 5 entering 700 cycles late, a class of its own; and Table
+/// VI GEMV1 at 1/8 scale under the seeded shuffle the engine, the replay
+/// and the predictor must all issue in the same order.
 #[test]
 fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
-    let (n, k) = (1000, K);
-    let w = bench_weights(n, k);
+    let in_order = ExecutionMode::Fenced { reorder_seed: None };
+    let seeded = ExecutionMode::Fenced { reorder_seed: Some(0xF16) };
+    // (n, k, mode, skew, cache hits over the four launches): the skewed
+    // channel needs a launch more than the rest to reach its steady state.
+    let rows = [
+        (1000, K, in_order, None, 2),
+        (1000, K, in_order, Some((5, 700)), 1),
+        (128, 512, seeded, None, 2),
+    ];
     for fresh in [PimContext::paper_system, PimContext::small_system] {
-        let mut reference = fresh();
-        reference.sys.set_fastpath_enabled(false);
-        let mut ref_plan = GemvPlan::prepare(&mut reference, &w, n, k).expect("shape fits");
-        let mut fast: Vec<(PimContext, GemvPlan)> = BACKENDS
-            .iter()
-            .map(|&backend| {
+        for (n, k, mode, skew, hits) in rows {
+            let w = bench_weights(n, k);
+            let boot = |setup: &dyn Fn(&mut PimContext)| {
                 let mut ctx = fresh();
-                ctx.set_backend(backend);
+                ctx.set_mode(mode);
+                setup(&mut ctx);
+                if let Some((ch, cycles)) = skew {
+                    ctx.sys.channel_mut(ch).advance_to(cycles);
+                }
                 let plan = GemvPlan::prepare(&mut ctx, &w, n, k).expect("shape fits");
                 (ctx, plan)
-            })
-            .collect();
-        let channels = reference.sys.channel_count() as u64;
-        for launch in 0..4 {
-            let x = bench_input(k, launch);
-            let (y, report) = ref_plan.launch(&mut reference, &x).expect("reference launch");
-            for (ctx, plan) in &mut fast {
-                let at = format!("{channels} channels, {:?}, launch {launch}", ctx.backend());
-                let before = ctx.sys.fastpath_channels();
-                let (got, r) = plan.launch(ctx, &x).expect("launch");
-                assert_eq!(got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), bits(&y), "{at}");
-                assert_eq!(r, report, "{at}");
-                assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
-                let units = n.div_ceil(16);
-                assert_eq!(partial_sums(&ctx.sys, units), partial_sums(&reference.sys, units));
-                if launch == 0 {
-                    assert_eq!(channels_since(&ctx.sys, before), (1, channels - 1), "{at}");
+            };
+            let (mut reference, mut ref_plan) = boot(&|ctx| ctx.sys.set_fastpath_enabled(false));
+            let (mut unmasked, mut unmasked_plan) =
+                boot(&|ctx| ctx.inject_faults(&FaultPlan::quiet(0)));
+            let mut fast: Vec<(PimContext, GemvPlan)> =
+                BACKENDS.iter().map(|&backend| boot(&|ctx| ctx.set_backend(backend))).collect();
+            let channels = reference.sys.channel_count() as u64;
+            let classes = 1 + u64::from(skew.is_some());
+            let units = n.div_ceil(16);
+            for launch in 0..4 {
+                let x = bench_input(k, launch);
+                let (y, report) = ref_plan.launch(&mut reference, &x).expect("reference launch");
+                let sums = partial_sums(&reference.sys, units);
+                let row =
+                    format!("{channels} channels, {n}x{k} {mode:?} skew {skew:?}, launch {launch}");
+                let (full, full_report) = unmasked_plan.launch(&mut unmasked, &x).expect("launch");
+                assert_eq!((bits(&full), full_report), (bits(&y), report), "unmasked, {row}");
+                assert_eq!(partial_sums(&unmasked.sys, units), sums, "unmasked, {row}");
+                for (ctx, plan) in &mut fast {
+                    let at = format!("{:?}, {row}", ctx.backend());
+                    let before = ctx.sys.fastpath_channels();
+                    let (got, r) = plan.launch(ctx, &x).expect("launch");
+                    assert_eq!(bits(&got), bits(&y), "{at}");
+                    assert_eq!(r, report, "{at}");
+                    assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
+                    assert_eq!(partial_sums(&ctx.sys, units), sums, "{at}");
+                    if launch == 0 {
+                        assert_eq!(
+                            channels_since(&ctx.sys, before),
+                            (classes, channels - classes),
+                            "{at}"
+                        );
+                    }
                 }
             }
-        }
-        for len in [128, 4096] {
-            let (a, b) = (bench_input(len, 1), bench_input(len, 8));
-            let (z, report) = PimBlas::add(&mut reference, &a, &b).expect("reference add");
-            for (ctx, _) in &mut fast {
-                let at = format!("{channels} channels, {:?}, ADD {len}", ctx.backend());
-                let (got, r) = PimBlas::add(ctx, &a, &b).expect("add");
-                assert_eq!(bits(&got), bits(&z), "{at}");
-                assert_eq!(r, report, "{at}");
-                assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
+            for len in [128, 4096] {
+                let (a, b) = (bench_input(len, 1), bench_input(len, 8));
+                let (z, report) = PimBlas::add(&mut reference, &a, &b).expect("reference add");
+                for (ctx, _) in &mut fast {
+                    let at = format!("{channels} channels, {:?}, ADD {len}", ctx.backend());
+                    let (got, r) = PimBlas::add(ctx, &a, &b).expect("add");
+                    assert_eq!(bits(&got), bits(&z), "{at}");
+                    assert_eq!(r, report, "{at}");
+                    assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
+                }
             }
-        }
-        for (ctx, _) in &fast {
-            let stats = ctx.sys.fastpath_stats();
-            assert_eq!((stats.hits, stats.uncacheable), (2, 0), "{:?}: {stats:?}", ctx.backend());
-            let total = ctx.sys.fastpath_channels();
-            assert_eq!(
-                total.simulated + total.replayed,
-                6 * channels,
-                "every list is counted once"
-            );
-            assert!(total.simulated < 16, "{:?}: {total:?}", ctx.backend());
+            for (ctx, _) in &fast {
+                let at = format!(
+                    "{channels} channels, {n}x{k} {mode:?} skew {skew:?}, {:?}",
+                    ctx.backend()
+                );
+                let stats = ctx.sys.fastpath_stats();
+                assert_eq!((stats.hits, stats.uncacheable), (hits, 0), "{at}: {stats:?}");
+                let total = ctx.sys.fastpath_channels();
+                assert_eq!(total.simulated + total.replayed, 6 * channels, "{at}");
+                assert!(total.simulated < 16, "{at}: {total:?}");
+            }
         }
     }
 }
@@ -519,26 +585,36 @@ fn uncached_systems_simulate_every_channel() {
 }
 
 /// 64 distinct lists are 64 classes: every channel is simulated until the
-/// launch as a whole replays, and the results are the reference's.
+/// launch as a whole replays, and the results are the reference's — which
+/// `predict_launch` gives before each reference launch runs, from whatever
+/// state the previous one left. In order and fenced.
 #[test]
 fn distinct_lists_simulate_every_channel() {
     let lists = synthetic_batches(64, 12, 0x5EED);
-    let mode = ExecutionMode::Fenced { reorder_seed: None };
-    let mut reference = PimContext::paper_system().sys;
-    reference.set_fastpath_enabled(false);
-    let want: Vec<_> = (0..4)
-        .map(|_| (KernelEngine::run_system(&mut reference, &lists, mode), measured(&reference)))
-        .collect();
-    for backend in BACKENDS {
-        let mut sys = PimContext::paper_system().sys;
-        sys.set_backend(backend);
-        let mut per_launch = Vec::new();
-        for (launch, (r, m)) in want.iter().enumerate() {
-            let before = sys.fastpath_channels();
-            assert_eq!(&KernelEngine::run_system(&mut sys, &lists, mode), r, "launch {launch}");
-            assert_eq!(&measured(&sys), m, "{backend:?} launch {launch}");
-            per_launch.push(channels_since(&sys, before));
+    for mode in [ExecutionMode::Fenced { reorder_seed: None }, ExecutionMode::Ordered] {
+        let mut reference = PimContext::paper_system().sys;
+        reference.set_fastpath_enabled(false);
+        let want: Vec<_> = (0..4)
+            .map(|launch| {
+                let p = predict_launch(&reference, &lists, mode, None).expect("a quiescent entry");
+                let r = KernelEngine::run_system(&mut reference, &lists, mode);
+                let ran = (r.end_cycle, r.commands, r.fences);
+                assert_eq!((p.end_cycle, p.commands, p.fences), ran, "{mode:?} launch {launch}");
+                (r, measured(&reference))
+            })
+            .collect();
+        for backend in BACKENDS {
+            let mut sys = PimContext::paper_system().sys;
+            sys.set_backend(backend);
+            let mut per_launch = Vec::new();
+            for (launch, (r, m)) in want.iter().enumerate() {
+                let at = format!("{mode:?}, {backend:?} launch {launch}");
+                let before = sys.fastpath_channels();
+                assert_eq!(&KernelEngine::run_system(&mut sys, &lists, mode), r, "{at}");
+                assert_eq!(&measured(&sys), m, "{at}");
+                per_launch.push(channels_since(&sys, before));
+            }
+            assert_eq!(per_launch, [(64, 0), (64, 0), (0, 64), (0, 64)], "{mode:?} {backend:?}");
         }
-        assert_eq!(per_launch, [(64, 0), (64, 0), (0, 64), (0, 64)], "{backend:?}");
     }
 }

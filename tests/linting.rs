@@ -428,16 +428,89 @@ fn every_module_has_a_caller_outside_itself() {
     );
 }
 
+/// The column-0 `impl` blocks of a file's lines: the implementing type's
+/// last path segment (`Foo` for `impl<T> a::Foo<T>` and for
+/// `impl Trait for Foo`) and the block's line range, through its
+/// column-0 `}`.
+fn impl_blocks(lines: &[&str]) -> Vec<(String, std::ops::Range<usize>)> {
+    let mut blocks = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        let Some(rest) = line.strip_prefix("impl") else { continue };
+        if !rest.starts_with([' ', '<']) {
+            continue;
+        }
+        let open = (i..lines.len()).find(|&j| lines[j].contains('{')).unwrap_or(i);
+        let header = lines[i..=open].join("\n");
+        let header = &header[4..header.find('{').unwrap_or(header.len())];
+        let mut ty = skip_generics(header).trim_start();
+        if let Some(at) = ty.find(" for ") {
+            ty = ty[at + 5..].trim_start();
+        }
+        let path = &ty[..ty.find(|c: char| !is_ident(c) && c != ':').unwrap_or(ty.len())];
+        let name = path.rsplit("::").next().unwrap_or(path);
+        let end = if line.ends_with("{}") {
+            i
+        } else {
+            (i + 1..lines.len()).find(|&j| lines[j] == "}").unwrap_or(lines.len() - 1)
+        };
+        blocks.push((name.to_string(), i..end + 1));
+    }
+    blocks
+}
+
+/// `text` after a leading `<...>` generics list (`->` inside it is not a
+/// closing bracket), or `text` itself when it opens with none.
+fn skip_generics(text: &str) -> &str {
+    if !text.starts_with('<') {
+        return text;
+    }
+    let (mut depth, mut prev) = (0i32, ' ');
+    for (i, c) in text.char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' if prev != '-' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return &text[i + 1..];
+        }
+        prev = c;
+    }
+    ""
+}
+
+/// Whether the signature that follows a function's name (generics, then
+/// the parameter list, possibly over several lines) opens with a `self`
+/// receiver: `self`, `&self`, `&'a mut self`, `mut self`, `self: Box<Self>`.
+fn has_receiver(signature: &str) -> bool {
+    let Some(params) = skip_generics(signature).trim_start().strip_prefix('(') else {
+        return false;
+    };
+    let mut p = params.trim_start();
+    if let Some(r) = p.strip_prefix('&') {
+        p = r.trim_start();
+        if let Some(lifetime) = p.strip_prefix('\'') {
+            p = lifetime.trim_start_matches(is_ident).trim_start();
+        }
+    }
+    p = p.strip_prefix("mut ").map_or(p, str::trim_start);
+    p.strip_prefix("self").is_some_and(|r| !r.starts_with(is_ident))
+}
+
 /// No `pub fn` without a caller — the module rule one level down: for
 /// every `pub fn` (or `pub const fn`) outside the `#[cfg(test)]` module of
 /// a workspace crate's source file, the name occurs, as an identifier and
 /// outside comments, in another `.rs` file under `crates/`, `tests/`,
 /// `examples/` or `benchmark/`, or in its own file's non-test code at
-/// somewhere other than a definition. A function only its own unit tests
-/// call is API nothing runs: delete it with the test, make it private or
-/// `#[cfg(test)]` if the tests are its purpose, or give it the caller it
-/// was written for. Textual, so a name shared with a called function hides
-/// an uncalled one; trait-impl methods are not `pub fn`.
+/// somewhere other than a definition. An associated function — one in an
+/// `impl T` block with no `self` receiver — is only ever called as
+/// `T::f`, so for it the needle is that path (or `Self::f` inside one of
+/// `T`'s own impl blocks): a bare `new` or `create` is found everywhere. A
+/// function only its own unit tests call is API nothing runs: delete it
+/// with the test, make it private or `#[cfg(test)]` if the tests are its
+/// purpose, or give it the caller it was written for. Textual, so a
+/// method name shared with a called method hides an uncalled one;
+/// trait-impl methods are not `pub fn`.
 #[test]
 fn every_pub_fn_has_a_caller_outside_its_own_tests() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
@@ -460,19 +533,50 @@ fn every_pub_fn_has_a_caller_outside_its_own_tests() {
                     .find(|l| !l.starts_with("#["))
                     .is_some_and(|l| l.starts_with("mod ") || l.starts_with("pub(crate) mod "))
         });
-        let own = lines[..tests_at.unwrap_or(lines.len())].join("\n");
+        let own_lines = &lines[..tests_at.unwrap_or(lines.len())];
+        let own = own_lines.join("\n");
+        let impls = impl_blocks(own_lines);
         for prefix in ["pub fn ", "pub const fn "] {
-            for name in names_after(&own, prefix) {
+            for (def, _) in own.match_indices(prefix) {
+                let rest = &own[def + prefix.len()..];
+                let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+                if name.is_empty() {
+                    continue;
+                }
                 functions += 1;
-                let elsewhere =
-                    names.iter().enumerate().any(|(i, set)| i != at && set.contains(name));
-                let here = own.match_indices(name).any(|(i, _)| {
-                    !own[..i].ends_with(is_ident)
-                        && !own[i + name.len()..].starts_with(is_ident)
-                        && !own[..i].ends_with("fn ")
-                });
-                if !elsewhere && !here {
-                    islands.push(format!("crates/{krate}/src/{file}: {name}"));
+                let line = own[..def].matches('\n').count();
+                let owner = impls.iter().find(|(_, lines)| lines.contains(&line));
+                let called = match owner {
+                    Some((ty, _)) if !has_receiver(&rest[name.len()..]) => {
+                        let path = format!("{ty}::{name}");
+                        let in_own_impl =
+                            impls.iter().filter(|(t, _)| t == ty).any(|(_, range)| {
+                                mentions(
+                                    &own_lines[range.clone()].join("\n"),
+                                    &format!("Self::{name}"),
+                                )
+                            });
+                        in_own_impl
+                            || mentions(&own, &path)
+                            || sources
+                                .iter()
+                                .enumerate()
+                                .any(|(i, (_, t))| i != at && mentions(t, &path))
+                    }
+                    _ => {
+                        let elsewhere =
+                            names.iter().enumerate().any(|(i, set)| i != at && set.contains(name));
+                        let here = own.match_indices(name).any(|(i, _)| {
+                            !own[..i].ends_with(is_ident)
+                                && !own[i + name.len()..].starts_with(is_ident)
+                                && !own[..i].ends_with("fn ")
+                        });
+                        elsewhere || here
+                    }
+                };
+                if !called {
+                    let what = owner.map_or(name.to_string(), |(ty, _)| format!("{ty}::{name}"));
+                    islands.push(format!("crates/{krate}/src/{file}: {what}"));
                 }
             }
         }
