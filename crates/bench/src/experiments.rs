@@ -5,7 +5,9 @@
 use crate::micro::{add_micro, bn_micro, gemv_micro, geo_mean, microbenchmarks, MicroResult};
 use crate::workloads;
 use pim_core::isa;
-use pim_core::{PimConfig, PimVariant};
+use pim_core::{
+    PimConfig, PimVariant, CRF_ENTRIES, LANES, UNIT_AREA_MM2, UNIT_GATE_COUNT, UNIT_MHZ,
+};
 use pim_dram::{TimingParams, BANKS_PER_PCH, PCH_PER_STACK};
 use pim_energy::components::StreamMode;
 use pim_energy::{EnergyParams, HostPowerState, MemoryEnergyBreakdown, SystemPowerModel};
@@ -36,17 +38,17 @@ pub fn table3() -> Vec<(String, u32)> {
 pub fn table4() -> Vec<(String, String)> {
     let c = PimConfig::paper();
     vec![
-        ("# of MUL/ADD FPUs".into(), format!("{}/{}", c.lanes, c.lanes)),
-        ("Datapath Width".into(), format!("{} bits (16 bits x {} lanes)", c.lanes * 16, c.lanes)),
+        ("# of MUL/ADD FPUs".into(), format!("{LANES}/{LANES}")),
+        ("Datapath Width".into(), format!("{} bits (16 bits x {LANES} lanes)", LANES * 16)),
         ("Operating Frequency".into(), "250MHz ~ 300MHz".into()),
-        ("Throughput".into(), format!("{} GFLOPs at {}MHz", c.unit_gflops(), c.unit_mhz)),
-        ("Equivalent Gate Count".into(), format!("{} (only logic)", c.gate_count)),
-        ("Instruction Registers".into(), format!("32b x {} (CRF)", c.crf_entries)),
+        ("Throughput".into(), format!("{} GFLOPs at {UNIT_MHZ}MHz", c.unit_gflops())),
+        ("Equivalent Gate Count".into(), format!("{UNIT_GATE_COUNT} (only logic)")),
+        ("Instruction Registers".into(), format!("32b x {CRF_ENTRIES} (CRF)")),
         (
             "Vector and Scalar Registers".into(),
-            format!("256b x {} (GRF), 16b x 16 (SRF)", 2 * c.grf_entries_per_file),
+            format!("256b x {} (GRF), 16b x 16 (SRF)", 2 * c.grf_entries_per_file()),
         ),
-        ("Area".into(), format!("{} mm2", c.unit_area_mm2)),
+        ("Area".into(), format!("{UNIT_AREA_MM2} mm2")),
     ]
 }
 

@@ -1,6 +1,9 @@
 //! PIM execution unit and device configuration (Tables IV and V), plus the
 //! design-space-exploration variants of Section VII-D / Fig. 14.
 
+use crate::regfile::GRF_ENTRIES_PER_FILE;
+use crate::vector::LANES;
+
 /// The architectural variants evaluated in the paper.
 ///
 /// The base variant is the fabricated chip; the other three are the
@@ -51,65 +54,62 @@ impl std::fmt::Display for PimVariant {
     }
 }
 
-/// Configuration of a PIM-HBM device (Table IV/V constants).
-#[derive(Debug, Clone, PartialEq)]
+/// PIM unit clock in MHz (Table IV: 250–300; bus/4).
+pub const UNIT_MHZ: u64 = 300;
+/// Equivalent gate count of one unit (Table IV: ~200,000).
+pub const UNIT_GATE_COUNT: u64 = 200_000;
+/// Area of one unit in mm² (Table IV: 0.712).
+pub const UNIT_AREA_MM2: f64 = 0.712;
+
+/// Configuration of a PIM-HBM device: the two design axes the paper
+/// varies. Everything else of Tables IV/V is fixed silicon — [`LANES`],
+/// [`CRF_ENTRIES`], [`UNIT_MHZ`], [`UNIT_GATE_COUNT`], [`UNIT_AREA_MM2`] —
+/// and the GRF depth follows from the variant
+/// ([`PimConfig::grf_entries_per_file`]).
+///
+/// [`LANES`]: crate::LANES
+/// [`CRF_ENTRIES`]: crate::CRF_ENTRIES
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PimConfig {
     /// PIM execution units per pseudo channel (paper: 8, one per bank
     /// pair).
     pub units_per_pch: usize,
-    /// SIMD lanes per unit (paper: 16).
-    pub lanes: usize,
-    /// GRF registers per file (paper: 8 per file, 16 total per unit).
-    pub grf_entries_per_file: usize,
-    /// CRF instruction entries (paper: 32).
-    pub crf_entries: usize,
     /// The microarchitectural variant.
     pub variant: PimVariant,
-    /// PIM unit clock in MHz (paper: 250–300; bus/4).
-    pub unit_mhz: u64,
-    /// Equivalent gate count of one unit (Table IV: ~200,000).
-    pub gate_count: u64,
-    /// Area of one unit in mm² (Table IV: 0.712).
-    pub unit_area_mm2: f64,
 }
 
 impl PimConfig {
     /// The fabricated chip's configuration (Tables IV and V).
     pub fn paper() -> PimConfig {
-        PimConfig {
-            units_per_pch: 8,
-            lanes: 16,
-            grf_entries_per_file: 8,
-            crf_entries: 32,
-            variant: PimVariant::Base,
-            unit_mhz: 300,
-            gate_count: 200_000,
-            unit_area_mm2: 0.712,
-        }
+        PimConfig::with_variant(PimVariant::Base)
     }
 
     /// The paper configuration with a different variant.
     pub fn with_variant(variant: PimVariant) -> PimConfig {
-        let mut c = PimConfig::paper();
-        c.variant = variant;
-        if variant == PimVariant::DoubleResources {
-            c.grf_entries_per_file *= 2;
+        PimConfig { units_per_pch: 8, variant }
+    }
+
+    /// GRF registers per file: 8 (16 per unit), doubled by
+    /// [`PimVariant::DoubleResources`].
+    pub fn grf_entries_per_file(&self) -> usize {
+        match self.variant {
+            PimVariant::DoubleResources => 2 * GRF_ENTRIES_PER_FILE,
+            _ => GRF_ENTRIES_PER_FILE,
         }
-        c
     }
 
     /// Peak throughput of one unit in GFLOPS: `lanes × 2 ops × f`.
     ///
     /// At 300 MHz this is Table IV's 9.6 GFLOPS.
     pub fn unit_gflops(&self) -> f64 {
-        self.lanes as f64 * 2.0 * self.unit_mhz as f64 / 1e3
+        LANES as f64 * 2.0 * UNIT_MHZ as f64 / 1e3
     }
 
     /// The out-of-order tolerance window in column commands: AAM can fix up
     /// reordering only within one GRF's worth of commands, so the host must
     /// fence every `fence_window` commands (Sections IV-C, VII-B).
     pub fn fence_window(&self) -> usize {
-        self.grf_entries_per_file
+        self.grf_entries_per_file()
     }
 
     /// How many banks' operands one column command consumes: 1 per unit
@@ -153,15 +153,6 @@ impl PimConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.units_per_pch == 0 || self.units_per_pch > 8 {
             return Err("units_per_pch must be in 1..=8 (one per bank pair)".into());
-        }
-        if self.lanes != 16 {
-            return Err("the datapath is fixed at 16 lanes (256 bits)".into());
-        }
-        if self.crf_entries != 32 {
-            return Err("the CRF is fixed at 32 entries".into());
-        }
-        if self.grf_entries_per_file != 8 && self.grf_entries_per_file != 16 {
-            return Err("GRF is 8 entries per file (16 for the 2x variant)".into());
         }
         Ok(())
     }
@@ -216,11 +207,7 @@ mod tests {
         let mut c = PimConfig::paper();
         c.units_per_pch = 9;
         assert!(c.validate().is_err());
-        let mut c = PimConfig::paper();
-        c.lanes = 8;
-        assert!(c.validate().is_err());
-        let mut c = PimConfig::paper();
-        c.grf_entries_per_file = 5;
+        c.units_per_pch = 0;
         assert!(c.validate().is_err());
     }
 

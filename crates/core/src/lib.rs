@@ -76,9 +76,9 @@ pub mod conf {
     pub use crate::regfile::{crf_block_base, crf_block_words, crf_blocks};
 }
 
-pub use config::{PimConfig, PimVariant};
+pub use config::{PimConfig, PimVariant, UNIT_AREA_MM2, UNIT_GATE_COUNT, UNIT_MHZ};
 pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMode, UnitMask};
-pub use regfile::{Crf, Grf, Srf};
+pub use regfile::{Crf, Grf, Srf, CRF_ENTRIES};
 pub use unit::{BankPort, Halt, PimUnit, Sequencer, Trigger, TriggerKind};
-pub use vector::LaneVec;
+pub use vector::{LaneVec, LANES};
 pub use walker::{ModeWalker, Step};

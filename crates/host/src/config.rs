@@ -29,10 +29,6 @@ pub struct HostConfig {
     pub flops_per_cu_cycle_fp16: f64,
     /// Last-level cache capacity in bytes (GPU-class: 8 MiB).
     pub llc_bytes: usize,
-    /// LLC line size in bytes.
-    pub llc_line: usize,
-    /// LLC associativity.
-    pub llc_ways: usize,
     /// HBM stacks integrated with the processor (Section VI: 4).
     pub stacks: usize,
     /// Fraction of peak off-chip bandwidth the host's GEMV kernel sustains
@@ -75,8 +71,6 @@ impl HostConfig {
             cu_mhz: 1725,
             flops_per_cu_cycle_fp16: 256.0,
             llc_bytes: 8 * 1024 * 1024,
-            llc_line: 64,
-            llc_ways: 16,
             stacks: 4,
             gemv_stream_efficiency: 0.131,
             add_stream_efficiency: 0.90,

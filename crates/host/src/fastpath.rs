@@ -649,26 +649,8 @@ impl KeyHasher {
             bus_mhz, t_rcd, t_rp, t_ras, t_rc, t_ccd_s, t_ccd_l, t_rrd_s, t_rrd_l, t_faw, t_cl,
             t_wl, t_bl, t_wr, t_rtp, t_wtr, t_rtw, t_refi, t_rfc,
         ]);
-        let &PimConfig {
-            units_per_pch,
-            lanes,
-            grf_entries_per_file,
-            crf_entries,
-            variant,
-            unit_mhz,
-            gate_count,
-            unit_area_mm2,
-        } = config;
-        self.words([
-            units_per_pch as u64,
-            lanes as u64,
-            grf_entries_per_file as u64,
-            crf_entries as u64,
-            variant as u64,
-            unit_mhz,
-            gate_count,
-            unit_area_mm2.to_bits(),
-        ]);
+        let &PimConfig { units_per_pch, variant } = config;
+        self.words([units_per_pch as u64, variant as u64]);
     }
 
     /// A command's class, bank and row or column — never its payload.
@@ -734,16 +716,8 @@ mod tests {
             *field(&mut t) += 1;
             keys.push(hash(&t, &PimConfig::paper()));
         }
-        let config_edits: [fn(&mut PimConfig); 8] = [
-            |c| c.units_per_pch -= 1,
-            |c| c.lanes += 1,
-            |c| c.grf_entries_per_file += 1,
-            |c| c.crf_entries += 1,
-            |c| c.variant = PimVariant::TwoBankAccess,
-            |c| c.unit_mhz += 1,
-            |c| c.gate_count += 1,
-            |c| c.unit_area_mm2 += 0.001,
-        ];
+        let config_edits: [fn(&mut PimConfig); 2] =
+            [|c| c.units_per_pch -= 1, |c| c.variant = PimVariant::TwoBankAccess];
         for edit in config_edits {
             let mut c = PimConfig::paper();
             edit(&mut c);

@@ -39,7 +39,7 @@ pub mod parallel;
 pub mod predictor;
 mod system;
 
-pub use cluster::{ClusterTopology, LinkHealth, TopologyError};
+pub use cluster::{collective_cycles, LINK_BYTES_PER_CYCLE, LINK_LATENCY_CYCLES, PCH_PER_STACK};
 pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
 pub use fastpath::{FastpathChannels, FastpathStats};

@@ -113,8 +113,8 @@ impl PimSystem {
 
     /// Number of HBM stacks this system models (4 on the paper system).
     ///
-    /// A [`crate::ClusterTopology`] composes several *single-stack*
-    /// systems instead of widening one system's channel count, so cluster
+    /// A cluster (`pim_runtime::ClusterContext`) composes several
+    /// *single-stack* systems instead of widening one system's channel count, so cluster
     /// code uses this to assert each member really is one stack.
     pub fn stack_count(&self) -> usize {
         self.host.stacks

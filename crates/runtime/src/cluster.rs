@@ -3,10 +3,10 @@
 //! The paper's system is one HBM-PIM stack per processor; the ROADMAP
 //! north star is production serving, which shards model weights across
 //! many stacks. [`ClusterContext`] composes N independent single-stack
-//! [`PimContext`]s under one [`ClusterTopology`] and provides sharded
-//! GEMV with **deterministic collectives**: shard results are gathered in
-//! fixed stack-index order on the host, so results are reproducible at
-//! any worker count and backend.
+//! [`PimContext`]s, joined by the link [`pim_host::collective_cycles`]
+//! prices, and provides sharded GEMV with **deterministic collectives**:
+//! shard results are gathered in fixed stack-index order on the host, so
+//! results are reproducible at any worker count and backend.
 //!
 //! [`ClusterContext::gemv_row_parallel`] shards output rows (see
 //! `docs/CLUSTER.md`). Each output element's FP16 MAC sequence over `k`
@@ -28,8 +28,8 @@ use crate::context::PimContext;
 use crate::layout::shard_range;
 use crate::plan::{check_input, check_weights};
 use pim_dram::Cycle;
-use pim_faults::ClusterFaultPlan;
-use pim_host::{ClusterTopology, ExecutionBackend, LinkHealth};
+use pim_faults::{ClusterFaultPlan, LinkState};
+use pim_host::{collective_cycles, ExecutionBackend, PCH_PER_STACK};
 use pim_obs::{names, Recorder};
 
 /// Cumulative collective-traffic counters for one cluster.
@@ -66,7 +66,6 @@ pub struct ClusterReport {
 #[derive(Debug)]
 pub struct ClusterContext {
     stacks: Vec<PimContext>,
-    topology: ClusterTopology,
     stats: ClusterStats,
     recorder: Option<Recorder>,
     chaos: Option<ClusterFaultPlan>,
@@ -74,30 +73,18 @@ pub struct ClusterContext {
 
 impl ClusterContext {
     /// A cluster of `stacks` paper-shaped single-stack systems (16 pseudo
-    /// channels each) joined by [`ClusterTopology::paper`]'s link model.
+    /// channels each) joined by the modelled inter-stack link of
+    /// [`pim_host::cluster`].
+    ///
+    /// # Errors
+    ///
+    /// [`PimError::Internal`] for zero stacks: a cluster needs a member.
     pub fn new(stacks: usize) -> Result<ClusterContext, PimError> {
-        ClusterContext::with_topology(ClusterTopology::paper(stacks))
-    }
-
-    /// A cluster over an explicit topology. Each member is built as an
-    /// independent single-stack [`PimContext`]; the topology must
-    /// therefore describe 16-channel stacks (the HBM2 stack shape every
-    /// `PimContext` models).
-    pub fn with_topology(topology: ClusterTopology) -> Result<ClusterContext, PimError> {
-        topology.validate().map_err(|e| PimError::Internal { detail: e.to_string() })?;
-        if topology.channels_per_stack != 16 {
-            return Err(PimError::Internal {
-                detail: format!(
-                    "cluster members are single HBM2 stacks of 16 pseudo channels, \
-                     topology asked for {}",
-                    topology.channels_per_stack
-                ),
-            });
+        if stacks == 0 {
+            return Err(PimError::Internal { detail: "cluster topology has zero stacks".into() });
         }
-        let stacks = (0..topology.stacks).map(|_| PimContext::small_system()).collect();
         Ok(ClusterContext {
-            stacks,
-            topology,
+            stacks: (0..stacks).map(|_| PimContext::small_system()).collect(),
             stats: ClusterStats::default(),
             recorder: None,
             chaos: None,
@@ -117,11 +104,6 @@ impl ClusterContext {
     /// The installed chaos schedule, if any.
     pub fn chaos(&self) -> Option<&ClusterFaultPlan> {
         self.chaos.as_ref()
-    }
-
-    /// The cluster's topology.
-    pub fn topology(&self) -> &ClusterTopology {
-        &self.topology
     }
 
     /// Number of member stacks.
@@ -164,7 +146,7 @@ impl ClusterContext {
     /// `cluster.*` collective counters).
     pub fn enable_profiling(&mut self, recorder: Recorder) {
         for (i, s) in self.stacks.iter_mut().enumerate() {
-            let base = (i * self.topology.channels_per_stack) as u16;
+            let base = (i * PCH_PER_STACK) as u16;
             s.enable_profiling_with_base(recorder.clone(), base);
         }
         self.recorder = Some(recorder);
@@ -222,33 +204,20 @@ impl ClusterContext {
         }
     }
 
-    /// Re-derives every link's health from the chaos schedule at the
-    /// current cluster clock, so the topology prices collectives with the
-    /// degradation in force *now*. No schedule means nominal links.
-    fn refresh_link_health(&mut self) {
-        let Some(plan) = &self.chaos else { return };
-        let now = self.max_now();
-        for s in 0..self.stacks.len() {
-            let state = plan.link_state(s, now);
-            self.topology.set_link_health(
-                s,
-                LinkHealth {
-                    latency_milli: state.latency_milli,
-                    bandwidth_div: state.bandwidth_div,
-                },
-            );
-        }
-    }
-
     /// Charges one collective of `payload_bytes` over `participants` to
     /// the cluster clock: barriers the cluster (compute time = slowest
     /// member) and advances everyone by the modelled link time of a ring
     /// walk over exactly the participating stacks, at their current link
-    /// health. Returns the cycles charged.
+    /// health: the chaos schedule's [`LinkState`] at the collective's
+    /// start, nominal with no schedule. Returns the cycles charged.
     fn collective(&mut self, payload_bytes: u64, participants: &[usize]) -> Cycle {
-        self.refresh_link_health();
-        let cost = self.topology.collective_cycles_over(payload_bytes, participants);
-        let target = self.max_now() + cost;
+        let now = self.max_now();
+        let links: Vec<LinkState> = participants
+            .iter()
+            .map(|&s| self.chaos.as_ref().map_or(LinkState::NOMINAL, |p| p.link_state(s, now)))
+            .collect();
+        let cost = collective_cycles(payload_bytes, &links);
+        let target = now + cost;
         self.advance_all_to(target);
         self.stats.collectives += 1;
         self.stats.link_bytes += payload_bytes;

@@ -30,9 +30,9 @@
 //!   re-replication charge) and one probe request must complete on PIM
 //!   bit-exact against the FP16 oracle (see `docs/RESILIENCE.md`).
 //! * **Hedged dispatch** — when a stack's observed service latency exceeds
-//!   [`ClusterServeConfig::hedge_multiplier_milli`] thousandths of the
-//!   cluster median, its queued-but-never-started expiries are re-issued
-//!   once on the next admitting replica, and the kept result is chosen
+//!   [`HEDGE_MULTIPLIER_MILLI`] thousandths of the cluster median, its
+//!   queued-but-never-started expiries are re-issued once on the next
+//!   admitting replica, and the kept result is chosen
 //!   deterministically (lowest stack index that produced a result).
 //!
 //! Requests are routed in **epochs** of
@@ -51,11 +51,26 @@ use crate::cluster::charge_straggler;
 use crate::context::PimContext;
 use crate::serve::{
     check_trace, mix, resolve_outcomes, Breaker, BreakerEvent, Disposition, RequestOutcome,
-    ServeConfig, ServeOp, ServeRequest, ServeStats, Server,
+    ServeConfig, ServeOp, ServeRequest, ServeStats, Server, BREAKER_COOLDOWN,
 };
 use pim_dram::Cycle;
 use pim_faults::ClusterFaultPlan;
 use pim_obs::{names, Recorder};
+
+/// Straggler threshold in thousandths: a stack whose per-request service
+/// latency exceeds `HEDGE_MULTIPLIER_MILLI / 1000` times the cluster median
+/// is flagged, and its queued-never-started expiries are hedged on a
+/// replica.
+pub const HEDGE_MULTIPLIER_MILLI: u64 = 2000;
+/// Modelled re-replication time a recovered stack pays before its rejoin
+/// probe: the cycles to re-lay-out resident tenant weights from their
+/// replicas.
+pub const REJOIN_RELAYOUT_CYCLES: Cycle = 50_000;
+/// Elements in the rejoin probe request that must complete on PIM
+/// bit-exact against the FP16 oracle before the stack rejoins.
+pub const PROBE_ELEMENTS: usize = 256;
+/// Cycles from a rejoin probe's arrival to its deadline.
+pub const PROBE_DEADLINE_CYCLES: Cycle = 4_000_000;
 
 /// Configuration of the cluster scheduler.
 #[derive(Debug, Clone)]
@@ -71,18 +86,6 @@ pub struct ClusterServeConfig {
     /// Requests per routing epoch: placement decisions, health-tracker
     /// updates, and stack-breaker charging happen at epoch granularity.
     pub epoch_requests: usize,
-    /// Straggler threshold in thousandths: a stack whose per-request
-    /// service latency exceeds `hedge_multiplier_milli / 1000` times the
-    /// cluster median is flagged, and its queued-never-started expiries
-    /// are hedged on a replica. `0` disables hedging.
-    pub hedge_multiplier_milli: u64,
-    /// Modelled re-replication time a recovered stack pays before its
-    /// rejoin probe: the cycles to re-lay-out resident tenant weights
-    /// from their replicas.
-    pub rejoin_relayout_cycles: Cycle,
-    /// Elements in the rejoin probe request that must complete on PIM
-    /// bit-exact against the FP16 oracle before the stack rejoins.
-    pub probe_elements: usize,
     /// The chaos schedule driving the health tracker. `None` (the
     /// default) means no chaos: every stack stays up and behaviour is
     /// identical to a chaos-free build.
@@ -95,9 +98,6 @@ impl Default for ClusterServeConfig {
             serve: ServeConfig::default(),
             replication: 2,
             epoch_requests: 8,
-            hedge_multiplier_milli: 2000,
-            rejoin_relayout_cycles: 50_000,
-            probe_elements: 256,
             chaos: None,
         }
     }
@@ -270,10 +270,11 @@ impl<'a> ClusterServer<'a> {
         epoch_now: Cycle,
         stats: &mut ClusterServeStats,
     ) -> Result<(), PimError> {
-        let Some(plan) = self.cfg.chaos.clone() else { return Ok(()) };
-        for s in 0..self.servers.len() {
-            let crashed = plan.stack_crashed(s, epoch_now);
-            let partitioned = plan.link_partitioned(s, epoch_now);
+        let Some(plan) = &self.cfg.chaos else { return Ok(()) };
+        let windows: Vec<(bool, bool)> = (0..self.servers.len())
+            .map(|s| (plan.stack_crashed(s, epoch_now), plan.link_partitioned(s, epoch_now)))
+            .collect();
+        for (s, (crashed, partitioned)) in windows.into_iter().enumerate() {
             match self.health[s] {
                 StackHealth::Up => {
                     if crashed {
@@ -334,12 +335,12 @@ impl<'a> ClusterServer<'a> {
         self.rejoin_salt += 1;
         self.servers[s].advance_to(epoch_now);
         self.servers[s].reset_arena();
-        let relayout_done = self.servers[s].now().saturating_add(self.cfg.rejoin_relayout_cycles);
+        let relayout_done = self.servers[s].now().saturating_add(REJOIN_RELAYOUT_CYCLES);
         self.servers[s].advance_to(relayout_done);
-        let n = self.cfg.probe_elements.max(1);
-        let x: Vec<f32> =
-            (0..n).map(|i| ((mix(salt ^ i as u64) % 511) as f32 - 255.0) * 0.25).collect();
-        let y: Vec<f32> = (0..n)
+        let x: Vec<f32> = (0..PROBE_ELEMENTS)
+            .map(|i| ((mix(salt ^ i as u64) % 511) as f32 - 255.0) * 0.25)
+            .collect();
+        let y: Vec<f32> = (0..PROBE_ELEMENTS)
             .map(|i| ((mix(salt ^ (i as u64 + (1 << 40))) % 511) as f32 - 255.0) * 0.125)
             .collect();
         let op = ServeOp::Add { x, y };
@@ -348,7 +349,7 @@ impl<'a> ClusterServer<'a> {
         let probe = ServeRequest {
             tenant: s as u32,
             arrival,
-            deadline: arrival.saturating_add(self.cfg.serve.max_backlog_cycles),
+            deadline: arrival.saturating_add(PROBE_DEADLINE_CYCLES),
             groups: None,
             budget: None,
             op,
@@ -376,6 +377,35 @@ impl<'a> ClusterServer<'a> {
     fn forced_route(&self, home: usize) -> usize {
         let n = self.servers.len();
         (0..n).map(|r| (home + r) % n).find(|&c| self.health[c] == StackHealth::Up).unwrap_or(home)
+    }
+
+    /// The first stack of `home`'s replica chain (`chain` stacks from
+    /// `home`, mod the stack count), other than `skip`, that is up and
+    /// whose breaker admits at `now`, with its position in the chain. Every
+    /// breaker asked on the way counts its half-open.
+    fn admitting_replica(
+        &mut self,
+        home: usize,
+        chain: usize,
+        skip: Option<usize>,
+        now: Cycle,
+        stats: &mut ClusterServeStats,
+    ) -> Option<(usize, usize)> {
+        let n = self.servers.len();
+        for r in 0..chain {
+            let cand = (home + r) % n;
+            if Some(cand) == skip || self.health[cand] != StackHealth::Up {
+                continue;
+            }
+            let (ok, event) = self.breakers[cand].admit(now);
+            if event == BreakerEvent::HalfOpened {
+                stats.stack_half_opens += 1;
+            }
+            if ok {
+                return Some((r, cand));
+            }
+        }
+        None
     }
 
     /// Routes and serves a whole trace. Requests must be in arrival
@@ -412,25 +442,16 @@ impl<'a> ClusterServer<'a> {
             for _ in 0..self.cfg.epoch_requests {
                 let Some((gid, req)) = queue.next() else { break };
                 let home = req.tenant as usize % n_stacks;
-                let mut target = None;
-                for r in 0..chain {
-                    let cand = (home + r) % n_stacks;
-                    if self.health[cand] != StackHealth::Up {
-                        continue;
-                    }
-                    let (ok, event) = self.breakers[cand].admit(epoch_now);
-                    if event == BreakerEvent::HalfOpened {
-                        stats.stack_half_opens += 1;
-                    }
-                    if ok {
-                        target = Some(cand);
+                let target = match self.admitting_replica(home, chain, None, epoch_now, &mut stats)
+                {
+                    Some((r, cand)) => {
                         if r > 0 {
                             stats.failovers += 1;
                         }
-                        break;
+                        cand
                     }
-                }
-                let target = target.unwrap_or_else(|| self.forced_route(home));
+                    None => self.forced_route(home),
+                };
                 stats.routed[target] += 1;
                 buckets[target].push((gid, req));
             }
@@ -487,10 +508,10 @@ impl<'a> ClusterServer<'a> {
             // stack index that produced one — here always the replica,
             // since the straggler's expiry produced none.
             let mut lats: Vec<u64> = epoch_lat.iter().filter_map(|&l| l).collect();
-            if self.cfg.hedge_multiplier_milli > 0 && lats.len() >= 2 {
+            if lats.len() >= 2 {
                 lats.sort_unstable();
                 let median = lats[(lats.len() - 1) / 2];
-                let threshold = median.saturating_mul(self.cfg.hedge_multiplier_milli) / 1000;
+                let threshold = median.saturating_mul(HEDGE_MULTIPLIER_MILLI) / 1000;
                 for (s, observed) in epoch_lat.iter().enumerate() {
                     let Some(lat) = *observed else { continue };
                     let over = threshold > 0 && lat > threshold;
@@ -506,22 +527,11 @@ impl<'a> ClusterServer<'a> {
                 }
                 let home = req.tenant as usize % n_stacks;
                 let now = self.now();
-                let mut replica = None;
-                for r in 0..chain {
-                    let cand = (home + r) % n_stacks;
-                    if cand == s || self.health[cand] != StackHealth::Up {
-                        continue;
-                    }
-                    let (ok, event) = self.breakers[cand].admit(now);
-                    if event == BreakerEvent::HalfOpened {
-                        stats.stack_half_opens += 1;
-                    }
-                    if ok {
-                        replica = Some(cand);
-                        break;
-                    }
-                }
-                let Some(replica) = replica else { continue };
+                let Some((_, replica)) =
+                    self.admitting_replica(home, chain, Some(s), now, &mut stats)
+                else {
+                    continue;
+                };
                 stats.hedges += 1;
                 let report = self.servers[replica].run_submitted(vec![(gid, req)])?;
                 stats.serve.merge(&report.stats);
@@ -538,8 +548,7 @@ impl<'a> ClusterServer<'a> {
             // stack's cooldown expires at a well-defined cluster time
             // even when its own clock lags the cluster's.
             let at = self.now();
-            let (threshold, cooldown) =
-                (self.cfg.serve.breaker_threshold, self.cfg.serve.breaker_cooldown);
+            let (threshold, cooldown) = (self.cfg.serve.breaker_threshold, BREAKER_COOLDOWN);
             for (s, disposition) in charges {
                 match disposition {
                     Disposition::FellBackToHost

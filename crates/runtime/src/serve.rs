@@ -49,7 +49,7 @@
 //!   behind Fig. 10's ADD rows), at least one cycle.
 //!
 //! Admission charges the cheaper of the two against
-//! [`ServeConfig::max_backlog_cycles`]; dispatch takes PIM whenever its
+//! [`MAX_BACKLOG_CYCLES`]; dispatch takes PIM whenever its
 //! price fits the slack; the host path advances the clock by its price.
 //!
 //! # Determinism
@@ -97,80 +97,42 @@ pub(crate) fn mix(z: u64) -> u64 {
     pim_obs::trace::mix(z)
 }
 
-/// Knobs of the serving layer.
+/// Bounded per-tenant queue depth; arrivals beyond it are shed with
+/// [`RejectReason::QueueFull`].
+pub const QUEUE_CAPACITY: usize = 8;
+/// Admission budget: when the priced backlog (queued work plus the new
+/// request, each at the cheaper of its PIM and host price, in cycles)
+/// exceeds this, the arrival is shed with [`RejectReason::Overloaded`].
+pub const MAX_BACKLOG_CYCLES: Cycle = 4_000_000;
+/// Cycles a tripped breaker stays open before half-opening for a probe.
+pub const BREAKER_COOLDOWN: Cycle = 500_000;
+/// Channels per breaker group (the quarantine/re-layout granularity). It
+/// divides every system's channel count (16 per stack), so every group
+/// holds exactly this many.
+pub const CHANNELS_PER_GROUP: usize = 4;
+/// Default watchdog budget per kernel launch, in cycles (a request may
+/// override it; the effective limit never extends past the deadline).
+pub const WATCHDOG_BUDGET: Cycle = 500_000;
+/// PIM attempts (initial launch plus re-layouts over surviving groups)
+/// before a request degrades to the host.
+pub const MAX_ATTEMPTS: u32 = 3;
+
+/// The knobs of the serving layer; everything else is a constant of this
+/// module.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Bounded per-tenant queue depth; arrivals beyond it are shed with
-    /// [`RejectReason::QueueFull`].
-    pub queue_capacity: usize,
-    /// Admission budget: when the priced backlog (queued work plus the new
-    /// request, each at the cheaper of its PIM and host price, in cycles)
-    /// exceeds this, the arrival is shed with [`RejectReason::Overloaded`].
-    pub max_backlog_cycles: u64,
     /// Consecutive failures (wrong result or watchdog timeout) that trip a
     /// channel group's breaker open.
     pub breaker_threshold: u32,
-    /// Cycles a tripped breaker stays open before half-opening for a probe.
-    pub breaker_cooldown: Cycle,
-    /// Channels per breaker group (the quarantine/re-layout granularity).
-    pub channels_per_group: usize,
-    /// Default watchdog budget per kernel launch, in cycles (a request may
-    /// override it; the effective limit never extends past the deadline).
-    pub watchdog_budget: Cycle,
-    /// PIM attempts (initial launch plus re-layouts over surviving groups)
-    /// before the request degrades to the host.
-    pub max_attempts: u32,
-    /// Seed for deterministic tie-breaks (equal arrivals, equal deadlines).
+    /// Seed of the deterministic tie-breaks (equal arrivals, equal
+    /// deadlines) and of the requests' [`TraceId`]s. A cluster salts it
+    /// per member stack.
     pub seed: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            queue_capacity: 8,
-            max_backlog_cycles: 4_000_000,
-            breaker_threshold: 3,
-            breaker_cooldown: 500_000,
-            channels_per_group: 4,
-            watchdog_budget: 500_000,
-            max_attempts: 3,
-            seed: 0x5E17,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// Validates the group geometry against a system with `channel_count`
-    /// channels. [`Server::new`] clamps out-of-range values instead of
-    /// failing (keeping the constructor infallible for existing callers),
-    /// but schedulers that replicate one config across many stacks — where
-    /// per-stack channel counts can differ — should validate explicitly
-    /// and surface the typed error instead of silently serving a clamped
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`PimError::Internal`] when the system has no channels, when
-    /// `channels_per_group` is zero or exceeds the channel count, or when
-    /// `max_attempts` is zero.
-    pub fn validate_geometry(&self, channel_count: usize) -> Result<(), PimError> {
-        let fail = |detail: String| Err(PimError::Internal { detail });
-        if channel_count == 0 {
-            return fail("serving over a system with zero channels".to_string());
-        }
-        if self.channels_per_group == 0 {
-            return fail("channels_per_group must be at least 1".to_string());
-        }
-        if self.channels_per_group > channel_count {
-            return fail(format!(
-                "channels_per_group {} exceeds the system's {channel_count} channels",
-                self.channels_per_group
-            ));
-        }
-        if self.max_attempts == 0 {
-            return fail("max_attempts must be at least 1".to_string());
-        }
-        Ok(())
+        ServeConfig { breaker_threshold: 3, seed: 0x5E17 }
     }
 }
 
@@ -260,7 +222,7 @@ pub struct ServeRequest {
 pub enum RejectReason {
     /// The tenant's bounded queue was at capacity.
     QueueFull,
-    /// The priced backlog exceeded [`ServeConfig::max_backlog_cycles`].
+    /// The priced backlog exceeded [`MAX_BACKLOG_CYCLES`].
     Overloaded,
 }
 
@@ -589,21 +551,14 @@ pub struct Server<'a> {
 }
 
 impl<'a> Server<'a> {
-    /// Builds a server over `ctx` (clamps `channels_per_group` to at least
-    /// 1 and at most the channel count).
+    /// Builds a server over `ctx`.
     pub fn new(ctx: &'a mut PimContext, cfg: ServeConfig) -> Server<'a> {
-        let mut cfg = cfg;
-        cfg.channels_per_group = cfg.channels_per_group.clamp(1, ctx.sys.channel_count().max(1));
-        cfg.max_attempts = cfg.max_attempts.max(1);
-        debug_assert!(
-            cfg.validate_geometry(ctx.sys.channel_count()).is_ok(),
-            "clamped group geometry must validate"
-        );
-        let groups = ctx.sys.channel_count().div_ceil(cfg.channels_per_group);
+        let channels = ctx.sys.channel_count();
+        debug_assert!(channels.is_multiple_of(CHANNELS_PER_GROUP), "{channels} channels");
         Server {
             ctx,
             cfg,
-            breakers: vec![Breaker::new(); groups],
+            breakers: vec![Breaker::new(); channels / CHANNELS_PER_GROUP],
             queues: BTreeMap::new(),
             stats: ServeStats::default(),
             slo: BTreeMap::new(),
@@ -636,15 +591,9 @@ impl<'a> Server<'a> {
         self.ctx.reset_memory();
     }
 
-    /// Channels of group `g`, clamped to the system: the last group is
-    /// truncated when `channels_per_group` does not divide the channel
-    /// count, and an out-of-range `g` resolves to an empty range instead
-    /// of a `lo > hi` range whose iteration order is undefined intent.
-    fn group_channels(&self, g: usize) -> std::ops::Range<usize> {
-        let count = self.ctx.sys.channel_count();
-        let lo = (g * self.cfg.channels_per_group).min(count);
-        let hi = ((g + 1) * self.cfg.channels_per_group).min(count);
-        lo..hi
+    /// Channels of group `g`.
+    fn group_channels(g: usize) -> std::ops::Range<usize> {
+        g * CHANNELS_PER_GROUP..(g + 1) * CHANNELS_PER_GROUP
     }
 
     /// The groups `req` may run on: its affinity, or every group.
@@ -658,7 +607,7 @@ impl<'a> Server<'a> {
     /// the miscompiled-kernel demonstration, which has no price.
     fn prices(&mut self, op: &ServeOp, groups: &[usize]) -> (Cycle, Cycle) {
         let (op, n) = (op.stream_op(), op.operands().0.len());
-        let channels = groups.iter().map(|&g| self.group_channels(g).len()).sum();
+        let channels = groups.len() * CHANNELS_PER_GROUP;
         let PimContext { sys, mode, .. } = &*self.ctx;
         let (host, timing) = (&sys.host, sys.timing());
         let bytes = n as u64 * op.bytes_per_element();
@@ -684,10 +633,10 @@ impl<'a> Server<'a> {
     /// Typed admission decision for one arrival at the current backlog.
     fn admission(&self, tenant: u32, est: u64) -> Result<(), RejectReason> {
         let depth = self.queues.get(&tenant).map_or(0, VecDeque::len);
-        if depth >= self.cfg.queue_capacity {
+        if depth >= QUEUE_CAPACITY {
             return Err(RejectReason::QueueFull);
         }
-        if self.backlog_cycles().saturating_add(est) > self.cfg.max_backlog_cycles {
+        if self.backlog_cycles().saturating_add(est) > MAX_BACKLOG_CYCLES {
             return Err(RejectReason::Overloaded);
         }
         Ok(())
@@ -963,7 +912,7 @@ impl<'a> Server<'a> {
         let operands = StreamOperands::new(self.ctx, req.op.stream_op(), x, Some(y))?;
 
         let mut avail: Vec<usize> = candidates.to_vec();
-        for attempt in 0..self.cfg.max_attempts {
+        for attempt in 0..MAX_ATTEMPTS {
             if avail.is_empty() {
                 return Ok(PimAttempt::Exhausted);
             }
@@ -976,20 +925,14 @@ impl<'a> Server<'a> {
             }
 
             // Lock-step layout over the channels of the available groups.
-            let channels: Vec<usize> = avail.iter().flat_map(|&g| self.group_channels(g)).collect();
-            if channels.is_empty() {
-                // Every available group resolved to an empty channel range
-                // — the serving layer's equivalent of the resilience
-                // ladder's `AllChannelsQuarantined`: degrade to the host
-                // instead of dividing by zero in the layout below.
-                return Ok(PimAttempt::Exhausted);
-            }
+            let channels: Vec<usize> =
+                avail.iter().flat_map(|&g| Server::group_channels(g)).collect();
             self.ctx.reset_memory();
             let job = StreamJob::place(self.ctx, &operands, &channels)?;
 
             // Bounded launch: the watchdog limit never extends past the
             // deadline.
-            let budget = req.budget.unwrap_or(self.cfg.watchdog_budget);
+            let budget = req.budget.unwrap_or(WATCHDOG_BUDGET);
             let deadline_capped = req.deadline <= now.saturating_add(budget);
             let limit = req.deadline.min(now.saturating_add(budget));
             // Each PIM attempt runs under a child span so retries after a
@@ -1007,7 +950,7 @@ impl<'a> Server<'a> {
 
             let (out, bad, finished) = match ran {
                 Attempt::TimedOut { channels } => {
-                    let timed_out = self.groups_of(channels.into_iter());
+                    let timed_out = Server::groups_of(channels.into_iter());
                     self.stats.watchdog_cancels += 1;
                     // A deadline-capped cancel means the request ran out of
                     // slack, not that the hardware is sick: the request
@@ -1023,7 +966,7 @@ impl<'a> Server<'a> {
                 Attempt::Ran { out, bad, finished, .. } => (out, bad, finished),
             };
 
-            let bad_groups = self.groups_of(job.suspects(&bad).into_iter());
+            let bad_groups = Server::groups_of(job.suspects(&bad).into_iter());
             if bad_groups.is_empty() {
                 for &g in &avail {
                     if self.breakers[g].success() == BreakerEvent::Closed {
@@ -1039,8 +982,8 @@ impl<'a> Server<'a> {
     }
 
     /// The breaker groups of `channels`, ascending and deduplicated.
-    fn groups_of(&self, channels: impl Iterator<Item = usize>) -> Vec<usize> {
-        let mut groups: Vec<usize> = channels.map(|ch| ch / self.cfg.channels_per_group).collect();
+    fn groups_of(channels: impl Iterator<Item = usize>) -> Vec<usize> {
+        let mut groups: Vec<usize> = channels.map(|ch| ch / CHANNELS_PER_GROUP).collect();
         groups.sort_unstable();
         groups.dedup();
         groups
@@ -1051,8 +994,7 @@ impl<'a> Server<'a> {
     fn charge_failure(&mut self, groups: &[usize]) {
         let at = self.ctx.sys.max_now();
         for &g in groups {
-            let event =
-                self.breakers[g].failure(at, self.cfg.breaker_threshold, self.cfg.breaker_cooldown);
+            let event = self.breakers[g].failure(at, self.cfg.breaker_threshold, BREAKER_COOLDOWN);
             if event == BreakerEvent::Tripped {
                 self.stats.breaker_trips += 1;
             }
@@ -1181,12 +1123,10 @@ mod tests {
     #[test]
     fn queue_capacity_sheds_with_typed_reason() {
         let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { queue_capacity: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        // Three simultaneous arrivals for one tenant: all three hit
-        // admission before any dispatch, so the depth-1 queue takes the
-        // first and sheds the other two.
-        let reqs = (0..3).map(|_| add_req(7, 0, 50_000_000, 512)).collect();
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        // Simultaneous arrivals for one tenant all hit admission before any
+        // dispatch, so the queue takes `QUEUE_CAPACITY` and sheds the rest.
+        let reqs = (0..QUEUE_CAPACITY + 2).map(|_| add_req(7, 0, 50_000_000, 512)).collect();
         let report = server.run(reqs).unwrap();
         let shed = report
             .outcomes
@@ -1195,21 +1135,63 @@ mod tests {
             .count();
         assert_eq!(shed, 2, "{:?}", report.stats);
         assert_eq!(report.stats.shed_queue_full, 2);
-        assert_eq!(report.stats.completed, 1);
+        assert_eq!(report.stats.completed, QUEUE_CAPACITY as u64);
+    }
+
+    /// `tenant`'s queue holding one request priced at `est` cycles.
+    fn queue_one(server: &mut Server<'_>, tenant: u32, est: u64) {
+        let req = add_req(tenant, 0, 50_000_000, 4);
+        let queued = Queued { slot: 0, id: 0, req, est_cycles: est };
+        server.queues.entry(tenant).or_default().push_back(queued);
     }
 
     #[test]
     fn backlog_budget_sheds_overloaded() {
         let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { max_backlog_cycles: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        let reqs = (0..2).map(|_| add_req(0, 0, 50_000_000, 512)).collect();
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        assert_eq!(server.admission(0, MAX_BACKLOG_CYCLES), Ok(()));
+        assert_eq!(server.admission(0, MAX_BACKLOG_CYCLES + 1), Err(RejectReason::Overloaded));
+        // Other tenants' queued work counts against the same budget.
+        queue_one(&mut server, 1, MAX_BACKLOG_CYCLES - 100);
+        assert_eq!(server.admission(0, 100), Ok(()));
+        assert_eq!(server.admission(0, 101), Err(RejectReason::Overloaded));
+
+        // End to end: a host 9 000x slower than the model's and requests
+        // pinned to no channel group, so each is priced at its host time.
+        // The first few simultaneous arrivals fill the budget and the rest
+        // are shed, one per tenant so no queue fills.
+        let mut ctx = PimContext::small_system();
+        ctx.sys.host.add_stream_efficiency = 1e-4;
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        let reqs: Vec<ServeRequest> = (0..8)
+            .map(|tenant| ServeRequest {
+                groups: Some(Vec::new()),
+                ..add_req(tenant, 0, 50_000_000, 4096)
+            })
+            .collect();
+        let oracle = reqs[0].op.host_reference();
+        let (pim, host) = server.prices(&reqs[0].op, &[]);
+        assert_eq!(pim, Cycle::MAX, "no group, no PIM price");
+        let fits = MAX_BACKLOG_CYCLES / host;
+        assert!((1..8).contains(&fits), "host price {host}");
         let report = server.run(reqs).unwrap();
-        assert_eq!(report.stats.shed_overloaded, 2, "{:?}", report.stats);
-        assert!(report
-            .outcomes
-            .iter()
-            .all(|o| o.disposition == Disposition::Shed(RejectReason::Overloaded)));
+        let shed = Disposition::Shed(RejectReason::Overloaded);
+        for o in &report.outcomes {
+            match o.disposition {
+                d if d == shed => assert!(o.result.is_none(), "shed request {} has a result", o.id),
+                d => {
+                    assert_eq!(d, Disposition::FellBackToHost, "{:?}", report.stats);
+                    assert_eq!(o.result.as_deref(), Some(&oracle[..]));
+                }
+            }
+        }
+        assert_eq!(
+            report.outcomes.iter().filter(|o| o.disposition == shed).count() as u64,
+            8 - fits
+        );
+        assert_eq!(report.stats.shed_overloaded, 8 - fits);
+        assert_eq!(report.stats.shed_queue_full, 0);
+        assert_eq!(report.stats.host_fallbacks, fits);
     }
 
     #[test]
@@ -1243,8 +1225,8 @@ mod tests {
     #[test]
     fn watchdog_cancels_and_request_still_resolves() {
         let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { breaker_threshold: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
+        let mut server =
+            Server::new(&mut ctx, ServeConfig { breaker_threshold: 1, ..ServeConfig::default() });
         let mut req = add_req(0, 0, 50_000_000, 4096);
         // A 1-cycle budget cancels every data batch on every attempt.
         req.budget = Some(1);
@@ -1273,8 +1255,8 @@ mod tests {
         assert!(!failed.is_empty());
         let mut ctx = PimContext::small_system();
         ctx.inject_faults(&plan);
-        let cfg = ServeConfig { breaker_threshold: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
+        let mut server =
+            Server::new(&mut ctx, ServeConfig { breaker_threshold: 1, ..ServeConfig::default() });
         let reqs: Vec<ServeRequest> =
             (0..4).map(|i| add_req(0, i * 1000, 80_000_000, 2048)).collect();
         let oracles: Vec<Vec<f32>> = reqs.iter().map(|r| r.op.host_reference()).collect();
@@ -1321,52 +1303,25 @@ mod tests {
     }
 
     #[test]
-    fn geometry_validation_rejects_degenerate_configs() {
-        let ok = ServeConfig::default();
-        assert!(ok.validate_geometry(16).is_ok());
-        // Non-divisible geometry is legal (the last group is short), as
-        // long as every group holds at least one channel.
-        let odd = ServeConfig { channels_per_group: 5, ..ServeConfig::default() };
-        assert!(odd.validate_geometry(16).is_ok());
-        let zero_group = ServeConfig { channels_per_group: 0, ..ServeConfig::default() };
-        assert!(zero_group.validate_geometry(16).is_err());
-        let too_wide = ServeConfig { channels_per_group: 17, ..ServeConfig::default() };
-        assert!(too_wide.validate_geometry(16).is_err());
-        let no_attempts = ServeConfig { max_attempts: 0, ..ServeConfig::default() };
-        assert!(no_attempts.validate_geometry(16).is_err());
-        assert!(ok.validate_geometry(0).is_err());
-    }
-
-    #[test]
-    fn out_of_range_group_maps_to_empty_channel_range() {
-        let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { channels_per_group: 5, ..ServeConfig::default() };
-        let server = Server::new(&mut ctx, cfg);
-        // 16 channels at 5 per group: groups 0..2 are full, group 3 is
-        // short (15..16), and anything past the end is empty rather than a
-        // range whose bounds are both clamped past `channel_count`.
-        assert_eq!(server.group_channels(0), 0..5);
-        assert_eq!(server.group_channels(3), 15..16);
-        assert!(server.group_channels(4).is_empty());
-        assert!(server.group_channels(99).is_empty());
-    }
-
-    #[test]
     fn full_quarantine_with_odd_geometry_degrades_without_panic() {
-        // Regression: every channel hard-failed plus a group size that
-        // does not divide the channel count used to funnel the re-layout
-        // path toward an empty channel set and a `b % 0` panic. The run
-        // must instead resolve every request with a typed disposition and
-        // exact host-computed results.
+        // Regression: every channel hard-failed used to funnel the
+        // re-layout path toward an empty channel set and a `b % 0` panic.
+        // The run must instead resolve every request with a typed
+        // disposition and exact host-computed results. The geometry is
+        // odd: each request spans three of the four groups (12 channels),
+        // and every failed attempt re-lays it out over fewer.
         let mut plan = FaultPlan::quiet(3);
         plan.chan_fail_rate = 1.0;
         let mut ctx = PimContext::small_system();
         ctx.inject_faults(&plan);
-        let cfg =
-            ServeConfig { channels_per_group: 5, breaker_threshold: 1, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        let reqs: Vec<ServeRequest> =
-            (0..3).map(|i| add_req(i, u64::from(i) * 500, 80_000_000, 1024)).collect();
+        let mut server =
+            Server::new(&mut ctx, ServeConfig { breaker_threshold: 1, ..ServeConfig::default() });
+        let reqs: Vec<ServeRequest> = (0..3)
+            .map(|i| ServeRequest {
+                groups: Some(vec![0, 1, 3]),
+                ..add_req(i, u64::from(i) * 500, 80_000_000, 1024)
+            })
+            .collect();
         let oracles: Vec<Vec<f32>> = reqs.iter().map(|r| r.op.host_reference()).collect();
         let report = server.run(reqs).unwrap();
         assert_eq!(report.outcomes.len(), 3);
@@ -1380,19 +1335,16 @@ mod tests {
     #[test]
     fn tiny_requests_cannot_bypass_overload_shedding() {
         // Regression: a price that truncated to 0 for small n let a stream
-        // of tiny requests walk past `max_backlog_cycles` with an apparent
+        // of tiny requests walk past `MAX_BACKLOG_CYCLES` with an apparent
         // backlog of zero. Four elements stream in a fraction of a cycle.
         let mut ctx = PimContext::small_system();
-        let cfg = ServeConfig { max_backlog_cycles: 2, ..ServeConfig::default() };
-        let mut server = Server::new(&mut ctx, cfg);
-        let reqs: Vec<ServeRequest> = (0..8).map(|_| add_req(0, 0, 50_000_000, 4)).collect();
-        assert_eq!(server.prices(&reqs[0].op, &[0]).1, 1, "a price floors at one cycle");
-        let report = server.run(reqs).unwrap();
-        assert!(
-            report.stats.shed_overloaded > 0,
-            "tiny-request stream bypassed the backlog check: {:?}",
-            report.stats
-        );
+        let mut server = Server::new(&mut ctx, ServeConfig::default());
+        let tiny = add_req(0, 0, 50_000_000, 4);
+        let (pim, host) = server.prices(&tiny.op, &[0]);
+        assert_eq!(host, 1, "a price floors at one cycle");
+        // With the backlog at the budget, the tiny request is refused.
+        queue_one(&mut server, 1, MAX_BACKLOG_CYCLES);
+        assert_eq!(server.admission(0, pim.min(host)), Err(RejectReason::Overloaded));
     }
 
     /// The price is the launch: over every request that completes on a

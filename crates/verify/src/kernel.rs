@@ -20,7 +20,7 @@
 
 use crate::diag::{PvCode, Report, Site};
 use pim_core::isa::{Instruction, Operand, OperandKind, ValidateError};
-use pim_core::{PimConfig, PimUnit};
+use pim_core::{PimConfig, PimUnit, CRF_ENTRIES};
 
 /// Maps a structural [`ValidateError`] to its stable code.
 pub fn code_of_violation(v: &ValidateError) -> PvCode {
@@ -98,15 +98,11 @@ pub fn verify_program(config: &PimConfig, program: &[Instruction]) -> Report {
         );
         return r;
     }
-    if program.len() > config.crf_entries {
+    if program.len() > CRF_ENTRIES {
         r.error(
             PvCode::Pv009ProgramTooLong,
             Site::Whole,
-            format!(
-                "program has {} instructions; the CRF holds {}",
-                program.len(),
-                config.crf_entries
-            ),
+            format!("program has {} instructions; the CRF holds {}", program.len(), CRF_ENTRIES),
         );
         return r;
     }
@@ -118,7 +114,7 @@ pub fn verify_program(config: &PimConfig, program: &[Instruction]) -> Report {
         }
         for op in dst_of(i).into_iter().chain(srcs_of(i)) {
             let limit = match op.kind {
-                OperandKind::GrfA | OperandKind::GrfB => config.grf_entries_per_file,
+                OperandKind::GrfA | OperandKind::GrfB => config.grf_entries_per_file(),
                 OperandKind::SrfM | OperandKind::SrfA => 8,
                 _ => continue,
             };

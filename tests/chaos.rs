@@ -9,6 +9,7 @@ mod common;
 
 use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv};
 use pim_faults::ClusterFaultPlan;
+use pim_host::{LINK_BYTES_PER_CYCLE, LINK_LATENCY_CYCLES};
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServer, Disposition, ServeRequest, StackHealth,
 };
@@ -65,15 +66,19 @@ fn degraded_links_make_collectives_dearer_not_different() {
     let (bits_degraded, rep_degraded) = degraded.gemv_row_parallel(&w, n, k, &x).unwrap();
 
     // Link health prices time, never data: both runs are bit-identical
-    // to the single-stack reference, but the degraded collective costs
-    // strictly more link cycles.
+    // to the single-stack reference, but the degraded collective pays the
+    // ring walk's closed form through the damaged links: stack 0's hop at
+    // 4x latency, and serialisation at stack 1's 8x-narrower width.
     assert_bits_eq(&bits_nominal, &reference, "nominal links");
     assert_bits_eq(&bits_degraded, &reference, "degraded links");
-    assert!(
-        rep_degraded.link_cycles > rep_nominal.link_cycles,
-        "degraded {} vs nominal {}",
+    let per_link = (4 * n as u64).div_ceil(3);
+    assert_eq!(
+        rep_nominal.link_cycles,
+        3 * LINK_LATENCY_CYCLES + per_link.div_ceil(LINK_BYTES_PER_CYCLE)
+    );
+    assert_eq!(
         rep_degraded.link_cycles,
-        rep_nominal.link_cycles
+        (4 + 1 + 1) * LINK_LATENCY_CYCLES + per_link.div_ceil(LINK_BYTES_PER_CYCLE / 8)
     );
     assert_eq!(rep_degraded.link_bytes, rep_nominal.link_bytes);
 }

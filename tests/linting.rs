@@ -589,6 +589,53 @@ fn every_pub_fn_has_a_caller_outside_its_own_tests() {
     );
 }
 
+/// A setting with one value in use is a constant, not a field: the `pub`
+/// fields of every `pub struct *Config` in a workspace crate's sources (the
+/// vendored shims aside) total at most `BUDGET`. A change may lower the
+/// budget; raising it takes an edit of this test in the same diff.
+///
+/// The fields that still hold one value, and the ROADMAP item that retires
+/// each:
+/// * `ResilienceConfig` (all four) — item 11, one recovery ladder;
+/// * `ControllerConfig::{policy, page_policy}` — item 12, the paper's
+///   controller in the loop or out of the tree;
+/// * `HostConfig`'s calibration constants (`cus`, `cu_mhz`,
+///   `flops_per_cu_cycle_fp16`, `llc_bytes`, the three `*_stream_efficiency`
+///   factors, `kernel_launch_overhead_us`) — item 9, a structural host
+///   model.
+#[test]
+fn config_fields_stay_under_their_budget() {
+    const BUDGET: usize = 46;
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let (mut structs, mut fields) = (0, Vec::new());
+    for (path, text) in workspace_sources(&root) {
+        if workspace_src(&root, &path).is_none() {
+            continue;
+        }
+        let lines: Vec<&str> = text.lines().collect();
+        for (i, line) in lines.iter().enumerate() {
+            let Some(rest) = line.strip_prefix("pub struct ") else { continue };
+            let name = &rest[..rest.find(|c| !is_ident(c)).unwrap_or(rest.len())];
+            if !name.ends_with("Config") || !rest[name.len()..].trim_start().starts_with('{') {
+                continue;
+            }
+            structs += 1;
+            for field in lines[i + 1..].iter().take_while(|l| **l != "}") {
+                if let Some(f) = field.strip_prefix("    pub ") {
+                    fields.push(format!("{name}::{}", &f[..f.find(':').unwrap_or(f.len())]));
+                }
+            }
+        }
+    }
+    assert!(structs >= 8, "found only {structs} `pub struct *Config`: did the layout move?");
+    assert!(
+        fields.len() <= BUDGET,
+        "{} pub fields in `*Config` structs, budget {BUDGET}: turn a field with one value in \
+         use into a constant: {fields:#?}",
+        fields.len()
+    );
+}
+
 /// The shipped example kernel sources assemble and verify clean.
 #[test]
 fn example_kernel_sources_lint_clean() {

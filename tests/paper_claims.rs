@@ -35,9 +35,8 @@ fn claim_nine_instructions() {
 /// 8 registers" (Section IV-A).
 #[test]
 fn claim_register_file_complement() {
-    let c = PimConfig::paper();
-    assert_eq!(c.crf_entries, 32);
-    assert_eq!(2 * c.grf_entries_per_file, 16);
+    assert_eq!(pim_core::CRF_ENTRIES, 32);
+    assert_eq!(2 * PimConfig::paper().grf_entries_per_file(), 16);
     let u = PimUnit::new();
     // 8 entries per GRF file and per SRF file — indices 0..8 valid.
     u.grf_a().read(7);
@@ -51,9 +50,8 @@ fn claim_register_file_complement() {
 /// than the memory bus frequency (1.0GHz~1.2GHz)" (Section VI).
 #[test]
 fn claim_unit_clock_is_bus_over_4() {
-    let c = PimConfig::paper();
     let t = TimingParams::hbm2();
-    assert_eq!(t.bus_mhz / c.unit_mhz, 4);
+    assert_eq!(t.bus_mhz / pim_core::UNIT_MHZ, 4);
     let t0 = TimingParams::hbm2_2gbps();
     assert_eq!(t0.bus_mhz, 1000);
 }
