@@ -260,7 +260,7 @@ fn text_files(dir: &std::path::Path, out: &mut Vec<(PathBuf, String)>) {
 /// (a lowercase word, so `pim_core` is not one) under `crates/`, `tests/`
 /// and `docs/` and in README.md, DESIGN.md and EXPERIMENTS.md is a
 /// `crates/bench/src/bin/<name>.rs` or `pimbench`. The history files
-/// (CHANGES, CHANGELOG, ROADMAP) and the frozen `benchmark/` are not read.
+/// (CHANGES, ROADMAP) and the frozen `benchmark/` are not read.
 /// Eleven comments named binaries folded into `pimcampaign` long after the
 /// fold.
 #[test]
@@ -324,6 +324,214 @@ fn design_module_paths_exist() {
     }
     assert!(checked >= 10, "checked only {checked} module paths in DESIGN.md");
     assert!(missing.is_empty(), "DESIGN.md names modules that do not exist: {missing:#?}");
+}
+
+/// README.md, DESIGN.md, EXPERIMENTS.md and every `docs/*.md` — the prose
+/// kept beside the code — as `(path from the repo root, text)`.
+fn prose_docs(root: &std::path::Path) -> Vec<(String, String)> {
+    let mut docs: Vec<String> =
+        ["README.md", "DESIGN.md", "EXPERIMENTS.md"].map(String::from).into();
+    for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        if name.ends_with(".md") {
+            docs.push(format!("docs/{name}"));
+        }
+    }
+    docs.into_iter()
+        .map(|doc| {
+            let text = std::fs::read_to_string(root.join(&doc))
+                .unwrap_or_else(|e| panic!("read {doc}: {e}"));
+            (doc, text)
+        })
+        .collect()
+}
+
+/// The backticked spans of `text` that cite a test or a Rust file:
+/// `path.rs::name`, `module::tests::name` or a bare `path.rs`.
+fn cited_tests(text: &str) -> Vec<&str> {
+    text.match_indices('`')
+        .filter_map(|(at, _)| {
+            let rest = &text[at + 1..];
+            let end = rest
+                .find(|c: char| !is_ident(c) && !matches!(c, '/' | '.' | ':' | '-'))
+                .unwrap_or(rest.len());
+            let span = &rest[..end];
+            let cites =
+                span.ends_with(".rs") || span.contains(".rs::") || span.contains("::tests::");
+            (cites && span.starts_with(is_ident) && rest[end..].starts_with('`')).then_some(span)
+        })
+        .collect()
+}
+
+/// `true` if what `cited` (one of [`cited_tests`]) names exists:
+/// `path.rs::name` is a file whose path ends in `path.rs` and declares
+/// `fn name`; `module::tests::name` a `crates/<c>/src/**/module.rs` of a
+/// workspace crate that declares `fn name`; a bare `path.rs` a file at that
+/// path from the repo root, or, with no `/`, a Rust file of that name
+/// anywhere in `sources`.
+fn resolves(root: &std::path::Path, sources: &[(PathBuf, String)], cited: &str) -> bool {
+    let declares = |text: &str, name: &str| text.contains(&format!("fn {name}("));
+    if let Some((module, name)) = cited.split_once("::tests::").filter(|(m, _)| !m.contains(".rs"))
+    {
+        let module = module.rsplit("::").next().unwrap();
+        sources.iter().any(|(path, text)| {
+            workspace_src(root, path).is_some()
+                && path.file_stem().is_some_and(|stem| stem == module)
+                && declares(text, name)
+        })
+    } else if let Some((file, name)) = cited.split_once(".rs::") {
+        let file = format!("{file}.rs");
+        let name = name.rsplit("::").next().unwrap();
+        sources.iter().any(|(path, text)| {
+            let rel = path.strip_prefix(root).unwrap().to_string_lossy();
+            (rel == file || rel.ends_with(&format!("/{file}"))) && declares(text, name)
+        })
+    } else if cited.contains('/') {
+        root.join(cited).is_file()
+    } else {
+        sources.iter().any(|(path, _)| path.file_name().is_some_and(|n| n == cited))
+    }
+}
+
+/// Every doc says in its first 15 lines what it promises and which tests
+/// hold the promise: a `**Contract:** <one sentence>.` paragraph, then a
+/// `**Held by:**` paragraph citing at least one test (`path.rs::name`,
+/// `module::tests::name` or a file under a `tests/` directory) and only
+/// tests that exist. A doc that cannot name one is folded into a doc that
+/// can, or deleted.
+#[test]
+fn every_doc_opens_with_its_contract() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources = workspace_sources(&root);
+    let paragraph = |lines: &[&str], from: usize| {
+        lines[from..]
+            .iter()
+            .take_while(|l| !l.trim().is_empty())
+            .copied()
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let mut bad = Vec::new();
+    for (doc, text) in prose_docs(&root) {
+        let lines: Vec<&str> = text.lines().collect();
+        let head = &lines[..lines.len().min(15)];
+        let contract = head.iter().position(|l| l.starts_with("**Contract:** "));
+        let held = head.iter().position(|l| l.starts_with("**Held by:** "));
+        let (Some(contract), Some(held)) = (contract, held) else {
+            bad.push(format!("{doc}: no `**Contract:**` and `**Held by:**` lines in its first 15"));
+            continue;
+        };
+        if held < contract || !paragraph(&lines, contract).ends_with('.') {
+            bad.push(format!(
+                "{doc}: the contract is one sentence ending in `.`, before `Held by:`"
+            ));
+        }
+        let held_by = paragraph(&lines, held);
+        let cited = cited_tests(&held_by);
+        if !cited.iter().any(|c| c.contains("::") || c.contains("tests/")) {
+            bad.push(format!("{doc}: `Held by:` cites no test"));
+        }
+        for c in cited.iter().filter(|c| !resolves(&root, &sources, c)) {
+            bad.push(format!("{doc}: `Held by:` cites `{c}`, which does not exist"));
+        }
+    }
+    assert!(bad.is_empty(), "docs without a contract held by a test: {bad:#?}");
+}
+
+/// Every test the prose cites exists: each `path.rs::name`,
+/// `module::tests::name` and bare `path.rs` in README.md, DESIGN.md,
+/// EXPERIMENTS.md, `docs/*.md` and the verify skill resolves as
+/// [`resolves`] says. A renamed test otherwise leaves its doc pointing at
+/// nothing.
+#[test]
+fn docs_name_only_tests_that_exist() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources = workspace_sources(&root);
+    let mut docs = prose_docs(&root);
+    let skill = ".claude/skills/verify/SKILL.md";
+    docs.push((skill.to_string(), std::fs::read_to_string(root.join(skill)).unwrap()));
+    let (mut checked, mut missing) = (0, Vec::new());
+    for (doc, text) in &docs {
+        for cited in cited_tests(text) {
+            checked += 1;
+            if !resolves(&root, &sources, cited) {
+                missing.push(format!("{doc}: `{cited}`"));
+            }
+        }
+    }
+    assert!(checked >= 100, "checked only {checked} test citations: did the docs move?");
+    assert!(missing.is_empty(), "docs cite tests or files that do not exist: {missing:#?}");
+}
+
+/// The prose's line ceilings: each doc's `wc -l` when its row was last
+/// set. A PR may lower a ceiling; raising one takes an edit of this table
+/// in the same diff. A `docs/*.md` without a row fails, and so does a row
+/// whose file is gone.
+const DOC_CEILINGS: &[(&str, usize)] = &[
+    ("README.md", 120),
+    ("DESIGN.md", 264),
+    ("EXPERIMENTS.md", 264),
+    ("docs/CLUSTER.md", 236),
+    ("docs/FASTPATH.md", 563),
+    ("docs/ISA.md", 136),
+    ("docs/LINTING.md", 278),
+    ("docs/OBSERVABILITY.md", 296),
+    ("docs/PANIC_AUDIT.md", 77),
+    ("docs/PARALLELISM.md", 94),
+    ("docs/REJECTED.md", 18),
+    ("docs/RESILIENCE.md", 157),
+    ("docs/SERVING.md", 212),
+];
+
+/// `docs/*.md` + README.md + DESIGN.md together, and README.md alone.
+const PROSE_BUDGET: usize = 2_500;
+const README_BUDGET: usize = 150;
+
+#[test]
+fn docs_stay_under_their_budget() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let docs = prose_docs(&root);
+    let (mut total, mut over) = (0, Vec::new());
+    for (doc, text) in &docs {
+        let lines = text.lines().count();
+        if doc != "EXPERIMENTS.md" {
+            total += lines;
+        }
+        if doc == "README.md" && lines > README_BUDGET {
+            over.push(format!("README.md: {lines} lines, budget {README_BUDGET}"));
+        }
+        match DOC_CEILINGS.iter().find(|(name, _)| name == doc) {
+            Some(&(_, ceiling)) if lines > ceiling => {
+                over.push(format!("{doc}: {lines} lines, ceiling {ceiling}"))
+            }
+            Some(_) => {}
+            None => over.push(format!("{doc}: {lines} lines and no ceiling row")),
+        }
+    }
+    for (name, _) in DOC_CEILINGS {
+        if !docs.iter().any(|(doc, _)| doc == name) {
+            over.push(format!("{name}: a ceiling row for a file that is gone"));
+        }
+    }
+    if total > PROSE_BUDGET {
+        over.push(format!("docs/ + README.md + DESIGN.md: {total} lines, budget {PROSE_BUDGET}"));
+    }
+    assert!(over.is_empty(), "prose over its budget: {over:#?}");
+}
+
+/// CHANGES.md keeps one line per PR, and every line after PR 31's stays
+/// within 3 000 characters; the lines up to it are history and are not
+/// rewritten.
+#[test]
+fn changes_lines_stay_short() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let changes = std::fs::read_to_string(root.join("CHANGES.md")).unwrap();
+    let lines: Vec<&str> = changes.lines().collect();
+    let start = lines.iter().position(|l| l.starts_with("PR 31 ")).expect("CHANGES.md lost PR 31");
+    for (i, line) in lines.iter().enumerate().skip(start + 1) {
+        let chars = line.chars().count();
+        assert!(chars <= 3_000, "CHANGES.md line {}: {chars} characters, cap 3 000", i + 1);
+    }
 }
 
 /// Every `.rs` file under `dir`, recursively, skipping build directories,
