@@ -1,22 +1,29 @@
 //! The kernel engine: turns per-channel PIM command streams into issued
 //! DRAM traffic under the paper's ordering regimes.
 //!
-//! A PIM kernel is a sequence of [`Batch`]es per channel. Within a batch
-//! the DRAM controller is free to reorder commands (FR-FCFS, Fig. 5); the
-//! host inserts a barrier *after every batch* to bound that reordering to
-//! the AAM tolerance window — "we need to use a barrier for every 8 DRAM
-//! commands [...] because our AAM can handle out-of-order execution of only
-//! up to 8 PIM instructions at a time" (Section VII-B).
+//! A PIM kernel is a sequence of [`Batch`]es per channel, issued in batch
+//! order through [`MemoryController::issue_raw`]; `pim-dram`'s FR-FCFS
+//! request path carries no kernel. On the paper's system the controller
+//! may reorder the commands of a batch (Fig. 5), so the host inserts a
+//! barrier *after every batch* to bound that reordering to the AAM
+//! tolerance window — "we need to use a barrier for every 8 DRAM commands
+//! [...] because our AAM can handle out-of-order execution of only up to 8
+//! PIM instructions at a time" (Section VII-B). The one in-window
+//! reordering a launch here sees is [`Batch::issue_order`]'s seeded
+//! permutation of commutative batches: an adversary AAM must tolerate.
 //!
-//! Two execution modes reproduce the paper's two measurement regimes:
+//! Three execution modes reproduce the paper's ordering regimes:
 //!
-//! * [`ExecutionMode::Fenced`] — the shipped system: optional deterministic
-//!   intra-batch reordering (modelling the FR-FCFS controller) plus a
-//!   drain-and-sync cost per barrier;
+//! * [`ExecutionMode::Fenced`] — the shipped system: a drain-and-sync cost
+//!   per barrier, and optionally the seeded intra-batch permutation;
 //! * [`ExecutionMode::Ordered`] — the §VII-B what-if: "a processor
 //!   manufacturer confirms that the order of DRAM commands can be preserved
 //!   only in PIM mode at negligible hardware and performance costs"; no
-//!   reordering, no fences.
+//!   reordering, no fences;
+//! * [`ExecutionMode::UnfencedReordered`] — Fig. 5(c)'s miscompiled kernel:
+//!   [`Batch::issue_list`] turns the list into one unfenced batch whose
+//!   triggers are shuffled across the whole kernel, and that list issues
+//!   like any other.
 //!
 //! A system-wide launch ([`KernelEngine::run_system_bounded`]) is one
 //! bracket around two things: the cold per-channel runner (sequential or
@@ -108,6 +115,42 @@ impl Batch {
         }
     }
 
+    /// The list a channel issues for `batches` under `mode`: `batches`
+    /// itself, except that [`ExecutionMode::UnfencedReordered`] flattens a
+    /// list holding a data batch into the one unfenced batch
+    /// `unfenced_stream`, with the data batches' column commands shuffled
+    /// across the (absent) fence boundaries — the failure mode of Fig.
+    /// 5(b/c). Setup commands (mode transitions, CRF programming) keep
+    /// their slots: the controller serializes them through bank-state
+    /// dependencies, and the hazard the paper describes is among the
+    /// *trigger* commands. The flattened list holds no data batch, so a
+    /// second application borrows it unchanged. The engine, the predictor
+    /// and the fast path all see the list this returns.
+    pub(crate) fn issue_list(batches: &[Batch], mode: ExecutionMode) -> Cow<'_, [Batch]> {
+        let ExecutionMode::UnfencedReordered { seed } = mode else {
+            return Cow::Borrowed(batches);
+        };
+        if !batches.iter().any(Batch::cancellable) {
+            return Cow::Borrowed(batches);
+        }
+        let mut flat: Vec<Command> = Vec::new();
+        let mut shuffle_slots: Vec<usize> = Vec::new();
+        for b in batches {
+            for c in &b.commands {
+                if b.cancellable() && c.is_column() {
+                    shuffle_slots.push(flat.len());
+                }
+                flat.push(c.clone());
+            }
+        }
+        let mut cols: Vec<Command> = shuffle_slots.iter().map(|&i| flat[i].clone()).collect();
+        cols.shuffle(&mut SmallRng::seed_from_u64(seed));
+        for (&slot, cmd) in shuffle_slots.iter().zip(cols) {
+            flat[slot] = cmd;
+        }
+        Cow::Owned(vec![Batch::setup(flat).with_label("unfenced_stream")])
+    }
+
     /// The span name: the label if set, else `batch<index>`.
     fn span_name(&self, index: usize) -> Cow<'static, str> {
         match self.label {
@@ -120,22 +163,21 @@ impl Batch {
 /// The ordering regime under which a kernel executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionMode {
-    /// Standard FR-FCFS controller + per-batch fences. If
-    /// `reorder_seed` is `Some`, commutative batches are deterministically
-    /// shuffled before issue (the controller's reordering made visible).
+    /// Per-batch fences, the shipped system. If `reorder_seed` is `Some`,
+    /// every commutative batch issues in a seeded permutation
+    /// (`Batch::issue_order`): the reordering a controller may apply inside
+    /// a fence window, played as an adversary AAM must tolerate.
     Fenced {
-        /// Seed for the deterministic intra-batch shuffle; `None` issues in
-        /// program order (reordering happens, but AAM makes it invisible —
-        /// issuing in order is then behaviourally equivalent and cheaper to
-        /// simulate).
+        /// Seed for the intra-batch permutation; `None` issues in program
+        /// order, which AAM makes equivalent to any order inside the window.
         reorder_seed: Option<u64>,
     },
     /// In-order PIM-mode controller (the no-fence what-if of §VII-B).
     Ordered,
     /// A deliberately broken regime for the Fig. 5 demonstration: the
-    /// controller reorders but the kernel has **no** fences and no AAM
-    /// protection — every batch (commutative or not) is shuffled across
-    /// the whole kernel.
+    /// kernel has **no** fences and no AAM protection — it issues as one
+    /// batch whose data-phase column commands are shuffled across the whole
+    /// kernel (`Batch::issue_list`).
     UnfencedReordered {
         /// Shuffle seed.
         seed: u64,
@@ -143,6 +185,13 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
+    /// Whether this mode reorders across batch boundaries, so that a list
+    /// issues as no concatenation of its parts: only the unfenced demo
+    /// does ([`Batch::issue_list`]).
+    pub(crate) fn crosses_batches(self) -> bool {
+        matches!(self, ExecutionMode::UnfencedReordered { .. })
+    }
+
     /// Cycles the fence after `batch` holds the channel past the batch's
     /// last command — draining in-flight data (read latency + burst) and
     /// synchronizing the thread group — or `None` if no fence follows it
@@ -235,9 +284,7 @@ impl KernelEngine {
     ///
     /// The check is against the channel's own deterministic clock, so a
     /// bounded run cancels at exactly the same batch under every execution
-    /// backend. Under [`ExecutionMode::UnfencedReordered`] (a demo mode
-    /// with a single flattened stream) the limit is only checked once, on
-    /// entry.
+    /// backend.
     ///
     /// # Panics
     ///
@@ -256,96 +303,36 @@ impl KernelEngine {
         let scope = Scope::channel(ctrl.channel_id());
         let mut commands = 0u64;
         let mut fences = 0u64;
-        let mut order_buf: Vec<Command> = Vec::new();
-
-        match mode {
-            ExecutionMode::UnfencedReordered { seed } => {
-                // Flatten the kernel and shuffle data-phase column commands
-                // across the (absent) fence boundaries — the failure mode
-                // of Fig. 5(b/c). Setup batches (mode transitions, CRF
-                // programming) keep their order: the controller serializes
-                // them through bank-state dependencies, and the hazard the
-                // paper describes is among the *trigger* commands.
-                let mut shuffle_slots: Vec<usize> = Vec::new();
-                for b in batches {
-                    let data_phase = b.fence_after || b.commutative;
-                    for c in &b.commands {
-                        if data_phase && c.is_column() {
-                            shuffle_slots.push(order_buf.len());
-                        }
-                        order_buf.push(c.clone());
-                    }
-                }
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let mut cols: Vec<Command> =
-                    shuffle_slots.iter().map(|&i| order_buf[i].clone()).collect();
-                cols.shuffle(&mut rng);
-                for (&slot, cmd) in shuffle_slots.iter().zip(cols) {
-                    order_buf[slot] = cmd;
-                }
-                if over(ctrl.now()) && !shuffle_slots.is_empty() {
-                    // Entry-time cancellation: drop the data-phase columns,
-                    // keep the setup/teardown skeleton.
-                    cancelled = true;
-                    let mut keep = vec![true; order_buf.len()];
-                    for &slot in &shuffle_slots {
-                        keep[slot] = false;
-                    }
-                    let mut it = keep.iter();
-                    order_buf.retain(|_| *it.next().unwrap_or(&true));
-                }
-                commands += order_buf.len() as u64;
-                if let Some(r) = &rec {
-                    r.begin(ctrl.now(), "unfenced_stream", names::CAT_BATCH, scope);
-                    r.add(names::ENGINE_BATCHES, 1);
-                    r.observe(
-                        names::ENGINE_BATCH_LEN,
-                        names::BATCH_LEN_BUCKETS,
-                        order_buf.len() as u64,
-                    );
-                }
-                let last = ctrl.issue_raw(&order_buf);
-                if let Some(r) = &rec {
-                    r.end(last, "unfenced_stream", names::CAT_BATCH, scope);
-                }
+        for (bi, b) in Batch::issue_list(batches, mode).iter().enumerate() {
+            if b.cancellable() && over(ctrl.now()) {
+                // The watchdog's cancellation point: data batches (and
+                // their fences) stop issuing; the teardown choreography
+                // still runs.
+                cancelled = true;
+                continue;
             }
-            ExecutionMode::Ordered | ExecutionMode::Fenced { .. } => {
-                for (bi, b) in batches.iter().enumerate() {
-                    if b.cancellable() && over(ctrl.now()) {
-                        // The watchdog's cancellation point: data batches
-                        // (and their fences) stop issuing; the teardown
-                        // choreography still runs.
-                        cancelled = true;
-                        continue;
-                    }
-                    let cmds = b.issue_order(bi, mode);
-                    commands += cmds.len() as u64;
-                    if let Some(r) = &rec {
-                        r.begin(ctrl.now(), b.span_name(bi), names::CAT_BATCH, scope);
-                        r.add(names::ENGINE_BATCHES, 1);
-                        r.observe(
-                            names::ENGINE_BATCH_LEN,
-                            names::BATCH_LEN_BUCKETS,
-                            cmds.len() as u64,
-                        );
-                    }
-                    let last = ctrl.issue_raw(&cmds);
-                    if let Some(r) = &rec {
-                        r.end(last, b.span_name(bi), names::CAT_BATCH, scope);
-                    }
-                    if let Some(stall) = mode.fence_stall(b, host, &t) {
-                        let drain = last + stall;
-                        ctrl.advance_to(drain);
-                        fences += 1;
-                        if let Some(r) = &rec {
-                            r.emit(
-                                Event::instant(drain, "fence", names::CAT_BATCH, scope)
-                                    .with_arg("stall_cycles", stall),
-                            );
-                            r.add(names::ENGINE_FENCES, 1);
-                            r.add(names::ENGINE_FENCE_STALL_CYCLES, stall);
-                        }
-                    }
+            let cmds = b.issue_order(bi, mode);
+            commands += cmds.len() as u64;
+            if let Some(r) = &rec {
+                r.begin(ctrl.now(), b.span_name(bi), names::CAT_BATCH, scope);
+                r.add(names::ENGINE_BATCHES, 1);
+                r.observe(names::ENGINE_BATCH_LEN, names::BATCH_LEN_BUCKETS, cmds.len() as u64);
+            }
+            let last = ctrl.issue_raw(&cmds);
+            if let Some(r) = &rec {
+                r.end(last, b.span_name(bi), names::CAT_BATCH, scope);
+            }
+            if let Some(stall) = mode.fence_stall(b, host, &t) {
+                let drain = last + stall;
+                ctrl.advance_to(drain);
+                fences += 1;
+                if let Some(r) = &rec {
+                    r.emit(
+                        Event::instant(drain, "fence", names::CAT_BATCH, scope)
+                            .with_arg("stall_cycles", stall),
+                    );
+                    r.add(names::ENGINE_FENCES, 1);
+                    r.add(names::ENGINE_FENCE_STALL_CYCLES, stall);
                 }
             }
         }
@@ -405,11 +392,16 @@ impl KernelEngine {
         mode: ExecutionMode,
         limit: Option<Cycle>,
     ) -> (KernelResult, Vec<bool>) {
-        let lists: Vec<&[Batch]> = per_channel.iter().map(AsRef::as_ref).collect();
+        // The lists as they issue, so the fast path keys, simulates and
+        // replays the commands that actually reach the channels.
+        let issued: Vec<Cow<'_, [Batch]>> =
+            per_channel.iter().map(|l| Batch::issue_list(l.as_ref(), mode)).collect();
+        let lists: Vec<&[Batch]> = issued.iter().map(AsRef::as_ref).collect();
         Self::run_lists(sys, &lists, mode, limit)
     }
 
-    /// [`KernelEngine::run_system_bounded`] over plain views of the lists.
+    /// [`KernelEngine::run_system_bounded`] over plain views of the issued
+    /// lists.
     fn run_lists(
         sys: &mut PimSystem,
         lists: &[&[Batch]],

@@ -21,9 +21,11 @@
 //! simulation, run one interpreter: the tiers differ only in where a
 //! trigger's instruction comes from.
 //!
-//! Nothing here tracks device modes: the key pass and the data replay both
-//! step [`pim_core::ModeWalker`], and the order a batch issues in is asked
-//! of `Batch::issue_order`, as the engine and the predictor do.
+//! Nothing here tracks device modes or issue orders: the key pass and the
+//! data replay both step [`pim_core::ModeWalker`] over the lists the engine
+//! hands in — already as `Batch::issue_list` makes them — and the order a
+//! batch issues in is asked of `Batch::issue_order`, as the engine and the
+//! predictor do.
 //!
 //! # Channel classes
 //!
@@ -58,9 +60,6 @@
 //! * No event recorder is attached to a participating channel — replay
 //!   cannot reproduce the per-command event stream, so traced runs always
 //!   take the cold path (which *is* exact, trivially).
-//! * The execution mode is `Fenced` or `Ordered`. `UnfencedReordered`
-//!   exists to demonstrate miscompiled kernels; memoizing a demonstration
-//!   of nondeterminism would be missing its point.
 //! * Every `WR` resolves to a statically known open row (the walker's
 //!   [`Step`] is never `Unresolved`), so the key can
 //!   distinguish configuration payloads (CRF programs, SRF scalars —
@@ -109,8 +108,7 @@ pub struct FastpathStats {
     /// Cold launches whose end state was recorded into the cache.
     pub insertions: u64,
     /// Launches the fast path refused to consider: recorder attached,
-    /// channel not quiescent at entry, unresolvable write row, or an
-    /// uncacheable execution mode.
+    /// channel not quiescent at entry, or an unresolvable write row.
     pub uncacheable: u64,
     /// Cold runs *not* recorded because a CRF program armed during the
     /// launch could not be statically proven data-independent (its
@@ -427,8 +425,7 @@ impl LaunchCache {
     /// The launch key folds execution mode, timing/device configuration
     /// and channel topology with the per-channel keys, in channel order.
     ///
-    /// Returns `None` when a write's target row cannot be resolved or the
-    /// mode is uncacheable.
+    /// Returns `None` when a write's target row cannot be resolved.
     fn launch_key(
         &mut self,
         sys: &PimSystem,
@@ -443,7 +440,9 @@ impl LaunchCache {
                 k.word(s);
             }
             ExecutionMode::Ordered => k.word(3),
-            ExecutionMode::UnfencedReordered { .. } => return None,
+            // The unfenced demo: its shuffle is in the flattened lists the
+            // key walks.
+            _ => k.word(4),
         }
         k.configuration(sys.timing(), sys.pim_config());
         k.word(sys.host.fence_sync_overhead_cycles);

@@ -40,9 +40,8 @@
 //! engine corpus (see `docs/FASTPATH.md`), and
 //! `crates/models/tests/timing_only.rs` over every DRAM generation, unit
 //! count, fence cost and ordering regime the cost model is swept across.
-//! Launches it cannot predict exactly — a channel outside the canonical
-//! single-bank state, or the [`ExecutionMode::UnfencedReordered`] demo
-//! regime — are declined with `None`, never mispredicted.
+//! A launch it cannot predict exactly — a channel outside the canonical
+//! single-bank state — is declined with `None`, never mispredicted.
 //!
 //! # Callers
 //!
@@ -205,22 +204,18 @@ impl<'t> ChannelPredictor<'t> {
     /// channel in this state — same cancellation checkpoints, issue order
     /// and fence stalls, all asked of [`Batch`] and [`ExecutionMode`] — and
     /// returns the accounting the engine would.
-    ///
-    /// Returns `None`, with the clock untouched, under
-    /// [`ExecutionMode::UnfencedReordered`]: the miscompiled-demo regime
-    /// flattens batches through a whole-kernel shuffle, which has no closed
-    /// form worth maintaining.
     pub fn run(
         &mut self,
         host: &HostConfig,
         batches: &[Batch],
         mode: ExecutionMode,
         limit: Option<Cycle>,
-    ) -> Option<BoundedResult> {
-        self.run_from(host, batches, 0, mode, limit)
+    ) -> BoundedResult {
+        self.run_from(host, &Batch::issue_list(batches, mode), 0, mode, limit)
     }
 
-    /// [`ChannelPredictor::run`] over `batches` as numbers `first..` of their
+    /// [`ChannelPredictor::run`] over `batches`, already as
+    /// [`Batch::issue_list`] makes them, as numbers `first..` of their
     /// channel's list (a seeded shuffle is keyed by that number).
     #[inline]
     fn run_from(
@@ -230,10 +225,7 @@ impl<'t> ChannelPredictor<'t> {
         first: usize,
         mode: ExecutionMode,
         limit: Option<Cycle>,
-    ) -> Option<BoundedResult> {
-        if matches!(mode, ExecutionMode::UnfencedReordered { .. }) {
-            return None;
-        }
+    ) -> BoundedResult {
         // Handed down as an argument: a `&TimingParams` parameter is known
         // not to alias the horizons the issue formulas write, a field read
         // back through `self` is not (5.9 -> 5.6 ns per raw command).
@@ -256,10 +248,7 @@ impl<'t> ChannelPredictor<'t> {
                 fences += 1;
             }
         }
-        Some(BoundedResult {
-            result: KernelResult { end_cycle: self.now, commands, fences },
-            cancelled,
-        })
+        BoundedResult { result: KernelResult { end_cycle: self.now, commands, fences }, cancelled }
     }
 
     /// Prices `kernel` as [`ChannelPredictor::run`] prices
@@ -278,15 +267,20 @@ impl<'t> ChannelPredictor<'t> {
     /// end: under a `limit` (cancellation reads absolute time), under a
     /// seeded [`ExecutionMode::Fenced`] over a commutative batch (the shuffle
     /// differs per trip), and for as long as no two consecutive boundaries
-    /// are equal.
+    /// are equal. A mode that reorders across batches (the unfenced demo)
+    /// leaves no period to fold: the materialised kernel is run.
     pub fn fold(
         &mut self,
         host: &HostConfig,
         kernel: &Kernel,
         mode: ExecutionMode,
         limit: Option<Cycle>,
-    ) -> Option<Folded> {
-        let mut total = self.run_from(host, &kernel.prologue, 0, mode, limit)?;
+    ) -> Folded {
+        if mode.crosses_batches() {
+            let ran = self.run(host, &kernel.clone().materialise(), mode, limit);
+            return Folded { ran, stepped: ran.result.commands };
+        }
+        let mut total = self.run_from(host, &kernel.prologue, 0, mode, limit);
         let mut index = kernel.prologue.len();
         // Commands accounted by multiplication instead of being stepped.
         let mut multiplied = 0;
@@ -303,7 +297,7 @@ impl<'t> ChannelPredictor<'t> {
             let mut boundary: Option<(Phase, Cycle)> = None;
             let mut left = u64::from(l.trips());
             while left > 0 {
-                let ran = self.run_from(host, period, index, mode, limit)?;
+                let ran = self.run_from(host, period, index, mode, limit);
                 account(&mut total, ran, 1);
                 index += period.len();
                 left -= 1;
@@ -321,10 +315,10 @@ impl<'t> ChannelPredictor<'t> {
                 boundary = Some((phase, self.now));
             }
         }
-        let ran = self.run_from(host, &kernel.epilogue, index, mode, limit)?;
+        let ran = self.run_from(host, &kernel.epilogue, index, mode, limit);
         account(&mut total, ran, 1);
         total.result.end_cycle = self.now;
-        Some(Folded { ran: total, stepped: total.result.commands - multiplied })
+        Folded { ran: total, stepped: total.result.commands - multiplied }
     }
 
     /// The clock's state relative to `now`.
@@ -594,9 +588,7 @@ impl<'t> ChannelPredictor<'t> {
 /// predictor's exact domain:
 ///
 /// * a participating channel is not in the canonical single-bank state
-///   (open row, all-bank mode, pending transition, or installed faults),
-/// * the mode is [`ExecutionMode::UnfencedReordered`], which
-///   [`ChannelPredictor::run`] declines for every channel, or
+///   (open row, all-bank mode, pending transition, or installed faults), or
 /// * `per_channel` names more channels than the system has.
 pub fn predict_launch<L: AsRef<[Batch]>>(
     sys: &PimSystem,
@@ -621,7 +613,7 @@ pub fn predict_launch<L: AsRef<[Batch]>>(
         let now = ctrl.now();
         let st = ctrl.sink().launch_fingerprint(now)?;
         let mut clock = ChannelPredictor::from_state(now, &st, ctrl.sink().timing());
-        let ran = clock.run(&sys.host, batches.as_ref(), mode, limit)?;
+        let ran = clock.run(&sys.host, batches.as_ref(), mode, limit);
         commands += ran.result.commands;
         fences += ran.result.fences;
         cancelled.push(ran.cancelled);
@@ -687,6 +679,8 @@ mod tests {
         );
     }
 
+    /// The seeded in-window shuffle, and the Fig. 5(c) demo's whole-kernel
+    /// one on single-bank triggers on one bank (a list it keeps legal).
     #[test]
     fn predicts_shuffled_fenced_exactly() {
         assert_matches(
@@ -694,6 +688,7 @@ mod tests {
             ExecutionMode::Fenced { reorder_seed: Some(0xC0FFEE) },
             None,
         );
+        assert_matches(&[sb_batches(2)], ExecutionMode::UnfencedReordered { seed: 1 }, None);
     }
 
     #[test]
@@ -705,6 +700,8 @@ mod tests {
     fn predicts_ab_mode_choreography_exactly() {
         assert_matches(&[ab_batches()], ExecutionMode::Fenced { reorder_seed: None }, None);
         assert_matches(&[ab_batches(), sb_batches(1)], ExecutionMode::Ordered, None);
+        let demo = ExecutionMode::UnfencedReordered { seed: 0xF16 };
+        assert_matches(&[ab_batches(), sb_batches(1)], demo, None);
     }
 
     #[test]
@@ -734,27 +731,6 @@ mod tests {
     }
 
     #[test]
-    fn declines_unfenced_reordered() {
-        let sys = system();
-        let per = [sb_batches(1)];
-        assert!(predict_launch(&sys, &per, ExecutionMode::UnfencedReordered { seed: 1 }, None)
-            .is_none());
-    }
-
-    #[test]
-    fn channel_run_declines_unfenced_reordered_and_leaves_the_clock_alone() {
-        let (host, t) = (HostConfig::paper(), TimingParams::hbm2());
-        let mut clock = ChannelPredictor::power_on(&t);
-        let demo = ExecutionMode::UnfencedReordered { seed: 1 };
-        assert_eq!(clock.run(&host, &sb_batches(1), demo, None), None);
-        assert_eq!(clock.now(), 0);
-        // The same clock still prices the list under a regime it knows.
-        let ran = clock.run(&host, &sb_batches(1), ExecutionMode::Ordered, None);
-        assert_eq!(ran.map(|r| (r.result.commands, r.cancelled)), Some((10, false)));
-        assert_eq!(ran.map(|r| r.result.end_cycle), Some(clock.now()));
-    }
-
-    #[test]
     fn power_on_is_a_fresh_channels_fingerprint() {
         // Two launches back to back, so the second starts from whatever the
         // first left on each clock.
@@ -766,7 +742,6 @@ mod tests {
         let mut seeded = ChannelPredictor::from_state(0, &st, t);
         for list in [ab_batches(), sb_batches(2)] {
             let ran = fresh.run(&sys.host, &list, mode, None);
-            assert!(ran.is_some());
             assert_eq!(ran, seeded.run(&sys.host, &list, mode, None));
         }
     }

@@ -65,12 +65,12 @@ proptest! {
             ExecutionMode::Fenced { reorder_seed: Some(seed) },
             ExecutionMode::Ordered,
         ][regime];
-        let end = ChannelPredictor::power_on(&t).run(&host, &list, mode, None).expect("priced");
+        let end = ChannelPredictor::power_on(&t).run(&host, &list, mode, None);
         let limit: Option<Cycle> = (cut >= 5).then(|| end.result.end_cycle * (cut - 4) / 4);
 
         let (mut folded, mut ran) = (ChannelPredictor::power_on(&t), ChannelPredictor::power_on(&t));
-        let f = folded.fold(&host, &kernel, mode, limit).expect("priced");
-        prop_assert_eq!(Some(f.ran), ran.run(&host, &list, mode, limit));
+        let f = folded.fold(&host, &kernel, mode, limit);
+        prop_assert_eq!(f.ran, ran.run(&host, &list, mode, limit));
         prop_assert_eq!(f.ran.result.end_cycle, folded.now());
         prop_assert!(f.stepped <= f.ran.result.commands);
         prop_assert_eq!(folded.run(&host, &list, mode, None), ran.run(&host, &list, mode, None));

@@ -111,10 +111,7 @@ impl CostModel {
 
     /// Folds `kernel` over `clock` under the model's ordering regime.
     fn time(&self, clock: &mut ChannelPredictor, kernel: &Kernel) -> KernelResult {
-        match clock.fold(&self.host, kernel, self.mode, None) {
-            Some(folded) => folded.ran.result,
-            None => panic!("{:?} has no price: it is the miscompiled-kernel demo", self.mode),
-        }
+        clock.fold(&self.host, kernel, self.mode, None).ran.result
     }
 
     fn cost(&self, cycles: Cycle, commands: u64, fences: u64) -> KernelCost {
@@ -124,12 +121,6 @@ impl CostModel {
     /// The PIM GEMV time for an `n × k` matrix (batch 1): the real command
     /// choreography of one channel, pass by pass, each pass followed by the
     /// read-back of every unit's partial sums.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`CostModel::mode`] is [`ExecutionMode::UnfencedReordered`]:
-    /// the Fig. 5 demonstration of a miscompiled kernel is not a regime
-    /// anything is priced under.
     pub fn pim_gemv(&mut self, n: usize, k: usize) -> KernelCost {
         let key = (self.mode, ShapeKey::Gemv { n, k });
         if let Some(c) = self.cache.get(&key) {
@@ -162,10 +153,6 @@ impl CostModel {
     }
 
     /// The PIM time of a streaming op over `elements`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`CostModel::pim_gemv`].
     pub fn pim_stream(&mut self, op: StreamOp, elements: usize) -> KernelCost {
         let key = (self.mode, ShapeKey::Stream { op, elements });
         if let Some(c) = self.cache.get(&key) {
@@ -312,14 +299,6 @@ mod tests {
         // ... and going back finds the first answer again.
         m.mode = ExecutionMode::Fenced { reorder_seed: None };
         assert_eq!((m.pim_gemv(1024, 1024), m.pim_stream(StreamOp::Add, 1 << 20)), fenced);
-    }
-
-    #[test]
-    #[should_panic(expected = "UnfencedReordered")]
-    fn unfenced_reordered_has_no_price() {
-        let mut m = CostModel::paper();
-        m.mode = ExecutionMode::UnfencedReordered { seed: 1 };
-        m.pim_stream(StreamOp::Add, 1 << 20);
     }
 
     #[test]

@@ -123,28 +123,9 @@ impl Executor {
     }
 
     /// Runs the same kernel choreography on the first `channels` channels
-    /// of the system.
-    ///
-    /// # Panics
-    ///
-    /// In strict mode ([`PimContext::set_strict`]), panics if the static
-    /// verifier rejects `program`; use [`Executor::try_run`] to handle the
-    /// report instead.
-    pub fn run(
-        ctx: &mut PimContext,
-        channels: usize,
-        program: &[Instruction],
-        srf: Option<&LaneVec>,
-        clear_grf_b: bool,
-        data_batches: &[Batch],
-    ) -> KernelResult {
-        Self::try_run(ctx, channels, program, srf, clear_grf_b, data_batches)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Executor::run`], but in strict mode a kernel the static verifier
-    /// rejects returns [`PimError::InvalidKernel`] (with the full
-    /// diagnostic report) instead of being simulated.
+    /// of the system. In strict mode ([`PimContext::set_strict`]) a kernel
+    /// the static verifier rejects returns [`PimError::InvalidKernel`]
+    /// (with the full diagnostic report) instead of being simulated.
     ///
     /// # Errors
     ///
@@ -339,7 +320,7 @@ mod tests {
             Batch::commutative(vec![Command::Rd { bank, col: 0 }]),
             Batch::setup(vec![Command::Pre { bank }]),
         ];
-        let r = Executor::run(&mut ctx, 16, &prog, None, false, &data);
+        let r = Executor::try_run(&mut ctx, 16, &prog, None, false, &data).expect("kernel launch");
         assert!(r.end_cycle > 0);
         for ch in 0..16 {
             assert_eq!(ctx.sys.channel(ch).sink().mode(), PimMode::SingleBank, "ch {ch}");
@@ -366,8 +347,9 @@ mod tests {
                 Batch::setup(vec![Command::Pre { bank }]),
             ]
         };
-        Executor::run(&mut ctx, 1, &[mov, mov, Instruction::Exit], None, false, &data(2));
-        Executor::run(&mut ctx, 1, &[mov], None, false, &data(2));
+        Executor::try_run(&mut ctx, 1, &[mov, mov, Instruction::Exit], None, false, &data(2))
+            .expect("kernel launch");
+        Executor::try_run(&mut ctx, 1, &[mov], None, false, &data(2)).expect("kernel launch");
         // Second kernel: first trigger runs MOV, second hits the padded
         // EXIT (not kernel A's stale second MOV).
         let unit = ctx.sys.channel(0).sink().unit(0);
@@ -425,7 +407,7 @@ mod tests {
             Batch::commutative(vec![Command::Rd { bank, col: 0 }]),
             Batch::setup(vec![Command::Pre { bank }]),
         ];
-        Executor::run(&mut ctx, 16, &prog, None, false, &data);
+        Executor::try_run(&mut ctx, 16, &prog, None, false, &data).expect("kernel launch");
         let grf = Executor::try_read_grf_b(&mut ctx, 1, 2).unwrap();
         assert_eq!(grf[3].to_f32(), [2.0; 16]);
         assert_eq!(grf[0].to_f32(), [0.0; 16]);

@@ -603,8 +603,7 @@ impl<'a> Server<'a> {
 
     /// The PIM and host prices of `op` over the channels of `groups` (module
     /// docs, "Prices"). PIM's is `Cycle::MAX` — it fits no deadline — over
-    /// no group, and under [`pim_host::ExecutionMode::UnfencedReordered`],
-    /// the miscompiled-kernel demonstration, which has no price.
+    /// no group.
     fn prices(&mut self, op: &ServeOp, groups: &[usize]) -> (Cycle, Cycle) {
         let (op, n) = (op.stream_op(), op.operands().0.len());
         let channels = groups.len() * CHANNELS_PER_GROUP;
@@ -619,8 +618,7 @@ impl<'a> Server<'a> {
                 return Cycle::MAX;
             }
             let kernel = Executor::stream_launch(op, n, channels, sys.pim_config());
-            let folded = ChannelPredictor::power_on(timing).fold(host, &kernel, *mode, None);
-            folded.map_or(Cycle::MAX, |f| f.ran.result.end_cycle)
+            ChannelPredictor::power_on(timing).fold(host, &kernel, *mode, None).ran.result.end_cycle
         });
         (pim_price, host_price)
     }

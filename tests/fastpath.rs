@@ -356,8 +356,10 @@ fn unprovable_program_is_never_recorded() {
     let run_pair = |fastpath: bool| {
         let mut ctx = PimContext::paper_system();
         ctx.sys.set_fastpath_enabled(fastpath);
-        let a = Executor::run(&mut ctx, 2, &unprovable, None, false, &data);
-        let b = Executor::run(&mut ctx, 2, &unprovable, None, false, &data);
+        let a =
+            Executor::try_run(&mut ctx, 2, &unprovable, None, false, &data).expect("kernel launch");
+        let b =
+            Executor::try_run(&mut ctx, 2, &unprovable, None, false, &data).expect("kernel launch");
         (a, b, ctx.sys.fastpath_stats())
     };
     let (a_on, b_on, stats) = run_pair(true);
@@ -375,7 +377,8 @@ fn unprovable_program_is_never_recorded() {
     // Launch 1 runs from the pristine state, launch 2 records the
     // recurring steady state, launch 3 replays it.
     for _ in 0..3 {
-        let _ = Executor::run(&mut ctx, 2, &provable, None, false, &data);
+        let _ =
+            Executor::try_run(&mut ctx, 2, &provable, None, false, &data).expect("kernel launch");
     }
     let stats = ctx.sys.fastpath_stats();
     assert!(stats.insertions >= 1, "provable program was not recorded: {stats:?}");
@@ -436,12 +439,15 @@ fn channels_since(sys: &PimSystem, before: FastpathChannels) -> (u64, u64) {
 fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
     let in_order = ExecutionMode::Fenced { reorder_seed: None };
     let seeded = ExecutionMode::Fenced { reorder_seed: Some(0xF16) };
+    let demo = ExecutionMode::UnfencedReordered { seed: 0xF16 };
     // (n, k, mode, skew, cache hits over the four launches): the skewed
     // channel needs a launch more than the rest to reach its steady state.
+    // The demo's sums are garbage, so outputs compare as bits.
     let rows = [
         (1000, K, in_order, None, 2),
         (1000, K, in_order, Some((5, 700)), 1),
         (128, 512, seeded, None, 2),
+        (128, 512, demo, None, 2),
     ];
     for fresh in [PimContext::paper_system, PimContext::small_system] {
         for (n, k, mode, skew, hits) in rows {

@@ -1,6 +1,10 @@
 //! Integration tests of the instruction-ordering story (Section IV-C,
-//! Fig. 5): FR-FCFS reordering, the AAM tolerance window, fences, and the
-//! no-fence controller mode — all observed functionally, not assumed.
+//! Fig. 5), observed functionally, not assumed. Kernels issue through
+//! `MemoryController::issue_raw` in batch order (`pim-dram`'s FR-FCFS
+//! request path carries no kernel); the reordering a controller may apply
+//! inside a fence window is `Batch::issue_order`'s seeded permutation of
+//! commutative batches, an adversary AAM must tolerate. Then the fences,
+//! Fig. 5(c)'s unfenced demo, and the no-fence controller mode.
 
 use pim_host::ExecutionMode;
 use pim_runtime::{PimBlas, PimContext};
