@@ -18,6 +18,10 @@
 //!   program the units; reads of the `GRF` row in single-bank mode read a
 //!   specific unit's results back.
 //!
+//! The channel keeps no mode of its own: it steps a [`ModeWalker`] on every
+//! command it accepts and applies the [`Step`] the walker returns, so the
+//! protocol above is written once, in `walker.rs`.
+//!
 //! # The reserved `PIM_CONF` memory map
 //!
 //! The top rows of every bank are reserved (the PIM device driver never
@@ -37,7 +41,7 @@ use crate::isa::Instruction;
 use crate::regfile::{crf_block, crf_block_base, crf_block_words};
 use crate::unit::{BankPort, Effects, PimUnit, Sequencer, TriggerKind, UnitStats};
 use crate::vector::LaneVec;
-use crate::walker::{ModeWalker, PendingTransition, Step};
+use crate::walker::{ModeWalker, Step};
 use pim_dram::{
     BankAddr, Command, CommandSink, Cycle, DataBlock, IssueError, IssueOutcome, PseudoChannel,
     TimingParams,
@@ -203,7 +207,6 @@ impl FromIterator<usize> for UnitMask {
 /// Section III-B).
 #[derive(Debug, Clone, Copy, Default)]
 struct AbTiming {
-    open_row: Option<u32>,
     next_act: Cycle,
     next_col: Cycle,
     next_pre: Cycle,
@@ -214,8 +217,9 @@ struct AbTiming {
 pub struct PimChannel {
     inner: PseudoChannel,
     config: PimConfig,
-    mode: PimMode,
-    pending: Option<PendingTransition>,
+    /// The mode machine and the open rows commands resolve against,
+    /// stepped by every accepted command and by nothing else.
+    walker: ModeWalker,
     units: Vec<PimUnit>,
     /// The units that execute their triggers; the rest retire them from
     /// the instruction alone. See [`PimChannel::set_live_units`].
@@ -249,8 +253,7 @@ impl PimChannel {
         PimChannel {
             inner: PseudoChannel::new(timing),
             config,
-            mode: PimMode::SingleBank,
-            pending: None,
+            walker: ModeWalker::new(),
             units,
             live: UnitMask::ALL,
             lockstep: false,
@@ -347,7 +350,7 @@ impl PimChannel {
 
     /// Current operating mode.
     pub fn mode(&self) -> PimMode {
-        self.mode
+        self.walker.mode()
     }
 
     /// The device configuration.
@@ -382,38 +385,13 @@ impl PimChannel {
         &mut self.inner
     }
 
-    /// The PIM unit that owns `bank` (one unit per even/odd bank pair).
-    fn unit_of(&self, bank: BankAddr) -> usize {
-        bank.flat_index() / 2
-    }
-
-    fn is_conf_row(row: u32) -> bool {
-        row >= PIM_CONF_FIRST_ROW
-    }
-
     /// Handles a register write at (`row`, `col`) for unit `unit_idx`
-    /// (SB mode) or broadcast to all units (`None`, AB modes).
+    /// (SB mode) or broadcast to all units (`None`, AB modes). An all-bank
+    /// `PIM_OP_MODE` write is the walker's [`Step::PimOpMode`], not this;
+    /// a single-bank one lands here and is ignored, as the paper's AB-PIM
+    /// mode "is proceeded by the AB mode".
     fn conf_write(&mut self, row: u32, col: u32, data: &DataBlock, unit_idx: Option<usize>) {
         self.stats.conf_writes += 1;
-        if row == PIM_OP_MODE_ROW {
-            let enable = data[0] & 1 == 1;
-            match (self.mode, enable) {
-                (PimMode::AllBank, true) => {
-                    self.mode = PimMode::AllBankPim;
-                    self.stats.mode_transitions += 1;
-                    self.reset_sequencers();
-                }
-                (PimMode::AllBankPim, false) => {
-                    self.mode = PimMode::AllBank;
-                    self.stats.mode_transitions += 1;
-                }
-                // Setting the current value again is a no-op; setting
-                // PIM_OP_MODE in SB mode is ignored, as the paper's
-                // AB-PIM mode "is proceeded by the AB mode".
-                _ => {}
-            }
-            return;
-        }
         let crf_loads = self.conf_write_regs(row, col, data, unit_idx);
         if crf_loads > 0 {
             if let Some(r) = &self.recorder {
@@ -425,7 +403,9 @@ impl PimChannel {
     /// The pure register-file mutation of a non-`PIM_OP_MODE` conf write:
     /// no stats, no recorder, no mode machine. Shared between the full
     /// issue path and the launch-replay data walk. Returns the number of
-    /// CRF words loaded (for the issue path's metric).
+    /// CRF words loaded (for the issue path's metric). A single-bank write
+    /// to a bank whose pair has no unit (a channel of fewer than 8 units)
+    /// reaches no register: it is a plain array write.
     fn conf_write_regs(
         &mut self,
         row: u32,
@@ -435,7 +415,7 @@ impl PimChannel {
     ) -> u64 {
         let word = LaneVec::from_block(data);
         let targets = match unit_idx {
-            Some(u) => &mut self.units[u..=u],
+            Some(u) => self.units.get_mut(u..=u).unwrap_or_default(),
             None => &mut self.units[..],
         };
         match row {
@@ -473,56 +453,62 @@ impl PimChannel {
         }
     }
 
-    /// Handles a register read at (`row`, `col`) from unit `unit_idx`.
-    fn conf_read(&mut self, row: u32, col: u32, unit_idx: usize) -> DataBlock {
+    /// Handles a register read at (`row`, `col`) from unit `unit_idx`;
+    /// `None` for a register row of a unit the channel does not have,
+    /// which reads the bank array like any data row.
+    fn conf_read(&mut self, row: u32, col: u32, unit_idx: usize) -> Option<DataBlock> {
         self.stats.conf_reads += 1;
-        match row {
-            PIM_OP_MODE_ROW => {
+        let unit = self.units.get(unit_idx);
+        Some(match (row, unit) {
+            (PIM_OP_MODE_ROW, _) => {
                 let mut d = [0u8; 32];
-                d[0] = (self.mode == PimMode::AllBankPim) as u8;
+                d[0] = (self.walker.mode() == PimMode::AllBankPim) as u8;
                 d
             }
-            CRF_ROW => {
-                let crf = self.units[unit_idx].crf();
+            (CRF_ROW | SRF_ROW | GRF_ROW, None) => return None,
+            (CRF_ROW, Some(unit)) => {
+                let crf = unit.crf();
                 crf_block(std::array::from_fn(|i| crf.read_word(crf_block_base(col) + i)))
             }
-            SRF_ROW => {
+            (SRF_ROW, Some(unit)) => {
                 let mut lanes = [pim_fp16::F16::ZERO; 16];
                 for i in 0..8 {
-                    lanes[i] = self.units[unit_idx].srf_m().read(i);
-                    lanes[8 + i] = self.units[unit_idx].srf_a().read(i);
+                    lanes[i] = unit.srf_m().read(i);
+                    lanes[8 + i] = unit.srf_a().read(i);
                 }
                 LaneVec::from_lanes(lanes).to_block()
             }
-            GRF_ROW => {
+            (GRF_ROW, Some(unit)) => {
                 let c = (col as usize) % 16;
-                let v = if c < 8 {
-                    self.units[unit_idx].grf_a().read(c)
-                } else {
-                    self.units[unit_idx].grf_b().read(c - 8)
-                };
+                let v = if c < 8 { unit.grf_a().read(c) } else { unit.grf_b().read(c - 8) };
                 v.to_block()
             }
             _ => [0u8; 32],
-        }
+        })
     }
 
     /// Rolls the per-command fault decision for a data-row column command
-    /// in an all-bank mode. A mode-machine glitch is applied on the spot:
-    /// the units' sequencers reset as if `PIM_OP_MODE` had been rewritten,
-    /// and the command then proceeds with the corrupted program state.
-    fn roll_column_fault(&mut self) -> ColumnFault {
-        let Some(f) = &mut self.faults else { return ColumnFault::None };
+    /// in an all-bank mode and applies it to `block`, the burst the command
+    /// moves: `None` if the command is dropped, the block with a bit
+    /// flipped if it is corrupted. A mode-machine glitch is applied on the
+    /// spot: the units' sequencers reset as if `PIM_OP_MODE` had been
+    /// rewritten, and the command then proceeds with the corrupted program
+    /// state.
+    fn roll_column_fault(&mut self, mut block: DataBlock) -> Option<DataBlock> {
+        let Some(f) = &mut self.faults else { return Some(block) };
         let fault = f.next_column();
         if fault != ColumnFault::None {
             if let Some(r) = &self.recorder {
                 r.add(names::DEV_FAULTS_INJECTED, 1);
             }
         }
-        if fault == ColumnFault::Glitch {
-            self.reset_sequencers();
+        match fault {
+            ColumnFault::Drop => return None,
+            ColumnFault::CorruptBit(bit) => pim_faults::flip_bit(&mut block, bit),
+            ColumnFault::Glitch => self.reset_sequencers(),
+            ColumnFault::None => {}
         }
-        fault
+        Some(block)
     }
 
     /// Restarts every unit's microkernel at CRF entry 0 — what writing 1 to
@@ -652,138 +638,54 @@ impl PimChannel {
         (reads, writes)
     }
 
-    /// Issues a command while in an all-bank mode.
-    fn issue_ab(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
+    /// Accepts or refuses `cmd` on the all-bank clock — against the
+    /// walker's open row, which every bank shares, whatever BA/BG the
+    /// command names — and advances the clock for an accepted command:
+    /// step one of [`CommandSink::issue`] in an all-bank mode. Columns pace
+    /// at tCCD_L.
+    fn accept_ab(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
         let earliest = self.earliest_ab(cmd, cycle);
         if cycle < earliest {
             return Err(IssueError::TooEarly { earliest });
         }
-        match cmd {
-            Command::Act { bank, row } => {
-                if self.ab.open_row.is_some() {
-                    return Err(IssueError::BankAlreadyOpen);
-                }
-                let t = self.inner.timing();
-                self.ab.open_row = Some(*row);
-                self.ab.next_col = cycle + t.t_rcd;
-                self.ab.next_pre = cycle + t.t_ras;
-                self.ab.next_act = cycle + t.t_rc;
-                self.inner.all_bank_activate(*row, cycle);
-                self.stats.ab_acts += 1;
-                // An ACT to the SBMR row arms the exit transition.
-                if *row == SBMR_ROW {
-                    self.pending = Some(PendingTransition::ToSingleBank);
-                } else {
-                    self.pending = None;
-                }
-                let _ = bank; // the BA/BG of the command is ignored in AB mode
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
+        let open = self.walker.open_row(BankAddr::new(0, 0)).is_some();
+        let (t, ab) = (self.inner.timing(), &mut self.ab);
+        let data_at = match cmd {
+            Command::Act { .. } if open => return Err(IssueError::BankAlreadyOpen),
+            Command::Ref if open => return Err(IssueError::BanksOpenOnRefresh),
+            Command::Pre { .. } | Command::PreAll | Command::Rd { .. } | Command::Wr { .. }
+                if !open =>
+            {
+                return Err(IssueError::BankNotOpen)
+            }
+            Command::Act { .. } => {
+                ab.next_col = cycle + t.t_rcd;
+                ab.next_pre = cycle + t.t_ras;
+                ab.next_act = cycle + t.t_rc;
+                None
             }
             Command::Pre { .. } | Command::PreAll => {
-                if self.ab.open_row.is_none() {
-                    return Err(IssueError::BankNotOpen);
-                }
-                self.ab.open_row = None;
-                self.ab.next_act = self.ab.next_act.max(cycle + self.inner.timing().t_rp);
-                self.inner.all_bank_precharge(cycle);
-                self.stats.ab_pres += 1;
-                if self.pending == Some(PendingTransition::ToSingleBank) {
-                    self.pending = None;
-                    self.mode = PimMode::SingleBank;
-                    self.stats.mode_transitions += 1;
-                    // Hand the channel back with every horizon at or past
-                    // the end of all-bank activity.
-                    self.inner.quiesce_until(self.ab.next_act);
-                }
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
+                ab.next_act = ab.next_act.max(cycle + t.t_rp);
+                None
             }
-            Command::Rd { col, .. } => {
-                let row = self.ab.open_row.ok_or(IssueError::BankNotOpen)?;
-                let t = self.inner.timing();
-                let data_at = Some(cycle + t.t_cl + t.t_bl);
-                self.ab.next_col = cycle + t.t_ccd_l;
-                self.ab.next_pre = self.ab.next_pre.max(cycle + t.t_rtp);
+            Command::Rd { .. } => {
+                ab.next_col = cycle + t.t_ccd_l;
+                ab.next_pre = ab.next_pre.max(cycle + t.t_rtp);
                 self.stats.ab_reads += 1;
-                if Self::is_conf_row(row) {
-                    let data = self.conf_read(row, *col, 0);
-                    return Ok(IssueOutcome { issued_at: cycle, data: Some(data), data_at });
-                }
-                let fault = self.roll_column_fault();
-                match self.mode {
-                    PimMode::AllBank => {
-                        // Lock-step read: the host observes bank (0,0).
-                        let mut data = match fault {
-                            // A dropped read returns an empty burst.
-                            ColumnFault::Drop => [0u8; 32],
-                            _ => self.inner.bank(BankAddr::new(0, 0)).read_block(*col),
-                        };
-                        if let ColumnFault::CorruptBit(bit) = fault {
-                            pim_faults::flip_bit(&mut data, bit);
-                        }
-                        Ok(IssueOutcome { issued_at: cycle, data: Some(data), data_at })
-                    }
-                    PimMode::AllBankPim => {
-                        // The RD triggers PIM execution; no data crosses the
-                        // external I/O ("the AB-PIM mode does not consume
-                        // power for transferring data from the bank I/O all
-                        // the way to the I/O circuits", Section III-B).
-                        if fault != ColumnFault::Drop {
-                            self.dispatch_triggers(TriggerKind::Read, row, *col);
-                        }
-                        Ok(IssueOutcome { issued_at: cycle, data: None, data_at: Some(cycle) })
-                    }
-                    PimMode::SingleBank => unreachable!("issue_ab in SB mode"),
-                }
+                Some(cycle + t.t_cl + t.t_bl)
             }
-            Command::Wr { col, data, .. } => {
-                let row = self.ab.open_row.ok_or(IssueError::BankNotOpen)?;
-                let t = self.inner.timing();
-                let data_at = Some(cycle + t.t_wl + t.t_bl);
-                self.ab.next_col = cycle + t.t_ccd_l;
-                self.ab.next_pre = self.ab.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
+            Command::Wr { .. } => {
+                ab.next_col = cycle + t.t_ccd_l;
+                ab.next_pre = ab.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
                 self.stats.ab_writes += 1;
-                if Self::is_conf_row(row) {
-                    self.conf_write(row, *col, data, None);
-                    return Ok(IssueOutcome { issued_at: cycle, data: None, data_at });
-                }
-                let fault = self.roll_column_fault();
-                let mut payload = *data;
-                if let ColumnFault::CorruptBit(bit) = fault {
-                    pim_faults::flip_bit(&mut payload, bit);
-                }
-                match self.mode {
-                    PimMode::AllBank => {
-                        // Broadcast write: the same block lands in every
-                        // bank — how the software stack replicates shared
-                        // operands across banks in one command.
-                        if fault != ColumnFault::Drop {
-                            for b in BankAddr::all() {
-                                self.inner.bank_mut(b).write_block(*col, &payload);
-                            }
-                        }
-                        Ok(IssueOutcome { issued_at: cycle, data: None, data_at })
-                    }
-                    PimMode::AllBankPim => {
-                        // The WR's block rides the write datapath into the
-                        // units as the WDATA operand; the array itself is
-                        // not written (instructions write banks explicitly).
-                        if fault != ColumnFault::Drop {
-                            let wdata = LaneVec::from_block(&payload);
-                            self.dispatch_triggers(TriggerKind::Write(wdata), row, *col);
-                        }
-                        Ok(IssueOutcome { issued_at: cycle, data: None, data_at })
-                    }
-                    PimMode::SingleBank => unreachable!("issue_ab in SB mode"),
-                }
+                Some(cycle + t.t_wl + t.t_bl)
             }
             Command::Ref => {
-                if self.ab.open_row.is_some() {
-                    return Err(IssueError::BanksOpenOnRefresh);
-                }
-                self.ab.next_act = self.ab.next_act.max(cycle + self.inner.timing().t_rfc);
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
+                ab.next_act = ab.next_act.max(cycle + t.t_rfc);
+                None
             }
-        }
+        };
+        Ok(IssueOutcome { issued_at: cycle, data: None, data_at })
     }
 
     fn earliest_ab(&self, cmd: &Command, now: Cycle) -> Cycle {
@@ -795,66 +697,44 @@ impl PimChannel {
         }
     }
 
-    /// The mode-independent issue path; [`CommandSink::issue`] wraps it to
-    /// observe mode transitions.
-    fn issue_inner(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        if self.mode != PimMode::SingleBank {
-            return self.issue_ab(cmd, cycle);
+    /// What an accepted ACT / PRE / PREA / REF does beyond the clock that
+    /// accepted it, the mode machine having moved from `before`: an
+    /// all-bank row command reaches every bank, the PRE that enters
+    /// all-bank mode hands the all-bank clock the channel's horizons, and
+    /// the one that leaves hands them back.
+    fn row_management(&mut self, cmd: &Command, before: PimMode, cycle: Cycle) {
+        let (was_sb, is_sb) =
+            (before == PimMode::SingleBank, self.walker.mode() == PimMode::SingleBank);
+        match *cmd {
+            Command::Act { row, .. } if !was_sb => {
+                self.inner.all_bank_activate(row, cycle);
+                self.stats.ab_acts += 1;
+            }
+            Command::Pre { .. } | Command::PreAll if !was_sb => {
+                self.inner.all_bank_precharge(cycle);
+                self.stats.ab_pres += 1;
+                if is_sb {
+                    // Hand the channel back with every horizon at or past
+                    // the end of all-bank activity.
+                    self.inner.quiesce_until(self.ab.next_act);
+                }
+            }
+            Command::Pre { bank } if !is_sb => {
+                assert!(
+                    self.inner.all_banks_closed(),
+                    "entering all-bank mode requires all banks precharged \
+                     (the PIM executor must close open rows first)"
+                );
+                self.ab = AbTiming {
+                    // Inherit the post-PRE horizon so the first all-bank
+                    // ACT respects tRP.
+                    next_act: self.inner.earliest_issue(&Command::Act { bank, row: 0 }, cycle),
+                    next_col: cycle,
+                    next_pre: cycle,
+                };
+            }
+            _ => {}
         }
-        // Single-bank mode: pass through, then post-process for mode
-        // transitions and memory-mapped register access.
-        let open_row_before = cmd.bank().and_then(|b| self.inner.open_row(b));
-        let mut outcome = self.inner.issue(cmd, cycle)?;
-        match cmd {
-            Command::Act { bank, row } if *row == ABMR_ROW => {
-                self.pending = Some(PendingTransition::ToAllBank(*bank));
-            }
-            Command::Act { .. } => {
-                self.pending = None;
-            }
-            Command::Pre { bank } => {
-                if self.pending == Some(PendingTransition::ToAllBank(*bank)) {
-                    self.pending = None;
-                    assert!(
-                        self.inner.all_banks_closed(),
-                        "entering all-bank mode requires all banks precharged \
-                         (the PIM executor must close open rows first)"
-                    );
-                    self.mode = PimMode::AllBank;
-                    self.stats.mode_transitions += 1;
-                    self.ab = AbTiming {
-                        open_row: None,
-                        // Inherit the post-PRE horizon so the first all-bank
-                        // ACT respects tRP.
-                        next_act: self
-                            .inner
-                            .earliest_issue(&Command::Act { bank: *bank, row: 0 }, cycle),
-                        next_col: cycle,
-                        next_pre: cycle,
-                    };
-                }
-            }
-            Command::Rd { bank, col } => {
-                if let Some(row) = open_row_before {
-                    if Self::is_conf_row(row) {
-                        let unit = self.unit_of(*bank);
-                        outcome.data = Some(self.conf_read(row, *col, unit));
-                    }
-                }
-                self.pending = None;
-            }
-            Command::Wr { bank, col, data } => {
-                if let Some(row) = open_row_before {
-                    if Self::is_conf_row(row) {
-                        let unit = self.unit_of(*bank);
-                        self.conf_write(row, *col, data, Some(unit));
-                    }
-                }
-                self.pending = None;
-            }
-            Command::PreAll | Command::Ref => {}
-        }
-        Ok(outcome)
     }
 
     /// The launch-memoization fingerprint: the channel's complete relative
@@ -867,7 +747,8 @@ impl PimChannel {
     /// and identical mode choreography — which is what lets a recorded
     /// launch be replayed as a pure state delta.
     pub fn launch_fingerprint(&self, now: Cycle) -> Option<pim_dram::ChannelTimingState> {
-        if self.mode != PimMode::SingleBank || self.pending.is_some() || self.faults.is_some() {
+        if self.walker.mode() != PimMode::SingleBank || self.walker.armed() || self.faults.is_some()
+        {
             return None;
         }
         self.inner.timing_state(now)
@@ -970,7 +851,7 @@ impl PimChannel {
         I: IntoIterator<Item = &'a Command>,
     {
         debug_assert!(self.faults.is_none(), "replay_data on a faulted channel");
-        debug_assert_eq!(self.mode, PimMode::SingleBank);
+        debug_assert_eq!(self.walker.mode(), PimMode::SingleBank);
         let mut walker = ModeWalker::new();
         for cmd in cmds {
             let step = walker.step(cmd);
@@ -1093,51 +974,112 @@ impl LaunchAccounting {
 
 impl CommandSink for PimChannel {
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle {
-        match self.mode {
+        match self.walker.mode() {
             PimMode::SingleBank => self.inner.earliest_issue(cmd, now),
             _ => self.earliest_ab(cmd, now),
         }
     }
 
+    /// Three steps: accept or refuse `cmd` under the current mode — a
+    /// refused command leaves everything, the mode machine included, where
+    /// it was; step the walker; apply what the walker classified the
+    /// command as, in either mode.
     fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let before = self.mode;
-        let result = self.issue_inner(cmd, cycle);
-        if result.is_ok() {
-            if let Some(f) = &self.faults {
-                let p = f.stall_penalty();
-                if p > 0 {
-                    // A stall-degraded channel: every accepted command
-                    // pushes the timing horizons out by the penalty.
-                    match self.mode {
-                        PimMode::SingleBank => self.inner.quiesce_until(cycle + p),
-                        _ => {
-                            self.ab.next_act = self.ab.next_act.max(cycle + p);
-                            self.ab.next_col = self.ab.next_col.max(cycle + p);
-                            self.ab.next_pre = self.ab.next_pre.max(cycle + p);
-                        }
+        let before = self.walker.mode();
+        let sb = before == PimMode::SingleBank;
+        let mut outcome =
+            if sb { self.inner.issue(cmd, cycle)? } else { self.accept_ab(cmd, cycle)? };
+        let step = self.walker.step(cmd);
+        let (bank, col, wdata) = match *cmd {
+            Command::Rd { bank, col } => (bank, col, None),
+            Command::Wr { bank, col, ref data } => (bank, col, Some(data)),
+            _ => (BankAddr::new(0, 0), 0, None),
+        };
+        match (step, wdata) {
+            (Step::RowManagement, _) => self.row_management(cmd, before, cycle),
+            (Step::Read { row }, _) if row >= PIM_CONF_FIRST_ROW => {
+                // One unit per even/odd bank pair; all-bank reads unit 0.
+                let unit = if sb { bank.flat_index() / 2 } else { 0 };
+                if let Some(data) = self.conf_read(row, col, unit) {
+                    outcome.data = Some(data);
+                }
+            }
+            (Step::ConfWrite { row, unit }, Some(data)) => self.conf_write(row, col, data, unit),
+            (Step::PimOpMode { enable, toggled }, _) => {
+                self.stats.conf_writes += 1;
+                if enable && toggled {
+                    self.reset_sequencers();
+                }
+            }
+            (Step::Read { .. }, _) if !sb => {
+                // Lock-step read: the host observes bank (0,0); a dropped
+                // read returns an empty burst.
+                let data = self.inner.bank(BankAddr::new(0, 0)).read_block(col);
+                outcome.data = Some(self.roll_column_fault(data).unwrap_or_default());
+            }
+            (Step::AbWrite { .. }, Some(data)) => {
+                // Broadcast write: the same block lands in every bank — how
+                // the software stack replicates shared operands across
+                // banks in one command.
+                if let Some(block) = self.roll_column_fault(*data) {
+                    for b in BankAddr::all() {
+                        self.inner.bank_mut(b).write_block(col, &block);
                     }
                 }
             }
+            (Step::Trigger { row }, None) => {
+                // The RD triggers PIM execution; no data crosses the
+                // external I/O ("the AB-PIM mode does not consume power for
+                // transferring data from the bank I/O all the way to the
+                // I/O circuits", Section III-B).
+                if self.roll_column_fault(DataBlock::default()).is_some() {
+                    self.dispatch_triggers(TriggerKind::Read, row, col);
+                }
+                outcome.data_at = Some(cycle);
+            }
+            (Step::Trigger { row }, Some(data)) => {
+                // The WR's block rides the write datapath into the units as
+                // the WDATA operand; the array itself is not written
+                // (instructions write banks explicitly).
+                if let Some(block) = self.roll_column_fault(*data) {
+                    let wdata = LaneVec::from_block(&block);
+                    self.dispatch_triggers(TriggerKind::Write(wdata), row, col);
+                }
+            }
+            // A single-bank data access: the channel already read or stored
+            // the block.
+            _ => {}
         }
-        if self.mode != before {
+        if let Some(p) = self.faults.as_ref().map(|f| f.stall_penalty()).filter(|&p| p > 0) {
+            // A stall-degraded channel: every accepted command pushes the
+            // timing horizons out by the penalty.
+            match self.walker.mode() {
+                PimMode::SingleBank => self.inner.quiesce_until(cycle + p),
+                _ => {
+                    self.ab.next_act = self.ab.next_act.max(cycle + p);
+                    self.ab.next_col = self.ab.next_col.max(cycle + p);
+                    self.ab.next_pre = self.ab.next_pre.max(cycle + p);
+                }
+            }
+        }
+        let after = self.walker.mode();
+        if after != before {
+            self.stats.mode_transitions += 1;
             if let Some(r) = &self.recorder {
                 r.add(names::DEV_MODE_TRANSITIONS, 1);
                 r.emit(Event::instant(
                     cycle,
-                    format!("{before}->{}", self.mode),
+                    format!("{before}->{after}"),
                     names::CAT_MODE,
                     Scope::channel(self.channel_id),
                 ));
             }
         }
-        result
+        Ok(outcome)
     }
 
     fn open_row(&self, bank: BankAddr) -> Option<u32> {
-        match self.mode {
-            PimMode::SingleBank => self.inner.open_row(bank),
-            _ => self.ab.open_row,
-        }
+        self.walker.open_row(bank)
     }
 
     fn timing(&self) -> &TimingParams {
@@ -1959,6 +1901,94 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A command the channel refuses moves nothing: not the mode, not an
+    /// open row, not the launch fingerprint — and the channel then goes
+    /// on as if it had never been sent.
+    #[test]
+    fn refused_commands_leave_the_mode_machine_alone() {
+        let mut ch = fresh();
+        let b = BankAddr::new(0, 0);
+        let state = |ch: &PimChannel, now| {
+            let open: Vec<_> = BankAddr::all().map(|bank| ch.open_row(bank)).collect();
+            (ch.mode(), open, ch.launch_fingerprint(now))
+        };
+        let refuse = |ch: &mut PimChannel, cmd: Command, at: Cycle, want: IssueError| {
+            let before = state(ch, at);
+            assert_eq!(ch.issue(&cmd, at), Err(want), "{cmd}");
+            assert_eq!(state(ch, at), before, "refused {cmd} moved the channel");
+        };
+        let late = 1_000_000;
+        // Single-bank, every bank closed: the fingerprint is there to move.
+        refuse(&mut ch, Command::Pre { bank: b }, 100, IssueError::BankNotOpen);
+        refuse(&mut ch, Command::Rd { bank: b, col: 0 }, 100, IssueError::BankNotOpen);
+        let now = run(&mut ch, &enter_ab_sequence(), 100);
+        // All-bank with `PIM_OP_MODE` open: that WR, had it stepped the
+        // walker, would have entered AB-PIM, and that ACT armed the exit.
+        let now = run(&mut ch, &[Command::Act { bank: b, row: PIM_OP_MODE_ROW }], now);
+        let mut enable = [0u8; 32];
+        enable[0] = 1;
+        let wr = Command::Wr { bank: b, col: 0, data: enable };
+        let earliest = ch.earliest_issue(&wr, now);
+        refuse(&mut ch, wr, earliest - 1, IssueError::TooEarly { earliest });
+        let act = Command::Act { bank: b, row: SBMR_ROW };
+        refuse(&mut ch, act, late, IssueError::BankAlreadyOpen);
+        refuse(&mut ch, Command::Ref, late, IssueError::BanksOpenOnRefresh);
+        let now = run(&mut ch, &[Command::Pre { bank: b }], now);
+        refuse(&mut ch, Command::Pre { bank: b }, late, IssueError::BankNotOpen);
+        refuse(&mut ch, Command::Rd { bank: b, col: 0 }, late, IssueError::BankNotOpen);
+        assert_eq!(ch.mode(), PimMode::AllBank);
+        run(&mut ch, &exit_ab_sequence(), now);
+        assert_eq!((ch.mode(), ch.stats().mode_transitions), (PimMode::SingleBank, 2));
+        assert_eq!((ch.stats().conf_writes, ch.stats().ab_writes), (0, 0));
+    }
+
+    /// §III-A allows fewer units than bank pairs: on a 4-unit channel the
+    /// register rows of banks 8–15 are plain array rows. A single-bank
+    /// write stores its block and a read returns the bank's, on the issue
+    /// path and on the replay walk alike, and no unit's SRF or GRF moves.
+    #[test]
+    fn register_rows_of_a_bank_without_a_unit_are_plain_array_rows() {
+        let config = PimConfig { units_per_pch: 4, ..PimConfig::paper() };
+        let fresh4 = || PimChannel::new(TimingParams::hbm2(), config.clone());
+        let registers = |ch: &PimChannel| -> Vec<_> {
+            let at = |u: usize, i| {
+                let unit = ch.unit(u);
+                let srf = [unit.srf_m().read(i).to_bits(), unit.srf_a().read(i).to_bits()];
+                (srf, unit.grf_a().read(i).to_block(), unit.grf_b().read(i).to_block())
+            };
+            (0..4).flat_map(|u| (0..8).map(move |i| at(u, i))).collect()
+        };
+        let (bank8, bank12) = (BankAddr::from_flat_index(8), BankAddr::from_flat_index(12));
+        let (block, stored) = ([0x5A; 32], [0xC3; 32]);
+        let write = [
+            Command::Act { bank: bank8, row: SRF_ROW },
+            Command::Wr { bank: bank8, col: 0, data: block },
+            Command::Pre { bank: bank8 },
+        ];
+        let untouched = registers(&fresh4());
+
+        let mut ch = fresh4();
+        ch.dram_mut().bank_mut(bank12).poke_block(GRF_ROW, 3, &stored);
+        let mut now = run(&mut ch, &write, 0);
+        let mut read = None;
+        for cmd in [
+            Command::Act { bank: bank12, row: GRF_ROW },
+            Command::Rd { bank: bank12, col: 3 },
+            Command::Pre { bank: bank12 },
+        ] {
+            now = ch.earliest_issue(&cmd, now);
+            read = ch.issue(&cmd, now).unwrap().data.or(read);
+        }
+        assert_eq!(read, Some(stored), "the GRF row of bank 12 reads its array");
+        assert_eq!(ch.dram().bank(bank8).peek_block(SRF_ROW, 0), block);
+        assert_eq!(registers(&ch), untouched);
+
+        let mut replayed = fresh4();
+        replayed.replay_data_recording(&write);
+        assert_eq!(replayed.dram().bank(bank8).peek_block(SRF_ROW, 0), block);
+        assert_eq!(registers(&replayed), untouched);
     }
 
     #[test]

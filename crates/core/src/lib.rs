@@ -23,16 +23,17 @@
 //!   one: the static trigger schedule ([`schedule`]) and `pim-verify`'s
 //!   fence pass step it too.
 //! * [`PimChannel`] — a pseudo channel of PIM-HBM: a plain
-//!   [`pim_dram::PseudoChannel`] plus 8 PIM units and the SB / AB / AB-PIM
-//!   mode state machine of Section III-B, driven **only** by standard DRAM
+//!   [`pim_dram::PseudoChannel`] plus 8 PIM units, stepping the SB / AB /
+//!   AB-PIM mode machine of Section III-B on **only** standard DRAM
 //!   commands (mode transitions are ACT/PRE sequences to reserved
 //!   `PIM_CONF` rows; registers are memory-mapped). It implements
 //!   [`pim_dram::CommandSink`], so the unmodified [`pim_dram::MemoryController`]
 //!   drives it — the paper's drop-in-replacement property.
-//! * [`ModeWalker`] — the same mode machine with timing, stats and faults
-//!   removed, for consumers that must know what a *recorded* command
-//!   stream does without issuing it (launch replay, the launch key, and
-//!   `pim-verify`'s protocol linter and fence pass).
+//! * [`ModeWalker`] — that mode machine, the one copy of it: the device
+//!   steps it on every accepted command, and so do the consumers that must
+//!   know what a *recorded* command stream does without issuing it (launch
+//!   replay, the launch key, and `pim-verify`'s protocol linter and fence
+//!   pass).
 //! * [`PimConfig`] / [`PimVariant`] — Table IV/V specification constants
 //!   plus the design-space-exploration variants of Fig. 14 (2× resources,
 //!   2-bank access, simultaneous RD+WR).

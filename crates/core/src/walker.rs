@@ -1,22 +1,22 @@
-//! The timing-free mode-machine walker: the SB → AB → AB-PIM protocol of
-//! Section III-B (Fig. 3) with everything but the protocol removed.
+//! The mode machine: the SB → AB → AB-PIM protocol of Section III-B
+//! (Fig. 3) and nothing else — no timing, no stats, no faults.
 //!
-//! [`PimChannel`](crate::PimChannel) owns the protocol on the issue path,
-//! interleaved with timing, stats and fault hooks. Every consumer that
-//! needs to know what a command stream does without issuing it — the
-//! launch-replay data walk, the launch key and its static proof, and
-//! `pim-verify`'s protocol linter and fence pass — steps a [`ModeWalker`]
-//! instead of tracking modes and open rows itself; the linter reads its
-//! diagnostics off the walker's state before and after each command.
-//! `tests/device_equivalence.rs` holds the walker to the device on
-//! generated streams, command by command.
+//! It is the only copy of the protocol. [`PimChannel`](crate::PimChannel)
+//! steps one on every command it accepts and applies the [`Step`] it gets
+//! back; every consumer that needs to know what a command stream does
+//! without issuing it — the launch-replay data walk, the launch key and
+//! its static proof, and `pim-verify`'s protocol linter and fence pass —
+//! steps its own instead of tracking modes and open rows itself; the
+//! linter reads its diagnostics off the walker's state before and after
+//! each command. `tests/device_equivalence.rs` holds the walker to the
+//! device on generated streams, command by command.
 
 use crate::device::{PimMode, ABMR_ROW, PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW};
 use pim_dram::{BankAddr, Command, BANKS_PER_PCH};
 
 /// An armed mode transition: an ACT to `ABMR`/`SBMR` awaiting its PRE.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PendingTransition {
+enum PendingTransition {
     ToAllBank(BankAddr),
     ToSingleBank,
 }

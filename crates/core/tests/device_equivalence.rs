@@ -478,6 +478,38 @@ proptest! {
             }
         }
     }
+
+    /// With the device on the walker, the predictor's mode flags are the
+    /// one mirror of the protocol left: on every generated stream —
+    /// aborted transitions, redundant `PIM_OP_MODE` writes, single-bank
+    /// register traffic, triggers — a power-on `ChannelPredictor` accounts
+    /// the launch as a fresh channel runs it, and then a fixed single-bank
+    /// probe that touches every bank from the state each was left in.
+    #[test]
+    fn the_predictor_follows_the_device_on_every_stream(frags in frags()) {
+        let (host, t) = (HostConfig::paper(), TimingParams::hbm2());
+        let cfg = ControllerConfig { refresh_enabled: false, ..Default::default() };
+        let mut ctrl = MemoryController::with_sink(cfg, fresh_channel());
+        let mut clock = ChannelPredictor::power_on(&t);
+        let probe: Vec<Command> = BankAddr::all()
+            .flat_map(|bank| {
+                let data = payload(bank.flat_index() as u8);
+                [
+                    Command::Act { bank, row: 2 },
+                    Command::Rd { bank, col: 1 },
+                    Command::Wr { bank, col: 2, data },
+                    Command::Pre { bank },
+                ]
+            })
+            .collect();
+        for (what, cmds) in [("stream", build(&frags)), ("probe", probe)] {
+            let list = [Batch::setup(cmds)];
+            let want =
+                KernelEngine::run_on_channel_bounded(&host, &mut ctrl, &list, ExecutionMode::Ordered, None);
+            let got = clock.run(&host, &list, ExecutionMode::Ordered, None);
+            prop_assert_eq!(got, want, "{}", what);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -489,7 +521,8 @@ proptest! {
 use pim_core::UnitMask;
 use pim_faults::FaultPlan;
 use pim_host::{
-    Batch, ExecutionBackend, ExecutionMode, FastpathStats, HostConfig, KernelEngine, PimSystem,
+    Batch, ChannelPredictor, ExecutionBackend, ExecutionMode, FastpathStats, HostConfig,
+    KernelEngine, PimSystem,
 };
 
 /// All-live, all-dead, one unit, and arbitrary subsets.

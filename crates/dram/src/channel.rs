@@ -107,36 +107,12 @@ impl FawWindow {
         self.count = (self.count + 1).min(4);
     }
 
-    /// The window as relative ages (`now - act`), oldest first, with
-    /// expired entries dropped: an entry aged `cap` (= tFAW) or more
-    /// constrains a future ACT to a cycle at or before `now`, which is
-    /// vacuous, and every later eviction of such an entry is equally
-    /// unconstrained — so a window is behaviourally identical to one
-    /// holding only its live (age < tFAW) entries. Dropping them
-    /// canonicalizes behaviour-equal windows onto one representation.
-    fn ages(&self, now: Cycle, cap: Cycle) -> ([Cycle; 4], u8) {
-        let mut out = [0; 4];
-        let mut kept = 0usize;
-        let start = if self.count == 4 { self.head } else { 0 };
-        for i in 0..self.count {
-            let age = now.saturating_sub(self.acts[(start + i) % 4]);
-            if age < cap {
-                out[kept] = age;
-                kept += 1;
-            }
-        }
-        (out, kept as u8)
-    }
-
-    /// Rebuilds a window at `now` from [`FawWindow::ages`] output.
-    fn from_ages(now: Cycle, ages: &[Cycle; 4], count: u8) -> FawWindow {
-        let count = count as usize;
-        let mut w = FawWindow::default();
-        for &age in ages.iter().take(count) {
-            w.record(now.saturating_sub(age));
-        }
-        debug_assert_eq!(w.count, count);
-        w
+    /// Whether an entry still constrains an ACT at or after `now`: one aged
+    /// `cap` (= tFAW) or more allows a cycle at or before `now`, which is
+    /// vacuous, and so does every later eviction of it — a window of such
+    /// entries times every future ACT as an empty one does.
+    fn live(&self, now: Cycle, cap: Cycle) -> bool {
+        self.acts[..self.count].iter().any(|&act| now.saturating_sub(act) < cap)
     }
 }
 
@@ -304,16 +280,20 @@ impl PseudoChannel {
 
     /// Captures every timing constraint as offsets relative to `now`, or
     /// `None` if any bank has an open row (an open row carries absolute
-    /// tRAS bookkeeping that offsets cannot represent canonically).
+    /// tRAS bookkeeping that offsets cannot represent canonically) or the
+    /// tFAW window still holds an ACT younger than tFAW.
     ///
     /// Two channels with equal states accept exactly the same command
     /// stream with exactly the same issue cycles (relative to their
     /// respective `now`s) — the launch-memoization cache key builds on
-    /// this. Horizons already in the past collapse to offset 0 and FAW
-    /// entries aged past tFAW are dropped, so behaviour-equal states
-    /// compare equal.
+    /// this. Horizons already in the past collapse to offset 0, so
+    /// behaviour-equal states compare equal. The window is not part of the
+    /// state: with every bank closed, every ACT was precharged at least
+    /// tRAS after it issued and tFAW < tRAS on every preset, so the window
+    /// has aged out; a hand-built timing with tFAW ≥ tRAS that leaves it
+    /// live gets `None`, and its channel runs cold.
     pub fn timing_state(&self, now: Cycle) -> Option<ChannelTimingState> {
-        if !self.all_banks_closed() {
+        if !self.all_banks_closed() || self.faw.live(now, self.timing.t_faw) {
             return None;
         }
         let rel = |c: Cycle| c.saturating_sub(now);
@@ -325,7 +305,6 @@ impl PseudoChannel {
             bank_next_col[i] = rel(b.next_col);
             bank_next_pre[i] = rel(b.next_pre);
         }
-        let (faw_ages, faw_count) = self.faw.ages(now, self.timing.t_faw);
         Some(ChannelTimingState {
             bank_next_act,
             bank_next_col,
@@ -336,13 +315,12 @@ impl PseudoChannel {
             ch_next_act: rel(self.ch_next_act),
             ch_next_rd: rel(self.ch_next_rd),
             ch_next_wr: rel(self.ch_next_wr),
-            faw_ages,
-            faw_count,
         })
     }
 
     /// Restores a [`PseudoChannel::timing_state`] snapshot, re-anchored at
-    /// `now`. All banks must be closed (snapshots are only taken closed).
+    /// `now`, with an empty tFAW window. All banks must be closed
+    /// (snapshots are only taken closed).
     pub fn apply_timing_state(&mut self, now: Cycle, st: &ChannelTimingState) {
         debug_assert!(self.all_banks_closed());
         for (i, b) in self.banks.iter_mut().enumerate() {
@@ -360,7 +338,7 @@ impl PseudoChannel {
         self.ch_next_act = now + st.ch_next_act;
         self.ch_next_rd = now + st.ch_next_rd;
         self.ch_next_wr = now + st.ch_next_wr;
-        self.faw = FawWindow::from_ages(now, &st.faw_ages, st.faw_count);
+        self.faw = FawWindow::default();
     }
 
     /// Adds a recorded launch's command-count deltas into this channel's
@@ -371,10 +349,10 @@ impl PseudoChannel {
 }
 
 /// A relative (re-anchorable) snapshot of a [`PseudoChannel`]'s complete
-/// inter-command timing state, taken with all banks closed. Produced by
-/// [`PseudoChannel::timing_state`], restored by
-/// [`PseudoChannel::apply_timing_state`]; equality means "will time every
-/// future command stream identically".
+/// inter-command timing state, taken with all banks closed and the tFAW
+/// window aged out. Produced by [`PseudoChannel::timing_state`], restored
+/// by [`PseudoChannel::apply_timing_state`]; equality means "will time
+/// every future command stream identically".
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ChannelTimingState {
     /// Per-bank earliest next ACT, relative to the snapshot cycle.
@@ -395,10 +373,6 @@ pub struct ChannelTimingState {
     pub ch_next_rd: Cycle,
     /// Channel-wide earliest next WR (read-to-write turnaround).
     pub ch_next_wr: Cycle,
-    /// Live tFAW-window entries as ages (`now - act`), oldest first.
-    pub faw_ages: [Cycle; 4],
-    /// Number of live entries in [`ChannelTimingState::faw_ages`].
-    pub faw_count: u8,
 }
 
 impl CommandSink for PseudoChannel {

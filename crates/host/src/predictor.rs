@@ -74,7 +74,7 @@ pub struct LaunchPrediction {
     pub cancelled: Vec<bool>,
 }
 
-/// An armed mode transition (mirrors the device's pending machine).
+/// An armed mode transition (mirrors `pim_core::ModeWalker`'s).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     ToAllBank(BankAddr),
@@ -102,12 +102,15 @@ struct AbClock {
 }
 
 /// A clock's state relative to its `now`, canonical by the
-/// [`ChannelTimingState`] rule (a horizon at or before `now` is 0, a tFAW
-/// entry aged past tFAW is absent): two clocks in equal phase time every
-/// future command stream identically, each from its own `now`.
+/// [`ChannelTimingState`] rule (a horizon at or before `now` is 0) plus
+/// the tFAW window's live entries as ages, oldest first: two clocks in
+/// equal phase time every future command stream identically, each from its
+/// own `now`. Unlike a quiescent channel's, a trip boundary's window can
+/// be live.
 #[derive(Debug, PartialEq, Eq)]
 struct Phase {
     sb: ChannelTimingState,
+    faw: ([Cycle; 4], usize),
     bank_open: [bool; pim_dram::BANKS_PER_PCH],
     ab_mode: bool,
     pending: Option<Pending>,
@@ -171,10 +174,11 @@ impl<'t> ChannelPredictor<'t> {
     }
 
     /// A channel at cycle `now` in the canonical state `st` fingerprints
-    /// (all banks closed, single-bank mode, no pending transition).
+    /// (all banks closed, tFAW window aged out, single-bank mode, no
+    /// pending transition).
     pub fn from_state(now: Cycle, st: &ChannelTimingState, t: &'t TimingParams) -> Self {
         let abs = |rel: Cycle| now + rel;
-        let mut c = ChannelPredictor {
+        ChannelPredictor {
             now,
             bank_next_act: st.bank_next_act.map(abs),
             bank_next_col: st.bank_next_col.map(abs),
@@ -186,11 +190,7 @@ impl<'t> ChannelPredictor<'t> {
             ch_next_rd: abs(st.ch_next_rd),
             ch_next_wr: abs(st.ch_next_wr),
             ..Self::power_on(t)
-        };
-        for &age in st.faw_ages.iter().take(st.faw_count as usize) {
-            c.faw_record(now.saturating_sub(age));
         }
-        c
     }
 
     /// The channel's clock: the issue cycle of its last command, plus any
@@ -344,9 +344,8 @@ impl<'t> ChannelPredictor<'t> {
                 ch_next_act: rel(self.ch_next_act),
                 ch_next_rd: rel(self.ch_next_rd),
                 ch_next_wr: rel(self.ch_next_wr),
-                faw_ages,
-                faw_count: faw_count as u8,
             },
+            faw: (faw_ages, faw_count),
             bank_open: self.bank_open,
             ab_mode: self.ab_mode,
             pending: self.pending,

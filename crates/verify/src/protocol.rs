@@ -4,8 +4,8 @@
 //! plus diagnostics. It walks a stream and reports protocol violations
 //! instead of simulating them, reading each one off the walker's state
 //! before and after the command and the [`Step`] the walker classified it
-//! as; there is no second copy of the mode machine to drift from the
-//! device's.
+//! as. The device steps the same walker on every command it accepts, so
+//! there is no second copy of the mode machine to drift from.
 //!
 //! Where the device is *permissive* (it executes whatever arrives), the
 //! linter is *strict*: sequences the device would silently ignore or that

@@ -472,7 +472,7 @@ const DOC_CEILINGS: &[(&str, usize)] = &[
     ("DESIGN.md", 264),
     ("EXPERIMENTS.md", 264),
     ("docs/CLUSTER.md", 236),
-    ("docs/FASTPATH.md", 560),
+    ("docs/FASTPATH.md", 558),
     ("docs/ISA.md", 136),
     ("docs/LINTING.md", 278),
     ("docs/OBSERVABILITY.md", 296),
@@ -864,6 +864,43 @@ fn unfenced_reordered_is_handled_in_one_module() {
         }
     }
     assert!(named.is_empty(), "`UnfencedReordered` named outside its owners: {named:?}");
+}
+
+/// One mode machine: the SB / AB / AB-PIM protocol of Fig. 3 lives in
+/// `pim_core::ModeWalker`, which the device steps on every command it
+/// accepts. Above its `#[cfg(test)]` module, no source of a workspace crate
+/// but `crates/core/src/walker.rs` names `PendingTransition` (an armed
+/// transition) or declares a struct field whose type names `PimMode`.
+/// `ChannelPredictor`'s own mode flags — a `bool` and a private enum, so
+/// exempt by construction — stay, because a walker in the predictor cost
+/// `stream_raw` 14 % of its `setup_s` (docs/REJECTED.md).
+#[test]
+fn the_mode_machine_lives_in_the_walker() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut copies = Vec::new();
+    for (path, text) in workspace_sources(&root) {
+        let Some((krate, src)) = workspace_src(&root, &path) else { continue };
+        let file = format!("crates/{krate}/src/{src}");
+        if file == "crates/core/src/walker.rs" {
+            continue;
+        }
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+        if mentions(code, "PendingTransition") {
+            copies.push(format!("{file}: names `PendingTransition`"));
+        }
+        let mut in_struct = false;
+        for line in code.lines().map(str::trim) {
+            if line.starts_with('}') {
+                in_struct = false;
+            }
+            let field_type = line.split_once(':').map(|(_, ty)| ty);
+            if in_struct && field_type.is_some_and(|ty| mentions(ty, "PimMode")) {
+                copies.push(format!("{file}: `{line}`"));
+            }
+            in_struct |= mentions(line, "struct") && line.ends_with('{');
+        }
+    }
+    assert!(copies.is_empty(), "a second copy of the mode machine outside walker.rs: {copies:#?}");
 }
 
 /// The shipped example kernel sources assemble and verify clean.
