@@ -11,7 +11,7 @@ use pim_dram::{
     TimingParams,
 };
 use pim_fp16::F16;
-use pim_host::{ExecutionMode, HostConfig, KernelEngine};
+use pim_host::{Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelEngine};
 use pim_models::CostModel;
 use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext, StreamOp};
 
@@ -90,6 +90,23 @@ fn bench_dram(c: &mut Criterion) {
                 }
                 now
             },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same 64-RD stream through the host's closed-form clock, which
+    // times it with the channel's formulas and keeps no banks.
+    let (t, host) = (TimingParams::hbm2(), HostConfig::paper());
+    let bank = BankAddr::new(0, 0);
+    let reads = [Batch::setup((0..64).map(|_| Command::Rd { bank, col: 0 }).collect())];
+    g.bench_function("predictor_column_issue", |bench| {
+        bench.iter_batched(
+            || {
+                let mut clock = ChannelPredictor::power_on(&t);
+                let act = [Batch::setup(vec![Command::Act { bank, row: 0 }])];
+                clock.run(&host, &act, ExecutionMode::Ordered, None);
+                clock
+            },
+            |mut clock| clock.run(&host, &reads, ExecutionMode::Ordered, None).result.end_cycle,
             BatchSize::SmallInput,
         )
     });

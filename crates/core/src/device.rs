@@ -43,8 +43,8 @@ use crate::unit::{BankPort, Effects, PimUnit, Sequencer, TriggerKind, UnitStats}
 use crate::vector::LaneVec;
 use crate::walker::{ModeWalker, Step};
 use pim_dram::{
-    BankAddr, Command, CommandSink, Cycle, DataBlock, IssueError, IssueOutcome, PseudoChannel,
-    TimingParams,
+    AllBankClock, BankAddr, Clock, Command, CommandSink, Cycle, DataBlock, IssueError,
+    IssueOutcome, PseudoChannel, TimingParams,
 };
 use pim_faults::{CellFaults, ColumnFault, DeviceFaults, FaultPlan};
 use pim_obs::{names, Event, Recorder, Scope};
@@ -201,17 +201,6 @@ impl FromIterator<usize> for UnitMask {
     }
 }
 
-/// Lock-step timing state of the virtual "all-bank bank": in AB modes every
-/// bank carries identical state, so one set of horizons suffices. Columns
-/// pace at tCCD_L ("each bank can operate at every tCCD_L in AB mode",
-/// Section III-B).
-#[derive(Debug, Clone, Copy, Default)]
-struct AbTiming {
-    next_act: Cycle,
-    next_col: Cycle,
-    next_pre: Cycle,
-}
-
 /// A PIM-HBM pseudo channel (see module docs).
 #[derive(Debug)]
 pub struct PimChannel {
@@ -230,7 +219,8 @@ pub struct PimChannel {
     /// ([`PimChannel::reset_sequencers`]); an all-bank CRF write and a
     /// trigger keep it, and whatever reaches into one unit drops it.
     lockstep: bool,
-    ab: AbTiming,
+    /// The all-bank clock, live in the AB modes.
+    ab: AllBankClock,
     stats: PimChannelStats,
     /// Observability hook; `None` (the default) costs one pointer test.
     recorder: Option<Recorder>,
@@ -257,7 +247,7 @@ impl PimChannel {
             units,
             live: UnitMask::ALL,
             lockstep: false,
-            ab: AbTiming::default(),
+            ab: AllBankClock::default(),
             stats: PimChannelStats::default(),
             recorder: None,
             channel_id: 0,
@@ -641,15 +631,14 @@ impl PimChannel {
     /// Accepts or refuses `cmd` on the all-bank clock — against the
     /// walker's open row, which every bank shares, whatever BA/BG the
     /// command names — and advances the clock for an accepted command:
-    /// step one of [`CommandSink::issue`] in an all-bank mode. Columns pace
-    /// at tCCD_L.
+    /// step one of [`CommandSink::issue`] in an all-bank mode.
     fn accept_ab(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let earliest = self.earliest_ab(cmd, cycle);
+        let earliest = self.ab.earliest(cmd, cycle);
         if cycle < earliest {
             return Err(IssueError::TooEarly { earliest });
         }
         let open = self.walker.open_row(BankAddr::new(0, 0)).is_some();
-        let (t, ab) = (self.inner.timing(), &mut self.ab);
+        let t = self.inner.timing();
         let data_at = match cmd {
             Command::Act { .. } if open => return Err(IssueError::BankAlreadyOpen),
             Command::Ref if open => return Err(IssueError::BanksOpenOnRefresh),
@@ -658,50 +647,24 @@ impl PimChannel {
             {
                 return Err(IssueError::BankNotOpen)
             }
-            Command::Act { .. } => {
-                ab.next_col = cycle + t.t_rcd;
-                ab.next_pre = cycle + t.t_ras;
-                ab.next_act = cycle + t.t_rc;
-                None
-            }
-            Command::Pre { .. } | Command::PreAll => {
-                ab.next_act = ab.next_act.max(cycle + t.t_rp);
-                None
-            }
             Command::Rd { .. } => {
-                ab.next_col = cycle + t.t_ccd_l;
-                ab.next_pre = ab.next_pre.max(cycle + t.t_rtp);
                 self.stats.ab_reads += 1;
                 Some(cycle + t.t_cl + t.t_bl)
             }
             Command::Wr { .. } => {
-                ab.next_col = cycle + t.t_ccd_l;
-                ab.next_pre = ab.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
                 self.stats.ab_writes += 1;
                 Some(cycle + t.t_wl + t.t_bl)
             }
-            Command::Ref => {
-                ab.next_act = ab.next_act.max(cycle + t.t_rfc);
-                None
-            }
+            _ => None,
         };
+        self.ab.advance(cmd, cycle, t);
         Ok(IssueOutcome { issued_at: cycle, data: None, data_at })
-    }
-
-    fn earliest_ab(&self, cmd: &Command, now: Cycle) -> Cycle {
-        match cmd {
-            Command::Act { .. } => now.max(self.ab.next_act),
-            Command::Rd { .. } | Command::Wr { .. } => now.max(self.ab.next_col),
-            Command::Pre { .. } | Command::PreAll => now.max(self.ab.next_pre),
-            Command::Ref => now.max(self.ab.next_act),
-        }
     }
 
     /// What an accepted ACT / PRE / PREA / REF does beyond the clock that
     /// accepted it, the mode machine having moved from `before`: an
-    /// all-bank row command reaches every bank, the PRE that enters
-    /// all-bank mode hands the all-bank clock the channel's horizons, and
-    /// the one that leaves hands them back.
+    /// all-bank row command reaches every bank, and the PREs that enter
+    /// and leave all-bank mode hand the clocks over.
     fn row_management(&mut self, cmd: &Command, before: PimMode, cycle: Cycle) {
         let (was_sb, is_sb) =
             (before == PimMode::SingleBank, self.walker.mode() == PimMode::SingleBank);
@@ -714,9 +677,7 @@ impl PimChannel {
                 self.inner.all_bank_precharge(cycle);
                 self.stats.ab_pres += 1;
                 if is_sb {
-                    // Hand the channel back with every horizon at or past
-                    // the end of all-bank activity.
-                    self.inner.quiesce_until(self.ab.next_act);
+                    self.ab.exit(self.inner.clock_mut());
                 }
             }
             Command::Pre { bank } if !is_sb => {
@@ -725,39 +686,32 @@ impl PimChannel {
                     "entering all-bank mode requires all banks precharged \
                      (the PIM executor must close open rows first)"
                 );
-                self.ab = AbTiming {
-                    // Inherit the post-PRE horizon so the first all-bank
-                    // ACT respects tRP.
-                    next_act: self.inner.earliest_issue(&Command::Act { bank, row: 0 }, cycle),
-                    next_col: cycle,
-                    next_pre: cycle,
-                };
+                self.ab = AllBankClock::enter(self.inner.clock(), bank, cycle);
             }
             _ => {}
         }
     }
 
-    /// The launch-memoization fingerprint: the channel's complete relative
-    /// timing state, or `None` if the channel is not in a replay-safe
-    /// configuration (an all-bank mode, a pending mode transition, an
-    /// installed fault plan, or an open row).
+    /// The launch-memoization fingerprint: the channel's clock seen from
+    /// `now` ([`Clock::seen_from`]), or `None` if the channel is not in a
+    /// replay-safe configuration (an all-bank mode, a pending mode
+    /// transition, an installed fault plan, or an open row).
     ///
     /// Two channels with equal fingerprints execute any launch command
     /// stream with identical relative issue cycles, identical stats deltas,
     /// and identical mode choreography — which is what lets a recorded
     /// launch be replayed as a pure state delta.
-    pub fn launch_fingerprint(&self, now: Cycle) -> Option<pim_dram::ChannelTimingState> {
-        if self.walker.mode() != PimMode::SingleBank || self.walker.armed() || self.faults.is_some()
-        {
-            return None;
-        }
-        self.inner.timing_state(now)
+    pub fn launch_fingerprint(&self, now: Cycle) -> Option<Clock> {
+        let quiescent = self.walker.mode() == PimMode::SingleBank && !self.walker.armed();
+        (quiescent && self.faults.is_none() && self.inner.all_banks_closed())
+            .then(|| self.inner.clock().seen_from(now))
     }
 
-    /// Re-anchors a recorded end-of-launch timing state at `now` (the
+    /// Re-anchors a recorded end-of-launch fingerprint at `now` (the
     /// replayed launch's end cycle).
-    pub fn apply_timing_state(&mut self, now: Cycle, st: &pim_dram::ChannelTimingState) {
-        self.inner.apply_timing_state(now, st);
+    pub fn restore_clock(&mut self, now: Cycle, seen: &Clock) {
+        debug_assert!(self.inner.all_banks_closed() && seen.all_closed());
+        *self.inner.clock_mut() = seen.at(now);
     }
 
     /// Snapshot of every monotone counter a launch advances: device stats,
@@ -770,9 +724,7 @@ impl PimChannel {
             stats: self.stats,
             units: self.units.iter().map(|u| *u.stats()).collect(),
             dram: self.inner.stats().clone(),
-            bank_open_cycles: BankAddr::all()
-                .map(|b| self.inner.bank(b).open_cycles(now))
-                .collect(),
+            bank_open_cycles: BankAddr::all().map(|b| self.inner.open_cycles(b, now)).collect(),
         }
     }
 
@@ -976,7 +928,7 @@ impl CommandSink for PimChannel {
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle {
         match self.walker.mode() {
             PimMode::SingleBank => self.inner.earliest_issue(cmd, now),
-            _ => self.earliest_ab(cmd, now),
+            _ => self.ab.earliest(cmd, now),
         }
     }
 
@@ -1054,12 +1006,8 @@ impl CommandSink for PimChannel {
             // A stall-degraded channel: every accepted command pushes the
             // timing horizons out by the penalty.
             match self.walker.mode() {
-                PimMode::SingleBank => self.inner.quiesce_until(cycle + p),
-                _ => {
-                    self.ab.next_act = self.ab.next_act.max(cycle + p);
-                    self.ab.next_col = self.ab.next_col.max(cycle + p);
-                    self.ab.next_pre = self.ab.next_pre.max(cycle + p);
-                }
+                PimMode::SingleBank => self.inner.clock_mut().quiesce_until(cycle + p),
+                _ => self.ab.quiesce_until(cycle + p),
             }
         }
         let after = self.walker.mode();

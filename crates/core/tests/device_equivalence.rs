@@ -674,7 +674,7 @@ fn system(backend: ExecutionBackend, fastpath: bool) -> PimSystem {
 fn measured(
     sys: &PimSystem,
     channels: usize,
-) -> Vec<(u64, Option<pim_dram::ChannelTimingState>, pim_core::LaunchAccounting)> {
+) -> Vec<(u64, Option<pim_dram::Clock>, pim_core::LaunchAccounting)> {
     (0..channels)
         .map(|i| {
             let (c, now) = (sys.channel(i), sys.channel(i).now());

@@ -1,4 +1,4 @@
-//! A single DRAM bank: functional row storage plus per-bank timing state.
+//! A single DRAM bank: functional row storage and open-row residency.
 //!
 //! The paper's key design philosophy is to leave the bank itself untouched
 //! ("it does not disturb the key components (i.e., subarray and bank) of
@@ -19,17 +19,9 @@ pub const COLS_PER_ROW: u32 = (ROW_BYTES / DATA_BLOCK_BYTES) as u32;
 /// (4 Gb, the paper's PIM-HBM die capacity in Section VI).
 pub const ROWS_PER_BANK: u32 = 8192;
 
-/// The row-buffer state of a bank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BankState {
-    /// No row is open.
-    Closed,
-    /// `row` is open in the row buffer (sense amplifiers).
-    Open(u32),
-}
-
-/// One DRAM bank: an array of rows with an open-row (row buffer) state
-/// machine and the per-bank timing horizon.
+/// One DRAM bank: an array of rows, the row its buffer holds and the
+/// open-row residency it feeds. Whether the bank is open, and when it may
+/// next accept a command, is the channel's [`crate::Clock`]'s to say.
 ///
 /// Rows are materialized lazily and indexed directly by row number: the
 /// index grows to the highest row written, a row's 1 KiB is allocated by
@@ -40,26 +32,21 @@ pub enum BankState {
 /// # Example
 ///
 /// ```
-/// use pim_dram::{Bank, BankState};
+/// use pim_dram::Bank;
 /// let mut bank = Bank::new();
-/// assert_eq!(bank.state(), BankState::Closed);
+/// bank.poke_block(3, 0, &[7; 32]);
+/// assert_eq!(bank.peek_block(3, 0), [7; 32]);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Bank {
-    state: BankState,
+    /// The row the buffer holds — the last one activated; meaningful while
+    /// the channel's clock has the bank open.
+    row: u32,
     /// `rows[r]` is row `r`'s storage once written; rows past the end and
     /// `None` entries are untouched.
     rows: Vec<Option<Box<[u8; ROW_BYTES]>>>,
-    /// Earliest cycle an ACT may issue (tRC after previous ACT, tRP after
-    /// precharge completes).
-    pub(crate) next_act: Cycle,
-    /// Earliest cycle a column command may issue (tRCD after ACT).
-    pub(crate) next_col: Cycle,
-    /// Earliest cycle a PRE may issue (tRAS after ACT, tWR after write data,
-    /// tRTP after read).
-    pub(crate) next_pre: Cycle,
-    /// Cycle of the most recent ACT, for tRAS accounting.
-    pub(crate) last_act: Cycle,
+    /// Cycle of the most recent ACT, for residency.
+    last_act: Cycle,
     /// Cycles accumulated with a row open, over all closed open-intervals.
     open_cycles: u64,
     /// Seeded cell-fault state, absent in the fault-free configuration.
@@ -68,25 +55,10 @@ pub struct Bank {
     faults: Option<Box<CellFaults>>,
 }
 
-impl Default for Bank {
-    fn default() -> Bank {
-        Bank::new()
-    }
-}
-
 impl Bank {
-    /// Creates a closed, zero-initialized bank.
+    /// Creates a zero-initialized bank.
     pub fn new() -> Bank {
-        Bank {
-            state: BankState::Closed,
-            rows: Vec::new(),
-            next_act: 0,
-            next_col: 0,
-            next_pre: 0,
-            last_act: 0,
-            open_cycles: 0,
-            faults: None,
-        }
+        Bank::default()
     }
 
     /// Installs (or clears) the seeded cell-fault state for this bank.
@@ -96,51 +68,22 @@ impl Bank {
         self.faults = faults.map(Box::new);
     }
 
-    /// Current row-buffer state.
-    pub fn state(&self) -> BankState {
-        self.state
+    /// The row the buffer holds (the last one activated).
+    pub(crate) fn row(&self) -> u32 {
+        self.row
     }
 
-    /// The open row, if any.
-    pub fn open_row(&self) -> Option<u32> {
-        match self.state {
-            BankState::Open(r) => Some(r),
-            BankState::Closed => None,
-        }
-    }
-
-    /// Records an ACT at `cycle` with the given timing parameters.
-    ///
-    /// The caller (the pseudo channel) has already validated legality.
-    pub(crate) fn do_activate(&mut self, row: u32, cycle: Cycle, t: &crate::TimingParams) {
+    /// Opens `row` at `cycle`; the caller (the pseudo channel) has already
+    /// validated legality.
+    pub(crate) fn activate(&mut self, row: u32, cycle: Cycle) {
         debug_assert!(row < ROWS_PER_BANK, "row {row} out of range");
-        debug_assert_eq!(self.state, BankState::Closed);
-        self.state = BankState::Open(row);
+        self.row = row;
         self.last_act = cycle;
-        self.next_col = cycle + t.t_rcd;
-        self.next_pre = cycle + t.t_ras;
-        self.next_act = cycle + t.t_rc;
     }
 
-    /// Records a PRE at `cycle`.
-    pub(crate) fn do_precharge(&mut self, cycle: Cycle, t: &crate::TimingParams) {
-        if self.state != BankState::Closed {
-            self.open_cycles += cycle.saturating_sub(self.last_act);
-        }
-        self.state = BankState::Closed;
-        self.next_act = self.next_act.max(cycle + t.t_rp);
-    }
-
-    /// Records a column read at `cycle`; extends the precharge horizon by
-    /// tRTP.
-    pub(crate) fn note_read(&mut self, cycle: Cycle, t: &crate::TimingParams) {
-        self.next_pre = self.next_pre.max(cycle + t.t_rtp);
-    }
-
-    /// Records a column write at `cycle`; extends the precharge horizon to
-    /// write-data end plus tWR.
-    pub(crate) fn note_write(&mut self, cycle: Cycle, t: &crate::TimingParams) {
-        self.next_pre = self.next_pre.max(cycle + t.t_wl + t.t_bl + t.t_wr);
+    /// Closes the open row at `cycle`, banking its open interval.
+    pub(crate) fn precharge(&mut self, cycle: Cycle) {
+        self.open_cycles += cycle.saturating_sub(self.last_act);
     }
 
     /// The block at (`row`, `col`) as the array returns it: zero for an
@@ -177,32 +120,30 @@ impl Bank {
         storage[off..off + DATA_BLOCK_BYTES].copy_from_slice(&data);
     }
 
-    /// Reads the 32-byte block at `col` of the **open** row.
+    /// Reads the 32-byte block at `col` of the row the buffer holds (the
+    /// pseudo channel checks that the bank is open).
     ///
     /// # Panics
     ///
-    /// Panics if no row is open or `col` is out of range — the pseudo
-    /// channel validates both before calling.
+    /// Panics if `col` is out of range.
     pub fn read_block(&self, col: u32) -> DataBlock {
-        let row = self.open_row().expect("read with no open row");
         assert!(col < COLS_PER_ROW, "column {col} out of range");
-        self.load(row, col)
+        self.load(self.row, col)
     }
 
-    /// Writes the 32-byte block at `col` of the **open** row.
+    /// Writes the 32-byte block at `col` of the row the buffer holds.
     ///
     /// # Panics
     ///
-    /// Panics if no row is open or `col` is out of range.
+    /// Panics if `col` is out of range.
     pub fn write_block(&mut self, col: u32, data: &DataBlock) {
-        let row = self.open_row().expect("write with no open row");
         assert!(col < COLS_PER_ROW, "column {col} out of range");
-        self.store(row, col, data);
+        self.store(self.row, col, data);
     }
 
     /// Direct backdoor read used by test assertions and by the functional
     /// loader of the software stack (modelling DMA initialization): reads a
-    /// block without touching row-buffer or timing state.
+    /// block without touching the row buffer.
     ///
     /// # Panics
     ///
@@ -241,16 +182,13 @@ impl Bank {
     }
 
     /// Cycles this bank has spent with a row open, up to `now`: completed
-    /// open-intervals plus the in-progress one if a row is open.
+    /// open-intervals plus the in-progress one if it is `open`.
     ///
     /// Row-state residency is the denominator-side of the paper's
     /// row-buffer analysis: open time is when column traffic can flow,
     /// closed time is precharge/idle overhead.
-    pub fn open_cycles(&self, now: Cycle) -> u64 {
-        let in_progress = match self.state {
-            BankState::Open(_) => now.saturating_sub(self.last_act),
-            BankState::Closed => 0,
-        };
+    pub(crate) fn open_cycles(&self, now: Cycle, open: bool) -> u64 {
+        let in_progress = if open { now.saturating_sub(self.last_act) } else { 0 };
         self.open_cycles + in_progress
     }
 }
@@ -258,26 +196,20 @@ impl Bank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TimingParams;
 
     #[test]
     fn new_bank_is_closed_and_zeroed() {
         let bank = Bank::new();
-        assert_eq!(bank.state(), BankState::Closed);
-        assert_eq!(bank.open_row(), None);
+        assert_eq!(bank.open_cycles(1000, false), 0);
         assert_eq!(bank.peek_block(0, 0), [0u8; 32]);
         assert_eq!(bank.touched_rows(), 0);
     }
 
     #[test]
     fn activate_read_write_cycle() {
-        let t = TimingParams::hbm2();
         let mut bank = Bank::new();
-        bank.do_activate(5, 100, &t);
-        assert_eq!(bank.open_row(), Some(5));
-        assert_eq!(bank.next_col, 100 + t.t_rcd);
-        assert_eq!(bank.next_pre, 100 + t.t_ras);
-        assert_eq!(bank.next_act, 100 + t.t_rc);
+        bank.activate(5, 100);
+        assert_eq!(bank.row(), 5);
 
         let data = [7u8; 32];
         bank.write_block(3, &data);
@@ -286,60 +218,32 @@ mod tests {
         assert_eq!(bank.read_block(4), [0u8; 32]);
         assert_eq!(bank.touched_rows(), 1);
 
-        bank.do_precharge(200, &t);
-        assert_eq!(bank.state(), BankState::Closed);
+        bank.precharge(200);
+        assert_eq!(bank.open_cycles(200, false), 100);
         // Data persists across precharge.
         assert_eq!(bank.peek_block(5, 3), data);
     }
 
     #[test]
-    fn write_extends_precharge_horizon() {
-        let t = TimingParams::hbm2();
-        let mut bank = Bank::new();
-        bank.do_activate(0, 0, &t);
-        let before = bank.next_pre;
-        bank.note_write(100, &t);
-        assert!(bank.next_pre > before);
-        assert_eq!(bank.next_pre, 100 + t.t_wl + t.t_bl + t.t_wr);
-    }
-
-    #[test]
-    fn read_extends_precharge_horizon_by_rtp() {
-        let t = TimingParams::hbm2();
-        let mut bank = Bank::new();
-        bank.do_activate(0, 0, &t);
-        bank.note_read(1000, &t);
-        assert_eq!(bank.next_pre, 1000 + t.t_rtp);
-    }
-
-    #[test]
-    #[should_panic(expected = "no open row")]
-    fn read_closed_bank_panics() {
-        Bank::new().read_block(0);
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn column_bounds_checked() {
-        let t = TimingParams::hbm2();
         let mut bank = Bank::new();
-        bank.do_activate(0, 0, &t);
+        bank.activate(0, 0);
         bank.read_block(COLS_PER_ROW);
     }
 
     #[test]
     fn open_cycles_accumulate_across_intervals() {
-        let t = TimingParams::hbm2();
         let mut bank = Bank::new();
-        assert_eq!(bank.open_cycles(100), 0);
-        bank.do_activate(0, 100, &t);
+        assert_eq!(bank.open_cycles(100, false), 0);
+        bank.activate(0, 100);
         // In-progress interval counts.
-        assert_eq!(bank.open_cycles(150), 50);
-        bank.do_precharge(160, &t);
-        assert_eq!(bank.open_cycles(300), 60);
-        bank.do_activate(1, 400, &t);
-        bank.do_precharge(450, &t);
-        assert_eq!(bank.open_cycles(500), 110);
+        assert_eq!(bank.open_cycles(150, true), 50);
+        bank.precharge(160);
+        assert_eq!(bank.open_cycles(300, false), 60);
+        bank.activate(1, 400);
+        bank.precharge(450);
+        assert_eq!(bank.open_cycles(500, false), 110);
     }
 
     /// One access to a bank's storage, through the backdoor or in band.
@@ -405,7 +309,6 @@ mod tests {
         fn storage_matches_a_map_model(
             accesses in proptest::collection::vec(any_access(), 1..64),
         ) {
-            let t = TimingParams::hbm2();
             let mut bank = Bank::new();
             let mut model: std::collections::HashMap<(u32, u32), DataBlock> = Default::default();
             let stored = |model: &std::collections::HashMap<(u32, u32), DataBlock>, row, col| {
@@ -422,16 +325,16 @@ mod tests {
                         proptest::prop_assert_eq!(bank.peek_block(row, col), stored(&model, row, col));
                     }
                     Access::WriteBlock { row, col, fill } => {
-                        bank.do_activate(row, cycle, &t);
+                        bank.activate(row, cycle);
                         bank.write_block(col, &[fill; DATA_BLOCK_BYTES]);
                         model.insert((row, col), [fill; DATA_BLOCK_BYTES]);
                         proptest::prop_assert_eq!(bank.read_block(col), [fill; DATA_BLOCK_BYTES]);
-                        bank.do_precharge(cycle + 500, &t);
+                        bank.precharge(cycle + 500);
                     }
                     Access::ReadBlock { row, col } => {
-                        bank.do_activate(row, cycle, &t);
+                        bank.activate(row, cycle);
                         proptest::prop_assert_eq!(bank.read_block(col), stored(&model, row, col));
-                        bank.do_precharge(cycle + 500, &t);
+                        bank.precharge(cycle + 500);
                     }
                 }
                 let rows: std::collections::HashSet<u32> = model.keys().map(|k| k.0).collect();
@@ -452,16 +355,15 @@ mod tests {
         // ACT only debug-checks the row; the store must not grow the index
         // for a row the bank does not have.
         let mut bank = Bank::new();
-        bank.state = BankState::Open(ROWS_PER_BANK);
+        bank.row = ROWS_PER_BANK;
         bank.write_block(0, &[1; 32]);
     }
 
     #[test]
     fn poke_then_activate_read_sees_data() {
-        let t = TimingParams::hbm2();
         let mut bank = Bank::new();
         bank.poke_block(11, 2, &[0x5A; 32]);
-        bank.do_activate(11, 0, &t);
+        bank.activate(11, 0);
         assert_eq!(bank.read_block(2), [0x5A; 32]);
     }
 }

@@ -1,7 +1,8 @@
-//! The pseudo channel: 16 banks in 4 bank groups, shared CA/data buses, and
-//! every inter-command timing constraint between them.
+//! The pseudo channel: 16 banks in 4 bank groups behind shared CA/data
+//! buses, timed by one [`Clock`].
 
 use crate::bank::Bank;
+use crate::clock::Clock;
 use crate::command::{BankAddr, Command, DataBlock};
 use crate::stats::ChannelStats;
 use crate::timing::{Cycle, TimingParams};
@@ -83,60 +84,17 @@ pub trait CommandSink: Send {
     fn timing(&self) -> &TimingParams;
 }
 
-/// Tracks the four-activate window (tFAW): a ring of the last 4 ACT times.
-#[derive(Debug, Clone, Default)]
-struct FawWindow {
-    acts: [Cycle; 4],
-    head: usize,
-    count: usize,
-}
-
-impl FawWindow {
-    /// Earliest cycle a new ACT may issue under tFAW.
-    fn earliest(&self, t_faw: Cycle) -> Cycle {
-        if self.count < 4 {
-            return 0;
-        }
-        // The oldest of the last 4 ACTs plus tFAW.
-        self.acts[self.head].saturating_add(t_faw)
-    }
-
-    fn record(&mut self, cycle: Cycle) {
-        self.acts[self.head] = cycle;
-        self.head = (self.head + 1) % 4;
-        self.count = (self.count + 1).min(4);
-    }
-
-    /// Whether an entry still constrains an ACT at or after `now`: one aged
-    /// `cap` (= tFAW) or more allows a cycle at or before `now`, which is
-    /// vacuous, and so does every later eviction of it — a window of such
-    /// entries times every future ACT as an empty one does.
-    fn live(&self, now: Cycle, cap: Cycle) -> bool {
-        self.acts[..self.count].iter().any(|&act| now.saturating_sub(act) < cap)
-    }
-}
-
 /// An HBM2 pseudo channel: 4 bank groups × 4 banks with shared buses.
 ///
-/// See the crate docs for the timing model. All state mutation goes through
-/// [`CommandSink::issue`]; on error no state changes.
+/// The banks' storage, the rows their buffers hold, residency and stats
+/// live here, and so do the legality errors; every timing decision and
+/// the open / closed state are its [`Clock`]'s. All state mutation goes
+/// through [`CommandSink::issue`]; on error no state changes.
 #[derive(Debug, Clone)]
 pub struct PseudoChannel {
     timing: TimingParams,
     banks: Vec<Bank>,
-    /// Per-bank-group earliest next column command (tCCD_L).
-    bg_next_col: [Cycle; crate::BANK_GROUPS],
-    /// Channel-wide earliest next column command (tCCD_S).
-    ch_next_col: Cycle,
-    /// Per-bank-group earliest next ACT (tRRD_L).
-    bg_next_act: [Cycle; crate::BANK_GROUPS],
-    /// Channel-wide earliest next ACT (tRRD_S).
-    ch_next_act: Cycle,
-    /// Channel-wide earliest next RD (write-to-read turnaround, refresh).
-    ch_next_rd: Cycle,
-    /// Channel-wide earliest next WR (read-to-write turnaround, refresh).
-    ch_next_wr: Cycle,
-    faw: FawWindow,
+    clock: Clock,
     stats: ChannelStats,
 }
 
@@ -151,13 +109,7 @@ impl PseudoChannel {
         PseudoChannel {
             timing,
             banks: (0..crate::BANKS_PER_PCH).map(|_| Bank::new()).collect(),
-            bg_next_col: [0; crate::BANK_GROUPS],
-            ch_next_col: 0,
-            bg_next_act: [0; crate::BANK_GROUPS],
-            ch_next_act: 0,
-            ch_next_rd: 0,
-            ch_next_wr: 0,
-            faw: FawWindow::default(),
+            clock: Clock::default(),
             stats: ChannelStats::default(),
         }
     }
@@ -173,6 +125,21 @@ impl PseudoChannel {
         &mut self.banks[addr.flat_index()]
     }
 
+    /// The channel's JEDEC clock.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
+    }
+
+    /// Mutable access to the clock, for the PIM device's all-bank hand-off,
+    /// its fault stall and the fast path's restore. The open flags must
+    /// keep matching the banks' rows, which only [`CommandSink::issue`] and
+    /// the `all_bank_*` operations move: the first two leave the flags
+    /// alone, and a restore writes an all-closed clock over an all-closed
+    /// channel.
+    pub fn clock_mut(&mut self) -> &mut Clock {
+        &mut self.clock
+    }
+
     /// Accumulated per-channel statistics.
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
@@ -180,14 +147,19 @@ impl PseudoChannel {
 
     /// True if every bank is precharged.
     pub fn all_banks_closed(&self) -> bool {
-        self.banks.iter().all(|b| b.open_row().is_none())
+        self.clock.all_closed()
+    }
+
+    /// Cycles `bank` has spent with a row open, up to `now`.
+    pub fn open_cycles(&self, bank: BankAddr, now: Cycle) -> u64 {
+        self.banks[bank.flat_index()].open_cycles(now, self.clock.is_open(bank))
     }
 
     /// Bank-state residency up to `now`: total cycles banks spent with a
     /// row open and total cycles spent precharged, summed across the 16
     /// banks (so the two numbers add up to `16 * now`).
     pub fn bank_residency(&self, now: Cycle) -> (u64, u64) {
-        let open: u64 = self.banks.iter().map(|b| b.open_cycles(now)).sum();
+        let open: u64 = BankAddr::all().map(|b| self.open_cycles(b, now)).sum();
         let total = crate::BANKS_PER_PCH as u64 * now;
         (open, total.saturating_sub(open))
     }
@@ -205,140 +177,23 @@ impl PseudoChannel {
     /// Panics if any bank already has an open row — lock-step state must be
     /// uniform.
     pub fn all_bank_activate(&mut self, row: u32, cycle: Cycle) {
-        let t = &self.timing;
+        assert!(self.all_banks_closed(), "all-bank ACT with an open row");
         for b in &mut self.banks {
-            assert!(b.open_row().is_none(), "all-bank ACT with an open row");
-            b.do_activate(row, cycle, t);
+            b.activate(row, cycle);
         }
+        self.clock.all_bank_activate(cycle, &self.timing);
         self.stats.acts += crate::BANKS_PER_PCH as u64;
     }
 
-    /// All-bank precharge: functionally closes every bank.
+    /// All-bank precharge: functionally closes every bank (what PREA does).
     pub fn all_bank_precharge(&mut self, cycle: Cycle) {
-        let t = &self.timing;
-        for b in &mut self.banks {
-            if b.open_row().is_some() {
-                b.do_precharge(cycle, t);
+        for (b, bank) in BankAddr::all().zip(&mut self.banks) {
+            if self.clock.is_open(b) {
+                bank.precharge(cycle);
             }
         }
+        self.clock.all_bank_precharge(cycle, &self.timing);
         self.stats.pres += 1;
-    }
-
-    /// Raises every internal timing horizon to at least `cycle`.
-    ///
-    /// Used by the PIM device model when leaving all-bank mode: all-bank
-    /// operation bypasses the per-bank-group trackers (the all-bank control
-    /// logic drives the banks directly), so on return to single-bank mode
-    /// the channel must not accept commands earlier than the cycle at which
-    /// all-bank activity ended.
-    pub fn quiesce_until(&mut self, cycle: Cycle) {
-        for b in &mut self.banks {
-            b.next_act = b.next_act.max(cycle);
-            b.next_col = b.next_col.max(cycle);
-            b.next_pre = b.next_pre.max(cycle);
-        }
-        for v in &mut self.bg_next_col {
-            *v = (*v).max(cycle);
-        }
-        for v in &mut self.bg_next_act {
-            *v = (*v).max(cycle);
-        }
-        self.ch_next_col = self.ch_next_col.max(cycle);
-        self.ch_next_act = self.ch_next_act.max(cycle);
-        self.ch_next_rd = self.ch_next_rd.max(cycle);
-        self.ch_next_wr = self.ch_next_wr.max(cycle);
-    }
-
-    fn earliest_act(&self, bank: BankAddr, now: Cycle) -> Cycle {
-        let b = &self.banks[bank.flat_index()];
-        now.max(b.next_act)
-            .max(self.bg_next_act[bank.bg as usize])
-            .max(self.ch_next_act)
-            .max(self.faw.earliest(self.timing.t_faw))
-    }
-
-    fn earliest_col(&self, bank: BankAddr, is_read: bool, now: Cycle) -> Cycle {
-        let b = &self.banks[bank.flat_index()];
-        let turnaround = if is_read { self.ch_next_rd } else { self.ch_next_wr };
-        now.max(b.next_col)
-            .max(self.bg_next_col[bank.bg as usize])
-            .max(self.ch_next_col)
-            .max(turnaround)
-    }
-
-    fn earliest_pre(&self, bank: BankAddr, now: Cycle) -> Cycle {
-        now.max(self.banks[bank.flat_index()].next_pre)
-    }
-
-    fn earliest_ref(&self, now: Cycle) -> Cycle {
-        // A refresh may start once every bank could accept an ACT (i.e. all
-        // precharges and prior refreshes have completed) and in-flight
-        // column traffic has drained.
-        let banks = self.banks.iter().map(|b| b.next_act).max().unwrap_or(0);
-        now.max(banks).max(self.ch_next_col)
-    }
-
-    /// Captures every timing constraint as offsets relative to `now`, or
-    /// `None` if any bank has an open row (an open row carries absolute
-    /// tRAS bookkeeping that offsets cannot represent canonically) or the
-    /// tFAW window still holds an ACT younger than tFAW.
-    ///
-    /// Two channels with equal states accept exactly the same command
-    /// stream with exactly the same issue cycles (relative to their
-    /// respective `now`s) — the launch-memoization cache key builds on
-    /// this. Horizons already in the past collapse to offset 0, so
-    /// behaviour-equal states compare equal. The window is not part of the
-    /// state: with every bank closed, every ACT was precharged at least
-    /// tRAS after it issued and tFAW < tRAS on every preset, so the window
-    /// has aged out; a hand-built timing with tFAW ≥ tRAS that leaves it
-    /// live gets `None`, and its channel runs cold.
-    pub fn timing_state(&self, now: Cycle) -> Option<ChannelTimingState> {
-        if !self.all_banks_closed() || self.faw.live(now, self.timing.t_faw) {
-            return None;
-        }
-        let rel = |c: Cycle| c.saturating_sub(now);
-        let mut bank_next_act = [0; crate::BANKS_PER_PCH];
-        let mut bank_next_col = [0; crate::BANKS_PER_PCH];
-        let mut bank_next_pre = [0; crate::BANKS_PER_PCH];
-        for (i, b) in self.banks.iter().enumerate() {
-            bank_next_act[i] = rel(b.next_act);
-            bank_next_col[i] = rel(b.next_col);
-            bank_next_pre[i] = rel(b.next_pre);
-        }
-        Some(ChannelTimingState {
-            bank_next_act,
-            bank_next_col,
-            bank_next_pre,
-            bg_next_col: self.bg_next_col.map(rel),
-            bg_next_act: self.bg_next_act.map(rel),
-            ch_next_col: rel(self.ch_next_col),
-            ch_next_act: rel(self.ch_next_act),
-            ch_next_rd: rel(self.ch_next_rd),
-            ch_next_wr: rel(self.ch_next_wr),
-        })
-    }
-
-    /// Restores a [`PseudoChannel::timing_state`] snapshot, re-anchored at
-    /// `now`, with an empty tFAW window. All banks must be closed
-    /// (snapshots are only taken closed).
-    pub fn apply_timing_state(&mut self, now: Cycle, st: &ChannelTimingState) {
-        debug_assert!(self.all_banks_closed());
-        for (i, b) in self.banks.iter_mut().enumerate() {
-            b.next_act = now + st.bank_next_act[i];
-            b.next_col = now + st.bank_next_col[i];
-            b.next_pre = now + st.bank_next_pre[i];
-        }
-        for (g, v) in self.bg_next_col.iter_mut().enumerate() {
-            *v = now + st.bg_next_col[g];
-        }
-        for (g, v) in self.bg_next_act.iter_mut().enumerate() {
-            *v = now + st.bg_next_act[g];
-        }
-        self.ch_next_col = now + st.ch_next_col;
-        self.ch_next_act = now + st.ch_next_act;
-        self.ch_next_rd = now + st.ch_next_rd;
-        self.ch_next_wr = now + st.ch_next_wr;
-        self.faw = FawWindow::default();
     }
 
     /// Adds a recorded launch's command-count deltas into this channel's
@@ -348,132 +203,58 @@ impl PseudoChannel {
     }
 }
 
-/// A relative (re-anchorable) snapshot of a [`PseudoChannel`]'s complete
-/// inter-command timing state, taken with all banks closed and the tFAW
-/// window aged out. Produced by [`PseudoChannel::timing_state`], restored
-/// by [`PseudoChannel::apply_timing_state`]; equality means "will time
-/// every future command stream identically".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ChannelTimingState {
-    /// Per-bank earliest next ACT, relative to the snapshot cycle.
-    pub bank_next_act: [Cycle; crate::BANKS_PER_PCH],
-    /// Per-bank earliest next column command (tRCD gate).
-    pub bank_next_col: [Cycle; crate::BANKS_PER_PCH],
-    /// Per-bank earliest next PRE (tRAS / tWR / tRTP gate).
-    pub bank_next_pre: [Cycle; crate::BANKS_PER_PCH],
-    /// Per-bank-group earliest next column command (tCCD_L).
-    pub bg_next_col: [Cycle; crate::BANK_GROUPS],
-    /// Per-bank-group earliest next ACT (tRRD_L).
-    pub bg_next_act: [Cycle; crate::BANK_GROUPS],
-    /// Channel-wide earliest next column command (tCCD_S).
-    pub ch_next_col: Cycle,
-    /// Channel-wide earliest next ACT (tRRD_S).
-    pub ch_next_act: Cycle,
-    /// Channel-wide earliest next RD (write-to-read turnaround).
-    pub ch_next_rd: Cycle,
-    /// Channel-wide earliest next WR (read-to-write turnaround).
-    pub ch_next_wr: Cycle,
-}
-
 impl CommandSink for PseudoChannel {
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle {
-        match cmd {
-            Command::Act { bank, .. } => self.earliest_act(*bank, now),
-            Command::Rd { bank, .. } => self.earliest_col(*bank, true, now),
-            Command::Wr { bank, .. } => self.earliest_col(*bank, false, now),
-            Command::Pre { bank } => self.earliest_pre(*bank, now),
-            Command::PreAll => {
-                BankAddr::all().map(|b| self.earliest_pre(b, now)).max().unwrap_or(now)
-            }
-            Command::Ref => self.earliest_ref(now),
-        }
+        self.clock.earliest(cmd, now)
     }
 
     fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let earliest = self.earliest_issue(cmd, cycle);
+        let earliest = self.clock.earliest(cmd, cycle);
         if cycle < earliest {
             return Err(IssueError::TooEarly { earliest });
         }
+        let mut outcome = IssueOutcome { issued_at: cycle, data: None, data_at: None };
         let t = &self.timing;
-        match cmd {
+        match *cmd {
+            Command::Act { bank, .. } if self.clock.is_open(bank) => {
+                return Err(IssueError::BankAlreadyOpen)
+            }
+            Command::Rd { bank, .. } | Command::Wr { bank, .. } | Command::Pre { bank }
+                if !self.clock.is_open(bank) =>
+            {
+                return Err(IssueError::BankNotOpen)
+            }
+            Command::Ref if !self.clock.all_closed() => return Err(IssueError::BanksOpenOnRefresh),
             Command::Act { bank, row } => {
-                let b = &mut self.banks[bank.flat_index()];
-                if b.open_row().is_some() {
-                    return Err(IssueError::BankAlreadyOpen);
-                }
-                b.do_activate(*row, cycle, t);
-                self.bg_next_act[bank.bg as usize] =
-                    self.bg_next_act[bank.bg as usize].max(cycle + t.t_rrd_l);
-                self.ch_next_act = self.ch_next_act.max(cycle + t.t_rrd_s);
-                self.faw.record(cycle);
+                self.banks[bank.flat_index()].activate(row, cycle);
                 self.stats.acts += 1;
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
             }
             Command::Rd { bank, col } => {
-                let b = &self.banks[bank.flat_index()];
-                if b.open_row().is_none() {
-                    return Err(IssueError::BankNotOpen);
-                }
-                let data = b.read_block(*col);
-                self.banks[bank.flat_index()].note_read(cycle, t);
-                self.bg_next_col[bank.bg as usize] =
-                    self.bg_next_col[bank.bg as usize].max(cycle + t.t_ccd_l);
-                self.ch_next_col = self.ch_next_col.max(cycle + t.t_ccd_s);
-                // Read-to-write bus turnaround.
-                self.ch_next_wr = self.ch_next_wr.max(cycle + t.t_rtw);
+                outcome.data = Some(self.banks[bank.flat_index()].read_block(col));
+                outcome.data_at = Some(cycle + t.t_cl + t.t_bl);
                 self.stats.reads += 1;
-                let data_at = cycle + t.t_cl + t.t_bl;
-                Ok(IssueOutcome { issued_at: cycle, data: Some(data), data_at: Some(data_at) })
             }
-            Command::Wr { bank, col, data } => {
-                let b = &mut self.banks[bank.flat_index()];
-                if b.open_row().is_none() {
-                    return Err(IssueError::BankNotOpen);
-                }
-                b.write_block(*col, data);
-                b.note_write(cycle, t);
-                self.bg_next_col[bank.bg as usize] =
-                    self.bg_next_col[bank.bg as usize].max(cycle + t.t_ccd_l);
-                self.ch_next_col = self.ch_next_col.max(cycle + t.t_ccd_s);
-                // Write-to-read turnaround (tWTR after last data beat).
-                self.ch_next_rd = self.ch_next_rd.max(cycle + t.t_wl + t.t_bl + t.t_wtr);
+            Command::Wr { bank, col, ref data } => {
+                self.banks[bank.flat_index()].write_block(col, data);
+                outcome.data_at = Some(cycle + t.t_wl + t.t_bl);
                 self.stats.writes += 1;
-                let data_at = cycle + t.t_wl + t.t_bl;
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: Some(data_at) })
             }
             Command::Pre { bank } => {
-                let b = &mut self.banks[bank.flat_index()];
-                if b.open_row().is_none() {
-                    return Err(IssueError::BankNotOpen);
-                }
-                b.do_precharge(cycle, t);
+                self.banks[bank.flat_index()].precharge(cycle);
                 self.stats.pres += 1;
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
             }
             Command::PreAll => {
-                for b in &mut self.banks {
-                    if b.open_row().is_some() {
-                        b.do_precharge(cycle, t);
-                    }
-                }
-                self.stats.pres += 1;
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
+                self.all_bank_precharge(cycle);
+                return Ok(outcome);
             }
-            Command::Ref => {
-                if !self.all_banks_closed() {
-                    return Err(IssueError::BanksOpenOnRefresh);
-                }
-                for b in &mut self.banks {
-                    b.next_act = b.next_act.max(cycle + t.t_rfc);
-                }
-                self.stats.refreshes += 1;
-                Ok(IssueOutcome { issued_at: cycle, data: None, data_at: None })
-            }
+            Command::Ref => self.stats.refreshes += 1,
         }
+        self.clock.advance(cmd, cycle, &self.timing);
+        Ok(outcome)
     }
 
     fn open_row(&self, bank: BankAddr) -> Option<u32> {
-        self.banks[bank.flat_index()].open_row()
+        self.clock.is_open(bank).then(|| self.banks[bank.flat_index()].row())
     }
 
     fn timing(&self) -> &TimingParams {

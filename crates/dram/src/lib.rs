@@ -26,7 +26,8 @@
 //! Time is counted in memory-bus cycles ([`Cycle`]) at 1.2 GHz (the paper's
 //! 2.4 Gbps operating point, Table V). The model is event-driven: commands
 //! carry issue timestamps and the channel tracks, per resource, the earliest
-//! cycle at which each command class may issue ([`PseudoChannel::earliest_issue`]).
+//! cycle at which each command class may issue (the [`Clock`], which holds
+//! every issue formula; [`PseudoChannel::earliest_issue`] asks it).
 //! All JEDEC inter-command constraints relevant to the paper are enforced:
 //! tRCD, tRP, tRAS, tRC, tCCD_S/tCCD_L, tRRD_S/tRRD_L, tFAW, tWR, tRTP,
 //! tWTR, tCL/tWL/tBL and refresh (tREFI/tRFC).
@@ -55,6 +56,7 @@
 
 mod bank;
 mod channel;
+mod clock;
 mod command;
 mod controller;
 pub mod ecc;
@@ -64,8 +66,9 @@ mod stats;
 mod timing;
 mod trace;
 
-pub use bank::{Bank, BankState, COLS_PER_ROW, ROWS_PER_BANK};
-pub use channel::{ChannelTimingState, CommandSink, IssueError, IssueOutcome, PseudoChannel};
+pub use bank::{Bank, COLS_PER_ROW, ROWS_PER_BANK};
+pub use channel::{CommandSink, IssueError, IssueOutcome, PseudoChannel};
+pub use clock::{AllBankClock, Clock};
 pub use command::{BankAddr, Command, DataBlock, DATA_BLOCK_BYTES};
 pub use controller::{ControllerConfig, MemoryController, PagePolicy, SchedulingPolicy};
 pub use mapping::{AddressMapping, DecodedAddr};

@@ -27,7 +27,7 @@ pub type Cycle = u64;
 /// assert_eq!(t.t_ccd_l, 2 * t.t_ccd_s);
 /// assert_eq!(t.peak_pch_bandwidth_gbs(), 19.2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TimingParams {
     /// Bus clock frequency in MHz (data rate is 2× this).
     pub bus_mhz: u64,

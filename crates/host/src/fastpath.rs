@@ -81,12 +81,13 @@
 //! reasoning local). See `docs/FASTPATH.md` for the full semantics.
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{Hash, Hasher};
 
 use pim_core::conf::{crf_block_base, crf_block_words, CRF_ROW};
 use pim_core::isa::Instruction;
 use pim_core::schedule::{StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
 use pim_core::{LaunchAccounting, ModeWalker, PimConfig, Step};
-use pim_dram::{ChannelTimingState, Command, Cycle, TimingParams};
+use pim_dram::{Clock, Command, Cycle, TimingParams};
 
 use crate::engine::{Batch, BoundedResult, ExecutionMode, KernelResult};
 use crate::system::PimSystem;
@@ -156,7 +157,7 @@ pub(crate) struct PreparedLaunch {
     /// Per class: its first channel — the representative a miss simulates.
     reps: Vec<usize>,
     /// Per class: the entry timing fingerprint its members share.
-    starts: Vec<ChannelTimingState>,
+    starts: Vec<Clock>,
     /// Per class: the representative's entry accounting snapshot.
     start_accts: Vec<LaunchAccounting>,
 }
@@ -183,11 +184,11 @@ struct LaunchEntry {
     /// [`PreparedLaunch::class_of`]).
     class_of: Vec<usize>,
     /// Entry timing fingerprint per class.
-    starts: Vec<ChannelTimingState>,
+    starts: Vec<Clock>,
     /// Barrier (end) cycle relative to the entry `base`.
     end_rel: Cycle,
     /// End timing state per class, relative to the barrier cycle.
-    ends: Vec<ChannelTimingState>,
+    ends: Vec<Clock>,
     /// Accounting delta per class.
     accts: Vec<LaunchAccounting>,
     /// Merged command count (the cold run's `KernelResult::commands`).
@@ -372,7 +373,7 @@ impl LaunchCache {
             let ctrl = sys.channel_mut(i);
             let sink = ctrl.sink_mut();
             sink.apply_accounting(&entry.accts[class]);
-            sink.apply_timing_state(end_abs, &entry.ends[class]);
+            sink.restore_clock(end_abs, &entry.ends[class]);
             // A channel with no live unit has no data to replay; otherwise
             // the walk itself skips the dead units, as the cold run does.
             if !sink.live_units().is_empty() {
@@ -619,35 +620,12 @@ impl KeyHasher {
         }
     }
 
-    /// Every field of the timing and device configuration. The patterns
-    /// are exhaustive, so a field added to either struct fails to compile
-    /// here instead of silently dropping out of the key.
+    /// Every field of the timing and device configuration: the timing's
+    /// derived `Hash` feeds each field, in declaration order, to
+    /// [`KeyHasher::word`], and the device pattern is exhaustive, so a
+    /// field added to either struct cannot drop out of the key.
     fn configuration(&mut self, timing: &TimingParams, config: &PimConfig) {
-        let &TimingParams {
-            bus_mhz,
-            t_rcd,
-            t_rp,
-            t_ras,
-            t_rc,
-            t_ccd_s,
-            t_ccd_l,
-            t_rrd_s,
-            t_rrd_l,
-            t_faw,
-            t_cl,
-            t_wl,
-            t_bl,
-            t_wr,
-            t_rtp,
-            t_wtr,
-            t_rtw,
-            t_refi,
-            t_rfc,
-        } = timing;
-        self.words([
-            bus_mhz, t_rcd, t_rp, t_ras, t_rc, t_ccd_s, t_ccd_l, t_rrd_s, t_rrd_l, t_faw, t_cl,
-            t_wl, t_bl, t_wr, t_rtp, t_wtr, t_rtw, t_refi, t_rfc,
-        ]);
+        timing.hash(self);
         let &PimConfig { units_per_pch, variant } = config;
         self.words([units_per_pch as u64, variant as u64]);
     }
@@ -668,6 +646,20 @@ impl KeyHasher {
         for w in ws {
             self.word(w);
         }
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        self.bytes(bytes);
+    }
+
+    fn write_u64(&mut self, w: u64) {
+        self.word(w);
+    }
+
+    fn finish(&self) -> u64 {
+        self.h
     }
 }
 

@@ -624,3 +624,42 @@ fn distinct_lists_simulate_every_channel() {
         }
     }
 }
+
+/// A live tFAW window is part of the fingerprint, not a reason to run
+/// cold. With tFAW ≥ tRAS (`TimingParams::validate` allows it) the last
+/// ACTs of a launch of ACT / 8×RD / PRE triples are still in the window when
+/// it ends. Launch 1 records from power-on, launch 2 from that live window,
+/// and launch 3, entering the state launch 2 did, replays — equal to a cold
+/// run in end cycle, commands, every channel's clock seen from `now`, stats,
+/// residency and the bytes of every row the launch names.
+#[test]
+fn a_live_faw_window_is_recorded_and_replayed_exactly() {
+    let mut timing = pim_dram::TimingParams::hbm2();
+    timing.t_faw = 4 * timing.t_rc;
+    let lists = synthetic_batches(1, 12, 0xFA3);
+    let mode = ExecutionMode::Ordered;
+    let system = |fastpath| {
+        let host = pim_host::HostConfig::paper();
+        let mut sys = PimSystem::with_timing(host, pim_core::PimConfig::paper(), timing.clone());
+        sys.set_fastpath_enabled(fastpath);
+        sys
+    };
+    let bytes = |sys: &PimSystem| -> Vec<[u8; 32]> {
+        let dram = sys.channel(0).sink().dram();
+        let rows = lists[0].iter().flat_map(|b| &b.commands).filter_map(|c| match *c {
+            pim_dram::Command::Act { bank, row } => Some((bank, row)),
+            _ => None,
+        });
+        rows.flat_map(|(bank, row)| (0..32).map(move |col| dram.bank(bank).peek_block(row, col)))
+            .collect()
+    };
+    let (mut cold, mut warm) = (system(false), system(true));
+    for launch in 0..3 {
+        let r = KernelEngine::run_system(&mut cold, &lists, mode);
+        assert_eq!(KernelEngine::run_system(&mut warm, &lists, mode), r, "launch {launch}");
+        assert_eq!(measured(&warm), measured(&cold), "launch {launch}");
+        assert_eq!(bytes(&warm), bytes(&cold), "launch {launch}");
+    }
+    let stats = warm.fastpath_stats();
+    assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 2, 2), "{stats:?}");
+}

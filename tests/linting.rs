@@ -903,6 +903,34 @@ fn the_mode_machine_lives_in_the_walker() {
     assert!(copies.is_empty(), "a second copy of the mode machine outside walker.rs: {copies:#?}");
 }
 
+/// One JEDEC clock: the row and bank timing parameters — tRCD, tRAS, tRC,
+/// tRP, tRRD_S/L, tFAW, tWR, tRTP, tWTR, tRTW, tRFC — are read only by
+/// `crates/dram/src/clock.rs`, the one module that holds the issue
+/// formulas, and by `timing.rs`, which defines, presets and validates them.
+/// Above its `#[cfg(test)]` module, with comments cut, no other source of a
+/// workspace crate names one. The bandwidth, energy and data-arrival uses
+/// of tCCD, tCL, tWL and tBL are out of scope.
+#[test]
+fn jedec_formulas_live_in_one_module() {
+    const PARAMS: [&str; 12] = [
+        "t_rcd", "t_ras", "t_rc", "t_rp", "t_rrd_s", "t_rrd_l", "t_faw", "t_wr", "t_rtp", "t_wtr",
+        "t_rtw", "t_rfc",
+    ];
+    const OWNERS: [&str; 2] = ["crates/dram/src/clock.rs", "crates/dram/src/timing.rs"];
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut copies = Vec::new();
+    for (path, text) in workspace_sources(&root) {
+        let Some((krate, src)) = workspace_src(&root, &path) else { continue };
+        let file = format!("crates/{krate}/src/{src}");
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+        let named: Vec<_> = PARAMS.iter().filter(|p| mentions(code, p)).collect();
+        if !named.is_empty() && !OWNERS.contains(&file.as_str()) {
+            copies.push(format!("{file}: {named:?}"));
+        }
+    }
+    assert!(copies.is_empty(), "a JEDEC formula outside clock.rs: {copies:#?}");
+}
+
 /// The shipped example kernel sources assemble and verify clean.
 #[test]
 fn example_kernel_sources_lint_clean() {
