@@ -12,7 +12,7 @@ use pim_dram::{TimingParams, BANKS_PER_PCH, PCH_PER_STACK};
 use pim_energy::components::StreamMode;
 use pim_energy::{EnergyParams, HostPowerState, MemoryEnergyBreakdown, SystemPowerModel};
 use pim_host::{ExecutionMode, HostConfig};
-use pim_models::{models, CostModel, ModelRunner, RunReport, SystemKind};
+use pim_models::{models, CostModel, ModelRunner, Placement, RunReport, SystemKind};
 use pim_runtime::{PimBlas, PimContext};
 
 /// One row of Table I (re-exported from the energy model, where the data
@@ -237,37 +237,30 @@ pub fn fig12() -> Vec<Fig12Row> {
     let power = SystemPowerModel::paper();
     let host = HostConfig::paper();
 
-    // Microbenchmarks: GEMV4 and ADD4 at batch 1, phases built directly.
-    let micro_row =
-        |name: &str, r: &MicroResult, util_hbm: f64, power: &SystemPowerModel| -> Fig12Row {
-            let p_hbm = power.system_power_w(
-                HostPowerState::Streaming,
-                power.memory_stream_power_w(util_hbm, 4),
-            );
-            let p_pim = power.system_power_w(
-                HostPowerState::DrivingPim,
-                power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION),
-            );
-            // ×4: bandwidth-bound micro scales 4× faster at ~4× the
-            // memory-side power (see SystemPowerModel::x4_host_overhead).
-            let p_x4 = power.system_power_w(
-                HostPowerState::Streaming,
-                power.memory_stream_power_w(util_hbm, 16)
-                    + power.host_power_w(HostPowerState::Streaming) * power.x4_host_overhead,
-            );
-            let e = [p_hbm * r.hbm_s, p_pim * r.pim_s, p_x4 * r.hbm_s / 4.0];
-            Fig12Row {
-                name: name.to_string(),
-                rel_power: [1.0, p_pim / p_hbm, p_x4 / p_hbm],
-                rel_energy: [1.0, e[1] / e[0], e[2] / e[0]],
-            }
+    // Microbenchmarks: GEMV4 and ADD4 at batch 1, phased as the runner
+    // phases a layer; the bandwidth-bound micro runs 4× faster on ×4.
+    let micro_row = |name: &str, r: &MicroResult, util_hbm: f64| -> Fig12Row {
+        let watts = |system: SystemKind, placement| {
+            let (state, memory_w) = system.phase(&power, placement);
+            power.system_power_w(state, memory_w)
         };
+        let streaming = Placement::Host(HostPowerState::Streaming, util_hbm);
+        let p_hbm = watts(SystemKind::ProcHbm, streaming);
+        let p_pim = watts(SystemKind::PimHbm, Placement::Pim);
+        let p_x4 = watts(SystemKind::ProcHbmX4, streaming);
+        let e = [p_hbm * r.hbm_s, p_pim * r.pim_s, p_x4 * r.hbm_s / 4.0];
+        Fig12Row {
+            name: name.to_string(),
+            rel_power: [1.0, p_pim / p_hbm, p_x4 / p_hbm],
+            rel_energy: [1.0, e[1] / e[0], e[2] / e[0]],
+        }
+    };
     let g4 = workloads::gemv_workloads()[3];
     let r = gemv_micro(&mut cost, &g4, 1);
-    out.push(micro_row("GEMV", &r, host.gemv_efficiency(1), &power));
+    out.push(micro_row("GEMV", &r, host.gemv_efficiency(1)));
     let a4 = workloads::add_workloads()[3];
     let r = add_micro(&mut cost, &a4, 1);
-    out.push(micro_row("ADD", &r, host.add_stream_efficiency, &power));
+    out.push(micro_row("ADD", &r, host.add_stream_efficiency));
 
     // Applications, from the runner's traces.
     for m in [models::deepspeech2(), models::gnmt(), models::alexnet()] {

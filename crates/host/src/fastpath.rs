@@ -594,10 +594,11 @@ impl LaunchCache {
     }
 }
 
-/// A minimal word mixer (multiply-rotate, FxHash-style). The key only
-/// needs to separate distinct launch shapes — hits are *verified* against
-/// the stored entry fingerprints, so a collision costs a miss, never a
-/// wrong replay.
+/// A minimal word mixer (multiply-rotate, FxHash-style). The command
+/// structure is trusted to the 64-bit key: a hit verifies the entry state
+/// (offsets, class map, entry fingerprints), never the command stream, so
+/// two launches whose keys collide from equal entry state would replay
+/// each other's recording.
 struct KeyHasher {
     h: u64,
 }

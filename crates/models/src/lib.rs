@@ -36,4 +36,4 @@ pub mod runner;
 pub use cost::{CostModel, KernelCost};
 pub use layer::{LaunchPattern, Layer};
 pub use models::{alexnet, deepspeech2, gnmt, resnet50, rnnt, vgg16, Model};
-pub use runner::{LayerTime, ModelRunner, RunReport, SystemKind};
+pub use runner::{LayerTime, ModelRunner, Placement, RunReport, SystemKind};

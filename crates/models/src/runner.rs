@@ -2,17 +2,22 @@
 //! system (PROC-HBM, PIM-HBM, PROC-HBM×4) at a given batch size,
 //! producing per-layer times and the power phases for Fig. 12/13.
 //!
-//! Offload decisions go through the real [`pim_runtime::Preprocessor`] —
-//! the same component the software stack uses — so the batch-size
-//! crossover of Fig. 10 emerges from the stack's own policy rather than
-//! from hard-coded per-figure switches.
+//! One rule places, prices and phases every layer:
+//! [`ModelRunner::layer`] asks the real [`pim_runtime::Preprocessor`] —
+//! the same component the software stack uses — once about the layer's
+//! custom op and returns its seconds (launches included) and its
+//! [`Placement`]; [`SystemKind::phase`] turns the placement into the host
+//! state and memory watts of its power phase. The batch-size crossover of
+//! Fig. 10 therefore emerges from the stack's own policy rather than from
+//! hard-coded per-figure switches, and Fig. 12's microbenchmark bars use
+//! the same phases as the applications.
 
 use crate::cost::CostModel;
 use crate::layer::{LaunchPattern, Layer};
 use crate::models::Model;
 use pim_energy::{HostPowerState, PowerTrace, SystemPowerModel};
 use pim_runtime::ops::OpKind;
-use pim_runtime::{ExecutionTarget, Preprocessor, StreamOp};
+use pim_runtime::{ExecutionTarget, Preprocessor};
 
 /// Which evaluated system a run models (Fig. 12's three bars).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,7 +55,45 @@ impl SystemKind {
             SystemKind::ProcHbmX4 => "PROC-HBMx4",
         }
     }
+
+    /// The power phase of a layer placed at `placement` on this system:
+    /// the host's state and the memory watts.
+    ///
+    /// The ×4 system's scaled host I/O and controllers are folded into the
+    /// memory term (see [`SystemPowerModel::x4_host_overhead`]). Only
+    /// streaming phases pay them: the extra PHYs clock-gate while the host
+    /// computes.
+    pub fn phase(self, power: &SystemPowerModel, placement: Placement) -> (HostPowerState, f64) {
+        match placement {
+            Placement::Pim => (
+                HostPowerState::DrivingPim,
+                power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION),
+            ),
+            Placement::Host(state, utilization) => {
+                let x4_extra =
+                    if self == SystemKind::ProcHbmX4 && state == HostPowerState::Streaming {
+                        power.host_power_w(state) * power.x4_host_overhead
+                    } else {
+                        0.0
+                    };
+                (state, power.memory_stream_power_w(utilization, self.stacks()) + x4_extra)
+            }
+        }
+    }
 }
+
+/// Where a layer runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Placement {
+    /// On the PIM units, the host driving them.
+    Pim,
+    /// On the host, in the given state, with memory streaming at the given
+    /// fraction of its peak column rate.
+    Host(HostPowerState, f64),
+}
+
+/// Memory utilization while the host computes a compute-bound layer.
+const COMPUTE_UTILIZATION: f64 = 0.15;
 
 /// One layer's execution record.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,11 +144,24 @@ impl RunReport {
     }
 }
 
-/// Runs models over systems.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ModelRunner;
+/// Runs models over systems: one run's system, batch, and the
+/// run-invariant prices every layer shares.
+#[derive(Debug, Clone, Copy)]
+pub struct ModelRunner {
+    system: SystemKind,
+    batch: usize,
+    pch_gbs: f64,
+    launch_s: f64,
+}
 
 impl ModelRunner {
+    /// A runner for `system` at `batch` over `cost`'s configuration.
+    pub fn new(cost: &CostModel, system: SystemKind, batch: usize) -> ModelRunner {
+        assert!(batch >= 1, "batch must be at least 1");
+        let (pch_gbs, launch_s) = (cost.timing().peak_pch_bandwidth_gbs(), cost.launch().seconds);
+        ModelRunner { system, batch, pch_gbs, launch_s }
+    }
+
     /// Executes `model` on `system` at `batch`, using `cost` for kernel
     /// times and `power` for the phase bookkeeping.
     pub fn run(
@@ -115,198 +171,94 @@ impl ModelRunner {
         system: SystemKind,
         batch: usize,
     ) -> RunReport {
-        assert!(batch >= 1, "batch must be at least 1");
-        let scale = system.bandwidth_scale();
-        let stacks = system.stacks();
-        let pim_available = system == SystemKind::PimHbm;
-        let mut layers = Vec::new();
-        let mut trace = PowerTrace::new();
-        let host_cfg = cost.host().clone();
-        let pch_gbs = cost.timing().peak_pch_bandwidth_gbs();
-
-        let record = |layers: &mut Vec<LayerTime>,
-                      trace: &mut PowerTrace,
-                      name: &'static str,
-                      seconds: f64,
-                      on_pim: bool,
-                      state: HostPowerState,
-                      memory_w: f64| {
+        let runner = ModelRunner::new(cost, system, batch);
+        let (mut layers, mut trace) = (Vec::new(), PowerTrace::new());
+        for layer in &model.layers {
+            let (seconds, placement) = runner.layer(cost, layer);
+            let (state, memory_w) = system.phase(power, placement);
+            let (name, on_pim) = (layer.name(), placement == Placement::Pim);
             layers.push(LayerTime { name, seconds, on_pim });
             trace.push(name, seconds, state, memory_w);
-        };
-
-        // The ×4 system's scaled host I/O & controllers, folded into each
-        // phase's memory term (see SystemPowerModel::x4_host_overhead).
-        // Only bandwidth-active (streaming) phases pay it: the extra PHYs
-        // clock-gate while the host computes.
-        let x4_extra = |state: HostPowerState| -> f64 {
-            if system == SystemKind::ProcHbmX4 && state == HostPowerState::Streaming {
-                power.host_power_w(state) * power.x4_host_overhead
-            } else {
-                0.0
-            }
-        };
-
-        for layer in &model.layers {
-            match layer {
-                Layer::Conv2d { name, gflops } | Layer::Attention { name, gflops } => {
-                    let t = cost.host_compute((gflops * 1e9) as u64 * batch as u64, batch).seconds
-                        + cost.launch().seconds;
-                    let mem = power.memory_stream_power_w(0.15, stacks)
-                        + x4_extra(HostPowerState::Compute);
-                    record(&mut layers, &mut trace, name, t, false, HostPowerState::Compute, mem);
-                }
-                Layer::FullyConnected { name, n, k, pim_eligible } => {
-                    let to_pim = pim_available
-                        && *pim_eligible
-                        && Preprocessor::decide(
-                            &host_cfg,
-                            pch_gbs,
-                            OpKind::Gemv,
-                            layer.weight_bytes(),
-                            batch,
-                        ) == ExecutionTarget::Pim;
-                    if to_pim {
-                        let t =
-                            batch as f64 * cost.pim_gemv(*n, *k).seconds + cost.launch().seconds;
-                        let mem = power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            true,
-                            HostPowerState::DrivingPim,
-                            mem,
-                        );
-                    } else {
-                        let t =
-                            cost.host_gemv(*n, *k, batch, scale).seconds + cost.launch().seconds;
-                        let util = host_cfg.gemv_efficiency(batch).min(1.0);
-                        let mem = power.memory_stream_power_w(util, stacks)
-                            + x4_extra(HostPowerState::Streaming);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            false,
-                            HostPowerState::Streaming,
-                            mem,
-                        );
-                    }
-                }
-                Layer::Lstm { name, hidden, input, steps, launches, .. } => {
-                    let dirs = layer.lstm_directions();
-                    let to_pim = pim_available
-                        && Preprocessor::decide(
-                            &host_cfg,
-                            pch_gbs,
-                            OpKind::Lstm,
-                            layer.weight_bytes(),
-                            batch,
-                        ) == ExecutionTarget::Pim;
-                    if to_pim {
-                        let step_cost = cost.pim_lstm_step(*hidden, *input).seconds;
-                        let launch_count = match launches {
-                            // Autoregressive: every step launches the two
-                            // gate GEMVs plus the element-wise gate and
-                            // state kernels — the GNMT decoder's limiter
-                            // ("the overhead caused by many kernel calls
-                            // limits the performance improvement").
-                            LaunchPattern::PerStep => steps * dirs * 4,
-                            // All inputs available: a couple of launches
-                            // per direction cover the sequence.
-                            LaunchPattern::Single => 2 * dirs,
-                        };
-                        let t = batch as f64 * (*steps as f64) * dirs as f64 * step_cost
-                            + launch_count as f64 * cost.launch().seconds;
-                        let mem = power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            true,
-                            HostPowerState::DrivingPim,
-                            mem,
-                        );
-                    } else {
-                        let eff_scale = CostModel::lstm_size_factor(layer.weight_bytes());
-                        let per_step = cost
-                            .host_lstm_gemv(4 * hidden, *input, batch, scale, eff_scale)
-                            .seconds
-                            + cost
-                                .host_lstm_gemv(4 * hidden, *hidden, batch, scale, eff_scale)
-                                .seconds;
-                        // The host library fuses the sequence into one
-                        // launch regardless of recurrence.
-                        let t = (*steps as f64) * dirs as f64 * per_step + cost.launch().seconds;
-                        let util = host_cfg.lstm_efficiency(batch);
-                        let mem = power.memory_stream_power_w(util, stacks)
-                            + x4_extra(HostPowerState::Streaming);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            false,
-                            HostPowerState::Streaming,
-                            mem,
-                        );
-                    }
-                }
-                Layer::BatchNorm { name, .. }
-                | Layer::Relu { name, .. }
-                | Layer::ResidualAdd { name, .. } => {
-                    let (op, elements) = layer.stream_op().expect("stream layer");
-                    let kind = match op {
-                        StreamOp::Add => OpKind::Add,
-                        StreamOp::Mul => OpKind::Mul,
-                        StreamOp::Relu => OpKind::Relu,
-                        // AXPY shares ADD's level-1 BLAS profile.
-                        StreamOp::Axpy => OpKind::Add,
-                        StreamOp::Bn => OpKind::Bn,
-                    };
-                    let bytes = (elements * batch) as u64 * op.bytes_per_element();
-                    let to_pim = pim_available
-                        && Preprocessor::decide(&host_cfg, pch_gbs, kind, bytes, 1)
-                            == ExecutionTarget::Pim;
-                    if to_pim {
-                        let t =
-                            cost.pim_stream(op, elements * batch).seconds + cost.launch().seconds;
-                        let mem = power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            true,
-                            HostPowerState::DrivingPim,
-                            mem,
-                        );
-                    } else {
-                        let t = cost.host_stream(op, elements * batch, scale).seconds
-                            + cost.launch().seconds;
-                        let util = host_cfg.add_stream_efficiency;
-                        let mem = power.memory_stream_power_w(util, stacks)
-                            + x4_extra(HostPowerState::Streaming);
-                        record(
-                            &mut layers,
-                            &mut trace,
-                            name,
-                            t,
-                            false,
-                            HostPowerState::Streaming,
-                            mem,
-                        );
-                    }
-                }
-            }
         }
-
         let total_seconds = layers.iter().map(|l| l.seconds).sum();
         RunReport { model: model.name, system, batch, layers, total_seconds, trace }
+    }
+
+    /// One layer's seconds, kernel launches included, and its placement.
+    ///
+    /// A memory-bound layer is one of the six custom ops; it runs on PIM
+    /// only on PIM-HBM and only where [`Preprocessor::decide`] sends it.
+    /// A compute-bound layer (convolution, attention) stays on the host.
+    pub fn layer(&self, cost: &mut CostModel, layer: &Layer) -> (f64, Placement) {
+        let (batch, scale) = (self.batch, self.system.bandwidth_scale());
+        let custom_op = match *layer {
+            Layer::FullyConnected { pim_eligible: true, .. } => {
+                Some((OpKind::Gemv, layer.weight_bytes(), batch))
+            }
+            Layer::Lstm { .. } => Some((OpKind::Lstm, layer.weight_bytes(), batch)),
+            // A stream op's footprint is the whole batch, streamed once.
+            _ => layer.stream_op().map(|(op, elements)| {
+                (OpKind::from(op), (elements * batch) as u64 * op.bytes_per_element(), 1)
+            }),
+        };
+        let on_pim = self.system == SystemKind::PimHbm
+            && custom_op.is_some_and(|(op, bytes, op_batch)| {
+                Preprocessor::decide(cost.host(), self.pch_gbs, op, bytes, op_batch)
+                    == ExecutionTarget::Pim
+            });
+        let streaming = |utilization| Placement::Host(HostPowerState::Streaming, utilization);
+        let (work_s, launches, placement) = match *layer {
+            Layer::Conv2d { gflops, .. } | Layer::Attention { gflops, .. } => (
+                cost.host_compute((gflops * 1e9) as u64 * batch as u64, batch).seconds,
+                1,
+                Placement::Host(HostPowerState::Compute, COMPUTE_UTILIZATION),
+            ),
+            Layer::FullyConnected { n, k, .. } if on_pim => {
+                (batch as f64 * cost.pim_gemv(n, k).seconds, 1, Placement::Pim)
+            }
+            Layer::FullyConnected { n, k, .. } => (
+                cost.host_gemv(n, k, batch, scale).seconds,
+                1,
+                streaming(cost.host().gemv_efficiency(batch).min(1.0)),
+            ),
+            Layer::Lstm { hidden, input, steps, launches, .. } => {
+                let dirs = layer.lstm_directions();
+                if on_pim {
+                    let launch_count = match launches {
+                        // Autoregressive: every step launches the two gate
+                        // GEMVs plus the element-wise gate and state
+                        // kernels — the GNMT decoder's limiter ("the
+                        // overhead caused by many kernel calls limits the
+                        // performance improvement").
+                        LaunchPattern::PerStep => steps * dirs * 4,
+                        // All inputs available: a couple of launches per
+                        // direction cover the sequence.
+                        LaunchPattern::Single => 2 * dirs,
+                    };
+                    let step_s = cost.pim_lstm_step(hidden, input).seconds;
+                    let seconds = batch as f64 * steps as f64 * dirs as f64 * step_s;
+                    (seconds, launch_count, Placement::Pim)
+                } else {
+                    let eff_scale = CostModel::lstm_size_factor(layer.weight_bytes());
+                    let gemv = |k| cost.host_lstm_gemv(4 * hidden, k, batch, scale, eff_scale);
+                    let per_step = gemv(input).seconds + gemv(hidden).seconds;
+                    // The host library fuses the sequence into one launch
+                    // regardless of recurrence.
+                    let utilization = cost.host().lstm_efficiency(batch);
+                    (steps as f64 * dirs as f64 * per_step, 1, streaming(utilization))
+                }
+            }
+            Layer::BatchNorm { .. } | Layer::Relu { .. } | Layer::ResidualAdd { .. } => {
+                let (op, elements) = layer.stream_op().expect("stream layer");
+                if on_pim {
+                    (cost.pim_stream(op, elements * batch).seconds, 1, Placement::Pim)
+                } else {
+                    let host_s = cost.host_stream(op, elements * batch, scale).seconds;
+                    (host_s, 1, streaming(cost.host().add_stream_efficiency))
+                }
+            }
+        };
+        (work_s + launches as f64 * self.launch_s, placement)
     }
 }
 
@@ -321,6 +273,96 @@ mod tests {
         let hbm = ModelRunner::run(&mut cost, &power, model, SystemKind::ProcHbm, batch);
         let pim = ModelRunner::run(&mut cost, &power, model, SystemKind::PimHbm, batch);
         (hbm, pim)
+    }
+
+    /// The per-kind rule, stated directly: every `Layer` variant on every
+    /// system at batch 1 and 4 is placed on PIM only on PIM-HBM and only
+    /// where the preprocessor says so, and is phased by its placement.
+    #[test]
+    fn every_layer_kind_gets_one_placement_and_its_phase() {
+        use pim_runtime::StreamOp;
+        let lstm = |name, launches| Layer::Lstm {
+            name,
+            hidden: 1024,
+            input: 1024,
+            steps: 4,
+            bidirectional: true,
+            launches,
+        };
+        let elements = 4 << 20;
+        let model = Model {
+            name: "every kind",
+            layers: vec![
+                Layer::Conv2d { name: "conv", gflops: 0.5 },
+                Layer::Attention { name: "attention", gflops: 0.4 },
+                Layer::FullyConnected { name: "fc", n: 4096, k: 4096, pim_eligible: true },
+                Layer::FullyConnected { name: "fc host", n: 4096, k: 4096, pim_eligible: false },
+                lstm("lstm single", LaunchPattern::Single),
+                lstm("lstm per step", LaunchPattern::PerStep),
+                Layer::BatchNorm { name: "bn", elements },
+                Layer::Relu { name: "relu", elements },
+                Layer::ResidualAdd { name: "add", elements },
+            ],
+        };
+        let mut cost = CostModel::paper();
+        let power = SystemPowerModel::paper();
+        let (host, pch_gbs) = (cost.host().clone(), cost.timing().peak_pch_bandwidth_gbs());
+        let pim_phase_w = power.memory_pim_power_w(SystemPowerModel::PIM_PHASE_UTILIZATION);
+        let x4_extra_w = power.host_power_w(HostPowerState::Streaming) * power.x4_host_overhead;
+        for batch in [1, 4] {
+            let asked = |layer: &Layer| {
+                let stream = |op: StreamOp, elements: usize| {
+                    (OpKind::from(op), (elements * batch) as u64 * op.bytes_per_element(), 1)
+                };
+                match *layer {
+                    Layer::FullyConnected { pim_eligible: true, .. } => {
+                        Some((OpKind::Gemv, layer.weight_bytes(), batch))
+                    }
+                    Layer::Lstm { .. } => Some((OpKind::Lstm, layer.weight_bytes(), batch)),
+                    Layer::BatchNorm { elements, .. } => Some(stream(StreamOp::Bn, elements)),
+                    Layer::Relu { elements, .. } => Some(stream(StreamOp::Relu, elements)),
+                    Layer::ResidualAdd { elements, .. } => Some(stream(StreamOp::Add, elements)),
+                    _ => None,
+                }
+            };
+            let runs = [SystemKind::ProcHbm, SystemKind::PimHbm, SystemKind::ProcHbmX4]
+                .map(|system| ModelRunner::run(&mut cost, &power, &model, system, batch));
+            for run in &runs {
+                let phases = run.trace.phases();
+                assert_eq!(phases.len(), model.layers.len());
+                for ((layer, time), phase) in model.layers.iter().zip(&run.layers).zip(phases) {
+                    let at = format!("{} on {} at batch {batch}", layer.name(), run.system.label());
+                    let decided = asked(layer).is_some_and(|(op, bytes, b)| {
+                        Preprocessor::decide(&host, pch_gbs, op, bytes, b) == ExecutionTarget::Pim
+                    });
+                    assert_eq!(time.on_pim, run.system == SystemKind::PimHbm && decided, "{at}");
+                    assert_eq!(time.on_pim, phase.host == HostPowerState::DrivingPim, "{at}");
+                    assert_eq!((phase.label.as_str(), phase.seconds), (time.name, time.seconds));
+                    if time.on_pim {
+                        assert_eq!(phase.memory_w, pim_phase_w, "{at}");
+                    } else if matches!(layer, Layer::Conv2d { .. } | Layer::Attention { .. }) {
+                        assert_eq!(phase.host, HostPowerState::Compute, "{at}");
+                        let compute_w = power.memory_stream_power_w(0.15, run.system.stacks());
+                        assert_eq!(phase.memory_w, compute_w, "{at}");
+                    } else {
+                        assert_eq!(phase.host, HostPowerState::Streaming, "{at}");
+                    }
+                }
+            }
+            // What PIM-HBM offloads: the GEMV-like layers return to the
+            // host at batch 4, the element-wise ones never do.
+            let g = batch == 1;
+            let on_pim: Vec<bool> = runs[1].layers.iter().map(|l| l.on_pim).collect();
+            assert_eq!(on_pim, [false, false, g, false, g, g, true, true, true], "batch {batch}");
+            // ×4 streams the same utilization over 4× the stacks; only a
+            // streaming phase adds the scaled host I/O on top.
+            let [hbm, _, x4] = &runs;
+            for (h, x) in hbm.trace.phases().iter().zip(x4.trace.phases()) {
+                let extra = x.memory_w - 4.0 * h.memory_w;
+                let want = if x.host == HostPowerState::Streaming { x4_extra_w } else { 0.0 };
+                assert!((extra - want).abs() < 1e-9 * x.memory_w, "{}: {extra} W", x.label);
+            }
+        }
     }
 
     #[test]

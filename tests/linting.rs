@@ -844,6 +844,60 @@ fn config_fields_stay_under_their_budget() {
     );
 }
 
+/// Code under `crates/*/src` (the vendored shims aside) stays within
+/// `BUDGET` lines: lines that are non-blank once `//` comments are cut,
+/// above each file's first column-0 `#[cfg(test)]`. A change may lower the
+/// budget; raising it takes an edit of this test in the same diff.
+#[test]
+fn code_lines_stay_under_their_budget() {
+    const BUDGET: usize = 16_466;
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let lines: usize = workspace_sources(&root)
+        .iter()
+        .filter(|(path, _)| workspace_src(&root, path).is_some())
+        .map(|(_, text)| {
+            let code = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+            code.filter(|l| !l.trim().is_empty()).count()
+        })
+        .sum();
+    assert!(lines > 10_000, "counted only {lines} code lines: did the layout move?");
+    assert!(lines <= BUDGET, "{lines} code lines under crates/*/src, budget {BUDGET}");
+}
+
+/// One layer rule: `pim_models::ModelRunner::layer` places a layer (asking
+/// the §V-A preprocessor once) and `SystemKind::phase` prices its power
+/// phase, for the applications and Fig. 12's microbenchmark bars alike.
+/// Above its `#[cfg(test)]` module, no workspace source outside
+/// `crates/energy/` (which defines the power formulas) calls a memory
+/// power formula or `Preprocessor::decide` but `runner.rs`, and it calls
+/// each exactly once.
+#[test]
+fn a_layer_is_placed_and_phased_in_one_place() {
+    // The call is each name followed by `(`, added at run time so that
+    // this file does not count itself.
+    const CALLS: [&str; 3] =
+        ["memory_stream_power_w", "memory_pim_power_w", "Preprocessor::decide"];
+    const OWNER: &str = "crates/models/src/runner.rs";
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut callers = Vec::new();
+    for (path, text) in workspace_sources(&root) {
+        let file = path.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+        if file.starts_with("crates/energy/") {
+            continue;
+        }
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+        let counts = CALLS.map(|name| code.matches(&format!("{name}(")).count());
+        if counts != [0; 3] {
+            callers.push((file, counts));
+        }
+    }
+    assert_eq!(
+        callers,
+        [(OWNER.to_string(), [1; 3])],
+        "calls of {CALLS:?} outside the one layer rule in {OWNER}"
+    );
+}
+
 /// The Fig. 5(c) miscompiled kernel is a command list (`Batch::issue_list`
 /// in `pim_host::engine`), not a case every layer that runs, prices or
 /// memoizes a launch carries: above its `#[cfg(test)]` module, no source

@@ -4,6 +4,7 @@
 //! export valid Chrome trace JSON — and change nothing about the simulated
 //! cycles (zero observer effect).
 
+use pim_bench::json::{self, Json};
 use pim_bench::profile::{profile_gemv, render_profile};
 use pim_obs::{check_nesting, names, Recorder};
 use pim_runtime::{PimBlas, PimContext};
@@ -70,7 +71,7 @@ fn chrome_trace_export_is_valid_json() {
     let json = pim_obs::chrome::chrome_trace_json(&events);
     assert!(json.starts_with('{') && json.ends_with('}'));
     assert!(json.contains("\"traceEvents\""));
-    check_json_syntax(&json).expect("chrome trace must be syntactically valid JSON");
+    json::parse(&json).expect("chrome trace must be valid JSON");
 }
 
 /// Zero observer effect: the same workload must produce identical results
@@ -163,103 +164,10 @@ fn chrome_export_survives_adversarial_names_and_trace_args() {
         events.push(Event::end(ts + 2, name.to_string(), names::CAT_BATCH, Scope::channel(1)));
     }
     let json = pim_obs::chrome::chrome_trace_json(&events);
-    check_json_syntax(&json).expect("adversarial names must stay valid JSON");
-}
-
-/// A minimal recursive-descent JSON syntax checker — enough to validate the
-/// exporter's output without pulling in a JSON dependency.
-fn check_json_syntax(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    skip_ws(b, &mut i);
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
+    let doc = json::parse(&json).expect("adversarial names must stay valid JSON");
+    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let parsed: Vec<&str> = events.iter().filter_map(|e| e.get("name")?.as_str()).collect();
+    for name in nasty {
+        assert!(parsed.contains(&name), "{name:?} did not round-trip: {parsed:?}");
     }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => parse_seq(b, i, b'}', true),
-        Some(b'[') => parse_seq(b, i, b']', false),
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, "true"),
-        Some(b'f') => parse_lit(b, i, "false"),
-        Some(b'n') => parse_lit(b, i, "null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            *i += 1;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                *i += 1;
-            }
-            Ok(())
-        }
-        other => Err(format!("unexpected {other:?} at byte {i}")),
-    }
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-    if b[*i..].starts_with(lit.as_bytes()) {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("expected `{lit}` at byte {i}"))
-    }
-}
-
-fn parse_seq(b: &[u8], i: &mut usize, close: u8, keyed: bool) -> Result<(), String> {
-    *i += 1; // opening bracket
-    skip_ws(b, i);
-    if b.get(*i) == Some(&close) {
-        *i += 1;
-        return Ok(());
-    }
-    loop {
-        if keyed {
-            skip_ws(b, i);
-            parse_string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("expected `:` at byte {i}"));
-            }
-            *i += 1;
-        }
-        parse_value(b, i)?;
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b',') => *i += 1,
-            Some(c) if *c == close => {
-                *i += 1;
-                return Ok(());
-            }
-            other => return Err(format!("expected `,` or close, got {other:?} at byte {i}")),
-        }
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if b.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}"));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => *i += 2,
-            0x00..=0x1f => return Err(format!("raw control char at byte {i}")),
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
 }
