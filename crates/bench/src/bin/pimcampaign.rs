@@ -7,15 +7,15 @@
 //! pimcampaign cluster [shape] [--interval N] [--stacks S1,S2,...] [--rates R1,R2,...]
 //! pimcampaign chaos   [shape] [--interval N] [--stacks N] [--stall-milli N]
 //!   shape: [--seed N] [--elements N] [--requests N] [--tenants N] [--deadline-slack N]
-//!   every kind: [--backend sequential|threads:N] [--expect-clean]
+//!   every kind: [--expect-clean]
 //!   bounds: --elements fits one stack's arena; --requests <= 65536 and
 //!           requests x elements <= 67108864; --stacks <= 1024
 //! ```
 //!
 //! Each kind prints its `pim-bench/<kind>-campaign-v1` JSON report on
-//! stdout — deterministic in the configuration, byte-identical across
-//! execution backends, and with no flags exactly the committed golden
-//! (`tests/campaign_golden.rs`) — and a one-line summary on stderr.
+//! stdout — deterministic in the configuration, and with no flags exactly
+//! the committed golden (`tests/campaign_golden.rs`) — and a one-line
+//! summary on stderr.
 //!
 //! * `fault` sweeps the base fault rate over `pim_bench::faults::fault_mix`
 //!   and runs the resilient runtime at every point (docs/RESILIENCE.md).
@@ -47,7 +47,7 @@ const USAGE: &str = "pimcampaign fault [--seed N] [--elements N] [--rates R1,R2,
     \x20      pimcampaign cluster [SHAPE] [--interval N] [--stacks S1,S2,...] [--rates R1,R2,...]\n\
     \x20      pimcampaign chaos [SHAPE] [--interval N] [--stacks N] [--stall-milli N]\n\
     \x20      SHAPE: [--seed N] [--elements N] [--requests N] [--tenants N] [--deadline-slack N]\n\
-    \x20      every kind: [--backend sequential|threads:N] [--expect-clean]\n\
+    \x20      every kind: [--expect-clean]\n\
     \x20      bounds: --elements fits one stack's arena; --requests <= 65536 and\n\
     \x20              requests x elements <= 67108864; --stacks <= 1024";
 
@@ -87,7 +87,6 @@ fn fault(cli: &mut Cli) {
             "--seed" => cfg.seed = cli.parse_seed(),
             "--elements" => cfg.elements = cli.parse_pos(&arg, "element count"),
             "--rates" => cfg.rates = cli.parse_rates(&arg),
-            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
             "--help" | "-h" => cli.usage(),
             other => cli.bad(format!("unknown argument '{other}'")),
@@ -119,7 +118,6 @@ fn serve(cli: &mut Cli) {
         match arg.as_str() {
             "--intervals" => cfg.intervals = cli.parse_pos_list(&arg, "interval"),
             "--rates" => cfg.fault_rates = cli.parse_rates(&arg),
-            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
             "--metrics" => metrics_path = Some(cli.next_value(&arg)),
             "--help" | "-h" => cli.usage(),
@@ -169,7 +167,6 @@ fn cluster(cli: &mut Cli) {
             "--interval" => cfg.interval = cli.parse_pos(&arg, "interval"),
             "--stacks" => cfg.stack_counts = cli.parse_pos_list(&arg, "stack count"),
             "--rates" => cfg.fault_rates = cli.parse_rates(&arg),
-            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
             "--help" | "-h" => cli.usage(),
             other => cli.bad(format!("unknown argument '{other}'")),
@@ -203,7 +200,6 @@ fn chaos(cli: &mut Cli) {
             "--interval" => cfg.interval = cli.parse_pos(&arg, "interval"),
             "--stacks" => cfg.stacks = cli.parse_pos(&arg, "stack count"),
             "--stall-milli" => cfg.stall_milli = cli.parse_pos(&arg, "stall factor"),
-            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--expect-clean" => expect_clean = true,
             "--help" | "-h" => cli.usage(),
             other => cli.bad(format!("unknown argument '{other}'")),

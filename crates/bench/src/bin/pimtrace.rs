@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! pimtrace run      [--seed N] [--elements N] [--requests N] [--tenants N]
-//!                   [--deadline-slack N] [--interval N] [--rate R]
-//!                   [--backend sequential|threads:N] --out DIR
+//!                   [--deadline-slack N] [--interval N] [--rate R] --out DIR
 //! pimtrace gemv     [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] --out DIR
 //! pimtrace selftest [--seed N] [--elements N] [--requests N]
 //!                   [--interval N] [--rate R]
@@ -16,8 +15,7 @@
 //!
 //! `run` re-runs one serve-campaign sweep point with tracing enabled and
 //! writes `trace.json`, `attrib.txt`, `attrib.folded`, and `metrics.om`
-//! into `--out DIR`. All four artifacts are deterministic in the config
-//! and byte-identical across execution backends.
+//! into `--out DIR`. All four artifacts are deterministic in the config.
 //!
 //! `gemv` profiles one Table VI GEMV (default GEMV1) on a fully
 //! instrumented one-stack system, prints the profile table (row hit rate,
@@ -27,10 +25,10 @@
 //! simulator, and scaled runs keep the same command mix at a fraction of
 //! the wall time.
 //!
-//! `selftest` proves the backend claim at runtime: it runs the point under
-//! `Sequential`, `Threads(2)`, and `Threads(4)`, asserts every artifact is
-//! byte-identical, and re-checks the cycle-conservation invariant (every
-//! channel's attribution buckets sum exactly to the end cycle).
+//! `selftest` proves that claim at runtime: it runs the point twice,
+//! asserts every artifact is byte-identical, and re-checks the
+//! cycle-conservation invariant (every channel's attribution buckets sum
+//! exactly to the end cycle).
 //!
 //! `filter` loads a `trace.json` and prints matching events (one per
 //! line); `diff` compares two artifact files and reports the first
@@ -41,14 +39,12 @@ use pim_bench::cli::Cli;
 use pim_bench::json::{self, Json};
 use pim_bench::profile::{profile_gemv, render_profile};
 use pim_bench::serve::ServeCampaignConfig;
-use pim_bench::trace::{assert_backend_identity, run_traced, TraceArtifacts};
+use pim_bench::trace::{assert_deterministic, run_traced, TraceArtifacts};
 use pim_bench::workloads::gemv_workloads;
 use pim_bench::{out, outln, report};
-use pim_host::ExecutionBackend;
 
 const USAGE: &str = "pimtrace run [--seed N] [--elements N] [--requests N] [--tenants N]\n\
-    \x20                [--deadline-slack N] [--interval N] [--rate R]\n\
-    \x20                [--backend sequential|threads:N] --out DIR\n\
+    \x20                [--deadline-slack N] [--interval N] [--rate R] --out DIR\n\
     \x20      pimtrace gemv [GEMV1|GEMV2|GEMV3|GEMV4 | NxK] [--scale D] --out DIR\n\
     \x20      pimtrace selftest [--seed N] [--elements N] [--requests N] [--interval N] [--rate R]\n\
     \x20      pimtrace filter --trace PATH [--name SUBSTR] [--cat SUBSTR]\n\
@@ -70,7 +66,6 @@ fn parse_point_args(cli: &mut Cli) -> PointArgs {
         trace: TraceShape { elements: 512, requests: 8, ..d.trace },
         intervals: vec![],
         fault_rates: vec![],
-        ..d
     };
     let mut interval = 5_000u64;
     let mut rate = 0.0f64;
@@ -82,7 +77,6 @@ fn parse_point_args(cli: &mut Cli) -> PointArgs {
         match arg.as_str() {
             "--interval" => interval = cli.parse_pos(&arg, "interval"),
             "--rate" => rate = cli.parse_rate(&arg),
-            "--backend" => cfg.backend = cli.parse_backend(&arg),
             "--out" => out = Some(cli.next_value(&arg)),
             "--help" | "-h" => cli.usage(),
             other => cli.bad(format!("unknown argument '{other}'")),
@@ -181,19 +175,13 @@ fn cmd_gemv(cli: &mut Cli) {
 
 fn cmd_selftest(cli: &mut Cli) {
     let p = parse_point_args(cli);
-    let art = assert_backend_identity(
-        &p.cfg,
-        p.interval,
-        p.rate,
-        &[ExecutionBackend::Threads(2), ExecutionBackend::Threads(4)],
-    )
-    .unwrap_or_else(|e| {
+    let art = assert_deterministic(&p.cfg, p.interval, p.rate).unwrap_or_else(|e| {
         eprintln!("pimtrace: selftest FAILED: {e}");
         std::process::exit(1);
     });
     outln!(
-        "selftest ok: {} events, end cycle {}, all artifacts byte-identical under \
-         sequential / threads:2 / threads:4, cycle conservation exact",
+        "selftest ok: {} events, end cycle {}, all artifacts byte-identical across two \
+         runs, cycle conservation exact",
         art.events,
         art.end_cycle
     );

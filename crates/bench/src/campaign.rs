@@ -7,11 +7,10 @@
 //!
 //! Everything here is a pure function of its arguments: arrivals and
 //! operands are splitmix64 hashes of the seed, so a campaign's report is
-//! byte-identical across execution backends.
+//! byte-identical from run to run.
 
 use crate::json::{obj, Json};
 use pim_fp16::F16;
-use pim_host::ExecutionBackend;
 use pim_obs::trace::mix;
 use pim_obs::Quantiles;
 use pim_runtime::kernels::stream_rows;
@@ -229,11 +228,7 @@ impl Audit {
 /// # Errors
 ///
 /// Propagates [`PimError`] from either GEMV.
-pub fn gemv_gate(
-    seed: u64,
-    backend: ExecutionBackend,
-    cluster: &mut ClusterContext,
-) -> Result<(bool, usize), PimError> {
+pub fn gemv_gate(seed: u64, cluster: &mut ClusterContext) -> Result<(bool, usize), PimError> {
     let (n, k) = (192usize, 96usize);
     let val = |i: usize, salt: u64| {
         ((seed ^ salt).wrapping_mul(i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as f32
@@ -244,7 +239,6 @@ pub fn gemv_gate(
     let x: Vec<f32> = (0..k).map(|i| val(i, 0x22)).collect();
 
     let mut reference_ctx = PimContext::small_system();
-    reference_ctx.set_backend(backend);
     let (reference, _) = PimBlas::gemv(&mut reference_ctx, &w, n, k, &x)?;
     let (got, report) = cluster.gemv_row_parallel(&w, n, k, &x)?;
     let ok = got.len() == reference.len() && wrong_elements(&got, &reference) == 0;
@@ -260,8 +254,6 @@ pub fn counters<const N: usize>(
 
 /// Assembles a `pim-bench/<schema>` report document: the schema tag, the
 /// campaign's header members, and its row array under `rows_key`.
-/// Backend-independent by construction — no campaign puts the backend in
-/// its header.
 pub fn report(
     schema: &str,
     header: impl IntoIterator<Item = (&'static str, Json)>,
@@ -271,18 +263,6 @@ pub fn report(
     obj(header
         .into_iter()
         .chain([("schema", Json::Str(format!("pim-bench/{schema}"))), (rows_key, Json::Arr(rows))]))
-}
-
-/// Test support: `run` must produce the same value under the sequential
-/// backend and 2 / 4 worker threads; returns the sequential one.
-#[cfg(test)]
-pub(crate) fn assert_backend_invariant<T: PartialEq + std::fmt::Debug>(
-    run: impl Fn(ExecutionBackend) -> T,
-) -> T {
-    let seq = run(ExecutionBackend::Sequential);
-    assert_eq!(seq, run(ExecutionBackend::Threads(2)), "Threads(2) diverged");
-    assert_eq!(seq, run(ExecutionBackend::Threads(4)), "Threads(4) diverged");
-    seq
 }
 
 #[cfg(test)]

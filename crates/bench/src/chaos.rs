@@ -22,16 +22,13 @@
 //!   surviving members.
 //!
 //! The report (`pim-bench/chaos-campaign-v1`) is deterministic in the
-//! config and deliberately omits the backend, so byte-equality holds
-//! across `Sequential`/`Threads(n)` — the same contract as
-//! [`crate::cluster`].
+//! config — the same contract as [`crate::cluster`].
 
 use crate::campaign::{
     build_trace, check_stacks, counters, gemv_gate, oracles, report, Audit, TraceShape,
 };
 use crate::json::{obj, Json};
 use pim_faults::ClusterFaultPlan;
-use pim_host::ExecutionBackend;
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServeStats, ClusterServer, PimError, ServeRequest,
 };
@@ -52,8 +49,6 @@ pub struct ChaosCampaignConfig {
     pub stacks: usize,
     /// Straggle-phase service-time stretch in thousandths (8000 = 8x).
     pub stall_milli: u64,
-    /// Host execution backend (does not affect the report).
-    pub backend: ExecutionBackend,
 }
 
 impl Default for ChaosCampaignConfig {
@@ -76,7 +71,6 @@ impl Default for ChaosCampaignConfig {
             interval: 4_000,
             stacks: 4,
             stall_milli: 40_000,
-            backend: ExecutionBackend::Sequential,
         }
     }
 }
@@ -180,7 +174,6 @@ pub fn run_campaign(cfg: &ChaosCampaignConfig) -> Result<ChaosCampaignReport, Pi
     }
 
     let mut cluster = ClusterContext::new(cfg.stacks)?;
-    cluster.set_backend(cfg.backend);
     // Chains of 3, so a straggler whose next replica is the partitioned
     // stack can still hedge onto the member after it; short epochs, so a
     // hedged re-issue lands on its replica while the request's deadline
@@ -222,10 +215,9 @@ pub fn run_campaign(cfg: &ChaosCampaignConfig) -> Result<ChaosCampaignReport, Pi
     // schedule) to the middle of the partition fifth — crash and partition
     // both in force — and shard a seeded GEMV over whatever survives.
     let mut outage = ClusterContext::new(cfg.stacks)?;
-    outage.set_backend(cfg.backend);
     outage.install_chaos(plan);
     outage.advance_cluster_to(scale(span, 7, 10));
-    let (bit_identical, shards) = gemv_gate(cfg.trace.seed, cfg.backend, &mut outage)?;
+    let (bit_identical, shards) = gemv_gate(cfg.trace.seed, &mut outage)?;
     Ok(ChaosCampaignReport {
         wrong_answers: phases.iter().map(|p| p.audit.wrong_answers).sum(),
         phases,
@@ -235,7 +227,6 @@ pub fn run_campaign(cfg: &ChaosCampaignConfig) -> Result<ChaosCampaignReport, Pi
 }
 
 /// Serializes a campaign to the `pim-bench/chaos-campaign-v1` document.
-/// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &ChaosCampaignConfig, campaign: &ChaosCampaignReport) -> Json {
     let phase_json = |p: &ChaosPhase| {
         let s = &p.stats;
@@ -286,7 +277,6 @@ pub fn report_json(cfg: &ChaosCampaignConfig, campaign: &ChaosCampaignReport) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn small() -> ChaosCampaignConfig {
         ChaosCampaignConfig::default()
@@ -326,14 +316,5 @@ mod tests {
             let refused = run_campaign(&cfg);
             assert!(matches!(refused, Err(PimError::OutOfMemory { .. })), "{refused:?}");
         }
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_backends() {
-        crate::campaign::assert_backend_invariant(|backend| {
-            let cfg = ChaosCampaignConfig { backend, ..small() };
-            let report = run_campaign(&cfg).unwrap();
-            json::to_string(&report_json(&cfg, &report))
-        });
     }
 }

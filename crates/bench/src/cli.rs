@@ -7,7 +7,6 @@
 use std::io::Write;
 
 use crate::campaign::TraceShape;
-use pim_host::ExecutionBackend;
 use pim_runtime::PimError;
 
 /// Writes `args` to stdout and flushes. A reader that went away —
@@ -122,18 +121,6 @@ impl Cli {
     /// The non-empty comma-separated list of fault rates following `flag`.
     pub fn parse_rates(&mut self, flag: &str) -> Vec<f64> {
         self.next_value(flag).split(',').map(|v| self.rate(v)).collect()
-    }
-
-    /// `sequential` or `threads:N` following `flag`.
-    pub fn parse_backend(&mut self, flag: &str) -> ExecutionBackend {
-        let text = self.next_value(flag);
-        match text.strip_prefix("threads:") {
-            Some(n) => ExecutionBackend::Threads(self.pos(n, "worker count")),
-            None if text == "sequential" => ExecutionBackend::Sequential,
-            None => {
-                self.bad(format!("unknown backend '{text}' (expected sequential or threads:N)"))
-            }
-        }
     }
 
     /// Unwraps a campaign result or exits 1 with `<bin>: campaign failed`.

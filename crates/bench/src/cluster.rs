@@ -16,9 +16,7 @@
 //! failover path shards over the surviving stacks). See `docs/CLUSTER.md`
 //! for why row-parallel sharding makes that exactness possible.
 //!
-//! Every campaign is deterministic in its config, and the JSON report
-//! deliberately omits the backend so byte-equality can be asserted
-//! across `Sequential`/`Threads(n)` — the same contract as
+//! Every campaign is deterministic in its config — the same contract as
 //! [`crate::serve`].
 
 use crate::campaign::{
@@ -27,7 +25,6 @@ use crate::campaign::{
 use crate::faults::fault_mix;
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
-use pim_host::ExecutionBackend;
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServeStats, ClusterServer, PimError, ServeConfig,
 };
@@ -44,8 +41,6 @@ pub struct ClusterCampaignConfig {
     pub stack_counts: Vec<usize>,
     /// Base fault rates to sweep (injected into member stack 0).
     pub fault_rates: Vec<f64>,
-    /// Host execution backend (does not affect the report).
-    pub backend: ExecutionBackend,
 }
 
 impl Default for ClusterCampaignConfig {
@@ -63,7 +58,6 @@ impl Default for ClusterCampaignConfig {
             interval: 150,
             stack_counts: vec![1, 2, 4],
             fault_rates: vec![0.0, 1e-3],
-            backend: ExecutionBackend::Sequential,
         }
     }
 }
@@ -114,7 +108,6 @@ pub fn run_point(
     let oracles = oracles(&trace);
 
     let mut cluster = ClusterContext::new(stacks)?;
-    cluster.set_backend(cfg.backend);
     if rate > 0.0 {
         cluster.stack_mut(0).inject_faults(&fault_mix(cfg.trace.seed, rate));
     }
@@ -130,13 +123,12 @@ pub fn run_point(
     // then with stack 0 hard-failed (sharding over the survivors).
     let gate = |fail_stack0: bool| -> Result<bool, PimError> {
         let mut cluster = ClusterContext::new(stacks)?;
-        cluster.set_backend(cfg.backend);
         if fail_stack0 && stacks > 1 {
             let mut plan = FaultPlan::quiet(cfg.trace.seed);
             plan.chan_fail_rate = 1.0;
             cluster.stack_mut(0).inject_faults(&plan);
         }
-        Ok(gemv_gate(cfg.trace.seed, cfg.backend, &mut cluster)?.0)
+        Ok(gemv_gate(cfg.trace.seed, &mut cluster)?.0)
     };
     Ok(ClusterPoint {
         stacks,
@@ -166,7 +158,6 @@ pub fn run_campaign(cfg: &ClusterCampaignConfig) -> Result<Vec<ClusterPoint>, Pi
 }
 
 /// Serializes a campaign to the `pim-bench/cluster-campaign-v1` document.
-/// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &ClusterCampaignConfig, points: &[ClusterPoint]) -> Json {
     let point_json = |p: &ClusterPoint| {
         obj(counters([
@@ -200,7 +191,6 @@ pub fn report_json(cfg: &ClusterCampaignConfig, points: &[ClusterPoint]) -> Json
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn small() -> ClusterCampaignConfig {
         let d = ClusterCampaignConfig::default();
@@ -244,14 +234,5 @@ mod tests {
         assert_eq!(points.len(), 4);
         assert!(points.iter().all(|p| p.audit.wrong_answers == 0), "{points:?}");
         assert!(points.iter().all(|p| p.gemv_bit_identical && p.gemv_bit_identical_failover));
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_backends() {
-        crate::campaign::assert_backend_invariant(|backend| {
-            let cfg = ClusterCampaignConfig { backend, ..small() };
-            let points = run_campaign(&cfg).unwrap();
-            json::to_string(&report_json(&cfg, &points))
-        });
     }
 }

@@ -8,14 +8,11 @@
 //!
 //! Every campaign is deterministic in `(seed, elements, rates)`: fault
 //! decisions are pure hashes of per-channel state, so the same campaign
-//! produces a byte-identical JSON report under the sequential and
-//! threaded execution backends. The report deliberately omits the backend
-//! so that equality can be asserted on the serialized bytes.
+//! produces a byte-identical JSON report.
 
 use crate::campaign::{add_oracle, check_fits, counters, report, wrong_elements};
 use crate::json::{obj, Json};
 use pim_faults::FaultPlan;
-use pim_host::ExecutionBackend;
 use pim_runtime::{resilient_add, PimContext, PimError, ResilienceConfig, ResilienceReport};
 
 /// Campaign shape: the sweep and the workload size.
@@ -27,18 +24,11 @@ pub struct CampaignConfig {
     pub elements: usize,
     /// Base fault rates to sweep (see [`fault_mix`]).
     pub rates: Vec<f64>,
-    /// Host execution backend (does not affect the report).
-    pub backend: ExecutionBackend,
 }
 
 impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
-        CampaignConfig {
-            seed: 0xFA17,
-            elements: 4096,
-            rates: vec![0.0, 1e-4, 1e-3, 1e-2],
-            backend: ExecutionBackend::Sequential,
-        }
+        CampaignConfig { seed: 0xFA17, elements: 4096, rates: vec![0.0, 1e-4, 1e-3, 1e-2] }
     }
 }
 
@@ -100,7 +90,6 @@ pub fn run_point(cfg: &CampaignConfig, rate: f64) -> Result<CampaignPoint, PimEr
     // their golden blocks and the oracle are ~20 bytes an element: refuse
     // what the arena cannot hold before allocating for it.
     check_fits(&ctx, cfg.elements)?;
-    ctx.set_backend(cfg.backend);
     if rate > 0.0 {
         ctx.inject_faults(&fault_mix(cfg.seed, rate));
     }
@@ -119,7 +108,6 @@ pub fn run_campaign(cfg: &CampaignConfig) -> Result<Vec<CampaignPoint>, PimError
 }
 
 /// Serializes a campaign to the `pim-bench/fault-campaign-v1` document.
-/// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &CampaignConfig, points: &[CampaignPoint]) -> Json {
     let point_json = |p: &CampaignPoint| {
         let r = &p.report;

@@ -10,14 +10,11 @@
 //! Every campaign is deterministic in its config: arrivals, operands, and
 //! fault decisions are pure hashes of the seed, and every scheduler
 //! decision is a function of the simulated clock. The same campaign
-//! produces a byte-identical JSON report under the sequential and threaded
-//! execution backends; the report deliberately omits the backend so that
-//! equality can be asserted on the serialized bytes.
+//! produces a byte-identical JSON report.
 
 use crate::campaign::{build_trace, counters, oracles, report, Audit, TraceShape};
 use crate::faults::fault_mix;
 use crate::json::{obj, Json};
-use pim_host::ExecutionBackend;
 use pim_runtime::{PimContext, PimError, ServeConfig, ServeReport, ServeStats, Server};
 
 /// Campaign shape: the sweep grid and the trace parameters.
@@ -29,8 +26,6 @@ pub struct ServeCampaignConfig {
     pub intervals: Vec<u64>,
     /// Base fault rates to sweep (see [`crate::faults::fault_mix`]).
     pub fault_rates: Vec<f64>,
-    /// Host execution backend (does not affect the report).
-    pub backend: ExecutionBackend,
 }
 
 impl Default for ServeCampaignConfig {
@@ -47,7 +42,6 @@ impl Default for ServeCampaignConfig {
             // 2 000 is near saturation; 40 000 is comfortably idle.
             intervals: vec![150, 2_000, 40_000],
             fault_rates: vec![0.0, 1e-3],
-            backend: ExecutionBackend::Sequential,
         }
     }
 }
@@ -94,7 +88,6 @@ pub fn serve_point(
 ) -> Result<(ServeReport, Vec<Vec<f32>>, PimContext), PimError> {
     cfg.trace.check()?;
     let mut ctx = PimContext::small_system();
-    ctx.set_backend(cfg.backend);
     if rate > 0.0 {
         ctx.inject_faults(&fault_mix(cfg.trace.seed, rate));
     }
@@ -178,7 +171,6 @@ pub fn run_campaign_recorded(
 }
 
 /// Serializes a campaign to the `pim-bench/serve-campaign-v1` document.
-/// Backend-independent by construction (see module docs).
 pub fn report_json(cfg: &ServeCampaignConfig, points: &[ServePoint]) -> Json {
     let point_json = |p: &ServePoint| {
         obj(counters([
@@ -208,7 +200,6 @@ pub fn report_json(cfg: &ServeCampaignConfig, points: &[ServePoint]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json;
 
     fn small() -> ServeCampaignConfig {
         let d = ServeCampaignConfig::default();
@@ -216,7 +207,6 @@ mod tests {
             trace: TraceShape { elements: 512, requests: 8, ..d.trace },
             intervals: vec![5_000],
             fault_rates: vec![0.0],
-            ..d
         }
     }
 
@@ -327,14 +317,5 @@ mod tests {
         let points = run_campaign(&cfg).unwrap();
         assert_eq!(points.len(), 4);
         assert!(points.iter().all(|p| p.audit.wrong_answers == 0), "{points:?}");
-    }
-
-    #[test]
-    fn report_is_byte_identical_across_backends() {
-        crate::campaign::assert_backend_invariant(|backend| {
-            let cfg = ServeCampaignConfig { backend, fault_rates: vec![0.0, 1e-3], ..small() };
-            let points = run_campaign(&cfg).unwrap();
-            json::to_string(&report_json(&cfg, &points))
-        });
     }
 }

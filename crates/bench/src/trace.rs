@@ -18,15 +18,13 @@
 //! * **`metrics.om`** — the metrics registry in OpenMetrics text format,
 //!   validated by the in-repo parser before it is returned.
 //!
-//! Every artifact is deterministic in the config and byte-identical across
-//! execution backends ([`assert_backend_identity`] proves it at runtime);
-//! the recorder has zero observer effect on simulated cycle counts, so the
+//! Every artifact is deterministic in the config ([`assert_deterministic`]
+//! proves it at runtime); the recorder has zero observer effect on simulated cycle counts, so the
 //! traced run reports the same [`crate::serve::ServePoint`]-level counters as the
 //! untraced campaign.
 
 use crate::report::format_table;
 use crate::serve::{serve_point, ServeCampaignConfig};
-use pim_host::ExecutionBackend;
 use pim_obs::{chrome::chrome_trace_json, openmetrics, Attribution, Recorder};
 use pim_runtime::{PimError, ServeReport};
 
@@ -146,37 +144,33 @@ pub fn render_attrib(a: &Attribution) -> String {
     out
 }
 
-/// Asserts that every artifact of `(cfg, interval, rate)` is byte-identical
-/// when re-run under each backend in `backends`, returning the reference
-/// artifacts on success.
+/// Runs `(cfg, interval, rate)` twice and asserts that every artifact is
+/// byte-identical across the two runs, returning the first run's artifacts.
 ///
 /// # Errors
 ///
-/// Reports the first artifact that differs (name plus backend), or any
-/// underlying [`PimError`].
-pub fn assert_backend_identity(
+/// Reports the first artifact that differs, or any underlying
+/// [`PimError`].
+pub fn assert_deterministic(
     cfg: &ServeCampaignConfig,
     interval: u64,
     rate: f64,
-    backends: &[ExecutionBackend],
 ) -> Result<TraceArtifacts, PimError> {
     let reference = run_traced(cfg, interval, rate)?;
-    for &backend in backends {
-        let alt = run_traced(&ServeCampaignConfig { backend, ..cfg.clone() }, interval, rate)?;
-        let pairs = [
-            ("trace.json", &reference.chrome, &alt.chrome),
-            ("attrib.txt", &reference.attrib_table, &alt.attrib_table),
-            ("attrib.folded", &reference.folded, &alt.folded),
-            ("metrics.om", &reference.openmetrics, &alt.openmetrics),
-        ];
-        for (name, want, got) in pairs {
-            if want != got {
-                return Err(internal(format!(
-                    "{name} differs under {backend:?} ({} vs {} bytes)",
-                    want.len(),
-                    got.len()
-                )));
-            }
+    let again = run_traced(cfg, interval, rate)?;
+    let pairs = [
+        ("trace.json", &reference.chrome, &again.chrome),
+        ("attrib.txt", &reference.attrib_table, &again.attrib_table),
+        ("attrib.folded", &reference.folded, &again.folded),
+        ("metrics.om", &reference.openmetrics, &again.openmetrics),
+    ];
+    for (name, want, got) in pairs {
+        if want != got {
+            return Err(internal(format!(
+                "{name} differs between two runs ({} vs {} bytes)",
+                want.len(),
+                got.len()
+            )));
         }
     }
     Ok(reference)
@@ -193,7 +187,6 @@ mod tests {
             trace: TraceShape { elements: 512, requests: 6, ..d.trace },
             intervals: vec![5_000],
             fault_rates: vec![0.0],
-            ..d
         }
     }
 
@@ -210,14 +203,8 @@ mod tests {
     }
 
     #[test]
-    fn artifacts_are_byte_identical_across_backends() {
-        let art = assert_backend_identity(
-            &small(),
-            5_000,
-            0.0,
-            &[ExecutionBackend::Threads(2), ExecutionBackend::Threads(4)],
-        )
-        .expect("identity");
+    fn artifacts_are_byte_identical_across_runs() {
+        let art = assert_deterministic(&small(), 5_000, 0.0).expect("identity");
         assert!(art.events > 0);
     }
 

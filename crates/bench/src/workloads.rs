@@ -99,7 +99,7 @@ impl XorShift64 {
 /// Fully deterministic in `(channels, batches_per_channel, seed)`: the
 /// generator never consults the clock or the thread, so the same arguments
 /// describe the same kernel on every machine — the property the exact
-/// cycle/command pin in `tests/parallel_determinism.rs` rests on.
+/// cycle/command pin in `tests/fastpath.rs` rests on.
 pub fn synthetic_batches(
     channels: usize,
     batches_per_channel: usize,

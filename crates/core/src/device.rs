@@ -327,17 +327,6 @@ impl PimChannel {
         self.channel_id = channel_id;
     }
 
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.recorder.as_ref()
-    }
-
-    /// The system-level channel index stamped into event scopes (0 unless
-    /// set by [`PimChannel::set_recorder`]).
-    pub fn channel_id(&self) -> u16 {
-        self.channel_id
-    }
-
     /// Current operating mode.
     pub fn mode(&self) -> PimMode {
         self.walker.mode()
@@ -1339,7 +1328,8 @@ mod tests {
     #[test]
     fn recorder_observes_transitions_crf_and_triggers() {
         let mut ch = fresh();
-        ch.set_recorder(Recorder::vec(), 0);
+        let r = Recorder::vec();
+        ch.set_recorder(r.clone(), 0);
         let b = BankAddr::new(0, 0);
         let now = run(&mut ch, &enter_ab_sequence(), 0);
         // Program a one-instruction kernel so triggers execute.
@@ -1375,7 +1365,6 @@ mod tests {
         let now = run(&mut ch, &set_pim_op_mode_sequence(false), now);
         let _ = run(&mut ch, &exit_ab_sequence(), now);
 
-        let r = ch.recorder().unwrap();
         let m = r.metrics().registry;
         assert_eq!(m.counter(pim_obs::names::DEV_MODE_TRANSITIONS), ch.stats().mode_transitions);
         assert_eq!(m.counter(pim_obs::names::DEV_CRF_LOADS), 8 * 8, "8 words x 8 units");

@@ -521,8 +521,7 @@ proptest! {
 use pim_core::UnitMask;
 use pim_faults::FaultPlan;
 use pim_host::{
-    Batch, ChannelPredictor, ExecutionBackend, ExecutionMode, FastpathStats, HostConfig,
-    KernelEngine, PimSystem,
+    Batch, ChannelPredictor, ExecutionMode, FastpathStats, HostConfig, KernelEngine, PimSystem,
 };
 
 /// All-live, all-dead, one unit, and arbitrary subsets.
@@ -655,16 +654,15 @@ fn a_tape_that_outlasts_its_stream_is_refused() {
 }
 
 /// A `16 × stacks`-channel system, fast path as given.
-fn system_of(stacks: usize, backend: ExecutionBackend, fastpath: bool) -> PimSystem {
+fn system_of(stacks: usize, fastpath: bool) -> PimSystem {
     let mut sys = PimSystem::new(HostConfig { stacks, ..HostConfig::paper() }, PimConfig::paper());
-    sys.set_backend(backend);
     sys.set_fastpath_enabled(fastpath);
     sys
 }
 
 /// A 16-channel system, fast path as given.
-fn system(backend: ExecutionBackend, fastpath: bool) -> PimSystem {
-    system_of(1, backend, fastpath)
+fn system(fastpath: bool) -> PimSystem {
+    system_of(1, fastpath)
 }
 
 /// What the engine and the cache account a launch by, per channel: the
@@ -687,13 +685,12 @@ fn measured(
 /// `16 × stacks`-channel system `launches` times under `mode` and `limit`,
 /// every launch declaring `masks`, after `skew` has had its way with the
 /// fresh system. The reference never hears of masks and never uses the
-/// cache: every channel and every unit simulated. A fast-path system under
-/// each backend must equal it after every launch in the `KernelResult` and
-/// the cancelled flags, in every channel's [`measured`] state, and in every
-/// live unit's registers and banks. Returns what was counted — the
-/// system's `FastpathStats` (anything `skew` launched included) and the
-/// channels simulated and replayed by each launch — which must not depend
-/// on the backend either.
+/// cache: every channel and every unit simulated. A fast-path system must
+/// equal it after every launch in the `KernelResult` and the cancelled
+/// flags, in every channel's [`measured`] state, and in every live unit's
+/// registers and banks. Returns what was counted — the system's
+/// `FastpathStats` (anything `skew` launched included) and the channels
+/// simulated and replayed by each launch.
 fn launches_equal_the_reference(
     stacks: usize,
     skew: &dyn Fn(&mut PimSystem),
@@ -704,7 +701,7 @@ fn launches_equal_the_reference(
 ) -> Result<(FastpathStats, Vec<(u64, u64)>), TestCaseError> {
     let n = 16 * stacks;
     let mask = |i: usize| masks.get(i).copied().unwrap_or(UnitMask::ALL);
-    let mut reference = system_of(stacks, ExecutionBackend::Sequential, false);
+    let mut reference = system_of(stacks, false);
     skew(&mut reference);
     let mut want = Vec::new();
     for _ in 0..launches {
@@ -713,41 +710,24 @@ fn launches_equal_the_reference(
             (0..n).map(|i| live_state(reference.channel(i).sink(), mask(i))).collect();
         want.push((r, measured(&reference, n), live));
     }
-    let mut counted = None;
-    for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
-        let mut sys = system_of(stacks, backend, true);
-        skew(&mut sys);
-        let mut per_launch = Vec::new();
-        for (launch, (r, m, live)) in want.iter().enumerate() {
-            let channels = sys.fastpath_channels();
-            sys.set_live_units(masks);
-            let got = KernelEngine::run_system_bounded(&mut sys, lists, mode, limit);
-            prop_assert_eq!(&got, r, "{:?} launch {}", backend, launch);
-            prop_assert_eq!(&measured(&sys, n), m, "{:?} launch {}", backend, launch);
-            for (i, want) in live.iter().enumerate() {
-                let ch = sys.channel(i).sink();
-                prop_assert_eq!(ch.live_units(), UnitMask::ALL, "mask outlived its launch");
-                prop_assert_eq!(
-                    &live_state(ch, mask(i)),
-                    want,
-                    "{:?} launch {} channel {}",
-                    backend,
-                    launch,
-                    i
-                );
-            }
-            let after = sys.fastpath_channels();
-            per_launch
-                .push((after.simulated - channels.simulated, after.replayed - channels.replayed));
+    let mut sys = system_of(stacks, true);
+    skew(&mut sys);
+    let mut per_launch = Vec::new();
+    for (launch, (r, m, live)) in want.iter().enumerate() {
+        let channels = sys.fastpath_channels();
+        sys.set_live_units(masks);
+        let got = KernelEngine::run_system_bounded(&mut sys, lists, mode, limit);
+        prop_assert_eq!(&got, r, "launch {}", launch);
+        prop_assert_eq!(&measured(&sys, n), m, "launch {}", launch);
+        for (i, want) in live.iter().enumerate() {
+            let ch = sys.channel(i).sink();
+            prop_assert_eq!(ch.live_units(), UnitMask::ALL, "mask outlived its launch");
+            prop_assert_eq!(&live_state(ch, mask(i)), want, "launch {} channel {}", launch, i);
         }
-        let counts = (sys.fastpath_stats(), per_launch);
-        if let Some(first) = &counted {
-            prop_assert_eq!(&counts, first, "{:?} counted differently", backend);
-        } else {
-            counted = Some(counts);
-        }
+        let after = sys.fastpath_channels();
+        per_launch.push((after.simulated - channels.simulated, after.replayed - channels.replayed));
     }
-    Ok(counted.expect("two backends ran"))
+    Ok((sys.fastpath_stats(), per_launch))
 }
 
 const IN_ORDER: (ExecutionMode, Option<u64>) = (ExecutionMode::Ordered, None);
@@ -757,12 +737,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Through the engine: four launches of per-channel generated streams,
-    /// each declaring generated masks, under both backends — cold, then
-    /// recorded, then replayed while the tape is compiled, then replayed
-    /// from the tape — equal a system that never heard of masks and never
-    /// used the cache.
+    /// each declaring generated masks — cold, then recorded, then replayed
+    /// while the tape is compiled, then replayed from the tape — equal a
+    /// system that never heard of masks and never used the cache.
     #[test]
-    fn masked_launches_equal_unmasked_simulation_on_both_backends(
+    fn masked_launches_equal_unmasked_simulation(
         streams in proptest::collection::vec(frags(), 1..4),
         masks in proptest::collection::vec(mask(), 3),
     ) {
@@ -931,7 +910,7 @@ fn an_unrecordable_launch_simulates_every_channel() {
     let lists = vec![&kernel[..]; 16];
     let masks = mixed_masks(16);
     let full = {
-        let mut sys = system(ExecutionBackend::Sequential, false);
+        let mut sys = system(false);
         KernelEngine::run_system(&mut sys, &lists, FENCED).end_cycle
     };
     // Every data batch, the later ones, none (cancellation is part of the
@@ -979,8 +958,8 @@ fn an_all_dead_channel_is_measured_exactly_and_its_units_are_left_alone() {
     let kernel = lock_step_kernel(2, 1, 7, 1);
     let lists = vec![&kernel[..]; 3];
     let masks = [UnitMask::ALL, UnitMask::NONE, [2].into_iter().collect()];
-    let mut reference = system(ExecutionBackend::Sequential, false);
-    let mut sys = system(ExecutionBackend::Sequential, true);
+    let mut reference = system(false);
+    let mut sys = system(true);
     // Cold (channel 1 a dead follower), recording, and a hit.
     for launch in 0..3 {
         let want = KernelEngine::run_system(&mut reference, &lists, FENCED);
@@ -1030,7 +1009,7 @@ fn a_fault_plan_makes_the_engine_ignore_the_masks() {
         ..FaultPlan::quiet(0xFA17)
     };
     let run = |masks: Option<&[UnitMask]>| {
-        let mut sys = system(ExecutionBackend::Sequential, true);
+        let mut sys = system(true);
         sys.install_faults(&plan);
         if let Some(masks) = masks {
             sys.set_live_units(masks);
@@ -1054,7 +1033,7 @@ fn a_fault_plan_makes_the_engine_ignore_the_masks() {
     assert_ne!(
         unmasked.2,
         {
-            let mut clean = system(ExecutionBackend::Sequential, false);
+            let mut clean = system(false);
             KernelEngine::run_system(&mut clean, &lists, ExecutionMode::Ordered);
             (0..2).map(|i| data_state(clean.channel(i).sink())).collect::<Vec<_>>()
         },

@@ -60,10 +60,9 @@ pub struct IssueOutcome {
 /// the unmodified [`crate::MemoryController`] drives both — which is exactly
 /// the drop-in-replacement property the paper demonstrates.
 ///
-/// `Send` is a supertrait: each pseudo channel owns its sink exclusively and
-/// the host's parallel execution backend moves whole controllers (sink
-/// included) onto worker threads. Sinks hold only per-channel state, so
-/// migration is safe by construction.
+/// `Send` is a supertrait: each pseudo channel owns its sink exclusively, so
+/// a whole controller (sink included) may move to another thread. Sinks
+/// hold only per-channel state, so migration is safe by construction.
 pub trait CommandSink: Send {
     /// The earliest cycle at or after `now` at which `cmd` could legally
     /// issue, ignoring state errors (those surface from `issue`).

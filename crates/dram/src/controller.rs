@@ -743,9 +743,9 @@ mod tests {
 
     #[test]
     fn controller_is_send() {
-        // The parallel execution backend moves whole controllers onto
-        // scoped worker threads; this fails to compile if any field (sink,
-        // recorder, queue) regresses to a thread-bound type.
+        // A controller may move to another thread; this fails to compile
+        // if any field (sink, recorder, queue) regresses to a thread-bound
+        // type.
         fn assert_send<T: Send>() {}
         assert_send::<MemoryController<PseudoChannel>>();
     }

@@ -20,8 +20,7 @@
 //! Every query ([`ClusterFaultPlan::stack_crashed`] and friends) is a
 //! pure function of `(plan, site, cycle)` — there is no RNG stream and
 //! no dependence on simulation order, so a chaos campaign is
-//! byte-identical across execution backends and worker counts, like
-//! everything else in the stack.
+//! byte-identical from run to run, like everything else in the stack.
 
 /// Nominal stall factor: service time is unchanged.
 pub const NOMINAL_MILLI: u64 = 1000;

@@ -14,10 +14,8 @@
 //!
 //! Every fault decision is a pure hash of `(seed, site identity)` or
 //! `(seed, channel, per-channel event counter)` — never of global
-//! simulation order. Channels are simulated independently and each
-//! channel's command stream is identical under the sequential and threaded
-//! execution backends, so an identical plan produces identical faults on
-//! every backend and every run.
+//! simulation order. Channels are simulated independently, so an identical
+//! plan produces identical faults on every run.
 //!
 //! # Fault classes
 //!
@@ -295,7 +293,7 @@ pub enum ColumnFault {
 
 /// Per-channel device-fault state, installed into `pim-core`'s channel
 /// model. Decisions hash `(seed, channel, command counter)`, so they are
-/// identical under every execution backend.
+/// identical on every run.
 #[derive(Debug, Clone)]
 pub struct DeviceFaults {
     seed: u64,

@@ -5,8 +5,7 @@
 //! many such stacks, each of [`PCH_PER_STACK`] pseudo channels, joined by
 //! the modelled inter-stack link the collectives pay to merge partials.
 //! [`collective_cycles`] prices that link entirely in sim-cycles, so
-//! cluster runs stay deterministic and backend-invariant like everything
-//! else in the stack.
+//! cluster runs stay deterministic like everything else in the stack.
 //!
 //! The link model is deliberately simple: a collective over `S` stacks
 //! pays a fixed per-hop latency for each of the `S - 1` transfers of a

@@ -26,12 +26,12 @@
 //!   like any other.
 //!
 //! A system-wide launch ([`KernelEngine::run_system_bounded`]) is one
-//! bracket around two things: the cold per-channel runner (sequential or
-//! threaded, which knows nothing but "run this list on this channel") and
-//! the launch-memoization fast path ([`crate::fastpath`]), which decides
-//! which channels the runner is handed — all of them, none of them on a
-//! hit, or on a miss one per class of channels that enter the launch with
-//! equal command structure, timing state and clock.
+//! bracket around two things: the cold per-channel runner (which knows
+//! nothing but "run this list on this channel") and the launch-memoization
+//! fast path ([`crate::fastpath`]), which decides which channels the runner
+//! is handed — all of them, none of them on a hit, or on a miss one per
+//! class of channels that enter the launch with equal command structure,
+//! timing state and clock.
 
 use crate::config::HostConfig;
 use crate::fastpath::{LaunchCache, PreparedLaunch};
@@ -237,12 +237,8 @@ impl KernelResult {
     /// slowest channel's), `commands` and `fences` are sums.
     ///
     /// Every channel-level fan-in goes through this one helper — the
-    /// sequential loop, the threaded backend's merge, and any caller
-    /// aggregating [`KernelEngine::run_on_channel`] results — so the
-    /// reduction is the exact same code no matter where each channel ran.
-    /// All three fields are commutative-monoid reductions, but callers
-    /// still feed channel-index order so event-stream merging (which is
-    /// order-sensitive) can share the iteration.
+    /// engine's launch close and any caller aggregating
+    /// [`KernelEngine::run_on_channel`] results.
     pub fn merged(results: impl IntoIterator<Item = KernelResult>) -> KernelResult {
         results.into_iter().fold(KernelResult::ZERO, |acc, r| KernelResult {
             end_cycle: acc.end_cycle.max(r.end_cycle),
@@ -282,9 +278,7 @@ impl KernelEngine {
     /// in a clean single-bank state. A `limit` of `None` is bit-identical
     /// to the unbounded run.
     ///
-    /// The check is against the channel's own deterministic clock, so a
-    /// bounded run cancels at exactly the same batch under every execution
-    /// backend.
+    /// The check is against the channel's own deterministic clock.
     ///
     /// # Panics
     ///
@@ -351,11 +345,8 @@ impl KernelEngine {
     /// walks once and simulates once per channel class (see
     /// [`crate::fastpath`]).
     ///
-    /// Which host threads step the channels is decided by the system's
-    /// [`crate::ExecutionBackend`] ([`PimSystem::set_backend`]): the
-    /// sequential reference loop, or the scoped worker pool. Both produce
-    /// identical results, stats, and (merged) event streams — see
-    /// [`crate::parallel`] for why that holds.
+    /// One host thread steps the channels in index order, each to its own
+    /// end clock, and the launch closes with the global barrier.
     ///
     /// Channels beyond `per_channel.len()` run nothing but still advance to
     /// the closing barrier, exactly as in hardware.
@@ -363,8 +354,7 @@ impl KernelEngine {
     /// # Panics
     ///
     /// Panics if `per_channel.len()` exceeds the channel count, or if a
-    /// command is illegal for a device's state (a kernel bug; under the
-    /// threaded backend the worker's panic is re-raised on the caller).
+    /// command is illegal for a device's state (a kernel bug).
     pub fn run_system<L: AsRef<[Batch]>>(
         sys: &mut PimSystem,
         per_channel: &[L],
@@ -380,8 +370,7 @@ impl KernelEngine {
     /// [`KernelEngine::run_system`].
     ///
     /// Cancellation is decided against each channel's own deterministic
-    /// clock, so the flag vector — like the merged result — is identical
-    /// under the sequential and threaded backends.
+    /// clock.
     ///
     /// # Panics
     ///
@@ -474,37 +463,23 @@ impl KernelEngine {
         (Self::close(sys, ran), 0)
     }
 
-    /// The full cycle-level simulation of every list on its channel, under
-    /// the system's backend: per-channel results in channel-index order,
-    /// each channel left at its own end clock.
+    /// The full cycle-level simulation of every list on its channel:
+    /// per-channel results in channel-index order, each channel left at
+    /// its own end clock.
     fn run_channels(
         sys: &mut PimSystem,
         lists: &[&[Batch]],
         mode: ExecutionMode,
         limit: Option<Cycle>,
     ) -> Vec<BoundedResult> {
-        match sys.backend() {
-            crate::ExecutionBackend::Sequential => {
-                let host = sys.host.clone();
-                lists
-                    .iter()
-                    .enumerate()
-                    .map(|(i, batches)| {
-                        Self::run_on_channel_bounded(
-                            &host,
-                            sys.channel_mut(i),
-                            batches,
-                            mode,
-                            limit,
-                        )
-                    })
-                    .collect()
-            }
-            threads @ crate::ExecutionBackend::Threads(_) => {
-                let workers = threads.workers_for(lists.len());
-                crate::parallel::run_system_threads(sys, lists, mode, workers, limit)
-            }
-        }
+        let host = sys.host.clone();
+        lists
+            .iter()
+            .enumerate()
+            .map(|(i, batches)| {
+                Self::run_on_channel_bounded(&host, sys.channel_mut(i), batches, mode, limit)
+            })
+            .collect()
     }
 
     /// Closes a simulated launch: the global barrier, and the per-channel
@@ -671,58 +646,29 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_matches_sequential() {
-        let per_channel: Vec<Vec<Batch>> = (0..64).map(|_| simple_batches()).collect();
-        let mut seq_sys = system();
-        let seq = KernelEngine::run_system(&mut seq_sys, &per_channel, ExecutionMode::Ordered);
-        for workers in [1, 2, 4, 8] {
-            let mut par_sys = system();
-            par_sys.set_backend(crate::ExecutionBackend::Threads(workers));
-            let par = KernelEngine::run_system(&mut par_sys, &per_channel, ExecutionMode::Ordered);
-            assert_eq!(par, seq, "{workers} workers");
-            for ch in 0..64 {
-                assert_eq!(
-                    par_sys.channel(ch).now(),
-                    seq_sys.channel(ch).now(),
-                    "clock of ch {ch} under {workers} workers"
-                );
-            }
-        }
+    fn empty_batch_lists_idle_their_channels_to_the_barrier() {
+        let mut sys = system();
+        // Channels 0 and 2 idle, channel 1 works.
+        let per_channel = vec![vec![], simple_batches(), vec![]];
+        let r = KernelEngine::run_system(
+            &mut sys,
+            &per_channel,
+            ExecutionMode::Fenced { reorder_seed: None },
+        );
+        assert_eq!(r.commands, 10);
+        assert!(r.end_cycle > 0);
+        // The barrier still aligns every channel, idle ones included.
+        assert_eq!(sys.channel(0).now(), r.end_cycle);
+        assert_eq!(sys.channel(63).now(), r.end_cycle);
     }
 
     #[test]
-    fn empty_batch_lists_run_under_both_backends() {
-        for backend in [crate::ExecutionBackend::Sequential, crate::ExecutionBackend::Threads(4)] {
-            let mut sys = system();
-            sys.set_backend(backend);
-            // Channels 0 and 2 idle, channel 1 works.
-            let per_channel = vec![vec![], simple_batches(), vec![]];
-            let r = KernelEngine::run_system(
-                &mut sys,
-                &per_channel,
-                ExecutionMode::Fenced { reorder_seed: None },
-            );
-            assert_eq!(r.commands, 10, "{backend:?}");
-            assert!(r.end_cycle > 0);
-            // The barrier still aligns every channel, idle ones included.
-            assert_eq!(sys.channel(0).now(), r.end_cycle);
-            assert_eq!(sys.channel(63).now(), r.end_cycle);
-        }
-    }
-
-    #[test]
-    fn no_batch_lists_at_all_is_a_no_op_under_both_backends() {
-        for backend in [crate::ExecutionBackend::Sequential, crate::ExecutionBackend::Threads(2)] {
-            let mut sys = system();
-            sys.set_backend(backend);
-            let none: &[Vec<Batch>] = &[];
-            let r = KernelEngine::run_system(
-                &mut sys,
-                none,
-                ExecutionMode::Fenced { reorder_seed: None },
-            );
-            assert_eq!(r, KernelResult::ZERO, "{backend:?}");
-        }
+    fn no_batch_lists_at_all_is_a_no_op() {
+        let mut sys = system();
+        let none: &[Vec<Batch>] = &[];
+        let r =
+            KernelEngine::run_system(&mut sys, none, ExecutionMode::Fenced { reorder_seed: None });
+        assert_eq!(r, KernelResult::ZERO);
     }
 
     #[test]
@@ -731,54 +677,6 @@ mod tests {
         let mut sys = system();
         let per_channel: Vec<Vec<Batch>> = (0..65).map(|_| simple_batches()).collect();
         KernelEngine::run_system(&mut sys, &per_channel, ExecutionMode::Ordered);
-    }
-
-    #[test]
-    #[should_panic(expected = "more batch lists than channels")]
-    fn too_many_batch_lists_panic_threaded() {
-        let mut sys = system();
-        sys.set_backend(crate::ExecutionBackend::Threads(4));
-        let per_channel: Vec<Vec<Batch>> = (0..65).map(|_| simple_batches()).collect();
-        KernelEngine::run_system(&mut sys, &per_channel, ExecutionMode::Ordered);
-    }
-
-    #[test]
-    #[should_panic(expected = "illegal")]
-    fn worker_panic_propagates_from_threaded_backend() {
-        let mut sys = system();
-        sys.set_backend(crate::ExecutionBackend::Threads(4));
-        // A column command with no row open is illegal device state — the
-        // worker thread panics and run_system must re-raise it.
-        let bad = vec![Batch::setup(vec![Command::Rd { bank: BankAddr::new(0, 0), col: 0 }])];
-        KernelEngine::run_system(&mut sys, &[bad], ExecutionMode::Ordered);
-    }
-
-    #[test]
-    fn threaded_backend_merges_recorder_streams_identically() {
-        let per_channel: Vec<Vec<Batch>> = (0..8).map(|_| simple_batches()).collect();
-        let run = |backend: crate::ExecutionBackend| {
-            let mut sys = system();
-            sys.set_backend(backend);
-            let rec = Recorder::vec();
-            for ch in 0..8 {
-                sys.channel_mut(ch).set_recorder(rec.clone(), ch as u16);
-            }
-            let r = KernelEngine::run_system(
-                &mut sys,
-                &per_channel,
-                ExecutionMode::Fenced { reorder_seed: None },
-            );
-            (r, rec.events().unwrap(), rec.metrics().registry)
-        };
-        let (seq_r, seq_events, seq_metrics) = run(crate::ExecutionBackend::Sequential);
-        for workers in [2, 4, 8] {
-            let (par_r, par_events, par_metrics) = run(crate::ExecutionBackend::Threads(workers));
-            assert_eq!(par_r, seq_r);
-            assert_eq!(par_events, seq_events, "event streams under {workers} workers");
-            assert_eq!(par_metrics, seq_metrics);
-            // And the recorder is reattached: a later sequential-style use
-            // still records.
-        }
     }
 
     #[test]
@@ -866,28 +764,16 @@ mod tests {
     }
 
     #[test]
-    fn bounded_system_run_matches_across_backends() {
+    fn bounded_system_run_cancels_every_channel_over_budget() {
         let per_channel: Vec<Vec<Batch>> = (0..16).map(|_| simple_batches()).collect();
-        let mut seq = system();
-        let (seq_r, seq_c) = KernelEngine::run_system_bounded(
-            &mut seq,
+        let mut sys = system();
+        let (_, cancelled) = KernelEngine::run_system_bounded(
+            &mut sys,
             &per_channel,
             ExecutionMode::Fenced { reorder_seed: None },
             Some(0),
         );
-        assert!(seq_c.iter().all(|&c| c), "every channel over budget cancels");
-        for workers in [2, 4] {
-            let mut par = system();
-            par.set_backend(crate::ExecutionBackend::Threads(workers));
-            let (par_r, par_c) = KernelEngine::run_system_bounded(
-                &mut par,
-                &per_channel,
-                ExecutionMode::Fenced { reorder_seed: None },
-                Some(0),
-            );
-            assert_eq!(par_r, seq_r, "{workers} workers");
-            assert_eq!(par_c, seq_c, "{workers} workers");
-        }
+        assert_eq!(cancelled, vec![true; 16], "every channel over budget cancels");
     }
 
     #[test]

@@ -49,8 +49,8 @@
 //! stats, same bank bytes and register files on live units, and the
 //! same follow-on behaviour (the restored timing state is the cold run's,
 //! so the *next* launch issues at identical cycles). `tests/fastpath.rs`
-//! re-proves this against full simulation under both backends, cold and
-//! warm (`docs/FASTPATH.md`, "Benchmarks and exactness gates").
+//! re-proves this against full simulation, cold and warm
+//! (`docs/FASTPATH.md`, "Benchmarks and exactness gates").
 //!
 //! # What makes a launch cacheable
 //!

@@ -33,9 +33,10 @@ pub mod cluster;
 mod config;
 mod engine;
 pub mod fastpath;
+#[doc(hidden)]
+pub mod frozen;
 mod kernel;
 pub mod llc;
-pub mod parallel;
 pub mod predictor;
 mod system;
 
@@ -43,7 +44,8 @@ pub use cluster::{collective_cycles, LINK_BYTES_PER_CYCLE, LINK_LATENCY_CYCLES, 
 pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
 pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
 pub use fastpath::{FastpathChannels, FastpathStats};
+#[doc(hidden)]
+pub use frozen::ExecutionBackend;
 pub use kernel::{Kernel, Loop};
-pub use parallel::ExecutionBackend;
 pub use predictor::{predict_launch, ChannelPredictor, Folded, LaunchPrediction};
 pub use system::PimSystem;

@@ -2,7 +2,6 @@
 
 use crate::config::HostConfig;
 use crate::fastpath::{FastpathChannels, FastpathStats, LaunchCache};
-use crate::parallel::ExecutionBackend;
 use pim_core::{PimChannel, PimConfig, UnitMask};
 use pim_dram::{
     AddressMapping, ControllerConfig, Cycle, MemoryController, SchedulingPolicy, TimingParams,
@@ -23,9 +22,6 @@ pub struct PimSystem {
     pim_config: PimConfig,
     timing: TimingParams,
     channels: Vec<MemoryController<PimChannel>>,
-    /// How `KernelEngine::run_system` distributes channels over host
-    /// threads. Defaults to [`ExecutionBackend::Sequential`].
-    backend: ExecutionBackend,
     /// The launch-memoization cache (see [`crate::fastpath`]).
     fastpath: LaunchCache,
     /// Whether launches may consult the cache. On by default; forced off
@@ -76,24 +72,11 @@ impl PimSystem {
             pim_config: pim,
             timing,
             channels,
-            backend: ExecutionBackend::Sequential,
             fastpath: LaunchCache::new(),
             fastpath_enabled: true,
             faults_installed: false,
             live_units: Vec::new(),
         }
-    }
-
-    /// The execution backend kernels run under.
-    pub fn backend(&self) -> ExecutionBackend {
-        self.backend
-    }
-
-    /// Selects the execution backend. Purely a host-side scheduling choice:
-    /// results, stats, and merged event streams are identical under every
-    /// backend (the determinism contract of [`crate::parallel`]).
-    pub fn set_backend(&mut self, backend: ExecutionBackend) {
-        self.backend = backend;
     }
 
     /// The PIM device configuration.
@@ -128,12 +111,6 @@ impl PimSystem {
     /// Mutable controller access.
     pub fn channel_mut(&mut self, i: usize) -> &mut MemoryController<PimChannel> {
         &mut self.channels[i]
-    }
-
-    /// All controllers as one mutable slice — what the parallel backend
-    /// partitions into disjoint per-worker chunks.
-    pub fn channels_mut(&mut self) -> &mut [MemoryController<PimChannel>] {
-        &mut self.channels
     }
 
     /// The latest local clock across channels.
@@ -221,8 +198,8 @@ impl PimSystem {
     /// caller will read: `live[i]` is channel `i`'s mask, channels past the
     /// slice stay all-live, and a launch nobody declared anything for is
     /// all-live on every channel. The engine puts the masks on the channels
-    /// for exactly that launch — cold or replayed, under every backend —
-    /// and takes them off again.
+    /// for exactly that launch — cold or replayed — and takes them off
+    /// again.
     ///
     /// The contract, on every path (docs/FASTPATH.md, "Live units"):
     ///

@@ -12,14 +12,7 @@
 //! `Option::None` check, so profiling is strictly opt-in and has zero
 //! observer effect on simulated cycle counts.
 //!
-//! The crate is intentionally dependency-free. The recorder is an
-//! `Arc<Mutex<...>>` so instrumented channels can migrate across the host's
-//! worker threads (`pim-host`'s parallel execution backend); the lock is
-//! uncontended in the common case because the parallel backend gives every
-//! channel a private per-channel buffer recorder and merges the buffers in
-//! stable channel order at the end-of-kernel barrier
-//! ([`Recorder::merge_from`]), which keeps the merged stream byte-identical
-//! to a sequential run.
+//! The crate is intentionally dependency-free.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -223,38 +223,6 @@ impl MetricsRegistry {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Merges another registry into this one (counters add, gauges take the
-    /// other's value, histogram bucket counts add when bounds match).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a histogram of the same name has different bounds.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-                Some(mine) => {
-                    assert_eq!(mine.bounds, h.bounds, "histogram {k} bounds mismatch in merge");
-                    for (a, b) in mine.counts.iter_mut().zip(&h.counts) {
-                        *a += b;
-                    }
-                    mine.count += h.count;
-                    mine.sum += h.sum;
-                    mine.min = mine.min.min(h.min);
-                    mine.max = mine.max.max(h.max);
-                }
-            }
-        }
-    }
-
     /// Takes an owned snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot { registry: self.clone() }
@@ -332,22 +300,5 @@ mod tests {
         assert_eq!(q.max(), Some(9));
         assert_eq!(Quantiles::from_samples(vec![]).percentile(50), 0);
         assert!(Quantiles::from_samples(vec![]).is_empty());
-    }
-
-    #[test]
-    fn registry_counters_and_merge() {
-        let mut a = MetricsRegistry::new();
-        a.add("x", 2);
-        a.observe("h", &[1, 2], 1);
-        let mut b = MetricsRegistry::new();
-        b.add("x", 3);
-        b.add("y", 1);
-        b.observe("h", &[1, 2], 5);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.counter("y"), 1);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.max(), Some(5));
     }
 }

@@ -21,11 +21,7 @@ struct Inner {
 /// Cloning is cheap (`Arc`); every instrumented layer of one simulation run
 /// holds a clone of the same recorder, so events from the controller, the
 /// device, the engine, and the runtime interleave into a single stream and
-/// a single registry. The handle is `Send + Sync` so instrumented channels
-/// can migrate across the parallel backend's worker threads; within one
-/// channel's simulation the lock is uncontended (the parallel backend swaps
-/// in a private per-channel recorder and merges at the barrier, see
-/// [`Recorder::merge_from`]).
+/// a single registry.
 ///
 /// Instrumented code stores an `Option<Recorder>` that defaults to `None`;
 /// with no recorder attached the hooks cost one pointer test.
@@ -46,7 +42,7 @@ impl Recorder {
         }
     }
 
-    /// Locks the shared state. A poisoned lock means an instrumented worker
+    /// Locks the shared state. A poisoned lock means an instrumented thread
     /// panicked mid-event; the telemetry is still structurally sound (every
     /// record call is atomic under the lock), so recover the guard rather
     /// than cascading the panic into unrelated threads.
@@ -112,16 +108,9 @@ impl Recorder {
     /// Sets (or clears, with `None`) the ambient trace context. The
     /// serving layer sets this around each request's execution so that
     /// every event the engine, controller, and device emit on the
-    /// request's behalf is joined to it — including events recorded
-    /// through per-channel buffer recorders, which inherit the ambient
-    /// context at detach time (see `pim-host`'s parallel backend).
+    /// request's behalf is joined to it.
     pub fn set_trace(&self, trace: Option<TraceCtx>) {
         self.lock().trace = trace;
-    }
-
-    /// The current ambient trace context, if any.
-    pub fn trace(&self) -> Option<TraceCtx> {
-        self.lock().trace
     }
 
     /// Adds to a named counter.
@@ -159,43 +148,6 @@ impl Recorder {
     pub fn with_metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
         f(&mut self.lock().metrics)
     }
-
-    /// Whether `self` and `other` share the same underlying sink/registry.
-    pub fn same_handle(&self, other: &Recorder) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
-
-    /// Folds a per-channel buffer recorder into this one: replays the
-    /// buffer's retained events into this recorder's sink in their recorded
-    /// order, then merges the buffer's metrics registry
-    /// ([`MetricsRegistry::merge`]).
-    ///
-    /// This is the deterministic reduction step of `pim-host`'s parallel
-    /// execution backend: each channel records into a private
-    /// [`Recorder::vec`] buffer on its worker thread, and the buffers are
-    /// merged in stable channel-index order at the end-of-kernel barrier.
-    /// A sequential run emits events in exactly that channel-major order,
-    /// so the merged stream (and every derived export — Chrome trace,
-    /// attribution, OpenMetrics) is identical to the sequential one.
-    ///
-    /// Merging a recorder into itself is a no-op. A buffer whose sink
-    /// retains no events (e.g. counting) contributes only its metrics.
-    pub fn merge_from(&self, buffer: &Recorder) {
-        if self.same_handle(buffer) {
-            return;
-        }
-        let (events, metrics) = {
-            let b = buffer.lock();
-            (b.sink.events(), b.metrics.clone())
-        };
-        let mut inner = self.lock();
-        if let Some(events) = events {
-            for e in &events {
-                inner.sink.record(e);
-            }
-        }
-        inner.metrics.merge(&metrics);
-    }
 }
 
 #[cfg(test)]
@@ -230,27 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_replays_events_and_merges_metrics() {
-        let main = Recorder::vec();
-        main.instant(1, "before", "command", Scope::GLOBAL);
-        main.add("x", 1);
-        let buf = Recorder::vec();
-        buf.instant(2, "ch0", "command", Scope::channel(0));
-        buf.instant(3, "ch0b", "command", Scope::channel(0));
-        buf.add("x", 2);
-        buf.observe("h", &[4, 8], 5);
-        main.merge_from(&buf);
-        let events = main.events().unwrap();
-        let names: Vec<&str> = events.iter().map(|e| e.name.as_ref()).collect();
-        assert_eq!(names, vec!["before", "ch0", "ch0b"]);
-        assert_eq!(main.metrics().registry.counter("x"), 3);
-        assert_eq!(main.metrics().registry.histogram("h").unwrap().count(), 1);
-        // Self-merge is a no-op, not a deadlock or duplication.
-        main.merge_from(&main.clone());
-        assert_eq!(main.events().unwrap().len(), 3);
-    }
-
-    #[test]
     fn ambient_trace_stamps_events_without_overriding_explicit_ones() {
         use crate::trace::TraceCtx;
         let r = Recorder::vec();
@@ -258,7 +189,6 @@ mod tests {
         let explicit = TraceCtx::root(2, 0, 9);
         r.instant(0, "before", "command", Scope::GLOBAL);
         r.set_trace(Some(ambient));
-        assert_eq!(r.trace(), Some(ambient));
         r.instant(1, "stamped", "command", Scope::GLOBAL);
         r.emit(Event::instant(2, "kept", "command", Scope::GLOBAL).with_trace(explicit));
         r.set_trace(None);
@@ -268,33 +198,5 @@ mod tests {
         assert_eq!(events[1].trace, Some(ambient));
         assert_eq!(events[2].trace, Some(explicit));
         assert_eq!(events[3].trace, None);
-    }
-
-    #[test]
-    fn merge_from_preserves_buffer_trace_stamps_verbatim() {
-        use crate::trace::TraceCtx;
-        let main = Recorder::vec();
-        // Ambient trace on the *main* recorder must not restamp merged
-        // events: the buffer already resolved its own ambient context.
-        main.set_trace(Some(TraceCtx::root(9, 9, 9)));
-        let buf = Recorder::vec();
-        let ctx = TraceCtx::root(1, 4, 2);
-        buf.set_trace(Some(ctx));
-        buf.instant(5, "traced", "command", Scope::channel(3));
-        main.merge_from(&buf);
-        let events = main.events().unwrap();
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].trace, Some(ctx));
-    }
-
-    #[test]
-    fn merge_from_counting_buffer_contributes_metrics_only() {
-        let main = Recorder::vec();
-        let buf = Recorder::counting();
-        buf.instant(1, "dropped", "command", Scope::GLOBAL);
-        buf.add("y", 7);
-        main.merge_from(&buf);
-        assert_eq!(main.events().unwrap().len(), 0);
-        assert_eq!(main.metrics().registry.counter("y"), 7);
     }
 }

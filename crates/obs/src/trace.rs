@@ -10,8 +10,7 @@
 //! with flow events.
 //!
 //! Determinism contract: the same seed and request index always yield the
-//! same ids, under every execution backend, so traced artifacts stay
-//! byte-identical across `Sequential` and `Threads(n)` runs.
+//! same ids, so traced artifacts stay byte-identical from run to run.
 
 /// The splitmix64 finalizer — the same bijective mixer the rest of the
 /// workspace uses for deterministic tie-breaking and jitter.

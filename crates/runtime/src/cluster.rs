@@ -6,7 +6,7 @@
 //! [`PimContext`]s, joined by the link [`pim_host::collective_cycles`]
 //! prices, and provides sharded GEMV with **deterministic collectives**:
 //! shard results are gathered in fixed stack-index order on the host, so
-//! results are reproducible at any worker count and backend.
+//! results are reproducible.
 //!
 //! [`ClusterContext::gemv_row_parallel`] shards output rows (see
 //! `docs/CLUSTER.md`). Each output element's FP16 MAC sequence over `k`
@@ -29,7 +29,7 @@ use crate::layout::shard_range;
 use crate::plan::{check_input, check_weights};
 use pim_dram::Cycle;
 use pim_faults::{ClusterFaultPlan, LinkState};
-use pim_host::{collective_cycles, ExecutionBackend, PCH_PER_STACK};
+use pim_host::{collective_cycles, PCH_PER_STACK};
 use pim_obs::{names, Recorder};
 
 /// Cumulative collective-traffic counters for one cluster.
@@ -132,15 +132,6 @@ impl ClusterContext {
         &mut self.stacks
     }
 
-    /// Selects the execution backend on every member stack. Like the
-    /// single-stack knob this is scheduling only: sharded results are
-    /// identical under every backend.
-    pub fn set_backend(&mut self, backend: ExecutionBackend) {
-        for s in &mut self.stacks {
-            s.set_backend(backend);
-        }
-    }
-
     /// Attaches one shared recorder to every member stack, with disjoint
     /// per-stack channel-track bases, and to the cluster itself (the
     /// `cluster.*` collective counters).
@@ -237,8 +228,8 @@ impl ClusterContext {
     ///
     /// Because each output element's device MAC sequence and host-side
     /// register-order reduce are untouched by the sharding, the result is
-    /// bit-identical to single-stack [`PimBlas::gemv`] — at any healthy
-    /// stack count, under any backend.
+    /// bit-identical to single-stack [`PimBlas::gemv`] at any healthy
+    /// stack count.
     pub fn gemv_row_parallel(
         &mut self,
         w: &[f32],

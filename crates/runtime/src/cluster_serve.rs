@@ -42,8 +42,7 @@
 //! the same cluster-max clock that admission reads, so cooldowns expire
 //! at well-defined cluster times regardless of how far individual stack
 //! clocks lag. The whole schedule is a pure function of the trace, the
-//! seeds, and the chaos plan — byte-identical across
-//! [`pim_host::ExecutionBackend`]s and worker counts. See
+//! seeds, and the chaos plan — byte-identical on every run. See
 //! `docs/CLUSTER.md`.
 
 use crate::blas::PimError;

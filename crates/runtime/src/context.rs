@@ -4,7 +4,7 @@
 use crate::driver::{MemoryManager, PimDriver};
 use pim_core::PimConfig;
 use pim_dram::Cycle;
-use pim_host::{ExecutionBackend, ExecutionMode, HostConfig, PimSystem};
+use pim_host::{ExecutionMode, HostConfig, PimSystem};
 use pim_obs::Recorder;
 
 /// Everything a PIM-BLAS call needs: the simulated system, the booted
@@ -75,19 +75,10 @@ impl PimContext {
         self.sys.clear_fastpath();
     }
 
-    /// Selects the execution backend every kernel launched through this
-    /// context runs under ([`ExecutionBackend::Sequential`] by default,
-    /// [`ExecutionBackend::Threads`] to fan channels out over host worker
-    /// threads). A scheduling choice only: results, stats, and merged event
-    /// streams are identical under every backend.
-    pub fn set_backend(&mut self, backend: ExecutionBackend) {
-        self.sys.set_backend(backend);
-    }
-
-    /// The execution backend kernels currently run under.
-    pub fn backend(&self) -> ExecutionBackend {
-        self.sys.backend()
-    }
+    /// Ignores `backend`: there is one way to step the channels. Kept for
+    /// the frozen `benchmark/` ladder; deleted by ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn set_backend(&mut self, _backend: pim_host::ExecutionBackend) {}
 
     /// Attaches `recorder` to every layer of the simulation: each channel's
     /// memory controller and PIM device, plus the runtime itself (op
@@ -168,13 +159,5 @@ mod tests {
     fn small_context_shape() {
         let ctx = PimContext::small_system();
         assert_eq!(ctx.sys.channel_count(), 16);
-    }
-
-    #[test]
-    fn backend_defaults_sequential_and_round_trips() {
-        let mut ctx = PimContext::small_system();
-        assert_eq!(ctx.backend(), ExecutionBackend::Sequential);
-        ctx.set_backend(ExecutionBackend::Threads(4));
-        assert_eq!(ctx.backend(), ExecutionBackend::Threads(4));
     }
 }

@@ -153,7 +153,7 @@ pub fn load_block_odd(sys: &PimSystem, ch: usize, unit: usize, row: u32, col: u3
 /// one item each over the first `len % shards` shards, so shard sizes
 /// differ by at most one and the partition is a pure function of
 /// `(len, shards, i)` — the cluster layer relies on that determinism to
-/// keep sharded results bit-identical across backends and worker counts.
+/// keep sharded results bit-identical.
 pub fn shard_range(len: usize, shards: usize, i: usize) -> (usize, usize) {
     assert!(shards > 0, "shard_range over zero shards");
     assert!(i < shards, "shard index {i} out of {shards}");

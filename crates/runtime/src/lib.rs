@@ -64,7 +64,6 @@ pub use driver::{AllocError, MemoryManager, PimDriver};
 pub use executor::Executor;
 pub use kernels::{gemv_microkernel, stream_microkernel, StreamOp};
 pub use layout::BlockMap;
-pub use pim_host::ExecutionBackend;
 pub use plan::{GemvGeometry, GemvPlan};
 pub use preprocessor::{ExecutionTarget, Preprocessor};
 pub use resilience::{resilient_add, FallbackReason, ResilienceConfig, ResilienceReport};

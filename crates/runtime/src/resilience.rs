@@ -29,8 +29,7 @@
 //!
 //! Every decision is deterministic: fault outcomes are pure hashes of
 //! per-channel state (see `pim-faults`), so a seeded run produces an
-//! identical [`ResilienceReport`] under the sequential and threaded
-//! execution backends.
+//! identical [`ResilienceReport`] every time.
 
 use crate::blas::{KernelReport, PimError};
 use crate::context::PimContext;

@@ -57,9 +57,8 @@
 //! Every decision — admission, dispatch order, watchdog firing, breaker
 //! transitions, degradation — is a function of the simulated clock, the
 //! request trace, and seeded tie-break hashes. No wall-clock time, no
-//! ambient randomness. Combined with the backend-invariance contract of
-//! `pim_host::parallel`, a seeded trace produces a byte-identical
-//! [`ServeReport`] under `Sequential` and `Threads(n)` execution backends.
+//! ambient randomness, so a seeded trace produces a byte-identical
+//! [`ServeReport`] on every run.
 //!
 //! Every action is counted under the `srv.*` names of [`pim_obs::names`]
 //! when profiling is enabled, and mirrored in [`ServeStats`] regardless.
@@ -75,10 +74,9 @@
 //! installed as the recorder's *ambient trace*, so every event the
 //! engine, controller, and device emit on the request's behalf — down to
 //! per-bank command instants — is stamped with the owning trace id and
-//! tenant, under every execution backend identically. The trace id is
-//! also echoed on [`RequestOutcome::trace`] for joining reports to event
-//! streams, and per-tenant SLO histograms (queue wait, service time,
-//! deadline slack) accumulate in [`ServeReport::slo`].
+//! tenant. The trace id is also echoed on [`RequestOutcome::trace`] for
+//! joining reports to event streams, and per-tenant SLO histograms (queue
+//! wait, service time, deadline slack) accumulate in [`ServeReport::slo`].
 
 use crate::blas::PimError;
 use crate::context::PimContext;

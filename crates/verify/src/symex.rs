@@ -344,7 +344,7 @@ impl Walker {
         }
     }
 
-    /// Mirrors `PimUnit::write_operand` symbolically.
+    /// Mirrors `PimUnit::write_register` symbolically.
     fn write(&mut self, site: usize, dst: Operand, aam: bool, t: u64, value: ExprId) {
         let (row, col) = ((t / 32) as u32, (t % 32) as u32);
         let idx = Self::operand_index(dst, aam, col);

@@ -1,21 +1,20 @@
 //! Golden reports: the four default campaigns, serialized, must equal the
-//! committed `BENCH_{fault,serve,cluster,chaos}.json` byte for byte under
-//! every execution backend. This is the behavioural contract of the
+//! committed `BENCH_{fault,serve,cluster,chaos}.json` byte for byte. This
+//! is the behavioural contract of the
 //! campaign engine and of the serving/resilience stack beneath it — any
 //! refactor that moves a cycle, a counter or a float digit fails here.
 
 use pim_bench::json::{self, Json};
 use pim_bench::{chaos, cluster, faults, serve};
-use pim_host::ExecutionBackend;
 
 /// One row per campaign: schema, the report's array key and length, the
 /// committed golden file, and a runner producing the serialized default
-/// report under a backend.
+/// report.
 struct Golden {
     schema: &'static str,
     rows: (&'static str, usize),
     committed: &'static str,
-    run: fn(ExecutionBackend) -> String,
+    run: fn() -> String,
 }
 
 const GOLDENS: [Golden; 4] = [
@@ -23,8 +22,8 @@ const GOLDENS: [Golden; 4] = [
         schema: "pim-bench/fault-campaign-v1",
         rows: ("points", 4),
         committed: include_str!("../BENCH_fault.json"),
-        run: |backend| {
-            let cfg = faults::CampaignConfig { backend, ..Default::default() };
+        run: || {
+            let cfg = faults::CampaignConfig::default();
             let points = faults::run_campaign(&cfg).expect("fault campaign runs");
             json::to_string(&faults::report_json(&cfg, &points))
         },
@@ -33,8 +32,8 @@ const GOLDENS: [Golden; 4] = [
         schema: "pim-bench/serve-campaign-v1",
         rows: ("points", 6),
         committed: include_str!("../BENCH_serve.json"),
-        run: |backend| {
-            let cfg = serve::ServeCampaignConfig { backend, ..Default::default() };
+        run: || {
+            let cfg = serve::ServeCampaignConfig::default();
             let points = serve::run_campaign(&cfg).expect("serve campaign runs");
             json::to_string(&serve::report_json(&cfg, &points))
         },
@@ -43,8 +42,8 @@ const GOLDENS: [Golden; 4] = [
         schema: "pim-bench/cluster-campaign-v1",
         rows: ("points", 6),
         committed: include_str!("../BENCH_cluster.json"),
-        run: |backend| {
-            let cfg = cluster::ClusterCampaignConfig { backend, ..Default::default() };
+        run: || {
+            let cfg = cluster::ClusterCampaignConfig::default();
             let points = cluster::run_campaign(&cfg).expect("cluster campaign runs");
             json::to_string(&cluster::report_json(&cfg, &points))
         },
@@ -53,8 +52,8 @@ const GOLDENS: [Golden; 4] = [
         schema: "pim-bench/chaos-campaign-v1",
         rows: ("phases", 5),
         committed: include_str!("../BENCH_chaos.json"),
-        run: |backend| {
-            let cfg = chaos::ChaosCampaignConfig { backend, ..Default::default() };
+        run: || {
+            let cfg = chaos::ChaosCampaignConfig::default();
             let report = chaos::run_campaign(&cfg).expect("chaos campaign runs");
             json::to_string(&chaos::report_json(&cfg, &report))
         },
@@ -67,10 +66,7 @@ fn default_campaign_reports_match_the_committed_goldens() {
         // The bins `println!` the report, so the committed file is the
         // serialized text plus one newline.
         let want = g.committed.strip_suffix('\n').expect("golden ends with a newline");
-        for backend in [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)] {
-            let got = (g.run)(backend);
-            assert_eq!(got, want, "{} diverged from its golden under {backend:?}", g.schema);
-        }
+        assert_eq!((g.run)(), want, "{} diverged from its golden", g.schema);
         // The serialized text round-trips through the in-repo parser.
         let back = json::parse(want).expect("golden parses");
         assert_eq!(back.get("schema").and_then(Json::as_str), Some(g.schema));

@@ -4,7 +4,8 @@
 //! (exit 101), `pim_bench::cli::write_stdout` ends the process with the
 //! status a shell reports for SIGPIPE, and says nothing. `pimrepro list`
 //! stands alone: beside any other argument it is a usage error, and so is
-//! a `pimtrace gemv` with a zero dimension or no `--out`.
+//! a `pimtrace gemv` with a zero dimension or no `--out`, and a
+//! `--backend` flag.
 
 use std::process::{Command, Output, Stdio};
 
@@ -58,5 +59,23 @@ fn pimtrace_gemv_refuses_a_zero_dimension_and_a_missing_out_dir() {
         assert_eq!(out.status.code(), Some(2), "pimtrace {args:?}: {stderr}");
         assert!(stderr.contains("usage: "), "pimtrace {args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "pimtrace {args:?} printed before refusing");
+    }
+}
+
+/// There is one way to step the channels, so no binary takes `--backend`.
+#[test]
+fn a_backend_flag_is_a_usage_error() {
+    let runs: [(&str, &[&str]); 2] = [
+        (env!("CARGO_BIN_EXE_pimcampaign"), &["serve", "--backend", "threads:2"]),
+        (env!("CARGO_BIN_EXE_pimtrace"), &["run", "--backend", "threads:2", "--out", "x"]),
+    ];
+    for (bin, args) in runs {
+        let out = Command::new(bin).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let name = bin.rsplit('/').next().unwrap_or(bin);
+        assert!(!stderr.contains("panicked"), "{name} {args:?} panicked:\n{stderr}");
+        assert_eq!(out.status.code(), Some(2), "{name} {args:?}: {stderr}");
+        assert!(stderr.contains("usage: "), "{name} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name} {args:?} printed before refusing");
     }
 }

@@ -1,18 +1,17 @@
 //! End-to-end tests of the multi-stack cluster layer: row-parallel
 //! sharding is bit-identical to the single-stack reference at every
-//! stack count and worker count (including under stack failure with
-//! failover), the N=1 cluster costs nothing over the plain path, and the cluster scheduler routes
-//! around a tripped stack.
+//! stack count (including under stack failure with failover), the N=1
+//! cluster costs nothing over the plain path, and the cluster scheduler
+//! routes around a tripped stack.
 
 mod common;
 
 use common::{add_oracle, add_req, assert_bits_eq, gemv_inputs, single_stack_gemv, with_malformed};
 use pim_bench::campaign::{build_trace, TraceShape};
-use pim_bench::cluster::{report_json, run_campaign, ClusterCampaignConfig};
+use pim_bench::cluster::{run_campaign, ClusterCampaignConfig};
 use pim_bench::faults::fault_mix;
-use pim_bench::json;
 use pim_faults::{ClusterFaultPlan, FaultPlan, LinkState};
-use pim_host::{collective_cycles, ExecutionBackend};
+use pim_host::collective_cycles;
 use pim_obs::{names, Recorder, TraceId};
 use pim_runtime::{
     ClusterContext, ClusterServeConfig, ClusterServer, Disposition, PimBlas, PimContext, PimError,
@@ -20,24 +19,16 @@ use pim_runtime::{
 };
 
 #[test]
-fn row_parallel_gemv_bit_identical_across_stacks_and_workers() {
+fn row_parallel_gemv_bit_identical_across_stacks() {
     let (n, k) = (100, 64);
     let (w, x) = gemv_inputs(n, k);
     let reference = single_stack_gemv(n, k, &w, &x);
     for stacks in [1usize, 2, 4] {
-        for backend in [
-            ExecutionBackend::Sequential,
-            ExecutionBackend::Threads(1),
-            ExecutionBackend::Threads(2),
-            ExecutionBackend::Threads(4),
-        ] {
-            let mut cluster = ClusterContext::new(stacks).unwrap();
-            cluster.set_backend(backend);
-            let (got, report) = cluster.gemv_row_parallel(&w, n, k, &x).unwrap();
-            assert_bits_eq(&got, &reference, &format!("stacks={stacks} backend={backend:?}"));
-            assert_eq!(report.shards, stacks.min(n));
-            assert!(report.cycles > 0);
-        }
+        let mut cluster = ClusterContext::new(stacks).unwrap();
+        let (got, report) = cluster.gemv_row_parallel(&w, n, k, &x).unwrap();
+        assert_bits_eq(&got, &reference, &format!("stacks={stacks}"));
+        assert_eq!(report.shards, stacks.min(n));
+        assert!(report.cycles > 0);
     }
 }
 
@@ -109,21 +100,15 @@ fn sharded_gemv_refuses_a_shape_whose_product_overflows() {
 }
 
 #[test]
-fn cluster_serving_is_deterministic_across_backends() {
-    let trace = || (0..8).map(|i| add_req(i % 4, i as u64 * 900, 80_000_000, 512)).collect();
-    let run = |backend| {
-        let mut cluster = ClusterContext::new(2).unwrap();
-        cluster.set_backend(backend);
-        let mut server =
-            ClusterServer::new(cluster.stacks_mut(), ClusterServeConfig::default()).unwrap();
-        server.run(trace()).unwrap()
-    };
-    let seq = run(ExecutionBackend::Sequential);
-    assert_eq!(seq, run(ExecutionBackend::Threads(2)));
-    assert_eq!(seq, run(ExecutionBackend::Threads(4)));
-    assert_eq!(seq.outcomes.len(), 8);
+fn cluster_serving_returns_outcomes_in_submission_order() {
+    let trace = (0..8).map(|i| add_req(i % 4, i as u64 * 900, 80_000_000, 512)).collect();
+    let mut cluster = ClusterContext::new(2).unwrap();
+    let mut server =
+        ClusterServer::new(cluster.stacks_mut(), ClusterServeConfig::default()).unwrap();
+    let report = server.run(trace).unwrap();
+    assert_eq!(report.outcomes.len(), 8);
     // Outcomes come back in submission order with global ids.
-    for (i, o) in seq.outcomes.iter().enumerate() {
+    for (i, o) in report.outcomes.iter().enumerate() {
         assert_eq!(o.id, i);
     }
 }
@@ -421,7 +406,7 @@ fn all_replicas_open_forces_the_home_stack() {
 }
 
 #[test]
-fn cluster_campaign_reports_are_backend_invariant_and_scale() {
+fn cluster_campaign_reports_scale() {
     let d = ClusterCampaignConfig::default();
     let cfg = ClusterCampaignConfig {
         trace: TraceShape { elements: 512, requests: 12, ..d.trace },
@@ -437,11 +422,4 @@ fn cluster_campaign_reports_are_backend_invariant_and_scale() {
         points[1].goodput_eps > points[0].goodput_eps,
         "two stacks must outserve one under overload: {points:?}"
     );
-    let doc = json::to_string(&report_json(&cfg, &points));
-    let threaded = {
-        let cfg = ClusterCampaignConfig { backend: ExecutionBackend::Threads(4), ..cfg };
-        let points = run_campaign(&cfg).unwrap();
-        json::to_string(&report_json(&cfg, &points))
-    };
-    assert_eq!(doc, threaded);
 }

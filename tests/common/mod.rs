@@ -47,15 +47,3 @@ pub fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) {
         assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
     }
 }
-
-/// `run` must produce the same value under the sequential backend and 2 / 4
-/// worker threads; returns the sequential one.
-pub fn assert_backend_invariant<T: PartialEq + std::fmt::Debug>(
-    run: impl Fn(pim_host::ExecutionBackend) -> T,
-) -> T {
-    use pim_host::ExecutionBackend::{Sequential, Threads};
-    let seq = run(Sequential);
-    assert_eq!(seq, run(Threads(2)), "Threads(2) diverged");
-    assert_eq!(seq, run(Threads(4)), "Threads(4) diverged");
-    seq
-}

@@ -9,10 +9,11 @@
 use pim_bench::json;
 use pim_bench::serve::report_json;
 use pim_bench::workloads::{bench_input, bench_weights, synthetic_batches};
+use pim_core::PimConfig;
 use pim_faults::FaultPlan;
 use pim_host::{
-    predict_launch, ExecutionBackend, ExecutionMode, FastpathChannels, FastpathStats, KernelEngine,
-    PimSystem,
+    predict_launch, ExecutionMode, FastpathChannels, FastpathStats, HostConfig, KernelEngine,
+    KernelResult, PimSystem,
 };
 use pim_obs::{names, Recorder};
 use pim_runtime::{GemvPlan, PimBlas, PimContext, ServeConfig, ServeOp, ServeRequest, Server};
@@ -102,31 +103,6 @@ fn accounting_delta_round_trips_through_apply() {
         assert_ne!(&delta, &end.delta_since(&end), "launch moved nothing on channel {ch}");
         twin.sys.channel_mut(ch).sink_mut().apply_accounting(&delta);
         assert_eq!(snapshot(&twin, ch), end, "channel {ch}");
-    }
-}
-
-/// The warm transcript is identical across Sequential and Threads(1/2/4):
-/// the cache records sequential-equivalent timing, so replay cannot
-/// depend on the worker count.
-#[test]
-fn warm_replay_identical_across_backends() {
-    let w = bench_weights(N, K);
-    let mut reference = None;
-    for backend in [
-        ExecutionBackend::Sequential,
-        ExecutionBackend::Threads(1),
-        ExecutionBackend::Threads(2),
-        ExecutionBackend::Threads(4),
-    ] {
-        let mut ctx = PimContext::paper_system();
-        ctx.set_backend(backend);
-        let mut plan = GemvPlan::prepare(&mut ctx, &w, N, K).expect("shape fits");
-        let t = transcript(&mut ctx, &mut plan, 6);
-        assert!(ctx.sys.fastpath_stats().hits >= 1, "{backend:?} never hit");
-        match &reference {
-            None => reference = Some(t),
-            Some(r) => assert_eq!(&t, r, "{backend:?} transcript diverged"),
-        }
     }
 }
 
@@ -294,15 +270,9 @@ fn serve_report_byte_identical_with_fastpath_on_and_off() {
     };
     let (reference, _) = serve(&|ctx| ctx.inject_faults(&FaultPlan::quiet(0)));
     assert_eq!(reference.stats.completed, 4, "{:?}", reference.stats);
-    for backend in BACKENDS {
-        let (report, channels) = serve(&|ctx| ctx.set_backend(backend));
-        assert_eq!(report, reference, "{backend:?}");
-        assert_eq!(
-            channels,
-            FastpathChannels { simulated: 2, replayed: 4 * 64 - 2 },
-            "{backend:?}"
-        );
-    }
+    let (report, channels) = serve(&|_| {});
+    assert_eq!(report, reference);
+    assert_eq!(channels, FastpathChannels { simulated: 2, replayed: 4 * 64 - 2 });
 }
 
 /// The serving-campaign JSON artifact is byte-identical too (the artifact
@@ -316,7 +286,6 @@ fn serve_campaign_artifact_byte_identical() {
         trace: TraceShape { elements: 512, requests: 6, ..d.trace },
         intervals: vec![5_000],
         fault_rates: vec![0.0],
-        ..d
     };
     let points = run_campaign(&cfg).expect("campaign");
     let a = json::to_string(&report_json(&cfg, &points));
@@ -391,9 +360,6 @@ fn unprovable_program_is_never_recorded() {
 // timing simulation. Reference: the same launches with the fast path off.
 // ---------------------------------------------------------------------
 
-const BACKENDS: [ExecutionBackend; 2] =
-    [ExecutionBackend::Sequential, ExecutionBackend::Threads(2)];
-
 /// Everything a launch is measured by, per channel: the clock, the timing
 /// fingerprint and the `LaunchAccounting` (channel, unit and DRAM
 /// statistics, bank residency).
@@ -402,6 +368,18 @@ fn measured(sys: &PimSystem) -> Vec<impl PartialEq + std::fmt::Debug> {
         .map(|i| {
             let (c, now) = (sys.channel(i), sys.channel(i).now());
             (now, c.sink().launch_fingerprint(now), c.sink().launch_accounting(now))
+        })
+        .collect()
+}
+
+/// Every channel's clock, controller statistics and `LaunchAccounting`:
+/// what a masked launch must leave exactly as the unmasked one does. (A
+/// faulted channel has no fingerprint, so `measured` cannot compare them.)
+fn statistics(sys: &PimSystem) -> Vec<impl PartialEq + std::fmt::Debug + '_> {
+    (0..sys.channel_count())
+        .map(|i| {
+            let (c, now) = (sys.channel(i), sys.channel(i).now());
+            (now, c.stats(), c.sink().launch_accounting(now))
         })
         .collect()
 }
@@ -423,18 +401,19 @@ fn channels_since(sys: &PimSystem, before: FastpathChannels) -> (u64, u64) {
     (now.simulated - before.simulated, now.replayed - before.replayed)
 }
 
-/// Lock-step GEMV and stream ADDs, over 64 and over 16 channels, under both
-/// backends. After every launch the outputs, the report and every channel's
-/// measured state equal a fast-path-off reference, the live units hold the
-/// reference's partial sums, and the reference itself returns what the
-/// unmasked, uncached system returns — outputs, report and partial sums
-/// under a quiet fault plan, which makes the engine drop every mask and the
-/// cache. The cold launch simulates one channel per entry class, and the
-/// plan hits as often as it ever did. GEMV rows: n = 1000 (the last live
-/// channel partly populated, the rest of the system all-dead); the same
-/// with channel 5 entering 700 cycles late, a class of its own; and Table
-/// VI GEMV1 at 1/8 scale under the seeded shuffle the engine, the replay
-/// and the predictor must all issue in the same order.
+/// Lock-step GEMV and stream ADDs, over 64 and over 16 channels. After
+/// every launch the outputs, the report and every channel's measured state
+/// equal a fast-path-off reference, the live units hold the reference's
+/// partial sums, and the reference itself returns what the unmasked,
+/// uncached system returns — outputs, report, partial sums and every
+/// channel's controller, device, DRAM and per-unit statistics under a quiet
+/// fault plan, which makes the engine drop every mask and the cache. The
+/// cold launch simulates one channel per entry class, and the plan hits as
+/// often as it ever did. GEMV rows: n = 1000 (the last live channel partly
+/// populated, the rest of the system all-dead); the same with channel 5
+/// entering 700 cycles late, a class of its own; and Table VI GEMV1 at 1/8
+/// scale under the seeded shuffle the engine, the replay and the predictor
+/// must all issue in the same order.
 #[test]
 fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
     let in_order = ExecutionMode::Fenced { reorder_seed: None };
@@ -465,8 +444,7 @@ fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
             let (mut reference, mut ref_plan) = boot(&|ctx| ctx.sys.set_fastpath_enabled(false));
             let (mut unmasked, mut unmasked_plan) =
                 boot(&|ctx| ctx.inject_faults(&FaultPlan::quiet(0)));
-            let mut fast: Vec<(PimContext, GemvPlan)> =
-                BACKENDS.iter().map(|&backend| boot(&|ctx| ctx.set_backend(backend))).collect();
+            let (mut fast, mut plan) = boot(&|_| {});
             let channels = reference.sys.channel_count() as u64;
             let classes = 1 + u64::from(skew.is_some());
             let units = n.div_ceil(16);
@@ -479,45 +457,37 @@ fn lock_step_launches_equal_the_cold_reference_on_every_channel() {
                 let (full, full_report) = unmasked_plan.launch(&mut unmasked, &x).expect("launch");
                 assert_eq!((bits(&full), full_report), (bits(&y), report), "unmasked, {row}");
                 assert_eq!(partial_sums(&unmasked.sys, units), sums, "unmasked, {row}");
-                for (ctx, plan) in &mut fast {
-                    let at = format!("{:?}, {row}", ctx.backend());
-                    let before = ctx.sys.fastpath_channels();
-                    let (got, r) = plan.launch(ctx, &x).expect("launch");
-                    assert_eq!(bits(&got), bits(&y), "{at}");
-                    assert_eq!(r, report, "{at}");
-                    assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
-                    assert_eq!(partial_sums(&ctx.sys, units), sums, "{at}");
-                    if launch == 0 {
-                        assert_eq!(
-                            channels_since(&ctx.sys, before),
-                            (classes, channels - classes),
-                            "{at}"
-                        );
-                    }
+                assert_eq!(
+                    statistics(&unmasked.sys),
+                    statistics(&reference.sys),
+                    "unmasked, {row}"
+                );
+                let before = fast.sys.fastpath_channels();
+                let (got, r) = plan.launch(&mut fast, &x).expect("launch");
+                assert_eq!(bits(&got), bits(&y), "{row}");
+                assert_eq!(r, report, "{row}");
+                assert_eq!(measured(&fast.sys), measured(&reference.sys), "{row}");
+                assert_eq!(partial_sums(&fast.sys, units), sums, "{row}");
+                if launch == 0 {
+                    let classed = channels_since(&fast.sys, before);
+                    assert_eq!(classed, (classes, channels - classes), "{row}");
                 }
             }
             for len in [128, 4096] {
                 let (a, b) = (bench_input(len, 1), bench_input(len, 8));
                 let (z, report) = PimBlas::add(&mut reference, &a, &b).expect("reference add");
-                for (ctx, _) in &mut fast {
-                    let at = format!("{channels} channels, {:?}, ADD {len}", ctx.backend());
-                    let (got, r) = PimBlas::add(ctx, &a, &b).expect("add");
-                    assert_eq!(bits(&got), bits(&z), "{at}");
-                    assert_eq!(r, report, "{at}");
-                    assert_eq!(measured(&ctx.sys), measured(&reference.sys), "{at}");
-                }
+                let at = format!("{channels} channels, ADD {len}");
+                let (got, r) = PimBlas::add(&mut fast, &a, &b).expect("add");
+                assert_eq!(bits(&got), bits(&z), "{at}");
+                assert_eq!(r, report, "{at}");
+                assert_eq!(measured(&fast.sys), measured(&reference.sys), "{at}");
             }
-            for (ctx, _) in &fast {
-                let at = format!(
-                    "{channels} channels, {n}x{k} {mode:?} skew {skew:?}, {:?}",
-                    ctx.backend()
-                );
-                let stats = ctx.sys.fastpath_stats();
-                assert_eq!((stats.hits, stats.uncacheable), (hits, 0), "{at}: {stats:?}");
-                let total = ctx.sys.fastpath_channels();
-                assert_eq!(total.simulated + total.replayed, 6 * channels, "{at}");
-                assert!(total.simulated < 16, "{at}: {total:?}");
-            }
+            let at = format!("{channels} channels, {n}x{k} {mode:?} skew {skew:?}");
+            let stats = fast.sys.fastpath_stats();
+            assert_eq!((stats.hits, stats.uncacheable), (hits, 0), "{at}: {stats:?}");
+            let total = fast.sys.fastpath_channels();
+            assert_eq!(total.simulated + total.replayed, 6 * channels, "{at}");
+            assert!(total.simulated < 16, "{at}: {total:?}");
         }
     }
 }
@@ -528,39 +498,28 @@ fn bits(v: &[f32]) -> Vec<u32> {
 
 /// The headline: a cold `PimBlas::gemv` of Table VI GEMV1 on the paper
 /// system is one miss and one insertion, as ever — and simulates exactly
-/// one of its 64 channels, under both backends. The recorder a context
-/// carries reads the same figures.
+/// one of its 64 channels. The recorder a context carries reads the same
+/// figures.
 #[test]
 fn a_cold_gemv1_simulates_one_channel_and_replays_63() {
     let (n, k) = (1024, 4096);
     let w = bench_weights(n, k);
     let x = bench_input(k, 1);
-    let mut outputs = Vec::new();
-    for backend in BACKENDS {
-        let mut ctx = PimContext::paper_system();
-        ctx.set_backend(backend);
-        // The runtime's recorder only: one on the channels would make the
-        // launch uncacheable.
-        let recorder = Recorder::vec();
-        ctx.recorder = Some(recorder.clone());
-        let (y, report) = PimBlas::gemv(&mut ctx, &w, n, k, &x).expect("GEMV1");
-        assert_eq!(
-            ctx.sys.fastpath_stats(),
-            FastpathStats { misses: 1, insertions: 1, ..FastpathStats::default() },
-            "{backend:?}"
-        );
-        assert_eq!(
-            ctx.sys.fastpath_channels(),
-            FastpathChannels { simulated: 1, replayed: 63 },
-            "{backend:?}"
-        );
-        let counters = recorder.metrics().registry;
-        assert_eq!(counters.counter(names::FASTPATH_CHANNELS_SIMULATED), 1);
-        assert_eq!(counters.counter(names::FASTPATH_CHANNELS_REPLAYED), 63);
-        assert_eq!(counters.counter(names::FASTPATH_MISSES), 1);
-        outputs.push((bits(&y), report));
-    }
-    assert_eq!(outputs[0], outputs[1], "backends disagree");
+    let mut ctx = PimContext::paper_system();
+    // The runtime's recorder only: one on the channels would make the
+    // launch uncacheable.
+    let recorder = Recorder::vec();
+    ctx.recorder = Some(recorder.clone());
+    PimBlas::gemv(&mut ctx, &w, n, k, &x).expect("GEMV1");
+    assert_eq!(
+        ctx.sys.fastpath_stats(),
+        FastpathStats { misses: 1, insertions: 1, ..FastpathStats::default() }
+    );
+    assert_eq!(ctx.sys.fastpath_channels(), FastpathChannels { simulated: 1, replayed: 63 });
+    let counters = recorder.metrics().registry;
+    assert_eq!(counters.counter(names::FASTPATH_CHANNELS_SIMULATED), 1);
+    assert_eq!(counters.counter(names::FASTPATH_CHANNELS_REPLAYED), 63);
+    assert_eq!(counters.counter(names::FASTPATH_MISSES), 1);
 }
 
 /// Nothing classes where nothing may be memoized: with the fast path
@@ -609,20 +568,34 @@ fn distinct_lists_simulate_every_channel() {
                 (r, measured(&reference))
             })
             .collect();
-        for backend in BACKENDS {
-            let mut sys = PimContext::paper_system().sys;
-            sys.set_backend(backend);
-            let mut per_launch = Vec::new();
-            for (launch, (r, m)) in want.iter().enumerate() {
-                let at = format!("{mode:?}, {backend:?} launch {launch}");
-                let before = sys.fastpath_channels();
-                assert_eq!(&KernelEngine::run_system(&mut sys, &lists, mode), r, "{at}");
-                assert_eq!(&measured(&sys), m, "{at}");
-                per_launch.push(channels_since(&sys, before));
-            }
-            assert_eq!(per_launch, [(64, 0), (64, 0), (0, 64), (0, 64)], "{mode:?} {backend:?}");
+        let mut sys = PimContext::paper_system().sys;
+        let mut per_launch = Vec::new();
+        for (launch, (r, m)) in want.iter().enumerate() {
+            let at = format!("{mode:?} launch {launch}");
+            let before = sys.fastpath_channels();
+            assert_eq!(&KernelEngine::run_system(&mut sys, &lists, mode), r, "{at}");
+            assert_eq!(&measured(&sys), m, "{at}");
+            per_launch.push(channels_since(&sys, before));
         }
+        assert_eq!(per_launch, [(64, 0), (64, 0), (0, 64), (0, 64)], "{mode:?}");
     }
+}
+
+/// The exact gate on the simulated numbers: the seeded 64-channel smoke
+/// workload, fully simulated (fast path off), ends at this cycle having
+/// issued this many commands, and the closed-form predictor says the same
+/// before the run. A change that moves these moved the DRAM timing model or
+/// the engine's issue order, and re-pins on purpose.
+#[test]
+fn synthetic64_simulated_numbers_are_pinned() {
+    let per_channel = synthetic_batches(64, 400, 0x5EED);
+    let mut sys = PimSystem::new(HostConfig::paper(), PimConfig::paper());
+    sys.set_fastpath_enabled(false);
+    let p = predict_launch(&sys, &per_channel, ExecutionMode::Ordered, None)
+        .expect("a fresh system is in the predictor's domain");
+    let r = KernelEngine::run_system(&mut sys, &per_channel, ExecutionMode::Ordered);
+    assert_eq!(r, KernelResult { end_cycle: 20595, commands: 256_000, fences: 0 });
+    assert_eq!((p.end_cycle, p.commands, p.fences), (r.end_cycle, r.commands, r.fences));
 }
 
 /// A live tFAW window is part of the fingerprint, not a reason to run

@@ -477,8 +477,7 @@ const DOC_CEILINGS: &[(&str, usize)] = &[
     ("docs/LINTING.md", 278),
     ("docs/OBSERVABILITY.md", 296),
     ("docs/PANIC_AUDIT.md", 77),
-    ("docs/PARALLELISM.md", 94),
-    ("docs/REJECTED.md", 18),
+    ("docs/REJECTED.md", 19),
     ("docs/RESILIENCE.md", 157),
     ("docs/SERVING.md", 212),
 ];
@@ -813,7 +812,7 @@ fn every_pub_fn_has_a_caller_outside_its_own_tests() {
 ///   model.
 #[test]
 fn config_fields_stay_under_their_budget() {
-    const BUDGET: usize = 46;
+    const BUDGET: usize = 42;
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let (mut structs, mut fields) = (0, Vec::new());
     for (path, text) in workspace_sources(&root) {
@@ -850,7 +849,7 @@ fn config_fields_stay_under_their_budget() {
 /// budget; raising it takes an edit of this test in the same diff.
 #[test]
 fn code_lines_stay_under_their_budget() {
-    const BUDGET: usize = 16_466;
+    const BUDGET: usize = 16_217;
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let lines: usize = workspace_sources(&root)
         .iter()
@@ -862,6 +861,44 @@ fn code_lines_stay_under_their_budget() {
         .sum();
     assert!(lines > 10_000, "counted only {lines} code lines: did the layout move?");
     assert!(lines <= BUDGET, "{lines} code lines under crates/*/src, budget {BUDGET}");
+}
+
+/// Entry points the frozen `benchmark/` ladder still calls, each kept
+/// compiling over the one path that survives, until the next `benchmark`
+/// change deletes it (ROADMAP items 1 and 17); `frozen::` is the façade
+/// module's path. A later façade appends its names here and its defining
+/// file to `FACADE_FILES`.
+const FROZEN_FACADES: [&str; 3] = ["ExecutionBackend", "set_backend", "frozen::"];
+const FACADE_FILES: [&str; 2] = ["crates/host/src/frozen.rs", "crates/runtime/src/context.rs"];
+
+/// A façade has no caller but the benchmark: outside `benchmark/`, the
+/// files that define a façade and this file, no `.rs` file names one of
+/// `FROZEN_FACADES` once comments are cut. A crate root's `pub mod frozen`
+/// and `pub use frozen::…` lines declare and re-export; they call nothing.
+#[test]
+fn frozen_facades_have_no_other_caller() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut callers = Vec::new();
+    for (path, text) in workspace_sources(&root) {
+        let file = path.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+        if file.starts_with("benchmark/")
+            || file == "tests/linting.rs"
+            || FACADE_FILES.contains(&file.as_str())
+        {
+            continue;
+        }
+        let code: Vec<&str> = text
+            .lines()
+            .filter(|l| !l.starts_with("pub mod frozen") && !l.starts_with("pub use frozen::"))
+            .collect();
+        let code = code.join("\n");
+        let named: Vec<&str> =
+            FROZEN_FACADES.iter().copied().filter(|name| mentions(&code, name)).collect();
+        if !named.is_empty() {
+            callers.push(format!("{file}: {named:?}"));
+        }
+    }
+    assert!(callers.is_empty(), "a frozen façade called outside benchmark/: {callers:#?}");
 }
 
 /// One layer rule: `pim_models::ModelRunner::layer` places a layer (asking

@@ -1,12 +1,10 @@
 //! Resilience-subsystem integration tests: the SECDED contract the scrub
 //! path relies on, exercised through a real DRAM bank at random
-//! addresses, and the determinism contract of seeded fault campaigns
-//! across execution backends.
+//! addresses, and the determinism contract of seeded fault campaigns.
 
 mod common;
 
-use pim_bench::faults::{report_json, run_campaign, CampaignConfig};
-use pim_bench::json;
+use pim_bench::faults::{run_campaign, CampaignConfig};
 use pim_dram::ecc::{self, EccWord};
 use pim_dram::{Bank, DataBlock};
 use proptest::prelude::*;
@@ -99,33 +97,14 @@ proptest! {
     }
 }
 
-/// A seeded campaign produces a byte-identical JSON report no matter how
-/// many host worker threads drive the channels — the determinism contract
-/// `pimcampaign fault` ships with.
-#[test]
-fn seeded_campaign_is_backend_invariant() {
-    let base = CampaignConfig {
-        seed: 0xDECAF,
-        elements: 2048,
-        rates: vec![0.0, 1e-3, 1e-2],
-        ..CampaignConfig::default()
-    };
-    common::assert_backend_invariant(|backend| {
-        let cfg = CampaignConfig { backend, ..base.clone() };
-        let points = run_campaign(&cfg).expect("campaign runs");
-        json::to_string(&report_json(&cfg, &points))
-    });
-}
-
 /// The zero-fault path is observer-free: a campaign at rate 0 reports
 /// exactly the cycles and commands of a system with no fault plan
 /// installed at all (the exact-match guarantee
-/// `parallel_determinism.rs::synthetic64_simulated_numbers_are_pinned`
+/// `fastpath.rs::synthetic64_simulated_numbers_are_pinned`
 /// makes for the engine, asserted at the campaign level).
 #[test]
 fn zero_rate_point_matches_uninstrumented_run() {
-    let cfg =
-        CampaignConfig { seed: 1, elements: 1024, rates: vec![0.0], ..CampaignConfig::default() };
+    let cfg = CampaignConfig { seed: 1, elements: 1024, rates: vec![0.0] };
     let a = run_campaign(&cfg).expect("campaign runs");
     let b = run_campaign(&cfg).expect("campaign runs");
     assert_eq!(a, b, "zero-fault campaigns are reproducible");

@@ -1,14 +1,10 @@
 //! End-to-end tests of the deterministic serving layer
 //! (`pim_runtime::serve`) over the full PIM stack: overload never corrupts
-//! an answer, every request ends in a typed disposition, and a seeded
-//! campaign is byte-identical across execution backends.
+//! an answer, and every request ends in a typed disposition.
 
 mod common;
 
 use common::{add_oracle as oracle, add_req, with_malformed};
-use pim_bench::campaign::TraceShape;
-use pim_bench::json;
-use pim_bench::serve::{report_json, run_campaign, ServeCampaignConfig};
 use pim_faults::FaultPlan;
 use pim_runtime::{
     Disposition, PimContext, PimError, RejectReason, ServeConfig, ServeRequest, Server,
@@ -113,23 +109,6 @@ fn serving_is_deterministic_across_identical_runs() {
         server.run(requests).unwrap()
     };
     assert_eq!(run(), run());
-}
-
-/// Backend invariance end-to-end: the serialized campaign report is
-/// byte-identical under Sequential, Threads(2), and Threads(4).
-#[test]
-fn campaign_report_is_byte_identical_across_backends() {
-    common::assert_backend_invariant(|backend| {
-        let d = ServeCampaignConfig::default();
-        let cfg = ServeCampaignConfig {
-            trace: TraceShape { elements: 640, requests: 10, ..d.trace },
-            intervals: vec![400, 20_000],
-            fault_rates: vec![0.0, 1e-3],
-            backend,
-        };
-        let points = run_campaign(&cfg).unwrap();
-        json::to_string(&report_json(&cfg, &points))
-    });
 }
 
 /// A channel-group hard failure trips that group's breaker; subsequent

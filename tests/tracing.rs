@@ -1,36 +1,32 @@
 //! Request-scoped tracing integration tests: trace contexts minted at
-//! admission must survive the whole serving stack — EDF dispatch, the
-//! degradation ladder, per-channel recorder buffer swaps under the
-//! threaded backend, and the stable merge back — byte-identically, and the
-//! cycle-attribution decomposition built from the traced stream must
+//! admission must survive the whole serving stack — EDF dispatch and the
+//! degradation ladder — byte-identically, and the cycle-attribution decomposition built from the traced stream must
 //! conserve simulated cycles exactly.
 
 use pim_bench::campaign::TraceShape;
 use pim_bench::serve::ServeCampaignConfig;
-use pim_bench::trace::{run_traced, run_traced_report};
+use pim_bench::trace::run_traced_report;
 use pim_faults::FaultPlan;
-use pim_host::ExecutionBackend;
 use pim_obs::{names, Attribution, Event, Recorder, TraceCtx, TraceId};
 use pim_runtime::{resilient_add, PimContext, ResilienceConfig};
 
-fn small(backend: ExecutionBackend) -> ServeCampaignConfig {
+fn small() -> ServeCampaignConfig {
     let d = ServeCampaignConfig::default();
     ServeCampaignConfig {
         trace: TraceShape { elements: 512, requests: 6, ..d.trace },
         intervals: vec![],
         fault_rates: vec![],
-        backend,
     }
 }
 
-fn traced_events(backend: ExecutionBackend, interval: u64, rate: f64) -> Vec<Event> {
-    let (_, recorder, _) = run_traced_report(&small(backend), interval, rate).expect("traced run");
+fn traced_events(interval: u64, rate: f64) -> Vec<Event> {
+    let (_, recorder, _) = run_traced_report(&small(), interval, rate).expect("traced run");
     recorder.events().expect("vec sink retains events")
 }
 
 #[test]
 fn request_events_carry_trace_context_end_to_end() {
-    let cfg = small(ExecutionBackend::Sequential);
+    let cfg = small();
     // Trace ids are minted from the *server's* seed (not the campaign's):
     // the campaign runner drives the server with its default config.
     let server_seed = pim_runtime::ServeConfig::default().seed;
@@ -78,43 +74,25 @@ fn request_events_carry_trace_context_end_to_end() {
 }
 
 #[test]
-fn trace_stamps_survive_buffer_swap_and_merge_byte_identically() {
-    let reference = traced_events(ExecutionBackend::Sequential, 5_000, 0.0);
-    for workers in [1, 2, 4, 8] {
-        let threaded = traced_events(ExecutionBackend::Threads(workers), 5_000, 0.0);
-        assert_eq!(
-            reference, threaded,
-            "event stream (with trace stamps) diverged under {workers} workers"
-        );
-    }
-}
-
-#[test]
 fn faulty_run_with_relayouts_and_fallbacks_stays_deterministic() {
     // A fault rate high enough to push requests down the degradation
-    // ladder (watchdog cancels, re-layouts, host fallbacks) — the
-    // per-channel buffers then carry mid-request trace stamps through
-    // quarantine-driven re-planning, and the merge must still be exact.
-    let (report, _, _) =
-        run_traced_report(&small(ExecutionBackend::Sequential), 2_000, 1e-3).expect("run");
+    // ladder (watchdog cancels, re-layouts, host fallbacks): the trace
+    // stamps then ride through quarantine-driven re-planning, and a re-run
+    // must record the same stream.
+    let (report, _, _) = run_traced_report(&small(), 2_000, 1e-3).expect("run");
     assert!(
         report.stats.relayouts + report.stats.host_fallbacks + report.stats.watchdog_cancels > 0,
         "fault rate too low to exercise the ladder: {:?}",
         report.stats
     );
 
-    let reference = traced_events(ExecutionBackend::Sequential, 2_000, 1e-3);
-    for workers in [2, 4, 8] {
-        let threaded = traced_events(ExecutionBackend::Threads(workers), 2_000, 1e-3);
-        assert_eq!(reference, threaded, "faulty event stream diverged under {workers} workers");
-    }
+    assert_eq!(traced_events(2_000, 1e-3), traced_events(2_000, 1e-3), "faulty event stream");
 }
 
 #[test]
 fn attribution_conserves_cycles_on_traced_serve_runs() {
     for rate in [0.0, 1e-3] {
-        let (report, recorder, channels) =
-            run_traced_report(&small(ExecutionBackend::Sequential), 3_000, rate).expect("run");
+        let (report, recorder, channels) = run_traced_report(&small(), 3_000, rate).expect("run");
         let events = recorder.events().expect("events");
         let a = Attribution::from_events(&events, channels, report.end_cycle).expect("attribution");
         a.check_conservation().expect("conservation");
@@ -122,20 +100,6 @@ fn attribution_conserves_cycles_on_traced_serve_runs() {
         for ch in 0..channels {
             assert_eq!(a.channel_total(ch), report.end_cycle, "channel {ch} leaked cycles");
         }
-    }
-}
-
-#[test]
-fn exported_artifacts_match_across_all_worker_counts() {
-    let reference = run_traced(&small(ExecutionBackend::Sequential), 5_000, 0.0).expect("run");
-    for workers in [1, 2, 4, 8] {
-        let alt = run_traced(&small(ExecutionBackend::Threads(workers)), 5_000, 0.0).expect("run");
-        assert_eq!(reference.chrome, alt.chrome, "trace.json differs at {workers} workers");
-        assert_eq!(reference.folded, alt.folded, "attrib.folded differs at {workers} workers");
-        assert_eq!(
-            reference.openmetrics, alt.openmetrics,
-            "metrics.om differs at {workers} workers"
-        );
     }
 }
 
