@@ -11,7 +11,7 @@ use pim_dram::{
     TimingParams,
 };
 use pim_fp16::F16;
-use pim_host::{Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelEngine};
+use pim_host::{Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelEngine, PimSystem};
 use pim_models::CostModel;
 use pim_runtime::{gemv_microkernel, Executor, GemvGeometry, PimBlas, PimContext, StreamOp};
 
@@ -84,9 +84,7 @@ fn bench_dram(c: &mut Criterion) {
             |(mut ch, mut now)| {
                 let cmd = Command::Rd { bank: BankAddr::new(0, 0), col: 0 };
                 for _ in 0..64 {
-                    let at = ch.earliest_issue(&cmd, now);
-                    ch.issue(&cmd, at).unwrap();
-                    now = at;
+                    now = ch.issue(&cmd, now).unwrap().issued_at;
                 }
                 now
             },
@@ -163,9 +161,7 @@ fn bench_pim(c: &mut Criterion) {
                 let bank = BankAddr::new(0, 0);
                 let mut now = 0;
                 for cmd in pim_core::conf::enter_ab_sequence() {
-                    let at = ch.earliest_issue(&cmd, now);
-                    ch.issue(&cmd, at).unwrap();
-                    now = at;
+                    now = ch.issue(&cmd, now).unwrap().issued_at;
                 }
                 // Program an endless MAC loop and enter AB-PIM mode.
                 let prog = [
@@ -182,27 +178,19 @@ fn bench_pim(c: &mut Criterion) {
                     Command::Act { bank, row: pim_core::conf::CRF_ROW },
                     Command::Wr { bank, col: 0, data: block },
                     Command::Pre { bank },
-                ] {
-                    let at = ch.earliest_issue(&cmd, now);
-                    ch.issue(&cmd, at).unwrap();
-                    now = at;
+                ]
+                .into_iter()
+                .chain(pim_core::conf::set_pim_op_mode_sequence(true))
+                .chain([Command::Act { bank, row: 0 }])
+                {
+                    now = ch.issue(&cmd, now).unwrap().issued_at;
                 }
-                for cmd in pim_core::conf::set_pim_op_mode_sequence(true) {
-                    let at = ch.earliest_issue(&cmd, now);
-                    ch.issue(&cmd, at).unwrap();
-                    now = at;
-                }
-                let at = ch.earliest_issue(&Command::Act { bank, row: 0 }, now);
-                ch.issue(&Command::Act { bank, row: 0 }, at).unwrap();
-                (ch, at)
+                (ch, now)
             },
             |(mut ch, mut now)| {
                 let bank = BankAddr::new(0, 0);
                 for col in 0..32u32 {
-                    let cmd = Command::Rd { bank, col };
-                    let at = ch.earliest_issue(&cmd, now);
-                    ch.issue(&cmd, at).unwrap();
-                    now = at;
+                    now = ch.issue(&Command::Rd { bank, col }, now).unwrap().issued_at;
                 }
                 now
             },
@@ -218,6 +206,11 @@ fn bench_pim(c: &mut Criterion) {
 /// (every channel simulated). The off side is what the exactness tests
 /// compare against; the pair is the cost of that reference over the
 /// default.
+///
+/// `synthetic_run_system` is `pimbench`'s `stream_raw` shape cut to four
+/// channels × 2 000 ACT / 8×RD / PRE triples: `KernelEngine::run_system`,
+/// `Ordered`, fast path off, so every command is stepped through the
+/// controller and the device. Its throughput is per simulated command.
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     let wl = pim_bench::workloads::gemv_workloads()[0];
@@ -238,6 +231,20 @@ fn bench_engine(c: &mut Criterion) {
             )
         });
     }
+    let (channels, triples) = (4, 2_000);
+    let per_channel = pim_bench::workloads::synthetic_batches(channels, triples, 1);
+    g.throughput(Throughput::Elements((channels * triples * 10) as u64));
+    g.bench_function("synthetic_run_system", |bench| {
+        bench.iter_batched(
+            || {
+                let mut sys = PimSystem::new(HostConfig::paper(), PimConfig::paper());
+                sys.set_fastpath_enabled(false);
+                sys
+            },
+            |mut sys| KernelEngine::run_system(&mut sys, &per_channel, ExecutionMode::Ordered),
+            BatchSize::LargeInput,
+        )
+    });
     g.finish();
 }
 

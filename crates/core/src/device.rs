@@ -619,13 +619,12 @@ impl PimChannel {
 
     /// Accepts or refuses `cmd` on the all-bank clock — against the
     /// walker's open row, which every bank shares, whatever BA/BG the
-    /// command names — and advances the clock for an accepted command:
-    /// step one of [`CommandSink::issue`] in an all-bank mode.
-    fn accept_ab(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let earliest = self.ab.earliest(cmd, cycle);
-        if cycle < earliest {
-            return Err(IssueError::TooEarly { earliest });
-        }
+    /// command names — at its earliest cycle at or after `now`, and
+    /// advances the clock for an accepted command: step one of
+    /// [`CommandSink::issue`] in an all-bank mode.
+    #[inline] // Called from `issue`, which other crates inline.
+    fn accept_ab(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+        let cycle = self.ab.earliest(cmd, now);
         let open = self.walker.open_row(BankAddr::new(0, 0)).is_some();
         let t = self.inner.timing();
         let data_at = match cmd {
@@ -678,6 +677,98 @@ impl PimChannel {
                 self.ab = AllBankClock::enter(self.inner.clock(), bank, cycle);
             }
             _ => {}
+        }
+    }
+
+    /// Step three of [`CommandSink::issue`]: what `cmd`, accepted as `out`
+    /// and classified as `step` by the walker that left mode `before`,
+    /// does beyond the clock, in either mode — then the fault stall and the
+    /// mode-transition count. Kept out of line, so that the plain
+    /// single-bank path, which skips it, stays small enough to inline into
+    /// the controller's loops.
+    #[inline(never)]
+    fn apply_step(&mut self, cmd: &Command, step: Step, before: PimMode, out: &mut IssueOutcome) {
+        let (sb, cycle) = (before == PimMode::SingleBank, out.issued_at);
+        let (bank, col, wdata) = match *cmd {
+            Command::Rd { bank, col } => (bank, col, None),
+            Command::Wr { bank, col, ref data } => (bank, col, Some(data)),
+            _ => (BankAddr::new(0, 0), 0, None),
+        };
+        match (step, wdata) {
+            (Step::RowManagement, _) => self.row_management(cmd, before, cycle),
+            (Step::Read { row }, _) if row >= PIM_CONF_FIRST_ROW => {
+                // One unit per even/odd bank pair; all-bank reads unit 0.
+                let unit = if sb { bank.flat_index() / 2 } else { 0 };
+                if let Some(data) = self.conf_read(row, col, unit) {
+                    out.data = Some(data);
+                }
+            }
+            (Step::ConfWrite { row, unit }, Some(data)) => self.conf_write(row, col, data, unit),
+            (Step::PimOpMode { enable, toggled }, _) => {
+                self.stats.conf_writes += 1;
+                if enable && toggled {
+                    self.reset_sequencers();
+                }
+            }
+            (Step::Read { .. }, _) if !sb => {
+                // Lock-step read: the host observes bank (0,0); a dropped
+                // read returns an empty burst.
+                let block = self.inner.bank(BankAddr::new(0, 0)).read_block(col);
+                out.data = Some(self.roll_column_fault(block).unwrap_or_default());
+            }
+            (Step::AbWrite { .. }, Some(data)) => {
+                // Broadcast write: the same block lands in every bank — how
+                // the software stack replicates shared operands across
+                // banks in one command.
+                if let Some(block) = self.roll_column_fault(*data) {
+                    for b in BankAddr::all() {
+                        self.inner.bank_mut(b).write_block(col, &block);
+                    }
+                }
+            }
+            (Step::Trigger { row }, None) => {
+                // The RD triggers PIM execution; no data crosses the
+                // external I/O ("the AB-PIM mode does not consume power for
+                // transferring data from the bank I/O all the way to the
+                // I/O circuits", Section III-B).
+                if self.roll_column_fault(DataBlock::default()).is_some() {
+                    self.dispatch_triggers(TriggerKind::Read, row, col);
+                }
+                out.data_at = Some(cycle);
+            }
+            (Step::Trigger { row }, Some(data)) => {
+                // The WR's block rides the write datapath into the units as
+                // the WDATA operand; the array itself is not written
+                // (instructions write banks explicitly).
+                if let Some(block) = self.roll_column_fault(*data) {
+                    let wdata = LaneVec::from_block(&block);
+                    self.dispatch_triggers(TriggerKind::Write(wdata), row, col);
+                }
+            }
+            // A single-bank data access: the channel already read or stored
+            // the block.
+            _ => {}
+        }
+        if let Some(p) = self.faults.as_ref().map(|f| f.stall_penalty()).filter(|&p| p > 0) {
+            // A stall-degraded channel: every accepted command pushes the
+            // timing horizons out by the penalty.
+            match self.walker.mode() {
+                PimMode::SingleBank => self.inner.clock_mut().quiesce_until(cycle + p),
+                _ => self.ab.quiesce_until(cycle + p),
+            }
+        }
+        let after = self.walker.mode();
+        if after != before {
+            self.stats.mode_transitions += 1;
+            if let Some(r) = &self.recorder {
+                r.add(names::DEV_MODE_TRANSITIONS, 1);
+                r.emit(Event::instant(
+                    cycle,
+                    format!("{before}->{after}"),
+                    names::CAT_MODE,
+                    Scope::channel(self.channel_id),
+                ));
+            }
         }
     }
 
@@ -921,98 +1012,33 @@ impl CommandSink for PimChannel {
         }
     }
 
-    /// Three steps: accept or refuse `cmd` under the current mode — a
-    /// refused command leaves everything, the mode machine included, where
-    /// it was; step the walker; apply what the walker classified the
-    /// command as, in either mode.
-    fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
+    /// Three steps: accept or refuse `cmd` under the current mode, at the
+    /// earliest cycle that mode's clock allows — a refused command leaves
+    /// everything, the mode machine included, where it was; step the
+    /// walker; apply what the walker classified the command as
+    /// ([`PimChannel::apply_step`]). Plain single-bank traffic on a
+    /// fault-free channel — a data-row read or write, or a row command
+    /// that leaves the mode single-bank — has nothing to apply and returns
+    /// after the walker.
+    #[inline]
+    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
         let before = self.walker.mode();
         let sb = before == PimMode::SingleBank;
-        let mut outcome =
-            if sb { self.inner.issue(cmd, cycle)? } else { self.accept_ab(cmd, cycle)? };
-        let step = self.walker.step(cmd);
-        let (bank, col, wdata) = match *cmd {
-            Command::Rd { bank, col } => (bank, col, None),
-            Command::Wr { bank, col, ref data } => (bank, col, Some(data)),
-            _ => (BankAddr::new(0, 0), 0, None),
-        };
-        match (step, wdata) {
-            (Step::RowManagement, _) => self.row_management(cmd, before, cycle),
-            (Step::Read { row }, _) if row >= PIM_CONF_FIRST_ROW => {
-                // One unit per even/odd bank pair; all-bank reads unit 0.
-                let unit = if sb { bank.flat_index() / 2 } else { 0 };
-                if let Some(data) = self.conf_read(row, col, unit) {
-                    outcome.data = Some(data);
-                }
-            }
-            (Step::ConfWrite { row, unit }, Some(data)) => self.conf_write(row, col, data, unit),
-            (Step::PimOpMode { enable, toggled }, _) => {
-                self.stats.conf_writes += 1;
-                if enable && toggled {
-                    self.reset_sequencers();
-                }
-            }
-            (Step::Read { .. }, _) if !sb => {
-                // Lock-step read: the host observes bank (0,0); a dropped
-                // read returns an empty burst.
-                let data = self.inner.bank(BankAddr::new(0, 0)).read_block(col);
-                outcome.data = Some(self.roll_column_fault(data).unwrap_or_default());
-            }
-            (Step::AbWrite { .. }, Some(data)) => {
-                // Broadcast write: the same block lands in every bank — how
-                // the software stack replicates shared operands across
-                // banks in one command.
-                if let Some(block) = self.roll_column_fault(*data) {
-                    for b in BankAddr::all() {
-                        self.inner.bank_mut(b).write_block(col, &block);
-                    }
-                }
-            }
-            (Step::Trigger { row }, None) => {
-                // The RD triggers PIM execution; no data crosses the
-                // external I/O ("the AB-PIM mode does not consume power for
-                // transferring data from the bank I/O all the way to the
-                // I/O circuits", Section III-B).
-                if self.roll_column_fault(DataBlock::default()).is_some() {
-                    self.dispatch_triggers(TriggerKind::Read, row, col);
-                }
-                outcome.data_at = Some(cycle);
-            }
-            (Step::Trigger { row }, Some(data)) => {
-                // The WR's block rides the write datapath into the units as
-                // the WDATA operand; the array itself is not written
-                // (instructions write banks explicitly).
-                if let Some(block) = self.roll_column_fault(*data) {
-                    let wdata = LaneVec::from_block(&block);
-                    self.dispatch_triggers(TriggerKind::Write(wdata), row, col);
-                }
-            }
-            // A single-bank data access: the channel already read or stored
-            // the block.
-            _ => {}
-        }
-        if let Some(p) = self.faults.as_ref().map(|f| f.stall_penalty()).filter(|&p| p > 0) {
-            // A stall-degraded channel: every accepted command pushes the
-            // timing horizons out by the penalty.
-            match self.walker.mode() {
-                PimMode::SingleBank => self.inner.clock_mut().quiesce_until(cycle + p),
-                _ => self.ab.quiesce_until(cycle + p),
+        let mut result = if sb { self.inner.issue(cmd, now) } else { self.accept_ab(cmd, now) };
+        if let Ok(outcome) = &mut result {
+            let step = self.walker.step(cmd);
+            let plain =
+                matches!(step, Step::Read { row: 0..PIM_CONF_FIRST_ROW } | Step::SbWrite { .. })
+                    || step == Step::RowManagement && self.walker.mode() == PimMode::SingleBank;
+            if !(sb && plain && self.faults.is_none()) {
+                // On a copy: lending `apply_step` the result itself would
+                // keep the plain path's result in memory too.
+                let mut applied = outcome.clone();
+                self.apply_step(cmd, step, before, &mut applied);
+                *outcome = applied;
             }
         }
-        let after = self.walker.mode();
-        if after != before {
-            self.stats.mode_transitions += 1;
-            if let Some(r) = &self.recorder {
-                r.add(names::DEV_MODE_TRANSITIONS, 1);
-                r.emit(Event::instant(
-                    cycle,
-                    format!("{before}->{after}"),
-                    names::CAT_MODE,
-                    Scope::channel(self.channel_id),
-                ));
-            }
-        }
-        Ok(outcome)
+        result
     }
 
     fn open_row(&self, bank: BankAddr) -> Option<u32> {
@@ -1032,9 +1058,7 @@ mod tests {
     /// Issues a command sequence back-to-back at the earliest legal cycles.
     fn run(ch: &mut PimChannel, cmds: &[Command], mut now: Cycle) -> Cycle {
         for c in cmds {
-            let at = ch.earliest_issue(c, now);
-            ch.issue(c, at).unwrap_or_else(|e| panic!("{c} at {at}: {e}"));
-            now = at;
+            now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c} after {now}: {e}")).issued_at;
         }
         now
     }
@@ -1128,9 +1152,8 @@ mod tests {
         let now = run(&mut ch, &enter_ab_sequence(), 0);
         let b = BankAddr::new(0, 0);
         let now = run(&mut ch, &[Command::Act { bank: b, row: 0 }], now);
-        let first = ch.earliest_issue(&Command::Rd { bank: b, col: 0 }, now);
-        ch.issue(&Command::Rd { bank: b, col: 0 }, first).unwrap();
-        let second = ch.earliest_issue(&Command::Rd { bank: b, col: 1 }, first);
+        let first = ch.issue(&Command::Rd { bank: b, col: 0 }, now).unwrap().issued_at;
+        let second = ch.issue(&Command::Rd { bank: b, col: 1 }, first).unwrap().issued_at;
         assert_eq!(second, first + t.t_ccd_l);
     }
 
@@ -1216,12 +1239,11 @@ mod tests {
         ];
         let mut t = now;
         for c in &cmds {
-            let at = ch.earliest_issue(c, t);
-            let out = ch.issue(c, at).unwrap();
+            let out = ch.issue(c, t).unwrap();
             if out.data.is_some() {
                 got = out.data;
             }
-            t = at;
+            t = out.issued_at;
         }
         let v = LaneVec::from_block(&got.unwrap());
         assert_eq!(v.to_f32(), [4.0; 16], "unit 3 loaded even bank 6's value 3+1");
@@ -1295,8 +1317,7 @@ mod tests {
         let now = run(&mut ch, &enter_ab_sequence(), 0);
         let now = run(&mut ch, &set_pim_op_mode_sequence(true), now);
         let now = run(&mut ch, &[Command::Act { bank: b, row: 0 }], now);
-        let at = ch.earliest_issue(&Command::Rd { bank: b, col: 0 }, now);
-        let out = ch.issue(&Command::Rd { bank: b, col: 0 }, at).unwrap();
+        let out = ch.issue(&Command::Rd { bank: b, col: 0 }, now).unwrap();
         assert_eq!(out.data, None, "AB-PIM reads do not drive the external I/O");
     }
 
@@ -1842,7 +1863,8 @@ mod tests {
 
     /// A command the channel refuses moves nothing: not the mode, not an
     /// open row, not the launch fingerprint — and the channel then goes
-    /// on as if it had never been sent.
+    /// on as if it had never been sent. A command offered before its
+    /// earliest cycle is not refused: it issues there, once.
     #[test]
     fn refused_commands_leave_the_mode_machine_alone() {
         let mut ch = fresh();
@@ -1868,17 +1890,21 @@ mod tests {
         enable[0] = 1;
         let wr = Command::Wr { bank: b, col: 0, data: enable };
         let earliest = ch.earliest_issue(&wr, now);
-        refuse(&mut ch, wr, earliest - 1, IssueError::TooEarly { earliest });
+        let out = ch.issue(&wr, earliest - 1).unwrap();
+        assert_eq!(out.issued_at, earliest, "offered early, issued at its earliest cycle");
+        assert_eq!((ch.mode(), ch.stats().mode_transitions), (PimMode::AllBankPim, 2));
         let act = Command::Act { bank: b, row: SBMR_ROW };
         refuse(&mut ch, act, late, IssueError::BankAlreadyOpen);
         refuse(&mut ch, Command::Ref, late, IssueError::BanksOpenOnRefresh);
-        let now = run(&mut ch, &[Command::Pre { bank: b }], now);
+        let now = run(&mut ch, &[Command::Pre { bank: b }], earliest);
         refuse(&mut ch, Command::Pre { bank: b }, late, IssueError::BankNotOpen);
         refuse(&mut ch, Command::Rd { bank: b, col: 0 }, late, IssueError::BankNotOpen);
-        assert_eq!(ch.mode(), PimMode::AllBank);
+        assert_eq!(ch.mode(), PimMode::AllBankPim);
         run(&mut ch, &exit_ab_sequence(), now);
-        assert_eq!((ch.mode(), ch.stats().mode_transitions), (PimMode::SingleBank, 2));
-        assert_eq!((ch.stats().conf_writes, ch.stats().ab_writes), (0, 0));
+        assert_eq!((ch.mode(), ch.stats().mode_transitions), (PimMode::SingleBank, 3));
+        // The early WR was accepted and stepped once: one `PIM_OP_MODE`
+        // write, the one all-bank write.
+        assert_eq!((ch.stats().conf_writes, ch.stats().ab_writes), (1, 1));
     }
 
     /// §III-A allows fewer units than bank pairs: on a 4-unit channel the
@@ -1915,8 +1941,8 @@ mod tests {
             Command::Rd { bank: bank12, col: 3 },
             Command::Pre { bank: bank12 },
         ] {
-            now = ch.earliest_issue(&cmd, now);
-            read = ch.issue(&cmd, now).unwrap().data.or(read);
+            let out = ch.issue(&cmd, now).unwrap();
+            (now, read) = (out.issued_at, out.data.or(read));
         }
         assert_eq!(read, Some(stored), "the GRF row of bank 12 reads its array");
         assert_eq!(ch.dram().bank(bank8).peek_block(SRF_ROW, 0), block);
@@ -1944,7 +1970,7 @@ mod tests {
         );
         let end = run(&mut ch, &exit_ab_sequence(), now);
         // An SB command must not be allowed before AB activity ended.
-        let e = ch.earliest_issue(&Command::Act { bank: b, row: 0 }, 0);
+        let e = ch.issue(&Command::Act { bank: b, row: 0 }, 0).unwrap().issued_at;
         assert!(e >= end, "SB ACT at {e} before AB activity ended at {end}");
     }
 }

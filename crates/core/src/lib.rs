@@ -47,9 +47,7 @@
 //! let mut ch = PimChannel::new(TimingParams::hbm2(), PimConfig::paper());
 //! let mut t = 0;
 //! for cmd in conf::enter_ab_sequence() {
-//!     let at = ch.earliest_issue(&cmd, t);
-//!     ch.issue(&cmd, at).unwrap();
-//!     t = at;
+//!     t = ch.issue(&cmd, t).unwrap().issued_at;
 //! }
 //! assert_eq!(ch.mode(), pim_core::PimMode::AllBank);
 //! ```

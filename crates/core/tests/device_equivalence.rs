@@ -418,9 +418,8 @@ proptest! {
         let (mut now, mut conf_writes, mut triggers) = (0, 0u64, 0u64);
         let (mut reads, mut conf_reads) = (0u64, 0u64);
         for cmd in build(&frags) {
-            let at = ch.earliest_issue(&cmd, now);
-            ch.issue(&cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
-            now = at;
+            let out = ch.issue(&cmd, now);
+            now = out.unwrap_or_else(|e| panic!("{cmd} after {now}: {e}")).issued_at;
             match walker.step(&cmd) {
                 Step::ConfWrite { .. } | Step::PimOpMode { .. } => conf_writes += 1,
                 Step::Trigger { .. } => {
@@ -446,6 +445,28 @@ proptest! {
         prop_assert_eq!(ch.stats().conf_reads, conf_reads);
         prop_assert_eq!(ch.stats().ab_reads + ch.dram().stats().reads, reads);
         prop_assert_eq!(ch.stats().pim_triggers, triggers * ch.unit_count() as u64);
+    }
+
+    /// `issue(cmd, now)` acts on the cycle `earliest_issue(cmd, now)` names,
+    /// in SB, AB and AB-PIM alike: offered at or before it, a command
+    /// issues there; offered after it, exactly when offered.
+    #[test]
+    fn every_command_issues_at_its_earliest_cycle_in_every_mode(
+        frags in frags(),
+        slack in proptest::collection::vec(0u64..4, 1..8),
+    ) {
+        let mut ch = fresh_channel();
+        let mut now = 0;
+        for (i, cmd) in build(&frags).iter().enumerate() {
+            let (mode, earliest) = (ch.mode(), ch.earliest_issue(cmd, now));
+            let offered = match slack[i % slack.len()] {
+                0 => now,
+                late => earliest + late,
+            };
+            let out = ch.issue(cmd, offered);
+            now = out.unwrap_or_else(|e| panic!("{cmd} in {mode}: {e}")).issued_at;
+            prop_assert_eq!(now, earliest.max(offered), "{} in {}", cmd, mode);
+        }
     }
 
     /// A fresh channel driven by the recording replay, and a third driven
@@ -568,9 +589,7 @@ fn sequencers(ch: &PimChannel) -> Vec<(Sequencer, Vec<u32>)> {
 fn issue_all(ch: &mut PimChannel, cmds: &[Command]) -> u64 {
     let mut now = 0;
     for cmd in cmds {
-        let at = ch.earliest_issue(cmd, now);
-        ch.issue(cmd, at).unwrap_or_else(|e| panic!("{cmd} at {at}: {e}"));
-        now = at;
+        now = ch.issue(cmd, now).unwrap_or_else(|e| panic!("{cmd} after {now}: {e}")).issued_at;
     }
     now
 }

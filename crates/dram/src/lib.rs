@@ -27,7 +27,8 @@
 //! 2.4 Gbps operating point, Table V). The model is event-driven: commands
 //! carry issue timestamps and the channel tracks, per resource, the earliest
 //! cycle at which each command class may issue (the [`Clock`], which holds
-//! every issue formula; [`PseudoChannel::earliest_issue`] asks it).
+//! every issue formula). [`CommandSink::issue`] asks it once per command
+//! and issues there.
 //! All JEDEC inter-command constraints relevant to the paper are enforced:
 //! tRCD, tRP, tRAS, tRC, tCCD_S/tCCD_L, tRRD_S/tRRD_L, tFAW, tWR, tRTP,
 //! tWTR, tCL/tWL/tBL and refresh (tREFI/tRFC).

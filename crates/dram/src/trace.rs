@@ -157,9 +157,11 @@ impl<S: CommandSink> CommandSink for TracingSink<S> {
         self.inner.earliest_issue(cmd, now)
     }
 
-    fn issue(&mut self, cmd: &Command, cycle: Cycle) -> Result<IssueOutcome, IssueError> {
-        let r = self.inner.issue(cmd, cycle);
-        self.record(cycle, cmd, r.is_ok());
+    /// Records an accepted command at the cycle it issued, a refused one
+    /// at the cycle it was offered.
+    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+        let r = self.inner.issue(cmd, now);
+        self.record(r.as_ref().map_or(now, |out| out.issued_at), cmd, r.is_ok());
         r
     }
 
@@ -186,12 +188,15 @@ mod tests {
         let mut t = traced();
         let bank = BankAddr::new(0, 0);
         t.issue(&Command::Act { bank, row: 1 }, 0).unwrap();
-        // Too early: tRCD not elapsed.
-        let _ = t.issue(&Command::Rd { bank, col: 0 }, 1);
-        assert_eq!(t.len(), 2);
+        // A second ACT to the open bank is refused at any cycle.
+        let _ = t.issue(&Command::Act { bank, row: 2 }, 1);
+        // Offered early, a RD is recorded where it issued: after tRCD.
+        let rd = t.issue(&Command::Rd { bank, col: 0 }, 1).unwrap();
+        assert_eq!(t.len(), 3);
         let entries: Vec<_> = t.trace().collect();
         assert!(entries[0].accepted);
-        assert!(!entries[1].accepted);
+        assert!(!entries[1].accepted && entries[1].cycle == 1);
+        assert!(entries[2].accepted && entries[2].cycle == rd.issued_at && rd.issued_at > 1);
         assert!(t.render().contains("!"));
     }
 
@@ -200,12 +205,9 @@ mod tests {
         let mut t = traced();
         let bank = BankAddr::new(0, 0);
         t.issue(&Command::Act { bank, row: 9 }, 0).unwrap();
-        let mut now = t.earliest_issue(&Command::Rd { bank, col: 0 }, 0);
+        let mut now = 0;
         for col in 0..5 {
-            let cmd = Command::Rd { bank, col };
-            let at = t.earliest_issue(&cmd, now);
-            t.issue(&cmd, at).unwrap();
-            now = at;
+            now = t.issue(&Command::Rd { bank, col }, now).unwrap().issued_at;
         }
         assert_eq!(t.len(), 4);
         assert_eq!(t.dropped(), 2);
@@ -248,10 +250,9 @@ mod tests {
         let a = plain.issue(&Command::Act { bank, row: 0 }, 0).unwrap();
         let b = t.issue(&Command::Act { bank, row: 0 }, 0).unwrap();
         assert_eq!(a, b);
-        assert_eq!(
-            plain.earliest_issue(&Command::Rd { bank, col: 0 }, 0),
-            t.earliest_issue(&Command::Rd { bank, col: 0 }, 0)
-        );
+        let rd = Command::Rd { bank, col: 0 };
+        assert_eq!(plain.earliest_issue(&rd, 0), t.earliest_issue(&rd, 0));
+        assert_eq!(plain.issue(&rd, 0), t.issue(&rd, 0));
         assert_eq!(t.open_row(bank), Some(0));
     }
 

@@ -3,7 +3,8 @@
 //! distance) rows built from `TimingParams` fields alone.
 //!
 //! Seeded streams that are legal by row state are issued through
-//! `PseudoChannel` at `earliest_issue`, on every preset and on a hand-built
+//! `PseudoChannel::issue`, which picks each command's cycle (and picks
+//! `earliest_issue`'s), on every preset and on a hand-built
 //! timing whose tFAW exceeds tRAS. The check is two-sided: no pair of
 //! commands sits closer than its row allows, and every command issues at
 //! exactly the maximum of the previous issue cycle and all its row bounds,
@@ -145,8 +146,10 @@ fn check_stream(t: &TimingParams, seed: u64, len: usize) {
     let (mut now, mut acts) = (0, 0);
     for step in 0..len {
         let cmd = next_command(&mut rng, &open);
-        let at = ch.earliest_issue(&cmd, now);
-        ch.issue(&cmd, at).unwrap_or_else(|e| panic!("seed {seed} step {step}: {cmd}: {e}"));
+        let earliest = ch.earliest_issue(&cmd, now);
+        let out = ch.issue(&cmd, now);
+        let at = out.unwrap_or_else(|e| panic!("seed {seed} step {step}: {cmd}: {e}")).issued_at;
+        assert_eq!(at, earliest, "seed {seed} step {step}: {cmd} issued off its earliest cycle");
         let mine = events(&cmd, &open);
         let mut bound = now;
         for &(class, bank) in &mine {
@@ -203,6 +206,33 @@ fn every_command_issues_at_the_latest_of_its_pair_bounds() {
         t.validate().unwrap_or_else(|e| panic!("{name}: {e}"));
         for seed in 0..24 {
             check_stream(&t, seed, 300);
+        }
+    }
+}
+
+/// `issue(cmd, now)` acts on the cycle `earliest_issue(cmd, now)` names:
+/// offered at or before it, a command issues there; offered after it, a
+/// command issues exactly when offered.
+#[test]
+fn a_command_issues_at_its_earliest_cycle_or_when_offered() {
+    for (name, t) in timings() {
+        for seed in 0..24u64 {
+            let mut ch = PseudoChannel::new(t.clone());
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let (mut now, mut late) = (0, 0);
+            for step in 0..300 {
+                let open =
+                    std::array::from_fn(|i| ch.open_row(BankAddr::from_flat_index(i)).is_some());
+                let cmd = next_command(&mut rng, &open);
+                let earliest = ch.earliest_issue(&cmd, now);
+                let offered = if rng.below(3) == 0 { earliest + 1 + rng.below(8) } else { now };
+                let out = ch.issue(&cmd, offered);
+                let at = out.unwrap_or_else(|e| panic!("{name} seed {seed}: {cmd}: {e}")).issued_at;
+                assert_eq!(at, earliest.max(offered), "{name} seed {seed} step {step}: {cmd}");
+                late += usize::from(offered > earliest);
+                now = at;
+            }
+            assert!(late > 50, "{name} seed {seed}: only {late} late offers");
         }
     }
 }

@@ -273,7 +273,7 @@ impl<'t> ChannelPredictor<'t> {
     }
 
     /// Applies one command to the clock exactly as the controller's raw
-    /// path would (`earliest_issue` then `issue` at that cycle), advancing
+    /// path would (`issue` at the earliest cycle from `now`), advancing
     /// `now` to the issue cycle.
     #[inline]
     fn issue(&mut self, t: &TimingParams, cmd: &Command) {

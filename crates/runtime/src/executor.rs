@@ -270,11 +270,10 @@ impl Executor {
         let mut now = ctrl.now();
         let mut next_reg = 0;
         for cmd in &Self::grf_readback_commands(unit, col_base) {
-            let at = ctrl.sink().earliest_issue(cmd, now);
-            let outcome = ctrl.sink_mut().issue(cmd, at).map_err(|e| PimError::Internal {
+            let outcome = ctrl.sink_mut().issue(cmd, now).map_err(|e| PimError::Internal {
                 detail: format!("GRF readback on channel {ch} unit {unit}: {cmd}: {e}"),
             })?;
-            now = at;
+            now = outcome.issued_at;
             if let Some(d) = outcome.data {
                 out[next_reg] = LaneVec::from_block(&d);
                 next_reg += 1;

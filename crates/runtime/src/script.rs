@@ -109,15 +109,14 @@ impl ScriptSession {
     fn issue_all(&mut self, cmds: &[Command], line: usize) -> Result<Option<LaneVec>, ScriptError> {
         let mut data = None;
         for c in cmds {
-            let at = self.channel.earliest_issue(c, self.now);
             let out = self
                 .channel
-                .issue(c, at)
+                .issue(c, self.now)
                 .map_err(|e| ScriptError { line, message: format!("{c}: {e}") })?;
             if let Some(d) = out.data {
                 data = Some(LaneVec::from_block(&d));
             }
-            self.now = at;
+            self.now = out.issued_at;
         }
         Ok(data)
     }

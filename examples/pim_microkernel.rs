@@ -20,9 +20,7 @@ use pim_fp16::F16;
 /// Issues each command at its earliest legal cycle; returns the clock.
 fn run(ch: &mut PimChannel, cmds: &[Command], mut now: u64) -> u64 {
     for c in cmds {
-        let at = ch.earliest_issue(c, now);
-        ch.issue(c, at).unwrap_or_else(|e| panic!("{c}: {e}"));
-        now = at;
+        now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
     }
     now
 }

@@ -477,7 +477,7 @@ const DOC_CEILINGS: &[(&str, usize)] = &[
     ("docs/LINTING.md", 278),
     ("docs/OBSERVABILITY.md", 296),
     ("docs/PANIC_AUDIT.md", 77),
-    ("docs/REJECTED.md", 19),
+    ("docs/REJECTED.md", 20),
     ("docs/RESILIENCE.md", 157),
     ("docs/SERVING.md", 212),
 ];
@@ -849,7 +849,7 @@ fn config_fields_stay_under_their_budget() {
 /// budget; raising it takes an edit of this test in the same diff.
 #[test]
 fn code_lines_stay_under_their_budget() {
-    const BUDGET: usize = 16_217;
+    const BUDGET: usize = 16_215;
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let lines: usize = workspace_sources(&root)
         .iter()
@@ -1020,6 +1020,33 @@ fn jedec_formulas_live_in_one_module() {
         }
     }
     assert!(copies.is_empty(), "a JEDEC formula outside clock.rs: {copies:#?}");
+}
+
+/// One issue cycle per command: `CommandSink::issue(cmd, now)` picks the
+/// earliest legal cycle itself, so no caller asks for it first and no sink
+/// refuses a command for being early. The refusal variant is named in no
+/// `.rs` file, and with comments cut no source under `crates/*/src` calls
+/// `earliest_issue` but the controller (FR-FCFS ranks its candidates by
+/// it), the tracing decorator and the PIM device (which forward it).
+#[test]
+fn an_issue_cycle_is_chosen_once() {
+    const RANKERS: [&str; 3] =
+        ["crates/dram/src/controller.rs", "crates/dram/src/trace.rs", "crates/core/src/device.rs"];
+    // Both needles are assembled here so that this file does not match.
+    let (early, call) = (["Too", "Early"].concat(), ["earliest_issue", "("].concat());
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut found = Vec::new();
+    for (path, code) in workspace_sources(&root) {
+        let file = path.strip_prefix(&root).unwrap().to_string_lossy().into_owned();
+        if std::fs::read_to_string(&path).unwrap().contains(&early) {
+            found.push(format!("{file}: names `{early}`"));
+        }
+        let calls = code.matches(&call).count() - code.matches(&format!("fn {call}")).count();
+        if calls > 0 && workspace_src(&root, &path).is_some() && !RANKERS.contains(&file.as_str()) {
+            found.push(format!("{file}: {calls} `{call}` calls"));
+        }
+    }
+    assert!(found.is_empty(), "an issue cycle chosen twice: {found:#?}");
 }
 
 /// The shipped example kernel sources assemble and verify clean.

@@ -44,9 +44,7 @@ fn unmodified_controller_drives_both_devices() {
 
 fn issue_all(ch: &mut PimChannel, cmds: &[Command], mut now: u64) -> u64 {
     for c in cmds {
-        let at = ch.earliest_issue(c, now);
-        ch.issue(c, at).unwrap_or_else(|e| panic!("{c}: {e}"));
-        now = at;
+        now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
     }
     now
 }
@@ -106,10 +104,9 @@ fn sb_mode_traffic_unaffected_after_pim_use() {
     }
 
     // Plain single-bank traffic afterwards.
-    let at = ch.earliest_issue(&Command::Act { bank: b, row: 9 }, 0);
+    let at = ch.issue(&Command::Act { bank: b, row: 9 }, 0).unwrap().issued_at;
     assert!(at >= end_ab, "SB command at {at} before AB activity ended ({end_ab})");
     let cmds = [
-        Command::Act { bank: b, row: 9 },
         Command::Wr { bank: b, col: 1, data: [0x22; 32] },
         Command::Rd { bank: b, col: 1 },
         Command::Pre { bank: b },
@@ -117,12 +114,11 @@ fn sb_mode_traffic_unaffected_after_pim_use() {
     let mut now = at;
     let mut seen = None;
     for c in &cmds {
-        let t = ch.earliest_issue(c, now);
-        let out = ch.issue(c, t).unwrap();
+        let out = ch.issue(c, now).unwrap();
         if out.data.is_some() {
             seen = out.data;
         }
-        now = t;
+        now = out.issued_at;
     }
     assert_eq!(seen, Some([0x22; 32]));
 }
@@ -143,8 +139,7 @@ fn registers_are_memory_mapped_per_unit() {
         0,
     );
     // Read back over the same mapping.
-    let at = ch.earliest_issue(&Command::Rd { bank: bank10, col: 2 }, now);
-    let out = ch.issue(&Command::Rd { bank: bank10, col: 2 }, at).unwrap();
+    let out = ch.issue(&Command::Rd { bank: bank10, col: 2 }, now).unwrap();
     assert_eq!(out.data, Some(block));
     assert_eq!(ch.unit(5).grf_a().read(2).to_f32(), [6.5; 16]);
     assert_eq!(ch.unit(4).grf_a().read(2), LaneVec::zero());

@@ -136,13 +136,9 @@ fn claim_abpim_no_external_transfer() {
         .chain(conf::set_pim_op_mode_sequence(true))
         .chain([Command::Act { bank: BankAddr::new(0, 0), row: 0 }])
     {
-        let at = ch.earliest_issue(&cmd, now);
-        ch.issue(&cmd, at).unwrap();
-        now = at;
+        now = ch.issue(&cmd, now).unwrap().issued_at;
     }
-    let cmd = Command::Rd { bank: BankAddr::new(0, 0), col: 0 };
-    let at = ch.earliest_issue(&cmd, now);
-    let out = ch.issue(&cmd, at).unwrap();
+    let out = ch.issue(&Command::Rd { bank: BankAddr::new(0, 0), col: 0 }, now).unwrap();
     assert_eq!(out.data, None);
     assert_eq!(ch.mode(), PimMode::AllBankPim);
 }
@@ -157,14 +153,10 @@ fn claim_ab_mode_ignores_bank_address() {
         let mut ch = PimChannel::new(TimingParams::hbm2(), PimConfig::paper());
         let mut now = 0;
         for cmd in conf::enter_ab_sequence() {
-            let at = ch.earliest_issue(&cmd, now);
-            ch.issue(&cmd, at).unwrap();
-            now = at;
+            now = ch.issue(&cmd, now).unwrap().issued_at;
         }
         for cmd in [Command::Act { bank, row: 6 }, Command::Wr { bank, col: 3, data: [0x77; 32] }] {
-            let at = ch.earliest_issue(&cmd, now);
-            ch.issue(&cmd, at).unwrap();
-            now = at;
+            now = ch.issue(&cmd, now).unwrap().issued_at;
         }
         // Whatever bank the command named, bank (3,3) received the write.
         ch.dram().bank(BankAddr::new(3, 3)).peek_block(6, 3)
