@@ -40,7 +40,7 @@ use crate::config::PimConfig;
 use crate::isa::Instruction;
 use crate::regfile::{crf_block, crf_block_base, crf_block_words};
 use crate::unit::{BankPort, Effects, PimUnit, Sequencer, TriggerKind, UnitStats};
-use crate::vector::LaneVec;
+use crate::vector::{Fp16, LaneVec};
 use crate::walker::{ModeWalker, Step};
 use pim_dram::{
     AllBankClock, BankAddr, Clock, Command, CommandSink, Cycle, DataBlock, IssueError,
@@ -63,6 +63,13 @@ pub const PIM_OP_MODE_ROW: u32 = 0x1FFD;
 pub const SBMR_ROW: u32 = 0x1FFE;
 /// The AB-mode-entry register row (`ABMR`).
 pub const ABMR_ROW: u32 = 0x1FFF;
+
+/// The GRF entry `(file, index)` column `col` of the `GRF` row maps: file 0
+/// is GRF_A (columns 0–7), file 1 GRF_B (8–15); higher columns alias them.
+pub fn grf_entry(col: u32) -> (u8, usize) {
+    let c = col as usize % 16;
+    ((c / 8) as u8, c % 8)
+}
 
 /// The operating mode of a PIM-HBM channel (Fig. 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -409,19 +416,16 @@ impl PimChannel {
             }
             SRF_ROW => {
                 for unit in targets {
-                    unit.srf_m_mut().load_from_lanes(&word, 0);
-                    unit.srf_a_mut().load_from_lanes(&word, 8);
+                    unit.srf_m_mut().load_from_lanes(&mut Fp16, word, 0);
+                    unit.srf_a_mut().load_from_lanes(&mut Fp16, word, 8);
                 }
                 0
             }
             GRF_ROW => {
-                let c = (col as usize) % 16;
+                let (file, idx) = grf_entry(col);
                 for unit in targets {
-                    if c < 8 {
-                        unit.grf_a_mut().write(c, word);
-                    } else {
-                        unit.grf_b_mut().write(c - 8, word);
-                    }
+                    let grf = if file == 0 { unit.grf_a_mut() } else { unit.grf_b_mut() };
+                    grf.write(idx, word);
                 }
                 0
             }
@@ -458,9 +462,9 @@ impl PimChannel {
                 LaneVec::from_lanes(lanes).to_block()
             }
             (GRF_ROW, Some(unit)) => {
-                let c = (col as usize) % 16;
-                let v = if c < 8 { unit.grf_a().read(c) } else { unit.grf_b().read(c - 8) };
-                v.to_block()
+                let (file, idx) = grf_entry(col);
+                let grf = if file == 0 { unit.grf_a() } else { unit.grf_b() };
+                grf.read(idx).to_block()
             }
             _ => [0u8; 32],
         })
@@ -600,11 +604,12 @@ impl PimChannel {
                 |port| BankAddr::from_flat_index(2 * u + usize::from(port == BankPort::Odd));
             let inner = &self.inner;
             let bank_write = unit.dataflow(
+                &mut Fp16,
                 instr,
                 kind,
                 col,
                 #[inline(always)]
-                |port| LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col)),
+                |_, port| LaneVec::from_block(&inner.bank(bank_at(port)).peek_block(row, col)),
             );
             if let Some((port, v)) = bank_write {
                 self.inner.bank_mut(bank_at(port)).poke_block(row, col, &v.to_block());

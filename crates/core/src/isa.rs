@@ -43,6 +43,7 @@
 //! 4. MAC's destination is the accumulator itself (`SRC2 == DST`), so it
 //!    contributes no independent destination choice.
 
+use crate::unit::BankPort;
 use std::fmt;
 
 /// Where an operand comes from or a result goes (3-bit field).
@@ -198,6 +199,45 @@ impl Operand {
     pub fn wdata() -> Operand {
         Operand::new(OperandKind::Wdata, 0)
     }
+
+    /// The register index this operand names on a trigger at column `col`:
+    /// in address-aligned mode the column's low three bits (Section IV-C),
+    /// otherwise its own `#` field.
+    #[inline(always)]
+    pub fn index(self, aam: bool, col: u32) -> usize {
+        if aam {
+            (col & 0x7) as usize
+        } else {
+            self.idx as usize
+        }
+    }
+
+    /// The location this operand names on a trigger at column `col`.
+    pub fn slot(self, aam: bool, col: u32) -> Slot {
+        let idx = self.index(aam, col);
+        match self.kind {
+            OperandKind::GrfA => Slot::Grf(0, idx),
+            OperandKind::GrfB => Slot::Grf(1, idx),
+            OperandKind::SrfM => Slot::Srf(0, idx),
+            OperandKind::SrfA => Slot::Srf(1, idx),
+            OperandKind::EvenBank => Slot::Bank(BankPort::Even),
+            OperandKind::OddBank => Slot::Bank(BankPort::Odd),
+            OperandKind::Wdata => Slot::Wdata,
+        }
+    }
+}
+
+/// A location an operand names on one trigger ([`Operand::slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Slot {
+    /// GRF entry `(file, index)`: file 0 is GRF_A, 1 is GRF_B.
+    Grf(u8, usize),
+    /// SRF entry `(file, index)`: file 0 is SRF_M, 1 is SRF_A.
+    Srf(u8, usize),
+    /// The block at (row, col) of one of the unit's banks.
+    Bank(BankPort),
+    /// The write-data bus.
+    Wdata,
 }
 
 impl fmt::Display for Operand {

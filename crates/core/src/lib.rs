@@ -69,8 +69,8 @@ pub mod conf {
     //! The reserved `PIM_CONF` memory map and mode-transition command
     //! sequences (Section III-B, Fig. 3).
     pub use crate::device::{
-        enter_ab_sequence, exit_ab_sequence, set_pim_op_mode_sequence, ABMR_ROW, CRF_ROW, GRF_ROW,
-        PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW, SRF_ROW,
+        enter_ab_sequence, exit_ab_sequence, grf_entry, set_pim_op_mode_sequence, ABMR_ROW,
+        CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW, SRF_ROW,
     };
     pub use crate::regfile::{crf_block_base, crf_block_words, crf_blocks};
 }
@@ -79,5 +79,5 @@ pub use config::{PimConfig, PimVariant, UNIT_AREA_MM2, UNIT_GATE_COUNT, UNIT_MHZ
 pub use device::{DataTape, LaunchAccounting, PimChannel, PimChannelStats, PimMode, UnitMask};
 pub use regfile::{Crf, Grf, Srf, CRF_ENTRIES};
 pub use unit::{BankPort, Halt, PimUnit, Sequencer, Trigger, TriggerKind};
-pub use vector::{LaneVec, LANES};
+pub use vector::{Fp16, LaneVec, ValueDomain, LANES};
 pub use walker::{ModeWalker, Step};

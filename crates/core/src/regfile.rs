@@ -1,7 +1,7 @@
 //! The PIM execution unit's register files (Section IV-A, Table IV).
 
 use crate::isa::Instruction;
-use crate::vector::LaneVec;
+use crate::vector::{Fp16, LaneVec, ValueDomain};
 use pim_dram::DataBlock;
 use pim_fp16::F16;
 
@@ -150,16 +150,35 @@ impl Crf {
     }
 }
 
-/// One general register file (GRF_A or GRF_B): 8 × 256-bit vector registers.
-#[derive(Debug, Clone, Default)]
-pub struct Grf {
-    regs: [LaneVec; GRF_ENTRIES_PER_FILE],
+/// One general register file (GRF_A or GRF_B): 8 × 256-bit vector
+/// registers, holding words of the value domain `D`.
+#[derive(Debug, Clone)]
+pub struct Grf<D: ValueDomain = Fp16> {
+    regs: [D::Vec; GRF_ENTRIES_PER_FILE],
+}
+
+impl Default for Grf {
+    fn default() -> Grf {
+        Grf::new()
+    }
 }
 
 impl Grf {
     /// A zeroed file.
     pub fn new() -> Grf {
-        Grf::default()
+        Grf::with_regs([LaneVec::zero(); GRF_ENTRIES_PER_FILE])
+    }
+
+    /// Clears all registers to zero.
+    pub fn clear(&mut self) {
+        *self = Grf::new();
+    }
+}
+
+impl<D: ValueDomain> Grf<D> {
+    /// A file holding `regs`.
+    pub fn with_regs(regs: [D::Vec; GRF_ENTRIES_PER_FILE]) -> Grf<D> {
+        Grf { regs }
     }
 
     /// Reads register `idx`.
@@ -167,26 +186,22 @@ impl Grf {
     /// # Panics
     ///
     /// Panics if `idx >= 8`.
-    pub fn read(&self, idx: usize) -> LaneVec {
+    pub fn read(&self, idx: usize) -> D::Vec {
         self.regs[idx]
     }
 
     /// Writes register `idx`.
-    pub fn write(&mut self, idx: usize, value: LaneVec) {
+    pub fn write(&mut self, idx: usize, value: D::Vec) {
         self.regs[idx] = value;
-    }
-
-    /// Clears all registers to zero.
-    pub fn clear(&mut self) {
-        self.regs = Default::default();
     }
 }
 
-/// One scalar register file (SRF_M or SRF_A): 8 × 16-bit scalars, each
-/// broadcast across all 16 lanes when used as an operand.
+/// One scalar register file (SRF_M or SRF_A): 8 × 16-bit scalars of the
+/// value domain `D`, each broadcast across all 16 lanes when used as an
+/// operand.
 #[derive(Debug, Clone)]
-pub struct Srf {
-    regs: [F16; SRF_ENTRIES_PER_FILE],
+pub struct Srf<D: ValueDomain = Fp16> {
+    regs: [D::Scalar; SRF_ENTRIES_PER_FILE],
 }
 
 impl Default for Srf {
@@ -198,35 +213,40 @@ impl Default for Srf {
 impl Srf {
     /// A zeroed file.
     pub fn new() -> Srf {
-        Srf { regs: [F16::ZERO; SRF_ENTRIES_PER_FILE] }
+        Srf::with_regs([F16::ZERO; SRF_ENTRIES_PER_FILE])
+    }
+}
+
+impl<D: ValueDomain> Srf<D> {
+    /// A file holding `regs`.
+    pub fn with_regs(regs: [D::Scalar; SRF_ENTRIES_PER_FILE]) -> Srf<D> {
+        Srf { regs }
     }
 
     /// Reads scalar `idx`.
-    pub fn read(&self, idx: usize) -> F16 {
+    pub fn read(&self, idx: usize) -> D::Scalar {
         self.regs[idx]
     }
 
     /// Reads scalar `idx` broadcast across 16 lanes.
-    pub fn read_broadcast(&self, idx: usize) -> LaneVec {
-        LaneVec::splat(self.regs[idx])
+    #[inline(always)]
+    pub fn read_broadcast(&self, dom: &mut D, idx: usize) -> D::Vec {
+        dom.splat(self.regs[idx])
     }
 
     /// Writes scalar `idx`.
-    pub fn write(&mut self, idx: usize, value: F16) {
+    pub fn write(&mut self, idx: usize, value: D::Scalar) {
         self.regs[idx] = value;
     }
 
-    /// Loads all 8 scalars from the first 8 lanes of a datapath word — the
-    /// shape of a memory-mapped SRF write (half of a 32-byte column block).
-    pub fn load_from_lanes(&mut self, v: &LaneVec, lane_offset: usize) {
+    /// Loads all 8 scalars from the 8 lanes of a datapath word from
+    /// `lane_offset` on — the shape of a memory-mapped SRF write (half of a
+    /// 32-byte column block).
+    #[inline(always)]
+    pub fn load_from_lanes(&mut self, dom: &mut D, v: D::Vec, lane_offset: usize) {
         for i in 0..SRF_ENTRIES_PER_FILE {
-            self.regs[i] = v[lane_offset + i];
+            self.regs[i] = dom.lane(v, lane_offset + i);
         }
-    }
-
-    /// Clears all scalars to zero.
-    pub fn clear(&mut self) {
-        self.regs = [F16::ZERO; SRF_ENTRIES_PER_FILE];
     }
 }
 
@@ -300,7 +320,7 @@ mod tests {
     fn srf_broadcast() {
         let mut srf = Srf::new();
         srf.write(2, F16::from_f32(0.5));
-        let v = srf.read_broadcast(2);
+        let v = srf.read_broadcast(&mut Fp16, 2);
         assert!(v.lanes().iter().all(|l| l.to_f32() == 0.5));
     }
 
@@ -313,8 +333,8 @@ mod tests {
         let word = LaneVec::from_f32(vals);
         let mut m = Srf::new();
         let mut a = Srf::new();
-        m.load_from_lanes(&word, 0);
-        a.load_from_lanes(&word, 8);
+        m.load_from_lanes(&mut Fp16, word, 0);
+        a.load_from_lanes(&mut Fp16, word, 8);
         assert_eq!(m.read(3).to_f32(), 3.0);
         assert_eq!(a.read(3).to_f32(), 11.0);
     }

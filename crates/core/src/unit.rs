@@ -11,18 +11,24 @@
 //! so at the command-level timing abstraction a trigger maps to one
 //! completed instruction; the pipeline depth only shows up as a fixed drain
 //! latency accounted by [`PimUnit::PIPELINE_STAGES`].
+//!
+//! The dataflow half of a trigger — the operand rules of Section III-C —
+//! is written once, generic over a [`ValueDomain`]: the device runs it on
+//! FP16 lanes ([`Fp16`], the default), and `pim-verify`'s symbolic
+//! executor runs the same code on hash-consed expressions.
 
 use crate::isa::{Instruction, Operand, OperandKind};
 use crate::regfile::{Crf, Grf, Srf, CRF_ENTRIES};
-use crate::vector::LaneVec;
+use crate::vector::{Fp16, LaneVec, ValueDomain};
 
-/// Which of the unit's two banks an operand touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Which of the unit's two banks an operand touched; the discriminant is
+/// the bank's parity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BankPort {
     /// The even-numbered bank (EVEN_BANK operand).
-    Even,
+    Even = 0,
     /// The odd-numbered bank (ODD_BANK operand).
-    Odd,
+    Odd = 1,
 }
 
 impl BankPort {
@@ -36,14 +42,15 @@ impl BankPort {
     }
 }
 
-/// What kind of column command triggered execution.
+/// What kind of column command triggered execution; `V` is the word the
+/// write datapath carries.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TriggerKind {
+pub enum TriggerKind<V = LaneVec> {
     /// A DRAM column RD command.
     Read,
     /// A DRAM column WR command carrying a 32-byte block on the write
     /// datapath (the `WDATA` operand).
-    Write(LaneVec),
+    Write(V),
 }
 
 /// A column-command trigger delivered to the unit: the implicit memory
@@ -84,8 +91,8 @@ pub struct ExecOutcome {
 /// [`Effects::of`] from the instruction and the trigger kind alone — the
 /// one place a trigger is counted — so a unit whose results nobody reads
 /// retires an instruction without executing it, and [`PimUnit::dataflow`]
-/// counts nothing (it shares only [`BankPort::of`], the one place an
-/// operand kind becomes a port).
+/// counts nothing (it shares only [`BankPort::of`], the one place the unit
+/// turns an operand kind into a port).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Effects {
     /// The bank port the result is written back to at (row, col), if any.
@@ -343,14 +350,14 @@ impl Sequencer {
 }
 
 /// One PIM execution unit: CRF + GRF_A/GRF_B + SRF_M/SRF_A + 16-wide FPU +
-/// controller (Fig. 4).
+/// controller (Fig. 4), its registers holding values of the domain `D`.
 #[derive(Debug, Clone)]
-pub struct PimUnit {
+pub struct PimUnit<D: ValueDomain = Fp16> {
     crf: Crf,
-    grf_a: Grf,
-    grf_b: Grf,
-    srf_m: Srf,
-    srf_a: Srf,
+    grf_a: Grf<D>,
+    grf_b: Grf<D>,
+    srf_m: Srf<D>,
+    srf_a: Srf<D>,
     seq: Sequencer,
     stats: UnitStats,
 }
@@ -368,12 +375,44 @@ impl PimUnit {
 
     /// A fresh, halt-on-first-trigger unit.
     pub fn new() -> PimUnit {
+        PimUnit::with_registers([Grf::new(), Grf::new()], [Srf::new(), Srf::new()])
+    }
+
+    /// Executes one trigger: sequencer step, dataflow of the resolved
+    /// instruction, statistics.
+    ///
+    /// This is "a DRAM column command triggers the execution of a PIM
+    /// instruction" (Section III-A), at the heart of the architecture.
+    pub fn execute(&mut self, trig: &Trigger) -> ExecOutcome {
+        let Some(instr) = self.lead().0 else {
+            return ExecOutcome { executed: None, bank_write: None, bank_read: None, halted: true };
+        };
+        let fx = Effects::of(&instr, &trig.kind);
+        let bank_write =
+            self.dataflow(&mut Fp16, instr, trig.kind, trig.col, |_, port| match port {
+                BankPort::Even => trig.even_data,
+                BankPort::Odd => trig.odd_data,
+            });
+        self.retire(&fx.retired());
+        ExecOutcome {
+            executed: Some(instr),
+            bank_write,
+            bank_read: fx.bank_read,
+            halted: self.seq.halt.is_some(),
+        }
+    }
+}
+
+impl<D: ValueDomain> PimUnit<D> {
+    /// A halt-on-first-trigger unit whose GRF_A / GRF_B and SRF_M / SRF_A
+    /// start as `grf` and `srf`.
+    pub fn with_registers([grf_a, grf_b]: [Grf<D>; 2], [srf_m, srf_a]: [Srf<D>; 2]) -> Self {
         PimUnit {
             crf: Crf::new(),
-            grf_a: Grf::new(),
-            grf_b: Grf::new(),
-            srf_m: Srf::new(),
-            srf_a: Srf::new(),
+            grf_a,
+            grf_b,
+            srf_m,
+            srf_a,
             seq: Sequencer::new(),
             stats: UnitStats::default(),
         }
@@ -390,42 +429,42 @@ impl PimUnit {
     }
 
     /// GRF file A.
-    pub fn grf_a(&self) -> &Grf {
+    pub fn grf_a(&self) -> &Grf<D> {
         &self.grf_a
     }
 
     /// Mutable GRF file A.
-    pub fn grf_a_mut(&mut self) -> &mut Grf {
+    pub fn grf_a_mut(&mut self) -> &mut Grf<D> {
         &mut self.grf_a
     }
 
     /// GRF file B.
-    pub fn grf_b(&self) -> &Grf {
+    pub fn grf_b(&self) -> &Grf<D> {
         &self.grf_b
     }
 
     /// Mutable GRF file B.
-    pub fn grf_b_mut(&mut self) -> &mut Grf {
+    pub fn grf_b_mut(&mut self) -> &mut Grf<D> {
         &mut self.grf_b
     }
 
     /// SRF_M (multiplication scalars).
-    pub fn srf_m(&self) -> &Srf {
+    pub fn srf_m(&self) -> &Srf<D> {
         &self.srf_m
     }
 
     /// Mutable SRF_M.
-    pub fn srf_m_mut(&mut self) -> &mut Srf {
+    pub fn srf_m_mut(&mut self) -> &mut Srf<D> {
         &mut self.srf_m
     }
 
     /// SRF_A (addition scalars).
-    pub fn srf_a(&self) -> &Srf {
+    pub fn srf_a(&self) -> &Srf<D> {
         &self.srf_a
     }
 
     /// Mutable SRF_A.
-    pub fn srf_a_mut(&mut self) -> &mut Srf {
+    pub fn srf_a_mut(&mut self) -> &mut Srf<D> {
         &mut self.srf_a
     }
 
@@ -458,64 +497,6 @@ impl PimUnit {
         self.seq = Sequencer::new();
     }
 
-    fn aam_idx(col: u32) -> usize {
-        (col & 0x7) as usize
-    }
-
-    fn src_index(op: Operand, aam: bool, col: u32) -> usize {
-        if aam {
-            Self::aam_idx(col)
-        } else {
-            op.idx as usize
-        }
-    }
-
-    /// Reads source operand `op`, asking `bank` only for a bank port.
-    /// Inlined so that one trigger is one straight-line body with its
-    /// vectors in registers.
-    #[inline(always)]
-    fn read_operand(
-        &self,
-        op: Operand,
-        aam: bool,
-        kind: TriggerKind,
-        col: u32,
-        bank: &mut impl FnMut(BankPort) -> LaneVec,
-    ) -> LaneVec {
-        let idx = Self::src_index(op, aam, col);
-        match op.kind {
-            OperandKind::GrfA => self.grf_a.read(idx),
-            OperandKind::GrfB => self.grf_b.read(idx),
-            OperandKind::EvenBank => bank(BankPort::Even),
-            OperandKind::OddBank => bank(BankPort::Odd),
-            OperandKind::SrfM => self.srf_m.read_broadcast(idx),
-            OperandKind::SrfA => self.srf_a.read_broadcast(idx),
-            OperandKind::Wdata => match kind {
-                TriggerKind::Write(d) => d,
-                TriggerKind::Read => LaneVec::zero(),
-            },
-        }
-    }
-
-    /// Writes `value` to register destination `dst`. A bank destination is
-    /// the device's to write.
-    #[inline(always)]
-    fn write_register(&mut self, dst: Operand, aam: bool, col: u32, value: LaneVec) {
-        let idx = Self::src_index(dst, aam, col);
-        match dst.kind {
-            OperandKind::GrfA => self.grf_a.write(idx, value),
-            OperandKind::GrfB => self.grf_b.write(idx, value),
-            // A 256-bit move into a scalar file loads 8 scalars: SRF_M from
-            // the low half of the word, SRF_A from the high half — matching
-            // the memory-mapped SRF write layout of the device.
-            OperandKind::SrfM => self.srf_m.load_from_lanes(&value, 0),
-            OperandKind::SrfA => self.srf_a.load_from_lanes(&value, 8),
-            // The write bus is not a destination; treat as a dropped write
-            // (decodable but rejected by Instruction::validate).
-            OperandKind::Wdata | OperandKind::EvenBank | OperandKind::OddBank => {}
-        }
-    }
-
     /// The sequencer half of a trigger: one [`Sequencer::step`] over this
     /// unit's CRF with a trigger's [`Sequencer::FUEL`]. Nothing is decoded
     /// ([`Crf`] did that when the word was written) and no register data
@@ -530,16 +511,63 @@ impl PimUnit {
     /// `leader`, which took it through [`PimUnit::lead`] and moved the loop
     /// counters in `jumped` ([`Sequencer::follow`]).
     #[inline]
-    pub(crate) fn follow(&mut self, leader: &PimUnit, jumped: u32) {
+    pub(crate) fn follow(&mut self, leader: &PimUnit<D>, jumped: u32) {
         debug_assert!(self.crf == leader.crf, "following a unit with another CRF image");
         self.seq.follow(&leader.seq, jumped);
     }
 
+    /// Reads source operand `op`, asking `bank` only for a bank port.
+    /// Inlined so that one trigger is one straight-line body with its
+    /// vectors in registers.
+    #[inline(always)]
+    fn read_operand(
+        &self,
+        dom: &mut D,
+        op: Operand,
+        aam: bool,
+        kind: TriggerKind<D::Vec>,
+        col: u32,
+        bank: &mut impl FnMut(&mut D, BankPort) -> D::Vec,
+    ) -> D::Vec {
+        let idx = op.index(aam, col);
+        match op.kind {
+            OperandKind::GrfA => self.grf_a.read(idx),
+            OperandKind::GrfB => self.grf_b.read(idx),
+            OperandKind::EvenBank => bank(dom, BankPort::Even),
+            OperandKind::OddBank => bank(dom, BankPort::Odd),
+            OperandKind::SrfM => self.srf_m.read_broadcast(dom, idx),
+            OperandKind::SrfA => self.srf_a.read_broadcast(dom, idx),
+            OperandKind::Wdata => match kind {
+                TriggerKind::Write(d) => d,
+                TriggerKind::Read => dom.zero(),
+            },
+        }
+    }
+
+    /// Writes `value` to register destination `dst`. A bank destination is
+    /// the caller's to write.
+    #[inline(always)]
+    fn write_register(&mut self, dom: &mut D, dst: Operand, aam: bool, col: u32, value: D::Vec) {
+        let idx = dst.index(aam, col);
+        match dst.kind {
+            OperandKind::GrfA => self.grf_a.write(idx, value),
+            OperandKind::GrfB => self.grf_b.write(idx, value),
+            // A 256-bit move into a scalar file loads 8 scalars: SRF_M from
+            // the low half of the word, SRF_A from the high half — matching
+            // the memory-mapped SRF write layout of the device.
+            OperandKind::SrfM => self.srf_m.load_from_lanes(dom, value, 0),
+            OperandKind::SrfA => self.srf_a.load_from_lanes(dom, value, 8),
+            // The write bus is not a destination; treat as a dropped write
+            // (decodable but rejected by Instruction::validate).
+            OperandKind::Wdata | OperandKind::EvenBank | OperandKind::OddBank => {}
+        }
+    }
+
     /// The dataflow half of a trigger: the register effects of one
-    /// already-resolved instruction, with no sequencer advance and no
-    /// stats. `bank` supplies the block at a bank port, and is asked only
-    /// for ports the instruction reads; a result bound for a bank port is
-    /// returned for the device to write back at (row, col).
+    /// already-resolved instruction, computed in `dom`, with no sequencer
+    /// advance and no stats. `bank` supplies the block at a bank port, and
+    /// is asked only for ports the instruction reads; a result bound for a
+    /// bank port is returned for the caller to write back at (row, col).
     ///
     /// Running it on an instruction resolved by an *earlier* execution of
     /// the same launch (the tape replay) is legal because control flow in
@@ -548,50 +576,51 @@ impl PimUnit {
     /// the fast path only records launches whose armed images prove
     /// (`pim-verify`'s PV301 flags the rest ahead of time).
     #[inline]
-    pub(crate) fn dataflow(
+    pub fn dataflow(
         &mut self,
+        dom: &mut D,
         instr: Instruction,
-        kind: TriggerKind,
+        kind: TriggerKind<D::Vec>,
         col: u32,
-        mut bank: impl FnMut(BankPort) -> LaneVec,
-    ) -> Option<(BankPort, LaneVec)> {
+        mut bank: impl FnMut(&mut D, BankPort) -> D::Vec,
+    ) -> Option<(BankPort, D::Vec)> {
         let (dst, aam, value) = match instr {
             Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => return None,
             Instruction::Mov { dst, src, relu, aam } => {
-                let v = self.read_operand(src, aam, kind, col, &mut bank);
-                (dst, aam, if relu { v.relu() } else { v })
+                let v = self.read_operand(dom, src, aam, kind, col, &mut bank);
+                (dst, aam, if relu { dom.relu(v) } else { v })
             }
             Instruction::Fill { dst, src, aam } => {
-                (dst, aam, self.read_operand(src, aam, kind, col, &mut bank))
+                (dst, aam, self.read_operand(dom, src, aam, kind, col, &mut bank))
             }
             Instruction::Add { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank);
-                (dst, aam, a.add(b))
+                let a = self.read_operand(dom, src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(dom, src1, aam, kind, col, &mut bank);
+                (dst, aam, dom.add(a, b))
             }
             Instruction::Mul { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank);
-                (dst, aam, a.mul(b))
+                let a = self.read_operand(dom, src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(dom, src1, aam, kind, col, &mut bank);
+                (dst, aam, dom.mul(a, b))
             }
             Instruction::Mac { dst, src0, src1, aam } => {
-                let a = self.read_operand(src0, aam, kind, col, &mut bank);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank);
-                let acc = self.read_operand(dst, aam, kind, col, &mut bank);
-                (dst, aam, a.mac(b, acc))
+                let a = self.read_operand(dom, src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(dom, src1, aam, kind, col, &mut bank);
+                let acc = self.read_operand(dom, dst, aam, kind, col, &mut bank);
+                (dst, aam, dom.mac(a, b, acc))
             }
             Instruction::Mad { dst, src0, src1, aam } => {
                 // SRC2 shares SRC1's index, in SRF_A (Section III-C).
-                let c = self.srf_a.read_broadcast(Self::src_index(src1, aam, col));
-                let a = self.read_operand(src0, aam, kind, col, &mut bank);
-                let b = self.read_operand(src1, aam, kind, col, &mut bank);
-                (dst, aam, a.mac(b, c))
+                let c = self.srf_a.read_broadcast(dom, src1.index(aam, col));
+                let a = self.read_operand(dom, src0, aam, kind, col, &mut bank);
+                let b = self.read_operand(dom, src1, aam, kind, col, &mut bank);
+                (dst, aam, dom.mac(a, b, c))
             }
         };
         match BankPort::of(dst.kind) {
             Some(port) => Some((port, value)),
             None => {
-                self.write_register(dst, aam, col, value);
+                self.write_register(dom, dst, aam, col, value);
                 None
             }
         }
@@ -601,29 +630,6 @@ impl PimUnit {
     /// statistics.
     pub(crate) fn retire(&mut self, retired: &UnitStats) {
         self.stats.merge(retired);
-    }
-
-    /// Executes one trigger: sequencer step, dataflow of the resolved
-    /// instruction, statistics.
-    ///
-    /// This is "a DRAM column command triggers the execution of a PIM
-    /// instruction" (Section III-A), at the heart of the architecture.
-    pub fn execute(&mut self, trig: &Trigger) -> ExecOutcome {
-        let Some(instr) = self.lead().0 else {
-            return ExecOutcome { executed: None, bank_write: None, bank_read: None, halted: true };
-        };
-        let fx = Effects::of(&instr, &trig.kind);
-        let bank_write = self.dataflow(instr, trig.kind, trig.col, |port| match port {
-            BankPort::Even => trig.even_data,
-            BankPort::Odd => trig.odd_data,
-        });
-        self.retire(&fx.retired());
-        ExecOutcome {
-            executed: Some(instr),
-            bank_write,
-            bank_read: fx.bank_read,
-            halted: self.seq.halt.is_some(),
-        }
     }
 }
 
@@ -879,7 +885,7 @@ mod tests {
                     let mut unit = PimUnit::new();
                     let before = unit.clone();
                     let mut asked = Vec::new();
-                    let wrote = unit.dataflow(instr, kind, 0, |port| {
+                    let wrote = unit.dataflow(&mut Fp16, instr, kind, 0, |_, port| {
                         asked.push(port);
                         LaneVec::from_f32([3.0; 16])
                     });

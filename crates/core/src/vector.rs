@@ -152,6 +152,69 @@ impl fmt::Debug for LaneVec {
     }
 }
 
+/// What the unit's datapath computes on. [`crate::PimUnit`]'s dataflow —
+/// the operand rules of Section III-C — is written once over this trait:
+/// [`Fp16`] runs it on lane values, and `pim-verify`'s symbolic executor
+/// runs it on hash-consed expressions. Methods take `&mut self` so a
+/// domain can intern what it builds.
+pub trait ValueDomain {
+    /// A 256-bit datapath word.
+    type Vec: Copy + fmt::Debug;
+    /// One 16-bit SRF scalar.
+    type Scalar: Copy + fmt::Debug;
+    /// The word a WDATA operand reads on a RD trigger.
+    fn zero(&mut self) -> Self::Vec;
+    /// A scalar broadcast across the lanes: an SRF operand read.
+    fn splat(&mut self, s: Self::Scalar) -> Self::Vec;
+    /// Lane `lane` of a word: one scalar of an SRF load.
+    fn lane(&mut self, v: Self::Vec, lane: usize) -> Self::Scalar;
+    /// Lane-wise ReLU.
+    fn relu(&mut self, v: Self::Vec) -> Self::Vec;
+    /// Lane-wise addition.
+    fn add(&mut self, a: Self::Vec, b: Self::Vec) -> Self::Vec;
+    /// Lane-wise multiplication.
+    fn mul(&mut self, a: Self::Vec, b: Self::Vec) -> Self::Vec;
+    /// Lane-wise `a * b + acc` with the hardware's rounding.
+    fn mac(&mut self, a: Self::Vec, b: Self::Vec, acc: Self::Vec) -> Self::Vec;
+}
+
+/// The FP16 domain the hardware computes in: [`LaneVec`]'s own operations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Fp16;
+
+impl ValueDomain for Fp16 {
+    type Vec = LaneVec;
+    type Scalar = F16;
+    #[inline(always)]
+    fn zero(&mut self) -> LaneVec {
+        LaneVec::zero()
+    }
+    #[inline(always)]
+    fn splat(&mut self, s: F16) -> LaneVec {
+        LaneVec::splat(s)
+    }
+    #[inline(always)]
+    fn lane(&mut self, v: LaneVec, lane: usize) -> F16 {
+        v[lane]
+    }
+    #[inline(always)]
+    fn relu(&mut self, v: LaneVec) -> LaneVec {
+        v.relu()
+    }
+    #[inline(always)]
+    fn add(&mut self, a: LaneVec, b: LaneVec) -> LaneVec {
+        a.add(b)
+    }
+    #[inline(always)]
+    fn mul(&mut self, a: LaneVec, b: LaneVec) -> LaneVec {
+        a.mul(b)
+    }
+    #[inline(always)]
+    fn mac(&mut self, a: LaneVec, b: LaneVec, acc: LaneVec) -> LaneVec {
+        a.mac(b, acc)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

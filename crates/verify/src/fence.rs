@@ -19,23 +19,13 @@
 
 use crate::diag::{PvCode, Report};
 use crate::stream::{StreamEvent, StreamItem};
-use pim_core::conf::{crf_block_base, crf_block_words, CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW};
-use pim_core::isa::OperandKind;
+use pim_core::conf::{
+    crf_block_base, crf_block_words, grf_entry, CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW,
+};
+use pim_core::isa::Slot;
 use pim_core::{Crf, ModeWalker, Sequencer, Step};
 use pim_dram::Command;
 use std::collections::HashSet;
-
-/// `(file, index)` GRF coordinates: file 0 = GRF_A, 1 = GRF_B.
-type GrfSlot = (u8, usize);
-
-fn grf_slot_of_col(col: u32) -> GrfSlot {
-    let c = (col % 16) as usize;
-    if c < 8 {
-        (0, c)
-    } else {
-        (1, c - 8)
-    }
-}
 
 /// Runs the fence-race pass over a stream. The units run in lock-step on
 /// one program, so one shadow CRF and sequencer stand for all of them.
@@ -47,7 +37,8 @@ pub fn check_fences(events: &[StreamEvent]) -> Report {
     // lock-step, so an EVEN_BANK write dirties that cell in every
     // even-parity bank (and only those).
     let mut dirty_bank: HashSet<(u8, u32, u32)> = HashSet::new();
-    let mut dirty_grf: HashSet<GrfSlot> = HashSet::new();
+    // Dirty GRF entries, keyed (file, index) as `Slot::Grf` names them.
+    let mut dirty_grf: HashSet<(u8, usize)> = HashSet::new();
     for ev in events {
         let cmd = match &ev.item {
             StreamItem::Fence => {
@@ -68,22 +59,16 @@ pub fn check_fences(events: &[StreamEvent]) -> Report {
                 let mut fuel = Sequencer::FUEL;
                 let Some(instr) = seq.step(&crf, &mut fuel).0 else { continue };
                 let Some(dst) = instr.dst() else { continue };
-                let aam = instr.aam();
-                match dst.kind {
-                    OperandKind::EvenBank => {
-                        dirty_bank.insert((0, row, *col));
+                match dst.slot(instr.aam(), *col) {
+                    Slot::Bank(port) => {
+                        dirty_bank.insert((port as u8, row, *col));
                     }
-                    OperandKind::OddBank => {
-                        dirty_bank.insert((1, row, *col));
-                    }
-                    OperandKind::GrfA | OperandKind::GrfB => {
-                        let file = if dst.kind == OperandKind::GrfA { 0 } else { 1 };
-                        let idx = if aam { (col & 7) as usize } else { dst.idx as usize };
+                    Slot::Grf(file, idx) => {
                         dirty_grf.insert((file, idx));
                     }
                     // SRF loads and dropped WDATA writes are not
                     // host-readable through the fence-guarded paths.
-                    OperandKind::SrfM | OperandKind::SrfA | OperandKind::Wdata => {}
+                    Slot::Srf(..) | Slot::Wdata => {}
                 }
             }
             (Step::Read { row }, Command::Rd { bank, col }) if row < PIM_CONF_FIRST_ROW => {
@@ -100,7 +85,7 @@ pub fn check_fences(events: &[StreamEvent]) -> Report {
                 }
             }
             (Step::Read { row: GRF_ROW }, Command::Rd { col, .. }) => {
-                let (file, idx) = grf_slot_of_col(*col);
+                let (file, idx) = grf_entry(*col);
                 if dirty_grf.contains(&(file, idx)) {
                     let name = if file == 0 { "GRF_A" } else { "GRF_B" };
                     report.error(

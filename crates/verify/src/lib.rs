@@ -25,8 +25,8 @@
 //!    an abstract interpreter over the statically resolved trigger
 //!    schedule ([`pim_core::schedule::StaticSchedule`]) that proves
 //!    control flow data-independent (PV301 when it cannot — the proof
-//!    the DataTape fast path is gated on), computes exact effect
-//!    footprints ([`Footprint`]) and symbolic output summaries
+//!    the DataTape fast path is gated on), runs the unit's own dataflow
+//!    over hash-consed expressions into symbolic output summaries
 //!    ([`KernelSummary`]), flags index-exact uninitialized reads (PV302)
 //!    and loop-aware dead writes (PV303), and decides semantic
 //!    equivalence of two programs.
@@ -42,7 +42,6 @@
 
 mod diag;
 mod fence;
-mod footprint;
 mod kernel;
 mod protocol;
 mod stream;
@@ -50,7 +49,6 @@ mod symex;
 
 pub use diag::{Diagnostic, PvCode, Report, Severity, Site};
 pub use fence::check_fences;
-pub use footprint::Footprint;
 pub use kernel::{code_of_violation, verify_image, verify_program};
 pub use protocol::lint_stream;
 pub use stream::{

@@ -8,19 +8,22 @@
 //! * Every 256-bit value is an expression over free leaves — the
 //!   trigger write data, the initial bank cells, and the initial
 //!   register contents — hash-consed into a [`SymTable`] arena.
+//! * The arena is a [`ValueDomain`], so each trigger runs
+//!   [`PimUnit::dataflow`] — the unit's own operand rules, not a copy of
+//!   them — over a `PimUnit<SymTable>` whose registers hold expressions.
 //! * Triggers are given *canonical* addresses (trigger `t` fires at
 //!   row `t / 32`, column `t % 32`), so every trigger's bank cell and
 //!   write-data word is a distinct free variable. Two programs that
 //!   compute equal expressions over these free leaves compute equal
 //!   values under **any** concrete addressing and data.
-//! * The walk records the exact effect footprint ([`Footprint`]) and
-//!   emits the PV3xx diagnostics: PV301 when the control flow cannot be
-//!   statically resolved (the schedule *is* the data-independence proof
-//!   the DataTape fast path relies on), PV302 for reads of GRF entries
-//!   no instruction wrote (index-exact, so AAM patterns that defeat
-//!   PV015's conservative pass are caught), and PV303 for writes proven
-//!   dead across the fully unrolled schedule (loop-aware, unlike
-//!   PV016's straight-line pass).
+//! * The walk emits the PV3xx diagnostics: PV301 when the control flow
+//!   cannot be statically resolved (the schedule *is* the
+//!   data-independence proof the DataTape fast path relies on), PV302 for
+//!   reads of GRF entries no instruction wrote (index-exact, so AAM
+//!   patterns that defeat PV015's conservative pass are caught), and
+//!   PV303 for writes proven dead across the fully unrolled schedule
+//!   (loop-aware, unlike PV016's straight-line pass). Both key on the GRF
+//!   entries [`pim_core::isa::Operand::slot`] resolves.
 //!
 //! [`check_equivalence`] decides semantic equivalence of two programs by
 //! canonicalizing both summaries into a shared arena (commutative
@@ -32,12 +35,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use pim_core::isa::{Instruction, Operand, OperandKind};
+use pim_core::isa::{Instruction, Slot};
 use pim_core::schedule::{ScheduleError, StaticSchedule, DEFAULT_SCHEDULE_BUDGET};
-use pim_core::{LaneVec, PimConfig};
+use pim_core::{Grf, LaneVec, PimConfig, PimUnit, Srf, TriggerKind, ValueDomain};
 
 use crate::diag::{PvCode, Report, Site};
-use crate::footprint::Footprint;
 
 /// Index of an expression in a [`SymTable`].
 type ExprId = u32;
@@ -47,6 +49,8 @@ type ExprId = u32;
 /// order — evaluation and canonicalization never recurse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Node {
+    /// The all-zero word a WDATA operand reads on a RD trigger.
+    Zero,
     /// The 256-bit write data of canonical trigger `t`.
     Wdata(u64),
     /// The initial contents of bank cell `(parity, row, col)`.
@@ -79,10 +83,6 @@ struct SymTable {
 }
 
 impl SymTable {
-    fn new() -> SymTable {
-        SymTable::default()
-    }
-
     fn intern(&mut self, node: Node) -> ExprId {
         if let Some(&id) = self.intern.get(&node) {
             return id;
@@ -94,20 +94,45 @@ impl SymTable {
     }
 }
 
-/// The symbolic summary of one program: its exact footprint, trigger
-/// count, and the final value of every register and written bank cell
-/// as expressions over the program's free inputs.
+/// The symbolic value domain: a word and an SRF scalar are both
+/// expressions. A scalar stands for its broadcast value, so an SRF read is
+/// the identity and an SRF load interns one `LaneSplat` per scalar.
+impl ValueDomain for SymTable {
+    type Vec = ExprId;
+    type Scalar = ExprId;
+    fn zero(&mut self) -> ExprId {
+        self.intern(Node::Zero)
+    }
+    fn splat(&mut self, s: ExprId) -> ExprId {
+        s
+    }
+    fn lane(&mut self, v: ExprId, lane: usize) -> ExprId {
+        self.intern(Node::LaneSplat(v, lane as u8))
+    }
+    fn relu(&mut self, v: ExprId) -> ExprId {
+        self.intern(Node::Relu(v))
+    }
+    fn add(&mut self, a: ExprId, b: ExprId) -> ExprId {
+        self.intern(Node::Add(a, b))
+    }
+    fn mul(&mut self, a: ExprId, b: ExprId) -> ExprId {
+        self.intern(Node::Mul(a, b))
+    }
+    fn mac(&mut self, a: ExprId, b: ExprId, acc: ExprId) -> ExprId {
+        self.intern(Node::Mac(a, b, acc))
+    }
+}
+
+/// The symbolic summary of one program: its trigger count and the final
+/// value of every register and written bank cell as expressions over the
+/// program's free inputs.
 #[derive(Debug, Clone)]
 pub struct KernelSummary {
     table: SymTable,
     total_triggers: u64,
-    footprint: Footprint,
-    /// Final GRF values; `None` = never written (still holds its
-    /// initial contents).
-    grf: [[Option<ExprId>; 8]; 2],
-    /// Final SRF broadcast values per entry.
-    srf_m: [ExprId; 8],
-    srf_a: [ExprId; 8],
+    /// Final values of GRF_A, GRF_B, SRF_M and SRF_A (an SRF entry as its
+    /// broadcast value; an initial-value leaf if never written).
+    regs: [[ExprId; 8]; 4],
     /// Final value written to each bank cell.
     bank_writes: BTreeMap<(u8, u32, u32), ExprId>,
 }
@@ -133,11 +158,6 @@ impl KernelSummary {
         self.total_triggers
     }
 
-    /// The exact effect footprint under canonical trigger addressing.
-    pub fn footprint(&self) -> &Footprint {
-        &self.footprint
-    }
-
     /// Evaluates the summary on concrete inputs: `wdata[t]` is the write
     /// data of canonical trigger `t` (missing entries read as zero) and
     /// `bank_init` the initial contents of bank cells (missing cells are
@@ -151,7 +171,9 @@ impl KernelSummary {
         let mut vals: Vec<LaneVec> = Vec::with_capacity(self.table.nodes.len());
         for node in &self.table.nodes {
             let v = match *node {
-                Node::InitGrf(..) | Node::InitSrfM(_) | Node::InitSrfA(_) => LaneVec::zero(),
+                Node::Zero | Node::InitGrf(..) | Node::InitSrfM(_) | Node::InitSrfA(_) => {
+                    LaneVec::zero()
+                }
                 Node::Wdata(t) => usize::try_from(t)
                     .ok()
                     .and_then(|t| wdata.get(t))
@@ -168,12 +190,12 @@ impl KernelSummary {
             };
             vals.push(v);
         }
-        let reg = |e: Option<ExprId>| e.map(|e| vals[e as usize]).unwrap_or(LaneVec::zero());
+        let [grf_a, grf_b, srf_m, srf_a] = self.regs.map(|file| file.map(|e| vals[e as usize]));
         EvalOutput {
-            grf_a: std::array::from_fn(|i| reg(self.grf[0][i])),
-            grf_b: std::array::from_fn(|i| reg(self.grf[1][i])),
-            srf_m: std::array::from_fn(|i| vals[self.srf_m[i] as usize]),
-            srf_a: std::array::from_fn(|i| vals[self.srf_a[i] as usize]),
+            grf_a,
+            grf_b,
+            srf_m,
+            srf_a,
             bank_writes: self.bank_writes.iter().map(|(&k, &e)| (k, vals[e as usize])).collect(),
         }
     }
@@ -219,33 +241,30 @@ pub fn symex_program(program: &[Instruction]) -> SymexOutcome {
 /// The abstract interpreter state during one unrolled walk.
 struct Walker {
     table: SymTable,
-    footprint: Footprint,
-    grf: [[Option<ExprId>; 8]; 2],
-    /// Per GRF entry: the instruction index of the last write, if it has
-    /// not been read since.
-    unread_write: [[Option<usize>; 8]; 2],
-    srf_m: [ExprId; 8],
-    srf_a: [ExprId; 8],
-    bank: HashMap<(u8, u32, u32), ExprId>,
+    /// The unit whose dataflow each trigger runs, over `table`.
+    unit: PimUnit<SymTable>,
+    /// Every bank cell written so far, with its latest value.
     bank_writes: BTreeMap<(u8, u32, u32), ExprId>,
-    uninit_reads: BTreeSet<(usize, u8, u8)>,
+    /// Per GRF entry: `None` until first written or read, then the
+    /// instruction index of the last write if it has not been read since.
+    live: [[Option<Option<usize>>; 8]; 2],
+    uninit_reads: BTreeSet<(usize, u8, usize)>,
     dead_writes: BTreeSet<usize>,
 }
 
 impl Walker {
     fn new() -> Walker {
-        let mut table = SymTable::new();
-        let srf_m = std::array::from_fn(|i| table.intern(Node::InitSrfM(i as u8)));
-        let srf_a = std::array::from_fn(|i| table.intern(Node::InitSrfA(i as u8)));
+        let mut table = SymTable::default();
+        let grf = [0, 1].map(|file| {
+            Grf::with_regs(std::array::from_fn(|i| table.intern(Node::InitGrf(file, i as u8))))
+        });
+        let srf_m = Srf::with_regs(std::array::from_fn(|i| table.intern(Node::InitSrfM(i as u8))));
+        let srf_a = Srf::with_regs(std::array::from_fn(|i| table.intern(Node::InitSrfA(i as u8))));
         Walker {
             table,
-            footprint: Footprint::new(),
-            grf: [[None; 8]; 2],
-            unread_write: [[None; 8]; 2],
-            srf_m,
-            srf_a,
-            bank: HashMap::new(),
+            unit: PimUnit::with_registers(grf, [srf_m, srf_a]),
             bank_writes: BTreeMap::new(),
+            live: [[None; 8]; 2],
             uninit_reads: BTreeSet::new(),
             dead_writes: BTreeSet::new(),
         }
@@ -261,7 +280,7 @@ impl Walker {
                 continue;
             }
             for _ in 0..step.triggers {
-                self.exec(step.index, step.instr, t);
+                self.step(step.index, step.instr, t);
                 t += 1;
             }
         }
@@ -281,148 +300,60 @@ impl Walker {
                  unrolled schedule)",
             );
         }
+        let u = &self.unit;
+        let read = |f: usize, i| {
+            [u.grf_a().read(i), u.grf_b().read(i), u.srf_m().read(i), u.srf_a().read(i)][f]
+        };
         KernelSummary {
             table: self.table,
             total_triggers: schedule.total_triggers(),
-            footprint: self.footprint,
-            grf: self.grf,
-            srf_m: self.srf_m,
-            srf_a: self.srf_a,
+            regs: std::array::from_fn(|f| std::array::from_fn(|i| read(f, i))),
             bank_writes: self.bank_writes,
         }
     }
 
-    fn operand_index(op: Operand, aam: bool, col: u32) -> usize {
-        if aam {
-            (col & 0x7) as usize
-        } else {
-            op.idx as usize
-        }
-    }
-
-    /// Mirrors `PimUnit::read_operand` symbolically. `is_acc` marks
-    /// MAC's implicit accumulator read, which is exempt from PV302 (the
-    /// idiomatic accumulate-into-host-prepared-register pattern).
-    fn read(&mut self, site: usize, op: Operand, aam: bool, t: u64, is_acc: bool) -> ExprId {
+    /// Canonical trigger `t` of instruction `site`: the liveness of the
+    /// GRF entries it reads and writes, then the unit's dataflow.
+    fn step(&mut self, site: usize, instr: Instruction, t: u64) {
         let (row, col) = ((t / 32) as u32, (t % 32) as u32);
-        let idx = Self::operand_index(op, aam, col);
-        match op.kind {
-            OperandKind::GrfA | OperandKind::GrfB => {
-                let file = if op.kind == OperandKind::GrfA { 0 } else { 1 };
-                self.footprint.grf_reads.insert((file, idx as u8));
-                self.unread_write[file as usize][idx] = None;
-                match self.grf[file as usize][idx] {
-                    Some(e) => e,
-                    None => {
-                        if !is_acc {
-                            self.uninit_reads.insert((site, file, idx as u8));
-                        }
-                        let leaf = self.table.intern(Node::InitGrf(file, idx as u8));
-                        self.grf[file as usize][idx] = Some(leaf);
-                        leaf
-                    }
-                }
-            }
-            OperandKind::EvenBank | OperandKind::OddBank => {
-                let parity = if op.kind == OperandKind::EvenBank { 0 } else { 1 };
-                let key = (parity, row, col);
-                self.footprint.bank_reads.insert(key);
-                match self.bank.get(&key) {
-                    Some(&e) => e,
-                    None => self.table.intern(Node::BankCell(parity, row, col)),
-                }
-            }
-            OperandKind::SrfM => {
-                self.footprint.srf_m_reads.insert(idx as u8);
-                self.srf_m[idx]
-            }
-            OperandKind::SrfA => {
-                self.footprint.srf_a_reads.insert(idx as u8);
-                self.srf_a[idx]
-            }
-            OperandKind::Wdata => self.table.intern(Node::Wdata(t)),
+        self.track_liveness(site, instr, col);
+        let kind = TriggerKind::Write(self.table.intern(Node::Wdata(t)));
+        let written = &self.bank_writes;
+        let wrote = self.unit.dataflow(&mut self.table, instr, kind, col, |table, port| {
+            let key = (port as u8, row, col);
+            written
+                .get(&key)
+                .copied()
+                .unwrap_or_else(|| table.intern(Node::BankCell(key.0, row, col)))
+        });
+        if let Some((port, value)) = wrote {
+            self.bank_writes.insert((port as u8, row, col), value);
         }
     }
 
-    /// Mirrors `PimUnit::write_register` symbolically.
-    fn write(&mut self, site: usize, dst: Operand, aam: bool, t: u64, value: ExprId) {
-        let (row, col) = ((t / 32) as u32, (t % 32) as u32);
-        let idx = Self::operand_index(dst, aam, col);
-        match dst.kind {
-            OperandKind::GrfA | OperandKind::GrfB => {
-                let file = if dst.kind == OperandKind::GrfA { 0usize } else { 1 };
-                self.footprint.grf_writes.insert((file as u8, idx as u8));
-                if let Some(prev) = self.unread_write[file][idx] {
-                    self.dead_writes.insert(prev);
-                }
-                self.unread_write[file][idx] = Some(site);
-                self.grf[file][idx] = Some(value);
-            }
-            OperandKind::EvenBank | OperandKind::OddBank => {
-                let parity = if dst.kind == OperandKind::EvenBank { 0 } else { 1 };
-                let key = (parity, row, col);
-                self.footprint.bank_writes.insert(key);
-                self.bank.insert(key, value);
-                self.bank_writes.insert(key, value);
-            }
-            OperandKind::SrfM => {
-                for i in 0..8u8 {
-                    self.srf_m[i as usize] = self.table.intern(Node::LaneSplat(value, i));
+    /// PV302 / PV303 bookkeeping over the GRF entries `instr` reads (its
+    /// sources, then MAC's accumulator) and writes. The first read of an
+    /// entry nothing wrote is an uninitialized read — except MAC's
+    /// accumulator, the idiomatic accumulate-into-host-prepared-register
+    /// pattern — and marks the entry seen either way.
+    fn track_liveness(&mut self, site: usize, instr: Instruction, col: u32) {
+        let aam = instr.aam();
+        let acc = match instr {
+            Instruction::Mac { dst, .. } => Some(dst),
+            _ => None,
+        };
+        let reads = instr.sources().into_iter().map(|op| (op, false));
+        for (op, is_acc) in reads.chain(acc.map(|op| (op, true))) {
+            if let Slot::Grf(file, idx) = op.slot(aam, col) {
+                if self.live[file as usize][idx].replace(None).is_none() && !is_acc {
+                    self.uninit_reads.insert((site, file, idx));
                 }
             }
-            OperandKind::SrfA => {
-                for i in 0..8u8 {
-                    self.srf_a[i as usize] = self.table.intern(Node::LaneSplat(value, 8 + i));
-                }
-            }
-            // WDATA is not a destination; the datapath drops the write.
-            OperandKind::Wdata => {}
         }
-    }
-
-    fn exec(&mut self, site: usize, instr: Instruction, t: u64) {
-        match instr {
-            Instruction::Mov { dst, src, relu, aam } => {
-                let mut v = self.read(site, src, aam, t, false);
-                if relu {
-                    v = self.table.intern(Node::Relu(v));
-                }
-                self.write(site, dst, aam, t, v);
+        if let Some(Slot::Grf(file, idx)) = instr.dst().map(|dst| dst.slot(aam, col)) {
+            if let Some(Some(prev)) = self.live[file as usize][idx].replace(Some(site)) {
+                self.dead_writes.insert(prev);
             }
-            Instruction::Fill { dst, src, aam } => {
-                let v = self.read(site, src, aam, t, false);
-                self.write(site, dst, aam, t, v);
-            }
-            Instruction::Add { dst, src0, src1, aam } => {
-                let a = self.read(site, src0, aam, t, false);
-                let b = self.read(site, src1, aam, t, false);
-                let v = self.table.intern(Node::Add(a, b));
-                self.write(site, dst, aam, t, v);
-            }
-            Instruction::Mul { dst, src0, src1, aam } => {
-                let a = self.read(site, src0, aam, t, false);
-                let b = self.read(site, src1, aam, t, false);
-                let v = self.table.intern(Node::Mul(a, b));
-                self.write(site, dst, aam, t, v);
-            }
-            Instruction::Mac { dst, src0, src1, aam } => {
-                let a = self.read(site, src0, aam, t, false);
-                let b = self.read(site, src1, aam, t, false);
-                let acc = self.read(site, dst, aam, t, true);
-                let v = self.table.intern(Node::Mac(a, b, acc));
-                self.write(site, dst, aam, t, v);
-            }
-            Instruction::Mad { dst, src0, src1, aam } => {
-                let a = self.read(site, src0, aam, t, false);
-                let b = self.read(site, src1, aam, t, false);
-                // SRC2 shares SRC1's (possibly AAM) index, in SRF_A.
-                let c_idx = Self::operand_index(src1, aam, (t % 32) as u32);
-                self.footprint.srf_a_reads.insert(c_idx as u8);
-                let c = self.srf_a[c_idx];
-                let v = self.table.intern(Node::Mac(a, b, c));
-                self.write(site, dst, aam, t, v);
-            }
-            Instruction::Nop { .. } | Instruction::Jump { .. } | Instruction::Exit => {}
         }
     }
 }
@@ -467,28 +398,18 @@ pub fn check_equivalence(config: &PimConfig, a: &[Instruction], b: &[Instruction
         ));
     }
 
-    let mut canon = SymTable::new();
+    let mut canon = SymTable::default();
     let ma = canonical_map(&ka.table, &mut canon);
     let mb = canonical_map(&kb.table, &mut canon);
 
-    for file in 0..2u8 {
-        for idx in 0..8usize {
-            let init = canon.intern(Node::InitGrf(file, idx as u8));
-            let ca = ka.grf[file as usize][idx].map(|e| ma[e as usize]).unwrap_or(init);
-            let cb = kb.grf[file as usize][idx].map(|e| mb[e as usize]).unwrap_or(init);
-            if ca != cb {
-                let name = if file == 0 { "GRF_A" } else { "GRF_B" };
-                return EquivVerdict::Inequivalent(format!("final {name}[{idx}] differs"));
-            }
-        }
-    }
-    for idx in 0..8usize {
-        if ma[ka.srf_m[idx] as usize] != mb[kb.srf_m[idx] as usize] {
-            return EquivVerdict::Inequivalent(format!("final SRF_M[{idx}] differs"));
-        }
-        if ma[ka.srf_a[idx] as usize] != mb[kb.srf_a[idx] as usize] {
-            return EquivVerdict::Inequivalent(format!("final SRF_A[{idx}] differs"));
-        }
+    // GRF_A[0..8], GRF_B[0..8], then SRF_M[i] and SRF_A[i] by index.
+    let mut order = (0..16).map(|i| (i / 8, i % 8)).chain((0..16).map(|i| (2 + i % 2, i / 2)));
+    let differs = |&(file, idx): &(usize, usize)| {
+        ma[ka.regs[file][idx] as usize] != mb[kb.regs[file][idx] as usize]
+    };
+    if let Some((file, idx)) = order.find(differs) {
+        let name = ["GRF_A", "GRF_B", "SRF_M", "SRF_A"][file];
+        return EquivVerdict::Inequivalent(format!("final {name}[{idx}] differs"));
     }
 
     let wa: BTreeMap<_, _> = ka.bank_writes.iter().map(|(&k, &e)| (k, ma[e as usize])).collect();
@@ -688,5 +609,86 @@ mod tests {
             assert_eq!(eval.grf_b[i].lanes(), unit.grf_b().read(i).lanes(), "GRF_B[{i}]");
             assert_eq!(eval.grf_a[i].lanes(), unit.grf_a().read(i).lanes(), "GRF_A[{i}]");
         }
+    }
+
+    /// The symbolic model and the unit agree on every one-instruction
+    /// program: MOV, MOV(ReLU), FILL, ADD, MUL, MAC and MAD with each of
+    /// the seven operand kinds in each slot — invalid-but-decodable
+    /// combinations included — AAM on and off, looped 8 times. All 16
+    /// GRFs, all 16 SRF scalars and every bank write compare bit for bit.
+    #[test]
+    fn every_one_instruction_program_agrees_with_the_unit() {
+        use pim_core::isa::{Operand, OperandKind};
+        use pim_core::{Trigger, TriggerKind};
+        const TRIPS: u32 = 8;
+        let word = |seed: u32| {
+            LaneVec::from_f32(std::array::from_fn(|l| (seed * 16 + l as u32) as f32 * 0.25 - 7.0))
+        };
+        let wdata: Vec<LaneVec> = (0..TRIPS).map(|t| word(t + 1)).collect();
+        let cell =
+            |parity: u8, t: u32| ((parity, t / 32, t % 32), word(100 + 2 * t + parity as u32));
+        let bank_init: HashMap<_, _> = (0..TRIPS).flat_map(|t| [cell(0, t), cell(1, t)]).collect();
+        let bits = |v: LaneVec| v.to_block();
+        let mut programs = 0;
+        for aam in [false, true] {
+            for (d, a, b) in OperandKind::ALL.iter().flat_map(|&d| {
+                OperandKind::ALL.iter().flat_map(move |&a| OperandKind::ALL.map(move |b| (d, a, b)))
+            }) {
+                let (dst, src0, src1) =
+                    (Operand::new(d, 1), Operand::new(a, 2), Operand::new(b, 1));
+                let mut instrs = vec![
+                    Instruction::Add { dst, src0, src1, aam },
+                    Instruction::Mul { dst, src0, src1, aam },
+                    Instruction::Mac { dst, src0, src1, aam },
+                    Instruction::Mad { dst, src0, src1, aam },
+                ];
+                if b == OperandKind::GrfA {
+                    // MOV and FILL have one source: draw each pair once.
+                    instrs.push(Instruction::Mov { dst, src: src0, relu: false, aam });
+                    instrs.push(Instruction::Mov { dst, src: src0, relu: true, aam });
+                    instrs.push(Instruction::Fill { dst, src: src0, aam });
+                }
+                for instr in instrs {
+                    let prog =
+                        [instr, Instruction::Jump { target: 0, count: 8 }, Instruction::Exit];
+                    let summary = symex_program(&prog).summary.expect("one loop proves");
+                    assert_eq!(summary.total_triggers(), u64::from(TRIPS), "{instr}");
+                    let eval = summary.eval(&wdata, &bank_init);
+
+                    let mut unit = PimUnit::new();
+                    unit.crf_mut().load_program(&prog);
+                    let mut bank_writes = BTreeMap::new();
+                    for t in 0..TRIPS {
+                        let (row, col) = (t / 32, t % 32);
+                        let out = unit.execute(&Trigger {
+                            kind: TriggerKind::Write(wdata[t as usize]),
+                            row,
+                            col,
+                            even_data: bank_init[&(0, row, col)],
+                            odd_data: bank_init[&(1, row, col)],
+                        });
+                        assert_eq!(out.executed, Some(instr), "trigger {t}");
+                        if let Some((port, v)) = out.bank_write {
+                            bank_writes.insert((port as u8, row, col), bits(v));
+                        }
+                    }
+                    for i in 0..8 {
+                        let (srf_m, srf_a) = (unit.srf_m().read(i), unit.srf_a().read(i));
+                        let unit_regs = [unit.grf_a().read(i), unit.grf_b().read(i)]
+                            .into_iter()
+                            .chain([srf_m, srf_a].map(LaneVec::splat));
+                        let sym = [eval.grf_a[i], eval.grf_b[i], eval.srf_m[i], eval.srf_a[i]];
+                        for (file, (u, e)) in unit_regs.zip(sym).enumerate() {
+                            assert_eq!(bits(e), bits(u), "{instr} (AAM {aam}): file {file}[{i}]");
+                        }
+                    }
+                    let sym_writes: BTreeMap<_, _> =
+                        eval.bank_writes.iter().map(|(&k, &v)| (k, bits(v))).collect();
+                    assert_eq!(sym_writes, bank_writes, "{instr} (AAM {aam}): bank writes");
+                    programs += 1;
+                }
+            }
+        }
+        assert_eq!(programs, 2 * (4 * 7 * 7 * 7 + 3 * 7 * 7));
     }
 }

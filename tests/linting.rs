@@ -849,7 +849,7 @@ fn config_fields_stay_under_their_budget() {
 /// budget; raising it takes an edit of this test in the same diff.
 #[test]
 fn code_lines_stay_under_their_budget() {
-    const BUDGET: usize = 16_215;
+    const BUDGET: usize = 16_178;
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let lines: usize = workspace_sources(&root)
         .iter()
@@ -1047,6 +1047,33 @@ fn an_issue_cycle_is_chosen_once() {
         }
     }
     assert!(found.is_empty(), "an issue cycle chosen twice: {found:#?}");
+}
+
+/// One datapath: an operand kind becomes a value in `PimUnit`'s dataflow
+/// (`crates/core/src/unit.rs`), which the device and `pim-verify`'s
+/// symbolic executor both run, and a location in `Operand::slot`
+/// (`isa.rs`). Above its `#[cfg(test)]` module, with comments cut, no
+/// other source of a workspace crate names `OperandKind::` but the
+/// assembler and the kernel verifier's range checks.
+#[test]
+fn an_operand_becomes_a_value_in_one_module() {
+    const OWNERS: [&str; 4] = [
+        "crates/core/src/isa.rs",
+        "crates/core/src/asm.rs",
+        "crates/core/src/unit.rs",
+        "crates/verify/src/kernel.rs",
+    ];
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut named = Vec::new();
+    for (path, text) in workspace_sources(&root) {
+        let Some((krate, src)) = workspace_src(&root, &path) else { continue };
+        let file = format!("crates/{krate}/src/{src}");
+        let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
+        if mentions(code, "OperandKind::") && !OWNERS.contains(&file.as_str()) {
+            named.push(file);
+        }
+    }
+    assert!(named.is_empty(), "an operand kind resolved outside the unit's dataflow: {named:?}");
 }
 
 /// The shipped example kernel sources assemble and verify clean.
