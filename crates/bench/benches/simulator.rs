@@ -7,8 +7,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use pim_core::isa::{Instruction, Operand};
 use pim_core::{LaneVec, PimChannel, PimConfig, PimUnit, Trigger, TriggerKind, UnitMask};
 use pim_dram::{
-    BankAddr, Command, CommandSink, ControllerConfig, MemoryController, Request, SchedulingPolicy,
-    TimingParams,
+    BankAddr, Command, CommandSink, ControllerConfig, MemoryController, NoData, Request,
+    SchedulingPolicy, TimingParams,
 };
 use pim_fp16::F16;
 use pim_host::{Batch, ChannelPredictor, ExecutionMode, HostConfig, KernelEngine, PimSystem};
@@ -78,13 +78,13 @@ fn bench_dram(c: &mut Criterion) {
             || {
                 let mut ch = pim_dram::PseudoChannel::new(TimingParams::hbm2());
                 let bank = BankAddr::new(0, 0);
-                ch.issue(&Command::Act { bank, row: 0 }, 0).unwrap();
+                ch.issue(&Command::Act { bank, row: 0 }, 0, &mut NoData).unwrap();
                 (ch, 100u64)
             },
             |(mut ch, mut now)| {
                 let cmd = Command::Rd { bank: BankAddr::new(0, 0), col: 0 };
                 for _ in 0..64 {
-                    now = ch.issue(&cmd, now).unwrap().issued_at;
+                    now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
                 }
                 now
             },
@@ -161,7 +161,7 @@ fn bench_pim(c: &mut Criterion) {
                 let bank = BankAddr::new(0, 0);
                 let mut now = 0;
                 for cmd in pim_core::conf::enter_ab_sequence() {
-                    now = ch.issue(&cmd, now).unwrap().issued_at;
+                    now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
                 }
                 // Program an endless MAC loop and enter AB-PIM mode.
                 let prog = [
@@ -176,21 +176,21 @@ fn bench_pim(c: &mut Criterion) {
                 let block = pim_core::conf::crf_blocks(&prog)[0];
                 for cmd in [
                     Command::Act { bank, row: pim_core::conf::CRF_ROW },
-                    Command::Wr { bank, col: 0, data: block },
+                    Command::Wr { bank, col: 0, data: block.into() },
                     Command::Pre { bank },
                 ]
                 .into_iter()
                 .chain(pim_core::conf::set_pim_op_mode_sequence(true))
                 .chain([Command::Act { bank, row: 0 }])
                 {
-                    now = ch.issue(&cmd, now).unwrap().issued_at;
+                    now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
                 }
                 (ch, now)
             },
             |(mut ch, mut now)| {
                 let bank = BankAddr::new(0, 0);
                 for col in 0..32u32 {
-                    now = ch.issue(&Command::Rd { bank, col }, now).unwrap().issued_at;
+                    now = ch.issue(&Command::Rd { bank, col }, now, &mut NoData).unwrap().issued_at;
                 }
                 now
             },

@@ -43,8 +43,8 @@ use crate::unit::{BankPort, Effects, PimUnit, Sequencer, TriggerKind, UnitStats}
 use crate::vector::{Fp16, LaneVec};
 use crate::walker::{ModeWalker, Step};
 use pim_dram::{
-    AllBankClock, BankAddr, Clock, Command, CommandSink, Cycle, DataBlock, IssueError,
-    IssueOutcome, PseudoChannel, TimingParams,
+    AllBankClock, BankAddr, Clock, Command, CommandSink, Cycle, DataBlock, DataPort, IssueError,
+    IssueOutcome, Issued, PseudoChannel, TimingParams,
 };
 use pim_faults::{CellFaults, ColumnFault, DeviceFaults, FaultPlan};
 use pim_obs::{names, Event, Recorder, Scope};
@@ -115,14 +115,24 @@ pub fn exit_ab_sequence() -> Vec<Command> {
 /// The sequence that sets the `PIM_OP_MODE` register to `enable`:
 /// ACT of the register row, a WR whose bit 0 carries the value, and PRE.
 pub fn set_pim_op_mode_sequence(enable: bool) -> Vec<Command> {
-    let bank = BankAddr::new(0, 0);
     let mut data: DataBlock = [0u8; 32];
     data[0] = enable as u8;
-    vec![
-        Command::Act { bank, row: PIM_OP_MODE_ROW },
-        Command::Wr { bank, col: 0, data },
-        Command::Pre { bank },
-    ]
+    row_write_sequence(PIM_OP_MODE_ROW, 0, [data])
+}
+
+/// ACT of `row`, a WR of each of `blocks` from column `col` on, and PRE,
+/// all on bank (0, 0) — every bank in all-bank mode: how the host writes
+/// the CRF (one block per 8 instructions), the SRF or a run of GRF
+/// entries. The list is allocated once, at its length.
+pub fn row_write_sequence(
+    row: u32,
+    col: u32,
+    blocks: impl IntoIterator<Item = DataBlock, IntoIter: ExactSizeIterator>,
+) -> Vec<Command> {
+    let bank = BankAddr::new(0, 0);
+    let writes = (col..).zip(blocks).map(|(col, b)| Command::Wr { bank, col, data: b.into() });
+    let open = std::iter::once(Command::Act { bank, row });
+    open.chain(writes).chain([Command::Pre { bank }]).collect()
 }
 
 /// Statistics of a PIM channel, feeding the energy model (Fig. 11) and the
@@ -628,7 +638,7 @@ impl PimChannel {
     /// advances the clock for an accepted command: step one of
     /// [`CommandSink::issue`] in an all-bank mode.
     #[inline] // Called from `issue`, which other crates inline.
-    fn accept_ab(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+    fn accept_ab(&mut self, cmd: &Command, now: Cycle) -> Issued {
         let cycle = self.ab.earliest(cmd, now);
         let open = self.walker.open_row(BankAddr::new(0, 0)).is_some();
         let t = self.inner.timing();
@@ -651,7 +661,7 @@ impl PimChannel {
             _ => None,
         };
         self.ab.advance(cmd, cycle, t);
-        Ok(IssueOutcome { issued_at: cycle, data: None, data_at })
+        Ok(IssueOutcome { issued_at: cycle, data_at })
     }
 
     /// What an accepted ACT / PRE / PREA / REF does beyond the clock that
@@ -688,15 +698,24 @@ impl PimChannel {
     /// Step three of [`CommandSink::issue`]: what `cmd`, accepted as `out`
     /// and classified as `step` by the walker that left mode `before`,
     /// does beyond the clock, in either mode — then the fault stall and the
-    /// mode-transition count. Kept out of line, so that the plain
+    /// mode-transition count. Returns the block a read puts on the bus when
+    /// it is not the addressed bank's: a register image, or bank (0, 0)'s
+    /// in an all-bank mode. Kept out of line, so that the plain
     /// single-bank path, which skips it, stays small enough to inline into
     /// the controller's loops.
     #[inline(never)]
-    fn apply_step(&mut self, cmd: &Command, step: Step, before: PimMode, out: &mut IssueOutcome) {
+    fn apply_step(
+        &mut self,
+        cmd: &Command,
+        step: Step,
+        before: PimMode,
+        out: &mut IssueOutcome,
+    ) -> Option<DataBlock> {
         let (sb, cycle) = (before == PimMode::SingleBank, out.issued_at);
+        let mut read = None;
         let (bank, col, wdata) = match *cmd {
             Command::Rd { bank, col } => (bank, col, None),
-            Command::Wr { bank, col, ref data } => (bank, col, Some(data)),
+            Command::Wr { bank, col, ref data } => (bank, col, Some(&**data)),
             _ => (BankAddr::new(0, 0), 0, None),
         };
         match (step, wdata) {
@@ -704,9 +723,7 @@ impl PimChannel {
             (Step::Read { row }, _) if row >= PIM_CONF_FIRST_ROW => {
                 // One unit per even/odd bank pair; all-bank reads unit 0.
                 let unit = if sb { bank.flat_index() / 2 } else { 0 };
-                if let Some(data) = self.conf_read(row, col, unit) {
-                    out.data = Some(data);
-                }
+                read = self.conf_read(row, col, unit);
             }
             (Step::ConfWrite { row, unit }, Some(data)) => self.conf_write(row, col, data, unit),
             (Step::PimOpMode { enable, toggled }, _) => {
@@ -719,7 +736,7 @@ impl PimChannel {
                 // Lock-step read: the host observes bank (0,0); a dropped
                 // read returns an empty burst.
                 let block = self.inner.bank(BankAddr::new(0, 0)).read_block(col);
-                out.data = Some(self.roll_column_fault(block).unwrap_or_default());
+                read = Some(self.roll_column_fault(block).unwrap_or_default());
             }
             (Step::AbWrite { .. }, Some(data)) => {
                 // Broadcast write: the same block lands in every bank — how
@@ -775,6 +792,7 @@ impl PimChannel {
                 ));
             }
         }
+        read
     }
 
     /// The launch-memoization fingerprint: the channel's clock seen from
@@ -1021,15 +1039,16 @@ impl CommandSink for PimChannel {
     /// earliest cycle that mode's clock allows — a refused command leaves
     /// everything, the mode machine included, where it was; step the
     /// walker; apply what the walker classified the command as
-    /// ([`PimChannel::apply_step`]). Plain single-bank traffic on a
+    /// (`PimChannel::apply_step`). Plain single-bank traffic on a
     /// fault-free channel — a data-row read or write, or a row command
     /// that leaves the mode single-bank — has nothing to apply and returns
     /// after the walker.
     #[inline]
-    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+    fn issue<P: DataPort>(&mut self, cmd: &Command, now: Cycle, port: &mut P) -> Issued {
         let before = self.walker.mode();
         let sb = before == PimMode::SingleBank;
-        let mut result = if sb { self.inner.issue(cmd, now) } else { self.accept_ab(cmd, now) };
+        let mut result =
+            if sb { self.inner.issue(cmd, now, port) } else { self.accept_ab(cmd, now) };
         if let Ok(outcome) = &mut result {
             let step = self.walker.step(cmd);
             let plain =
@@ -1038,8 +1057,10 @@ impl CommandSink for PimChannel {
             if !(sb && plain && self.faults.is_none()) {
                 // On a copy: lending `apply_step` the result itself would
                 // keep the plain path's result in memory too.
-                let mut applied = outcome.clone();
-                self.apply_step(cmd, step, before, &mut applied);
+                let mut applied = *outcome;
+                if let Some(block) = self.apply_step(cmd, step, before, &mut applied) {
+                    port.deliver(|| block);
+                }
                 *outcome = applied;
             }
         }
@@ -1059,11 +1080,15 @@ impl CommandSink for PimChannel {
 mod tests {
     use super::*;
     use crate::isa::{Instruction, Operand};
+    use pim_dram::NoData;
 
     /// Issues a command sequence back-to-back at the earliest legal cycles.
     fn run(ch: &mut PimChannel, cmds: &[Command], mut now: Cycle) -> Cycle {
         for c in cmds {
-            now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c} after {now}: {e}")).issued_at;
+            now = ch
+                .issue(c, now, &mut NoData)
+                .unwrap_or_else(|e| panic!("{c} after {now}: {e}"))
+                .issued_at;
         }
         now
     }
@@ -1082,7 +1107,7 @@ mod tests {
             &mut ch,
             &[
                 Command::Act { bank: b, row: 10 },
-                Command::Wr { bank: b, col: 3, data: [7; 32] },
+                Command::Wr { bank: b, col: 3, data: [7; 32].into() },
                 Command::Rd { bank: b, col: 3 },
             ],
             0,
@@ -1140,7 +1165,7 @@ mod tests {
             &mut ch,
             &[
                 Command::Act { bank: b, row: 4 },
-                Command::Wr { bank: b, col: 2, data: [0xCD; 32] },
+                Command::Wr { bank: b, col: 2, data: [0xCD; 32].into() },
                 Command::Pre { bank: b },
             ],
             now,
@@ -1157,8 +1182,9 @@ mod tests {
         let now = run(&mut ch, &enter_ab_sequence(), 0);
         let b = BankAddr::new(0, 0);
         let now = run(&mut ch, &[Command::Act { bank: b, row: 0 }], now);
-        let first = ch.issue(&Command::Rd { bank: b, col: 0 }, now).unwrap().issued_at;
-        let second = ch.issue(&Command::Rd { bank: b, col: 1 }, first).unwrap().issued_at;
+        let first = ch.issue(&Command::Rd { bank: b, col: 0 }, now, &mut NoData).unwrap().issued_at;
+        let second =
+            ch.issue(&Command::Rd { bank: b, col: 1 }, first, &mut NoData).unwrap().issued_at;
         assert_eq!(second, first + t.t_ccd_l);
     }
 
@@ -1211,7 +1237,7 @@ mod tests {
             &mut ch,
             &[
                 Command::Act { bank: b, row: CRF_ROW },
-                Command::Wr { bank: b, col: 0, data: crf_block },
+                Command::Wr { bank: b, col: 0, data: crf_block.into() },
                 Command::Pre { bank: b },
             ],
             now,
@@ -1244,11 +1270,7 @@ mod tests {
         ];
         let mut t = now;
         for c in &cmds {
-            let out = ch.issue(c, t).unwrap();
-            if out.data.is_some() {
-                got = out.data;
-            }
-            t = out.issued_at;
+            t = ch.issue(c, t, &mut got).unwrap().issued_at;
         }
         let v = LaneVec::from_block(&got.unwrap());
         assert_eq!(v.to_f32(), [4.0; 16], "unit 3 loaded even bank 6's value 3+1");
@@ -1289,7 +1311,7 @@ mod tests {
                 let data = crate::conf::crf_blocks(prog)[0];
                 let load = [
                     Command::Act { bank, row: CRF_ROW },
-                    Command::Wr { bank, col: 0, data },
+                    Command::Wr { bank, col: 0, data: data.into() },
                     Command::Pre { bank },
                 ];
                 now = run(&mut ch, &load, now);
@@ -1322,8 +1344,9 @@ mod tests {
         let now = run(&mut ch, &enter_ab_sequence(), 0);
         let now = run(&mut ch, &set_pim_op_mode_sequence(true), now);
         let now = run(&mut ch, &[Command::Act { bank: b, row: 0 }], now);
-        let out = ch.issue(&Command::Rd { bank: b, col: 0 }, now).unwrap();
-        assert_eq!(out.data, None, "AB-PIM reads do not drive the external I/O");
+        let mut data = None;
+        ch.issue(&Command::Rd { bank: b, col: 0 }, now, &mut data).unwrap();
+        assert_eq!(data, None, "AB-PIM reads do not drive the external I/O");
     }
 
     #[test]
@@ -1340,7 +1363,7 @@ mod tests {
             &mut ch,
             &[
                 Command::Act { bank: b, row: SRF_ROW },
-                Command::Wr { bank: b, col: 0, data: block },
+                Command::Wr { bank: b, col: 0, data: block.into() },
                 Command::Pre { bank: b },
             ],
             now,
@@ -1373,7 +1396,7 @@ mod tests {
             &mut ch,
             &[
                 Command::Act { bank: b, row: CRF_ROW },
-                Command::Wr { bank: b, col: 0, data: crf_block },
+                Command::Wr { bank: b, col: 0, data: crf_block.into() },
                 Command::Pre { bank: b },
             ],
             now,
@@ -1450,7 +1473,7 @@ mod tests {
             for w in writes {
                 let conf = |bank, col, words: &[u32]| {
                     let data = crf_block(std::array::from_fn(|i| words[i]));
-                    [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data }, Command::Pre { bank }]
+                    [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data: data.into() }, Command::Pre { bank }]
                 };
                 match w {
                     CrfWrite::Word { unit, index, word } => {
@@ -1530,7 +1553,7 @@ mod tests {
                 };
                 let write = [
                     Command::Act { bank: at, row: CRF_ROW },
-                    Command::Wr { bank: at, col, data: crf_block(words) },
+                    Command::Wr { bank: at, col, data: crf_block(words).into() },
                     Command::Pre { bank: at },
                 ];
                 let units = match bank {
@@ -1687,7 +1710,7 @@ mod tests {
             let b = BankAddr::new(0, 0);
             let conf = |bank, col, words: [u32; 8]| {
                 let data = crf_block(words);
-                [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data }, Command::Pre { bank }]
+                [Command::Act { bank, row: CRF_ROW }, Command::Wr { bank, col, data: data.into() }, Command::Pre { bank }]
             };
             let block_at = |col: u32, slots: &[Slot]| -> [u32; 8] {
                 std::array::from_fn(|i| slot_word(crf_block_base(col) + i, slots[i]))
@@ -1724,7 +1747,7 @@ mod tests {
                         let (cmd, kind) = match write {
                             None => (Command::Rd { bank: b, col }, TriggerKind::Read),
                             Some(fill) => (
-                                Command::Wr { bank: b, col, data: [fill; 32] },
+                                Command::Wr { bank: b, col, data: [fill; 32].into() },
                                 TriggerKind::Write(LaneVec::from_block(&[fill; 32])),
                             ),
                         };
@@ -1880,7 +1903,7 @@ mod tests {
         };
         let refuse = |ch: &mut PimChannel, cmd: Command, at: Cycle, want: IssueError| {
             let before = state(ch, at);
-            assert_eq!(ch.issue(&cmd, at), Err(want), "{cmd}");
+            assert_eq!(ch.issue(&cmd, at, &mut NoData), Err(want), "{cmd}");
             assert_eq!(state(ch, at), before, "refused {cmd} moved the channel");
         };
         let late = 1_000_000;
@@ -1893,9 +1916,9 @@ mod tests {
         let now = run(&mut ch, &[Command::Act { bank: b, row: PIM_OP_MODE_ROW }], now);
         let mut enable = [0u8; 32];
         enable[0] = 1;
-        let wr = Command::Wr { bank: b, col: 0, data: enable };
+        let wr = Command::Wr { bank: b, col: 0, data: enable.into() };
         let earliest = ch.earliest_issue(&wr, now);
-        let out = ch.issue(&wr, earliest - 1).unwrap();
+        let out = ch.issue(&wr, earliest - 1, &mut NoData).unwrap();
         assert_eq!(out.issued_at, earliest, "offered early, issued at its earliest cycle");
         assert_eq!((ch.mode(), ch.stats().mode_transitions), (PimMode::AllBankPim, 2));
         let act = Command::Act { bank: b, row: SBMR_ROW };
@@ -1932,7 +1955,7 @@ mod tests {
         let (block, stored) = ([0x5A; 32], [0xC3; 32]);
         let write = [
             Command::Act { bank: bank8, row: SRF_ROW },
-            Command::Wr { bank: bank8, col: 0, data: block },
+            Command::Wr { bank: bank8, col: 0, data: block.into() },
             Command::Pre { bank: bank8 },
         ];
         let untouched = registers(&fresh4());
@@ -1946,8 +1969,7 @@ mod tests {
             Command::Rd { bank: bank12, col: 3 },
             Command::Pre { bank: bank12 },
         ] {
-            let out = ch.issue(&cmd, now).unwrap();
-            (now, read) = (out.issued_at, out.data.or(read));
+            now = ch.issue(&cmd, now, &mut read).unwrap().issued_at;
         }
         assert_eq!(read, Some(stored), "the GRF row of bank 12 reads its array");
         assert_eq!(ch.dram().bank(bank8).peek_block(SRF_ROW, 0), block);
@@ -1975,7 +1997,7 @@ mod tests {
         );
         let end = run(&mut ch, &exit_ab_sequence(), now);
         // An SB command must not be allowed before AB activity ended.
-        let e = ch.issue(&Command::Act { bank: b, row: 0 }, 0).unwrap().issued_at;
+        let e = ch.issue(&Command::Act { bank: b, row: 0 }, 0, &mut NoData).unwrap().issued_at;
         assert!(e >= end, "SB ACT at {e} before AB activity ended at {end}");
     }
 }

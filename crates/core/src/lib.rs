@@ -42,12 +42,12 @@
 //!
 //! ```
 //! use pim_core::{PimChannel, PimConfig, conf};
-//! use pim_dram::{CommandSink, TimingParams};
+//! use pim_dram::{CommandSink, NoData, TimingParams};
 //!
 //! let mut ch = PimChannel::new(TimingParams::hbm2(), PimConfig::paper());
 //! let mut t = 0;
 //! for cmd in conf::enter_ab_sequence() {
-//!     t = ch.issue(&cmd, t).unwrap().issued_at;
+//!     t = ch.issue(&cmd, t, &mut NoData).unwrap().issued_at;
 //! }
 //! assert_eq!(ch.mode(), pim_core::PimMode::AllBank);
 //! ```
@@ -69,8 +69,9 @@ pub mod conf {
     //! The reserved `PIM_CONF` memory map and mode-transition command
     //! sequences (Section III-B, Fig. 3).
     pub use crate::device::{
-        enter_ab_sequence, exit_ab_sequence, grf_entry, set_pim_op_mode_sequence, ABMR_ROW,
-        CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW, SBMR_ROW, SRF_ROW,
+        enter_ab_sequence, exit_ab_sequence, grf_entry, row_write_sequence,
+        set_pim_op_mode_sequence, ABMR_ROW, CRF_ROW, GRF_ROW, PIM_CONF_FIRST_ROW, PIM_OP_MODE_ROW,
+        SBMR_ROW, SRF_ROW,
     };
     pub use crate::regfile::{crf_block_base, crf_block_words, crf_blocks};
 }

@@ -91,7 +91,7 @@ proptest! {
 
 use pim_core::isa::{Instruction, Operand};
 use pim_core::{conf, DataTape, Halt, ModeWalker, PimMode, Sequencer, Step};
-use pim_dram::{Command, CommandSink, DataBlock};
+use pim_dram::{Command, CommandSink, DataBlock, NoData};
 
 /// Microkernels the generated streams load (entries 0–3): AAM and fixed
 /// indexing, bank write-back, WDATA (a stats-only anomaly on RD triggers),
@@ -289,7 +289,7 @@ fn lower(frags: &[Frag], ab: &mut bool, out: &mut Vec<Command>) {
                 out.push(Command::Act { bank, row: *row });
                 out.extend(cols.iter().map(|c| match *c {
                     Col::Rd(col) => Command::Rd { bank, col },
-                    Col::Wr(col, v) => Command::Wr { bank, col, data: payload(v) },
+                    Col::Wr(col, v) => Command::Wr { bank, col, data: payload(v).into() },
                 }));
                 out.push(Command::Pre { bank });
             }
@@ -297,20 +297,20 @@ fn lower(frags: &[Frag], ab: &mut bool, out: &mut Vec<Command>) {
                 let bank = on(bank);
                 out.push(Command::Act { bank, row: conf::CRF_ROW });
                 for (c, data) in conf::crf_blocks(&pool[*prog]).into_iter().enumerate() {
-                    out.push(Command::Wr { bank, col: c as u32, data });
+                    out.push(Command::Wr { bank, col: c as u32, data: data.into() });
                 }
                 out.push(Command::Pre { bank });
             }
             Frag::Srf { bank, seed } => {
                 let bank = on(bank);
                 out.push(Command::Act { bank, row: conf::SRF_ROW });
-                out.push(Command::Wr { bank, col: 0, data: payload(*seed) });
+                out.push(Command::Wr { bank, col: 0, data: payload(*seed).into() });
                 out.push(Command::Pre { bank });
             }
             Frag::Grf { bank, col, seed } => {
                 let bank = on(bank);
                 out.push(Command::Act { bank, row: conf::GRF_ROW });
-                out.push(Command::Wr { bank, col: *col, data: payload(*seed) });
+                out.push(Command::Wr { bank, col: *col, data: payload(*seed).into() });
                 out.push(Command::Pre { bank });
             }
             Frag::EnterAb { bank } if !*ab => {
@@ -323,7 +323,7 @@ fn lower(frags: &[Frag], ab: &mut bool, out: &mut Vec<Command>) {
                 let bank = on(bank);
                 out.push(Command::Act { bank, row: conf::ABMR_ROW });
                 out.push(if *write {
-                    Command::Wr { bank, col: 1, data: payload(9) }
+                    Command::Wr { bank, col: 1, data: payload(9).into() }
                 } else {
                     Command::Rd { bank, col: 1 }
                 });
@@ -418,7 +418,7 @@ proptest! {
         let (mut now, mut conf_writes, mut triggers) = (0, 0u64, 0u64);
         let (mut reads, mut conf_reads) = (0u64, 0u64);
         for cmd in build(&frags) {
-            let out = ch.issue(&cmd, now);
+            let out = ch.issue(&cmd, now, &mut NoData);
             now = out.unwrap_or_else(|e| panic!("{cmd} after {now}: {e}")).issued_at;
             match walker.step(&cmd) {
                 Step::ConfWrite { .. } | Step::PimOpMode { .. } => conf_writes += 1,
@@ -463,7 +463,7 @@ proptest! {
                 0 => now,
                 late => earliest + late,
             };
-            let out = ch.issue(cmd, offered);
+            let out = ch.issue(cmd, offered, &mut NoData);
             now = out.unwrap_or_else(|e| panic!("{cmd} in {mode}: {e}")).issued_at;
             prop_assert_eq!(now, earliest.max(offered), "{} in {}", cmd, mode);
         }
@@ -518,7 +518,7 @@ proptest! {
                 [
                     Command::Act { bank, row: 2 },
                     Command::Rd { bank, col: 1 },
-                    Command::Wr { bank, col: 2, data },
+                    Command::Wr { bank, col: 2, data: data.into() },
                     Command::Pre { bank },
                 ]
             })
@@ -531,6 +531,50 @@ proptest! {
             prop_assert_eq!(got, want, "{}", what);
         }
     }
+}
+
+/// FNV-1a over every block the keeping port received in
+/// [`a_discarding_port_changes_nothing_but_the_blocks_it_drops`], each with
+/// its case and command index; taken from the device before ports existed,
+/// whose outcomes carried every read's block.
+const DELIVERED_BLOCKS: (u64, u64) = (452, 15_289_873_612_790_874_980);
+
+fn fnv(h: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// One issue entry point, two data ports: every generated stream, issued
+/// once through the discarding port and once through a keeping one, ends in
+/// the same issue cycles, statistics and bank and register contents, and
+/// the keeping port receives the blocks the outcomes used to carry — a
+/// data row's on a read, a register image on a register-row read, nothing
+/// on an AB-PIM trigger or a write.
+#[test]
+fn a_discarding_port_changes_nothing_but_the_blocks_it_drops() {
+    let mut rng = proptest::TestRng::seed_from_u64(47);
+    let (mut digest, mut blocks) = (0xcbf2_9ce4_8422_2325u64, 0u64);
+    for case in 0..96u64 {
+        let cmds = build(&frags().generate(&mut rng));
+        let (mut dropped, mut kept) = (seeded_channel(), seeded_channel());
+        let (mut a, mut b) = (0, 0);
+        for (i, cmd) in cmds.iter().enumerate() {
+            let mut data = None;
+            a = dropped.issue(cmd, a, &mut NoData).unwrap().issued_at;
+            b = kept.issue(cmd, b, &mut data).unwrap().issued_at;
+            assert_eq!(a, b, "case {case}: {cmd} issued apart");
+            if let Some(block) = data {
+                fnv(&mut digest, &[case.to_le_bytes(), (i as u64).to_le_bytes()].concat());
+                fnv(&mut digest, &block);
+                blocks += 1;
+            }
+        }
+        assert_eq!(dropped.stats(), kept.stats(), "case {case}");
+        assert_eq!(dropped.dram().stats(), kept.dram().stats(), "case {case}");
+        assert_eq!(data_state(&dropped), data_state(&kept), "case {case}");
+    }
+    assert_eq!((blocks, digest), DELIVERED_BLOCKS);
 }
 
 // ---------------------------------------------------------------------
@@ -589,7 +633,10 @@ fn sequencers(ch: &PimChannel) -> Vec<(Sequencer, Vec<u32>)> {
 fn issue_all(ch: &mut PimChannel, cmds: &[Command]) -> u64 {
     let mut now = 0;
     for cmd in cmds {
-        now = ch.issue(cmd, now).unwrap_or_else(|e| panic!("{cmd} after {now}: {e}")).issued_at;
+        now = ch
+            .issue(cmd, now, &mut NoData)
+            .unwrap_or_else(|e| panic!("{cmd} after {now}: {e}"))
+            .issued_at;
     }
     now
 }

@@ -1,7 +1,7 @@
 //! The pseudo channel: 16 banks in 4 bank groups behind shared CA/data
 //! buses, timed by one [`Clock`].
 
-use crate::bank::Bank;
+use crate::bank::{Bank, COLS_PER_ROW};
 use crate::clock::Clock;
 use crate::command::{BankAddr, Command, DataBlock};
 use crate::stats::ChannelStats;
@@ -33,16 +33,44 @@ impl fmt::Display for IssueError {
 
 impl std::error::Error for IssueError {}
 
-/// The result of successfully issuing a command.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The result of successfully issuing a command: when, not what. A read's
+/// block goes to the [`DataPort`] the caller hands [`CommandSink::issue`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IssueOutcome {
     /// The cycle at which the command issued.
     pub issued_at: Cycle,
-    /// For `Rd`: the data block, valid on the bus at `data_at`.
-    pub data: Option<DataBlock>,
     /// For `Rd`/`Wr`: the cycle at which the (last beat of) data crosses the
     /// bus — `issued_at + tCL/tWL + tBL`.
     pub data_at: Option<Cycle>,
+}
+
+/// What [`CommandSink::issue`] returns.
+pub type Issued = Result<IssueOutcome, IssueError>;
+
+/// Where a read's data block goes: the caller names it at the one
+/// [`CommandSink::issue`] entry point. A sink reads the array for a port
+/// only when the port asks for the block.
+pub trait DataPort {
+    /// Takes the block a read drives onto the data bus; `read` produces it.
+    fn deliver(&mut self, read: impl FnOnce() -> DataBlock);
+}
+
+/// The port of a caller that discards read data — the kernel engine, through
+/// [`crate::MemoryController::issue_raw`]. No block is read for it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoData;
+
+impl DataPort for NoData {
+    #[inline(always)]
+    fn deliver(&mut self, _: impl FnOnce() -> DataBlock) {}
+}
+
+/// A port that keeps the block of the last read that delivered one.
+impl DataPort for Option<DataBlock> {
+    #[inline(always)]
+    fn deliver(&mut self, read: impl FnOnce() -> DataBlock) {
+        *self = Some(read());
+    }
 }
 
 /// Anything that accepts DRAM commands with channel timing semantics.
@@ -55,20 +83,20 @@ pub struct IssueOutcome {
 /// A sink chooses each command's issue cycle itself: `issue(cmd, now)`
 /// issues at the earliest legal cycle at or after `now`, found with one
 /// clock lookup, and reports it in [`IssueOutcome::issued_at`]. A caller
-/// stepping a stream writes `now = sink.issue(cmd, now)?.issued_at`.
+/// stepping a stream writes `now = sink.issue(cmd, now, &mut NoData)?.issued_at`.
 pub trait CommandSink {
     /// The cycle `issue(cmd, now)` would choose, without issuing — what
     /// FR-FCFS ranks its candidates by. State errors surface from `issue`.
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle;
 
     /// Issues `cmd` at the earliest cycle at or after `now` that the
-    /// timing allows.
+    /// timing allows; a read's block goes to `port`.
     ///
     /// # Errors
     ///
     /// Returns an [`IssueError`] if the bank state forbids the command; the
     /// channel state is unchanged on error.
-    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError>;
+    fn issue<P: DataPort>(&mut self, cmd: &Command, now: Cycle, port: &mut P) -> Issued;
 
     /// The open row of `bank`, if any — the controller's row-hit oracle.
     fn open_row(&self, bank: BankAddr) -> Option<u32>;
@@ -204,9 +232,9 @@ impl CommandSink for PseudoChannel {
     // The leaf of every issue path: inlined into the PIM device and the
     // controller loops, it costs no call per command.
     #[inline(always)]
-    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
+    fn issue<P: DataPort>(&mut self, cmd: &Command, now: Cycle, port: &mut P) -> Issued {
         let cycle = self.clock.earliest(cmd, now);
-        let mut outcome = IssueOutcome { issued_at: cycle, data: None, data_at: None };
+        let mut outcome = IssueOutcome { issued_at: cycle, data_at: None };
         let t = &self.timing;
         match *cmd {
             Command::Act { bank, .. } if self.clock.is_open(bank) => {
@@ -223,7 +251,8 @@ impl CommandSink for PseudoChannel {
                 self.stats.acts += 1;
             }
             Command::Rd { bank, col } => {
-                outcome.data = Some(self.banks[bank.flat_index()].read_block(col));
+                assert!(col < COLS_PER_ROW, "column {col} out of range");
+                port.deliver(|| self.banks[bank.flat_index()].read_block(col));
                 outcome.data_at = Some(cycle + t.t_cl + t.t_bl);
                 self.stats.reads += 1;
             }
@@ -271,26 +300,26 @@ mod tests {
     fn act_then_read_respects_trcd() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 3), 0).unwrap();
+        ch.issue(&act(0, 0, 3), 0, &mut NoData).unwrap();
         // Offered early, a command waits for its earliest cycle.
-        let out = ch.issue(&rd(0, 0, 0), 0).unwrap();
+        let out = ch.issue(&rd(0, 0, 0), 0, &mut NoData).unwrap();
         assert_eq!(out.issued_at, t.t_rcd);
         assert_eq!(out.data_at, Some(t.t_rcd + t.t_cl + t.t_bl));
         // Offered late, it issues when offered.
         let late = out.issued_at + 50;
-        assert_eq!(ch.issue(&rd(0, 0, 1), late).unwrap().issued_at, late);
+        assert_eq!(ch.issue(&rd(0, 0, 1), late, &mut NoData).unwrap().issued_at, late);
     }
 
     #[test]
     fn same_bank_group_columns_spaced_by_tccd_l() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        let second_act = ch.issue(&act(0, 1, 0), 0).unwrap().issued_at;
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        let second_act = ch.issue(&act(0, 1, 0), 0, &mut NoData).unwrap().issued_at;
         // Wait until both banks are column-ready, so only tCCD_L binds.
-        let first = ch.issue(&rd(0, 0, 0), second_act + t.t_rcd).unwrap().issued_at;
+        let first = ch.issue(&rd(0, 0, 0), second_act + t.t_rcd, &mut NoData).unwrap().issued_at;
         // Same bank group, different bank: still tCCD_L apart.
-        let e = ch.issue(&rd(0, 1, 0), first).unwrap().issued_at;
+        let e = ch.issue(&rd(0, 1, 0), first, &mut NoData).unwrap().issued_at;
         assert_eq!(e, first + t.t_ccd_l);
     }
 
@@ -298,10 +327,10 @@ mod tests {
     fn different_bank_group_columns_spaced_by_tccd_s() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
-        let first = ch.issue(&rd(0, 0, 0), 100).unwrap().issued_at;
-        let e = ch.issue(&rd(1, 0, 0), first).unwrap().issued_at;
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        ch.issue(&act(1, 0, 0), t.t_rrd_s, &mut NoData).unwrap();
+        let first = ch.issue(&rd(0, 0, 0), 100, &mut NoData).unwrap().issued_at;
+        let e = ch.issue(&rd(1, 0, 0), first, &mut NoData).unwrap().issued_at;
         assert_eq!(e, first + t.t_ccd_s);
     }
 
@@ -312,10 +341,10 @@ mod tests {
         // Four ACTs to different bank groups at tRRD_S spacing.
         let mut cycle = 0;
         for i in 0..4u8 {
-            cycle = ch.issue(&act(i, 0, 0), cycle).unwrap().issued_at;
+            cycle = ch.issue(&act(i, 0, 0), cycle, &mut NoData).unwrap().issued_at;
         }
         // The fifth ACT must wait for the tFAW window from the first ACT.
-        let e = ch.issue(&act(0, 1, 0), cycle).unwrap().issued_at;
+        let e = ch.issue(&act(0, 1, 0), cycle, &mut NoData).unwrap().issued_at;
         assert!(e >= t.t_faw, "5th ACT at {e}, expected >= tFAW {}", t.t_faw);
     }
 
@@ -323,22 +352,23 @@ mod tests {
     fn read_returns_written_data() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(2, 1, 9), 0).unwrap();
-        let wr = Command::Wr { bank: BankAddr::new(2, 1), col: 5, data: [0xEE; 32] };
-        let wr_at = ch.issue(&wr, 0).unwrap().issued_at;
-        let out = ch.issue(&rd(2, 1, 5), wr_at).unwrap();
-        assert_eq!(out.data, Some([0xEE; 32]));
+        ch.issue(&act(2, 1, 9), 0, &mut NoData).unwrap();
+        let wr = Command::Wr { bank: BankAddr::new(2, 1), col: 5, data: [0xEE; 32].into() };
+        let wr_at = ch.issue(&wr, 0, &mut NoData).unwrap().issued_at;
+        let mut data = None;
+        ch.issue(&rd(2, 1, 5), wr_at, &mut data).unwrap();
+        assert_eq!(data, Some([0xEE; 32]));
     }
 
     #[test]
     fn write_to_read_turnaround_enforced() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
-        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] };
-        let wr_at = ch.issue(&wr, 100).unwrap().issued_at;
-        let e = ch.issue(&rd(1, 0, 0), wr_at).unwrap().issued_at;
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        ch.issue(&act(1, 0, 0), t.t_rrd_s, &mut NoData).unwrap();
+        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32].into() };
+        let wr_at = ch.issue(&wr, 100, &mut NoData).unwrap().issued_at;
+        let e = ch.issue(&rd(1, 0, 0), wr_at, &mut NoData).unwrap().issued_at;
         assert_eq!(e, wr_at + t.t_wl + t.t_bl + t.t_wtr);
     }
 
@@ -347,11 +377,11 @@ mod tests {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
         let pre = Command::Pre { bank: BankAddr::new(0, 0) };
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        assert_eq!(ch.clone().issue(&pre, 0).unwrap().issued_at, t.t_ras);
-        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32] };
-        let wr_at = ch.issue(&wr, 0).unwrap().issued_at;
-        let e = ch.issue(&pre, 0).unwrap().issued_at;
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        assert_eq!(ch.clone().issue(&pre, 0, &mut NoData).unwrap().issued_at, t.t_ras);
+        let wr = Command::Wr { bank: BankAddr::new(0, 0), col: 0, data: [0; 32].into() };
+        let wr_at = ch.issue(&wr, 0, &mut NoData).unwrap().issued_at;
+        let e = ch.issue(&pre, 0, &mut NoData).unwrap().issued_at;
         assert_eq!(e, wr_at + t.t_wl + t.t_bl + t.t_wr);
     }
 
@@ -359,12 +389,15 @@ mod tests {
     fn state_errors_detected() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t);
-        assert_eq!(ch.issue(&rd(0, 0, 0), 1000), Err(IssueError::BankNotOpen));
-        ch.issue(&act(0, 0, 0), 1000).unwrap();
-        assert_eq!(ch.issue(&act(0, 0, 1), 5000), Err(IssueError::BankAlreadyOpen));
-        assert_eq!(ch.issue(&Command::Ref, 50_000), Err(IssueError::BanksOpenOnRefresh));
+        assert_eq!(ch.issue(&rd(0, 0, 0), 1000, &mut NoData), Err(IssueError::BankNotOpen));
+        ch.issue(&act(0, 0, 0), 1000, &mut NoData).unwrap();
+        assert_eq!(ch.issue(&act(0, 0, 1), 5000, &mut NoData), Err(IssueError::BankAlreadyOpen));
         assert_eq!(
-            ch.issue(&Command::Pre { bank: BankAddr::new(3, 3) }, 5000),
+            ch.issue(&Command::Ref, 50_000, &mut NoData),
+            Err(IssueError::BanksOpenOnRefresh)
+        );
+        assert_eq!(
+            ch.issue(&Command::Pre { bank: BankAddr::new(3, 3) }, 5000, &mut NoData),
             Err(IssueError::BankNotOpen)
         );
     }
@@ -373,8 +406,8 @@ mod tests {
     fn refresh_blocks_activates_for_trfc() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&Command::Ref, 100).unwrap();
-        let e = ch.issue(&act(0, 0, 0), 100).unwrap().issued_at;
+        ch.issue(&Command::Ref, 100, &mut NoData).unwrap();
+        let e = ch.issue(&act(0, 0, 0), 100, &mut NoData).unwrap().issued_at;
         assert_eq!(e, 100 + t.t_rfc);
     }
 
@@ -382,10 +415,10 @@ mod tests {
     fn preall_closes_everything() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        ch.issue(&act(2, 2, 0), t.t_rrd_s).unwrap();
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        ch.issue(&act(2, 2, 0), t.t_rrd_s, &mut NoData).unwrap();
         assert!(!ch.all_banks_closed());
-        ch.issue(&Command::PreAll, 0).unwrap();
+        ch.issue(&Command::PreAll, 0, &mut NoData).unwrap();
         assert!(ch.all_banks_closed());
     }
 
@@ -393,9 +426,9 @@ mod tests {
     fn error_leaves_state_unchanged() {
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t);
-        ch.issue(&act(0, 0, 0), 0).unwrap();
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
         let (stats, clock) = (ch.stats().clone(), ch.clock().clone());
-        assert_eq!(ch.issue(&act(0, 0, 1), 0), Err(IssueError::BankAlreadyOpen));
+        assert_eq!(ch.issue(&act(0, 0, 1), 0, &mut NoData), Err(IssueError::BankAlreadyOpen));
         assert_eq!((ch.stats(), ch.clock()), (&stats, &clock));
         assert_eq!(ch.open_row(BankAddr::new(0, 0)), Some(0));
     }
@@ -406,8 +439,8 @@ mod tests {
         // 19.2 GB/s peak that Table V's off-chip number is built from.
         let t = TimingParams::hbm2();
         let mut ch = PseudoChannel::new(t.clone());
-        ch.issue(&act(0, 0, 0), 0).unwrap();
-        ch.issue(&act(1, 0, 0), t.t_rrd_s).unwrap();
+        ch.issue(&act(0, 0, 0), 0, &mut NoData).unwrap();
+        ch.issue(&act(1, 0, 0), t.t_rrd_s, &mut NoData).unwrap();
         // Start well past both banks' tRCD so only column timing binds.
         let mut cycle = 100;
         let mut start = None;
@@ -415,7 +448,7 @@ mod tests {
         for i in 0..n {
             let bg = (i % 2) as u8;
             let cmd = rd(bg, 0, (i / 2) as u32 % 32);
-            cycle = ch.issue(&cmd, cycle).unwrap().issued_at;
+            cycle = ch.issue(&cmd, cycle, &mut NoData).unwrap().issued_at;
             start.get_or_insert(cycle);
         }
         let span = cycle - start.unwrap();

@@ -325,7 +325,7 @@ mod tests {
         let b = BankAddr::new(0, 0);
         c.advance(&act(0, 0), 0, &t);
         let before = c.earliest(&Command::Pre { bank: b }, 0);
-        c.advance(&Command::Wr { bank: b, col: 0, data: [0; 32] }, 100, &t);
+        c.advance(&Command::Wr { bank: b, col: 0, data: [0; 32].into() }, 100, &t);
         let after = c.earliest(&Command::Pre { bank: b }, 0);
         assert!(after > before);
         assert_eq!(after, 100 + t.t_wl + t.t_bl + t.t_wr);

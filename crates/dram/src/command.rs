@@ -8,6 +8,7 @@
 //! is in AB-PIM mode.
 
 use std::fmt;
+use std::ops::{Deref, DerefMut};
 
 /// Size in bytes of one column access: 256 bits over 4 64-bit bursts on a
 /// pseudo channel (Section II-B).
@@ -15,6 +16,49 @@ pub const DATA_BLOCK_BYTES: usize = 32;
 
 /// The 32-byte data block transferred by one column command — 16 FP16 lanes.
 pub type DataBlock = [u8; DATA_BLOCK_BYTES];
+
+/// A WR's data block behind one pointer, so that a WR is 16 bytes like any
+/// other command and still carries its own block wherever a list is copied
+/// or flattened. An all-zero block — every input write a kernel builder
+/// emits before a launch patches it — owns no allocation.
+///
+/// ```
+/// use pim_dram::Payload;
+/// let mut p = Payload::from([0; 32]);
+/// assert_eq!(*p, [0; 32]);
+/// p[3] = 7;
+/// assert_eq!(p, Payload::from(*p));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Payload(Option<Box<DataBlock>>);
+
+impl From<DataBlock> for Payload {
+    fn from(block: DataBlock) -> Payload {
+        Payload((block != [0; DATA_BLOCK_BYTES]).then(|| Box::new(block)))
+    }
+}
+
+impl Deref for Payload {
+    type Target = DataBlock;
+
+    fn deref(&self) -> &DataBlock {
+        self.0.as_deref().unwrap_or(&[0; DATA_BLOCK_BYTES])
+    }
+}
+
+impl DerefMut for Payload {
+    fn deref_mut(&mut self) -> &mut DataBlock {
+        self.0.get_or_insert_default()
+    }
+}
+
+impl PartialEq for Payload {
+    fn eq(&self, other: &Payload) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Payload {}
 
 /// Bank coordinates within a pseudo channel.
 ///
@@ -100,14 +144,15 @@ pub enum Command {
         /// Column (32-byte block index within the row).
         col: u32,
     },
-    /// Column write of the 32-byte block at `col` in the open row.
+    /// Column write of the 32-byte block at `col` in the open row. The
+    /// block is a [`Payload`], boxed so that a command is an address.
     Wr {
         /// Target bank.
         bank: BankAddr,
         /// Column (32-byte block index within the row).
         col: u32,
         /// Data to write.
-        data: DataBlock,
+        data: Payload,
     },
     /// All-bank refresh. All banks must be precharged.
     Ref,
@@ -185,7 +230,7 @@ mod tests {
     fn command_classification() {
         let b = BankAddr::new(0, 0);
         assert!(Command::Rd { bank: b, col: 0 }.is_column());
-        assert!(Command::Wr { bank: b, col: 0, data: [0; 32] }.is_column());
+        assert!(Command::Wr { bank: b, col: 0, data: [0; 32].into() }.is_column());
         assert!(!Command::Act { bank: b, row: 0 }.is_column());
         assert_eq!(Command::Ref.bank(), None);
         assert_eq!(Command::Pre { bank: b }.bank(), Some(b));

@@ -17,13 +17,14 @@
 //! The controller runs an open-page policy: rows stay open until a
 //! conflicting request needs the bank (or refresh closes everything).
 
-use crate::channel::{CommandSink, PseudoChannel};
+use crate::channel::{CommandSink, NoData, PseudoChannel};
 use crate::command::{BankAddr, Command};
 use crate::mapping::AddressMapping;
 use crate::request::{CompletedRequest, Request, RequestKind};
 use crate::stats::ControllerStats;
 use crate::timing::{Cycle, TimingParams};
 use pim_obs::{names, Event, Recorder, Scope};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 /// Request scheduling policy.
@@ -96,7 +97,9 @@ struct PendingRequest {
     req: Request,
     bank: BankAddr,
     row: u32,
-    col: u32,
+    /// The RD or WR that serves the request, built once at enqueue: a WR
+    /// owns its block, and ranking must not copy it per candidate.
+    column: Command,
     /// Set once this request has caused a precharge (row conflict), for
     /// stats attribution.
     conflicted: bool,
@@ -217,11 +220,19 @@ impl<S: CommandSink> MemoryController<S> {
             req.addr, d.pch, self.config.pch_id
         );
         assert_eq!(d.offset, 0, "requests must address the start of a 32-byte block");
+        let (bank, col) = (d.bank, d.col);
+        let column = match req.kind {
+            RequestKind::Read => Command::Rd { bank, col },
+            RequestKind::Write => {
+                let data = req.data.take().expect("write request without data");
+                Command::Wr { bank, col, data: data.into() }
+            }
+        };
         self.queue.push_back(PendingRequest {
             req,
-            bank: d.bank,
+            bank,
             row: d.row,
-            col: d.col,
+            column,
             conflicted: false,
             missed: false,
         });
@@ -231,29 +242,14 @@ impl<S: CommandSink> MemoryController<S> {
         seq
     }
 
-    /// Static mnemonic for a command, used as event name.
-    fn command_name(cmd: &Command) -> &'static str {
-        match cmd {
-            Command::Act { .. } => "ACT",
-            Command::Rd { .. } => "RD",
-            Command::Wr { .. } => "WR",
-            Command::Pre { .. } => "PRE",
-            Command::PreAll => "PREA",
-            Command::Ref => "REF",
-        }
-    }
-
     /// Emits a command instant event (no-op without a recorder).
     fn emit_command(&self, cmd: &Command, at: Cycle) {
         let Some(r) = &self.recorder else { return };
-        let scope = match cmd {
-            Command::Act { bank, .. }
-            | Command::Rd { bank, .. }
-            | Command::Wr { bank, .. }
-            | Command::Pre { bank } => Scope::bank(self.channel_id, bank.flat_index() as u16),
-            Command::PreAll | Command::Ref => Scope::channel(self.channel_id),
+        let scope = match cmd.bank() {
+            Some(bank) => Scope::bank(self.channel_id, bank.flat_index() as u16),
+            None => Scope::channel(self.channel_id),
         };
-        let ev = Event::instant(at, Self::command_name(cmd), names::CAT_COMMAND, scope);
+        let ev = Event::instant(at, cmd.mnemonic(), names::CAT_COMMAND, scope);
         let ev = match cmd {
             Command::Act { row, .. } => ev.with_arg("row", *row as u64),
             Command::Rd { col, .. } | Command::Wr { col, .. } => ev.with_arg("col", *col as u64),
@@ -281,18 +277,11 @@ impl<S: CommandSink> MemoryController<S> {
         }
     }
 
-    fn command_for(&self, p: &PendingRequest, step: NextStep) -> Command {
+    fn command_for(p: &PendingRequest, step: NextStep) -> Cow<'_, Command> {
         match step {
-            NextStep::Pre => Command::Pre { bank: p.bank },
-            NextStep::Act => Command::Act { bank: p.bank, row: p.row },
-            NextStep::Col => match p.req.kind {
-                RequestKind::Read => Command::Rd { bank: p.bank, col: p.col },
-                RequestKind::Write => Command::Wr {
-                    bank: p.bank,
-                    col: p.col,
-                    data: p.req.data.expect("write request without data"),
-                },
-            },
+            NextStep::Pre => Cow::Owned(Command::Pre { bank: p.bank }),
+            NextStep::Act => Cow::Owned(Command::Act { bank: p.bank, row: p.row }),
+            NextStep::Col => Cow::Borrowed(&p.column),
         }
     }
 
@@ -302,10 +291,10 @@ impl<S: CommandSink> MemoryController<S> {
             return;
         }
         let pre = Command::PreAll;
-        let at = self.sink.issue(&pre, self.now).expect("PREA for refresh failed").issued_at;
+        let at = self.sink.issue(&pre, self.now, &mut NoData).expect("PREA for refresh").issued_at;
         self.emit_command(&pre, at);
         let rf = Command::Ref;
-        let at = self.sink.issue(&rf, at).expect("REF failed").issued_at;
+        let at = self.sink.issue(&rf, at, &mut NoData).expect("REF failed").issued_at;
         self.emit_command(&rf, at);
         self.now = at;
         self.next_refresh += self.config.timing.t_refi;
@@ -318,10 +307,11 @@ impl<S: CommandSink> MemoryController<S> {
             self.maybe_refresh();
             let idx = self.choose_request()?;
             let step = self.next_step(&self.queue[idx]);
-            let cmd = self.command_for(&self.queue[idx], step);
+            let cmd = Self::command_for(&self.queue[idx], step);
+            let mut data = None;
             let outcome = self
                 .sink
-                .issue(&cmd, self.now)
+                .issue(&cmd, self.now, &mut data)
                 .unwrap_or_else(|e| panic!("scheduler issued illegal command {cmd}: {e}"));
             self.now = outcome.issued_at;
             self.emit_command(&cmd, self.now);
@@ -341,7 +331,7 @@ impl<S: CommandSink> MemoryController<S> {
                         && self.sink.open_row(p.bank).is_some()
                     {
                         self.sink
-                            .issue(&Command::Pre { bank: p.bank }, self.now)
+                            .issue(&Command::Pre { bank: p.bank }, self.now, &mut NoData)
                             .expect("auto-precharge");
                     }
                     if p.conflicted {
@@ -384,7 +374,7 @@ impl<S: CommandSink> MemoryController<S> {
                         seq: p.req.seq,
                         addr: p.req.addr,
                         kind: p.req.kind,
-                        data: outcome.data,
+                        data,
                         issued_at: outcome.issued_at,
                         completed_at,
                     });
@@ -417,7 +407,7 @@ impl<S: CommandSink> MemoryController<S> {
                         NextStep::Act => 1,
                         NextStep::Pre => 2,
                     };
-                    let cmd = self.command_for(p, step);
+                    let cmd = Self::command_for(p, step);
                     let at = self.sink.earliest_issue(&cmd, self.now);
                     let key = (at, class, p.req.seq, idx);
                     if best.is_none_or(|b| key < (b.0, b.1, b.2, b.3)) {
@@ -454,7 +444,7 @@ impl<S: CommandSink> MemoryController<S> {
     pub fn issue_raw(&mut self, commands: &[Command]) -> Cycle {
         assert!(self.queue.is_empty(), "raw issue with queued requests would interleave");
         for cmd in commands {
-            let out = self.sink.issue(cmd, self.now);
+            let out = self.sink.issue(cmd, self.now, &mut NoData);
             self.now = out.unwrap_or_else(|e| panic!("raw command {cmd} illegal: {e}")).issued_at;
             if self.recorder.is_some() {
                 self.emit_command(cmd, self.now);
@@ -606,7 +596,7 @@ mod tests {
         let bank = BankAddr::new(0, 0);
         let end = c.issue_raw(&[
             Command::Act { bank, row: 5 },
-            Command::Wr { bank, col: 0, data: [9; 32] },
+            Command::Wr { bank, col: 0, data: [9; 32].into() },
             Command::Rd { bank, col: 0 },
             Command::Pre { bank },
         ]);
@@ -713,9 +703,9 @@ mod tests {
         c.set_recorder(Recorder::vec(), 2);
         let bank = BankAddr::new(0, 0);
         c.issue_raw(&[
-            Command::Act { bank, row: 5 },               // miss (first open)
-            Command::Wr { bank, col: 0, data: [1; 32] }, // hit
-            Command::Rd { bank, col: 0 },                // hit
+            Command::Act { bank, row: 5 },                      // miss (first open)
+            Command::Wr { bank, col: 0, data: [1; 32].into() }, // hit
+            Command::Rd { bank, col: 0 },                       // hit
             Command::Pre { bank },
             Command::Act { bank, row: 6 }, // conflict (row changed)
         ]);

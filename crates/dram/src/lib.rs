@@ -68,15 +68,15 @@ mod timing;
 mod trace;
 
 pub use bank::{Bank, COLS_PER_ROW, ROWS_PER_BANK};
-pub use channel::{CommandSink, IssueError, IssueOutcome, PseudoChannel};
+pub use channel::{CommandSink, DataPort, IssueError, IssueOutcome, Issued, NoData, PseudoChannel};
 pub use clock::{AllBankClock, Clock};
-pub use command::{BankAddr, Command, DataBlock, DATA_BLOCK_BYTES};
+pub use command::{BankAddr, Command, DataBlock, Payload, DATA_BLOCK_BYTES};
 pub use controller::{ControllerConfig, MemoryController, PagePolicy, SchedulingPolicy};
 pub use mapping::{AddressMapping, DecodedAddr};
 pub use request::{CompletedRequest, Request, RequestKind};
 pub use stats::{ChannelStats, ControllerStats};
 pub use timing::{Cycle, TimingParams};
-pub use trace::{TraceEntry, TracingSink};
+pub use trace::TracingSink;
 
 /// Number of bank groups per pseudo channel (paper Fig. 2).
 pub const BANK_GROUPS: usize = 4;

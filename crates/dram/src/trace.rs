@@ -7,21 +7,21 @@
 //! whole choreography — mode transitions, CRF programming, triggers — can
 //! be inspected as the standard-command stream it really is.
 
-use crate::channel::{CommandSink, IssueError, IssueOutcome};
+use crate::channel::{CommandSink, DataPort, Issued};
 use crate::command::{BankAddr, Command};
 use crate::timing::{Cycle, TimingParams};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// One recorded command.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEntry {
+#[derive(Debug)]
+struct TraceEntry {
     /// Issue cycle.
-    pub cycle: Cycle,
+    cycle: Cycle,
     /// The command (write payloads preserved).
-    pub command: Command,
+    command: Command,
     /// Whether the sink accepted it.
-    pub accepted: bool,
+    accepted: bool,
 }
 
 /// A [`CommandSink`] decorator that records issued commands.
@@ -29,12 +29,11 @@ pub struct TraceEntry {
 /// # Example
 ///
 /// ```
-/// use pim_dram::{TracingSink, PseudoChannel, CommandSink, Command, BankAddr, TimingParams};
+/// use pim_dram::{BankAddr, Command, CommandSink, NoData, PseudoChannel, TimingParams, TracingSink};
 ///
 /// let mut ch = TracingSink::new(PseudoChannel::new(TimingParams::hbm2()), 128);
 /// let bank = BankAddr::new(0, 0);
-/// ch.issue(&Command::Act { bank, row: 3 }, 0).unwrap();
-/// assert_eq!(ch.len(), 1);
+/// ch.issue(&Command::Act { bank, row: 3 }, 0, &mut NoData).unwrap();
 /// assert!(ch.render().contains("ACT"));
 /// ```
 #[derive(Debug)]
@@ -64,44 +63,6 @@ impl<S: CommandSink> TracingSink<S> {
     /// Mutable access to the wrapped sink.
     pub fn inner_mut(&mut self) -> &mut S {
         &mut self.inner
-    }
-
-    /// Unwraps, discarding the trace.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-
-    /// The recorded entries, oldest first.
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEntry> {
-        self.trace.iter()
-    }
-
-    /// The recorded entries, oldest first (alias of [`TracingSink::trace`]
-    /// with a concrete iterator type; also available via `&sink` in a
-    /// `for` loop).
-    pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, TraceEntry> {
-        self.trace.iter()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.trace.len()
-    }
-
-    /// `true` if nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.trace.is_empty()
-    }
-
-    /// Entries evicted because the ring filled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Clears the trace.
-    pub fn clear(&mut self) {
-        self.trace.clear();
-        self.dropped = 0;
     }
 
     /// Renders the trace as a cycle-stamped text log.
@@ -143,15 +104,6 @@ impl<S: CommandSink> TracingSink<S> {
     }
 }
 
-impl<'a, S: CommandSink> IntoIterator for &'a TracingSink<S> {
-    type Item = &'a TraceEntry;
-    type IntoIter = std::collections::vec_deque::Iter<'a, TraceEntry>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter()
-    }
-}
-
 impl<S: CommandSink> CommandSink for TracingSink<S> {
     fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Cycle {
         self.inner.earliest_issue(cmd, now)
@@ -159,8 +111,8 @@ impl<S: CommandSink> CommandSink for TracingSink<S> {
 
     /// Records an accepted command at the cycle it issued, a refused one
     /// at the cycle it was offered.
-    fn issue(&mut self, cmd: &Command, now: Cycle) -> Result<IssueOutcome, IssueError> {
-        let r = self.inner.issue(cmd, now);
+    fn issue<P: DataPort>(&mut self, cmd: &Command, now: Cycle, port: &mut P) -> Issued {
+        let r = self.inner.issue(cmd, now, port);
         self.record(r.as_ref().map_or(now, |out| out.issued_at), cmd, r.is_ok());
         r
     }
@@ -177,7 +129,7 @@ impl<S: CommandSink> CommandSink for TracingSink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PseudoChannel;
+    use crate::{NoData, PseudoChannel};
 
     fn traced() -> TracingSink<PseudoChannel> {
         TracingSink::new(PseudoChannel::new(TimingParams::hbm2()), 4)
@@ -187,13 +139,13 @@ mod tests {
     fn records_accepted_and_rejected() {
         let mut t = traced();
         let bank = BankAddr::new(0, 0);
-        t.issue(&Command::Act { bank, row: 1 }, 0).unwrap();
+        t.issue(&Command::Act { bank, row: 1 }, 0, &mut NoData).unwrap();
         // A second ACT to the open bank is refused at any cycle.
-        let _ = t.issue(&Command::Act { bank, row: 2 }, 1);
+        let _ = t.issue(&Command::Act { bank, row: 2 }, 1, &mut NoData);
         // Offered early, a RD is recorded where it issued: after tRCD.
-        let rd = t.issue(&Command::Rd { bank, col: 0 }, 1).unwrap();
-        assert_eq!(t.len(), 3);
-        let entries: Vec<_> = t.trace().collect();
+        let rd = t.issue(&Command::Rd { bank, col: 0 }, 1, &mut NoData).unwrap();
+        assert_eq!(t.trace.len(), 3);
+        let entries: Vec<_> = t.trace.iter().collect();
         assert!(entries[0].accepted);
         assert!(!entries[1].accepted && entries[1].cycle == 1);
         assert!(entries[2].accepted && entries[2].cycle == rd.issued_at && rd.issued_at > 1);
@@ -204,15 +156,15 @@ mod tests {
     fn ring_evicts_oldest() {
         let mut t = traced();
         let bank = BankAddr::new(0, 0);
-        t.issue(&Command::Act { bank, row: 9 }, 0).unwrap();
+        t.issue(&Command::Act { bank, row: 9 }, 0, &mut NoData).unwrap();
         let mut now = 0;
         for col in 0..5 {
-            now = t.issue(&Command::Rd { bank, col }, now).unwrap().issued_at;
+            now = t.issue(&Command::Rd { bank, col }, now, &mut NoData).unwrap().issued_at;
         }
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.dropped(), 2);
+        assert_eq!(t.trace.len(), 4);
+        assert_eq!(t.dropped, 2);
         // The ACT was evicted; first retained entry is a RD.
-        assert!(matches!(t.trace().next().unwrap().command, Command::Rd { .. }));
+        assert!(matches!(t.trace[0].command, Command::Rd { .. }));
         let log = t.render();
         assert!(log.contains("dropped"));
         assert!(log.contains("truncated: 4 retained, 2 dropped"));
@@ -221,25 +173,11 @@ mod tests {
     #[test]
     fn render_footer_marks_complete_traces() {
         let mut t = traced();
-        t.issue(&Command::Act { bank: BankAddr::new(0, 0), row: 0 }, 0).unwrap();
-        assert_eq!(t.dropped(), 0);
+        t.issue(&Command::Act { bank: BankAddr::new(0, 0), row: 0 }, 0, &mut NoData).unwrap();
+        assert_eq!(t.dropped, 0);
         let log = t.render();
         assert!(log.contains("trace complete: 1 commands"));
         assert!(!log.contains("truncated"));
-    }
-
-    #[test]
-    fn iterates_by_reference() {
-        let mut t = traced();
-        let bank = BankAddr::new(0, 0);
-        t.issue(&Command::Act { bank, row: 2 }, 0).unwrap();
-        let mut seen = 0;
-        for e in &t {
-            assert!(e.accepted);
-            seen += 1;
-        }
-        assert_eq!(seen, 1);
-        assert_eq!(t.iter().count(), 1);
     }
 
     #[test]
@@ -247,22 +185,13 @@ mod tests {
         let mut plain = PseudoChannel::new(TimingParams::hbm2());
         let mut t = traced();
         let bank = BankAddr::new(1, 1);
-        let a = plain.issue(&Command::Act { bank, row: 0 }, 0).unwrap();
-        let b = t.issue(&Command::Act { bank, row: 0 }, 0).unwrap();
+        let a = plain.issue(&Command::Act { bank, row: 0 }, 0, &mut NoData).unwrap();
+        let b = t.issue(&Command::Act { bank, row: 0 }, 0, &mut NoData).unwrap();
         assert_eq!(a, b);
         let rd = Command::Rd { bank, col: 0 };
         assert_eq!(plain.earliest_issue(&rd, 0), t.earliest_issue(&rd, 0));
-        assert_eq!(plain.issue(&rd, 0), t.issue(&rd, 0));
+        assert_eq!(plain.issue(&rd, 0, &mut NoData), t.issue(&rd, 0, &mut NoData));
         assert_eq!(t.open_row(bank), Some(0));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = traced();
-        t.issue(&Command::Act { bank: BankAddr::new(0, 0), row: 0 }, 0).unwrap();
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! exactly the maximum of the previous issue cycle and all its row bounds,
 //! so an over-cautious formula fails as surely as a lax one.
 
-use pim_dram::{BankAddr, Command, CommandSink, Cycle, PseudoChannel, TimingParams};
+use pim_dram::{BankAddr, Command, CommandSink, Cycle, NoData, PseudoChannel, TimingParams};
 
 /// A command class as the table names it (PREA is a PRE to each open bank).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,7 +132,7 @@ fn next_command(rng: &mut Rng, open: &[bool; 16]) -> Command {
         1 => Command::PreAll,
         _ if !open[bank.flat_index()] => Command::Act { bank, row: rng.below(64) as u32 },
         2..=4 => Command::Pre { bank },
-        5..=10 => Command::Wr { bank, col, data: [col as u8; 32] },
+        5..=10 => Command::Wr { bank, col, data: [col as u8; 32].into() },
         _ => Command::Rd { bank, col },
     }
 }
@@ -147,7 +147,7 @@ fn check_stream(t: &TimingParams, seed: u64, len: usize) {
     for step in 0..len {
         let cmd = next_command(&mut rng, &open);
         let earliest = ch.earliest_issue(&cmd, now);
-        let out = ch.issue(&cmd, now);
+        let out = ch.issue(&cmd, now, &mut NoData);
         let at = out.unwrap_or_else(|e| panic!("seed {seed} step {step}: {cmd}: {e}")).issued_at;
         assert_eq!(at, earliest, "seed {seed} step {step}: {cmd} issued off its earliest cycle");
         let mine = events(&cmd, &open);
@@ -226,7 +226,7 @@ fn a_command_issues_at_its_earliest_cycle_or_when_offered() {
                 let cmd = next_command(&mut rng, &open);
                 let earliest = ch.earliest_issue(&cmd, now);
                 let offered = if rng.below(3) == 0 { earliest + 1 + rng.below(8) } else { now };
-                let out = ch.issue(&cmd, offered);
+                let out = ch.issue(&cmd, offered, &mut NoData);
                 let at = out.unwrap_or_else(|e| panic!("{name} seed {seed}: {cmd}: {e}")).issued_at;
                 assert_eq!(at, earliest.max(offered), "{name} seed {seed} step {step}: {cmd}");
                 late += usize::from(offered > earliest);

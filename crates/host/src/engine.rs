@@ -59,9 +59,47 @@ pub struct Batch {
     /// Whether the host issues a barrier after this batch (Section IV-C:
     /// the fence bounding the controller's reordering to the AAM window).
     pub fence_after: bool,
-    /// Optional name for profiling spans (the executor stamps its phase
-    /// here: `enter_ab`, `crf`, `pim_on`, ...).
-    pub label: Option<&'static str>,
+    /// The executor phase this batch belongs to, naming its profiling span
+    /// and its verifier sites (`enter_ab`, `crf`, `pim_on`, ...).
+    pub label: Option<Phase>,
+}
+
+/// A phase of the executor's launch choreography, as a [`Batch`] label: one
+/// byte in the batch, printed by [`Phase::as_str`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Phase {
+    /// Program the CRF.
+    Crf,
+    /// Load the SRF.
+    Srf,
+    /// Zero GRF_B before accumulating.
+    ClearGrfB,
+    /// Enter all-bank mode.
+    EnterAb,
+    /// Set `PIM_OP_MODE`.
+    PimOn,
+    /// Clear `PIM_OP_MODE`.
+    PimOff,
+    /// Leave all-bank mode.
+    ExitAb,
+    /// The one flattened batch of [`ExecutionMode::UnfencedReordered`].
+    UnfencedStream,
+}
+
+impl Phase {
+    /// The phase's name in spans and diagnostics.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Phase::Crf => "crf",
+            Phase::Srf => "srf",
+            Phase::ClearGrfB => "clear_grf_b",
+            Phase::EnterAb => "enter_ab",
+            Phase::PimOn => "pim_on",
+            Phase::PimOff => "pim_off",
+            Phase::ExitAb => "exit_ab",
+            Phase::UnfencedStream => "unfenced_stream",
+        }
+    }
 }
 
 impl Batch {
@@ -84,8 +122,8 @@ impl Batch {
         Batch { commands, commutative: false, fence_after: false, label: None }
     }
 
-    /// Names this batch for profiling spans.
-    pub fn with_label(mut self, label: &'static str) -> Batch {
+    /// Stamps this batch with its executor phase.
+    pub fn with_label(mut self, label: Phase) -> Batch {
         self.label = Some(label);
         self
     }
@@ -148,13 +186,13 @@ impl Batch {
         for (&slot, cmd) in shuffle_slots.iter().zip(cols) {
             flat[slot] = cmd;
         }
-        Cow::Owned(vec![Batch::setup(flat).with_label("unfenced_stream")])
+        Cow::Owned(vec![Batch::setup(flat).with_label(Phase::UnfencedStream)])
     }
 
     /// The span name: the label if set, else `batch<index>`.
     fn span_name(&self, index: usize) -> Cow<'static, str> {
         match self.label {
-            Some(l) => Cow::Borrowed(l),
+            Some(l) => Cow::Borrowed(l.as_str()),
             None => Cow::Owned(format!("batch{index}")),
         }
     }
@@ -595,6 +633,17 @@ mod tests {
         assert_eq!(r.end_cycle, s.end_cycle);
     }
 
+    /// A command is an address, an outcome two cycles, and a batch its
+    /// list plus three one-byte tags: the sizes a 10.24 M-command
+    /// `stream_raw` list is made of (40, 64 and 48 bytes when a WR owned
+    /// its block, a RD's outcome copied one and a label was a `&str`).
+    #[test]
+    fn commands_outcomes_and_batches_carry_addresses_not_bytes() {
+        assert_eq!(std::mem::size_of::<Command>(), 16);
+        assert!(std::mem::size_of::<pim_dram::IssueOutcome>() <= 24);
+        assert!(std::mem::size_of::<Batch>() <= 32);
+    }
+
     #[test]
     fn recorder_observes_fence_stalls_and_batch_spans() {
         let mut sys = system();
@@ -602,7 +651,7 @@ mod tests {
         sys.channel_mut(0).set_recorder(r.clone(), 0);
         let b = BankAddr::new(0, 0);
         let batches = vec![
-            Batch::setup(vec![Command::Act { bank: b, row: 1 }]).with_label("act"),
+            Batch::setup(vec![Command::Act { bank: b, row: 1 }]).with_label(Phase::EnterAb),
             Batch::commutative((0..8).map(|c| Command::Rd { bank: b, col: c }).collect()),
             Batch::setup(vec![Command::Pre { bank: b }]),
         ];
@@ -618,7 +667,7 @@ mod tests {
         assert_eq!(m.counter(pim_obs::names::ENGINE_BATCHES), 3);
         assert_eq!(m.histogram(pim_obs::names::ENGINE_BATCH_LEN).unwrap().count(), 3);
         let events = r.events().unwrap();
-        assert!(events.iter().any(|e| e.name == "act"), "labelled batch span");
+        assert!(events.iter().any(|e| e.name == "enter_ab"), "labelled batch span");
         assert!(events.iter().any(|e| e.name == "batch2"), "unlabelled fallback name");
         assert!(events.iter().any(|e| e.name == "fence"));
         pim_obs::check_nesting(&events).expect("balanced spans");

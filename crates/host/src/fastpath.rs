@@ -494,10 +494,7 @@ impl LaunchCache {
         let mut image = [Instruction::Exit.encode(); 32];
         for b in batches {
             k.word(u64::from(b.commutative) | u64::from(b.fence_after) << 1);
-            match b.label {
-                Some(l) => k.bytes(l.as_bytes()),
-                None => k.word(u64::MAX),
-            }
+            k.word(b.label.map_or(u64::MAX, |p| p as u64));
             k.word(b.commands.len() as u64);
             for cmd in &b.commands {
                 k.command(cmd);
@@ -506,14 +503,14 @@ impl LaunchCache {
                 match step {
                     Step::Unresolved => return None,
                     Step::ConfWrite { row, unit } => {
-                        k.bytes(data);
+                        k.bytes(&**data);
                         if (row, unit) == (CRF_ROW, None) {
                             let (base, words) = (crf_block_base(*col), crf_block_words(data));
                             image[base..base + words.len()].copy_from_slice(&words);
                         }
                     }
                     Step::PimOpMode { enable, .. } => {
-                        k.bytes(data);
+                        k.bytes(&**data);
                         provable &= !enable || self.prove_image(&image);
                     }
                     _ => {}

@@ -42,7 +42,7 @@ mod system;
 
 pub use cluster::{collective_cycles, LINK_BYTES_PER_CYCLE, LINK_LATENCY_CYCLES, PCH_PER_STACK};
 pub use config::{HostConfig, GROUP_ACCESS_BYTES, THREADS_PER_GROUP, THREAD_ACCESS_BYTES};
-pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult};
+pub use engine::{Batch, BoundedResult, ExecutionMode, KernelEngine, KernelResult, Phase};
 pub use fastpath::{FastpathChannels, FastpathStats};
 #[doc(hidden)]
 pub use frozen::ExecutionBackend;

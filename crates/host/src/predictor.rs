@@ -401,7 +401,7 @@ mod tests {
         let mut out = vec![Batch::setup(conf::enter_ab_sequence())];
         out.push(Batch::setup(vec![Command::Act { bank: b, row: 7 }]));
         out.push(Batch::fenced_ordered(
-            (0..8).map(|c| Command::Wr { bank: b, col: c, data: [c as u8; 32] }).collect(),
+            (0..8).map(|c| Command::Wr { bank: b, col: c, data: [c as u8; 32].into() }).collect(),
         ));
         out.push(Batch::setup(vec![Command::PreAll]));
         out.push(Batch::setup(conf::exit_ab_sequence()));

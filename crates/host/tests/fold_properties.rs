@@ -18,7 +18,7 @@ fn command() -> impl Strategy<Value = Command> {
         match kind {
             0..=3 => Command::Act { bank, row },
             4..=7 => Command::Rd { bank, col },
-            8..=10 => Command::Wr { bank, col, data: [col as u8; 32] },
+            8..=10 => Command::Wr { bank, col, data: [col as u8; 32].into() },
             11..=13 => Command::Pre { bank },
             14 => Command::PreAll,
             _ => Command::Ref,

@@ -29,7 +29,7 @@ use crate::preprocessor::Preprocessor;
 use pim_core::isa::Instruction;
 use pim_core::{conf, LaneVec, PimConfig, UnitMask};
 use pim_dram::{BankAddr, Command, CommandSink, Cycle};
-use pim_host::{Batch, Kernel, KernelEngine, KernelResult};
+use pim_host::{Batch, Kernel, KernelEngine, KernelResult, Phase};
 use pim_obs::{names, Scope};
 
 /// The PIM executor: stateless command-choreography builder + runner.
@@ -37,40 +37,25 @@ use pim_obs::{names, Scope};
 pub struct Executor;
 
 impl Executor {
-    /// Builds the CRF-programming batches: one 32-byte write covers 8
+    /// Builds the CRF-programming batch: one 32-byte write covers 8
     /// instructions.
-    fn crf_batches(program: &[Instruction]) -> Vec<Batch> {
-        let bank = BankAddr::new(0, 0);
-        let mut cmds = vec![Command::Act { bank, row: conf::CRF_ROW }];
-        for (col, data) in conf::crf_blocks(program).into_iter().enumerate() {
-            cmds.push(Command::Wr { bank, col: col as u32, data });
-        }
-        cmds.push(Command::Pre { bank });
-        vec![Batch::setup(cmds).with_label("crf")]
+    fn crf_batch(program: &[Instruction]) -> Batch {
+        let crf = conf::row_write_sequence(conf::CRF_ROW, 0, conf::crf_blocks(program));
+        Batch::setup(crf).with_label(Phase::Crf)
     }
 
     /// Builds the SRF-preload batch (scale scalars in lanes 0–7 → SRF_M,
     /// shift scalars in lanes 8–15 → SRF_A).
     fn srf_batch(values: &LaneVec) -> Batch {
-        let bank = BankAddr::new(0, 0);
-        Batch::setup(vec![
-            Command::Act { bank, row: conf::SRF_ROW },
-            Command::Wr { bank, col: 0, data: values.to_block() },
-            Command::Pre { bank },
-        ])
-        .with_label("srf")
+        let srf = conf::row_write_sequence(conf::SRF_ROW, 0, [values.to_block()]);
+        Batch::setup(srf).with_label(Phase::Srf)
     }
 
     /// Builds the GRF_B-clearing batch (broadcast zeros to columns 8–15 of
     /// the GRF row) — resets GEMV accumulators between passes.
     fn clear_grf_b_batch() -> Batch {
-        let bank = BankAddr::new(0, 0);
-        let mut cmds = vec![Command::Act { bank, row: conf::GRF_ROW }];
-        for c in 8..16 {
-            cmds.push(Command::Wr { bank, col: c, data: [0u8; 32] });
-        }
-        cmds.push(Command::Pre { bank });
-        Batch::setup(cmds).with_label("clear_grf_b")
+        let zeros = conf::row_write_sequence(conf::GRF_ROW, 8, [[0; 32]; 8]);
+        Batch::setup(zeros).with_label(Phase::ClearGrfB)
     }
 
     /// Wraps the data phase `data` (identical per channel — lock-step
@@ -84,15 +69,16 @@ impl Executor {
         // Sized for the whole materialised list when `data` is a plain one
         // (every stream launch): `materialise` then grows nothing.
         let mut prologue = Vec::with_capacity(7 + data.prologue.len() + data.epilogue.len());
-        prologue.push(Batch::setup(conf::enter_ab_sequence()).with_label("enter_ab"));
-        prologue.extend(Self::crf_batches(program));
+        prologue.push(Batch::setup(conf::enter_ab_sequence()).with_label(Phase::EnterAb));
+        prologue.push(Self::crf_batch(program));
         prologue.extend(srf.map(Self::srf_batch));
         prologue.extend(clear_grf_b.then(Self::clear_grf_b_batch));
-        prologue.push(Batch::setup(conf::set_pim_op_mode_sequence(true)).with_label("pim_on"));
+        prologue.push(Batch::setup(conf::set_pim_op_mode_sequence(true)).with_label(Phase::PimOn));
         prologue.extend(data.prologue);
         let mut epilogue = data.epilogue;
-        epilogue.push(Batch::setup(conf::set_pim_op_mode_sequence(false)).with_label("pim_off"));
-        epilogue.push(Batch::setup(conf::exit_ab_sequence()).with_label("exit_ab"));
+        epilogue
+            .push(Batch::setup(conf::set_pim_op_mode_sequence(false)).with_label(Phase::PimOff));
+        epilogue.push(Batch::setup(conf::exit_ab_sequence()).with_label(Phase::ExitAb));
         Kernel { prologue, body: data.body, epilogue }
     }
 
@@ -270,11 +256,13 @@ impl Executor {
         let mut now = ctrl.now();
         let mut next_reg = 0;
         for cmd in &Self::grf_readback_commands(unit, col_base) {
-            let outcome = ctrl.sink_mut().issue(cmd, now).map_err(|e| PimError::Internal {
-                detail: format!("GRF readback on channel {ch} unit {unit}: {cmd}: {e}"),
-            })?;
+            let mut data = None;
+            let outcome =
+                ctrl.sink_mut().issue(cmd, now, &mut data).map_err(|e| PimError::Internal {
+                    detail: format!("GRF readback on channel {ch} unit {unit}: {cmd}: {e}"),
+                })?;
             now = outcome.issued_at;
-            if let Some(d) = outcome.data {
+            if let Some(d) = data {
                 out[next_reg] = LaneVec::from_block(&d);
                 next_reg += 1;
             }

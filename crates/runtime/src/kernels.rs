@@ -302,7 +302,7 @@ pub fn gemv_x_block(x: &[f32], j0: usize, srw: bool) -> DataBlock {
 /// input writes zeroed.
 fn gemv_row(groups: u32, config: &PimConfig) -> Vec<Batch> {
     let bank = BankAddr::new(0, 0);
-    let wr = |col| Command::Wr { bank, col, data: [0; 32] };
+    let wr = |col| Command::Wr { bank, col, data: [0; 32].into() };
     if config.variant == PimVariant::SimultaneousReadWrite {
         // 8 WRs a group: column addresses select the weight blocks; WDATA
         // carries the input scalar broadcast to all lanes.
@@ -353,7 +353,7 @@ pub fn gemv_batches(k: usize, base_row: u32, x: &[f32], config: &PimConfig) -> V
         _ => None,
     });
     for (i, data) in writes.enumerate() {
-        *data = gemv_x_block(x, if srw { i } else { i * GROUP as usize }, srw);
+        **data = gemv_x_block(x, if srw { i } else { i * GROUP as usize }, srw);
     }
     batches
 }

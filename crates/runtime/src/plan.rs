@@ -254,7 +254,7 @@ impl GemvPlan {
                 let Command::Wr { data, .. } = &mut pass[batch].commands[cmd] else {
                     unreachable!("x slot no longer points at a WR");
                 };
-                *data = block;
+                **data = block;
             }
         }
     }

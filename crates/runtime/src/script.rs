@@ -111,14 +111,11 @@ impl ScriptSession {
         for c in cmds {
             let out = self
                 .channel
-                .issue(c, self.now)
+                .issue(c, self.now, &mut data)
                 .map_err(|e| ScriptError { line, message: format!("{c}: {e}") })?;
-            if let Some(d) = out.data {
-                data = Some(LaneVec::from_block(&d));
-            }
             self.now = out.issued_at;
         }
-        Ok(data)
+        Ok(data.map(|d| LaneVec::from_block(&d)))
     }
 
     /// After a column command in AB-PIM mode: a trigger that lands on a CRF
@@ -212,27 +209,13 @@ impl ScriptSession {
                     }
                     let program = asm::assemble(&body)
                         .map_err(|e| ScriptError { line: line + e.line, message: e.message })?;
-                    let bank = BankAddr::new(0, 0);
-                    let mut cmds = vec![Command::Act { bank, row: conf::CRF_ROW }];
-                    for (ci, data) in conf::crf_blocks(&program).into_iter().enumerate() {
-                        cmds.push(Command::Wr { bank, col: ci as u32, data });
-                    }
-                    cmds.push(Command::Pre { bank });
-                    self.issue_all(&cmds, line)?;
+                    let crf = conf::crf_blocks(&program);
+                    self.issue_all(&conf::row_write_sequence(conf::CRF_ROW, 0, crf), line)?;
                     out.push(format!("loaded {} instructions", program.len()));
                 }
                 "srf" => {
-                    let vals = parse_floats(&rest, 16, line)?;
-                    let bank = BankAddr::new(0, 0);
-                    let block = LaneVec::from_f32(vals).to_block();
-                    self.issue_all(
-                        &[
-                            Command::Act { bank, row: conf::SRF_ROW },
-                            Command::Wr { bank, col: 0, data: block },
-                            Command::Pre { bank },
-                        ],
-                        line,
-                    )?;
+                    let block = LaneVec::from_f32(parse_floats(&rest, 16, line)?).to_block();
+                    self.issue_all(&conf::row_write_sequence(conf::SRF_ROW, 0, [block]), line)?;
                 }
                 "poke" => {
                     if rest.len() != 19 {
@@ -281,7 +264,7 @@ impl ScriptSession {
                         &[Command::Wr {
                             bank: BankAddr::new(0, 0),
                             col,
-                            data: LaneVec::from_f32(vals).to_block(),
+                            data: LaneVec::from_f32(vals).to_block().into(),
                         }],
                         line,
                     )?;

@@ -25,7 +25,7 @@ fn fnv1a(list: &[Batch]) -> u64 {
     };
     for b in list {
         eat(&[0xB0, u8::from(b.commutative), u8::from(b.fence_after)]);
-        eat(b.label.unwrap_or("-").as_bytes());
+        eat(b.label.map_or("-", |p| p.as_str()).as_bytes());
         for c in &b.commands {
             let (class, row, col) = match c {
                 Command::Act { row, .. } => (1u8, *row, 0),
@@ -40,7 +40,7 @@ fn fnv1a(list: &[Batch]) -> u64 {
             eat(&row.to_le_bytes());
             eat(&col.to_le_bytes());
             if let Command::Wr { data, .. } = c {
-                eat(data);
+                eat(&**data);
             }
         }
     }

@@ -1,6 +1,7 @@
 //! Diagnostics: stable `PV###` codes, severities, sites, and the
 //! rustc-style report rendering shared by every pass and by `pimlint`.
 
+use pim_host::Phase;
 use std::fmt;
 
 /// How serious a diagnostic is.
@@ -278,8 +279,8 @@ pub enum Site {
         batch: usize,
         /// Command index within the batch.
         command: usize,
-        /// The batch's label, if any.
-        label: Option<String>,
+        /// The batch's executor phase, if any.
+        label: Option<Phase>,
     },
     /// The stream or program as a whole (e.g. "ends outside SB").
     Whole,
@@ -293,7 +294,7 @@ impl fmt::Display for Site {
             Site::Line { line, col } => write!(f, "{line}:{col}"),
             Site::Command { index, desc } => write!(f, "command {index} ({desc})"),
             Site::Batch { batch, command, label: Some(l) } => {
-                write!(f, "batch {batch} `{l}` command {command}")
+                write!(f, "batch {batch} `{}` command {command}", l.as_str())
             }
             Site::Batch { batch, command, label: None } => {
                 write!(f, "batch {batch} command {command}")
@@ -431,7 +432,7 @@ impl Report {
                         "\"kind\":\"batch\",\"batch\":{batch},\"command\":{command},\"label\":"
                     ));
                     match label {
-                        Some(l) => out.push_str(&json_str(l)),
+                        Some(l) => out.push_str(&json_str(l.as_str())),
                         None => out.push_str("null"),
                     }
                 }

@@ -130,7 +130,7 @@ mod tests {
         ];
         let mut cmds = conf::enter_ab_sequence();
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0] });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0].into() });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         cmds.push(Command::Act { bank: bank(), row: 3 });
@@ -189,7 +189,7 @@ mod tests {
         ];
         let mut cmds = conf::enter_ab_sequence();
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0] });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: conf::crf_blocks(&program)[0].into() });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         cmds.push(Command::Act { bank: bank(), row: 3 });

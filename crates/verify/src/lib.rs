@@ -51,10 +51,7 @@ pub use diag::{Diagnostic, PvCode, Report, Severity, Site};
 pub use fence::check_fences;
 pub use kernel::{code_of_violation, verify_image, verify_program};
 pub use protocol::lint_stream;
-pub use stream::{
-    events_from_batches, events_from_trace_entries, parse_trace, strip_fences, StreamEvent,
-    StreamItem,
-};
+pub use stream::{events_from_batches, parse_trace, strip_fences, StreamEvent, StreamItem};
 pub use symex::{
     check_equivalence, symex_program, EquivVerdict, EvalOutput, KernelSummary, SymexOutcome,
 };

@@ -186,7 +186,7 @@ mod tests {
         let mut cmds = conf::enter_ab_sequence();
         // Program the CRF (one block of 8 instructions).
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: [0u8; 32] });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: [0u8; 32].into() });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         // Data phase: open a row, trigger, close.
@@ -233,7 +233,7 @@ mod tests {
     fn sb_pim_op_mode_write_is_pv103() {
         let r = lint_stream(&ev(vec![
             Command::Act { bank: bank(), row: conf::PIM_OP_MODE_ROW },
-            Command::Wr { bank: bank(), col: 0, data: enable_block(true) },
+            Command::Wr { bank: bank(), col: 0, data: enable_block(true).into() },
             Command::Pre { bank: bank() },
         ]));
         assert!(r.has_code(PvCode::Pv103PimOpModeOutsideAb));
@@ -244,7 +244,7 @@ mod tests {
         let mut cmds = conf::enter_ab_sequence();
         cmds.extend(conf::set_pim_op_mode_sequence(true));
         cmds.push(Command::Act { bank: bank(), row: conf::CRF_ROW });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: [0u8; 32] });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: [0u8; 32].into() });
         cmds.push(Command::Pre { bank: bank() });
         let r = lint_stream(&ev(cmds));
         assert!(r.has_code(PvCode::Pv104CrfLoadWhileArmed));
@@ -311,7 +311,7 @@ mod tests {
     fn plain_ab_data_write_is_pv105_warning_only() {
         let mut cmds = conf::enter_ab_sequence();
         cmds.push(Command::Act { bank: bank(), row: 9 });
-        cmds.push(Command::Wr { bank: bank(), col: 0, data: [1u8; 32] });
+        cmds.push(Command::Wr { bank: bank(), col: 0, data: [1u8; 32].into() });
         cmds.push(Command::Pre { bank: bank() });
         cmds.extend(conf::exit_ab_sequence());
         let r = lint_stream(&ev(cmds));

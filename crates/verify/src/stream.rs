@@ -4,9 +4,8 @@
 //!
 //! A stream is a flat sequence of standard DRAM commands with optional
 //! `fence` markers (the per-batch barrier of Section IV-C). Streams come
-//! from three places: parsed `.trace` files, flattened
-//! [`pim_host::Batch`] lists ([`events_from_batches`]), and recorded
-//! [`pim_dram::TraceEntry`] logs ([`events_from_trace_entries`]).
+//! from two places: parsed `.trace` files and flattened
+//! [`pim_host::Batch`] lists ([`events_from_batches`]).
 //!
 //! # Trace text format
 //!
@@ -66,35 +65,17 @@ pub fn events_from_batches(batches: &[Batch]) -> Vec<StreamEvent> {
         for (ci, c) in b.commands.iter().enumerate() {
             out.push(StreamEvent {
                 item: StreamItem::Cmd(c.clone()),
-                site: Site::Batch { batch: bi, command: ci, label: b.label.map(str::to_string) },
+                site: Site::Batch { batch: bi, command: ci, label: b.label },
             });
         }
         if b.fence_after {
             out.push(StreamEvent {
                 item: StreamItem::Fence,
-                site: Site::Batch {
-                    batch: bi,
-                    command: b.commands.len(),
-                    label: b.label.map(str::to_string),
-                },
+                site: Site::Batch { batch: bi, command: b.commands.len(), label: b.label },
             });
         }
     }
     out
-}
-
-/// Converts a recorded [`pim_dram::TraceEntry`] log (accepted commands
-/// only) into a stream. Fences are not visible at the command level, so a
-/// recorded trace checks the protocol pass but not the fence pass.
-pub fn events_from_trace_entries<'a>(
-    entries: impl IntoIterator<Item = &'a pim_dram::TraceEntry>,
-) -> Vec<StreamEvent> {
-    entries
-        .into_iter()
-        .filter(|e| e.accepted)
-        .enumerate()
-        .map(|(i, e)| StreamEvent::cmd(i, e.command.clone()))
-        .collect()
 }
 
 /// Removes every fence from a stream — the "what if the host skipped the
@@ -172,7 +153,7 @@ pub fn parse_trace(source: &str) -> Result<Vec<StreamEvent>, Report> {
                     for (wi, w) in nums[3..].iter().enumerate() {
                         data[wi * 4..wi * 4 + 4].copy_from_slice(&w.to_le_bytes());
                     }
-                    StreamItem::Cmd(Command::Wr { bank: b, col: nums[2], data })
+                    StreamItem::Cmd(Command::Wr { bank: b, col: nums[2], data: data.into() })
                 }
                 None => {
                     bad(format!("bank out of range in `{text}`"));

@@ -331,7 +331,7 @@ fn arb_command() -> impl Strategy<Value = Command> {
         (bank.clone(), 0u32..32).prop_map(|(bank, col)| Command::Rd { bank, col }),
         (bank, 0u32..32, any::<u8>()).prop_map(|(bank, col, b)| {
             let data: DataBlock = [b; 32];
-            Command::Wr { bank, col, data }
+            Command::Wr { bank, col, data: data.into() }
         }),
     ]
 }
@@ -354,11 +354,11 @@ fn store_then_read(row: u32, col: u32, fenced: bool) -> Vec<StreamEvent> {
 
     let mut cmds = conf::enter_ab_sequence();
     cmds.push(Command::Act { bank, row: conf::CRF_ROW });
-    cmds.push(Command::Wr { bank, col: 0, data: crf });
+    cmds.push(Command::Wr { bank, col: 0, data: crf.into() });
     cmds.push(Command::Pre { bank });
     cmds.extend(conf::set_pim_op_mode_sequence(true));
     cmds.push(Command::Act { bank, row });
-    cmds.push(Command::Wr { bank, col, data: [0x3C; 32] });
+    cmds.push(Command::Wr { bank, col, data: [0x3C; 32].into() });
     cmds.push(Command::Pre { bank });
     cmds.extend(conf::set_pim_op_mode_sequence(false));
 

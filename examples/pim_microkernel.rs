@@ -14,13 +14,13 @@
 
 use pim_core::isa::{Instruction, Operand};
 use pim_core::{conf, LaneVec, PimChannel, PimConfig, PimMode};
-use pim_dram::{BankAddr, Command, CommandSink, TimingParams};
+use pim_dram::{BankAddr, Command, CommandSink, NoData, TimingParams};
 use pim_fp16::F16;
 
 /// Issues each command at its earliest legal cycle; returns the clock.
 fn run(ch: &mut PimChannel, cmds: &[Command], mut now: u64) -> u64 {
     for c in cmds {
-        now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
+        now = ch.issue(c, now, &mut NoData).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
     }
     now
 }
@@ -77,7 +77,7 @@ fn main() {
         &mut ch,
         &[
             Command::Act { bank: bank0, row: conf::CRF_ROW },
-            Command::Wr { bank: bank0, col: 0, data: crf_block },
+            Command::Wr { bank: bank0, col: 0, data: crf_block.into() },
             Command::Pre { bank: bank0 },
         ],
         now,
@@ -90,7 +90,7 @@ fn main() {
         &mut ch,
         &[
             Command::Act { bank: bank0, row: conf::SRF_ROW },
-            Command::Wr { bank: bank0, col: 0, data: LaneVec::from_lanes(srf).to_block() },
+            Command::Wr { bank: bank0, col: 0, data: LaneVec::from_lanes(srf).to_block().into() },
             Command::Pre { bank: bank0 },
         ],
         now,

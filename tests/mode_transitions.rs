@@ -3,8 +3,8 @@
 
 use pim_core::{conf, LaneVec, PimChannel, PimConfig, PimMode};
 use pim_dram::{
-    BankAddr, Command, CommandSink, ControllerConfig, MemoryController, PseudoChannel, Request,
-    TimingParams,
+    BankAddr, Command, CommandSink, ControllerConfig, MemoryController, NoData, PseudoChannel,
+    Request, TimingParams,
 };
 
 /// The same controller type drives a plain HBM2 channel and a PIM channel:
@@ -44,7 +44,7 @@ fn unmodified_controller_drives_both_devices() {
 
 fn issue_all(ch: &mut PimChannel, cmds: &[Command], mut now: u64) -> u64 {
     for c in cmds {
-        now = ch.issue(c, now).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
+        now = ch.issue(c, now, &mut NoData).unwrap_or_else(|e| panic!("{c}: {e}")).issued_at;
     }
     now
 }
@@ -91,7 +91,7 @@ fn sb_mode_traffic_unaffected_after_pim_use() {
         &mut ch,
         &[
             Command::Act { bank: b, row: 7 },
-            Command::Wr { bank: b, col: 0, data: [0x11; 32] },
+            Command::Wr { bank: b, col: 0, data: [0x11; 32].into() },
             Command::Pre { bank: b },
         ],
         now,
@@ -104,21 +104,17 @@ fn sb_mode_traffic_unaffected_after_pim_use() {
     }
 
     // Plain single-bank traffic afterwards.
-    let at = ch.issue(&Command::Act { bank: b, row: 9 }, 0).unwrap().issued_at;
+    let at = ch.issue(&Command::Act { bank: b, row: 9 }, 0, &mut NoData).unwrap().issued_at;
     assert!(at >= end_ab, "SB command at {at} before AB activity ended ({end_ab})");
     let cmds = [
-        Command::Wr { bank: b, col: 1, data: [0x22; 32] },
+        Command::Wr { bank: b, col: 1, data: [0x22; 32].into() },
         Command::Rd { bank: b, col: 1 },
         Command::Pre { bank: b },
     ];
     let mut now = at;
     let mut seen = None;
     for c in &cmds {
-        let out = ch.issue(c, now).unwrap();
-        if out.data.is_some() {
-            seen = out.data;
-        }
-        now = out.issued_at;
+        now = ch.issue(c, now, &mut seen).unwrap().issued_at;
     }
     assert_eq!(seen, Some([0x22; 32]));
 }
@@ -134,13 +130,14 @@ fn registers_are_memory_mapped_per_unit() {
         &mut ch,
         &[
             Command::Act { bank: bank10, row: conf::GRF_ROW },
-            Command::Wr { bank: bank10, col: 2, data: block },
+            Command::Wr { bank: bank10, col: 2, data: block.into() },
         ],
         0,
     );
     // Read back over the same mapping.
-    let out = ch.issue(&Command::Rd { bank: bank10, col: 2 }, now).unwrap();
-    assert_eq!(out.data, Some(block));
+    let mut data = None;
+    ch.issue(&Command::Rd { bank: bank10, col: 2 }, now, &mut data).unwrap();
+    assert_eq!(data, Some(block));
     assert_eq!(ch.unit(5).grf_a().read(2).to_f32(), [6.5; 16]);
     assert_eq!(ch.unit(4).grf_a().read(2), LaneVec::zero());
 }

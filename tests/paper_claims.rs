@@ -3,7 +3,7 @@
 //! implementation. Each test quotes the sentence it covers.
 
 use pim_core::{conf, isa, PimChannel, PimConfig, PimMode, PimUnit};
-use pim_dram::{BankAddr, Command, CommandSink, TimingParams};
+use pim_dram::{BankAddr, Command, CommandSink, NoData, TimingParams};
 use pim_host::{HostConfig, PimSystem, THREADS_PER_GROUP};
 
 /// "a total of 114 operand combinations for computations, and 24 different
@@ -136,10 +136,11 @@ fn claim_abpim_no_external_transfer() {
         .chain(conf::set_pim_op_mode_sequence(true))
         .chain([Command::Act { bank: BankAddr::new(0, 0), row: 0 }])
     {
-        now = ch.issue(&cmd, now).unwrap().issued_at;
+        now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
     }
-    let out = ch.issue(&Command::Rd { bank: BankAddr::new(0, 0), col: 0 }, now).unwrap();
-    assert_eq!(out.data, None);
+    let mut data = None;
+    ch.issue(&Command::Rd { bank: BankAddr::new(0, 0), col: 0 }, now, &mut data).unwrap();
+    assert_eq!(data, None);
     assert_eq!(ch.mode(), PimMode::AllBankPim);
 }
 
@@ -153,10 +154,12 @@ fn claim_ab_mode_ignores_bank_address() {
         let mut ch = PimChannel::new(TimingParams::hbm2(), PimConfig::paper());
         let mut now = 0;
         for cmd in conf::enter_ab_sequence() {
-            now = ch.issue(&cmd, now).unwrap().issued_at;
+            now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
         }
-        for cmd in [Command::Act { bank, row: 6 }, Command::Wr { bank, col: 3, data: [0x77; 32] }] {
-            now = ch.issue(&cmd, now).unwrap().issued_at;
+        for cmd in
+            [Command::Act { bank, row: 6 }, Command::Wr { bank, col: 3, data: [0x77; 32].into() }]
+        {
+            now = ch.issue(&cmd, now, &mut NoData).unwrap().issued_at;
         }
         // Whatever bank the command named, bank (3,3) received the write.
         ch.dram().bank(BankAddr::new(3, 3)).peek_block(6, 3)
