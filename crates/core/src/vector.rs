@@ -110,13 +110,10 @@ impl LaneVec {
         out
     }
 
-    /// Builds a vector from 16 `f32` values (rounded to FP16).
+    /// Builds a vector from 16 `f32` values (rounded to FP16 by the bulk
+    /// converter, [`F16::from_f32_lanes`]).
     pub fn from_f32(values: [f32; LANES]) -> LaneVec {
-        let mut lanes = [F16::ZERO; LANES];
-        for (l, v) in lanes.iter_mut().zip(values.iter()) {
-            *l = F16::from_f32(*v);
-        }
-        LaneVec(lanes)
+        LaneVec(F16::from_f32_lanes(&values))
     }
 }
 

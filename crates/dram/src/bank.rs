@@ -167,6 +167,30 @@ impl Bank {
         self.store(row, col, data);
     }
 
+    /// Backdoor write of `blocks` to consecutive columns of `row` from
+    /// `col` on, in one call: the same writes as `blocks.len()`
+    /// [`Bank::poke_block`] calls in ascending column order. With cell
+    /// faults installed it is exactly those calls — each block passes the
+    /// fault state once, in that order, so its write counter and flip
+    /// sites are the ones the per-block calls reach; without, one copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of range or the blocks run past the row.
+    pub fn poke_row(&mut self, row: u32, col: u32, blocks: &[DataBlock]) {
+        let (start, len) = (col as usize * DATA_BLOCK_BYTES, size_of_val(blocks));
+        assert!(row < ROWS_PER_BANK && start + len <= ROW_BYTES, "blocks run past row {row}");
+        if self.faults.is_some() {
+            return (col..).zip(blocks).for_each(|(c, data)| self.store(row, c, data));
+        }
+        let row = row as usize;
+        if row >= self.rows.len() {
+            self.rows.resize_with(row + 1, || None);
+        }
+        let storage = self.rows[row].get_or_insert_with(|| Box::new([0u8; ROW_BYTES]));
+        storage[start..start + len].copy_from_slice(blocks.as_flattened());
+    }
+
     /// Number of rows that have been materialized (written at least once).
     #[cfg(test)]
     fn touched_rows(&self) -> usize {

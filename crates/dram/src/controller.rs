@@ -211,7 +211,6 @@ impl<S: CommandSink> MemoryController<S> {
     pub fn enqueue(&mut self, mut req: Request) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        req.arrival = self.now;
         req.seq = seq;
         let d = self.config.mapping.decode(req.addr);
         assert_eq!(

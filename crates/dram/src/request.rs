@@ -26,9 +26,6 @@ pub struct Request {
     pub addr: u64,
     /// Write payload (writes only).
     pub data: Option<DataBlock>,
-    /// Cycle the request arrived at the controller; filled by
-    /// [`crate::MemoryController::enqueue`].
-    pub(crate) arrival: Cycle,
     /// Arrival sequence number (program order).
     pub(crate) seq: u64,
 }
@@ -41,7 +38,7 @@ impl Request {
     /// Panics if `addr` is not 32-byte aligned.
     pub fn read(addr: u64) -> Request {
         assert_eq!(addr % 32, 0, "requests must be 32-byte aligned");
-        Request { kind: RequestKind::Read, addr, data: None, arrival: 0, seq: 0 }
+        Request { kind: RequestKind::Read, addr, data: None, seq: 0 }
     }
 
     /// Creates a write request.
@@ -51,7 +48,7 @@ impl Request {
     /// Panics if `addr` is not 32-byte aligned.
     pub fn write(addr: u64, data: DataBlock) -> Request {
         assert_eq!(addr % 32, 0, "requests must be 32-byte aligned");
-        Request { kind: RequestKind::Write, addr, data: Some(data), arrival: 0, seq: 0 }
+        Request { kind: RequestKind::Write, addr, data: Some(data), seq: 0 }
     }
 }
 

@@ -115,6 +115,39 @@ impl F16 {
         Self::from_f32_general(bits)
     }
 
+    /// Converts 16 (or any `N`) `f32` lanes at once: `out[i] ==
+    /// F16::from_f32(x[i])` for every lane, bit for bit
+    /// (`tests::from_f32_lanes_matches_scalar`, and an ignored sweep of all
+    /// 2^32 patterns). This is the bulk converter every host-to-PIM tensor
+    /// crossing goes through ([`crate::f32_slice_to_f16`]).
+    ///
+    /// In the style of [`F16::mac_lanes`]: the fast-range narrow is applied
+    /// to every lane unconditionally, with a select for the signed zeros,
+    /// and a per-lane mask records whether the lane stayed inside its
+    /// proven domain; if any lane strayed (a subnormal or zero result from
+    /// a nonzero input, overflow, infinity, NaN), the whole call is redone
+    /// through the scalar [`F16::from_f32`].
+    pub fn from_f32_lanes<const N: usize>(x: &[f32; N]) -> [F16; N] {
+        let mut out = [F16::ZERO; N];
+        let mut slow = false;
+        for i in 0..N {
+            // `from_f32`'s fast path: exact for f32 exponents 113..=142,
+            // whose rounded result is normal or rolls into infinity through
+            // a full mantissa carry (31 << 10 is the infinity pattern), and
+            // here also for the signed zeros, through the select.
+            let bits = x[i].to_bits();
+            let rounded = (bits.wrapping_add(0x0FFF + ((bits >> 13) & 1)) >> 13) & 0x3_FFFF;
+            let zero = bits & 0x7FFF_FFFF == 0;
+            let mag16 = if zero { 0 } else { rounded.wrapping_sub(112 << 10) as u16 };
+            out[i] = F16(((bits >> 16) & 0x8000) as u16 | mag16);
+            slow |= !((((bits >> 23) & 0xFF).wrapping_sub(113) <= 142 - 113) | zero);
+        }
+        if slow {
+            out = x.map(F16::from_f32);
+        }
+        out
+    }
+
     /// The general conversion covering every case (zeros, subnormals,
     /// overflow, infinity, NaN — and the normal range, making it a complete
     /// reference for the fast path above).
@@ -216,38 +249,6 @@ impl F16 {
             0x7FC0_0000 | (frac << 13) // NaN, payload kept, quiet bit set
         };
         f32::from_bits(sign | mag)
-    }
-
-    /// Reference implementation of [`Self::to_f32`] by explicit field
-    /// re-encoding; kept for the exhaustive equivalence test.
-    #[cfg(test)]
-    fn to_f32_general(self) -> f32 {
-        let sign = ((self.0 & SIGN_MASK) as u32) << 16;
-        let exp = ((self.0 & EXP_MASK) >> FRAC_BITS) as u32;
-        let frac = (self.0 & FRAC_MASK) as u32;
-
-        let bits = if exp == 0 {
-            if frac == 0 {
-                sign // signed zero
-            } else {
-                // Subnormal: renormalize. value = frac * 2^-24 with the
-                // highest set bit of `frac` at position p: 1.m * 2^(p-24).
-                let shift = frac.leading_zeros() - 21; // 10 - p
-                let normalized_frac = (frac << shift) & 0x3FF;
-                let exp32 = 113 - shift; // (10 - shift) + (127 - 24)
-                sign | (exp32 << 23) | (normalized_frac << 13)
-            }
-        } else if exp == 0x1F {
-            if frac == 0 {
-                sign | 0x7F80_0000
-            } else {
-                sign | 0x7FC0_0000 | (frac << 13)
-            }
-        } else {
-            let exp32 = exp + (127 - 15);
-            sign | (exp32 << 23) | (frac << 13)
-        };
-        f32::from_bits(bits)
     }
 
     /// Converts to `f64` (exact).
@@ -604,6 +605,37 @@ impl Div for F16 {
 mod tests {
     use super::*;
 
+    /// Reference implementation of [`F16::to_f32`] by explicit field
+    /// re-encoding; kept for the exhaustive equivalence test.
+    fn to_f32_general(h: F16) -> f32 {
+        let sign = ((h.0 & SIGN_MASK) as u32) << 16;
+        let exp = ((h.0 & EXP_MASK) >> FRAC_BITS) as u32;
+        let frac = (h.0 & FRAC_MASK) as u32;
+
+        let bits = if exp == 0 {
+            if frac == 0 {
+                sign // signed zero
+            } else {
+                // Subnormal: renormalize. value = frac * 2^-24 with the
+                // highest set bit of `frac` at position p: 1.m * 2^(p-24).
+                let shift = frac.leading_zeros() - 21; // 10 - p
+                let normalized_frac = (frac << shift) & 0x3FF;
+                let exp32 = 113 - shift; // (10 - shift) + (127 - 24)
+                sign | (exp32 << 23) | (normalized_frac << 13)
+            }
+        } else if exp == 0x1F {
+            if frac == 0 {
+                sign | 0x7F80_0000
+            } else {
+                sign | 0x7FC0_0000 | (frac << 13)
+            }
+        } else {
+            let exp32 = exp + (127 - 15);
+            sign | (exp32 << 23) | (frac << 13)
+        };
+        f32::from_bits(bits)
+    }
+
     #[test]
     fn constants_have_expected_bit_patterns() {
         assert_eq!(F16::ZERO.to_bits(), 0x0000);
@@ -803,7 +835,7 @@ mod tests {
         // (zeros, subnormals, normals, infinities, every NaN payload).
         for bits in 0u16..=u16::MAX {
             let h = F16::from_bits(bits);
-            assert_eq!(h.to_f32().to_bits(), h.to_f32_general().to_bits(), "f16 bits 0x{bits:04X}");
+            assert_eq!(h.to_f32().to_bits(), to_f32_general(h).to_bits(), "f16 bits 0x{bits:04X}");
         }
     }
 
@@ -847,6 +879,53 @@ mod tests {
                     b[i].to_bits(),
                     c[i].to_bits()
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn from_f32_lanes_matches_scalar() {
+        // `from_f32_lanes` must equal the scalar `from_f32` on every lane,
+        // bit for bit, when one lane outside the branch-free domain (or on
+        // its edge) sits at any position of an otherwise fast-range call.
+        let planted = [
+            0.0f32,
+            -0.0,
+            1.0e-6,                      // a subnormal binary16 result
+            -2.0e-8,                     // below 2^-25: underflows to -0
+            f32::from_bits(0x477F_FFFF), // exponent 142, rounds up to infinity
+            65_520.0,                    // the tie at the top, also infinity
+            f32::from_bits(0x477F_EFFF), // the largest value that rounds to MAX
+            f32::from_bits(0x3880_0000), // 2^-14, the smallest normal
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7F80_1234), // a signalling NaN with a payload
+            f32::from_bits(0xFFC0_0001), // a negative quiet NaN with a payload
+        ];
+        let mut state = 0x4528_21E6_38D0_1377u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..64 {
+            // Exponents 113..=142 only: every lane of the fill is fast.
+            let fill: [f32; 16] = core::array::from_fn(|_| {
+                let r = next();
+                let exp = 113 + (r >> 32) as u32 % 30;
+                f32::from_bits((r as u32 & 0x807F_FFFF) | (exp << 23))
+            });
+            for &v in &planted {
+                for at in 0..16 {
+                    let mut x = fill;
+                    x[at] = v;
+                    let got = F16::from_f32_lanes(&x);
+                    for i in 0..16 {
+                        let want = F16::from_f32(x[i]);
+                        assert_eq!(got[i].0, want.0, "lane {i} of {x:?}, planted at {at}");
+                    }
+                }
             }
         }
     }
@@ -938,6 +1017,20 @@ mod tests {
             let got = F16::from_f32(f32::from_bits(bits)).to_bits();
             let want = F16::from_f32_general(bits).to_bits();
             assert_eq!(got, want, "f32 bits 0x{bits:08X}");
+        }
+    }
+
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run explicitly with --release -- --ignored"]
+    fn exhaustive_from_f32_lanes() {
+        // Every f32 bit pattern, sixteen consecutive patterns to a call:
+        // the bulk converter must agree with the scalar one bit for bit.
+        for base in (0u32..=u32::MAX - 15).step_by(16) {
+            let x: [f32; 16] = core::array::from_fn(|i| f32::from_bits(base + i as u32));
+            let got = F16::from_f32_lanes(&x);
+            for i in 0..16 {
+                assert_eq!(got[i].0, F16::from_f32(x[i]).0, "f32 bits 0x{:08X}", x[i].to_bits());
+            }
         }
     }
 

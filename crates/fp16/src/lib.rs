@@ -25,6 +25,15 @@
 //! `q = 24 >= 2*11 + 2 = 24`, so every single operation gets the bit-exact
 //! IEEE-754 result.
 //!
+//! # Bulk conversion
+//!
+//! Tensors cross from the host's `f32` world into binary16 in lanes:
+//! [`F16::from_f32_lanes`] converts 16 (or any `N`) values in one
+//! branch-free call, bit for bit [`F16::from_f32`] on every lane, and
+//! [`f32_slice_to_f16`] is the bulk entry point that chunks a slice through
+//! it. The runtime's stream operands, its exact-FP16 oracle and the GEMV
+//! weight placement all convert this way.
+//!
 //! # MAC semantics of the PIM FPU
 //!
 //! The hardware's MAC is **not** a fused multiply-add: the multiplier and the

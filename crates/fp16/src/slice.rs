@@ -7,7 +7,11 @@
 
 use crate::F16;
 
-/// Converts a slice of `f32` to binary16 with round-to-nearest-even.
+/// Converts a slice of `f32` to binary16 with round-to-nearest-even, bit
+/// for bit [`F16::from_f32`] per element: the one bulk entry point, which
+/// converts 16 lanes at a time through [`F16::from_f32_lanes`] (a partial
+/// last chunk is padded with `+0.0`, which stays on the fast path, and the
+/// padding is cut off again).
 ///
 /// ```
 /// use pim_fp16::{f32_slice_to_f16, F16};
@@ -15,7 +19,18 @@ use crate::F16;
 /// assert_eq!(v, vec![F16::from_f32(1.0), F16::from_f32(2.0)]);
 /// ```
 pub fn f32_slice_to_f16(src: &[f32]) -> Vec<F16> {
-    src.iter().map(|&x| F16::from_f32(x)).collect()
+    // Room for the padded last chunk, so no extend reallocates.
+    let mut out = Vec::with_capacity(src.len() + 16);
+    let chunks = src.chunks_exact(16);
+    let tail = chunks.remainder();
+    for chunk in chunks {
+        out.extend(F16::from_f32_lanes::<16>(chunk.try_into().expect("a whole chunk")));
+    }
+    let mut lanes = [0.0f32; 16];
+    lanes[..tail.len()].copy_from_slice(tail);
+    out.extend(F16::from_f32_lanes(&lanes));
+    out.truncate(src.len());
+    out
 }
 
 /// Converts a slice of binary16 to `f32` (exact).
@@ -68,18 +83,7 @@ pub fn max_ulp_error(result: &[F16], reference: &[f32]) -> u32 {
 /// ULP distance between two finite binary16 values, using the total-order
 /// integer mapping (so the distance across zero is well defined).
 fn ulp_distance(a: F16, b: F16) -> u32 {
-    let ka = order_key(a);
-    let kb = order_key(b);
-    ka.abs_diff(kb)
-}
-
-fn order_key(x: F16) -> i32 {
-    let bits = x.to_bits() as i32;
-    if bits & 0x8000 != 0 {
-        0x8000 - bits
-    } else {
-        bits
-    }
+    a.total_order_key().abs_diff(b.total_order_key())
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 //! (the survivors of a quarantine, a tenant's channel groups).
 
 use pim_core::LaneVec;
-use pim_dram::BankAddr;
-use pim_fp16::F16;
+use pim_dram::{BankAddr, DataBlock};
+use pim_fp16::{f32_slice_to_f16, F16};
 use pim_host::PimSystem;
 
 /// Elements per 32-byte block (16 FP16 lanes).
@@ -95,16 +95,14 @@ impl<'a> Placement<'a> {
 
 /// Converts `len` f32 elements into 16-lane blocks, zero-padding the tail
 /// ("we can concatenate dummy values to the end of the vectors",
-/// Section VIII).
+/// Section VIII) with `+0.0`, through the bulk converter
+/// [`f32_slice_to_f16`].
 pub fn f32_to_blocks(data: &[f32]) -> Vec<LaneVec> {
-    data.chunks(BLOCK_ELEMS)
-        .map(|chunk| {
-            let mut lanes = [F16::ZERO; BLOCK_ELEMS];
-            for (l, &v) in lanes.iter_mut().zip(chunk.iter()) {
-                *l = F16::from_f32(v);
-            }
-            LaneVec::from_lanes(lanes)
-        })
+    let mut lanes = f32_slice_to_f16(data);
+    lanes.resize(lanes.len().next_multiple_of(BLOCK_ELEMS), F16::ZERO);
+    lanes
+        .chunks_exact(BLOCK_ELEMS)
+        .map(|c| LaneVec::from_lanes(c.try_into().expect("a block")))
         .collect()
 }
 
@@ -121,30 +119,17 @@ pub fn store_block(sys: &mut PimSystem, ch: usize, unit: usize, row: u32, col: u
     sys.channel_mut(ch).sink_mut().dram_mut().bank_mut(bank).poke_block(row, col, &v.to_block());
 }
 
-/// DMA-loads one block into the **odd** bank (used by the 2BA variant's
-/// second-operand placement).
-pub fn store_block_odd(
-    sys: &mut PimSystem,
-    ch: usize,
-    unit: usize,
-    row: u32,
-    col: u32,
-    v: &LaneVec,
-) {
-    let bank = BankAddr::from_flat_index(2 * unit + 1);
-    sys.channel_mut(ch).sink_mut().dram_mut().bank_mut(bank).poke_block(row, col, &v.to_block());
+/// DMA-loads `blocks` into the **even** bank of (`ch`, `unit`) at columns
+/// `0..blocks.len()` of `row`: one [`pim_dram::Bank::poke_row`] call, the
+/// same writes (faults included) as a [`store_block`] per column.
+pub fn store_row(sys: &mut PimSystem, ch: usize, unit: usize, row: u32, blocks: &[DataBlock]) {
+    let bank = BankAddr::from_flat_index(2 * unit);
+    sys.channel_mut(ch).sink_mut().dram_mut().bank_mut(bank).poke_row(row, 0, blocks);
 }
 
 /// Reads one block back from the even bank of (`ch`, `unit`).
 pub fn load_block(sys: &PimSystem, ch: usize, unit: usize, row: u32, col: u32) -> LaneVec {
     let bank = BankAddr::from_flat_index(2 * unit);
-    LaneVec::from_block(&sys.channel(ch).sink().dram().bank(bank).peek_block(row, col))
-}
-
-/// Reads one block back from the **odd** bank of (`ch`, `unit`) — the 2BA
-/// variant's second-operand home.
-pub fn load_block_odd(sys: &PimSystem, ch: usize, unit: usize, row: u32, col: u32) -> LaneVec {
-    let bank = BankAddr::from_flat_index(2 * unit + 1);
     LaneVec::from_block(&sys.channel(ch).sink().dram().bank(bank).peek_block(row, col))
 }
 

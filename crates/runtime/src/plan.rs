@@ -36,9 +36,9 @@ use crate::executor::Executor;
 use crate::kernels::{gemv_kernel, gemv_microkernel, gemv_x_block, COLS_PER_ROW, GROUP};
 use crate::layout::{self, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
-use pim_core::{LaneVec, PimVariant, UnitMask};
-use pim_dram::Command;
-use pim_fp16::F16;
+use pim_core::{PimVariant, UnitMask};
+use pim_dram::{Command, DATA_BLOCK_BYTES};
+use pim_fp16::f32_slice_to_f16;
 use pim_host::{Batch, KernelResult};
 
 /// The GEMV weight-shape rule, stated once: non-empty, `w` is `n × k`.
@@ -183,32 +183,30 @@ impl GemvPlan {
             .map_err(|e| PimError::OutOfMemory { detail: e.to_string() })?;
 
         // Weight placement: lane l of (pass, ch, unit) owns output row
-        // out_base + l; input j sits at (row j/32, col j%32). Each owned
-        // row of `w` is converted in one contiguous sweep into the unit's
-        // k blocks, which are then stored.
-        let mut blocks = vec![[F16::ZERO; BLOCK_ELEMS]; k];
+        // out_base + l; input j sits at (row j/32, col j%32). The unit's
+        // rows of `w` (contiguous) go through the bulk converter in one
+        // call, lane l of block j takes row l's input j, and the k blocks
+        // land a DRAM row (32 blocks) to a bank call.
+        let mut blocks = vec![[0u8; DATA_BLOCK_BYTES]; k];
         for p in 0..g.passes {
             let prow = base_row + p as u32 * g.rows_per_pass;
             for (ch, u, out_base) in g.owners(p) {
-                let rows = w[out_base * k..].chunks(k).take(BLOCK_ELEMS);
-                if rows.len() < BLOCK_ELEMS {
+                let owned = &w[out_base * k..(out_base + BLOCK_ELEMS).min(n) * k];
+                if owned.len() < BLOCK_ELEMS * k {
                     // Lanes past the last output row carry zeros.
-                    blocks.fill([F16::ZERO; BLOCK_ELEMS]);
+                    blocks.fill([0; DATA_BLOCK_BYTES]);
                 }
-                for (l, row) in rows.enumerate() {
-                    for (block, &v) in blocks.iter_mut().zip(row) {
-                        block[l] = F16::from_f32(v);
+                // A tile of 16 blocks at a time, so the writes stay in L1.
+                let owned = f32_slice_to_f16(owned);
+                for (jc, tile) in blocks.chunks_mut(BLOCK_ELEMS).enumerate() {
+                    for (l, row) in owned.chunks(k).enumerate() {
+                        for (block, h) in tile.iter_mut().zip(&row[jc * BLOCK_ELEMS..]) {
+                            block[2 * l..2 * l + 2].copy_from_slice(&h.to_bits().to_le_bytes());
+                        }
                     }
                 }
-                for (j, block) in blocks.iter().enumerate() {
-                    layout::store_block(
-                        &mut ctx.sys,
-                        ch,
-                        u,
-                        prow + j as u32 / COLS_PER_ROW,
-                        j as u32 % COLS_PER_ROW,
-                        &LaneVec::from_lanes(*block),
-                    );
+                for (r, run) in (prow..).zip(blocks.chunks(COLS_PER_ROW as usize)) {
+                    layout::store_row(&mut ctx.sys, ch, u, r, run);
                 }
             }
         }
@@ -328,6 +326,7 @@ impl GemvPlan {
 mod tests {
     use super::*;
     use crate::PimBlas;
+    use pim_fp16::F16;
     use pim_host::{predict_launch, ChannelPredictor, ExecutionMode};
 
     fn weights(n: usize, k: usize) -> Vec<f32> {
@@ -336,6 +335,94 @@ mod tests {
 
     fn input(k: usize, salt: usize) -> Vec<f32> {
         (0..k).map(|i| (((i * 3 + salt) % 17) as f32 - 8.0) / 16.0).collect()
+    }
+
+    /// `prepare` leaves every bank block as storing each weight block on
+    /// its own did: a test-local copy of the per-block `store_block` loop
+    /// (ascending columns, only `j < k`) is the reference. Shapes with
+    /// `k % 32 != 0`, `n % 16 != 0` and more than one pass, weights with
+    /// lanes off the converter's fast path, and a cell-fault plan that
+    /// flips often: the fault state's write counter and flip sites must
+    /// agree block for block, and one more write after the placement must
+    /// still land on the same counter.
+    #[test]
+    fn row_placement_writes_what_the_per_block_loop_wrote() {
+        use pim_dram::BankAddr;
+        fn per_block(ctx: &mut PimContext, w: &[f32], n: usize, k: usize) -> GemvGeometry {
+            let units = ctx.sys.pim_config().units_per_pch;
+            let g = GemvGeometry::new(n, k, ctx.sys.channel_count(), units);
+            let base_row = ctx.mm.alloc_rows_lockstep(g.rows_per_pass * g.passes as u32).unwrap();
+            let mut blocks = vec![[F16::ZERO; BLOCK_ELEMS]; k];
+            for p in 0..g.passes {
+                let prow = base_row + p as u32 * g.rows_per_pass;
+                for (ch, u, out_base) in g.owners(p) {
+                    let rows = w[out_base * k..].chunks(k).take(BLOCK_ELEMS);
+                    if rows.len() < BLOCK_ELEMS {
+                        blocks.fill([F16::ZERO; BLOCK_ELEMS]);
+                    }
+                    for (l, row) in rows.enumerate() {
+                        for (block, &v) in blocks.iter_mut().zip(row) {
+                            block[l] = F16::from_f32(v);
+                        }
+                    }
+                    for (j, block) in blocks.iter().enumerate() {
+                        let (row, col) = (prow + j as u32 / COLS_PER_ROW, j as u32 % COLS_PER_ROW);
+                        let v = pim_core::LaneVec::from_lanes(*block);
+                        layout::store_block(&mut ctx.sys, ch, u, row, col, &v);
+                    }
+                }
+            }
+            g
+        }
+        let mut faults = pim_faults::FaultPlan::quiet(11);
+        faults.cell_flip_rate = 0.3;
+        for (n, k) in [(64, 40), (50, 96), (2050, 40), (4100, 33)] {
+            let mut w = weights(n, k);
+            (w[3], w[k + 5], w[2 * k + 1], w[n * k - 1]) = (1.0e-6, f32::NAN, 1.0e6, -0.0);
+            let (mut clean, mut flipped) = (None, 0);
+            for faulty in [false, true] {
+                let (mut rows, mut blocks) =
+                    (PimContext::small_system(), PimContext::small_system());
+                if faulty {
+                    rows.inject_faults(&faults);
+                    blocks.inject_faults(&faults);
+                }
+                GemvPlan::prepare(&mut rows, &w, n, k).unwrap();
+                let g = per_block(&mut blocks, &w, n, k);
+                let used = g.rows_per_pass * g.passes as u32;
+                let probe = pim_core::LaneVec::from_f32([1.5; BLOCK_ELEMS]);
+                for ctx in [&mut rows, &mut blocks] {
+                    for (ch, u) in (0..16).flat_map(|ch| (0..8).map(move |u| (ch, u))) {
+                        layout::store_block(&mut ctx.sys, ch, u, used, 1, &probe);
+                    }
+                }
+                for ch in 0..16 {
+                    for bank in (0..16).map(BankAddr::from_flat_index) {
+                        let peek = |ctx: &PimContext, row, col| {
+                            ctx.sys.channel(ch).sink().dram().bank(bank).peek_block(row, col)
+                        };
+                        for row in 0..=used {
+                            for col in 0..COLS_PER_ROW {
+                                let got = peek(&rows, row, col);
+                                let want = peek(&blocks, row, col);
+                                assert_eq!(
+                                    got, want,
+                                    "{n}x{k} faulty {faulty}: ch {ch} {bank:?} ({row}, {col})"
+                                );
+                                flipped += usize::from(
+                                    clean.as_ref().is_some_and(|c| peek(c, row, col) != got),
+                                );
+                            }
+                        }
+                    }
+                }
+                if faulty {
+                    assert!(flipped > 0, "{n}x{k}: the fault plan flipped no bit");
+                } else {
+                    clean = Some(rows);
+                }
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use crate::blas::{KernelReport, PimError};
 use crate::context::PimContext;
 use crate::kernels::StreamOp;
 use crate::layout::BLOCK_ELEMS;
-use crate::stream::{self, Attempt, Cell, StreamJob, StreamOperands};
+use crate::stream::{Attempt, Cell, StreamJob, StreamOperands};
 use pim_core::LaneVec;
 use pim_dram::ecc::{self, EccWord};
 use pim_obs::{names, Event, Scope};
@@ -194,7 +194,7 @@ pub fn resilient_add(
     // The verification oracle: device ADD is exact FP16, so the host's
     // FP16 sum is bit-identical on a fault-free run. It stands in for the
     // application-level integrity check a production runtime would use.
-    let expected = stream::reference(StreamOp::Add, x, y);
+    let expected = operands.reference();
 
     let mut rep = ResilienceReport::default();
     let mut healthy: Vec<usize> = (0..ctx.sys.channel_count()).collect();

@@ -826,7 +826,6 @@ impl<'a> Server<'a> {
     fn execute_inner(&mut self, q: Queued, trace: TraceCtx) -> Result<RequestOutcome, PimError> {
         let Queued { id, req, .. } = q;
         let started = self.ctx.sys.max_now();
-        let oracle = req.op.host_reference();
 
         let outcome = |disposition, started, finished, result| RequestOutcome {
             id,
@@ -860,8 +859,15 @@ impl<'a> Server<'a> {
         let (pim, host) = self.prices(&req.op, &candidates);
         let prefer_host = candidates.is_empty() || (pim > slack && host <= slack);
 
+        // The oracle: taken from the blocks the PIM attempts place, so each
+        // operand is converted once; computed only if it is needed.
+        let mut oracle = None;
         if !prefer_host {
-            match self.run_on_pim(&req, &candidates, &oracle, trace)? {
+            let (x, y) = req.op.operands();
+            debug_assert!(!x.is_empty() && x.len() == y.len(), "refused by `check_trace`");
+            let operands = StreamOperands::new(self.ctx, req.op.stream_op(), x, Some(y))?;
+            let expected = operands.reference();
+            match self.run_on_pim(&req, &candidates, &operands, &expected, trace)? {
                 PimAttempt::Done { finished, result } => {
                     return Ok(if finished > req.deadline {
                         self.stats.deadline_missed += 1;
@@ -871,7 +877,7 @@ impl<'a> Server<'a> {
                         outcome(Disposition::Completed, Some(started), finished, Some(result))
                     });
                 }
-                PimAttempt::Exhausted => {}
+                PimAttempt::Exhausted => oracle = Some(expected),
             }
         }
 
@@ -888,7 +894,8 @@ impl<'a> Server<'a> {
             self.stats.deadline_missed += 1;
             outcome(Disposition::DeadlineMissed, Some(started), finished, None)
         } else {
-            outcome(Disposition::FellBackToHost, Some(started), finished, Some(oracle))
+            let result = oracle.unwrap_or_else(|| req.op.host_reference());
+            outcome(Disposition::FellBackToHost, Some(started), finished, Some(result))
         })
     }
 
@@ -900,13 +907,10 @@ impl<'a> Server<'a> {
         &mut self,
         req: &ServeRequest,
         candidates: &[usize],
+        operands: &StreamOperands,
         oracle: &[f32],
         trace: TraceCtx,
     ) -> Result<PimAttempt, PimError> {
-        let (x, y) = req.op.operands();
-        debug_assert!(!x.is_empty() && x.len() == y.len(), "`check_trace` admits no such request");
-        let operands = StreamOperands::new(self.ctx, req.op.stream_op(), x, Some(y))?;
-
         let mut avail: Vec<usize> = candidates.to_vec();
         for attempt in 0..MAX_ATTEMPTS {
             if avail.is_empty() {
@@ -924,7 +928,7 @@ impl<'a> Server<'a> {
             let channels: Vec<usize> =
                 avail.iter().flat_map(|&g| Server::group_channels(g)).collect();
             self.ctx.reset_memory();
-            let job = StreamJob::place(self.ctx, &operands, &channels)?;
+            let job = StreamJob::place(self.ctx, operands, &channels)?;
 
             // Bounded launch: the watchdog limit never extends past the
             // deadline.

@@ -19,8 +19,7 @@ use crate::kernels::{
 use crate::layout::{self, Placement, BLOCK_ELEMS};
 use pim_core::isa::Instruction;
 use pim_core::{LaneVec, PimVariant, UnitMask};
-use pim_dram::Cycle;
-use pim_fp16::F16;
+use pim_dram::{BankAddr, Cycle};
 use pim_host::{Batch, KernelResult};
 
 /// The home of one resident 32-byte block. `odd` selects the unit's odd
@@ -35,14 +34,21 @@ pub(crate) struct Cell {
 }
 
 impl Cell {
-    pub(crate) fn load(&self, ctx: &PimContext) -> LaneVec {
-        let load = if self.odd { layout::load_block_odd } else { layout::load_block };
-        load(&ctx.sys, self.ch, self.unit, self.row, self.col)
+    /// The unit's even bank, or its odd one.
+    fn bank(&self) -> BankAddr {
+        BankAddr::from_flat_index(2 * self.unit + usize::from(self.odd))
     }
 
+    /// Reads the block back (see [`layout::load_block`]).
+    pub(crate) fn load(&self, ctx: &PimContext) -> LaneVec {
+        let bank = ctx.sys.channel(self.ch).sink().dram().bank(self.bank());
+        LaneVec::from_block(&bank.peek_block(self.row, self.col))
+    }
+
+    /// DMA-loads `v` into the cell (see [`layout::store_block`]).
     pub(crate) fn store(&self, ctx: &mut PimContext, v: &LaneVec) {
-        let store = if self.odd { layout::store_block_odd } else { layout::store_block };
-        store(&mut ctx.sys, self.ch, self.unit, self.row, self.col, v);
+        let bank = ctx.sys.channel_mut(self.ch).sink_mut().dram_mut().bank_mut(self.bank());
+        bank.poke_block(self.row, self.col, &v.to_block());
     }
 }
 
@@ -108,6 +114,16 @@ impl StreamOperands {
     pub(crate) fn golden(&self, b: usize) -> (&LaneVec, Option<&LaneVec>) {
         (&self.x[b], self.y.as_ref().map(|y| &y[b]))
     }
+
+    /// [`reference`] over the blocks already converted here, so each
+    /// operand crosses to FP16 once.
+    ///
+    /// # Panics
+    ///
+    /// As [`reference`], and for a one-operand op.
+    pub(crate) fn reference(&self) -> Vec<f32> {
+        blocks_reference(self.op, &self.x, self.y.as_deref().expect("two operands"), self.len)
+    }
 }
 
 /// The exact FP16 result of the two-operand op `op` — what a fault-free
@@ -119,16 +135,26 @@ impl StreamOperands {
 /// If `op` is not [`StreamOp::Add`] or [`StreamOp::Mul`]: the scalar and
 /// one-operand ops are served by no ladder.
 pub(crate) fn reference(op: StreamOp, x: &[f32], y: &[f32]) -> Vec<f32> {
-    fn zip(x: &[f32], y: &[f32], f: impl Fn(F16, F16) -> F16) -> Vec<f32> {
-        x.iter().zip(y).map(|(&a, &b)| f(F16::from_f32(a), F16::from_f32(b)).to_f32()).collect()
+    let (xb, yb) = (layout::f32_to_blocks(x), layout::f32_to_blocks(y));
+    blocks_reference(op, &xb, &yb, x.len().min(y.len()))
+}
+
+/// [`reference`] over operands in 16-lane blocks, a block pair to a call of
+/// [`pim_fp16::F16::add_lanes`] / `mul_lanes`, cut to `len` elements.
+fn blocks_reference(op: StreamOp, x: &[LaneVec], y: &[LaneVec], len: usize) -> Vec<f32> {
+    let mut out = Vec::with_capacity(x.len() * BLOCK_ELEMS);
+    for (a, b) in x.iter().zip(y) {
+        let z = match op {
+            StreamOp::Add => a.add(*b),
+            StreamOp::Mul => a.mul(*b),
+            StreamOp::Relu | StreamOp::Bn | StreamOp::Axpy => {
+                unreachable!("{op:?} has no two-operand host reference")
+            }
+        };
+        out.extend(z.to_f32());
     }
-    match op {
-        StreamOp::Add => zip(x, y, |a, b| a + b),
-        StreamOp::Mul => zip(x, y, |a, b| a * b),
-        StreamOp::Relu | StreamOp::Bn | StreamOp::Axpy => {
-            unreachable!("{op:?} has no two-operand host reference")
-        }
-    }
+    out.truncate(len);
+    out
 }
 
 /// What one verified launch of a [`StreamJob`] came to.
@@ -305,6 +331,72 @@ fn bad_blocks(got: &[f32], expected: &[f32]) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pim_fp16::F16;
+
+    /// Both oracles — [`reference`] from `f32` and
+    /// [`StreamOperands::reference`] from the placed blocks — equal the
+    /// scalar definition `F16::from_f32(a) + F16::from_f32(b)` (and `*`)
+    /// bit for bit, NaN bits included, over lengths on both sides of a
+    /// block and operands that keep whole blocks on the lanes' fast path,
+    /// plant specials in them, or are arbitrary bit patterns.
+    #[test]
+    fn both_oracles_equal_the_scalar_definition_bit_for_bit() {
+        let specials = [
+            f32::from_bits(0x7FC0_1234), // quiet NaN with a payload
+            f32::from_bits(0xFF80_0001), // negative signalling NaN
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            0.0,
+            -0.0,
+            1.0e-6,                      // subnormal in binary16
+            -6.0e-8,                     // the smallest subnormal's neighbourhood
+            f32::from_bits(0x3A00_0000), // 2^-11: 1 + 2^-11 ties to even
+            f32::from_bits(0x3A40_0000), // 3 * 2^-12
+            2049.0,                      // a tie at ULP 2
+            65_520.0,                    // ties to infinity
+            65_504.0,
+            f32::from_bits(0x3880_0000), // 2^-14, the smallest normal
+        ];
+        let ctx = PimContext::small_system();
+        let mut state = 0xA409_3822_299F_31D0u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for len in [1, 15, 16, 17, 4097] {
+            for op in [StreamOp::Add, StreamOp::Mul] {
+                let mut operand = |salt: u64| -> Vec<f32> {
+                    (0..len)
+                        .map(|i| {
+                            let r = next();
+                            match ((i / BLOCK_ELEMS) as u64 ^ salt) % 3 {
+                                0 => ((r % 4001) as f32 - 2000.0) / 16.0,
+                                1 if r % 4 == 0 => specials[(r >> 8) as usize % specials.len()],
+                                1 => ((r % 801) as f32 - 400.0) / 64.0,
+                                _ => f32::from_bits(r as u32),
+                            }
+                        })
+                        .collect()
+                };
+                let (x, y) = (operand(0), operand(1));
+                let want: Vec<u32> = x
+                    .iter()
+                    .zip(&y)
+                    .map(|(&a, &b)| {
+                        let (a, b) = (F16::from_f32(a), F16::from_f32(b));
+                        let z = if op == StreamOp::Add { a + b } else { a * b };
+                        z.to_f32().to_bits()
+                    })
+                    .collect();
+                let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+                assert_eq!(bits(reference(op, &x, &y)), want, "{op:?}, {len} from f32");
+                let ops = StreamOperands::new(&ctx, op, &x, Some(&y)).unwrap();
+                assert_eq!(bits(ops.reference()), want, "{op:?}, {len} from the blocks");
+            }
+        }
+    }
 
     /// A job declares live exactly the units `gather` reads: the ones that
     /// hold a real block, over the whole system and over a channel subset.

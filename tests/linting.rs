@@ -849,7 +849,7 @@ fn config_fields_stay_under_their_budget() {
 /// budget; raising it takes an edit of this test in the same diff.
 #[test]
 fn code_lines_stay_under_their_budget() {
-    const BUDGET: usize = 16_172;
+    const BUDGET: usize = 16_166;
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
     let lines: usize = workspace_sources(&root)
         .iter()
